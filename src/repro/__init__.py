@@ -38,7 +38,6 @@ from .core import (
     IndoorFlowSystem,
     NaiveTkPLQ,
     NestedLoopTkPLQ,
-    PossiblePath,
     PresenceComputation,
     RankedLocation,
     SearchStats,
@@ -165,7 +164,6 @@ __all__ = [
     "PLocationKind",
     "Point",
     "PositioningRecord",
-    "PossiblePath",
     "PresenceComputation",
     "PresenceStore",
     "QueryEngine",

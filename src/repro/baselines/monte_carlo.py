@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..core.flow import FlowComputer
-from ..core.paths import PossiblePath
+from ..core.paths import pass_probability
 from ..core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
 from ..data.iupt import IUPT
 from ..data.records import SampleSet
@@ -93,19 +93,20 @@ class MonteCarlo:
     ) -> Dict[int, float]:
         flows: Dict[int, float] = {sloc_id: 0.0 for sloc_id in parent_cells}
         for object_id in sorted(sequences):
-            path = self._sample_certain_path(sequences[object_id], matrix, rng)
-            if path is None:
+            step_cells = self._sample_certain_path(sequences[object_id], matrix, rng)
+            if step_cells is None:
                 continue
             for sloc_id, cell_id in parent_cells.items():
                 if cell_id is None:
                     continue
-                flows[sloc_id] += path.pass_probability(cell_id)
+                flows[sloc_id] += pass_probability(step_cells, cell_id)
         return flows
 
     def _sample_certain_path(
         self, sequence: Sequence[SampleSet], matrix, rng: random.Random
-    ) -> Optional[PossiblePath]:
-        """Draw one certain path, keeping only its topologically valid steps.
+    ) -> Optional[List[FrozenSet[int]]]:
+        """Draw one certain path (as its step cell sets), keeping only its
+        topologically valid steps.
 
         Every record is instantiated to a single P-location; instantiated
         locations that cannot be reached from the previous kept location
@@ -115,21 +116,17 @@ class MonteCarlo:
         drawn = [self._draw(sample_set, rng) for sample_set in sequence]
         if not drawn:
             return None
-        locations: List[int] = [drawn[0]]
-        step_cells: List = []
+        tail = drawn[0]
+        step_cells: List[FrozenSet[int]] = []
         for candidate in drawn[1:]:
-            cells = matrix.cells_between(locations[-1], candidate)
+            cells = matrix.cells_between(tail, candidate)
             if not cells:
                 continue
-            locations.append(candidate)
+            tail = candidate
             step_cells.append(cells)
         if not step_cells:
-            step_cells = [matrix.cells_adjacent(locations[0])]
-        return PossiblePath(
-            plocations=tuple(locations),
-            probability=1.0,
-            step_cells=tuple(step_cells),
-        )
+            step_cells = [matrix.cells_adjacent(tail)]
+        return step_cells
 
     @staticmethod
     def _draw(sample_set: SampleSet, rng: random.Random) -> int:

@@ -5,13 +5,8 @@ from .engine import ALGORITHMS, IndoorFlowSystem
 from .flow import FlowComputer, FlowResult, ObjectComputationCache
 from .naive import NaiveTkPLQ
 from .nested_loop import NestedLoopTkPLQ
-from .paths import (
-    PathConstructionStats,
-    PossiblePath,
-    build_possible_paths,
-    candidate_path_count,
-)
-from .presence import PresenceComputation, object_presence
+from .paths import PathConstructionStats, candidate_path_count
+from .presence import PresenceComputation
 from .query import (
     RankedLocation,
     SearchStats,
@@ -38,7 +33,6 @@ __all__ = [
     "NestedLoopTkPLQ",
     "ObjectComputationCache",
     "PathConstructionStats",
-    "PossiblePath",
     "PresenceComputation",
     "RankedLocation",
     "ReducedSequence",
@@ -46,8 +40,6 @@ __all__ = [
     "SearchStats",
     "TkPLQResult",
     "TkPLQuery",
-    "build_possible_paths",
     "candidate_path_count",
-    "object_presence",
     "rank_top_k",
 ]

@@ -2,13 +2,13 @@
 
 ``Flow(q, tree, [ts, te])`` fetches the positioning records of the query
 window from the time index, groups them per object, reduces every object's
-sequence (Algorithm 1), constructs the valid possible paths on the reduced
-sequence, and accumulates the object presences into the indoor flow of ``q``.
+sequence (Algorithm 1), computes the object presences on the reduced sequence
+(Equations 1-2), and accumulates them into the indoor flow of ``q``.
 
 Since the execution-engine refactor the computation itself lives in the
 staged pipeline of :mod:`repro.engine.stages` (fetch → reduce → paths →
 presence); :class:`FlowComputer` remains the home of the per-object
-primitives (the reducer, path construction, Equation 1) and keeps its
+primitives (the reducer, Equation 1) and keeps its
 historical API as a thin driver over the pipeline.  A bare ``FlowComputer``
 lazily builds a private serial pipeline without cross-query caching, which
 reproduces the pre-engine behaviour exactly; a
@@ -34,11 +34,7 @@ from ..data.iupt import IUPT
 from ..data.records import SampleSet
 from ..space.graph import IndoorSpaceLocationGraph
 from ..space.matrix import IndoorLocationMatrix
-from .paths import (
-    PathConstructionStats,
-    build_possible_paths,
-    total_candidate_probability,
-)
+from .paths import candidate_path_count
 from .presence import PresenceComputation
 from .query import SearchStats
 from .reduction import DataReducer, DataReductionConfig, ReductionStats
@@ -114,12 +110,10 @@ class FlowComputer:
         graph: IndoorSpaceLocationGraph,
         matrix: IndoorLocationMatrix,
         reduction: DataReductionConfig = DataReductionConfig.enabled(),
-        max_paths_per_object: Optional[int] = 1024,
     ):
         self._graph = graph
         self._matrix = matrix
         self._reducer = DataReducer(graph, matrix, reduction)
-        self._max_paths_per_object = max_paths_per_object
         self._pipeline: Optional["QueryPipeline"] = None
 
     @property
@@ -173,18 +167,12 @@ class FlowComputer:
         sequence: Sequence[SampleSet],
         stats: Optional[SearchStats] = None,
     ) -> PresenceComputation:
-        """Build the possible paths of one (already reduced) sequence."""
-        path_stats = stats.path_stats if stats is not None else PathConstructionStats()
-        paths = build_possible_paths(
-            sequence, self._matrix, path_stats, max_paths=self._max_paths_per_object
-        )
-        # Equation 1 normalises by the total candidate-path mass (the product
-        # of the per-sample-set probability sums), so probability mass lost to
-        # invalid candidates lowers the presence — this reproduces the paper's
-        # worked Example 3 (Φ(r6, o2) = 0.85).
-        return PresenceComputation(
-            paths, candidate_mass=total_candidate_probability(sequence)
-        )
+        """Compute the presences of one (already reduced) sequence."""
+        computation = PresenceComputation(sequence, self._matrix)
+        if stats is not None:
+            stats.path_stats.candidate_paths += candidate_path_count(sequence)
+            stats.path_stats.valid_paths += computation.tail_states
+        return computation
 
     def object_presence(
         self,

@@ -1,102 +1,62 @@
-"""Possible indoor path construction (Section 2.3, step 2).
+"""Candidate-path accounting and the pass probability (Section 2.3, Equation 2).
 
 Given an object's positioning sequence ``X = (X1, ..., Xn)`` within the query
 window, the candidate paths live in the Cartesian product
-``πl(X1) x ... x πl(Xn)``.  Candidates violating the indoor topology — i.e.
-containing a consecutive P-location pair with ``MIL[pi, pj] = ∅`` — are
-invalid and are pruned *during* construction (Algorithm 2, lines 13-15), so
-that invalid branches never fan out.
+``πl(X1) x ... x πl(Xn)``.  Candidates containing a consecutive P-location
+pair with ``MIL[pi, pj] = ∅`` violate the indoor topology and are invalid.
+A path is described, per consecutive pair, by the set of cells that could
+host the movement (``MIL[locj, locj+1]``).
 
-Each constructed path keeps, per consecutive P-location pair, the set of cells
-that could host the movement (``MIL[locj, locj+1]``).  Those step cell sets
-are all that is needed later to evaluate the pass probability with respect to
-any S-location, which is how the nested-loop and best-first algorithms share
-one path construction across many query locations.
+The paths themselves are never materialised: object presence is computed by
+the forward recurrence of :mod:`repro.core.presence`.  This module keeps what
+is defined on paths — their count, their total probability mass, and
+Equation 2 for one concrete path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Optional, Sequence
 
 from ..data.records import SampleSet
-from ..space.matrix import IndoorLocationMatrix
 
 
-@dataclass(frozen=True)
-class PossiblePath:
-    """A valid possible path (group) of one object across the query window.
+def pass_probability(
+    step_cells: Sequence[FrozenSet[int]], cell_id: Optional[int]
+) -> float:
+    """The probability that one concrete path passes the cell ``cell_id``.
 
-    Attributes
-    ----------
-    plocations:
-        The P-locations of one representative concrete path (the first one
-        encountered for this group; see below).
-    probability:
-        The total probability mass of the concrete paths represented by this
-        entry (``Σ pr_i`` over the group).
-    step_cells:
-        For every consecutive pair ``(loc_j, loc_{j+1})``, the set of cells
-        that cover a direct connection between them.  For a single-report
-        path this holds one entry: the adjacent/containing cells of the lone
-        P-location.
-
-    Concrete candidate paths that traverse exactly the same step cell sets and
-    end at the same P-location are interchangeable for every downstream
-    computation: their pass probability with respect to any S-location is
-    identical (Equation 2 depends only on the step cell sets) and their
-    extensibility depends only on the tail P-location.  The constructor
-    therefore groups them and sums their probabilities, which keeps Equation 1
-    exact while drastically reducing the number of path objects handled.
+    Implements Equation 2: the complement of the probability that none of
+    the consecutive pairs passes the cell, where each pair passes it with
+    probability ``|{c in C | c == cell}| / |C|``.
     """
-
-    plocations: Tuple[int, ...]
-    probability: float
-    step_cells: Tuple[FrozenSet[int], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.plocations)
-
-    def cells_touched(self) -> Set[int]:
-        """All cells the path may traverse (union of the step cell sets)."""
-        touched: Set[int] = set()
-        for cells in self.step_cells:
-            touched |= cells
-        return touched
-
-    def pass_probability(self, cell_id: Optional[int]) -> float:
-        """The probability that this path passes the cell ``cell_id``.
-
-        Implements Equation 2: the complement of the probability that none of
-        the consecutive pairs passes the cell, where each pair passes it with
-        probability ``|{c in C | c == cell}| / |C|``.
-        """
-        if cell_id is None:
-            return 0.0
-        miss_probability = 1.0
-        for cells in self.step_cells:
-            if not cells:
-                continue
-            hit = 1.0 / len(cells) if cell_id in cells else 0.0
-            miss_probability *= 1.0 - hit
-        return 1.0 - miss_probability
+    if cell_id is None:
+        return 0.0
+    miss_probability = 1.0
+    for cells in step_cells:
+        if cell_id in cells:
+            miss_probability *= 1.0 - 1.0 / len(cells)
+    return 1.0 - miss_probability
 
 
 @dataclass
 class PathConstructionStats:
-    """Counters describing one path-construction run (for the reduction study)."""
+    """Counters describing the presence computations of one query.
+
+    ``candidate_paths`` is ``Π |πl(Xi)|`` summed over the built objects;
+    ``valid_paths`` counts the tail states (final P-locations reachable by at
+    least one valid path of positive probability) surviving the forward
+    recurrence, summed over the built objects.
+    """
 
     candidate_paths: int = 0
     valid_paths: int = 0
-    pruned_branches: int = 0
+    # Never incremented (presence is exact); read by bench/workloads/cold_window_scan.py.
     truncated_objects: int = 0
 
     def merge(self, other: "PathConstructionStats") -> None:
         self.candidate_paths += other.candidate_paths
         self.valid_paths += other.valid_paths
-        self.pruned_branches += other.pruned_branches
-        self.truncated_objects += other.truncated_objects
 
 
 def candidate_path_count(sequence: Sequence[SampleSet]) -> int:
@@ -105,154 +65,6 @@ def candidate_path_count(sequence: Sequence[SampleSet]) -> int:
     for sample_set in sequence:
         total *= len(sample_set.plocation_set())
     return total if sequence else 0
-
-
-class _StepChain:
-    """A hash-consed chain of step cell sets (shared prefixes, O(1) keys).
-
-    Partial paths grow one step cell set per sample set; materialising the
-    step tuple on every extension costs O(sequence length) per candidate and
-    makes the construction quadratic on the long dwell-heavy sequences of
-    the streaming scenarios.  Chains share their prefixes instead: every
-    node is interned per construction, so two partial paths carry the *same*
-    chain object exactly when their step cell sequences are equal, and the
-    grouping key ``(tail, chain)`` hashes by identity in O(1).  The full
-    tuple is materialised only for the surviving final paths.
-    """
-
-    __slots__ = ("parent", "cells")
-
-    def __init__(self, parent: Optional["_StepChain"], cells: FrozenSet[int]):
-        self.parent = parent
-        self.cells = cells
-
-    def materialise(self) -> Tuple[FrozenSet[int], ...]:
-        steps: List[FrozenSet[int]] = []
-        node: Optional["_StepChain"] = self
-        while node is not None:
-            steps.append(node.cells)
-            node = node.parent
-        steps.reverse()
-        return tuple(steps)
-
-
-def build_possible_paths(
-    sequence: Sequence[SampleSet],
-    matrix: IndoorLocationMatrix,
-    stats: Optional[PathConstructionStats] = None,
-    max_paths: Optional[int] = None,
-) -> List[PossiblePath]:
-    """Construct the topologically valid possible paths of one sequence.
-
-    The construction extends partial paths one sample set at a time and drops
-    a partial path as soon as its tail cannot directly reach the next sample's
-    P-location (``MIL[tail, loc] = ∅``), mirroring lines 9-15 of Algorithm 2.
-    Concrete candidates sharing the same tail P-location and the same step
-    cell sets are grouped (their probabilities summed) because they are
-    indistinguishable for presence computation — see :class:`PossiblePath`.
-
-    ``max_paths``, when given, bounds the number of path groups carried
-    forward at each step; if the bound is exceeded the lowest-probability
-    groups are dropped and the computation becomes an approximation (the kept
-    mass still normalises correctly through Equation 1).  The paper instead
-    spills paths to disk; a bound is the practical equivalent for a pure
-    in-memory reproduction and only triggers on pathological sequences.
-    """
-    if stats is not None:
-        stats.candidate_paths += candidate_path_count(sequence)
-    if not sequence:
-        return []
-
-    # Partial path groups: (tail, step chain) -> [representative locations,
-    # probability].  Chains are hash-consed through `interned`, so the key
-    # compares in O(1) while grouping exactly by the step cell sequence.
-    partials: dict = {}
-    for sample in sequence[0]:
-        key = (sample.ploc_id, None)
-        entry = partials.get(key)
-        if entry is None:
-            partials[key] = [(sample.ploc_id,), sample.prob]
-        else:
-            entry[1] += sample.prob
-
-    truncated = False
-    for sample_set in sequence[1:]:
-        extended: dict = {}
-        interned: dict = {}
-        # MIL lookups depend only on (tail, next location); the tails of one
-        # step all come from the previous sample set, so memoising per step
-        # caps the matrix probes at |X_{i-1}| x |X_i| instead of one per
-        # partial path group.  The samples are unpacked once and the dict
-        # probes hoisted because this loop runs (groups x samples) times per
-        # step and dominates whole-window flow computation.
-        cells_between: dict = {}
-        samples = [(sample.ploc_id, sample.prob) for sample in sample_set]
-        pruned_branches = 0
-        cells_get = cells_between.get
-        interned_get = interned.get
-        extended_get = extended.get
-        matrix_cells_between = matrix.cells_between
-        for (tail, chain), (locations, probability) in partials.items():
-            for ploc_id, prob in samples:
-                pair = (tail, ploc_id)
-                cells = cells_get(pair)
-                if cells is None:
-                    cells = matrix_cells_between(tail, ploc_id)
-                    cells_between[pair] = cells
-                if not cells:
-                    pruned_branches += 1
-                    continue
-                link = (chain, cells)
-                extended_chain = interned_get(link)
-                if extended_chain is None:
-                    extended_chain = _StepChain(chain, cells)
-                    interned[link] = extended_chain
-                key = (ploc_id, extended_chain)
-                entry = extended_get(key)
-                if entry is None:
-                    extended[key] = [
-                        locations + (ploc_id,),
-                        probability * prob,
-                    ]
-                else:
-                    entry[1] += probability * prob
-        if stats is not None:
-            stats.pruned_branches += pruned_branches
-        if max_paths is not None and len(extended) > max_paths:
-            truncated = True
-            keep = sorted(extended.items(), key=lambda item: -item[1][1])[:max_paths]
-            extended = dict(keep)
-        partials = extended
-        if not partials:
-            break
-
-    paths: List[PossiblePath] = []
-    for (tail, chain), (locations, probability) in partials.items():
-        if len(locations) == 1:
-            # A lone report: the "movement" stays within the cells adjacent to
-            # the single P-location (see DESIGN.md, interpretation choices).
-            steps: Tuple[FrozenSet[int], ...] = (
-                matrix.cells_adjacent(locations[0]),
-            )
-        else:
-            steps = chain.materialise()
-        paths.append(
-            PossiblePath(
-                plocations=locations,
-                probability=probability,
-                step_cells=steps,
-            )
-        )
-    if stats is not None:
-        stats.valid_paths += len(paths)
-        if truncated:
-            stats.truncated_objects += 1
-    return paths
-
-
-def total_probability(paths: Sequence[PossiblePath]) -> float:
-    """Sum of the (valid) path probabilities."""
-    return sum(path.probability for path in paths)
 
 
 def total_candidate_probability(sequence: Sequence[SampleSet]) -> float:

@@ -1,97 +1,142 @@
-"""Object presence and pass probability (Section 2.3, Equations 1 and 2).
+"""Object presence (Section 2.3, Equations 1 and 2), exact in polynomial time.
 
 The *object presence* ``Φ_{ts,te}(q, o)`` of object ``o`` in S-location ``q``
 is the normalised expectation, over all valid possible paths of ``o`` in the
 query window, of the probability that the path passes ``q``'s parent cell:
 
-    Φ(q, o) = Σ_i (pr_{φi→q} · pr_i) / Σ_i pr_i
+    Φ(q, o) = Σ_i (pr_{φi→q} · pr_i) / candidate mass
 
-Presence is always in ``[0, 1]``; summing presences over the object set gives
-the indoor flow of ``q`` (Definition 1).
+where the denominator is the total probability mass of the *candidate* paths
+(``total_candidate_probability``; 1 for normalised sample sets), so mass lost
+to topologically invalid candidates lowers the presence — this reproduces the
+paper's worked Example 3 (Φ(r6, o2) = 0.85).  Summing presences over the
+object set gives the indoor flow of ``q`` (Definition 1).
+
+**The recurrence.**  Equation 2's miss probability is a product over the
+steps of a path, so for a fixed cell ``c`` the numerator factorises along the
+sequence and the paths are never enumerated.  Carry, per tail P-location
+``p``, the valid-path mass ``M[p]`` and, per cell ``c`` touched so far, the
+mass-weighted miss product ``W[p][c]`` (implicitly ``M[p]`` for an untouched
+cell).  One sample ``(q, prob)`` of the next set extends them by
+
+    M'[q]    = prob · Σ_p [MIL[p,q] ≠ ∅] · M[p]
+    W'[q][c] = prob · Σ_p [MIL[p,q] ≠ ∅] · W[p][c] · (1 − [c ∈ MIL[p,q]] / |MIL[p,q]|)
+
+and ``Φ(c) = (Σ_p M[p] − Σ_p W[p][c]) / candidate mass`` — O(n · |X|² · cells)
+for ``n`` sample sets of at most ``|X|`` samples.  Exact: there is no cap on
+the number of paths.  A sequence of a single sample set is a lone report
+whose one "step" is the cell set adjacent to the reported P-location; a
+sequence without a valid path has presence 0 everywhere.
+
+**Float contract.**  Every strategy (naive, nested-loop, best-first, batch,
+continuous, vectorized scoring, any executor, any process) obtains presences
+from this one routine, so their results are bit-identical to each other.  No
+accumulation depends on set iteration order: sums run over tail states in
+sample order (sample sets are sorted by P-location id) and each cell's value
+is computed independently of the other cells.  Against a brute-force
+evaluation of Equations 1-2 over enumerated paths the result agrees within
+1e-12 (``tests/test_presence_oracle.py``).  Results are clamped to ``[0, 1]``:
+dividing by a candidate mass an ulp below one can land an ulp above one, and
+the vectorized scoring kernel relies on presences being non-negative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .paths import PossiblePath, total_probability
+from ..data.records import SampleSet
+from ..space.matrix import IndoorLocationMatrix
+from .paths import total_candidate_probability
+
+# One tail state: (P-location, valid-path mass M, miss products W by cell).
+_State = Tuple[int, float, Dict[int, float]]
 
 
-@dataclass
+def _extend(
+    states: Sequence[_State], sample_set: SampleSet, matrix: IndoorLocationMatrix
+) -> List[_State]:
+    """Advance the tail states by one sample set (the recurrence above)."""
+    extended: List[_State] = []
+    for sample in sample_set:
+        # The tails this sample can be reached from, in state order, each
+        # with the factor by which a step through MIL[tail, loc] misses one
+        # of its cells.
+        links = []
+        reachable = 0.0
+        for tail, mass, miss in states:
+            cells = matrix.cells_between(tail, sample.ploc_id)
+            if cells:
+                links.append((mass, miss, cells, 1.0 - 1.0 / len(cells)))
+                reachable += mass
+        mass = sample.prob * reachable
+        if not mass > 0.0:
+            continue
+        touched = set()
+        for _mass, miss, cells, _factor in links:
+            touched.update(miss)
+            touched.update(cells)
+        new_miss: Dict[int, float] = {}
+        for cell in touched:
+            missed = 0.0
+            for tail_mass, miss, cells, factor in links:
+                weight = miss.get(cell, tail_mass)
+                missed += weight * factor if cell in cells else weight
+            new_miss[cell] = sample.prob * missed
+        extended.append((sample.ploc_id, mass, new_miss))
+    return extended
+
+
+def _forward_presences(
+    sequence: Sequence[SampleSet], matrix: IndoorLocationMatrix
+) -> Tuple[Dict[int, float], int]:
+    """``cell → Φ`` over the touched cells, and the surviving tail states."""
+    candidate_mass = total_candidate_probability(sequence)
+    if not candidate_mass > 0.0:
+        return {}, 0
+    states: List[_State] = [
+        (sample.ploc_id, sample.prob, {})
+        for sample in sequence[0]
+        if sample.prob > 0.0
+    ]
+    if len(sequence) == 1:
+        for ploc_id, mass, miss in states:
+            cells = matrix.cells_adjacent(ploc_id)
+            for cell in cells:
+                miss[cell] = mass * (1.0 - 1.0 / len(cells))
+    for sample_set in sequence[1:]:
+        states = _extend(states, sample_set, matrix)
+        if not states:
+            break
+
+    total = 0.0
+    touched = set()
+    for _ploc_id, mass, miss in states:
+        total += mass
+        touched.update(miss)
+    presences: Dict[int, float] = {}
+    for cell in touched:
+        missed = 0.0
+        for _ploc_id, mass, miss in states:
+            missed += miss.get(cell, mass)
+        presences[cell] = min(max((total - missed) / candidate_mass, 0.0), 1.0)
+    return presences, len(states)
+
+
 class PresenceComputation:
-    """The reusable per-object artefact shared across query S-locations.
+    """The per-object artefact shared across query S-locations.
 
-    Holds the valid possible paths and their total probability; evaluating the
-    presence for a specific parent cell is then a cheap scan over the paths.
-    The nested-loop and best-first algorithms build this once per object and
-    reuse it for every query location the object is relevant to, which is the
-    "intermediate result sharing" of Section 4.1.
-
-    ``candidate_mass`` is the denominator of Equation 1.  The paper's worked
-    Example 3 (Φ(r6, o2) = 0.85) divides by the total probability mass of the
-    *candidate* paths — which is 1 because each sample set's probabilities sum
-    to one — so that mass lost to topologically invalid candidates lowers the
-    presence.  When ``candidate_mass`` is omitted the valid-path mass is used
-    instead (the literal reading of Algorithm 2), which only matters for
-    callers constructing the object directly.
+    Holds Φ for every cell the object's valid paths can touch, computed once
+    from the (already reduced) sequence; evaluating the presence for a parent
+    cell is then a lookup.  The TkPLQ algorithms build this once per object
+    and reuse it for every query location the object is relevant to, which is
+    the "intermediate result sharing" of Section 4.1.
     """
 
-    paths: Sequence[PossiblePath]
-    candidate_mass: Optional[float] = None
-    _normaliser: float = field(init=False)
-    _cache: Dict[int, float] = field(init=False, default_factory=dict)
+    __slots__ = ("presences", "tail_states")
 
-    def __post_init__(self) -> None:
-        if self.candidate_mass is not None and self.candidate_mass > 0.0:
-            self._normaliser = self.candidate_mass
-        else:
-            self._normaliser = total_probability(self.paths)
-
-    @property
-    def path_count(self) -> int:
-        return len(self.paths)
-
-    @property
-    def normaliser(self) -> float:
-        return self._normaliser
+    def __init__(self, sequence: Sequence[SampleSet], matrix: IndoorLocationMatrix):
+        self.presences, self.tail_states = _forward_presences(sequence, matrix)
 
     def presence_in_cell(self, cell_id: Optional[int]) -> float:
         """Return Φ(q, o) for a query location whose parent cell is ``cell_id``."""
-        if cell_id is None or not self.paths or self._normaliser <= 0.0:
-            return 0.0
-        cached = self._cache.get(cell_id)
-        if cached is not None:
-            return cached
-        weighted = 0.0
-        for path in self.paths:
-            pass_probability = path.pass_probability(cell_id)
-            if pass_probability > 0.0:
-                weighted += pass_probability * path.probability
-        presence = weighted / self._normaliser
-        # Guard against floating-point drift; presence is ≤ 1 by construction.
-        presence = min(presence, 1.0)
-        self._cache[cell_id] = presence
-        return presence
-
-    def presence_in_cells(self, cell_ids: Iterable[int]) -> Dict[int, float]:
-        """Vectorised convenience: presence for several parent cells at once."""
-        return {cell_id: self.presence_in_cell(cell_id) for cell_id in cell_ids}
-
-    def cells_with_positive_presence(self) -> List[int]:
-        """Cells that at least one valid path can touch (positive presence)."""
-        touched = set()
-        for path in self.paths:
-            touched |= path.cells_touched()
-        return sorted(touched)
-
-
-def object_presence(
-    paths: Sequence[PossiblePath], cell_id: Optional[int]
-) -> float:
-    """One-shot helper computing Φ(q, o) from pre-built paths.
-
-    Prefer :class:`PresenceComputation` when several S-locations are evaluated
-    against the same object.
-    """
-    return PresenceComputation(paths).presence_in_cell(cell_id)
+        return self.presences.get(cell_id, 0.0)

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..data.records import Sample, SampleSet
 from ..space.graph import IndoorSpaceLocationGraph
-from ..space.matrix import IndoorLocationMatrix
+from ..space.matrix import IndoorLocationMatrix, possible_cells_of_sequence
 
 
 @dataclass(frozen=True)
@@ -171,11 +171,10 @@ class DataReducer:
 
         reduced: List[SampleSet] = []
         merge_buffer: List[SampleSet] = []
-        psls: Set[int] = set()
+        psls = self.possible_slocations_of_sequence(original)
 
         for sample_set in original:
             working = self._intra_merge(sample_set) if self._config.intra_merge else sample_set
-            psls |= self._possible_slocations(working)
 
             if self._config.inter_merge:
                 if merge_buffer and working.plocation_set() != merge_buffer[-1].plocation_set():
@@ -252,18 +251,14 @@ class DataReducer:
     # ------------------------------------------------------------------
     # Possible semantic locations
     # ------------------------------------------------------------------
-    def _possible_slocations(self, sample_set: SampleSet) -> Set[int]:
-        """The S-locations an object may have visited given one sample set."""
-        cells: Set[int] = set()
-        for ploc_id in sample_set.plocation_set():
-            cells |= self._matrix.cells_adjacent(ploc_id)
-        return self._graph.c2s_many(cells)
-
     def possible_slocations_of_sequence(
         self, sequence: Sequence[SampleSet]
     ) -> Set[int]:
-        """PSLs over an entire sequence without performing any merge."""
-        psls: Set[int] = set()
-        for sample_set in sequence:
-            psls |= self._possible_slocations(sample_set)
-        return psls
+        """The S-locations an object may have visited given its sequence.
+
+        Derived once from the union of the reported P-locations: ``C2S``
+        distributes over the union of cells, and intra-merge keeps every
+        sample's cell set, so merged and raw sequences give the same set.
+        """
+        ploc_ids = {sample.ploc_id for sample_set in sequence for sample in sample_set}
+        return self._graph.c2s_many(possible_cells_of_sequence(self._matrix, ploc_ids))

@@ -73,19 +73,15 @@ class StoredPresence:
     """The per-object artefact cached by the store.
 
     The reduction result (``psls``, ``sequence``, ``pruned``) is always
-    present; ``computation`` — the constructed possible paths — is filled in
+    present; ``computation`` — the per-cell presences — is filled in
     lazily because the best-first algorithm reduces every object but only
-    builds paths for the candidates its guided join actually visits.
+    computes them for the candidates its guided join actually visits.
     """
 
     psls: FrozenSet[int]
     sequence: Tuple[SampleSet, ...]
     pruned: bool
     computation: Optional[PresenceComputation] = None
-
-    @property
-    def has_paths(self) -> bool:
-        return self.computation is not None
 
 
 @dataclass

@@ -49,7 +49,6 @@ class QueryEngine:
         matrix: IndoorLocationMatrix,
         reduction: DataReductionConfig = DataReductionConfig.enabled(),
         config: Optional[EngineConfig] = None,
-        max_paths_per_object: Optional[int] = 1024,
         rtree_fanout: int = 8,
     ):
         self.config = config or EngineConfig()
@@ -58,9 +57,7 @@ class QueryEngine:
             if self.config.caching_enabled
             else None
         )
-        self.flow_computer = FlowComputer(
-            graph, matrix, reduction, max_paths_per_object
-        )
+        self.flow_computer = FlowComputer(graph, matrix, reduction)
         self.pipeline = QueryPipeline(
             self.flow_computer, store=self.store, config=self.config
         )

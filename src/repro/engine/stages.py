@@ -5,7 +5,8 @@ stages, each reporting into the :class:`ExecutionContext` it is given:
 
 * :class:`FetchStage` — time-index window retrieval (``tree.RangeQuery``);
 * :class:`ReduceStage` — the data reduction of Algorithm 1;
-* :class:`PathStage` — valid possible-path construction (Equations 1-2);
+* :class:`PathStage` — object presence over the valid possible paths
+  (Equations 1-2, the forward recurrence of :mod:`repro.core.presence`);
 * :class:`PresenceStage` — the cache-aware composition of the two above,
   producing the per-object :class:`~repro.engine.cache.StoredPresence`
   artefact shared across query locations, across queries (through the
@@ -91,7 +92,7 @@ class ReduceStage:
 
 
 class PathStage:
-    """Stage 3: construct the valid possible paths of one reduced sequence."""
+    """Stage 3: the presences (Equations 1-2) of one reduced sequence."""
 
     def __init__(self, flow_computer: "FlowComputer"):
         self._computer = flow_computer

