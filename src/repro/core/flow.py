@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
     Optional,
     Sequence,
-    Set,
     Tuple,
     TYPE_CHECKING,
 )
@@ -232,7 +232,7 @@ class FlowComputer:
     def reduce_object(
         self,
         sequence: Sequence[SampleSet],
-        query_slocations: Optional[Set[int]],
+        query_slocations: Optional[AbstractSet[int]],
         stats: Optional[ReductionStats] = None,
     ):
         """Expose Algorithm 1 for callers that need the PSLs (e.g. Best-First)."""

@@ -60,10 +60,13 @@ class PathConstructionStats:
 
 
 def candidate_path_count(sequence: Sequence[SampleSet]) -> int:
-    """The worst-case number of candidate paths (``Π |πl(Xi)|``)."""
+    """The worst-case number of candidate paths (``Π |πl(Xi)|``).
+
+    A :class:`SampleSet` holds each P-location once, so ``|πl(Xi)| = |Xi|``.
+    """
     total = 1
     for sample_set in sequence:
-        total *= len(sample_set.plocation_set())
+        total *= len(sample_set)
     return total if sequence else 0
 
 

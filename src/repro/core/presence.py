@@ -23,10 +23,13 @@ cell).  One sample ``(q, prob)`` of the next set extends them by
     W'[q][c] = prob · Σ_p [MIL[p,q] ≠ ∅] · W[p][c] · (1 − [c ∈ MIL[p,q]] / |MIL[p,q]|)
 
 and ``Φ(c) = (Σ_p M[p] − Σ_p W[p][c]) / candidate mass`` — O(n · |X|² · cells)
-for ``n`` sample sets of at most ``|X|`` samples.  Exact: there is no cap on
-the number of paths.  A sequence of a single sample set is a lone report
-whose one "step" is the cell set adjacent to the reported P-location; a
-sequence without a valid path has presence 0 everywhere.
+for ``n`` sample sets of at most ``|X|`` samples; ``MIL[p,q]`` and the factor
+``1 − 1/|MIL[p,q]|`` are read from the matrix's link table
+(:meth:`~repro.space.matrix.IndoorLocationMatrix.link`), computed once per
+pair.  Exact: there is no cap on the number of paths.  A sequence of a single
+sample set is a lone report whose one "step" is the cell set adjacent to the
+reported P-location; a sequence without a valid path has presence 0
+everywhere.
 
 **Float contract.**  Every strategy (naive, nested-loop, best-first, batch,
 continuous, vectorized scoring, any executor, any process) obtains presences
@@ -57,6 +60,7 @@ def _extend(
 ) -> List[_State]:
     """Advance the tail states by one sample set (the recurrence above)."""
     extended: List[_State] = []
+    link = matrix.link
     for sample in sample_set:
         # The tails this sample can be reached from, in state order, each
         # with the factor by which a step through MIL[tail, loc] misses one
@@ -64,9 +68,9 @@ def _extend(
         links = []
         reachable = 0.0
         for tail, mass, miss in states:
-            cells = matrix.cells_between(tail, sample.ploc_id)
+            cells, factor = link(tail, sample.ploc_id)
             if cells:
-                links.append((mass, miss, cells, 1.0 - 1.0 / len(cells)))
+                links.append((mass, miss, cells, factor))
                 reachable += mass
         mass = sample.prob * reachable
         if not mass > 0.0:

@@ -16,16 +16,45 @@ constructed:
 
 Each reduction can be toggled independently so the ``-ORG`` algorithm variants
 of the evaluation (no data reduction) and finer ablations can be expressed.
+
+**One pass.**  ``DataReducer.reduce`` walks the sequence once over each sample
+set's ``(P-location ids, probabilities)`` columns.  Equivalence is not derived
+per sample: it is read from the matrix's ``p → class representative`` table
+(:attr:`~repro.space.matrix.IndoorLocationMatrix.equivalence_classes`), the
+``M × M`` downsizing of Section 3.2 done once per floor plan.  A dwell run is
+held as columns and only its average is built into a ``SampleSet``.
+
+**Float contract.**  The presences of :mod:`repro.core.presence` are computed
+on the reduced sequence, so its floats are part of every answer; they are
+fixed by this recipe (``tests/test_reduction_oracle.py`` holds the earlier
+per-sample implementation and requires exact equality):
+
+* *group order* — the classes of one sample set in order of first appearance
+  in its ascending P-location order, which is ascending in the kept (smallest)
+  id, so a merged set needs no re-sort;
+* *sums* — every sum is the builtin ``sum`` taken left to right: a class over
+  its members in P-location order, a set's mass over its groups in group
+  order, a dwell mean over the run's sets in time order;
+* *clamp* — a class of two or more members carries ``min(sum, 1.0)``; a lone
+  sample's probability is never clamped;
+* *divide by total* — with intra-merge on, every probability of a set is
+  divided by the set's mass (taken after merging and clamping); a dwell run of
+  two or more sets is averaged per P-location (``sum / count``) and the means
+  are divided by their own total;
+* *pass-through* — a set whose classes are all distinct and whose mass is
+  exactly ``1.0`` would only be divided by one (``x / 1.0 == x``), and a dwell
+  run of one set is that set: both are returned as the same object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..data.records import Sample, SampleSet
+from ..data.records import SampleSet
 from ..space.graph import IndoorSpaceLocationGraph
 from ..space.matrix import IndoorLocationMatrix, possible_cells_of_sequence
+from .paths import candidate_path_count
 
 
 @dataclass(frozen=True)
@@ -80,14 +109,6 @@ class ReductionStats:
         self.candidate_paths_before += other.candidate_paths_before
         self.candidate_paths_after += other.candidate_paths_after
 
-    def record(self, before: Sequence[SampleSet], after: Sequence[SampleSet]) -> None:
-        self.sample_sets_before += len(before)
-        self.sample_sets_after += len(after)
-        self.samples_before += sum(len(s) for s in before)
-        self.samples_after += sum(len(s) for s in after)
-        self.candidate_paths_before += _candidate_count(before)
-        self.candidate_paths_after += _candidate_count(after)
-
     def as_dict(self) -> Dict[str, int]:
         return {
             "objects_seen": self.objects_seen,
@@ -119,11 +140,51 @@ class ReducedSequence:
         return not self.pruned
 
 
-def _candidate_count(sequence: Sequence[SampleSet]) -> int:
-    total = 1
-    for sample_set in sequence:
-        total *= len(sample_set.plocation_set())
-    return total if sequence else 0
+# One working sample set of a dwell run: the input set when the reduction left
+# its columns untouched (else ``None``), and its probability column.
+_Working = Tuple[Optional[SampleSet], List[float]]
+
+
+def _merge_equivalent(
+    ploc_ids: List[int], probs: List[float], class_of: Callable[[int], Optional[int]]
+) -> Tuple[List[int], List[float]]:
+    """Sum each equivalence class of one sample set onto its smallest id.
+
+    The columns are in ascending P-location order, so the first member of a
+    class carries its smallest id (footnote 5 of the paper: "we keep the
+    P-location with a smaller subscript") and the groups come out ascending.
+    """
+    groups: Dict[Optional[int], Tuple[int, List[float]]] = {}
+    for ploc_id, prob in zip(ploc_ids, probs):
+        cls = class_of(ploc_id)
+        group = groups.get(cls)
+        if group is None:
+            groups[cls] = (ploc_id, [prob])
+        else:
+            group[1].append(prob)
+    return (
+        [ploc_id for ploc_id, _members in groups.values()],
+        [
+            members[0] if len(members) == 1 else min(sum(members), 1.0)
+            for _ploc_id, members in groups.values()
+        ],
+    )
+
+
+def _dwell_average(ploc_ids: List[int], run: List[_Working]) -> SampleSet:
+    """One sample set for a run of sets over the same P-locations.
+
+    The merged probability of each P-location is the mean of its
+    probabilities across the run (Algorithm 1, ``InterMerge``), rescaled to
+    total one.
+    """
+    if len(run) == 1:
+        kept, probs = run[0]
+        return kept if kept is not None else SampleSet._from_columns(ploc_ids, probs)
+    count = len(run)
+    means = [sum(column) / count for column in zip(*[probs for _kept, probs in run])]
+    total = sum(means)
+    return SampleSet._from_columns(ploc_ids, [mean / total for mean in means])
 
 
 class DataReducer:
@@ -143,13 +204,10 @@ class DataReducer:
     def config(self) -> DataReductionConfig:
         return self._config
 
-    # ------------------------------------------------------------------
-    # Algorithm 1
-    # ------------------------------------------------------------------
     def reduce(
         self,
         sequence: Sequence[SampleSet],
-        query_slocations: Optional[Set[int]],
+        query_slocations: Optional[AbstractSet[int]],
         stats: Optional[ReductionStats] = None,
     ) -> ReducedSequence:
         """Reduce one object's positioning sequence against a query set.
@@ -165,100 +223,63 @@ class DataReducer:
         stats:
             Optional accumulator describing the reduction across objects.
         """
-        original = list(sequence)
-        if stats is not None:
-            stats.objects_seen += 1
+        intra_merge = self._config.intra_merge
+        inter_merge = self._config.inter_merge
+        class_of = self._matrix.equivalence_classes.get
 
         reduced: List[SampleSet] = []
-        merge_buffer: List[SampleSet] = []
-        psls = self.possible_slocations_of_sequence(original)
+        reported = set()
+        samples_before = 0
+        run: List[_Working] = []
+        run_plocs: List[int] = []
 
-        for sample_set in original:
-            working = self._intra_merge(sample_set) if self._config.intra_merge else sample_set
+        for sample_set in sequence:
+            samples = sample_set.samples
+            count = len(samples)
+            ploc_ids = [sample.ploc_id for sample in samples]
+            probs = [sample.prob for sample in samples]
+            samples_before += count
+            reported.update(ploc_ids)
+            kept: Optional[SampleSet] = sample_set
 
-            if self._config.inter_merge:
-                if merge_buffer and working.plocation_set() != merge_buffer[-1].plocation_set():
-                    reduced.append(self._inter_merge(merge_buffer))
-                    merge_buffer = []
-                merge_buffer.append(working)
-            else:
-                reduced.append(working)
+            if intra_merge:
+                if count > 1 and len(set(map(class_of, ploc_ids))) < count:
+                    ploc_ids, probs = _merge_equivalent(ploc_ids, probs, class_of)
+                    kept = None
+                total = sum(probs)
+                if kept is None or total != 1.0:
+                    probs = [prob / total for prob in probs]
+                    kept = None
 
-        if self._config.inter_merge and merge_buffer:
-            reduced.append(self._inter_merge(merge_buffer))
+            if run and (not inter_merge or ploc_ids != run_plocs):
+                reduced.append(_dwell_average(run_plocs, run))
+                run = []
+            run.append((kept, probs))
+            run_plocs = ploc_ids
 
-        if stats is not None:
-            stats.record(original, reduced)
+        if run:
+            reduced.append(_dwell_average(run_plocs, run))
 
-        pruned = False
-        if (
+        # C2S distributes over the union of cells and merging keeps every
+        # sample's cell set, so the raw P-locations give the PSLs directly.
+        psls = frozenset(
+            self._graph.c2s_many(possible_cells_of_sequence(self._matrix, reported))
+        )
+        pruned = (
             self._config.psl_pruning
             and query_slocations is not None
-            and not (psls & set(query_slocations))
-        ):
-            pruned = True
-            if stats is not None:
-                stats.objects_pruned += 1
-
-        return ReducedSequence(
-            sequence=tuple(reduced), psls=frozenset(psls), pruned=pruned
+            and psls.isdisjoint(query_slocations)
         )
 
-    # ------------------------------------------------------------------
-    # The two merge operations
-    # ------------------------------------------------------------------
-    def _intra_merge(self, sample_set: SampleSet) -> SampleSet:
-        """Merge equivalent P-locations inside one sample set.
+        if stats is not None:
+            stats.objects_seen += 1
+            if pruned:
+                stats.objects_pruned += 1
+            stats.sample_sets_before += len(sequence)
+            stats.sample_sets_after += len(reduced)
+            stats.samples_before += samples_before
+            stats.samples_after += sum(map(len, reduced))
+            stats.candidate_paths_before += candidate_path_count(sequence)
+            stats.candidate_paths_after += candidate_path_count(reduced)
 
-        Samples whose P-locations refer to the identical cell set are summed
-        onto the representative with the smallest id (footnote 5 of the
-        paper: "we keep the P-location with a smaller subscript").
-        """
-        grouped: Dict[frozenset, List[Sample]] = {}
-        for sample in sample_set:
-            key = self._matrix.cells_adjacent(sample.ploc_id)
-            grouped.setdefault(key, []).append(sample)
-        merged: List[Sample] = []
-        for members in grouped.values():
-            if len(members) == 1:
-                merged.append(members[0])
-                continue
-            representative = min(member.ploc_id for member in members)
-            probability = sum(member.prob for member in members)
-            merged.append(Sample(representative, min(probability, 1.0)))
-        return SampleSet(merged, normalise=True)
-
-    @staticmethod
-    def _inter_merge(sample_sets: Sequence[SampleSet]) -> SampleSet:
-        """Merge consecutive sample sets sharing the same P-location set.
-
-        The merged probability of each common P-location is the mean of its
-        probabilities across the merged sets (Algorithm 1, ``InterMerge``).
-        """
-        if len(sample_sets) == 1:
-            return sample_sets[0]
-        locations = sorted(sample_sets[0].plocation_set())
-        count = len(sample_sets)
-        samples = [
-            Sample(
-                loc,
-                sum(sample_set.probability_of(loc) for sample_set in sample_sets) / count,
-            )
-            for loc in locations
-        ]
-        return SampleSet(samples, normalise=True)
-
-    # ------------------------------------------------------------------
-    # Possible semantic locations
-    # ------------------------------------------------------------------
-    def possible_slocations_of_sequence(
-        self, sequence: Sequence[SampleSet]
-    ) -> Set[int]:
-        """The S-locations an object may have visited given its sequence.
-
-        Derived once from the union of the reported P-locations: ``C2S``
-        distributes over the union of cells, and intra-merge keeps every
-        sample's cell set, so merged and raw sequences give the same set.
-        """
-        ploc_ids = {sample.ploc_id for sample_set in sequence for sample in sample_set}
-        return self._graph.c2s_many(possible_cells_of_sequence(self._matrix, ploc_ids))
+        return ReducedSequence(sequence=tuple(reduced), psls=psls, pruned=pruned)

@@ -64,6 +64,19 @@ class SampleSet:
             Sample(loc, prob) for loc, prob in ordered
         )
 
+    @classmethod
+    def _from_columns(
+        cls, ploc_ids: Sequence[int], probs: Sequence[float]
+    ) -> "SampleSet":
+        """Trusted constructor, private to ``repro``: no merge, sort or check.
+
+        The caller guarantees what ``__init__`` establishes — at least one
+        sample, strictly ascending P-location ids, final probabilities.
+        """
+        sample_set = cls.__new__(cls)
+        sample_set._samples = tuple(map(Sample, ploc_ids, probs))
+        return sample_set
+
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------

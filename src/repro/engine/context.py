@@ -71,7 +71,3 @@ class ExecutionContext:
     @property
     def effective_store(self) -> Optional["PresenceStore"]:
         return self.store if self.use_store else None
-
-    def query_set(self) -> Optional[set]:
-        """The query key as the mutable set expected by ``DataReducer.reduce``."""
-        return None if self.query_key is None else set(self.query_key)

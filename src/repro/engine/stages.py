@@ -87,7 +87,7 @@ class ReduceStage:
         self, ctx: ExecutionContext, sequence: Sequence[SampleSet]
     ) -> ReducedSequence:
         return self._computer.reducer.reduce(
-            sequence, ctx.query_set(), ctx.stats.reduction_stats
+            sequence, ctx.query_key, ctx.stats.reduction_stats
         )
 
 
@@ -128,9 +128,7 @@ class _PresenceTask:
         delta = SearchStats()
         if entry is None:
             reduced = self._computer.reducer.reduce(
-                sequence,
-                None if self._query_key is None else set(self._query_key),
-                delta.reduction_stats,
+                sequence, self._query_key, delta.reduction_stats
             )
             entry = StoredPresence(
                 psls=reduced.psls, sequence=reduced.sequence, pruned=reduced.pruned

@@ -36,8 +36,9 @@ class LatencyHistogram:
     """Fixed-bucket latency accumulator with quantile estimates.
 
     Quantiles are reported as the upper bound of the bucket containing the
-    requested rank (the usual Prometheus-style estimate): cheap, monotone,
-    and never under-reports by more than one bucket width.
+    requested rank (the usual Prometheus-style estimate), clamped to the
+    largest observation: cheap, monotone, never above ``max_seconds`` and
+    never under-reporting by more than one bucket width.
     """
 
     __slots__ = ("counts", "overflow", "count", "total_seconds", "max_seconds")
@@ -64,7 +65,7 @@ class LatencyHistogram:
         return self.total_seconds / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """The upper bound of the bucket holding the ``q``-quantile sample."""
+        """The ``q``-quantile: its bucket's upper bound, at most ``max_seconds``."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         if self.count == 0:
@@ -74,7 +75,7 @@ class LatencyHistogram:
         for index, bucket_count in enumerate(self.counts):
             seen += bucket_count
             if seen >= rank:
-                return LATENCY_BUCKET_BOUNDS[index]
+                return min(LATENCY_BUCKET_BOUNDS[index], self.max_seconds)
         return self.max_seconds
 
     def as_dict(self) -> Dict[str, float]:

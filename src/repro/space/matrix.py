@@ -19,12 +19,18 @@ merging equivalent P-locations that label the same GISL edge into an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .graph import IndoorSpaceLocationGraph
 
 EMPTY_CELLS: FrozenSet[int] = frozenset()
+
+# One MIL link: (``MIL[pa, pb]``, the factor ``1 - 1/|MIL[pa, pb]|`` by which a
+# step through it misses one of its cells).
+Link = Tuple[FrozenSet[int], float]
+NO_LINK: Link = (EMPTY_CELLS, 1.0)
 
 
 @dataclass
@@ -38,11 +44,18 @@ class IndoorLocationMatrix:
     representative:
         Maps each P-location to its equivalence-class representative; the
         identity mapping for the un-merged matrix.
+
+    Two derived tables serve the per-query hot paths; both are functions of
+    ``cells_of`` / ``representative`` alone (which are not mutated after
+    construction) and are bounded by the floor plan, not by the data.
     """
 
     cells_of: Dict[int, FrozenSet[int]]
     representative: Dict[int, int]
     is_merged: bool = False
+    _links: Dict[Tuple[int, int], Link] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -90,15 +103,44 @@ class IndoorLocationMatrix:
         """``MIL[p, p]``: adjacent / containing cells of ``p``."""
         return self.cells_of.get(self.resolve(ploc_id), EMPTY_CELLS)
 
+    @cached_property
+    def equivalence_classes(self) -> Dict[int, int]:
+        """``p → class representative`` for every P-location with cells.
+
+        Equivalent P-locations (identical non-empty cell sets, Section 3.2)
+        share the smallest id among them.  P-locations without cells — and
+        ids the matrix does not know — are absent: ``.get`` puts them all in
+        the one class ``None`` of the empty cell set.  Built on first use.
+        """
+        classes: Dict[int, int] = {}
+        smallest: Dict[FrozenSet[int], int] = {}
+        for ploc_id in sorted(set(self.representative) | set(self.cells_of)):
+            cells = self.cells_adjacent(ploc_id)
+            if cells:
+                classes[ploc_id] = smallest.setdefault(cells, ploc_id)
+        return classes
+
+    def link(self, ploc_a: int, ploc_b: int) -> Link:
+        """``(MIL[pa, pb], 1 - 1/|MIL[pa, pb]|)``, or :data:`NO_LINK` if empty.
+
+        Filled pair by pair as the data asks, in both orders; a pair with a
+        P-location that has no cells is answered without being stored, so the
+        table holds at most the floor plan's co-occurring P-location pairs.
+        """
+        link = self._links.get((ploc_a, ploc_b))
+        if link is None:
+            cells_a = self.cells_adjacent(ploc_a)
+            cells_b = self.cells_adjacent(ploc_b)
+            if not cells_a or not cells_b:
+                return NO_LINK
+            cells = cells_a & cells_b
+            link = (cells, 1.0 - 1.0 / len(cells)) if cells else NO_LINK
+            self._links[(ploc_a, ploc_b)] = self._links[(ploc_b, ploc_a)] = link
+        return link
+
     def cells_between(self, ploc_a: int, ploc_b: int) -> FrozenSet[int]:
         """``MIL[pa, pb]``: the cells directly connecting the two P-locations."""
-        cells_a = self.cells_adjacent(ploc_a)
-        if not cells_a:
-            return EMPTY_CELLS
-        cells_b = self.cells_adjacent(ploc_b)
-        if not cells_b:
-            return EMPTY_CELLS
-        return cells_a & cells_b
+        return self.link(ploc_a, ploc_b)[0]
 
     def connected(self, ploc_a: int, ploc_b: int) -> bool:
         """Whether ``MIL[pa, pb]`` is non-empty (a direct move is possible)."""

@@ -204,6 +204,17 @@ class TestMetrics:
         with pytest.raises(ValueError):
             histogram.quantile(1.5)
 
+    def test_quantiles_never_exceed_the_largest_observation(self):
+        # BENCH_service reported p95 = 2500 ms with max = 1784 ms: the bucket
+        # bound (2.5 s) was returned although nothing that slow was observed.
+        histogram = LatencyHistogram()
+        histogram.observe(1.784)
+        for q in (0.5, 0.95, 0.99):
+            assert histogram.quantile(q) == 1.784
+        summary = histogram.as_dict()
+        assert summary["p50_ms"] == summary["p95_ms"] == summary["p99_ms"] == 1784.0
+        assert summary["max_ms"] == 1784.0
+
     def test_registry_snapshot_shape(self):
         metrics = ServiceMetrics()
         metrics.observe_request("top_k", 0.01)
