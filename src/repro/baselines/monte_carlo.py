@@ -132,8 +132,8 @@ class MonteCarlo:
     def _draw(sample_set: SampleSet, rng: random.Random) -> int:
         threshold = rng.random()
         cumulative = 0.0
-        for sample in sample_set:
-            cumulative += sample.prob
+        for ploc_id, prob in zip(sample_set.ploc_ids, sample_set.probs):
+            cumulative += prob
             if threshold <= cumulative:
-                return sample.ploc_id
-        return sample_set.samples[-1].ploc_id
+                return ploc_id
+        return sample_set.ploc_ids[-1]

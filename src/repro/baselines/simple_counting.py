@@ -53,7 +53,7 @@ class SimpleCounting:
 
         for record in iupt.range_query(query.start, query.end):
             seen_objects.add(record.object_id)
-            for sample in self._picked_samples(record.sample_set):
+            for sample in self._picked(record.sample_set):
                 for sloc_id in self._slocations_of_sample(sample):
                     if sloc_id in query_set:
                         counted[sloc_id].add(record.object_id)
@@ -73,7 +73,7 @@ class SimpleCounting:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _picked_samples(self, sample_set):
+    def _picked(self, sample_set):
         if self._threshold is None:
             return [sample_set.most_probable()]
         return sample_set.above_threshold(self._threshold)

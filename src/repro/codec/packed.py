@@ -36,9 +36,10 @@ import os
 import struct
 import sys
 from array import array
+from operator import lt
 from typing import Iterable, List, Optional, Sequence
 
-from ..data.records import PositioningRecord, Sample, SampleSet
+from ..data.records import MASS_TOLERANCE, PositioningRecord, Sample, SampleSet
 
 try:  # pragma: no cover - exercised via both CI legs
     import numpy as _np
@@ -134,9 +135,10 @@ class PackedRecordBatch:
 
     Columns are numpy arrays or ``array.array`` instances depending on the
     backend; either way :meth:`encode` emits the same bytes and
-    :meth:`to_records` rebuilds records through the exact constructor path
-    the JSON payloads use (``Sample(int, float)`` into ``SampleSet``), so
-    decoded batches are bit-identical across backends and against JSON.
+    :meth:`to_records` returns the records the JSON payloads' constructor
+    path (``Sample(int, float)`` into ``SampleSet``) would build, so decoded
+    batches are bit-identical across backends and against JSON — without
+    taking that path per sample (see :meth:`to_records`).
     """
 
     __slots__ = (
@@ -183,11 +185,10 @@ class PackedRecordBatch:
         for record in records:
             timestamps.append(record.timestamp)
             object_ids.append(record.object_id)
-            samples = record.sample_set
-            counts.append(len(samples))
-            for sample in samples:
-                plocs.append(sample.ploc_id)
-                probs.append(sample.prob)
+            sample_set = record.sample_set
+            counts.append(len(sample_set.ploc_ids))
+            plocs.extend(sample_set.ploc_ids)
+            probs.extend(sample_set.probs)
         return cls(
             backend,
             _float_column(timestamps, backend),
@@ -252,25 +253,42 @@ class PackedRecordBatch:
         return self.timestamps.tolist()
 
     def to_records(self) -> List[PositioningRecord]:
+        """The batch as records, equal to building each through ``SampleSet``.
+
+        Each record's slice of the ``plocs``/``probs`` columns is adopted as
+        its sample set when it already satisfies the column contract of
+        :mod:`repro.data.records` — ids strictly ascending, every probability
+        positive, mass within ``MASS_TOLERANCE`` of one (a comparison no NaN
+        or infinity passes) — because the public constructor would then merge
+        nothing, reorder nothing and keep every float.  A slice that fails
+        the check (a zero probability included: the constructor turns
+        ``-0.0`` into ``0.0``) goes through the public constructor, which
+        returns the same set or raises the same ``ValueError`` as ever.
+        """
         timestamps = self.timestamps.tolist()
         object_ids = self.object_ids.tolist()
         counts = self.sample_counts.tolist()
-        plocs = self.sample_plocs.tolist()
-        probs = self.sample_probs.tolist()
+        plocs = tuple(self.sample_plocs.tolist())
+        probs = tuple(self.sample_probs.tolist())
+        if (counts and min(counts) < 1) or sum(counts) != len(plocs):
+            raise ValueError("packed batch corrupt: sample counts disagree with data")
+        adopt = SampleSet._from_columns
         records: List[PositioningRecord] = []
         cursor = 0
-        for i in range(len(timestamps)):
-            count = counts[i]
+        for object_id, timestamp, count in zip(object_ids, timestamps, counts):
             stop = cursor + count
-            sample_set = SampleSet(
-                Sample(plocs[j], probs[j]) for j in range(cursor, stop)
-            )
-            records.append(
-                PositioningRecord(object_ids[i], sample_set, timestamps[i])
-            )
+            ploc_ids = plocs[cursor:stop]
+            weights = probs[cursor:stop]
+            if (
+                (count == 1 or all(map(lt, ploc_ids, ploc_ids[1:])))
+                and min(weights) > 0.0
+                and abs(sum(weights) - 1.0) <= MASS_TOLERANCE
+            ):
+                sample_set = adopt(ploc_ids, weights)
+            else:
+                sample_set = SampleSet(map(Sample, ploc_ids, weights))
+            records.append(PositioningRecord(object_id, sample_set, timestamp))
             cursor = stop
-        if cursor != len(plocs):
-            raise ValueError("packed batch corrupt: sample counts disagree with data")
         return records
 
 

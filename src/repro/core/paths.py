@@ -82,5 +82,5 @@ def total_candidate_probability(sequence: Sequence[SampleSet]) -> float:
         return 0.0
     total = 1.0
     for sample_set in sequence:
-        total *= sum(sample.prob for sample in sample_set)
+        total *= sum(sample_set.probs)
     return total

@@ -61,18 +61,18 @@ def _extend(
     """Advance the tail states by one sample set (the recurrence above)."""
     extended: List[_State] = []
     link = matrix.link
-    for sample in sample_set:
+    for ploc_id, prob in zip(sample_set.ploc_ids, sample_set.probs):
         # The tails this sample can be reached from, in state order, each
         # with the factor by which a step through MIL[tail, loc] misses one
         # of its cells.
         links = []
         reachable = 0.0
         for tail, mass, miss in states:
-            cells, factor = link(tail, sample.ploc_id)
+            cells, factor = link(tail, ploc_id)
             if cells:
                 links.append((mass, miss, cells, factor))
                 reachable += mass
-        mass = sample.prob * reachable
+        mass = prob * reachable
         if not mass > 0.0:
             continue
         touched = set()
@@ -85,8 +85,8 @@ def _extend(
             for tail_mass, miss, cells, factor in links:
                 weight = miss.get(cell, tail_mass)
                 missed += weight * factor if cell in cells else weight
-            new_miss[cell] = sample.prob * missed
-        extended.append((sample.ploc_id, mass, new_miss))
+            new_miss[cell] = prob * missed
+        extended.append((ploc_id, mass, new_miss))
     return extended
 
 
@@ -98,9 +98,9 @@ def _forward_presences(
     if not candidate_mass > 0.0:
         return {}, 0
     states: List[_State] = [
-        (sample.ploc_id, sample.prob, {})
-        for sample in sequence[0]
-        if sample.prob > 0.0
+        (ploc_id, prob, {})
+        for ploc_id, prob in zip(sequence[0].ploc_ids, sequence[0].probs)
+        if prob > 0.0
     ]
     if len(sequence) == 1:
         for ploc_id, mass, miss in states:

@@ -142,12 +142,12 @@ class ReducedSequence:
 
 # One working sample set of a dwell run: the input set when the reduction left
 # its columns untouched (else ``None``), and its probability column.
-_Working = Tuple[Optional[SampleSet], List[float]]
+_Working = Tuple[Optional[SampleSet], Sequence[float]]
 
 
 def _merge_equivalent(
-    ploc_ids: List[int], probs: List[float], class_of: Callable[[int], Optional[int]]
-) -> Tuple[List[int], List[float]]:
+    ploc_ids: Sequence[int], probs: Sequence[float], class_of: Callable[[int], Optional[int]]
+) -> Tuple[Tuple[int, ...], List[float]]:
     """Sum each equivalence class of one sample set onto its smallest id.
 
     The columns are in ascending P-location order, so the first member of a
@@ -163,7 +163,7 @@ def _merge_equivalent(
         else:
             group[1].append(prob)
     return (
-        [ploc_id for ploc_id, _members in groups.values()],
+        tuple(ploc_id for ploc_id, _members in groups.values()),
         [
             members[0] if len(members) == 1 else min(sum(members), 1.0)
             for _ploc_id, members in groups.values()
@@ -171,7 +171,7 @@ def _merge_equivalent(
     )
 
 
-def _dwell_average(ploc_ids: List[int], run: List[_Working]) -> SampleSet:
+def _dwell_average(ploc_ids: Tuple[int, ...], run: List[_Working]) -> SampleSet:
     """One sample set for a run of sets over the same P-locations.
 
     The merged probability of each P-location is the mean of its
@@ -231,13 +231,12 @@ class DataReducer:
         reported = set()
         samples_before = 0
         run: List[_Working] = []
-        run_plocs: List[int] = []
+        run_plocs: Tuple[int, ...] = ()
 
         for sample_set in sequence:
-            samples = sample_set.samples
-            count = len(samples)
-            ploc_ids = [sample.ploc_id for sample in samples]
-            probs = [sample.prob for sample in samples]
+            ploc_ids = sample_set.ploc_ids
+            probs = sample_set.probs
+            count = len(ploc_ids)
             samples_before += count
             reported.update(ploc_ids)
             kept: Optional[SampleSet] = sample_set

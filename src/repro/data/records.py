@@ -4,14 +4,26 @@ A positioning record is a triplet ``(oid, X, t)`` where ``X`` is a *sample
 set*: entries ``(loc, prob)`` meaning "the object is at P-location ``loc``
 with probability ``prob`` at time ``t``".  The probabilities of a sample set
 always sum to one.
+
+**Column contract.**  A :class:`SampleSet` stores ``X`` the way the packed
+codec lays it out: two parallel tuples, ``ploc_ids`` and ``probs``.  The ids
+are strictly ascending (so distinct), the probabilities are *final* — merged,
+rescaled when asked, finite, not below ``-PROBABILITY_TOLERANCE``, summing to
+one within ``1e-3`` unless rescaled — and no :class:`Sample` object is kept:
+``.samples`` and iteration build them on demand.  The codec, the reducer and
+the presence recurrence read the two columns directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 PROBABILITY_TOLERANCE = 1e-6
+
+#: How far the mass of a sample set that is not rescaled may be from one.
+MASS_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -38,10 +50,16 @@ class SampleSet:
     and validates that probabilities sum to 1 (within tolerance) unless
     ``normalise=True`` is passed, in which case they are rescaled — the data
     reduction operations rely on rescaling when samples are merged or when a
-    record is truncated to the maximum sample-set size.
+    record is truncated to the maximum sample-set size.  Non-finite
+    probabilities are rejected either way.
+
+    The set is held as two parallel tuples — ``ploc_ids``, strictly
+    ascending, and ``probs``, the final probabilities in the same order (the
+    module docstring's column contract).  ``.samples`` and iteration build
+    :class:`Sample` objects on demand; nothing stores them.
     """
 
-    __slots__ = ("_samples",)
+    __slots__ = ("ploc_ids", "probs")
 
     def __init__(self, samples: Iterable[Sample], normalise: bool = False):
         merged: Dict[int, float] = {}
@@ -50,19 +68,25 @@ class SampleSet:
         if not merged:
             raise ValueError("a sample set must contain at least one sample")
         total = sum(merged.values())
+        # One NaN or infinity makes the total NaN or infinite, never finite.
+        if not math.isfinite(total):
+            raise ValueError(
+                f"sample probabilities must be finite (they sum to {total})"
+            )
         if normalise:
             if total <= 0:
                 raise ValueError("cannot normalise a sample set with zero total probability")
             merged = {loc: prob / total for loc, prob in merged.items()}
-        elif abs(total - 1.0) > 1e-3:
+        elif not abs(total - 1.0) <= MASS_TOLERANCE:
             raise ValueError(
                 f"sample probabilities must sum to 1 (got {total:.6f}); "
                 "pass normalise=True to rescale"
             )
-        ordered = sorted(merged.items())
-        self._samples: Tuple[Sample, ...] = tuple(
-            Sample(loc, prob) for loc, prob in ordered
-        )
+        ploc_ids, probs = zip(*sorted(merged.items()))
+        if min(probs) < -PROBABILITY_TOLERANCE:
+            raise ValueError(f"sample probability {min(probs)} must not be negative")
+        self.ploc_ids: Tuple[int, ...] = ploc_ids
+        self.probs: Tuple[float, ...] = probs
 
     @classmethod
     def _from_columns(
@@ -70,11 +94,13 @@ class SampleSet:
     ) -> "SampleSet":
         """Trusted constructor, private to ``repro``: no merge, sort or check.
 
-        The caller guarantees what ``__init__`` establishes — at least one
-        sample, strictly ascending P-location ids, final probabilities.
+        The caller guarantees the column contract ``__init__`` establishes —
+        at least one sample, strictly ascending P-location ids, final
+        probabilities.
         """
         sample_set = cls.__new__(cls)
-        sample_set._samples = tuple(map(Sample, ploc_ids, probs))
+        sample_set.ploc_ids = tuple(ploc_ids)
+        sample_set.probs = tuple(probs)
         return sample_set
 
     # ------------------------------------------------------------------
@@ -82,26 +108,27 @@ class SampleSet:
     # ------------------------------------------------------------------
     @property
     def samples(self) -> Tuple[Sample, ...]:
-        return self._samples
+        """The samples in ascending P-location order, built on each call."""
+        return tuple(map(Sample, self.ploc_ids, self.probs))
 
     def plocation_set(self) -> Set[int]:
         """``πl(X)``: the set of P-locations appearing in this sample set."""
-        return {s.ploc_id for s in self._samples}
+        return set(self.ploc_ids)
 
     def probability_of(self, ploc_id: int) -> float:
         """The probability assigned to ``ploc_id`` (0.0 if absent)."""
-        for sample in self._samples:
-            if sample.ploc_id == ploc_id:
-                return sample.prob
+        for loc, prob in zip(self.ploc_ids, self.probs):
+            if loc == ploc_id:
+                return prob
         return 0.0
 
     def most_probable(self) -> Sample:
         """The sample with the highest probability (ties broken by smaller id)."""
-        return max(self._samples, key=lambda s: (s.prob, -s.ploc_id))
+        return max(self, key=lambda s: (s.prob, -s.ploc_id))
 
     def above_threshold(self, threshold: float) -> List[Sample]:
         """All samples with probability strictly above ``threshold``."""
-        return [s for s in self._samples if s.prob > threshold]
+        return [s for s in self if s.prob > threshold]
 
     def truncated(self, max_size: int) -> "SampleSet":
         """Keep the ``max_size`` most probable samples and renormalise.
@@ -112,27 +139,29 @@ class SampleSet:
         """
         if max_size < 1:
             raise ValueError("max_size must be at least 1")
-        if len(self._samples) <= max_size:
+        if len(self.ploc_ids) <= max_size:
             return self
-        kept = sorted(self._samples, key=lambda s: (-s.prob, s.ploc_id))[:max_size]
+        kept = sorted(self, key=lambda s: (-s.prob, s.ploc_id))[:max_size]
         return SampleSet(kept, normalise=True)
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self.ploc_ids)
 
     def __iter__(self) -> Iterator[Sample]:
-        return iter(self._samples)
+        return map(Sample, self.ploc_ids, self.probs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SampleSet):
             return NotImplemented
-        return self._samples == other._samples
+        return self.ploc_ids == other.ploc_ids and self.probs == other.probs
 
     def __hash__(self) -> int:
-        return hash(self._samples)
+        return hash((self.ploc_ids, self.probs))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"(p{s.ploc_id}, {s.prob:.3f})" for s in self._samples)
+        body = ", ".join(
+            f"(p{loc}, {prob:.3f})" for loc, prob in zip(self.ploc_ids, self.probs)
+        )
         return f"SampleSet[{body}]"
 
     # ------------------------------------------------------------------
@@ -170,3 +199,25 @@ class PositioningRecord:
 
 PositioningSequence = List[SampleSet]
 """A per-object time-ordered sequence of sample sets (``X = (X1, ..., Xn)``)."""
+
+
+# ----------------------------------------------------------------------
+# The JSON record payload (JSON WAL frames, JSON snapshots, NDJSON ingest)
+# ----------------------------------------------------------------------
+def record_to_payload(record: PositioningRecord) -> List[object]:
+    """``[object_id, timestamp, [[ploc, prob], ...]]`` — bit-exact floats."""
+    sample_set = record.sample_set
+    return [
+        record.object_id,
+        record.timestamp,
+        [[loc, prob] for loc, prob in zip(sample_set.ploc_ids, sample_set.probs)],
+    ]
+
+
+def record_from_payload(payload: Sequence[object]) -> PositioningRecord:
+    """The record of one payload; ``TypeError``/``ValueError`` when malformed."""
+    object_id, timestamp, samples = payload
+    sample_set = SampleSet(
+        Sample(int(ploc_id), float(prob)) for ploc_id, prob in samples
+    )
+    return PositioningRecord(int(object_id), sample_set, float(timestamp))

@@ -66,7 +66,6 @@ from .protocol import (
     query_from_wire,
     receipt_to_wire,
     record_from_wire,
-    record_to_wire,
     records_from_wire,
     records_to_wire,
     response_frame,
@@ -111,7 +110,6 @@ __all__ = [
     "query_from_wire",
     "receipt_to_wire",
     "record_from_wire",
-    "record_to_wire",
     "records_from_wire",
     "records_to_wire",
     "response_frame",

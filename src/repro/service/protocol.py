@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..codec.packed import PackedRecordBatch, encode_batch
 from ..core.query import TkPLQResult, TkPLQuery
-from ..data.records import PositioningRecord, Sample, SampleSet
+from ..data.records import PositioningRecord, record_from_payload, record_to_payload
 from ..storage import EvictedRangeError, IngestReceipt
 
 PROTOCOL_VERSION = 2
@@ -388,29 +388,15 @@ def receipt_to_wire(receipt: IngestReceipt) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # Records and queries
 # ----------------------------------------------------------------------
-def record_to_wire(record: PositioningRecord) -> List[object]:
-    """One positioning record as ``[object_id, timestamp, [[ploc, prob], ...]]``."""
-    return [
-        record.object_id,
-        record.timestamp,
-        [[sample.ploc_id, sample.prob] for sample in record.sample_set],
-    ]
-
-
 def records_to_wire(records: Iterable[PositioningRecord]) -> List[List[object]]:
-    return [record_to_wire(record) for record in records]
+    """Records as JSON payloads ``[object_id, timestamp, [[ploc, prob], ...]]``."""
+    return [record_to_payload(record) for record in records]
 
 
 def record_from_wire(payload: object) -> PositioningRecord:
     """Rebuild one record, mapping malformed payloads to :class:`ProtocolError`."""
     try:
-        object_id, timestamp, samples = payload  # type: ignore[misc]
-        sample_set = SampleSet(
-            Sample(int(ploc_id), float(prob)) for ploc_id, prob in samples
-        )
-        return PositioningRecord(int(object_id), sample_set, float(timestamp))
-    except ProtocolError:
-        raise
+        return record_from_payload(payload)  # type: ignore[arg-type]
     except (TypeError, ValueError) as error:
         raise ProtocolError(
             "bad_request", f"malformed positioning record {payload!r}: {error}"

@@ -75,7 +75,7 @@ from typing import (
 )
 
 from ..codec.packed import PackedRecordBatch, active_backend, encode_batch
-from ..data.records import PositioningRecord, Sample, SampleSet
+from ..data.records import PositioningRecord, record_from_payload, record_to_payload
 from .base import IngestReceipt, RecordStore, StoreListener, VersionToken
 from .sharded import DEFAULT_SHARD_SECONDS, ShardedRecordStore
 
@@ -339,26 +339,6 @@ def frame_records(frame: Mapping[str, object]) -> List[PositioningRecord]:
     if packed is not None:
         return packed.to_records()
     return [record_from_payload(p) for p in frame["records"]]
-
-
-# ----------------------------------------------------------------------
-# Record payloads
-# ----------------------------------------------------------------------
-def record_to_payload(record: PositioningRecord) -> List[object]:
-    """``[object_id, timestamp, [[ploc, prob], ...]]`` — bit-exact floats."""
-    return [
-        record.object_id,
-        record.timestamp,
-        [[sample.ploc_id, sample.prob] for sample in record.sample_set],
-    ]
-
-
-def record_from_payload(payload: Sequence[object]) -> PositioningRecord:
-    object_id, timestamp, samples = payload
-    sample_set = SampleSet(
-        Sample(int(ploc_id), float(prob)) for ploc_id, prob in samples
-    )
-    return PositioningRecord(int(object_id), sample_set, float(timestamp))
 
 
 class DurableRecordStore(RecordStore):

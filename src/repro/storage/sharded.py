@@ -98,11 +98,16 @@ class _Shard:
 
         ``list.sort`` is stable, so records already present keep preceding
         newly ingested ones on timestamp ties — the same arrival-order tie
-        rule the flat store's insort-based path follows.
+        rule the flat store's insort-based path follows.  A slice that starts
+        at or after the shard's last record (a stream arriving in time order)
+        is the sorted result as appended, so an ingest costs what the batch
+        costs, not what the shard has grown to.
         """
         records = self.records
+        in_order = not records or records[-1].timestamp <= incoming[0].timestamp
         records.extend(incoming)
-        records.sort(key=lambda record: record.timestamp)
+        if not in_order:
+            records.sort(key=lambda record: record.timestamp)
         self._index = None
         self._timestamps = None
         self._packed = None
@@ -191,6 +196,8 @@ class ShardedRecordStore(RecordStore):
         return len(self._shards)
 
     def shard_key(self, timestamp: float) -> int:
+        if not math.isfinite(timestamp):
+            raise ValueError(f"timestamp {timestamp} is not finite")
         return math.floor(timestamp / self._shard_seconds)
 
     # ------------------------------------------------------------------
@@ -210,14 +217,12 @@ class ShardedRecordStore(RecordStore):
         in-memory shards.
         """
         slices: List[Tuple[int, List[PositioningRecord]]] = []
-        start = 0
-        while start < len(batch):
-            key = self.shard_key(batch[start].timestamp)
-            stop = start
-            while stop < len(batch) and self.shard_key(batch[stop].timestamp) == key:
-                stop += 1
-            slices.append((key, list(batch[start:stop])))
-            start = stop
+        for record in batch:
+            key = self.shard_key(record.timestamp)
+            if slices and slices[-1][0] == key:
+                slices[-1][1].append(record)
+            else:
+                slices.append((key, [record]))
         return slices
 
     def ingest_batch(self, records: Iterable[PositioningRecord]) -> IngestReceipt:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import pickle
+
 import pytest
 
 from repro.data import (
@@ -16,6 +19,7 @@ from repro.data import (
     TrajectoryPoint,
     TrajectoryStore,
 )
+from repro.data.records import record_from_payload, record_to_payload
 from repro.geometry import Point
 
 
@@ -65,6 +69,51 @@ class TestSampleSet:
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
             Sample(1, -0.2)
+
+    def test_columns_are_ascending_and_final(self):
+        sample_set = SampleSet.from_pairs([(7, 1.0), (2, 2.0), (7, 1.0)], normalise=True)
+        assert sample_set.ploc_ids == (2, 7)
+        assert sample_set.probs == (0.5, 0.5)
+        assert len(sample_set) == 2 and sample_set.plocation_set() == {2, 7}
+
+    def test_samples_are_built_on_demand(self):
+        sample_set = SampleSet.from_pairs([(2, 0.25), (1, 0.75)])
+        assert sample_set.samples == (Sample(1, 0.75), Sample(2, 0.25))
+        assert list(sample_set) == list(sample_set.samples)
+        assert SampleSet(sample_set.samples) == sample_set
+        assert repr(sample_set) == "SampleSet[(p1, 0.750), (p2, 0.250)]"
+
+    def test_pickle_round_trip(self):
+        sample_set = SampleSet.from_pairs([(1, 1.0 / 3.0), (5, 2.0 / 3.0)])
+        restored = pickle.loads(pickle.dumps(sample_set))
+        assert restored == sample_set and hash(restored) == hash(sample_set)
+        assert restored.probs == sample_set.probs
+
+    def test_merged_probability_below_tolerance_rejected(self):
+        # Each sample is inside Sample's own tolerance; their sum is not.
+        with pytest.raises(ValueError):
+            SampleSet([Sample(1, -1e-6), Sample(1, -1e-6), Sample(2, 1.0)])
+
+    def test_non_finite_probability_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for pairs in (
+            [(1, nan)],
+            [(1, 0.5), (2, nan)],
+            [(1, inf)],
+            [(1, inf), (2, 0.5)],
+            [(1, 1e308), (2, 1e308)],  # finite samples, infinite mass
+        ):
+            for normalise in (False, True):
+                with pytest.raises(ValueError):
+                    SampleSet.from_pairs(pairs, normalise=normalise)
+
+    def test_json_payload_round_trip(self):
+        record = PositioningRecord(4, SampleSet.from_pairs([(3, 0.1), (9, 0.9)]), 12.5)
+        payload = record_to_payload(record)
+        assert payload == [4, 12.5, [[3, 0.1], [9, 0.9]]]
+        assert record_from_payload(json.loads(json.dumps(payload))) == record
+        with pytest.raises(ValueError):
+            record_from_payload([4, 12.5, [[3, float("nan")]]])
 
 
 class TestIUPT:

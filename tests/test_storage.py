@@ -69,6 +69,24 @@ class TestStoreEquivalence:
         ]
         assert flat_result == sharded_result
 
+    def test_streamed_batches_keep_arrival_order_on_ties(self):
+        """In-order batches are appended, late ones merged: either way a tie
+        on the timestamp keeps the earlier arrival first, as the flat store does."""
+        ordered = sorted(_mixed_records(), key=lambda r: r.timestamp)
+        cut = next(  # a batch boundary that splits a tie
+            i for i in range(20, len(ordered)) if ordered[i - 1].timestamp == ordered[i].timestamp
+        )
+        late = [_record(9, 1, ordered[cut].timestamp), _record(9, 2, 0.0)]
+        batches = [ordered[:cut], ordered[cut:cut + 1], ordered[cut + 1:], late]
+        flat = IUPT()
+        sharded = IUPT.sharded(shard_seconds=10.0)
+        for batch in batches:
+            flat.extend(batch)
+            sharded.ingest_batch(batch)
+        assert [(r.object_id, r.timestamp) for r in sharded.range_query(0.0, 60.0)] == [
+            (r.object_id, r.timestamp) for r in flat.range_query(0.0, 60.0)
+        ]
+
     def test_sequences_identical_across_boundaries(self, pair):
         flat, sharded = pair
         for window in ((0.0, 60.0), (9.0, 31.0), (19.9, 20.1)):
