@@ -1,7 +1,7 @@
 """Shared benchmark fixtures and helpers.
 
 Every benchmark file corresponds to one table or figure of the paper (see
-DESIGN.md §4).  Each benchmark:
+README, *Repo conventions*).  Each benchmark:
 
 * regenerates the experiment's result rows once (at "small" scale) and
   attaches them to ``benchmark.extra_info["rows"]`` so the numbers appear in

@@ -24,8 +24,8 @@ upload both legs side by side.  The acceptance bounds apply under
 *both* backends; the vectorized scoring bound is asserted on the numpy leg
 only — the fallback matrix's row sums are plain Python, so only the
 amortization of presence lookups across a batch is guaranteed there, not
-the kernel itself (which is why ``scoring_kernel="auto"`` resolves to
-``scalar`` without numpy).
+the kernel itself (which is why the engine scores with the scalar kernel
+without numpy).
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ import tempfile
 import time
 from typing import Dict, List
 
-from repro import DataReductionConfig, IUPT, SampleSet
+from repro import IUPT, SampleSet
 from repro.codec import PresenceMatrix, active_backend, codec_info, decode_batch, encode_batch
 from repro.core.query import TkPLQuery
 from repro.data.records import PositioningRecord
-from repro.engine import EngineConfig, QueryEngine
+from repro.engine import QueryEngine
 from repro.engine.batch import score_query_over_entries
 from repro.storage import DurabilityConfig, DurableRecordStore
 from repro.storage.durable import record_from_payload, record_to_payload
@@ -196,13 +196,7 @@ def test_codec_paper_scale_report():
     )
     assert len(scenario.iupt) >= 100_000
     slocs = sorted(scenario.slocation_ids())
-    engine = QueryEngine(
-        scenario.system.graph,
-        scenario.system.matrix,
-        DataReductionConfig.enabled(),
-        config=EngineConfig(scoring_kernel="scalar"),
-    )
-    pipeline = engine.pipeline
+    pipeline = QueryEngine(scenario.system.graph, scenario.system.matrix).pipeline
     window = (0.0, SCORING_DURATION_SECONDS)
     ctx = pipeline.context(window, frozenset(slocs))
     sequences = pipeline.fetch.run(ctx, scenario.iupt)

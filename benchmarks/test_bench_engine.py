@@ -1,6 +1,6 @@
-"""Engine throughput benchmark: sequential vs. batched vs. parallel.
+"""Engine throughput benchmark: sequential vs. warm store vs. batched.
 
-Answers the same stream of overlapping TkPLQ queries four ways and records
+Answers the same stream of overlapping TkPLQ queries three ways and records
 queries/second for each strategy in ``BENCH_engine.json`` at the repository
 root, so the performance trajectory of the execution-engine layer is tracked
 across commits (the CI smoke-benchmark job uploads the file as an artifact):
@@ -9,9 +9,7 @@ across commits (the CI smoke-benchmark job uploads the file as an artifact):
   behaviour of independent ``top_k`` calls);
 * ``warm_store`` — one long-lived engine answering the stream twice; the
   second pass is measured (cross-query presence-store hits);
-* ``batched`` — one pass through the :class:`~repro.engine.batch.BatchPlanner`;
-* ``parallel_batched`` — the batched pass with the thread executor fanning
-  per-object work out.
+* ``batched`` — one pass through the :class:`~repro.engine.batch.BatchPlanner`.
 
 The benchmark also asserts the acceptance property of the engine refactor:
 batched evaluation of the overlapping stream is measurably faster than the
@@ -88,23 +86,9 @@ def test_engine_throughput_report():
     timings["batched"] = time.perf_counter() - began
     rankings["batched"] = report.rankings()
 
-    # Parallel batched: the same pass with thread fan-out.
-    with _engine(
-        scenario, EngineConfig(executor="thread", max_workers=4)
-    ) as parallel:
-        began = time.perf_counter()
-        parallel_report = parallel.batch(scenario.iupt, queries)
-        timings["parallel_batched"] = time.perf_counter() - began
-    rankings["parallel_batched"] = parallel_report.rankings()
-
     # Every strategy must agree before any speed claim counts — and the
     # workload must produce real flows, otherwise agreement is vacuous.
-    assert (
-        rankings["sequential"]
-        == rankings["warm_store"]
-        == rankings["batched"]
-        == rankings["parallel_batched"]
-    )
+    assert rankings["sequential"] == rankings["warm_store"] == rankings["batched"]
     assert any(
         entry.flow > 0.0 for result in report.results for entry in result.ranking
     ), "benchmark workload produced only zero flows; equality checks are vacuous"

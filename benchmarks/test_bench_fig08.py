@@ -1,4 +1,4 @@
-"""Benchmark regenerating Figure 8: efficiency vs. k on real data (see DESIGN.md section 4).
+"""Benchmark regenerating Figure 8: efficiency vs. k on real data (see README, *Repo conventions*).
 
 The regenerated result rows are attached to ``extra_info``; the timed portion
 is the Best-First query at the experiment's default setting.

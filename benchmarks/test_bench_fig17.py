@@ -1,4 +1,4 @@
-"""Benchmark regenerating Figure 17: efficiency vs. object count |O| (see DESIGN.md section 4).
+"""Benchmark regenerating Figure 17: efficiency vs. object count |O| (see README, *Repo conventions*).
 
 The regenerated result rows are attached to ``extra_info``; the timed portion
 is the Best-First query at the experiment's default setting.

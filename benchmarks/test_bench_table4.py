@@ -1,4 +1,4 @@
-"""Benchmark regenerating Table 4: all methods at the default real-data setting (see DESIGN.md section 4).
+"""Benchmark regenerating Table 4: all methods at the default real-data setting (see README, *Repo conventions*).
 
 The regenerated result rows are attached to ``extra_info``; the timed portion
 is the Best-First query at the experiment's default setting.

@@ -1,4 +1,4 @@
-"""Benchmark regenerating Table 5: running time vs. maximum sample-set size (mss) (see DESIGN.md section 4).
+"""Benchmark regenerating Table 5: running time vs. maximum sample-set size (mss) (see README, *Repo conventions*).
 
 The regenerated result rows are attached to ``extra_info``; the timed portion
 is the Best-First query at the experiment's default setting.

@@ -1,4 +1,4 @@
-"""Serving a query stream: batching, cross-query caching, parallel workers.
+"""Serving a query stream: batching and cross-query caching.
 
 This example plays the role of a popularity-analytics service under load:
 many tenants fire overlapping top-k popular-location queries against the same
@@ -84,16 +84,11 @@ def main() -> None:
     warm_seconds = time.perf_counter() - began
     warm_stats = warm_engine.cache_stats()
 
-    # 3. One batched pass, optionally fanning per-object work over threads.
-    batch_engine = QueryEngine(
-        scenario.system.graph,
-        scenario.system.matrix,
-        config=EngineConfig(executor="thread", max_workers=4),
-    )
+    # 3. One batched pass sharing each object's work across the stream.
+    batch_engine = QueryEngine(scenario.system.graph, scenario.system.matrix)
     began = time.perf_counter()
     report = batch_engine.batch(scenario.iupt, queries)
     batch_seconds = time.perf_counter() - began
-    batch_engine.close()
 
     print("\nAnswering the stream:")
     print(f"  sequential, cold engines : {cold_seconds * 1000.0:8.1f} ms")

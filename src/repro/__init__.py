@@ -30,12 +30,10 @@ from .baselines import (
     UncertaintyRegionFlow,
 )
 from .core import (
-    ALGORITHMS,
     BestFirstTkPLQ,
     DataReducer,
     DataReductionConfig,
     FlowComputer,
-    IndoorFlowSystem,
     NaiveTkPLQ,
     NestedLoopTkPLQ,
     PresenceComputation,
@@ -46,6 +44,7 @@ from .core import (
 )
 from .data import IUPT, PositioningRecord, Sample, SampleSet, Trajectory, TrajectoryStore
 from .engine import (
+    ALGORITHMS,
     BatchPlanner,
     BatchReport,
     CacheStats,
@@ -94,6 +93,7 @@ from .synth import (
     build_synthetic_scenario,
     build_university_floorplan,
 )
+from .system import IndoorFlowSystem
 
 # 3.0.0: the storage layer. IUPT is now a facade over a RecordStore backend
 # (flat in-memory or time-partitioned sharded), with streaming ingest_batch,
@@ -131,7 +131,14 @@ from .synth import (
 # routes reads across replicas by time-partition affinity under a
 # read-your-writes staleness bound; ServiceClient reconnects with bounded
 # backoff; `python -m repro.service.topology` runs each role as a process.
-__version__ = "3.5.0"
+# 4.0.0: one execution path through the engine. EngineConfig keeps one field
+# (presence_store_capacity) and the scoring kernel follows the codec backend;
+# the executors, the per-query cache, the "recompute" refresh mode and
+# whole-table cache keys are gone; FlowComputer holds the per-object
+# primitives only (flow / flows live on QueryEngine) and the TkPLQ algorithms
+# take the QueryPipeline they drive; IndoorFlowSystem moved to repro.system;
+# an S-location id the floor plan does not know raises ValueError everywhere.
+__version__ = "4.0.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -1,8 +1,7 @@
 """Core contribution: indoor flows and the top-k popular location query."""
 
 from .best_first import BestFirstTkPLQ
-from .engine import ALGORITHMS, IndoorFlowSystem
-from .flow import FlowComputer, FlowResult, ObjectComputationCache
+from .flow import FlowComputer, FlowResult
 from .naive import NaiveTkPLQ
 from .nested_loop import NestedLoopTkPLQ
 from .paths import PathConstructionStats, candidate_path_count
@@ -22,16 +21,13 @@ from .reduction import (
 )
 
 __all__ = [
-    "ALGORITHMS",
     "BestFirstTkPLQ",
     "DataReducer",
     "DataReductionConfig",
     "FlowComputer",
     "FlowResult",
-    "IndoorFlowSystem",
     "NaiveTkPLQ",
     "NestedLoopTkPLQ",
-    "ObjectComputationCache",
     "PathConstructionStats",
     "PresenceComputation",
     "RankedLocation",

@@ -37,12 +37,12 @@ from ..data.iupt import IUPT
 from ..data.records import SampleSet
 from ..geometry import Rect
 from ..indexes import AggregateEntry, CountAggregateRTree, RTree, RTreeNode
-from .flow import FlowComputer
 from .query import RankedLocation, SearchStats, TkPLQResult, TkPLQuery, rank_top_k
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a core → engine import)
+if TYPE_CHECKING:  # pragma: no cover - typing only (core never imports the engine)
     from ..engine.cache import StoredPresence
     from ..engine.context import ExecutionContext
+    from ..engine.stages import QueryPipeline
 
 
 @dataclass
@@ -73,8 +73,8 @@ class BestFirstTkPLQ:
 
     name = "best-first"
 
-    def __init__(self, flow_computer: FlowComputer, rtree_fanout: int = 8):
-        self._flow_computer = flow_computer
+    def __init__(self, pipeline: "QueryPipeline", rtree_fanout: int = 8):
+        self._pipeline = pipeline
         self._fanout = rtree_fanout
 
     # ------------------------------------------------------------------
@@ -84,7 +84,8 @@ class BestFirstTkPLQ:
         stats = SearchStats()
         began = time.perf_counter()
 
-        graph = self._flow_computer.graph
+        pipeline = self._pipeline
+        graph = pipeline.flow_computer.graph
         plan = graph.plan
         query_set: Set[int] = set(query.query_slocations)
         parent_cells = {
@@ -95,7 +96,6 @@ class BestFirstTkPLQ:
         # per-object reduction runs through the engine pipeline (with path
         # construction deferred — the guided join only builds paths for the
         # candidates it actually visits).
-        pipeline = self._flow_computer.pipeline
         ctx = pipeline.context(query.interval, query_set, stats=stats)
         sequences = pipeline.fetch.run(ctx, iupt)
         presences: Dict[int, "StoredPresence"] = {}
@@ -279,14 +279,13 @@ class BestFirstTkPLQ:
         """
         if cell_id is None:
             return 0.0
-        pipeline = self._flow_computer.pipeline
         object_ids = sorted({entry.item for entry in join_list})
         flow_value = 0.0
         for object_id in object_ids:
             stored = presences.get(object_id)
             if stored is None:
                 continue
-            stored = pipeline.build_paths_for(ctx, object_id, stored)
+            stored = self._pipeline.build_paths_for(ctx, object_id, stored)
             stats.flow_evaluations += 1
             flow_value += stored.computation.presence_in_cell(cell_id)
         return flow_value

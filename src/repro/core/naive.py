@@ -10,11 +10,13 @@ The nested-loop and best-first algorithms remove exactly this redundancy.
 from __future__ import annotations
 
 import time
-from typing import Dict
+from typing import Dict, TYPE_CHECKING
 
 from ..data.iupt import IUPT
-from .flow import FlowComputer
 from .query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (core never imports the engine)
+    from ..engine.stages import QueryPipeline
 
 
 class NaiveTkPLQ:
@@ -22,8 +24,8 @@ class NaiveTkPLQ:
 
     name = "naive"
 
-    def __init__(self, flow_computer: FlowComputer):
-        self._flow_computer = flow_computer
+    def __init__(self, pipeline: "QueryPipeline"):
+        self._pipeline = pipeline
 
     def search(self, iupt: IUPT, query: TkPLQuery) -> TkPLQResult:
         """Compute the flow of every query location independently and rank."""
@@ -32,15 +34,14 @@ class NaiveTkPLQ:
 
         flows: Dict[int, float] = {}
         for sloc_id in query.query_slocations:
-            # Deliberately no shared per-query cache: every call re-reduces
-            # and re-constructs the paths of every relevant object.  (Each
-            # per-location flow runs through the staged pipeline, whose
-            # cross-query store keys by location set — so distinct locations
-            # never share work here either.)
-            result = self._flow_computer.flow(
-                iupt, sloc_id, query.start, query.end, cache=None, stats=stats
+            # Deliberately no sharing between locations: every call
+            # re-reduces and re-constructs the paths of every relevant
+            # object.  (The pipeline's cross-query store keys by location
+            # set, so distinct locations never share work there either.)
+            ctx = self._pipeline.context(
+                query.interval, frozenset({sloc_id}), stats=stats
             )
-            flows[sloc_id] = result.flow
+            flows[sloc_id] = self._pipeline.flow(ctx, iupt, sloc_id).flow
 
         stats.elapsed_seconds = time.perf_counter() - began
         return TkPLQResult(

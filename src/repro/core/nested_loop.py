@@ -8,19 +8,20 @@ against those shared paths.  The per-object local scores are aggregated into
 global flows and the top-k is obtained by a full ranking.
 
 The per-object work (reduce → path construction) runs through the staged
-pipeline of the execution engine, so it transparently benefits from the
-cross-query presence store and the parallel executor when the computer is
-owned by a :class:`~repro.engine.runtime.QueryEngine`.
+pipeline it is given, so it transparently benefits from the cross-query
+presence store of the owning :class:`~repro.engine.runtime.QueryEngine`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Set
+from typing import Dict, Set, TYPE_CHECKING
 
 from ..data.iupt import IUPT
-from .flow import FlowComputer
 from .query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (core never imports the engine)
+    from ..engine.stages import QueryPipeline
 
 
 def score_presence_into_flows(
@@ -54,14 +55,15 @@ class NestedLoopTkPLQ:
 
     name = "nested-loop"
 
-    def __init__(self, flow_computer: FlowComputer):
-        self._flow_computer = flow_computer
+    def __init__(self, pipeline: "QueryPipeline"):
+        self._pipeline = pipeline
 
     def search(self, iupt: IUPT, query: TkPLQuery) -> TkPLQResult:
         stats = SearchStats()
         began = time.perf_counter()
 
-        graph = self._flow_computer.graph
+        pipeline = self._pipeline
+        graph = pipeline.flow_computer.graph
         query_set: Set[int] = set(query.query_slocations)
         parent_cells: Dict[int, int] = {}
         for sloc_id in query_set:
@@ -69,7 +71,6 @@ class NestedLoopTkPLQ:
             if cell_id is not None:
                 parent_cells[sloc_id] = cell_id
 
-        pipeline = self._flow_computer.pipeline
         ctx = pipeline.context(query.interval, query_set, stats=stats)
         sequences = pipeline.fetch.run(ctx, iupt)
 

@@ -32,7 +32,7 @@ reported P-location; a sequence without a valid path has presence 0
 everywhere.
 
 **Float contract.**  Every strategy (naive, nested-loop, best-first, batch,
-continuous, vectorized scoring, any executor, any process) obtains presences
+continuous, either scoring kernel, any process) obtains presences
 from this one routine, so their results are bit-identical to each other.  No
 accumulation depends on set iteration order: sums run over tail states in
 sample order (sample sets are sorted by P-location id) and each cell's value

@@ -92,9 +92,7 @@ class SearchStats:
     def merge(self, other: "SearchStats", same_window: bool = True) -> None:
         """Fold another accumulator into this one.
 
-        Used to combine the per-worker statistics of parallel presence
-        computations (each worker collects into a private ``SearchStats``)
-        and, more generally, to aggregate per-stage accounting.
+        Used to aggregate the per-group accounting of a batched run.
 
         ``same_window`` states whether both sides describe the same window
         fetch: if so ``objects_total`` keeps the maximum (the population was

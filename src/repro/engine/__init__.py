@@ -1,19 +1,18 @@
-"""The execution-engine layer: staged pipeline, caching, batching, fan-out.
+"""The execution-engine layer: staged pipeline, caching, batching.
 
 This package turns the core algorithms into an explicit execution engine:
 
-* :mod:`~repro.engine.config` — :class:`EngineConfig`, the engine's knobs;
+* :mod:`~repro.engine.config` — :class:`EngineConfig`, the engine's one knob;
 * :mod:`~repro.engine.context` — :class:`ExecutionContext`, per-query state;
 * :mod:`~repro.engine.cache` — :class:`PresenceStore`, the cross-query LRU
   cache of per-object presence artefacts;
 * :mod:`~repro.engine.stages` — the composable pipeline stages
   (fetch → reduce → paths → presence) and :class:`QueryPipeline`;
-* :mod:`~repro.engine.executors` — serial / thread / process executors;
 * :mod:`~repro.engine.batch` — :class:`BatchPlanner`, many queries per pass;
 * :mod:`~repro.engine.continuous` — :class:`ContinuousQueryEngine`,
   incrementally maintained standing queries over streaming ingestion;
 * :mod:`~repro.engine.runtime` — :class:`QueryEngine`, the facade everything
-  (including :class:`~repro.core.engine.IndoorFlowSystem`) goes through.
+  (including :class:`~repro.system.IndoorFlowSystem`) goes through.
 """
 
 from .batch import (
@@ -23,7 +22,7 @@ from .batch import (
     score_query_over_entries,
 )
 from .cache import CacheStats, PresenceStore, StoredPresence, make_store_key
-from .config import CONTINUOUS_REFRESH_KINDS, EXECUTOR_KINDS, EngineConfig
+from .config import EngineConfig
 from .context import ExecutionContext
 from .continuous import (
     CONTINUOUS_ALGORITHM,
@@ -31,8 +30,7 @@ from .continuous import (
     Subscription,
     SubscriptionStats,
 )
-from .executors import ParallelExecutor, SerialExecutor, make_executor
-from .runtime import QueryEngine
+from .runtime import ALGORITHMS, QueryEngine
 from .stages import (
     FetchStage,
     PathStage,
@@ -42,29 +40,25 @@ from .stages import (
 )
 
 __all__ = [
+    "ALGORITHMS",
     "BATCH_ALGORITHM",
     "BatchPlanner",
     "BatchReport",
     "CacheStats",
     "CONTINUOUS_ALGORITHM",
-    "CONTINUOUS_REFRESH_KINDS",
     "ContinuousQueryEngine",
-    "EXECUTOR_KINDS",
     "EngineConfig",
     "ExecutionContext",
     "FetchStage",
-    "ParallelExecutor",
     "PathStage",
     "PresenceStage",
     "PresenceStore",
     "QueryEngine",
     "QueryPipeline",
     "ReduceStage",
-    "SerialExecutor",
     "StoredPresence",
     "Subscription",
     "SubscriptionStats",
-    "make_executor",
     "make_store_key",
     "score_query_over_entries",
 ]

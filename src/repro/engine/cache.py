@@ -1,8 +1,8 @@
 """The cross-query presence store.
 
-The per-query ``ObjectComputationCache`` of :mod:`repro.core.flow` shares
-per-object work *within* one query; the :class:`PresenceStore` here shares it
-*across* queries.  Entries are keyed by
+The :class:`PresenceStore` shares per-object work within one query (the
+"intermediate result sharing" of Section 4.1) and *across* queries.  Entries
+are keyed by
 
     ``(object_id, (start, end), frozenset(query_slocations), data_key)``
 
@@ -18,13 +18,13 @@ artefacts.  On a sharded store the token is *window-scoped*: it enumerates
 the versions of only the shards the window overlaps, so a freshly ingested
 batch invalidates exactly the cached presences whose windows read a touched
 shard and leaves every other entry serving hits.
-Keying by the query set is what makes the store safe where the historical
-shared-``ObjectComputationCache`` pattern was not — a presence reduced under
-one location set can never be handed to a different one.
+Keying by the query set is what makes the store safe where a cache keyed by
+object id alone was not — a presence reduced under one location set can
+never be handed to a different one.
 
-The store is LRU-bounded, thread-safe (the parallel executor probes it from
-worker threads), and keeps hit/miss/eviction statistics so experiments can
-report cache effectiveness.
+The store is LRU-bounded, thread-safe (the query service answers requests
+from several worker threads over one engine), and keeps hit/miss/eviction
+statistics so experiments can report cache effectiveness.
 """
 
 from __future__ import annotations

@@ -1,100 +1,31 @@
 """Configuration of the query execution engine.
 
-:class:`EngineConfig` gathers every knob of the execution-engine layer in one
-immutable object so that callers (and experiments) can describe *how* queries
-are executed independently of *what* is computed:
+The engine has one execution path (fetch → reduce → presence → score, every
+per-object result shared through the cross-query presence store), so its
+configuration is the one thing two real callers size differently:
 
-``executor``
-    ``"serial"`` (default) runs every per-object presence computation inline;
-    ``"thread"`` fans the computations out over a thread pool (useful when the
-    per-object work releases the GIL or performs I/O); ``"process"`` uses a
-    process pool for CPU-bound fan-out (the indoor model is pickled to the
-    workers once per chunk, so it only pays off for large object populations).
-``max_workers``
-    Pool size for the parallel executors; ``None`` lets
-    :mod:`concurrent.futures` pick its default.
-``parallel_threshold``
-    Minimum number of per-object computations in one stage invocation before
-    the engine bothers fanning out; below it the serial path is used even when
-    a parallel executor is configured.
 ``presence_store_capacity``
     Bound of the cross-query :class:`~repro.engine.cache.PresenceStore` (LRU
-    entries).  ``0`` disables cross-query caching entirely, which reproduces
-    the pre-engine behaviour where every query starts cold.
-``shard_scoped_cache_keys``
-    Whether the fetch stage keys cached presences by the *window-scoped*
-    :meth:`~repro.data.iupt.IUPT.data_key_for` token (default).  On a
-    sharded table that means streaming a batch in only invalidates cached
-    presences whose query windows overlap the touched shards; disabling it
-    keys by the whole-table version (the seed's invalidate-everything
-    behaviour, kept for the invalidation-granularity benchmark).
-``continuous_refresh``
-    How the continuous-query subsystem maintains standing results after each
-    ingested batch: ``"incremental"`` (default) skips subscriptions whose
-    window token is unchanged and re-keys the cached presences of objects
-    the batch did not touch, so only actually-changed objects are
-    recomputed; ``"recompute"`` re-answers every standing query from the
-    (invalidated) cache on every event — the pre-continuous behaviour a
-    polling client would get, kept for the refresh-strategy benchmark.
-``scoring_kernel``
-    Which accumulation kernel sums per-object presences into flows:
-    ``"scalar"`` is the per-entry Python loop, ``"vectorized"`` builds a
-    :class:`~repro.codec.kernels.PresenceMatrix` once per window group and
-    reduces contiguous arrays (bit-identical flows and rankings, asserted
-    by the differential tests).  ``"auto"`` (default) picks vectorized when
-    the codec's numpy backend is active and scalar on the pure-Python
-    fallback, where the matrix build would cost more than it saves.
+    entries).  ``0`` disables cross-query caching entirely, so every query
+    starts cold — what the paper's efficiency experiments measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
-EXECUTOR_KINDS = ("serial", "thread", "process")
-
-CONTINUOUS_REFRESH_KINDS = ("incremental", "recompute")
-
-SCORING_KERNEL_KINDS = ("auto", "scalar", "vectorized")
+from ..codec import active_backend
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Immutable description of how the execution engine runs queries."""
 
-    executor: str = "serial"
-    max_workers: Optional[int] = None
-    parallel_threshold: int = 8
     presence_store_capacity: int = 4096
-    shard_scoped_cache_keys: bool = True
-    continuous_refresh: str = "incremental"
-    scoring_kernel: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; expected one of {EXECUTOR_KINDS}"
-            )
-        if self.continuous_refresh not in CONTINUOUS_REFRESH_KINDS:
-            raise ValueError(
-                f"unknown continuous refresh {self.continuous_refresh!r}; "
-                f"expected one of {CONTINUOUS_REFRESH_KINDS}"
-            )
-        if self.scoring_kernel not in SCORING_KERNEL_KINDS:
-            raise ValueError(
-                f"unknown scoring kernel {self.scoring_kernel!r}; "
-                f"expected one of {SCORING_KERNEL_KINDS}"
-            )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1 (or None for the default)")
-        if self.parallel_threshold < 0:
-            raise ValueError("parallel_threshold must be non-negative")
         if self.presence_store_capacity < 0:
             raise ValueError("presence_store_capacity must be non-negative")
-
-    @property
-    def is_parallel(self) -> bool:
-        return self.executor != "serial"
 
     @property
     def caching_enabled(self) -> bool:
@@ -102,38 +33,12 @@ class EngineConfig:
 
     @property
     def resolved_scoring_kernel(self) -> str:
-        """``"scalar"`` or ``"vectorized"``, with ``"auto"`` resolved against
-        the codec's active backend (vectorized only pays off on numpy)."""
-        if self.scoring_kernel != "auto":
-            return self.scoring_kernel
-        from ..codec import active_backend
-
+        """``"vectorized"`` on the codec's numpy backend, ``"scalar"`` on the
+        pure-Python ``array`` fallback (where building the presence matrix
+        costs more than it saves); both give bit-identical flows."""
         return "vectorized" if active_backend() == "numpy" else "scalar"
 
     @staticmethod
-    def serial() -> "EngineConfig":
-        """The default configuration: inline execution, caching on."""
-        return EngineConfig()
-
-    @staticmethod
-    def parallel(
-        max_workers: Optional[int] = None, kind: str = "thread"
-    ) -> "EngineConfig":
-        """A parallel configuration fanning per-object work over a pool."""
-        return EngineConfig(executor=kind, max_workers=max_workers)
-
-    @staticmethod
     def uncached() -> "EngineConfig":
-        """Serial execution without the cross-query presence store."""
+        """Execution without the cross-query presence store."""
         return EngineConfig(presence_store_capacity=0)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "executor": self.executor,
-            "max_workers": self.max_workers,
-            "parallel_threshold": self.parallel_threshold,
-            "presence_store_capacity": self.presence_store_capacity,
-            "shard_scoped_cache_keys": self.shard_scoped_cache_keys,
-            "continuous_refresh": self.continuous_refresh,
-            "scoring_kernel": self.scoring_kernel,
-        }

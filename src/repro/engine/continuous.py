@@ -14,8 +14,7 @@ versioning was built to avoid.  This module closes the loop:
 * the engine listens to the table's storage events
   (:meth:`repro.data.iupt.IUPT.subscribe`) and refreshes the registered
   results after every ``ingest_batch`` / ``evict_before``;
-* refreshes are **delta-maintained** (``continuous_refresh="incremental"``,
-  the default).  For each subscription and each
+* refreshes are **delta-maintained**.  For each subscription and each
   :class:`~repro.storage.base.IngestEvent`:
 
   1. if the window-scoped version token
@@ -39,9 +38,8 @@ versioning was built to avoid.  This module closes the loop:
   result accessor raises :class:`~repro.storage.base.EvictedRangeError`
   instead of silently serving a result computed from truncated history.
 
-``continuous_refresh="recompute"`` disables steps 1-2 (every event re-answers
-every standing query through the invalidated cache) and exists as the
-baseline of ``benchmarks/test_bench_continuous.py``.
+``benchmarks/test_bench_continuous.py`` measures steps 1-2 against a polling
+client that re-issues every standing query after each batch.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ from ..core.query import TkPLQResult, TkPLQuery
 from ..data.iupt import IUPT
 from ..storage import EvictedRangeError, EvictionEvent, IngestEvent, IngestReceipt
 from .batch import score_query_over_entries
-from .config import CONTINUOUS_REFRESH_KINDS
 from .stages import accumulate_flows_over_entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -205,9 +202,6 @@ class ContinuousQueryEngine:
         The streaming table to subscribe to.  Every
         :meth:`~repro.data.iupt.IUPT.ingest_batch` /
         :meth:`~repro.data.iupt.IUPT.evict_before` triggers maintenance.
-    refresh:
-        ``"incremental"`` or ``"recompute"``; defaults to the engine
-        config's ``continuous_refresh``.
     manifest_path:
         When set, every registered standing query is mirrored into a JSON
         manifest at this path (rewritten atomically on each register /
@@ -222,18 +216,10 @@ class ContinuousQueryEngine:
         self,
         engine: "QueryEngine",
         iupt: IUPT,
-        refresh: Optional[str] = None,
         manifest_path: Optional["os.PathLike[str] | str"] = None,
     ):
-        refresh = refresh if refresh is not None else engine.config.continuous_refresh
-        if refresh not in CONTINUOUS_REFRESH_KINDS:
-            raise ValueError(
-                f"unknown continuous refresh {refresh!r}; "
-                f"expected one of {CONTINUOUS_REFRESH_KINDS}"
-            )
         self._engine = engine
         self._iupt = iupt
-        self._refresh_kind = refresh
         self._subscriptions: Dict[int, Subscription] = {}
         self._next_id = 1
         # Subscription state is synchronised on the *store's* re-entrant
@@ -252,10 +238,6 @@ class ContinuousQueryEngine:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def refresh_kind(self) -> str:
-        return self._refresh_kind
-
     @property
     def subscriptions(self) -> List[Subscription]:
         with self._lock:
@@ -454,17 +436,14 @@ class ContinuousQueryEngine:
     ) -> None:
         if not subscription.active:
             return
-        if self._refresh_kind == "incremental":
-            new_key = self._iupt.data_key_for(*subscription.window)
-            if new_key == subscription._data_key:
-                # The window's visible records are untouched by this batch —
-                # the standing result is still exact; do nothing at all.
-                subscription.stats.skipped += 1
-                return
-            self._rekey_untouched(subscription, receipt, new_key)
-            self._compute(subscription, pinned_key=new_key)
-        else:
-            self._compute(subscription)
+        new_key = self._iupt.data_key_for(*subscription.window)
+        if new_key == subscription._data_key:
+            # The window's visible records are untouched by this batch —
+            # the standing result is still exact; do nothing at all.
+            subscription.stats.skipped += 1
+            return
+        self._rekey_untouched(subscription, receipt, new_key)
+        self._compute(subscription, pinned_key=new_key)
         if subscription.on_update is not None:
             subscription.on_update(subscription, subscription._result)
 
@@ -622,7 +601,6 @@ class ContinuousQueryEngine:
             totals.churn_total += stats.churn_total
             totals.elapsed_seconds += stats.elapsed_seconds
         return {
-            "refresh": self._refresh_kind,
             "subscriptions": len(subscriptions),
             "active": sum(1 for s in subscriptions if s.active),
             **{

@@ -2,20 +2,19 @@
 
 A ``QueryEngine`` owns one :class:`~repro.core.flow.FlowComputer` (the
 reduction / path primitives), one cross-query
-:class:`~repro.engine.cache.PresenceStore`, one executor, and the three TkPLQ
-algorithms wired to the shared :class:`~repro.engine.stages.QueryPipeline`.
-It is the layer every entry point goes through:
+:class:`~repro.engine.cache.PresenceStore`, and the three TkPLQ algorithms
+wired to the shared :class:`~repro.engine.stages.QueryPipeline`.  It is the
+layer every entry point goes through:
 
 * :meth:`flow` / :meth:`flows` — Algorithm 2 through the staged pipeline;
 * :meth:`search` / :meth:`top_k` — the naive, nested-loop and best-first
-  algorithms, sharing the engine's store and executor;
+  algorithms, sharing the engine's store;
 * :meth:`batch` / :meth:`batch_top_k` — many queries in one pass through the
   :class:`~repro.engine.batch.BatchPlanner`;
 * :meth:`cache_stats` / :meth:`reset_cache` — cache introspection.
 
-:class:`~repro.core.engine.IndoorFlowSystem` builds one of these from a floor
-plan and keeps its historical API as thin wrappers, so existing callers get
-the engine (and its caching) without code changes.
+:class:`~repro.system.IndoorFlowSystem` builds one of these from a floor
+plan and exposes the same calls as thin wrappers.
 """
 
 from __future__ import annotations
@@ -61,29 +60,12 @@ class QueryEngine:
         self.pipeline = QueryPipeline(
             self.flow_computer, store=self.store, config=self.config
         )
-        # The computer drives its flow()/flows_for_all() through this
-        # pipeline, so legacy callers holding the computer share the engine's
-        # store and executor.
-        self.flow_computer.use_pipeline(self.pipeline)
         self.planner = BatchPlanner(self.pipeline)
         self._algorithms = {
-            "naive": NaiveTkPLQ(self.flow_computer),
-            "nested-loop": NestedLoopTkPLQ(self.flow_computer),
-            "best-first": BestFirstTkPLQ(self.flow_computer, rtree_fanout),
+            "naive": NaiveTkPLQ(self.pipeline),
+            "nested-loop": NestedLoopTkPLQ(self.pipeline),
+            "best-first": BestFirstTkPLQ(self.pipeline, rtree_fanout),
         }
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down the executor's worker pool (if any)."""
-        self.pipeline.close()
-
-    def __enter__(self) -> "QueryEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Flow computation (Algorithm 2)
@@ -135,24 +117,16 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Continuous queries
     # ------------------------------------------------------------------
-    def continuous(
-        self,
-        iupt: IUPT,
-        refresh: Optional[str] = None,
-        manifest_path=None,
-    ) -> ContinuousQueryEngine:
+    def continuous(self, iupt: IUPT, manifest_path=None) -> ContinuousQueryEngine:
         """Attach a continuous-query engine to ``iupt``.
 
         Standing queries registered with the returned
         :class:`~repro.engine.continuous.ContinuousQueryEngine` are refreshed
-        after every ``ingest_batch`` / ``evict_before`` on the table —
-        incrementally by default (see ``EngineConfig.continuous_refresh``).
-        ``manifest_path`` persists the registered queries so they can be
-        restored after a restart (used with durable tables).
+        incrementally after every ``ingest_batch`` / ``evict_before`` on the
+        table.  ``manifest_path`` persists the registered queries so they can
+        be restored after a restart (used with durable tables).
         """
-        return ContinuousQueryEngine(
-            self, iupt, refresh=refresh, manifest_path=manifest_path
-        )
+        return ContinuousQueryEngine(self, iupt, manifest_path=manifest_path)
 
     # ------------------------------------------------------------------
     # Batched evaluation

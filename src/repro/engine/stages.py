@@ -14,27 +14,17 @@ stages, each reporting into the :class:`ExecutionContext` it is given:
 
 :class:`QueryPipeline` wires the stages to a
 :class:`~repro.core.flow.FlowComputer` (the home of the reduction and path
-primitives), an optional presence store, and an executor that can fan the
-per-object work of :meth:`QueryPipeline.presences` out across workers.  The
-three TkPLQ algorithms, ``FlowComputer.flow``/``flows_for_all``, and the
-:class:`~repro.engine.batch.BatchPlanner` are all thin drivers over this
-pipeline.
+primitives) and an optional presence store.  The three TkPLQ algorithms,
+``QueryEngine.flow``/``flows``, the :class:`~repro.engine.batch.BatchPlanner`
+and the continuous-query subsystem are all thin drivers over this pipeline.
 """
 
 from __future__ import annotations
 
 import time
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TYPE_CHECKING,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.flow import FlowComputer, FlowResult
 from ..core.query import SearchStats
 from ..core.reduction import ReducedSequence
 from ..data.iupt import IUPT
@@ -42,36 +32,24 @@ from ..data.records import SampleSet
 from .cache import PresenceStore, StoredPresence
 from .config import EngineConfig
 from .context import ExecutionContext
-from .executors import SerialExecutor, make_executor
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.flow import FlowComputer, FlowResult, ObjectComputationCache
 
 
 class FetchStage:
     """Stage 1: retrieve the window's per-object sequences from the time index.
 
-    Also pins the context to the table's data key, so every later store
+    Also pins the context to the table's *window-scoped*
+    :meth:`~repro.data.iupt.IUPT.data_key_for` token, so every later store
     access of this context is keyed to the exact table state the sequences
-    were fetched from.  With ``shard_scoped_keys`` (the default) the key is
-    the *window-scoped* :meth:`~repro.data.iupt.IUPT.data_key_for` token: on
-    a sharded store it only covers the shards the window overlaps, so
-    ingesting a batch elsewhere leaves this context's cached presences
-    valid.  Disabling it falls back to the whole-table
-    :attr:`~repro.data.iupt.IUPT.data_key` (the seed's invalidate-everything
-    behaviour, kept for the invalidation-granularity benchmark).
+    were fetched from.  On a sharded store the token only covers the shards
+    the window overlaps, so ingesting a batch elsewhere leaves this
+    context's cached presences valid.
     """
-
-    def __init__(self, shard_scoped_keys: bool = True):
-        self._shard_scoped_keys = shard_scoped_keys
 
     def run(self, ctx: ExecutionContext, iupt: IUPT) -> Dict[int, List[SampleSet]]:
         if ctx.pinned_data_key is not None:
             ctx.data_key = ctx.pinned_data_key
-        elif self._shard_scoped_keys:
-            ctx.data_key = iupt.data_key_for(ctx.start, ctx.end)
         else:
-            ctx.data_key = iupt.data_key
+            ctx.data_key = iupt.data_key_for(ctx.start, ctx.end)
         sequences = iupt.sequences_in(ctx.start, ctx.end)
         ctx.stats.note_objects_total(len(sequences))
         return sequences
@@ -80,7 +58,7 @@ class FetchStage:
 class ReduceStage:
     """Stage 2: Algorithm 1 (``ReduceData``) against the context's query set."""
 
-    def __init__(self, flow_computer: "FlowComputer"):
+    def __init__(self, flow_computer: FlowComputer):
         self._computer = flow_computer
 
     def run(
@@ -94,51 +72,11 @@ class ReduceStage:
 class PathStage:
     """Stage 3: the presences (Equations 1-2) of one reduced sequence."""
 
-    def __init__(self, flow_computer: "FlowComputer"):
+    def __init__(self, flow_computer: FlowComputer):
         self._computer = flow_computer
 
     def run(self, ctx: ExecutionContext, sequence: Sequence[SampleSet]):
         return self._computer.presence_computation(sequence, ctx.stats)
-
-
-class _PresenceTask:
-    """One object's reduce → path-construct work as a picklable callable.
-
-    Each invocation collects its counters into a private ``SearchStats`` so
-    the task can run on any executor (including process pools, where shared
-    mutable state is unavailable); the caller merges the deltas back in input
-    order, keeping the accounting deterministic.
-    """
-
-    def __init__(
-        self,
-        flow_computer: "FlowComputer",
-        query_key: Optional[FrozenSet[int]],
-        build_paths: bool,
-    ):
-        self._computer = flow_computer
-        self._query_key = query_key
-        self._build_paths = build_paths
-
-    def __call__(
-        self,
-        payload: Tuple[int, Sequence[SampleSet], Optional[StoredPresence]],
-    ) -> Tuple[StoredPresence, SearchStats]:
-        object_id, sequence, entry = payload
-        delta = SearchStats()
-        if entry is None:
-            reduced = self._computer.reducer.reduce(
-                sequence, self._query_key, delta.reduction_stats
-            )
-            entry = StoredPresence(
-                psls=reduced.psls, sequence=reduced.sequence, pruned=reduced.pruned
-            )
-        if self._build_paths and not entry.pruned and entry.computation is None:
-            entry.computation = self._computer.presence_computation(
-                entry.sequence, delta
-            )
-            delta.note_object_computed(object_id)
-        return entry, delta
 
 
 def accumulate_flows_over_entries(
@@ -194,8 +132,9 @@ def _needs_work(entry: Optional[StoredPresence], build_paths: bool) -> bool:
 class PresenceStage:
     """Stage 4: cache-aware per-object presence (reduce + paths + store)."""
 
-    def __init__(self, flow_computer: "FlowComputer"):
-        self._computer = flow_computer
+    def __init__(self, reduce: ReduceStage, paths: PathStage):
+        self._reduce = reduce
+        self._paths = paths
 
     def run(
         self,
@@ -214,9 +153,14 @@ class PresenceStage:
                 object_id, ctx.window, ctx.query_key, data_key=ctx.data_key
             )
         if _needs_work(entry, build_paths):
-            task = _PresenceTask(self._computer, ctx.query_key, build_paths)
-            entry, delta = task((object_id, sequence, entry))
-            ctx.stats.merge(delta)
+            if entry is None:
+                reduced = self._reduce.run(ctx, sequence)
+                entry = StoredPresence(
+                    psls=reduced.psls, sequence=reduced.sequence, pruned=reduced.pruned
+                )
+            if build_paths and not entry.pruned:
+                entry.computation = self._paths.run(ctx, entry.sequence)
+                ctx.stats.note_object_computed(object_id)
             if store is not None:
                 store.put(
                     object_id, ctx.window, ctx.query_key, entry, data_key=ctx.data_key
@@ -225,7 +169,7 @@ class PresenceStage:
 
 
 class QueryPipeline:
-    """Fetch → reduce → paths → presence, with caching and fan-out.
+    """Fetch → reduce → paths → presence, with cross-query caching.
 
     Parameters
     ----------
@@ -235,27 +179,25 @@ class QueryPipeline:
         Optional cross-query presence store shared by every context this
         pipeline creates.
     config:
-        Engine configuration; its ``executor`` settings decide whether
-        :meth:`presences` fans per-object work out across workers.
+        Engine configuration (decides the scoring kernel).
     """
 
     def __init__(
         self,
-        flow_computer: "FlowComputer",
+        flow_computer: FlowComputer,
         store: Optional[PresenceStore] = None,
         config: Optional[EngineConfig] = None,
     ):
         self._computer = flow_computer
         self._store = store
         self._config = config or EngineConfig()
-        self._executor = make_executor(self._config)
-        self.fetch = FetchStage(self._config.shard_scoped_cache_keys)
+        self.fetch = FetchStage()
         self.reduce = ReduceStage(flow_computer)
         self.paths = PathStage(flow_computer)
-        self.presence = PresenceStage(flow_computer)
+        self.presence = PresenceStage(self.reduce, self.paths)
 
     @property
-    def flow_computer(self) -> "FlowComputer":
+    def flow_computer(self) -> FlowComputer:
         return self._computer
 
     @property
@@ -265,10 +207,6 @@ class QueryPipeline:
     @property
     def config(self) -> EngineConfig:
         return self._config
-
-    def close(self) -> None:
-        """Release the executor's worker pool (if any)."""
-        self._executor.close()
 
     # ------------------------------------------------------------------
     # Contexts
@@ -280,96 +218,59 @@ class QueryPipeline:
         stats: Optional[SearchStats] = None,
         use_store: bool = True,
     ) -> ExecutionContext:
-        """Create the execution context of one query over this pipeline."""
+        """Create the execution context of one query over this pipeline.
+
+        Every entry point (one-shot, batched, standing) builds its context
+        here, so this is where the query set is checked against the indoor
+        model: an id the floor plan does not know raises ``ValueError``.
+        """
+        query_key = None
+        if query_slocations is not None:
+            query_key = frozenset(query_slocations)
+            known = self._computer.graph.plan.slocations
+            unknown = sorted(sloc_id for sloc_id in query_key if sloc_id not in known)
+            if unknown:
+                raise ValueError(f"unknown S-location id(s): {unknown}")
         return ExecutionContext(
             window=(float(window[0]), float(window[1])),
-            query_key=(
-                None if query_slocations is None else frozenset(query_slocations)
-            ),
+            query_key=query_key,
             stats=stats if stats is not None else SearchStats(),
             store=self._store,
             use_store=use_store,
         )
 
     # ------------------------------------------------------------------
-    # Bulk per-object presence (the fan-out point)
+    # Bulk per-object presence
     # ------------------------------------------------------------------
     def presences(
         self,
         ctx: ExecutionContext,
         sequences: Dict[int, List[SampleSet]],
         build_paths: bool = True,
-        legacy_cache: Optional["ObjectComputationCache"] = None,
     ) -> List[Tuple[int, StoredPresence]]:
         """Per-object presence artefacts for a whole window, in fetch order.
 
-        Probes the per-query ``legacy_cache`` (if given) and the cross-query
-        store in the calling thread, then computes the misses — serially, or
-        across the configured executor when at least ``parallel_threshold``
-        objects need work.  Results and statistics are merged back in input
-        order, so flows accumulated from the returned list are bit-for-bit
-        identical whichever executor ran the work.
+        Probes the cross-query store for every object first, then computes
+        the misses in input order — a miss's ``put`` can evict, and must not
+        evict a hit of this same window before it is read.  Flows accumulated
+        from the returned list sum the same values in the same order on
+        every call.
         """
-        items = list(sequences.items())
-        entries: List[Optional[StoredPresence]] = [None] * len(items)
-        pending: List[int] = []
         store = ctx.effective_store
-
-        for index, (object_id, _sequence) in enumerate(items):
-            entry = None
-            if legacy_cache is not None:
-                entry = legacy_cache.get(object_id, ctx.query_key)
-            if entry is None and store is not None:
-                entry = store.get(
-                    object_id, ctx.window, ctx.query_key, data_key=ctx.data_key
-                )
-            entries[index] = entry
-            if _needs_work(entry, build_paths):
-                pending.append(index)
-
-        parallel = (
-            self._config.is_parallel
-            and len(pending) >= self._config.parallel_threshold
-        )
-        if parallel:
-            # Fan the miss computations out; results and their stat deltas
-            # are merged back in input order (deterministic accumulation).
-            task = _PresenceTask(self._computer, ctx.query_key, build_paths)
-            payloads = [
-                (items[index][0], items[index][1], entries[index])
-                for index in pending
-            ]
-            outcomes = self._executor.map(task, payloads)
-            for index, (entry, delta) in zip(pending, outcomes):
-                ctx.stats.merge(delta)
-                entries[index] = entry
-                if store is not None:
-                    store.put(
-                        items[index][0],
-                        ctx.window,
-                        ctx.query_key,
-                        entry,
-                        data_key=ctx.data_key,
-                    )
-        else:
-            for index in pending:
-                object_id, sequence = items[index]
-                entries[index] = self.presence.run(
-                    ctx,
-                    object_id,
-                    sequence,
-                    build_paths,
-                    entry=entries[index],
-                    probe=False,
-                )
-        if legacy_cache is not None:
-            for index in pending:
-                legacy_cache.put(items[index][0], entries[index], ctx.query_key)
-
-        return [
-            (object_id, entry)
-            for (object_id, _sequence), entry in zip(items, entries)
+        found = [
+            None
+            if store is None
+            else store.get(object_id, ctx.window, ctx.query_key, data_key=ctx.data_key)
+            for object_id in sequences
         ]
+        entries: List[Tuple[int, StoredPresence]] = []
+        for (object_id, sequence), entry in zip(sequences.items(), found):
+            if _needs_work(entry, build_paths):
+                entry = self.presence.run(
+                    ctx, object_id, sequence, build_paths, entry=entry, probe=False
+                )
+            entries.append((object_id, entry))
+        return entries
 
     def build_paths_for(
         self, ctx: ExecutionContext, object_id: int, entry: StoredPresence
@@ -394,24 +295,14 @@ class QueryPipeline:
     # ------------------------------------------------------------------
     # Algorithm 2, staged
     # ------------------------------------------------------------------
-    def flow(
-        self,
-        ctx: ExecutionContext,
-        iupt: IUPT,
-        sloc_id: int,
-        legacy_cache: Optional["ObjectComputationCache"] = None,
-    ) -> "FlowResult":
+    def flow(self, ctx: ExecutionContext, iupt: IUPT, sloc_id: int) -> FlowResult:
         """The indoor flow of one S-location, run through the staged pipeline."""
-        from ..core.flow import FlowResult  # deferred: core.flow drives this module
-
         began = time.perf_counter()
         cell_id = self._computer.graph.parent_cell(sloc_id)
         sequences = self.fetch.run(ctx, iupt)
 
         flow_value = 0.0
-        for _object_id, entry in self.presences(
-            ctx, sequences, build_paths=True, legacy_cache=legacy_cache
-        ):
+        for _object_id, entry in self.presences(ctx, sequences):
             if entry.pruned:
                 continue
             ctx.stats.flow_evaluations += 1

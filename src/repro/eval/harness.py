@@ -194,16 +194,12 @@ def _run_search(
     return engine.search(scenario.iupt, query, _ALGORITHM_NAMES[algorithm])
 
 
-def _search_engine(
-    scenario: Scenario,
-    reduction: DataReductionConfig,
-    config: Optional[EngineConfig] = None,
-) -> QueryEngine:
+def _search_engine(scenario: Scenario, reduction: DataReductionConfig) -> QueryEngine:
     return QueryEngine(
         scenario.system.graph,
         scenario.system.matrix,
         reduction,
-        config=config or EngineConfig.uncached(),
+        config=EngineConfig.uncached(),
     )
 
 
@@ -211,7 +207,6 @@ def run_batched(
     scenario: Scenario,
     queries: Sequence[TkPLQuery],
     reduction: DataReductionConfig = DataReductionConfig.enabled(),
-    engine_config: Optional[EngineConfig] = None,
 ) -> BatchReport:
     """Answer many TkPLQ queries in one batched pass over the scenario.
 
@@ -219,8 +214,4 @@ def run_batched(
     reduce/path work across every query of a group; the per-query rankings
     are identical to independent ``run_method(..., "nl", ...)`` calls.
     """
-    engine = _search_engine(scenario, reduction, config=engine_config)
-    try:
-        return engine.batch(scenario.iupt, queries)
-    finally:
-        engine.close()
+    return _search_engine(scenario, reduction).batch(scenario.iupt, queries)

@@ -3,7 +3,7 @@
 Each function regenerates one table or figure of the paper on the
 university-floor scenario.  Rows contain the same quantities the paper plots
 (running time, pruning ratio, Kendall coefficient, recall) for the same
-methods; DESIGN.md §4 lists the shape expectations checked against the paper.
+methods; README's *Running things* section shows how to regenerate them.
 """
 
 from __future__ import annotations

@@ -109,9 +109,9 @@ class QueryService:
     Parameters
     ----------
     engine:
-        The shared query engine; its executor settings still govern
-        per-object fan-out *inside* one query, while ``query_workers``
-        bounds how many whole requests execute concurrently.
+        The shared query engine; each request runs one query on one
+        worker thread, and ``query_workers`` bounds how many whole requests
+        execute concurrently.
     iupt:
         The served table.  ``ingest_batch`` / ``evict_before`` requests
         mutate it; standing subscriptions are maintained against it.

@@ -250,7 +250,7 @@ class FloorPlan:
         return sorted({p.floor for p in self.partitions.values()})
 
     def summary(self) -> Dict[str, int]:
-        """Return entity counts, handy for logging and DESIGN/EXPERIMENTS docs."""
+        """Return entity counts, handy for logging and docs."""
         partitioning = sum(1 for p in self.plocations.values() if p.is_partitioning)
         return {
             "partitions": len(self.partitions),

@@ -2,7 +2,8 @@
 
 The paper's real dataset (35 smartphone users tracked over a 33.9 m x 25.9 m
 university floor with 14 S-locations and 75 Wi-Fi reference points) is not
-publicly available.  Following the substitution policy in DESIGN.md, this
+publicly available.  As README's *Architecture* section says of ``synth/``
+(simulated stand-ins for the paper's "real" and synthetic settings), this
 module rebuilds a floor plan with the same structure and statistics — 9 office
 rooms plus 5 hallway segments, partitioning P-locations at the doors, presence
 reference points on a lattice with a density giving roughly 75 P-locations in

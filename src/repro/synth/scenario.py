@@ -17,9 +17,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core import DataReductionConfig, IndoorFlowSystem
+from ..core import DataReductionConfig
 from ..data import IUPT, RFIDTable, TrajectoryStore
 from ..space import FloorPlan
+from ..system import IndoorFlowSystem
 from .building import BuildingConfig, GridBuildingGenerator
 from .movement import MovementConfig, RandomWaypointSimulator
 from .positioning import PositioningConfig, WkNNPositioningSimulator

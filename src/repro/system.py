@@ -4,28 +4,25 @@
 a floor plan, derives the indoor space location graph and the (merged) indoor
 location matrix, and deploys a :class:`~repro.engine.runtime.QueryEngine` over
 them.  Flow computation, the three TkPLQ search algorithms, and batched
-multi-query evaluation are all exposed behind a single object; the historical
-``flow`` / ``flows`` / ``top_k`` / ``search`` methods are thin wrappers over
-the engine, so pre-engine callers keep working unchanged (and transparently
-gain the engine's cross-query presence store).
+multi-query evaluation are all exposed behind a single object; every method
+is a thin wrapper over the engine (and so shares its cross-query presence
+store).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..data.iupt import IUPT
-from ..engine.batch import BatchReport
-from ..engine.config import EngineConfig
-from ..engine.runtime import ALGORITHMS, QueryEngine
-from ..space.floorplan import FloorPlan
-from ..space.graph import IndoorSpaceLocationGraph
-from ..space.matrix import IndoorLocationMatrix
-from .flow import FlowComputer, FlowResult
-from .query import TkPLQResult, TkPLQuery
-from .reduction import DataReductionConfig
-
-__all__ = ["ALGORITHMS", "IndoorFlowSystem"]
+from .core.flow import FlowComputer, FlowResult
+from .core.query import TkPLQResult, TkPLQuery
+from .core.reduction import DataReductionConfig
+from .data.iupt import IUPT
+from .engine.batch import BatchReport
+from .engine.config import EngineConfig
+from .engine.runtime import QueryEngine
+from .space.floorplan import FloorPlan
+from .space.graph import IndoorSpaceLocationGraph
+from .space.matrix import IndoorLocationMatrix
 
 
 class IndoorFlowSystem:
@@ -42,9 +39,8 @@ class IndoorFlowSystem:
         The data reduction configuration; disable it to obtain the ``-ORG``
         behaviour studied in Section 5.2.1.
     engine_config:
-        Execution-engine configuration (executor kind, worker count, presence
-        store capacity).  The default is serial execution with a bounded
-        cross-query presence store.
+        Execution-engine configuration (the presence store's capacity).  The
+        default is a bounded cross-query presence store.
     """
 
     def __init__(
@@ -114,15 +110,11 @@ class IndoorFlowSystem:
         return self.engine.batch_top_k(iupt, queries)
 
     # ------------------------------------------------------------------
-    # Introspection / lifecycle
+    # Introspection
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, float]:
         """Hit/miss statistics of the engine's cross-query presence store."""
         return self.engine.cache_stats()
-
-    def close(self) -> None:
-        """Release engine resources (parallel worker pools)."""
-        self.engine.close()
 
     def summary(self) -> Dict[str, int]:
         """Structural summary of the deployed model (plan, graph, matrix)."""

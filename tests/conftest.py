@@ -8,12 +8,14 @@ import pytest
 
 from repro import (
     DataReductionConfig,
+    EngineConfig,
     FloorPlan,
     FlowComputer,
     IndoorFlowSystem,
     IUPT,
     PartitionKind,
     Point,
+    QueryEngine,
     Rect,
     SampleSet,
 )
@@ -107,6 +109,17 @@ def figure1_flow_exact(figure1) -> FlowComputer:
     """
     return FlowComputer(
         figure1["graph"], figure1["matrix"], DataReductionConfig.disabled()
+    )
+
+
+@pytest.fixture(scope="session")
+def figure1_engine_exact(figure1) -> QueryEngine:
+    """A cold (store-less) engine over Figure 1 with data reduction disabled."""
+    return QueryEngine(
+        figure1["graph"],
+        figure1["matrix"],
+        DataReductionConfig.disabled(),
+        config=EngineConfig.uncached(),
     )
 
 

@@ -55,14 +55,14 @@ class TestMonteCarlo:
         second = MonteCarlo(computer, rounds=50, seed=3).search(figure1_iupt, query)
         assert first.flows == second.flows
 
-    def test_converges_towards_exact_flow(self, figure1, figure1_iupt, figure1_flow_exact):
+    def test_converges_towards_exact_flow(self, figure1, figure1_iupt, figure1_engine_exact):
         slocs = figure1["slocs"]
         query = TkPLQuery.build(sorted(slocs.values()), 2, 1.0, 8.0)
         computer = FlowComputer(
             figure1["graph"], figure1["matrix"], DataReductionConfig.disabled()
         )
         mc = MonteCarlo(computer, rounds=400, seed=11).search(figure1_iupt, query)
-        exact_r6 = figure1_flow_exact.flow(figure1_iupt, slocs["r6"], 1.0, 8.0).flow
+        exact_r6 = figure1_engine_exact.flow(figure1_iupt, slocs["r6"], 1.0, 8.0).flow
         assert mc.flows[slocs["r6"]] == pytest.approx(exact_r6, abs=0.35)
         assert mc.top_k_ids()[0] == slocs["r6"]
 

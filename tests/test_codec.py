@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DataReductionConfig, IUPT, SampleSet
+from repro import IUPT, SampleSet
 from repro.codec import (
     PackedRecordBatch,
     PresenceMatrix,
@@ -41,6 +41,7 @@ from repro.codec import (
 )
 from repro.data.records import PositioningRecord, Sample
 from repro.engine import BatchPlanner, EngineConfig, QueryEngine
+from repro.engine.batch import score_query_over_entries
 from repro.engine.stages import accumulate_flows_over_entries
 from repro.core.query import SearchStats, TkPLQuery
 from repro.experiments.runner import overlapping_queries
@@ -231,10 +232,52 @@ def flows_bitwise_equal(left, right) -> bool:
     return all(bits(left[sloc]) == bits(right[sloc]) for sloc in left)
 
 
-def kernel_configs(backend):
-    scalar = EngineConfig(scoring_kernel="scalar")
-    vectorized = EngineConfig(scoring_kernel="vectorized")
-    return scalar, vectorized
+KERNELS = ("scalar", "vectorized")
+
+
+def window_entries(engine, iupt, slocs, start, end):
+    """One window's per-object artefacts and what the kernels read beside them."""
+    pipeline = engine.pipeline
+    ctx = pipeline.context((start, end), frozenset(slocs))
+    sequences = pipeline.fetch.run(ctx, iupt)
+    graph = pipeline.flow_computer.graph
+    parent_cells = {sloc: graph.parent_cell(sloc) for sloc in slocs}
+    return pipeline.presences(ctx, sequences), parent_cells, len(sequences)
+
+
+def assert_flow_kernels_agree(entries, slocs, parent_cells, expected=None):
+    """Both flows kernels over the same entries: same bits, same evaluations."""
+    flows, evaluations = {}, {}
+    for kernel in KERNELS:
+        stats = SearchStats()
+        flows[kernel] = accumulate_flows_over_entries(
+            entries, slocs, parent_cells, stats, kernel=kernel
+        )
+        evaluations[kernel] = stats.flow_evaluations
+    assert flows_bitwise_equal(flows["scalar"], flows["vectorized"])
+    assert evaluations["scalar"] == evaluations["vectorized"]
+    if expected is not None:
+        assert flows_bitwise_equal(flows["scalar"], expected)
+
+
+def assert_query_kernels_agree(query, entries, parent_cells, objects_total, expected):
+    """Both query kernels over the same entries, and the engine's own answer."""
+    scalar, vectorized = (
+        score_query_over_entries(
+            query, entries, parent_cells, objects_total, kernel=kernel
+        )
+        for kernel in KERNELS
+    )
+    assert flows_bitwise_equal(scalar.flows, vectorized.flows)
+    assert scalar.top_k_ids() == vectorized.top_k_ids()
+    assert scalar.stats.flow_evaluations == vectorized.stats.flow_evaluations
+    assert flows_bitwise_equal(scalar.flows, expected.flows)
+    assert scalar.top_k_ids() == expected.top_k_ids()
+    assert scalar.stats.flow_evaluations == expected.stats.flow_evaluations
+
+
+def scenario_engine(scenario) -> QueryEngine:
+    return QueryEngine(scenario.system.graph, scenario.system.matrix)
 
 
 class TestVectorizedKernels:
@@ -242,29 +285,19 @@ class TestVectorizedKernels:
     def test_matrix_kernels_match_scalar_on_figure1(
         self, figure1, figure1_iupt, backend
     ):
-        engine = QueryEngine(
-            figure1["graph"],
-            figure1["matrix"],
-            DataReductionConfig.enabled(),
-            config=EngineConfig(scoring_kernel="scalar"),
-        )
+        engine = QueryEngine(figure1["graph"], figure1["matrix"])
         slocs = sorted(figure1["slocs"].values())
-        pipeline = engine.pipeline
-        ctx = pipeline.context((1.0, 8.0), frozenset(slocs))
-        sequences = pipeline.fetch.run(ctx, figure1_iupt)
-        entries = pipeline.presences(ctx, sequences)
-        graph = pipeline.flow_computer.graph
-        parent_cells = {sloc: graph.parent_cell(sloc) for sloc in slocs}
+        entries, parent_cells, objects_total = window_entries(
+            engine, figure1_iupt, slocs, 1.0, 8.0
+        )
 
         matrix = PresenceMatrix(entries, slocs, parent_cells, backend=backend)
 
         # Query kernel: every k-subset window against the scalar fold.
         for query_slocs in (slocs, slocs[:3], slocs[2:5]):
             query = TkPLQuery(tuple(query_slocs), 2, 1.0, 8.0)
-            from repro.engine.batch import score_query_over_entries
-
             scalar = score_query_over_entries(
-                query, entries, parent_cells, len(sequences)
+                query, entries, parent_cells, objects_total
             )
             vector_flows, evaluations = matrix.score_flows(query.query_slocations)
             assert flows_bitwise_equal(scalar.flows, vector_flows)
@@ -280,28 +313,22 @@ class TestVectorizedKernels:
         assert evaluations == scalar_stats.flow_evaluations
 
     def test_batched_queries_bit_identical_across_kernels(self, small_real_scenario):
-        # Runs against whichever backend is active; the CI fallback leg
-        # re-runs the whole suite with REPRO_CODEC_BACKEND=array.
+        # The engine scores with the active backend's kernel; the CI fallback
+        # leg re-runs the whole suite with REPRO_CODEC_BACKEND=array, so both
+        # kernels are compared against the engine's own answers.
         scenario = small_real_scenario
         queries = overlapping_queries(
             scenario, count=6, k=3, q_fraction=0.5, delta_seconds=120.0, seed=7
         )
-        reports = {}
-        for kernel in ("scalar", "vectorized"):
-            engine = QueryEngine(
-                scenario.system.graph,
-                scenario.system.matrix,
-                DataReductionConfig.enabled(),
-                config=EngineConfig(scoring_kernel=kernel),
-            )
-            reports[kernel] = engine.batch(scenario.iupt, queries)
-        for scalar, vectorized in zip(
-            reports["scalar"].results, reports["vectorized"].results
-        ):
-            assert flows_bitwise_equal(scalar.flows, vectorized.flows)
-            assert scalar.top_k_ids() == vectorized.top_k_ids()
-            assert (
-                scalar.stats.flow_evaluations == vectorized.stats.flow_evaluations
+        report = scenario_engine(scenario).batch(scenario.iupt, queries)
+        assert report.groups == 1
+        union = sorted({sloc for query in queries for sloc in query.query_slocations})
+        entries, parent_cells, objects_total = window_entries(
+            scenario_engine(scenario), scenario.iupt, union, *queries[0].interval
+        )
+        for query, batched in zip(queries, report.results):
+            assert_query_kernels_agree(
+                query, entries, parent_cells, objects_total, batched
             )
 
     @pytest.mark.parametrize("store_kind", ["flat", "sharded"])
@@ -316,16 +343,15 @@ class TestVectorizedKernels:
             iupt = scenario.iupt
         slocs = scenario.slocation_ids()
         start, end = scenario.query_interval(delta_seconds=180.0)
-        flows = {}
-        for kernel in ("scalar", "vectorized"):
-            engine = QueryEngine(
-                scenario.system.graph,
-                scenario.system.matrix,
-                DataReductionConfig.enabled(),
-                config=EngineConfig(scoring_kernel=kernel),
-            )
-            flows[kernel] = engine.flows(iupt, slocs, start, end)
-        assert flows_bitwise_equal(flows["scalar"], flows["vectorized"])
+        entries, parent_cells, _ = window_entries(
+            scenario_engine(scenario), iupt, slocs, start, end
+        )
+        assert_flow_kernels_agree(
+            entries,
+            slocs,
+            parent_cells,
+            expected=scenario_engine(scenario).flows(iupt, slocs, start, end),
+        )
 
     def test_continuous_results_bit_identical_across_kernels(
         self, small_real_scenario
@@ -335,29 +361,24 @@ class TestVectorizedKernels:
         half = len(records) // 2
         slocs = scenario.slocation_ids()
         start, end = records[0].timestamp, records[-1].timestamp
-        results = {}
-        for kernel in ("scalar", "vectorized"):
-            iupt = IUPT.sharded(shard_seconds=60.0)
-            iupt.ingest_batch(records[:half])
-            engine = QueryEngine(
-                scenario.system.graph,
-                scenario.system.matrix,
-                DataReductionConfig.enabled(),
-                config=EngineConfig(scoring_kernel=kernel),
-            )
-            continuous = engine.continuous(iupt)
-            top = continuous.register_top_k(slocs, 3, start, end)
-            flo = continuous.register_flows(slocs[:4], start, end)
-            iupt.ingest_batch(records[half:])
-            results[kernel] = (
-                top.result.top_k_ids(),
-                dict(top.result.flows),
-                dict(flo.result),
-            )
-            continuous.close()
-        assert results["scalar"][0] == results["vectorized"][0]
-        assert flows_bitwise_equal(results["scalar"][1], results["vectorized"][1])
-        assert flows_bitwise_equal(results["scalar"][2], results["vectorized"][2])
+        iupt = IUPT.sharded(shard_seconds=60.0)
+        iupt.ingest_batch(records[:half])
+        continuous = scenario_engine(scenario).continuous(iupt)
+        top = continuous.register_top_k(slocs, 3, start, end)
+        flo = continuous.register_flows(slocs[:4], start, end)
+        iupt.ingest_batch(records[half:])
+        continuous.close()
+
+        entries, parent_cells, objects_total = window_entries(
+            scenario_engine(scenario), iupt, slocs, start, end
+        )
+        assert_query_kernels_agree(
+            top.query, entries, parent_cells, objects_total, top.result
+        )
+        entries, parent_cells, _ = window_entries(
+            scenario_engine(scenario), iupt, slocs[:4], start, end
+        )
+        assert_flow_kernels_agree(entries, slocs[:4], parent_cells, flo.result)
 
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=15, deadline=None)
@@ -373,29 +394,21 @@ class TestVectorizedKernels:
         start = rng.uniform(0.0, 4.0)
         end = start + rng.uniform(0.5, 6.0)
         query = TkPLQuery(tuple(chosen), k, start, end)
-        answers = {}
-        for kernel in ("scalar", "vectorized"):
-            engine = QueryEngine(
-                figure1["graph"],
-                figure1["matrix"],
-                DataReductionConfig.enabled(),
-                config=EngineConfig(scoring_kernel=kernel),
-            )
-            report = BatchPlanner(engine.pipeline).execute(figure1_iupt, [query])
-            answers[kernel] = report.results[0]
-        assert answers["scalar"].top_k_ids() == answers["vectorized"].top_k_ids()
-        assert flows_bitwise_equal(
-            answers["scalar"].flows, answers["vectorized"].flows
+        engine = QueryEngine(figure1["graph"], figure1["matrix"])
+        report = BatchPlanner(engine.pipeline).execute(figure1_iupt, [query])
+        entries, parent_cells, objects_total = window_entries(
+            engine, figure1_iupt, chosen, start, end
+        )
+        assert_query_kernels_agree(
+            query, entries, parent_cells, objects_total, report.results[0]
         )
 
     def test_auto_kernel_resolution(self):
-        config = EngineConfig()
-        assert config.scoring_kernel == "auto"
+        # The kernel follows the codec backend; it is not a setting.
         expected = "vectorized" if active_backend() == "numpy" else "scalar"
-        assert config.resolved_scoring_kernel == expected
-        assert EngineConfig(scoring_kernel="scalar").resolved_scoring_kernel == "scalar"
-        with pytest.raises(ValueError):
-            EngineConfig(scoring_kernel="simd")
+        assert EngineConfig().resolved_scoring_kernel == expected
+        with pytest.raises(TypeError):
+            EngineConfig(scoring_kernel="scalar")
 
 
 # ----------------------------------------------------------------------

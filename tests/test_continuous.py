@@ -137,9 +137,7 @@ def _check_subscription(engine: QueryEngine, iupt: IUPT, kind: str, sub) -> int:
     return sum(1 for flow in reference.values() if flow > 0.0)
 
 
-def run_differential_interleaving(
-    seed: int, store_kind: str, refresh: str = "incremental"
-) -> int:
+def run_differential_interleaving(seed: int, store_kind: str) -> int:
     """One seeded interleaving of ingest / evict / reads, checked exhaustively.
 
     Registers four standing queries (two historical windows, one mid-stream,
@@ -156,7 +154,7 @@ def run_differential_interleaving(
     iupt.ingest_batch(batches[0])
     iupt.ingest_batch(batches[1])
 
-    continuous = engine.continuous(iupt, refresh=refresh)
+    continuous = engine.continuous(iupt)
     subscriptions: List[Tuple[str, object]] = [
         ("top-k", continuous.register_top_k(slocs, k=2, start=0.0, end=19.0)),
         ("top-k", continuous.register_top_k(slocs[:2], k=1, start=0.0, end=SPAN)),
@@ -196,11 +194,6 @@ class TestDifferentialHarness:
             "every standing query saw only zero flows across all seeds; "
             "the bit-identity assertions were vacuous"
         )
-
-    @pytest.mark.parametrize("store_kind", STORE_KINDS)
-    def test_recompute_mode_also_exact(self, store_kind):
-        # The benchmark baseline must be *correct* too — it is only slower.
-        assert run_differential_interleaving(7, store_kind, refresh="recompute") >= 0
 
 
 # ----------------------------------------------------------------------
@@ -311,19 +304,6 @@ class TestDeltaMaintenance:
         iupt.ingest_batch(batches[4])
         assert kept.stats.refreshes == 1
         assert iupt.store.listener_count == 0
-
-    def test_recompute_mode_never_skips(self):
-        engine, iupt, plocs, slocs, batches = _continuous_setup("sharded")
-        continuous = engine.continuous(iupt, refresh="recompute")
-        sub = continuous.register_top_k(slocs, k=2, start=0.0, end=19.0)
-        iupt.ingest_batch(batches[4])  # disjoint from the window
-        assert sub.stats.skipped == 0
-        assert sub.stats.refreshes == 2
-
-    def test_rejects_unknown_refresh_kind(self):
-        engine, iupt, _, _, _ = _continuous_setup("flat")
-        with pytest.raises(ValueError):
-            engine.continuous(iupt, refresh="lazy")
 
 
 # ----------------------------------------------------------------------

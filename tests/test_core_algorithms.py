@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro import DataReductionConfig, IndoorFlowSystem, TkPLQuery
-from repro.core import BestFirstTkPLQ, FlowComputer, NaiveTkPLQ, NestedLoopTkPLQ
+from repro import DataReductionConfig, EngineConfig, IndoorFlowSystem, QueryEngine, TkPLQuery
+from repro.core import BestFirstTkPLQ, NaiveTkPLQ, NestedLoopTkPLQ
+
+
+def cold_pipeline(scenario):
+    """The pipeline of a store-less engine: no algorithm warms another's run."""
+    return QueryEngine(
+        scenario.system.graph, scenario.system.matrix, config=EngineConfig.uncached()
+    ).pipeline
 
 
 @pytest.fixture(scope="module")
@@ -18,10 +25,10 @@ def real_query(small_real_scenario):
 class TestAlgorithmAgreement:
     def test_naive_nl_bf_return_same_flows(self, small_real_scenario, real_query):
         scenario = small_real_scenario
-        computer = FlowComputer(scenario.system.graph, scenario.system.matrix)
-        naive = NaiveTkPLQ(computer).search(scenario.iupt, real_query)
-        nested = NestedLoopTkPLQ(computer).search(scenario.iupt, real_query)
-        best = BestFirstTkPLQ(computer).search(scenario.iupt, real_query)
+        pipeline = cold_pipeline(scenario)
+        naive = NaiveTkPLQ(pipeline).search(scenario.iupt, real_query)
+        nested = NestedLoopTkPLQ(pipeline).search(scenario.iupt, real_query)
+        best = BestFirstTkPLQ(pipeline).search(scenario.iupt, real_query)
 
         for sloc_id in real_query.query_slocations:
             assert naive.flows[sloc_id] == pytest.approx(nested.flows[sloc_id], abs=1e-9)
@@ -40,9 +47,9 @@ class TestAlgorithmAgreement:
         scenario = small_real_scenario
         query_set = scenario.pick_query_slocations(0.3, seed=9)
         query = TkPLQuery.build(query_set, 1, scenario.start_time, scenario.end_time)
-        computer = FlowComputer(scenario.system.graph, scenario.system.matrix)
-        nested = NestedLoopTkPLQ(computer).search(scenario.iupt, query)
-        best = BestFirstTkPLQ(computer).search(scenario.iupt, query)
+        pipeline = cold_pipeline(scenario)
+        nested = NestedLoopTkPLQ(pipeline).search(scenario.iupt, query)
+        best = BestFirstTkPLQ(pipeline).search(scenario.iupt, query)
         assert best.stats.objects_computed <= nested.stats.objects_computed
         assert best.stats.pruning_ratio >= nested.stats.pruning_ratio - 1e-9
         assert best.top_k_ids() == nested.top_k_ids()

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import DataReductionConfig, SampleSet, TkPLQuery
+from repro import DataReductionConfig, QueryEngine, SampleSet, TkPLQuery
 from repro.core import (
     DataReducer,
-    FlowComputer,
     PresenceComputation,
     rank_top_k,
 )
@@ -184,10 +183,10 @@ class TestDataReduction:
 class TestFlowComputer:
     def test_reduction_changes_flow_only_slightly(self, figure1, figure1_iupt):
         slocs = figure1["slocs"]
-        exact = FlowComputer(
+        exact = QueryEngine(
             figure1["graph"], figure1["matrix"], DataReductionConfig.disabled()
         )
-        reduced = FlowComputer(
+        reduced = QueryEngine(
             figure1["graph"], figure1["matrix"], DataReductionConfig.enabled()
         )
         flow_exact = exact.flow(figure1_iupt, slocs["r6"], 1.0, 8.0).flow
@@ -195,21 +194,21 @@ class TestFlowComputer:
         assert flow_reduced <= flow_exact + 1e-9
         assert flow_reduced == pytest.approx(flow_exact, abs=0.5)
 
-    def test_flow_stats_populated(self, figure1, figure1_iupt, figure1_flow_exact):
+    def test_flow_stats_populated(self, figure1, figure1_iupt, figure1_engine_exact):
         slocs = figure1["slocs"]
-        result = figure1_flow_exact.flow(figure1_iupt, slocs["r6"], 1.0, 8.0)
+        result = figure1_engine_exact.flow(figure1_iupt, slocs["r6"], 1.0, 8.0)
         assert result.stats.objects_total == 3
         assert result.stats.objects_computed == 3
         assert result.stats.path_stats.valid_paths > 0
 
-    def test_empty_window_gives_zero_flow(self, figure1, figure1_iupt, figure1_flow_exact):
+    def test_empty_window_gives_zero_flow(self, figure1, figure1_iupt, figure1_engine_exact):
         slocs = figure1["slocs"]
-        result = figure1_flow_exact.flow(figure1_iupt, slocs["r6"], 100.0, 200.0)
+        result = figure1_engine_exact.flow(figure1_iupt, slocs["r6"], 100.0, 200.0)
         assert result.flow == 0.0
 
-    def test_flows_for_all(self, figure1, figure1_iupt, figure1_flow_exact):
+    def test_flows_for_all(self, figure1, figure1_iupt, figure1_engine_exact):
         slocs = figure1["slocs"]
-        flows = figure1_flow_exact.flows_for_all(
+        flows = figure1_engine_exact.flows(
             figure1_iupt, sorted(slocs.values()), 1.0, 8.0
         )
         assert flows[slocs["r6"]] >= flows[slocs["r1"]]

@@ -129,30 +129,30 @@ class TestExample3IndoorFlow:
         assert presence.presence_in_cell(graph.parent_cell(slocs["r1"])) == pytest.approx(0.0)
         assert presence.presence_in_cell(graph.parent_cell(slocs["r6"])) == pytest.approx(0.85)
 
-    def test_flow_values_of_r6_and_r1(self, figure1, figure1_iupt, figure1_flow_exact):
+    def test_flow_values_of_r6_and_r1(self, figure1, figure1_iupt, figure1_engine_exact):
         slocs = figure1["slocs"]
-        flow_r6 = figure1_flow_exact.flow(figure1_iupt, slocs["r6"], 1.0, 8.0).flow
-        flow_r1 = figure1_flow_exact.flow(figure1_iupt, slocs["r1"], 1.0, 8.0).flow
+        flow_r6 = figure1_engine_exact.flow(figure1_iupt, slocs["r6"], 1.0, 8.0).flow
+        flow_r1 = figure1_engine_exact.flow(figure1_iupt, slocs["r1"], 1.0, 8.0).flow
         assert flow_r6 == pytest.approx(1.97)
         assert flow_r1 == pytest.approx(0.5)
 
 
 class TestExample4TopK:
-    def test_top1_is_r6(self, figure1, figure1_iupt, figure1_flow_exact):
+    def test_top1_is_r6(self, figure1, figure1_iupt, figure1_engine_exact):
         slocs = figure1["slocs"]
         query = TkPLQuery.build([slocs["r1"], slocs["r6"]], 1, 1.0, 8.0)
         for algorithm in (NaiveTkPLQ, NestedLoopTkPLQ, BestFirstTkPLQ):
-            result = algorithm(figure1_flow_exact).search(figure1_iupt, query)
+            result = algorithm(figure1_engine_exact.pipeline).search(figure1_iupt, query)
             assert result.top_k_ids() == [slocs["r6"]]
 
     def test_all_algorithms_agree_on_full_ranking(
-        self, figure1, figure1_iupt, figure1_flow_exact
+        self, figure1, figure1_iupt, figure1_engine_exact
     ):
         slocs = figure1["slocs"]
         query_set = sorted(slocs.values())
         query = TkPLQuery.build(query_set, len(query_set), 1.0, 8.0)
         rankings = []
         for algorithm in (NaiveTkPLQ, NestedLoopTkPLQ, BestFirstTkPLQ):
-            result = algorithm(figure1_flow_exact).search(figure1_iupt, query)
+            result = algorithm(figure1_engine_exact.pipeline).search(figure1_iupt, query)
             rankings.append(result.top_k_ids())
         assert rankings[0] == rankings[1] == rankings[2]

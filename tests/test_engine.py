@@ -2,8 +2,8 @@
 
 Covers the pipeline stages one by one, the cross-query presence store (LRU
 bounds, hit/miss accounting, query-set keying), the regression for the
-historical ``flows_for_all`` cache hazard, batched-vs-sequential result
-equality on both scenario builders, and parallel-vs-serial determinism.
+historical ``flows_for_all`` cache hazard, and batched-vs-sequential result
+equality on both scenario builders.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro import (
     TkPLQuery,
 )
 from repro.core import SearchStats
-from repro.core.flow import ObjectComputationCache
 from repro.engine import (
     BatchPlanner,
     PresenceStore,
@@ -38,6 +37,15 @@ def fresh_computer(figure1, reduction=None) -> FlowComputer:
     )
 
 
+def figure_engine(figure1, reduction=None, config=None) -> QueryEngine:
+    return QueryEngine(
+        figure1["graph"],
+        figure1["matrix"],
+        reduction or DataReductionConfig.enabled(),
+        config=config,
+    )
+
+
 def fresh_engine(scenario, config=None, reduction=None) -> QueryEngine:
     return QueryEngine(
         scenario.system.graph,
@@ -51,29 +59,13 @@ def fresh_engine(scenario, config=None, reduction=None) -> QueryEngine:
 # Configuration
 # ----------------------------------------------------------------------
 class TestEngineConfig:
-    def test_rejects_unknown_executor(self):
-        # A typo'd executor must fail at construction with a message naming
-        # the valid kinds — not deep inside make_executor at first query.
-        with pytest.raises(ValueError, match="serial"):
-            EngineConfig(executor="treads")
-
-    def test_rejects_unknown_continuous_refresh(self):
-        with pytest.raises(ValueError, match="incremental"):
-            EngineConfig(continuous_refresh="eventually")
-
     def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            EngineConfig(max_workers=0)
-        with pytest.raises(ValueError):
-            EngineConfig(parallel_threshold=-1)
         with pytest.raises(ValueError):
             EngineConfig(presence_store_capacity=-1)
 
     def test_factories(self):
-        assert not EngineConfig.serial().is_parallel
-        assert EngineConfig.parallel(4).executor == "thread"
+        assert EngineConfig().caching_enabled
         assert not EngineConfig.uncached().caching_enabled
-        assert "executor" in EngineConfig().as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -140,8 +132,7 @@ class TestPresenceStore:
 # ----------------------------------------------------------------------
 class TestStages:
     def test_fetch_stage_deterministic_order_and_totals(self, figure1, figure1_iupt):
-        computer = fresh_computer(figure1)
-        pipeline = computer.pipeline
+        pipeline = figure_engine(figure1).pipeline
         ctx = pipeline.context(WINDOW, frozenset(figure1["slocs"].values()))
         sequences = pipeline.fetch.run(ctx, figure1_iupt)
         assert list(sequences) == sorted(sequences)
@@ -151,8 +142,8 @@ class TestStages:
         assert ctx.stats.objects_total == 3
 
     def test_reduce_stage_matches_reducer(self, figure1, figure1_iupt):
-        computer = fresh_computer(figure1)
-        pipeline = computer.pipeline
+        pipeline = figure_engine(figure1).pipeline
+        computer = pipeline.flow_computer
         query_key = frozenset({figure1["slocs"]["r6"]})
         ctx = pipeline.context(WINDOW, query_key)
         sequences = figure1_iupt.sequences_in(*WINDOW)
@@ -164,8 +155,8 @@ class TestStages:
             assert staged.pruned == direct.pruned
 
     def test_path_stage_matches_presence_computation(self, figure1, figure1_iupt):
-        computer = fresh_computer(figure1, DataReductionConfig.disabled())
-        pipeline = computer.pipeline
+        pipeline = figure_engine(figure1, DataReductionConfig.disabled()).pipeline
+        computer = pipeline.flow_computer
         ctx = pipeline.context(WINDOW, None)
         sequences = figure1_iupt.sequences_in(*WINDOW)
         cell = figure1["graph"].parent_cell(figure1["slocs"]["r6"])
@@ -214,7 +205,7 @@ class TestStages:
 # The flows_for_all cache-correctness regression
 # ----------------------------------------------------------------------
 class TestCacheCorrectnessRegression:
-    def test_object_cache_rejects_cross_query_reuse(self):
+    def test_object_cache_rejects_cross_query_reuse(self, figure1, figure1_iupt):
         """A presence cached under one query set must miss under another.
 
         This is the stale-hit hazard of the historical object-id-only keying:
@@ -222,13 +213,21 @@ class TestCacheCorrectnessRegression:
         an artefact produced by ``reduce(seq, {B})`` was served for location
         ``A`` — bypassing A's (query-dependent) pruning decision.
         """
-        cache = ObjectComputationCache()
-        entry = StoredPresence(psls=frozenset({2}), sequence=(), pruned=False)
-        cache.put(7, entry, {2})
-        assert cache.get(7, {3}) is None
-        assert cache.get(7) is None
-        assert cache.get(7, {2}) is entry
-        assert len(cache) == 1
+        engine = figure_engine(figure1)
+        pipeline = engine.pipeline
+        slocs = figure1["slocs"]
+        sequences = figure1_iupt.sequences_in(*WINDOW)
+        under_r1 = pipeline.context(WINDOW, {slocs["r1"]})
+        cached = dict(pipeline.presences(under_r1, sequences))
+        for query_set in ({slocs["r3"]}, None):
+            other = pipeline.context(WINDOW, query_set)
+            hits_before = engine.store.stats.hits
+            for object_id, entry in pipeline.presences(other, sequences):
+                assert entry is not cached[object_id]
+            assert engine.store.stats.hits == hits_before
+        again = pipeline.context(WINDOW, {slocs["r1"]})
+        for object_id, entry in pipeline.presences(again, sequences):
+            assert entry is cached[object_id]
 
     def test_flows_for_all_matches_independent_flows(self, figure1, figure1_iupt):
         """Shared-pass flows and accounting must equal independent flow calls.
@@ -240,53 +239,36 @@ class TestCacheCorrectnessRegression:
         """
         sloc_ids = sorted(figure1["slocs"].values())
         shared_stats = SearchStats()
-        shared = fresh_computer(figure1).flows_for_all(
+        shared = figure_engine(figure1).pipeline.flows_for_all(
             figure1_iupt, sloc_ids, *WINDOW, stats=shared_stats
         )
+        assert shared == figure_engine(figure1).flows(figure1_iupt, sloc_ids, *WINDOW)
 
         independent_evaluations = 0
         for sloc_id in sloc_ids:
-            result = fresh_computer(figure1).flow(figure1_iupt, sloc_id, *WINDOW)
+            result = figure_engine(figure1).flow(figure1_iupt, sloc_id, *WINDOW)
             assert shared[sloc_id] == result.flow
             independent_evaluations += result.stats.flow_evaluations
         assert shared_stats.flow_evaluations == independent_evaluations
         assert shared_stats.objects_total == 3
 
-    def test_legacy_cache_on_flow_calls_stays_per_location(
-        self, figure1, figure1_iupt
-    ):
-        """A cache shared across flow() calls must not leak across locations."""
-        computer = fresh_computer(figure1)
-        cache = ObjectComputationCache()
-        slocs = figure1["slocs"]
-        with_cache_r1 = computer.flow(
-            figure1_iupt, slocs["r1"], *WINDOW, cache=cache
-        ).flow
-        with_cache_r3 = computer.flow(
-            figure1_iupt, slocs["r3"], *WINDOW, cache=cache
-        ).flow
-        assert with_cache_r1 == fresh_computer(figure1).flow(
-            figure1_iupt, slocs["r1"], *WINDOW
-        ).flow
-        assert with_cache_r3 == fresh_computer(figure1).flow(
-            figure1_iupt, slocs["r3"], *WINDOW
-        ).flow
-
 
 # ----------------------------------------------------------------------
-# Engine equivalence with the pre-engine wrappers
+# Engine equivalence with the per-object primitives
 # ----------------------------------------------------------------------
 class TestEngineEquivalence:
     def test_engine_flow_matches_flow_computer(self, figure1, figure1_iupt):
-        engine = QueryEngine(
-            figure1["graph"], figure1["matrix"], DataReductionConfig.disabled()
-        )
+        engine = figure_engine(figure1, DataReductionConfig.disabled())
         computer = fresh_computer(figure1, DataReductionConfig.disabled())
+        sequences = figure1_iupt.sequences_in(*WINDOW)
         for name, sloc_id in figure1["slocs"].items():
-            assert (
-                engine.flow(figure1_iupt, sloc_id, *WINDOW).flow
-                == computer.flow(figure1_iupt, sloc_id, *WINDOW).flow
-            ), name
+            # Algorithm 2 by hand: the object presences summed in fetch order.
+            expected = 0.0
+            for sequence in sequences.values():
+                expected += computer.object_presence(
+                    tuple(sequence), sloc_id, reduce_first=False
+                )
+            assert engine.flow(figure1_iupt, sloc_id, *WINDOW).flow == expected, name
 
     @pytest.mark.parametrize("algorithm", ["naive", "nested-loop", "best-first"])
     def test_algorithms_agree_through_engine(
@@ -360,6 +342,38 @@ class TestEngineEquivalence:
         bf = engine.search(scenario.iupt, query, "best-first")
         assert engine.store.stats.hits > hits_before
         assert bf.top_k_ids() == nl.top_k_ids()
+
+
+# ----------------------------------------------------------------------
+# Unknown S-locations: one check, shared by every entry point
+# ----------------------------------------------------------------------
+UNKNOWN_SLOC = 10**6
+
+
+class TestUnknownSLocation:
+    @pytest.mark.parametrize(
+        "entry_point",
+        ["naive", "nested-loop", "best-first", "flow", "flows", "batch", "standing"],
+    )
+    def test_every_entry_point_names_the_unknown_id(
+        self, figure1, figure1_iupt, entry_point
+    ):
+        """Best-first used to die on a bare ``KeyError`` while the other
+        algorithms, ``flow`` and ``flows`` answered the same id with 0.0."""
+        engine = figure_engine(figure1)
+        slocs = sorted(figure1["slocs"].values()) + [UNKNOWN_SLOC]
+        with pytest.raises(ValueError, match=r"unknown S-location id\(s\): \[1000000\]"):
+            if entry_point == "flow":
+                engine.flow(figure1_iupt, UNKNOWN_SLOC, *WINDOW)
+            elif entry_point == "flows":
+                engine.flows(figure1_iupt, slocs, *WINDOW)
+            elif entry_point == "batch":
+                engine.batch(figure1_iupt, [TkPLQuery.build(slocs, 2, *WINDOW)])
+            elif entry_point == "standing":
+                with engine.continuous(figure1_iupt) as continuous:
+                    continuous.register_top_k(slocs, 2, *WINDOW)
+            else:
+                engine.top_k(figure1_iupt, slocs, 2, *WINDOW, algorithm=entry_point)
 
 
 # ----------------------------------------------------------------------
@@ -445,67 +459,6 @@ class TestBatchPlanner:
                     scenario, config=EngineConfig.uncached()
                 ).search(scenario.iupt, query, algorithm)
                 assert batched.top_k_ids() == independent.top_k_ids(), algorithm
-
-
-# ----------------------------------------------------------------------
-# Parallel execution
-# ----------------------------------------------------------------------
-class TestParallelExecution:
-    def test_thread_executor_is_deterministic(self, small_real_scenario):
-        scenario = small_real_scenario
-        query = TkPLQuery.build(
-            scenario.pick_query_slocations(0.7, seed=6),
-            3,
-            scenario.start_time,
-            scenario.end_time,
-        )
-        serial = fresh_engine(scenario).search(scenario.iupt, query, "nested-loop")
-        with fresh_engine(
-            scenario,
-            config=EngineConfig(executor="thread", max_workers=4, parallel_threshold=1),
-        ) as parallel:
-            threaded = parallel.search(scenario.iupt, query, "nested-loop")
-        assert threaded.flows == serial.flows
-        assert threaded.top_k_ids() == serial.top_k_ids()
-        # The statistics are merged deterministically in input order.
-        assert (
-            threaded.stats.reduction_stats.objects_seen
-            == serial.stats.reduction_stats.objects_seen
-        )
-        assert threaded.stats.objects_computed == serial.stats.objects_computed
-
-    def test_process_executor_matches_serial(self, figure1, figure1_iupt):
-        engine = QueryEngine(
-            figure1["graph"],
-            figure1["matrix"],
-            config=EngineConfig(
-                executor="process", max_workers=2, parallel_threshold=1
-            ),
-        )
-        serial = fresh_computer(figure1)
-        sloc_id = figure1["slocs"]["r6"]
-        try:
-            assert (
-                engine.flow(figure1_iupt, sloc_id, *WINDOW).flow
-                == serial.flow(figure1_iupt, sloc_id, *WINDOW).flow
-            )
-        finally:
-            engine.close()
-
-    def test_parallel_flows_for_all_matches_serial(self, small_real_scenario):
-        scenario = small_real_scenario
-        sloc_ids = scenario.slocation_ids()
-        serial = fresh_engine(scenario).flows(
-            scenario.iupt, sloc_ids, scenario.start_time, scenario.end_time
-        )
-        with fresh_engine(
-            scenario,
-            config=EngineConfig(executor="thread", max_workers=3, parallel_threshold=1),
-        ) as engine:
-            threaded = engine.flows(
-                scenario.iupt, sloc_ids, scenario.start_time, scenario.end_time
-            )
-        assert threaded == serial
 
 
 # ----------------------------------------------------------------------

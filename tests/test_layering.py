@@ -1,0 +1,66 @@
+"""Layering and public surface: ``core`` never imports ``engine`` at run time,
+every exported name resolves, and the engine has exactly one knob."""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+import importlib
+import pathlib
+
+import pytest
+
+import repro
+from repro import EngineConfig
+
+CORE_DIR = pathlib.Path(repro.__file__).parent / "core"
+
+
+def _runtime_imports(tree: ast.Module):
+    """Every import node of a module outside ``if TYPE_CHECKING:`` blocks."""
+
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and "TYPE_CHECKING" in ast.dump(child.test):
+                for orelse in child.orelse:
+                    yield from walk(orelse)
+                continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                yield child
+            yield from walk(child)
+
+    return walk(tree)
+
+
+def _imported_modules(node, package_parts):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = package_parts[: len(package_parts) - node.level + 1] if node.level else []
+    module = ".".join(base + ([node.module] if node.module else []))
+    return [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CORE_DIR.glob("*.py")), ids=lambda path: path.name
+)
+def test_core_does_not_import_engine_at_run_time(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in _runtime_imports(tree):
+        for module in _imported_modules(node, ["repro", "core"]):
+            assert not (module + ".").startswith("repro.engine."), (
+                f"{path.name}:{node.lineno} imports {module} at run time"
+            )
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.core", "repro.engine"])
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_engine_config_has_exactly_one_field():
+    assert [field.name for field in dataclasses.fields(EngineConfig)] == [
+        "presence_store_capacity"
+    ]

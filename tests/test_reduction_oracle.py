@@ -7,12 +7,11 @@ equivalence classes and the MIL link table.
 from __future__ import annotations
 
 import itertools
-import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DataReductionConfig, FlowComputer, SampleSet
+from repro import DataReductionConfig, SampleSet
 from repro.core.paths import candidate_path_count
 from repro.core.reduction import DataReducer, ReductionStats
 from repro.space.matrix import EMPTY_CELLS, NO_LINK
@@ -215,12 +214,3 @@ class TestMatrixTables:
         matrix.link(known, figure1["plocs"]["p9"])
         assert len(matrix._links) == 2  # the pair, in both orders
 
-    def test_flow_computer_pickles_with_the_tables_filled(self, figure1, figure1_iupt):
-        computer = FlowComputer(figure1["graph"], figure1["matrix"])
-        sloc_id = figure1["slocs"]["r6"]
-        expected = computer.flow(figure1_iupt, sloc_id, 1.0, 8.0).flow
-        assert "equivalence_classes" in vars(computer.matrix) and computer.matrix._links
-        clone = pickle.loads(pickle.dumps(computer))
-        assert vars(clone.matrix)["equivalence_classes"] == computer.matrix.equivalence_classes
-        assert clone.matrix._links == computer.matrix._links
-        assert clone.flow(figure1_iupt, sloc_id, 1.0, 8.0).flow == expected

@@ -410,6 +410,31 @@ class TestServerIntegration:
 
         asyncio.run(run())
 
+    def test_unknown_slocation_is_a_bad_request_naming_the_id(
+        self, small_real_scenario
+    ):
+        # The default top_k (best-first) used to answer ``bad_request`` with
+        # the bare message "1000000" while ``flows`` served the same id.
+        scenario = small_real_scenario
+        history, _live = _split_stream(scenario)
+        slocs = scenario.slocation_ids() + [10**6]
+
+        async def run():
+            service, host, port = await _start_service(scenario, history)
+            async with await ServiceClient.connect(host, port) as client:
+                for call in (
+                    client.top_k(slocs, 2, 0.0, 60.0),
+                    client.flows(slocs, 0.0, 60.0),
+                    client.subscribe_top_k(slocs, 2, 0.0, 60.0),
+                ):
+                    with pytest.raises(ServiceError) as excinfo:
+                        await call
+                    assert excinfo.value.kind == "bad_request"
+                    assert "unknown S-location id(s): [1000000]" in str(excinfo.value)
+            await service.stop()
+
+        asyncio.run(run())
+
     def test_query_into_evicted_history_is_a_structured_error(
         self, small_real_scenario
     ):

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro import EngineConfig, IUPT, QueryEngine, SampleSet
+from repro import IUPT, QueryEngine, SampleSet
 from repro.data.records import PositioningRecord
 from repro.storage import (
     EvictedRangeError,
@@ -452,22 +452,6 @@ class TestShardGranularInvalidation:
             "the flat store keys by whole-table version; any ingestion "
             "invalidates every cached window"
         )
-
-    def test_whole_table_keys_opt_out(self):
-        """shard_scoped_cache_keys=False reproduces invalidate-everything."""
-        iupt, engine_default = _figure_like_table(sharded=True)
-        # Rebuild an engine with shard-scoped keys disabled over the same space.
-        engine = QueryEngine(
-            engine_default.flow_computer.graph,
-            engine_default.flow_computer.matrix,
-            config=EngineConfig(shard_scoped_cache_keys=False),
-        )
-        early = (0.0, 9.0)
-        engine.flow(iupt, 0, *early)
-        iupt.ingest_batch([_record(1, 1, 25.0)])
-        misses_before = engine.store.stats.misses
-        engine.flow(iupt, 0, *early)
-        assert engine.store.stats.misses > misses_before
 
 
 class TestEngineEquivalenceOnScenario:
