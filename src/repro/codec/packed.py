@@ -252,8 +252,15 @@ class PackedRecordBatch:
         """The timestamp column as plain Python floats (bit-exact)."""
         return self.timestamps.tolist()
 
-    def to_records(self) -> List[PositioningRecord]:
-        """The batch as records, equal to building each through ``SampleSet``.
+    def to_records(
+        self, lo: int = 0, hi: Optional[int] = None
+    ) -> List[PositioningRecord]:
+        """Records ``[lo:hi]`` of the batch (list-slice semantics; all by
+        default), equal to building each through ``SampleSet``.
+
+        Only the named records are built, but the sample counts of the
+        *whole* batch are checked first, so a corrupt batch raises before
+        any slice of it yields a record.
 
         Each record's slice of the ``plocs``/``probs`` columns is adopted as
         its sample set when it already satisfies the column contract of
@@ -265,13 +272,16 @@ class PackedRecordBatch:
         ``-0.0`` into ``0.0``) goes through the public constructor, which
         returns the same set or raises the same ``ValueError`` as ever.
         """
-        timestamps = self.timestamps.tolist()
-        object_ids = self.object_ids.tolist()
         counts = self.sample_counts.tolist()
-        plocs = tuple(self.sample_plocs.tolist())
-        probs = tuple(self.sample_probs.tolist())
-        if (counts and min(counts) < 1) or sum(counts) != len(plocs):
+        if (counts and min(counts) < 1) or sum(counts) != len(self.sample_plocs):
             raise ValueError("packed batch corrupt: sample counts disagree with data")
+        first = sum(counts[:lo])  # sample offset of the slice's first record
+        counts = counts[lo:hi]
+        last = first + sum(counts)
+        timestamps = self.timestamps[lo:hi].tolist()
+        object_ids = self.object_ids[lo:hi].tolist()
+        plocs = tuple(self.sample_plocs[first:last].tolist())
+        probs = tuple(self.sample_probs[first:last].tolist())
         adopt = SampleSet._from_columns
         records: List[PositioningRecord] = []
         cursor = 0

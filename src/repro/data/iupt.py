@@ -11,8 +11,9 @@ Since the storage-layer refactor the table itself is a thin facade over a
 * :class:`~repro.storage.memory.InMemoryRecordStore` (default) — the seed
   behaviour: one flat list behind whole-table 1D R-tree / B+-tree indexes;
 * :class:`~repro.storage.sharded.ShardedRecordStore` (via :meth:`IUPT.sharded`)
-  — time-partitioned shards with bulk-loaded indexes, shard-pruned window
-  queries, per-shard versioning, and retention eviction.
+  — time-partitioned shards whose sorted timestamp column is their only
+  index: shard-pruned, bisect-and-slice window queries, per-shard
+  versioning, and retention eviction.
 
 Streaming callers ingest through :meth:`IUPT.ingest_batch`, which costs one
 version bump per touched shard (one per batch on the flat store) instead of
@@ -54,7 +55,8 @@ class IUPT:
         The storage backend; defaults to a flat
         :class:`~repro.storage.memory.InMemoryRecordStore` of ``index_kind``
         (the seed behaviour).  Use :meth:`IUPT.sharded` for the
-        time-partitioned store.
+        time-partitioned store.  A given store owns the index choice:
+        :attr:`index_kind` then reports the store's label.
     """
 
     VALID_INDEXES = ("1dr-tree", "bplus-tree")
@@ -66,36 +68,23 @@ class IUPT:
             raise ValueError(
                 f"unknown index kind {index_kind!r}; expected one of {self.VALID_INDEXES}"
             )
-        if store is not None:
-            # The backend owns the index choice; the facade must not be able
-            # to disagree with it (mislabeled ablation rows, clones whose
-            # index kind silently flips).
-            self._index_kind = getattr(store, "index_kind", index_kind)
-            self._store: RecordStore = store
-        else:
-            self._index_kind = index_kind
-            self._store = InMemoryRecordStore(index_kind)
+        # The backend owns the index choice; the facade must not be able to
+        # disagree with it (mislabeled ablation rows, clones whose index
+        # kind silently flips).
+        self._store: RecordStore = (
+            InMemoryRecordStore(index_kind) if store is None else store
+        )
 
     @classmethod
-    def sharded(
-        cls,
-        shard_seconds: float = DEFAULT_SHARD_SECONDS,
-        index_kind: str = "1dr-tree",
-    ) -> "IUPT":
+    def sharded(cls, shard_seconds: float = DEFAULT_SHARD_SECONDS) -> "IUPT":
         """A table over the time-partitioned sharded store."""
-        return cls(
-            index_kind=index_kind,
-            store=ShardedRecordStore(
-                shard_seconds=shard_seconds, index_kind=index_kind
-            ),
-        )
+        return cls(store=ShardedRecordStore(shard_seconds=shard_seconds))
 
     @classmethod
     def durable(
         cls,
         path,
         shard_seconds: float = DEFAULT_SHARD_SECONDS,
-        index_kind: str = "1dr-tree",
         config: Optional[DurabilityConfig] = None,
     ) -> "IUPT":
         """A table over the write-ahead-logged durable sharded store.
@@ -105,16 +94,12 @@ class IUPT:
         versions (and therefore :meth:`data_key_for` tokens) and the
         retention watermark all survive a process restart.  When the
         directory already exists its persisted manifest decides
-        ``shard_seconds``/``index_kind``; see
+        ``shard_seconds``; see
         :class:`~repro.storage.durable.DurableRecordStore`.
         """
-        store = DurableRecordStore(
-            path,
-            shard_seconds=shard_seconds,
-            index_kind=index_kind,
-            config=config,
+        return cls(
+            store=DurableRecordStore(path, shard_seconds=shard_seconds, config=config)
         )
-        return cls(index_kind=store.index_kind, store=store)
 
     def _clone_empty(self) -> "IUPT":
         """An empty table over a fresh store of the same kind and settings.
@@ -126,11 +111,8 @@ class IUPT:
         useful.
         """
         if isinstance(self._store, (ShardedRecordStore, DurableRecordStore)):
-            return IUPT.sharded(
-                shard_seconds=self._store.shard_seconds,
-                index_kind=self._index_kind,
-            )
-        return IUPT(index_kind=self._index_kind)
+            return IUPT.sharded(shard_seconds=self._store.shard_seconds)
+        return IUPT(index_kind=self.index_kind)
 
     # ------------------------------------------------------------------
     # Loading
@@ -147,10 +129,10 @@ class IUPT:
         """Streaming ingestion: bulk-insert a batch and report what it touched.
 
         On the sharded store the batch is sliced per time shard and each
-        touched shard rebuilds its index once (bulk load) and bumps its
-        version once, so cached query results for non-overlapping windows
-        stay valid.  The flat store degenerates to per-record index inserts
-        with a single whole-table version bump.
+        touched shard appends its slice and bumps its version once, so
+        cached query results for non-overlapping windows stay valid.  The
+        flat store degenerates to per-record index inserts with a single
+        whole-table version bump.
         """
         return self._store.ingest_batch(records)
 
@@ -196,7 +178,8 @@ class IUPT:
 
     @property
     def index_kind(self) -> str:
-        return self._index_kind
+        """The store's time-index label (one fixed label on sharded stores)."""
+        return self._store.index_kind
 
     @property
     def store(self) -> RecordStore:
@@ -259,8 +242,8 @@ class IUPT:
         """Return the records whose timestamp falls into ``[start, end]``.
 
         This corresponds to the ``tree.RangeQuery([ts, te])`` call of
-        Algorithms 2-4 and goes through the store's time index(es); the
-        sharded store first prunes to the shards overlapping the window.
+        Algorithms 2-4 and goes through the store's time index; the sharded
+        store first prunes to the shards overlapping the window.
         """
         return self._store.range_query(start, end)
 
@@ -268,20 +251,17 @@ class IUPT:
         """Group the records of a window into per-object positioning sequences.
 
         Corresponds to the hash table ``HO : {oid} -> {X}`` construction at
-        the top of Algorithms 2-4.  The sequences preserve time order, and
-        the returned mapping iterates in ascending object-id order — the
-        deterministic iteration order every flow computation and search
-        algorithm relies on (callers must not re-sort).
+        the top of Algorithms 2-4.  The sequences preserve the store's row
+        order (time order, arrival order on ties — the
+        :class:`~repro.storage.base.RecordStore` contract), and the returned
+        mapping iterates in ascending object-id order — the deterministic
+        iteration order every flow computation and search algorithm relies
+        on (callers must not re-sort).
         """
-        grouped: Dict[int, List[Tuple[float, SampleSet]]] = defaultdict(list)
-        for record in self.range_query(start, end):
-            grouped[record.object_id].append((record.timestamp, record.sample_set))
-        sequences: Dict[int, List[SampleSet]] = {}
-        for object_id in sorted(grouped):
-            pairs = grouped[object_id]
-            pairs.sort(key=lambda item: item[0])
-            sequences[object_id] = [sample_set for _, sample_set in pairs]
-        return sequences
+        grouped: Dict[int, List[SampleSet]] = defaultdict(list)
+        for record in self._store.range_query(start, end):
+            grouped[record.object_id].append(record.sample_set)
+        return dict(sorted(grouped.items()))
 
     def records_of_object(self, object_id: int) -> List[PositioningRecord]:
         """All records of one object, in time order."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Any, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -53,6 +53,7 @@ class OneDimensionalRTree(Generic[T]):
         self._fanout = fanout
         self._records: List[Tuple[float, T]] = []
         self._root: Optional[IntervalNode[T]] = None
+        self._keys: Optional[List[float]] = None  # sorted key column, lazy
         self._dirty = False
 
     # ------------------------------------------------------------------
@@ -83,9 +84,9 @@ class OneDimensionalRTree(Generic[T]):
 
         Skips the sort of :meth:`bulk_load` and packs the tree eagerly, so
         the construction cost is paid here rather than on the first query —
-        the shape a sharded store wants when it rebuilds one shard's index
-        per ingested batch.  Ties must already be in arrival order; the
-        packed layout preserves the given order exactly.
+        the shape the flat store wants when an eviction rebuilds its index.
+        Ties must already be in arrival order; the packed layout preserves
+        the given order exactly.
         """
         tree: "OneDimensionalRTree[T]" = cls(leaf_capacity=leaf_capacity, fanout=fanout)
         tree._records = list(records)
@@ -94,6 +95,7 @@ class OneDimensionalRTree(Generic[T]):
         return tree
 
     def _rebuild(self) -> None:
+        self._keys = None
         if not self._records:
             self._root = None
             self._dirty = False
@@ -182,22 +184,15 @@ class OneDimensionalRTree(Generic[T]):
                     record for ts, record in node.entries if start <= ts <= end
                 )
             else:
-                stack.extend(node.children)
-        # The stack traversal visits leaves in reverse chunk order; restore
-        # global time order, which downstream sequence construction relies on.
-        return results if _is_single_leaf(self._root) else self._sorted_range(start, end)
-
-    def _sorted_range(self, start: float, end: float) -> List[T]:
-        keys = [ts for ts, _ in self._records]
-        lo = bisect_left(keys, start)
-        hi = bisect_right(keys, end)
-        return [record for _, record in self._records[lo:hi]]
+                # Pushed reversed so leaves pop in time order: the result is
+                # globally time-ordered, which sequence construction relies on.
+                stack.extend(reversed(node.children))
+        return results
 
     def count_in_range(self, start: float, end: float) -> int:
         """Return the number of records with timestamps in ``[start, end]``."""
-        keys = [ts for ts, _ in self._records]
-        return bisect_right(keys, end) - bisect_left(keys, start)
-
-
-def _is_single_leaf(root: IntervalNode[Any]) -> bool:
-    return root.is_leaf
+        if self._dirty:
+            self._rebuild()
+        if self._keys is None:
+            self._keys = [ts for ts, _ in self._records]
+        return bisect_right(self._keys, end) - bisect_left(self._keys, start)

@@ -124,8 +124,7 @@ class ReadReplica:
         )
         handshake = await self._handshake()
         shard_seconds = float(handshake["shard_seconds"])
-        index_kind = str(handshake["index_kind"])
-        self.iupt = IUPT.sharded(shard_seconds=shard_seconds, index_kind=index_kind)
+        self.iupt = IUPT.sharded(shard_seconds=shard_seconds)
         # Version tokens embed the store uid; adopting the primary's makes
         # the replica's tokens compare equal for identical shard states.
         self.iupt.store.restore_identity(handshake["uid"])

@@ -706,7 +706,6 @@ class QueryService:
                 "base_seq": store.wal_base_seq,
                 "uid": store.uid,
                 "shard_seconds": store.shard_seconds,
-                "index_kind": store.index_kind,
                 "watermark": (
                     store.eviction_watermark
                     if store.eviction_watermark > float("-inf")

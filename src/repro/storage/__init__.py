@@ -3,7 +3,7 @@
 See :mod:`repro.storage.base` for the backend contract,
 :mod:`repro.storage.memory` for the seed's flat in-memory store,
 :mod:`repro.storage.sharded` for the time-partitioned sharded store with
-bulk-loaded per-shard indexes, shard-pruned window queries, per-shard
+shard-pruned, timestamp-column-bisected window queries, per-shard
 versioning, and retention eviction, and :mod:`repro.storage.durable` for the
 write-ahead-logged, snapshot-recovered durable wrapper around it.
 """
@@ -55,9 +55,13 @@ def make_store(
     index_kind: str = "1dr-tree",
     shard_seconds: float = DEFAULT_SHARD_SECONDS,
 ) -> RecordStore:
-    """Build a record store by kind name (the scenario/experiment entry point)."""
+    """Build a record store by kind name (the scenario/experiment entry point).
+
+    ``index_kind`` selects the flat store's tree; the sharded store has one
+    index (its sorted timestamp columns) and ignores it.
+    """
     if kind == "flat":
         return InMemoryRecordStore(index_kind=index_kind)
     if kind == "sharded":
-        return ShardedRecordStore(shard_seconds=shard_seconds, index_kind=index_kind)
+        return ShardedRecordStore(shard_seconds=shard_seconds)
     raise ValueError(f"unknown store kind {kind!r}; expected one of {STORE_KINDS}")

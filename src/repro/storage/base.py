@@ -10,9 +10,9 @@ engine) and the storage backends that actually hold the records:
   one flat record list behind whole-table time indexes, per-record index
   inserts, one version for the entire table;
 * :class:`~repro.storage.sharded.ShardedRecordStore` — time-partitioned
-  shards, each owning a bulk-loaded time index and its own version, so
-  window queries prune to overlapping shards, batch ingestion costs one
-  bulk index build per touched shard, and retention can drop old shards;
+  shards, each indexed by its sorted timestamp column and carrying its own
+  version, so window queries prune to overlapping shards, batch ingestion
+  appends per touched shard, and retention can drop old shards;
 * :class:`~repro.storage.durable.DurableRecordStore` — a sharded store
   behind a write-ahead log and per-shard snapshots, so a process restart
   recovers the exact pre-crash state (see :mod:`repro.storage.durable`).
@@ -164,6 +164,11 @@ class RecordStore(ABC):
     #: Short backend identifier (``"flat"`` / ``"sharded"``).
     kind: str = "abstract"
 
+    #: Label of the time index answering :meth:`range_query`.  The sharded
+    #: stores have exactly one — each shard's sorted timestamp column; the
+    #: flat store offers the paper's two trees and overrides this.
+    index_kind: str = "timestamp-column"
+
     def __init__(self) -> None:
         self._listeners: Dict[int, StoreListener] = {}
         self._listener_tokens = itertools.count(1)
@@ -311,7 +316,11 @@ class RecordStore(ABC):
 
     def describe(self) -> dict:
         """Backend description for experiment logs."""
-        return {"kind": self.kind, "records": len(self)}
+        return {
+            "kind": self.kind,
+            "records": len(self),
+            "index_kind": self.index_kind,
+        }
 
 
 def check_not_evicted(store: RecordStore, start: float, end: float) -> None:

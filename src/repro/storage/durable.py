@@ -346,8 +346,8 @@ class DurableRecordStore(RecordStore):
     restarts.
 
     Pass a fresh directory to create a new table, or an existing one to
-    recover it — the persisted manifest then decides ``shard_seconds`` and
-    ``index_kind`` (the constructor arguments only seed a brand-new store).
+    recover it — the persisted manifest then decides ``shard_seconds`` (the
+    constructor argument only seeds a brand-new store).
     All query/introspection calls delegate to the wrapped in-memory store;
     mutations are logged first, applied second (see the module docstring).
 
@@ -362,7 +362,6 @@ class DurableRecordStore(RecordStore):
         self,
         directory: "os.PathLike[str] | str",
         shard_seconds: float = DEFAULT_SHARD_SECONDS,
-        index_kind: str = "1dr-tree",
         config: Optional[DurabilityConfig] = None,
     ):
         super().__init__()
@@ -399,12 +398,9 @@ class DurableRecordStore(RecordStore):
             "held_back": 0,
             "forced_past_laggard": 0,
         }
-        manifest = self._load_or_create_manifest(float(shard_seconds), index_kind)
+        manifest = self._load_or_create_manifest(float(shard_seconds))
         self._uid = manifest["uid"]
-        self._inner = ShardedRecordStore(
-            shard_seconds=manifest["shard_seconds"],
-            index_kind=manifest["index_kind"],
-        )
+        self._inner = ShardedRecordStore(shard_seconds=manifest["shard_seconds"])
         self._inner.restore_identity(self._uid)
         # One shared lock for wrapper, inner store and every layer above.
         self._lock = self._inner.lock
@@ -421,9 +417,7 @@ class DurableRecordStore(RecordStore):
     # ------------------------------------------------------------------
     # Manifest
     # ------------------------------------------------------------------
-    def _load_or_create_manifest(
-        self, shard_seconds: float, index_kind: str
-    ) -> dict:
+    def _load_or_create_manifest(self, shard_seconds: float) -> dict:
         self._dir.mkdir(parents=True, exist_ok=True)
         self._wal_dir.mkdir(exist_ok=True)
         self._snap_dir.mkdir(exist_ok=True)
@@ -435,12 +429,12 @@ class DurableRecordStore(RecordStore):
                     f"unsupported durable-store format {manifest.get('format')!r} "
                     f"in {path} (this build reads format {FORMAT_VERSION})"
                 )
+            # Older directories also carry an "index_kind" key; it is ignored.
             return manifest
         manifest = {
             "format": FORMAT_VERSION,
             "uid": f"durable-{uuid.uuid4().hex[:16]}",
             "shard_seconds": shard_seconds,
-            "index_kind": index_kind,
         }
         self._atomic_write(path, json.dumps(manifest, indent=2).encode("utf-8"))
         return manifest
@@ -1176,10 +1170,6 @@ class DurableRecordStore(RecordStore):
     def inner(self) -> ShardedRecordStore:
         """The wrapped in-memory sharded store (read-only use)."""
         return self._inner
-
-    @property
-    def index_kind(self) -> str:
-        return self._inner.index_kind
 
     @property
     def shard_seconds(self) -> float:

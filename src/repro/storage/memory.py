@@ -177,7 +177,6 @@ class InMemoryRecordStore(RecordStore):
 
     def describe(self) -> dict:
         summary = super().describe()
-        summary["index_kind"] = self._index_kind
         summary["version"] = self._version
         summary["eviction_watermark"] = self._watermark
         return summary

@@ -2,19 +2,21 @@
 
 Records are partitioned into fixed-duration time shards (shard key
 ``floor(timestamp / shard_seconds)``).  Each shard owns its records in time
-order plus one bulk-loaded time index, and carries its own version counter:
+order — that order, read through the shard's sorted timestamp column, is its
+only index — and carries its own version counter:
 
 * **window queries prune to overlapping shards** — a query first selects the
   shards whose time range intersects the window (two bisections over the
   sorted shard keys), serves fully-covered shards straight from their sorted
-  record lists, and only consults a shard's index for the (at most two)
-  partially-covered boundary shards;
-* **batch ingestion costs one bulk index build per touched shard** — the
-  batch is sorted once, sliced per shard, merged into each shard's record
-  list, and the shard's index is rebuilt with the bulk-load constructor
-  (:meth:`~repro.indexes.interval_index.OneDimensionalRTree.from_sorted` /
-  :meth:`~repro.indexes.bplustree.BPlusTree.bulk_load`) instead of one
-  insert per record;
+  record lists, and answers the (at most two) partially-covered boundary
+  shards by two bisections over the timestamp column and a list slice;
+* **batch ingestion costs what the batch costs** — the batch is sorted once,
+  sliced per shard and appended to each shard's record list (merged by a
+  stable sort only when it arrives out of time order); there is no index to
+  rebuild;
+* **lazily loaded shards materialise per slice** — a shard adopted in the
+  codec's packed form builds only the records a caller asks for, each at
+  most once (:attr:`ShardedRecordStore.records_materialised` counts them);
 * **versions advance per shard** — :meth:`ShardedRecordStore.version_token`
   over a window only covers the overlapping shards, so the engine's cached
   presences die exactly when a batch touches the shards their windows read;
@@ -29,11 +31,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..codec.packed import PackedRecordBatch
 from ..data.records import PositioningRecord
-from ..indexes import BPlusTree, OneDimensionalRTree
 from .base import (
     EvictionEvent,
     IngestEvent,
@@ -47,19 +49,22 @@ from .base import (
 
 DEFAULT_SHARD_SECONDS = 600.0
 
+_BY_TIME = attrgetter("timestamp")
+
 
 class _Shard:
-    """One time partition: sorted records plus a bulk-loaded time index.
+    """One time partition: its records in time order, one slot per position.
 
-    Records live either *materialised* (the sorted list the query paths
-    walk) or *packed* (the codec's columnar batch, as recovered from a
-    binary snapshot).  A packed shard decodes lazily on first record
-    access, so recovering a large table never pays per-record object
-    construction for shards no query touches — its record count, time
-    bounds and version are available without decoding.
+    A shard adopted in *packed* form (the codec's columnar batch, as
+    recovered from a binary snapshot) starts with every slot empty and fills
+    only the positions a caller asks for, each at most once — ``_gaps`` lists
+    the still-empty ``[lo, hi)`` runs, ``built`` counts the slots filled — so
+    recovering a large table never pays per-record object construction for
+    records no query returns.  Its record count, time bounds and version are
+    available without decoding anything.
     """
 
-    __slots__ = ("key", "version", "_records", "_packed", "_index", "_timestamps")
+    __slots__ = ("key", "version", "built", "_records", "_gaps", "_packed", "_timestamps")
 
     def __init__(
         self,
@@ -70,28 +75,55 @@ class _Shard:
     ):
         self.key = key
         self.version = version
-        if records is None and packed is None:
-            records = []
-        self._records = records
+        self.built = 0
+        self._gaps: List[Tuple[int, int]] = []
+        if packed is not None:
+            records = [None] * len(packed)
+            if records:
+                self._gaps.append((0, len(records)))
+        self._records: List[PositioningRecord] = [] if records is None else records
         self._packed = packed
-        self._index: Optional[object] = None
-        self._timestamps: Optional[List[float]] = None
+        # The sorted timestamp column, kept in step by in-order absorbs and
+        # rebuilt on demand (see timestamps()) after anything else.
+        self._timestamps: Optional[List[float]] = None if records else []
+
+    def _fill(self, lo: int, hi: int) -> None:
+        """Build the still-packed records of ``[lo:hi]`` into their slots."""
+        gaps: List[Tuple[int, int]] = []
+        for gap_lo, gap_hi in self._gaps:
+            fill_lo, fill_hi = max(gap_lo, lo), min(gap_hi, hi)
+            if fill_lo >= fill_hi:
+                gaps.append((gap_lo, gap_hi))
+                continue
+            self._records[fill_lo:fill_hi] = self._packed.to_records(fill_lo, fill_hi)
+            self.built += fill_hi - fill_lo
+            if gap_lo < fill_lo:
+                gaps.append((gap_lo, fill_lo))
+            if fill_hi < gap_hi:
+                gaps.append((fill_hi, gap_hi))
+        self._gaps = gaps
+
+    def slice(self, lo: int, hi: int) -> List[PositioningRecord]:
+        """Records ``[lo:hi]``, building those of them that are still packed."""
+        if self._gaps:
+            self._fill(lo, hi)
+        return self._records[lo:hi]
 
     @property
     def records(self) -> List[PositioningRecord]:
-        if self._records is None:
-            self._records = self._packed.to_records()
+        """The shard's own record list, every slot filled."""
+        if self._gaps:
+            self._fill(0, len(self._records))
         return self._records
 
     @property
     def materialised(self) -> bool:
-        return self._records is not None
+        """Whether no record of the shard is packed-only any more."""
+        return not self._gaps
 
     @property
     def record_count(self) -> int:
-        if self._records is not None:
-            return len(self._records)
-        return len(self._packed)
+        return len(self._records)
 
     def absorb(self, incoming: List[PositioningRecord]) -> None:
         """Merge a time-sorted batch slice into this shard and bump its version.
@@ -107,41 +139,32 @@ class _Shard:
         in_order = not records or records[-1].timestamp <= incoming[0].timestamp
         records.extend(incoming)
         if not in_order:
-            records.sort(key=lambda record: record.timestamp)
-        self._index = None
-        self._timestamps = None
+            records.sort(key=_BY_TIME)
+            self._timestamps = None
+        elif self._timestamps is not None:
+            self._timestamps.extend(map(_BY_TIME, incoming))
         self._packed = None
         self.version += 1
 
     def packed(self) -> PackedRecordBatch:
         """The shard's records in the codec's columnar layout (cached)."""
         if self._packed is None:
-            self._packed = PackedRecordBatch.from_records(self.records)
+            self._packed = PackedRecordBatch.from_records(self._records)
         return self._packed
 
     def timestamps(self) -> List[float]:
-        """The sorted timestamp column; served from the packed form when the
-        records themselves were never materialised."""
+        """The sorted timestamp column — the shard's index; served from the
+        packed form while the shard has one, so reading it builds no record."""
         if self._timestamps is None:
-            if self._records is not None:
-                self._timestamps = [record.timestamp for record in self._records]
-            else:
+            if self._packed is not None:
                 self._timestamps = self._packed.timestamps_list()
-        return self._timestamps
-
-    def index(self, index_kind: str):
-        """The shard's time index, bulk-loaded lazily after the last absorb."""
-        if self._index is None:
-            pairs = [(record.timestamp, record) for record in self.records]
-            if index_kind == "1dr-tree":
-                self._index = OneDimensionalRTree.from_sorted(pairs)
             else:
-                self._index = BPlusTree.bulk_load(pairs)
-        return self._index
+                self._timestamps = list(map(_BY_TIME, self._records))
+        return self._timestamps
 
 
 class ShardedRecordStore(RecordStore):
-    """Time-partitioned record store with per-shard bulk-loaded indexes.
+    """Time-partitioned record store indexed by each shard's sorted timestamps.
 
     Parameters
     ----------
@@ -149,43 +172,23 @@ class ShardedRecordStore(RecordStore):
         Duration of one time shard.  Shorter shards prune harder and
         invalidate less on ingestion but carry more per-shard overhead;
         the default suits report streams spanning minutes to hours.
-    index_kind:
-        ``"1dr-tree"`` (default) or ``"bplus-tree"``: the kind of index each
-        shard bulk-loads.  ``"packed"`` skips tree building entirely and
-        answers boundary-shard probes by bisecting the shard's sorted
-        timestamp column (identical results: a shard's record list is the
-        index's leaf order).
     """
 
     kind = "sharded"
 
-    VALID_INDEXES = ("1dr-tree", "bplus-tree", "packed")
-
-    def __init__(
-        self,
-        shard_seconds: float = DEFAULT_SHARD_SECONDS,
-        index_kind: str = "1dr-tree",
-    ):
+    def __init__(self, shard_seconds: float = DEFAULT_SHARD_SECONDS):
         super().__init__()
         if shard_seconds <= 0:
             raise ValueError("shard_seconds must be positive")
-        if index_kind not in self.VALID_INDEXES:
-            raise ValueError(
-                f"unknown index kind {index_kind!r}; expected one of {self.VALID_INDEXES}"
-            )
         self._shard_seconds = float(shard_seconds)
-        self._index_kind = index_kind
         self._shards: Dict[int, _Shard] = {}
         self._shard_keys: List[int] = []  # sorted view of self._shards
         self._uid = next(STORE_UIDS)
         self._count = 0
         self._watermark = float("-inf")
+        self._built_dropped = 0  # records built by shards since evicted / reset
         self.shards_probed = 0
         self.shards_pruned = 0
-
-    @property
-    def index_kind(self) -> str:
-        return self._index_kind
 
     @property
     def shard_seconds(self) -> float:
@@ -226,7 +229,7 @@ class ShardedRecordStore(RecordStore):
         return slices
 
     def ingest_batch(self, records: Iterable[PositioningRecord]) -> IngestReceipt:
-        batch = sorted(records, key=lambda record: record.timestamp)
+        batch = sorted(records, key=_BY_TIME)
         if not batch:
             return IngestReceipt()
         with self._lock:
@@ -287,16 +290,12 @@ class ShardedRecordStore(RecordStore):
                 if start <= shard_start and shard_end <= end:
                     # Fully covered: the sorted record list IS the answer.
                     results.extend(shard.records)
-                elif self._index_kind == "packed":
+                else:
                     stamps = shard.timestamps()
                     lo = bisect_left(stamps, start)
                     hi = bisect_right(stamps, end)
                     if lo < hi:
-                        results.extend(shard.records[lo:hi])
-                else:
-                    results.extend(
-                        shard.index(self._index_kind).range_query(start, end)
-                    )
+                        results.extend(shard.slice(lo, hi))
             return results
 
     def version_token(
@@ -331,10 +330,10 @@ class ShardedRecordStore(RecordStore):
             for key in self._shard_keys:
                 shard_end = (key + 1) * self._shard_seconds
                 if shard_end <= timestamp:
-                    dropped += self._shards[key].record_count
-                    watermark = shard_end
-                    del self._shards[key]
-                    self._watermark = max(self._watermark, watermark)
+                    shard = self._shards.pop(key)
+                    dropped += shard.record_count
+                    self._built_dropped += shard.built
+                    self._watermark = max(self._watermark, shard_end)
                 else:
                     kept_keys.append(key)
             self._shard_keys = kept_keys
@@ -364,11 +363,10 @@ class ShardedRecordStore(RecordStore):
         with self._lock:
             if not self._shard_keys:
                 return (float("inf"), float("-inf"))
-            # Timestamp columns keep lazily recovered shards unmaterialised.
+            # Shard keys order time, so the two end shards bound the table;
+            # their timestamp columns build no record of a lazily loaded shard.
             earliest = self._shards[self._shard_keys[0]].timestamps()[0]
-            latest = max(
-                shard.timestamps()[-1] for shard in self._shards.values()
-            )
+            latest = self._shards[self._shard_keys[-1]].timestamps()[-1]
             return (earliest, latest)
 
     def shard_versions(self) -> Dict[int, int]:
@@ -460,10 +458,18 @@ class ShardedRecordStore(RecordStore):
             self._count += shard.record_count
 
     def unmaterialised_shard_count(self) -> int:
-        """How many shards still hold only their packed (undecoded) form."""
+        """How many shards have at least one record still packed-only."""
         with self._lock:
             return sum(
                 1 for shard in self._shards.values() if not shard.materialised
+            )
+
+    @property
+    def records_materialised(self) -> int:
+        """Records built from packed form since the store was opened."""
+        with self._lock:
+            return self._built_dropped + sum(
+                shard.built for shard in self._shards.values()
             )
 
     def reset_to_packed_shards(
@@ -487,6 +493,7 @@ class ShardedRecordStore(RecordStore):
         (:meth:`repro.engine.continuous.ContinuousQueryEngine.resync`).
         """
         with self._lock:
+            self._built_dropped = self.records_materialised
             self._shards = {}
             self._shard_keys = []
             self._count = 0
@@ -523,10 +530,10 @@ class ShardedRecordStore(RecordStore):
         summary = super().describe()
         summary.update(
             {
-                "index_kind": self._index_kind,
                 "shard_seconds": self._shard_seconds,
                 "shards": len(self._shards),
                 "shards_unmaterialised": self.unmaterialised_shard_count(),
+                "records_materialised": self.records_materialised,
                 "shards_probed": self.shards_probed,
                 "shards_pruned": self.shards_pruned,
                 "eviction_watermark": self._watermark,

@@ -100,7 +100,8 @@ class WkNNPositioningSimulator:
         globally time-ordered, in batches of ``batch_seconds`` of traffic,
         through :meth:`~repro.data.iupt.IUPT.ingest_batch`.  ``store_kind``
         selects the storage backend (``"flat"`` or ``"sharded"``);
-        ``shard_seconds`` overrides the sharded store's partition duration.
+        ``index_kind`` picks the flat store's tree and ``shard_seconds`` the
+        sharded store's partition duration.
         """
         store = make_store(
             kind=store_kind,
@@ -109,7 +110,7 @@ class WkNNPositioningSimulator:
                 shard_seconds if shard_seconds is not None else DEFAULT_SHARD_SECONDS
             ),
         )
-        iupt = IUPT(index_kind=index_kind, store=store)
+        iupt = IUPT(store=store)
         self.stream_into(iupt, trajectories, batch_seconds=batch_seconds)
         return iupt
 

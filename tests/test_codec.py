@@ -466,6 +466,7 @@ class TestDurableBinaryCodec:
             store.checkpoint()
             span = store.time_span()
             total = len(store)
+            tokens = store.version_token()
 
         recovered = DurableRecordStore(
             tmp_path / "t", config=DurabilityConfig(checkpoint_on_recover=False)
@@ -476,12 +477,32 @@ class TestDurableBinaryCodec:
         assert len(recovered) == total
         assert recovered.time_span() == span
         assert recovered.inner.unmaterialised_shard_count() == recovered.shard_count
-        # A window query materialises exactly the shards it touches.
+        assert recovered.describe()["records_materialised"] == 0
+        # A window probe builds exactly the records it returns...
+        first = recovered.range_query(0.0, 59.0)
+        in_shard = sum(1 for r in records if r.timestamp < 120.0)
+        assert records_equal_bitwise(first, [r for r in records if r.timestamp <= 59.0])
+        summary = recovered.describe()
+        assert summary["records_materialised"] == len(first) < in_shard
+        assert summary["shards_unmaterialised"] == recovered.shard_count
+        # ...once: the same probe again returns the same objects and builds none.
+        again = recovered.range_query(0.0, 59.0)
+        assert len(again) == len(first) and all(a is b for a, b in zip(first, again))
+        assert recovered.describe()["records_materialised"] == len(first)
+        assert recovered.version_token() == tokens
+        # A wider window fills only what is missing; a shard with no record
+        # left packed-only stops counting as unmaterialised.
         results = recovered.range_query(0.0, 119.0)
         assert [r.timestamp for r in results] == [
             r.timestamp for r in records if r.timestamp <= 119.0
         ]
-        assert recovered.inner.unmaterialised_shard_count() < recovered.shard_count
+        assert all(a is b for a, b in zip(first, results))
+        assert recovered.describe()["records_materialised"] == in_shard
+        assert recovered.inner.unmaterialised_shard_count() == recovered.shard_count - 1
+        # A later full read equals the table that was written, bit for bit.
+        assert records_equal_bitwise(recovered.records_in_time_order(), records)
+        assert recovered.describe()["records_materialised"] == total
+        assert recovered.inner.unmaterialised_shard_count() == 0
         recovered.close()
 
     def test_old_json_directory_recovers_under_binary_default(self, tmp_path):

@@ -4,14 +4,17 @@
 property here feeds both the same column batches — valid sets and every kind
 of set the ``SampleSet`` constructor repairs or rejects — and requires equal
 records (bit-equal floats) or a ``ValueError`` from both.  The fuzz damages
-real ``RPK1`` blobs and accepts only "``ValueError`` or a valid table".  The
-hostile-input tests pin the error kinds a damaged batch reaches the client
+real ``RPK1`` blobs and accepts only "``ValueError`` or a valid table".  Both
+hold sliced calls (``to_records(lo, hi)``, what a lazily loaded shard makes)
+to the same rows: ``ValueError``, or the oracle's rows for exactly ``[lo:hi]``
+— never a short or shifted slice.  The hostile-input tests pin the error kinds a damaged batch reaches the client
 with, and that a rejected batch leaves a durable store untouched.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import math
 import random
 import struct
@@ -78,6 +81,42 @@ def outcome(materialise, blob, backend):
     except ValueError:
         return ("ValueError", None)
     return ("records", bit_image(records))
+
+
+def assert_slices_agree(blob: bytes, backend: str, bounds=None) -> None:
+    """Every ``to_records(lo, hi)``: ``ValueError``, or the oracle's ``[lo:hi]``.
+
+    Where the oracle accepts the whole batch, so must every slice.  Where it
+    rejects it for its sample counts, so must every slice (they are checked
+    before any record is built).  Where it rejects it for a record, a slice
+    clear of that record may still answer — with the rows the oracle builds
+    from exactly those records' columns.
+    """
+    batch = PackedRecordBatch.decode(blob, backend)
+    counts = batch.sample_counts.tolist()
+    sound = min(counts, default=1) >= 1 and sum(counts) == batch.sample_total
+    # (The oracle walks unsound counts off the end of the columns.)
+    whole = outcome(oracle_to_records, blob, backend) if sound else None
+    offsets = [0, *itertools.accumulate(counts)]
+    if bounds is None:
+        bounds = range(len(batch) + 1)
+    for lo, hi in itertools.combinations_with_replacement(bounds, 2):
+        sliced = outcome(lambda b: b.to_records(lo, hi), blob, backend)
+        if not sound:
+            assert sliced == ("ValueError", None), (lo, hi)
+        elif whole[0] == "records":
+            assert sliced == ("records", whole[1][lo:hi]), (lo, hi)
+        elif sliced[0] == "records":
+            first, last = offsets[lo], offsets[hi]
+            part = PackedRecordBatch(
+                backend,
+                batch.timestamps[lo:hi],
+                batch.object_ids[lo:hi],
+                batch.sample_counts[lo:hi],
+                batch.sample_plocs[first:last],
+                batch.sample_probs[first:last],
+            )
+            assert sliced[1] == bit_image(oracle_to_records(part)), (lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +204,7 @@ class TestAgainstOracle:
         assert outcome(PackedRecordBatch.to_records, blob, backend) == outcome(
             oracle_to_records, blob, backend
         )
+        assert_slices_agree(blob, backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_every_kind_of_set_one_by_one(self, backend):
@@ -243,9 +283,19 @@ def _seed_blob() -> bytes:
 SEED_BLOB = _seed_blob()
 
 
+#: Slice bounds tried on every damaged copy of the 12-record seed blob.
+SLICE_BOUNDS = (0, 1, 5, 11, 12)
+
+
 def assert_value_error_or_valid_table(blob: bytes, backend: str) -> None:
     try:
-        records = decode_batch(blob, backend=backend)
+        batch = PackedRecordBatch.decode(blob, backend)
+    except ValueError:
+        return
+    if len(batch) <= max(SLICE_BOUNDS):  # a damaged header may claim any size
+        assert_slices_agree(blob, backend, SLICE_BOUNDS)
+    try:
+        records = batch.to_records()
     except ValueError:
         return
     for record in records:
@@ -313,6 +363,7 @@ class TestDecoderFuzz:
         rows = [(1, 0.0, [(1, 1.0)]), (2, 1.0, [(2, 1.0)])]
         with pytest.raises(ValueError, match="sample counts disagree"):
             decode_batch(blob_of(rows, counts=counts), backend=backend)
+        assert_slices_agree(blob_of(rows, counts=counts), backend)
 
 
 # ----------------------------------------------------------------------

@@ -140,6 +140,38 @@ class TestDurableRoundTrip:
         assert recovered.range_query(3.0, 33.0) == oracle.range_query(3.0, 33.0)
         recovered.close()
 
+    def test_manifest_index_kind_of_older_directories_is_ignored(self, tmp_path):
+        # Every directory written before the sharded store lost its index
+        # choice carries an "index_kind" manifest key; new ones do not.
+        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
+        batches = _batches()
+        for batch in batches[:-1]:
+            store.ingest_batch(batch)
+        store.checkpoint()  # snapshots...
+        store.ingest_batch(batches[-1])  # ...plus a WAL frame to replay
+        rows = list(store.records_in_time_order())
+        versions = store.shard_versions()
+        tokens = (store.version_token(), store.version_token(5.0, 25.0))
+        store.close()
+        path = tmp_path / "MANIFEST.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert sorted(manifest) == ["format", "shard_seconds", "uid"]
+
+        for old_kind in ("1dr-tree", "bplus-tree", "packed"):
+            path.write_text(json.dumps({**manifest, "index_kind": old_kind}))
+            recovered = DurableRecordStore(
+                tmp_path, config=DurabilityConfig(checkpoint_on_recover=False)
+            )
+            assert list(recovered.records_in_time_order()) == rows
+            assert recovered.shard_versions() == versions
+            assert (
+                recovered.version_token(),
+                recovered.version_token(5.0, 25.0),
+            ) == tokens
+            assert recovered.index_kind == "timestamp-column"
+            assert recovered.describe()["index_kind"] == "timestamp-column"
+            recovered.close()
+
     def test_closed_store_refuses_mutations(self, tmp_path):
         store = DurableRecordStore(tmp_path)
         store.close()
@@ -175,6 +207,7 @@ class TestDurableRoundTrip:
         derived = reopened.filtered_to_objects([1])
         assert derived.store.kind == "sharded"
         assert len(derived) == 1
+        assert reopened.index_kind == derived.index_kind == "timestamp-column"
         reopened.store.close()
 
 

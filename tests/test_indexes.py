@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
 from repro.indexes import (
@@ -119,6 +121,47 @@ class TestOneDimensionalRTree:
         for ts, name in [(5.0, "e"), (1.0, "a"), (3.0, "c"), (2.0, "b"), (4.0, "d")]:
             tree.insert(ts, name)
         assert tree.range_query(0, 10) == ["a", "b", "c", "d", "e"]
+
+    @given(
+        stamps=st.lists(st.integers(min_value=0, max_value=12), max_size=60),
+        later=st.lists(st.integers(min_value=0, max_value=12), max_size=10),
+        leaf_capacity=st.sampled_from([2, 3, 64]),  # deep trees and a single leaf
+        windows=st.lists(
+            st.tuples(
+                st.integers(min_value=-1, max_value=13),
+                st.integers(min_value=0, max_value=6),
+            ),
+            min_size=1, max_size=6,
+        ),  # fmt: skip
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_traversal_answers_in_time_order_with_arrival_ties(
+        self, stamps, later, leaf_capacity, windows
+    ):
+        # The traversal's own result is the answer (it used to be discarded
+        # for a bisect over a rebuilt key list): same rows, same order as a
+        # stable sort of the arrivals — ties, inserts after a query included.
+        tree: OneDimensionalRTree[int] = OneDimensionalRTree(
+            leaf_capacity=leaf_capacity, fanout=2
+        )
+        arrivals = []
+
+        def check():
+            for start, width in windows:
+                end = start + width
+                in_window = [pair for pair in arrivals if start <= pair[0] <= end]
+                expected = [v for _, v in sorted(in_window, key=lambda pair: pair[0])]
+                assert tree.range_query(start, end) == expected
+                assert tree.count_in_range(start, end) == len(expected)
+
+        for stamp in stamps:
+            tree.insert(float(stamp), len(arrivals))
+            arrivals.append((float(stamp), len(arrivals)))
+        check()
+        for stamp in later:  # the tree and its key column are stale now
+            tree.insert(float(stamp), len(arrivals))
+            arrivals.append((float(stamp), len(arrivals)))
+        check()
 
     def test_invalid_interval(self):
         tree: OneDimensionalRTree[int] = OneDimensionalRTree()

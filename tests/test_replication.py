@@ -362,6 +362,36 @@ class TestReplicaConvergence:
 
         asyncio.run(run())
 
+    def test_handshake_neither_sends_nor_needs_an_index_kind(
+        self, small_real_scenario, tmp_path
+    ):
+        scenario = small_real_scenario
+        history, live = _split_stream(scenario)
+
+        class OldPrimaryReplica(ReadReplica):
+            """Hears what a primary from before the key was dropped sent."""
+
+            async def _handshake(self) -> dict:
+                return {**await super()._handshake(), "index_kind": "bplus-tree"}
+
+        async def run():
+            service, host, port = await _start_primary(
+                scenario, tmp_path, preload=history
+            )
+            replica = OldPrimaryReplica(_make_engine(scenario), host, port, name="r0")
+            await replica.start()
+            async with await ServiceClient.connect(host, port) as primary:
+                assert "index_kind" not in await primary.wal_cursor(0)
+                seq = (await primary.ingest_batch(live))["seq"]
+                await replica.wait_applied(seq)
+            assert replica.iupt.index_kind == "timestamp-column"
+            assert replica.iupt.store.version_token() == \
+                service.iupt.store.version_token()
+            await replica.stop()
+            await service.stop()
+
+        asyncio.run(run())
+
     def test_snapshot_catch_up_when_the_floor_moved(
         self, small_real_scenario, tmp_path
     ):

@@ -108,6 +108,22 @@ class TestStoreEquivalence:
         assert truncated.store.shard_seconds == sharded.store.shard_seconds
         assert filtered.object_ids() == [0, 1]
 
+    def test_sharded_tables_report_one_fixed_index_label(self, pair):
+        # The sharded store's only index is its sorted timestamp columns; the
+        # flat store keeps the paper's two trees (and the choice).
+        flat, sharded = pair
+        label = "timestamp-column"
+        assert sharded.index_kind == sharded.store.describe()["index_kind"] == label
+        assert sharded.filtered_to_objects([0]).index_kind == label
+        assert make_store(kind="sharded", index_kind="bplus-tree").index_kind == label
+        assert IUPT(index_kind="bplus-tree", store=sharded.store).index_kind == label
+        assert flat.index_kind == flat.store.describe()["index_kind"] == "1dr-tree"
+        assert make_store(kind="flat", index_kind="bplus-tree").index_kind == "bplus-tree"
+        with pytest.raises(TypeError):
+            ShardedRecordStore(index_kind="1dr-tree")
+        with pytest.raises(TypeError):
+            IUPT.sharded(index_kind="1dr-tree")
+
 
 class TestShardedStore:
     def test_shard_pruning_probes_only_overlapping_shards(self):
@@ -161,22 +177,7 @@ class TestShardedStore:
         with pytest.raises(ValueError):
             ShardedRecordStore(shard_seconds=0.0)
         with pytest.raises(ValueError):
-            ShardedRecordStore(index_kind="hash")
-        with pytest.raises(ValueError):
             make_store(kind="replicated")
-
-    def test_bplus_index_kind_answers_identically(self):
-        records = _mixed_records(count=80, seed=9)
-        rtree_store = ShardedRecordStore(shard_seconds=10.0, index_kind="1dr-tree")
-        bplus_store = ShardedRecordStore(shard_seconds=10.0, index_kind="bplus-tree")
-        rtree_store.ingest_batch(records)
-        bplus_store.ingest_batch(records)
-        for window in ((0.0, 60.0), (7.5, 42.5)):
-            assert [
-                (r.object_id, r.timestamp) for r in rtree_store.range_query(*window)
-            ] == [
-                (r.object_id, r.timestamp) for r in bplus_store.range_query(*window)
-            ]
 
 
 class TestEviction:

@@ -199,6 +199,17 @@ class TestPositioningSimulator:
             gaps = [b - a for a, b in zip(timestamps, timestamps[1:])]
             assert all(gap <= 4.0 + 1e-6 for gap in gaps)
 
+    def test_index_kind_reaches_the_flat_store_only(self, trajectories):
+        plan, store = trajectories
+        simulator = WkNNPositioningSimulator(plan, PositioningConfig(), seed=7)
+        flat = simulator.generate(store, index_kind="bplus-tree")
+        sharded = simulator.generate(
+            store, index_kind="bplus-tree", store_kind="sharded", shard_seconds=30.0
+        )
+        assert flat.index_kind == "bplus-tree"
+        assert sharded.index_kind == "timestamp-column"
+        assert sharded.store.shard_seconds == 30.0
+
     def test_samples_are_nearby_reference_points(self, trajectories):
         plan, store = trajectories
         config = PositioningConfig(positioning_error=2.0, candidate_radius_factor=1.5)
