@@ -1,27 +1,24 @@
-"""Codec benchmark: the packed binary layout against the JSON baseline.
+"""Codec benchmark: the packed binary layout and the vectorized kernel.
 
-Measures, at paper scale (>=100k positioning records), the three places the
-binary codec claims wins:
+Measures, at paper scale (>=100k positioning records):
 
-* **round trip** — ``encode_batch``/``decode_batch`` against the JSON WAL
-  payload path for a whole-table conversion;
-* **WAL ingest** — streaming the load through the durable store under
-  ``codec="binary"`` vs ``codec="json"`` (``fsync="never"``, so the delta is
-  encode cost, not disk sync), with the volatile sharded store as the
-  zero-cost baseline;
-* **cold recovery** — reopening the checkpointed directory: the binary
-  snapshot path hands shards to the store still packed (no per-record
-  parsing), the JSON path must parse every record;
+* **round trip** — ``encode_batch``/``decode_batch`` for a whole-table
+  conversion;
+* **WAL ingest** — streaming the load through the durable store
+  (``fsync="never"``, so the cost is encode, not disk sync), with the
+  volatile sharded store as the zero-cost baseline;
+* **cold recovery** — reopening the checkpointed directory: the snapshot
+  path hands shards to the store still packed (no per-record parsing);
 * **batched scoring** — the scalar per-query fold against the
   :class:`~repro.codec.kernels.PresenceMatrix` built once per window group
   and reused across queries.
 
-Every timed comparison asserts result equality *before* the numbers count.
+Every timed section asserts result equality *before* the numbers count.
 Results land in ``BENCH_codec.json`` — or ``BENCH_codec_fallback.json``
 when the active backend is the stdlib ``array`` fallback, so the CI job can
 upload both legs side by side.  The acceptance bounds apply under
-``REPRO_BENCH_STRICT=1``: cold recovery must be >=2x faster than JSON on
-*both* backends; the vectorized scoring bound is asserted on the numpy leg
+``REPRO_BENCH_STRICT=1``: recovery must load shards lazily on *both*
+backends; the vectorized scoring bound is asserted on the numpy leg
 only — the fallback matrix's row sums are plain Python, so only the
 amortization of presence lookups across a batch is guaranteed there, not
 the kernel itself (which is why the engine scores with the scalar kernel
@@ -46,7 +43,6 @@ from repro.data.records import PositioningRecord
 from repro.engine import QueryEngine
 from repro.engine.batch import score_query_over_entries
 from repro.storage import DurabilityConfig, DurableRecordStore
-from repro.storage.durable import record_from_payload, record_to_payload
 from repro.synth import build_real_scenario
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -117,21 +113,15 @@ def test_codec_paper_scale_report():
     assert len(records) >= 100_000
     batches = _stream_batches(records)
 
-    # --- Round trip: packed binary vs the JSON payload path.
+    # --- Round trip through the packed binary layout.
     began = time.perf_counter()
     blob = encode_batch(records)
     decoded = decode_batch(blob)
     packed_round_trip = time.perf_counter() - began
 
-    began = time.perf_counter()
-    text = json.dumps([record_to_payload(r) for r in records])
-    via_json = [record_from_payload(p) for p in json.loads(text)]
-    json_round_trip = time.perf_counter() - began
-
     assert [r.timestamp for r in decoded] == [r.timestamp for r in records]
-    assert [r.timestamp for r in via_json] == [r.timestamp for r in records]
 
-    # --- WAL ingest + cold recovery, binary vs JSON.
+    # --- WAL ingest + cold recovery.
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="bench-codec-"))
     try:
         oracle = IUPT.sharded(shard_seconds=SHARD_SECONDS)
@@ -141,54 +131,45 @@ def test_codec_paper_scale_report():
         volatile_elapsed = time.perf_counter() - began
         oracle_rows = list(oracle.store.records_in_time_order())
 
-        durability: Dict[str, Dict[str, object]] = {}
-        for codec in ("json", "binary"):
-            path = workdir / codec
-            table = IUPT.durable(
-                path,
-                shard_seconds=SHARD_SECONDS,
-                config=DurabilityConfig(codec=codec, fsync="never"),
-            )
-            began = time.perf_counter()
-            for batch in batches:
-                table.ingest_batch(batch)
-            ingest_elapsed = time.perf_counter() - began
-            table.store.checkpoint()
-            table.store.close()
+        path = workdir / "table"
+        table = IUPT.durable(
+            path,
+            shard_seconds=SHARD_SECONDS,
+            config=DurabilityConfig(fsync="never"),
+        )
+        began = time.perf_counter()
+        for batch in batches:
+            table.ingest_batch(batch)
+        ingest_elapsed = time.perf_counter() - began
+        wal_bytes = sum(
+            f.stat().st_size for f in (path / "wal").glob("segment-*.wal")
+        )
+        table.store.checkpoint()
+        table.store.close()
 
-            began = time.perf_counter()
-            recovered = DurableRecordStore(
-                path, config=DurabilityConfig(checkpoint_on_recover=False)
-            )
-            recovery_elapsed = time.perf_counter() - began
-            report = dict(recovered.recovery_report)
-            assert list(recovered.records_in_time_order()) == oracle_rows
-            recovered.close()
+        began = time.perf_counter()
+        recovered = DurableRecordStore(
+            path, config=DurabilityConfig(checkpoint_on_recover=False)
+        )
+        recovery_elapsed = time.perf_counter() - began
+        report = dict(recovered.recovery_report)
+        assert list(recovered.records_in_time_order()) == oracle_rows
+        recovered.close()
 
-            durability[codec] = {
-                "wal_ingest_s": round(ingest_elapsed, 4),
-                "wal_overhead_vs_volatile": round(
-                    ingest_elapsed / volatile_elapsed, 2
-                ),
-                "cold_recovery_s": round(recovery_elapsed, 4),
-                "shards_loaded_lazily": report.get("shards_loaded_lazily", 0),
-                "wal_bytes": sum(
-                    f.stat().st_size for f in (path / "wal").glob("segment-*.wal")
-                ),
-                "snapshot_bytes": sum(
-                    f.stat().st_size for f in (path / "snapshots").glob("*")
-                ),
-            }
+        durability: Dict[str, object] = {
+            "wal_ingest_s": round(ingest_elapsed, 4),
+            "wal_overhead_vs_volatile": round(ingest_elapsed / volatile_elapsed, 2),
+            "cold_recovery_s": round(recovery_elapsed, 4),
+            "shards_loaded_lazily": report.get("shards_loaded_lazily", 0),
+            "wal_bytes": wal_bytes,
+            "snapshot_bytes": sum(
+                f.stat().st_size for f in (path / "snapshots").glob("*")
+            ),
+        }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    recovery_speedup = (
-        durability["json"]["cold_recovery_s"] / durability["binary"]["cold_recovery_s"]
-    )
-    ingest_speedup = (
-        durability["json"]["wal_ingest_s"] / durability["binary"]["wal_ingest_s"]
-    )
-    assert durability["binary"]["shards_loaded_lazily"] > 0
+    assert durability["shards_loaded_lazily"] > 0
 
     # --- Batched scoring: scalar fold vs the shared presence matrix.
     scenario = build_real_scenario(
@@ -248,7 +229,7 @@ def test_codec_paper_scale_report():
 
     info = codec_info()
     payload = {
-        "benchmark": "codec-binary-vs-json",
+        "benchmark": "codec",
         "codec": info,
         "workload": {
             "records": len(records),
@@ -262,14 +243,9 @@ def test_codec_paper_scale_report():
         },
         "round_trip": {
             "packed_s": round(packed_round_trip, 4),
-            "json_s": round(json_round_trip, 4),
-            "speedup": round(json_round_trip / packed_round_trip, 2),
             "packed_bytes": len(blob),
-            "json_bytes": len(text),
         },
         "durability": durability,
-        "cold_recovery_speedup": round(recovery_speedup, 2),
-        "wal_ingest_speedup": round(ingest_speedup, 2),
         "batched_scoring": {
             "scalar_s": round(scalar_elapsed, 4),
             "vectorized_s": round(vector_elapsed, 4),
@@ -282,19 +258,13 @@ def test_codec_paper_scale_report():
         json.dumps(
             {
                 "round_trip": payload["round_trip"],
-                "cold_recovery_speedup": payload["cold_recovery_speedup"],
-                "wal_ingest_speedup": payload["wal_ingest_speedup"],
+                "durability": payload["durability"],
                 "batched_scoring": payload["batched_scoring"],
             },
             indent=2,
         )
     )
 
-    # Acceptance: the binary codec's lazy snapshot recovery is >=2x the
-    # JSON path on every backend — it skips per-record parsing entirely.
-    assert recovery_speedup >= 2.0, (
-        f"binary cold recovery should be >=2x JSON; got {recovery_speedup:.2f}x"
-    )
     if info["backend"] == "numpy":
         assert scoring_speedup >= 2.0, (
             f"vectorized batched scoring should be >=2x scalar on numpy; "

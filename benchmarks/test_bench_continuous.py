@@ -1,25 +1,25 @@
 """Continuous-query benchmark: incremental refresh vs. a polling client.
 
-Streams the tail of a university-floor report stream into both IUPT storage
-backends while standing TkPLQ queries cover historical windows and the live
-edge, and compares the two ways a dashboard can stay current on a
-*mostly-disjoint* batch stream (most standing windows are historical; each
-batch only touches the live edge):
+Streams the tail of a university-floor report stream into a sharded IUPT
+while standing TkPLQ queries cover historical windows and the live edge, and
+compares the two ways a dashboard can stay current on a *mostly-disjoint*
+batch stream (most standing windows are historical; each batch only touches
+the live edge):
 
 * ``incremental`` — the queries are registered with the continuous-query
   engine: a batch whose shards do not overlap a standing window skips that
-  refresh outright (sharded store), and where the window token did churn,
-  untouched objects' cached presences are re-keyed to the new token instead
-  of recomputed;
+  refresh outright, and where the window token did churn, untouched
+  objects' cached presences are re-keyed to the new token instead of
+  recomputed;
 * ``polling`` — a client without standing queries re-issues every query on
   its own engine after every batch, through that engine's (invalidated)
   presence store.
 
 Results are recorded in ``BENCH_continuous.json`` at the repository root
-(uploaded as a CI artifact alongside the engine and storage reports).  Both
-sides must end on identical results unconditionally; the timing acceptance
-property (incremental strictly cheaper than polling) is asserted when the
-dedicated CI job opts in via ``REPRO_BENCH_STRICT=1``.
+(uploaded as a CI artifact alongside the engine report).  Both sides must end
+on identical results unconditionally; the timing acceptance property
+(incremental strictly cheaper than polling) is asserted when the dedicated CI
+job opts in via ``REPRO_BENCH_STRICT=1``.
 """
 
 from __future__ import annotations
@@ -63,16 +63,10 @@ def _split_stream(scenario):
     )
 
 
-def _make_table(store_kind: str) -> IUPT:
-    if store_kind == "sharded":
-        return IUPT.sharded(shard_seconds=SHARD_SECONDS)
-    return IUPT()
-
-
-def _setup(scenario, store_kind: str):
+def _setup(scenario):
     """History ingested, the stream's batches pending, one cold engine."""
     history, batches = _split_stream(scenario)
-    iupt = _make_table(store_kind)
+    iupt = IUPT.sharded(shard_seconds=SHARD_SECONDS)
     iupt.ingest_batch(history)
     engine = QueryEngine(scenario.system.graph, scenario.system.matrix)
     slocs = scenario.slocation_ids()
@@ -86,9 +80,9 @@ def _finals(results):
     return [(result.top_k_ids(), sorted(result.flows.items())) for result in results]
 
 
-def _run_incremental(scenario, store_kind: str):
+def _run_incremental(scenario):
     """Standing queries maintained by the continuous engine over the stream."""
-    iupt, engine, queries, batches = _setup(scenario, store_kind)
+    iupt, engine, queries, batches = _setup(scenario)
     continuous = engine.continuous(iupt)
     subscriptions = [continuous.register(query) for query in queries]
     for batch in batches:
@@ -98,9 +92,9 @@ def _run_incremental(scenario, store_kind: str):
     return _finals(sub.result for sub in subscriptions), summary
 
 
-def _run_polling(scenario, store_kind: str):
+def _run_polling(scenario):
     """A polling client: every query re-issued after every batch."""
-    iupt, engine, queries, batches = _setup(scenario, store_kind)
+    iupt, engine, queries, batches = _setup(scenario)
     summary = {"polls": 0, "objects_recomputed": 0, "elapsed_seconds": 0.0}
 
     def poll():
@@ -139,64 +133,41 @@ def test_continuous_refresh_report():
             "shard_seconds": SHARD_SECONDS,
             "standing_windows": STANDING_WINDOWS,
         },
-        "stores": {},
     }
 
-    for store_kind in ("sharded", "flat"):
-        incremental_finals, incremental = _run_incremental(scenario, store_kind)
-        polling_finals, polling = _run_polling(scenario, store_kind)
+    incremental_finals, incremental = _run_incremental(scenario)
+    polling_finals, polling = _run_polling(scenario)
 
-        # Correctness gate before any speed claim: both sides end on
-        # bit-identical results (rankings AND flow values).
-        assert incremental_finals == polling_finals
+    # Correctness gate before any speed claim: both sides end on
+    # bit-identical results (rankings AND flow values).
+    assert incremental_finals == polling_finals
 
-        # The delta maintenance must actually have engaged.
-        if store_kind == "sharded":
-            assert incremental["skipped"] > 0, (
-                "a mostly-disjoint stream must skip historical-window "
-                "refreshes on the sharded store"
-            )
-            assert incremental["refreshes"] < polling["polls"]
-        else:
-            # The flat store's whole-table token churns on every batch, so
-            # nothing skips — the win comes from re-keying untouched objects
-            # instead of recomputing them.
-            assert incremental["objects_rekeyed"] > 0
-            assert incremental["objects_recomputed"] < polling["objects_recomputed"]
-        assert incremental["objects_recomputed"] <= polling["objects_recomputed"]
+    # The delta maintenance must actually have engaged: historical-window
+    # refreshes skipped, untouched objects of the live window re-keyed.
+    assert incremental["skipped"] > 0, (
+        "a mostly-disjoint stream must skip historical-window refreshes"
+    )
+    assert incremental["refreshes"] < polling["polls"]
+    assert incremental["objects_rekeyed"] > 0
+    assert incremental["objects_recomputed"] < polling["objects_recomputed"]
 
-        speedup = (
-            polling["elapsed_seconds"] / incremental["elapsed_seconds"]
-            if incremental["elapsed_seconds"]
-            else float("inf")
-        )
-        if os.environ.get("REPRO_BENCH_STRICT") == "1":
-            assert speedup > 1.2, (
-                f"incremental refresh should beat a polling client "
-                f"on the {store_kind} store; got {speedup:.2f}x "
-                f"({polling['elapsed_seconds']:.4f}s vs "
-                f"{incremental['elapsed_seconds']:.4f}s)"
-            )
-
-        payload["stores"][store_kind] = {
-            "incremental": incremental,
-            "polling": polling,
-            "refresh_speedup": round(speedup, 2),
-        }
-
+    speedup = (
+        polling["elapsed_seconds"] / incremental["elapsed_seconds"]
+        if incremental["elapsed_seconds"]
+        else float("inf")
+    )
     if os.environ.get("REPRO_BENCH_STRICT") != "1":
         # Correctness runs (the tier-1 suite collects this file) must not
         # rewrite the committed report with machine-local timings.
         return
-
-    REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {REPORT_PATH}:")
-    print(
-        json.dumps(
-            {
-                kind: report["refresh_speedup"]
-                for kind, report in payload["stores"].items()
-            },
-            indent=2,
-        )
+    assert speedup > 1.2, (
+        f"incremental refresh should beat a polling client; got {speedup:.2f}x "
+        f"({polling['elapsed_seconds']:.4f}s vs "
+        f"{incremental['elapsed_seconds']:.4f}s)"
     )
+
+    payload["incremental"] = incremental
+    payload["polling"] = polling
+    payload["refresh_speedup"] = round(speedup, 2)
+    REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"\nwrote {REPORT_PATH}: refresh_speedup {payload['refresh_speedup']}x")

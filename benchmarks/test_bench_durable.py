@@ -201,125 +201,3 @@ def test_durable_throughput_and_recovery_report():
         print(json.dumps(payload, indent=2))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-
-# ----------------------------------------------------------------------
-# Paper scale (>=100k records): binary codec vs the JSON WAL baseline
-# ----------------------------------------------------------------------
-PAPER_NUM_OBJECTS = 100
-PAPER_DURATION_SECONDS = 6000.0
-PAPER_REPORT_PATH = REPO_ROOT / "BENCH_durable_paper.json"
-
-
-def _paper_stream() -> List[PositioningRecord]:
-    records: List[PositioningRecord] = []
-    tick = 0
-    timestamp = 0.0
-    while timestamp < PAPER_DURATION_SECONDS:
-        for object_id in range(PAPER_NUM_OBJECTS):
-            ploc = (object_id + tick) % 23
-            records.append(
-                PositioningRecord(
-                    object_id,
-                    SampleSet.from_pairs([(ploc, 0.6), (ploc + 1, 0.4)]),
-                    timestamp + object_id * 0.01,
-                )
-            )
-        tick += 1
-        timestamp += REPORT_PERIOD_SECONDS
-    return records
-
-
-def test_durable_paper_scale_codec_comparison():
-    """Paper-scale (>=100k records) binary-vs-JSON WAL ingest and recovery.
-
-    Opt-in via ``REPRO_BENCH_PAPER=1``: streams the paper-scale load through
-    the durable store once per codec (``fsync="never"`` so the difference is
-    encode/parse cost, not disk sync), checkpoints, and measures cold
-    recovery — where the binary codec's lazy packed-snapshot path skips
-    per-record parsing entirely.  Recovered state is asserted identical to
-    the volatile oracle for both codecs.  Results land in
-    ``BENCH_durable_paper.json``.
-    """
-    import pytest
-
-    if os.environ.get("REPRO_BENCH_PAPER") != "1":
-        pytest.skip("paper-scale benchmark: set REPRO_BENCH_PAPER=1")
-
-    records = _paper_stream()
-    assert len(records) >= 100_000
-    batches = _stream_batches(records)
-    workdir = pathlib.Path(tempfile.mkdtemp(prefix="bench-durable-paper-"))
-    try:
-        oracle = IUPT.sharded(shard_seconds=SHARD_SECONDS)
-        volatile_elapsed = _ingest_all(oracle, batches)
-        oracle_rows = list(oracle.store.records_in_time_order())
-
-        results: Dict[str, Dict[str, object]] = {}
-        for codec in ("json", "binary"):
-            path = workdir / codec
-            table = IUPT.durable(
-                path,
-                shard_seconds=SHARD_SECONDS,
-                config=DurabilityConfig(codec=codec, fsync="never"),
-            )
-            began = time.perf_counter()
-            for batch in batches:
-                table.ingest_batch(batch)
-            first_answer = table.range_query(0.0, SHARD_SECONDS)
-            ingest_to_queryable = time.perf_counter() - began
-            assert first_answer
-            table.store.checkpoint()
-            table.store.close()
-
-            began = time.perf_counter()
-            recovered = DurableRecordStore(
-                path, config=DurabilityConfig(checkpoint_on_recover=False)
-            )
-            recovery_elapsed = time.perf_counter() - began
-            report = dict(recovered.recovery_report)
-            assert list(recovered.records_in_time_order()) == oracle_rows
-            recovered.close()
-
-            wal_bytes = sum(
-                f.stat().st_size for f in (path / "wal").glob("segment-*.wal")
-            )
-            snapshot_bytes = sum(
-                f.stat().st_size for f in (path / "snapshots").glob("*")
-            )
-            results[codec] = {
-                "ingest_to_queryable_s": round(ingest_to_queryable, 4),
-                "ingest_overhead_vs_volatile": round(
-                    ingest_to_queryable / volatile_elapsed, 2
-                ),
-                "cold_recovery_s": round(recovery_elapsed, 4),
-                "shards_loaded_lazily": report.get("shards_loaded_lazily", 0),
-                "wal_bytes": wal_bytes,
-                "snapshot_bytes": snapshot_bytes,
-            }
-
-        recovery_speedup = (
-            results["json"]["cold_recovery_s"] / results["binary"]["cold_recovery_s"]
-        )
-        payload = {
-            "benchmark": "durable-paper-scale-codec",
-            "codec": codec_info(),
-            "workload": {
-                "records": len(records),
-                "objects": PAPER_NUM_OBJECTS,
-                "duration_seconds": PAPER_DURATION_SECONDS,
-                "stream_batches": len(batches),
-                "shard_seconds": SHARD_SECONDS,
-            },
-            "by_codec": results,
-            "cold_recovery_speedup_binary_vs_json": round(recovery_speedup, 2),
-        }
-        PAPER_REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"\nwrote {PAPER_REPORT_PATH}:")
-        print(json.dumps(payload["by_codec"], indent=2))
-        assert results["binary"]["shards_loaded_lazily"] > 0
-        assert recovery_speedup > 1.0, (
-            f"binary cold recovery should beat JSON at paper scale; "
-            f"got {recovery_speedup:.2f}x"
-        )
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)

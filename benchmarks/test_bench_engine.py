@@ -156,7 +156,6 @@ def test_engine_throughput_synthetic_sharded():
         rooms_per_row=3,
         duration_seconds=240.0,
         seed=17,
-        store_kind="sharded",
         shard_seconds=60.0,
     )
     queries = overlapping_queries(

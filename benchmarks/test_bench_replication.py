@@ -77,7 +77,6 @@ def _scenario():
         rooms_per_row=3,
         duration_seconds=DURATION,
         seed=17,
-        store_kind="sharded",
         shard_seconds=SHARD_SECONDS,
     )
 
@@ -198,7 +197,7 @@ async def _ingest_stream(host: str, port: int, batches) -> int:
     last_seq = 0
     async with await ServiceClient.connect(host, port) as client:
         for batch in batches:
-            receipt = await client.ingest_batch(batch)  # binary=True default
+            receipt = await client.ingest_batch(batch)
             assert receipt["records_ingested"] == len(batch)
             last_seq = int(receipt["seq"])
     return last_seq

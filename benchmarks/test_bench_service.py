@@ -62,7 +62,6 @@ def _scenario():
         rooms_per_row=3,
         duration_seconds=DURATION,
         seed=17,
-        store_kind="sharded",
         shard_seconds=SHARD_SECONDS,
     )
 

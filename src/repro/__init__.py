@@ -83,7 +83,6 @@ from .storage import (
     DurableRecordStore,
     EvictedRangeError,
     IngestReceipt,
-    InMemoryRecordStore,
     RecordStore,
     ShardedRecordStore,
 )
@@ -138,7 +137,14 @@ from .system import IndoorFlowSystem
 # primitives only (flow / flows live on QueryEngine) and the TkPLQ algorithms
 # take the QueryPipeline they drive; IndoorFlowSystem moved to repro.system;
 # an S-location id the floor plan does not know raises ValueError everywhere.
-__version__ = "4.0.0"
+# 5.0.0: one record store and one record encoding. The flat in-memory store,
+# the store-kind / index-kind parameters and DurabilityConfig.codec are gone:
+# IUPT() is a table over ShardedRecordStore (IUPT.records is time order, its
+# data_key a shard-version token, eviction drops whole shards), WAL segments
+# and snapshots are always RSG1 / RSN1 (JSON-era directories still open), and
+# ingest_batch on the wire takes one RPK1 payload; the paper's two time
+# indexes live in repro.indexes, compared by experiments.ablation_indexes.
+__version__ = "5.0.0"
 
 __all__ = [
     "ALGORITHMS",
@@ -162,7 +168,6 @@ __all__ = [
     "IndoorLocationMatrix",
     "IndoorSpaceLocationGraph",
     "IngestReceipt",
-    "InMemoryRecordStore",
     "MethodOutcome",
     "MonteCarlo",
     "NaiveTkPLQ",

@@ -5,22 +5,21 @@ objects (Table 2 of the paper).  Following Section 3.3, the table is indexed
 on its time attribute so that the flow and TkPLQ algorithms can fetch exactly
 the records of a query window.
 
-Since the storage-layer refactor the table itself is a thin facade over a
-:class:`~repro.storage.base.RecordStore` backend:
-
-* :class:`~repro.storage.memory.InMemoryRecordStore` (default) — the seed
-  behaviour: one flat list behind whole-table 1D R-tree / B+-tree indexes;
-* :class:`~repro.storage.sharded.ShardedRecordStore` (via :meth:`IUPT.sharded`)
-  — time-partitioned shards whose sorted timestamp column is their only
-  index: shard-pruned, bisect-and-slice window queries, per-shard
-  versioning, and retention eviction.
+The table itself is a thin facade over a
+:class:`~repro.storage.base.RecordStore`.  There is one:
+:class:`~repro.storage.sharded.ShardedRecordStore` — time-partitioned shards
+whose sorted timestamp column is their only index (shard-pruned,
+bisect-and-slice window queries, per-shard versioning, retention eviction) —
+behind ``IUPT()`` / :meth:`IUPT.sharded`, and wrapped in a write-ahead log and
+snapshots behind :meth:`IUPT.durable`.  The paper's own two time indexes (the
+1D R-tree and the B+-tree) live in :mod:`repro.indexes`; the §3.3 index
+ablation builds them directly over a table's records.
 
 Streaming callers ingest through :meth:`IUPT.ingest_batch`, which costs one
-version bump per touched shard (one per batch on the flat store) instead of
-the historical one-bump-per-record, and the engine keys its cross-query
-presence cache on the *window-scoped* :meth:`IUPT.data_key_for`, so a new
-batch only invalidates cached presences whose query windows overlap the
-touched shards.
+version bump per touched shard instead of the historical one-bump-per-record,
+and the engine keys its cross-query presence cache on the *window-scoped*
+:meth:`IUPT.data_key_for`, so a new batch only invalidates cached presences
+whose query windows overlap the touched shards.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from ..storage import (
     DurabilityConfig,
     DurableRecordStore,
     IngestReceipt,
-    InMemoryRecordStore,
     RecordStore,
     ShardedRecordStore,
     StoreListener,
@@ -47,33 +45,14 @@ class IUPT:
 
     Parameters
     ----------
-    index_kind:
-        ``"1dr-tree"`` (default, the paper's choice) or ``"bplus-tree"``.
-        Both expose the same range-query semantics; the choice only affects
-        the index ablation benchmark.
     store:
-        The storage backend; defaults to a flat
-        :class:`~repro.storage.memory.InMemoryRecordStore` of ``index_kind``
-        (the seed behaviour).  Use :meth:`IUPT.sharded` for the
-        time-partitioned store.  A given store owns the index choice:
-        :attr:`index_kind` then reports the store's label.
+        The record store behind the table; defaults to a
+        :class:`~repro.storage.sharded.ShardedRecordStore` with the default
+        shard duration (``IUPT()`` ≡ ``IUPT.sharded()``).
     """
 
-    VALID_INDEXES = ("1dr-tree", "bplus-tree")
-
-    def __init__(
-        self, index_kind: str = "1dr-tree", store: Optional[RecordStore] = None
-    ):
-        if index_kind not in self.VALID_INDEXES:
-            raise ValueError(
-                f"unknown index kind {index_kind!r}; expected one of {self.VALID_INDEXES}"
-            )
-        # The backend owns the index choice; the facade must not be able to
-        # disagree with it (mislabeled ablation rows, clones whose index
-        # kind silently flips).
-        self._store: RecordStore = (
-            InMemoryRecordStore(index_kind) if store is None else store
-        )
+    def __init__(self, store: Optional[RecordStore] = None):
+        self._store: RecordStore = ShardedRecordStore() if store is None else store
 
     @classmethod
     def sharded(cls, shard_seconds: float = DEFAULT_SHARD_SECONDS) -> "IUPT":
@@ -102,17 +81,15 @@ class IUPT:
         )
 
     def _clone_empty(self) -> "IUPT":
-        """An empty table over a fresh store of the same kind and settings.
+        """An empty volatile table with this table's shard duration.
 
         Derived tables (:meth:`with_max_sample_set_size`,
         :meth:`filtered_to_objects`) of a *durable* table are volatile
-        sharded clones: they are transient experiment inputs, and silently
+        clones too: they are transient experiment inputs, and silently
         logging them into a second directory would be more surprising than
         useful.
         """
-        if isinstance(self._store, (ShardedRecordStore, DurableRecordStore)):
-            return IUPT.sharded(shard_seconds=self._store.shard_seconds)
-        return IUPT(index_kind=self.index_kind)
+        return IUPT.sharded(shard_seconds=self._store.shard_seconds)
 
     # ------------------------------------------------------------------
     # Loading
@@ -128,11 +105,9 @@ class IUPT:
     def ingest_batch(self, records: Iterable[PositioningRecord]) -> IngestReceipt:
         """Streaming ingestion: bulk-insert a batch and report what it touched.
 
-        On the sharded store the batch is sliced per time shard and each
-        touched shard appends its slice and bumps its version once, so
-        cached query results for non-overlapping windows stay valid.  The
-        flat store degenerates to per-record index inserts with a single
-        whole-table version bump.
+        The batch is sliced per time shard and each touched shard appends
+        its slice and bumps its version once, so cached query results for
+        non-overlapping windows stay valid.
         """
         return self._store.ingest_batch(records)
 
@@ -161,9 +136,9 @@ class IUPT:
 
         The cut-off is exclusive — a record at ``timestamp == cutoff`` always
         survives (see the boundary contract on
-        :meth:`~repro.storage.base.RecordStore.evict_before`).  Sharded and
-        durable stores drop whole shards; the flat store drops exactly the
-        strictly-older records.  Returns the number of records dropped.
+        :meth:`~repro.storage.base.RecordStore.evict_before`).  Whole shards
+        are dropped, so records of a partially covered trailing shard
+        survive.  Returns the number of records dropped.
         Later window queries that reach below the eviction watermark raise
         :class:`~repro.storage.base.EvictedRangeError` rather than silently
         returning partial flows.
@@ -178,7 +153,7 @@ class IUPT:
 
     @property
     def index_kind(self) -> str:
-        """The store's time-index label (one fixed label on sharded stores)."""
+        """The store's time-index label (read-only: ``"timestamp-column"``)."""
         return self._store.index_kind
 
     @property
@@ -192,8 +167,8 @@ class IUPT:
 
         Changes whenever any record is ingested (and differs between table
         instances).  Prefer :meth:`data_key_for` for caching derived
-        artefacts of one query window: on a sharded store the window-scoped
-        token survives ingestion into shards the window does not touch.
+        artefacts of one query window: the window-scoped token survives
+        ingestion into shards the window does not touch.
         """
         return self._store.version_token()
 
@@ -209,8 +184,7 @@ class IUPT:
 
     @property
     def records(self) -> Sequence[PositioningRecord]:
-        if isinstance(self._store, InMemoryRecordStore):
-            return self._store.records_in_arrival_order
+        """Every record in time order (arrival order on ties)."""
         return self._store.records_in_time_order()
 
     def object_ids(self) -> List[int]:
@@ -242,8 +216,8 @@ class IUPT:
         """Return the records whose timestamp falls into ``[start, end]``.
 
         This corresponds to the ``tree.RangeQuery([ts, te])`` call of
-        Algorithms 2-4 and goes through the store's time index; the sharded
-        store first prunes to the shards overlapping the window.
+        Algorithms 2-4 and goes through the store's time index, after
+        pruning to the shards overlapping the window.
         """
         return self._store.range_query(start, end)
 

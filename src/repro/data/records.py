@@ -200,24 +200,3 @@ class PositioningRecord:
 PositioningSequence = List[SampleSet]
 """A per-object time-ordered sequence of sample sets (``X = (X1, ..., Xn)``)."""
 
-
-# ----------------------------------------------------------------------
-# The JSON record payload (JSON WAL frames, JSON snapshots, NDJSON ingest)
-# ----------------------------------------------------------------------
-def record_to_payload(record: PositioningRecord) -> List[object]:
-    """``[object_id, timestamp, [[ploc, prob], ...]]`` — bit-exact floats."""
-    sample_set = record.sample_set
-    return [
-        record.object_id,
-        record.timestamp,
-        [[loc, prob] for loc, prob in zip(sample_set.ploc_ids, sample_set.probs)],
-    ]
-
-
-def record_from_payload(payload: Sequence[object]) -> PositioningRecord:
-    """The record of one payload; ``TypeError``/``ValueError`` when malformed."""
-    object_id, timestamp, samples = payload
-    sample_set = SampleSet(
-        Sample(int(ploc_id), float(prob)) for ploc_id, prob in samples
-    )
-    return PositioningRecord(int(object_id), sample_set, float(timestamp))

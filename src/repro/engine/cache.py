@@ -37,9 +37,9 @@ from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 from ..core.presence import PresenceComputation
 from ..data.records import SampleSet
 
-#: A data identity/version token — ``(uid, version)`` for a flat table,
-#: ``(uid, ((shard, version), ...))`` window-scoped for a sharded one; any
-#: hashable tuple from the storage layer's ``version_token``.
+#: A data identity/version token — ``(uid, ((shard, version), ...))`` over the
+#: shards a window overlaps; any hashable tuple from the storage layer's
+#: ``version_token``.
 DataKey = Tuple
 
 #: Cache key: (object id, window, query-set key, data identity/version).

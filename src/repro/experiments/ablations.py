@@ -5,9 +5,10 @@ Two ablations complement the paper's own experiments:
 * **data reduction ablation** — quantifies how much the intra-merge,
   inter-merge, and PSL pruning steps shrink the candidate path space and the
   running time (the paper's §5.2.1 reports the end-to-end effect only);
-* **index ablation** — compares the two time indexes (1D R-tree vs. B+-tree)
-  on the IUPT range query, and the raw vs. merged indoor location matrix
-  dimensions.
+* **index ablation** — compares the paper's two time indexes (1D R-tree vs.
+  B+-tree, built directly over the table's records) and the sorted timestamp
+  column the store answers from on the IUPT range query, and the raw vs.
+  merged indoor location matrix dimensions.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from ..core.paths import candidate_path_count
 from ..data import IUPT
 from ..engine import QueryEngine
 from ..eval import run_method
+from ..indexes import BPlusTree, OneDimensionalRTree
 from ..space import IndoorLocationMatrix
 from .config import get_real_scenario, real_scale
 from .runner import QuerySetting, split_into_time_batches
@@ -78,20 +80,27 @@ def ablation_indexes(scale: str = "small") -> List[Dict[str, object]]:
     knobs = real_scale(scale)
     start, end = scenario.query_interval(knobs.default_delta_seconds, seed=3)
 
+    # The paper's two trees (§3.3), bulk-loaded over the table's records, and
+    # the index the store actually answers from.
+    pairs = [(record.timestamp, record) for record in scenario.iupt.records]
+    variants = (
+        ("1dr-tree", OneDimensionalRTree.from_sorted(pairs).range_query),
+        ("bplus-tree", BPlusTree.bulk_load(pairs).range_query),
+        (scenario.iupt.index_kind, scenario.iupt.range_query),
+    )
+
     rows: List[Dict[str, object]] = []
-    for index_kind in ("1dr-tree", "bplus-tree"):
-        table = IUPT(index_kind=index_kind)
-        table.extend(scenario.iupt.records)
+    for variant, range_query in variants:
         began = time.perf_counter()
         repetitions = 50
         fetched = 0
         for _ in range(repetitions):
-            fetched = len(table.range_query(start, end))
+            fetched = len(range_query(start, end))
         elapsed = (time.perf_counter() - began) / repetitions
         rows.append(
             {
                 "component": "time-index",
-                "variant": index_kind,
+                "variant": variant,
                 "records_fetched": fetched,
                 "time_s": round(elapsed, 6),
             }
@@ -111,65 +120,13 @@ def ablation_indexes(scale: str = "small") -> List[Dict[str, object]]:
     return rows
 
 
-def ablation_storage(scale: str = "small") -> List[Dict[str, object]]:
-    """Compare the flat and sharded IUPT stores on the same report stream.
-
-    Measures per-record appends against batch ingestion on both backends and
-    a shard-boundary-straddling window query, reporting the shard pruning
-    the sharded store achieved.  (``benchmarks/test_bench_storage.py`` runs
-    the larger, asserted version of this comparison.)
-    """
-    scenario = get_real_scenario(scale)
-    knobs = real_scale(scale)
-    start, end = scenario.query_interval(knobs.default_delta_seconds, seed=3)
-    records = list(scenario.iupt.records)
-    shard_seconds = max(scenario.duration_seconds / 8.0, 1.0)
-
-    rows: List[Dict[str, object]] = []
-    for store_kind, build in (
-        ("flat", lambda: IUPT()),
-        ("sharded", lambda: IUPT.sharded(shard_seconds=shard_seconds)),
-    ):
-        for ingestion, load in (
-            ("per-record append", lambda t: [t.append(r) for r in records]),
-            ("ingest_batch", lambda t: t.ingest_batch(records)),
-        ):
-            table = build()
-            began = time.perf_counter()
-            load(table)
-            fetched = len(table.range_query(start, end))  # forces index build
-            ingest_elapsed = time.perf_counter() - began
-
-            began = time.perf_counter()
-            for _ in range(20):
-                table.range_query(start, end)
-            query_elapsed = (time.perf_counter() - began) / 20
-
-            row: Dict[str, object] = {
-                "store": store_kind,
-                "ingestion": ingestion,
-                "records": len(records),
-                "records_fetched": fetched,
-                "ingest_time_s": round(ingest_elapsed, 4),
-                "window_query_time_s": round(query_elapsed, 6),
-            }
-            if store_kind == "sharded":
-                store = table.store
-                row["shards"] = store.shard_count
-                row["shards_per_query"] = len(
-                    store.overlapping_shard_keys(start, end)
-                )
-            rows.append(row)
-    return rows
-
-
 def ablation_continuous(scale: str = "small") -> List[Dict[str, object]]:
     """Standing-query maintenance: incremental refresh vs. a polling client.
 
     Replays the tail of the real scenario's report stream as live batches
     while standing TkPLQ queries cover historical windows and the live edge,
-    once per store kind and strategy: ``incremental`` registers them with
-    the continuous-query engine; ``polling`` is a client without standing
+    once per strategy: ``incremental`` registers them with the
+    continuous-query engine; ``polling`` is a client without standing
     queries, re-issuing each of them on its own engine after every batch.
     The results are identical by construction (the differential harness in
     ``tests/test_continuous.py`` asserts it); the rows quantify how much
@@ -179,7 +136,7 @@ def ablation_continuous(scale: str = "small") -> List[Dict[str, object]]:
     version of this comparison.)
     """
     scenario = get_real_scenario(scale)
-    records = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+    records = scenario.iupt.records
     duration = scenario.duration_seconds
     history_end = duration / 2.0
     shard_seconds = max(duration / 8.0, 1.0)
@@ -198,48 +155,42 @@ def ablation_continuous(scale: str = "small") -> List[Dict[str, object]]:
     queries = [TkPLQuery.build(slocs, 3, start, end) for start, end in windows]
 
     rows: List[Dict[str, object]] = []
-    for store_kind in ("flat", "sharded"):
-        for strategy in ("incremental", "polling"):
-            table = (
-                IUPT.sharded(shard_seconds=shard_seconds)
-                if store_kind == "sharded"
-                else IUPT()
-            )
-            table.ingest_batch(history)
-            engine = QueryEngine(scenario.system.graph, scenario.system.matrix)
-            if strategy == "incremental":
-                continuous = engine.continuous(table)
-                for query in queries:
-                    continuous.register(query)
-                for batch in batches:
-                    table.ingest_batch(batch)
-                summary = continuous.describe()
-                continuous.close()
-            else:
-                summary = {
-                    "refreshes": 0,
-                    "skipped": 0,
-                    "objects_recomputed": 0,
-                    "objects_rekeyed": 0,
-                    "elapsed_seconds": 0.0,
-                }
+    for strategy in ("incremental", "polling"):
+        table = IUPT.sharded(shard_seconds=shard_seconds)
+        table.ingest_batch(history)
+        engine = QueryEngine(scenario.system.graph, scenario.system.matrix)
+        if strategy == "incremental":
+            continuous = engine.continuous(table)
+            for query in queries:
+                continuous.register(query)
+            for batch in batches:
+                table.ingest_batch(batch)
+            summary = continuous.describe()
+            continuous.close()
+        else:
+            summary = {
+                "refreshes": 0,
+                "skipped": 0,
+                "objects_recomputed": 0,
+                "objects_rekeyed": 0,
+                "elapsed_seconds": 0.0,
+            }
+            _poll(engine, table, queries, summary)
+            for batch in batches:
+                table.ingest_batch(batch)
                 _poll(engine, table, queries, summary)
-                for batch in batches:
-                    table.ingest_batch(batch)
-                    _poll(engine, table, queries, summary)
-            rows.append(
-                {
-                    "store": store_kind,
-                    "strategy": strategy,
-                    "standing_queries": len(windows),
-                    "batches_streamed": len(batches),
-                    "refreshes": summary["refreshes"],
-                    "skipped": summary["skipped"],
-                    "objects_recomputed": summary["objects_recomputed"],
-                    "objects_rekeyed": summary["objects_rekeyed"],
-                    "refresh_time_s": round(summary["elapsed_seconds"], 6),
-                }
-            )
+        rows.append(
+            {
+                "strategy": strategy,
+                "standing_queries": len(windows),
+                "batches_streamed": len(batches),
+                "refreshes": summary["refreshes"],
+                "skipped": summary["skipped"],
+                "objects_recomputed": summary["objects_recomputed"],
+                "objects_rekeyed": summary["objects_rekeyed"],
+                "refresh_time_s": round(summary["elapsed_seconds"], 6),
+            }
+        )
     return rows
 
 

@@ -33,7 +33,6 @@ EXPERIMENTS: Dict[str, ExperimentFn] = {
     # Reproduction-specific ablations.
     "ablation_reduction": ablations.ablation_reduction,
     "ablation_indexes": ablations.ablation_indexes,
-    "ablation_storage": ablations.ablation_storage,
     "ablation_continuous": ablations.ablation_continuous,
     "ablation_algorithms": ablations.ablation_algorithms,
 }

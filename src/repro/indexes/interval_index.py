@@ -83,8 +83,7 @@ class OneDimensionalRTree(Generic[T]):
         """Bulk-load constructor over records already sorted by timestamp.
 
         Skips the sort of :meth:`bulk_load` and packs the tree eagerly, so
-        the construction cost is paid here rather than on the first query —
-        the shape the flat store wants when an eviction rebuilds its index.
+        the construction cost is paid here rather than on the first query.
         Ties must already be in arrival order; the packed layout preserves
         the given order exactly.
         """

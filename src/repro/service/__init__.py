@@ -5,8 +5,9 @@ store, continuous queries — was only reachable in-process.  This package is
 the network-facing layer a production deployment needs:
 
 * :mod:`~repro.service.protocol` — the newline-delimited JSON wire protocol
-  (requests, structured errors, subscription push frames, record/query/result
-  serialisation with bit-exact float round-trips);
+  (requests, structured errors, subscription push frames, query/result
+  serialisation with bit-exact float round-trips, record batches as binary
+  ``RPK1`` payloads);
 * :mod:`~repro.service.server` — :class:`QueryService`, the asyncio server
   multiplexing many client connections onto one shared
   :class:`~repro.engine.runtime.QueryEngine`, running CPU-bound work on a
@@ -51,7 +52,6 @@ from .metrics import LatencyHistogram, ServiceMetrics
 from .protocol import (
     ERROR_KINDS,
     FrameAssembler,
-    FrameSplitter,
     MUTATING_OPS,
     OPS,
     PROTOCOL_VERSION,
@@ -65,9 +65,6 @@ from .protocol import (
     flows_to_wire,
     query_from_wire,
     receipt_to_wire,
-    record_from_wire,
-    records_from_wire,
-    records_to_wire,
     response_frame,
     result_to_wire,
 )
@@ -82,7 +79,6 @@ __all__ = [
     "ClientCore",
     "ERROR_KINDS",
     "FrameAssembler",
-    "FrameSplitter",
     "LatencyHistogram",
     "MUTATING_OPS",
     "OPS",
@@ -109,9 +105,6 @@ __all__ = [
     "flows_to_wire",
     "query_from_wire",
     "receipt_to_wire",
-    "record_from_wire",
-    "records_from_wire",
-    "records_to_wire",
     "response_frame",
     "result_to_wire",
 ]

@@ -62,8 +62,7 @@ class ClientCore:
 
     Incoming bytes run through a :class:`~repro.service.protocol.FrameAssembler`,
     so binary (``"bin"``-length-prefixed) frames are reassembled with their
-    payload attached under :data:`protocol.BIN_PAYLOAD` — the sans-I/O core
-    speaks both wire forms.
+    payload attached under :data:`protocol.BIN_PAYLOAD`.
     """
 
     def __init__(self, max_frame_bytes: Optional[int] = protocol.MAX_FRAME_BYTES) -> None:
@@ -253,16 +252,23 @@ class ServiceClient:
                     continue
                 try:
                     frame = protocol.decode_frame(line)
+                except ProtocolError:
+                    # Tolerate one garbled line rather than dying: the
+                    # stream is still at a line boundary.
+                    continue
+                try:
                     if protocol.BIN_LENGTH in frame:
                         need = protocol.binary_length(frame, protocol.MAX_FRAME_BYTES)
                         frame[protocol.BIN_PAYLOAD] = await self._reader.readexactly(
                             need
                         )
-                    event = self._core.feed_frame(frame)
                 except asyncio.IncompleteReadError:
                     break  # connection died mid-payload
                 except ProtocolError:
-                    continue  # tolerate one garbled frame rather than dying
+                    # A refused length declaration: the payload bytes that
+                    # follow cannot be told from frames — stop reading.
+                    break
+                event = self._core.feed_frame(frame)
                 if event[0] == "push":
                     self._route_push(event[1])
                 else:
@@ -407,23 +413,10 @@ class ServiceClient:
         """``queries``: dicts with ``q``/``k``/``start``/``end`` fields."""
         return await self.request("batch", queries=list(queries))
 
-    async def ingest_batch(
-        self, records: Iterable[PositioningRecord], binary: bool = True
-    ) -> dict:
-        """Ship a batch; by default as one packed RPK1 binary frame.
-
-        ``binary=False`` falls back to the per-record JSON wire form (useful
-        for debugging or non-Python peers); both decode to the same records
-        server-side, so receipts are identical.
-        """
-        if binary:
-            payload = protocol.records_to_payload(list(records))
-            return await self.request(
-                "ingest_batch", **{protocol.BIN_PAYLOAD: payload}
-            )
-        return await self.request(
-            "ingest_batch", records=protocol.records_to_wire(records)
-        )
+    async def ingest_batch(self, records: Iterable[PositioningRecord]) -> dict:
+        """Ship a batch as one packed RPK1 binary frame."""
+        payload = protocol.records_to_payload(list(records))
+        return await self.request("ingest_batch", **{protocol.BIN_PAYLOAD: payload})
 
     async def evict_before(self, timestamp: float) -> dict:
         return await self.request("evict_before", timestamp=timestamp)

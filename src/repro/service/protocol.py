@@ -9,7 +9,7 @@ serves the asyncio server, the client library, and offline tests.
 an ``op``::
 
     {"id": 1, "op": "top_k", "q": [3, 5, 9], "k": 2, "start": 0.0, "end": 60.0}
-    {"id": 2, "op": "ingest_batch", "records": [[7, 12.5, [[14, 0.6], [15, 0.4]]], ...]}
+    {"id": 2, "op": "ingest_batch", "bin": 4096}       # + 4096 raw RPK1 bytes
     {"id": 3, "op": "subscribe", "kind": "top_k", "q": [3, 5], "k": 1,
      "start": 0.0, "end": 60.0}
     {"id": 4, "op": "subscribe", "resume": 3}          # re-attach after a restart
@@ -36,6 +36,11 @@ the client is *bit-identical* to the in-process result — the service
 benchmark asserts exactly that against direct engine calls.  Flow mappings
 are serialised as ``[[sloc_id, flow], ...]`` pair lists (JSON object keys
 are strings; int-keyed dicts would not round-trip).
+
+**Records** have one wire form: a whole batch as one packed ``RPK1`` blob
+(:mod:`repro.codec.packed`) riding behind a header line that declares its
+byte length (``"bin"``) — ``ingest_batch`` requests, ``wal`` pushes and
+snapshot catch-up all carry it; no record is ever spelled as JSON.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..codec.packed import PackedRecordBatch, encode_batch
 from ..core.query import TkPLQResult, TkPLQuery
-from ..data.records import PositioningRecord, record_from_payload, record_to_payload
+from ..data.records import PositioningRecord
 from ..storage import EvictedRangeError, IngestReceipt
 
 PROTOCOL_VERSION = 2
@@ -62,7 +67,7 @@ PROTOCOL_VERSION = 2
 #: ``MAX_FRAME_BYTES`` bytes is the largest accepted, one byte more is
 #: rejected.  ``asyncio.StreamReader.readline`` enforces exactly this (it
 #: raises only when the separator's offset *exceeds* the limit), and the
-#: sans-I/O :class:`FrameSplitter` mirrors the same rule for the client
+#: sans-I/O :class:`FrameAssembler` mirrors the same rule for the client
 #: core and offline tests; ``tests/test_service.py`` pins both boundaries.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
@@ -160,7 +165,11 @@ def frame_payload(frame: Mapping[str, object]) -> bytes:
     """The binary payload a decoded frame carries (``bad_request`` if none)."""
     payload = frame.get(BIN_PAYLOAD)
     if payload is None:
-        raise ProtocolError("bad_request", "the frame carries no binary payload")
+        raise ProtocolError(
+            "bad_request",
+            'the frame carries no binary payload: records travel as one RPK1 '
+            'blob, N raw bytes behind a header line declaring {"bin": N}',
+        )
     return payload  # type: ignore[return-value]
 
 
@@ -304,8 +313,7 @@ def records_from_payload(payload: bytes) -> List[PositioningRecord]:
     """Decode a binary frame's ``RPK1`` blob back into records.
 
     Bit-exact on both codec backends (numpy and the stdlib ``array``
-    fallback produce and parse identical bytes), so a response computed
-    from a binary ingest equals one computed from the JSON form.
+    fallback produce and parse identical bytes).
     """
     try:
         return PackedRecordBatch.decode(payload).to_records()
@@ -386,31 +394,8 @@ def receipt_to_wire(receipt: IngestReceipt) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# Records and queries
+# Queries
 # ----------------------------------------------------------------------
-def records_to_wire(records: Iterable[PositioningRecord]) -> List[List[object]]:
-    """Records as JSON payloads ``[object_id, timestamp, [[ploc, prob], ...]]``."""
-    return [record_to_payload(record) for record in records]
-
-
-def record_from_wire(payload: object) -> PositioningRecord:
-    """Rebuild one record, mapping malformed payloads to :class:`ProtocolError`."""
-    try:
-        return record_from_payload(payload)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(
-            "bad_request", f"malformed positioning record {payload!r}: {error}"
-        ) from error
-
-
-def records_from_wire(payload: object) -> List[PositioningRecord]:
-    if not isinstance(payload, list):
-        raise ProtocolError(
-            "bad_request", "'records' must be a list of [oid, t, samples] triples"
-        )
-    return [record_from_wire(item) for item in payload]
-
-
 def query_from_wire(frame: Mapping[str, object]) -> TkPLQuery:
     """Build a :class:`~repro.core.query.TkPLQuery` from request fields.
 
@@ -466,62 +451,17 @@ def sloc_ids_from_wire(frame: Mapping[str, object]) -> List[int]:
     return sloc_ids
 
 
-class FrameSplitter:
-    """Incremental byte-stream → frame-line splitter (sans-I/O helper).
-
-    Feed it arbitrary byte chunks; it yields each complete ``\\n``-terminated
-    line exactly once, buffering partial tails.  The client core and the
-    protocol tests use it to exercise framing without a socket.
-
-    ``max_line_bytes`` enforces the :data:`MAX_FRAME_BYTES` boundary
-    contract: a line of exactly that many bytes (terminator excluded) is
-    accepted, a longer one — or a buffered tail that can no longer fit —
-    raises :class:`ProtocolError` (kind ``bad_frame``).  The stream cannot
-    be resynchronised after an overrun, matching the server's behaviour of
-    failing the connection.  ``None`` disables the check.
-    """
-
-    def __init__(self, max_line_bytes: Optional[int] = None) -> None:
-        self._buffer = bytearray()
-        self._max_line_bytes = max_line_bytes
-
-    def feed(self, chunk: bytes) -> List[bytes]:
-        self._buffer.extend(chunk)
-        limit = self._max_line_bytes
-        lines: List[bytes] = []
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline < 0:
-                if limit is not None and len(self._buffer) > limit:
-                    raise ProtocolError(
-                        "bad_frame",
-                        f"frame exceeds the {limit}-byte limit before any "
-                        f"terminator; the stream cannot be resynchronised",
-                    )
-                return lines
-            if limit is not None and newline > limit:
-                raise ProtocolError(
-                    "bad_frame",
-                    f"frame of {newline} bytes exceeds the {limit}-byte limit",
-                )
-            lines.append(bytes(self._buffer[:newline]))
-            del self._buffer[: newline + 1]
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
-
 class FrameAssembler:
     """Incremental byte stream → fully decoded frames, binary-aware.
 
-    The sans-I/O superset of :class:`FrameSplitter`: each complete frame
-    line is decoded, and a line declaring ``{"bin": N}`` swallows the next
-    ``N`` raw bytes as its payload (attached under :data:`BIN_PAYLOAD`)
-    before the frame is emitted.  Because the payload may contain ``\\n``
-    bytes, splitting and decoding cannot be layered independently — the
-    assembler owns the buffer and switches between line mode and
-    payload mode itself.
+    The sans-I/O framing helper of the client core and the offline tests:
+    feed it arbitrary byte chunks; each complete ``\\n``-terminated frame
+    line is decoded exactly once (partial tails are buffered), and a line
+    declaring ``{"bin": N}`` swallows the next ``N`` raw bytes as its
+    payload (attached under :data:`BIN_PAYLOAD`) before the frame is
+    emitted.  Because the payload may contain ``\\n`` bytes, splitting and
+    decoding cannot be layered independently — the assembler owns the
+    buffer and switches between line mode and payload mode itself.
 
     ``max_frame_bytes`` bounds both the line (terminator excluded,
     inclusive — the :data:`MAX_FRAME_BYTES` contract) and the declared

@@ -211,6 +211,14 @@ class PartitionRouter:
                     continue
                 try:
                     frame = protocol.decode_frame(line.rstrip(b"\n"))
+                except ProtocolError as error:
+                    # An undecodable line: the stream is still at a line
+                    # boundary, so answer and carry on.
+                    connection.send_frame(
+                        protocol.error_frame(None, error.kind, str(error))
+                    )
+                    continue
+                try:
                     if protocol.BIN_LENGTH in frame:
                         need = protocol.binary_length(
                             frame, protocol.MAX_FRAME_BYTES
@@ -221,10 +229,12 @@ class PartitionRouter:
                 except asyncio.IncompleteReadError:
                     break
                 except ProtocolError as error:
+                    # A lying length prefix cannot be resynchronised: the
+                    # bytes behind it must never be executed as frames.
                     connection.send_frame(
                         protocol.error_frame(None, error.kind, str(error))
                     )
-                    continue
+                    break
                 task = asyncio.ensure_future(
                     self._serve_request(connection, frame)
                 )

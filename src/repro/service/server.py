@@ -628,14 +628,9 @@ class QueryService:
         return {"results": [protocol.result_to_wire(result) for result in results]}
 
     def _do_ingest_batch(self, frame: dict) -> dict:
-        if protocol.BIN_PAYLOAD in frame:
-            # Binary ingest: the batch arrives as one packed RPK1 blob —
-            # no per-record JSON on the wire, no record_to_payload cost.
-            records = protocol.records_from_payload(
-                protocol.frame_payload(frame)
-            )
-        else:
-            records = protocol.records_from_wire(frame.get("records"))
+        # The batch arrives as one packed RPK1 blob; a frame without one
+        # (records spelled as JSON, say) is a bad_request.
+        records = protocol.records_from_payload(protocol.frame_payload(frame))
         receipt = self.iupt.ingest_batch(records)
         result = protocol.receipt_to_wire(receipt)
         store = self.iupt.store

@@ -1,19 +1,17 @@
-"""The record-store backend protocol of the IUPT storage layer.
+"""The record-store contract of the IUPT storage layer.
 
 The paper treats the IUPT as a static table behind a single time index; a
 production deployment instead receives positioning reports continuously and
 serves window queries concurrently.  This module defines the contract between
 the :class:`~repro.data.iupt.IUPT` facade (and through it the execution
-engine) and the storage backends that actually hold the records:
+engine) and the store that actually holds the records.  There is one
+container and one wrapper around it:
 
-* :class:`~repro.storage.memory.InMemoryRecordStore` — the seed behaviour:
-  one flat record list behind whole-table time indexes, per-record index
-  inserts, one version for the entire table;
 * :class:`~repro.storage.sharded.ShardedRecordStore` — time-partitioned
   shards, each indexed by its sorted timestamp column and carrying its own
   version, so window queries prune to overlapping shards, batch ingestion
   appends per touched shard, and retention can drop old shards;
-* :class:`~repro.storage.durable.DurableRecordStore` — a sharded store
+* :class:`~repro.storage.durable.DurableRecordStore` — the same store
   behind a write-ahead log and per-shard snapshots, so a process restart
   recovers the exact pre-crash state (see :mod:`repro.storage.durable`).
 
@@ -22,8 +20,7 @@ The key protocol addition over the historical ``IUPT`` internals is
 state of the records *visible to one window* rather than of the whole table.
 The engine keys its cross-query presence cache on that token, so ingesting a
 batch only invalidates cached artefacts whose query windows overlap the
-touched shards — the flat store degenerates to a whole-table token, which
-reproduces the seed's invalidate-everything behaviour.
+touched shards.
 
 Stores are also **observable**: :meth:`RecordStore.subscribe` registers a
 listener that receives an :class:`IngestEvent` after every ingestion and an
@@ -52,8 +49,6 @@ STORE_UIDS = itertools.count(1)
 #: :meth:`RecordStore.version_token`.
 VersionToken = Tuple
 
-STORE_KINDS = ("flat", "sharded")
-
 
 class EvictedRangeError(LookupError):
     """A window query reached into data dropped by retention eviction.
@@ -78,9 +73,9 @@ class EvictedRangeError(LookupError):
 class IngestReceipt:
     """What one :meth:`RecordStore.ingest_batch` call did.
 
-    ``shards_touched`` lists the shard keys whose version advanced (the flat
-    store reports the pseudo-shard ``"table"``); streaming callers can use it
-    to reason about which cached windows the batch invalidated.
+    ``shards_touched`` lists the shard keys whose version advanced; streaming
+    callers can use it to reason about which cached windows the batch
+    invalidated.
 
     ``object_spans`` summarises *whose* records the batch carried: one
     ``(object_id, earliest_ts, latest_ts)`` triple per distinct object, in
@@ -161,12 +156,12 @@ class RecordStore(ABC):
     every flow computation downstream relies on.
     """
 
-    #: Short backend identifier (``"flat"`` / ``"sharded"``).
+    #: Short backend identifier (``"sharded"`` / ``"durable"``).
     kind: str = "abstract"
 
-    #: Label of the time index answering :meth:`range_query`.  The sharded
-    #: stores have exactly one — each shard's sorted timestamp column; the
-    #: flat store offers the paper's two trees and overrides this.
+    #: Label of the time index answering :meth:`range_query`: each shard's
+    #: sorted timestamp column.  Read-only — the paper's two trees live in
+    #: :mod:`repro.indexes` and are compared by the §3.3 index ablation.
     index_kind: str = "timestamp-column"
 
     def __init__(self) -> None:
@@ -262,18 +257,16 @@ class RecordStore(ABC):
     def evict_before(self, timestamp: float) -> int:
         """Drop old records to enforce retention; returns how many were dropped.
 
-        **The retention boundary contract** (identical across backends, and
-        exercised by the flat-vs-sharded parity tests in
-        ``tests/test_storage.py``):
+        **The retention boundary contract** (exercised by the
+        eviction-boundary tests in ``tests/test_storage.py``):
 
         * the cut-off is **exclusive**: only records with
           ``record.timestamp < timestamp`` may be dropped; a record with
           ``timestamp == cutoff`` is *always* retained;
-        * a backend may retain *more* than the contract requires — the
+        * a store may retain *more* than the contract requires — the
           sharded store only drops whole shards, so records of a partially
           covered trailing shard survive.  When the cut-off falls exactly on
-          a shard boundary both backends drop exactly the records strictly
-          below it and behave identically;
+          a shard boundary it drops exactly the records strictly below it;
         * after an eviction that dropped records, :attr:`eviction_watermark`
           advances to ``w`` such that every record with ``timestamp < w`` is
           gone and no record with ``timestamp >= w`` was dropped.  An

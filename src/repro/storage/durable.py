@@ -45,10 +45,13 @@ structure maps one-to-one onto log segments and snapshot files:
   the recovered store is bit-identical to an in-memory oracle that applied
   exactly the committed batches.
 
-Everything is standard-library only (``json``, ``struct``, ``zlib``, ``os``);
-float timestamps and probabilities round-trip bit-exactly through the JSON
-payloads (``repr`` ↔ ``float``), the same guarantee the wire protocol relies
-on.
+Records have one serialised form: segment frames (``RSG1``) and snapshots
+(``RSN1``) carry the packed columnar ``RPK1`` layout of
+:mod:`repro.codec.packed`, bit-exact on both codec backends; only the control
+log is JSON (its frames are a few dozen bytes).  Builds before 5.0 could also
+write record frames as JSON; :func:`_legacy_json_records` still *reads* them,
+so such a directory opens unchanged, and every frame written after the reopen
+is binary.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from typing import (
 )
 
 from ..codec.packed import PackedRecordBatch, active_backend, encode_batch
-from ..data.records import PositioningRecord, record_from_payload, record_to_payload
+from ..data.records import PositioningRecord, Sample, SampleSet
 from .base import IngestReceipt, RecordStore, StoreListener, VersionToken
 from .sharded import DEFAULT_SHARD_SECONDS, ShardedRecordStore
 
@@ -91,8 +94,6 @@ FSYNC_KINDS = ("always", "batch", "never")
 
 #: How many recent commits keep their wall-clock time for lag-in-seconds.
 _COMMIT_TIME_WINDOW = 4096
-
-CODEC_KINDS = ("binary", "json")
 
 #: Frame header: payload byte length + CRC32 of the payload, big-endian.
 _FRAME_HEADER = struct.Struct(">II")
@@ -141,14 +142,6 @@ class DurabilityConfig:
         writes, file deletions), then raises :class:`SimulatedCrashError`
         immediately *before* the next one — i.e. it dies at a frame
         boundary, leaving whole frames on disk.  ``None`` disables.
-    ``codec``
-        Body encoding of segment frames and snapshots: ``"binary"``
-        (default) writes the packed columnar layout of
-        :mod:`repro.codec.packed`; ``"json"`` keeps the original JSON
-        payloads.  Recovery is codec-agnostic — every frame declares its
-        own encoding, so directories written by either (or both, across
-        restarts) recover identically; only the control log stays JSON
-        (its frames are a few dozen bytes).
     ``compact_above_bytes``
         Size-triggered WAL compaction: after a committed ingest pushes the
         total segment bytes past this threshold, the store checkpoints
@@ -169,7 +162,6 @@ class DurabilityConfig:
     snapshot_every_batches: Optional[int] = None
     checkpoint_on_recover: bool = True
     fail_after_writes: Optional[int] = None
-    codec: str = "binary"
     compact_above_bytes: Optional[int] = None
     follower_lag_cap_frames: int = 4096
 
@@ -177,10 +169,6 @@ class DurabilityConfig:
         if self.fsync not in FSYNC_KINDS:
             raise ValueError(
                 f"unknown fsync policy {self.fsync!r}; expected one of {FSYNC_KINDS}"
-            )
-        if self.codec not in CODEC_KINDS:
-            raise ValueError(
-                f"unknown WAL codec {self.codec!r}; expected one of {CODEC_KINDS}"
             )
         if self.snapshot_every_batches is not None and self.snapshot_every_batches < 1:
             raise ValueError("snapshot_every_batches must be at least 1 (or None)")
@@ -245,7 +233,7 @@ def _frame_bytes(body: bytes) -> bytes:
 
 
 def encode_wal_frame(payload: Mapping[str, object]) -> bytes:
-    """One JSON log frame: length/CRC header + compact JSON body."""
+    """One JSON log frame (the control log): length/CRC header + compact JSON."""
     return _frame_bytes(json.dumps(payload, separators=(",", ":")).encode("utf-8"))
 
 
@@ -269,12 +257,12 @@ def encode_snapshot_frame(
 def _parse_frame_body(body: bytes) -> Optional[dict]:
     """One frame body to its dict form; ``None`` when undecodable.
 
-    Binary bodies announce themselves with a magic prefix and carry their
+    Record frames announce themselves with a magic prefix and carry their
     records as a :class:`~repro.codec.packed.PackedRecordBatch` under the
-    ``"packed"`` key; everything else is the original compact JSON.  The
-    dispatch is per frame, so one segment file may freely mix codecs (a
-    store reopened under a different :attr:`DurabilityConfig.codec` keeps
-    appending to its existing segments).
+    ``"packed"`` key; everything else is compact JSON — the control log, and
+    the record frames of a directory written before 5.0.  The dispatch is per
+    frame, so a segment an older build started keeps growing with binary
+    frames after it.
     """
     prefix = body[:4]
     if prefix == SEGMENT_MAGIC:
@@ -338,7 +326,25 @@ def frame_records(frame: Mapping[str, object]) -> List[PositioningRecord]:
     packed = frame.get("packed")
     if packed is not None:
         return packed.to_records()
-    return [record_from_payload(p) for p in frame["records"]]
+    return _legacy_json_records(frame["records"])
+
+
+def _legacy_json_records(payloads: Sequence[object]) -> List[PositioningRecord]:
+    """The records of a JSON-era frame: ``[oid, t, [[ploc, prob], ...]]`` triples.
+
+    Nothing writes this form any more; the reader stays because it is the
+    only code that can open a directory an older build wrote.  Floats
+    round-trip bit-exactly (``repr`` ↔ ``float``); a malformed triple raises
+    ``TypeError`` / ``ValueError``.
+    """
+    return [
+        PositioningRecord(
+            int(object_id),
+            SampleSet(Sample(int(ploc), float(prob)) for ploc, prob in samples),
+            float(timestamp),
+        )
+        for object_id, timestamp, samples in payloads
+    ]
 
 
 class DurableRecordStore(RecordStore):
@@ -759,16 +765,9 @@ class DurableRecordStore(RecordStore):
             # a batch maps onto shards: the WAL frames mirror it exactly.
             slices = self._inner.slice_batch(batch)
             for key, slice_records in slices:
-                if self.config.codec == "binary":
-                    frame = encode_segment_frame(seq, slice_records)
-                else:
-                    frame = encode_wal_frame(
-                        {
-                            "seq": seq,
-                            "records": [record_to_payload(r) for r in slice_records],
-                        }
-                    )
-                self._append_segment_frame(key, frame)
+                self._append_segment_frame(
+                    key, encode_segment_frame(seq, slice_records)
+                )
             # The commit record makes the whole multi-shard batch atomic:
             # recovery ignores every frame of an uncommitted sequence.
             self._append_control_frame(
@@ -820,19 +819,11 @@ class DurableRecordStore(RecordStore):
         # checkpoint cost is proportional to what changed, not table size.
         for key, version, records in self._inner.shard_states(dirty):
             through = self._shard_last_seq.get(key, 0)
-            if self.config.codec == "binary":
-                frame = encode_snapshot_frame(key, version, through, records)
-            else:
-                frame = encode_wal_frame(
-                    {
-                        "shard": key,
-                        "version": version,
-                        "through": through,
-                        "records": [record_to_payload(r) for r in records],
-                    }
-                )
             self._fault_point()
-            self._atomic_write(self._snapshot_path(key), frame)
+            self._atomic_write(
+                self._snapshot_path(key),
+                encode_snapshot_frame(key, version, through, records),
+            )
             self._snapshotted_version[key] = version
             snapshots_written += 1
         # Every committed frame is folded into a snapshot now; uncommitted
@@ -1198,7 +1189,6 @@ class DurableRecordStore(RecordStore):
                 "kind": self.kind,
                 "directory": str(self._dir),
                 "fsync": self.config.fsync,
-                "codec": self.config.codec,
                 "codec_backend": active_backend(),
                 "snapshot_every_batches": self.config.snapshot_every_batches,
                 "compact_above_bytes": self.config.compact_above_bytes,

@@ -129,8 +129,8 @@ class _Shard:
         """Merge a time-sorted batch slice into this shard and bump its version.
 
         ``list.sort`` is stable, so records already present keep preceding
-        newly ingested ones on timestamp ties — the same arrival-order tie
-        rule the flat store's insort-based path follows.  A slice that starts
+        newly ingested ones on timestamp ties — the arrival-order tie rule of
+        the :class:`~repro.storage.base.RecordStore` contract.  A slice that starts
         at or after the shard's last record (a stream arriving in time order)
         is the sorted result as appended, so an ingest costs what the batch
         costs, not what the shard has grown to.

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..data.iupt import IUPT
 from ..data.records import PositioningRecord, Sample, SampleSet
-from ..storage import DEFAULT_SHARD_SECONDS, make_store
+from ..storage import DEFAULT_SHARD_SECONDS
 from ..data.trajectory import Trajectory, TrajectoryStore
 from ..geometry import Point, Rect
 from ..indexes import RTree
@@ -89,8 +89,6 @@ class WkNNPositioningSimulator:
     def generate(
         self,
         trajectories: TrajectoryStore,
-        index_kind: str = "1dr-tree",
-        store_kind: str = "flat",
         shard_seconds: Optional[float] = None,
         batch_seconds: float = 60.0,
     ) -> IUPT:
@@ -98,19 +96,12 @@ class WkNNPositioningSimulator:
 
         The reports are ingested the way a live deployment receives them:
         globally time-ordered, in batches of ``batch_seconds`` of traffic,
-        through :meth:`~repro.data.iupt.IUPT.ingest_batch`.  ``store_kind``
-        selects the storage backend (``"flat"`` or ``"sharded"``);
-        ``index_kind`` picks the flat store's tree and ``shard_seconds`` the
-        sharded store's partition duration.
+        through :meth:`~repro.data.iupt.IUPT.ingest_batch`.  ``shard_seconds``
+        overrides the table's partition duration.
         """
-        store = make_store(
-            kind=store_kind,
-            index_kind=index_kind,
-            shard_seconds=(
-                shard_seconds if shard_seconds is not None else DEFAULT_SHARD_SECONDS
-            ),
+        iupt = IUPT.sharded(
+            shard_seconds if shard_seconds is not None else DEFAULT_SHARD_SECONDS
         )
-        iupt = IUPT(store=store)
         self.stream_into(iupt, trajectories, batch_seconds=batch_seconds)
         return iupt
 
@@ -124,8 +115,8 @@ class WkNNPositioningSimulator:
 
         Returns the number of ingested records.  Mirrors a positioning
         backend forwarding report traffic to the storage layer every
-        ``batch_seconds``; on a sharded table each flush touches only the
-        shards its time slice overlaps.
+        ``batch_seconds``; each flush touches only the shards its time slice
+        overlaps.
         """
         if batch_seconds <= 0:
             raise ValueError("batch_seconds must be positive")

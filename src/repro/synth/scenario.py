@@ -101,7 +101,6 @@ def build_real_scenario(
     seed: int = 11,
     reduction: DataReductionConfig = DataReductionConfig.enabled(),
     with_rfid: bool = False,
-    store_kind: str = "flat",
     shard_seconds: Optional[float] = None,
 ) -> Scenario:
     """Build the university-floor scenario of Section 5.2.
@@ -109,9 +108,8 @@ def build_real_scenario(
     The defaults follow the paper's reported data characteristics; the
     duration defaults to 30 simulated minutes (the paper uses 150) to keep
     test and benchmark runtimes reasonable — pass a larger value for
-    paper-scale runs.  ``store_kind`` selects the IUPT storage backend
-    (``"flat"`` or ``"sharded"``); ``shard_seconds`` overrides the sharded
-    store's partition duration.
+    paper-scale runs.  ``shard_seconds`` overrides the table's partition
+    duration.
     """
     plan = build_university_floorplan()
     system = IndoorFlowSystem(plan, reduction=reduction)
@@ -132,9 +130,7 @@ def build_real_scenario(
         ),
         seed=seed + 1,
     )
-    iupt = positioning.generate(
-        trajectories, store_kind=store_kind, shard_seconds=shard_seconds
-    )
+    iupt = positioning.generate(trajectories, shard_seconds=shard_seconds)
 
     rfid = None
     if with_rfid:
@@ -174,7 +170,6 @@ def build_synthetic_scenario(
     seed: int = 23,
     reduction: DataReductionConfig = DataReductionConfig.enabled(),
     with_rfid: bool = False,
-    store_kind: str = "flat",
     shard_seconds: Optional[float] = None,
 ) -> Scenario:
     """Build the Vita-like synthetic scenario of Section 5.3.
@@ -189,9 +184,8 @@ def build_synthetic_scenario(
     ~2.1 m: with 12 m rooms, a larger µ (the historical default was 5 m,
     i.e. a 10 m candidate radius) makes the simulated WkNN report reference
     points from beyond a whole room away, which yields topologically
-    impossible positioning sequences and all-zero flows.  ``store_kind``
-    selects the IUPT storage backend (``"flat"`` or ``"sharded"``);
-    ``shard_seconds`` overrides the sharded store's partition duration.
+    impossible positioning sequences and all-zero flows.  ``shard_seconds``
+    overrides the table's partition duration.
     """
     building = GridBuildingGenerator(
         BuildingConfig(
@@ -227,9 +221,7 @@ def build_synthetic_scenario(
         ),
         seed=seed + 1,
     )
-    iupt = positioning.generate(
-        trajectories, store_kind=store_kind, shard_seconds=shard_seconds
-    )
+    iupt = positioning.generate(trajectories, shard_seconds=shard_seconds)
 
     rfid = None
     if with_rfid:

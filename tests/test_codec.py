@@ -10,12 +10,13 @@ Three contracts under test:
 * **kernel differential equality** — the vectorized
   :class:`~repro.codec.kernels.PresenceMatrix` kernels reproduce the
   scalar kernels' flows *bitwise* (``struct``-compared), the same
-  rankings, and the same ``flow_evaluations``, on the flat, sharded and
-  continuous engines;
+  rankings, and the same ``flow_evaluations``, on as-built, sharded and
+  continuous tables;
 * **durable-store codec compatibility** — binary WAL segments and
   snapshots recover bit-identically (including through the fault-injection
-  crash harness), old JSON directories stay recoverable, and segments may
-  mix JSON and binary frames across restarts.
+  crash harness), directories holding the JSON record frames of older builds
+  (``tests/json_era_store.py`` writes them by hand) stay recoverable, and a
+  segment they started keeps growing with binary frames.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ from repro.storage.durable import (
     DurableRecordStore,
     SimulatedCrashError,
     decode_wal_frames,
+    _legacy_json_records,
     encode_segment_frame,
     encode_wal_frame,
-    record_to_payload,
 )
+from tests.json_era_store import json_payloads, write_json_era_directory
 
 BACKENDS = [
     pytest.param(
@@ -211,14 +213,9 @@ class TestPackedProperties:
     @given(records=record_batches())
     @settings(max_examples=40, deadline=None)
     def test_packed_matches_json_payload_semantics(self, records):
-        # The codec and the JSON WAL payloads must rebuild the exact same
-        # records: both go through Sample(int, float) into SampleSet.
-        from repro.storage.durable import record_from_payload
-
-        via_json = [
-            record_from_payload(json.loads(json.dumps(record_to_payload(r))))
-            for r in records
-        ]
+        # The codec and the reader of JSON-era WAL payloads must rebuild the
+        # exact same records: both go through Sample(int, float) into SampleSet.
+        via_json = _legacy_json_records(json.loads(json.dumps(json_payloads(records))))
         via_packed = decode_batch(encode_batch(records))
         assert records_equal_bitwise(via_json, via_packed)
 
@@ -331,12 +328,12 @@ class TestVectorizedKernels:
                 query, entries, parent_cells, objects_total, batched
             )
 
-    @pytest.mark.parametrize("store_kind", ["flat", "sharded"])
+    @pytest.mark.parametrize("table", ["as-built", "sharded"])
     def test_flows_for_all_bit_identical_across_kernels(
-        self, small_real_scenario, store_kind
+        self, small_real_scenario, table
     ):
         scenario = small_real_scenario
-        if store_kind == "sharded":
+        if table == "sharded":
             iupt = IUPT.sharded(shard_seconds=60.0)
             iupt.ingest_batch(scenario.iupt.records)
         else:
@@ -431,11 +428,6 @@ def _batches(records, size=30):
 
 
 class TestDurableBinaryCodec:
-    def test_config_validates_codec(self):
-        with pytest.raises(ValueError):
-            DurabilityConfig(codec="protobuf")
-        assert DurabilityConfig().codec == "binary"
-
     def test_binary_segments_and_snapshots_recover_bit_identically(self, tmp_path):
         records = _stream()
         oracle = IUPT.sharded(shard_seconds=120.0)
@@ -456,7 +448,6 @@ class TestDurableBinaryCodec:
             recovered.records_in_time_order(), oracle.store.records_in_time_order()
         )
         assert recovered.version_token() == tokens
-        assert recovered.describe()["codec"] == "binary"
         recovered.close()
 
     def test_snapshot_recovery_is_lazy_until_queried(self, tmp_path):
@@ -507,50 +498,64 @@ class TestDurableBinaryCodec:
 
     def test_old_json_directory_recovers_under_binary_default(self, tmp_path):
         records = _stream()
-        json_config = DurabilityConfig(codec="json")
-        store = DurableRecordStore(
-            tmp_path / "t", shard_seconds=120.0, config=json_config
+        batches = _batches(records)
+        # The stream as this build writes it: the expected rows, versions, tokens.
+        with DurableRecordStore(tmp_path / "new", shard_seconds=120.0) as store:
+            for batch in batches:
+                store.ingest_batch(batch)
+            store.checkpoint()
+            store.ingest_batch(records[-2:])
+            expected = store.records_in_time_order()
+            versions, tokens = store.shard_versions(), store.version_token()
+            uid = store.uid
+        # ... and as an older build left it: JSON snapshots plus a JSON tail.
+        write_json_era_directory(
+            tmp_path / "t", 120.0, batches + [records[-2:]], len(batches), uid=uid
         )
-        for batch in _batches(records):
-            store.ingest_batch(batch)
-        store.checkpoint()
-        store.ingest_batch(records[-2:])
-        expected = store.records_in_time_order()
-        tokens = store.version_token()
-        store.close()
 
-        # Default (binary) config reads the JSON directory unchanged.
         recovered = DurableRecordStore(
             tmp_path / "t", config=DurabilityConfig(checkpoint_on_recover=False)
         )
+        report = recovered.recovery_report
+        assert report["shards_from_snapshot"] == len(versions)
+        assert report["frames_replayed"] == 1 and report["shards_loaded_lazily"] < len(versions)
         assert records_equal_bitwise(recovered.records_in_time_order(), expected)
+        assert recovered.shard_versions() == versions
         assert recovered.version_token() == tokens
+        # A checkpoint rewrites the shard the tail touched, and writes it
+        # binary; the untouched JSON snapshots stay as they are, and readable.
+        recovered.checkpoint()
         recovered.close()
+        forms = {}
+        for snapshot in (tmp_path / "t" / "snapshots").glob("shard-*.snap"):
+            (frame,), _ = decode_wal_frames(snapshot.read_bytes())
+            forms[frame["shard"]] = "packed" if "packed" in frame else "json"
+        tail_shard = max(versions)
+        assert forms == {key: "packed" if key == tail_shard else "json" for key in versions}
+        with DurableRecordStore(tmp_path / "t") as reopened:
+            assert records_equal_bitwise(reopened.records_in_time_order(), expected)
+            assert reopened.version_token() == tokens
 
     def test_mixed_codec_segments_recover(self, tmp_path):
         """One segment file carrying JSON frames then binary frames replays
         both: codec dispatch is per frame, not per file."""
         records = _stream(num_objects=4, ticks=20)
         half = len(records) // 2
+        # One shard: the older build's JSON frame and ours land in one segment.
+        write_json_era_directory(tmp_path / "t", 1e9, [records[:half]])
         store = DurableRecordStore(
-            tmp_path / "t",
-            shard_seconds=1e9,  # one shard: both codecs land in one segment
-            config=DurabilityConfig(codec="json"),
-        )
-        store.ingest_batch(records[:half])
-        store.close()
-        store = DurableRecordStore(
-            tmp_path / "t",
-            config=DurabilityConfig(codec="binary", checkpoint_on_recover=False),
+            tmp_path / "t", config=DurabilityConfig(checkpoint_on_recover=False)
         )
         store.ingest_batch(records[half:])
         expected = store.records_in_time_order()
+        assert records_equal_bitwise(expected, sorted(records, key=lambda r: r.timestamp))
+        assert store.shard_versions() == {0: 2}
         store.close()
 
         segment = next((tmp_path / "t" / "wal").glob("segment-*.wal"))
         frames, _ = decode_wal_frames(segment.read_bytes())
-        assert any("records" in frame for frame in frames)  # JSON era
-        assert any("packed" in frame for frame in frames)  # binary era
+        assert ["records" in frame for frame in frames] == [True, False]  # JSON era
+        assert ["packed" in frame for frame in frames] == [False, True]  # binary era
 
         recovered = DurableRecordStore(
             tmp_path / "t", config=DurabilityConfig(checkpoint_on_recover=False)

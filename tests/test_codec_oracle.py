@@ -428,10 +428,6 @@ class TestHostileInput:
             with pytest.raises(ProtocolError) as excinfo:
                 protocol.records_from_payload(blob)
             assert excinfo.value.kind == "bad_request", name
-        for payload in ([1, 5.0, [[3, math.nan]]], [1, 5.0, [[3, 0.5], [4, math.nan]]]):
-            with pytest.raises(ProtocolError) as excinfo:
-                protocol.records_from_wire([payload])
-            assert excinfo.value.kind == "bad_request"
 
     def test_wire_answers_bad_request(self, small_real_scenario, tmp_path):
         scenario = small_real_scenario
@@ -453,13 +449,13 @@ class TestHostileInput:
                             "ingest_batch", **{protocol.BIN_PAYLOAD: blob}
                         )
                     assert excinfo.value.kind == "bad_request", name
-                for record in (
-                    [1, 5.0, [[3, math.nan]]],
-                    [1, math.inf, [[3, 1.0]]],
-                ):
+                # Records spelled as JSON are refused whole, valid or not:
+                # the op takes one RPK1 payload.
+                for record in ([1, 5.0, [[3, 1.0]]], [1, 5.0, [[3, math.nan]]]):
                     with pytest.raises(ServiceError) as excinfo:
                         await client.request("ingest_batch", records=[record])
                     assert excinfo.value.kind == "bad_request", record
+                    assert "RPK1" in excinfo.value.message
                 assert (iupt.store.last_committed_seq, len(iupt.store)) == before
             await service.stop()
             iupt.store.close()

@@ -6,8 +6,10 @@ would compute from scratch over the table's current contents, after every
 interleaved ``ingest_batch`` / ``evict_before``.  The differential harness
 here (`run_differential_interleaving`, also driven by the hypothesis test in
 ``test_property_based.py``) asserts that over seeded-random interleavings on
-both store kinds; the unit tests pin the delta-maintenance mechanics (skips,
-re-keys, recomputes) and the eviction semantics.
+two shard geometries — 10-second shards, and one shard holding the whole
+stream, whose token churns on every batch and which retention never trims;
+the unit tests pin the delta-maintenance mechanics (skips, re-keys,
+recomputes) and the eviction semantics.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from repro.data.records import PositioningRecord
 from repro.space import IndoorLocationMatrix, IndoorSpaceLocationGraph
 from repro.storage import EvictedRangeError, EvictionEvent, IngestEvent
 
-STORE_KINDS = ("flat", "sharded")
 SHARD_SECONDS = 10.0
 SPAN = 60.0
+#: Shard duration per table geometry: the stream spans six shards, or one.
+GEOMETRIES = {"sharded": SHARD_SECONDS, "one-shard": 1e9}
 
 
 # ----------------------------------------------------------------------
@@ -99,10 +102,8 @@ def _batches(records: List[PositioningRecord]) -> List[List[PositioningRecord]]:
     return sliced
 
 
-def _make_table(store_kind: str) -> IUPT:
-    if store_kind == "sharded":
-        return IUPT.sharded(shard_seconds=SHARD_SECONDS)
-    return IUPT()
+def _make_table(geometry: str = "sharded") -> IUPT:
+    return IUPT.sharded(shard_seconds=GEOMETRIES[geometry])
 
 
 # ----------------------------------------------------------------------
@@ -137,19 +138,20 @@ def _check_subscription(engine: QueryEngine, iupt: IUPT, kind: str, sub) -> int:
     return sum(1 for flow in reference.values() if flow > 0.0)
 
 
-def run_differential_interleaving(seed: int, store_kind: str) -> int:
+def run_differential_interleaving(seed: int, geometry: str = "sharded") -> int:
     """One seeded interleaving of ingest / evict / reads, checked exhaustively.
 
     Registers four standing queries (two historical windows, one mid-stream,
     one covering the live edge), then streams the remaining batches in with
-    seeded-random evictions interleaved (sharded store only), asserting after
-    every step that every subscription is bit-identical to a fresh engine's
-    full recompute — or, once evicted, that both sides raise.  Returns the
-    number of non-zero flows observed (callers guard against vacuous runs).
+    seeded-random evictions interleaved (no-ops on the one-shard table),
+    asserting after every step that every subscription is bit-identical to a
+    fresh engine's full recompute — or, once evicted, that both sides raise.
+    Returns the number of non-zero flows observed (callers guard against
+    vacuous runs).
     """
     graph, matrix, plocs, slocs = _small_space()
     engine = QueryEngine(graph, matrix)
-    iupt = _make_table(store_kind)
+    iupt = _make_table(geometry)
     batches = _batches(_stream(seed, plocs))
     iupt.ingest_batch(batches[0])
     iupt.ingest_batch(batches[1])
@@ -168,16 +170,15 @@ def run_differential_interleaving(seed: int, store_kind: str) -> int:
     for batch in batches[2:]:
         iupt.ingest_batch(batch)
         frontier += SHARD_SECONDS
-        if store_kind == "sharded" and rng.random() < 0.3:
+        if rng.random() < 0.3:
             iupt.evict_before(rng.uniform(SHARD_SECONDS, frontier - SHARD_SECONDS))
         for kind, sub in subscriptions:
             nonzero += _check_subscription(engine, iupt, kind, sub)
 
-    if store_kind == "sharded":
-        # Final eviction reaching into the historical windows.
-        iupt.evict_before(15.0)
-        for kind, sub in subscriptions:
-            nonzero += _check_subscription(engine, iupt, kind, sub)
+    # Final eviction reaching into the historical windows.
+    iupt.evict_before(15.0)
+    for kind, sub in subscriptions:
+        nonzero += _check_subscription(engine, iupt, kind, sub)
     continuous.close()
     return nonzero
 
@@ -185,11 +186,11 @@ def run_differential_interleaving(seed: int, store_kind: str) -> int:
 class TestDifferentialHarness:
     """Incremental maintenance ≡ full recompute, over random interleavings."""
 
-    @pytest.mark.parametrize("store_kind", STORE_KINDS)
-    def test_five_seeds_bit_identical(self, store_kind):
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_five_seeds_bit_identical(self, geometry):
         nonzero = 0
         for seed in range(5):
-            nonzero += run_differential_interleaving(seed, store_kind)
+            nonzero += run_differential_interleaving(seed, geometry)
         assert nonzero > 0, (
             "every standing query saw only zero flows across all seeds; "
             "the bit-identity assertions were vacuous"
@@ -199,10 +200,10 @@ class TestDifferentialHarness:
 # ----------------------------------------------------------------------
 # Delta-maintenance mechanics
 # ----------------------------------------------------------------------
-def _continuous_setup(store_kind: str, seed: int = 3):
+def _continuous_setup(geometry: str = "sharded", seed: int = 3):
     graph, matrix, plocs, slocs = _small_space()
     engine = QueryEngine(graph, matrix)
-    iupt = _make_table(store_kind)
+    iupt = _make_table(geometry)
     batches = _batches(_stream(seed, plocs))
     for batch in batches[:3]:
         iupt.ingest_batch(batch)
@@ -211,7 +212,7 @@ def _continuous_setup(store_kind: str, seed: int = 3):
 
 class TestDeltaMaintenance:
     def test_disjoint_batch_skips_refresh_on_sharded_store(self):
-        engine, iupt, plocs, slocs, batches = _continuous_setup("sharded")
+        engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         sub = continuous.register_top_k(slocs, k=2, start=0.0, end=19.0)
         result_before = sub.result
@@ -220,15 +221,15 @@ class TestDeltaMaintenance:
         assert sub.stats.refreshes == 1  # just the registration compute
         assert sub.result is result_before  # not even re-scored
 
-    def test_disjoint_batch_rekeys_untouched_objects_on_flat_store(self):
-        engine, iupt, plocs, slocs, batches = _continuous_setup("flat")
+    def test_disjoint_batch_rekeys_untouched_objects_on_one_shard_table(self):
+        engine, iupt, plocs, slocs, batches = _continuous_setup("one-shard")
         continuous = engine.continuous(iupt)
         sub = continuous.register_top_k(slocs, k=2, start=0.0, end=19.0)
         computed_after_register = sub.stats.objects_recomputed
         window_objects = len(sub._object_ids)
         assert window_objects > 0
 
-        # The flat store's token churns on ANY ingestion, but none of these
+        # One shard's token churns on ANY ingestion, but none of these
         # records overlap the window — every artefact must be re-keyed, none
         # recomputed.
         iupt.ingest_batch(batches[4])
@@ -239,7 +240,7 @@ class TestDeltaMaintenance:
         assert engine.store.stats.rekeys >= window_objects
 
     def test_overlapping_batch_recomputes_only_touched_objects(self):
-        engine, iupt, plocs, slocs, batches = _continuous_setup("sharded")
+        engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         sub = continuous.register_top_k(slocs, k=2, start=0.0, end=29.0)
         computed_after_register = sub.stats.objects_recomputed
@@ -255,7 +256,7 @@ class TestDeltaMaintenance:
         assert sub.stats.objects_recomputed == computed_after_register + 1
 
     def test_refresh_result_tracks_new_data(self):
-        engine, iupt, plocs, slocs, _ = _continuous_setup("sharded")
+        engine, iupt, plocs, slocs, _ = _continuous_setup()
         continuous = engine.continuous(iupt)
         sub = continuous.register_flows(slocs, 0.0, 29.0)
         flow_before = sub.result[slocs[0]]
@@ -291,7 +292,7 @@ class TestDeltaMaintenance:
         assert sub.stats.churn_total >= 1
 
     def test_unregister_and_close_stop_refreshes(self):
-        engine, iupt, plocs, slocs, batches = _continuous_setup("sharded")
+        engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         sub = continuous.register_top_k(slocs, k=2, start=0.0, end=SPAN)
         assert continuous.unregister(sub)
@@ -311,7 +312,7 @@ class TestDeltaMaintenance:
 # ----------------------------------------------------------------------
 class TestContinuousEviction:
     def test_eviction_into_window_marks_subscription(self):
-        engine, iupt, plocs, slocs, _ = _continuous_setup("sharded")
+        engine, iupt, plocs, slocs, _ = _continuous_setup()
         continuous = engine.continuous(iupt)
         early = continuous.register_top_k(slocs, k=2, start=0.0, end=19.0)
         late = continuous.register_top_k(slocs, k=2, start=20.0, end=29.0)
@@ -325,7 +326,7 @@ class TestContinuousEviction:
         late.result  # still served
 
     def test_eviction_below_window_does_not_refresh(self):
-        engine, iupt, plocs, slocs, _ = _continuous_setup("sharded")
+        engine, iupt, plocs, slocs, _ = _continuous_setup()
         continuous = engine.continuous(iupt)
         late = continuous.register_top_k(slocs, k=2, start=20.0, end=29.0)
         refreshes = late.stats.refreshes
@@ -334,7 +335,7 @@ class TestContinuousEviction:
         assert late.stats.refreshes == refreshes
 
     def test_register_on_evicted_window_raises(self):
-        engine, iupt, plocs, slocs, _ = _continuous_setup("sharded")
+        engine, iupt, plocs, slocs, _ = _continuous_setup()
         iupt.evict_before(15.0)
         continuous = engine.continuous(iupt)
         with pytest.raises(EvictedRangeError):
@@ -347,7 +348,7 @@ class TestEvictionCacheInterplayToday:
     a warm presence cache must never mask retention eviction."""
 
     def test_repeated_top_k_after_eviction_raises_not_stale(self):
-        engine, iupt, plocs, slocs, _ = _continuous_setup("sharded")
+        engine, iupt, plocs, slocs, _ = _continuous_setup()
         window = (0.0, 29.0)
         first = engine.top_k(iupt, slocs, k=2, start=window[0], end=window[1])
         assert first.ranking  # the cache is now warm for this window
@@ -366,9 +367,9 @@ class TestEvictionCacheInterplayToday:
 # Storage events (the subscription hook itself)
 # ----------------------------------------------------------------------
 class TestStoreEvents:
-    @pytest.mark.parametrize("store_kind", STORE_KINDS)
-    def test_ingest_event_carries_sorted_object_spans(self, store_kind):
-        iupt = _make_table(store_kind)
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_ingest_event_carries_sorted_object_spans(self, geometry):
+        iupt = _make_table(geometry)
         events = []
         iupt.subscribe(events.append)
         iupt.ingest_batch(
@@ -387,7 +388,7 @@ class TestStoreEvents:
         assert receipt.objects_overlapping(10.0, 20.0) == {5}
         assert receipt.objects_overlapping(20.0, 30.0) == frozenset()
 
-    def test_flat_append_notifies(self):
+    def test_append_notifies(self):
         iupt = IUPT()
         events = []
         iupt.subscribe(events.append)
@@ -424,7 +425,7 @@ class TestPushCallbacks:
         """Ordering contract: when the callback runs, the subscription
         already serves the new result — ``sub.result`` inside the callback
         IS the result the callback received."""
-        engine, iupt, plocs, slocs, batches = _continuous_setup("sharded")
+        engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         observed = []
 
@@ -445,7 +446,7 @@ class TestPushCallbacks:
         assert pushed_ids == sub.top_k_ids()
 
     def test_on_update_skipped_refreshes_do_not_fire(self):
-        engine, iupt, plocs, slocs, batches = _continuous_setup("sharded")
+        engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         fired = []
         sub = continuous.register_top_k(
@@ -460,7 +461,7 @@ class TestPushCallbacks:
         assert fired == []
 
     def test_on_update_fires_per_applied_refresh_for_flows(self):
-        engine, iupt, plocs, slocs, batches = _continuous_setup("flat")
+        engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         fired = []
         sub = continuous.register_flows(
@@ -468,12 +469,12 @@ class TestPushCallbacks:
         )
         iupt.ingest_batch(batches[3])
         iupt.ingest_batch(batches[4])
-        # The flat store's whole-table token churns every batch: two fires.
+        # The window covers the whole stream, so every batch lands in it: two fires.
         assert len(fired) == 2
         assert fired[-1] == sub.result
 
     def test_callback_attachable_after_registration(self):
-        engine, iupt, plocs, slocs, batches = _continuous_setup("sharded")
+        engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         sub = continuous.register_top_k(slocs, k=2, start=0.0, end=SPAN)
         fired = []
@@ -482,7 +483,7 @@ class TestPushCallbacks:
         assert fired == [sub.sub_id]
 
     def test_on_evicted_fires_once_with_the_raised_error(self):
-        engine, iupt, plocs, slocs, batches = _continuous_setup("sharded")
+        engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         evictions = []
         sub = continuous.register_top_k(
@@ -502,9 +503,9 @@ class TestPushCallbacks:
 # Concurrent ingestion (the service's worker pool does exactly this)
 # ----------------------------------------------------------------------
 class TestConcurrentIngest:
-    @pytest.mark.parametrize("store_kind", STORE_KINDS)
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_concurrent_ingest_threads_keep_standing_results_exact(
-        self, store_kind
+        self, geometry
     ):
         """Regression for the unlocked ``_on_event``: several threads calling
         ``ingest_batch`` concurrently must serialise their refreshes — after
@@ -514,7 +515,7 @@ class TestConcurrentIngest:
 
         graph, matrix, plocs, slocs = _small_space()
         engine = QueryEngine(graph, matrix)
-        iupt = _make_table(store_kind)
+        iupt = _make_table(geometry)
         batches = [b for b in _batches(_stream(11, plocs, objects=6, count=120)) if b]
         continuous = engine.continuous(iupt)
         subs = [

@@ -19,8 +19,9 @@ from repro.data import (
     TrajectoryPoint,
     TrajectoryStore,
 )
-from repro.data.records import record_from_payload, record_to_payload
 from repro.geometry import Point
+from repro.indexes import BPlusTree, OneDimensionalRTree
+from repro.storage.durable import _legacy_json_records
 
 
 class TestSampleSet:
@@ -108,28 +109,33 @@ class TestSampleSet:
                     SampleSet.from_pairs(pairs, normalise=normalise)
 
     def test_json_payload_round_trip(self):
+        # Nothing writes the JSON record form any more; the reader of older
+        # durable directories must still turn a hand-written payload into
+        # the record it spelled.
         record = PositioningRecord(4, SampleSet.from_pairs([(3, 0.1), (9, 0.9)]), 12.5)
-        payload = record_to_payload(record)
-        assert payload == [4, 12.5, [[3, 0.1], [9, 0.9]]]
-        assert record_from_payload(json.loads(json.dumps(payload))) == record
+        payload = [4, 12.5, [[3, 0.1], [9, 0.9]]]
+        assert _legacy_json_records(json.loads(json.dumps([payload]))) == [record]
         with pytest.raises(ValueError):
-            record_from_payload([4, 12.5, [[3, float("nan")]]])
+            _legacy_json_records([[4, 12.5, [[3, float("nan")]]]])
 
 
 class TestIUPT:
-    def _build(self, index_kind="1dr-tree") -> IUPT:
-        iupt = IUPT(index_kind=index_kind)
+    def _build(self) -> IUPT:
+        iupt = IUPT()
         for t in range(10):
             iupt.report(object_id=t % 3, sample_set=SampleSet.certain(t), timestamp=float(t))
         return iupt
 
     def test_range_query_both_indexes_agree(self):
-        rtree_table = self._build("1dr-tree")
-        bplus_table = self._build("bplus-tree")
+        # The table's own index against the paper's two trees over its records.
+        table = self._build()
+        pairs = [(record.timestamp, record) for record in table.records]
+        rtree = OneDimensionalRTree.from_sorted(pairs)
+        bplus = BPlusTree.bulk_load(pairs)
         for window in ((0, 9), (2, 5), (7, 7)):
-            a = [(r.object_id, r.timestamp) for r in rtree_table.range_query(*window)]
-            b = [(r.object_id, r.timestamp) for r in bplus_table.range_query(*window)]
-            assert a == b
+            rows = table.range_query(*window)
+            assert [r.timestamp for r in rows] == list(range(window[0], window[1] + 1))
+            assert rows == rtree.range_query(*window) == bplus.range_query(*window)
 
     def test_sequences_in_groups_by_object_in_time_order(self):
         iupt = self._build()
@@ -144,10 +150,6 @@ class TestIUPT:
         record = truncated.range_query(0, 1)[0]
         assert record.plocation_set() == {1}
         assert len(iupt.range_query(0, 1)[0].sample_set) == 3  # original untouched
-
-    def test_unknown_index_kind(self):
-        with pytest.raises(ValueError):
-            IUPT(index_kind="hash")
 
     def test_summary_and_span(self):
         iupt = self._build()

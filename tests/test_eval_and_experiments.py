@@ -115,7 +115,7 @@ class TestExperiments:
             "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
             "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
             "ablation_reduction", "ablation_indexes", "ablation_algorithms",
-            "ablation_storage", "ablation_continuous",
+            "ablation_continuous",
         }
         assert expected <= set(EXPERIMENTS)
 
@@ -126,7 +126,9 @@ class TestExperiments:
     def test_ablation_indexes_rows(self):
         rows = run_experiment("ablation_indexes")
         variants = {row["variant"] for row in rows}
-        assert {"1dr-tree", "bplus-tree", "raw NxN", "merged MxM"} <= variants
+        assert {"1dr-tree", "bplus-tree", "timestamp-column", "raw NxN", "merged MxM"} <= variants
+        fetched = {row["records_fetched"] for row in rows if "records_fetched" in row}
+        assert len(fetched) == 1 and fetched.pop() > 0  # three indexes, one answer
         matrix_rows = {row["variant"]: row for row in rows if "dimension" in row}
         assert matrix_rows["merged MxM"]["dimension"] <= matrix_rows["raw NxN"]["dimension"]
 

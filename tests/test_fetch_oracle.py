@@ -209,26 +209,6 @@ class TestAgainstOracle:
         assert partial.records_materialised <= loaded_packed
         assert [store.version_token() for store in stores] == tokens
 
-    @pytest.mark.parametrize("index_kind", IUPT.VALID_INDEXES)
-    @given(batch_specs=_batches, windows=_windows)
-    @settings(max_examples=100, deadline=None)
-    def test_flat_tables_group_like_the_oracle(self, batch_specs, windows, index_kind):
-        # sequences_in no longer re-sorts per object: it leans on the store
-        # contract (time order, arrival order on ties), which both trees keep.
-        batches = build(batch_specs)
-        table = IUPT(index_kind=index_kind)
-        for batch in batches:
-            table.ingest_batch(batch)
-        arrival = [record for batch in batches for record in batch]
-        reference_table = IUPT(store=fed_store(batches))
-        for start, end in windows:
-            in_window = [r for r in arrival if start <= r.timestamp <= end]
-            expected = sorted(in_window, key=lambda record: record.timestamp)
-            found = table.range_query(start, end)
-            assert len(found) == len(expected)
-            assert all(a is b for a, b in zip(found, expected))
-            assert_same_sequences(table, reference_table, (start, end))
-
     def test_partly_built_shard_absorbs_in_order_and_late_batches(self):
         # The case (iii) must reach, spelled out: probe, append, merge.
         batches = build(

@@ -1,17 +1,31 @@
 """Layering and public surface: ``core`` never imports ``engine`` at run time,
-every exported name resolves, and the engine has exactly one knob."""
+every exported name resolves, the engine has exactly one knob, and a record has
+one store and one encoding — nothing takes a store, index or wire-form choice."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import pathlib
 
 import pytest
 
 import repro
-from repro import EngineConfig
+import repro.storage
+from repro import (
+    IUPT,
+    DurabilityConfig,
+    DurableRecordStore,
+    EngineConfig,
+    RecordStore,
+    ServiceClient,
+    ShardedRecordStore,
+    build_real_scenario,
+    build_synthetic_scenario,
+)
+from repro.synth.positioning import WkNNPositioningSimulator
 
 CORE_DIR = pathlib.Path(repro.__file__).parent / "core"
 
@@ -52,7 +66,10 @@ def test_core_does_not_import_engine_at_run_time(path):
             )
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.core", "repro.engine"])
+@pytest.mark.parametrize(
+    "package",
+    ["repro", "repro.core", "repro.engine", "repro.storage", "repro.service"],
+)
 def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
@@ -64,3 +81,42 @@ def test_engine_config_has_exactly_one_field():
     assert [field.name for field in dataclasses.fields(EngineConfig)] == [
         "presence_store_capacity"
     ]
+
+
+def test_durability_config_has_no_codec_field():
+    assert {field.name for field in dataclasses.fields(DurabilityConfig)} == {
+        "fsync",
+        "snapshot_every_batches",
+        "checkpoint_on_recover",
+        "fail_after_writes",
+        "compact_above_bytes",
+        "follower_lag_cap_frames",
+    }
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        IUPT.__init__,
+        build_real_scenario,
+        build_synthetic_scenario,
+        WkNNPositioningSimulator.generate,
+        ServiceClient.ingest_batch,
+    ],
+    ids=lambda function: function.__qualname__,
+)
+def test_no_store_index_or_wire_form_parameter(function):
+    parameters = set(inspect.signature(function).parameters)
+    assert not parameters & {"index_kind", "store_kind", "binary"}
+
+
+def test_there_is_one_record_store_and_its_durable_wrapper():
+    concrete = {
+        value
+        for value in vars(repro.storage).values()
+        if inspect.isclass(value)
+        and issubclass(value, RecordStore)
+        and not inspect.isabstract(value)
+    }
+    assert concrete == {ShardedRecordStore, DurableRecordStore}
+    assert type(IUPT().store) is ShardedRecordStore

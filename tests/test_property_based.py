@@ -170,15 +170,15 @@ class TestContinuousProperties:
     hypothesis-chosen stream seeds: every interleaving of ``ingest_batch`` /
     ``evict_before`` / result reads must leave every standing TkPLQ / flow
     result bit-identical to a fresh engine's recompute (or both sides must
-    raise ``EvictedRangeError``), on both store kinds.
+    raise ``EvictedRangeError``), on both shard geometries (six shards, one).
     """
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=8, deadline=None)
-    def test_incremental_matches_full_recompute_flat(self, seed):
+    def test_incremental_matches_full_recompute_one_shard(self, seed):
         from tests.test_continuous import run_differential_interleaving
 
-        run_differential_interleaving(seed, "flat")
+        run_differential_interleaving(seed, "one-shard")
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=8, deadline=None)

@@ -36,6 +36,7 @@ from repro.storage import (
     SimulatedCrashError,
 )
 from repro.storage.durable import WalCommit, WalEviction
+from tests.json_era_store import write_json_era_directory
 
 SHARD_SECONDS = 10.0
 
@@ -285,41 +286,6 @@ async def _assert_reads_match(primary_client, replica_client, slocs):
 
 
 # ----------------------------------------------------------------------
-# Binary ingest over the wire
-# ----------------------------------------------------------------------
-class TestBinaryIngest:
-    def test_binary_and_json_ingest_build_identical_tables(
-        self, small_real_scenario, tmp_path
-    ):
-        scenario = small_real_scenario
-        history, _ = _split_stream(scenario)
-        slocs = scenario.slocation_ids()
-
-        async def run():
-            svc_a, host_a, port_a = await _start_primary(
-                scenario, tmp_path / "bin"
-            )
-            svc_b, host_b, port_b = await _start_primary(
-                scenario, tmp_path / "json"
-            )
-            async with await ServiceClient.connect(host_a, port_a) as a, \
-                    await ServiceClient.connect(host_b, port_b) as b:
-                receipt_bin = await a.ingest_batch(history, binary=True)
-                receipt_json = await b.ingest_batch(history, binary=False)
-                assert receipt_bin == receipt_json
-                assert receipt_bin["seq"] == 1
-                assert await a.top_k(slocs, 3, 0.0, HISTORY) == \
-                    await b.top_k(slocs, 3, 0.0, HISTORY)
-            # The tables are bit-identical down to their version maps.
-            assert svc_a.iupt.store.shard_versions() == \
-                svc_b.iupt.store.shard_versions()
-            await svc_a.stop()
-            await svc_b.stop()
-
-        asyncio.run(run())
-
-
-# ----------------------------------------------------------------------
 # Read replicas
 # ----------------------------------------------------------------------
 class TestReplicaConvergence:
@@ -464,21 +430,14 @@ class TestReplicaConvergence:
         slocs = scenario.slocation_ids()
 
         async def run():
-            # First epoch: JSON-codec WAL frames.
+            # First epoch: an older build's JSON record frames, written by hand.
+            write_json_era_directory(tmp_path, SERVICE_SHARD_SECONDS, [history])
+            # Second epoch: the directory opened by this build — new frames
+            # are RPK1, old ones stay JSON (no checkpoint folds them away).
             iupt = IUPT.durable(
-                tmp_path,
-                shard_seconds=SERVICE_SHARD_SECONDS,
-                config=DurabilityConfig(codec="json"),
+                tmp_path, config=DurabilityConfig(checkpoint_on_recover=False)
             )
-            iupt.ingest_batch(history)
-            iupt.store.close()
-            # Second epoch: the same directory reopened under the binary
-            # codec — new frames are RPK1, old ones stay JSON.
-            iupt = IUPT.durable(
-                tmp_path,
-                shard_seconds=SERVICE_SHARD_SECONDS,
-                config=DurabilityConfig(codec="binary"),
-            )
+            assert iupt.store.recovery_report["frames_replayed"] > 0
             service = QueryService(
                 _make_engine(scenario), iupt, query_workers=2
             )
@@ -490,6 +449,7 @@ class TestReplicaConvergence:
                 )
                 rhost, rport = await replica.start()
                 await replica.wait_applied(seq)
+                assert replica.snapshot_catchups == 0  # replayed, JSON frame first
                 async with await ServiceClient.connect(rhost, rport) as rc:
                     await _assert_reads_match(primary, rc, slocs)
                 assert replica.iupt.store.version_token() == \
@@ -696,6 +656,43 @@ class TestPartitionRouter:
 # ----------------------------------------------------------------------
 # Client reconnection
 # ----------------------------------------------------------------------
+    @pytest.mark.parametrize("through", ["server", "router"])
+    def test_a_refused_bin_declaration_ends_the_connection(
+        self, small_real_scenario, tmp_path, through
+    ):
+        """The bytes behind a lying length prefix are payload, not frames: one
+        ``bad_frame`` reply, then EOF — the ``evict_before`` smuggled behind
+        the refused header must never run, on the server or through the router."""
+        scenario = small_real_scenario
+        history, _ = _split_stream(scenario)
+        smuggled = (
+            b'{"id":1,"op":"ingest_batch","bin":1000000000000000}\n'
+            b'{"id":2,"op":"evict_before","timestamp":1e18}\n'
+        )
+
+        async def run():
+            service, host, port = await _start_primary(
+                scenario, tmp_path, preload=history
+            )
+            router, address = None, (host, port)
+            if through == "router":
+                router = PartitionRouter((host, port), [])
+                address = await router.start()
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(smuggled)
+            await writer.drain()
+            replies = await asyncio.wait_for(reader.read(), timeout=10.0)  # to EOF
+            writer.close()
+            frames = FrameAssembler().feed(replies)
+            assert [frame["error"]["kind"] for frame in frames] == ["bad_frame"]
+            assert len(service.iupt) == len(history) > 0
+            if router is not None:
+                await router.stop()
+            await service.stop()
+
+        asyncio.run(run())
+
+
 class TestClientReconnect:
     def test_bounded_reconnect_with_backoff(self, small_real_scenario, tmp_path):
         scenario = small_real_scenario
@@ -738,5 +735,30 @@ class TestClientReconnect:
             with pytest.raises(ConnectionError):
                 await client.ping()
             await client.close()
+
+        asyncio.run(run())
+
+    def test_a_refused_bin_declaration_stops_the_read_loop(self):
+        """The client's side of the same rule: what follows a length
+        declaration it refuses is payload, never a reply to hand out."""
+
+        async def lying_server(reader, writer):
+            await reader.readline()
+            writer.write(
+                b'{"id":1,"ok":true,"bin":1000000000000000}\n'
+                b'{"id":1,"ok":true,"result":"smuggled"}\n'
+            )
+            await writer.drain()
+            writer.close()
+
+        async def run():
+            server = await asyncio.start_server(lying_server, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            client = await ServiceClient.connect(host, port)
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(client.ping(), timeout=10.0)
+            await client.close()
+            server.close()
+            await server.wait_closed()
 
         asyncio.run(run())

@@ -35,7 +35,7 @@ from repro.service.admission import (
 )
 from repro.service.client import ClientCore
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
-from repro.service.protocol import FrameSplitter, ProtocolError
+from repro.service.protocol import FrameAssembler, ProtocolError
 from repro.storage import EvictedRangeError
 
 
@@ -58,19 +58,6 @@ class TestProtocol:
         with pytest.raises(ProtocolError) as excinfo:
             protocol.decode_frame(b"[1, 2, 3]")
         assert excinfo.value.kind == "bad_frame"
-
-    def test_record_round_trip_is_bit_exact(self, figure1_iupt):
-        records = list(figure1_iupt.records)
-        wire = protocol.records_to_wire(records)
-        rebuilt = protocol.records_from_wire(json.loads(json.dumps(wire)))
-        assert rebuilt == records  # PositioningRecord/SampleSet equality
-
-    def test_malformed_record_raises_bad_request(self):
-        with pytest.raises(ProtocolError) as excinfo:
-            protocol.records_from_wire([[1, "not-a-time", "nope"]])
-        assert excinfo.value.kind == "bad_request"
-        with pytest.raises(ProtocolError):
-            protocol.records_from_wire({"records": []})
 
     def test_query_from_wire_validates(self):
         query = protocol.query_from_wire(
@@ -102,12 +89,12 @@ class TestProtocol:
         assert (error["start"], error["end"], error["watermark"]) == (0.0, 60.0, 120.0)
 
     def test_frame_splitter_handles_partial_chunks(self):
-        splitter = FrameSplitter()
+        splitter = FrameAssembler()
         assert splitter.feed(b'{"a":') == []
         assert splitter.pending_bytes > 0
-        lines = splitter.feed(b'1}\n{"b":2}\n{"tail"')
-        assert lines == [b'{"a":1}', b'{"b":2}']
-        assert splitter.feed(b":3}\n") == [b'{"tail":3}']
+        frames = splitter.feed(b'1}\n{"b":2}\n{"tail"')
+        assert frames == [{"a": 1}, {"b": 2}]
+        assert splitter.feed(b":3}\n") == [{"tail": 3}]
         assert splitter.pending_bytes == 0
 
 
@@ -770,26 +757,33 @@ class TestServerIntegration:
 # Frame-size boundary contract (MAX_FRAME_BYTES is inclusive, newline excl.)
 # ----------------------------------------------------------------------
 class TestFrameSizeBoundary:
+    @staticmethod
+    def _line(size: int) -> bytes:
+        """A JSON-object frame line of exactly ``size`` bytes, terminator excluded."""
+        line = b'{"a":"' + b"x" * (size - 8) + b'"}'
+        assert len(line) == size
+        return line
+
     def test_splitter_accepts_exactly_the_limit(self):
-        splitter = FrameSplitter(max_line_bytes=16)
-        assert splitter.feed(b"x" * 16 + b"\n") == [b"x" * 16]
+        splitter = FrameAssembler(max_frame_bytes=16)
+        assert splitter.feed(self._line(16) + b"\n") == [{"a": "x" * 8}]
 
     def test_splitter_rejects_one_byte_over(self):
-        splitter = FrameSplitter(max_line_bytes=16)
+        splitter = FrameAssembler(max_frame_bytes=16)
         with pytest.raises(ProtocolError) as excinfo:
-            splitter.feed(b"x" * 17 + b"\n")
+            splitter.feed(self._line(17) + b"\n")
         assert excinfo.value.kind == "bad_frame"
 
     def test_splitter_rejects_terminatorless_flood_early(self):
         """A stream with no newline must fail as soon as it cannot fit."""
-        splitter = FrameSplitter(max_line_bytes=8)
+        splitter = FrameAssembler(max_frame_bytes=8)
         splitter.feed(b"x" * 8)  # could still become a max-size line
         with pytest.raises(ProtocolError):
             splitter.feed(b"x")  # now it cannot
 
     def test_splitter_unlimited_when_unconfigured(self):
-        splitter = FrameSplitter()
-        assert splitter.feed(b"x" * 1024 + b"\n") == [b"x" * 1024]
+        splitter = FrameAssembler(max_frame_bytes=None)
+        assert splitter.feed(self._line(1024) + b"\n") == [{"a": "x" * 1016}]
 
     def test_client_core_enforces_the_wire_limit(self):
         core = ClientCore(max_frame_bytes=64)

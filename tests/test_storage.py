@@ -1,9 +1,11 @@
-"""Tests for the storage layer: flat/sharded equivalence, versioning, eviction.
+"""Tests for the storage layer: shard-geometry equivalence, versioning, eviction.
 
-The property the whole layer hangs on: a sharded table is *indistinguishable*
-from a flat one through every query path — range queries, per-object
-sequences, flows, and TkPLQ rankings must be bit-identical — while ingestion
-versions advance per shard and window queries prune to overlapping shards.
+The property the whole layer hangs on: shard boundaries never change an
+answer.  A many-shard table is *indistinguishable* from a one-shard table
+(``shard_seconds=1e9``) and from a stable time sort of the arrivals through
+every query path — range queries, per-object sequences, flows, and TkPLQ
+rankings must be bit-identical — while ingestion versions advance per shard
+and window queries prune to overlapping shards.
 """
 
 from __future__ import annotations
@@ -14,12 +16,10 @@ import pytest
 
 from repro import IUPT, QueryEngine, SampleSet
 from repro.data.records import PositioningRecord
-from repro.storage import (
-    EvictedRangeError,
-    InMemoryRecordStore,
-    ShardedRecordStore,
-    make_store,
-)
+from repro.storage import DurableRecordStore, EvictedRangeError, ShardedRecordStore
+
+#: One shard holds every timestamp the tests use: no boundary can matter.
+ONE_SHARD_SECONDS = 1e9
 
 
 def _record(object_id: int, ploc: int, timestamp: float) -> PositioningRecord:
@@ -36,15 +36,26 @@ def _mixed_records(count: int = 120, seed: int = 5):
     return records
 
 
+def _rows(records):
+    return [(r.object_id, r.timestamp, r.sample_set) for r in records]
+
+
+def _sorted_window(arrivals, start, end):
+    """The reference model: a stable time sort of the arrivals, filtered."""
+    ordered = sorted(arrivals, key=lambda r: r.timestamp)
+    return [r for r in ordered if start <= r.timestamp <= end]
+
+
 class TestStoreEquivalence:
     @pytest.fixture()
     def pair(self):
-        flat = IUPT()
+        one_shard = IUPT.sharded(shard_seconds=ONE_SHARD_SECONDS)
         sharded = IUPT.sharded(shard_seconds=10.0)
         records = _mixed_records()
-        flat.extend(records)
+        one_shard.extend(records)
         sharded.ingest_batch(records)
-        return flat, sharded
+        assert one_shard.store.shard_count == 1 and sharded.store.shard_count == 6
+        return one_shard, sharded
 
     @pytest.mark.parametrize(
         "window",
@@ -58,46 +69,52 @@ class TestStoreEquivalence:
         ],
     )
     def test_range_query_identical(self, pair, window):
-        flat, sharded = pair
-        flat_result = [
-            (r.object_id, r.timestamp, r.sample_set)
-            for r in flat.range_query(*window)
-        ]
-        sharded_result = [
-            (r.object_id, r.timestamp, r.sample_set)
-            for r in sharded.range_query(*window)
-        ]
-        assert flat_result == sharded_result
+        one_shard, sharded = pair
+        expected = _rows(_sorted_window(_mixed_records(), *window))
+        assert _rows(one_shard.range_query(*window)) == expected
+        assert _rows(sharded.range_query(*window)) == expected
 
     def test_streamed_batches_keep_arrival_order_on_ties(self):
         """In-order batches are appended, late ones merged: either way a tie
-        on the timestamp keeps the earlier arrival first, as the flat store does."""
+        on the timestamp keeps the earlier arrival first, as a stable sort does."""
         ordered = sorted(_mixed_records(), key=lambda r: r.timestamp)
         cut = next(  # a batch boundary that splits a tie
             i for i in range(20, len(ordered)) if ordered[i - 1].timestamp == ordered[i].timestamp
         )
         late = [_record(9, 1, ordered[cut].timestamp), _record(9, 2, 0.0)]
         batches = [ordered[:cut], ordered[cut:cut + 1], ordered[cut + 1:], late]
-        flat = IUPT()
+        one_shard = IUPT.sharded(shard_seconds=ONE_SHARD_SECONDS)
         sharded = IUPT.sharded(shard_seconds=10.0)
         for batch in batches:
-            flat.extend(batch)
+            one_shard.extend(batch)
             sharded.ingest_batch(batch)
-        assert [(r.object_id, r.timestamp) for r in sharded.range_query(0.0, 60.0)] == [
-            (r.object_id, r.timestamp) for r in flat.range_query(0.0, 60.0)
-        ]
+        arrivals = [record for batch in batches for record in batch]
+        expected = _rows(_sorted_window(arrivals, 0.0, 60.0))
+        assert _rows(sharded.range_query(0.0, 60.0)) == expected
+        assert _rows(one_shard.range_query(0.0, 60.0)) == expected
+        assert _rows(sharded.records) == _rows(one_shard.records) == expected
 
     def test_sequences_identical_across_boundaries(self, pair):
-        flat, sharded = pair
+        one_shard, sharded = pair
         for window in ((0.0, 60.0), (9.0, 31.0), (19.9, 20.1)):
-            assert flat.sequences_in(*window) == sharded.sequences_in(*window)
+            expected = {}
+            for record in _sorted_window(_mixed_records(), *window):
+                expected.setdefault(record.object_id, []).append(record.sample_set)
+            expected = dict(sorted(expected.items()))
+            for table in (one_shard, sharded):
+                sequences = table.sequences_in(*window)
+                assert sequences == expected
+                assert list(sequences) == list(expected)  # ascending object id
 
     def test_introspection_matches(self, pair):
-        flat, sharded = pair
-        assert len(flat) == len(sharded)
-        assert flat.object_ids() == sharded.object_ids()
-        assert flat.time_span() == sharded.time_span()
-        assert flat.summary()["records"] == sharded.summary()["records"]
+        one_shard, sharded = pair
+        records = _mixed_records()
+        stamps = [r.timestamp for r in records]
+        for table in (one_shard, sharded):
+            assert len(table) == len(records)
+            assert table.object_ids() == sorted({r.object_id for r in records})
+            assert table.time_span() == (min(stamps), max(stamps))
+            assert table.summary()["records"] == len(records)
 
     def test_transformations_preserve_store_kind(self, pair):
         _, sharded = pair
@@ -109,20 +126,18 @@ class TestStoreEquivalence:
         assert filtered.object_ids() == [0, 1]
 
     def test_sharded_tables_report_one_fixed_index_label(self, pair):
-        # The sharded store's only index is its sorted timestamp columns; the
-        # flat store keeps the paper's two trees (and the choice).
-        flat, sharded = pair
+        # The store's only index is its sorted timestamp columns; the label
+        # is read-only and nothing takes an index choice any more.
         label = "timestamp-column"
-        assert sharded.index_kind == sharded.store.describe()["index_kind"] == label
-        assert sharded.filtered_to_objects([0]).index_kind == label
-        assert make_store(kind="sharded", index_kind="bplus-tree").index_kind == label
-        assert IUPT(index_kind="bplus-tree", store=sharded.store).index_kind == label
-        assert flat.index_kind == flat.store.describe()["index_kind"] == "1dr-tree"
-        assert make_store(kind="flat", index_kind="bplus-tree").index_kind == "bplus-tree"
+        for table in (*pair, IUPT()):
+            assert table.index_kind == table.store.describe()["index_kind"] == label
+            assert table.filtered_to_objects([0]).index_kind == label
         with pytest.raises(TypeError):
             ShardedRecordStore(index_kind="1dr-tree")
         with pytest.raises(TypeError):
             IUPT.sharded(index_kind="1dr-tree")
+        with pytest.raises(TypeError):
+            IUPT(index_kind="1dr-tree")
 
 
 class TestShardedStore:
@@ -176,8 +191,6 @@ class TestShardedStore:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ShardedRecordStore(shard_seconds=0.0)
-        with pytest.raises(ValueError):
-            make_store(kind="replicated")
 
 
 class TestEviction:
@@ -208,7 +221,7 @@ class TestEviction:
         A silently partial flow would look exactly like a small real flow;
         the storage layer must make the truncation impossible to miss.
         """
-        iupt, engine = _figure_like_table(sharded=True)
+        iupt, engine = _figure_like_table()
         iupt.evict_before(15.0)
         with pytest.raises(EvictedRangeError):
             engine.flow(iupt, 0, 0.0, 30.0)
@@ -221,37 +234,6 @@ class TestEviction:
         with pytest.raises(ValueError):
             store.ingest_batch([_record(9, 1, 5.0)])
 
-    def test_flat_store_evicts_strictly_below_cutoff(self):
-        flat = InMemoryRecordStore()
-        flat.ingest_batch([_record(1, 1, float(t)) for t in range(0, 50)])
-        dropped = flat.evict_before(25.0)
-        assert dropped == 25
-        assert flat.eviction_watermark == 25.0
-        assert len(flat) == 25
-        # The survivor set starts exactly at the cut-off (inclusive).
-        assert flat.records_in_time_order()[0].timestamp == 25.0
-        with pytest.raises(EvictedRangeError):
-            flat.range_query(5.0, 45.0)
-        with pytest.raises(ValueError):
-            flat.ingest_batch([_record(9, 1, 5.0)])  # no refilling history
-        # Windows starting at the watermark still answer; both index kinds
-        # were rebuilt consistently.
-        assert len(flat.range_query(25.0, 49.0)) == 25
-
-    def test_flat_eviction_bumps_version_and_notifies(self):
-        flat = InMemoryRecordStore()
-        flat.ingest_batch([_record(1, 1, float(t)) for t in range(10)])
-        events = []
-        flat.subscribe(events.append)
-        token = flat.version_token()
-        assert flat.evict_before(5.0) == 5
-        assert flat.version_token() != token  # cached artefacts must die
-        assert len(events) == 1 and events[0].records_dropped == 5
-        # Dropping nothing is a no-op: no event, no watermark movement.
-        assert flat.evict_before(3.0) == 0
-        assert len(events) == 1
-        assert flat.eviction_watermark == 5.0
-
     def test_eviction_below_a_window_keeps_its_token(self):
         """Routine retention must not invalidate cached windows above it."""
         store = self._store()
@@ -261,28 +243,32 @@ class TestEviction:
 
 
 class TestEvictionBoundaryParity:
-    """The retention boundary contract of ``storage/base.py``, flat vs sharded.
+    """The retention boundary contract of ``storage/base.py``, across geometries.
 
-    With the cut-off exactly on a shard boundary the two backends must be
-    observationally identical: a record with ``timestamp == cutoff`` always
-    survives, the watermark lands on the cut-off, and a window starting
-    exactly at the watermark never raises.
+    With the cut-off exactly on a shard boundary the store honours the
+    exclusive cut-off exactly, whatever the shard duration: a record with
+    ``timestamp == cutoff`` always survives, the watermark lands on the
+    cut-off, a window starting exactly at the watermark never raises, and the
+    survivors are the stable time sort of the arrivals at or above it.
     """
 
-    CUTOFF = 20.0  # == a shard boundary for shard_seconds=10
+    CUTOFF = 20.0  # a shard boundary for every duration below
+
+    def _arrivals(self):
+        records = [_record(1, 1, float(t)) for t in range(0, 40, 2)]
+        return records + [_record(2, 3, self.CUTOFF)]  # timestamp == cutoff
 
     def _pair(self):
-        records = [_record(1, 1, float(t)) for t in range(0, 40, 2)]
-        boundary = _record(2, 3, self.CUTOFF)  # timestamp == cutoff
-        flat = InMemoryRecordStore()
-        sharded = ShardedRecordStore(shard_seconds=10.0)
-        for store in (flat, sharded):
-            store.ingest_batch(records + [boundary])
-        return flat, sharded
+        stores = (
+            ShardedRecordStore(shard_seconds=10.0),
+            ShardedRecordStore(shard_seconds=4.0),
+        )
+        for store in stores:
+            store.ingest_batch(self._arrivals())
+        return stores
 
     def test_record_at_cutoff_survives_on_both(self):
-        flat, sharded = self._pair()
-        for store in (flat, sharded):
+        for store in self._pair():
             dropped = store.evict_before(self.CUTOFF)
             assert dropped == 10  # strictly-below records only
             survivors = [r.timestamp for r in store.records_in_time_order()]
@@ -290,8 +276,7 @@ class TestEvictionBoundaryParity:
             assert sum(1 for t in survivors if t == self.CUTOFF) == 2
 
     def test_watermark_and_boundary_queries_identical(self):
-        flat, sharded = self._pair()
-        for store in (flat, sharded):
+        for store in self._pair():
             store.evict_before(self.CUTOFF)
             assert store.eviction_watermark == self.CUTOFF
             # A window starting exactly at the watermark must not raise …
@@ -302,23 +287,17 @@ class TestEvictionBoundaryParity:
                 store.range_query(self.CUTOFF - 1e-9, 40.0)
 
     def test_post_eviction_answers_identical(self):
-        flat, sharded = self._pair()
-        for store in (flat, sharded):
+        stores = self._pair()
+        for store in stores:
             store.evict_before(self.CUTOFF)
+        survivors = [r for r in self._arrivals() if r.timestamp >= self.CUTOFF]
         for window in ((20.0, 40.0), (20.0, 20.0), (25.0, 31.0)):
-            flat_rows = [
-                (r.object_id, r.timestamp, r.sample_set)
-                for r in flat.range_query(*window)
-            ]
-            sharded_rows = [
-                (r.object_id, r.timestamp, r.sample_set)
-                for r in sharded.range_query(*window)
-            ]
-            assert flat_rows == sharded_rows
+            expected = _rows(_sorted_window(survivors, *window))
+            for store in stores:
+                assert _rows(store.range_query(*window)) == expected
 
     def test_ingest_at_watermark_accepted_below_rejected_on_both(self):
-        flat, sharded = self._pair()
-        for store in (flat, sharded):
+        for store in self._pair():
             store.evict_before(self.CUTOFF)
             store.ingest_batch([_record(7, 1, self.CUTOFF)])  # at watermark: ok
             with pytest.raises(ValueError):
@@ -326,16 +305,22 @@ class TestEvictionBoundaryParity:
 
 
 class TestEmptyBatchParity:
-    """An empty ``ingest_batch`` must be a no-op on every path.
+    """An empty ``ingest_batch`` must be a no-op on every store.
 
-    Regression for the flat store taking the lock and building receipts for
-    empty batches while the sharded store short-circuited: neither may bump
-    any version token, fire events, or trigger continuous refreshes.
+    Neither the sharded store nor the durable wrapper (which short-circuits
+    before its WAL) may bump any version token, fire events, or trigger
+    continuous refreshes.
     """
 
-    @pytest.mark.parametrize("store_kind", ["flat", "sharded"])
-    def test_no_version_bump_no_events(self, store_kind):
-        store = make_store(store_kind, shard_seconds=10.0)
+    @pytest.fixture(params=["sharded", "durable"])
+    def store(self, request, tmp_path):
+        if request.param == "sharded":
+            yield ShardedRecordStore(shard_seconds=10.0)
+        else:
+            with DurableRecordStore(tmp_path / "db", shard_seconds=10.0) as store:
+                yield store
+
+    def test_no_version_bump_no_events(self, store):
         store.ingest_batch([_record(1, 1, 5.0)])
         events = []
         store.subscribe(events.append)
@@ -347,9 +332,8 @@ class TestEmptyBatchParity:
         assert store.version_token() == token
         assert events == []
 
-    @pytest.mark.parametrize("store_kind", ["flat", "sharded"])
-    def test_no_continuous_refresh(self, store_kind):
-        iupt, engine = _figure_like_table(sharded=(store_kind == "sharded"))
+    def test_no_continuous_refresh(self, store):
+        iupt, engine = _figure_like_table(store)
         continuous = engine.continuous(iupt)
         subscription = continuous.register_top_k([0, 1], 1, 0.0, 30.0)
         refreshes = subscription.stats.refreshes
@@ -360,20 +344,6 @@ class TestEmptyBatchParity:
 
 
 class TestBatchVersioning:
-    def test_flat_extend_bumps_version_once_per_batch(self):
-        iupt = IUPT()
-        before = iupt.data_key
-        iupt.extend([_record(1, 1, float(t)) for t in range(10)])
-        after = iupt.data_key
-        assert after[1] - before[1] == 1
-
-    def test_flat_append_bumps_per_record(self):
-        iupt = IUPT()
-        before = iupt.data_key
-        iupt.append(_record(1, 1, 0.0))
-        iupt.append(_record(1, 1, 1.0))
-        assert iupt.data_key[1] - before[1] == 2
-
     def test_ingest_receipt_reports_touched_shards(self):
         iupt = IUPT.sharded(shard_seconds=10.0)
         receipt = iupt.ingest_batch(
@@ -383,8 +353,11 @@ class TestBatchVersioning:
         assert receipt.shards_touched == (0, 1)
 
 
-def _figure_like_table(sharded: bool):
-    """A tiny two-room space plus an engine, for storage/engine integration."""
+def _figure_like_table(store=None):
+    """A tiny two-room space plus an engine, for storage/engine integration.
+
+    The table sits on ``store`` (default: a sharded store of 10-second shards).
+    """
     from repro import FloorPlan, PartitionKind, Point, Rect
     from repro.space import IndoorLocationMatrix, IndoorSpaceLocationGraph
 
@@ -402,7 +375,7 @@ def _figure_like_table(sharded: bool):
     matrix = IndoorLocationMatrix.from_graph(graph).merged(graph)
     engine = QueryEngine(graph, matrix)
 
-    iupt = IUPT.sharded(shard_seconds=10.0) if sharded else IUPT()
+    iupt = IUPT(store=store) if store is not None else IUPT.sharded(shard_seconds=10.0)
     for t in range(0, 30, 2):
         ploc = room_ploc if (t // 10) % 2 == 0 else hall_ploc
         iupt.report(1, SampleSet.from_pairs([(ploc, 0.7), (door_ploc, 0.3)]), float(t))
@@ -413,7 +386,7 @@ class TestShardGranularInvalidation:
     """Regression: one ingest_batch invalidates at most the overlapping entries."""
 
     def test_ingest_preserves_cache_hits_for_non_overlapping_windows(self):
-        iupt, engine = _figure_like_table(sharded=True)
+        iupt, engine = _figure_like_table()
         early, late = (0.0, 9.0), (20.0, 29.0)
 
         engine.flow(iupt, 0, *early)
@@ -442,44 +415,36 @@ class TestShardGranularInvalidation:
         engine.flow(iupt, 0, *late)
         assert engine.store.stats.misses > misses_before
 
-    def test_flat_store_invalidates_everything(self):
-        iupt, engine = _figure_like_table(sharded=False)
-        early, late = (0.0, 9.0), (20.0, 29.0)
-        engine.flow(iupt, 0, *early)
-        iupt.ingest_batch([_record(1, 1, 25.0)])
-        misses_before = engine.store.stats.misses
-        engine.flow(iupt, 0, *early)
-        assert engine.store.stats.misses > misses_before, (
-            "the flat store keys by whole-table version; any ingestion "
-            "invalidates every cached window"
-        )
-
 
 class TestEngineEquivalenceOnScenario:
-    """Sharded and flat scenarios answer TkPLQ bit-identically."""
+    """Many-shard, one-shard and default scenarios answer TkPLQ bit-identically."""
 
     def test_rankings_bit_identical_across_stores(self, small_real_scenario):
         scenario = small_real_scenario
-        flat_iupt = scenario.iupt
+        reference = IUPT.sharded(shard_seconds=ONE_SHARD_SECONDS)
+        reference.ingest_batch(scenario.iupt.records)
         sharded_iupt = IUPT.sharded(shard_seconds=60.0)
-        sharded_iupt.ingest_batch(flat_iupt.records)
+        sharded_iupt.ingest_batch(scenario.iupt.records)
+        assert reference.store.shard_count == 1 and sharded_iupt.store.shard_count > 3
+        tables = (scenario.iupt, sharded_iupt)
 
         slocs = scenario.slocation_ids()
         # Windows chosen to straddle the 60-second shard boundaries.
         windows = [(30.0, 90.0), (0.0, 240.0), (59.0, 61.0)]
         for window in windows:
-            flat_flows = scenario.system.flows(flat_iupt, slocs, *window)
-            sharded_flows = scenario.system.flows(sharded_iupt, slocs, *window)
-            assert flat_flows == sharded_flows  # exact float equality
+            expected = scenario.system.flows(reference, slocs, *window)
+            for table in tables:
+                assert scenario.system.flows(table, slocs, *window) == expected
 
         for algorithm in ("naive", "nested-loop", "best-first"):
-            flat_result = scenario.system.top_k(
-                flat_iupt, slocs, k=3, start=30.0, end=90.0, algorithm=algorithm
+            expected = scenario.system.top_k(
+                reference, slocs, k=3, start=30.0, end=90.0, algorithm=algorithm
             )
-            sharded_result = scenario.system.top_k(
-                sharded_iupt, slocs, k=3, start=30.0, end=90.0, algorithm=algorithm
-            )
-            assert flat_result.top_k_ids() == sharded_result.top_k_ids()
-            assert [e.flow for e in flat_result.ranking] == [
-                e.flow for e in sharded_result.ranking
-            ]
+            for table in tables:
+                result = scenario.system.top_k(
+                    table, slocs, k=3, start=30.0, end=90.0, algorithm=algorithm
+                )
+                assert result.top_k_ids() == expected.top_k_ids()
+                assert [e.flow for e in result.ranking] == [
+                    e.flow for e in expected.ranking
+                ]

@@ -189,7 +189,8 @@ class TestPositioningSimulator:
         plan, store = trajectories
         config = PositioningConfig(max_sample_set_size=3, max_period_seconds=4.0)
         simulator = WkNNPositioningSimulator(plan, config, seed=7)
-        iupt = simulator.generate(store)
+        iupt = simulator.generate(store, shard_seconds=30.0)
+        assert iupt.store.shard_seconds == 30.0
         assert len(iupt) > 0
         for record in iupt.records:
             assert 1 <= len(record.sample_set) <= 3
@@ -198,17 +199,6 @@ class TestPositioningSimulator:
             timestamps = [r.timestamp for r in iupt.records_of_object(object_id)]
             gaps = [b - a for a, b in zip(timestamps, timestamps[1:])]
             assert all(gap <= 4.0 + 1e-6 for gap in gaps)
-
-    def test_index_kind_reaches_the_flat_store_only(self, trajectories):
-        plan, store = trajectories
-        simulator = WkNNPositioningSimulator(plan, PositioningConfig(), seed=7)
-        flat = simulator.generate(store, index_kind="bplus-tree")
-        sharded = simulator.generate(
-            store, index_kind="bplus-tree", store_kind="sharded", shard_seconds=30.0
-        )
-        assert flat.index_kind == "bplus-tree"
-        assert sharded.index_kind == "timestamp-column"
-        assert sharded.store.shard_seconds == 30.0
 
     def test_samples_are_nearby_reference_points(self, trajectories):
         plan, store = trajectories
