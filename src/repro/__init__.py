@@ -144,7 +144,14 @@ from .system import IndoorFlowSystem
 # and snapshots are always RSG1 / RSN1 (JSON-era directories still open), and
 # ingest_batch on the wire takes one RPK1 payload; the paper's two time
 # indexes live in repro.indexes, compared by experiments.ablation_indexes.
-__version__ = "5.0.0"
+# 6.0.0: one frame reader, one connection and one accept loop for the service
+# tier. repro.service.stream (read_frame / Connection / FrameServer) is the
+# only code that frames a stream; QueryService and PartitionRouter subclass the
+# same accept loop and ServiceClient reads with the same reader, so a refused
+# line is answered identically by every role. The sans-I/O frame assembler,
+# the client core and the replica's ack-interval parameter are gone; a header
+# line spelling the reserved "_bin" key is a bad_frame.
+__version__ = "6.0.0"
 
 __all__ = [
     "ALGORITHMS",

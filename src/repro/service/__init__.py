@@ -7,7 +7,11 @@ the network-facing layer a production deployment needs:
 * :mod:`~repro.service.protocol` — the newline-delimited JSON wire protocol
   (requests, structured errors, subscription push frames, query/result
   serialisation with bit-exact float round-trips, record batches as binary
-  ``RPK1`` payloads);
+  ``RPK1`` payloads): what a frame *is*, pure functions only;
+* :mod:`~repro.service.stream` — frames on asyncio streams: ``read_frame``
+  (the one reader of every role, client included), ``Connection`` (the
+  per-peer write queue) and ``FrameServer`` (the accept loop the server and
+  the router both subclass);
 * :mod:`~repro.service.server` — :class:`QueryService`, the asyncio server
   multiplexing many client connections onto one shared
   :class:`~repro.engine.runtime.QueryEngine`, running CPU-bound work on a
@@ -17,9 +21,9 @@ the network-facing layer a production deployment needs:
   in-flight work, per-client token-bucket rate limits, graceful drain;
 * :mod:`~repro.service.metrics` — :class:`ServiceMetrics`, per-op latency
   histograms and counters behind the ``stats`` operation;
-* :mod:`~repro.service.client` — the sans-I/O :class:`ClientCore` and the
-  asyncio :class:`ServiceClient` / :class:`RemoteSubscription`, with bounded
-  reconnect-with-backoff (:class:`ReconnectPolicy`);
+* :mod:`~repro.service.client` — the asyncio :class:`ServiceClient` /
+  :class:`RemoteSubscription`, with bounded reconnect-with-backoff
+  (:class:`ReconnectPolicy`);
 * :mod:`~repro.service.replica` — :class:`ReadReplica`, a WAL-shipping
   follower that catches up (snapshot or replay), tails the primary's
   commits as binary ``RPK1`` frames, and serves reads from its own
@@ -42,7 +46,6 @@ from .admission import (
     REASON_RATE,
 )
 from .client import (
-    ClientCore,
     ReconnectPolicy,
     RemoteSubscription,
     ServiceClient,
@@ -51,7 +54,6 @@ from .client import (
 from .metrics import LatencyHistogram, ServiceMetrics
 from .protocol import (
     ERROR_KINDS,
-    FrameAssembler,
     MUTATING_OPS,
     OPS,
     PROTOCOL_VERSION,
@@ -76,9 +78,7 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionStats",
-    "ClientCore",
     "ERROR_KINDS",
-    "FrameAssembler",
     "LatencyHistogram",
     "MUTATING_OPS",
     "OPS",

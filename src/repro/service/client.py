@@ -1,13 +1,11 @@
-"""The query service client: a sans-I/O protocol core plus an asyncio wrapper.
+"""The query service client: one asyncio connection to a service or router.
 
-:class:`ClientCore` implements the client half of the wire protocol without
-any transport: it builds correlation-id-stamped request frames and classifies
-incoming frames into responses and pushes.  Tests (and alternative
-transports) drive it directly with byte strings; :class:`ServiceClient` wraps
-it around one ``asyncio`` stream connection and adds:
+:class:`ServiceClient` is the client half of the wire protocol.  It reads
+with the same :func:`~repro.service.stream.read_frame` the listening roles
+use, and adds:
 
-* request/response correlation (one future per in-flight ``id``, so requests
-  can be pipelined),
+* request/response correlation (a fresh ``id`` and one future per in-flight
+  request, so requests can be pipelined),
 * push routing: ``update`` / ``evicted`` frames are delivered to the
   :class:`RemoteSubscription` they belong to — a subscriber receives
   refreshes triggered by *other* clients' ingestions without issuing any
@@ -19,7 +17,7 @@ it around one ``asyncio`` stream connection and adds:
 The convenience methods return the *wire* payloads (plain dicts/lists) —
 deliberately, so callers can assert bit-identical equality against
 :func:`repro.service.protocol.result_to_wire` of an in-process result, which
-is exactly what the service benchmark does.
+is exactly what the benchmark and the service tests do.
 """
 
 from __future__ import annotations
@@ -31,7 +29,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..data.records import PositioningRecord
 from . import protocol
-from .protocol import FrameAssembler, ProtocolError
+from .protocol import ProtocolError
+from .stream import read_frame
 
 
 class ServiceError(Exception):
@@ -51,67 +50,20 @@ class ServiceError(Exception):
         return cls(kind, message, payload)
 
 
-class ClientCore:
-    """The transport-free client half of the protocol.
+def unwrap(frame: dict):
+    """The result payload of a response frame, or a :class:`ServiceError`.
 
-    ``build_request`` stamps frames with fresh correlation ids;
-    ``feed_bytes`` turns raw stream chunks into classified events::
-
-        ("response", request_id, frame)   a reply to one of our requests
-        ("push", frame)                   an unsolicited subscription frame
-
-    Incoming bytes run through a :class:`~repro.service.protocol.FrameAssembler`,
-    so binary (``"bin"``-length-prefixed) frames are reassembled with their
-    payload attached under :data:`protocol.BIN_PAYLOAD`.
+    A binary response payload is merged into the result dict under
+    :data:`protocol.BIN_PAYLOAD` (on a copy — the frame is untouched),
+    so callers receive one self-contained value.
     """
-
-    def __init__(self, max_frame_bytes: Optional[int] = protocol.MAX_FRAME_BYTES) -> None:
-        self._ids = itertools.count(1)
-        # The client enforces the same inclusive frame-size boundary as the
-        # server's read loop (see protocol.MAX_FRAME_BYTES): a hostile or
-        # buggy server cannot balloon the sans-I/O buffer without bound.
-        self._assembler = FrameAssembler(max_frame_bytes=max_frame_bytes)
-        self.pending: Dict[object, dict] = {}
-
-    def build_request(self, op: str, **fields: object) -> Tuple[int, bytes]:
-        """A fresh request frame in wire form; the id is tracked as pending.
-
-        A :data:`protocol.BIN_PAYLOAD` field rides along as the binary
-        payload — :func:`protocol.encode_frame` emits the binary form.
-        """
-        request_id = next(self._ids)
-        frame: Dict[str, object] = {"id": request_id, "op": op}
-        frame.update(fields)
-        self.pending[request_id] = frame
-        return request_id, protocol.encode_frame(frame)
-
-    def feed_bytes(self, chunk: bytes) -> List[Tuple]:
-        """Classify every complete frame in ``chunk`` (plus buffered tail)."""
-        return [self.feed_frame(frame) for frame in self._assembler.feed(chunk)]
-
-    def feed_frame(self, frame: dict) -> Tuple:
-        """Classify one already-decoded frame."""
-        if protocol.is_push_frame(frame):
-            return ("push", frame)
-        request_id = frame.get("id")
-        self.pending.pop(request_id, None)
-        return ("response", request_id, frame)
-
-    @staticmethod
-    def unwrap(frame: dict):
-        """The result payload of a response frame, or a :class:`ServiceError`.
-
-        A binary response payload is merged into the result dict under
-        :data:`protocol.BIN_PAYLOAD` (on a copy — the frame is untouched),
-        so callers receive one self-contained value.
-        """
-        if frame.get("ok"):
-            result = frame.get("result")
-            if protocol.BIN_PAYLOAD in frame:
-                result = dict(result) if isinstance(result, dict) else {"result": result}
-                result[protocol.BIN_PAYLOAD] = frame[protocol.BIN_PAYLOAD]
-            return result
-        raise ServiceError.from_error_payload(frame.get("error") or {})
+    if frame.get("ok"):
+        result = frame.get("result")
+        if protocol.BIN_PAYLOAD in frame:
+            result = dict(result) if isinstance(result, dict) else {"result": result}
+            result[protocol.BIN_PAYLOAD] = frame[protocol.BIN_PAYLOAD]
+        return result
+    raise ServiceError.from_error_payload(frame.get("error") or {})
 
 
 class RemoteSubscription:
@@ -175,6 +127,11 @@ class ReconnectPolicy:
         return min(self.initial_backoff * self.multiplier**attempt, self.max_backoff)
 
 
+async def _dial(host: str, port: int):
+    """One ``(reader, writer)`` pair whose reader admits a maximal frame."""
+    return await asyncio.open_connection(host, port, limit=protocol.MAX_FRAME_BYTES)
+
+
 class ServiceClient:
     """One asyncio connection to a :class:`~repro.service.server.QueryService`."""
 
@@ -186,7 +143,7 @@ class ServiceClient:
     ):
         self._reader = reader
         self._writer = writer
-        self._core = ClientCore()
+        self._ids = itertools.count(1)
         self._futures: Dict[object, asyncio.Future] = {}
         self._subscriptions: Dict[int, RemoteSubscription] = {}
         #: Pushes may outrun the subscribe response on a busy table; frames
@@ -211,17 +168,17 @@ class ServiceClient:
     async def connect(
         cls, host: str, port: int, reconnect: Optional[ReconnectPolicy] = None
     ) -> "ServiceClient":
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=protocol.MAX_FRAME_BYTES
-        )
-        client = cls(reader, writer, reconnect=reconnect)
+        client = cls(*await _dial(host, port), reconnect=reconnect)
         client._endpoint = (host, port)
         return client
 
     async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        if not self._closed:
+            self._closed = True
+            await self._hang_up()
+
+    async def _hang_up(self) -> None:
+        """Stop the read loop and close the transport."""
         self._reader_task.cancel()
         try:
             await self._reader_task
@@ -245,42 +202,21 @@ class ServiceClient:
     async def _read_loop(self) -> None:
         try:
             while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
                 try:
-                    frame = protocol.decode_frame(line)
-                except ProtocolError:
-                    # Tolerate one garbled line rather than dying: the
-                    # stream is still at a line boundary.
-                    continue
-                try:
-                    if protocol.BIN_LENGTH in frame:
-                        need = protocol.binary_length(frame, protocol.MAX_FRAME_BYTES)
-                        frame[protocol.BIN_PAYLOAD] = await self._reader.readexactly(
-                            need
-                        )
-                except asyncio.IncompleteReadError:
-                    break  # connection died mid-payload
-                except ProtocolError:
-                    # A refused length declaration: the payload bytes that
-                    # follow cannot be told from frames — stop reading.
+                    frame = await read_frame(self._reader)
+                except ProtocolError as error:
+                    if error.fatal:
+                        break  # the pending futures fail below
+                    continue  # a garbled line is skipped, not answered
+                if frame is None:
                     break
-                event = self._core.feed_frame(frame)
-                if event[0] == "push":
-                    self._route_push(event[1])
-                else:
-                    _tag, request_id, frame = event
-                    future = self._futures.pop(request_id, None)
-                    if future is not None and not future.done():
-                        future.set_result(frame)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        except ValueError:
-            # A response line exceeded the stream limit: the stream cannot
-            # be resynchronised — fall through and fail the pending futures.
+                if protocol.is_push_frame(frame):
+                    self._route_push(frame)
+                    continue
+                future = self._futures.pop(frame.get("id"), None)
+                if future is not None and not future.done():
+                    future.set_result(frame)
+        except asyncio.CancelledError:
             pass
         finally:
             broken = ConnectionError("connection to the query service closed")
@@ -323,6 +259,8 @@ class ServiceClient:
         attempt = 0
         while True:
             try:
+                if attempt:  # in the try: a refused dial spends one attempt, not all
+                    await self._redial()
                 return await self._request_once(op, fields)
             except ConnectionError:
                 policy = self._reconnect
@@ -335,7 +273,6 @@ class ServiceClient:
                     raise
                 await asyncio.sleep(policy.backoff(attempt))
                 attempt += 1
-                await self._redial()
 
     async def _request_once(self, op: str, fields: Dict[str, object]):
         if self._closed:
@@ -345,13 +282,16 @@ class ServiceClient:
             # registered now, and writes to the dead transport are silently
             # buffered — fail fast instead of hanging forever.
             raise ConnectionError("connection to the query service closed")
-        request_id, wire = self._core.build_request(op, **fields)
+        # A fresh correlation id per request; a BIN_PAYLOAD field rides
+        # along as the binary payload (encode_frame emits the binary form).
+        request_id = next(self._ids)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._futures[request_id] = future
-        self._writer.write(wire)
+        self._writer.write(
+            protocol.encode_frame({"id": request_id, "op": op, **fields})
+        )
         await self._writer.drain()
-        frame = await future
-        return ClientCore.unwrap(frame)
+        return unwrap(await future)
 
     async def _redial(self) -> None:
         """Replace the dead transport with a fresh connection.
@@ -361,26 +301,13 @@ class ServiceClient:
         (subscriptions, WAL tails) is gone — callers re-establish it.
         """
         host, port = self._endpoint
-        self._reader_task.cancel()
+        await self._hang_up()
         try:
-            await self._reader_task
-        except (asyncio.CancelledError, Exception):  # noqa: BLE001
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-        try:
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=protocol.MAX_FRAME_BYTES
-            )
+            self._reader, self._writer = await _dial(host, port)
         except OSError as error:
             raise ConnectionError(
                 f"reconnect to {host}:{port} failed: {error}"
             ) from error
-        self._reader = reader
-        self._writer = writer
         self.reconnects += 1
         self._reader_task = asyncio.ensure_future(self._read_loop())
 

@@ -32,10 +32,10 @@ or the eviction notice that invalidated it::
 
 Numeric fidelity: flows are IEEE-754 doubles and :mod:`json` round-trips them
 exactly (``repr`` ↔ ``float``), so a result serialised here and decoded by
-the client is *bit-identical* to the in-process result — the service
-benchmark asserts exactly that against direct engine calls.  Flow mappings
-are serialised as ``[[sloc_id, flow], ...]`` pair lists (JSON object keys
-are strings; int-keyed dicts would not round-trip).
+the client is *bit-identical* to the in-process result — ``bench/`` and
+``tests/test_service.py`` assert exactly that against direct engine calls.
+Flow mappings are serialised as ``[[sloc_id, flow], ...]`` pair lists (JSON
+object keys are strings; int-keyed dicts would not round-trip).
 
 **Records** have one wire form: a whole batch as one packed ``RPK1`` blob
 (:mod:`repro.codec.packed`) riding behind a header line that declares its
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..codec.packed import PackedRecordBatch, encode_batch
 from ..core.query import TkPLQResult, TkPLQuery
@@ -56,19 +56,19 @@ from ..storage import EvictedRangeError, IngestReceipt
 
 PROTOCOL_VERSION = 2
 
-#: Upper bound on one frame's wire size.  Both the server and the client
-#: pass this as their stream reader limit (asyncio's default is 64 KiB,
-#: which a few-thousand-record ``ingest_batch`` frame easily exceeds); a
-#: line beyond it fails the connection with a structured ``bad_frame``
-#: error instead of an unhandled ``ValueError`` in the read loop.
+#: Upper bound on one frame's wire size (the header line, and the payload it
+#: may declare).  :mod:`repro.service.stream` passes it as the reader limit of
+#: every listener and dialled connection (asyncio's default is 64 KiB, which a
+#: few-thousand-record ``ingest_batch`` frame easily exceeds); a line beyond it
+#: ends the connection with a structured ``bad_frame`` error instead of an
+#: unhandled ``ValueError`` in a read loop.
 #:
 #: **Boundary contract**: the limit counts the bytes of the frame line with
 #: the ``\n`` terminator *excluded*, and is inclusive — a frame of exactly
 #: ``MAX_FRAME_BYTES`` bytes is the largest accepted, one byte more is
 #: rejected.  ``asyncio.StreamReader.readline`` enforces exactly this (it
-#: raises only when the separator's offset *exceeds* the limit), and the
-#: sans-I/O :class:`FrameAssembler` mirrors the same rule for the client
-#: core and offline tests; ``tests/test_service.py`` pins both boundaries.
+#: raises only when the separator's offset *exceeds* the limit);
+#: ``tests/test_service.py`` pins both sides of the boundary.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: Request operations the server understands.
@@ -105,7 +105,9 @@ MUTATING_OPS = ("ingest_batch", "evict_before", "checkpoint")
 #: Wire field announcing a binary payload: ``{"bin": N}`` on a frame line
 #: means exactly ``N`` raw bytes follow the line's ``\n`` terminator (no
 #: trailing newline of their own).  In-memory the payload rides on the frame
-#: dict under :data:`BIN_PAYLOAD`, which never appears on the wire as JSON.
+#: dict under :data:`BIN_PAYLOAD`, which never appears on the wire as JSON:
+#: :func:`encode_frame` strips it, and :func:`repro.service.stream.read_frame`
+#: refuses a header line that spells it.
 BIN_LENGTH = "bin"
 BIN_PAYLOAD = "_bin"
 
@@ -130,6 +132,10 @@ ERROR_KINDS = (
 
 class ProtocolError(ValueError):
     """A frame that cannot be decoded or violates the protocol contract."""
+
+    #: Set by :func:`repro.service.stream.read_frame` alone: the refused
+    #: line left the stream mid-frame, so nothing after it may be read.
+    fatal = False
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)
@@ -263,13 +269,7 @@ def push_evicted_frame(
     return {
         "push": "evicted",
         "subscription": subscription_id,
-        "error": {
-            "kind": "evicted_range",
-            "message": str(error),
-            "start": error.start,
-            "end": error.end,
-            "watermark": error.watermark,
-        },
+        "error": evicted_error_frame(None, error)["error"],
     }
 
 
@@ -384,6 +384,14 @@ def result_to_wire(result: TkPLQResult) -> Dict[str, object]:
     }
 
 
+def subscription_result_to_wire(kind: str, result: object) -> Dict[str, object]:
+    """A standing query's result in the wire form of its kind: the ``top_k``
+    answer as :func:`result_to_wire`, a ``flows`` mapping under ``"flows"``."""
+    if kind == "top_k":
+        return result_to_wire(result)  # type: ignore[arg-type]
+    return {"flows": flows_to_wire(result)}  # type: ignore[arg-type]
+
+
 def receipt_to_wire(receipt: IngestReceipt) -> Dict[str, object]:
     """Serialise an ingestion receipt (shard keys become strings as-is)."""
     return {
@@ -394,8 +402,33 @@ def receipt_to_wire(receipt: IngestReceipt) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# Queries
+# Request fields
 # ----------------------------------------------------------------------
+def request_op(frame: Mapping[str, object]) -> str:
+    """A request's ``op``, one of :data:`OPS` (``unknown_op`` otherwise)."""
+    op = frame.get("op", "?")
+    if op not in OPS:
+        raise ProtocolError("unknown_op", f"unknown op {op!r}; expected one of {OPS}")
+    return op  # type: ignore[return-value]
+
+
+def field(frame: Mapping[str, object], name: str, cast, *default: object):
+    """``cast(frame[name])``, or ``default`` when one is given and the field
+    is absent; any failure is a ``bad_request`` that names the field."""
+    try:
+        return cast(frame[name])
+    except KeyError:
+        if default:
+            return default[0]
+        raise ProtocolError("bad_request", f"missing field {name!r}") from None
+    except (TypeError, ValueError) as error:
+        raise ProtocolError("bad_request", f"field {name!r}: {error}") from error
+
+
+def _sloc_ids(value: Iterable[object]) -> List[int]:
+    return [int(sloc) for sloc in value]
+
+
 def query_from_wire(frame: Mapping[str, object]) -> TkPLQuery:
     """Build a :class:`~repro.core.query.TkPLQuery` from request fields.
 
@@ -403,32 +436,22 @@ def query_from_wire(frame: Mapping[str, object]) -> TkPLQuery:
     of range, inverted window) surface as ``bad_request`` protocol errors
     with the constructor's message, so clients see *why* the frame was bad.
     """
+    fields = (
+        field(frame, "q", _sloc_ids),
+        field(frame, "k", int),
+        field(frame, "start", float),
+        field(frame, "end", float),
+    )
     try:
-        return TkPLQuery.build(
-            [int(sloc) for sloc in frame["q"]],  # type: ignore[union-attr]
-            int(frame["k"]),
-            float(frame["start"]),
-            float(frame["end"]),
-        )
-    except KeyError as error:
-        raise ProtocolError(
-            "bad_request", f"missing query field {error.args[0]!r}"
-        ) from error
+        return TkPLQuery.build(*fields)
     except (TypeError, ValueError) as error:
         raise ProtocolError("bad_request", str(error)) from error
 
 
 def window_from_wire(frame: Mapping[str, object]) -> Tuple[float, float]:
     """Extract and validate the ``start``/``end`` window of a request."""
-    try:
-        start = float(frame["start"])  # type: ignore[arg-type]
-        end = float(frame["end"])  # type: ignore[arg-type]
-    except KeyError as error:
-        raise ProtocolError(
-            "bad_request", f"missing window field {error.args[0]!r}"
-        ) from error
-    except (TypeError, ValueError) as error:
-        raise ProtocolError("bad_request", str(error)) from error
+    start = field(frame, "start", float)
+    end = field(frame, "end", float)
     if start > end:
         raise ProtocolError(
             "bad_request", "the query interval start must not exceed its end"
@@ -438,83 +461,7 @@ def window_from_wire(frame: Mapping[str, object]) -> Tuple[float, float]:
 
 def sloc_ids_from_wire(frame: Mapping[str, object]) -> List[int]:
     """Extract the ``q`` S-location list of a request."""
-    try:
-        sloc_ids = [int(sloc) for sloc in frame["q"]]  # type: ignore[union-attr]
-    except KeyError as error:
-        raise ProtocolError("bad_request", "missing query field 'q'") from error
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(
-            "bad_request", f"'q' must be a list of S-location ids: {error}"
-        ) from error
+    sloc_ids = field(frame, "q", _sloc_ids)
     if not sloc_ids:
         raise ProtocolError("bad_request", "'q' must not be empty")
     return sloc_ids
-
-
-class FrameAssembler:
-    """Incremental byte stream → fully decoded frames, binary-aware.
-
-    The sans-I/O framing helper of the client core and the offline tests:
-    feed it arbitrary byte chunks; each complete ``\\n``-terminated frame
-    line is decoded exactly once (partial tails are buffered), and a line
-    declaring ``{"bin": N}`` swallows the next ``N`` raw bytes as its
-    payload (attached under :data:`BIN_PAYLOAD`) before the frame is
-    emitted.  Because the payload may contain ``\\n`` bytes, splitting and
-    decoding cannot be layered independently — the assembler owns the
-    buffer and switches between line mode and payload mode itself.
-
-    ``max_frame_bytes`` bounds both the line (terminator excluded,
-    inclusive — the :data:`MAX_FRAME_BYTES` contract) and the declared
-    payload length; violations raise :class:`ProtocolError` and the stream
-    cannot be resynchronised afterwards.
-    """
-
-    def __init__(self, max_frame_bytes: Optional[int] = MAX_FRAME_BYTES) -> None:
-        self._buffer = bytearray()
-        self._limit = max_frame_bytes
-        self._pending: Optional[Dict[str, object]] = None
-        self._need = 0
-
-    def feed(self, chunk: bytes) -> List[Dict[str, object]]:
-        self._buffer.extend(chunk)
-        frames: List[Dict[str, object]] = []
-        while True:
-            if self._pending is not None:
-                if len(self._buffer) < self._need:
-                    return frames
-                frame = self._pending
-                self._pending = None
-                frame[BIN_PAYLOAD] = bytes(self._buffer[: self._need])
-                del self._buffer[: self._need]
-                frames.append(frame)
-                continue
-            newline = self._buffer.find(b"\n")
-            if newline < 0:
-                if self._limit is not None and len(self._buffer) > self._limit:
-                    raise ProtocolError(
-                        "bad_frame",
-                        f"frame exceeds the {self._limit}-byte limit before "
-                        f"any terminator; the stream cannot be resynchronised",
-                    )
-                return frames
-            if self._limit is not None and newline > self._limit:
-                raise ProtocolError(
-                    "bad_frame",
-                    f"frame of {newline} bytes exceeds the {self._limit}-byte limit",
-                )
-            line = bytes(self._buffer[:newline])
-            del self._buffer[: newline + 1]
-            if not line.strip():
-                continue
-            frame = decode_frame(line)
-            if BIN_LENGTH in frame:
-                self._need = binary_length(
-                    frame, self._limit if self._limit is not None else 1 << 62
-                )
-                self._pending = frame
-                continue
-            frames.append(frame)
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)

@@ -47,6 +47,12 @@ from .client import ReconnectPolicy, ServiceClient, ServiceError
 from .server import QueryService
 
 
+#: Send ``wal_ack`` after this many applied batches (acks advance the
+#: primary's compaction hold-back cursor; they are flow control, not
+#: correctness).
+ACK_EVERY = 8
+
+
 class ReplicaError(RuntimeError):
     """The replica could not reach or follow its primary."""
 
@@ -64,10 +70,6 @@ class ReadReplica:
     name:
         The follower name registered with the primary (appears in its
         ``follower_lags`` observability and holds back WAL compaction).
-    ack_every:
-        Send ``wal_ack`` after this many applied batches (acks advance the
-        primary's compaction hold-back cursor; they are flow control, not
-        correctness).
     """
 
     def __init__(
@@ -78,18 +80,14 @@ class ReadReplica:
         name: str = "replica",
         host: str = "127.0.0.1",
         port: int = 0,
-        ack_every: int = 8,
         reconnect: Optional[ReconnectPolicy] = None,
         query_workers: int = 4,
     ):
-        if ack_every < 1:
-            raise ValueError("ack_every must be at least 1")
         self.engine = engine
         self.name = name
         self._primary = (primary_host, primary_port)
         self._host = host
         self._port = port
-        self.ack_every = ack_every
         self._reconnect = reconnect or ReconnectPolicy()
         self._query_workers = query_workers
         self._client: Optional[ServiceClient] = None
@@ -261,7 +259,7 @@ class ReadReplica:
         self.applied_records += len(records)
         self._unacked += 1
         self._caught_up.set()
-        if self._unacked >= self.ack_every:
+        if self._unacked >= ACK_EVERY:
             self._unacked = 0
             try:
                 await self._client.wal_ack(self.name, seq)

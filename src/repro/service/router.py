@@ -1,7 +1,9 @@
 """Partition-aware router: one front door over a primary and its replicas.
 
 The :class:`PartitionRouter` speaks the same NDJSON/binary wire protocol as
-:class:`~repro.service.server.QueryService`, so existing clients point at it
+:class:`~repro.service.server.QueryService` — by construction: both are
+:class:`~repro.service.stream.FrameServer` subclasses, so one reader frames
+(and refuses) every line for both — and existing clients point at it
 unchanged.  Behind it:
 
 * **Writes** (``ingest_batch`` / ``evict_before`` / ``checkpoint``) fan in
@@ -40,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from . import protocol
 from .client import ReconnectPolicy, ServiceClient, ServiceError
 from .protocol import ProtocolError
+from .stream import Connection, FrameServer
 
 #: Operations the router forwards to the primary (fan-in).
 WRITE_OPS = frozenset(protocol.MUTATING_OPS)
@@ -47,45 +50,7 @@ WRITE_OPS = frozenset(protocol.MUTATING_OPS)
 PARTITIONED_READ_OPS = frozenset(("top_k", "flow", "flows", "batch"))
 
 
-class _RouterConnection:
-    """One client connection to the router (outbox + writer task)."""
-
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
-        self.outbox: "asyncio.Queue[Optional[dict]]" = asyncio.Queue()
-        self.writer_task: Optional[asyncio.Task] = None
-        #: Router subscription ids owned by this connection.
-        self.subscriptions: set = set()
-        self.closing = False
-
-    def send_frame(self, frame: dict) -> None:
-        if not self.closing:
-            self.outbox.put_nowait(frame)
-
-    async def run_writer(self) -> None:
-        while True:
-            frame = await self.outbox.get()
-            if frame is None:
-                break
-            try:
-                self.writer.write(protocol.encode_frame(frame))
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError):
-                break
-
-    async def flush_and_close(self) -> None:
-        self.closing = True
-        self.outbox.put_nowait(None)
-        if self.writer_task is not None:
-            await self.writer_task
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-class PartitionRouter:
+class PartitionRouter(FrameServer):
     """An asyncio front-end fanning one write stream and many read streams.
 
     Parameters
@@ -109,10 +74,9 @@ class PartitionRouter:
         freshness_timeout: float = 5.0,
         reconnect: Optional[ReconnectPolicy] = None,
     ):
+        super().__init__(host, port)
         self._primary_addr = primary
         self._replica_addrs = list(replicas)
-        self._host = host
-        self._port = port
         self.freshness_timeout = freshness_timeout
         self._reconnect = reconnect or ReconnectPolicy()
         self._primary: Optional[ServiceClient] = None
@@ -122,15 +86,12 @@ class PartitionRouter:
         self.last_write_seq = 0
         #: Last known applied seq per replica (refreshed on demand).
         self._applied: List[int] = []
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: set = set()
-        self._conn_tasks: set = set()
-        self._request_tasks: set = set()
         self._stopped = False
-        #: Router subscription id -> (replica index, backend sub id, conn).
-        self._subscriptions: Dict[int, Tuple[int, int, _RouterConnection]] = {}
+        #: Router subscription id -> (replica index, backend sub id, conn);
+        #: here and below a replica index of ``None`` is the primary.
+        self._subscriptions: Dict[int, Tuple[Optional[int], int, Connection]] = {}
         #: (replica index, backend sub id) -> router subscription id.
-        self._sub_by_backend: Dict[Tuple[int, int], int] = {}
+        self._sub_by_backend: Dict[Tuple[Optional[int], int], int] = {}
         self._next_sub_id = 1
         self.stats: Dict[str, object] = {
             "writes": 0,
@@ -151,7 +112,7 @@ class PartitionRouter:
         self._primary = await ServiceClient.connect(
             *self._primary_addr, reconnect=self._reconnect
         )
-        self._primary.on_push = lambda frame: self._relay_push(-1, frame)
+        self._primary.on_push = lambda frame: self._relay_push(None, frame)
         status = await self._primary.replica_status()
         self.shard_seconds = float(status.get("shard_seconds") or 1.0)
         self.last_write_seq = int(status.get("last_seq") or 0)
@@ -163,14 +124,7 @@ class PartitionRouter:
             self._replicas.append(client)
             self._applied.append(0)
         self.stats["reads_by_backend"] = [0] * (len(self._replicas) + 1)
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self._host,
-            self._port,
-            limit=protocol.MAX_FRAME_BYTES,
-        )
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
+        return await self._listen()
 
     async def stop(self) -> None:
         if self._stopped or self._server is None:
@@ -192,87 +146,25 @@ class PartitionRouter:
     # ------------------------------------------------------------------
     # Connections
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _RouterConnection(writer)
-        self._connections.add(connection)
-        connection.writer_task = asyncio.ensure_future(connection.run_writer())
-        self._conn_tasks.add(asyncio.current_task())
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, ValueError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    frame = protocol.decode_frame(line.rstrip(b"\n"))
-                except ProtocolError as error:
-                    # An undecodable line: the stream is still at a line
-                    # boundary, so answer and carry on.
-                    connection.send_frame(
-                        protocol.error_frame(None, error.kind, str(error))
-                    )
-                    continue
-                try:
-                    if protocol.BIN_LENGTH in frame:
-                        need = protocol.binary_length(
-                            frame, protocol.MAX_FRAME_BYTES
-                        )
-                        frame[protocol.BIN_PAYLOAD] = await reader.readexactly(
-                            need
-                        )
-                except asyncio.IncompleteReadError:
-                    break
-                except ProtocolError as error:
-                    # A lying length prefix cannot be resynchronised: the
-                    # bytes behind it must never be executed as frames.
-                    connection.send_frame(
-                        protocol.error_frame(None, error.kind, str(error))
-                    )
-                    break
-                task = asyncio.ensure_future(
-                    self._serve_request(connection, frame)
-                )
-                self._request_tasks.add(task)
-                task.add_done_callback(self._request_tasks.discard)
-        finally:
-            await self._cleanup_connection(connection)
-            self._conn_tasks.discard(asyncio.current_task())
-
-    async def _cleanup_connection(self, connection: _RouterConnection) -> None:
-        if connection not in self._connections:
-            return
-        self._connections.discard(connection)
-        for sub_id in list(connection.subscriptions):
-            entry = self._subscriptions.pop(sub_id, None)
-            if entry is None:
-                continue
-            index, backend_id, _conn = entry
-            self._sub_by_backend.pop((index, backend_id), None)
-            client = self._primary if index < 0 else self._replicas[index]
+    async def _release_connection(self, connection: Connection) -> None:
+        owned = [
+            router_id
+            for router_id, (_index, _backend_id, owner) in self._subscriptions.items()
+            if owner is connection
+        ]
+        for router_id in owned:
             try:
-                await client.request("unsubscribe", subscription=backend_id)
+                await self._drop_subscription(router_id)
             except (ServiceError, ConnectionError):
                 pass
-        connection.subscriptions.clear()
-        await connection.flush_and_close()
 
     # ------------------------------------------------------------------
     # Request routing
     # ------------------------------------------------------------------
-    async def _serve_request(
-        self, connection: _RouterConnection, frame: dict
-    ) -> None:
+    async def _serve_request(self, connection: Connection, frame: dict) -> None:
         request_id = frame.get("id")
         try:
-            op = frame.get("op")
-            if not isinstance(op, str):
-                raise ProtocolError("bad_request", "missing or invalid 'op'")
+            op = protocol.request_op(frame)
             result = await self._route(connection, op, frame)
             response = protocol.response_frame(request_id, result)
         except ProtocolError as error:
@@ -285,24 +177,19 @@ class PartitionRouter:
             response = protocol.error_frame(
                 request_id, "unavailable", f"backend unreachable: {error}"
             )
-        except asyncio.CancelledError:
-            raise
         except Exception as error:  # noqa: BLE001 - the router must not die
             response = protocol.error_frame(request_id, "internal", str(error))
         connection.send_frame(response)
 
     def _forward_fields(self, frame: dict) -> dict:
         """The request fields to re-issue (correlation id and op stripped)."""
-        fields = {
+        return {
             key: value
             for key, value in frame.items()
             if key not in ("id", "op", protocol.BIN_LENGTH)
         }
-        return fields
 
-    async def _route(
-        self, connection: _RouterConnection, op: str, frame: dict
-    ):
+    async def _route(self, connection: Connection, op: str, frame: dict):
         if op in WRITE_OPS:
             return await self._route_write(op, frame)
         if op in PARTITIONED_READ_OPS:
@@ -310,7 +197,9 @@ class PartitionRouter:
         if op == "subscribe":
             return await self._route_subscribe(connection, frame)
         if op == "unsubscribe":
-            return await self._route_unsubscribe(connection, frame)
+            return await self._drop_subscription(
+                protocol.field(frame, "subscription", int)
+            )
         if op == "ping":
             return {"pong": True, "role": "router"}
         if op == "stats" or op == "replica_status":
@@ -407,9 +296,7 @@ class PartitionRouter:
     # ------------------------------------------------------------------
     # Subscriptions (forwarded with id translation, pushes relayed)
     # ------------------------------------------------------------------
-    async def _route_subscribe(
-        self, connection: _RouterConnection, frame: dict
-    ):
+    async def _route_subscribe(self, connection: Connection, frame: dict):
         if "resume" in frame:
             raise ProtocolError(
                 "bad_request",
@@ -425,34 +312,25 @@ class PartitionRouter:
         backend_id = int(result["subscription"])
         router_id = self._next_sub_id
         self._next_sub_id += 1
-        backend_index = -1 if index is None else index
-        self._subscriptions[router_id] = (backend_index, backend_id, connection)
-        self._sub_by_backend[(backend_index, backend_id)] = router_id
-        connection.subscriptions.add(router_id)
+        self._subscriptions[router_id] = (index, backend_id, connection)
+        self._sub_by_backend[(index, backend_id)] = router_id
         self.stats["subscriptions"] += 1
         translated = dict(result)
         translated["subscription"] = router_id
         return translated
 
-    async def _route_unsubscribe(
-        self, connection: _RouterConnection, frame: dict
-    ):
-        try:
-            router_id = int(frame["subscription"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise ProtocolError(
-                "bad_request", "missing or invalid 'subscription'"
-            ) from error
+    async def _drop_subscription(self, router_id: int) -> dict:
+        """Forget one routed subscription and unsubscribe it at its backend."""
         entry = self._subscriptions.pop(router_id, None)
         if entry is None:
             return {"unsubscribed": False}
-        index, backend_id, owner = entry
+        index, backend_id, _owner = entry
         self._sub_by_backend.pop((index, backend_id), None)
-        owner.subscriptions.discard(router_id)
-        client = self._primary if index < 0 else self._replicas[index]
-        return await client.request("unsubscribe", subscription=backend_id)
+        return await self._backend(index).request(
+            "unsubscribe", subscription=backend_id
+        )
 
-    def _relay_push(self, index: int, frame: dict) -> None:
+    def _relay_push(self, index: Optional[int], frame: dict) -> None:
         """Relay one backend push to the router client owning the
         subscription (runs on the event loop via the client read loop)."""
         backend_id = frame.get("subscription")

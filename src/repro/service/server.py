@@ -5,7 +5,8 @@ one :class:`~repro.data.iupt.IUPT` and serves them to many concurrent network
 clients over the newline-delimited JSON protocol of
 :mod:`repro.service.protocol`:
 
-* the **event loop** only frames, parses, admits and routes — every
+* the **event loop** only frames (in :mod:`repro.service.stream`, whose
+  accept loop this class subclasses), parses, admits and routes — every
   CPU-bound engine call (``top_k``, ``flows``, ``batch``, ``ingest_batch``,
   ``evict_before``, subscription registration) is handed to a worker-thread
   pool via ``loop.run_in_executor``, so a heavy query never stalls other
@@ -20,8 +21,6 @@ clients over the newline-delimited JSON protocol of
   ``call_soon_threadsafe`` and enqueues an ``update`` push frame on the
   subscribing connection, so one client's ``ingest_batch`` becomes push
   traffic to every other subscribed client with no polling anywhere;
-* **per-connection write queues** serialise responses and pushes onto the
-  socket (concurrent request tasks never interleave partial frames);
 * the :class:`~repro.service.admission.AdmissionController` gates every
   request (bounded in-flight work, per-client rate limits) and supports
   **graceful drain**: :meth:`QueryService.stop` refuses new requests,
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..codec import codec_info
 from ..data.iupt import IUPT
@@ -47,17 +46,17 @@ from .admission import AdmissionConfig, AdmissionController
 from .metrics import ServiceMetrics
 from . import protocol
 from .protocol import ProtocolError
+from .stream import Connection, FrameServer
 
-class _Connection:
-    """Per-connection state: the write queue and the owned subscriptions."""
+
+class _Connection(Connection):
+    """Per-client state: the owned subscriptions and the WAL-tail tokens."""
 
     _ids = iter(range(1, 1 << 62))
 
     def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
+        super().__init__(writer)
         self.conn_id = next(_Connection._ids)
-        self.outbox: "asyncio.Queue[Optional[dict]]" = asyncio.Queue()
-        self.writer_task: Optional[asyncio.Task] = None
         #: Wire subscription id -> engine subscription, owned by this client.
         self.subscriptions: Dict[int, Subscription] = {}
         #: Per-subscription push sequence numbers.
@@ -71,39 +70,9 @@ class _Connection:
         #: the commit-listener token and the registered follower name.
         self.wal_listener: Optional[int] = None
         self.wal_follower: Optional[str] = None
-        self.closing = False
-
-    def send_frame(self, frame: dict) -> None:
-        """Enqueue one frame for the writer task (event-loop thread only)."""
-        if not self.closing:
-            self.outbox.put_nowait(frame)
-
-    async def run_writer(self) -> None:
-        """Drain the outbox onto the socket until the ``None`` sentinel."""
-        while True:
-            frame = await self.outbox.get()
-            if frame is None:
-                break
-            try:
-                self.writer.write(protocol.encode_frame(frame))
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError):
-                break
-
-    async def flush_and_close(self) -> None:
-        """Stop accepting frames, flush queued ones, close the transport."""
-        self.closing = True
-        self.outbox.put_nowait(None)
-        if self.writer_task is not None:
-            await self.writer_task
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
-class QueryService:
+class QueryService(FrameServer):
     """Serve one engine + table to many clients over asyncio streams.
 
     Parameters
@@ -138,6 +107,7 @@ class QueryService:
     ):
         if query_workers < 1:
             raise ValueError("query_workers must be at least 1")
+        super().__init__(host, port)
         self.engine = engine
         self.iupt = iupt
         #: A read-only service (a read replica's front door) answers every
@@ -151,16 +121,10 @@ class QueryService:
         self.replication_extra: Optional[Callable[[], dict]] = None
         self.metrics = ServiceMetrics()
         self.admission = AdmissionController(admission)
-        self._host = host
-        self._port = port
         self._query_workers = query_workers
-        self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self.continuous = None  # set in start()
-        self._connections: Set[_Connection] = set()
-        self._request_tasks: Set[asyncio.Task] = set()
-        self._conn_tasks: Set[asyncio.Task] = set()
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -191,21 +155,7 @@ class QueryService:
             await self._loop.run_in_executor(
                 self._pool, self.continuous.restore_subscriptions
             )
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self._host,
-            self._port,
-            limit=protocol.MAX_FRAME_BYTES,
-        )
-        return self.address
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (valid after :meth:`start`)."""
-        if self._server is None:
-            raise RuntimeError("service not started")
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
+        return await self._listen()
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -236,7 +186,7 @@ class QueryService:
         if self._request_tasks:
             await asyncio.gather(*tuple(self._request_tasks), return_exceptions=True)
         for connection in tuple(self._connections):
-            await self._close_connection(connection)
+            await self._cleanup_connection(connection)
         if self._conn_tasks:
             await asyncio.gather(*tuple(self._conn_tasks), return_exceptions=True)
         # Only wait for the listener after every connection is torn down:
@@ -265,78 +215,15 @@ class QueryService:
     # ------------------------------------------------------------------
     # Connections
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(writer)
-        connection.writer_task = asyncio.ensure_future(connection.run_writer())
-        self._connections.add(connection)
-        self._conn_tasks.add(asyncio.current_task())
+    def _accept(self, writer: asyncio.StreamWriter) -> _Connection:
         self.metrics.note_connection_opened()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break
-                except ValueError:
-                    # readline raises ValueError when a line exceeds the
-                    # stream limit; the stream is now mid-frame and cannot
-                    # be resynchronised — answer structurally, then close.
-                    connection.send_frame(
-                        protocol.error_frame(
-                            None,
-                            "bad_frame",
-                            f"frame exceeds the {protocol.MAX_FRAME_BYTES}-byte "
-                            f"limit; split the request into smaller batches",
-                        )
-                    )
-                    break
-                if not line:
-                    break
-                if line.strip() == b"":
-                    continue
-                # Binary framing happens HERE, on the stream: a line
-                # declaring {"bin": N} is followed by N raw payload bytes
-                # that must be consumed before the next frame line.  An
-                # undecodable line cannot declare a payload, so it is handed
-                # to _serve_request as-is for the structured bad_frame
-                # answer (stream position is still a line boundary).
-                request: object = line
-                try:
-                    frame = protocol.decode_frame(line.rstrip(b"\n"))
-                except ProtocolError:
-                    frame = None
-                if frame is not None and protocol.BIN_LENGTH in frame:
-                    try:
-                        need = protocol.binary_length(
-                            frame, protocol.MAX_FRAME_BYTES
-                        )
-                    except ProtocolError as error:
-                        # A lying length prefix cannot be resynchronised.
-                        connection.send_frame(
-                            protocol.error_frame(None, error.kind, error.message)
-                        )
-                        break
-                    try:
-                        frame[protocol.BIN_PAYLOAD] = await reader.readexactly(
-                            need
-                        )
-                    except (ConnectionError, asyncio.IncompleteReadError):
-                        break
-                    request = frame
-                elif frame is not None:
-                    request = frame
-                task = asyncio.ensure_future(
-                    self._serve_request(connection, request)
-                )
-                self._request_tasks.add(task)
-                task.add_done_callback(self._request_tasks.discard)
-        finally:
-            await self._cleanup_connection(connection)
-            self._conn_tasks.discard(asyncio.current_task())
+        return _Connection(writer)
 
-    async def _cleanup_connection(self, connection: _Connection) -> None:
+    def _count_refused(self, error: ProtocolError) -> None:
+        # One answered request of no known op, as an undecodable line always was.
+        self.metrics.observe_request("?", 0.0, error.kind)
+
+    async def _release_connection(self, connection: _Connection) -> None:
         """Release everything a departing client held.
 
         A client that disconnects mid-subscription must not leave standing
@@ -350,9 +237,6 @@ class QueryService:
         over a durable table that keeps them in the persisted manifest, and
         a restarted service restores them for clients to ``resume``.
         """
-        if connection not in self._connections:
-            return
-        self._connections.discard(connection)
         if connection.wal_listener is not None:
             # A departed follower stops consuming commits immediately —
             # detach its listener and drop it from the lag table so
@@ -375,7 +259,6 @@ class QueryService:
                 # every other lock-taking call.
                 await self._run_blocking(self.continuous.unregister, subscription)
         self.admission.forget_client(connection.conn_id)
-        await connection.flush_and_close()
         self.metrics.note_connection_closed()
 
     def _detach_subscriptions(self, connection: _Connection) -> None:
@@ -392,35 +275,19 @@ class QueryService:
             subscription.on_update = None
             subscription.on_evicted = None
 
-    async def _close_connection(self, connection: _Connection) -> None:
-        await self._cleanup_connection(connection)
-
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
-    async def _serve_request(
-        self, connection: _Connection, request: "bytes | dict"
-    ) -> None:
+    async def _serve_request(self, connection: _Connection, frame: dict) -> None:
         began = self._loop.time()
-        request_id: object = None
+        request_id = frame.get("id")
+        # op doubles as a metrics key: a request refused before its op is
+        # known counts under "?", so no hostile frame can poison (or grow
+        # without bound) the sortable by-op counters.
         op = "?"
         error_kind: Optional[str] = None
         try:
-            if isinstance(request, dict):
-                frame = request  # decoded (and payload-carrying) in the read loop
-            else:
-                frame = protocol.decode_frame(request)
-            request_id = frame.get("id")
-            op = frame.get("op", "?")
-            if not isinstance(op, str):
-                # op doubles as a metrics key: keep it a plain string so one
-                # hostile frame cannot poison the sortable by-op counters.
-                op = repr(op)
-            if op not in protocol.OPS:
-                raise ProtocolError(
-                    "unknown_op",
-                    f"unknown op {op!r}; expected one of {protocol.OPS}",
-                )
+            op = protocol.request_op(frame)
             response = await self._dispatch(connection, op, frame, request_id)
         except ProtocolError as error:
             error_kind = error.kind
@@ -467,7 +334,10 @@ class QueryService:
                 # Connection bookkeeping on the loop (no lock, no race with
                 # _cleanup_connection); the engine unregistration takes the
                 # store lock, so it goes through the pool.
-                subscription = self._forget_subscription(connection, frame)
+                sub_id = protocol.field(frame, "subscription", int)
+                connection.push_seq.pop(sub_id, None)
+                connection.unsubscribed.add(sub_id)
+                subscription = connection.subscriptions.pop(sub_id, None)
                 removed = (
                     await self._run_blocking(
                         self.continuous.unregister, subscription
@@ -604,10 +474,7 @@ class QueryService:
 
     def _do_flow(self, frame: dict) -> dict:
         start, end = protocol.window_from_wire(frame)
-        try:
-            sloc_id = int(frame["sloc"])
-        except KeyError as error:
-            raise ProtocolError("bad_request", "missing field 'sloc'") from error
+        sloc_id = protocol.field(frame, "sloc", int)
         result = self.engine.flow(self.iupt, sloc_id, start, end)
         return {"sloc": sloc_id, "flow": result.flow}
 
@@ -615,7 +482,7 @@ class QueryService:
         start, end = protocol.window_from_wire(frame)
         sloc_ids = protocol.sloc_ids_from_wire(frame)
         flows = self.engine.flows(self.iupt, sloc_ids, start, end)
-        return {"flows": protocol.flows_to_wire(flows)}
+        return protocol.subscription_result_to_wire("flows", flows)
 
     def _do_batch(self, frame: dict) -> dict:
         payload = frame.get("queries")
@@ -641,12 +508,7 @@ class QueryService:
         return result
 
     def _do_evict_before(self, frame: dict) -> dict:
-        try:
-            timestamp = float(frame["timestamp"])
-        except KeyError as error:
-            raise ProtocolError("bad_request", "missing field 'timestamp'") from error
-        except (TypeError, ValueError) as error:
-            raise ProtocolError("bad_request", str(error)) from error
+        timestamp = protocol.field(frame, "timestamp", float)
         dropped = self.iupt.evict_before(timestamp)
         return {
             "records_dropped": dropped,
@@ -688,11 +550,8 @@ class QueryService:
         one binary payload of packed shards; the follower adopts it and
         tails from the returned (advanced) cursor instead.
         """
+        cursor = protocol.field(frame, "cursor", int, 0)
         store = self._durable_store()
-        try:
-            cursor = int(frame.get("cursor", 0))
-        except (TypeError, ValueError) as error:
-            raise ProtocolError("bad_request", str(error)) from error
         follower = frame.get("follower")
         with store.lock:
             last = store.last_committed_seq
@@ -735,11 +594,8 @@ class QueryService:
         the catch-up frames reach the connection's outbox before any live
         frame — the follower sees one gapless, strictly ordered sequence.
         """
+        cursor = protocol.field(frame, "cursor", int, 0)
         store = self._durable_store()
-        try:
-            cursor = int(frame.get("cursor", 0))
-        except (TypeError, ValueError) as error:
-            raise ProtocolError("bad_request", str(error)) from error
         if connection.wal_listener is not None:
             raise ProtocolError(
                 "bad_request", "this connection is already tailing the WAL"
@@ -777,17 +633,9 @@ class QueryService:
 
     def _do_wal_ack(self, frame: dict) -> dict:
         """Advance a follower's cursor (frees compaction to move past it)."""
-        store = self._durable_store()
-        try:
-            cursor = int(frame["cursor"])
-            follower = str(frame["follower"])
-        except KeyError as error:
-            raise ProtocolError(
-                "bad_request", f"missing field {error.args[0]!r}"
-            ) from error
-        except (TypeError, ValueError) as error:
-            raise ProtocolError("bad_request", str(error)) from error
-        store.ack_follower(follower, cursor)
+        cursor = protocol.field(frame, "cursor", int)
+        follower = protocol.field(frame, "follower", str)
+        self._durable_store().ack_follower(follower, cursor)
         return {"acked": cursor}
 
     def _push_wal_event(self, connection: _Connection, event: object) -> None:
@@ -837,49 +685,47 @@ class QueryService:
                 f"unknown subscription kind {kind!r}; "
                 f"expected one of {protocol.SUBSCRIPTION_KINDS}",
             )
-        on_update = lambda sub, result: self._push_update(  # noqa: E731
-            connection, kind, sub, result
-        )
-        on_evicted = lambda sub, error: self._push_evicted(  # noqa: E731
-            connection, sub, error
-        )
+        on_update, on_evicted = self._push_callbacks(connection, kind)
         if kind == "top_k":
             query = protocol.query_from_wire(frame)
             subscription = self.continuous.register(
                 query, on_update=on_update, on_evicted=on_evicted
             )
-            initial = protocol.result_to_wire(subscription.result)
         else:
             start, end = protocol.window_from_wire(frame)
             sloc_ids = protocol.sloc_ids_from_wire(frame)
             subscription = self.continuous.register_flows(
                 sloc_ids, start, end, on_update=on_update, on_evicted=on_evicted
             )
-            initial = {"flows": protocol.flows_to_wire(subscription.result)}
-        return subscription, {
+        return subscription, self._subscribed(subscription, kind, subscription.result)
+
+    def _push_callbacks(self, connection: _Connection, kind: str):
+        """The ``(on_update, on_evicted)`` pair that ties a standing query's
+        refreshes to one connection."""
+        return (
+            lambda sub, result: self._push_update(connection, kind, sub, result),
+            lambda sub, error: self._push_evicted(connection, sub, error),
+        )
+
+    @staticmethod
+    def _subscribed(subscription: Subscription, kind: str, result) -> dict:
+        """The ``subscribe`` response payload."""
+        return {
             "subscription": subscription.sub_id,
             "kind": kind,
-            "result": initial,
+            "result": protocol.subscription_result_to_wire(kind, result),
         }
 
     def _resume_subscription(self, connection: _Connection, frame: dict):
         """Re-attach one detached standing subscription to this connection."""
-        try:
-            sub_id = int(frame["resume"])
-        except (TypeError, ValueError) as error:
-            raise ProtocolError("bad_request", str(error)) from error
+        sub_id = protocol.field(frame, "resume", int)
         subscription = self.continuous.subscription(sub_id)
         if subscription is None:
             raise ProtocolError(
                 "bad_request", f"unknown subscription {sub_id} (nothing to resume)"
             )
         kind = "top_k" if subscription.kind == TOP_K else "flows"
-        on_update = lambda sub, result: self._push_update(  # noqa: E731
-            connection, kind, sub, result
-        )
-        on_evicted = lambda sub, error: self._push_evicted(  # noqa: E731
-            connection, sub, error
-        )
+        on_update, on_evicted = self._push_callbacks(connection, kind)
         with self.iupt.store.lock:
             # Attach under the store lock so a concurrent refresh observes
             # either no callbacks or both — never a half-attached pair; the
@@ -900,31 +746,9 @@ class QueryService:
                 subscription.on_update = None
                 subscription.on_evicted = None
                 raise
-        if kind == "top_k":
-            initial: object = protocol.result_to_wire(result)
-        else:
-            initial = {"flows": protocol.flows_to_wire(result)}
-        return subscription, {
-            "subscription": subscription.sub_id,
-            "kind": kind,
-            "result": initial,
-            "resumed": True,
-        }
-
-    @staticmethod
-    def _forget_subscription(connection: _Connection, frame: dict):
-        """Event-loop half of ``unsubscribe``: detach from the connection."""
-        try:
-            sub_id = int(frame["subscription"])
-        except KeyError as error:
-            raise ProtocolError(
-                "bad_request", "missing field 'subscription'"
-            ) from error
-        except (TypeError, ValueError) as error:
-            raise ProtocolError("bad_request", str(error)) from error
-        connection.push_seq.pop(sub_id, None)
-        connection.unsubscribed.add(sub_id)
-        return connection.subscriptions.pop(sub_id, None)
+        return subscription, dict(
+            self._subscribed(subscription, kind, result), resumed=True
+        )
 
     # ------------------------------------------------------------------
     # Push (called on ingesting worker threads, bridged onto the loop)
@@ -932,11 +756,7 @@ class QueryService:
     def _push_update(
         self, connection: _Connection, kind: str, subscription: Subscription, result
     ) -> None:
-        wire = (
-            protocol.result_to_wire(result)
-            if kind == "top_k"
-            else {"flows": protocol.flows_to_wire(result)}
-        )
+        wire = protocol.subscription_result_to_wire(kind, result)
         # seq is 0 here; _deliver_push numbers the frame on the event loop,
         # where push_seq is touched by exactly one thread — a worker-side
         # counter would race with the subscribe path.

@@ -120,3 +120,40 @@ def test_there_is_one_record_store_and_its_durable_wrapper():
     }
     assert concrete == {ShardedRecordStore, DurableRecordStore}
     assert type(IUPT().store) is ShardedRecordStore
+
+
+SERVICE_DIR = pathlib.Path(repro.__file__).parent / "service"
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["readline", "readexactly", "binary_length", "start_server", "open_connection"],
+)
+def test_the_service_tier_frames_a_stream_in_exactly_one_place(name):
+    """One reader, one listener, one dial: each stream primitive (and the
+    length rule) is called once under ``src/repro/service``."""
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SERVICE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and name == getattr(node.func, "attr", getattr(node.func, "id", None))
+    ]
+    assert len(sites) == 1, sites
+
+
+def test_the_sans_io_assembler_and_client_core_are_gone():
+    import repro.service
+    import repro.service.client
+    import repro.service.protocol
+
+    for module in (repro.service, repro.service.client, repro.service.protocol):
+        for name in ("FrameAssembler", "ClientCore"):
+            assert not hasattr(module, name)
+            assert name not in getattr(module, "__all__", ())
+
+
+def test_the_replica_ack_interval_is_not_a_parameter():
+    from repro.service.replica import ReadReplica
+
+    assert "ack_every" not in inspect.signature(ReadReplica.__init__).parameters

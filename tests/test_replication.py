@@ -7,7 +7,7 @@ oracle:
   must reproduce exactly the ingested batches; the replay floor moves with
   checkpoints and evictions; followers hold WAL compaction back),
 * the binary wire framing (``"bin"``-length-prefixed RPK1 payloads through
-  the sans-I/O :class:`~repro.service.protocol.FrameAssembler`),
+  :func:`~repro.service.stream.read_frame`, the reader every role runs),
 * the :class:`~repro.service.replica.ReadReplica` catch-up-then-tail loop
   (live replay, snapshot catch-up, fault-injected primary crash + restart,
   mixed-codec WALs, array-backend decode), and
@@ -18,6 +18,7 @@ oracle:
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from repro.codec.packed import PackedRecordBatch, encode_batch
 from repro.data.records import PositioningRecord
 from repro.service import protocol
 from repro.service.client import ReconnectPolicy
-from repro.service.protocol import FrameAssembler, ProtocolError
+from repro.service.protocol import ProtocolError
 from repro.service.replica import ReadReplica
 from repro.service.router import PartitionRouter
 from repro.storage import (
@@ -36,6 +37,7 @@ from repro.storage import (
     SimulatedCrashError,
 )
 from repro.storage.durable import WalCommit, WalEviction
+from tests.frame_feed import read_all
 from tests.json_era_store import write_json_era_directory
 
 SHARD_SECONDS = 10.0
@@ -208,21 +210,22 @@ class TestBinaryFrames:
         wire = protocol.encode_frame(
             {"push": "wal", "seq": 4, protocol.BIN_PAYLOAD: payload}
         ) + protocol.encode_frame({"id": 1, "ok": True, "result": {"pong": True}})
-        assembler = FrameAssembler()
-        frames = []
-        for i in range(0, len(wire), 7):  # drip-feed 7 bytes at a time
-            frames.extend(assembler.feed(wire[i : i + 7]))
+        # Drip-feed 7 bytes at a time.
+        frames = read_all(wire[i : i + 7] for i in range(0, len(wire), 7))
         assert len(frames) == 2
         assert frames[0]["seq"] == 4
         assert frames[0][protocol.BIN_PAYLOAD] == payload
         assert frames[1]["result"] == {"pong": True}
-        assert assembler.pending_bytes == 0
 
-    def test_assembler_rejects_oversized_declared_payloads(self):
-        assembler = FrameAssembler(max_frame_bytes=64)
-        wire = b'{"id": 1, "bin": 65}\n'
-        with pytest.raises(ProtocolError):
-            assembler.feed(wire)
+    def test_assembler_rejects_oversized_declared_payloads(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
+        wire = b'{"id": 1, "bin": 65}\n' + b"p" * 65 + b'{"id": 2}\n'
+        (error,) = read_all([wire], limit=64)
+        assert isinstance(error, ProtocolError)
+        assert error.fatal  # the bytes behind a refused length are never read
+        assert read_all([b'{"id": 1, "bin": 64}\n' + b"p" * 64], limit=64) == [
+            {"id": 1, "bin": 64, protocol.BIN_PAYLOAD: b"p" * 64}
+        ]
 
     def test_record_payload_round_trip_is_bit_exact(self):
         records = _batch(0.0, count=9)
@@ -683,14 +686,110 @@ class TestPartitionRouter:
             await writer.drain()
             replies = await asyncio.wait_for(reader.read(), timeout=10.0)  # to EOF
             writer.close()
-            frames = FrameAssembler().feed(replies)
-            assert [frame["error"]["kind"] for frame in frames] == ["bad_frame"]
             assert len(service.iupt) == len(history) > 0
             if router is not None:
                 await router.stop()
             await service.stop()
+            return replies
 
-        asyncio.run(run())
+        frames = read_all([asyncio.run(run())])
+        assert [frame["error"]["kind"] for frame in frames] == ["bad_frame"]
+
+
+# ----------------------------------------------------------------------
+# Hostile lines: the server and the router are one reader, so they answer alike
+# ----------------------------------------------------------------------
+async def _hostile_exchange(scenario, tmp_path, through, wire, replies_wanted):
+    """Send ``wire`` raw to a primary (``through="server"``) or to a router in
+    front of it; returns ``(replies, primary service)`` once the peer has sent
+    ``replies_wanted`` lines (``None``: everything up to EOF)."""
+    history, _ = _split_stream(scenario)
+    service, host, port = await _start_primary(scenario, tmp_path, preload=history)
+    router, address = None, (host, port)
+    if through == "router":
+        router = PartitionRouter((host, port), [])
+        address = await router.start()
+    reader, writer = await asyncio.open_connection(*address)
+    writer.write(wire)
+    await writer.drain()
+    if replies_wanted is None:
+        raw = await asyncio.wait_for(reader.read(), timeout=10.0)
+    else:
+        raw = b"".join(
+            [
+                await asyncio.wait_for(reader.readline(), timeout=10.0)
+                for _ in range(replies_wanted)
+            ]
+        )
+    writer.close()
+    assert len(service.iupt) == len(history) > 0  # nothing ingested, nothing evicted
+    if router is not None:
+        await router.stop()
+    await service.stop()
+    return raw, service
+
+
+@pytest.mark.parametrize("through", ["server", "router"])
+class TestHostileLinesAnswerAlike:
+    def test_an_oversized_line_gets_one_bad_frame_then_eof(
+        self, small_real_scenario, tmp_path, monkeypatch, through
+    ):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1 << 16)
+        skeleton = b'{"id":1,"op":"ping","pad":""}'
+        pad = b"x" * (protocol.MAX_FRAME_BYTES + 1 - len(skeleton))
+        line = skeleton[:-2] + pad + skeleton[-2:]
+        assert len(line) == protocol.MAX_FRAME_BYTES + 1
+        raw, service = asyncio.run(
+            _hostile_exchange(
+                small_real_scenario, tmp_path, through, line + b"\n", None
+            )
+        )
+        (reply,) = read_all([raw])  # exactly one reply, then EOF
+        assert reply["id"] is None
+        assert reply["error"]["kind"] == "bad_frame"
+        assert "limit" in reply["error"]["message"]
+        # The line the server itself refused shows in its stats, once.
+        refused = service.metrics.errors_by_kind.get("bad_frame", 0)
+        assert refused == (1 if through == "server" else 0)
+
+    def test_a_header_spelling_the_payload_key_is_refused_and_the_stream_survives(
+        self, small_real_scenario, tmp_path, through
+    ):
+        """``_bin`` is the in-memory payload key: spelled on a header line it
+        would be a second wire form for records.  It is refused whatever its
+        JSON type, nothing is ingested or forwarded, and — the line (and any
+        payload it declared) having been consumed whole — the same connection
+        still answers."""
+        payload = protocol.records_to_payload(_batch(500.0, count=5))
+        as_ints = json.dumps(list(payload)).encode()
+        as_text = json.dumps(payload.decode("latin-1")).encode()
+        wire = (
+            b'{"id":1,"op":"ingest_batch","_bin":' + as_ints + b"}\n"
+            b'{"id":2,"op":"ingest_batch","_bin":' + as_text + b"}\n"
+            b'{"id":3,"op":"ingest_batch","_bin":' + as_ints
+            + b',"bin":' + str(len(payload)).encode() + b"}\n" + payload
+            + b'{"id":4,"op":"ping"}\n'
+        )
+        raw, service = asyncio.run(
+            _hostile_exchange(small_real_scenario, tmp_path, through, wire, 4)
+        )
+        *refusals, pong = read_all([raw])
+        assert [reply["error"]["kind"] for reply in refusals] == ["bad_frame"] * 3
+        assert all("reserved" in reply["error"]["message"] for reply in refusals)
+        assert pong["id"] == 4 and pong["result"]["pong"] is True
+        refused = service.metrics.errors_by_kind.get("bad_frame", 0)
+        assert refused == (3 if through == "server" else 0)
+
+    def test_an_op_that_is_no_op_is_an_unknown_op(
+        self, small_real_scenario, tmp_path, through
+    ):
+        wire = b'{"id":3,"op":5}\n{"id":4,"op":"teleport"}\n{"id":5}\n'
+        raw, _service = asyncio.run(
+            _hostile_exchange(small_real_scenario, tmp_path, through, wire, 3)
+        )
+        replies = sorted(read_all([raw]), key=lambda reply: reply["id"])
+        assert [reply["id"] for reply in replies] == [3, 4, 5]
+        assert [reply["error"]["kind"] for reply in replies] == ["unknown_op"] * 3
 
 
 class TestClientReconnect:
@@ -718,6 +817,40 @@ class TestClientReconnect:
             await service.start()
             assert (await client.ping())["pong"] is True
             assert client.reconnects >= 1
+            await client.close()
+            await service.stop()
+
+        asyncio.run(run())
+
+    def test_a_refused_dial_spends_one_attempt_not_all_of_them(
+        self, small_real_scenario, tmp_path
+    ):
+        """The peer stays down across several re-dials: each refusal is one
+        attempt, and the request lands once the peer is back."""
+        scenario = small_real_scenario
+
+        async def run():
+            service, host, port = await _start_primary(scenario, tmp_path)
+            client = await ServiceClient.connect(
+                host,
+                port,
+                reconnect=ReconnectPolicy(
+                    max_retries=40, initial_backoff=0.05, max_backoff=0.05
+                ),
+            )
+            assert (await client.ping())["pong"] is True
+            await service.stop()
+            ping = asyncio.ensure_future(client.ping())
+            await asyncio.sleep(0.3)  # several dials are refused meanwhile
+            assert not ping.done()
+            service = QueryService(
+                _make_engine(scenario),
+                IUPT.durable(tmp_path, shard_seconds=SERVICE_SHARD_SECONDS),
+                port=port,
+                query_workers=2,
+            )
+            await service.start()
+            assert (await asyncio.wait_for(ping, timeout=10.0))["pong"] is True
             await client.close()
             await service.stop()
 

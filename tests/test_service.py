@@ -1,9 +1,11 @@
 """The query service layer: protocol, admission, metrics, server, client.
 
-The unit tests drive the sans-I/O pieces (wire protocol, admission
-controller, latency histograms, client core) with no sockets at all; the
-integration tests start a real :class:`~repro.service.server.QueryService`
-on a loopback port inside ``asyncio.run`` and talk to it through
+The unit tests drive the pure pieces (wire protocol, admission controller,
+latency histograms) and the one stream reader — ``read_frame`` over an
+``asyncio.StreamReader`` filled by hand — with no sockets at all; the client
+tests script a loopback peer; the integration tests start a real
+:class:`~repro.service.server.QueryService` on a loopback port inside
+``asyncio.run`` and talk to it through
 :class:`~repro.service.client.ServiceClient` connections, covering the
 failure paths the wire exposes: malformed frames, queries into evicted
 history, clients disconnecting mid-subscription, load shedding, and
@@ -16,6 +18,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     IUPT,
@@ -33,10 +37,12 @@ from repro.service.admission import (
     REASON_DRAINING,
     REASON_RATE,
 )
-from repro.service.client import ClientCore
+from repro.service.client import unwrap
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
-from repro.service.protocol import FrameAssembler, ProtocolError
+from repro.service.protocol import ProtocolError
+from repro.service.stream import read_frame
 from repro.storage import EvictedRangeError
+from tests.frame_feed import read_all
 
 
 # ----------------------------------------------------------------------
@@ -89,13 +95,24 @@ class TestProtocol:
         assert (error["start"], error["end"], error["watermark"]) == (0.0, 60.0, 120.0)
 
     def test_frame_splitter_handles_partial_chunks(self):
-        splitter = FrameAssembler()
-        assert splitter.feed(b'{"a":') == []
-        assert splitter.pending_bytes > 0
-        frames = splitter.feed(b'1}\n{"b":2}\n{"tail"')
-        assert frames == [{"a": 1}, {"b": 2}]
-        assert splitter.feed(b":3}\n") == [{"tail": 3}]
-        assert splitter.pending_bytes == 0
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(b'{"a":')
+            first = asyncio.ensure_future(read_frame(reader))
+            await asyncio.sleep(0)
+            assert not first.done()  # a partial line is no frame yet
+            reader.feed_data(b'1}\n{"b":2}\n{"tail"')
+            assert await first == {"a": 1}
+            assert await read_frame(reader) == {"b": 2}
+            tail = asyncio.ensure_future(read_frame(reader))
+            await asyncio.sleep(0)
+            assert not tail.done()
+            reader.feed_data(b":3}\n")
+            assert await tail == {"tail": 3}
+            reader.feed_eof()
+            assert await read_frame(reader) is None
+
+        asyncio.run(run())
 
 
 # ----------------------------------------------------------------------
@@ -223,35 +240,78 @@ class TestMetrics:
 
 
 # ----------------------------------------------------------------------
-# Client core (sans-I/O)
+# The client half of the protocol (ServiceClient against a scripted peer)
 # ----------------------------------------------------------------------
+async def _with_scripted_peer(peer, drive):
+    """Run ``drive(client)`` on a ServiceClient connected to ``peer``."""
+    server = await asyncio.start_server(peer, "127.0.0.1", 0)
+    host, port = server.sockets[0].getsockname()[:2]
+    client = await ServiceClient.connect(host, port)
+    try:
+        await asyncio.wait_for(drive(client), timeout=10.0)
+    finally:
+        await client.close()
+        server.close()
+        await server.wait_closed()
+
+
 class TestClientCore:
     def test_requests_get_fresh_ids_and_classify_responses(self):
-        core = ClientCore()
-        id_a, wire_a = core.build_request("ping")
-        id_b, _wire_b = core.build_request("stats")
-        assert id_a != id_b
-        assert json.loads(wire_a.decode())["op"] == "ping"
-        events = core.feed_bytes(
-            protocol.encode_frame({"id": id_a, "ok": True, "result": {"pong": True}})
-        )
-        assert events == [
-            ("response", id_a, {"id": id_a, "ok": True, "result": {"pong": True}})
-        ]
-        assert id_a not in core.pending and id_b in core.pending
+        seen = []
+
+        async def peer(reader, writer):
+            for _ in range(2):
+                seen.append(json.loads(await reader.readline()))
+            # Answer the first request only.
+            writer.write(
+                protocol.encode_frame(
+                    protocol.response_frame(seen[0]["id"], {"pong": True})
+                )
+            )
+            await writer.drain()
+            await reader.read()  # until the client hangs up
+            writer.close()
+
+        async def drive(client):
+            ping = asyncio.ensure_future(client.request("ping"))
+            stats = asyncio.ensure_future(client.request("stats"))
+            assert await ping == {"pong": True}
+            assert [frame["op"] for frame in seen] == ["ping", "stats"]
+            assert seen[0]["id"] != seen[1]["id"]
+            assert not stats.done()  # its id was never answered
+            await client.close()
+            with pytest.raises(ConnectionError):
+                await stats
+
+        asyncio.run(_with_scripted_peer(peer, drive))
 
     def test_push_frames_are_classified_as_pushes(self):
-        core = ClientCore()
-        frame = protocol.push_update_frame(3, 1, "top_k", {"ranking": []})
-        ((tag, received),) = core.feed_bytes(protocol.encode_frame(frame))
-        assert tag == "push"
-        assert received["subscription"] == 3
+        async def peer(reader, writer):
+            request = json.loads(await reader.readline())
+            # A push is a push even when it carries the pending request's id:
+            # it must reach the push hook and never resolve the request.
+            push = protocol.push_update_frame(3, 1, "top_k", {"ranking": []})
+            writer.write(protocol.encode_frame(dict(push, id=request["id"])))
+            writer.write(
+                protocol.encode_frame(
+                    protocol.response_frame(request["id"], {"pong": True})
+                )
+            )
+            await writer.drain()
+            await reader.read()
+            writer.close()
+
+        async def drive(client):
+            pushes = []
+            client.on_push = pushes.append
+            assert await client.ping() == {"pong": True}
+            assert [frame["subscription"] for frame in pushes] == [3]
+
+        asyncio.run(_with_scripted_peer(peer, drive))
 
     def test_unwrap_raises_typed_service_error(self):
         with pytest.raises(ServiceError) as excinfo:
-            ClientCore.unwrap(
-                protocol.error_frame(1, "overloaded", "slow down", reason="rate")
-            )
+            unwrap(protocol.error_frame(1, "overloaded", "slow down", reason="rate"))
         assert excinfo.value.kind == "overloaded"
         assert excinfo.value.details["reason"] == "rate"
 
@@ -323,6 +383,42 @@ class TestServerIntegration:
                 assert served_batch == {
                     "results": [protocol.result_to_wire(r) for r in direct_batch]
                 }
+
+            # Eight connections, each pipelining its requests at once: the
+            # answers stay bit-identical, the pool sees real concurrency and
+            # the default admission limits shed nothing.
+            async def pipeline(index):
+                async with await ServiceClient.connect(host, port) as client:
+                    start = 10.0 * (index % 4)
+                    return await asyncio.gather(
+                        client.top_k(slocs, 3, start, HISTORY),
+                        client.flows(slocs[: 3 + index % 4], start, HISTORY),
+                        client.top_k(slocs[index % 3 :], 2, 0.0, HISTORY - start),
+                    )
+
+            for index, answers in enumerate(
+                await asyncio.gather(*(pipeline(index) for index in range(8)))
+            ):
+                start = 10.0 * (index % 4)
+                assert answers == [
+                    protocol.result_to_wire(
+                        reference.top_k(service.iupt, slocs, 3, start, HISTORY)
+                    ),
+                    {
+                        "flows": protocol.flows_to_wire(
+                            reference.flows(
+                                service.iupt, slocs[: 3 + index % 4], start, HISTORY
+                            )
+                        )
+                    },
+                    protocol.result_to_wire(
+                        reference.top_k(
+                            service.iupt, slocs[index % 3 :], 2, 0.0, HISTORY - start
+                        )
+                    ),
+                ]
+            assert service.admission.stats.peak_inflight > 1
+            assert service.admission.stats.shed_total == 0
             await service.stop()
 
         asyncio.run(run())
@@ -393,6 +489,15 @@ class TestServerIntegration:
                 with pytest.raises(ServiceError) as excinfo:
                     await client.top_k(scenario.slocation_ids(), 1, 50.0, 10.0)
                 assert excinfo.value.kind == "bad_request"
+                # A field that will not cast is a bad_request naming the field.
+                for op, fields, name in (
+                    ("flow", {"sloc": "lobby", "start": 0.0, "end": 10.0}, "sloc"),
+                    ("wal_cursor", {"cursor": "soon"}, "cursor"),
+                ):
+                    with pytest.raises(ServiceError) as excinfo:
+                        await client.request(op, **fields)
+                    assert excinfo.value.kind == "bad_request"
+                    assert f"field {name!r}" in excinfo.value.message
             await service.stop()
 
         asyncio.run(run())
@@ -765,30 +870,34 @@ class TestFrameSizeBoundary:
         return line
 
     def test_splitter_accepts_exactly_the_limit(self):
-        splitter = FrameAssembler(max_frame_bytes=16)
-        assert splitter.feed(self._line(16) + b"\n") == [{"a": "x" * 8}]
+        assert read_all([self._line(16) + b"\n"], limit=16) == [{"a": "x" * 8}]
 
     def test_splitter_rejects_one_byte_over(self):
-        splitter = FrameAssembler(max_frame_bytes=16)
-        with pytest.raises(ProtocolError) as excinfo:
-            splitter.feed(self._line(17) + b"\n")
-        assert excinfo.value.kind == "bad_frame"
+        wire = self._line(17) + b"\n" + self._line(9) + b"\n"
+        (error,) = read_all([wire], limit=16)
+        assert isinstance(error, ProtocolError)
+        assert error.kind == "bad_frame"
+        assert error.fatal  # nothing after an oversized line may be read
 
     def test_splitter_rejects_terminatorless_flood_early(self):
         """A stream with no newline must fail as soon as it cannot fit."""
-        splitter = FrameAssembler(max_frame_bytes=8)
-        splitter.feed(b"x" * 8)  # could still become a max-size line
-        with pytest.raises(ProtocolError):
-            splitter.feed(b"x")  # now it cannot
 
-    def test_splitter_unlimited_when_unconfigured(self):
-        splitter = FrameAssembler(max_frame_bytes=None)
-        assert splitter.feed(self._line(1024) + b"\n") == [{"a": "x" * 1016}]
+        async def run():
+            reader = asyncio.StreamReader(limit=8)
+            reading = asyncio.ensure_future(read_frame(reader))
+            reader.feed_data(b"x" * 8)  # could still become a max-size line
+            await asyncio.sleep(0)
+            assert not reading.done()
+            reader.feed_data(b"x")  # now it cannot
+            with pytest.raises(ProtocolError) as excinfo:
+                await reading
+            assert excinfo.value.fatal
+
+        asyncio.run(run())
 
     def test_client_core_enforces_the_wire_limit(self):
-        core = ClientCore(max_frame_bytes=64)
-        with pytest.raises(ProtocolError):
-            core.feed_bytes(b"{" + b"x" * 64 + b"}\n")
+        (error,) = read_all([b"{" + b"x" * 64 + b"}\n"], limit=64)
+        assert isinstance(error, ProtocolError) and error.fatal
 
     def test_server_accepts_a_frame_of_exactly_the_limit(
         self, small_real_scenario, monkeypatch
@@ -833,6 +942,137 @@ class TestFrameSizeBoundary:
             await service.stop()
 
         asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# The reader under fuzz: frames, refusals or a clean stop — nothing else
+# ----------------------------------------------------------------------
+FUZZ_LIMIT = 96  # small, so oversized lines and refused lengths are common
+
+_json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-9, 9), st.text(max_size=6),
+    st.lists(st.integers(0, 255), max_size=4),
+)
+_plain_frames = st.dictionaries(
+    st.text(max_size=4).filter(
+        lambda key: key not in (protocol.BIN_LENGTH, protocol.BIN_PAYLOAD)
+    ),
+    _json_values,
+    max_size=3,
+).filter(lambda frame: len(protocol.encode_frame(frame)) <= FUZZ_LIMIT)
+#: A frame, sometimes carrying a payload (any byte value, newlines included);
+#: the header keeps room for the ``"bin":NN`` declaration within the limit.
+_frames = st.one_of(
+    _plain_frames,
+    st.builds(
+        lambda frame, payload: {**frame, protocol.BIN_PAYLOAD: payload},
+        _plain_frames.filter(lambda frame: len(protocol.encode_frame(frame)) < 80),
+        st.binary(max_size=FUZZ_LIMIT),
+    ),
+)
+#: Lines a reader must refuse yet survive: not JSON, not an object, or a
+#: header that spells the reserved payload key (alone, or beside a length
+#: declaration whose payload follows).  Each is consumed whole.
+_refusable = st.one_of(
+    st.sampled_from([b"{not json\n", b"[1,2]\n", b"\xff\xfe\n", b'"bin"\n']),
+    st.builds(
+        lambda value: b'{"_bin":' + json.dumps(value).encode() + b"}\n",
+        _json_values,
+    ),
+    st.builds(
+        lambda payload: b'{"_bin":[1],"bin":%d}\n' % len(payload) + payload,
+        st.binary(max_size=FUZZ_LIMIT),
+    ),
+)
+
+
+def _as_read(frame: dict) -> dict:
+    """What ``read_frame`` hands out for a frame ``encode_frame`` wrote."""
+    if protocol.BIN_PAYLOAD not in frame:
+        return frame
+    return {**frame, protocol.BIN_LENGTH: len(frame[protocol.BIN_PAYLOAD])}
+
+
+def _chunked(data, wire: bytes) -> list:
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(wire)), max_size=8)))
+    return [wire[a:b] for a, b in zip([0] + cuts, cuts + [len(wire)])]
+
+
+def _read_fuzzed(chunks) -> list:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "MAX_FRAME_BYTES", FUZZ_LIMIT)
+        outcomes = read_all(chunks, limit=FUZZ_LIMIT)
+    # Whatever the bytes were: frames and refusals only (any other exception
+    # has already escaped read_all), a payload is exactly the raw bytes its
+    # header declared, and a fatal refusal is the last thing read.
+    for outcome in outcomes:
+        if isinstance(outcome, ProtocolError):
+            assert outcome.kind == "bad_frame"
+            continue
+        assert isinstance(outcome, dict)
+        payload = outcome.get(protocol.BIN_PAYLOAD)
+        if protocol.BIN_LENGTH in outcome:
+            assert isinstance(payload, bytes)
+            assert len(payload) == outcome[protocol.BIN_LENGTH] <= FUZZ_LIMIT
+        else:
+            assert payload is None
+    assert not any(getattr(outcome, "fatal", False) for outcome in outcomes[:-1])
+    return outcomes
+
+
+class TestReadFrameFuzz:
+    @given(
+        script=st.lists(st.one_of(_frames, _refusable, st.just(b"\n")), max_size=8),
+        data=st.data(),
+    )
+    @settings(deadline=None)
+    def test_a_well_formed_stream_round_trips_whatever_the_chunking(
+        self, script, data
+    ):
+        """Frames come back one for one with their payloads, blank lines
+        vanish, and every refusable line costs exactly one recoverable error
+        — the well-formed line behind it is still read."""
+        wire = b"".join(
+            item if isinstance(item, bytes) else protocol.encode_frame(item)
+            for item in script
+        )
+        outcomes = _read_fuzzed(_chunked(data, wire))
+        expected = [item for item in script if item != b"\n"]
+        assert len(outcomes) == len(expected)
+        for outcome, item in zip(outcomes, expected):
+            if isinstance(item, bytes):
+                assert isinstance(outcome, ProtocolError) and not outcome.fatal
+            else:
+                assert outcome == _as_read(item)
+
+    @given(frames=st.lists(_frames, min_size=1, max_size=6), data=st.data())
+    @settings(deadline=None)
+    def test_a_damaged_stream_yields_frames_refusals_or_a_clean_stop(
+        self, frames, data
+    ):
+        wire = bytearray(b"".join(protocol.encode_frame(frame) for frame in frames))
+        damage = data.draw(st.sampled_from(["truncate", "flip", "lie", "noise"]))
+        if damage == "truncate":
+            del wire[data.draw(st.integers(0, len(wire))) :]
+        elif damage == "flip":
+            position = data.draw(st.integers(0, len(wire) - 1))
+            wire[position] ^= 1 << data.draw(st.integers(0, 7))
+        elif damage == "lie":
+            # Overwrite a length declaration's digits (when there is one).
+            lie = data.draw(
+                st.sampled_from([b"0", b"7", b"97", b"-1", b"1e3", b"true", b'"9"'])
+            )
+            head, mark, tail = bytes(wire).partition(b'"bin":')
+            wire = bytearray(head + mark + lie + tail.lstrip(b"0123456789"))
+        else:
+            wire = bytearray(data.draw(st.binary(max_size=4 * FUZZ_LIMIT)))
+        outcomes = _read_fuzzed(_chunked(data, bytes(wire)))
+        if damage == "truncate":
+            # A cut stream is a prefix of the original: whole frames, then at
+            # most the torn line's refusal — never a frame nobody sent.
+            read = [o for o in outcomes if not isinstance(o, ProtocolError)]
+            assert read == [_as_read(frame) for frame in frames][: len(read)]
+            assert len(outcomes) - len(read) <= 1
 
 
 # ----------------------------------------------------------------------
