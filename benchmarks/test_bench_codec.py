@@ -148,9 +148,7 @@ def test_codec_paper_scale_report():
         table.store.close()
 
         began = time.perf_counter()
-        recovered = DurableRecordStore(
-            path, config=DurabilityConfig(checkpoint_on_recover=False)
-        )
+        recovered = DurableRecordStore(path)
         recovery_elapsed = time.perf_counter() - began
         report = dict(recovered.recovery_report)
         assert list(recovered.records_in_time_order()) == oracle_rows

@@ -151,7 +151,17 @@ from .system import IndoorFlowSystem
 # line is answered identically by every role. The sans-I/O frame assembler,
 # the client core and the replica's ack-interval parameter are gone; a header
 # line spelling the reserved "_bin" key is a bad_frame.
-__version__ = "6.0.0"
+# 7.0.0: the durable store says each durability rule once. DurabilityConfig
+# keeps three fields (fsync, snapshot_every_batches, fail_after_writes): the
+# size-triggered compaction threshold, its follower allowance and the
+# recover-time checkpoint switch are gone with the topology flag for the first
+# and the commit wall-clock ledger (lag in seconds); opening a directory that
+# holds segments always ends in a checkpoint. One log reader serves recovery
+# and replication replay; a corrupt snapshot file or a CRC-valid frame of the
+# wrong shape raises a ValueError naming the file instead of opening a smaller
+# table. Best-first joins multi-floor R-tree nodes (floor -1) with
+# indexes.rtree.loose_intersects and equals naive on every building.
+__version__ = "7.0.0"
 
 __all__ = [
     "ALGORITHMS",

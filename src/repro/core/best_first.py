@@ -37,6 +37,7 @@ from ..data.iupt import IUPT
 from ..data.records import SampleSet
 from ..geometry import Rect
 from ..indexes import AggregateEntry, CountAggregateRTree, RTree, RTreeNode
+from ..indexes.rtree import loose_intersects
 from .query import RankedLocation, SearchStats, TkPLQResult, TkPLQuery, rank_top_k
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core never imports the engine)
@@ -227,7 +228,7 @@ class BestFirstTkPLQ:
         stats: SearchStats,
     ) -> None:
         """Join one RQ entry with a candidate list and push it with its bound."""
-        join_list = [c for c in candidates if c.mbr.intersects(entry.mbr)]
+        join_list = [c for c in candidates if loose_intersects(c.mbr, entry.mbr)]
         bound = float(sum(c.count for c in join_list))
         self._push(heap, counter, _HeapItem(bound, entry, join_list))
 
@@ -249,7 +250,7 @@ class BestFirstTkPLQ:
                 else list(candidate.node.entries)
             )
             for child in children:
-                if child.mbr.intersects(entry.mbr):
+                if loose_intersects(child.mbr, entry.mbr):
                     expanded.append(child)
                     bound += child.count
         if expanded or entry.is_leaf_entry:

@@ -71,8 +71,14 @@ def _union_across_floors(rects: Sequence[Rect]) -> Rect:
     return Rect(xmin, ymin, xmax, ymax, floor if same_floor else -1)
 
 
-def _loose_intersects(a: Optional[Rect], b: Rect) -> bool:
-    """Planar intersection test that ignores the floor of multi-floor MBRs."""
+def loose_intersects(a: Optional[Rect], b: Rect) -> bool:
+    """Intersection test in which floor ``-1`` (a multi-floor MBR) is a wildcard.
+
+    The one predicate for anything that may be a node MBR — this tree's own
+    searches and the best-first join of two trees alike: the floor-strict
+    :meth:`Rect.intersects` never matches a ``-1`` MBR, which would prune the
+    whole subtree under it.
+    """
     if a is None:
         return False
     if a.floor != -1 and b.floor != -1 and a.floor != b.floor:
@@ -271,7 +277,7 @@ class RTree:
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if not _loose_intersects(node.mbr, window):
+            if not loose_intersects(node.mbr, window):
                 continue
             if node.is_leaf:
                 for entry in node.entries:

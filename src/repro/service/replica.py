@@ -47,9 +47,9 @@ from .client import ReconnectPolicy, ServiceClient, ServiceError
 from .server import QueryService
 
 
-#: Send ``wal_ack`` after this many applied batches (acks advance the
-#: primary's compaction hold-back cursor; they are flow control, not
-#: correctness).
+#: Send ``wal_ack`` after this many applied batches (acks feed the primary's
+#: per-follower lag in ``replica_status``; they are observability, not
+#: correctness — nothing on the primary waits for one).
 ACK_EVERY = 8
 
 
@@ -68,8 +68,8 @@ class ReadReplica:
     primary_host, primary_port:
         The primary query service to follow.
     name:
-        The follower name registered with the primary (appears in its
-        ``follower_lags`` observability and holds back WAL compaction).
+        The follower name registered with the primary (the key of its lag
+        entry in the primary's ``replica_status``: observability only).
     """
 
     def __init__(

@@ -41,7 +41,7 @@ from ..data.iupt import IUPT
 from ..engine.continuous import Subscription, TOP_K
 from ..engine.runtime import QueryEngine
 from ..storage import EvictedRangeError
-from ..storage.durable import WalCommit, WalEviction
+from ..storage.durable import DurableRecordStore, WalCommit, WalEviction
 from .admission import AdmissionConfig, AdmissionController
 from .metrics import ServiceMetrics
 from . import protocol
@@ -110,6 +110,12 @@ class QueryService(FrameServer):
         super().__init__(host, port)
         self.engine = engine
         self.iupt = iupt
+        #: The served table's store when it is durable, else ``None`` — the one
+        #: answer to "is there a log, a manifest, something to flush?".
+        #: (Compare with ``is not None``: an empty store is falsy.)
+        self._durable: Optional[DurableRecordStore] = (
+            iupt.store if isinstance(iupt.store, DurableRecordStore) else None
+        )
         #: A read-only service (a read replica's front door) answers every
         #: query/subscription op but rejects mutations — its table is owned
         #: by the replication tail, not by clients.
@@ -146,7 +152,11 @@ class QueryService(FrameServer):
         self._pool = ThreadPoolExecutor(
             max_workers=self._query_workers, thread_name_prefix="repro-query"
         )
-        manifest_path = getattr(self.iupt.store, "subscription_manifest_path", None)
+        manifest_path = (
+            self._durable.subscription_manifest_path
+            if self._durable is not None
+            else None
+        )
         self.continuous = self.engine.continuous(
             self.iupt, manifest_path=manifest_path
         )
@@ -199,9 +209,8 @@ class QueryService(FrameServer):
         # the last admitted mutation completed, so everything a client got
         # an acknowledgement for survives the shutdown regardless of the
         # configured fsync policy.
-        flush = getattr(self.iupt.store, "flush", None)
-        if flush is not None:
-            await self._run_blocking(flush)
+        if self._durable is not None:
+            await self._run_blocking(self._durable.flush)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
 
@@ -239,9 +248,8 @@ class QueryService(FrameServer):
         """
         if connection.wal_listener is not None:
             # A departed follower stops consuming commits immediately —
-            # detach its listener and drop it from the lag table so
-            # compaction is no longer held back on its account.  (This runs
-            # on drain too: WAL tails are live streams, not resumable
+            # detach its listener and drop it from the lag table.  (This
+            # runs on drain too: WAL tails are live streams, not resumable
             # subscriptions; a reconnecting follower redoes the handshake.)
             await self._run_blocking(self._release_wal_tail, connection)
         if self._stopped or self.admission.draining:
@@ -436,7 +444,7 @@ class QueryService(FrameServer):
         """The replication view of this service (worker thread: takes locks).
 
         On a durable primary: the committed/replayable sequence range, the
-        WAL inventory, and per-follower lag in frames and seconds.  On a
+        WAL inventory, and per-follower lag in frames.  On a
         replica the tailer merges its applied sequence and primary address
         in through :attr:`replication_extra`.
         """
@@ -445,10 +453,10 @@ class QueryService(FrameServer):
             "role": self.role,
             "read_only": self.read_only,
             "store": store.kind,
-            "shard_seconds": getattr(store, "shard_seconds", None),
+            "shard_seconds": store.shard_seconds,
             "records": len(self.iupt),
         }
-        if hasattr(store, "wal_inventory"):
+        if self._durable is not None:
             status.update(
                 last_seq=store.last_committed_seq,
                 base_seq=store.wal_base_seq,
@@ -500,11 +508,10 @@ class QueryService(FrameServer):
         records = protocol.records_from_payload(protocol.frame_payload(frame))
         receipt = self.iupt.ingest_batch(records)
         result = protocol.receipt_to_wire(receipt)
-        store = self.iupt.store
-        if hasattr(store, "last_committed_seq"):
+        if self._durable is not None:
             # The durable commit sequence: a router (or any read-your-writes
             # client) can hold reads until a replica has applied this far.
-            result["seq"] = store.last_committed_seq
+            result["seq"] = self._durable.last_committed_seq
         return result
 
     def _do_evict_before(self, frame: dict) -> dict:
@@ -517,27 +524,19 @@ class QueryService(FrameServer):
 
     def _do_checkpoint(self, _frame: dict) -> dict:
         """Snapshot the durable store so recovery skips WAL replay."""
-        checkpoint = getattr(self.iupt.store, "checkpoint", None)
-        if checkpoint is None:
-            raise ProtocolError(
-                "bad_request",
-                f"the {self.iupt.store.kind!r} store is not durable; "
-                f"there is nothing to checkpoint",
-            )
-        return checkpoint()
+        return self._durable_store().checkpoint()
 
     # ------------------------------------------------------------------
     # WAL shipping (worker-pool threads)
     # ------------------------------------------------------------------
-    def _durable_store(self):
-        store = self.iupt.store
-        if not hasattr(store, "committed_batches_after"):
+    def _durable_store(self) -> DurableRecordStore:
+        if self._durable is None:
             raise ProtocolError(
                 "bad_request",
-                f"the {store.kind!r} store has no write-ahead log; WAL "
-                f"shipping needs a durable table (IUPT.durable)",
+                f"the {self.iupt.store.kind!r} store is not durable: checkpoints "
+                f"and WAL shipping need a write-ahead-logged table (IUPT.durable)",
             )
-        return store
+        return self._durable
 
     def _do_wal_cursor(self, frame: dict):
         """The catch-up half of the handshake: snapshot-or-replay decision.
@@ -632,7 +631,7 @@ class QueryService(FrameServer):
             }
 
     def _do_wal_ack(self, frame: dict) -> dict:
-        """Advance a follower's cursor (frees compaction to move past it)."""
+        """Advance a follower's cursor (what ``replica_status`` lag reads)."""
         cursor = protocol.field(frame, "cursor", int)
         follower = protocol.field(frame, "follower", str)
         self._durable_store().ack_follower(follower, cursor)

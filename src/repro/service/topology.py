@@ -78,10 +78,7 @@ async def _run_primary(args: argparse.Namespace) -> None:
     iupt = IUPT.durable(
         args.data_dir,
         shard_seconds=args.shard_seconds,
-        config=DurabilityConfig(
-            snapshot_every_batches=args.snapshot_every,
-            compact_above_bytes=args.compact_above_bytes,
-        ),
+        config=DurabilityConfig(snapshot_every_batches=args.snapshot_every),
     )
     service = QueryService(
         _build_engine(args),
@@ -153,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-seconds", type=float, default=DEFAULT_SHARD_SECONDS
     )
     primary.add_argument("--snapshot-every", type=int, default=64)
-    primary.add_argument("--compact-above-bytes", type=int, default=None)
 
     replica = sub.add_parser("replica", help="WAL-shipping read replica")
     common(replica)

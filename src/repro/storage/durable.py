@@ -20,14 +20,13 @@ structure maps one-to-one onto log segments and snapshot files:
   trade-off: ``"always"`` fsyncs every segment append and every commit
   (survives OS crashes), ``"batch"`` fsyncs only the commit record (survives
   process crashes; the default), ``"never"`` leaves flushing to the OS
-  (fastest; survives clean exits).  ``benchmarks/test_bench_durable.py``
-  measures the cost of each;
+  (fastest; survives clean exits);
 * **snapshots** — :meth:`DurableRecordStore.checkpoint` writes each dirty
   shard's records *and version* to ``snapshots/shard-<key>.snap``
   (atomically, via a temp file and ``os.replace``), then deletes the shard's
   now-redundant segment and compacts the control log, so recovery loads the
   snapshot and replays only the frames appended after it.
-  ``DurabilityConfig.snapshot_every_batches`` checkpoints automatically;
+  ``DurabilityConfig.snapshot_every_batches`` is the one automatic trigger;
 * **eviction** — :meth:`DurableRecordStore.evict_before` first persists a
   watermark record (the logical commit of the eviction), then drops the
   shards in memory and deletes their segment and snapshot files.  A crash
@@ -45,13 +44,25 @@ structure maps one-to-one onto log segments and snapshot files:
   the recovered store is bit-identical to an in-memory oracle that applied
   exactly the committed batches.
 
+The log has **one reader**, :meth:`DurableRecordStore._scan_log`: recovery and
+the replication replay (:meth:`DurableRecordStore.committed_batches_after`)
+learn which sequences are committed and which frames each segment holds from
+it, and only recovery lets it cut a torn tail off a file — the one damage a
+crash can cause.  Anything else it cannot interpret is refused with a
+``ValueError`` naming the file: a CRC-valid frame of the wrong shape
+(:func:`_field`), and a snapshot file that is not exactly one snapshot frame
+for the shard its name states — a snapshot replaces its file atomically and
+its segments are deleted afterwards, so a damaged one is never crash residue,
+and falling back to the log would silently open a smaller table.
+
 Records have one serialised form: segment frames (``RSG1``) and snapshots
 (``RSN1``) carry the packed columnar ``RPK1`` layout of
 :mod:`repro.codec.packed`, bit-exact on both codec backends; only the control
 log is JSON (its frames are a few dozen bytes).  Builds before 5.0 could also
-write record frames as JSON; :func:`_legacy_json_records` still *reads* them,
-so such a directory opens unchanged, and every frame written after the reopen
-is binary.
+write record frames as JSON; :func:`_legacy_json_records` still *reads* them
+at recovery, so such a directory opens to the same table; the checkpoint that
+ends every recovery which saw a segment folds them into binary snapshots, so a
+segment never mixes the two eras.
 """
 
 from __future__ import annotations
@@ -60,7 +71,6 @@ import json
 import os
 import pathlib
 import struct
-import time
 import uuid
 import zlib
 from dataclasses import dataclass
@@ -92,9 +102,6 @@ SUBSCRIPTIONS_NAME = "subscriptions.json"
 
 FSYNC_KINDS = ("always", "batch", "never")
 
-#: How many recent commits keep their wall-clock time for lag-in-seconds.
-_COMMIT_TIME_WINDOW = 4096
-
 #: Frame header: payload byte length + CRC32 of the payload, big-endian.
 _FRAME_HEADER = struct.Struct(">II")
 
@@ -123,47 +130,25 @@ class DurabilityConfig:
         ``"always"``: fsync every segment append and every control-log
         record — an ingest survives an OS crash once it returned.
         ``"batch"`` (default): fsync only the control log's commit record —
-        survives process crashes, and orders the commit after its data
-        frames on the way to disk.  ``"never"``: flush to the OS but never
-        fsync — fastest, survives clean process exits.
+        survives a process crash, not an OS crash (syncing ``control.wal``
+        orders nothing in the segment files).  ``"never"``: flush to the OS
+        but never fsync — fastest, survives clean process exits.
     ``snapshot_every_batches``
-        Automatic checkpoint cadence (``None`` = only explicit
-        :meth:`DurableRecordStore.checkpoint` calls).  Frequent snapshots
-        shorten recovery (less WAL replay) at the cost of ingest-path
-        pauses; the durable benchmark quantifies the trade-off.
-    ``checkpoint_on_recover``
-        Checkpoint immediately after a non-empty recovery (default): the
-        directory is left canonical — snapshots only, no segments, a
-        compacted control log — so the *next* recovery does no replay at
-        all and crash garbage (uncommitted frames) is purged.
+        Automatic checkpoint cadence; ``None`` = only explicit
+        :meth:`DurableRecordStore.checkpoint` calls (and the one that ends a
+        recovery which found segments).  Frequent snapshots shorten recovery
+        and bound the log's size at the cost of ingest-path pauses.
     ``fail_after_writes``
         Fault injection for the crash-recovery harness: the store performs
         exactly this many WAL file operations (frame appends, snapshot
         writes, file deletions), then raises :class:`SimulatedCrashError`
         immediately *before* the next one — i.e. it dies at a frame
         boundary, leaving whole frames on disk.  ``None`` disables.
-    ``compact_above_bytes``
-        Size-triggered WAL compaction: after a committed ingest pushes the
-        total segment bytes past this threshold, the store checkpoints
-        (snapshot + segment drop) automatically, so an eviction-free table
-        stops growing one segment forever.  Compaction **holds back** while
-        a registered replication follower's cursor still needs the frames —
-        unless the follower lags by more than ``follower_lag_cap_frames``
-        committed batches, in which case the segments are compacted anyway
-        and the laggard has to re-catch-up from a snapshot
-        (:meth:`DurableRecordStore.can_replay_from` turns false for its
-        cursor).  ``None`` disables.
-    ``follower_lag_cap_frames``
-        How many committed batches a lagging follower may hold compaction
-        back before the primary compacts past it (see above).
     """
 
     fsync: str = "batch"
     snapshot_every_batches: Optional[int] = None
-    checkpoint_on_recover: bool = True
     fail_after_writes: Optional[int] = None
-    compact_above_bytes: Optional[int] = None
-    follower_lag_cap_frames: int = 4096
 
     def __post_init__(self) -> None:
         if self.fsync not in FSYNC_KINDS:
@@ -174,10 +159,6 @@ class DurabilityConfig:
             raise ValueError("snapshot_every_batches must be at least 1 (or None)")
         if self.fail_after_writes is not None and self.fail_after_writes < 0:
             raise ValueError("fail_after_writes must be non-negative (or None)")
-        if self.compact_above_bytes is not None and self.compact_above_bytes < 1:
-            raise ValueError("compact_above_bytes must be positive (or None)")
-        if self.follower_lag_cap_frames < 0:
-            raise ValueError("follower_lag_cap_frames must be non-negative")
 
 
 class WalCommit:
@@ -191,14 +172,11 @@ class WalCommit:
     how many connections ship it.
     """
 
-    __slots__ = ("seq", "records", "wall_time", "_payload")
+    __slots__ = ("seq", "records", "_payload")
 
-    def __init__(
-        self, seq: int, records: Sequence[PositioningRecord], wall_time: float
-    ):
+    def __init__(self, seq: int, records: Sequence[PositioningRecord]):
         self.seq = seq
         self.records = tuple(records)
-        self.wall_time = wall_time
         self._payload: Optional[bytes] = None
 
     def payload(self) -> bytes:
@@ -211,11 +189,10 @@ class WalCommit:
 class WalEviction:
     """One committed retention eviction, as observed by a commit listener."""
 
-    __slots__ = ("watermark", "wall_time")
+    __slots__ = ("watermark",)
 
-    def __init__(self, watermark: float, wall_time: float):
+    def __init__(self, watermark: float):
         self.watermark = watermark
-        self.wall_time = wall_time
 
 
 #: A WAL commit listener: called under the store lock, in commit order, with
@@ -260,9 +237,7 @@ def _parse_frame_body(body: bytes) -> Optional[dict]:
     Record frames announce themselves with a magic prefix and carry their
     records as a :class:`~repro.codec.packed.PackedRecordBatch` under the
     ``"packed"`` key; everything else is compact JSON — the control log, and
-    the record frames of a directory written before 5.0.  The dispatch is per
-    frame, so a segment an older build started keeps growing with binary
-    frames after it.
+    the record frames of a directory written before 5.0.
     """
     prefix = body[:4]
     if prefix == SEGMENT_MAGIC:
@@ -286,7 +261,7 @@ def _parse_frame_body(body: bytes) -> Optional[dict]:
         }
     try:
         frame = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (ValueError, RecursionError):  # bad UTF-8, bad JSON, absurd nesting
         return None
     if not isinstance(frame, dict):
         return None
@@ -321,12 +296,29 @@ def decode_wal_frames(data: bytes) -> Tuple[List[dict], int]:
     return frames, offset
 
 
-def frame_records(frame: Mapping[str, object]) -> List[PositioningRecord]:
+def _field(frame: Mapping[str, object], name: str, cast, path: object, index: int):
+    """``cast(frame[name])`` — the one place a decoded frame's field is read.
+
+    A CRC-valid frame that lacks the field, or holds something ``cast``
+    refuses, was never written by this store: a ``ValueError`` that names the
+    file and the frame's index in it, not a bare ``KeyError`` out of recovery.
+    """
+    try:
+        return cast(frame[name])
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(
+            f"{path}: frame {index}: field {name!r}: {error!r}"
+        ) from error
+
+
+def frame_records(
+    frame: Mapping[str, object], path: object, index: int
+) -> List[PositioningRecord]:
     """Materialise the records a decoded segment/snapshot frame carries."""
     packed = frame.get("packed")
     if packed is not None:
         return packed.to_records()
-    return _legacy_json_records(frame["records"])
+    return _field(frame, "records", _legacy_json_records, path, index)
 
 
 def _legacy_json_records(payloads: Sequence[object]) -> List[PositioningRecord]:
@@ -378,8 +370,9 @@ class DurableRecordStore(RecordStore):
         self._writes_done = 0
         self._crashed = False
         self._closed = False
-        self._segment_handles: Dict[int, BinaryIO] = {}
-        self._control_handle: Optional[BinaryIO] = None
+        #: Open append handles: shard key -> its segment, CONTROL_NAME -> the
+        #: control log.
+        self._handles: Dict[object, BinaryIO] = {}
         self._next_seq = 1
         #: Per shard: the last committed batch sequence applied to it.
         self._shard_last_seq: Dict[int, int] = {}
@@ -391,19 +384,10 @@ class DurableRecordStore(RecordStore):
         #: (checkpoint compaction folded them into snapshots).
         self._last_committed_seq = 0
         self._wal_base_seq = 0
-        #: Per shard: bytes currently held by its segment file.
-        self._segment_bytes: Dict[int, int] = {}
-        #: Registered follower cursors (``name -> last acked seq``) and the
-        #: wall-clock commit times of recent sequences (for lag-in-seconds).
+        #: Registered follower cursors (``name -> last acked seq``).
         self._followers: Dict[str, int] = {}
-        self._commit_times: Dict[int, float] = {}
         self._commit_listeners: Dict[int, CommitListener] = {}
         self._next_listener_token = 1
-        self.compaction_stats: Dict[str, int] = {
-            "size_triggered": 0,
-            "held_back": 0,
-            "forced_past_laggard": 0,
-        }
         manifest = self._load_or_create_manifest(float(shard_seconds))
         self._uid = manifest["uid"]
         self._inner = ShardedRecordStore(shard_seconds=manifest["shard_seconds"])
@@ -412,12 +396,11 @@ class DurableRecordStore(RecordStore):
         self._lock = self._inner.lock
         self.recovery_report: Dict[str, object] = {}
         self._recover()
-        if self.config.checkpoint_on_recover and self.recovery_report.get(
-            "segments_seen", 0
-        ):
+        if self.recovery_report["segments_seen"]:
             # Leave the directory canonical (snapshots only, compacted
-            # control log): the next recovery replays nothing, and crash
-            # garbage — uncommitted or already-compacted frames — is purged.
+            # control log): the next recovery replays nothing, crash garbage
+            # — uncommitted or already-compacted frames — is purged, and a
+            # pre-5.0 directory's JSON frames never share a segment with ours.
             self.checkpoint()
 
     # ------------------------------------------------------------------
@@ -449,61 +432,54 @@ class DurableRecordStore(RecordStore):
     # Recovery
     # ------------------------------------------------------------------
     def _recover(self) -> None:
-        committed, watermark, base_next, torn = self._read_control_log()
+        # Snapshots first: a damaged one refuses the open before the log
+        # scan has repaired (rewritten) anything.
         snapshots = self._read_snapshots()
-        segments, max_seq, torn_segments = self._read_segments()
-        torn += torn_segments
+        committed, watermark, base_next, segments, torn = self._scan_log(repair=True)
+        max_seq = max(
+            (seq for frames in segments.values() for seq, _frame in frames), default=0
+        )
 
         replayed = 0
         skipped_uncommitted = 0
         loaded_from_snapshot = 0
         loaded_lazily = 0
         max_through = 0
-        #: Committed sequences whose frames physically survive in segments —
-        #: the range a reconnecting follower can still replay from.
-        surviving_committed: Set[int] = set()
         shard_seconds = self._inner.shard_seconds
         for key in sorted(set(snapshots) | set(segments)):
             if (key + 1) * shard_seconds <= watermark:
                 # The eviction was committed (watermark record) but the crash
                 # interrupted the file deletions: finish them now.
-                self._remove_segment(key, count_write=False)
-                self._remove_snapshot(key, count_write=False)
+                self._remove_shard_files(key, count_write=False)
                 continue
-            snapshot = snapshots.get(key)
+            version, through, snapshot = snapshots.get(key, (0, 0, None))
+            self._snapshotted_version[key] = version
+            packed = None
             if snapshot is not None:
-                version = int(snapshot["version"])
-                through = int(snapshot["through"])
+                packed = snapshot.get("packed")
                 loaded_from_snapshot += 1
-            else:
-                version, through = 0, 0
-            pending: List[dict] = []
-            for frame in segments.get(key, ()):
-                seq = int(frame["seq"])
+            pending: List[Tuple[int, int, dict]] = []
+            for index, (seq, frame) in enumerate(segments.get(key, ())):
                 if seq <= through:
                     continue  # already folded into the snapshot
                 if seq not in committed:
                     skipped_uncommitted += 1
                     continue
-                pending.append(frame)
-                surviving_committed.add(seq)
-            if (
-                not pending
-                and snapshot is not None
-                and snapshot.get("packed") is not None
-                and version > 0
-            ):
+                pending.append((index, seq, frame))
+            if not pending and packed is not None and version > 0:
                 # Binary snapshot with nothing to replay: adopt the packed
                 # batch as-is — the shard decodes lazily on first query, so
                 # cold recovery is one blob read per shard.
-                self._inner.load_shard_packed(key, snapshot["packed"], version)
+                self._inner.load_shard_packed(key, packed, version)
                 loaded_lazily += 1
             else:
-                records = frame_records(snapshot) if snapshot is not None else []
-                for frame in pending:
-                    records.extend(frame_records(frame))
+                records: List[PositioningRecord] = []
+                if snapshot is not None:
+                    records = frame_records(snapshot, self._snapshot_path(key), 0)
+                for index, seq, frame in pending:
+                    records.extend(frame_records(frame, self._segment_path(key), index))
                     version += 1
-                    through = int(frame["seq"])
+                    through = seq
                     replayed += 1
                 if pending:
                     # One stable sort replays every _Shard.absorb bit-exactly:
@@ -516,9 +492,6 @@ class DurableRecordStore(RecordStore):
                 if version > 0:
                     self._inner.load_shard(key, records, version)
             self._shard_last_seq[key] = through
-            self._snapshotted_version[key] = (
-                int(snapshot["version"]) if snapshot is not None else 0
-            )
             max_through = max(max_through, through)
         if watermark > float("-inf"):
             self._inner.restore_watermark(watermark)
@@ -531,23 +504,11 @@ class DurableRecordStore(RecordStore):
         # that a later recovery then skips as already-compacted (data loss).
         self._next_seq = max(base_next, max_seq + 1, max_through + 1)
         # Replication bookkeeping: the highest committed sequence any source
-        # witnessed, and the replay floor — the sequence at/below which no
-        # committed segment frame survives on disk (a follower whose cursor
-        # is below the floor must re-catch-up from snapshots instead).
-        last_committed = max_through
-        if committed:
-            last_committed = max(last_committed, max(committed))
-        self._last_committed_seq = max(last_committed, base_next - 1)
-        if surviving_committed:
-            self._wal_base_seq = min(surviving_committed) - 1
-        else:
-            self._wal_base_seq = self._last_committed_seq
-        for path in self._wal_dir.glob("segment-*.wal"):
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            self._segment_bytes[int(path.stem.split("-", 1)[1])] = size
+        # witnessed.  It is also the replay floor: the checkpoint that ends a
+        # recovery which saw a segment folds every frame away, so a follower
+        # whose cursor is below it must re-catch-up from snapshots.
+        self._last_committed_seq = max(max_through, base_next - 1, *committed)
+        self._wal_base_seq = self._last_committed_seq
         self.recovery_report = {
             "shards": self._inner.shard_count,
             "records": len(self._inner),
@@ -560,61 +521,84 @@ class DurableRecordStore(RecordStore):
             "watermark": watermark,
         }
 
-    def _read_control_log(self) -> Tuple[Set[int], float, int, int]:
-        path = self._dir / CONTROL_NAME
-        committed: Set[int] = set()
-        watermark = float("-inf")
-        base_next = 1
-        torn = 0
-        if not path.exists():
-            return committed, watermark, base_next, torn
-        data = path.read_bytes()
-        frames, valid = decode_wal_frames(data)
-        if valid < len(data):
-            self._truncate_file(path, valid)
-            torn = 1
-        for frame in frames:
-            record_kind = frame.get("kind")
-            if record_kind == "commit":
-                committed.add(int(frame["seq"]))
-            elif record_kind == "watermark":
-                watermark = max(watermark, float(frame["watermark"]))
-            elif record_kind == "base":
-                base_next = max(base_next, int(frame["next_seq"]))
-                if frame.get("watermark") is not None:
-                    watermark = max(watermark, float(frame["watermark"]))
-        return committed, watermark, base_next, torn
-
-    def _read_snapshots(self) -> Dict[int, dict]:
-        snapshots: Dict[int, dict] = {}
+    def _read_snapshots(self) -> Dict[int, Tuple[int, int, dict]]:
+        """``shard key -> (version, through, frame)`` of every snapshot file;
+        one that is not exactly one snapshot frame for the shard its name
+        states raises (module docstring: it is damage, never crash residue)."""
+        snapshots: Dict[int, Tuple[int, int, dict]] = {}
         for path in sorted(self._snap_dir.glob("shard-*.snap")):
-            frames, _valid = decode_wal_frames(path.read_bytes())
-            if not frames:
-                continue  # corrupt snapshot: fall back to pure WAL replay
-            payload = frames[0]
-            snapshots[int(payload["shard"])] = payload
-        return snapshots
-
-    def _read_segments(self) -> Tuple[Dict[int, List[dict]], int, int]:
-        segments: Dict[int, List[dict]] = {}
-        max_seq = 0
-        torn = 0
-        for path in sorted(self._wal_dir.glob("segment-*.wal")):
-            key = int(path.stem.split("-", 1)[1])
             data = path.read_bytes()
             frames, valid = decode_wal_frames(data)
-            if valid < len(data):
-                self._truncate_file(path, valid)
-                torn += 1
-            segments[key] = frames
-            for frame in frames:
-                max_seq = max(max_seq, int(frame["seq"]))
-        return segments, max_seq, torn
+            if len(frames) != 1 or valid != len(data):
+                raise ValueError(
+                    f"{path}: not one whole snapshot frame ({len(frames)} "
+                    f"decodable, {valid} of {len(data)} bytes valid)"
+                )
+            key = _field(frames[0], "shard", int, path, 0)
+            if path != self._snapshot_path(key):
+                raise ValueError(f"{path}: holds the snapshot of shard {key}")
+            snapshots[key] = (
+                _field(frames[0], "version", int, path, 0),
+                _field(frames[0], "through", int, path, 0),
+                frames[0],
+            )
+        return snapshots
 
-    @staticmethod
-    def _truncate_file(path: pathlib.Path, length: int) -> None:
-        with open(path, "r+b") as handle:
-            handle.truncate(length)
+    def _segment_files(self) -> List[Tuple[int, pathlib.Path]]:
+        """``(shard key, path)`` of every segment on disk, by *integer* key:
+        a batch's slices concatenate in ascending shard key, and file names
+        sort ``segment-10`` before ``segment-2``."""
+        return sorted(
+            (int(path.stem.split("-", 1)[1]), path)
+            for path in self._wal_dir.glob("segment-*.wal")
+        )
+
+    def _read_frames(self, path: pathlib.Path, repair: bool) -> Tuple[List[dict], int]:
+        """The decodable frames of one log file, and 1 if a torn tail was cut."""
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return [], 0
+        frames, valid = decode_wal_frames(data)
+        torn = repair and valid < len(data)
+        if torn:
+            os.truncate(path, valid)
+        return frames, int(torn)
+
+    def _scan_log(
+        self, repair: bool
+    ) -> Tuple[Set[int], float, int, Dict[int, List[Tuple[int, dict]]], int]:
+        """The one reader of the control log and the segments.
+
+        Returns ``(committed, watermark, base_next, segments, torn)``: the
+        committed sequences, the highest retention watermark, the base
+        record's ``next_seq`` (1 without one), each segment's ``(seq, frame)``
+        list by ascending shard key, and how many torn tails it met.  Only
+        recovery passes ``repair`` (truncate them): a live store's replay
+        never rewrites a file it is appending to.
+        """
+        path = self._dir / CONTROL_NAME
+        committed: Set[int] = set()
+        watermarks = [float("-inf")]
+        base_next = 1
+        frames, torn = self._read_frames(path, repair)
+        for index, frame in enumerate(frames):
+            kind, mark = frame.get("kind"), frame.get("watermark")
+            if kind == "commit":
+                committed.add(_field(frame, "seq", int, path, index))
+            elif kind == "base":
+                base_next = max(base_next, _field(frame, "next_seq", int, path, index))
+            if kind == "watermark" or (kind == "base" and mark is not None):
+                watermarks.append(_field(frame, "watermark", float, path, index))
+        segments: Dict[int, List[Tuple[int, dict]]] = {}
+        for key, path in self._segment_files():
+            frames, torn_here = self._read_frames(path, repair)
+            torn += torn_here
+            segments[key] = [
+                (_field(frame, "seq", int, path, index), frame)
+                for index, frame in enumerate(frames)
+            ]
+        return committed, max(watermarks), base_next, segments, torn
 
     # ------------------------------------------------------------------
     # Fault injection and file plumbing
@@ -666,42 +650,32 @@ class DurableRecordStore(RecordStore):
         finally:
             os.close(fd)
 
-    def _segment_handle(self, key: int) -> BinaryIO:
-        handle = self._segment_handles.get(key)
+    def _append_frame(self, file: object, frame: bytes, fsync: bool) -> None:
+        """Append one whole frame to a log file — the one append path.
+
+        ``file`` is a shard key (that shard's segment) or ``CONTROL_NAME``;
+        it keys the handle table directly, so an append builds no path.
+        """
+        self._fault_point()
+        handle = self._handles.get(file)
         if handle is None:
-            path = self._segment_path(key)
+            control = file == CONTROL_NAME
+            path = self._dir / file if control else self._segment_path(file)
             created = not path.exists()
-            handle = open(path, "ab")
-            self._segment_handles[key] = handle
+            handle = self._handles[file] = open(path, "ab")
             if created and self.config.fsync == "always":
                 # The "survives OS crashes" promise covers the directory
-                # entry of a brand-new segment too.
-                self._fsync_dir(self._wal_dir)
-        return handle
-
-    def _append_segment_frame(self, key: int, frame: bytes) -> None:
-        self._fault_point()
-        handle = self._segment_handle(key)
+                # entry of a brand-new log file too.
+                self._fsync_dir(path.parent)
         handle.write(frame)
         handle.flush()
-        if self.config.fsync == "always":
-            os.fsync(handle.fileno())
-        self._segment_bytes[key] = self._segment_bytes.get(key, 0) + len(frame)
-
-    def _append_control_frame(
-        self, payload: Mapping[str, object], fsync: bool
-    ) -> None:
-        self._fault_point()
-        if self._control_handle is None:
-            path = self._dir / CONTROL_NAME
-            created = not path.exists()
-            self._control_handle = open(path, "ab")
-            if created and self.config.fsync == "always":
-                self._fsync_dir(self._dir)
-        self._control_handle.write(encode_wal_frame(payload))
-        self._control_handle.flush()
         if fsync:
-            os.fsync(self._control_handle.fileno())
+            os.fsync(handle.fileno())
+
+    def _close_handle(self, file: object) -> None:
+        handle = self._handles.pop(file, None)
+        if handle is not None:
+            handle.close()
 
     def _atomic_write(self, path: pathlib.Path, data: bytes) -> None:
         tmp = path.with_suffix(path.suffix + ".tmp")
@@ -716,19 +690,13 @@ class DurableRecordStore(RecordStore):
             # see the pre-replace file (or none at all).
             self._fsync_dir(path.parent)
 
-    def _remove_segment(self, key: int, count_write: bool = True) -> None:
-        handle = self._segment_handles.pop(key, None)
-        if handle is not None:
-            handle.close()
-        self._segment_bytes.pop(key, None)
-        path = self._segment_path(key)
-        if path.exists():
-            if count_write:
-                self._fault_point()
-            path.unlink()
+    def _remove_shard_files(self, key: int, count_write: bool = True) -> None:
+        """Delete one shard's segment and snapshot (whichever exist)."""
+        self._close_handle(key)
+        for path in (self._segment_path(key), self._snapshot_path(key)):
+            self._remove_file(path, count_write)
 
-    def _remove_snapshot(self, key: int, count_write: bool = True) -> None:
-        path = self._snapshot_path(key)
+    def _remove_file(self, path: pathlib.Path, count_write: bool = True) -> None:
         if path.exists():
             if count_write:
                 self._fault_point()
@@ -764,33 +732,27 @@ class DurableRecordStore(RecordStore):
             # The inner store's slicer is the single source of truth for how
             # a batch maps onto shards: the WAL frames mirror it exactly.
             slices = self._inner.slice_batch(batch)
+            policy = self.config.fsync
             for key, slice_records in slices:
-                self._append_segment_frame(
-                    key, encode_segment_frame(seq, slice_records)
+                self._append_frame(
+                    key, encode_segment_frame(seq, slice_records), policy == "always"
                 )
             # The commit record makes the whole multi-shard batch atomic:
             # recovery ignores every frame of an uncommitted sequence.
-            self._append_control_frame(
-                {"kind": "commit", "seq": seq},
-                fsync=self.config.fsync in ("always", "batch"),
+            self._append_frame(
+                CONTROL_NAME,
+                encode_wal_frame({"kind": "commit", "seq": seq}),
+                policy != "never",
             )
             receipt = self._inner.ingest_batch(batch)
             for key, _slice in slices:
                 self._shard_last_seq[key] = seq
             self._last_committed_seq = seq
-            now = time.time()
-            self._commit_times[seq] = now
-            if len(self._commit_times) > _COMMIT_TIME_WINDOW:
-                # Sequences are monotonic, so insertion order is ascending:
-                # dropping the first key drops the oldest commit time.
-                self._commit_times.pop(next(iter(self._commit_times)))
-            self._notify_commit(WalCommit(seq, batch, now))
+            self._notify_commit(WalCommit(seq, batch))
             self._batches_since_snapshot += 1
             cadence = self.config.snapshot_every_batches
             if cadence is not None and self._batches_since_snapshot >= cadence:
                 self._checkpoint_locked()
-            else:
-                self._maybe_compact_locked()
             return receipt
 
     # ------------------------------------------------------------------
@@ -830,14 +792,14 @@ class DurableRecordStore(RecordStore):
         # ones are dead.  Drop every segment — including orphans whose only
         # frames were uncommitted crash garbage (their shard never loaded),
         # or every future recovery re-sees them and re-runs this checkpoint.
-        for path in list(self._wal_dir.glob("segment-*.wal")):
-            self._remove_segment(int(path.stem.split("-", 1)[1]))
+        for key, path in self._segment_files():
+            self._close_handle(key)
+            self._remove_file(path)
         self._rewrite_control_log()
         self._batches_since_snapshot = 0
         # Every pre-checkpoint frame is gone: followers behind this point
         # must re-catch-up from snapshots instead of replaying.
         self._wal_base_seq = self._last_committed_seq
-        self._segment_bytes.clear()
         return {
             "snapshots_written": snapshots_written,
             "shards": self._inner.shard_count,
@@ -851,14 +813,12 @@ class DurableRecordStore(RecordStore):
             "next_seq": self._next_seq,
             "watermark": watermark if watermark > float("-inf") else None,
         }
-        if self._control_handle is not None:
-            self._control_handle.close()
-            self._control_handle = None
+        self._close_handle(CONTROL_NAME)
         self._fault_point()
         self._atomic_write(self._dir / CONTROL_NAME, encode_wal_frame(base))
 
     # ------------------------------------------------------------------
-    # Replication: WAL cursors, followers, commit listeners, compaction
+    # Replication: WAL cursors, followers, commit listeners
     # ------------------------------------------------------------------
     @property
     def last_committed_seq(self) -> int:
@@ -903,53 +863,40 @@ class DurableRecordStore(RecordStore):
                     f"cursor {cursor} is below the WAL replay floor "
                     f"{self._wal_base_seq}; re-catch-up from a snapshot"
                 )
-            control_path = self._dir / CONTROL_NAME
-            committed: Set[int] = set()
-            if control_path.exists():
-                frames, _valid = decode_wal_frames(control_path.read_bytes())
-                for frame in frames:
-                    if frame.get("kind") == "commit":
-                        committed.add(int(frame["seq"]))
-            per_seq: Dict[int, List[Tuple[int, dict]]] = {}
-            for path in sorted(self._wal_dir.glob("segment-*.wal")):
-                key = int(path.stem.split("-", 1)[1])
-                frames, _valid = decode_wal_frames(path.read_bytes())
-                for frame in frames:
-                    seq = int(frame["seq"])
-                    if seq <= cursor or seq not in committed:
-                        continue
-                    per_seq.setdefault(seq, []).append((key, frame))
-            batches: List[Tuple[int, List[PositioningRecord]]] = []
-            for seq in sorted(per_seq):
-                records: List[PositioningRecord] = []
-                for _key, frame in sorted(per_seq[seq], key=lambda kv: kv[0]):
-                    records.extend(frame_records(frame))
-                batches.append((seq, records))
-            return batches
+            committed, _mark, _base, segments, _torn = self._scan_log(repair=False)
+            # Segments arrive in ascending integer shard key, so each
+            # sequence's slices concatenate in the order they were cut.
+            per_seq: Dict[int, List[PositioningRecord]] = {}
+            for key, frames in segments.items():
+                for index, (seq, frame) in enumerate(frames):
+                    if seq > cursor and seq in committed:
+                        per_seq.setdefault(seq, []).extend(
+                            frame_records(frame, self._segment_path(key), index)
+                        )
+            return sorted(per_seq.items())
 
     def wal_inventory(self) -> Dict[str, object]:
-        """Segment count/bytes per shard plus the replayable sequence range."""
+        """Segment count/bytes per shard plus the replayable sequence range.
+
+        Sizes are ``stat``-ed, not tallied: every append is flushed before it
+        returns, so the file sizes are exact.
+        """
         with self._lock:
-            control_path = self._dir / CONTROL_NAME
-            try:
-                control_bytes = control_path.stat().st_size
-            except OSError:
-                control_bytes = 0
+            control = self._dir / CONTROL_NAME
+            sizes = {
+                str(key): path.stat().st_size for key, path in self._segment_files()
+            }
             return {
-                "segments": len(self._segment_bytes),
-                "segment_bytes": sum(self._segment_bytes.values()),
-                "per_shard_bytes": {
-                    str(key): size
-                    for key, size in sorted(self._segment_bytes.items())
-                },
-                "control_bytes": control_bytes,
+                "segments": len(sizes),
+                "segment_bytes": sum(sizes.values()),
+                "per_shard_bytes": sizes,
+                "control_bytes": control.stat().st_size if control.exists() else 0,
                 "base_seq": self._wal_base_seq,
                 "last_seq": self._last_committed_seq,
-                "compaction": dict(self.compaction_stats),
             }
 
     def register_follower(self, name: str, cursor: int) -> None:
-        """Pin compaction for a replication follower at ``cursor``."""
+        """Start tracking a replication follower's lag from ``cursor``."""
         with self._lock:
             self._followers[name] = int(cursor)
 
@@ -964,28 +911,18 @@ class DurableRecordStore(RecordStore):
         with self._lock:
             self._followers.pop(name, None)
 
-    def follower_lags(self) -> Dict[str, Dict[str, object]]:
-        """Per-follower lag in frames and (best-effort) seconds behind."""
+    def follower_lags(self) -> Dict[str, Dict[str, int]]:
+        """Per follower: its acked cursor and how many commits it is behind —
+        lag observability (``replica_status``); the store holds nothing back
+        on a follower's account."""
         with self._lock:
-            now = time.time()
-            lags: Dict[str, Dict[str, object]] = {}
-            for name, cursor in sorted(self._followers.items()):
-                frames_behind = max(0, self._last_committed_seq - cursor)
-                seconds_behind = 0.0
-                if frames_behind:
-                    pending = [
-                        stamp
-                        for seq, stamp in self._commit_times.items()
-                        if seq > cursor
-                    ]
-                    if pending:
-                        seconds_behind = max(0.0, now - min(pending))
-                lags[name] = {
+            return {
+                name: {
                     "cursor": cursor,
-                    "frames_behind": frames_behind,
-                    "seconds_behind": round(seconds_behind, 3),
+                    "frames_behind": max(0, self._last_committed_seq - cursor),
                 }
-            return lags
+                for name, cursor in sorted(self._followers.items())
+            }
 
     def add_commit_listener(self, listener: CommitListener) -> int:
         """Observe every commit (:class:`WalCommit` / :class:`WalEviction`).
@@ -1006,29 +943,6 @@ class DurableRecordStore(RecordStore):
     def _notify_commit(self, event: object) -> None:
         for listener in list(self._commit_listeners.values()):
             listener(event)
-
-    def _maybe_compact_locked(self) -> None:
-        """Size-triggered compaction, coordinated with follower cursors."""
-        threshold = self.config.compact_above_bytes
-        if threshold is None:
-            return
-        if sum(self._segment_bytes.values()) < threshold:
-            return
-        if self._followers:
-            slowest = min(self._followers.values())
-            if slowest < self._last_committed_seq:
-                lag = self._last_committed_seq - slowest
-                if lag <= self.config.follower_lag_cap_frames:
-                    # A follower still needs these frames and is within its
-                    # allowance: hold the segments back for now.
-                    self.compaction_stats["held_back"] += 1
-                    return
-                # The laggard blew its allowance: compact anyway; it will
-                # find can_replay_from() false and re-catch-up from the
-                # snapshots this very checkpoint writes.
-                self.compaction_stats["forced_past_laggard"] += 1
-        self.compaction_stats["size_triggered"] += 1
-        self._checkpoint_locked()
 
     # ------------------------------------------------------------------
     # Queries (pure delegation)
@@ -1064,14 +978,14 @@ class DurableRecordStore(RecordStore):
             if not doomed:
                 return self._inner.evict_before(timestamp)  # 0, no event
             new_watermark = max((key + 1) * shard_seconds for key in doomed)
-            self._append_control_frame(
-                {"kind": "watermark", "watermark": new_watermark},
-                fsync=self.config.fsync in ("always", "batch"),
+            self._append_frame(
+                CONTROL_NAME,
+                encode_wal_frame({"kind": "watermark", "watermark": new_watermark}),
+                self.config.fsync != "never",
             )
             dropped = self._inner.evict_before(timestamp)
             for key in doomed:
-                self._remove_segment(key)
-                self._remove_snapshot(key)
+                self._remove_shard_files(key)
                 self._shard_last_seq.pop(key, None)
                 self._snapshotted_version.pop(key, None)
             # The dropped shards' committed frames are gone, and evictions
@@ -1081,7 +995,7 @@ class DurableRecordStore(RecordStore):
             # tailing followers receive the eviction through the commit
             # listeners instead and apply it themselves.
             self._wal_base_seq = self._last_committed_seq
-            self._notify_commit(WalEviction(new_watermark, time.time()))
+            self._notify_commit(WalEviction(new_watermark))
             return dropped
 
     @property
@@ -1107,10 +1021,7 @@ class DurableRecordStore(RecordStore):
     def flush(self) -> None:
         """Flush and fsync every open log handle (drain/shutdown hook)."""
         with self._lock:
-            handles = list(self._segment_handles.values())
-            if self._control_handle is not None:
-                handles.append(self._control_handle)
-            for handle in handles:
+            for handle in self._handles.values():
                 handle.flush()
                 os.fsync(handle.fileno())
 
@@ -1121,12 +1032,9 @@ class DurableRecordStore(RecordStore):
                 return
             if not self._crashed:
                 self.flush()
-            for handle in self._segment_handles.values():
+            for handle in self._handles.values():
                 handle.close()
-            self._segment_handles.clear()
-            if self._control_handle is not None:
-                self._control_handle.close()
-                self._control_handle = None
+            self._handles.clear()
             self._closed = True
 
     def __enter__(self) -> "DurableRecordStore":
@@ -1191,7 +1099,6 @@ class DurableRecordStore(RecordStore):
                 "fsync": self.config.fsync,
                 "codec_backend": active_backend(),
                 "snapshot_every_batches": self.config.snapshot_every_batches,
-                "compact_above_bytes": self.config.compact_above_bytes,
                 "next_seq": self._next_seq,
                 "last_committed_seq": self._last_committed_seq,
                 "wal_base_seq": self._wal_base_seq,

@@ -30,7 +30,7 @@ only index — and carries its own version counter:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -415,6 +415,17 @@ class ShardedRecordStore(RecordStore):
     # ------------------------------------------------------------------
     # Recovery hooks (durable layer only)
     # ------------------------------------------------------------------
+    def _install(self, shard: _Shard) -> None:
+        """Add one persisted shard as it is: no event, no version bump."""
+        if shard.version < 1:
+            raise ValueError("a restored shard's version must be at least 1")
+        with self._lock:
+            if shard.key in self._shards:
+                raise ValueError(f"shard {shard.key} is already loaded")
+            self._shards[shard.key] = shard
+            insort(self._shard_keys, shard.key)
+            self._count += shard.record_count
+
     def load_shard(
         self, key: int, records: Sequence[PositioningRecord], version: int
     ) -> None:
@@ -425,16 +436,7 @@ class ShardedRecordStore(RecordStore):
         and ``version`` is restored as-is so recovered
         :meth:`version_token` values reproduce the pre-crash tokens.
         """
-        if version < 1:
-            raise ValueError("a restored shard's version must be at least 1")
-        with self._lock:
-            if key in self._shards:
-                raise ValueError(f"shard {key} is already loaded")
-            shard = _Shard(key=key, records=list(records), version=version)
-            self._shards[key] = shard
-            insert_at = bisect_left(self._shard_keys, key)
-            self._shard_keys.insert(insert_at, key)
-            self._count += shard.record_count
+        self._install(_Shard(key=key, records=list(records), version=version))
 
     def load_shard_packed(
         self, key: int, packed: PackedRecordBatch, version: int
@@ -446,16 +448,7 @@ class ShardedRecordStore(RecordStore):
         first touches the shard, so cold recovery costs one blob read per
         shard instead of per-record parsing.
         """
-        if version < 1:
-            raise ValueError("a restored shard's version must be at least 1")
-        with self._lock:
-            if key in self._shards:
-                raise ValueError(f"shard {key} is already loaded")
-            shard = _Shard(key=key, version=version, packed=packed)
-            self._shards[key] = shard
-            insert_at = bisect_left(self._shard_keys, key)
-            self._shard_keys.insert(insert_at, key)
-            self._count += shard.record_count
+        self._install(_Shard(key=key, version=version, packed=packed))
 
     def unmaterialised_shard_count(self) -> int:
         """How many shards have at least one record still packed-only."""
@@ -497,15 +490,8 @@ class ShardedRecordStore(RecordStore):
             self._shards = {}
             self._shard_keys = []
             self._count = 0
-            for key, version, packed in sorted(shards, key=lambda s: s[0]):
-                if int(version) < 1:
-                    raise ValueError(
-                        "a restored shard's version must be at least 1"
-                    )
-                shard = _Shard(key=int(key), version=int(version), packed=packed)
-                self._shards[shard.key] = shard
-                self._shard_keys.append(shard.key)
-                self._count += shard.record_count
+            for key, version, packed in shards:
+                self._install(_Shard(int(key), version=int(version), packed=packed))
             self._watermark = max(self._watermark, float(watermark))
 
     def restore_identity(self, uid: object) -> None:

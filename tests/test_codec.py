@@ -441,9 +441,7 @@ class TestDurableBinaryCodec:
         tokens = store.version_token()
         store.close()
 
-        recovered = DurableRecordStore(
-            tmp_path / "t", config=DurabilityConfig(checkpoint_on_recover=False)
-        )
+        recovered = DurableRecordStore(tmp_path / "t")
         assert records_equal_bitwise(
             recovered.records_in_time_order(), oracle.store.records_in_time_order()
         )
@@ -459,9 +457,7 @@ class TestDurableBinaryCodec:
             total = len(store)
             tokens = store.version_token()
 
-        recovered = DurableRecordStore(
-            tmp_path / "t", config=DurabilityConfig(checkpoint_on_recover=False)
-        )
+        recovered = DurableRecordStore(tmp_path / "t")
         report = recovered.recovery_report
         assert report["shards_loaded_lazily"] == recovered.shard_count > 0
         # Introspection that needs no record objects keeps shards packed.
@@ -513,9 +509,7 @@ class TestDurableBinaryCodec:
             tmp_path / "t", 120.0, batches + [records[-2:]], len(batches), uid=uid
         )
 
-        recovered = DurableRecordStore(
-            tmp_path / "t", config=DurabilityConfig(checkpoint_on_recover=False)
-        )
+        recovered = DurableRecordStore(tmp_path / "t")
         report = recovered.recovery_report
         assert report["shards_from_snapshot"] == len(versions)
         assert report["frames_replayed"] == 1 and report["shards_loaded_lazily"] < len(versions)
@@ -537,30 +531,39 @@ class TestDurableBinaryCodec:
             assert reopened.version_token() == tokens
 
     def test_mixed_codec_segments_recover(self, tmp_path):
-        """One segment file carrying JSON frames then binary frames replays
-        both: codec dispatch is per frame, not per file."""
+        """A JSON-era directory with segments opens to the same table and is
+        canonicalised by that open: its JSON frames are folded into binary
+        snapshots, so the ``RSG1`` frames appended next never share a segment
+        with them — no ``.wal`` file is left holding a JSON frame."""
         records = _stream(num_objects=4, ticks=20)
         half = len(records) // 2
-        # One shard: the older build's JSON frame and ours land in one segment.
+        wal = tmp_path / "t" / "wal"
+        # One shard: the older build's frame and ours would share one segment.
         write_json_era_directory(tmp_path / "t", 1e9, [records[:half]])
-        store = DurableRecordStore(
-            tmp_path / "t", config=DurabilityConfig(checkpoint_on_recover=False)
+        (frame,), _ = decode_wal_frames(next(wal.glob("segment-*.wal")).read_bytes())
+        assert "records" in frame and "packed" not in frame  # JSON era
+        store = DurableRecordStore(tmp_path / "t")
+        assert store.recovery_report["frames_replayed"] == 1
+        assert records_equal_bitwise(
+            store.records_in_time_order(),
+            sorted(records[:half], key=lambda r: r.timestamp),
         )
+        assert not list(wal.glob("segment-*.wal"))  # folded into a snapshot ...
+        snapshot = tmp_path / "t" / "snapshots" / "shard-0.snap"
+        (frame,), _ = decode_wal_frames(snapshot.read_bytes())
+        assert "packed" in frame and frame["version"] == 1  # ... a binary one
         store.ingest_batch(records[half:])
         expected = store.records_in_time_order()
         assert records_equal_bitwise(expected, sorted(records, key=lambda r: r.timestamp))
         assert store.shard_versions() == {0: 2}
         store.close()
 
-        segment = next((tmp_path / "t" / "wal").glob("segment-*.wal"))
-        frames, _ = decode_wal_frames(segment.read_bytes())
-        assert ["records" in frame for frame in frames] == [True, False]  # JSON era
-        assert ["packed" in frame for frame in frames] == [False, True]  # binary era
+        frames, _ = decode_wal_frames(next(wal.glob("segment-*.wal")).read_bytes())
+        assert ["packed" in frame for frame in frames] == [True]  # RSG1 only
 
-        recovered = DurableRecordStore(
-            tmp_path / "t", config=DurabilityConfig(checkpoint_on_recover=False)
-        )
+        recovered = DurableRecordStore(tmp_path / "t")
         assert records_equal_bitwise(recovered.records_in_time_order(), expected)
+        assert recovered.shard_versions() == {0: 2}
         recovered.close()
 
     def test_binary_frame_torn_tail_is_truncated(self, tmp_path):

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DataReductionConfig, EngineConfig, IndoorFlowSystem, QueryEngine, TkPLQuery
 from repro.core import BestFirstTkPLQ, NaiveTkPLQ, NestedLoopTkPLQ
+from repro.core.query import SearchStats
+from repro.indexes import AggregateEntry
+from repro.synth import build_synthetic_scenario
 
 
 def cold_pipeline(scenario):
@@ -15,24 +22,37 @@ def cold_pipeline(scenario):
     ).pipeline
 
 
-@pytest.fixture(scope="module")
-def real_query(small_real_scenario):
-    scenario = small_real_scenario
+def whole_span_query(scenario) -> TkPLQuery:
     query_set = scenario.pick_query_slocations(0.6, seed=2)
     return TkPLQuery.build(query_set, 3, scenario.start_time, scenario.end_time)
 
 
-class TestAlgorithmAgreement:
-    def test_naive_nl_bf_return_same_flows(self, small_real_scenario, real_query):
-        scenario = small_real_scenario
-        pipeline = cold_pipeline(scenario)
-        naive = NaiveTkPLQ(pipeline).search(scenario.iupt, real_query)
-        nested = NestedLoopTkPLQ(pipeline).search(scenario.iupt, real_query)
-        best = BestFirstTkPLQ(pipeline).search(scenario.iupt, real_query)
+@pytest.fixture(scope="module")
+def real_query(small_real_scenario):
+    return whole_span_query(small_real_scenario)
 
-        for sloc_id in real_query.query_slocations:
-            assert naive.flows[sloc_id] == pytest.approx(nested.flows[sloc_id], abs=1e-9)
-        assert naive.top_k_ids() == nested.top_k_ids() == best.top_k_ids()
+
+def ranked(result):
+    return [(entry.sloc_id, entry.flow) for entry in result.ranking]
+
+
+class TestAlgorithmAgreement:
+    def test_naive_nl_bf_return_same_flows(
+        self, small_real_scenario, small_synth_scenario
+    ):
+        # One floor, then two: a multi-floor R-tree node MBR carries floor -1.
+        for scenario in (small_real_scenario, small_synth_scenario):
+            query = whole_span_query(scenario)
+            pipeline = cold_pipeline(scenario)
+            naive = NaiveTkPLQ(pipeline).search(scenario.iupt, query)
+            nested = NestedLoopTkPLQ(pipeline).search(scenario.iupt, query)
+            best = BestFirstTkPLQ(pipeline).search(scenario.iupt, query)
+
+            for sloc_id in query.query_slocations:
+                assert naive.flows[sloc_id] == pytest.approx(
+                    nested.flows[sloc_id], abs=1e-9
+                )
+            assert naive.top_k_ids() == nested.top_k_ids() == best.top_k_ids()
 
     def test_best_first_emits_k_results(self, small_real_scenario, real_query):
         scenario = small_real_scenario
@@ -122,3 +142,105 @@ class TestBestFirstEdgeCases:
         nl = scenario.system.search(scenario.iupt, query, algorithm="nested-loop")
         assert bf.top_k_ids() == nl.top_k_ids() == [sloc]
         assert bf.ranking[0].flow == pytest.approx(nl.ranking[0].flow, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# Best-first on multi-floor buildings (Algorithm 4 over floor -1 node MBRs)
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def floors_scenario(floors: int):
+    return build_synthetic_scenario(
+        num_objects=12,
+        floors=floors,
+        room_rows=1,
+        rooms_per_row=3,
+        duration_seconds=240.0,
+        seed=17,
+    )
+
+
+def slocs_under(entry):
+    """Every query S-location below one RQ entry (a leaf entry is its own)."""
+    if entry.is_leaf_entry:
+        return [entry.sloc_id]
+    found, stack = [], [entry.node]
+    while stack:
+        node = stack.pop()
+        found.extend(leaf.item for leaf in node.entries)
+        stack.extend(node.children)
+    return found
+
+
+class TestBestFirstOnEveryBuilding:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        floors=st.sampled_from((1, 2, 3)),
+        share=st.sampled_from((0.3, 0.6, 1.0)),
+        query_seed=st.integers(min_value=0, max_value=40),
+        k=st.integers(min_value=1, max_value=5),
+        fanout=st.sampled_from((4, 8)),
+        window=st.tuples(
+            st.floats(min_value=0.0, max_value=0.8), st.floats(min_value=0.1, max_value=1.0)
+        ),
+    )
+    def test_best_first_equals_nested_loop_equals_naive(
+        self, floors, share, query_seed, k, fanout, window
+    ):
+        """Ranking and emitted flows are ``==`` across the three algorithms,
+        and every bound best-first pushes dominates the exact (naive) flow of
+        every S-location under the pushed entry — the Algorithm-4 invariant
+        that makes stopping after ``k`` emissions sound."""
+        scenario = floors_scenario(floors)
+        query_set = scenario.pick_query_slocations(share, seed=query_seed)
+        span = scenario.end_time - scenario.start_time
+        start = scenario.start_time + window[0] * span
+        end = min(scenario.end_time, start + window[1] * span)
+        query = TkPLQuery.build(query_set, min(k, len(query_set)), start, end)
+
+        naive = NaiveTkPLQ(cold_pipeline(scenario)).search(scenario.iupt, query)
+        nested = NestedLoopTkPLQ(cold_pipeline(scenario)).search(scenario.iupt, query)
+        best_first = BestFirstTkPLQ(cold_pipeline(scenario), rtree_fanout=fanout)
+        pushed = []
+        push = best_first._push
+        best_first._push = lambda heap, counter, item: (
+            pushed.append(item),
+            push(heap, counter, item),
+        )
+        best = best_first.search(scenario.iupt, query)
+
+        assert ranked(best) == ranked(nested) == ranked(naive)
+        assert pushed
+        for item in pushed:
+            for sloc_id in slocs_under(item.entry):
+                assert item.bound >= naive.flows[sloc_id], (sloc_id, item)
+
+    def test_object_spanning_two_floors_is_inserted_per_floor_and_counted_once(
+        self, small_synth_scenario
+    ):
+        """``_psl_mbrs`` emits one MBR per floor, so such an object sits in RC
+        twice — that only loosens a bound (counted per floor); the exact flow
+        de-duplicates by object id."""
+        scenario = small_synth_scenario
+        pipeline = cold_pipeline(scenario)
+        plan = scenario.system.graph.plan
+        slocs = scenario.slocation_ids()
+        stats = SearchStats()
+        ctx = pipeline.context((scenario.start_time, scenario.end_time), set(slocs), stats=stats)
+        sequences = pipeline.fetch.run(ctx, scenario.iupt)
+        spanning = {}
+        for object_id, stored in pipeline.presences(ctx, sequences, build_paths=False):
+            mbrs = BestFirstTkPLQ._psl_mbrs(plan, stored.psls)
+            assert len(mbrs) == len({mbr.floor for mbr in mbrs})  # one per floor
+            if len(mbrs) == 2:
+                spanning[object_id] = (stored, mbrs)
+        assert spanning, "the fixture has no object whose PSLs span both floors"
+        object_id, (stored, mbrs) = sorted(spanning.items())[0]
+        sloc_id = sorted(stored.psls)[0]
+        cell_id = scenario.system.graph.parent_cell(sloc_id)
+        per_floor = [AggregateEntry(mbr=mbr, count=1, node=None, item=object_id) for mbr in mbrs]
+        best_first = BestFirstTkPLQ(pipeline)
+        before = stats.flow_evaluations
+        twice = best_first._exact_flow(ctx, per_floor, {object_id: stored}, cell_id, stats)
+        assert stats.flow_evaluations == before + 1
+        once = best_first._exact_flow(ctx, per_floor[:1], {object_id: stored}, cell_id, stats)
+        assert twice == once <= 1.0

@@ -19,8 +19,11 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     FloorPlan,
@@ -46,6 +49,7 @@ from repro.storage import (
     decode_wal_frames,
     encode_wal_frame,
 )
+from repro.storage.durable import encode_segment_frame, encode_snapshot_frame
 
 SHARD_SECONDS = 10.0
 
@@ -89,6 +93,99 @@ class TestWalFraming:
         timestamp = 0.1 + 0.2  # not representable prettily
         frames, _ = decode_wal_frames(encode_wal_frame({"t": timestamp}))
         assert frames[0]["t"] == timestamp
+
+
+def _comparable(frame: dict) -> dict:
+    """A decoded frame with its packed batch spelled as the records it holds."""
+    if "packed" not in frame:
+        return frame
+    return {**frame, "packed": frame["packed"].to_records()}
+
+
+_control_frames = st.one_of(
+    st.builds(lambda seq: {"kind": "commit", "seq": seq}, st.integers(0, 2**40)),
+    st.builds(
+        lambda mark: {"kind": "watermark", "watermark": mark},
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    st.builds(
+        lambda seq: {"kind": "base", "next_seq": seq, "watermark": None},
+        st.integers(1, 2**40),
+    ),
+)
+_record_lists = st.lists(
+    st.builds(
+        _record, st.integers(0, 50), st.integers(0, 8), st.floats(0.0, 1e6)
+    ),
+    max_size=4,
+)
+#: ``(bytes on disk, the frame decode_wal_frames must hand back)`` pairs.
+_log_frames = st.one_of(
+    _control_frames.map(lambda frame: (encode_wal_frame(frame), frame)),
+    st.builds(
+        lambda seq, records: (
+            encode_segment_frame(seq, records),
+            {"seq": seq, "packed": records},
+        ),
+        st.integers(0, 2**40),
+        _record_lists,
+    ),
+    st.builds(
+        lambda key, version, through, records: (
+            encode_snapshot_frame(key, version, through, records),
+            {"shard": key, "version": version, "through": through, "packed": records},
+        ),
+        st.integers(-5, 5000),
+        st.integers(1, 2**30),
+        st.integers(0, 2**40),
+        _record_lists,
+    ),
+)
+
+
+class TestDecodeWalFramesFuzz:
+    @given(data=st.binary(max_size=256))
+    def test_arbitrary_bytes_never_raise(self, data):
+        frames, valid = decode_wal_frames(data)
+        assert 0 <= valid <= len(data)
+        # What it read is exactly what the clean prefix holds.
+        again, valid_again = decode_wal_frames(data[:valid])
+        assert valid_again == valid and len(again) == len(frames)
+
+    @given(stream=st.lists(_log_frames, min_size=1, max_size=5), data=st.data())
+    @settings(deadline=None)
+    def test_a_damaged_stream_decodes_to_a_prefix_of_what_was_written(
+        self, stream, data
+    ):
+        """Truncated at any byte, bit-flipped, or with a length field
+        overwritten: never an exception, ``valid`` is a frame boundary, and
+        the frames returned are the originals up to it — nothing past the
+        first damaged frame, and nothing nobody wrote."""
+        blob = bytearray(b"".join(encoded for encoded, _frame in stream))
+        boundaries = [0]
+        for encoded, _frame in stream:
+            boundaries.append(boundaries[-1] + len(encoded))
+        damage = data.draw(st.sampled_from(["none", "truncate", "flip", "length"]))
+        damaged_at = len(blob)
+        if damage == "truncate":
+            damaged_at = data.draw(st.integers(0, len(blob)))
+            del blob[damaged_at:]
+        elif damage == "flip":
+            damaged_at = data.draw(st.integers(0, len(blob) - 1))
+            blob[damaged_at] ^= 1 << data.draw(st.integers(0, 7))
+        elif damage == "length":
+            damaged_at = boundaries[data.draw(st.integers(0, len(stream) - 1))]
+            declared = struct.unpack_from(">I", blob, damaged_at)[0]
+            lie = data.draw(st.integers(0, 2**32 - 1).filter(lambda n: n != declared))
+            struct.pack_into(">I", blob, damaged_at, lie)
+        frames, valid = decode_wal_frames(bytes(blob))
+        assert valid in boundaries and valid <= len(blob)
+        count = boundaries.index(valid)
+        # Whole frames before the damage are all read; the damaged one is not.
+        assert count == max(i for i, edge in enumerate(boundaries) if edge <= damaged_at)
+        assert [_comparable(frame) for frame in frames] == [
+            frame for _encoded, frame in stream[:count]
+        ]
 
 
 class TestDurabilityConfig:
@@ -159,9 +256,7 @@ class TestDurableRoundTrip:
 
         for old_kind in ("1dr-tree", "bplus-tree", "packed"):
             path.write_text(json.dumps({**manifest, "index_kind": old_kind}))
-            recovered = DurableRecordStore(
-                tmp_path, config=DurabilityConfig(checkpoint_on_recover=False)
-            )
+            recovered = DurableRecordStore(tmp_path)
             assert list(recovered.records_in_time_order()) == rows
             assert recovered.shard_versions() == versions
             assert (
@@ -601,6 +696,93 @@ class TestCrashRecoveryDifferential:
 
 
 # ----------------------------------------------------------------------
+# Damage that is not a torn tail: refused by name, never opened smaller
+# ----------------------------------------------------------------------
+def _tree(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _flip_a_snapshot_bit(root):
+    path = root / "snapshots" / "shard-1.snap"
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x10
+    path.write_bytes(bytes(data))
+    return path
+
+
+def _write(relative, frame, committed=False):
+    """A damage function: one file becomes one hand-written CRC-valid frame
+    (``committed``: under a commit record for sequence 1, so that recovery
+    reaches a segment frame instead of skipping it as uncommitted)."""
+
+    def damage(root):
+        if committed:
+            commit = encode_wal_frame({"kind": "commit", "seq": 1})
+            (root / "control.wal").write_bytes(commit)
+        (root / relative).write_bytes(encode_wal_frame(frame))
+        return root / relative
+
+    return damage
+
+
+class TestCorruptionIsLoud:
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(_flip_a_snapshot_bit, id="snapshot-bit-flipped"),
+            pytest.param(_write("control.wal", {"kind": "commit"}), id="commit-without-seq"),
+            pytest.param(_write("control.wal", {"kind": "base"}), id="base-without-next_seq"),
+            pytest.param(
+                _write("control.wal", {"kind": "watermark", "watermark": "x"}),
+                id="watermark-not-a-number",
+            ),
+            pytest.param(
+                _write("wal/segment-5.wal", {"seq": 1}, committed=True),
+                id="segment-frame-without-records",
+            ),
+            pytest.param(
+                _write("wal/segment-5.wal", {"records": []}, committed=True),
+                id="segment-frame-without-seq",
+            ),
+            pytest.param(
+                _write("wal/segment-5.wal", {"seq": 1, "records": [[1, 2.0]]}, True),
+                id="json-era-triple-of-wrong-arity",
+            ),
+            pytest.param(
+                _write("snapshots/shard-1.snap", {"version": 1, "through": 1, "records": []}),
+                id="snapshot-without-shard",
+            ),
+            pytest.param(
+                _write(
+                    "snapshots/shard-1.snap",
+                    {"shard": 2, "version": 1, "through": 1, "records": []},
+                ),
+                id="snapshot-of-another-shard",
+            ),
+        ],
+    )
+    def test_uninterpretable_files_refuse_the_open_by_name(self, damage, tmp_path):
+        """Thirty records in three shards, checkpointed; then one file the
+        store did not write that way.  The open raises a ``ValueError`` naming
+        the file — not a ``KeyError``, and above all not a store that opens
+        with fewer records — and leaves every byte where it was."""
+        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
+        store.ingest_batch([_record(1, 1, float(t)) for t in range(30)])
+        store.checkpoint()
+        store.close()
+        damaged = damage(tmp_path)
+        before = _tree(tmp_path)
+        with pytest.raises(ValueError) as excinfo:
+            DurableRecordStore(tmp_path)
+        assert str(damaged) in str(excinfo.value)
+        assert _tree(tmp_path) == before
+
+
+# ----------------------------------------------------------------------
 # Service restart: manifest restore + resume
 # ----------------------------------------------------------------------
 class TestServiceRestart:
@@ -686,6 +868,32 @@ class TestServiceRestart:
 
         asyncio.run(phase_one())
         asyncio.run(phase_two())
+
+    def test_an_empty_durable_table_still_persists_its_subscriptions(
+        self, small_real_scenario, tmp_path
+    ):
+        """Regression: an empty store is falsy (``__len__``), so "is this
+        table durable?" must never be asked with a truth test."""
+        scenario = small_real_scenario
+
+        async def run():
+            iupt = IUPT.durable(tmp_path, shard_seconds=60.0)
+            assert not iupt.store  # empty, hence falsy — and durable all the same
+            service = QueryService(
+                QueryEngine(scenario.system.graph, scenario.system.matrix), iupt
+            )
+            host, port = await service.start()
+            async with await ServiceClient.connect(host, port) as client:
+                subscription = await client.subscribe_top_k(
+                    scenario.slocation_ids(), 3, 0.0, 240.0
+                )
+                manifest = json.loads((tmp_path / "subscriptions.json").read_text())
+                assert [entry["id"] for entry in manifest] == [subscription.sub_id]
+                assert (await client.replica_status())["last_seq"] == 0
+            await service.stop()
+            iupt.store.close()
+
+        asyncio.run(run())
 
     def test_checkpoint_op_rejected_on_volatile_store(self, small_real_scenario):
         scenario = small_real_scenario

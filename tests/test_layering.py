@@ -28,6 +28,7 @@ from repro import (
 from repro.synth.positioning import WkNNPositioningSimulator
 
 CORE_DIR = pathlib.Path(repro.__file__).parent / "core"
+SERVICE_DIR = pathlib.Path(repro.__file__).parent / "service"
 
 
 def _runtime_imports(tree: ast.Module):
@@ -84,14 +85,36 @@ def test_engine_config_has_exactly_one_field():
 
 
 def test_durability_config_has_no_codec_field():
+    """Nor a second checkpoint trigger, nor a recovery mode: three fields."""
     assert {field.name for field in dataclasses.fields(DurabilityConfig)} == {
         "fsync",
         "snapshot_every_batches",
-        "checkpoint_on_recover",
         "fail_after_writes",
-        "compact_above_bytes",
-        "follower_lag_cap_frames",
     }
+
+
+def test_one_checkpoint_trigger_and_no_commit_wall_clock():
+    from repro.service.topology import build_parser
+    from repro.storage.durable import WalCommit, WalEviction
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["primary", "--data-dir", "d", "--compact-above-bytes", "1"]
+        )
+    assert "wall_time" not in WalCommit.__slots__ + WalEviction.__slots__
+
+
+def test_the_server_asks_whether_its_table_is_durable_once():
+    """One ``isinstance`` in ``__init__``; no duck-typing probe anywhere."""
+    tree = ast.parse((SERVICE_DIR / "server.py").read_text(encoding="utf-8"))
+    probes = [
+        f"{node.func.id}( at line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("getattr", "hasattr")
+    ]
+    assert probes == []
 
 
 @pytest.mark.parametrize(
@@ -120,9 +143,6 @@ def test_there_is_one_record_store_and_its_durable_wrapper():
     }
     assert concrete == {ShardedRecordStore, DurableRecordStore}
     assert type(IUPT().store) is ShardedRecordStore
-
-
-SERVICE_DIR = pathlib.Path(repro.__file__).parent / "service"
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,12 @@ oracle:
 
 * the durable store's replication cursor API (``committed_batches_after``
   must reproduce exactly the ingested batches; the replay floor moves with
-  checkpoints and evictions; followers hold WAL compaction back),
+  checkpoints and evictions; follower lag is tracked in frames),
 * the binary wire framing (``"bin"``-length-prefixed RPK1 payloads through
   :func:`~repro.service.stream.read_frame`, the reader every role runs),
 * the :class:`~repro.service.replica.ReadReplica` catch-up-then-tail loop
   (live replay, snapshot catch-up, fault-injected primary crash + restart,
-  mixed-codec WALs, array-backend decode), and
+  JSON-era directories, array-backend decode), and
 * the :class:`~repro.service.router.PartitionRouter` (routed reads equal
   primary reads, read-your-writes, fallback when a replica dies).
 """
@@ -22,6 +22,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import IUPT, QueryEngine, QueryService, SampleSet, ServiceClient, ServiceError
 from repro.codec.packed import PackedRecordBatch, encode_batch
@@ -81,6 +83,16 @@ class TestWalCursorApi:
         assert store.committed_batches_after(5) == []
         store.close()
 
+    def test_a_batch_over_shards_2_and_10_replays_in_time_order(self, tmp_path):
+        """Regression: a sequence's slices concatenate in ascending *integer*
+        shard key — file names sort ``segment-10`` before ``segment-2``."""
+        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
+        batch = _batch(25.0, count=2) + _batch(105.0, count=2)
+        store.ingest_batch(batch)
+        assert set(store.shard_versions()) == {2, 10}
+        assert store.committed_batches_after(0) == [(1, batch)]
+        store.close()
+
     def test_checkpoint_advances_the_replay_floor(self, tmp_path):
         store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
         store.ingest_batch(_batch(0.0))
@@ -115,9 +127,6 @@ class TestWalCursorApi:
         assert inventory["control_bytes"] > 0
         assert inventory["base_seq"] == 0
         assert inventory["last_seq"] == 1
-        assert set(inventory["compaction"]) == {
-            "size_triggered", "held_back", "forced_past_laggard",
-        }
         per_shard = inventory["per_shard_bytes"]
         assert sum(per_shard.values()) == inventory["segment_bytes"]
         store.close()
@@ -157,36 +166,6 @@ class TestWalCursorApi:
         assert store.follower_lags()["r0"]["cursor"] == 4
         store.unregister_follower("r0")
         assert store.follower_lags() == {}
-        store.close()
-
-    def test_size_compaction_holds_back_for_a_close_follower(self, tmp_path):
-        config = DurabilityConfig(
-            compact_above_bytes=1, follower_lag_cap_frames=100
-        )
-        store = DurableRecordStore(
-            tmp_path, shard_seconds=SHARD_SECONDS, config=config
-        )
-        store.register_follower("r0", 0)
-        store.ingest_batch(_batch(0.0))
-        # The follower is 1 frame behind (within the cap): held back.
-        assert store.compaction_stats["held_back"] >= 1
-        assert store.compaction_stats["size_triggered"] == 0
-        assert store.can_replay_from(0)
-        store.close()
-
-    def test_size_compaction_forces_past_a_laggard(self, tmp_path):
-        config = DurabilityConfig(
-            compact_above_bytes=1, follower_lag_cap_frames=2
-        )
-        store = DurableRecordStore(
-            tmp_path, shard_seconds=SHARD_SECONDS, config=config
-        )
-        store.register_follower("r0", 0)
-        for i in range(4):
-            store.ingest_batch(_batch(i * 20.0))
-        assert store.compaction_stats["forced_past_laggard"] >= 1
-        assert store.compaction_stats["size_triggered"] >= 1
-        assert not store.can_replay_from(0)  # the laggard must re-snapshot
         store.close()
 
 
@@ -245,6 +224,42 @@ class TestBinaryFrames:
         assert protocol.decode_shard_sections(payload) == sections
         with pytest.raises(ProtocolError):
             protocol.decode_shard_sections(payload[:-1])  # truncated
+
+    @given(
+        sections=st.lists(
+            st.tuples(
+                st.integers(-(2**40), 2**40), st.integers(0, 2**40), st.binary(max_size=24)
+            ),
+            max_size=4,
+        ),
+        data=st.data(),
+    )
+    def test_shard_sections_decode_to_a_list_or_a_protocol_error(self, sections, data):
+        """Valid payloads round-trip; truncated at any byte, bit-flipped, with
+        a length field overwritten, or plain noise, the decoder hands back
+        whole sections or raises ``ProtocolError`` — nothing else escapes."""
+        payload = bytearray(protocol.encode_shard_sections(sections))
+        assert protocol.decode_shard_sections(bytes(payload)) == sections
+        damage = data.draw(st.sampled_from(["truncate", "flip", "length", "noise"]))
+        if damage == "truncate":
+            del payload[data.draw(st.integers(0, len(payload))) :]
+        elif damage == "flip" and payload:
+            payload[data.draw(st.integers(0, len(payload) - 1))] ^= 1 << data.draw(
+                st.integers(0, 7)
+            )
+        elif damage == "length" and payload:
+            # The first section's blob length: the ``I`` of its ``<qqI`` header.
+            payload[16:20] = data.draw(st.binary(min_size=4, max_size=4))
+        else:
+            payload = bytearray(data.draw(st.binary(max_size=96)))
+        try:
+            decoded = protocol.decode_shard_sections(bytes(payload))
+        except ProtocolError as error:
+            assert error.kind == "bad_request"
+        else:
+            assert protocol.encode_shard_sections(decoded) == bytes(payload)
+            if damage == "truncate":
+                assert decoded == sections[: len(decoded)]
 
 
 # ----------------------------------------------------------------------
@@ -426,8 +441,9 @@ class TestReplicaConvergence:
     def test_mixed_codec_wal_tails_to_a_replica(
         self, small_real_scenario, tmp_path
     ):
-        """A WAL holding both JSON and binary segments ships identically:
-        the cursor API decodes whatever is on disk and re-encodes RPK1."""
+        """A JSON-era directory ships identically: opening it folds the JSON
+        segment frames into binary snapshots (no segment mixes the eras), so
+        a replica attaching afterwards adopts those and then tails RPK1."""
         scenario = small_real_scenario
         history, live = _split_stream(scenario)
         slocs = scenario.slocation_ids()
@@ -435,24 +451,26 @@ class TestReplicaConvergence:
         async def run():
             # First epoch: an older build's JSON record frames, written by hand.
             write_json_era_directory(tmp_path, SERVICE_SHARD_SECONDS, [history])
-            # Second epoch: the directory opened by this build — new frames
-            # are RPK1, old ones stay JSON (no checkpoint folds them away).
-            iupt = IUPT.durable(
-                tmp_path, config=DurabilityConfig(checkpoint_on_recover=False)
-            )
+            # Second epoch: the directory opened by this build — the open
+            # replays the JSON frames, then checkpoints them away.
+            iupt = IUPT.durable(tmp_path)
             assert iupt.store.recovery_report["frames_replayed"] > 0
+            assert not list((tmp_path / "wal").glob("segment-*.wal"))
+            assert not iupt.store.can_replay_from(0)
             service = QueryService(
                 _make_engine(scenario), iupt, query_workers=2
             )
             host, port = await service.start()
             async with await ServiceClient.connect(host, port) as primary:
-                seq = (await primary.ingest_batch(live))["seq"]
+                step = max(1, len(live) // 2)
+                await primary.ingest_batch(live[:step])
                 replica = ReadReplica(
                     _make_engine(scenario), host, port, name="mixed"
                 )
                 rhost, rport = await replica.start()
+                assert replica.snapshot_catchups == 1  # the floor is the open
+                seq = (await primary.ingest_batch(live[step:]))["seq"]
                 await replica.wait_applied(seq)
-                assert replica.snapshot_catchups == 0  # replayed, JSON frame first
                 async with await ServiceClient.connect(rhost, rport) as rc:
                     await _assert_reads_match(primary, rc, slocs)
                 assert replica.iupt.store.version_token() == \
