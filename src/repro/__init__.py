@@ -161,7 +161,14 @@ from .system import IndoorFlowSystem
 # wrong shape raises a ValueError naming the file instead of opening a smaller
 # table. Best-first joins multi-floor R-tree nodes (floor -1) with
 # indexes.rtree.loose_intersects and equals naive on every building.
-__version__ = "7.0.0"
+# 8.0.0: the presence store's unit is the window. PresenceStore maps (window,
+# query set, table version) to one WindowPresences — the per-object artefacts
+# in fetch order plus the best-first trees built from them — and counts
+# capacity and every statistic in artefacts; per-object get / put / rekey and
+# make_store_key are gone. QueryPipeline.window is the one place a query
+# fetches and probes the store, and it refuses a window below the retention
+# watermark before serving an entry; cache_stats() gained "windows".
+__version__ = "8.0.0"
 
 __all__ = [
     "ALGORITHMS",

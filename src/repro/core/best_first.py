@@ -96,29 +96,29 @@ class BestFirstTkPLQ:
         # Phase 1: data preparation and the object aggregate R-tree.  The
         # per-object reduction runs through the engine pipeline (with path
         # construction deferred — the guided join only builds paths for the
-        # candidates it actually visits).
+        # candidates it actually visits).  RC is a function of the window's
+        # artefacts alone, so it is kept beside them and rebuilt only when
+        # they are.
         ctx = pipeline.context(query.interval, query_set, stats=stats)
-        sequences = pipeline.fetch.run(ctx, iupt)
-        presences: Dict[int, "StoredPresence"] = {}
-        aggregate = CountAggregateRTree(max_entries=self._fanout)
-        for object_id, entry in pipeline.presences(
-            ctx, sequences, build_paths=False
-        ):
-            if entry.pruned:
-                continue
-            presences[object_id] = entry
-            for mbr in self._psl_mbrs(plan, entry.psls):
-                aggregate.insert(mbr, object_id)
-        aggregate.build()
+        window = pipeline.window(ctx, iupt, build_paths=False)
+        rc_key = ("RC", self._fanout)
+        rc = window.derived.get(rc_key)
+        if rc is None:
+            rc = window.derived[rc_key] = self._build_rc(plan, window.entries)
+        presences, aggregate = rc
 
-        # Phase 2: R-tree over the query S-locations and the root join.
-        query_tree = RTree.bulk_load(
-            (
-                (plan.slocations[sloc_id].region, sloc_id)
-                for sloc_id in query.query_slocations
-            ),
-            max_entries=self._fanout,
-        )
+        # Phase 2: R-tree over the query S-locations (its shape follows the
+        # order the request lists them in) and the root join.
+        rq_key = ("RQ", self._fanout, tuple(query.query_slocations))
+        query_tree = window.derived.get(rq_key)
+        if query_tree is None:
+            query_tree = window.derived[rq_key] = RTree.bulk_load(
+                (
+                    (plan.slocations[sloc_id].region, sloc_id)
+                    for sloc_id in query.query_slocations
+                ),
+                max_entries=self._fanout,
+            )
         heap: List[Tuple[float, int, _HeapItem]] = []
         counter = itertools.count()
         root_list = aggregate.root_entries()
@@ -197,6 +197,21 @@ class BestFirstTkPLQ:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def _build_rc(
+        self, plan, entries: Sequence[Tuple[int, "StoredPresence"]]
+    ) -> Tuple[Dict[int, "StoredPresence"], CountAggregateRTree]:
+        """The surviving objects by id and the aggregate R-tree over their PSL MBRs."""
+        presences: Dict[int, "StoredPresence"] = {}
+        aggregate = CountAggregateRTree(max_entries=self._fanout)
+        for object_id, entry in entries:
+            if entry.pruned:
+                continue
+            presences[object_id] = entry
+            for mbr in self._psl_mbrs(plan, entry.psls):
+                aggregate.insert(mbr, object_id)
+        aggregate.build()
+        return presences, aggregate
+
     @staticmethod
     def _psl_mbrs(plan, psls) -> List[Rect]:
         """Represent an object's PSLs by one MBR per floor (finer-grained MBRs)."""
@@ -274,9 +289,9 @@ class BestFirstTkPLQ:
         """Compute the exact flow of a leaf query entry from its candidate objects.
 
         Path construction is performed lazily per candidate through the
-        pipeline, which memoises it on the shared presence artefact (and in
-        the cross-query store, when one is attached) — the per-object sharing
-        that Section 4.1 obtained from a per-query cache.
+        pipeline, which memoises it on the shared presence artefact (and so
+        in the window's store entry, when a store is attached) — the
+        per-object sharing that Section 4.1 obtained from a per-query cache.
         """
         if cell_id is None:
             return 0.0
@@ -286,7 +301,8 @@ class BestFirstTkPLQ:
             stored = presences.get(object_id)
             if stored is None:
                 continue
-            stored = self._pipeline.build_paths_for(ctx, object_id, stored)
+            if stored.computation is None:
+                self._pipeline.presence.build_paths(ctx, object_id, stored)
             stats.flow_evaluations += 1
             flow_value += stored.computation.presence_in_cell(cell_id)
         return flow_value

@@ -72,10 +72,9 @@ class NestedLoopTkPLQ:
                 parent_cells[sloc_id] = cell_id
 
         ctx = pipeline.context(query.interval, query_set, stats=stats)
-        sequences = pipeline.fetch.run(ctx, iupt)
 
         flows: Dict[int, float] = {sloc_id: 0.0 for sloc_id in query.query_slocations}
-        for _object_id, entry in pipeline.presences(ctx, sequences):
+        for _object_id, entry in pipeline.window(ctx, iupt).entries:
             score_presence_into_flows(entry, query_set, parent_cells, flows, stats)
 
         stats.elapsed_seconds = time.perf_counter() - began

@@ -5,7 +5,7 @@ This package turns the core algorithms into an explicit execution engine:
 * :mod:`~repro.engine.config` — :class:`EngineConfig`, the engine's one knob;
 * :mod:`~repro.engine.context` — :class:`ExecutionContext`, per-query state;
 * :mod:`~repro.engine.cache` — :class:`PresenceStore`, the cross-query LRU
-  cache of per-object presence artefacts;
+  cache of per-window presence artefacts;
 * :mod:`~repro.engine.stages` — the composable pipeline stages
   (fetch → reduce → paths → presence) and :class:`QueryPipeline`;
 * :mod:`~repro.engine.batch` — :class:`BatchPlanner`, many queries per pass;
@@ -21,7 +21,7 @@ from .batch import (
     BatchReport,
     score_query_over_entries,
 )
-from .cache import CacheStats, PresenceStore, StoredPresence, make_store_key
+from .cache import CacheStats, PresenceStore, StoredPresence
 from .config import EngineConfig
 from .context import ExecutionContext
 from .continuous import (
@@ -59,6 +59,5 @@ __all__ = [
     "StoredPresence",
     "Subscription",
     "SubscriptionStats",
-    "make_store_key",
     "score_query_over_entries",
 ]

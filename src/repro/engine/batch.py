@@ -173,8 +173,7 @@ class BatchPlanner:
         )
 
         ctx = pipeline.context(window, union_key, stats=group_stats)
-        sequences = pipeline.fetch.run(ctx, iupt)
-        entries = pipeline.presences(ctx, sequences)
+        entries = pipeline.window(ctx, iupt).entries
 
         parent_cells = {
             sloc_id: graph.parent_cell(sloc_id) for sloc_id in union_key
@@ -192,7 +191,7 @@ class BatchPlanner:
                 queries[index],
                 entries,
                 parent_cells,
-                len(sequences),
+                len(entries),
                 kernel=kernel,
                 matrix=matrix,
             )

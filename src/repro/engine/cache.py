@@ -1,30 +1,42 @@
 """The cross-query presence store.
 
 The :class:`PresenceStore` shares per-object work within one query (the
-"intermediate result sharing" of Section 4.1) and *across* queries.  Entries
-are keyed by
+"intermediate result sharing" of Section 4.1) and *across* queries.  Its unit
+is the **window**: one entry, keyed by
 
-    ``(object_id, (start, end), frozenset(query_slocations), data_key)``
+    ``((start, end), frozenset(query_slocations), data_key)``
 
-because all four ingredients determine the stored artefact: the window fixes
-which reports enter the object's sequence, the query S-location set fixes
-the outcome of the query-dependent data reduction (Algorithm 1 prunes an
-object exactly when its possible semantic locations miss the query set), and
-the ``data_key`` — the identity-and-version token of the table state the
-window reads (:meth:`~repro.data.iupt.IUPT.data_key_for`) — pins the state
-of the underlying storage, so streaming new reports in (or querying a
-different table through the same engine) can never be answered from stale
-artefacts.  On a sharded store the token is *window-scoped*: it enumerates
-the versions of only the shards the window overlaps, so a freshly ingested
-batch invalidates exactly the cached presences whose windows read a touched
-shard and leaves every other entry serving hits.
-Keying by the query set is what makes the store safe where a cache keyed by
-object id alone was not — a presence reduced under one location set can
-never be handed to a different one.
+holds everything Algorithms 2-4 derive from those three ingredients before a
+single location is scored — a :class:`WindowPresences` with the per-object
+:class:`StoredPresence` artefacts of every object reporting in the window, in
+fetch order, plus a ``derived`` dict in which the best-first algorithm keeps
+the two R-trees (``RC``, ``RQ``) it bulk-loads from them.  A warm query
+therefore takes one lock and one dictionary probe, never touches the table,
+and does only the work that depends on the request itself (the join, the
+heap, the ranking).  ``derived`` lives and dies with its entry; nothing in it
+is an answer.
 
-The store is LRU-bounded, thread-safe (the query service answers requests
-from several worker threads over one engine), and keeps hit/miss/eviction
-statistics so experiments can report cache effectiveness.
+All three key ingredients determine the artefacts: the window fixes which
+reports enter each object's sequence, the query S-location set fixes the
+outcome of the query-dependent data reduction (Algorithm 1 prunes an object
+exactly when its possible semantic locations miss the query set), and the
+``data_key`` — the identity-and-version token of the table state the window
+reads (:meth:`~repro.data.iupt.IUPT.data_key_for`) — pins the state of the
+underlying storage, so streaming new reports in (or querying a different
+table through the same engine) can never be answered from stale artefacts.
+The token is *window-scoped*: it enumerates the versions of only the shards
+the window overlaps, so a freshly ingested batch invalidates exactly the
+entries whose windows read a touched shard and leaves every other entry
+serving hits.  It deliberately leaves the retention watermark out, which is
+why :meth:`~repro.engine.stages.QueryPipeline.window` checks the watermark
+before it serves an entry.
+
+Capacity and every :class:`CacheStats` counter count **artefacts**, not
+windows: a served window adds one hit per object it holds, a computed one a
+miss per object, and the LRU drops whole windows (oldest first) until the
+artefact total fits — so a window larger than the capacity is never kept.
+The store is thread-safe (the query service answers requests from several
+worker threads over one engine).
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.presence import PresenceComputation
 from ..data.records import SampleSet
@@ -42,30 +54,8 @@ from ..data.records import SampleSet
 #: ``version_token``.
 DataKey = Tuple
 
-#: Cache key: (object id, window, query-set key, data identity/version).
-StoreKey = Tuple[
-    int,
-    Tuple[float, float],
-    Optional[FrozenSet[int]],
-    Optional[DataKey],
-]
-
-
-def make_store_key(
-    object_id: int,
-    window: Tuple[float, float],
-    query_slocations: Optional[Iterable[int]],
-    data_key: Optional[DataKey] = None,
-) -> StoreKey:
-    """Normalise the key ingredients into a hashable store key.
-
-    ``query_slocations=None`` (reduction without PSL pruning) is a distinct
-    key from any concrete query set; ``data_key`` is the
-    :meth:`~repro.data.iupt.IUPT.data_key_for` token of the table state the
-    artefact was computed from.
-    """
-    qkey = None if query_slocations is None else frozenset(query_slocations)
-    return (object_id, (float(window[0]), float(window[1])), qkey, data_key)
+#: Cache key: (window, query-set key, data identity/version).
+WindowKey = Tuple[Tuple[float, float], Optional[FrozenSet[int]], Optional[DataKey]]
 
 
 @dataclass
@@ -85,8 +75,29 @@ class StoredPresence:
 
 
 @dataclass
+class WindowPresences:
+    """One store entry: every object of one window under one query set.
+
+    ``entries`` is the ``(object_id, artefact)`` list in fetch order (ascending
+    object id, pruned objects included — the order every flow accumulation
+    sums in); ``derived`` holds what an algorithm builds from exactly these
+    artefacts and wants to find again (best-first's ``RC`` and ``RQ``).
+    Readers share the entry: artefacts gain their lazily deferred
+    ``computation`` in place, and nothing else about an entry ever changes.
+    """
+
+    entries: List[Tuple[int, StoredPresence]]
+    derived: Dict[object, object] = field(default_factory=dict)
+
+    @property
+    def objects_total(self) -> int:
+        """``|O|`` of the window: how many objects report in it."""
+        return len(self.entries)
+
+
+@dataclass
 class CacheStats:
-    """Hit/miss accounting of one :class:`PresenceStore`."""
+    """Accounting of one :class:`PresenceStore`, counted in artefacts."""
 
     hits: int = 0
     misses: int = 0
@@ -113,14 +124,17 @@ class CacheStats:
         }
 
 
+
+
 class PresenceStore:
-    """LRU-bounded, thread-safe cross-query cache of per-object presences."""
+    """LRU-bounded, thread-safe cross-query cache of per-window presences."""
 
     def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self._capacity = capacity
-        self._entries: "OrderedDict[StoreKey, StoredPresence]" = OrderedDict()
+        self._windows: "OrderedDict[WindowKey, WindowPresences]" = OrderedDict()
+        self._artefacts = 0
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
@@ -129,83 +143,95 @@ class PresenceStore:
         return self._capacity
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """How many per-object artefacts the stored windows hold."""
+        return self._artefacts
 
-    def __contains__(self, key: StoreKey) -> bool:
-        with self._lock:
-            return key in self._entries
+    @property
+    def windows(self) -> int:
+        """How many window entries are stored."""
+        return len(self._windows)
 
-    # ------------------------------------------------------------------
-    # Lookup / insert
-    # ------------------------------------------------------------------
+    @staticmethod
+    def _key(
+        window: Tuple[float, float],
+        query_slocations: Optional[Iterable[int]],
+        data_key: Optional[DataKey],
+    ) -> WindowKey:
+        """``query_slocations=None`` (reduction without PSL pruning) is a
+        distinct key from any concrete query set."""
+        qkey = None if query_slocations is None else frozenset(query_slocations)
+        return ((float(window[0]), float(window[1])), qkey, data_key)
+
     def get(
         self,
-        object_id: int,
         window: Tuple[float, float],
         query_slocations: Optional[Iterable[int]],
         data_key: Optional[DataKey] = None,
-    ) -> Optional[StoredPresence]:
-        """Return the stored artefact, or ``None`` on a miss."""
-        key = make_store_key(object_id, window, query_slocations, data_key)
+    ) -> Optional[WindowPresences]:
+        """The stored window (one hit per artefact it holds), or ``None``.
+
+        A ``None`` counts nothing yet: how many objects were missed is only
+        known once the caller has fetched them, so :meth:`put` counts them.
+        """
+        key = self._key(window, query_slocations, data_key)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
+            entry = self._windows.get(key)
+            if entry is not None:
+                self._windows.move_to_end(key)
+                self.stats.hits += len(entry.entries)
             return entry
 
     def put(
         self,
-        object_id: int,
         window: Tuple[float, float],
         query_slocations: Optional[Iterable[int]],
-        entry: StoredPresence,
+        entry: WindowPresences,
         data_key: Optional[DataKey] = None,
+        carried: int = 0,
     ) -> None:
-        """Insert (or refresh) an artefact, evicting the LRU entry if full."""
-        key = make_store_key(object_id, window, query_slocations, data_key)
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = entry
-            self.stats.puts += 1
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+        """Store a window, then drop LRU windows until the artefacts fit.
 
-    def rekey(
+        ``carried`` of the entry's artefacts were taken over from the entry
+        of a superseded version token (:meth:`pop`) instead of recomputed —
+        the delta-maintenance primitive of the continuous-query subsystem.
+        They count as ``rekeys`` and hits; the rest are the misses of the
+        lookup that led here.
+        """
+        key = self._key(window, query_slocations, data_key)
+        size = len(entry.entries)
+        with self._lock:
+            replaced = self._windows.pop(key, None)
+            if replaced is not None:
+                self._artefacts -= len(replaced.entries)
+            self._windows[key] = entry
+            self._artefacts += size
+            self.stats.puts += size
+            self.stats.misses += size - carried
+            self.stats.hits += carried
+            self.stats.rekeys += carried
+            while self._artefacts > self._capacity:
+                _, dropped = self._windows.popitem(last=False)
+                self._artefacts -= len(dropped.entries)
+                self.stats.evictions += len(dropped.entries)
+
+    def pop(
         self,
-        object_id: int,
         window: Tuple[float, float],
         query_slocations: Optional[Iterable[int]],
-        old_data_key: Optional[DataKey],
-        new_data_key: Optional[DataKey],
-    ) -> bool:
-        """Move one artefact from ``old_data_key`` to ``new_data_key``.
-
-        The delta-maintenance primitive of the continuous-query subsystem: an
-        object whose visible sequence a batch did *not* change still has a
-        valid artefact — it is merely keyed to the superseded version token.
-        Re-keying it (instead of recomputing it) is what makes an incremental
-        refresh cheaper than invalidate-and-recompute.  Returns whether an
-        entry was found under the old key; counts as neither hit nor miss.
-        """
-        old_key = make_store_key(object_id, window, query_slocations, old_data_key)
-        new_key = make_store_key(object_id, window, query_slocations, new_data_key)
+        data_key: Optional[DataKey] = None,
+    ) -> Optional[WindowPresences]:
+        """Remove and return a window whose token was superseded (no stats)."""
+        key = self._key(window, query_slocations, data_key)
         with self._lock:
-            entry = self._entries.pop(old_key, None)
-            if entry is None:
-                return False
-            self._entries[new_key] = entry
-            self._entries.move_to_end(new_key)
-            self.stats.rekeys += 1
-            return True
+            entry = self._windows.pop(key, None)
+            if entry is not None:
+                self._artefacts -= len(entry.entries)
+            return entry
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._windows.clear()
+            self._artefacts = 0
 
     def reset_stats(self) -> None:
         with self._lock:

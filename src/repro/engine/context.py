@@ -16,6 +16,7 @@ from typing import FrozenSet, Optional, Tuple, TYPE_CHECKING
 from ..core.query import SearchStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..data.iupt import IUPT
     from .cache import PresenceStore
 
 
@@ -40,16 +41,14 @@ class ExecutionContext:
         calls stay cacheable, but e.g. ground-truth checks can opt out).
     data_key:
         The :meth:`~repro.data.iupt.IUPT.data_key_for` token of the table
-        state this query's window reads; set by
-        :class:`~repro.engine.stages.FetchStage` and included in every store
-        key so cached artefacts die with the (shard-scoped, on a sharded
-        store) table state they were computed from.
+        state this query's window reads; set by :meth:`pin` and part of the
+        store key, so a cached window dies with the (shard-scoped) table
+        state it was computed from.
     pinned_data_key:
-        When set, :class:`~repro.engine.stages.FetchStage` adopts this token
-        instead of re-deriving one from the table.  The continuous-query
-        subsystem pins each refresh to the exact token it based its
-        skip/re-key decision on, so the artefacts the scoring pass reads are
-        guaranteed to be the ones that decision re-keyed.
+        When set, :meth:`pin` adopts this token instead of re-deriving one
+        from the table.  The continuous-query subsystem pins each refresh to
+        the exact token it based its skip / carry-over decision on, so the
+        entry the refresh stores is the one that decision was made for.
     """
 
     window: Tuple[float, float]
@@ -67,6 +66,13 @@ class ExecutionContext:
     @property
     def end(self) -> float:
         return self.window[1]
+
+    def pin(self, iupt: "IUPT") -> None:
+        """Key this context to the table state its window reads."""
+        if self.pinned_data_key is not None:
+            self.data_key = self.pinned_data_key
+        else:
+            self.data_key = iupt.data_key_for(self.start, self.end)
 
     @property
     def effective_store(self) -> Optional["PresenceStore"]:

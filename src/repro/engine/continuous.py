@@ -23,11 +23,12 @@ versioning was built to avoid.  This module closes the loop:
      (on a sharded store this is the common case for historical windows);
   2. otherwise the receipt's :attr:`~repro.storage.base.IngestReceipt.object_spans`
      split the window's objects into *touched* (new records may overlap the
-     window) and *untouched*; untouched objects' cached presence artefacts
-     are **re-keyed** to the new token
-     (:meth:`~repro.engine.cache.PresenceStore.rekey`) — their visible
-     sequences are unchanged, so the artefacts are still valid — and only
-     touched objects are actually recomputed;
+     window) and *untouched*; the new token's store entry is built from the
+     superseded one, **carrying over** untouched objects' presence artefacts
+     — their visible sequences are unchanged, so the artefacts are still
+     valid — and recomputing only touched objects.  A batch that shares a
+     shard with the window but touched *nobody* in it carries the whole
+     entry over and keeps the standing result: no fetch, no scoring;
   3. the flows are re-accumulated over all per-object artefacts in fetch
      order and the top-k ranking is repaired from them, which keeps every
      refreshed result **bit-identical** to a fresh engine's full recompute
@@ -67,6 +68,7 @@ from .batch import score_query_over_entries
 from .stages import accumulate_flows_over_entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .cache import StoredPresence
     from .runtime import QueryEngine
 
 CONTINUOUS_ALGORITHM = "continuous"
@@ -145,10 +147,9 @@ class Subscription:
         self.stats = SubscriptionStats()
         self._result: Optional[object] = None
         self._error: Optional[EvictedRangeError] = None
-        # Delta-maintenance state: the version token of the last refresh and
-        # the object population it saw (the re-key candidates of the next).
+        # Delta-maintenance state: the version token of the last refresh —
+        # the store key of the entry the next one carries artefacts over from.
         self._data_key: Optional[Tuple] = None
-        self._object_ids: FrozenSet[int] = frozenset()
 
     # ------------------------------------------------------------------
     # Result access
@@ -442,8 +443,7 @@ class ContinuousQueryEngine:
             # the standing result is still exact; do nothing at all.
             subscription.stats.skipped += 1
             return
-        self._rekey_untouched(subscription, receipt, new_key)
-        self._compute(subscription, pinned_key=new_key)
+        self._refresh(subscription, receipt, new_key)
         if subscription.on_update is not None:
             subscription.on_update(subscription, subscription._result)
 
@@ -492,49 +492,64 @@ class ContinuousQueryEngine:
     # ------------------------------------------------------------------
     # Delta maintenance
     # ------------------------------------------------------------------
-    def _rekey_untouched(
+    def _refresh(
         self, subscription: Subscription, receipt: IngestReceipt, new_key: Tuple
     ) -> None:
-        """Carry untouched objects' artefacts over to the new version token.
+        """Bring one standing result to ``new_key``, reusing what the batch left.
 
         An object is *touched* when the batch carried records whose time span
         overlaps the subscription window — only then can its visible sequence
         (and therefore its presence artefact) have changed.  Every other
-        object known to the window keeps its artefact, re-keyed so the
-        scoring pass finds it under the refreshed token.
+        object of the superseded store entry keeps its artefact in the new
+        one.  When nobody was touched the entry (its derived trees included)
+        moves to the new token as it is and the standing result, computed
+        from exactly these artefacts, stands.
         """
+        began = time.perf_counter()
+        window, query_key = subscription.window, subscription.query_key
         store = self._engine.store
-        if store is None or subscription._data_key is None:
-            return
-        touched = receipt.objects_overlapping(*subscription.window)
-        moved = 0
-        for object_id in sorted(subscription._object_ids - touched):
-            if store.rekey(
-                object_id,
-                subscription.window,
-                subscription.query_key,
-                subscription._data_key,
-                new_key,
-            ):
-                moved += 1
-        subscription.stats.objects_rekeyed += moved
+        previous = None
+        if store is not None and subscription._data_key is not None:
+            previous = store.pop(window, query_key, subscription._data_key)
+        carry: Dict[int, "StoredPresence"] = {}
+        if previous is not None:
+            touched = receipt.objects_overlapping(*window)
+            if not touched:
+                carried = previous.objects_total
+                store.put(window, query_key, previous, new_key, carried=carried)
+                subscription._data_key = new_key
+                subscription.stats.refreshes += 1
+                subscription.stats.objects_rekeyed += carried
+                subscription.stats.last_churn = 0
+                subscription.stats.elapsed_seconds += time.perf_counter() - began
+                return
+            carry = {
+                object_id: artefact
+                for object_id, artefact in previous.entries
+                if object_id not in touched
+            }
+        self._compute(subscription, pinned_key=new_key, carry=carry)
+        subscription.stats.objects_rekeyed += len(carry)
 
     def _compute(
-        self, subscription: Subscription, pinned_key: Optional[Tuple] = None
+        self,
+        subscription: Subscription,
+        pinned_key: Optional[Tuple] = None,
+        carry: Optional[Dict[int, "StoredPresence"]] = None,
     ) -> None:
         """(Re)compute one standing result through the engine pipeline.
 
-        Touched objects miss the presence store and are recomputed; re-keyed
-        (or naturally still-valid) artefacts are served from it.  Flows are
-        re-accumulated over every per-object artefact in fetch order, so the
-        result is bit-identical to a fresh engine's full recompute.
+        Objects in ``carry`` keep their artefacts, everything else is fetched
+        and recomputed (or served, when the store already holds the window).
+        Flows are re-accumulated over every per-object artefact in fetch
+        order, so the result is bit-identical to a fresh engine's full
+        recompute.
         """
         began = time.perf_counter()
         pipeline = self._engine.pipeline
         ctx = pipeline.context(subscription.window, subscription.query_key)
         ctx.pinned_data_key = pinned_key
-        sequences = pipeline.fetch.run(ctx, self._iupt)
-        entries = pipeline.presences(ctx, sequences)
+        entries = pipeline.window(ctx, self._iupt, carry=carry).entries
 
         graph = pipeline.flow_computer.graph
         parent_cells = {
@@ -546,7 +561,7 @@ class ContinuousQueryEngine:
                 subscription.query,
                 entries,
                 parent_cells,
-                len(sequences),
+                len(entries),
                 algorithm=CONTINUOUS_ALGORITHM,
                 kernel=kernel,
             )
@@ -558,7 +573,6 @@ class ContinuousQueryEngine:
         churn = self._churn(subscription._result, result, subscription.kind)
         subscription._result = result
         subscription._data_key = ctx.data_key
-        subscription._object_ids = frozenset(sequences)
         subscription.stats.refreshes += 1
         subscription.stats.objects_recomputed += ctx.stats.objects_computed
         subscription.stats.last_churn = churn

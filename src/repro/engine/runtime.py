@@ -145,17 +145,22 @@ class QueryEngine:
     # Introspection
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, float]:
-        """Hit/miss statistics of the cross-query presence store."""
+        """Statistics of the cross-query presence store, counted in artefacts.
+
+        ``entries`` is how many per-object artefacts the store holds (what
+        ``capacity`` bounds), ``windows`` how many window entries hold them.
+        """
         if self.store is None:
             return {"enabled": 0.0}
         summary = self.store.stats.as_dict()
         summary["enabled"] = 1.0
         summary["entries"] = float(len(self.store))
+        summary["windows"] = float(self.store.windows)
         summary["capacity"] = float(self.store.capacity)
         return summary
 
     def reset_cache(self) -> None:
-        """Drop every cached presence artefact (statistics included)."""
+        """Drop every stored window — artefacts, derived trees, statistics."""
         if self.store is not None:
             self.store.clear()
             self.store.reset_stats()

@@ -7,29 +7,32 @@ stages, each reporting into the :class:`ExecutionContext` it is given:
 * :class:`ReduceStage` — the data reduction of Algorithm 1;
 * :class:`PathStage` — object presence over the valid possible paths
   (Equations 1-2, the forward recurrence of :mod:`repro.core.presence`);
-* :class:`PresenceStage` — the cache-aware composition of the two above,
-  producing the per-object :class:`~repro.engine.cache.StoredPresence`
-  artefact shared across query locations, across queries (through the
-  :class:`~repro.engine.cache.PresenceStore`), and across batched queries.
+* :class:`PresenceStage` — the composition of the two above, producing the
+  per-object :class:`~repro.engine.cache.StoredPresence` artefact shared
+  across query locations, across queries and across batched queries.
 
 :class:`QueryPipeline` wires the stages to a
 :class:`~repro.core.flow.FlowComputer` (the home of the reduction and path
-primitives) and an optional presence store.  The three TkPLQ algorithms,
-``QueryEngine.flow``/``flows``, the :class:`~repro.engine.batch.BatchPlanner`
-and the continuous-query subsystem are all thin drivers over this pipeline.
+primitives) and an optional presence store.  :meth:`QueryPipeline.window` is
+the one place a query meets the table and the store: the three TkPLQ
+algorithms, ``QueryEngine.flow``/``flows``, the
+:class:`~repro.engine.batch.BatchPlanner` and the continuous-query subsystem
+all ask it for the window's :class:`~repro.engine.cache.WindowPresences` and
+only score what it returns.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.flow import FlowComputer, FlowResult
 from ..core.query import SearchStats
 from ..core.reduction import ReducedSequence
 from ..data.iupt import IUPT
 from ..data.records import SampleSet
-from .cache import PresenceStore, StoredPresence
+from ..storage.base import check_not_evicted
+from .cache import PresenceStore, StoredPresence, WindowPresences
 from .config import EngineConfig
 from .context import ExecutionContext
 
@@ -46,10 +49,7 @@ class FetchStage:
     """
 
     def run(self, ctx: ExecutionContext, iupt: IUPT) -> Dict[int, List[SampleSet]]:
-        if ctx.pinned_data_key is not None:
-            ctx.data_key = ctx.pinned_data_key
-        else:
-            ctx.data_key = iupt.data_key_for(ctx.start, ctx.end)
+        ctx.pin(iupt)
         sequences = iupt.sequences_in(ctx.start, ctx.end)
         ctx.stats.note_objects_total(len(sequences))
         return sequences
@@ -118,19 +118,8 @@ def accumulate_flows_over_entries(
     return flows
 
 
-def _needs_work(entry: Optional[StoredPresence], build_paths: bool) -> bool:
-    """Whether a (possibly cached) artefact still requires stage work.
-
-    Shared by the single-object :class:`PresenceStage` and the bulk
-    :meth:`QueryPipeline.presences` so the caching predicate cannot diverge.
-    """
-    return entry is None or (
-        build_paths and not entry.pruned and entry.computation is None
-    )
-
-
 class PresenceStage:
-    """Stage 4: cache-aware per-object presence (reduce + paths + store)."""
+    """Stage 4: one object's presence artefact (reduce, then paths)."""
 
     def __init__(self, reduce: ReduceStage, paths: PathStage):
         self._reduce = reduce
@@ -142,29 +131,25 @@ class PresenceStage:
         object_id: int,
         sequence: Sequence[SampleSet],
         build_paths: bool = True,
-        entry: Optional[StoredPresence] = None,
-        probe: bool = True,
     ) -> StoredPresence:
-        """One object's artefact; pass ``probe=False`` (with ``entry``) when
-        the caller already consulted the store for this key."""
-        store = ctx.effective_store
-        if probe and entry is None and store is not None:
-            entry = store.get(
-                object_id, ctx.window, ctx.query_key, data_key=ctx.data_key
-            )
-        if _needs_work(entry, build_paths):
-            if entry is None:
-                reduced = self._reduce.run(ctx, sequence)
-                entry = StoredPresence(
-                    psls=reduced.psls, sequence=reduced.sequence, pruned=reduced.pruned
-                )
-            if build_paths and not entry.pruned:
-                entry.computation = self._paths.run(ctx, entry.sequence)
-                ctx.stats.note_object_computed(object_id)
-            if store is not None:
-                store.put(
-                    object_id, ctx.window, ctx.query_key, entry, data_key=ctx.data_key
-                )
+        """Reduce one object; ``build_paths=False`` defers its presences."""
+        reduced = self._reduce.run(ctx, sequence)
+        entry = StoredPresence(
+            psls=reduced.psls, sequence=reduced.sequence, pruned=reduced.pruned
+        )
+        return self.build_paths(ctx, object_id, entry) if build_paths else entry
+
+    def build_paths(
+        self, ctx: ExecutionContext, object_id: int, entry: StoredPresence
+    ) -> StoredPresence:
+        """Fill in the lazily deferred path construction of one artefact.
+
+        In place: the artefact is shared by its window entry in the store, so
+        later queries over that entry skip the path construction too.
+        """
+        if not entry.pruned and entry.computation is None:
+            entry.computation = self._paths.run(ctx, entry.sequence)
+            ctx.stats.note_object_computed(object_id)
         return entry
 
 
@@ -240,56 +225,79 @@ class QueryPipeline:
         )
 
     # ------------------------------------------------------------------
-    # Bulk per-object presence
+    # The window's per-object presences
     # ------------------------------------------------------------------
+    def window(
+        self,
+        ctx: ExecutionContext,
+        iupt: IUPT,
+        build_paths: bool = True,
+        carry: Optional[Dict[int, StoredPresence]] = None,
+    ) -> WindowPresences:
+        """Everything about ``ctx``'s window that no single request decides.
+
+        Pins the context to the table state its window reads and refuses a
+        window reaching below the retention watermark exactly like
+        ``range_query`` does — the version token leaves the watermark out, so
+        a stored entry must not outlive retention.  A stored entry is then
+        served **without touching the table**; otherwise the window is
+        fetched, every object reduced (and, with ``build_paths``, its
+        presences computed) and the entry stored, once.  ``carry`` hands over
+        artefacts of a superseded token that are known to be still valid (a
+        continuous refresh's untouched objects); they are reused instead of
+        recomputed.
+        """
+        ctx.pin(iupt)
+        check_not_evicted(iupt.store, ctx.start, ctx.end)
+        return self._window(ctx, lambda: self.fetch.run(ctx, iupt), build_paths, carry)
+
     def presences(
         self,
         ctx: ExecutionContext,
         sequences: Dict[int, List[SampleSet]],
         build_paths: bool = True,
     ) -> List[Tuple[int, StoredPresence]]:
-        """Per-object presence artefacts for a whole window, in fetch order.
+        """:meth:`window` for sequences the caller already fetched.
 
-        Probes the cross-query store for every object first, then computes
-        the misses in input order — a miss's ``put`` can evict, and must not
-        evict a hit of this same window before it is read.  Flows accumulated
-        from the returned list sum the same values in the same order on
-        every call.
+        The per-object artefacts in fetch order — flows accumulated from the
+        returned list sum the same values in the same order on every call.
         """
+        return self._window(ctx, lambda: sequences, build_paths).entries
+
+    def _window(
+        self,
+        ctx: ExecutionContext,
+        fetch: Callable[[], Dict[int, List[SampleSet]]],
+        build_paths: bool,
+        carry: Optional[Dict[int, StoredPresence]] = None,
+    ) -> WindowPresences:
+        """Probe the store; on a miss fetch, reduce and store; then fill paths."""
         store = ctx.effective_store
-        found = [
-            None
-            if store is None
-            else store.get(object_id, ctx.window, ctx.query_key, data_key=ctx.data_key)
-            for object_id in sequences
-        ]
-        entries: List[Tuple[int, StoredPresence]] = []
-        for (object_id, sequence), entry in zip(sequences.items(), found):
-            if _needs_work(entry, build_paths):
-                entry = self.presence.run(
-                    ctx, object_id, sequence, build_paths, entry=entry, probe=False
-                )
-            entries.append((object_id, entry))
-        return entries
-
-    def build_paths_for(
-        self, ctx: ExecutionContext, object_id: int, entry: StoredPresence
-    ) -> StoredPresence:
-        """Fill in the lazily deferred path construction of one artefact.
-
-        Used by the best-first algorithm, which reduces every object up front
-        but only constructs paths for the candidates its guided join visits.
-        The enriched artefact is refreshed in the store so later queries skip
-        the path construction too.
-        """
-        if not entry.pruned and entry.computation is None:
-            entry.computation = self.paths.run(ctx, entry.sequence)
-            ctx.stats.note_object_computed(object_id)
-            store = ctx.effective_store
+        entry = None
+        if store is not None:
+            entry = store.get(ctx.window, ctx.query_key, ctx.data_key)
+        if entry is not None:
+            ctx.stats.note_objects_total(entry.objects_total)
+        else:
+            carry = carry or {}
+            sequences = fetch()
+            entry = WindowPresences(
+                [
+                    (
+                        object_id,
+                        carry.get(object_id)
+                        or self.presence.run(ctx, object_id, sequence, build_paths=False),
+                    )
+                    for object_id, sequence in sequences.items()
+                ]
+            )
             if store is not None:
-                store.put(
-                    object_id, ctx.window, ctx.query_key, entry, data_key=ctx.data_key
-                )
+                carried = sum(1 for object_id in sequences if object_id in carry)
+                store.put(ctx.window, ctx.query_key, entry, ctx.data_key, carried)
+        if build_paths:
+            for object_id, artefact in entry.entries:
+                if artefact.computation is None:
+                    self.presence.build_paths(ctx, object_id, artefact)
         return entry
 
     # ------------------------------------------------------------------
@@ -299,10 +307,9 @@ class QueryPipeline:
         """The indoor flow of one S-location, run through the staged pipeline."""
         began = time.perf_counter()
         cell_id = self._computer.graph.parent_cell(sloc_id)
-        sequences = self.fetch.run(ctx, iupt)
 
         flow_value = 0.0
-        for _object_id, entry in self.presences(ctx, sequences):
+        for _object_id, entry in self.window(ctx, iupt).entries:
             if entry.pruned:
                 continue
             ctx.stats.flow_evaluations += 1
@@ -337,10 +344,8 @@ class QueryPipeline:
 
         graph = self._computer.graph
         parent_cells = {sloc_id: graph.parent_cell(sloc_id) for sloc_id in ordered}
-        sequences = self.fetch.run(ctx, iupt)
-
         flows = accumulate_flows_over_entries(
-            self.presences(ctx, sequences),
+            self.window(ctx, iupt).entries,
             ordered,
             parent_cells,
             ctx.stats,

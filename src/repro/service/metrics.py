@@ -8,9 +8,12 @@ One :class:`ServiceMetrics` registry per server aggregates everything a
 * per-operation **latency histograms** (fixed log-spaced buckets, so
   recording is O(#buckets) scan-free and quantiles need no sample storage),
 * push-frame and connection accounting, and
-* the engine's :class:`~repro.engine.cache.CacheStats` plus the continuous
-  engine's per-subscription :class:`~repro.engine.continuous.SubscriptionStats`
-  aggregates, folded in at snapshot time.
+* the engine's :meth:`~repro.engine.runtime.QueryEngine.cache_stats` — the
+  :class:`~repro.engine.cache.CacheStats` counters, all in per-object
+  artefacts, with ``entries`` (artefacts held) and ``windows`` (the window
+  entries holding them) — plus the continuous engine's per-subscription
+  :class:`~repro.engine.continuous.SubscriptionStats` aggregates, folded in
+  at snapshot time.
 
 Like the admission controller, the registry is sans-I/O and only touched
 from the event-loop thread; request latencies are measured around the

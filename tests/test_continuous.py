@@ -226,7 +226,7 @@ class TestDeltaMaintenance:
         continuous = engine.continuous(iupt)
         sub = continuous.register_top_k(slocs, k=2, start=0.0, end=19.0)
         computed_after_register = sub.stats.objects_recomputed
-        window_objects = len(sub._object_ids)
+        window_objects = sub.result.stats.objects_total
         assert window_objects > 0
 
         # One shard's token churns on ANY ingestion, but none of these
@@ -239,12 +239,52 @@ class TestDeltaMaintenance:
         assert sub.stats.objects_recomputed == computed_after_register
         assert engine.store.stats.rekeys >= window_objects
 
+    def test_a_refresh_that_touched_nobody_fetches_and_rescores_nothing(
+        self, monkeypatch
+    ):
+        """The whole store entry moves to the new token and the result stands;
+        the refresh is still counted and still pushed."""
+        engine, iupt, plocs, slocs, batches = _continuous_setup("one-shard")
+        pushed = []
+        sub = engine.continuous(iupt).register_top_k(
+            slocs, k=2, start=0.0, end=19.0,
+            on_update=lambda _sub, result: pushed.append(result),
+        )
+        standing = sub.result
+        window_objects = standing.stats.objects_total
+        fetch, fetches = iupt.sequences_in, []
+        monkeypatch.setattr(
+            iupt, "sequences_in", lambda *w: fetches.append(w) or fetch(*w)
+        )
+
+        iupt.ingest_batch(batches[4])  # same shard, no record inside [0, 19]
+        assert fetches == []
+        assert sub.result is standing and pushed == [standing]
+        assert (sub.stats.refreshes, sub.stats.skipped) == (2, 0)
+        assert sub.stats.objects_rekeyed == window_objects
+        assert sub.stats.last_churn == 0
+        # An ad-hoc query of the same key is served from the carried entry.
+        hits = engine.store.stats.hits
+        assert engine.search(iupt, sub.query, "nested-loop").flows == standing.flows
+        assert engine.store.stats.hits == hits + window_objects and fetches == []
+        assert standing.flows == _fresh_engine(engine).search(
+            iupt, sub.query, "nested-loop"
+        ).flows
+
+        # With the entry gone there is nothing to carry: a full recompute.
+        engine.reset_cache()
+        del fetches[:]  # the fresh engine above fetched once
+        iupt.ingest_batch(batches[5])
+        assert len(fetches) == 1 and sub.stats.refreshes == 3
+        assert sub.result is not standing and sub.result.flows == standing.flows
+        assert sub.stats.objects_rekeyed == window_objects
+
     def test_overlapping_batch_recomputes_only_touched_objects(self):
         engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         sub = continuous.register_top_k(slocs, k=2, start=0.0, end=29.0)
         computed_after_register = sub.stats.objects_recomputed
-        window_objects = len(sub._object_ids)
+        window_objects = sub.result.stats.objects_total
         assert window_objects >= 2
 
         # One new record for one object, inside the window: that object is

@@ -18,12 +18,8 @@ from repro import (
     TkPLQuery,
 )
 from repro.core import SearchStats
-from repro.engine import (
-    BatchPlanner,
-    PresenceStore,
-    StoredPresence,
-    make_store_key,
-)
+from repro.engine import BatchPlanner, PresenceStore, StoredPresence
+from repro.engine.cache import WindowPresences
 from repro.experiments.runner import overlapping_queries
 
 WINDOW = (1.0, 8.0)
@@ -72,55 +68,94 @@ class TestEngineConfig:
 # Presence store
 # ----------------------------------------------------------------------
 class TestPresenceStore:
+    """The store's unit is the window; its counters count artefacts."""
+
     @staticmethod
-    def entry(psl: int = 1) -> StoredPresence:
-        return StoredPresence(psls=frozenset({psl}), sequence=(), pruned=False)
+    def window(*object_ids: int) -> WindowPresences:
+        return WindowPresences(
+            [
+                (oid, StoredPresence(psls=frozenset({1}), sequence=(), pruned=False))
+                for oid in object_ids
+            ]
+        )
 
     def test_keyed_by_query_set(self):
         store = PresenceStore(capacity=8)
-        entry = self.entry()
-        store.put(7, WINDOW, {1, 2}, entry)
-        # The same object under a different query set (or no set) must miss.
-        assert store.get(7, WINDOW, {1, 3}) is None
-        assert store.get(7, WINDOW, None) is None
-        assert store.get(7, WINDOW, {2, 1}) is entry
+        entry = self.window(7)
+        store.put(WINDOW, {1, 2}, entry)
+        # The same window under a different query set (or no set) must miss.
+        assert store.get(WINDOW, {1, 3}) is None
+        assert store.get(WINDOW, None) is None
+        assert store.get(WINDOW, {2, 1}) is entry
 
     def test_keyed_by_window(self):
         store = PresenceStore(capacity=8)
-        store.put(7, WINDOW, {1}, self.entry())
-        assert store.get(7, (1.0, 9.0), {1}) is None
+        store.put(WINDOW, {1}, self.window(7))
+        assert store.get((1.0, 9.0), {1}) is None
 
     def test_lru_eviction_and_stats(self):
-        store = PresenceStore(capacity=2)
-        store.put(1, WINDOW, {1}, self.entry())
-        store.put(2, WINDOW, {1}, self.entry())
-        assert store.get(1, WINDOW, {1}) is not None  # 1 becomes most recent
-        store.put(3, WINDOW, {1}, self.entry())  # evicts 2
-        assert store.get(2, WINDOW, {1}) is None
-        assert store.get(1, WINDOW, {1}) is not None
-        assert store.get(3, WINDOW, {1}) is not None
-        assert len(store) == 2
-        assert store.stats.evictions == 1
-        assert store.stats.hits == 3
-        assert store.stats.misses == 1
+        """Whole windows leave, oldest first, until the artefact total fits."""
+        store = PresenceStore(capacity=5)
+        first, second, third = (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)
+        store.put(first, {1}, self.window(1, 2))
+        store.put(second, {1}, self.window(1, 2))
+        assert store.get(first, {1}) is not None  # first becomes most recent
+        store.put(third, {1}, self.window(1, 2, 3))  # 7 artefacts: evicts second
+        assert store.get(second, {1}) is None
+        assert store.get(first, {1}) is not None
+        assert store.get(third, {1}) is not None
+        assert (len(store), store.windows) == (5, 2)
+        assert store.stats.evictions == 2
+        assert store.stats.hits == 2 + 2 + 3  # one per artefact served
+        assert store.stats.misses == store.stats.puts == 7  # counted at the put
         assert 0.0 < store.stats.hit_rate < 1.0
 
+    def test_window_larger_than_capacity_is_not_kept(self):
+        store = PresenceStore(capacity=2)
+        store.put(WINDOW, {1}, self.window(1))
+        store.put((2.0, 3.0), {1}, self.window(1, 2, 3))
+        assert (len(store), store.windows) == (0, 0)
+        assert store.stats.evictions == 4
+
+    def test_replacing_a_window_does_not_leak_artefacts(self):
+        store = PresenceStore(capacity=8)
+        store.put(WINDOW, {1}, self.window(1, 2, 3))
+        replacement = self.window(1, 2)
+        store.put(WINDOW, {1}, replacement)
+        assert (len(store), store.windows) == (2, 1)
+        assert store.get(WINDOW, {1}) is replacement
+        store.clear()
+        assert (len(store), store.windows) == (0, 0)
+
     def test_store_key_normalisation(self):
-        assert make_store_key(1, (0, 10), [3, 2], (9, 4)) == (
-            1,
-            (0.0, 10.0),
-            frozenset({2, 3}),
-            (9, 4),
-        )
-        assert make_store_key(1, (0, 10), None)[2] is None
-        assert make_store_key(1, (0, 10), None)[3] is None
+        store = PresenceStore(capacity=8)
+        entry = self.window(1)
+        store.put((0, 10), [3, 2], entry, (9, 4))
+        assert store.get((0.0, 10.0), frozenset({2, 3}), (9, 4)) is entry
+        assert store.get((0, 10), [3, 2]) is None  # no data key is its own key
 
     def test_keyed_by_data_version(self):
         store = PresenceStore(capacity=8)
-        store.put(7, WINDOW, {1}, self.entry(), data_key=(1, 5))
-        assert store.get(7, WINDOW, {1}, data_key=(1, 6)) is None
-        assert store.get(7, WINDOW, {1}, data_key=(2, 5)) is None
-        assert store.get(7, WINDOW, {1}, data_key=(1, 5)) is not None
+        store.put(WINDOW, {1}, self.window(7), data_key=(1, 5))
+        assert store.get(WINDOW, {1}, data_key=(1, 6)) is None
+        assert store.get(WINDOW, {1}, data_key=(2, 5)) is None
+        assert store.get(WINDOW, {1}, data_key=(1, 5)) is not None
+
+    def test_pop_then_put_carries_a_window_to_a_new_token(self):
+        """What a continuous refresh does to artefacts a batch left alone."""
+        store = PresenceStore(capacity=8)
+        entry = self.window(1, 2, 3)
+        entry.derived["anything"] = object()
+        store.put(WINDOW, {1}, entry, data_key=(1, 5))
+        assert store.pop(WINDOW, {1}, data_key=(1, 5)) is entry
+        assert store.pop(WINDOW, {1}, data_key=(1, 5)) is None
+        assert len(store) == 0
+        store.put(WINDOW, {1}, entry, data_key=(1, 6), carried=2)
+        assert store.get(WINDOW, {1}, data_key=(1, 6)) is entry
+        assert "anything" in entry.derived
+        assert store.stats.rekeys == 2
+        assert store.stats.misses == 3 + 1  # the first put, then the one recomputed
+        assert store.stats.hits == 2 + 3  # carried artefacts, then the get
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -173,16 +208,22 @@ class TestStages:
         ctx = pipeline.context(WINDOW, query_key)
         sequences = figure1_iupt.sequences_in(*WINDOW)
         object_id = next(iter(sequences))
+        one_object = {object_id: sequences[object_id]}
 
-        first = pipeline.presence.run(ctx, object_id, sequences[object_id])
+        [(_, first)] = pipeline.presences(ctx, one_object)
         seen_after_first = ctx.stats.reduction_stats.objects_seen
         assert engine.store.stats.misses == 1
         assert engine.store.stats.puts >= 1
 
-        second = pipeline.presence.run(ctx, object_id, sequences[object_id])
+        [(_, second)] = pipeline.presences(ctx, one_object)
         assert second is first  # the cached artefact, not a recomputation
         assert engine.store.stats.hits == 1
         assert ctx.stats.reduction_stats.objects_seen == seen_after_first
+
+        # The stage itself knows no store: it always computes.
+        third = pipeline.presence.run(ctx, object_id, sequences[object_id])
+        assert third is not first and third.computation is not None
+        assert engine.store.stats.hits == 1
 
     def test_pruned_objects_are_cached_too(self, figure1, figure1_iupt):
         engine = QueryEngine(figure1["graph"], figure1["matrix"])

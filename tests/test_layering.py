@@ -177,3 +177,63 @@ def test_the_replica_ack_interval_is_not_a_parameter():
     from repro.service.replica import ReadReplica
 
     assert "ack_every" not in inspect.signature(ReadReplica.__init__).parameters
+
+
+ENGINE_DIR = pathlib.Path(repro.__file__).parent / "engine"
+
+
+def _calls_with_owner(directories):
+    """``(call, "file.py:Class.function")`` for every call under ``directories``."""
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = owner + [child.name]
+            if isinstance(child, ast.Call):
+                yield child, ".".join(owner)
+            yield from walk(child, inner)
+
+    for directory in directories:
+        for path in sorted(directory.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for call, owner in walk(tree, []):
+                yield call, f"{path.name}:{owner}"
+
+
+def test_a_query_meets_the_table_and_the_store_in_exactly_one_place():
+    """``sequences_in`` is called by ``FetchStage.run``, ``fetch.run`` by
+    ``QueryPipeline.window``, and the store is probed once per window — by
+    window, never per object — from ``QueryPipeline._window``."""
+    fetches, stage_runs, probes = [], [], []
+    for call, owner in _calls_with_owner([CORE_DIR, ENGINE_DIR]):
+        func = call.func
+        if not isinstance(func, ast.Attribute):
+            continue
+        receiver = ast.unparse(func.value)
+        if func.attr == "sequences_in":
+            fetches.append(owner)
+        if func.attr == "run" and receiver.endswith("fetch"):
+            stage_runs.append(owner)
+        if func.attr == "get" and receiver.split(".")[-1].lstrip("_") == "store":
+            probes.append((owner, ast.unparse(call.args[0])))
+    assert fetches == ["stages.py:FetchStage.run"]
+    assert stage_runs == ["stages.py:QueryPipeline.window"]
+    assert probes == [("stages.py:QueryPipeline._window", "ctx.window")]
+
+
+def test_the_per_object_store_api_is_gone():
+    import repro.engine
+    import repro.engine.cache
+
+    for path in sorted(CORE_DIR.glob("*.py")) + sorted(ENGINE_DIR.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for name in ("make_store_key", ".rekey(", "build_paths_for"):
+            assert name not in source, f"{path.name} names {name}"
+    assert "make_store_key" not in repro.engine.__all__
+    assert not hasattr(repro.engine.cache, "make_store_key")
+    assert not hasattr(repro.engine.PresenceStore, "rekey")
+    assert list(inspect.signature(repro.engine.PresenceStore.get).parameters) == [
+        "self", "window", "query_slocations", "data_key",
+    ]
+    assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 61)

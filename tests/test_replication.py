@@ -25,7 +25,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import IUPT, QueryEngine, QueryService, SampleSet, ServiceClient, ServiceError
+from repro import (
+    IUPT,
+    QueryEngine,
+    QueryService,
+    SampleSet,
+    ServiceClient,
+    ServiceError,
+    TkPLQuery,
+)
 from repro.codec.packed import PackedRecordBatch, encode_batch
 from repro.data.records import PositioningRecord
 from repro.service import protocol
@@ -36,6 +44,7 @@ from repro.service.router import PartitionRouter
 from repro.storage import (
     DurabilityConfig,
     DurableRecordStore,
+    EvictedRangeError,
     SimulatedCrashError,
 )
 from repro.storage.durable import WalCommit, WalEviction
@@ -405,6 +414,73 @@ class TestReplicaConvergence:
                 assert replica.iupt.store.version_token() == \
                     service.iupt.store.version_token()
                 await replica.stop()
+            await service.stop()
+
+        asyncio.run(run())
+
+    def test_a_snapshot_catch_up_that_moves_retention_refuses_warmed_windows(
+        self, small_real_scenario, tmp_path
+    ):
+        """A snapshot carries the primary's watermark beside shard versions.
+
+        The version token leaves the watermark out (same shards, same
+        versions: same token), so after the catch-up the replica's engine
+        still holds a valid key for a window that now reaches below
+        retention — every read of it must raise like a cold one would.
+        """
+        scenario = small_real_scenario
+        records = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+        slocs = scenario.slocation_ids()[:6]
+        start, end = 70.0, 110.0  # inside shard [60, 120) alone
+
+        def reads(engine, iupt):
+            yield from (
+                lambda a=algorithm: engine.top_k(iupt, slocs, 2, start, end, a)
+                for algorithm in ("naive", "nested-loop", "best-first")
+            )
+            yield lambda: engine.flows(iupt, slocs, start, end)
+            yield lambda: engine.flow(iupt, slocs[0], start, end)
+            yield lambda: engine.batch_top_k(
+                iupt, [TkPLQuery.build(slocs, 2, start, end)]
+            )
+
+        async def run():
+            service, host, port = await _start_primary(
+                scenario,
+                tmp_path,
+                preload=records,
+                config=DurabilityConfig(snapshot_every_batches=1),
+            )
+            replica = ReadReplica(_make_engine(scenario), host, port, name="late")
+            await replica.start()
+            assert replica.snapshot_catchups == 1
+            for read in reads(replica.engine, replica.iupt):
+                read()
+                hits = replica.engine.cache_stats()["hits"]
+                read()
+                assert replica.engine.cache_stats()["hits"] > hits
+
+            # What a durable reopen of the primary adopts from its control
+            # log; the replica then falls below the floor and re-catches-up.
+            token = replica.iupt.data_key_for(start, end)
+            service.iupt.store.inner.restore_watermark(80.0)
+            replica.applied_seq = 0
+            replica._adopt_snapshot(await replica._handshake())
+            assert replica.snapshot_catchups == 2
+            assert replica.iupt.store.eviction_watermark == 80.0
+            assert replica.iupt.data_key_for(start, end) == token
+            for read in reads(replica.engine, replica.iupt):
+                with pytest.raises(EvictedRangeError) as refused:
+                    read()
+                assert refused.value.watermark == 80.0
+            async with await ServiceClient.connect(*replica.service.address) as rc:
+                with pytest.raises(ServiceError) as excinfo:
+                    await rc.top_k(slocs, 2, start, end)
+                assert excinfo.value.kind == "evicted_range"
+                async with await ServiceClient.connect(host, port) as primary:
+                    assert await rc.top_k(slocs, 2, 80.0, end) == \
+                        await primary.top_k(slocs, 2, 80.0, end)
+            await replica.stop()
             await service.stop()
 
         asyncio.run(run())
