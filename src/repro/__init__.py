@@ -168,7 +168,13 @@ from .system import IndoorFlowSystem
 # make_store_key are gone. QueryPipeline.window is the one place a query
 # fetches and probes the store, and it refuses a window below the retention
 # watermark before serving an entry; cache_stats() gained "windows".
-__version__ = "8.0.0"
+# 8.1.0: a pooled request crosses each boundary once. FrameServer hands a
+# decoded frame to a synchronous _serve_request; QueryService admits it there,
+# runs the handler on one of query_workers threads draining one queue and
+# answers from one loop callback that writes the frame to the transport
+# (Connection has no outbox and no writer task). Wire bytes are unchanged. A
+# topology role builds the floor plan only: --objects / --duration are ignored.
+__version__ = "8.1.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..geometry import Point
@@ -25,12 +26,15 @@ class TrajectoryPoint:
     partition_id: Optional[int] = None
 
 
+_timestamp_of = attrgetter("timestamp")
+
+
 class Trajectory:
     """The time-ordered ground-truth trajectory of a single object."""
 
     def __init__(self, object_id: int, points: Iterable[TrajectoryPoint] = ()):
         self.object_id = object_id
-        self._points: List[TrajectoryPoint] = sorted(points, key=lambda p: p.timestamp)
+        self._points: List[TrajectoryPoint] = sorted(points, key=_timestamp_of)
 
     def append(self, point: TrajectoryPoint) -> None:
         if self._points and point.timestamp < self._points[-1].timestamp:
@@ -51,10 +55,7 @@ class Trajectory:
 
     def location_at(self, timestamp: float) -> Optional[Point]:
         """The most recent known location at ``timestamp`` (None before start)."""
-        if not self._points:
-            return None
-        keys = [p.timestamp for p in self._points]
-        index = bisect_right(keys, timestamp) - 1
+        index = bisect_right(self._points, timestamp, key=_timestamp_of) - 1
         if index < 0:
             return None
         return self._points[index].location

@@ -9,13 +9,13 @@ the network-facing layer a production deployment needs:
   serialisation with bit-exact float round-trips, record batches as binary
   ``RPK1`` payloads): what a frame *is*, pure functions only;
 * :mod:`~repro.service.stream` — frames on asyncio streams: ``read_frame``
-  (the one reader of every role, client included), ``Connection`` (the
-  per-peer write queue) and ``FrameServer`` (the accept loop the server and
-  the router both subclass);
+  (the one reader of every role, client included), ``Connection`` (one
+  peer's write side: whole frames straight to the transport) and
+  ``FrameServer`` (the accept loop the server and the router both subclass);
 * :mod:`~repro.service.server` — :class:`QueryService`, the asyncio server
   multiplexing many client connections onto one shared
-  :class:`~repro.engine.runtime.QueryEngine`, running CPU-bound work on a
-  worker pool off the event loop and pushing continuous-query refreshes to
+  :class:`~repro.engine.runtime.QueryEngine`, running CPU-bound work on
+  worker threads off the event loop and pushing continuous-query refreshes to
   subscribed connections;
 * :mod:`~repro.service.admission` — :class:`AdmissionController`, bounded
   in-flight work, per-client token-bucket rate limits, graceful drain;

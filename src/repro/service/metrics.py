@@ -16,9 +16,10 @@ One :class:`ServiceMetrics` registry per server aggregates everything a
   at snapshot time.
 
 Like the admission controller, the registry is sans-I/O and only touched
-from the event-loop thread; request latencies are measured around the
-executor hop, so they include queueing — which is exactly what a client
-experiences.
+from the event-loop thread.  A request's latency runs from its frame being
+decoded in the read loop to its response being handed to the transport — so
+it includes the wait for a worker and the handler, which is what a client
+experiences short of the wire itself.
 """
 
 from __future__ import annotations

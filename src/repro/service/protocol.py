@@ -146,6 +146,11 @@ class ProtocolError(ValueError):
 # ----------------------------------------------------------------------
 # Frames
 # ----------------------------------------------------------------------
+#: The one compact encoder every frame goes through (``json.dumps`` with
+#: ``separators`` would build a new one per call).
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_frame(frame: Mapping[str, object]) -> bytes:
     """Serialise one frame to its wire form (compact JSON + newline).
 
@@ -155,16 +160,12 @@ def encode_frame(frame: Mapping[str, object]) -> bytes:
     """
     payload = frame.get(BIN_PAYLOAD)
     if payload is None:
-        return json.dumps(frame, separators=(",", ":")).encode("utf-8") + b"\n"
+        return _compact_json(frame).encode("utf-8") + b"\n"
     header = {
         key: value for key, value in frame.items() if key != BIN_PAYLOAD
     }
     header[BIN_LENGTH] = len(payload)
-    return (
-        json.dumps(header, separators=(",", ":")).encode("utf-8")
-        + b"\n"
-        + bytes(payload)
-    )
+    return _compact_json(header).encode("utf-8") + b"\n" + bytes(payload)
 
 
 def frame_payload(frame: Mapping[str, object]) -> bytes:

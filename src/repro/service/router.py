@@ -161,7 +161,11 @@ class PartitionRouter(FrameServer):
     # ------------------------------------------------------------------
     # Request routing
     # ------------------------------------------------------------------
-    async def _serve_request(self, connection: Connection, frame: dict) -> None:
+    def _serve_request(self, connection: Connection, frame: dict) -> None:
+        # Every routed op waits on a backend, so every request is a coroutine.
+        self._spawn(self._answer(connection, frame))
+
+    async def _answer(self, connection: Connection, frame: dict) -> None:
         request_id = frame.get("id")
         try:
             op = protocol.request_op(frame)

@@ -6,11 +6,20 @@ clients over the newline-delimited JSON protocol of
 :mod:`repro.service.protocol`:
 
 * the **event loop** only frames (in :mod:`repro.service.stream`, whose
-  accept loop this class subclasses), parses, admits and routes — every
-  CPU-bound engine call (``top_k``, ``flows``, ``batch``, ``ingest_batch``,
-  ``evict_before``, subscription registration) is handed to a worker-thread
-  pool via ``loop.run_in_executor``, so a heavy query never stalls other
-  connections' framing or pushes.  Thread-safety across those workers comes
+  accept loop this class subclasses), parses, admits and answers: the read
+  loop hands each decoded frame to :meth:`QueryService._serve_request`, which
+  refuses or admits it on the spot, and one loop callback,
+  :meth:`QueryService._finish`, returns the slot, builds the response (errors
+  through the one mapping, :func:`_error_response`) and writes it straight
+  to the connection's transport;
+* the **pool** is ``query_workers`` threads draining one work queue: every
+  CPU-bound or lock-taking call runs there, so a heavy query never stalls
+  other connections' framing or pushes.  The nine handler ops cross each
+  boundary once — queued in the read loop, run on a worker, answered by the
+  worker's single ``call_soon_threadsafe`` — with no task and no future; the
+  ops that must come back to a coroutine (subscriptions, ``wal_tail``,
+  ``stats``, ``replica_status``) await the same queue through
+  :meth:`QueryService._run_blocking`.  Thread-safety across the workers comes
   from the layers below: the presence store has its own lock, and every
   store mutation plus the standing-query refreshes it triggers runs under
   the store's re-entrant lock (one ingest = one atomic step);
@@ -18,7 +27,7 @@ clients over the newline-delimited JSON protocol of
   with the shared :class:`~repro.engine.continuous.ContinuousQueryEngine`
   whose ``on_update`` hook fires on the ingesting worker thread — the
   service bridges each refresh onto the event loop with
-  ``call_soon_threadsafe`` and enqueues an ``update`` push frame on the
+  ``call_soon_threadsafe`` and writes an ``update`` push frame to the
   subscribing connection, so one client's ``ingest_batch`` becomes push
   traffic to every other subscribed client with no polling anywhere;
 * the :class:`~repro.service.admission.AdmissionController` gates every
@@ -33,8 +42,10 @@ clients over the newline-delimited JSON protocol of
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Optional, Tuple
+import dataclasses
+import queue
+import threading
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..codec import codec_info
 from ..data.iupt import IUPT
@@ -70,6 +81,47 @@ class _Connection(Connection):
         #: the commit-listener token and the registered follower name.
         self.wal_listener: Optional[int] = None
         self.wal_follower: Optional[str] = None
+
+
+@dataclasses.dataclass(slots=True)
+class _Ticket:
+    """One request from its frame being decoded to its answer being written."""
+
+    connection: _Connection
+    request_id: object
+    began: float
+    #: Doubles as a metrics key: a request refused before its op is known
+    #: counts under "?", so no hostile frame can poison (or grow without
+    #: bound) the sortable by-op counters.
+    op: str = "?"
+    #: Whether it holds an admission slot ``_finish`` must return.
+    admitted: bool = False
+
+
+def _error_response(request_id: object, error: BaseException) -> Tuple[str, dict]:
+    """``(error.kind, error frame)`` for what a handler raised — the one
+    mapping, shared by the pooled ops and the coroutine ops."""
+    if isinstance(error, ProtocolError):
+        kind, message = error.kind, error.message
+    elif isinstance(error, EvictedRangeError):
+        return "evicted_range", protocol.evicted_error_frame(request_id, error)
+    elif isinstance(error, (ValueError, KeyError, TypeError, NotImplementedError)):
+        kind, message = "bad_request", str(error)
+    else:  # the wire must answer
+        kind, message = "internal", f"{type(error).__name__}: {error}"
+    return kind, protocol.error_frame(request_id, kind, message)
+
+
+def _resolve(
+    future: asyncio.Future, result: object, error: Optional[BaseException]
+) -> None:
+    """The completion ``_run_blocking`` submits: hand the outcome to its awaiter."""
+    if future.cancelled():
+        return
+    if error is None:
+        future.set_result(result)
+    else:
+        future.set_exception(error)
 
 
 class QueryService(FrameServer):
@@ -129,7 +181,33 @@ class QueryService(FrameServer):
         self.admission = AdmissionController(admission)
         self._query_workers = query_workers
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
+        #: The pool: ``_drain_work`` threads and the queue they share.
+        self._work: "queue.SimpleQueue[Optional[tuple]]" = queue.SimpleQueue()
+        self._workers: List[threading.Thread] = []
+        #: Set by ``stop`` while it waits for the last admitted request.
+        self._idle: Optional[asyncio.Future] = None
+        #: The ops answered straight from a worker (handler(frame) -> result,
+        #: or ``(result, binary payload)``) …
+        self._pooled_ops: Dict[str, Callable] = {
+            "top_k": self._do_top_k,
+            "flow": self._do_flow,
+            "flows": self._do_flows,
+            "batch": self._do_batch,
+            "ingest_batch": self._do_ingest_batch,
+            "evict_before": self._do_evict_before,
+            "checkpoint": self._do_checkpoint,
+            "wal_cursor": self._do_wal_cursor,
+            "wal_ack": self._do_wal_ack,
+        }
+        #: … and the ones that touch connection state on the loop between
+        #: their pool calls (coroutine(connection, frame) -> result).
+        self._loop_ops: Dict[str, Callable] = {
+            "subscribe": self._subscribe,
+            "unsubscribe": self._unsubscribe,
+            "wal_tail": self._wal_tail,
+            "stats": self._stats,
+            "replica_status": self._replica_status,
+        }
         self.continuous = None  # set in start()
         self._stopped = False
 
@@ -149,9 +227,11 @@ class QueryService(FrameServer):
         if self._server is not None:
             raise RuntimeError("service already started")
         self._loop = asyncio.get_running_loop()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self._query_workers, thread_name_prefix="repro-query"
-        )
+        for index in range(self._query_workers):
+            name = f"repro-query_{index}"
+            worker = threading.Thread(target=self._drain_work, name=name, daemon=True)
+            worker.start()
+            self._workers.append(worker)
         manifest_path = (
             self._durable.subscription_manifest_path
             if self._durable is not None
@@ -162,9 +242,7 @@ class QueryService(FrameServer):
         )
         if manifest_path is not None:
             # Registration recomputes each standing result (store lock).
-            await self._loop.run_in_executor(
-                self._pool, self.continuous.restore_subscriptions
-            )
+            await self._run_blocking(self.continuous.restore_subscriptions)
         return await self._listen()
 
     async def serve_forever(self) -> None:
@@ -179,7 +257,7 @@ class QueryService(FrameServer):
         (new requests get structured ``overloaded``/``draining`` errors) →
         every already-admitted request runs to completion and its response
         is flushed → connections close → the continuous engine detaches →
-        the worker pool shuts down.
+        the workers are joined.
         """
         if self._stopped or self._server is None:
             return
@@ -195,6 +273,11 @@ class QueryService(FrameServer):
             self._detach_subscriptions(connection)
         if self._request_tasks:
             await asyncio.gather(*tuple(self._request_tasks), return_exceptions=True)
+        # A pooled request is no task: it holds its admission slot until
+        # _finish has written its answer, and the draining gate admits no more.
+        if self.admission.inflight:
+            self._idle = self._loop.create_future()
+            await self._idle
         for connection in tuple(self._connections):
             await self._cleanup_connection(connection)
         if self._conn_tasks:
@@ -211,8 +294,10 @@ class QueryService(FrameServer):
         # configured fsync policy.
         if self._durable is not None:
             await self._run_blocking(self._durable.flush)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        for _ in self._workers:
+            self._work.put(None)
+        for worker in self._workers:
+            worker.join()
 
     async def __aenter__(self) -> "QueryService":
         await self.start()
@@ -286,146 +371,167 @@ class QueryService(FrameServer):
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
-    async def _serve_request(self, connection: _Connection, frame: dict) -> None:
-        began = self._loop.time()
-        request_id = frame.get("id")
-        # op doubles as a metrics key: a request refused before its op is
-        # known counts under "?", so no hostile frame can poison (or grow
-        # without bound) the sortable by-op counters.
-        op = "?"
-        error_kind: Optional[str] = None
+    def _serve_request(self, connection: _Connection, frame: dict) -> None:
+        """Refuse, admit and start one decoded request (in the read loop)."""
+        ticket = _Ticket(connection, frame.get("id"), self._loop.time())
         try:
-            op = protocol.request_op(frame)
-            response = await self._dispatch(connection, op, frame, request_id)
-        except ProtocolError as error:
-            error_kind = error.kind
-            response = protocol.error_frame(request_id, error.kind, error.message)
-        except EvictedRangeError as error:
-            error_kind = "evicted_range"
-            response = protocol.evicted_error_frame(request_id, error)
-        except (ValueError, KeyError, TypeError, NotImplementedError) as error:
-            error_kind = "bad_request"
-            response = protocol.error_frame(request_id, "bad_request", str(error))
-        except Exception as error:  # noqa: BLE001 - the wire must answer
-            error_kind = "internal"
-            response = protocol.error_frame(
-                request_id, "internal", f"{type(error).__name__}: {error}"
-            )
-        connection.send_frame(response)
-        self.metrics.observe_request(op, self._loop.time() - began, error_kind)
-
-    async def _dispatch(
-        self, connection: _Connection, op: str, frame: dict, request_id: object
-    ) -> dict:
-        """Admit, execute (off-loop where CPU-bound), and build the response."""
-        # Read-only introspection ops bypass admission entirely: they must
-        # stay answerable while the service is rate-limiting or draining —
-        # they are how operators observe the drain.  tests/test_service.py
-        # pins this for both drain and rate-limit shedding.
-        if op in protocol.READ_ONLY_OPS:
-            return await self._serve_read_only(op, request_id)
-        if self.read_only and op in protocol.MUTATING_OPS:
-            raise ProtocolError(
-                "bad_request",
-                f"this service is a read-only {self.role}; {op!r} must go to "
-                f"the primary (the replication tail owns this table)",
-            )
-
-        rejection = self.admission.admit(connection.conn_id)
-        if rejection is not None:
-            reason, message = rejection
-            return protocol.error_frame(
-                request_id, "overloaded", message, reason=reason
-            )
-        try:
-            if op == "unsubscribe":
-                # Connection bookkeeping on the loop (no lock, no race with
-                # _cleanup_connection); the engine unregistration takes the
-                # store lock, so it goes through the pool.
-                sub_id = protocol.field(frame, "subscription", int)
-                connection.push_seq.pop(sub_id, None)
-                connection.unsubscribed.add(sub_id)
-                subscription = connection.subscriptions.pop(sub_id, None)
-                removed = (
-                    await self._run_blocking(
-                        self.continuous.unregister, subscription
-                    )
-                    if subscription is not None
-                    else False
-                )
-                return protocol.response_frame(
-                    request_id, {"unsubscribed": removed}
-                )
-            if op == "subscribe":
-                subscription, result = await self._run_blocking(
-                    self._register_subscription, connection, frame
-                )
-                # Back on the loop: only now may the subscription be tied to
-                # the connection.  If the client vanished while the worker
-                # was registering, unregister instead of leaking a standing
-                # query nobody will ever read — except a RESUMED subscription,
-                # which predates this connection and must survive it: only
-                # its just-attached callbacks are detached, so the client's
-                # retry can resume it again.
-                if connection not in self._connections:
-                    if result.get("resumed"):
-                        subscription.on_update = None
-                        subscription.on_evicted = None
-                    else:
-                        await self._run_blocking(
-                            self.continuous.unregister, subscription
-                        )
+            op = ticket.op = protocol.request_op(frame)
+            # Read-only introspection ops bypass admission entirely: they must
+            # stay answerable while the service is rate-limiting or draining —
+            # they are how operators observe the drain.  tests/test_service.py
+            # pins this for both drain and rate-limit shedding.
+            if op not in protocol.READ_ONLY_OPS:
+                if self.read_only and op in protocol.MUTATING_OPS:
                     raise ProtocolError(
-                        "bad_request", "connection closed during subscribe"
+                        "bad_request",
+                        f"this service is a read-only {self.role}; {op!r} must go "
+                        f"to the primary (the replication tail owns this table)",
                     )
-                connection.subscriptions[subscription.sub_id] = subscription
-                return protocol.response_frame(request_id, result)
-            if op == "wal_tail":
-                result = await self._run_blocking(
-                    self._do_wal_tail, connection, frame
-                )
-                return protocol.response_frame(request_id, result)
-            handler = {
-                "top_k": self._do_top_k,
-                "flow": self._do_flow,
-                "flows": self._do_flows,
-                "batch": self._do_batch,
-                "ingest_batch": self._do_ingest_batch,
-                "evict_before": self._do_evict_before,
-                "checkpoint": self._do_checkpoint,
-                "wal_cursor": self._do_wal_cursor,
-                "wal_ack": self._do_wal_ack,
-            }[op]
-            result = await self._run_blocking(handler, frame)
-            if isinstance(result, tuple):
-                # (payload_dict, binary_bytes): attach the blob to the frame.
-                result, payload = result
-                response = protocol.response_frame(request_id, result)
-                response[protocol.BIN_PAYLOAD] = payload
-                return response
-            return protocol.response_frame(request_id, result)
-        finally:
-            self.admission.release()
+                rejection = self.admission.admit(connection.conn_id)
+                if rejection is not None:
+                    reason, message = rejection
+                    shed = protocol.error_frame(
+                        ticket.request_id, "overloaded", message, reason=reason
+                    )
+                    # Answered and counted, but no error of the service's.
+                    self._answer(ticket, shed, None)
+                    return
+                ticket.admitted = True
+        except ProtocolError as error:
+            self._finish(ticket, None, error)
+            return
+        handler = self._pooled_ops.get(op)
+        if handler is not None:
+            self._work.put((handler, (frame,), self._finish, ticket))
+        elif op == "ping":
+            self._finish(ticket, self._pong(), None)
+        else:
+            self._spawn(self._serve_on_loop(ticket, frame))
 
-    async def _serve_read_only(self, op: str, request_id: object) -> dict:
-        """Serve one of :data:`protocol.READ_ONLY_OPS` (never admission-gated)."""
-        if op == "ping":
-            return protocol.response_frame(
-                request_id,
-                {
-                    "pong": True,
-                    "protocol": protocol.PROTOCOL_VERSION,
-                    "store": self.iupt.store.kind,
-                    "records": len(self.iupt),
-                },
-            )
-        if op == "replica_status":
-            status = await self._run_blocking(self.replication_status)
-            return protocol.response_frame(request_id, status)
-        # stats: the continuous summary takes the store lock (a worker may
-        # hold it through a long ingest+refresh), so that part runs off the
-        # loop; the metrics/admission counters are loop-owned and are
-        # snapshotted here, on their owning thread.
+    async def _serve_on_loop(self, ticket: _Ticket, frame: dict) -> None:
+        """Run one of the coroutine ops and finish it like a pooled one."""
+        try:
+            result = await self._loop_ops[ticket.op](ticket.connection, frame)
+        except Exception as error:  # noqa: BLE001 - mapped by _finish
+            self._finish(ticket, None, error)
+        else:
+            self._finish(ticket, result, None)
+
+    def _finish(
+        self, ticket: _Ticket, result: object, error: Optional[BaseException]
+    ) -> None:
+        """Answer one request (event loop; a worker's only way back to it)."""
+        if ticket.admitted:
+            self.admission.release()
+            if self._idle is not None and not self.admission.inflight:
+                # stop() resumes a loop iteration later: after the write below.
+                self._idle.set_result(None)
+        error_kind = None
+        if error is not None:
+            error_kind, response = _error_response(ticket.request_id, error)
+        elif isinstance(result, tuple):
+            # (payload_dict, binary_bytes): attach the blob to the frame.
+            result, payload = result
+            response = protocol.response_frame(ticket.request_id, result)
+            response[protocol.BIN_PAYLOAD] = payload
+        else:
+            response = protocol.response_frame(ticket.request_id, result)
+        self._answer(ticket, response, error_kind)
+
+    def _answer(
+        self, ticket: _Ticket, response: dict, error_kind: Optional[str]
+    ) -> None:
+        ticket.connection.send_frame(response)
+        self.metrics.observe_request(
+            ticket.op, self._loop.time() - ticket.began, error_kind
+        )
+
+    # ------------------------------------------------------------------
+    # The pool
+    # ------------------------------------------------------------------
+    async def _run_blocking(self, fn, *args):
+        """Await one CPU-bound or lock-taking call run on the pool."""
+        future = self._loop.create_future()
+        self._work.put((fn, args, _resolve, future))
+        return await future
+
+    def _drain_work(self) -> None:
+        """A worker thread: take ``(fn, args, done, token)`` items off the one
+        queue until the ``None`` sentinel, ending each with a single
+        ``call_soon_threadsafe(done, token, result, error)``."""
+        while True:
+            item = self._work.get()
+            if item is None:
+                return
+            fn, args, done, token = item
+            result = error = None
+            try:
+                result = fn(*args)
+            except BaseException as raised:  # noqa: BLE001 - delivered to done
+                error = raised
+            try:
+                self._loop.call_soon_threadsafe(done, token, result, error)
+            except RuntimeError:
+                pass  # the loop closed under us: nobody is left to answer
+            del item, fn, args, done, token, result, error
+
+    # ------------------------------------------------------------------
+    # Coroutine ops (event loop, between their pool calls)
+    # ------------------------------------------------------------------
+    async def _unsubscribe(self, connection: _Connection, frame: dict) -> dict:
+        # Connection bookkeeping on the loop (no lock, no race with
+        # _cleanup_connection); the engine unregistration takes the store
+        # lock, so it goes through the pool.
+        sub_id = protocol.field(frame, "subscription", int)
+        connection.push_seq.pop(sub_id, None)
+        connection.unsubscribed.add(sub_id)
+        subscription = connection.subscriptions.pop(sub_id, None)
+        removed = (
+            await self._run_blocking(self.continuous.unregister, subscription)
+            if subscription is not None
+            else False
+        )
+        return {"unsubscribed": removed}
+
+    async def _subscribe(self, connection: _Connection, frame: dict) -> dict:
+        subscription, result = await self._run_blocking(
+            self._register_subscription, connection, frame
+        )
+        # Back on the loop: only now may the subscription be tied to the
+        # connection.  If the client vanished while the worker was
+        # registering, unregister instead of leaking a standing query nobody
+        # will ever read — except a RESUMED subscription, which predates this
+        # connection and must survive it: only its just-attached callbacks are
+        # detached, so the client's retry can resume it again.
+        if connection not in self._connections:
+            if result.get("resumed"):
+                subscription.on_update = None
+                subscription.on_evicted = None
+            else:
+                await self._run_blocking(self.continuous.unregister, subscription)
+            raise ProtocolError("bad_request", "connection closed during subscribe")
+        connection.subscriptions[subscription.sub_id] = subscription
+        return result
+
+    async def _wal_tail(self, connection: _Connection, frame: dict) -> dict:
+        return await self._run_blocking(self._do_wal_tail, connection, frame)
+
+    def _pong(self) -> dict:
+        return {
+            "pong": True,
+            "protocol": protocol.PROTOCOL_VERSION,
+            "store": self.iupt.store.kind,
+            "records": len(self.iupt),
+        }
+
+    async def _replica_status(self, _connection: _Connection, _frame: dict) -> dict:
+        return await self._run_blocking(self.replication_status)
+
+    async def _stats(self, _connection: _Connection, _frame: dict) -> dict:
+        # The continuous summary takes the store lock (a worker may hold it
+        # through a long ingest+refresh), so that part runs off the loop; the
+        # metrics/admission counters are loop-owned and are snapshotted here,
+        # on their owning thread.
         continuous_summary = await self._run_blocking(self.continuous.describe)
         replication = await self._run_blocking(self.replication_status)
         snapshot = self.metrics.snapshot(
@@ -438,7 +544,7 @@ class QueryService(FrameServer):
             codec_info(),
             scoring_kernel=self.engine.config.resolved_scoring_kernel,
         )
-        return protocol.response_frame(request_id, snapshot)
+        return snapshot
 
     def replication_status(self) -> dict:
         """The replication view of this service (worker thread: takes locks).
@@ -466,10 +572,6 @@ class QueryService(FrameServer):
         if self.replication_extra is not None:
             status.update(self.replication_extra())
         return status
-
-    async def _run_blocking(self, fn, *args):
-        """Run one CPU-bound handler on the worker pool, off the event loop."""
-        return await self._loop.run_in_executor(self._pool, lambda: fn(*args))
 
     # ------------------------------------------------------------------
     # Handlers (worker-pool threads unless noted)
@@ -590,7 +692,7 @@ class QueryService(FrameServer):
         Atomicity: the replayed batches are collected and the commit
         listener attached under the store lock, so no commit can fall in
         the gap; ``call_soon_threadsafe`` preserves scheduling order, so
-        the catch-up frames reach the connection's outbox before any live
+        the catch-up frames reach the connection's transport before any live
         frame — the follower sees one gapless, strictly ordered sequence.
         """
         cursor = protocol.field(frame, "cursor", int, 0)
@@ -771,7 +873,7 @@ class QueryService(FrameServer):
     def _deliver_push(
         self, connection: _Connection, frame: dict, evicted: bool
     ) -> None:
-        """Event-loop side of a push: number it, enqueue it, count it.
+        """Event-loop side of a push: number it, write it, count it.
 
         ``call_soon_threadsafe`` preserves the scheduling order of the
         refreshes (they are serialised under the store lock), so per-

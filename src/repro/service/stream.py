@@ -76,41 +76,28 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, object]
 
 
 class Connection:
-    """One peer's write side: an outbox drained by a writer task, so
-    concurrent request tasks never interleave partial frames.
+    """One peer's write side: whole frames, written straight to the transport.
 
-    Created on the event loop that owns the stream; a role subclasses it to
-    hang per-client state on it.
+    ``send_frame`` may only be called on the event loop that owns the stream.
+    One call is one ``write`` of one encoded frame (header line and any binary
+    payload together) and the transport keeps writes in call order, so frames
+    never interleave and a peer reads them in the order they were sent; a slow
+    reader's backlog waits in its own transport buffer and delays nobody else.
+    A role subclasses it to hang per-client state on it.
     """
 
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
-        self.outbox: "asyncio.Queue[Optional[dict]]" = asyncio.Queue()
         self.closing = False
-        self.writer_task = asyncio.ensure_future(self.run_writer())
 
     def send_frame(self, frame: dict) -> None:
-        """Enqueue one frame for the writer task (event-loop thread only)."""
-        if not self.closing:
-            self.outbox.put_nowait(frame)
-
-    async def run_writer(self) -> None:
-        """Drain the outbox onto the socket until the ``None`` sentinel."""
-        while True:
-            frame = await self.outbox.get()
-            if frame is None:
-                break
-            try:
-                self.writer.write(protocol.encode_frame(frame))
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError):
-                break
+        """Write one frame (event-loop thread only); dropped once closing."""
+        if not self.closing and not self.writer.is_closing():
+            self.writer.write(protocol.encode_frame(frame))
 
     async def flush_and_close(self) -> None:
-        """Stop accepting frames, flush queued ones, close the transport."""
+        """Stop accepting frames, flush the written ones, close the transport."""
         self.closing = True
-        self.outbox.put_nowait(None)
-        await self.writer_task
         self.writer.close()
         try:
             await self.writer.wait_closed()
@@ -123,7 +110,9 @@ class FrameServer:
 
     Owns the listener, the live :class:`Connection` set and the request and
     connection task sets (a role's ``stop`` drains or cancels them as it sees
-    fit), answers refused lines, and runs one task per decoded request.
+    fit), answers refused lines, and hands each decoded request to the role's
+    synchronous ``_serve_request`` — which answers at once, from a callback, or
+    from a coroutine it starts with :meth:`_spawn`.
     """
 
     def __init__(self, host: str, port: int):
@@ -152,9 +141,16 @@ class FrameServer:
         return self._server.sockets[0].getsockname()[:2]
 
     # -- what a role implements ----------------------------------------
-    async def _serve_request(self, connection: Connection, frame: dict) -> None:
-        """Answer one decoded frame through ``connection.send_frame``."""
+    def _serve_request(self, connection: Connection, frame: dict) -> None:
+        """See that one decoded frame is answered through
+        ``connection.send_frame``; called in the read loop, must not block."""
         raise NotImplementedError
+
+    def _spawn(self, coroutine) -> None:
+        """Run a request's coroutine as a task in ``_request_tasks``."""
+        task = asyncio.ensure_future(coroutine)
+        self._request_tasks.add(task)
+        task.add_done_callback(self._request_tasks.discard)
 
     async def _release_connection(self, connection: Connection) -> None:
         """Release everything a departing client held."""
@@ -188,9 +184,7 @@ class FrameServer:
                     continue
                 if frame is None:
                     break
-                task = asyncio.ensure_future(self._serve_request(connection, frame))
-                self._request_tasks.add(task)
-                task.add_done_callback(self._request_tasks.discard)
+                self._serve_request(connection, frame)
         finally:
             await self._cleanup_connection(connection)
             self._conn_tasks.discard(asyncio.current_task())

@@ -18,8 +18,9 @@ port), then serves until killed.
 
 The indoor model (graph and matrix) is static scenario input, not
 replicated state, so each process rebuilds it deterministically from the
-same synthetic-scenario parameters — the defaults here match the
-replication benchmark's scenario exactly.
+same building parameters (``--floors``, ``--seed``) — the floor plan
+:func:`~repro.synth.scenario.build_synthetic_scenario` draws for them, with
+no objects walked through it: a role is handed its records over the wire.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from ..data.iupt import IUPT
 from ..engine.config import EngineConfig
 from ..engine.runtime import QueryEngine
 from ..storage import DurabilityConfig
-from ..synth.scenario import build_synthetic_scenario
+from ..synth.building import BuildingConfig, GridBuildingGenerator
+from ..system import IndoorFlowSystem
 from .client import ReconnectPolicy
 from .replica import ReadReplica
 from .router import PartitionRouter
@@ -43,18 +45,20 @@ DEFAULT_SHARD_SECONDS = 60.0
 
 
 def _build_engine(args: argparse.Namespace) -> QueryEngine:
-    scenario = build_synthetic_scenario(
-        num_objects=args.objects,
-        floors=args.floors,
-        room_rows=1,
-        rooms_per_row=3,
-        duration_seconds=args.duration,
-        seed=args.seed,
-    )
+    building = GridBuildingGenerator(
+        BuildingConfig(
+            floors=args.floors,
+            room_rows=1,
+            rooms_per_row=3,
+            presence_grid_step=6.0,
+            seed=args.seed,
+        )
+    ).generate()
+    system = IndoorFlowSystem(building.plan)
     config = None
     if args.presence_capacity is not None:
         config = EngineConfig(presence_store_capacity=args.presence_capacity)
-    return QueryEngine(scenario.system.graph, scenario.system.matrix, config=config)
+    return QueryEngine(system.graph, system.matrix, config=config)
 
 
 def _parse_address(text: str) -> Tuple[str, int]:
@@ -132,11 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--host", default="127.0.0.1")
         p.add_argument("--port", type=int, default=0)
         p.add_argument("--query-workers", type=int, default=4)
-        # Scenario parameters (must match across all roles of one topology).
-        p.add_argument("--objects", type=int, default=10)
+        # Building parameters (must match across all roles of one topology).
         p.add_argument("--floors", type=int, default=2)
-        p.add_argument("--duration", type=float, default=240.0)
         p.add_argument("--seed", type=int, default=17)
+        ignored = "accepted and ignored: a role builds the floor plan, not its objects"
+        p.add_argument("--objects", type=int, default=10, help=ignored)
+        p.add_argument("--duration", type=float, default=240.0, help=ignored)
         # Per-node presence-cache bound.  The replication benchmark pins this
         # identically on every role so the scale-out comparison is about node
         # count, not about handing the topology more total cache than the

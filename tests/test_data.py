@@ -180,6 +180,11 @@ class TestTrajectory:
         assert trajectory.location_at(-1.0) is None
         assert trajectory.location_at(0.5) == Point(1, 1)
         assert trajectory.location_at(5.0) == Point(6, 1)
+        # An appended point is found like a constructed one.
+        trajectory.append(TrajectoryPoint(7.0, Point(9, 1), partition_id=1))
+        assert trajectory.location_at(6.9) == Point(6, 1)
+        assert trajectory.location_at(7.0) == Point(9, 1)
+        assert Trajectory(8).location_at(0.0) is None
 
     def test_points_in_and_partitions_visited(self):
         trajectory = self._trajectory()

@@ -237,3 +237,51 @@ def test_the_per_object_store_api_is_gone():
         "self", "window", "query_slocations", "data_key",
     ]
     assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 61)
+
+
+def _names(path):
+    """Every identifier a module spells: names, attributes, imported aliases."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+
+
+def test_a_pooled_request_has_one_road_and_it_is_the_only_one():
+    """No executor beside the service's own work queue, no queue or writer
+    task between a connection and its transport, two writers of a stream (a
+    listening role's ``Connection`` and the client), one error mapping."""
+    server = set(_names(SERVICE_DIR / "server.py"))
+    assert not server & {"run_in_executor", "ThreadPoolExecutor", "wrap_future"}
+    stream = set(_names(SERVICE_DIR / "stream.py"))
+    assert not stream & {"Queue", "outbox", "writer_task", "run_writer", "drain"}
+    writes, tasks, futures, mappings = [], [], [], []
+    for call, owner in _calls_with_owner([SERVICE_DIR]):
+        name = getattr(call.func, "attr", getattr(call.func, "id", None))
+        if name == "write":
+            writes.append(owner)
+        if name in ("ensure_future", "create_task") and owner.startswith(
+            ("stream.py", "server.py")
+        ):
+            tasks.append(owner)
+        if name == "create_future" and owner.startswith("server.py"):
+            futures.append(owner)
+        if name == "evicted_error_frame" and not owner.startswith("protocol.py"):
+            mappings.append(owner)
+    assert writes == [
+        "client.py:ServiceClient._request_once",
+        "stream.py:Connection.send_frame",
+    ]
+    assert tasks == ["stream.py:FrameServer._spawn"]
+    # The drain's wake-up and the awaitable face of the queue; no pooled op.
+    assert futures == [
+        "server.py:QueryService.stop",
+        "server.py:QueryService._run_blocking",
+    ]
+    assert mappings == ["server.py:_error_response"]
+    source = (SERVICE_DIR / "server.py").read_text(encoding="utf-8")
+    assert source.count('"internal"') == 1
+    assert source.count("NotImplementedError") == 1

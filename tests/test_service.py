@@ -50,10 +50,15 @@ from tests.frame_feed import read_all
 # ----------------------------------------------------------------------
 class TestProtocol:
     def test_frame_round_trip(self):
-        frame = {"id": 7, "op": "top_k", "q": [1, 2], "k": 1, "start": 0.0, "end": 9.5}
-        line = protocol.encode_frame(frame)
-        assert line.endswith(b"\n") and b"\n" not in line[:-1]
-        assert protocol.decode_frame(line[:-1]) == frame
+        for frame in (
+            {"id": 7, "op": "top_k", "q": [1, 2], "k": 1, "start": 0.0, "end": 9.5},
+            {"id": 8, "flow": 0.1 + 0.2, "ranking": [[5, 1.25], [3, [0.5]]], "name": "café 楼"},
+        ):
+            line = protocol.encode_frame(frame)
+            assert line.endswith(b"\n") and b"\n" not in line[:-1]
+            assert protocol.decode_frame(line[:-1]) == frame
+            # The bytes are those of the compact json.dumps spelling.
+            assert line[:-1] == json.dumps(frame, separators=(",", ":")).encode("utf-8")
 
     def test_malformed_frame_raises_bad_frame(self):
         with pytest.raises(ProtocolError) as excinfo:
