@@ -113,13 +113,11 @@ from .system import IndoorFlowSystem
 # range_query/version_token state, the service gained a checkpoint op,
 # subscription-manifest restore and flush-on-drain, and both stores honour
 # one documented eviction/ingest boundary contract (flat stores evict now).
-# 3.4.0: binary record codec + vectorized kernels. repro.codec packs record
-# batches into one little-endian columnar layout (numpy-backed, byte-identical
-# stdlib-array fallback) shared by WAL frames, snapshots, and a lazily
+# 3.4.0: binary record codec. repro.codec packs record batches into one
+# little-endian columnar layout shared by WAL frames, snapshots, and a lazily
 # materialised shard representation; DurabilityConfig.codec defaults to
-# "binary" (JSON directories and mixed segments still recover), and
-# EngineConfig.scoring_kernel selects a PresenceMatrix scoring path asserted
-# bit-identical to the scalar fold.
+# "binary" (JSON directories and mixed segments still recover). (Its second
+# column container and the matrix scoring path beside the fold went in 9.0.0.)
 # 3.5.0: WAL-shipping read replicas + partition-aware router. The durable
 # store exposes a replication cursor API (committed_batches_after /
 # commit listeners / follower lag tracking, size-triggered WAL compaction
@@ -131,9 +129,8 @@ from .system import IndoorFlowSystem
 # read-your-writes staleness bound; ServiceClient reconnects with bounded
 # backoff; `python -m repro.service.topology` runs each role as a process.
 # 4.0.0: one execution path through the engine. EngineConfig keeps one field
-# (presence_store_capacity) and the scoring kernel follows the codec backend;
-# the executors, the per-query cache, the "recompute" refresh mode and
-# whole-table cache keys are gone; FlowComputer holds the per-object
+# (presence_store_capacity); the executors, the per-query cache, the
+# "recompute" refresh mode and whole-table cache keys are gone; FlowComputer holds the per-object
 # primitives only (flow / flows live on QueryEngine) and the TkPLQ algorithms
 # take the QueryPipeline they drive; IndoorFlowSystem moved to repro.system;
 # an S-location id the floor plan does not know raises ValueError everywhere.
@@ -174,7 +171,17 @@ from .system import IndoorFlowSystem
 # answers from one loop callback that writes the frame to the transport
 # (Connection has no outbox and no writer task). Wire bytes are unchanged. A
 # topology role builds the floor plan only: --objects / --duration are ignored.
-__version__ = "8.1.0"
+# 9.0.0: one column container for the codec and one accumulation for the
+# engine. RPK1 columns are array.array; repro.codec lost BACKENDS,
+# active_backend, numpy_available and resolve_backend, every backend=
+# parameter, the REPRO_CODEC_BACKEND variable and all but codec_version of
+# codec_info() / the stats op's codec block / describe()["codec_backend"].
+# score_query_over_entries lost kernel= / matrix=, PresenceMatrix lost
+# score_flows; every caller folds presences in fetch order. Bytes, flows and
+# rankings are unchanged. EngineConfig.resolved_scoring_kernel ("scalar"), the
+# kernel= keyword of accumulate_flows_over_entries and PresenceMatrix stay only
+# because bench/ spells them.
+__version__ = "9.0.0"
 
 __all__ = [
     "ALGORITHMS",

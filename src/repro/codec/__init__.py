@@ -1,38 +1,30 @@
-"""Packed binary codec and vectorized scoring kernels.
+"""The packed binary codec.
 
-One binary layout for positioning records, shared by the durable store's
-write-ahead log and snapshots (:mod:`repro.storage.durable`), the sharded
-store's lazy shard representation (:mod:`repro.storage.sharded`) and the
-engine's vectorized scoring kernels (:mod:`repro.codec.kernels`).  The
-array backend is ``numpy`` when importable and the standard library's
-``array``/``memoryview`` otherwise — byte-identical output, identical
-semantics (see :mod:`repro.codec.packed`).
+One binary layout for positioning records (``RPK1``, see
+:mod:`repro.codec.packed`), shared by the durable store's write-ahead log and
+snapshots (:mod:`repro.storage.durable`), the sharded store's lazy shard
+representation (:mod:`repro.storage.sharded`), the replication stream and the
+``ingest_batch`` wire payload.  Columns are standard-library ``array.array``
+instances.  :class:`PresenceMatrix` is kept for ``bench/`` alone (see
+:mod:`repro.codec.kernels`).
 """
 
 from .kernels import PresenceMatrix
 from .packed import (
-    BACKENDS,
     CODEC_MAGIC,
     CODEC_VERSION,
     PackedRecordBatch,
-    active_backend,
     codec_info,
     decode_batch,
     encode_batch,
-    numpy_available,
-    resolve_backend,
 )
 
 __all__ = [
-    "BACKENDS",
     "CODEC_MAGIC",
     "CODEC_VERSION",
     "PackedRecordBatch",
     "PresenceMatrix",
-    "active_backend",
     "codec_info",
     "decode_batch",
     "encode_batch",
-    "numpy_available",
-    "resolve_backend",
 ]

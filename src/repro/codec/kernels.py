@@ -1,77 +1,49 @@
-"""Vectorized twins of the scalar scoring kernels.
+"""A dense per-window presence matrix, kept for the benchmark that times it.
 
-The engine's two accumulation kernels —
-:func:`~repro.core.nested_loop.score_presence_into_flows` driven by
-:func:`~repro.engine.batch.score_query_over_entries`, and
-:func:`~repro.engine.stages.accumulate_flows_over_entries` — both walk the
-per-object presence artefacts of one window in fetch order and fold each
-S-location's presence values into a running flow.  :class:`PresenceMatrix`
-lifts that walk into a dense ``(locations x objects)`` float64 matrix built
-once per window group, so scoring a query becomes one contiguous column
-reduction per S-location instead of a Python loop over entries.
+The engine accumulates flows with one fold over the window's per-object
+artefacts in fetch order
+(:func:`~repro.engine.stages.accumulate_flows_over_entries`,
+:func:`~repro.engine.batch.score_query_over_entries`).
+:class:`PresenceMatrix` is the other shape of the same sum — one row per
+S-location, one column per artefact — and nothing under ``src/repro`` builds
+one.  It survives **only** because ``bench/layers.py`` (which a PR outside
+the ``benchmark`` archetype may not edit) times
+``PresenceMatrix(entries, sloc_ids, parent_cells).accumulate_flows(sloc_ids)``
+as ``codec.kernel_score_us``; when a ``benchmark`` PR drops that metric the
+class goes with it (ROADMAP item 3b).
 
-**Bit-identity contract.**  The scalar kernels accumulate left-to-right in
-entry (fetch) order; the matrix reduction must reproduce every flow value
-bit for bit:
-
-* numpy backend: ``np.add.accumulate`` over a contiguous column performs
-  the same sequential left-to-right float64 additions (unlike ``np.sum``,
-  which pairwise-trees), so its last element equals the Python fold;
-* fallback backend: a plain Python loop over the column *is* the fold;
-* entries whose possible semantic locations miss an S-location contribute
-  an explicit ``0.0`` matrix cell; presences are non-negative, and
-  ``x + 0.0`` is bit-exact for every non-negative float64 ``x``, so the
-  padded fold equals the scalar kernel's skip-the-entry fold.
-
-The two scalar kernels disagree on one bookkeeping detail, which the
-matrix preserves: for an S-location whose parent cell is ``None`` the
-query kernel skips the entry *without* counting an evaluation, while the
-flows kernel counts the evaluation and adds ``presence_in_cell(None)``
-(which is ``0.0``).  :meth:`PresenceMatrix.score_flows` and
-:meth:`PresenceMatrix.accumulate_flows` reproduce their respective
-``flow_evaluations`` counts exactly; the differential tests in
-``tests/test_codec.py`` assert both counters and bitwise flow equality.
+Its flows equal the engine's bit for bit: a row is folded left to right in
+entry order, and an artefact whose possible semantic locations miss an
+S-location holds an explicit ``0.0`` there — presences are non-negative and
+``x + 0.0`` is exact for every non-negative float64 ``x``, so the padded fold
+equals the fold that skips the artefact.  ``tests/test_codec.py`` asserts
+that, ``flow_evaluations`` included.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from .packed import resolve_backend
-
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 
 class PresenceMatrix:
-    """Dense per-window presence values: one row per S-location, one column
-    per entry, in fetch order.
+    """Presence values of one window: one row per S-location, one column per
+    entry, in fetch order, in one flat list."""
 
-    Built once per window group (or standing-query refresh) and shared by
-    every query scored against it; rows cover the union of the group's
-    query S-locations.
-    """
-
-    __slots__ = ("backend", "_columns", "_n", "_values", "_counts", "_has_parent")
+    __slots__ = ("_columns", "_n", "_values", "_counts", "_has_parent")
 
     def __init__(
         self,
         entries: Sequence[Tuple[int, object]],
         sloc_ids: Sequence[int],
         parent_cells: Dict[int, Optional[int]],
-        backend: Optional[str] = None,
     ):
-        self.backend = resolve_backend(backend)
         ordered = list(dict.fromkeys(sloc_ids))
         columns = {sloc_id: row for row, sloc_id in enumerate(ordered)}
         n = len(entries)
-        rows = len(ordered)
         cells = [parent_cells.get(sloc_id) for sloc_id in ordered]
         has_parent = [cell is not None for cell in cells]
-        buffer = [0.0] * (rows * n)
-        counts = [0] * rows
+        values = [0.0] * (len(ordered) * n)
+        counts = [0] * len(ordered)
         for column, (_object_id, entry) in enumerate(entries):
             if entry.pruned:
                 continue
@@ -82,68 +54,34 @@ class PresenceMatrix:
                     continue
                 counts[row] += 1
                 if has_parent[row]:
-                    buffer[row * n + column] = computation.presence_in_cell(
+                    values[row * n + column] = computation.presence_in_cell(
                         cells[row]
                     )
         self._columns = columns
         self._n = n
+        self._values = values
         self._counts = counts
         self._has_parent = has_parent
-        if self.backend == "numpy":
-            self._values = _np.asarray(buffer, dtype=_np.float64).reshape(rows, n)
-        else:
-            self._values = buffer
-
-    def __len__(self) -> int:
-        return self._n
-
-    def _row_sum(self, row: int) -> float:
-        """Sequential left-to-right float64 fold of one S-location's row."""
-        if self._n == 0 or self._counts[row] == 0:
-            return 0.0
-        if self.backend == "numpy":
-            return float(_np.add.accumulate(self._values[row])[-1])
-        total = 0.0
-        values = self._values
-        for index in range(row * self._n, (row + 1) * self._n):
-            total += values[index]
-        return total
-
-    def score_flows(
-        self, sloc_ids: Sequence[int]
-    ) -> Tuple[Dict[int, float], int]:
-        """Flows + evaluation count of one query, per the *query* kernel.
-
-        Mirrors :func:`~repro.core.nested_loop.score_presence_into_flows`:
-        S-locations without a parent cell contribute nothing and count no
-        evaluations.
-        """
-        flows: Dict[int, float] = {sloc_id: 0.0 for sloc_id in sloc_ids}
-        evaluations = 0
-        for sloc_id in flows:
-            row = self._columns.get(sloc_id)
-            if row is None or not self._has_parent[row]:
-                continue
-            evaluations += self._counts[row]
-            flows[sloc_id] = self._row_sum(row)
-        return flows, evaluations
 
     def accumulate_flows(
         self, sloc_ids: Sequence[int]
     ) -> Tuple[Dict[int, float], int]:
-        """Flows + evaluation count, per the *flows* kernel.
-
-        Mirrors :func:`~repro.engine.stages.accumulate_flows_over_entries`:
-        an S-location without a parent cell still counts its evaluations
-        (each adds ``presence_in_cell(None) == 0.0``).
+        """Flows + evaluation count, as
+        :func:`~repro.engine.stages.accumulate_flows_over_entries` reports
+        them: an S-location without a parent cell still counts its
+        evaluations (each adds ``presence_in_cell(None) == 0.0``).
         """
         flows: Dict[int, float] = {sloc_id: 0.0 for sloc_id in sloc_ids}
         evaluations = 0
+        n = self._n
         for sloc_id in flows:
             row = self._columns.get(sloc_id)
             if row is None:
                 continue
             evaluations += self._counts[row]
-            if self._has_parent[row]:
-                flows[sloc_id] = self._row_sum(row)
+            if self._has_parent[row] and self._counts[row]:
+                total = 0.0
+                for value in self._values[row * n : (row + 1) * n]:
+                    total += value
+                flows[sloc_id] = total
         return flows, evaluations

@@ -4,8 +4,7 @@ A batch of records ``(oid, t, [(ploc_id, prob), ...])`` is laid out as one
 length-prefixed header followed by five contiguous little-endian arrays —
 a *columnar* encoding, so the durable store can write and recover whole
 shards as single ``memcpy``-shaped blobs instead of one JSON object per
-record, and the engine's vectorized kernels can sum over the arrays
-directly::
+record::
 
     offset 0   magic      4s   b"RPK1"
            4   version    u8   CODEC_VERSION (currently 1)
@@ -22,109 +21,52 @@ Floats cross the boundary as raw IEEE-754 doubles, so every timestamp and
 probability round-trips bit-exactly — the same guarantee the JSON payloads
 gave via ``repr``/``float``, minus the text round-trip.
 
-Two interchangeable array backends produce and parse **identical bytes**:
-``numpy`` (used when importable) and the standard library's
-``array``/``memoryview`` fallback.  ``REPRO_CODEC_BACKEND=array`` forces
-the fallback even when numpy is present (the CI fallback leg sets it);
-individual calls can also pass ``backend=`` explicitly, which the
-cross-backend equality tests rely on.
+Every column is a standard-library ``array.array`` (``"d"`` / ``"q"``).  No
+consumer does arithmetic on a column — they call ``tolist()`` / ``tobytes()``
+— so ``array`` is all the codec needs, it runs wherever Python does, and
+importing the codec costs nothing beyond the interpreter.  The bytes are the
+ones every earlier build wrote, whichever container that build held them in.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import sys
 from array import array
 from operator import lt
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from ..data.records import MASS_TOLERANCE, PositioningRecord, Sample, SampleSet
-
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 CODEC_MAGIC = b"RPK1"
 CODEC_VERSION = 1
 
-BACKENDS = ("numpy", "array")
-
 #: magic, version, reserved u8, reserved u16, record count, sample count.
 _HEADER = struct.Struct("<4sBBHQQ")
-
-_FORCED = os.environ.get("REPRO_CODEC_BACKEND", "").strip().lower()
 
 _SWAP = sys.byteorder == "big"
 
 
-def numpy_available() -> bool:
-    return _np is not None
-
-
-def active_backend() -> str:
-    """The process-wide default backend (numpy when importable, else array)."""
-    if _FORCED == "array" or _np is None:
-        return "array"
-    return "numpy"
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Validate an explicit backend choice, defaulting to the active one."""
-    if backend is None:
-        return active_backend()
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown codec backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "numpy" and _np is None:
-        raise ValueError("codec backend 'numpy' requested but numpy is not importable")
-    return backend
-
-
 def codec_info() -> dict:
-    """The active codec/kernel backend, for stats and benchmark headers."""
-    return {
-        "codec_version": CODEC_VERSION,
-        "backend": active_backend(),
-        "numpy_available": _np is not None,
-        "forced_backend": _FORCED or None,
-    }
+    """The codec version, for the ``stats`` op and benchmark headers."""
+    return {"codec_version": CODEC_VERSION}
 
 
-def _int_column(values: Sequence[int], backend: str):
-    if backend == "numpy":
-        return _np.asarray(values, dtype="<i8")
-    return array("q", values)
-
-
-def _float_column(values: Sequence[float], backend: str):
-    if backend == "numpy":
-        return _np.asarray(values, dtype="<f8")
-    return array("d", values)
-
-
-def _column_bytes(column) -> bytes:
-    if _np is not None and isinstance(column, _np.ndarray):
-        return column.astype(column.dtype.newbyteorder("<"), copy=False).tobytes()
+def _column_bytes(column: array) -> bytes:
     if _SWAP:  # pragma: no cover - big-endian hosts only
-        swapped = array(column.typecode, column)
-        swapped.byteswap()
-        return swapped.tobytes()
+        column = array(column.typecode, column)
+        column.byteswap()
     return column.tobytes()
 
 
-def _parse_column(data: bytes, offset: int, count: int, typecode: str, backend: str):
-    """One array column from the blob; numpy parses as a zero-copy view."""
+def _parse_column(view: memoryview, offset: int, count: int, typecode: str):
+    """One column of the blob and the offset behind it.
+
+    ``view`` is sliced without a copy, so ``frombytes`` makes the only one.
+    """
     end = offset + count * 8
-    if end > len(data):
-        raise ValueError("packed batch truncated: column exceeds payload")
-    if backend == "numpy":
-        dtype = "<f8" if typecode == "d" else "<i8"
-        return _np.frombuffer(data, dtype=dtype, count=count, offset=offset), end
     column = array(typecode)
-    column.frombytes(data[offset:end])
+    column.frombytes(view[offset:end])
     if _SWAP:  # pragma: no cover - big-endian hosts only
         column.byteswap()
     return column, end
@@ -133,16 +75,13 @@ def _parse_column(data: bytes, offset: int, count: int, typecode: str, backend: 
 class PackedRecordBatch:
     """A batch of positioning records in the packed columnar layout.
 
-    Columns are numpy arrays or ``array.array`` instances depending on the
-    backend; either way :meth:`encode` emits the same bytes and
-    :meth:`to_records` returns the records the JSON payloads' constructor
-    path (``Sample(int, float)`` into ``SampleSet``) would build, so decoded
-    batches are bit-identical across backends and against JSON — without
-    taking that path per sample (see :meth:`to_records`).
+    Columns are ``array.array`` instances.  :meth:`to_records` returns the
+    records the JSON payloads' constructor path (``Sample(int, float)`` into
+    ``SampleSet``) would build, so decoded batches are bit-identical against
+    JSON — without taking that path per sample (see :meth:`to_records`).
     """
 
     __slots__ = (
-        "backend",
         "timestamps",
         "object_ids",
         "sample_counts",
@@ -151,9 +90,8 @@ class PackedRecordBatch:
     )
 
     def __init__(
-        self, backend, timestamps, object_ids, sample_counts, sample_plocs, sample_probs
+        self, timestamps, object_ids, sample_counts, sample_plocs, sample_probs
     ):
-        self.backend = backend
         self.timestamps = timestamps
         self.object_ids = object_ids
         self.sample_counts = sample_counts
@@ -172,11 +110,8 @@ class PackedRecordBatch:
     # ------------------------------------------------------------------
     @classmethod
     def from_records(
-        cls,
-        records: Iterable[PositioningRecord],
-        backend: Optional[str] = None,
+        cls, records: Iterable[PositioningRecord]
     ) -> "PackedRecordBatch":
-        backend = resolve_backend(backend)
         timestamps: List[float] = []
         object_ids: List[int] = []
         counts: List[int] = []
@@ -190,19 +125,15 @@ class PackedRecordBatch:
             plocs.extend(sample_set.ploc_ids)
             probs.extend(sample_set.probs)
         return cls(
-            backend,
-            _float_column(timestamps, backend),
-            _int_column(object_ids, backend),
-            _int_column(counts, backend),
-            _int_column(plocs, backend),
-            _float_column(probs, backend),
+            array("d", timestamps),
+            array("q", object_ids),
+            array("q", counts),
+            array("q", plocs),
+            array("d", probs),
         )
 
     @classmethod
-    def decode(
-        cls, data: bytes, backend: Optional[str] = None
-    ) -> "PackedRecordBatch":
-        resolved = resolve_backend(backend)
+    def decode(cls, data: bytes) -> "PackedRecordBatch":
         if len(data) < _HEADER.size:
             raise ValueError("packed batch truncated: missing header")
         magic, version, _r8, _r16, n, m = _HEADER.unpack_from(data)
@@ -219,13 +150,15 @@ class PackedRecordBatch:
                 f"packed batch size mismatch: {len(data)} bytes for "
                 f"n={n}, m={m} (expected {expected})"
             )
+        # The size check above is what bounds every column below.
+        view = memoryview(data)
         offset = _HEADER.size
-        timestamps, offset = _parse_column(data, offset, n, "d", resolved)
-        object_ids, offset = _parse_column(data, offset, n, "q", resolved)
-        counts, offset = _parse_column(data, offset, n, "q", resolved)
-        plocs, offset = _parse_column(data, offset, m, "q", resolved)
-        probs, offset = _parse_column(data, offset, m, "d", resolved)
-        return cls(resolved, timestamps, object_ids, counts, plocs, probs)
+        timestamps, offset = _parse_column(view, offset, n, "d")
+        object_ids, offset = _parse_column(view, offset, n, "q")
+        counts, offset = _parse_column(view, offset, n, "q")
+        plocs, offset = _parse_column(view, offset, m, "q")
+        probs, offset = _parse_column(view, offset, m, "d")
+        return cls(timestamps, object_ids, counts, plocs, probs)
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -302,15 +235,11 @@ class PackedRecordBatch:
         return records
 
 
-def encode_batch(
-    records: Iterable[PositioningRecord], backend: Optional[str] = None
-) -> bytes:
-    """Serialise records to the packed layout (byte-identical per backend)."""
-    return PackedRecordBatch.from_records(records, backend).encode()
+def encode_batch(records: Iterable[PositioningRecord]) -> bytes:
+    """Serialise records to the packed layout."""
+    return PackedRecordBatch.from_records(records).encode()
 
 
-def decode_batch(
-    data: bytes, backend: Optional[str] = None
-) -> List[PositioningRecord]:
+def decode_batch(data: bytes) -> List[PositioningRecord]:
     """Rebuild records from :func:`encode_batch` output, bit-exactly."""
-    return PackedRecordBatch.decode(data, backend).to_records()
+    return PackedRecordBatch.decode(data).to_records()

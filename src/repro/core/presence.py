@@ -32,7 +32,7 @@ reported P-location; a sequence without a valid path has presence 0
 everywhere.
 
 **Float contract.**  Every strategy (naive, nested-loop, best-first, batch,
-continuous, either scoring kernel, any process) obtains presences
+continuous, any process) obtains presences
 from this one routine, so their results are bit-identical to each other.  No
 accumulation depends on set iteration order: sums run over tail states in
 sample order (sample sets are sorted by P-location id) and each cell's value
@@ -40,7 +40,7 @@ is computed independently of the other cells.  Against a brute-force
 evaluation of Equations 1-2 over enumerated paths the result agrees within
 1e-12 (``tests/test_presence_oracle.py``).  Results are clamped to ``[0, 1]``:
 dividing by a candidate mass an ulp below one can land an ulp above one, and
-the vectorized scoring kernel relies on presences being non-negative.
+presences are probabilities.
 """
 
 from __future__ import annotations

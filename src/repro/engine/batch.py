@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..codec.kernels import PresenceMatrix
 from ..core.nested_loop import score_presence_into_flows
 from ..core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
 from ..data.iupt import IUPT
@@ -37,8 +36,6 @@ def score_query_over_entries(
     parent_cells: Dict[int, int],
     objects_total: int,
     algorithm: str = BATCH_ALGORITHM,
-    kernel: str = "scalar",
-    matrix: Optional[PresenceMatrix] = None,
 ) -> TkPLQResult:
     """Score one query against shared per-object presence artefacts.
 
@@ -48,27 +45,15 @@ def score_query_over_entries(
     equivalence of both against the nested-loop algorithm hangs on all three
     using :func:`~repro.core.nested_loop.score_presence_into_flows` over
     objects in the same (fetch) order.
-
-    ``kernel="vectorized"`` routes the accumulation through a
-    :class:`~repro.codec.kernels.PresenceMatrix` instead — bit-identical
-    flows, rankings and ``flow_evaluations`` (see the kernels module).  A
-    prebuilt ``matrix`` (covering at least this query's S-locations) lets a
-    window group share one build across its queries.
     """
     query_began = time.perf_counter()
     stats = SearchStats()
     stats.note_objects_total(objects_total)
 
-    if kernel == "vectorized":
-        if matrix is None:
-            matrix = PresenceMatrix(entries, query.query_slocations, parent_cells)
-        flows, evaluations = matrix.score_flows(query.query_slocations)
-        stats.flow_evaluations += evaluations
-    else:
-        query_set = set(query.query_slocations)
-        flows = {sloc_id: 0.0 for sloc_id in query.query_slocations}
-        for _object_id, entry in entries:
-            score_presence_into_flows(entry, query_set, parent_cells, flows, stats)
+    query_set = set(query.query_slocations)
+    flows = {sloc_id: 0.0 for sloc_id in query.query_slocations}
+    for _object_id, entry in entries:
+        score_presence_into_flows(entry, query_set, parent_cells, flows, stats)
 
     stats.elapsed_seconds = time.perf_counter() - query_began
     return TkPLQResult(
@@ -179,19 +164,7 @@ class BatchPlanner:
             sloc_id: graph.parent_cell(sloc_id) for sloc_id in union_key
         }
 
-        kernel = pipeline.config.resolved_scoring_kernel
-        matrix = None
-        if kernel == "vectorized":
-            # One matrix over the union of the group's query sets; every
-            # query in the group scores against its own rows of it.
-            matrix = PresenceMatrix(entries, sorted(union_key), parent_cells)
-
         for index in group:
             results[index] = score_query_over_entries(
-                queries[index],
-                entries,
-                parent_cells,
-                len(entries),
-                kernel=kernel,
-                matrix=matrix,
+                queries[index], entries, parent_cells, len(entries)
             )

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..codec import active_backend
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -33,10 +31,11 @@ class EngineConfig:
 
     @property
     def resolved_scoring_kernel(self) -> str:
-        """``"vectorized"`` on the codec's numpy backend, ``"scalar"`` on the
-        pure-Python ``array`` fallback (where building the presence matrix
-        costs more than it saves); both give bit-identical flows."""
-        return "vectorized" if active_backend() == "numpy" else "scalar"
+        """Always ``"scalar"``: the engine has one accumulation, a fold over
+        the window's artefacts in fetch order.  Not a setting — the name is
+        kept only because ``bench/layers.py`` and
+        ``bench/workloads/cold_window_scan.py`` read it."""
+        return "scalar"
 
     @staticmethod
     def uncached() -> "EngineConfig":

@@ -555,7 +555,6 @@ class ContinuousQueryEngine:
         parent_cells = {
             sloc_id: graph.parent_cell(sloc_id) for sloc_id in subscription.sloc_ids
         }
-        kernel = self._engine.config.resolved_scoring_kernel
         if subscription.kind == TOP_K:
             result: object = score_query_over_entries(
                 subscription.query,
@@ -563,11 +562,10 @@ class ContinuousQueryEngine:
                 parent_cells,
                 len(entries),
                 algorithm=CONTINUOUS_ALGORITHM,
-                kernel=kernel,
             )
         else:
             result = accumulate_flows_over_entries(
-                entries, subscription.sloc_ids, parent_cells, ctx.stats, kernel=kernel
+                entries, subscription.sloc_ids, parent_cells, ctx.stats
             )
 
         churn = self._churn(subscription._result, result, subscription.kind)

@@ -93,18 +93,14 @@ def accumulate_flows_over_entries(
     standing flow result and a fresh ``flows_for_all`` hangs on both summing
     the same per-object presence values in the same (fetch) order.
 
-    ``kernel="vectorized"`` reduces a
-    :class:`~repro.codec.kernels.PresenceMatrix` instead of looping —
-    bit-identical flows and ``flow_evaluations`` (asserted by the
-    differential tests in ``tests/test_codec.py``).
+    ``kernel`` selects nothing: ``bench/`` passes
+    ``EngineConfig.resolved_scoring_kernel`` by keyword, so the keyword is
+    accepted, and anything but ``"scalar"`` is a ``ValueError``.
     """
-    if kernel == "vectorized":
-        from ..codec.kernels import PresenceMatrix
-
-        matrix = PresenceMatrix(entries, sloc_ids, parent_cells)
-        flows, evaluations = matrix.accumulate_flows(sloc_ids)
-        stats.flow_evaluations += evaluations
-        return flows
+    if kernel != "scalar":
+        raise ValueError(
+            f"unknown scoring kernel {kernel!r}; the engine has one, 'scalar'"
+        )
     flows: Dict[int, float] = {sloc_id: 0.0 for sloc_id in sloc_ids}
     for _object_id, entry in entries:
         if entry.pruned:
@@ -164,7 +160,7 @@ class QueryPipeline:
         Optional cross-query presence store shared by every context this
         pipeline creates.
     config:
-        Engine configuration (decides the scoring kernel).
+        Engine configuration.
     """
 
     def __init__(
@@ -345,11 +341,7 @@ class QueryPipeline:
         graph = self._computer.graph
         parent_cells = {sloc_id: graph.parent_cell(sloc_id) for sloc_id in ordered}
         flows = accumulate_flows_over_entries(
-            self.window(ctx, iupt).entries,
-            ordered,
-            parent_cells,
-            ctx.stats,
-            kernel=self._config.resolved_scoring_kernel,
+            self.window(ctx, iupt).entries, ordered, parent_cells, ctx.stats
         )
 
         ctx.stats.elapsed_seconds += time.perf_counter() - began

@@ -311,11 +311,7 @@ def records_to_payload(records: Sequence[PositioningRecord]) -> bytes:
 
 
 def records_from_payload(payload: bytes) -> List[PositioningRecord]:
-    """Decode a binary frame's ``RPK1`` blob back into records.
-
-    Bit-exact on both codec backends (numpy and the stdlib ``array``
-    fallback produce and parse identical bytes).
-    """
+    """Decode a binary frame's ``RPK1`` blob back into records, bit-exactly."""
     try:
         return PackedRecordBatch.decode(payload).to_records()
     except (ValueError, struct.error) as error:

@@ -540,10 +540,7 @@ class QueryService(FrameServer):
             admission=self.admission.as_dict(),
             replication=replication,
         )
-        snapshot["codec"] = dict(
-            codec_info(),
-            scoring_kernel=self.engine.config.resolved_scoring_kernel,
-        )
+        snapshot["codec"] = codec_info()
         return snapshot
 
     def replication_status(self) -> dict:

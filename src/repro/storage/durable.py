@@ -57,7 +57,7 @@ and falling back to the log would silently open a smaller table.
 
 Records have one serialised form: segment frames (``RSG1``) and snapshots
 (``RSN1``) carry the packed columnar ``RPK1`` layout of
-:mod:`repro.codec.packed`, bit-exact on both codec backends; only the control
+:mod:`repro.codec.packed`, every float bit-exact; only the control
 log is JSON (its frames are a few dozen bytes).  Builds before 5.0 could also
 write record frames as JSON; :func:`_legacy_json_records` still *reads* them
 at recovery, so such a directory opens to the same table; the checkpoint that
@@ -87,7 +87,7 @@ from typing import (
     Tuple,
 )
 
-from ..codec.packed import PackedRecordBatch, active_backend, encode_batch
+from ..codec.packed import PackedRecordBatch, encode_batch
 from ..data.records import PositioningRecord, Sample, SampleSet
 from .base import IngestReceipt, RecordStore, StoreListener, VersionToken
 from .sharded import DEFAULT_SHARD_SECONDS, ShardedRecordStore
@@ -1097,7 +1097,6 @@ class DurableRecordStore(RecordStore):
                 "kind": self.kind,
                 "directory": str(self._dir),
                 "fsync": self.config.fsync,
-                "codec_backend": active_backend(),
                 "snapshot_every_batches": self.config.snapshot_every_batches,
                 "next_seq": self._next_seq,
                 "last_committed_seq": self._last_committed_seq,

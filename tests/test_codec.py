@@ -1,17 +1,17 @@
-"""The packed binary codec and its vectorized scoring kernels.
+"""The packed binary codec and the engine's one accumulation.
 
 Three contracts under test:
 
 * **round-trip bit-identity** — record → packed bytes → record preserves
-  every object id, timestamp and probability bit-exactly, on both array
-  backends, and both backends emit byte-identical blobs (hypothesis sweeps
+  every object id, timestamp and probability bit-exactly (hypothesis sweeps
   duplicate-ploc merging, ``normalise=True`` rescaling, sample-set
   truncation and float edge values through the same path);
-* **kernel differential equality** — the vectorized
-  :class:`~repro.codec.kernels.PresenceMatrix` kernels reproduce the
-  scalar kernels' flows *bitwise* (``struct``-compared), the same
-  rankings, and the same ``flow_evaluations``, on as-built, sharded and
-  continuous tables;
+* **the engine's answer is a direct fold** — flows, rankings and
+  ``flow_evaluations`` of the batch, ``flows``, continuous and
+  single-query paths equal, *bitwise* (``struct``-compared), one
+  left-to-right sum per S-location over the window's artefacts in fetch
+  order, on as-built, sharded and continuous tables; so does the
+  :class:`~repro.codec.kernels.PresenceMatrix` that ``bench/`` still times;
 * **durable-store codec compatibility** — binary WAL segments and
   snapshots recover bit-identically (including through the fault-injection
   crash harness), directories holding the JSON record frames of older builds
@@ -33,18 +33,15 @@ from repro import IUPT, SampleSet
 from repro.codec import (
     PackedRecordBatch,
     PresenceMatrix,
-    active_backend,
     codec_info,
     decode_batch,
     encode_batch,
-    numpy_available,
-    resolve_backend,
 )
 from repro.data.records import PositioningRecord, Sample
-from repro.engine import BatchPlanner, EngineConfig, QueryEngine
+from repro.engine import BatchPlanner, QueryEngine
 from repro.engine.batch import score_query_over_entries
 from repro.engine.stages import accumulate_flows_over_entries
-from repro.core.query import SearchStats, TkPLQuery
+from repro.core.query import SearchStats, TkPLQuery, rank_top_k
 from repro.experiments.runner import overlapping_queries
 from repro.storage.durable import (
     DurabilityConfig,
@@ -56,14 +53,7 @@ from repro.storage.durable import (
     encode_wal_frame,
 )
 from tests.json_era_store import json_payloads, write_json_era_directory
-
-BACKENDS = [
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(not numpy_available(), reason="numpy not installed"),
-    ),
-    pytest.param("array"),
-]
+from tests.test_codec_oracle import ARRAY_ID
 
 
 def bits(value: float) -> bytes:
@@ -103,39 +93,16 @@ def make_records(count: int = 10):
 # Round trips
 # ----------------------------------------------------------------------
 class TestPackedRoundTrip:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_round_trip_bit_identical(self, backend):
+    @ARRAY_ID
+    def test_round_trip_bit_identical(self, _container):
         records = make_records(25)
-        blob = encode_batch(records, backend=backend)
-        decoded = decode_batch(blob, backend=backend)
-        assert records_equal_bitwise(records, decoded)
+        assert records_equal_bitwise(records, decode_batch(encode_batch(records)))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_batch(self, backend):
-        blob = encode_batch([], backend=backend)
-        batch = PackedRecordBatch.decode(blob, backend=backend)
+    @ARRAY_ID
+    def test_empty_batch(self, _container):
+        batch = PackedRecordBatch.decode(encode_batch([]))
         assert len(batch) == 0
         assert batch.to_records() == []
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_backends_emit_identical_bytes(self):
-        records = make_records(40)
-        assert encode_batch(records, backend="numpy") == encode_batch(
-            records, backend="array"
-        )
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_cross_backend_decode(self):
-        # A blob written by either backend parses identically on the other.
-        records = make_records(12)
-        blob = encode_batch(records, backend="numpy")
-        assert records_equal_bitwise(
-            decode_batch(blob, backend="array"), records
-        )
-        blob = encode_batch(records, backend="array")
-        assert records_equal_bitwise(
-            decode_batch(blob, backend="numpy"), records
-        )
 
     def test_reencode_is_byte_stable(self):
         records = make_records(15)
@@ -156,16 +123,8 @@ class TestPackedRoundTrip:
         batch = PackedRecordBatch.from_records(records)
         assert batch.timestamps_list() == [r.timestamp for r in records]
 
-    def test_resolve_backend_validates(self):
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
-        assert resolve_backend(None) in ("numpy", "array")
-
     def test_codec_info_shape(self):
-        info = codec_info()
-        assert info["codec_version"] == 1
-        assert info["backend"] in ("numpy", "array")
-        assert isinstance(info["numpy_available"], bool)
+        assert codec_info() == {"codec_version": 1}
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -203,12 +162,11 @@ def record_batches(draw):
 
 
 class TestPackedProperties:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ARRAY_ID
     @given(records=record_batches())
     @settings(max_examples=60, deadline=None)
-    def test_round_trip_property(self, records, backend):
-        blob = encode_batch(records, backend=backend)
-        assert records_equal_bitwise(decode_batch(blob, backend=backend), records)
+    def test_round_trip_property(self, records, _container):
+        assert records_equal_bitwise(decode_batch(encode_batch(records)), records)
 
     @given(records=record_batches())
     @settings(max_examples=40, deadline=None)
@@ -221,7 +179,7 @@ class TestPackedProperties:
 
 
 # ----------------------------------------------------------------------
-# Vectorized kernels: differential equality against the scalar path
+# The engine's accumulation: every answer equals a direct fold
 # ----------------------------------------------------------------------
 def flows_bitwise_equal(left, right) -> bool:
     if set(left) != set(right):
@@ -229,11 +187,8 @@ def flows_bitwise_equal(left, right) -> bool:
     return all(bits(left[sloc]) == bits(right[sloc]) for sloc in left)
 
 
-KERNELS = ("scalar", "vectorized")
-
-
 def window_entries(engine, iupt, slocs, start, end):
-    """One window's per-object artefacts and what the kernels read beside them."""
+    """One window's per-object artefacts and what a fold reads beside them."""
     pipeline = engine.pipeline
     ctx = pipeline.context((start, end), frozenset(slocs))
     sequences = pipeline.fetch.run(ctx, iupt)
@@ -242,35 +197,59 @@ def window_entries(engine, iupt, slocs, start, end):
     return pipeline.presences(ctx, sequences), parent_cells, len(sequences)
 
 
-def assert_flow_kernels_agree(entries, slocs, parent_cells, expected=None):
-    """Both flows kernels over the same entries: same bits, same evaluations."""
-    flows, evaluations = {}, {}
-    for kernel in KERNELS:
-        stats = SearchStats()
-        flows[kernel] = accumulate_flows_over_entries(
-            entries, slocs, parent_cells, stats, kernel=kernel
-        )
-        evaluations[kernel] = stats.flow_evaluations
-    assert flows_bitwise_equal(flows["scalar"], flows["vectorized"])
-    assert evaluations["scalar"] == evaluations["vectorized"]
+def direct_fold(entries, slocs, parent_cells, count_parentless):
+    """Equation 2 as written: per S-location, one left-to-right sum of the
+    presences of the objects that may have visited it, in fetch order.
+
+    Location-major where the engine is object-major, so this is another loop
+    nest over the same additions.  An S-location without a parent cell has
+    flow ``0.0``; ``flows`` counts an evaluation for it per object, a top-k
+    query counts none (``count_parentless``).
+    """
+    flows, evaluations = {}, 0
+    for sloc in slocs:
+        cell = parent_cells.get(sloc)
+        total = 0.0
+        for _object_id, entry in entries:
+            if entry.pruned or sloc not in entry.psls:
+                continue
+            if cell is None and not count_parentless:
+                continue
+            evaluations += 1
+            total += entry.computation.presence_in_cell(cell)
+        flows[sloc] = total
+    return flows, evaluations
+
+
+def assert_flows_are_the_fold(entries, slocs, parent_cells, expected=None):
+    """``accumulate_flows_over_entries``, the matrix ``bench/`` times and the
+    direct fold: same bits, same evaluations; ``expected`` is the engine's."""
+    folded, evaluations = direct_fold(entries, slocs, parent_cells, count_parentless=True)
+    stats = SearchStats()
+    flows = accumulate_flows_over_entries(entries, slocs, parent_cells, stats)
+    assert flows_bitwise_equal(flows, folded)
+    assert stats.flow_evaluations == evaluations
+    matrix_flows, matrix_evaluations = PresenceMatrix(
+        entries, slocs, parent_cells
+    ).accumulate_flows(slocs)
+    assert flows_bitwise_equal(matrix_flows, folded)
+    assert matrix_evaluations == evaluations
     if expected is not None:
-        assert flows_bitwise_equal(flows["scalar"], expected)
+        assert flows_bitwise_equal(expected, folded)
 
 
-def assert_query_kernels_agree(query, entries, parent_cells, objects_total, expected):
-    """Both query kernels over the same entries, and the engine's own answer."""
-    scalar, vectorized = (
-        score_query_over_entries(
-            query, entries, parent_cells, objects_total, kernel=kernel
-        )
-        for kernel in KERNELS
+def assert_query_is_the_fold(query, entries, parent_cells, objects_total, expected):
+    """``score_query_over_entries`` and the engine's own answer (``expected``)
+    against the direct fold: flows, ranking and ``flow_evaluations``."""
+    folded, evaluations = direct_fold(
+        entries, query.query_slocations, parent_cells, count_parentless=False
     )
-    assert flows_bitwise_equal(scalar.flows, vectorized.flows)
-    assert scalar.top_k_ids() == vectorized.top_k_ids()
-    assert scalar.stats.flow_evaluations == vectorized.stats.flow_evaluations
-    assert flows_bitwise_equal(scalar.flows, expected.flows)
-    assert scalar.top_k_ids() == expected.top_k_ids()
-    assert scalar.stats.flow_evaluations == expected.stats.flow_evaluations
+    ranking = [ranked.sloc_id for ranked in rank_top_k(folded, query.k)]
+    scored = score_query_over_entries(query, entries, parent_cells, objects_total)
+    for result in (scored, expected):
+        assert flows_bitwise_equal(result.flows, folded)
+        assert result.top_k_ids() == ranking
+        assert result.stats.flow_evaluations == evaluations
 
 
 def scenario_engine(scenario) -> QueryEngine:
@@ -278,41 +257,44 @@ def scenario_engine(scenario) -> QueryEngine:
 
 
 class TestVectorizedKernels:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    """The engine has one accumulation and no kernel to pick (the class keeps
+    the name it had while there were two): each test compares what the
+    engine answered with :func:`direct_fold` over the same window."""
+
+    @ARRAY_ID
     def test_matrix_kernels_match_scalar_on_figure1(
-        self, figure1, figure1_iupt, backend
+        self, figure1, figure1_iupt, _container
     ):
+        # The differential for the one class bench/ still times: evaluation
+        # counting includes parentless S-locations.
         engine = QueryEngine(figure1["graph"], figure1["matrix"])
         slocs = sorted(figure1["slocs"].values())
-        entries, parent_cells, objects_total = window_entries(
-            engine, figure1_iupt, slocs, 1.0, 8.0
+        entries, parent_cells, _ = window_entries(engine, figure1_iupt, slocs, 1.0, 8.0)
+        for subset in (slocs, slocs[:3], slocs[2:5]):
+            assert_flows_are_the_fold(entries, subset, parent_cells)
+        # A matrix answers for the rows it was built with, any order or subset.
+        matrix = PresenceMatrix(entries, slocs, parent_cells)
+        folded, evaluations = direct_fold(entries, slocs[4:1:-1], parent_cells, True)
+        flows, counted = matrix.accumulate_flows(slocs[4:1:-1])
+        assert flows_bitwise_equal(flows, folded) and counted == evaluations
+
+    def test_the_kernel_keyword_selects_nothing(self, figure1, figure1_iupt):
+        engine = QueryEngine(figure1["graph"], figure1["matrix"])
+        slocs = sorted(figure1["slocs"].values())
+        entries, parent_cells, _ = window_entries(engine, figure1_iupt, slocs, 1.0, 8.0)
+        kernel = engine.config.resolved_scoring_kernel
+        assert kernel == "scalar"
+        spelled = accumulate_flows_over_entries(
+            entries, slocs, parent_cells, SearchStats(), kernel=kernel
         )
-
-        matrix = PresenceMatrix(entries, slocs, parent_cells, backend=backend)
-
-        # Query kernel: every k-subset window against the scalar fold.
-        for query_slocs in (slocs, slocs[:3], slocs[2:5]):
-            query = TkPLQuery(tuple(query_slocs), 2, 1.0, 8.0)
-            scalar = score_query_over_entries(
-                query, entries, parent_cells, objects_total
+        plain = accumulate_flows_over_entries(entries, slocs, parent_cells, SearchStats())
+        assert flows_bitwise_equal(spelled, plain)
+        with pytest.raises(ValueError, match="scoring kernel"):
+            accumulate_flows_over_entries(
+                entries, slocs, parent_cells, SearchStats(), kernel="matrix"
             )
-            vector_flows, evaluations = matrix.score_flows(query.query_slocations)
-            assert flows_bitwise_equal(scalar.flows, vector_flows)
-            assert evaluations == scalar.stats.flow_evaluations
-
-        # Flows kernel: evaluation counting includes parentless S-locations.
-        scalar_stats = SearchStats()
-        scalar_flows = accumulate_flows_over_entries(
-            entries, slocs, parent_cells, scalar_stats, kernel="scalar"
-        )
-        vector_flows, evaluations = matrix.accumulate_flows(slocs)
-        assert flows_bitwise_equal(scalar_flows, vector_flows)
-        assert evaluations == scalar_stats.flow_evaluations
 
     def test_batched_queries_bit_identical_across_kernels(self, small_real_scenario):
-        # The engine scores with the active backend's kernel; the CI fallback
-        # leg re-runs the whole suite with REPRO_CODEC_BACKEND=array, so both
-        # kernels are compared against the engine's own answers.
         scenario = small_real_scenario
         queries = overlapping_queries(
             scenario, count=6, k=3, q_fraction=0.5, delta_seconds=120.0, seed=7
@@ -324,7 +306,7 @@ class TestVectorizedKernels:
             scenario_engine(scenario), scenario.iupt, union, *queries[0].interval
         )
         for query, batched in zip(queries, report.results):
-            assert_query_kernels_agree(
+            assert_query_is_the_fold(
                 query, entries, parent_cells, objects_total, batched
             )
 
@@ -343,12 +325,12 @@ class TestVectorizedKernels:
         entries, parent_cells, _ = window_entries(
             scenario_engine(scenario), iupt, slocs, start, end
         )
-        assert_flow_kernels_agree(
-            entries,
-            slocs,
-            parent_cells,
-            expected=scenario_engine(scenario).flows(iupt, slocs, start, end),
+        stats = SearchStats()
+        expected = scenario_engine(scenario).pipeline.flows_for_all(
+            iupt, slocs, start, end, stats=stats
         )
+        assert_flows_are_the_fold(entries, slocs, parent_cells, expected=expected)
+        assert stats.flow_evaluations == direct_fold(entries, slocs, parent_cells, True)[1]
 
     def test_continuous_results_bit_identical_across_kernels(
         self, small_real_scenario
@@ -369,13 +351,13 @@ class TestVectorizedKernels:
         entries, parent_cells, objects_total = window_entries(
             scenario_engine(scenario), iupt, slocs, start, end
         )
-        assert_query_kernels_agree(
+        assert_query_is_the_fold(
             top.query, entries, parent_cells, objects_total, top.result
         )
         entries, parent_cells, _ = window_entries(
             scenario_engine(scenario), iupt, slocs[:4], start, end
         )
-        assert_flow_kernels_agree(entries, slocs[:4], parent_cells, flo.result)
+        assert_flows_are_the_fold(entries, slocs[:4], parent_cells, flo.result)
 
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=15, deadline=None)
@@ -396,16 +378,9 @@ class TestVectorizedKernels:
         entries, parent_cells, objects_total = window_entries(
             engine, figure1_iupt, chosen, start, end
         )
-        assert_query_kernels_agree(
+        assert_query_is_the_fold(
             query, entries, parent_cells, objects_total, report.results[0]
         )
-
-    def test_auto_kernel_resolution(self):
-        # The kernel follows the codec backend; it is not a setting.
-        expected = "vectorized" if active_backend() == "numpy" else "scalar"
-        assert EngineConfig().resolved_scoring_kernel == expected
-        with pytest.raises(TypeError):
-            EngineConfig(scoring_kernel="scalar")
 
 
 # ----------------------------------------------------------------------

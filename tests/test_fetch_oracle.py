@@ -33,7 +33,7 @@ from repro.data.records import PositioningRecord, Sample, SampleSet
 from repro.storage import EvictedRangeError, ShardedRecordStore
 from tests.codec_oracle import oracle_to_records
 from tests.fetch_oracle import oracle_range_query, oracle_sequences_in
-from tests.test_codec_oracle import BACKENDS, bit_image, blob_of, sample_columns
+from tests.test_codec_oracle import ARRAY_ID, bit_image, blob_of, sample_columns
 
 SHARD = 10.0
 EVICTED = "evicted"
@@ -83,13 +83,11 @@ def fed_store(batches) -> ShardedRecordStore:
     return store
 
 
-def adopt(source: ShardedRecordStore, backend: str) -> ShardedRecordStore:
+def adopt(source: ShardedRecordStore) -> ShardedRecordStore:
     """``source``'s table as a recovery would load it: packed, nothing built."""
     store = ShardedRecordStore(shard_seconds=SHARD)
     for key, version, packed in source.packed_shard_states():
-        store.load_shard_packed(
-            key, PackedRecordBatch.decode(packed.encode(), backend), version
-        )
+        store.load_shard_packed(key, PackedRecordBatch.decode(packed.encode()), version)
     return store
 
 
@@ -119,7 +117,7 @@ def assert_same_sequences(table: IUPT, reference: IUPT, window) -> None:
 
 
 class TestAgainstOracle:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ARRAY_ID
     @given(
         batch_specs=_batches,
         split=st.integers(min_value=0, max_value=6),
@@ -129,15 +127,15 @@ class TestAgainstOracle:
     )
     @settings(max_examples=200, deadline=None)
     def test_every_store_answers_like_the_oracle(
-        self, batch_specs, split, evict_cut, windows, probe_seed, backend
+        self, batch_specs, split, evict_cut, windows, probe_seed, _container
     ):
         batches = build(batch_specs)
         split = min(split, len(batches))
         reference = fed_store(batches)  # read by the oracle only
         fed = fed_store(batches)  # (i)
-        adopted = adopt(fed, backend)  # (ii)
+        adopted = adopt(fed)  # (ii)
         prefix = fed_store(batches[:split])
-        partial = adopt(prefix, backend)  # (iii)
+        partial = adopt(prefix)  # (iii)
 
         # (iii) is probed while it holds the prefix, then absorbs the rest:
         # in-order slices are appended, late ones merge-sorted in.
@@ -218,7 +216,7 @@ class TestAgainstOracle:
                 [(4, 2.5, 7, 1.0), (0, 0.5, 8, 0.5)],  # late, ties inside the shard
             ]
         )
-        store = adopt(fed_store(batches[:1]), "array")
+        store = adopt(fed_store(batches[:1]))
         first = store.range_query(2.0, 3.0)
         assert [r.object_id for r in first] == [1, 0]
         assert store.records_materialised == 2
@@ -256,11 +254,11 @@ _accepted_rows = st.lists(
 
 
 class TestSlicedMaterialisation:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ARRAY_ID
     @given(rows=_accepted_rows)
     @settings(max_examples=200, deadline=None)
-    def test_every_slice_equals_the_oracles_slice(self, rows, backend):
-        batch = PackedRecordBatch.decode(blob_of(rows), backend)
+    def test_every_slice_equals_the_oracles_slice(self, rows, _container):
+        batch = PackedRecordBatch.decode(blob_of(rows))
         whole = bit_image(oracle_to_records(batch))
         assert bit_image(batch.to_records()) == whole
         for lo in range(len(rows) + 1):
@@ -268,11 +266,10 @@ class TestSlicedMaterialisation:
             for hi in range(lo, len(rows) + 1):
                 assert bit_image(batch.to_records(lo, hi)) == whole[lo:hi], (lo, hi)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_counts_are_checked_before_any_slice_is_built(self, backend):
+    def test_counts_are_checked_before_any_slice_is_built(self):
         # Record 0 is sound on its own; the batch is not.
         rows = [(1, 0.0, [(1, 1.0)]), (2, 1.0, [(2, 1.0)])]
-        batch = PackedRecordBatch.decode(blob_of(rows, counts=[1, 2]), backend)
+        batch = PackedRecordBatch.decode(blob_of(rows, counts=[1, 2]))
         for lo, hi in ((0, 0), (0, 1), (1, 2), (0, 2)):
             with pytest.raises(ValueError, match="sample counts disagree"):
                 batch.to_records(lo, hi)

@@ -285,3 +285,60 @@ def test_a_pooled_request_has_one_road_and_it_is_the_only_one():
     source = (SERVICE_DIR / "server.py").read_text(encoding="utf-8")
     assert source.count('"internal"') == 1
     assert source.count("NotImplementedError") == 1
+
+
+SRC_DIR = pathlib.Path(repro.__file__).parent
+
+
+def test_the_codec_has_one_column_container_and_the_engine_one_accumulation():
+    """No numpy, no environment read, no backend / kernel / matrix choice."""
+    import repro.codec
+    from repro.codec import PackedRecordBatch, PresenceMatrix, decode_batch, encode_batch
+    from repro.engine.batch import score_query_over_entries
+
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        where = str(path.relative_to(SRC_DIR))
+        source = path.read_text(encoding="utf-8")
+        assert "vectorized" not in source, where
+        modules = [
+            name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in _imported_modules(node, [])
+        ]
+        assert "numpy" not in [name.split(".")[0] for name in modules], where
+        assert not set(_names(path)) & {"environ", "getenv"}, where
+    for function in (
+        encode_batch,
+        decode_batch,
+        PackedRecordBatch.__init__,
+        PackedRecordBatch.from_records,
+        PackedRecordBatch.decode,
+        PresenceMatrix.__init__,
+        score_query_over_entries,
+    ):
+        parameters = set(inspect.signature(function).parameters)
+        assert not parameters & {"backend", "kernel", "matrix"}, function.__qualname__
+    assert not set(repro.codec.__all__) & {
+        "BACKENDS", "active_backend", "numpy_available", "resolve_backend",
+    }  # fmt: skip
+    assert len(repro.codec.__all__) == 7
+    assert not hasattr(PresenceMatrix, "score_flows")
+
+
+def test_importing_the_package_and_a_topology_role_does_not_import_numpy():
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC_DIR.parent), *sys.path]))
+    subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro, repro.service.topology; "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'",
+        ],
+        check=True,
+        env=env,
+    )

@@ -10,7 +10,7 @@ oracle:
   :func:`~repro.service.stream.read_frame`, the reader every role runs),
 * the :class:`~repro.service.replica.ReadReplica` catch-up-then-tail loop
   (live replay, snapshot catch-up, fault-injected primary crash + restart,
-  JSON-era directories, array-backend decode), and
+  JSON-era directories), and
 * the :class:`~repro.service.router.PartitionRouter` (routed reads equal
   primary reads, read-your-writes, fallback when a replica dies).
 """
@@ -34,7 +34,7 @@ from repro import (
     ServiceError,
     TkPLQuery,
 )
-from repro.codec.packed import PackedRecordBatch, encode_batch
+from repro.codec.packed import encode_batch
 from repro.data.records import PositioningRecord
 from repro.service import protocol
 from repro.service.client import ReconnectPolicy
@@ -219,9 +219,6 @@ class TestBinaryFrames:
         records = _batch(0.0, count=9)
         payload = protocol.records_to_payload(records)
         assert protocol.records_from_payload(payload) == records
-        # The stdlib-array backend decodes the same bytes to the same
-        # records — a numpy primary can feed an array-backend replica.
-        assert PackedRecordBatch.decode(payload, backend="array").to_records() == records
 
     def test_shard_sections_round_trip(self):
         sections = [

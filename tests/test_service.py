@@ -829,11 +829,7 @@ class TestServerIntegration:
                 assert stats["admission"]["admitted"] == 2
                 assert stats["connections"]["active"] == 1
                 assert stats["continuous"]["subscriptions"] == 0
-                # Operators can see which codec backend and scoring kernel
-                # this process actually resolved to.
-                assert stats["codec"]["backend"] in ("numpy", "array")
-                assert stats["codec"]["codec_version"] == 1
-                assert stats["codec"]["scoring_kernel"] in ("scalar", "vectorized")
+                assert stats["codec"] == {"codec_version": 1}
             await service.stop()
 
         asyncio.run(run())
