@@ -181,7 +181,14 @@ from .system import IndoorFlowSystem
 # rankings are unchanged. EngineConfig.resolved_scoring_kernel ("scalar"), the
 # kernel= keyword of accumulate_flows_over_entries and PresenceMatrix stay only
 # because bench/ spells them.
-__version__ = "9.0.0"
+# 10.0.0: a follower attaches in one request. wal_tail is the whole replication
+# handshake (the wal_cursor op and ServiceClient.wal_cursor are gone; protocol
+# 3); the durable store fires IngestEvent (now with seq, the batch and a cached
+# payload()) / EvictionEvent to its own listeners, and WalCommit, WalEviction,
+# the commit-listener and follower methods are gone — a follower's lag lives on
+# its tailing connection. QueryService lost read_only= (role="replica" implies
+# it); four topology flags became module constants.
+__version__ = "10.0.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -19,7 +19,10 @@ Streaming callers ingest through :meth:`IUPT.ingest_batch`, which costs one
 version bump per touched shard instead of the historical one-bump-per-record,
 and the engine keys its cross-query presence cache on the *window-scoped*
 :meth:`IUPT.data_key_for`, so a new batch only invalidates cached presences
-whose query windows overlap the touched shards.
+whose query windows overlap the touched shards.  :meth:`IUPT.subscribe` is the
+table's one event stream: the continuous engine and, on a durable table, the
+replication tail both listen there (on a durable table each ingest event
+carries its commit sequence).
 """
 
 from __future__ import annotations

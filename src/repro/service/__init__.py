@@ -16,7 +16,9 @@ the network-facing layer a production deployment needs:
   multiplexing many client connections onto one shared
   :class:`~repro.engine.runtime.QueryEngine`, running CPU-bound work on
   worker threads off the event loop and pushing continuous-query refreshes to
-  subscribed connections;
+  subscribed connections — and, over a durable table, every commit to the
+  connections tailing its write-ahead log (a follower's name and lag live on
+  its connection);
 * :mod:`~repro.service.admission` — :class:`AdmissionController`, bounded
   in-flight work, per-client token-bucket rate limits, graceful drain;
 * :mod:`~repro.service.metrics` — :class:`ServiceMetrics`, per-op latency
@@ -25,14 +27,15 @@ the network-facing layer a production deployment needs:
   :class:`RemoteSubscription`, with bounded reconnect-with-backoff
   (:class:`ReconnectPolicy`);
 * :mod:`~repro.service.replica` — :class:`ReadReplica`, a WAL-shipping
-  follower that catches up (snapshot or replay), tails the primary's
-  commits as binary ``RPK1`` frames, and serves reads from its own
-  read-only service;
+  follower that attaches with one ``wal_tail`` request (the primary answers
+  with a snapshot or replays, then pushes every commit as a binary ``RPK1``
+  frame) and serves reads from its own read-only service;
 * :mod:`~repro.service.router` — :class:`PartitionRouter`, a front door
   fanning writes to the primary and routing reads across replicas by
   time-partition affinity with a read-your-writes staleness bound;
 * :mod:`~repro.service.topology` — the CLI entrypoint running one topology
-  role per process (``python -m repro.service.topology``).
+  role per process (``python -m repro.service.topology``); shard width,
+  checkpoint cadence, re-dials and the freshness wait are its constants.
 
 Everything is standard-library only (``asyncio``, ``json``, ``threading``).
 """

@@ -358,30 +358,22 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Replication (WAL shipping)
     # ------------------------------------------------------------------
-    async def wal_cursor(
-        self, cursor: int, follower: Optional[str] = None
-    ) -> dict:
-        """The catch-up handshake: snapshot-or-replay decision at ``cursor``.
-
-        In ``snapshot`` mode the result dict carries the packed-shard
-        payload under :data:`protocol.BIN_PAYLOAD`.
-        """
-        fields: Dict[str, object] = {"cursor": cursor}
-        if follower is not None:
-            fields["follower"] = follower
-        return await self.request("wal_cursor", **fields)
-
     async def wal_tail(
         self, cursor: int, follower: Optional[str] = None
     ) -> dict:
-        """Start catch-up-then-tail; WAL pushes land on :attr:`wal_frames`."""
-        fields: Dict[str, object] = {"cursor": cursor}
-        if follower is not None:
-            fields["follower"] = follower
-        return await self.request("wal_tail", **fields)
+        """The replication handshake: catch up from ``cursor``, then tail.
 
-    async def wal_ack(self, follower: str, cursor: int) -> dict:
-        return await self.request("wal_ack", follower=follower, cursor=cursor)
+        In ``replay`` mode the batches past ``cursor`` arrive as pushes; in
+        ``snapshot`` mode the result dict carries the packed-shard payload
+        under :data:`protocol.BIN_PAYLOAD` and the advanced ``cursor``.
+        Either way every later commit is pushed live; WAL pushes land on
+        :attr:`wal_frames` (some may precede the response).
+        """
+        return await self.request("wal_tail", cursor=cursor, follower=follower)
+
+    async def wal_ack(self, cursor: int) -> dict:
+        """Acknowledge the tail of this connection up to ``cursor``."""
+        return await self.request("wal_ack", cursor=cursor)
 
     async def replica_status(self) -> dict:
         return await self.request("replica_status")

@@ -54,7 +54,7 @@ from ..core.query import TkPLQResult, TkPLQuery
 from ..data.records import PositioningRecord
 from ..storage import EvictedRangeError, IngestReceipt
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame's wire size (the header line, and the payload it
 #: may declare).  :mod:`repro.service.stream` passes it as the reader limit of
@@ -84,7 +84,6 @@ OPS = (
     "subscribe",
     "unsubscribe",
     "stats",
-    "wal_cursor",
     "wal_tail",
     "wal_ack",
     "replica_status",
@@ -325,9 +324,9 @@ def encode_shard_sections(
 ) -> bytes:
     """Concatenate ``(key, version, RPK1 blob)`` shards into one payload.
 
-    The snapshot half of the catch-up handshake: a follower too far behind
-    the WAL's replay floor receives the primary's whole table as one binary
-    payload of per-shard sections instead of a frame-by-frame replay.
+    The snapshot arm of the ``wal_tail`` handshake: a follower too far
+    behind the WAL's replay floor receives the primary's whole table as one
+    binary payload of per-shard sections instead of a frame-by-frame replay.
     """
     parts: List[bytes] = []
     for key, version, blob in shards:

@@ -2,17 +2,18 @@
 
 A :class:`ReadReplica` is a follower process for one primary
 :class:`~repro.service.server.QueryService` over a durable table.  Its life
-cycle is the **catch-up-then-tail** handshake from the replication design:
+cycle is **catch-up-then-tail**, and attaching is one request:
 
-1. **Handshake** (``wal_cursor``): present the last applied commit sequence.
+1. **Handshake** (``wal_tail``): present the last applied commit sequence.
    If the primary's WAL still holds every committed frame past it, the
-   answer is *replay* — proceed unchanged.  If compaction or eviction
-   dropped needed frames, the answer is *snapshot* and carries the whole
-   table as packed shards (versions included); the replica adopts it
-   wholesale and its cursor jumps to the primary's last committed sequence.
-2. **Tail** (``wal_tail``): the primary replays committed batches past the
-   cursor as binary ``RPK1`` push frames, then streams every new commit
-   live — one gapless, strictly ordered sequence.
+   answer is *replay* and those batches follow as binary ``RPK1`` push
+   frames.  If compaction or eviction dropped needed frames, the answer is
+   *snapshot* and carries the whole table as packed shards (versions
+   included); the replica adopts it wholesale and its cursor jumps to the
+   primary's last committed sequence.  The primary decides and subscribes
+   the tail in one hold of its store lock: there is nothing to retry.
+2. **Tail**: every later commit (and eviction) is pushed live — one
+   gapless, strictly ordered sequence, queued until the apply loop runs.
 3. **Apply**: each shipped batch goes through the replica table's ordinary
    :meth:`~repro.data.iupt.IUPT.ingest_batch` (and eviction pushes through
    ``evict_before``), so shard versions, engine caches and standing
@@ -49,7 +50,8 @@ from .server import QueryService
 
 #: Send ``wal_ack`` after this many applied batches (acks feed the primary's
 #: per-follower lag in ``replica_status``; they are observability, not
-#: correctness — nothing on the primary waits for one).
+#: correctness — nothing on the primary waits for one), so a converged
+#: replica can read up to ``ACK_EVERY - 1`` frames behind.
 ACK_EVERY = 8
 
 
@@ -68,8 +70,8 @@ class ReadReplica:
     primary_host, primary_port:
         The primary query service to follow.
     name:
-        The follower name registered with the primary (the key of its lag
-        entry in the primary's ``replica_status``: observability only).
+        The follower name this replica tails under (the key of its lag entry
+        in the primary's ``replica_status``: observability only).
     """
 
     def __init__(
@@ -132,13 +134,11 @@ class ReadReplica:
             self.iupt,
             host=self._host,
             port=self._port,
-            read_only=True,
             role="replica",
             query_workers=self._query_workers,
         )
         self.service.replication_extra = self._status_extra
         address = await self.service.start()
-        await self._attach_tail(int(handshake["cursor"]))
         self._run_task = asyncio.ensure_future(self._run())
         return address
 
@@ -163,10 +163,9 @@ class ReadReplica:
     # Handshake and catch-up
     # ------------------------------------------------------------------
     async def _handshake(self) -> dict:
+        """The one request that (re)attaches the tail at :attr:`applied_seq`."""
         try:
-            return await self._client.wal_cursor(
-                self.applied_seq, follower=self.name
-            )
+            return await self._client.wal_tail(self.applied_seq, follower=self.name)
         except ServiceError as error:
             raise ReplicaError(
                 f"primary rejected the WAL handshake: {error}"
@@ -195,29 +194,6 @@ class ReadReplica:
             # recomputed against the adopted table explicitly.
             self.resubscribes += self.service.continuous.resync()
 
-    async def _attach_tail(self, cursor: int) -> None:
-        """Start tailing at ``cursor``, re-handshaking if the floor moved.
-
-        A compaction or eviction can advance the replay floor between the
-        handshake and the tail request; the primary then rejects the tail
-        and the fix is simply a fresh handshake (which answers in snapshot
-        mode).  Bounded: the floor cannot keep outrunning us indefinitely
-        unless the primary is evicting faster than we can complete two
-        round trips.
-        """
-        for _ in range(4):
-            try:
-                await self._client.wal_tail(cursor, follower=self.name)
-                return
-            except ServiceError:
-                handshake = await self._handshake()
-                self._adopt_snapshot(handshake)
-                cursor = int(handshake["cursor"])
-        raise ReplicaError(
-            "could not attach the WAL tail: the primary's replay floor kept "
-            "moving past the handshake cursor"
-        )
-
     # ------------------------------------------------------------------
     # The apply loop
     # ------------------------------------------------------------------
@@ -232,11 +208,8 @@ class ReadReplica:
                     await self._apply_commit(loop, frame)
                 elif push == "wal_evict":
                     watermark = float(frame["watermark"])
-                    dropped = await loop.run_in_executor(
-                        None, self.iupt.evict_before, watermark
-                    )
+                    await loop.run_in_executor(None, self.iupt.evict_before, watermark)
                     self.applied_evictions += 1
-                    del dropped
                 elif push == "wal_closed":
                     await self._reattach()
         except asyncio.CancelledError:
@@ -262,7 +235,7 @@ class ReadReplica:
         if self._unacked >= ACK_EVERY:
             self._unacked = 0
             try:
-                await self._client.wal_ack(self.name, seq)
+                await self._client.wal_ack(seq)
             except (ServiceError, ConnectionError):
                 pass  # acks are advisory; the tail itself is the contract
 
@@ -276,9 +249,7 @@ class ReadReplica:
         if self._stopped:
             return
         try:
-            handshake = await self._handshake()
-            self._adopt_snapshot(handshake)
-            await self._attach_tail(int(handshake["cursor"]))
+            self._adopt_snapshot(await self._handshake())
         except ConnectionError:
             # The policy's retries inside request() are exhausted.
             raise ReplicaError(

@@ -14,11 +14,11 @@ clients over the newline-delimited JSON protocol of
   to the connection's transport;
 * the **pool** is ``query_workers`` threads draining one work queue: every
   CPU-bound or lock-taking call runs there, so a heavy query never stalls
-  other connections' framing or pushes.  The nine handler ops cross each
+  other connections' framing or pushes.  The seven handler ops cross each
   boundary once — queued in the read loop, run on a worker, answered by the
   worker's single ``call_soon_threadsafe`` — with no task and no future; the
-  ops that must come back to a coroutine (subscriptions, ``wal_tail``,
-  ``stats``, ``replica_status``) await the same queue through
+  ops that touch connection state on the loop (subscriptions, ``wal_tail``,
+  ``wal_ack``, ``stats``, ``replica_status``) await the same queue through
   :meth:`QueryService._run_blocking`.  Thread-safety across the workers comes
   from the layers below: the presence store has its own lock, and every
   store mutation plus the standing-query refreshes it triggers runs under
@@ -30,6 +30,9 @@ clients over the newline-delimited JSON protocol of
   ``call_soon_threadsafe`` and writes an ``update`` push frame to the
   subscribing connection, so one client's ``ingest_batch`` becomes push
   traffic to every other subscribed client with no polling anywhere;
+* **followers tail the write-ahead log**: ``wal_tail`` is the whole
+  handshake (:meth:`QueryService._do_wal_tail`), and a follower's name and
+  acknowledged cursor live on its connection, nowhere else;
 * the :class:`~repro.service.admission.AdmissionController` gates every
   request (bounded in-flight work, per-client rate limits) and supports
   **graceful drain**: :meth:`QueryService.stop` refuses new requests,
@@ -51,8 +54,8 @@ from ..codec import codec_info
 from ..data.iupt import IUPT
 from ..engine.continuous import Subscription, TOP_K
 from ..engine.runtime import QueryEngine
-from ..storage import EvictedRangeError
-from ..storage.durable import DurableRecordStore, WalCommit, WalEviction
+from ..storage import EvictedRangeError, EvictionEvent, IngestEvent
+from ..storage.durable import DurableRecordStore
 from .admission import AdmissionConfig, AdmissionController
 from .metrics import ServiceMetrics
 from . import protocol
@@ -61,7 +64,7 @@ from .stream import Connection, FrameServer
 
 
 class _Connection(Connection):
-    """Per-client state: the owned subscriptions and the WAL-tail tokens."""
+    """Per-client state: the owned subscriptions and, on a follower, its tail."""
 
     _ids = iter(range(1, 1 << 62))
 
@@ -77,10 +80,11 @@ class _Connection(Connection):
         #: delivery drops it here instead of resurrecting state (sub ids are
         #: never reused, so membership is exact).
         self.unsubscribed: set = set()
-        #: WAL-tail state when this connection is a replication follower:
-        #: the commit-listener token and the registered follower name.
-        self.wal_listener: Optional[int] = None
-        self.wal_follower: Optional[str] = None
+        #: A follower's tail: its store-listener token (store lock), name and
+        #: last acknowledged cursor (event loop) — the only follower ledger.
+        self.wal_token: Optional[int] = None
+        self.follower: Optional[str] = None
+        self.acked = 0
 
 
 @dataclasses.dataclass(slots=True)
@@ -144,6 +148,8 @@ class QueryService(FrameServer):
         :class:`~repro.service.admission.AdmissionConfig`'s defaults.
     query_workers:
         Worker threads executing CPU-bound request work off the event loop.
+    role:
+        ``"primary"`` or ``"replica"`` (read-only: mutations are refused).
     """
 
     def __init__(
@@ -154,7 +160,6 @@ class QueryService(FrameServer):
         port: int = 0,
         admission: Optional[AdmissionConfig] = None,
         query_workers: int = 4,
-        read_only: bool = False,
         role: str = "primary",
     ):
         if query_workers < 1:
@@ -168,11 +173,9 @@ class QueryService(FrameServer):
         self._durable: Optional[DurableRecordStore] = (
             iupt.store if isinstance(iupt.store, DurableRecordStore) else None
         )
-        #: A read-only service (a read replica's front door) answers every
-        #: query/subscription op but rejects mutations — its table is owned
-        #: by the replication tail, not by clients.
-        self.read_only = read_only
+        #: A replica's table is owned by its replication tail, not by clients.
         self.role = role
+        self.read_only = role == "replica"
         #: Extra fields merged into ``replica_status`` responses; a replica
         #: process points this at its tailer so clients (and the router's
         #: stale-read bound) can observe the applied sequence.
@@ -186,8 +189,7 @@ class QueryService(FrameServer):
         self._workers: List[threading.Thread] = []
         #: Set by ``stop`` while it waits for the last admitted request.
         self._idle: Optional[asyncio.Future] = None
-        #: The ops answered straight from a worker (handler(frame) -> result,
-        #: or ``(result, binary payload)``) …
+        #: The ops answered straight from a worker (handler(frame) -> result) …
         self._pooled_ops: Dict[str, Callable] = {
             "top_k": self._do_top_k,
             "flow": self._do_flow,
@@ -196,15 +198,15 @@ class QueryService(FrameServer):
             "ingest_batch": self._do_ingest_batch,
             "evict_before": self._do_evict_before,
             "checkpoint": self._do_checkpoint,
-            "wal_cursor": self._do_wal_cursor,
-            "wal_ack": self._do_wal_ack,
         }
         #: … and the ones that touch connection state on the loop between
-        #: their pool calls (coroutine(connection, frame) -> result).
+        #: their pool calls (coroutine(connection, frame) -> result, or
+        #: ``(result, binary payload)``).
         self._loop_ops: Dict[str, Callable] = {
             "subscribe": self._subscribe,
             "unsubscribe": self._unsubscribe,
             "wal_tail": self._wal_tail,
+            "wal_ack": self._wal_ack,
             "stats": self._stats,
             "replica_status": self._replica_status,
         }
@@ -331,9 +333,8 @@ class QueryService(FrameServer):
         over a durable table that keeps them in the persisted manifest, and
         a restarted service restores them for clients to ``resume``.
         """
-        if connection.wal_listener is not None:
-            # A departed follower stops consuming commits immediately —
-            # detach its listener and drop it from the lag table.  (This
+        if connection.wal_token is not None:
+            # A departed follower stops consuming commits immediately.  (This
             # runs on drain too: WAL tails are live streams, not resumable
             # subscriptions; a reconnecting follower redoes the handshake.)
             await self._run_blocking(self._release_wal_tail, connection)
@@ -513,8 +514,26 @@ class QueryService(FrameServer):
         connection.subscriptions[subscription.sub_id] = subscription
         return result
 
-    async def _wal_tail(self, connection: _Connection, frame: dict) -> dict:
-        return await self._run_blocking(self._do_wal_tail, connection, frame)
+    async def _wal_tail(self, connection: _Connection, frame: dict):
+        result, payload = await self._run_blocking(
+            self._do_wal_tail, connection, frame
+        )
+        # Back on the loop, as for subscribe: a follower that vanished while
+        # the worker attached it must not leave a listener behind.
+        if connection not in self._connections:
+            await self._run_blocking(self._release_wal_tail, connection)
+            raise ProtocolError("bad_request", "connection closed during wal_tail")
+        connection.follower = result["follower"]
+        connection.acked = result["cursor"]
+        return result if payload is None else (result, payload)
+
+    async def _wal_ack(self, connection: _Connection, frame: dict) -> dict:
+        """Advance this follower's acknowledged cursor (never backwards)."""
+        cursor = protocol.field(frame, "cursor", int)
+        if connection.follower is None:
+            raise ProtocolError("bad_request", "this connection is not tailing the WAL")
+        connection.acked = max(connection.acked, cursor)
+        return {"acked": cursor}
 
     def _pong(self) -> dict:
         return {
@@ -525,7 +544,7 @@ class QueryService(FrameServer):
         }
 
     async def _replica_status(self, _connection: _Connection, _frame: dict) -> dict:
-        return await self._run_blocking(self.replication_status)
+        return await self._replication()
 
     async def _stats(self, _connection: _Connection, _frame: dict) -> dict:
         # The continuous summary takes the store lock (a worker may hold it
@@ -533,7 +552,7 @@ class QueryService(FrameServer):
         # metrics/admission counters are loop-owned and are snapshotted here,
         # on their owning thread.
         continuous_summary = await self._run_blocking(self.continuous.describe)
-        replication = await self._run_blocking(self.replication_status)
+        replication = await self._replication()
         snapshot = self.metrics.snapshot(
             cache_stats=self.engine.cache_stats(),
             continuous_summary=continuous_summary,
@@ -543,13 +562,30 @@ class QueryService(FrameServer):
         snapshot["codec"] = codec_info()
         return snapshot
 
+    async def _replication(self) -> dict:
+        """:meth:`replication_status` plus, on a durable primary, the lag of
+        each live tailing connection, read on the loop that owns them (two
+        tails under one name report the one further behind)."""
+        status = await self._run_blocking(self.replication_status)
+        if self._durable is not None:
+            acked: Dict[str, int] = {}
+            for connection in self._connections:
+                if connection.follower is not None:
+                    held = acked.get(connection.follower, connection.acked)
+                    acked[connection.follower] = min(held, connection.acked)
+            last = status["last_seq"]
+            status["followers"] = {
+                name: {"cursor": cursor, "frames_behind": max(0, last - cursor)}
+                for name, cursor in sorted(acked.items())
+            }
+        return status
+
     def replication_status(self) -> dict:
         """The replication view of this service (worker thread: takes locks).
 
-        On a durable primary: the committed/replayable sequence range, the
-        WAL inventory, and per-follower lag in frames.  On a
-        replica the tailer merges its applied sequence and primary address
-        in through :attr:`replication_extra`.
+        On a durable primary: the committed/replayable sequence range and the
+        WAL inventory.  On a replica the tailer merges its applied sequence
+        and primary address in through :attr:`replication_extra`.
         """
         store = self.iupt.store
         status: Dict[str, object] = {
@@ -564,7 +600,6 @@ class QueryService(FrameServer):
                 last_seq=store.last_committed_seq,
                 base_seq=store.wal_base_seq,
                 wal=store.wal_inventory(),
-                followers=store.follower_lags(),
             )
         if self.replication_extra is not None:
             status.update(self.replication_extra())
@@ -637,111 +672,59 @@ class QueryService(FrameServer):
             )
         return self._durable
 
-    def _do_wal_cursor(self, frame: dict):
-        """The catch-up half of the handshake: snapshot-or-replay decision.
-
-        ``cursor`` is the follower's last applied sequence.  When the WAL
-        still holds every committed frame past it, the response says
-        ``replay`` and the follower proceeds to ``wal_tail`` unchanged.
-        When compaction or eviction dropped frames the cursor needs, the
-        response says ``snapshot`` and carries the primary's whole table as
-        one binary payload of packed shards; the follower adopts it and
-        tails from the returned (advanced) cursor instead.
-        """
+    def _do_wal_tail(self, connection: _Connection, frame: dict):
+        """The replication handshake — catch up, then tail — in one hold of
+        the store lock: replay the committed batches past the follower's
+        ``cursor`` as push frames, or, when the WAL no longer holds them, put
+        every shard packed (versions included) on the response and move the
+        cursor to the last commit; then subscribe the connection (replacing
+        a tail it already had).  No commit falls in between and
+        ``call_soon_threadsafe`` keeps order, so the follower sees one
+        gapless sequence.  Returns ``(result, payload or None)``."""
         cursor = protocol.field(frame, "cursor", int, 0)
         store = self._durable_store()
-        follower = frame.get("follower")
+        follower = str(frame.get("follower") or f"follower-{connection.conn_id}")
         with store.lock:
-            last = store.last_committed_seq
+            watermark = store.eviction_watermark
             result: Dict[str, object] = {
-                "last_seq": last,
-                "base_seq": store.wal_base_seq,
+                "follower": follower,
+                "last_seq": store.last_committed_seq,
                 "uid": store.uid,
                 "shard_seconds": store.shard_seconds,
-                "watermark": (
-                    store.eviction_watermark
-                    if store.eviction_watermark > float("-inf")
-                    else None
-                ),
+                "watermark": watermark if watermark > float("-inf") else None,
             }
             if store.can_replay_from(cursor):
-                result.update(mode="replay", cursor=cursor)
+                batches = store.committed_batches_after(cursor)
+                for seq, records in batches:
+                    push = protocol.push_wal_frame(
+                        seq, protocol.records_to_payload(records)
+                    )
+                    self._loop.call_soon_threadsafe(
+                        self._deliver_wal_push, connection, push
+                    )
                 payload = None
+                result.update(mode="replay", caught_up=len(batches))
             else:
-                # Snapshot catch-up: ship every shard packed, versions
-                # included, so the follower's version tokens match ours.
                 sections = [
                     (key, version, packed.encode())
                     for key, version, packed in store.inner.packed_shard_states()
                 ]
                 payload = protocol.encode_shard_sections(sections)
-                result.update(mode="snapshot", cursor=last, shards=len(sections))
-            if follower is not None:
-                store.register_follower(str(follower), int(result["cursor"]))
-        if payload is None:
-            return result
-        return result, payload
-
-    def _do_wal_tail(self, connection: _Connection, frame: dict) -> dict:
-        """Catch-up-then-tail: replay committed batches past the cursor as
-        binary push frames, then keep streaming every new commit live.
-
-        Atomicity: the replayed batches are collected and the commit
-        listener attached under the store lock, so no commit can fall in
-        the gap; ``call_soon_threadsafe`` preserves scheduling order, so
-        the catch-up frames reach the connection's transport before any live
-        frame — the follower sees one gapless, strictly ordered sequence.
-        """
-        cursor = protocol.field(frame, "cursor", int, 0)
-        store = self._durable_store()
-        if connection.wal_listener is not None:
-            raise ProtocolError(
-                "bad_request", "this connection is already tailing the WAL"
-            )
-        follower = str(frame.get("follower") or f"follower-{connection.conn_id}")
-        with store.lock:
-            if not store.can_replay_from(cursor):
-                raise ProtocolError(
-                    "bad_request",
-                    f"cursor {cursor} is below the WAL replay floor "
-                    f"{store.wal_base_seq}; run wal_cursor to re-catch-up "
-                    f"from a snapshot first",
-                )
-            batches = store.committed_batches_after(cursor)
-            for seq, records in batches:
-                wal_frame = protocol.push_wal_frame(
-                    seq, protocol.records_to_payload(records)
-                )
-                self._loop.call_soon_threadsafe(
-                    self._deliver_wal_push, connection, wal_frame
-                )
-            token = store.add_commit_listener(
+                cursor = store.last_committed_seq
+                result.update(mode="snapshot", shards=len(sections))
+            result["cursor"] = cursor
+            self._release_wal_tail(connection)  # a re-handshake replaces its tail
+            connection.wal_token = store.subscribe(
                 lambda event: self._push_wal_event(connection, event)
             )
-            store.register_follower(follower, cursor)
-            connection.wal_listener = token
-            connection.wal_follower = follower
-            return {
-                "tailing": True,
-                "cursor": cursor,
-                "caught_up": len(batches),
-                "last_seq": store.last_committed_seq,
-                "follower": follower,
-            }
-
-    def _do_wal_ack(self, frame: dict) -> dict:
-        """Advance a follower's cursor (what ``replica_status`` lag reads)."""
-        cursor = protocol.field(frame, "cursor", int)
-        follower = protocol.field(frame, "follower", str)
-        self._durable_store().ack_follower(follower, cursor)
-        return {"acked": cursor}
+        return result, payload
 
     def _push_wal_event(self, connection: _Connection, event: object) -> None:
-        """Commit-listener hook: runs on the ingesting thread, under the
-        store lock, in commit order — bridge each event onto the loop."""
-        if isinstance(event, WalCommit):
+        """Store-listener hook: runs on the mutating thread, under the store
+        lock, in commit order — bridge each event onto the loop."""
+        if isinstance(event, IngestEvent):
             frame = protocol.push_wal_frame(event.seq, event.payload())
-        elif isinstance(event, WalEviction):
+        elif isinstance(event, EvictionEvent):
             frame = protocol.push_wal_evict_frame(event.watermark)
         else:  # pragma: no cover - future event kinds are skipped, not fatal
             return
@@ -755,13 +738,11 @@ class QueryService(FrameServer):
 
     def _release_wal_tail(self, connection: _Connection) -> None:
         """Detach a departed follower (worker thread; takes the store lock)."""
-        store = self.iupt.store
-        if connection.wal_listener is not None:
-            store.remove_commit_listener(connection.wal_listener)
-            connection.wal_listener = None
-        if connection.wal_follower is not None:
-            store.unregister_follower(connection.wal_follower)
-            connection.wal_follower = None
+        store = self._durable_store()
+        with store.lock:
+            if connection.wal_token is not None:
+                store.unsubscribe(connection.wal_token)
+                connection.wal_token = None
 
     def _register_subscription(self, connection: _Connection, frame: dict):
         """Worker-pool half of ``subscribe``: register + first compute.

@@ -21,6 +21,7 @@ replicated state, so each process rebuilds it deterministically from the
 same building parameters (``--floors``, ``--seed``) — the floor plan
 :func:`~repro.synth.scenario.build_synthetic_scenario` draws for them, with
 no objects walked through it: a role is handed its records over the wire.
+The rest of a topology is the constants below, not flags.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ from .replica import ReadReplica
 from .router import PartitionRouter
 from .server import QueryService
 
-DEFAULT_SHARD_SECONDS = 60.0
+SHARD_SECONDS = 60.0  # the primary's shard width
+SNAPSHOT_EVERY = 64  # the primary checkpoints after this many batches
+RECONNECT_RETRIES = 5  # re-dials of a lost peer (replica and router)
+FRESHNESS_TIMEOUT = 5.0  # a routed read's wait for its replica to catch up
 
 
 def _build_engine(args: argparse.Namespace) -> QueryEngine:
@@ -81,8 +85,8 @@ def _announce(host: str, port: int) -> None:
 async def _run_primary(args: argparse.Namespace) -> None:
     iupt = IUPT.durable(
         args.data_dir,
-        shard_seconds=args.shard_seconds,
-        config=DurabilityConfig(snapshot_every_batches=args.snapshot_every),
+        shard_seconds=SHARD_SECONDS,
+        config=DurabilityConfig(snapshot_every_batches=SNAPSHOT_EVERY),
     )
     service = QueryService(
         _build_engine(args),
@@ -103,7 +107,7 @@ async def _run_replica(args: argparse.Namespace) -> None:
         name=args.name,
         host=args.host,
         port=args.port,
-        reconnect=ReconnectPolicy(max_retries=args.reconnect_retries),
+        reconnect=ReconnectPolicy(max_retries=RECONNECT_RETRIES),
         query_workers=args.query_workers,
     )
     host, port = await replica.start()
@@ -117,8 +121,8 @@ async def _run_router(args: argparse.Namespace) -> None:
         _parse_addresses(args.replicas),
         host=args.host,
         port=args.port,
-        freshness_timeout=args.freshness_timeout,
-        reconnect=ReconnectPolicy(max_retries=args.reconnect_retries),
+        freshness_timeout=FRESHNESS_TIMEOUT,
+        reconnect=ReconnectPolicy(max_retries=RECONNECT_RETRIES),
     )
     host, port = await router.start()
     _announce(host, port)
@@ -129,6 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.topology",
         description="Run one replication-topology role (primary, replica, router).",
+        epilog=f"Fixed: {SHARD_SECONDS:g} s shards, a checkpoint every "
+        f"{SNAPSHOT_EVERY} batches, {RECONNECT_RETRIES} re-dials of a lost peer, "
+        f"a {FRESHNESS_TIMEOUT:g} s freshness wait; a replica attaches with one "
+        "wal_tail.",
     )
     sub = parser.add_subparsers(dest="role", required=True)
 
@@ -151,16 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     primary = sub.add_parser("primary", help="durable primary query service")
     common(primary)
     primary.add_argument("--data-dir", required=True)
-    primary.add_argument(
-        "--shard-seconds", type=float, default=DEFAULT_SHARD_SECONDS
-    )
-    primary.add_argument("--snapshot-every", type=int, default=64)
 
     replica = sub.add_parser("replica", help="WAL-shipping read replica")
     common(replica)
     replica.add_argument("--primary", required=True, help="HOST:PORT")
     replica.add_argument("--name", default="replica")
-    replica.add_argument("--reconnect-retries", type=int, default=5)
 
     router = sub.add_parser("router", help="partition-aware router front-end")
     common(router)
@@ -168,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     router.add_argument(
         "--replicas", default="", help="comma-separated HOST:PORT list"
     )
-    router.add_argument("--freshness-timeout", type=float, default=5.0)
-    router.add_argument("--reconnect-retries", type=int, default=5)
     return parser
 
 

@@ -28,7 +28,8 @@ listener that receives an :class:`IngestEvent` after every ingestion and an
 The continuous-query subsystem (:mod:`repro.engine.continuous`) maintains
 standing query results through exactly this hook, using the
 :attr:`IngestReceipt.object_spans` of each event to decide which objects'
-presences a batch actually changed.
+presences a batch actually changed; the replication tail of
+:mod:`repro.service.server` subscribes the same way.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..codec.packed import encode_batch
 from ..data.records import PositioningRecord
 
 #: Process-wide identity counter shared by every store (and therefore every
@@ -128,11 +130,25 @@ def summarise_object_spans(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IngestEvent:
-    """Delivered to store listeners after one ingestion completed."""
+    """Delivered to store listeners after one ingestion completed.
+
+    ``records`` is the batch in its ingested (time-sorted) order — what the
+    WAL tail ships — and ``seq`` its commit sequence on a durable store
+    (``None`` on a volatile one).
+    """
 
     receipt: IngestReceipt
+    records: Sequence[PositioningRecord] = ()
+    seq: Optional[int] = None
+    _payload: Optional[bytes] = field(default=None, repr=False, compare=False)
+
+    def payload(self) -> bytes:
+        """The batch as one packed ``RPK1`` blob (encoded once, cached)."""
+        if self._payload is None:
+            self._payload = encode_batch(self.records)
+        return self._payload
 
 
 @dataclass(frozen=True)

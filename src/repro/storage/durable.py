@@ -44,6 +44,11 @@ structure maps one-to-one onto log segments and snapshot files:
   the recovered store is bit-identical to an in-memory oracle that applied
   exactly the committed batches.
 
+A follower replays :meth:`DurableRecordStore.committed_batches_after` its
+cursor while :meth:`DurableRecordStore.can_replay_from` allows, then listens
+like any store listener (an :class:`~repro.storage.base.IngestEvent` carries
+its commit ``seq``); the store keeps no record of who follows it.
+
 The log has **one reader**, :meth:`DurableRecordStore._scan_log`: recovery and
 the replication replay (:meth:`DurableRecordStore.committed_batches_after`)
 learn which sequences are committed and which frames each segment holds from
@@ -76,7 +81,6 @@ import zlib
 from dataclasses import dataclass
 from typing import (
     BinaryIO,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -89,7 +93,13 @@ from typing import (
 
 from ..codec.packed import PackedRecordBatch, encode_batch
 from ..data.records import PositioningRecord, Sample, SampleSet
-from .base import IngestReceipt, RecordStore, StoreListener, VersionToken
+from .base import (
+    EvictionEvent,
+    IngestEvent,
+    IngestReceipt,
+    RecordStore,
+    VersionToken,
+)
 from .sharded import DEFAULT_SHARD_SECONDS, ShardedRecordStore
 
 FORMAT_VERSION = 1
@@ -159,46 +169,6 @@ class DurabilityConfig:
             raise ValueError("snapshot_every_batches must be at least 1 (or None)")
         if self.fail_after_writes is not None and self.fail_after_writes < 0:
             raise ValueError("fail_after_writes must be non-negative (or None)")
-
-
-class WalCommit:
-    """One committed batch, as observed by a WAL commit listener.
-
-    ``records`` is the whole batch in its ingested (time-sorted) order —
-    re-ingesting it into an identical store reproduces the primary's shard
-    state and per-shard versions exactly.  :meth:`payload` packs the batch
-    into the ``RPK1`` columnar layout once and caches it, so a primary with
-    several attached followers encodes each commit a single time no matter
-    how many connections ship it.
-    """
-
-    __slots__ = ("seq", "records", "_payload")
-
-    def __init__(self, seq: int, records: Sequence[PositioningRecord]):
-        self.seq = seq
-        self.records = tuple(records)
-        self._payload: Optional[bytes] = None
-
-    def payload(self) -> bytes:
-        """The batch as one packed ``RPK1`` blob (encoded once, cached)."""
-        if self._payload is None:
-            self._payload = encode_batch(self.records)
-        return self._payload
-
-
-class WalEviction:
-    """One committed retention eviction, as observed by a commit listener."""
-
-    __slots__ = ("watermark",)
-
-    def __init__(self, watermark: float):
-        self.watermark = watermark
-
-
-#: A WAL commit listener: called under the store lock, in commit order, with
-#: each :class:`WalCommit` / :class:`WalEviction` the moment it is durable
-#: and applied.  The replication layer tails the log through this hook.
-CommitListener = Callable[[object], None]
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +317,8 @@ class DurableRecordStore(RecordStore):
     recover it — the persisted manifest then decides ``shard_seconds`` (the
     constructor argument only seeds a brand-new store).
     All query/introspection calls delegate to the wrapped in-memory store;
-    mutations are logged first, applied second (see the module docstring).
+    mutations are logged first, applied second (see the module docstring),
+    then announced to this store's listeners.
 
     The wrapper shares the inner store's re-entrant lock, so the continuous
     query engine and the service keep the exact locking discipline they use
@@ -384,10 +355,6 @@ class DurableRecordStore(RecordStore):
         #: (checkpoint compaction folded them into snapshots).
         self._last_committed_seq = 0
         self._wal_base_seq = 0
-        #: Registered follower cursors (``name -> last acked seq``).
-        self._followers: Dict[str, int] = {}
-        self._commit_listeners: Dict[int, CommitListener] = {}
-        self._next_listener_token = 1
         manifest = self._load_or_create_manifest(float(shard_seconds))
         self._uid = manifest["uid"]
         self._inner = ShardedRecordStore(shard_seconds=manifest["shard_seconds"])
@@ -748,7 +715,7 @@ class DurableRecordStore(RecordStore):
             for key, _slice in slices:
                 self._shard_last_seq[key] = seq
             self._last_committed_seq = seq
-            self._notify_commit(WalCommit(seq, batch))
+            self._notify(IngestEvent(receipt, batch, seq))  # the inner store has none
             self._batches_since_snapshot += 1
             cadence = self.config.snapshot_every_batches
             if cadence is not None and self._batches_since_snapshot >= cadence:
@@ -818,7 +785,7 @@ class DurableRecordStore(RecordStore):
         self._atomic_write(self._dir / CONTROL_NAME, encode_wal_frame(base))
 
     # ------------------------------------------------------------------
-    # Replication: WAL cursors, followers, commit listeners
+    # Replication: the WAL cursor (live followers subscribe like any listener)
     # ------------------------------------------------------------------
     @property
     def last_committed_seq(self) -> int:
@@ -895,55 +862,6 @@ class DurableRecordStore(RecordStore):
                 "last_seq": self._last_committed_seq,
             }
 
-    def register_follower(self, name: str, cursor: int) -> None:
-        """Start tracking a replication follower's lag from ``cursor``."""
-        with self._lock:
-            self._followers[name] = int(cursor)
-
-    def ack_follower(self, name: str, cursor: int) -> None:
-        """Advance a follower's cursor (never moves it backwards)."""
-        with self._lock:
-            current = self._followers.get(name)
-            if current is not None:
-                self._followers[name] = max(current, int(cursor))
-
-    def unregister_follower(self, name: str) -> None:
-        with self._lock:
-            self._followers.pop(name, None)
-
-    def follower_lags(self) -> Dict[str, Dict[str, int]]:
-        """Per follower: its acked cursor and how many commits it is behind —
-        lag observability (``replica_status``); the store holds nothing back
-        on a follower's account."""
-        with self._lock:
-            return {
-                name: {
-                    "cursor": cursor,
-                    "frames_behind": max(0, self._last_committed_seq - cursor),
-                }
-                for name, cursor in sorted(self._followers.items())
-            }
-
-    def add_commit_listener(self, listener: CommitListener) -> int:
-        """Observe every commit (:class:`WalCommit` / :class:`WalEviction`).
-
-        Listeners run under the store lock, in commit order, the moment the
-        event is durable and applied — the replication tail hooks in here.
-        """
-        with self._lock:
-            token = self._next_listener_token
-            self._next_listener_token += 1
-            self._commit_listeners[token] = listener
-            return token
-
-    def remove_commit_listener(self, token: int) -> bool:
-        with self._lock:
-            return self._commit_listeners.pop(token, None) is not None
-
-    def _notify_commit(self, event: object) -> None:
-        for listener in list(self._commit_listeners.values()):
-            listener(event)
-
     # ------------------------------------------------------------------
     # Queries (pure delegation)
     # ------------------------------------------------------------------
@@ -992,28 +910,15 @@ class DurableRecordStore(RecordStore):
             # themselves are not in the replayable stream: a follower whose
             # cursor predates this point can no longer replay its way to the
             # primary's state — it must re-catch-up from snapshots.  Live
-            # tailing followers receive the eviction through the commit
-            # listeners instead and apply it themselves.
+            # tailing followers receive the eviction as an EvictionEvent
+            # instead and apply it themselves.
             self._wal_base_seq = self._last_committed_seq
-            self._notify_commit(WalEviction(new_watermark))
+            self._notify(EvictionEvent(new_watermark, dropped))
             return dropped
 
     @property
     def eviction_watermark(self) -> float:
         return self._inner.eviction_watermark
-
-    # ------------------------------------------------------------------
-    # Subscriptions (delegated: events fire on the inner store's mutations)
-    # ------------------------------------------------------------------
-    def subscribe(self, listener: StoreListener) -> int:
-        return self._inner.subscribe(listener)
-
-    def unsubscribe(self, token: int) -> bool:
-        return self._inner.unsubscribe(token)
-
-    @property
-    def listener_count(self) -> int:
-        return self._inner.listener_count
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1101,7 +1006,6 @@ class DurableRecordStore(RecordStore):
                 "next_seq": self._next_seq,
                 "last_committed_seq": self._last_committed_seq,
                 "wal_base_seq": self._wal_base_seq,
-                "followers": len(self._followers),
                 "recovery": dict(self.recovery_report),
             }
         )

@@ -256,7 +256,7 @@ class ShardedRecordStore(RecordStore):
                 shards_touched=tuple(touched),
                 object_spans=summarise_object_spans(batch),
             )
-            self._notify(IngestEvent(receipt))
+            self._notify(IngestEvent(receipt, batch))
             return receipt
 
     # ------------------------------------------------------------------

@@ -95,13 +95,32 @@ def test_durability_config_has_no_codec_field():
 
 def test_one_checkpoint_trigger_and_no_commit_wall_clock():
     from repro.service.topology import build_parser
-    from repro.storage.durable import WalCommit, WalEviction
+    from repro.storage import EvictionEvent, IngestEvent
 
     with pytest.raises(SystemExit):
         build_parser().parse_args(
             ["primary", "--data-dir", "d", "--compact-above-bytes", "1"]
         )
-    assert "wall_time" not in WalCommit.__slots__ + WalEviction.__slots__
+    eviction = tuple(field.name for field in dataclasses.fields(EvictionEvent))
+    assert "wall_time" not in IngestEvent.__slots__ + eviction
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["primary", "--data-dir", "d", "--shard-seconds", "60"],
+        ["primary", "--data-dir", "d", "--snapshot-every", "64"],
+        ["replica", "--primary", "h:1", "--reconnect-retries", "5"],
+        ["router", "--primary", "h:1", "--reconnect-retries", "5"],
+        ["router", "--primary", "h:1", "--freshness-timeout", "5"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_topology_flags_nobody_passed_are_constants(argv):
+    from repro.service.topology import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
 
 
 def test_the_server_asks_whether_its_table_is_durable_once():
@@ -177,6 +196,69 @@ def test_the_replica_ack_interval_is_not_a_parameter():
     from repro.service.replica import ReadReplica
 
     assert "ack_every" not in inspect.signature(ReadReplica.__init__).parameters
+
+
+STORAGE_DIR = pathlib.Path(repro.__file__).parent / "storage"
+
+
+def test_a_follower_attaches_in_one_request_and_the_store_keeps_no_ledger():
+    """One handshake op, one store event stream, follower state on the
+    connection: ``wal_cursor`` is no op, the durable store defines no commit
+    listener, follower method or ``subscribe`` of its own, the replica sends
+    ``wal_tail`` from one function with no loop on the way to it, and the
+    server's tail subscribes to the store."""
+    from repro.service import QueryService, protocol
+
+    assert "wal_cursor" not in protocol.OPS
+    assert "read_only" not in inspect.signature(QueryService.__init__).parameters
+    tree = ast.parse((STORAGE_DIR / "durable.py").read_text(encoding="utf-8"))
+    defined = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    } | {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    assert not defined & {
+        "WalCommit", "WalEviction", "CommitListener", "add_commit_listener",
+        "remove_commit_listener", "_notify_commit", "register_follower",
+        "ack_follower", "unregister_follower", "follower_lags", "subscribe",
+        "unsubscribe",
+    }  # fmt: skip
+    replica = ast.parse((SERVICE_DIR / "replica.py").read_text(encoding="utf-8"))
+    functions = {
+        node.name: node
+        for node in ast.walk(replica)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+    def callers(attr):
+        return sorted(
+            name
+            for name, function in functions.items()
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == attr
+        )
+
+    assert callers("wal_tail") == ["_handshake"]
+    assert callers("_handshake") == ["_reattach", "start"]
+    for name in ("_handshake", "_reattach", "start"):
+        loops = [
+            node
+            for node in ast.walk(functions[name])
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+        ]
+        assert loops == [], name
+    subscribes = [
+        f"{owner} {ast.unparse(call.func.value)}"
+        for call, owner in _calls_with_owner([SERVICE_DIR])
+        if getattr(call.func, "attr", None) == "subscribe"
+    ]
+    assert subscribes == ["server.py:QueryService._do_wal_tail store"]
 
 
 ENGINE_DIR = pathlib.Path(repro.__file__).parent / "engine"

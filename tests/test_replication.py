@@ -5,7 +5,9 @@ oracle:
 
 * the durable store's replication cursor API (``committed_batches_after``
   must reproduce exactly the ingested batches; the replay floor moves with
-  checkpoints and evictions; follower lag is tracked in frames),
+  checkpoints and evictions; store listeners see each commit with its
+  sequence) and the primary's followers (one ``wal_tail`` attaches, lag in
+  frames lives on the tailing connection),
 * the binary wire framing (``"bin"``-length-prefixed RPK1 payloads through
   :func:`~repro.service.stream.read_frame`, the reader every role runs),
 * the :class:`~repro.service.replica.ReadReplica` catch-up-then-tail loop
@@ -45,9 +47,11 @@ from repro.storage import (
     DurabilityConfig,
     DurableRecordStore,
     EvictedRangeError,
+    EvictionEvent,
+    IngestEvent,
+    ShardedRecordStore,
     SimulatedCrashError,
 )
-from repro.storage.durable import WalCommit, WalEviction
 from tests.frame_feed import read_all
 from tests.json_era_store import write_json_era_directory
 
@@ -140,42 +144,35 @@ class TestWalCursorApi:
         assert sum(per_shard.values()) == inventory["segment_bytes"]
         store.close()
 
-    def test_commit_listeners_see_commits_and_evictions_in_order(self, tmp_path):
+    def test_store_listeners_see_commits_and_evictions_in_order(self, tmp_path):
         store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
         events = []
-        token = store.add_commit_listener(events.append)
+        token = store.subscribe(events.append)
         first = _batch(0.0)
         store.ingest_batch(first)
         store.ingest_batch(_batch(50.0))
         store.evict_before(15.0)  # dooms whole shard 0 ([0, 10))
-        assert isinstance(events[0], WalCommit)
+        assert isinstance(events[0], IngestEvent)
         assert events[0].seq == 1 and list(events[0].records) == first
+        assert events[0].receipt.records_ingested == len(first)
         # The cached payload is the canonical RPK1 encoding of the batch.
         assert events[0].payload() == encode_batch(first)
         assert events[0].payload() is events[0].payload()  # cached
-        assert isinstance(events[1], WalCommit) and events[1].seq == 2
-        assert isinstance(events[2], WalEviction)
+        assert isinstance(events[1], IngestEvent) and events[1].seq == 2
+        assert isinstance(events[2], EvictionEvent)
         assert events[2].watermark == 10.0  # shard-aligned, not the request
-        assert store.remove_commit_listener(token)
+        assert events[2].records_dropped == len(first)
+        # One registry: the durable store's own, never the inner store's.
+        assert store.listener_count == 1 and store.inner.listener_count == 0
+        assert store.unsubscribe(token)
         store.ingest_batch(_batch(80.0))
         assert len(events) == 3  # removed listeners stay silent
         store.close()
-
-    def test_follower_lag_tracking(self, tmp_path):
-        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
-        for i in range(4):
-            store.ingest_batch(_batch(i * 20.0))
-        store.register_follower("r0", 1)
-        lags = store.follower_lags()
-        assert lags["r0"]["cursor"] == 1
-        assert lags["r0"]["frames_behind"] == 3
-        store.ack_follower("r0", 4)
-        assert store.follower_lags()["r0"]["frames_behind"] == 0
-        store.ack_follower("r0", 2)  # never backwards
-        assert store.follower_lags()["r0"]["cursor"] == 4
-        store.unregister_follower("r0")
-        assert store.follower_lags() == {}
-        store.close()
+        # A volatile store's event carries the batch, and no sequence.
+        volatile = ShardedRecordStore(shard_seconds=SHARD_SECONDS)
+        volatile.subscribe(events.append)
+        volatile.ingest_batch(first)
+        assert events[3].seq is None and events[3].payload() == encode_batch(first)
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +368,7 @@ class TestReplicaConvergence:
             replica = OldPrimaryReplica(_make_engine(scenario), host, port, name="r0")
             await replica.start()
             async with await ServiceClient.connect(host, port) as primary:
-                assert "index_kind" not in await primary.wal_cursor(0)
+                assert "index_kind" not in await primary.wal_tail(0)
                 seq = (await primary.ingest_batch(live))["seq"]
                 await replica.wait_applied(seq)
             assert replica.iupt.index_kind == "timestamp-column"
@@ -552,6 +549,195 @@ class TestReplicaConvergence:
             await service.stop()
 
         asyncio.run(run())
+
+
+async def _eventually(condition, what, timeout=10.0):
+    """Poll ``condition()`` (a bool, or a coroutine of one) until it holds."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while True:
+        held = condition()
+        if asyncio.iscoroutine(held):
+            held = await held
+        if held:
+            return
+        assert asyncio.get_running_loop().time() < deadline, what
+        await asyncio.sleep(0.01)
+
+
+class TestFollowersLiveOnTheirConnections:
+    """A follower attaches with one ``wal_tail``, and the primary's follower
+    ledger is its live tailing connections — there is no other to leak."""
+
+    def test_replicas_attach_to_a_busy_primary_in_one_request(
+        self, small_real_scenario, tmp_path
+    ):
+        """The primary checkpoints after every batch while a client ingests
+        without pause, so its replay floor moves all the time: every replica
+        still attaches, each with exactly one ``wal_tail``."""
+        scenario = small_real_scenario
+        history, _live = _split_stream(scenario)
+        starts = 30
+
+        async def run():
+            service, host, port = await _start_primary(
+                scenario, tmp_path, preload=history,
+                config=DurabilityConfig(snapshot_every_batches=1),
+            )
+            ingesting = True
+
+            async def ingest():
+                async with await ServiceClient.connect(host, port) as loader:
+                    index = 0
+                    while ingesting:
+                        await loader.ingest_batch(
+                            [_record(7, index % 3, 300.0 + (index + i) * 0.25)
+                             for i in range(3)]
+                        )
+                        index += 3
+
+            loading = asyncio.ensure_future(ingest())
+            await _eventually(
+                lambda: service.iupt.store.last_committed_seq > 3,
+                "the loader never started",
+            )
+            catchups = 0
+            for index in range(starts):
+                replica = ReadReplica(
+                    _make_engine(scenario), host, port, name=f"r{index}",
+                    query_workers=1,
+                )
+                await replica.start()  # raised ReplicaError when the floor moved
+                catchups += replica.snapshot_catchups
+                if index == starts - 1:
+                    ingesting = False
+                    await loading
+                    await replica.wait_applied(service.iupt.store.last_committed_seq)
+                    assert replica.iupt.store.version_token() == \
+                        service.iupt.store.version_token()
+                await replica.stop()
+            assert catchups == starts  # every cursor 0 was below the floor
+            assert service.metrics.requests_by_op["wal_tail"] == starts
+            async with await ServiceClient.connect(host, port) as primary:
+                await _eventually(
+                    lambda: _no_followers(primary), "a stopped replica stayed"
+                )
+            await service.stop()
+            service.iupt.store.close()
+
+        asyncio.run(run())
+
+    def test_follower_lag_tracking(self, small_real_scenario, tmp_path):
+        scenario = small_real_scenario
+        history, live = _split_stream(scenario)
+
+        async def run():
+            service, host, port = await _start_primary(scenario, tmp_path)
+            async with await ServiceClient.connect(host, port) as primary:
+                step = len(live) // 4
+                for i in range(4):
+                    await primary.ingest_batch(live[i * step : (i + 1) * step])
+
+                async def followers():
+                    return (await primary.replica_status())["followers"]
+
+                with pytest.raises(ServiceError) as excinfo:
+                    await primary.wal_ack(4)  # this connection is no follower
+                assert excinfo.value.kind == "bad_request"
+                async with await ServiceClient.connect(host, port) as follower:
+                    tail = await follower.wal_tail(1, follower="r0")
+                    assert (tail["mode"], tail["caught_up"]) == ("replay", 3)
+                    assert await followers() == {
+                        "r0": {"cursor": 1, "frames_behind": 3}
+                    }
+                    await follower.wal_ack(4)
+                    assert (await followers())["r0"]["frames_behind"] == 0
+                    await follower.wal_ack(2)  # never backwards
+                    assert (await followers())["r0"]["cursor"] == 4
+                await _eventually(
+                    lambda: _no_followers(primary), "the closed tail stayed"
+                )
+            await service.stop()
+            service.iupt.store.close()
+
+        asyncio.run(run())
+
+    def test_a_handshake_from_a_connection_that_closes_leaves_no_follower(
+        self, small_real_scenario, tmp_path
+    ):
+        """Closed after its answer, or before the worker attached it: either
+        way the follower leaves ``followers`` and its listener leaves the
+        store (the continuous engine's is the one that stays)."""
+        scenario = small_real_scenario
+        history, _live = _split_stream(scenario)
+
+        async def run():
+            service, host, port = await _start_primary(
+                scenario, tmp_path, preload=history
+            )
+            store = service.iupt.store
+            async with await ServiceClient.connect(host, port) as primary:
+                for read_the_answer in (True, False):
+                    reader, writer = await asyncio.open_connection(host, port)
+                    writer.write(protocol.encode_frame(
+                        {"id": 1, "op": "wal_tail", "cursor": 0, "follower": "ghost"}
+                    ))
+                    await writer.drain()
+                    if read_the_answer:
+                        await _eventually(
+                            lambda: store.listener_count == 2,
+                            "the tail never attached",
+                        )
+                        assert "ghost" in (await primary.replica_status())["followers"]
+                    writer.close()
+                    await _eventually(
+                        lambda: _no_followers(primary), "the ghost stayed"
+                    )
+                    await _eventually(
+                        lambda: store.listener_count == 1,
+                        "the ghost's listener stayed",
+                    )
+            await service.stop()
+            service.iupt.store.close()
+
+        asyncio.run(run())
+
+    def test_two_tails_under_one_name_leave_one_at_a_time(
+        self, small_real_scenario, tmp_path
+    ):
+        scenario = small_real_scenario
+        history, live = _split_stream(scenario)
+
+        async def run():
+            service, host, port = await _start_primary(
+                scenario, tmp_path, preload=history
+            )
+            async with await ServiceClient.connect(host, port) as primary:
+                first = await ServiceClient.connect(host, port)
+                second = await ServiceClient.connect(host, port)
+                for tail in (first, second):
+                    await tail.wal_tail(1, follower="r0")
+                assert list((await primary.replica_status())["followers"]) == ["r0"]
+                await first.close()
+                await _eventually(
+                    lambda: len(service._connections) == 2,
+                    "the first tail never left",
+                )
+                assert list((await primary.replica_status())["followers"]) == ["r0"]
+                seq = (await primary.ingest_batch(live))["seq"]
+                frame = await asyncio.wait_for(second.wal_frames.get(), 10.0)
+                assert (frame["push"], frame["seq"]) == ("wal", seq)
+                await second.close()
+                await _eventually(
+                    lambda: _no_followers(primary), "the second tail stayed"
+                )
+            await service.stop()
+            service.iupt.store.close()
+
+        asyncio.run(run())
+
+
+async def _no_followers(client) -> bool:
+    return (await client.replica_status())["followers"] == {}
 
 
 class TestFaultInjectedCatchUpThenTail:

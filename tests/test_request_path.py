@@ -41,8 +41,8 @@ def _split_stream(scenario):
 
 async def _serve(scenario, preload, durable_dir=None, **service_options):
     """A started service over ``preload``; durable (checkpointing after every
-    batch, so ``wal_cursor`` at 0 answers with a snapshot payload) when given
-    a directory."""
+    batch, so a ``wal_tail`` at cursor 0 is answered with a snapshot payload)
+    when given a directory."""
     if durable_dir is None:
         iupt = IUPT.sharded(shard_seconds=SHARD_SECONDS)
     else:
@@ -95,13 +95,24 @@ async def _until(condition, what, timeout=10.0):
         await asyncio.sleep(0.002)
 
 
+def _wal_seqs(frames):
+    """The ``seq`` of each WAL push, its ``RPK1`` payload decoded on the way."""
+    seqs = []
+    for frame in frames:
+        assert frame["push"] == "wal", frame
+        protocol.records_from_payload(frame[protocol.BIN_PAYLOAD])
+        seqs.append(frame["seq"])
+    return seqs
+
+
 class TestFramesStayWholeAndOrdered:
     def test_pipelined_requests_beside_pushes_parse_and_answer_once(
         self, small_real_scenario, tmp_path
     ):
-        """200 pipelined reads (a third with a binary payload) share one
-        connection with the pushes another client's ingests cause: every byte
-        parses as a frame, every id is answered once, push seqs are contiguous."""
+        """200 pipelined reads share one connection with the pushes another
+        client's ingests cause — standing-query updates and, the connection
+        also tailing the WAL, binary WAL frames: every byte parses as a frame,
+        every id is answered once, update and WAL seqs are contiguous."""
         scenario = small_real_scenario
         history, live = _split_stream(scenario)
         slocs = scenario.slocation_ids()
@@ -116,6 +127,12 @@ class TestFramesStayWholeAndOrdered:
             _send(writer, 0, "subscribe", kind="top_k", q=slocs, k=3,
                   start=HISTORY, end=DURATION)
             sub_id = (await _next_frame(reader))["result"]["subscription"]
+            _send(writer, "tail", "wal_tail", cursor=0, follower="raw")
+            tail = await _next_frame(reader)
+            assert tail["result"]["mode"] == "snapshot"
+            sections = protocol.decode_shard_sections(tail[protocol.BIN_PAYLOAD])
+            assert len(sections) == tail["result"]["shards"]
+            cursor = tail["result"]["cursor"]
 
             async def ingest_live():
                 async with await ServiceClient.connect(host, port) as loader:
@@ -125,31 +142,25 @@ class TestFramesStayWholeAndOrdered:
 
             loading = asyncio.ensure_future(ingest_live())
             for request_id in range(1, count + 1):
-                if request_id % 3 == 0:
-                    _send(writer, request_id, "wal_cursor", cursor=0)
-                elif request_id % 3 == 1:
+                if request_id % 2:
                     _send(writer, request_id, "top_k", q=slocs, k=3,
                           start=0.0, end=HISTORY + request_id % 7)
                 else:
                     _send(writer, request_id, "flows", q=slocs[:4],
                           start=0.0, end=DURATION)
-            answered, pushes = [], []
+            answered, pushes, wal = [], [], []
 
             async def read_until(done):
                 while not done():
                     frame = await _next_frame(reader)  # raises on a torn frame
                     assert frame is not None, "the server hung up"
-                    if protocol.is_push_frame(frame):
+                    if protocol.is_wal_push_frame(frame):
+                        wal.append(frame)
+                    elif protocol.is_push_frame(frame):
                         pushes.append(frame)
-                        continue
-                    assert frame["ok"], frame
-                    answered.append(frame["id"])
-                    if frame["id"] != "fence" and frame["id"] % 3 == 0:
-                        assert frame["result"]["mode"] == "snapshot"
-                        sections = protocol.decode_shard_sections(
-                            frame[protocol.BIN_PAYLOAD]
-                        )
-                        assert len(sections) == frame["result"]["shards"]
+                    else:
+                        assert frame["ok"], frame
+                        answered.append(frame["id"])
 
             await read_until(lambda: len(answered) == count)
             await loading
@@ -162,6 +173,9 @@ class TestFramesStayWholeAndOrdered:
             assert pushes and all(p["subscription"] == sub_id for p in pushes)
             assert [p["seq"] for p in pushes] == list(range(1, len(pushes) + 1))
             assert service.metrics.pushes_sent == len(pushes)
+            last = service.iupt.store.last_committed_seq
+            assert _wal_seqs(wal) == list(range(cursor + 1, last + 1)) != []
+            assert service.metrics.wal_pushes_sent == len(wal)
             writer.close()
             await service.stop()
 
@@ -170,43 +184,43 @@ class TestFramesStayWholeAndOrdered:
     def test_a_client_that_stops_reading_delays_nobody_and_loses_nothing(
         self, small_real_scenario, tmp_path
     ):
+        """A follower that stops reading backs up its own transport buffer
+        only: another client's ingests and reads proceed, and the stalled
+        tail then receives its handshake and every WAL push, in order."""
         scenario = small_real_scenario
         history, live = _split_stream(scenario)
         slocs = scenario.slocation_ids()
-        count = 60
 
         async def run():
-            # One worker: pooled requests of one connection finish in order.
-            service, host, port = await _serve(
-                scenario, history, tmp_path, query_workers=1,
-                admission=AdmissionConfig(max_inflight=count + 8),
-            )
+            service, host, port = await _serve(scenario, history, tmp_path)
             reader, writer = await _dial(host, port, limit=4096, rcvbuf=4096)
             await _until(lambda: service._connections, "never accepted")
             (stalled,) = service._connections
             stalled.writer.transport.get_extra_info("socket").setsockopt(
                 socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
             )
-            for request_id in range(1, count + 1):
-                _send(writer, request_id, "wal_cursor", cursor=0)
+            _send(writer, 1, "wal_tail", cursor=0, follower="stalled")
             await _until(
-                lambda: service.metrics.requests_by_op.get("wal_cursor") == count,
-                "the stalled client's requests were never all answered",
+                lambda: service.metrics.requests_by_op.get("wal_tail") == 1,
+                "the stalled client's handshake was never answered",
             )
-            # Its answers are written; what the peer will not take waits in its
-            # own transport buffer …
-            assert stalled.writer.transport.get_write_buffer_size() > 0
             # … and nobody else waits behind it.
             async with await ServiceClient.connect(host, port) as other:
                 async def traffic():
-                    for index in range(0, len(live), max(1, len(live) // 5)):
+                    for index in range(0, len(live), max(1, len(live) // 8)):
                         await other.ingest_batch(live[index:index + 1])
                         await other.top_k(slocs, 3, 0.0, DURATION)
                 await asyncio.wait_for(traffic(), timeout=10.0)
-            for request_id in range(1, count + 1):
-                frame = await _next_frame(reader)
-                assert frame["id"] == request_id and frame["ok"]
-                protocol.decode_shard_sections(frame[protocol.BIN_PAYLOAD])
+            # Its frames are written; what the peer will not take waits in its
+            # own transport buffer.
+            assert stalled.writer.transport.get_write_buffer_size() > 0
+            tail = await _next_frame(reader)
+            assert tail["id"] == 1 and tail["result"]["mode"] == "snapshot"
+            protocol.decode_shard_sections(tail[protocol.BIN_PAYLOAD])
+            last = service.iupt.store.last_committed_seq
+            cursor = tail["result"]["cursor"]
+            wal = [await _next_frame(reader) for _ in range(last - cursor)]
+            assert _wal_seqs(wal) == list(range(cursor + 1, last + 1)) != []
             writer.close()
             await service.stop()
 
@@ -363,7 +377,7 @@ class TestAdmissionCountsAreUnchanged:
 
         async def run():
             service, host, port = await _serve(
-                scenario, history, read_only=True, role="replica",
+                scenario, history, role="replica",
                 admission=AdmissionConfig(
                     max_inflight=3, rate_per_second=0.001, burst=4
                 ),

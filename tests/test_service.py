@@ -497,7 +497,7 @@ class TestServerIntegration:
                 # A field that will not cast is a bad_request naming the field.
                 for op, fields, name in (
                     ("flow", {"sloc": "lobby", "start": 0.0, "end": 10.0}, "sloc"),
-                    ("wal_cursor", {"cursor": "soon"}, "cursor"),
+                    ("wal_tail", {"cursor": "soon"}, "cursor"),
                 ):
                     with pytest.raises(ServiceError) as excinfo:
                         await client.request(op, **fields)
