@@ -72,7 +72,6 @@ from .space import (
     PLocationKind,
 )
 from .service import (
-    AdmissionConfig,
     QueryService,
     RemoteSubscription,
     ServiceClient,
@@ -188,11 +187,23 @@ from .system import IndoorFlowSystem
 # the commit-listener and follower methods are gone — a follower's lag lives on
 # its tailing connection. QueryService lost read_only= (role="replica" implies
 # it); four topology flags became module constants.
-__version__ = "10.0.0"
+# 11.0.0: the durable store is the sharded store plus a log.
+# DurableRecordStore subclasses ShardedRecordStore and writes the log from
+# three hooks of its mutations (_log_batch, _log_eviction, _evicted): inner
+# and the forwarding members are gone, so a durable ingest sorts and checks
+# the watermark once, and one listener table remains. The frames moved to
+# repro.storage.wal, the service's worker pool to repro.service.pool and the
+# WAL tail to repro.service.wal_tail. AdmissionConfig and the per-client
+# token bucket (its rate, depth, shed reason and counter) are gone:
+# QueryService(max_inflight=64) is the one admission bound and
+# AdmissionController.admit takes no client id. The subscription manifest is
+# written by the store's atomic-write rule under its fsync policy, and a
+# damaged one refuses QueryService.start() with a ValueError naming it. Bytes
+# on disk and on the wire are unchanged.
+__version__ = "11.0.0"
 
 __all__ = [
     "ALGORITHMS",
-    "AdmissionConfig",
     "BatchPlanner",
     "BatchReport",
     "BestFirstTkPLQ",

@@ -10,8 +10,8 @@ The table itself is a thin facade over a
 :class:`~repro.storage.sharded.ShardedRecordStore` — time-partitioned shards
 whose sorted timestamp column is their only index (shard-pruned,
 bisect-and-slice window queries, per-shard versioning, retention eviction) —
-behind ``IUPT()`` / :meth:`IUPT.sharded`, and wrapped in a write-ahead log and
-snapshots behind :meth:`IUPT.durable`.  The paper's own two time indexes (the
+behind ``IUPT()`` / :meth:`IUPT.sharded`, and the same store plus a write-ahead
+log and snapshots behind :meth:`IUPT.durable`.  The paper's own two time indexes (the
 1D R-tree and the B+-tree) live in :mod:`repro.indexes`; the §3.3 index
 ablation builds them directly over a table's records.
 

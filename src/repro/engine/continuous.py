@@ -63,7 +63,15 @@ from typing import (
 
 from ..core.query import TkPLQResult, TkPLQuery
 from ..data.iupt import IUPT
-from ..storage import EvictedRangeError, EvictionEvent, IngestEvent, IngestReceipt
+from ..storage import (
+    DurabilityConfig,
+    DurableRecordStore,
+    EvictedRangeError,
+    EvictionEvent,
+    IngestEvent,
+    IngestReceipt,
+)
+from ..storage.durable import atomic_write
 from .batch import score_query_over_entries
 from .stages import accumulate_flows_over_entries
 
@@ -191,6 +199,20 @@ class Subscription:
         }
 
 
+def _subscription_from_manifest(entry: Dict[str, object]) -> Subscription:
+    """One persisted manifest entry as an unregistered :class:`Subscription`
+    (``KeyError`` / ``TypeError`` / ``ValueError`` when it is malformed)."""
+    sub_id = int(entry["id"])
+    window = (float(entry["window"][0]), float(entry["window"][1]))
+    sloc_ids = tuple(int(sloc) for sloc in entry["slocs"])
+    if entry["kind"] != TOP_K:
+        return Subscription(sub_id, FLOWS, window, sloc_ids)
+    query = TkPLQuery.build(list(sloc_ids), int(entry["k"]), window[0], window[1])
+    return Subscription(
+        sub_id, TOP_K, query.interval, tuple(query.query_slocations), query=query
+    )
+
+
 class ContinuousQueryEngine:
     """Incrementally maintain standing queries over one streaming table.
 
@@ -234,6 +256,14 @@ class ContinuousQueryEngine:
         self._manifest_path = (
             pathlib.Path(manifest_path) if manifest_path is not None else None
         )
+        # The manifest is written by the store's own atomic-write rule, under
+        # its fsync policy: a subscribe acknowledged under "always" survives
+        # an OS crash like an ingest does.  A volatile table has no policy of
+        # its own and gets the default one.
+        store = iupt.store
+        self._manifest_fsync = (
+            store.config if isinstance(store, DurableRecordStore) else DurabilityConfig()
+        ).fsync
         self._token: Optional[int] = iupt.subscribe(self._on_event)
 
     # ------------------------------------------------------------------
@@ -365,9 +395,8 @@ class ContinuousQueryEngine:
             if subscription.query is not None:
                 entry["k"] = subscription.query.k
             entries.append(entry)
-        tmp = self._manifest_path.with_suffix(self._manifest_path.suffix + ".tmp")
-        tmp.write_text(json.dumps(entries, indent=2), encoding="utf-8")
-        os.replace(tmp, self._manifest_path)
+        data = json.dumps(entries, indent=2).encode("utf-8")
+        atomic_write(self._manifest_path, data, self._manifest_fsync)
 
     def restore_subscriptions(self) -> List[Subscription]:
         """Re-register the standing queries persisted in the manifest.
@@ -380,32 +409,29 @@ class ContinuousQueryEngine:
         state (reading its result raises
         :class:`~repro.storage.base.EvictedRangeError`) rather than dropped
         silently.  Entries already registered are skipped; returns the
-        restored subscriptions.
+        restored subscriptions.  A manifest that does not parse — truncated,
+        not a list, an entry missing a field — raises a ``ValueError`` naming
+        the file before anything is registered, the rule snapshots and log
+        frames follow.
         """
-        if self._manifest_path is None or not self._manifest_path.exists():
+        path = self._manifest_path
+        if path is None or not path.exists():
             return []
-        entries = json.loads(self._manifest_path.read_text(encoding="utf-8"))
+        try:
+            entries = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(entries, list):
+                raise TypeError(f"a list of entries, not {type(entries).__name__}")
+            parsed = [_subscription_from_manifest(entry) for entry in entries]
+        except (ValueError, KeyError, TypeError, IndexError) as error:
+            raise ValueError(
+                f"{path}: damaged subscription manifest: {error!r}"
+            ) from error
         restored: List[Subscription] = []
         with self._lock:
-            for entry in entries:
-                sub_id = int(entry["id"])
+            for subscription in parsed:
+                sub_id = subscription.sub_id
                 if sub_id in self._subscriptions:
                     continue
-                window = (float(entry["window"][0]), float(entry["window"][1]))
-                sloc_ids = tuple(int(sloc) for sloc in entry["slocs"])
-                if entry["kind"] == TOP_K:
-                    query = TkPLQuery.build(
-                        list(sloc_ids), int(entry["k"]), window[0], window[1]
-                    )
-                    subscription = Subscription(
-                        sub_id,
-                        TOP_K,
-                        query.interval,
-                        tuple(query.query_slocations),
-                        query=query,
-                    )
-                else:
-                    subscription = Subscription(sub_id, FLOWS, window, sloc_ids)
                 try:
                     self._compute(subscription)
                 except EvictedRangeError as error:

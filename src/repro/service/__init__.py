@@ -14,13 +14,15 @@ the network-facing layer a production deployment needs:
   ``FrameServer`` (the accept loop the server and the router both subclass);
 * :mod:`~repro.service.server` — :class:`QueryService`, the asyncio server
   multiplexing many client connections onto one shared
-  :class:`~repro.engine.runtime.QueryEngine`, running CPU-bound work on
-  worker threads off the event loop and pushing continuous-query refreshes to
-  subscribed connections — and, over a durable table, every commit to the
-  connections tailing its write-ahead log (a follower's name and lag live on
-  its connection);
-* :mod:`~repro.service.admission` — :class:`AdmissionController`, bounded
-  in-flight work, per-client token-bucket rate limits, graceful drain;
+  :class:`~repro.engine.runtime.QueryEngine` and pushing continuous-query
+  refreshes to subscribed connections;
+* :mod:`~repro.service.pool` — the service's ``WorkerPool``: threads
+  draining one work queue, running CPU-bound work off the event loop;
+* :mod:`~repro.service.wal_tail` — ``WalTail``: over a durable table, every
+  commit pushed to the connections tailing its write-ahead log (a follower's
+  name and lag live on its connection);
+* :mod:`~repro.service.admission` — :class:`AdmissionController`, one
+  in-flight bound (``max_inflight``) and graceful drain;
 * :mod:`~repro.service.metrics` — :class:`ServiceMetrics`, per-op latency
   histograms and counters behind the ``stats`` operation;
 * :mod:`~repro.service.client` — the asyncio :class:`ServiceClient` /
@@ -41,12 +43,10 @@ Everything is standard-library only (``asyncio``, ``json``, ``threading``).
 """
 
 from .admission import (
-    AdmissionConfig,
     AdmissionController,
     AdmissionStats,
     REASON_CAPACITY,
     REASON_DRAINING,
-    REASON_RATE,
 )
 from .client import (
     ReconnectPolicy,
@@ -78,7 +78,6 @@ from .router import PartitionRouter
 from .server import QueryService
 
 __all__ = [
-    "AdmissionConfig",
     "AdmissionController",
     "AdmissionStats",
     "ERROR_KINDS",
@@ -92,7 +91,6 @@ __all__ = [
     "READ_ONLY_OPS",
     "REASON_CAPACITY",
     "REASON_DRAINING",
-    "REASON_RATE",
     "ReadReplica",
     "ReconnectPolicy",
     "RemoteSubscription",

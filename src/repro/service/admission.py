@@ -1,5 +1,4 @@
-"""Admission control for the query service: bounded concurrency, rate limits,
-graceful drain.
+"""Admission control for the query service: bounded concurrency, graceful drain.
 
 A network-facing query engine dies by accepting work faster than it can
 answer it — the event loop keeps reading frames while the worker pool's
@@ -9,58 +8,25 @@ before any engine work is scheduled, and is shed with a structured
 ``overloaded`` error when
 
 * the **in-flight bound** is reached (``max_inflight`` requests already
-  executing or queued on the worker pool),
-* the requesting client exceeds its **token-bucket rate limit**
-  (``rate_per_second`` sustained, ``burst`` instantaneous), or
+  executing or queued on the worker pool), or
 * the service is **draining**: shutdown has begun, new work is refused, and
   the already-admitted requests run to completion.
 
 The controller is deliberately sans-I/O and single-threaded: the server only
-calls it from the event-loop thread, so plain counters suffice — no locks,
-and a fake clock injects deterministic time in tests.
+calls it from the event-loop thread, so plain counters suffice — no locks.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 #: ``admit`` verdict: ``None`` means admitted (the caller owes a ``release``),
 #: otherwise ``(reason, message)`` describing why the request was shed.
 Rejection = Tuple[str, str]
 
 REASON_CAPACITY = "capacity"
-REASON_RATE = "rate"
 REASON_DRAINING = "draining"
-
-
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Load-shedding knobs of one :class:`~repro.service.server.QueryService`.
-
-    ``max_inflight``
-        Requests allowed to execute concurrently (queued on the worker pool
-        included).  The default is deliberately small: the pool runs
-        CPU-bound query work, so a deep backlog only adds latency.
-    ``rate_per_second``
-        Sustained per-client request rate; ``None`` disables rate limiting.
-    ``burst``
-        Token-bucket depth: how many requests a client may issue
-        instantaneously before the sustained rate applies.
-    """
-
-    max_inflight: int = 64
-    rate_per_second: Optional[float] = None
-    burst: int = 8
-
-    def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
-        if self.rate_per_second is not None and self.rate_per_second <= 0:
-            raise ValueError("rate_per_second must be positive (or None)")
-        if self.burst < 1:
-            raise ValueError("burst must be at least 1")
 
 
 @dataclass
@@ -69,60 +35,39 @@ class AdmissionStats:
 
     admitted: int = 0
     shed_capacity: int = 0
-    shed_rate: int = 0
     shed_draining: int = 0
     peak_inflight: int = 0
 
     @property
     def shed_total(self) -> int:
-        return self.shed_capacity + self.shed_rate + self.shed_draining
+        return self.shed_capacity + self.shed_draining
 
     def as_dict(self) -> Dict[str, int]:
         return {
             "admitted": self.admitted,
             "shed_capacity": self.shed_capacity,
-            "shed_rate": self.shed_rate,
             "shed_draining": self.shed_draining,
             "shed_total": self.shed_total,
             "peak_inflight": self.peak_inflight,
         }
 
 
-class _TokenBucket:
-    """Classic token bucket: ``burst`` capacity refilled at ``rate``/second."""
-
-    __slots__ = ("rate", "capacity", "tokens", "updated")
-
-    def __init__(self, rate: float, capacity: int, now: float):
-        self.rate = rate
-        self.capacity = float(capacity)
-        self.tokens = float(capacity)
-        self.updated = now
-
-    def try_take(self, now: float) -> bool:
-        elapsed = max(0.0, now - self.updated)
-        self.tokens = min(self.capacity, self.tokens + elapsed * self.rate)
-        self.updated = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
-
-
 class AdmissionController:
-    """The server's single admission gate (event-loop-thread only)."""
+    """The server's single admission gate (event-loop-thread only).
 
-    def __init__(
-        self,
-        config: Optional[AdmissionConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.config = config or AdmissionConfig()
+    ``max_inflight`` is the one bound: requests allowed to execute
+    concurrently, queued on the worker pool included.  The default is
+    deliberately small — the pool runs CPU-bound query work, so a deep
+    backlog only adds latency.
+    """
+
+    def __init__(self, max_inflight: int = 64):
+        if max_inflight < 1:
+            raise ValueError("max_inflight must be at least 1")
+        self.max_inflight = max_inflight
         self.stats = AdmissionStats()
-        self._clock = clock
         self._inflight = 0
         self._draining = False
-        self._buckets: Dict[object, _TokenBucket] = {}
 
     # ------------------------------------------------------------------
     # The gate
@@ -135,7 +80,7 @@ class AdmissionController:
     def draining(self) -> bool:
         return self._draining
 
-    def admit(self, client_id: object) -> Optional[Rejection]:
+    def admit(self) -> Optional[Rejection]:
         """Admit one request, or return the structured shed reason.
 
         An admitted request holds one in-flight slot until :meth:`release`.
@@ -146,28 +91,13 @@ class AdmissionController:
                 REASON_DRAINING,
                 "service is draining: shutdown in progress, no new requests",
             )
-        if self._inflight >= self.config.max_inflight:
+        if self._inflight >= self.max_inflight:
             self.stats.shed_capacity += 1
             return (
                 REASON_CAPACITY,
                 f"too many requests in flight "
-                f"({self._inflight}/{self.config.max_inflight}); retry later",
+                f"({self._inflight}/{self.max_inflight}); retry later",
             )
-        if self.config.rate_per_second is not None:
-            bucket = self._buckets.get(client_id)
-            now = self._clock()
-            if bucket is None:
-                bucket = _TokenBucket(
-                    self.config.rate_per_second, self.config.burst, now
-                )
-                self._buckets[client_id] = bucket
-            if not bucket.try_take(now):
-                self.stats.shed_rate += 1
-                return (
-                    REASON_RATE,
-                    f"client exceeded {self.config.rate_per_second:g} "
-                    f"requests/second (burst {self.config.burst}); slow down",
-                )
         self._inflight += 1
         self.stats.admitted += 1
         self.stats.peak_inflight = max(self.stats.peak_inflight, self._inflight)
@@ -186,15 +116,9 @@ class AdmissionController:
         """Refuse new requests; in-flight ones keep their slots until done."""
         self._draining = True
 
-    def forget_client(self, client_id: object) -> None:
-        """Drop a disconnected client's rate-limit state."""
-        self._buckets.pop(client_id, None)
-
     def as_dict(self) -> Dict[str, object]:
         return {
-            "max_inflight": self.config.max_inflight,
-            "rate_per_second": self.config.rate_per_second,
-            "burst": self.config.burst,
+            "max_inflight": self.max_inflight,
             "inflight": self._inflight,
             "draining": self._draining,
             **self.stats.as_dict(),

@@ -123,7 +123,7 @@ ERROR_KINDS = (
     "bad_request",    # well-formed frame, invalid contents
     "unknown_op",     # unrecognised "op"
     "evicted_range",  # the window reaches into retention-evicted history
-    "overloaded",     # shed by admission control (queue full / rate / drain)
+    "overloaded",     # shed by admission control (capacity / drain)
     "unavailable",    # a router's backend is unreachable
     "internal",       # unexpected server-side failure
 )

@@ -12,17 +12,19 @@ clients over the newline-delimited JSON protocol of
   :meth:`QueryService._finish`, returns the slot, builds the response (errors
   through the one mapping, :func:`_error_response`) and writes it straight
   to the connection's transport;
-* the **pool** is ``query_workers`` threads draining one work queue: every
-  CPU-bound or lock-taking call runs there, so a heavy query never stalls
-  other connections' framing or pushes.  The seven handler ops cross each
+* the **pool** (:class:`~repro.service.pool.WorkerPool`) is
+  ``query_workers`` threads draining one work queue: every CPU-bound or
+  lock-taking call runs there, so a heavy query never stalls other
+  connections' framing or pushes.  The seven handler ops cross each
   boundary once — queued in the read loop, run on a worker, answered by the
   worker's single ``call_soon_threadsafe`` — with no task and no future; the
   ops that touch connection state on the loop (subscriptions, ``wal_tail``,
   ``wal_ack``, ``stats``, ``replica_status``) await the same queue through
-  :meth:`QueryService._run_blocking`.  Thread-safety across the workers comes
-  from the layers below: the presence store has its own lock, and every
-  store mutation plus the standing-query refreshes it triggers runs under
-  the store's re-entrant lock (one ingest = one atomic step);
+  :meth:`~repro.service.pool.WorkerPool.run_blocking`.  Thread-safety
+  across the workers comes from the layers below: the presence store has
+  its own lock, and every store mutation plus the standing-query refreshes
+  it triggers runs under the store's re-entrant lock (one ingest = one
+  atomic step);
 * **standing subscriptions push**: ``subscribe`` registers a standing query
   with the shared :class:`~repro.engine.continuous.ContinuousQueryEngine`
   whose ``on_update`` hook fires on the ingesting worker thread — the
@@ -31,10 +33,10 @@ clients over the newline-delimited JSON protocol of
   subscribing connection, so one client's ``ingest_batch`` becomes push
   traffic to every other subscribed client with no polling anywhere;
 * **followers tail the write-ahead log**: ``wal_tail`` is the whole
-  handshake (:meth:`QueryService._do_wal_tail`), and a follower's name and
-  acknowledged cursor live on its connection, nowhere else;
+  handshake (:class:`~repro.service.wal_tail.WalTail`), and a follower's name
+  and acknowledged cursor live on its connection, nowhere else;
 * the :class:`~repro.service.admission.AdmissionController` gates every
-  request (bounded in-flight work, per-client rate limits) and supports
+  request (``max_inflight``, the one bound) and supports
   **graceful drain**: :meth:`QueryService.stop` refuses new requests,
   finishes and flushes the admitted ones, then tears connections down;
 * errors are **structured**: malformed frames, invalid requests, windows
@@ -46,21 +48,21 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import queue
-import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..codec import codec_info
 from ..data.iupt import IUPT
 from ..engine.continuous import Subscription, TOP_K
 from ..engine.runtime import QueryEngine
-from ..storage import EvictedRangeError, EvictionEvent, IngestEvent
+from ..storage import EvictedRangeError
 from ..storage.durable import DurableRecordStore
-from .admission import AdmissionConfig, AdmissionController
+from .admission import AdmissionController
 from .metrics import ServiceMetrics
+from .pool import WorkerPool
 from . import protocol
 from .protocol import ProtocolError
 from .stream import Connection, FrameServer
+from .wal_tail import WalTail
 
 
 class _Connection(Connection):
@@ -116,18 +118,6 @@ def _error_response(request_id: object, error: BaseException) -> Tuple[str, dict
     return kind, protocol.error_frame(request_id, kind, message)
 
 
-def _resolve(
-    future: asyncio.Future, result: object, error: Optional[BaseException]
-) -> None:
-    """The completion ``_run_blocking`` submits: hand the outcome to its awaiter."""
-    if future.cancelled():
-        return
-    if error is None:
-        future.set_result(result)
-    else:
-        future.set_exception(error)
-
-
 class QueryService(FrameServer):
     """Serve one engine + table to many clients over asyncio streams.
 
@@ -143,9 +133,9 @@ class QueryService(FrameServer):
     host, port:
         Listen address; ``port=0`` (the default) picks a free port —
         read the bound address from :attr:`address` after :meth:`start`.
-    admission:
-        Load-shedding knobs; defaults to
-        :class:`~repro.service.admission.AdmissionConfig`'s defaults.
+    max_inflight:
+        Requests admitted at once (queued on the pool included); beyond it
+        a request is shed with ``overloaded`` / ``capacity``.
     query_workers:
         Worker threads executing CPU-bound request work off the event loop.
     role:
@@ -158,12 +148,11 @@ class QueryService(FrameServer):
         iupt: IUPT,
         host: str = "127.0.0.1",
         port: int = 0,
-        admission: Optional[AdmissionConfig] = None,
+        max_inflight: int = 64,
         query_workers: int = 4,
         role: str = "primary",
     ):
-        if query_workers < 1:
-            raise ValueError("query_workers must be at least 1")
+        self._pool = WorkerPool(query_workers)
         super().__init__(host, port)
         self.engine = engine
         self.iupt = iupt
@@ -181,12 +170,11 @@ class QueryService(FrameServer):
         #: stale-read bound) can observe the applied sequence.
         self.replication_extra: Optional[Callable[[], dict]] = None
         self.metrics = ServiceMetrics()
-        self.admission = AdmissionController(admission)
-        self._query_workers = query_workers
+        self.admission = AdmissionController(max_inflight)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        #: The pool: ``_drain_work`` threads and the queue they share.
-        self._work: "queue.SimpleQueue[Optional[tuple]]" = queue.SimpleQueue()
-        self._workers: List[threading.Thread] = []
+        self._wal = WalTail(
+            self._durable, iupt.store.kind, self._pool, self._connections, self.metrics
+        )
         #: Set by ``stop`` while it waits for the last admitted request.
         self._idle: Optional[asyncio.Future] = None
         #: The ops answered straight from a worker (handler(frame) -> result) …
@@ -205,8 +193,8 @@ class QueryService(FrameServer):
         self._loop_ops: Dict[str, Callable] = {
             "subscribe": self._subscribe,
             "unsubscribe": self._unsubscribe,
-            "wal_tail": self._wal_tail,
-            "wal_ack": self._wal_ack,
+            "wal_tail": self._wal.wal_tail,
+            "wal_ack": self._wal.wal_ack,
             "stats": self._stats,
             "replica_status": self._replica_status,
         }
@@ -229,11 +217,7 @@ class QueryService(FrameServer):
         if self._server is not None:
             raise RuntimeError("service already started")
         self._loop = asyncio.get_running_loop()
-        for index in range(self._query_workers):
-            name = f"repro-query_{index}"
-            worker = threading.Thread(target=self._drain_work, name=name, daemon=True)
-            worker.start()
-            self._workers.append(worker)
+        self._pool.start(self._loop)
         manifest_path = (
             self._durable.subscription_manifest_path
             if self._durable is not None
@@ -243,8 +227,15 @@ class QueryService(FrameServer):
             self.iupt, manifest_path=manifest_path
         )
         if manifest_path is not None:
-            # Registration recomputes each standing result (store lock).
-            await self._run_blocking(self.continuous.restore_subscriptions)
+            try:
+                # Registration recomputes each standing result (store lock).
+                await self._pool.run_blocking(self.continuous.restore_subscriptions)
+            except BaseException:
+                # A manifest that cannot be read refuses the start: nothing
+                # listens, and nothing is left running.
+                self.continuous.close()
+                self._pool.stop()
+                raise
         return await self._listen()
 
     async def serve_forever(self) -> None:
@@ -295,11 +286,8 @@ class QueryService(FrameServer):
         # an acknowledgement for survives the shutdown regardless of the
         # configured fsync policy.
         if self._durable is not None:
-            await self._run_blocking(self._durable.flush)
-        for _ in self._workers:
-            self._work.put(None)
-        for worker in self._workers:
-            worker.join()
+            await self._pool.run_blocking(self._durable.flush)
+        self._pool.stop()
 
     async def __aenter__(self) -> "QueryService":
         await self.start()
@@ -324,8 +312,7 @@ class QueryService(FrameServer):
 
         A client that disconnects mid-subscription must not leave standing
         queries behind: every subscription it registered is unregistered
-        from the continuous engine (stopping its maintenance work), and its
-        rate-limit state is dropped.
+        from the continuous engine (stopping its maintenance work).
 
         During a **drain** the rule flips: connections are being closed by
         the server, not abandoned by their clients, so subscriptions are
@@ -337,7 +324,7 @@ class QueryService(FrameServer):
             # A departed follower stops consuming commits immediately.  (This
             # runs on drain too: WAL tails are live streams, not resumable
             # subscriptions; a reconnecting follower redoes the handshake.)
-            await self._run_blocking(self._release_wal_tail, connection)
+            await self._pool.run_blocking(self._wal.release_wal_tail, connection)
         if self._stopped or self.admission.draining:
             # A drain may also be started without stop() (an operator
             # quiescing the service ahead of a restart): the flipped rule
@@ -351,8 +338,7 @@ class QueryService(FrameServer):
             for subscription in orphaned:
                 # Unregistration takes the store lock — off the loop, like
                 # every other lock-taking call.
-                await self._run_blocking(self.continuous.unregister, subscription)
-        self.admission.forget_client(connection.conn_id)
+                await self._pool.run_blocking(self.continuous.unregister, subscription)
         self.metrics.note_connection_closed()
 
     def _detach_subscriptions(self, connection: _Connection) -> None:
@@ -378,9 +364,9 @@ class QueryService(FrameServer):
         try:
             op = ticket.op = protocol.request_op(frame)
             # Read-only introspection ops bypass admission entirely: they must
-            # stay answerable while the service is rate-limiting or draining —
+            # stay answerable while the service is shedding or draining —
             # they are how operators observe the drain.  tests/test_service.py
-            # pins this for both drain and rate-limit shedding.
+            # pins this for both capacity and drain shedding.
             if op not in protocol.READ_ONLY_OPS:
                 if self.read_only and op in protocol.MUTATING_OPS:
                     raise ProtocolError(
@@ -388,7 +374,7 @@ class QueryService(FrameServer):
                         f"this service is a read-only {self.role}; {op!r} must go "
                         f"to the primary (the replication tail owns this table)",
                     )
-                rejection = self.admission.admit(connection.conn_id)
+                rejection = self.admission.admit()
                 if rejection is not None:
                     reason, message = rejection
                     shed = protocol.error_frame(
@@ -403,7 +389,7 @@ class QueryService(FrameServer):
             return
         handler = self._pooled_ops.get(op)
         if handler is not None:
-            self._work.put((handler, (frame,), self._finish, ticket))
+            self._pool.submit(handler, (frame,), self._finish, ticket)
         elif op == "ping":
             self._finish(ticket, self._pong(), None)
         else:
@@ -448,35 +434,6 @@ class QueryService(FrameServer):
         )
 
     # ------------------------------------------------------------------
-    # The pool
-    # ------------------------------------------------------------------
-    async def _run_blocking(self, fn, *args):
-        """Await one CPU-bound or lock-taking call run on the pool."""
-        future = self._loop.create_future()
-        self._work.put((fn, args, _resolve, future))
-        return await future
-
-    def _drain_work(self) -> None:
-        """A worker thread: take ``(fn, args, done, token)`` items off the one
-        queue until the ``None`` sentinel, ending each with a single
-        ``call_soon_threadsafe(done, token, result, error)``."""
-        while True:
-            item = self._work.get()
-            if item is None:
-                return
-            fn, args, done, token = item
-            result = error = None
-            try:
-                result = fn(*args)
-            except BaseException as raised:  # noqa: BLE001 - delivered to done
-                error = raised
-            try:
-                self._loop.call_soon_threadsafe(done, token, result, error)
-            except RuntimeError:
-                pass  # the loop closed under us: nobody is left to answer
-            del item, fn, args, done, token, result, error
-
-    # ------------------------------------------------------------------
     # Coroutine ops (event loop, between their pool calls)
     # ------------------------------------------------------------------
     async def _unsubscribe(self, connection: _Connection, frame: dict) -> dict:
@@ -488,14 +445,14 @@ class QueryService(FrameServer):
         connection.unsubscribed.add(sub_id)
         subscription = connection.subscriptions.pop(sub_id, None)
         removed = (
-            await self._run_blocking(self.continuous.unregister, subscription)
+            await self._pool.run_blocking(self.continuous.unregister, subscription)
             if subscription is not None
             else False
         )
         return {"unsubscribed": removed}
 
     async def _subscribe(self, connection: _Connection, frame: dict) -> dict:
-        subscription, result = await self._run_blocking(
+        subscription, result = await self._pool.run_blocking(
             self._register_subscription, connection, frame
         )
         # Back on the loop: only now may the subscription be tied to the
@@ -509,31 +466,10 @@ class QueryService(FrameServer):
                 subscription.on_update = None
                 subscription.on_evicted = None
             else:
-                await self._run_blocking(self.continuous.unregister, subscription)
+                await self._pool.run_blocking(self.continuous.unregister, subscription)
             raise ProtocolError("bad_request", "connection closed during subscribe")
         connection.subscriptions[subscription.sub_id] = subscription
         return result
-
-    async def _wal_tail(self, connection: _Connection, frame: dict):
-        result, payload = await self._run_blocking(
-            self._do_wal_tail, connection, frame
-        )
-        # Back on the loop, as for subscribe: a follower that vanished while
-        # the worker attached it must not leave a listener behind.
-        if connection not in self._connections:
-            await self._run_blocking(self._release_wal_tail, connection)
-            raise ProtocolError("bad_request", "connection closed during wal_tail")
-        connection.follower = result["follower"]
-        connection.acked = result["cursor"]
-        return result if payload is None else (result, payload)
-
-    async def _wal_ack(self, connection: _Connection, frame: dict) -> dict:
-        """Advance this follower's acknowledged cursor (never backwards)."""
-        cursor = protocol.field(frame, "cursor", int)
-        if connection.follower is None:
-            raise ProtocolError("bad_request", "this connection is not tailing the WAL")
-        connection.acked = max(connection.acked, cursor)
-        return {"acked": cursor}
 
     def _pong(self) -> dict:
         return {
@@ -551,7 +487,7 @@ class QueryService(FrameServer):
         # through a long ingest+refresh), so that part runs off the loop; the
         # metrics/admission counters are loop-owned and are snapshotted here,
         # on their owning thread.
-        continuous_summary = await self._run_blocking(self.continuous.describe)
+        continuous_summary = await self._pool.run_blocking(self.continuous.describe)
         replication = await self._replication()
         snapshot = self.metrics.snapshot(
             cache_stats=self.engine.cache_stats(),
@@ -566,18 +502,9 @@ class QueryService(FrameServer):
         """:meth:`replication_status` plus, on a durable primary, the lag of
         each live tailing connection, read on the loop that owns them (two
         tails under one name report the one further behind)."""
-        status = await self._run_blocking(self.replication_status)
+        status = await self._pool.run_blocking(self.replication_status)
         if self._durable is not None:
-            acked: Dict[str, int] = {}
-            for connection in self._connections:
-                if connection.follower is not None:
-                    held = acked.get(connection.follower, connection.acked)
-                    acked[connection.follower] = min(held, connection.acked)
-            last = status["last_seq"]
-            status["followers"] = {
-                name: {"cursor": cursor, "frames_behind": max(0, last - cursor)}
-                for name, cursor in sorted(acked.items())
-            }
+            status["followers"] = self._wal.followers(status["last_seq"])
         return status
 
     def replication_status(self) -> dict:
@@ -658,91 +585,7 @@ class QueryService(FrameServer):
 
     def _do_checkpoint(self, _frame: dict) -> dict:
         """Snapshot the durable store so recovery skips WAL replay."""
-        return self._durable_store().checkpoint()
-
-    # ------------------------------------------------------------------
-    # WAL shipping (worker-pool threads)
-    # ------------------------------------------------------------------
-    def _durable_store(self) -> DurableRecordStore:
-        if self._durable is None:
-            raise ProtocolError(
-                "bad_request",
-                f"the {self.iupt.store.kind!r} store is not durable: checkpoints "
-                f"and WAL shipping need a write-ahead-logged table (IUPT.durable)",
-            )
-        return self._durable
-
-    def _do_wal_tail(self, connection: _Connection, frame: dict):
-        """The replication handshake — catch up, then tail — in one hold of
-        the store lock: replay the committed batches past the follower's
-        ``cursor`` as push frames, or, when the WAL no longer holds them, put
-        every shard packed (versions included) on the response and move the
-        cursor to the last commit; then subscribe the connection (replacing
-        a tail it already had).  No commit falls in between and
-        ``call_soon_threadsafe`` keeps order, so the follower sees one
-        gapless sequence.  Returns ``(result, payload or None)``."""
-        cursor = protocol.field(frame, "cursor", int, 0)
-        store = self._durable_store()
-        follower = str(frame.get("follower") or f"follower-{connection.conn_id}")
-        with store.lock:
-            watermark = store.eviction_watermark
-            result: Dict[str, object] = {
-                "follower": follower,
-                "last_seq": store.last_committed_seq,
-                "uid": store.uid,
-                "shard_seconds": store.shard_seconds,
-                "watermark": watermark if watermark > float("-inf") else None,
-            }
-            if store.can_replay_from(cursor):
-                batches = store.committed_batches_after(cursor)
-                for seq, records in batches:
-                    push = protocol.push_wal_frame(
-                        seq, protocol.records_to_payload(records)
-                    )
-                    self._loop.call_soon_threadsafe(
-                        self._deliver_wal_push, connection, push
-                    )
-                payload = None
-                result.update(mode="replay", caught_up=len(batches))
-            else:
-                sections = [
-                    (key, version, packed.encode())
-                    for key, version, packed in store.inner.packed_shard_states()
-                ]
-                payload = protocol.encode_shard_sections(sections)
-                cursor = store.last_committed_seq
-                result.update(mode="snapshot", shards=len(sections))
-            result["cursor"] = cursor
-            self._release_wal_tail(connection)  # a re-handshake replaces its tail
-            connection.wal_token = store.subscribe(
-                lambda event: self._push_wal_event(connection, event)
-            )
-        return result, payload
-
-    def _push_wal_event(self, connection: _Connection, event: object) -> None:
-        """Store-listener hook: runs on the mutating thread, under the store
-        lock, in commit order — bridge each event onto the loop."""
-        if isinstance(event, IngestEvent):
-            frame = protocol.push_wal_frame(event.seq, event.payload())
-        elif isinstance(event, EvictionEvent):
-            frame = protocol.push_wal_evict_frame(event.watermark)
-        else:  # pragma: no cover - future event kinds are skipped, not fatal
-            return
-        self._loop.call_soon_threadsafe(self._deliver_wal_push, connection, frame)
-
-    def _deliver_wal_push(self, connection: _Connection, frame: dict) -> None:
-        if connection not in self._connections or connection.closing:
-            return
-        connection.send_frame(frame)
-        self.metrics.note_wal_push()
-
-    def _release_wal_tail(self, connection: _Connection) -> None:
-        """Detach a departed follower (worker thread; takes the store lock)."""
-        store = self._durable_store()
-        with store.lock:
-            if connection.wal_token is not None:
-                store.unsubscribe(connection.wal_token)
-                connection.wal_token = None
+        return self._wal.durable_store().checkpoint()
 
     def _register_subscription(self, connection: _Connection, frame: dict):
         """Worker-pool half of ``subscribe``: register + first compute.

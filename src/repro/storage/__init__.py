@@ -3,8 +3,9 @@
 See :mod:`repro.storage.base` for the store contract,
 :mod:`repro.storage.sharded` for the one in-memory store — time-partitioned,
 with shard-pruned, timestamp-column-bisected window queries, per-shard
-versioning, and retention eviction — and :mod:`repro.storage.durable` for the
-write-ahead-logged, snapshot-recovered durable wrapper around it.
+versioning, and retention eviction — :mod:`repro.storage.durable` for its
+write-ahead-logged, snapshot-recovered subclass, and
+:mod:`repro.storage.wal` for the frames that subclass writes to disk.
 """
 
 from .base import (
@@ -17,14 +18,9 @@ from .base import (
     VersionToken,
     summarise_object_spans,
 )
-from .durable import (
-    DurabilityConfig,
-    DurableRecordStore,
-    SimulatedCrashError,
-    decode_wal_frames,
-    encode_wal_frame,
-)
+from .durable import DurabilityConfig, DurableRecordStore, SimulatedCrashError
 from .sharded import DEFAULT_SHARD_SECONDS, ShardedRecordStore
+from .wal import decode_wal_frames, encode_wal_frame
 
 __all__ = [
     "DEFAULT_SHARD_SECONDS",
@@ -43,4 +39,3 @@ __all__ = [
     "encode_wal_frame",
     "summarise_object_spans",
 ]
-

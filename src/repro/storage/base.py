@@ -5,15 +5,16 @@ production deployment instead receives positioning reports continuously and
 serves window queries concurrently.  This module defines the contract between
 the :class:`~repro.data.iupt.IUPT` facade (and through it the execution
 engine) and the store that actually holds the records.  There is one
-container and one wrapper around it:
+container and one subclass of it:
 
 * :class:`~repro.storage.sharded.ShardedRecordStore` — time-partitioned
   shards, each indexed by its sorted timestamp column and carrying its own
   version, so window queries prune to overlapping shards, batch ingestion
   appends per touched shard, and retention can drop old shards;
 * :class:`~repro.storage.durable.DurableRecordStore` — the same store
-  behind a write-ahead log and per-shard snapshots, so a process restart
-  recovers the exact pre-crash state (see :mod:`repro.storage.durable`).
+  writing a write-ahead log before each mutation and per-shard snapshots,
+  so a process restart recovers the exact pre-crash state (see
+  :mod:`repro.storage.durable`).
 
 The key protocol addition over the historical ``IUPT`` internals is
 **window-scoped versioning**: :meth:`RecordStore.version_token` describes the
@@ -29,7 +30,7 @@ The continuous-query subsystem (:mod:`repro.engine.continuous`) maintains
 standing query results through exactly this hook, using the
 :attr:`IngestReceipt.object_spans` of each event to decide which objects'
 presences a batch actually changed; the replication tail of
-:mod:`repro.service.server` subscribes the same way.
+:mod:`repro.service.wal_tail` subscribes the same way.
 """
 
 from __future__ import annotations

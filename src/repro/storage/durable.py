@@ -1,17 +1,18 @@
-"""Durable storage: a write-ahead log and snapshots around the sharded store.
+"""Durable storage: the sharded store plus a write-ahead log and snapshots.
 
 Every layer above the storage backend — the execution engine, continuous
 queries, the network service — assumed the table lives forever; in reality a
 process restart silently lost every ingested record.  This module adds the
 classic persistence design for a time-partitioned store, where the partition
-structure maps one-to-one onto log segments and snapshot files:
+structure maps one-to-one onto log segments and snapshot files.
+:class:`DurableRecordStore` *is* a
+:class:`~repro.storage.sharded.ShardedRecordStore` — the same shards, lock,
+listeners and watermark — that writes the log before it applies a mutation:
 
-* **write-ahead log** — :meth:`DurableRecordStore.ingest_batch` first appends
-  the batch to the log, then applies it to the wrapped in-memory
-  :class:`~repro.storage.sharded.ShardedRecordStore`.  The log is split into
-  **one segment file per time shard** (``wal/segment-<key>.wal``): the batch
-  is sliced exactly the way the sharded store slices it, and each slice
-  becomes one length-prefixed, CRC-checked frame in its shard's segment.  A
+* **write-ahead log** — an ingest is sorted, checked against the watermark
+  and sliced per shard once, by the sharded store; :meth:`DurableRecordStore._log_batch`
+  then appends each slice as one length-prefixed, CRC-checked frame to its
+  shard's segment (``wal/segment-<key>.wal``) before the shards absorb it.  A
   batch spanning several shards is made atomic by a **commit record** in the
   control log (``control.wal``): recovery replays only frames whose batch
   sequence number was committed, so a crash mid-batch rolls the whole batch
@@ -23,15 +24,16 @@ structure maps one-to-one onto log segments and snapshot files:
   (fastest; survives clean exits);
 * **snapshots** — :meth:`DurableRecordStore.checkpoint` writes each dirty
   shard's records *and version* to ``snapshots/shard-<key>.snap``
-  (atomically, via a temp file and ``os.replace``), then deletes the shard's
-  now-redundant segment and compacts the control log, so recovery loads the
-  snapshot and replays only the frames appended after it.
+  (:func:`atomic_write`: a temp file and ``os.replace``), then deletes the
+  shard's now-redundant segment and compacts the control log, so recovery
+  loads the snapshot and replays only the frames appended after it.
   ``DurabilityConfig.snapshot_every_batches`` is the one automatic trigger;
-* **eviction** — :meth:`DurableRecordStore.evict_before` first persists a
-  watermark record (the logical commit of the eviction), then drops the
-  shards in memory and deletes their segment and snapshot files.  A crash
-  between those steps only leaves files that recovery discards, because the
-  watermark already says their history is gone;
+* **eviction** — :meth:`~repro.storage.sharded.ShardedRecordStore.evict_before`
+  first persists a watermark record (the logical commit of the eviction),
+  then drops the shards in memory and deletes their segment and snapshot
+  files, and only then announces the eviction.  A crash between those steps
+  only leaves files that recovery discards, because the watermark already
+  says their history is gone;
 * **recovery** — constructing a :class:`DurableRecordStore` over an existing
   directory rebuilds the exact pre-crash state: per-shard records in the
   same order, the same per-shard versions (so
@@ -54,20 +56,17 @@ the replication replay (:meth:`DurableRecordStore.committed_batches_after`)
 learn which sequences are committed and which frames each segment holds from
 it, and only recovery lets it cut a torn tail off a file — the one damage a
 crash can cause.  Anything else it cannot interpret is refused with a
-``ValueError`` naming the file: a CRC-valid frame of the wrong shape
-(:func:`_field`), and a snapshot file that is not exactly one snapshot frame
-for the shard its name states — a snapshot replaces its file atomically and
-its segments are deleted afterwards, so a damaged one is never crash residue,
-and falling back to the log would silently open a smaller table.
+``ValueError`` naming the file: a CRC-valid frame of the wrong shape, and a
+snapshot file that is not exactly one snapshot frame for the shard its name
+states — a snapshot replaces its file atomically and its segments are
+deleted afterwards, so a damaged one is never crash residue, and falling back
+to the log would silently open a smaller table.
 
-Records have one serialised form: segment frames (``RSG1``) and snapshots
-(``RSN1``) carry the packed columnar ``RPK1`` layout of
-:mod:`repro.codec.packed`, every float bit-exact; only the control
-log is JSON (its frames are a few dozen bytes).  Builds before 5.0 could also
-write record frames as JSON; :func:`_legacy_json_records` still *reads* them
-at recovery, so such a directory opens to the same table; the checkpoint that
-ends every recovery which saw a segment folds them into binary snapshots, so a
-segment never mixes the two eras.
+The frames themselves — binary ``RSG1`` segment and ``RSN1`` snapshot frames
+carrying packed ``RPK1`` batches, the JSON control log, and the reader of the
+JSON record frames builds before 5.0 wrote — are :mod:`repro.storage.wal`'s;
+the checkpoint that ends every recovery which saw a segment folds JSON-era
+frames into binary snapshots, so a segment never mixes the two eras.
 """
 
 from __future__ import annotations
@@ -75,32 +74,29 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import struct
 import uuid
-import zlib
 from dataclasses import dataclass
 from typing import (
     BinaryIO,
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
 
-from ..codec.packed import PackedRecordBatch, encode_batch
-from ..data.records import PositioningRecord, Sample, SampleSet
-from .base import (
-    EvictionEvent,
-    IngestEvent,
-    IngestReceipt,
-    RecordStore,
-    VersionToken,
-)
+from ..data.records import PositioningRecord
+from .base import IngestReceipt
 from .sharded import DEFAULT_SHARD_SECONDS, ShardedRecordStore
+from .wal import (
+    _field,
+    decode_wal_frames,
+    encode_segment_frame,
+    encode_snapshot_frame,
+    encode_wal_frame,
+    frame_records,
+)
 
 FORMAT_VERSION = 1
 
@@ -111,17 +107,6 @@ SNAPSHOT_DIR_NAME = "snapshots"
 SUBSCRIPTIONS_NAME = "subscriptions.json"
 
 FSYNC_KINDS = ("always", "batch", "never")
-
-#: Frame header: payload byte length + CRC32 of the payload, big-endian.
-_FRAME_HEADER = struct.Struct(">II")
-
-#: Binary segment-frame body prefix: magic + batch sequence number.
-SEGMENT_MAGIC = b"RSG1"
-_SEGMENT_PREFIX = struct.Struct("<4sQ")
-
-#: Binary snapshot-frame body prefix: magic + shard key + version + through.
-SNAPSHOT_MAGIC = b"RSN1"
-_SNAPSHOT_PREFIX = struct.Struct("<4sqQQ")
 
 
 class SimulatedCrashError(RuntimeError):
@@ -172,157 +157,60 @@ class DurabilityConfig:
 
 
 # ----------------------------------------------------------------------
-# WAL framing
+# File plumbing
 # ----------------------------------------------------------------------
-def _frame_bytes(body: bytes) -> bytes:
-    """Wrap a frame body in the ``>II`` (length, CRC32) outer framing."""
-    return _FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
+def fsync_dir(path: pathlib.Path) -> None:
+    """Persist a directory entry (file creation / rename) itself.
 
-
-def encode_wal_frame(payload: Mapping[str, object]) -> bytes:
-    """One JSON log frame (the control log): length/CRC header + compact JSON."""
-    return _frame_bytes(json.dumps(payload, separators=(",", ":")).encode("utf-8"))
-
-
-def encode_segment_frame(seq: int, records: Sequence[PositioningRecord]) -> bytes:
-    """One binary segment frame: magic + sequence + packed record batch."""
-    return _frame_bytes(
-        _SEGMENT_PREFIX.pack(SEGMENT_MAGIC, seq) + encode_batch(records)
-    )
-
-
-def encode_snapshot_frame(
-    shard_key: int, version: int, through: int, records: Sequence[PositioningRecord]
-) -> bytes:
-    """One binary snapshot frame: magic + shard metadata + packed batch."""
-    return _frame_bytes(
-        _SNAPSHOT_PREFIX.pack(SNAPSHOT_MAGIC, shard_key, version, through)
-        + encode_batch(records)
-    )
-
-
-def _parse_frame_body(body: bytes) -> Optional[dict]:
-    """One frame body to its dict form; ``None`` when undecodable.
-
-    Record frames announce themselves with a magic prefix and carry their
-    records as a :class:`~repro.codec.packed.PackedRecordBatch` under the
-    ``"packed"`` key; everything else is compact JSON — the control log, and
-    the record frames of a directory written before 5.0.
-    """
-    prefix = body[:4]
-    if prefix == SEGMENT_MAGIC:
-        try:
-            _magic, seq = _SEGMENT_PREFIX.unpack_from(body)
-            packed = PackedRecordBatch.decode(body[_SEGMENT_PREFIX.size :])
-        except (ValueError, struct.error):
-            return None
-        return {"seq": seq, "packed": packed}
-    if prefix == SNAPSHOT_MAGIC:
-        try:
-            _magic, shard_key, version, through = _SNAPSHOT_PREFIX.unpack_from(body)
-            packed = PackedRecordBatch.decode(body[_SNAPSHOT_PREFIX.size :])
-        except (ValueError, struct.error):
-            return None
-        return {
-            "shard": shard_key,
-            "version": version,
-            "through": through,
-            "packed": packed,
-        }
-    try:
-        frame = json.loads(body.decode("utf-8"))
-    except (ValueError, RecursionError):  # bad UTF-8, bad JSON, absurd nesting
-        return None
-    if not isinstance(frame, dict):
-        return None
-    return frame
-
-
-def decode_wal_frames(data: bytes) -> Tuple[List[dict], int]:
-    """Parse ``data`` into frames; returns ``(frames, valid_byte_length)``.
-
-    Stops at the first torn or corrupt tail — a truncated header, a body
-    shorter than its declared length, a CRC mismatch, or an undecodable
-    body — and reports how many bytes of clean prefix precede it, so the
-    caller can truncate the file back to a frame boundary.
-    """
-    frames: List[dict] = []
-    offset = 0
-    size = len(data)
-    while offset + _FRAME_HEADER.size <= size:
-        length, crc = _FRAME_HEADER.unpack_from(data, offset)
-        start = offset + _FRAME_HEADER.size
-        end = start + length
-        if end > size:
-            break
-        body = data[start:end]
-        if zlib.crc32(body) != crc:
-            break
-        frame = _parse_frame_body(body)
-        if frame is None:
-            break
-        frames.append(frame)
-        offset = end
-    return frames, offset
-
-
-def _field(frame: Mapping[str, object], name: str, cast, path: object, index: int):
-    """``cast(frame[name])`` — the one place a decoded frame's field is read.
-
-    A CRC-valid frame that lacks the field, or holds something ``cast``
-    refuses, was never written by this store: a ``ValueError`` that names the
-    file and the frame's index in it, not a bare ``KeyError`` out of recovery.
+    fsyncing a file's contents does not persist its *name*: after a power
+    failure a freshly created segment (or a replaced snapshot) can vanish
+    from the directory even though its bytes were synced.  Best effort —
+    platforms without directory fds just skip it.
     """
     try:
-        return cast(frame[name])
-    except (KeyError, TypeError, ValueError) as error:
-        raise ValueError(
-            f"{path}: frame {index}: field {name!r}: {error!r}"
-        ) from error
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
-def frame_records(
-    frame: Mapping[str, object], path: object, index: int
-) -> List[PositioningRecord]:
-    """Materialise the records a decoded segment/snapshot frame carries."""
-    packed = frame.get("packed")
-    if packed is not None:
-        return packed.to_records()
-    return _field(frame, "records", _legacy_json_records, path, index)
+def atomic_write(path: pathlib.Path, data: bytes, fsync: str) -> None:
+    """Replace ``path`` with ``data`` in one step — the one atomic-write rule.
 
-
-def _legacy_json_records(payloads: Sequence[object]) -> List[PositioningRecord]:
-    """The records of a JSON-era frame: ``[oid, t, [[ploc, prob], ...]]`` triples.
-
-    Nothing writes this form any more; the reader stays because it is the
-    only code that can open a directory an older build wrote.  Floats
-    round-trip bit-exactly (``repr`` ↔ ``float``); a malformed triple raises
-    ``TypeError`` / ``ValueError``.
+    The bytes go to a temp file beside ``path`` that ``os.replace`` renames
+    over it.  Unless the :class:`DurabilityConfig` ``fsync`` policy is
+    ``"never"``, the file is fsynced before the rename and its directory
+    after it: without the first, a power loss can keep the rename and lose
+    the bytes; without the second, recovery can see the pre-replace file (or
+    none at all).  Snapshots, the manifest, the compacted control log and
+    the continuous engine's subscription manifest are all written here.
     """
-    return [
-        PositioningRecord(
-            int(object_id),
-            SampleSet(Sample(int(ploc), float(prob)) for ploc, prob in samples),
-            float(timestamp),
-        )
-        for object_id, timestamp, samples in payloads
-    ]
+    sync = fsync != "never"
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        if sync:
+            os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    if sync:
+        fsync_dir(path.parent)
 
 
-class DurableRecordStore(RecordStore):
+class DurableRecordStore(ShardedRecordStore):
     """A :class:`~repro.storage.sharded.ShardedRecordStore` that survives
     restarts.
 
     Pass a fresh directory to create a new table, or an existing one to
     recover it — the persisted manifest then decides ``shard_seconds`` (the
-    constructor argument only seeds a brand-new store).
-    All query/introspection calls delegate to the wrapped in-memory store;
-    mutations are logged first, applied second (see the module docstring),
-    then announced to this store's listeners.
-
-    The wrapper shares the inner store's re-entrant lock, so the continuous
-    query engine and the service keep the exact locking discipline they use
-    with volatile stores.
+    constructor argument only seeds a brand-new store).  Queries and
+    introspection are the sharded store's own; a mutation is logged first
+    (the hooks :meth:`_log_batch`, :meth:`_log_eviction` and
+    :meth:`_evicted`), applied second, then announced to the listeners (see
+    the module docstring).
     """
 
     kind = "durable"
@@ -333,7 +221,6 @@ class DurableRecordStore(RecordStore):
         shard_seconds: float = DEFAULT_SHARD_SECONDS,
         config: Optional[DurabilityConfig] = None,
     ):
-        super().__init__()
         self.config = config or DurabilityConfig()
         self._dir = pathlib.Path(directory)
         self._wal_dir = self._dir / WAL_DIR_NAME
@@ -356,11 +243,10 @@ class DurableRecordStore(RecordStore):
         self._last_committed_seq = 0
         self._wal_base_seq = 0
         manifest = self._load_or_create_manifest(float(shard_seconds))
+        super().__init__(shard_seconds=manifest["shard_seconds"])
+        # A store recovered from its directory IS the same logical store:
+        # the persisted uid makes its version tokens equal the pre-crash ones.
         self._uid = manifest["uid"]
-        self._inner = ShardedRecordStore(shard_seconds=manifest["shard_seconds"])
-        self._inner.restore_identity(self._uid)
-        # One shared lock for wrapper, inner store and every layer above.
-        self._lock = self._inner.lock
         self.recovery_report: Dict[str, object] = {}
         self._recover()
         if self.recovery_report["segments_seen"]:
@@ -392,7 +278,8 @@ class DurableRecordStore(RecordStore):
             "uid": f"durable-{uuid.uuid4().hex[:16]}",
             "shard_seconds": shard_seconds,
         }
-        self._atomic_write(path, json.dumps(manifest, indent=2).encode("utf-8"))
+        data = json.dumps(manifest, indent=2).encode("utf-8")
+        atomic_write(path, data, self.config.fsync)
         return manifest
 
     # ------------------------------------------------------------------
@@ -412,9 +299,8 @@ class DurableRecordStore(RecordStore):
         loaded_from_snapshot = 0
         loaded_lazily = 0
         max_through = 0
-        shard_seconds = self._inner.shard_seconds
         for key in sorted(set(snapshots) | set(segments)):
-            if (key + 1) * shard_seconds <= watermark:
+            if (key + 1) * self.shard_seconds <= watermark:
                 # The eviction was committed (watermark record) but the crash
                 # interrupted the file deletions: finish them now.
                 self._remove_shard_files(key, count_write=False)
@@ -437,7 +323,7 @@ class DurableRecordStore(RecordStore):
                 # Binary snapshot with nothing to replay: adopt the packed
                 # batch as-is — the shard decodes lazily on first query, so
                 # cold recovery is one blob read per shard.
-                self._inner.load_shard_packed(key, packed, version)
+                self.load_shard_packed(key, packed, version)
                 loaded_lazily += 1
             else:
                 records: List[PositioningRecord] = []
@@ -457,11 +343,11 @@ class DurableRecordStore(RecordStore):
                     # cost.
                     records.sort(key=lambda record: record.timestamp)
                 if version > 0:
-                    self._inner.load_shard(key, records, version)
+                    self.load_shard(key, records, version)
             self._shard_last_seq[key] = through
             max_through = max(max_through, through)
         if watermark > float("-inf"):
-            self._inner.restore_watermark(watermark)
+            self.restore_watermark(watermark)
         # The sequence counter must clear every sequence any surviving file
         # knows about.  Snapshot "through" values matter independently of the
         # other two sources: a crash during checkpoint can land after the
@@ -477,8 +363,8 @@ class DurableRecordStore(RecordStore):
         self._last_committed_seq = max(max_through, base_next - 1, *committed)
         self._wal_base_seq = self._last_committed_seq
         self.recovery_report = {
-            "shards": self._inner.shard_count,
-            "records": len(self._inner),
+            "shards": self.shard_count,
+            "records": len(self),
             "shards_from_snapshot": loaded_from_snapshot,
             "shards_loaded_lazily": loaded_lazily,
             "segments_seen": sum(1 for frames in segments.values() if frames),
@@ -575,13 +461,16 @@ class DurableRecordStore(RecordStore):
 
         Called immediately before every WAL file operation, so a simulated
         crash always lands exactly on a frame boundary — whole frames are
-        on disk, the next one never started.
+        on disk, the next one never started.  The crash releases the log
+        handles the way process death would (every append was flushed
+        already, so closing writes nothing).
         """
         if self._crashed:
             raise SimulatedCrashError("the store already crashed")
         limit = self.config.fail_after_writes
         if limit is not None and self._writes_done >= limit:
             self._crashed = True
+            self._close_handles()
             raise SimulatedCrashError(
                 f"simulated crash after {self._writes_done} WAL writes"
             )
@@ -599,24 +488,6 @@ class DurableRecordStore(RecordStore):
     def _snapshot_path(self, key: int) -> pathlib.Path:
         return self._snap_dir / f"shard-{key}.snap"
 
-    @staticmethod
-    def _fsync_dir(path: pathlib.Path) -> None:
-        """Persist a directory entry (file creation / rename) itself.
-
-        fsyncing a file's contents does not persist its *name*: after a
-        power failure a freshly created segment (or a replaced snapshot) can
-        vanish from the directory even though its bytes were synced.  Best
-        effort — platforms without directory fds just skip it.
-        """
-        try:
-            fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
     def _append_frame(self, file: object, frame: bytes, fsync: bool) -> None:
         """Append one whole frame to a log file — the one append path.
 
@@ -633,7 +504,7 @@ class DurableRecordStore(RecordStore):
             if created and self.config.fsync == "always":
                 # The "survives OS crashes" promise covers the directory
                 # entry of a brand-new log file too.
-                self._fsync_dir(path.parent)
+                fsync_dir(path.parent)
         handle.write(frame)
         handle.flush()
         if fsync:
@@ -644,18 +515,10 @@ class DurableRecordStore(RecordStore):
         if handle is not None:
             handle.close()
 
-    def _atomic_write(self, path: pathlib.Path, data: bytes) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            if self.config.fsync != "never":
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        if self.config.fsync != "never":
-            # The rename itself must survive an OS crash, or recovery can
-            # see the pre-replace file (or none at all).
-            self._fsync_dir(path.parent)
+    def _close_handles(self) -> None:
+        for handle in self._handles.values():
+            handle.close()
+        self._handles.clear()
 
     def _remove_shard_files(self, key: int, count_write: bool = True) -> None:
         """Delete one shard's segment and snapshot (whichever exist)."""
@@ -670,57 +533,44 @@ class DurableRecordStore(RecordStore):
             path.unlink()
 
     # ------------------------------------------------------------------
-    # Ingestion
+    # Ingestion: the sharded store sorts, refuses and slices a batch once;
+    # here it is logged, and the snapshot cadence runs after the event
     # ------------------------------------------------------------------
-    def append(self, record: PositioningRecord) -> None:
-        self.ingest_batch((record,))
-
     def ingest_batch(self, records: Iterable[PositioningRecord]) -> IngestReceipt:
-        batch = sorted(records, key=lambda record: record.timestamp)
-        if not batch:
-            # Empty-batch parity: no lock, no WAL growth, no version bump.
-            return IngestReceipt()
         with self._lock:
-            self._ensure_usable()
-            if batch[0].timestamp < self._inner.eviction_watermark:
-                # Reject before logging: a doomed batch must leave no frames.
-                raise ValueError(
-                    f"batch contains records before the retention watermark "
-                    f"t={self._inner.eviction_watermark}; evicted shards "
-                    f"cannot be refilled"
-                )
-            # Reserve the sequence number BEFORE touching any file: if an
-            # append fails with a real I/O error (disk full, EIO) the store
-            # object stays alive but this sequence is burned — a later batch
-            # must never reuse it, or the aborted batch's orphan frames
-            # would ride the new batch's commit record into recovery.
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            # The inner store's slicer is the single source of truth for how
-            # a batch maps onto shards: the WAL frames mirror it exactly.
-            slices = self._inner.slice_batch(batch)
-            policy = self.config.fsync
-            for key, slice_records in slices:
-                self._append_frame(
-                    key, encode_segment_frame(seq, slice_records), policy == "always"
-                )
-            # The commit record makes the whole multi-shard batch atomic:
-            # recovery ignores every frame of an uncommitted sequence.
-            self._append_frame(
-                CONTROL_NAME,
-                encode_wal_frame({"kind": "commit", "seq": seq}),
-                policy != "never",
-            )
-            receipt = self._inner.ingest_batch(batch)
-            for key, _slice in slices:
-                self._shard_last_seq[key] = seq
-            self._last_committed_seq = seq
-            self._notify(IngestEvent(receipt, batch, seq))  # the inner store has none
-            self._batches_since_snapshot += 1
+            receipt = super().ingest_batch(records)
             cadence = self.config.snapshot_every_batches
             if cadence is not None and self._batches_since_snapshot >= cadence:
                 self._checkpoint_locked()
             return receipt
+
+    def _log_batch(self, slices: List[Tuple[int, List[PositioningRecord]]]) -> int:
+        """Append one frame per shard slice, then the commit record."""
+        self._ensure_usable()
+        # Reserve the sequence number BEFORE touching any file: if an
+        # append fails with a real I/O error (disk full, EIO) the store
+        # object stays alive but this sequence is burned — a later batch
+        # must never reuse it, or the aborted batch's orphan frames
+        # would ride the new batch's commit record into recovery.
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        policy = self.config.fsync
+        for key, slice_records in slices:
+            self._append_frame(
+                key, encode_segment_frame(seq, slice_records), policy == "always"
+            )
+        # The commit record makes the whole multi-shard batch atomic:
+        # recovery ignores every frame of an uncommitted sequence.
+        self._append_frame(
+            CONTROL_NAME,
+            encode_wal_frame({"kind": "commit", "seq": seq}),
+            policy != "never",
+        )
+        for key, _slice in slices:
+            self._shard_last_seq[key] = seq
+        self._last_committed_seq = seq
+        self._batches_since_snapshot += 1
+        return seq
 
     # ------------------------------------------------------------------
     # Checkpoint
@@ -738,20 +588,20 @@ class DurableRecordStore(RecordStore):
 
     def _checkpoint_locked(self) -> Dict[str, int]:
         snapshots_written = 0
-        versions = self._inner.shard_versions()
         dirty = [
             key
-            for key, version in versions.items()
+            for key, version in self.shard_versions().items()
             if self._snapshotted_version.get(key, 0) != version
         ]
-        # Only the dirty shards' records are copied out of the inner store:
-        # checkpoint cost is proportional to what changed, not table size.
-        for key, version, records in self._inner.shard_states(dirty):
+        # Only the dirty shards' records are copied out: checkpoint cost is
+        # proportional to what changed, not table size.
+        for key, version, records in self.shard_states(dirty):
             through = self._shard_last_seq.get(key, 0)
             self._fault_point()
-            self._atomic_write(
+            atomic_write(
                 self._snapshot_path(key),
                 encode_snapshot_frame(key, version, through, records),
+                self.config.fsync,
             )
             self._snapshotted_version[key] = version
             snapshots_written += 1
@@ -769,12 +619,12 @@ class DurableRecordStore(RecordStore):
         self._wal_base_seq = self._last_committed_seq
         return {
             "snapshots_written": snapshots_written,
-            "shards": self._inner.shard_count,
-            "records": len(self._inner),
+            "shards": self.shard_count,
+            "records": len(self),
         }
 
     def _rewrite_control_log(self) -> None:
-        watermark = self._inner.eviction_watermark
+        watermark = self._watermark
         base = {
             "kind": "base",
             "next_seq": self._next_seq,
@@ -782,7 +632,8 @@ class DurableRecordStore(RecordStore):
         }
         self._close_handle(CONTROL_NAME)
         self._fault_point()
-        self._atomic_write(self._dir / CONTROL_NAME, encode_wal_frame(base))
+        path = self._dir / CONTROL_NAME
+        atomic_write(path, encode_wal_frame(base), self.config.fsync)
 
     # ------------------------------------------------------------------
     # Replication: the WAL cursor (live followers subscribe like any listener)
@@ -814,9 +665,9 @@ class DurableRecordStore(RecordStore):
     ) -> List[Tuple[int, List[PositioningRecord]]]:
         """Committed batches with ``seq > cursor``, in commit order.
 
-        Each batch is reconstructed exactly as it was ingested: the inner
-        store's :meth:`~repro.storage.sharded.ShardedRecordStore.slice_batch`
-        yields strictly increasing shard keys over a time-sorted batch, so
+        Each batch is reconstructed exactly as it was ingested:
+        :meth:`~repro.storage.sharded.ShardedRecordStore.slice_batch` yields
+        strictly increasing shard keys over a time-sorted batch, so
         concatenating a sequence's per-shard slices in shard-key order
         reproduces the original time-sorted batch — re-ingesting it into an
         identical store reproduces the primary's per-shard versions exactly.
@@ -863,62 +714,29 @@ class DurableRecordStore(RecordStore):
             }
 
     # ------------------------------------------------------------------
-    # Queries (pure delegation)
+    # Retention: the watermark record commits the eviction, and the event
+    # waits for the file deletions
     # ------------------------------------------------------------------
-    def range_query(self, start: float, end: float) -> List[PositioningRecord]:
-        return self._inner.range_query(start, end)
+    def _log_eviction(self, watermark: float) -> None:
+        self._ensure_usable()
+        self._append_frame(
+            CONTROL_NAME,
+            encode_wal_frame({"kind": "watermark", "watermark": watermark}),
+            self.config.fsync != "never",
+        )
 
-    def version_token(
-        self, start: Optional[float] = None, end: Optional[float] = None
-    ) -> VersionToken:
-        return self._inner.version_token(start, end)
-
-    # ------------------------------------------------------------------
-    # Retention
-    # ------------------------------------------------------------------
-    def evict_before(self, timestamp: float) -> int:
-        """Evict whole shards and delete their log segments and snapshots.
-
-        Ordering is the durability invariant: the watermark record is
-        persisted *first* (the eviction's logical commit), then the shards
-        are dropped in memory and their files deleted.  A crash in between
-        leaves orphan files below the committed watermark, which recovery
-        discards and deletes.
-        """
-        with self._lock:
-            self._ensure_usable()
-            shard_seconds = self._inner.shard_seconds
-            doomed = [
-                key
-                for key in self._inner.shard_versions()
-                if (key + 1) * shard_seconds <= timestamp
-            ]
-            if not doomed:
-                return self._inner.evict_before(timestamp)  # 0, no event
-            new_watermark = max((key + 1) * shard_seconds for key in doomed)
-            self._append_frame(
-                CONTROL_NAME,
-                encode_wal_frame({"kind": "watermark", "watermark": new_watermark}),
-                self.config.fsync != "never",
-            )
-            dropped = self._inner.evict_before(timestamp)
-            for key in doomed:
-                self._remove_shard_files(key)
-                self._shard_last_seq.pop(key, None)
-                self._snapshotted_version.pop(key, None)
-            # The dropped shards' committed frames are gone, and evictions
-            # themselves are not in the replayable stream: a follower whose
-            # cursor predates this point can no longer replay its way to the
-            # primary's state — it must re-catch-up from snapshots.  Live
-            # tailing followers receive the eviction as an EvictionEvent
-            # instead and apply it themselves.
-            self._wal_base_seq = self._last_committed_seq
-            self._notify(EvictionEvent(new_watermark, dropped))
-            return dropped
-
-    @property
-    def eviction_watermark(self) -> float:
-        return self._inner.eviction_watermark
+    def _evicted(self, keys: List[int]) -> None:
+        for key in keys:
+            self._remove_shard_files(key)
+            self._shard_last_seq.pop(key, None)
+            self._snapshotted_version.pop(key, None)
+        # The dropped shards' committed frames are gone, and evictions
+        # themselves are not in the replayable stream: a follower whose
+        # cursor predates this point can no longer replay its way to the
+        # primary's state — it must re-catch-up from snapshots.  Live
+        # tailing followers receive the eviction as an EvictionEvent
+        # instead and apply it themselves.
+        self._wal_base_seq = self._last_committed_seq
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -937,9 +755,7 @@ class DurableRecordStore(RecordStore):
                 return
             if not self._crashed:
                 self.flush()
-            for handle in self._handles.values():
-                handle.close()
-            self._handles.clear()
+            self._close_handles()
             self._closed = True
 
     def __enter__(self) -> "DurableRecordStore":
@@ -970,36 +786,10 @@ class DurableRecordStore(RecordStore):
         """Where the continuous-query engine persists standing queries."""
         return self._dir / SUBSCRIPTIONS_NAME
 
-    @property
-    def inner(self) -> ShardedRecordStore:
-        """The wrapped in-memory sharded store (read-only use)."""
-        return self._inner
-
-    @property
-    def shard_seconds(self) -> float:
-        return self._inner.shard_seconds
-
-    @property
-    def shard_count(self) -> int:
-        return self._inner.shard_count
-
-    def shard_versions(self) -> Dict[int, int]:
-        return self._inner.shard_versions()
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    def records_in_time_order(self) -> Sequence[PositioningRecord]:
-        return self._inner.records_in_time_order()
-
-    def time_span(self) -> Tuple[float, float]:
-        return self._inner.time_span()
-
     def describe(self) -> dict:
-        summary = self._inner.describe()
+        summary = super().describe()
         summary.update(
             {
-                "kind": self.kind,
                 "directory": str(self._dir),
                 "fsync": self.config.fsync,
                 "snapshot_every_batches": self.config.snapshot_every_batches,

@@ -172,6 +172,12 @@ class ShardedRecordStore(RecordStore):
         Duration of one time shard.  Shorter shards prune harder and
         invalidate less on ingestion but carry more per-shard overhead;
         the default suits report streams spanning minutes to hours.
+
+    A mutation calls a logging hook before it changes a shard
+    (:meth:`_log_batch`, :meth:`_log_eviction`) and :meth:`_evicted` before
+    it announces an eviction; here they do nothing, and
+    :class:`~repro.storage.durable.DurableRecordStore` overrides them to
+    write its log.
     """
 
     kind = "sharded"
@@ -214,10 +220,10 @@ class ShardedRecordStore(RecordStore):
     ) -> List[Tuple[int, List[PositioningRecord]]]:
         """Slice a time-sorted batch into per-shard ``(key, records)`` runs.
 
-        The single source of truth for how a batch maps onto shards: both
-        this store's ingest path and the durable layer's WAL writer slice
-        through here, so the logged frames can never diverge from the
-        in-memory shards.
+        The single source of truth for how a batch maps onto shards: an
+        ingest slices once and hands the same runs to :meth:`_log_batch` and
+        to the shards, so a durable store's logged frames can never diverge
+        from the in-memory shards.
         """
         slices: List[Tuple[int, List[PositioningRecord]]] = []
         for record in batch:
@@ -231,16 +237,20 @@ class ShardedRecordStore(RecordStore):
     def ingest_batch(self, records: Iterable[PositioningRecord]) -> IngestReceipt:
         batch = sorted(records, key=_BY_TIME)
         if not batch:
+            # Empty-batch parity: no lock, no log growth, no version bump.
             return IngestReceipt()
         with self._lock:
             if batch[0].timestamp < self._watermark:
+                # Refused before logging: a doomed batch leaves no frames.
                 raise ValueError(
                     f"batch contains records before the retention watermark "
                     f"t={self._watermark}; evicted shards cannot be refilled"
                 )
+            slices = self.slice_batch(batch)
+            seq = self._log_batch(slices)
 
             touched: List[int] = []
-            for key, slice_records in self.slice_batch(batch):
+            for key, slice_records in slices:
                 shard = self._shards.get(key)
                 if shard is None:
                     shard = _Shard(key=key)
@@ -256,8 +266,15 @@ class ShardedRecordStore(RecordStore):
                 shards_touched=tuple(touched),
                 object_spans=summarise_object_spans(batch),
             )
-            self._notify(IngestEvent(receipt, batch))
+            self._notify(IngestEvent(receipt, batch, seq))
             return receipt
+
+    def _log_batch(
+        self, slices: List[Tuple[int, List[PositioningRecord]]]
+    ) -> Optional[int]:
+        """Make a batch durable before it is applied; returns its commit
+        sequence.  A volatile store logs nothing (``None``)."""
+        return None
 
     # ------------------------------------------------------------------
     # Shard selection
@@ -323,24 +340,44 @@ class ShardedRecordStore(RecordStore):
     # Retention
     # ------------------------------------------------------------------
     def evict_before(self, timestamp: float) -> int:
-        """Drop every shard whose time range ends at or before ``timestamp``."""
+        """Drop every shard whose time range ends at or before ``timestamp``.
+
+        The eviction is logged (:meth:`_log_eviction`) before any shard is
+        dropped, and announced only once :meth:`_evicted` has run, so a
+        durable store's listeners never hear of an eviction whose files are
+        still on disk.
+        """
         with self._lock:
+            # Shard keys are sorted, so the doomed shards are a prefix.
+            doomed = [
+                key
+                for key in self._shard_keys
+                if (key + 1) * self._shard_seconds <= timestamp
+            ]
+            if not doomed:
+                return 0
+            shard_end = (doomed[-1] + 1) * self._shard_seconds
+            self._log_eviction(shard_end)
             dropped = 0
-            kept_keys: List[int] = []
-            for key in self._shard_keys:
-                shard_end = (key + 1) * self._shard_seconds
-                if shard_end <= timestamp:
-                    shard = self._shards.pop(key)
-                    dropped += shard.record_count
-                    self._built_dropped += shard.built
-                    self._watermark = max(self._watermark, shard_end)
-                else:
-                    kept_keys.append(key)
-            self._shard_keys = kept_keys
+            for key in doomed:
+                shard = self._shards.pop(key)
+                dropped += shard.record_count
+                self._built_dropped += shard.built
+            self._shard_keys = self._shard_keys[len(doomed) :]
             self._count -= dropped
+            self._watermark = max(self._watermark, shard_end)
+            self._evicted(doomed)
             if dropped:
                 self._notify(EvictionEvent(self._watermark, dropped))
             return dropped
+
+    def _log_eviction(self, watermark: float) -> None:
+        """Make an eviction up to ``watermark`` durable before it is applied
+        (a volatile store logs nothing)."""
+
+    def _evicted(self, keys: List[int]) -> None:
+        """The shards ``keys`` were dropped from memory; a durable store
+        deletes their files here, before the eviction is announced."""
 
     @property
     def eviction_watermark(self) -> float:

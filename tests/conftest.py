@@ -1,4 +1,5 @@
-"""Shared fixtures: the paper's Figure 1 running example and small scenarios."""
+"""Shared fixtures: the paper's Figure 1 running example, small scenarios, and
+the closing of every durable store a test leaves open."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from repro import (
     SampleSet,
 )
 from repro.space import IndoorLocationMatrix, IndoorSpaceLocationGraph
+from repro.storage import DurableRecordStore
 from repro.synth import build_real_scenario, build_synthetic_scenario
 
 
@@ -121,6 +123,24 @@ def figure1_engine_exact(figure1) -> QueryEngine:
         DataReductionConfig.disabled(),
         config=EngineConfig.uncached(),
     )
+
+
+@pytest.fixture(autouse=True)
+def _close_durable_stores(monkeypatch):
+    """Close every durable store a test opened and left open, as the end of
+    a process would: a store's log handles are released when its test ends,
+    never by the garbage collector in some later test."""
+    opened = []
+    init = DurableRecordStore.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append(self)
+
+    monkeypatch.setattr(DurableRecordStore, "__init__", tracking_init)
+    yield
+    for store in opened:
+        store.close()
 
 
 @pytest.fixture(scope="session")

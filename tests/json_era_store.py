@@ -1,7 +1,7 @@
 """A durable-store directory as a pre-5.0 build with ``codec="json"`` left it.
 
 Test input, written by hand: ``src/`` still *reads* JSON record frames
-(``repro.storage.durable._legacy_json_records``) but nothing in it writes them.
+(``repro.storage.wal._legacy_json_records``) but nothing in it writes them.
 """
 
 import json

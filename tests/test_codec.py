@@ -47,6 +47,8 @@ from repro.storage.durable import (
     DurabilityConfig,
     DurableRecordStore,
     SimulatedCrashError,
+)
+from repro.storage.wal import (
     decode_wal_frames,
     _legacy_json_records,
     encode_segment_frame,
@@ -438,7 +440,7 @@ class TestDurableBinaryCodec:
         # Introspection that needs no record objects keeps shards packed.
         assert len(recovered) == total
         assert recovered.time_span() == span
-        assert recovered.inner.unmaterialised_shard_count() == recovered.shard_count
+        assert recovered.unmaterialised_shard_count() == recovered.shard_count
         assert recovered.describe()["records_materialised"] == 0
         # A window probe builds exactly the records it returns...
         first = recovered.range_query(0.0, 59.0)
@@ -460,11 +462,11 @@ class TestDurableBinaryCodec:
         ]
         assert all(a is b for a, b in zip(first, results))
         assert recovered.describe()["records_materialised"] == in_shard
-        assert recovered.inner.unmaterialised_shard_count() == recovered.shard_count - 1
+        assert recovered.unmaterialised_shard_count() == recovered.shard_count - 1
         # A later full read equals the table that was written, bit for bit.
         assert records_equal_bitwise(recovered.records_in_time_order(), records)
         assert recovered.describe()["records_materialised"] == total
-        assert recovered.inner.unmaterialised_shard_count() == 0
+        assert recovered.unmaterialised_shard_count() == 0
         recovered.close()
 
     def test_old_json_directory_recovers_under_binary_default(self, tmp_path):

@@ -21,7 +21,7 @@ from repro.data import (
 )
 from repro.geometry import Point
 from repro.indexes import BPlusTree, OneDimensionalRTree
-from repro.storage.durable import _legacy_json_records
+from repro.storage.wal import _legacy_json_records
 
 
 class TestSampleSet:

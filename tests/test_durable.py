@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import random
 import struct
 
@@ -49,7 +50,7 @@ from repro.storage import (
     decode_wal_frames,
     encode_wal_frame,
 )
-from repro.storage.durable import encode_segment_frame, encode_snapshot_frame
+from repro.storage.wal import encode_segment_frame, encode_snapshot_frame
 
 SHARD_SECONDS = 10.0
 
@@ -386,12 +387,59 @@ class TestDurableEviction:
             tmp_path, shard_seconds=SHARD_SECONDS, config=config
         )
         store.ingest_batch([_record(1, 1, 0.0)])  # 2 writes: frame + commit
+        handles = list(store._handles.values())
+        assert handles
         with pytest.raises(SimulatedCrashError):
             store.ingest_batch([_record(1, 1, 1.0)])
+        # The crash released the log handles, as process death would.
+        assert all(handle.closed for handle in handles) and not store._handles
         with pytest.raises(SimulatedCrashError):
             store.ingest_batch([_record(1, 1, 2.0)])
         with pytest.raises(SimulatedCrashError):
             store.checkpoint()
+
+
+class TestTheLogComesFirst:
+    """A mutation is logged before it is applied and announced after its
+    files are settled: a simulated crash inside one fires no event, and a
+    crash before its commit record leaves memory as it was."""
+
+    @pytest.mark.parametrize("fail_after", [2, 3, 4])
+    def test_a_crash_inside_an_ingest_applies_and_announces_nothing(
+        self, tmp_path, fail_after
+    ):
+        """Writes 3-5 are the two-shard batch's frames and its commit record."""
+        store = DurableRecordStore(
+            tmp_path,
+            shard_seconds=SHARD_SECONDS,
+            config=DurabilityConfig(fail_after_writes=fail_after),
+        )
+        store.ingest_batch([_record(1, 1, 1.0)])  # writes 1-2
+        events = []
+        store.subscribe(events.append)
+        versions = store.shard_versions()
+        with pytest.raises(SimulatedCrashError):
+            store.ingest_batch([_record(1, 1, 2.0), _record(2, 1, 15.0)])
+        assert events == []
+        assert store.shard_versions() == versions and len(store) == 1
+
+    @pytest.mark.parametrize("fail_after", [6, 7, 8])
+    def test_a_crash_inside_an_eviction_announces_nothing(self, tmp_path, fail_after):
+        """Write 7 is the watermark record, writes 8-9 delete two segments."""
+        store = DurableRecordStore(
+            tmp_path,
+            shard_seconds=SHARD_SECONDS,
+            config=DurabilityConfig(fail_after_writes=fail_after),
+        )
+        for shard in range(3):  # writes 1-6
+            store.ingest_batch([_record(1, 1, shard * SHARD_SECONDS + 1.0)])
+        events = []
+        store.subscribe(events.append)
+        with pytest.raises(SimulatedCrashError):
+            store.evict_before(2 * SHARD_SECONDS)
+        assert events == []
+        if fail_after == 6:  # no watermark record: nothing was dropped
+            assert len(store) == 3 and store.eviction_watermark == float("-inf")
 
 
 # ----------------------------------------------------------------------
@@ -909,5 +957,102 @@ class TestServiceRestart:
                     await client.checkpoint()
                 assert excinfo.value.kind == "bad_request"
             await service.stop()
+
+        asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# The subscription manifest: the store's atomic-write rule, refused by name
+# ----------------------------------------------------------------------
+def _inode(path):
+    stat = os.stat(path)
+    return stat.st_dev, stat.st_ino
+
+
+class TestSubscriptionManifest:
+    @pytest.mark.parametrize("fsync", ["always", "batch", "never"])
+    def test_the_manifest_follows_the_stores_fsync_policy(
+        self, tmp_path, monkeypatch, fsync
+    ):
+        """A ``subscribe`` fsyncs the manifest before its rename and the
+        directory after it, unless the store's policy is ``"never"`` — the
+        same rule as a snapshot's, so an acknowledged subscription survives
+        an OS crash whenever an acknowledged ingest does."""
+        store = DurableRecordStore(
+            tmp_path, shard_seconds=SHARD_SECONDS, config=DurabilityConfig(fsync=fsync)
+        )
+        store.ingest_batch([_record(1, 0, 1.0), _record(2, 1, 12.0)])
+        graph, matrix = _mini_space()
+        manifest = store.subscription_manifest_path
+        continuous = QueryEngine(graph, matrix).continuous(
+            IUPT(store=store), manifest_path=manifest
+        )
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            stat = os.fstat(fd)
+            synced.append((stat.st_dev, stat.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        subscription = continuous.register_flows(
+            sorted(graph.slocation_to_cell), 0.0, 20.0
+        )
+        monkeypatch.undo()
+        expected = [] if fsync == "never" else [_inode(manifest), _inode(tmp_path)]
+        assert synced == expected
+        entries = json.loads(manifest.read_text(encoding="utf-8"))
+        assert [entry["id"] for entry in entries] == [subscription.sub_id]
+        assert not list(tmp_path.glob("*.tmp"))
+        continuous.close()
+        store.close()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
+            pytest.param(
+                lambda text: json.dumps({"entries": json.loads(text)}), id="not-a-list"
+            ),
+            pytest.param(
+                lambda text: json.dumps(
+                    [
+                        {key: value for key, value in entry.items() if key != "window"}
+                        for entry in json.loads(text)
+                    ]
+                ),
+                id="entry-without-window",
+            ),
+        ],
+    )
+    def test_a_damaged_manifest_refuses_the_start_by_name(
+        self, small_real_scenario, tmp_path, damage
+    ):
+        scenario = small_real_scenario
+
+        def make_engine():
+            return QueryEngine(scenario.system.graph, scenario.system.matrix)
+
+        store = DurableRecordStore(tmp_path, shard_seconds=60.0)
+        path = store.subscription_manifest_path
+        continuous = make_engine().continuous(IUPT(store=store), manifest_path=path)
+        continuous.register_flows(scenario.slocation_ids()[:3], 0.0, 120.0)
+        continuous.close()
+        store.close()
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+        async def run():
+            iupt = IUPT.durable(tmp_path)
+            service = QueryService(make_engine(), iupt)
+            with pytest.raises(ValueError) as excinfo:
+                await service.start()
+            assert str(path) in str(excinfo.value)
+            # The service did not start: nothing listens, no worker is left.
+            with pytest.raises(RuntimeError):
+                service.address
+            assert not any(worker.is_alive() for worker in service._pool._workers)
+            assert iupt.store.listener_count == 0
+            iupt.store.close()
 
         asyncio.run(run())

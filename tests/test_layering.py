@@ -125,10 +125,10 @@ def test_topology_flags_nobody_passed_are_constants(argv):
 
 def test_the_server_asks_whether_its_table_is_durable_once():
     """One ``isinstance`` in ``__init__``; no duck-typing probe anywhere."""
-    tree = ast.parse((SERVICE_DIR / "server.py").read_text(encoding="utf-8"))
     probes = [
-        f"{node.func.id}( at line {node.lineno}"
-        for node in ast.walk(tree)
+        f"{path.name}: {node.func.id}( at line {node.lineno}"
+        for path in (SERVICE_DIR / name for name in ("server.py", "pool.py", "wal_tail.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id in ("getattr", "hasattr")
@@ -161,6 +161,7 @@ def test_there_is_one_record_store_and_its_durable_wrapper():
         and not inspect.isabstract(value)
     }
     assert concrete == {ShardedRecordStore, DurableRecordStore}
+    assert DurableRecordStore.__mro__[1] is ShardedRecordStore
     assert type(IUPT().store) is ShardedRecordStore
 
 
@@ -258,7 +259,7 @@ def test_a_follower_attaches_in_one_request_and_the_store_keeps_no_ledger():
         for call, owner in _calls_with_owner([SERVICE_DIR])
         if getattr(call.func, "attr", None) == "subscribe"
     ]
-    assert subscribes == ["server.py:QueryService._do_wal_tail store"]
+    assert subscribes == ["wal_tail.py:WalTail._do_wal_tail store"]
 
 
 ENGINE_DIR = pathlib.Path(repro.__file__).parent / "engine"
@@ -318,7 +319,7 @@ def test_the_per_object_store_api_is_gone():
     assert list(inspect.signature(repro.engine.PresenceStore.get).parameters) == [
         "self", "window", "query_slocations", "data_key",
     ]
-    assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 61)
+    assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 60)
 
 
 def _names(path):
@@ -336,8 +337,9 @@ def test_a_pooled_request_has_one_road_and_it_is_the_only_one():
     """No executor beside the service's own work queue, no queue or writer
     task between a connection and its transport, two writers of a stream (a
     listening role's ``Connection`` and the client), one error mapping."""
-    server = set(_names(SERVICE_DIR / "server.py"))
-    assert not server & {"run_in_executor", "ThreadPoolExecutor", "wrap_future"}
+    for name in ("server.py", "pool.py", "wal_tail.py"):
+        server = set(_names(SERVICE_DIR / name))
+        assert not server & {"run_in_executor", "ThreadPoolExecutor", "wrap_future"}
     stream = set(_names(SERVICE_DIR / "stream.py"))
     assert not stream & {"Queue", "outbox", "writer_task", "run_writer", "drain"}
     writes, tasks, futures, mappings = [], [], [], []
@@ -346,10 +348,12 @@ def test_a_pooled_request_has_one_road_and_it_is_the_only_one():
         if name == "write":
             writes.append(owner)
         if name in ("ensure_future", "create_task") and owner.startswith(
-            ("stream.py", "server.py")
+            ("stream.py", "server.py", "pool.py", "wal_tail.py")
         ):
             tasks.append(owner)
-        if name == "create_future" and owner.startswith("server.py"):
+        if name == "create_future" and owner.startswith(
+            ("server.py", "pool.py", "wal_tail.py")
+        ):
             futures.append(owner)
         if name == "evicted_error_frame" and not owner.startswith("protocol.py"):
             mappings.append(owner)
@@ -360,8 +364,8 @@ def test_a_pooled_request_has_one_road_and_it_is_the_only_one():
     assert tasks == ["stream.py:FrameServer._spawn"]
     # The drain's wake-up and the awaitable face of the queue; no pooled op.
     assert futures == [
+        "pool.py:WorkerPool.run_blocking",
         "server.py:QueryService.stop",
-        "server.py:QueryService._run_blocking",
     ]
     assert mappings == ["server.py:_error_response"]
     source = (SERVICE_DIR / "server.py").read_text(encoding="utf-8")
@@ -424,3 +428,80 @@ def test_importing_the_package_and_a_topology_role_does_not_import_numpy():
         check=True,
         env=env,
     )
+
+
+def _defined(path):
+    """The functions, classes and module-level names ``path`` defines, and
+    the ``self.<name>`` attributes it assigns."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        for target in targets:
+            if isinstance(target, ast.Name) and node in tree.body:
+                names.add(target.id)
+            elif isinstance(target, ast.Attribute) and ast.unparse(target.value) == "self":
+                names.add(target.attr)
+    return names
+
+
+def test_the_durable_store_is_the_sharded_store_plus_a_log():
+    """No second store inside the durable one, and no member that only
+    forwards to it: queries, introspection and the watermark are inherited."""
+    defined = _defined(STORAGE_DIR / "durable.py")
+    assert not defined & {
+        "_inner", "inner", "append", "range_query", "version_token",
+        "eviction_watermark", "shard_seconds", "shard_count", "shard_versions",
+        "__len__", "records_in_time_order", "time_span",
+    }  # fmt: skip
+    assert {"_log_batch", "_log_eviction", "_evicted"} <= defined
+
+
+FRAMING = (
+    "_FRAME_HEADER", "SEGMENT_MAGIC", "_SEGMENT_PREFIX", "SNAPSHOT_MAGIC",
+    "_SNAPSHOT_PREFIX", "_frame_bytes", "encode_wal_frame", "encode_segment_frame",
+    "encode_snapshot_frame", "_parse_frame_body", "decode_wal_frames", "_field",
+    "frame_records", "_legacy_json_records",
+)  # fmt: skip
+
+
+@pytest.mark.parametrize("name", FRAMING)
+def test_the_log_frames_are_defined_in_the_wal_module_alone(name):
+    sites = [
+        str(path.relative_to(SRC_DIR))
+        for path in sorted(SRC_DIR.rglob("*.py"))
+        if name in _defined(path)
+    ]
+    assert sites == ["storage/wal.py"]
+
+
+def test_admission_has_one_bound_and_no_per_client_state():
+    """``max_inflight`` and drain: no token bucket, rate, burst or client id."""
+    from repro.service.admission import AdmissionController
+
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        spelled = set(_names(path)) & {
+            "_TokenBucket", "rate_per_second", "burst", "REASON_RATE", "forget_client",
+        }  # fmt: skip
+        assert not spelled, (str(path.relative_to(SRC_DIR)), spelled)
+    assert list(inspect.signature(AdmissionController.admit).parameters) == ["self"]
+    assert list(inspect.signature(AdmissionController.__init__).parameters) == [
+        "self", "max_inflight",
+    ]  # fmt: skip
+
+
+def test_worker_threads_are_started_in_the_pool_alone():
+    starts = [
+        f"{path.relative_to(SRC_DIR)}:{node.lineno}"
+        for path in sorted(SRC_DIR.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "Thread" == getattr(node.func, "attr", getattr(node.func, "id", None))
+    ]
+    assert [site.split(":")[0] for site in starts] == ["service/pool.py"]

@@ -162,8 +162,10 @@ class TestWalCursorApi:
         assert isinstance(events[2], EvictionEvent)
         assert events[2].watermark == 10.0  # shard-aligned, not the request
         assert events[2].records_dropped == len(first)
-        # One registry: the durable store's own, never the inner store's.
-        assert store.listener_count == 1 and store.inner.listener_count == 0
+        # One listener table: the durable store is a sharded store, not a
+        # wrapper around a second one with a table of its own.
+        assert isinstance(store, ShardedRecordStore) and not hasattr(store, "inner")
+        assert store.listener_count == 1
         assert store.unsubscribe(token)
         store.ingest_batch(_batch(80.0))
         assert len(events) == 3  # removed listeners stay silent
@@ -457,7 +459,7 @@ class TestReplicaConvergence:
             # What a durable reopen of the primary adopts from its control
             # log; the replica then falls below the floor and re-catches-up.
             token = replica.iupt.data_key_for(start, end)
-            service.iupt.store.inner.restore_watermark(80.0)
+            service.iupt.store.restore_watermark(80.0)
             replica.applied_seq = 0
             replica._adopt_snapshot(await replica._handshake())
             assert replica.snapshot_catchups == 2

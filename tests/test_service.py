@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +32,9 @@ from repro import (
 )
 from repro.service import protocol
 from repro.service.admission import (
-    AdmissionConfig,
     AdmissionController,
     REASON_CAPACITY,
     REASON_DRAINING,
-    REASON_RATE,
 )
 from repro.service.client import unwrap
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
@@ -125,13 +124,13 @@ class TestProtocol:
 # ----------------------------------------------------------------------
 class TestAdmission:
     def test_capacity_bound_sheds_then_recovers(self):
-        controller = AdmissionController(AdmissionConfig(max_inflight=2))
-        assert controller.admit("a") is None
-        assert controller.admit("a") is None
-        reason, _message = controller.admit("a")
+        controller = AdmissionController(max_inflight=2)
+        assert controller.admit() is None
+        assert controller.admit() is None
+        reason, _message = controller.admit()
         assert reason == REASON_CAPACITY
         controller.release()
-        assert controller.admit("a") is None
+        assert controller.admit() is None
         assert controller.stats.shed_capacity == 1
         assert controller.stats.peak_inflight == 2
 
@@ -140,30 +139,11 @@ class TestAdmission:
         with pytest.raises(RuntimeError):
             controller.release()
 
-    def test_rate_limit_is_per_client_and_refills(self):
-        now = [0.0]
-        controller = AdmissionController(
-            AdmissionConfig(max_inflight=100, rate_per_second=1.0, burst=2),
-            clock=lambda: now[0],
-        )
-        # Burst of 2 admitted, third shed; a different client is unaffected.
-        assert controller.admit("a") is None
-        assert controller.admit("a") is None
-        reason, _ = controller.admit("a")
-        assert reason == REASON_RATE
-        assert controller.admit("b") is None
-        # One second refills one token.
-        now[0] = 1.0
-        assert controller.admit("a") is None
-        reason, _ = controller.admit("a")
-        assert reason == REASON_RATE
-        assert controller.stats.shed_rate == 2
-
     def test_draining_refuses_everything_new(self):
-        controller = AdmissionController(AdmissionConfig(max_inflight=4))
-        assert controller.admit("a") is None
+        controller = AdmissionController(max_inflight=4)
+        assert controller.admit() is None
         controller.begin_drain()
-        reason, _ = controller.admit("a")
+        reason, _ = controller.admit()
         assert reason == REASON_DRAINING
         # The admitted request still owns its slot.
         assert controller.inflight == 1
@@ -172,15 +152,11 @@ class TestAdmission:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            AdmissionConfig(max_inflight=0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(rate_per_second=0.0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(burst=0)
+            AdmissionController(max_inflight=0)
 
     def test_as_dict_reports_state(self):
-        controller = AdmissionController(AdmissionConfig(max_inflight=3))
-        controller.admit("a")
+        controller = AdmissionController(max_inflight=3)
+        controller.admit()
         summary = controller.as_dict()
         assert summary["inflight"] == 1
         assert summary["max_inflight"] == 3
@@ -316,9 +292,9 @@ class TestClientCore:
 
     def test_unwrap_raises_typed_service_error(self):
         with pytest.raises(ServiceError) as excinfo:
-            unwrap(protocol.error_frame(1, "overloaded", "slow down", reason="rate"))
+            unwrap(protocol.error_frame(1, "overloaded", "slow down", reason="capacity"))
         assert excinfo.value.kind == "overloaded"
-        assert excinfo.value.details["reason"] == "rate"
+        assert excinfo.value.details["reason"] == "capacity"
 
 
 # ----------------------------------------------------------------------
@@ -340,12 +316,15 @@ def _make_engine(scenario) -> QueryEngine:
     return QueryEngine(scenario.system.graph, scenario.system.matrix)
 
 
-async def _start_service(scenario, preload, admission=None, query_workers=4):
+async def _start_service(scenario, preload, max_inflight=64, query_workers=4):
     iupt = IUPT.sharded(shard_seconds=SHARD_SECONDS)
     if preload:
         iupt.ingest_batch(preload)
     service = QueryService(
-        _make_engine(scenario), iupt, admission=admission, query_workers=query_workers
+        _make_engine(scenario),
+        iupt,
+        max_inflight=max_inflight,
+        query_workers=query_workers,
     )
     host, port = await service.start()
     return service, host, port
@@ -788,29 +767,6 @@ class TestServerIntegration:
 
         asyncio.run(run())
 
-    def test_rate_limited_client_gets_overloaded_error(self, small_real_scenario):
-        scenario = small_real_scenario
-        history, _live = _split_stream(scenario)
-        slocs = scenario.slocation_ids()
-
-        async def run():
-            service, host, port = await _start_service(
-                scenario,
-                history,
-                admission=AdmissionConfig(rate_per_second=0.001, burst=1),
-            )
-            async with await ServiceClient.connect(host, port) as client:
-                await client.flows(slocs[:2], 0.0, HISTORY)  # burst token
-                with pytest.raises(ServiceError) as excinfo:
-                    await client.flows(slocs[:2], 0.0, HISTORY)
-                assert excinfo.value.kind == "overloaded"
-                assert excinfo.value.details["reason"] == REASON_RATE
-            stats = service.admission.stats
-            assert stats.shed_rate == 1
-            await service.stop()
-
-        asyncio.run(run())
-
     def test_stats_op_reports_cache_latency_and_admission(self, small_real_scenario):
         scenario = small_real_scenario
         history, _live = _split_stream(scenario)
@@ -1087,42 +1043,42 @@ class TestReadOnlyOpsBypassAdmission:
         history, _live = _split_stream(scenario)
 
         async def run():
-            service, host, port = await _start_service(scenario, history)
+            service, host, port = await _start_service(
+                scenario, history, max_inflight=1
+            )
+            gate, flows = threading.Event(), service.engine.flows
+
+            def gated(*args, **kwargs):
+                assert gate.wait(20.0)
+                return flows(*args, **kwargs)
+
+            service.engine.flows = gated
+            slocs = scenario.slocation_ids()[:2]
             async with await ServiceClient.connect(host, port) as client:
-                service.admission.begin_drain()
-                # Engine work is shed …
+                held = asyncio.ensure_future(client.flows(slocs, 0.0, HISTORY))
+                while not service.admission.inflight:
+                    await asyncio.sleep(0.002)
+                # With the one slot held, engine work is shed for capacity …
                 with pytest.raises(ServiceError) as excinfo:
-                    await client.flows(scenario.slocation_ids()[:2], 0.0, HISTORY)
+                    await client.flows(slocs, 0.0, HISTORY)
+                assert excinfo.value.details["reason"] == REASON_CAPACITY
+                # … but stats and ping are answered beside it.
+                stats = await client.stats()
+                assert stats["admission"]["shed_capacity"] == 1
+                assert stats["admission"]["inflight"] == 1
+                assert (await client.ping())["pong"] is True
+                gate.set()
+                await held
+                service.admission.begin_drain()
+                # Draining, engine work is shed …
+                with pytest.raises(ServiceError) as excinfo:
+                    await client.flows(slocs, 0.0, HISTORY)
                 assert excinfo.value.details["reason"] == REASON_DRAINING
                 # … but the operator's view of the drain stays available.
                 stats = await client.stats()
                 assert stats["admission"]["draining"] is True
                 assert stats["admission"]["shed_draining"] == 1
                 assert (await client.ping())["pong"] is True
-            await service.stop()
-
-        asyncio.run(run())
-
-    def test_rate_limited_client_still_observes_stats(self, small_real_scenario):
-        scenario = small_real_scenario
-        history, _live = _split_stream(scenario)
-        slocs = scenario.slocation_ids()
-
-        async def run():
-            service, host, port = await _start_service(
-                scenario,
-                history,
-                admission=AdmissionConfig(rate_per_second=0.001, burst=1),
-            )
-            async with await ServiceClient.connect(host, port) as client:
-                await client.flows(slocs[:2], 0.0, HISTORY)  # burns the burst
-                with pytest.raises(ServiceError):
-                    await client.flows(slocs[:2], 0.0, HISTORY)
-                # stats/ping never consume rate tokens and never get shed.
-                for _ in range(3):
-                    stats = await client.stats()
-                    assert (await client.ping())["pong"] is True
-                assert stats["admission"]["shed_rate"] == 1
             await service.stop()
 
         asyncio.run(run())

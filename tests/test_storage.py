@@ -120,8 +120,9 @@ class TestStoreEquivalence:
         _, sharded = pair
         truncated = sharded.with_max_sample_set_size(1)
         filtered = sharded.filtered_to_objects([0, 1])
-        assert isinstance(truncated.store, ShardedRecordStore)
-        assert isinstance(filtered.store, ShardedRecordStore)
+        # Exact types: a durable store is a ShardedRecordStore too.
+        assert type(truncated.store) is ShardedRecordStore
+        assert type(filtered.store) is ShardedRecordStore
         assert truncated.store.shard_seconds == sharded.store.shard_seconds
         assert filtered.object_ids() == [0, 1]
 
@@ -307,9 +308,9 @@ class TestEvictionBoundaryParity:
 class TestEmptyBatchParity:
     """An empty ``ingest_batch`` must be a no-op on every store.
 
-    Neither the sharded store nor the durable wrapper (which short-circuits
-    before its WAL) may bump any version token, fire events, or trigger
-    continuous refreshes.
+    Neither the sharded store nor its durable subclass (the batch
+    short-circuits before the WAL) may bump any version token, fire events,
+    or trigger continuous refreshes.
     """
 
     @pytest.fixture(params=["sharded", "durable"])
