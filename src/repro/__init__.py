@@ -200,7 +200,15 @@ from .system import IndoorFlowSystem
 # written by the store's atomic-write rule under its fsync policy, and a
 # damaged one refuses QueryService.start() with a ValueError naming it. Bytes
 # on disk and on the wire are unchanged.
-__version__ = "11.0.0"
+# 12.0.0: a standing query has one kind vocabulary, one change hook and one
+# refresh rule. Subscription.kind is "top_k" / "flows", the wire's spelling
+# (a manifest entry with the older hyphenated top-k spelling still restores;
+# an unknown kind refuses the start by name); Subscription.on_change(
+# subscription) replaces the update / eviction hook pair, whose keywords
+# register, register_top_k and register_flows no longer take; resync takes an
+# ingest event's steps with no receipt, and repro.service no longer exports a
+# second list of kind names. Wire and disk bytes are unchanged.
+__version__ = "12.0.0"
 
 __all__ = [
     "ALGORITHMS",

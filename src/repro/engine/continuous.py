@@ -37,7 +37,13 @@ versioning was built to avoid.  This module closes the loop:
 
 * eviction past a registered window marks the subscription **evicted**: its
   result accessor raises :class:`~repro.storage.base.EvictedRangeError`
-  instead of silently serving a result computed from truncated history.
+  instead of silently serving a result computed from truncated history;
+* each applied refresh and each eviction calls the subscription's one hook,
+  :attr:`Subscription.on_change`, which reads the new state from
+  :attr:`Subscription.result` (a result, or the raised eviction).
+
+:meth:`ContinuousQueryEngine.resync` walks the same steps with no receipt
+(nothing is carried over), after a store reset that fired no events.
 
 ``benchmarks/test_bench_continuous.py`` measures steps 1-2 against a polling
 client that re-issues every standing query after each batch.
@@ -81,22 +87,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 CONTINUOUS_ALGORITHM = "continuous"
 
-TOP_K = "top-k"
+#: The subscription kinds, spelled as the wire spells them.
+TOP_K = "top_k"
 FLOWS = "flows"
 
-#: Fired after each *applied* refresh with ``(subscription, new_result)``.
-#: Skipped refreshes (unchanged window token) do not fire.  The callback runs
-#: on the ingesting thread, under the maintenance lock, after the
-#: subscription's state is fully updated — ``subscription.result`` inside the
-#: callback already returns ``new_result`` — so it must be fast and must not
-#: mutate the table.  The query service bridges these calls onto its event
-#: loop to push update frames to subscribed connections.
-UpdateCallback = Callable[["Subscription", object], None]
-
-#: Fired once when retention eviction invalidates the subscription's window,
-#: with ``(subscription, error)``; after it returns, reading the result
-#: raises that :class:`~repro.storage.base.EvictedRangeError`.
-EvictedCallback = Callable[["Subscription", EvictedRangeError], None]
+#: Fired with the subscription after each *applied* refresh and once when
+#: retention eviction invalidates its window; skipped refreshes (unchanged
+#: window token) do not fire.  The state is fully updated first, so
+#: ``subscription.result`` inside the callback returns the new result or
+#: raises the :class:`~repro.storage.base.EvictedRangeError`.  The callback
+#: runs on the mutating thread, under the store lock, so it must be fast and
+#: must not mutate the table.  The query service bridges these calls onto its
+#: event loop to push ``update`` / ``evicted`` frames to the subscriber.
+ChangeCallback = Callable[["Subscription"], None]
 
 
 @dataclass
@@ -138,19 +141,15 @@ class Subscription:
         window: Tuple[float, float],
         sloc_ids: Tuple[int, ...],
         query: Optional[TkPLQuery] = None,
-        on_update: Optional[UpdateCallback] = None,
-        on_evicted: Optional[EvictedCallback] = None,
     ):
         self.sub_id = sub_id
         self.kind = kind
         self.window = window
         self.sloc_ids = sloc_ids
         self.query = query
-        #: Push hooks (see :data:`UpdateCallback` / :data:`EvictedCallback`);
-        #: assignable after registration too — the maintenance engine reads
-        #: them at fire time.
-        self.on_update = on_update
-        self.on_evicted = on_evicted
+        #: The change hook (see :data:`ChangeCallback`); the maintenance
+        #: engine reads it at fire time, under the store lock.
+        self.on_change: Optional[ChangeCallback] = None
         self.query_key: FrozenSet[int] = frozenset(sloc_ids)
         self.stats = SubscriptionStats()
         self._result: Optional[object] = None
@@ -205,8 +204,11 @@ def _subscription_from_manifest(entry: Dict[str, object]) -> Subscription:
     sub_id = int(entry["id"])
     window = (float(entry["window"][0]), float(entry["window"][1]))
     sloc_ids = tuple(int(sloc) for sloc in entry["slocs"])
-    if entry["kind"] != TOP_K:
+    kind = entry["kind"]
+    if kind == FLOWS:
         return Subscription(sub_id, FLOWS, window, sloc_ids)
+    if kind not in (TOP_K, "top-k"):  # builds before 12.0 wrote "top-k"
+        raise ValueError(f"unknown subscription kind {kind!r}")
     query = TkPLQuery.build(list(sloc_ids), int(entry["k"]), window[0], window[1])
     return Subscription(
         sub_id, TOP_K, query.interval, tuple(query.query_slocations), query=query
@@ -289,80 +291,64 @@ class ContinuousQueryEngine:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register(
-        self,
-        query: TkPLQuery,
-        on_update: Optional[UpdateCallback] = None,
-        on_evicted: Optional[EvictedCallback] = None,
-    ) -> Subscription:
+    def register(self, query: TkPLQuery) -> Subscription:
         """Register a standing top-k query; computes its first result now.
 
-        ``on_update`` / ``on_evicted`` are attached before the subscription
-        can receive any event, so a push consumer observes every applied
-        refresh from the very first batch.  Raises
-        :class:`~repro.storage.base.EvictedRangeError` immediately if the
-        window already reaches below the table's retention watermark.
+        Raises :class:`~repro.storage.base.EvictedRangeError` immediately if
+        the window already reaches below the table's retention watermark.  A
+        caller that must see every refresh from the first batch on sets
+        :attr:`Subscription.on_change` while still holding the store lock it
+        registered under (the lock is re-entrant).
         """
-        subscription = Subscription(
-            0,  # the real id is minted under the lock in _admit
-            TOP_K,
-            query.interval,
-            tuple(query.query_slocations),
-            query=query,
-            on_update=on_update,
-            on_evicted=on_evicted,
+        return self._register(
+            Subscription(
+                0,  # the real id is minted under the lock in _register
+                TOP_K,
+                query.interval,
+                tuple(query.query_slocations),
+                query=query,
+            )
         )
-        return self._admit(subscription)
 
     def register_top_k(
-        self,
-        query_slocations: Sequence[int],
-        k: int,
-        start: float,
-        end: float,
-        on_update: Optional[UpdateCallback] = None,
-        on_evicted: Optional[EvictedCallback] = None,
+        self, query_slocations: Sequence[int], k: int, start: float, end: float
     ) -> Subscription:
         """Convenience wrapper building the standing query in place."""
-        return self.register(
-            TkPLQuery.build(query_slocations, k, start, end),
-            on_update=on_update,
-            on_evicted=on_evicted,
-        )
+        return self.register(TkPLQuery.build(query_slocations, k, start, end))
 
     def register_flows(
-        self,
-        sloc_ids: Sequence[int],
-        start: float,
-        end: float,
-        on_update: Optional[UpdateCallback] = None,
-        on_evicted: Optional[EvictedCallback] = None,
+        self, sloc_ids: Sequence[int], start: float, end: float
     ) -> Subscription:
         """Register a standing per-location flow set over ``[start, end]``."""
         ordered = tuple(dict.fromkeys(sloc_ids))
         if not ordered:
             raise ValueError("a flow subscription needs at least one S-location")
-        subscription = Subscription(
-            0,  # the real id is minted under the lock in _admit
-            FLOWS,
-            (float(start), float(end)),
-            ordered,
-            on_update=on_update,
-            on_evicted=on_evicted,
+        return self._register(
+            Subscription(0, FLOWS, (float(start), float(end)), ordered)
         )
-        return self._admit(subscription)
 
-    def _admit(self, subscription: Subscription) -> Subscription:
+    def _register(self, subscription: Subscription) -> Subscription:
         with self._lock:
             # Mint the id under the lock: concurrent registrations (the
             # query service runs them on worker threads) must never collide
             # — the persisted manifest and the wire ``resume`` op key on it.
             subscription.sub_id = self._next_id
-            self._next_id += 1
-            self._compute(subscription)  # raises EvictedRangeError on dead windows
-            self._subscriptions[subscription.sub_id] = subscription
+            self._admit(subscription, restored=False)
             self._persist_manifest()
             return subscription
+
+    def _admit(self, subscription: Subscription, restored: bool) -> None:
+        """Compute a subscription's first result and register it (under the
+        lock).  A window already below the retention watermark raises, unless
+        the subscription is being restored: then it is registered evicted."""
+        self._next_id = max(self._next_id, subscription.sub_id + 1)
+        try:
+            self._compute(subscription)
+        except EvictedRangeError as error:
+            if not restored:
+                raise
+            subscription._error = error
+        self._subscriptions[subscription.sub_id] = subscription
 
     def unregister(self, subscription: Subscription) -> bool:
         """Drop a subscription; returns whether it was registered."""
@@ -410,9 +396,9 @@ class ContinuousQueryEngine:
         :class:`~repro.storage.base.EvictedRangeError`) rather than dropped
         silently.  Entries already registered are skipped; returns the
         restored subscriptions.  A manifest that does not parse — truncated,
-        not a list, an entry missing a field — raises a ``ValueError`` naming
-        the file before anything is registered, the rule snapshots and log
-        frames follow.
+        not a list, an entry missing a field or of an unknown kind — raises a
+        ``ValueError`` naming the file before anything is registered, the rule
+        snapshots and log frames follow.
         """
         path = self._manifest_path
         if path is None or not path.exists():
@@ -426,19 +412,12 @@ class ContinuousQueryEngine:
             raise ValueError(
                 f"{path}: damaged subscription manifest: {error!r}"
             ) from error
-        restored: List[Subscription] = []
         with self._lock:
+            restored: List[Subscription] = []
             for subscription in parsed:
-                sub_id = subscription.sub_id
-                if sub_id in self._subscriptions:
-                    continue
-                try:
-                    self._compute(subscription)
-                except EvictedRangeError as error:
-                    subscription._error = error
-                self._subscriptions[sub_id] = subscription
-                self._next_id = max(self._next_id, sub_id + 1)
-                restored.append(subscription)
+                if subscription.sub_id not in self._subscriptions:
+                    self._admit(subscription, restored=True)
+                    restored.append(subscription)
             if restored:
                 self._persist_manifest()
         return restored
@@ -447,38 +426,15 @@ class ContinuousQueryEngine:
     # Storage events
     # ------------------------------------------------------------------
     def _on_event(self, event: object) -> None:
-        # Listeners already run under the store lock; re-acquiring it here
-        # (re-entrant) documents the invariant and keeps this path safe if a
-        # store ever notifies without holding its lock.
-        with self._lock:
-            if isinstance(event, IngestEvent):
+        if isinstance(event, IngestEvent):
+            self._maintain(event.receipt)
+        elif isinstance(event, EvictionEvent):
+            # Listeners already run under the store lock; re-acquiring it
+            # (re-entrant) keeps this path safe if a store ever notifies
+            # without holding it.
+            with self._lock:
                 for subscription in self._subscriptions.values():
-                    self._refresh_after_ingest(subscription, event.receipt)
-            elif isinstance(event, EvictionEvent):
-                for subscription in self._subscriptions.values():
-                    self._apply_eviction(subscription, event.watermark)
-
-    def _refresh_after_ingest(
-        self, subscription: Subscription, receipt: IngestReceipt
-    ) -> None:
-        if not subscription.active:
-            return
-        new_key = self._iupt.data_key_for(*subscription.window)
-        if new_key == subscription._data_key:
-            # The window's visible records are untouched by this batch —
-            # the standing result is still exact; do nothing at all.
-            subscription.stats.skipped += 1
-            return
-        self._refresh(subscription, receipt, new_key)
-        if subscription.on_update is not None:
-            subscription.on_update(subscription, subscription._result)
-
-    def _apply_eviction(self, subscription: Subscription, watermark: float) -> None:
-        start, end = subscription.window
-        if subscription.active and start < watermark:
-            subscription._error = EvictedRangeError(start, end, watermark)
-            if subscription.on_evicted is not None:
-                subscription.on_evicted(subscription, subscription._error)
+                    self._live(subscription, event.watermark)
 
     def resync(self) -> int:
         """Reconcile every standing result after an out-of-band store reset.
@@ -486,40 +442,59 @@ class ContinuousQueryEngine:
         :meth:`~repro.storage.sharded.ShardedRecordStore.reset_to_packed_shards`
         replaces the table without firing ingest/eviction events (a reset is
         not an ingest), so a replica that re-caught-up from a snapshot calls
-        this once afterwards.  Per active subscription: a window whose
-        version token is unchanged holds bit-identical data (same shard
-        versions ⇒ same records) and is skipped; a window now reaching below
-        the adopted retention watermark is marked evicted (``on_evicted``
-        fires); everything else is recomputed from scratch and ``on_update``
-        fires.  Returns how many subscriptions were recomputed.
+        this once afterwards.  It takes the steps an ingest event takes with
+        no receipt: a window now below the adopted retention watermark is
+        marked evicted, one whose version token is unchanged is skipped
+        (same shard versions ⇒ same records), and everything else is
+        recomputed with nothing carried over.  Returns how many
+        subscriptions were recomputed.
         """
+        return self._maintain(None)
+
+    def _maintain(self, receipt: Optional[IngestReceipt]) -> int:
+        """The one refresh rule, per active subscription: the eviction check,
+        the skip on an unchanged window token, then :meth:`_refresh`; the hook
+        fires on every change.  Returns how many results were refreshed."""
         refreshed = 0
         with self._lock:
             watermark = self._iupt.store.eviction_watermark
             for subscription in self._subscriptions.values():
-                if not subscription.active:
+                if not self._live(subscription, watermark):
                     continue
-                start, end = subscription.window
-                if start < watermark:
-                    subscription._error = EvictedRangeError(start, end, watermark)
-                    if subscription.on_evicted is not None:
-                        subscription.on_evicted(subscription, subscription._error)
-                    continue
-                new_key = self._iupt.data_key_for(start, end)
+                new_key = self._iupt.data_key_for(*subscription.window)
                 if new_key == subscription._data_key:
+                    # The window's visible records are untouched — the
+                    # standing result is still exact; do nothing at all.
                     subscription.stats.skipped += 1
                     continue
-                self._compute(subscription)
+                self._refresh(subscription, receipt, new_key)
                 refreshed += 1
-                if subscription.on_update is not None:
-                    subscription.on_update(subscription, subscription._result)
+                if subscription.on_change is not None:
+                    subscription.on_change(subscription)
         return refreshed
+
+    @staticmethod
+    def _live(subscription: Subscription, watermark: float) -> bool:
+        """Whether the subscription survives ``watermark``; marks it evicted
+        (and fires its hook, once) when its window starts below it."""
+        if not subscription.active:
+            return False
+        start, end = subscription.window
+        if start >= watermark:
+            return True
+        subscription._error = EvictedRangeError(start, end, watermark)
+        if subscription.on_change is not None:
+            subscription.on_change(subscription)
+        return False
 
     # ------------------------------------------------------------------
     # Delta maintenance
     # ------------------------------------------------------------------
     def _refresh(
-        self, subscription: Subscription, receipt: IngestReceipt, new_key: Tuple
+        self,
+        subscription: Subscription,
+        receipt: Optional[IngestReceipt],
+        new_key: Tuple,
     ) -> None:
         """Bring one standing result to ``new_key``, reusing what the batch left.
 
@@ -529,7 +504,8 @@ class ContinuousQueryEngine:
         object of the superseded store entry keeps its artefact in the new
         one.  When nobody was touched the entry (its derived trees included)
         moves to the new token as it is and the standing result, computed
-        from exactly these artefacts, stands.
+        from exactly these artefacts, stands.  Without a receipt (a store
+        reset) nothing is carried over.
         """
         began = time.perf_counter()
         window, query_key = subscription.window, subscription.query_key
@@ -538,7 +514,7 @@ class ContinuousQueryEngine:
         if store is not None and subscription._data_key is not None:
             previous = store.pop(window, query_key, subscription._data_key)
         carry: Dict[int, "StoredPresence"] = {}
-        if previous is not None:
+        if previous is not None and receipt is not None:
             touched = receipt.objects_overlapping(*window)
             if not touched:
                 carried = previous.objects_total

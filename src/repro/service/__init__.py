@@ -62,7 +62,6 @@ from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     READ_ONLY_OPS,
-    SUBSCRIPTION_KINDS,
     decode_frame,
     encode_frame,
     error_frame,
@@ -95,7 +94,6 @@ __all__ = [
     "ReconnectPolicy",
     "RemoteSubscription",
     "ReplicaError",
-    "SUBSCRIPTION_KINDS",
     "ServiceClient",
     "ServiceError",
     "ServiceMetrics",

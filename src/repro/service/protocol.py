@@ -114,9 +114,6 @@ BIN_PAYLOAD = "_bin"
 #: the shard's ``RPK1`` blob (which follows immediately).
 _SHARD_SECTION = struct.Struct("<qqI")
 
-#: Subscription kinds accepted by ``subscribe``.
-SUBSCRIPTION_KINDS = ("top_k", "flows")
-
 #: Structured error kinds a response can carry.
 ERROR_KINDS = (
     "bad_frame",      # the line was not a JSON object

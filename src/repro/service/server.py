@@ -27,11 +27,12 @@ clients over the newline-delimited JSON protocol of
   atomic step);
 * **standing subscriptions push**: ``subscribe`` registers a standing query
   with the shared :class:`~repro.engine.continuous.ContinuousQueryEngine`
-  whose ``on_update`` hook fires on the ingesting worker thread — the
-  service bridges each refresh onto the event loop with
-  ``call_soon_threadsafe`` and writes an ``update`` push frame to the
-  subscribing connection, so one client's ``ingest_batch`` becomes push
-  traffic to every other subscribed client with no polling anywhere;
+  whose ``on_change`` hook fires on the mutating worker thread — the
+  service bridges each change onto the event loop with
+  ``call_soon_threadsafe`` and writes an ``update`` (or ``evicted``) push
+  frame to the subscribing connection, so one client's ``ingest_batch``
+  becomes push traffic to every other subscribed client with no polling
+  anywhere;
 * **followers tail the write-ahead log**: ``wal_tail`` is the whole
   handshake (:class:`~repro.service.wal_tail.WalTail`), and a follower's name
   and acknowledged cursor live on its connection, nowhere else;
@@ -52,7 +53,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..codec import codec_info
 from ..data.iupt import IUPT
-from ..engine.continuous import Subscription, TOP_K
+from ..engine.continuous import FLOWS, Subscription, TOP_K
 from ..engine.runtime import QueryEngine
 from ..storage import EvictedRangeError
 from ..storage.durable import DurableRecordStore
@@ -342,18 +343,17 @@ class QueryService(FrameServer):
         self.metrics.note_connection_closed()
 
     def _detach_subscriptions(self, connection: _Connection) -> None:
-        """Clear a connection's push callbacks, keeping its subscriptions
+        """Clear a connection's push hooks, keeping its subscriptions
         registered (and in the durable manifest) for a post-restart resume.
 
-        Callback reads happen under the store lock at fire time; plain
+        Hook reads happen under the store lock at fire time; plain
         assignment is atomic and races at worst with one final push, which
         the closing connection drops anyway.
         """
         orphaned = list(connection.subscriptions.values())
         connection.subscriptions.clear()
         for subscription in orphaned:
-            subscription.on_update = None
-            subscription.on_evicted = None
+            subscription.on_change = None
 
     # ------------------------------------------------------------------
     # Requests
@@ -453,18 +453,17 @@ class QueryService(FrameServer):
 
     async def _subscribe(self, connection: _Connection, frame: dict) -> dict:
         subscription, result = await self._pool.run_blocking(
-            self._register_subscription, connection, frame
+            self._attach, connection, frame
         )
         # Back on the loop: only now may the subscription be tied to the
         # connection.  If the client vanished while the worker was
         # registering, unregister instead of leaking a standing query nobody
         # will ever read — except a RESUMED subscription, which predates this
-        # connection and must survive it: only its just-attached callbacks are
+        # connection and must survive it: only its just-attached hook is
         # detached, so the client's retry can resume it again.
         if connection not in self._connections:
             if result.get("resumed"):
-                subscription.on_update = None
-                subscription.on_evicted = None
+                subscription.on_change = None
             else:
                 await self._pool.run_blocking(self.continuous.unregister, subscription)
             raise ProtocolError("bad_request", "connection closed during subscribe")
@@ -587,113 +586,85 @@ class QueryService(FrameServer):
         """Snapshot the durable store so recovery skips WAL replay."""
         return self._wal.durable_store().checkpoint()
 
-    def _register_subscription(self, connection: _Connection, frame: dict):
-        """Worker-pool half of ``subscribe``: register + first compute.
+    def _attach(self, connection: _Connection, frame: dict):
+        """Worker-pool half of ``subscribe``: register a standing query — or,
+        with a ``resume`` field, claim one that survived a restart (restored
+        from the durable store's manifest) or a drain — and tie its change
+        hook to this connection.
 
         Returns ``(subscription, response_payload)``; the caller ties the
         subscription to the connection back on the event loop, so this
         function never mutates connection state.
-
-        With a ``resume`` field the frame re-attaches to a subscription that
-        survived a restart (restored from the durable store's manifest) or a
-        drain, instead of registering a new one.
         """
-        if frame.get("resume") is not None:
-            return self._resume_subscription(connection, frame)
-        kind = frame.get("kind", "top_k")
-        if kind not in protocol.SUBSCRIPTION_KINDS:
-            raise ProtocolError(
-                "bad_request",
-                f"unknown subscription kind {kind!r}; "
-                f"expected one of {protocol.SUBSCRIPTION_KINDS}",
-            )
-        on_update, on_evicted = self._push_callbacks(connection, kind)
-        if kind == "top_k":
-            query = protocol.query_from_wire(frame)
-            subscription = self.continuous.register(
-                query, on_update=on_update, on_evicted=on_evicted
-            )
-        else:
-            start, end = protocol.window_from_wire(frame)
-            sloc_ids = protocol.sloc_ids_from_wire(frame)
-            subscription = self.continuous.register_flows(
-                sloc_ids, start, end, on_update=on_update, on_evicted=on_evicted
-            )
-        return subscription, self._subscribed(subscription, kind, subscription.result)
-
-    def _push_callbacks(self, connection: _Connection, kind: str):
-        """The ``(on_update, on_evicted)`` pair that ties a standing query's
-        refreshes to one connection."""
-        return (
-            lambda sub, result: self._push_update(connection, kind, sub, result),
-            lambda sub, error: self._push_evicted(connection, sub, error),
-        )
-
-    @staticmethod
-    def _subscribed(subscription: Subscription, kind: str, result) -> dict:
-        """The ``subscribe`` response payload."""
-        return {
-            "subscription": subscription.sub_id,
-            "kind": kind,
-            "result": protocol.subscription_result_to_wire(kind, result),
-        }
-
-    def _resume_subscription(self, connection: _Connection, frame: dict):
-        """Re-attach one detached standing subscription to this connection."""
-        sub_id = protocol.field(frame, "resume", int)
-        subscription = self.continuous.subscription(sub_id)
-        if subscription is None:
-            raise ProtocolError(
-                "bad_request", f"unknown subscription {sub_id} (nothing to resume)"
-            )
-        kind = "top_k" if subscription.kind == TOP_K else "flows"
-        on_update, on_evicted = self._push_callbacks(connection, kind)
+        resume = frame.get("resume")
         with self.iupt.store.lock:
-            # Attach under the store lock so a concurrent refresh observes
-            # either no callbacks or both — never a half-attached pair; the
-            # claim check is atomic with the attach for the same reason.
-            if subscription.on_update is not None or subscription.on_evicted is not None:
-                raise ProtocolError(
-                    "bad_request",
-                    f"subscription {sub_id} is already attached to a connection",
-                )
-            subscription.on_update = on_update
-            subscription.on_evicted = on_evicted
-            # Reading .result raises EvictedRangeError when retention killed
-            # the window while the service was down — surfaced as the
+            # Register (or claim) and attach in one hold of the store lock, so
+            # no refresh can fire between them: the connection sees every
+            # change from the first batch on, and a resume's claim check is
+            # atomic with its attach.
+            if resume is not None:
+                sub_id = protocol.field(frame, "resume", int)
+                subscription = self.continuous.subscription(sub_id)
+                if subscription is None:
+                    raise ProtocolError(
+                        "bad_request",
+                        f"unknown subscription {sub_id} (nothing to resume)",
+                    )
+                if subscription.on_change is not None:
+                    raise ProtocolError(
+                        "bad_request",
+                        f"subscription {sub_id} is already attached to a connection",
+                    )
+            else:
+                kind = frame.get("kind", TOP_K)
+                if kind == TOP_K:
+                    query = protocol.query_from_wire(frame)
+                    subscription = self.continuous.register(query)
+                elif kind == FLOWS:
+                    start, end = protocol.window_from_wire(frame)
+                    sloc_ids = protocol.sloc_ids_from_wire(frame)
+                    subscription = self.continuous.register_flows(sloc_ids, start, end)
+                else:
+                    raise ProtocolError(
+                        "bad_request",
+                        f"unknown subscription kind {kind!r}; "
+                        f"expected one of {(TOP_K, FLOWS)}",
+                    )
+            # Reading .result raises EvictedRangeError when retention killed a
+            # resumed window while the service was down — surfaced as the
             # structured evicted_range error, exactly like a fresh register.
-            try:
-                result = subscription.result
-            except Exception:
-                subscription.on_update = None
-                subscription.on_evicted = None
-                raise
-        return subscription, dict(
-            self._subscribed(subscription, kind, result), resumed=True
-        )
+            result = subscription.result
+            subscription.on_change = lambda changed: self._push(connection, changed)
+        response = {
+            "subscription": subscription.sub_id,
+            "kind": subscription.kind,
+            "result": protocol.subscription_result_to_wire(subscription.kind, result),
+        }
+        if resume is not None:
+            response["resumed"] = True
+        return subscription, response
 
     # ------------------------------------------------------------------
-    # Push (called on ingesting worker threads, bridged onto the loop)
+    # Push (called on mutating worker threads, bridged onto the loop)
     # ------------------------------------------------------------------
-    def _push_update(
-        self, connection: _Connection, kind: str, subscription: Subscription, result
-    ) -> None:
-        wire = protocol.subscription_result_to_wire(kind, result)
-        # seq is 0 here; _deliver_push numbers the frame on the event loop,
-        # where push_seq is touched by exactly one thread — a worker-side
-        # counter would race with the subscribe path.
-        frame = protocol.push_update_frame(subscription.sub_id, 0, kind, wire)
-        self._loop.call_soon_threadsafe(self._deliver_push, connection, frame, False)
+    def _push(self, connection: _Connection, subscription: Subscription) -> None:
+        """A subscription's change as its push frame: the new result as an
+        ``update``, the eviction that ended it as ``evicted``."""
+        try:
+            result = subscription.result
+        except EvictedRangeError as error:
+            frame = protocol.push_evicted_frame(subscription.sub_id, error)
+        else:
+            wire = protocol.subscription_result_to_wire(subscription.kind, result)
+            # seq is 0 here; _deliver_push numbers the frame on the event
+            # loop, where push_seq is touched by exactly one thread — a
+            # worker-side counter would race with the subscribe path.
+            frame = protocol.push_update_frame(
+                subscription.sub_id, 0, subscription.kind, wire
+            )
+        self._loop.call_soon_threadsafe(self._deliver_push, connection, frame)
 
-    def _push_evicted(
-        self, connection: _Connection, subscription: Subscription, error
-    ) -> None:
-        frame = protocol.push_evicted_frame(subscription.sub_id, error)
-        self._loop.call_soon_threadsafe(self._deliver_push, connection, frame, True)
-
-    def _deliver_push(
-        self, connection: _Connection, frame: dict, evicted: bool
-    ) -> None:
+    def _deliver_push(self, connection: _Connection, frame: dict) -> None:
         """Event-loop side of a push: number it, write it, count it.
 
         ``call_soon_threadsafe`` preserves the scheduling order of the
@@ -706,10 +677,10 @@ class QueryService(FrameServer):
         sub_id = frame["subscription"]
         if sub_id in connection.unsubscribed:
             return
+        evicted = frame["push"] == "evicted"
         if not evicted:
             seq = connection.push_seq.get(sub_id, 0) + 1
             connection.push_seq[sub_id] = seq
             frame["seq"] = seq
         connection.send_frame(frame)
         self.metrics.note_push(evicted=evicted)
-

@@ -519,8 +519,10 @@ class ShardedRecordStore(RecordStore):
         engine caches keyed by version tokens stay valid across the reset.
 
         No store events fire: a reset is not an ingest.  Callers owning
-        standing subscriptions must explicitly resync them afterwards
-        (:meth:`repro.engine.continuous.ContinuousQueryEngine.resync`).
+        standing subscriptions must explicitly resync them afterwards:
+        :meth:`repro.engine.continuous.ContinuousQueryEngine.resync` takes
+        an ingest event's refresh steps with no receipt, so nothing cached
+        for the old table is carried over.
         """
         with self._lock:
             self._built_dropped = self.records_materialised

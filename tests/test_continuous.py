@@ -246,10 +246,8 @@ class TestDeltaMaintenance:
         the refresh is still counted and still pushed."""
         engine, iupt, plocs, slocs, batches = _continuous_setup("one-shard")
         pushed = []
-        sub = engine.continuous(iupt).register_top_k(
-            slocs, k=2, start=0.0, end=19.0,
-            on_update=lambda _sub, result: pushed.append(result),
-        )
+        sub = engine.continuous(iupt).register_top_k(slocs, k=2, start=0.0, end=19.0)
+        sub.on_change = lambda changed: pushed.append(changed.result)
         standing = sub.result
         window_objects = standing.stats.objects_total
         fetch, fetches = iupt.sequences_in, []
@@ -458,41 +456,35 @@ class TestStoreEvents:
 
 
 # ----------------------------------------------------------------------
-# Push callbacks (the service layer's update hook)
+# Push callbacks (the service layer's change hook)
 # ----------------------------------------------------------------------
 class TestPushCallbacks:
     def test_on_update_fires_after_state_is_applied(self):
-        """Ordering contract: when the callback runs, the subscription
-        already serves the new result — ``sub.result`` inside the callback
-        IS the result the callback received."""
+        """Ordering contract: when the hook runs, the subscription already
+        serves the new result and counts the refresh."""
         engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         observed = []
 
-        def on_update(sub, result):
-            observed.append(
-                (sub.stats.refreshes, result is sub.result, result.top_k_ids())
-            )
+        def on_change(sub):
+            observed.append((sub.stats.refreshes, sub.result, sub.top_k_ids()))
 
-        sub = continuous.register_top_k(
-            slocs, k=2, start=0.0, end=SPAN, on_update=on_update
-        )
+        sub = continuous.register_top_k(slocs, k=2, start=0.0, end=SPAN)
+        sub.on_change = on_change
         assert observed == []  # the registration compute is not a refresh
         iupt.ingest_batch(batches[3])
         assert len(observed) == 1
-        refreshes, same_object, pushed_ids = observed[0]
+        refreshes, pushed, pushed_ids = observed[0]
         assert refreshes == 2  # registration + this refresh, already counted
-        assert same_object is True
+        assert pushed is sub.result
         assert pushed_ids == sub.top_k_ids()
 
     def test_on_update_skipped_refreshes_do_not_fire(self):
         engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         fired = []
-        sub = continuous.register_top_k(
-            slocs, k=2, start=0.0, end=19.0,
-            on_update=lambda s, r: fired.append(r),
-        )
+        sub = continuous.register_top_k(slocs, k=2, start=0.0, end=19.0)
+        sub.on_change = lambda s: fired.append(s.result)
         iupt.ingest_batch(batches[4])  # shard [40, 50): token unchanged
         assert sub.stats.skipped == 1
         assert fired == []
@@ -504,9 +496,8 @@ class TestPushCallbacks:
         engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         fired = []
-        sub = continuous.register_flows(
-            slocs, 0.0, SPAN, on_update=lambda s, r: fired.append(dict(r))
-        )
+        sub = continuous.register_flows(slocs, 0.0, SPAN)
+        sub.on_change = lambda s: fired.append(dict(s.result))
         iupt.ingest_batch(batches[3])
         iupt.ingest_batch(batches[4])
         # The window covers the whole stream, so every batch lands in it: two fires.
@@ -518,7 +509,7 @@ class TestPushCallbacks:
         continuous = engine.continuous(iupt)
         sub = continuous.register_top_k(slocs, k=2, start=0.0, end=SPAN)
         fired = []
-        sub.on_update = lambda s, r: fired.append(s.sub_id)
+        sub.on_change = lambda s: fired.append(s.sub_id)
         iupt.ingest_batch(batches[3])
         assert fired == [sub.sub_id]
 
@@ -526,10 +517,14 @@ class TestPushCallbacks:
         engine, iupt, plocs, slocs, batches = _continuous_setup()
         continuous = engine.continuous(iupt)
         evictions = []
-        sub = continuous.register_top_k(
-            slocs, k=2, start=0.0, end=19.0,
-            on_evicted=lambda s, error: evictions.append(error),
-        )
+
+        def on_change(sub):
+            with pytest.raises(EvictedRangeError) as excinfo:
+                sub.result
+            evictions.append(excinfo.value)
+
+        sub = continuous.register_top_k(slocs, k=2, start=0.0, end=19.0)
+        sub.on_change = on_change
         iupt.evict_before(10.0)
         assert len(evictions) == 1
         with pytest.raises(EvictedRangeError) as excinfo:

@@ -1024,6 +1024,12 @@ class TestSubscriptionManifest:
                 ),
                 id="entry-without-window",
             ),
+            pytest.param(
+                lambda text: json.dumps(
+                    [{**entry, "kind": "bogus"} for entry in json.loads(text)]
+                ),
+                id="unknown-kind",
+            ),
         ],
     )
     def test_a_damaged_manifest_refuses_the_start_by_name(
@@ -1056,3 +1062,39 @@ class TestSubscriptionManifest:
             iupt.store.close()
 
         asyncio.run(run())
+
+    def test_a_legacy_top_k_entry_restores_as_a_fresh_registration(
+        self, small_real_scenario, tmp_path
+    ):
+        """Builds before 12.0 spelled the kind ``"top-k"``; such an entry
+        restores a top-k subscription equal to a fresh registration, and the
+        rewritten manifest spells the kind as the wire does, with the same
+        fields."""
+        scenario = small_real_scenario
+        slocs = scenario.slocation_ids()[:6]
+        store = DurableRecordStore(tmp_path, shard_seconds=60.0)
+        store.ingest_batch(list(scenario.iupt.records))
+        path = store.subscription_manifest_path
+        legacy = {
+            "id": 7, "kind": "top-k", "slocs": slocs, "window": [0.0, 120.0], "k": 2
+        }
+        path.write_text(json.dumps([legacy], indent=2), encoding="utf-8")
+
+        def make_engine():
+            return QueryEngine(scenario.system.graph, scenario.system.matrix)
+
+        iupt = IUPT(store=store)
+        with make_engine().continuous(iupt, manifest_path=path) as restoring:
+            [restored] = restoring.restore_subscriptions()
+            with make_engine().continuous(IUPT(store=store)) as fresh_engine:
+                fresh = fresh_engine.register_top_k(slocs, 2, 0.0, 120.0)
+            assert (restored.sub_id, restored.kind) == (7, "top_k")
+            assert restored.top_k_ids() == fresh.top_k_ids()
+            assert restored.result.flows == fresh.result.flows
+            assert [entry.flow for entry in restored.result.ranking] == [
+                entry.flow for entry in fresh.result.ranking
+            ]
+            assert sum(restored.result.flows.values()) > 0.0
+            [entry] = json.loads(path.read_text(encoding="utf-8"))
+            assert entry == {**legacy, "kind": "top_k"}
+        store.close()

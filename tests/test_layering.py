@@ -322,6 +322,34 @@ def test_the_per_object_store_api_is_gone():
     assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 60)
 
 
+def test_a_standing_query_has_one_hook_and_one_kind_vocabulary():
+    import repro.engine
+    import repro.engine.continuous as continuous
+    import repro.service
+    import repro.service.protocol
+    from repro.service.server import QueryService
+
+    engine = continuous.ContinuousQueryEngine
+    for method in (engine.register, engine.register_top_k, engine.register_flows):
+        parameters = inspect.signature(method).parameters
+        assert not {"on_update", "on_evicted"} & set(parameters), method.__name__
+    # bench/ calls register_top_k(q, k, start, end) positionally.
+    assert list(inspect.signature(engine.register_top_k).parameters) == [
+        "self", "query_slocations", "k", "start", "end",
+    ]
+    assert not hasattr(continuous, "EvictedCallback")
+    subscription = continuous.Subscription(1, continuous.FLOWS, (0.0, 1.0), (1,))
+    assert [name for name in vars(subscription) if name.startswith("on_")] == [
+        "on_change"
+    ]
+    assert (continuous.TOP_K, continuous.FLOWS) == ("top_k", "flows")
+    assert not hasattr(repro.service.protocol, "SUBSCRIPTION_KINDS")
+    assert "SUBSCRIPTION_KINDS" not in repro.service.__all__
+    for name in ("_register_subscription", "_resume_subscription", "_subscribed"):
+        assert not hasattr(QueryService, name), name
+    assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 60)
+
+
 def _names(path):
     """Every identifier a module spells: names, attributes, imported aliases."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -414,6 +414,72 @@ class TestReplicaConvergence:
 
         asyncio.run(run())
 
+    def test_a_snapshot_catch_up_resyncs_standing_subscriptions(
+        self, small_real_scenario, tmp_path
+    ):
+        """A reset fires no store events, so the replica's ``resync`` is the
+        only thing that moves its standing results onto an adopted snapshot:
+        a window the snapshot changed is recomputed and pushed once, equal to
+        a fresh registration over the adopted table, and a window below the
+        adopted watermark gets exactly one ``evicted`` push."""
+        scenario = small_real_scenario
+        history, live = _split_stream(scenario)
+        slocs = scenario.slocation_ids()
+
+        class PausedReplica(ReadReplica):
+            """Drops the live tail while paused: only a snapshot catches up."""
+
+            paused = False
+
+            async def _apply_commit(self, loop, frame) -> None:
+                if not self.paused:
+                    await super()._apply_commit(loop, frame)
+
+        async def run():
+            service, host, port = await _start_primary(
+                scenario,
+                tmp_path,
+                preload=history,
+                config=DurabilityConfig(snapshot_every_batches=1),
+            )
+            replica = PausedReplica(_make_engine(scenario), host, port, name="late")
+            rhost, rport = await replica.start()
+            assert replica.snapshot_catchups == 1
+            async with await ServiceClient.connect(rhost, rport) as rc:
+                standing = await rc.subscribe_top_k(slocs, 3, 90.0, DURATION)
+                doomed = await rc.subscribe_flows(slocs[:4], 0.0, HISTORY)
+                before = standing.result
+                replica.paused = True
+                async with await ServiceClient.connect(host, port) as primary:
+                    await primary.ingest_batch(live)
+                service.iupt.store.restore_watermark(80.0)
+                replica.applied_seq = 0
+                replica._adopt_snapshot(await replica._handshake())
+                assert replica.snapshot_catchups == 2
+                assert replica.resubscribes == 1
+
+                update = await standing.next_update(timeout=5.0)
+                with _make_engine(scenario).continuous(replica.iupt) as fresh:
+                    expected = protocol.subscription_result_to_wire(
+                        "top_k", fresh.register_top_k(slocs, 3, 90.0, DURATION).result
+                    )
+                assert update["push"] == "update"
+                assert update["result"] == json.loads(json.dumps(expected))
+                assert update["result"] != before
+                evicted = await doomed.next_update(timeout=5.0)
+                assert evicted["push"] == "evicted"
+                assert evicted["error"]["watermark"] == 80.0
+
+                # Nothing further is pending for either subscription: a
+                # second resync finds every window current or already dead.
+                assert replica.service.continuous.resync() == 0
+                await rc.ping()
+                assert standing.updates.empty() and doomed.updates.empty()
+            await replica.stop()
+            await service.stop()
+
+        asyncio.run(run())
+
     def test_a_snapshot_catch_up_that_moves_retention_refuses_warmed_windows(
         self, small_real_scenario, tmp_path
     ):

@@ -759,10 +759,9 @@ class TestServerIntegration:
 
             # The subscriptions survived the departure …
             assert len(service.continuous.subscriptions) == 2
-            # … detached from the dead connection's push callbacks.
+            # … detached from the dead connection's push hook.
             for subscription in service.continuous.subscriptions:
-                assert subscription.on_update is None
-                assert subscription.on_evicted is None
+                assert subscription.on_change is None
             await service.stop()
 
         asyncio.run(run())
