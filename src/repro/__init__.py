@@ -208,7 +208,17 @@ from .system import IndoorFlowSystem
 # register, register_top_k and register_flows no longer take; resync takes an
 # ingest event's steps with no receipt, and repro.service no longer exports a
 # second list of kind names. Wire and disk bytes are unchanged.
-__version__ = "12.0.0"
+# 13.0.0: the system is the engine, and Algorithm 3 scores in one place.
+# IndoorFlowSystem(plan, reduction, config) subclasses QueryEngine: its
+# forwarding methods and .engine are gone, engine_config= is config= and
+# use_merged_matrix= is gone (the matrix is always merged). The one scoring
+# fold, accumulate_flows_over_entries, and score_query_over_entries (which
+# takes stats= instead of objects_total) live in repro.core.nested_loop;
+# repro.engine.stages / repro.engine.batch re-export them and
+# score_presence_into_flows is gone. QueryEngine lost rtree_fanout=,
+# FlowComputer lost reduce_object. A TkPLQuery listing an S-location twice
+# raises ValueError (bad_request on the wire). Answers are unchanged.
+__version__ = "13.0.0"
 
 __all__ = [
     "ALGORITHMS",

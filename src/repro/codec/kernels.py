@@ -2,8 +2,8 @@
 
 The engine accumulates flows with one fold over the window's per-object
 artefacts in fetch order
-(:func:`~repro.engine.stages.accumulate_flows_over_entries`,
-:func:`~repro.engine.batch.score_query_over_entries`).
+(:func:`~repro.core.nested_loop.accumulate_flows_over_entries`, which
+:func:`~repro.core.nested_loop.score_query_over_entries` ranks).
 :class:`PresenceMatrix` is the other shape of the same sum — one row per
 S-location, one column per artefact — and nothing under ``src/repro`` builds
 one.  It survives **only** because ``bench/layers.py`` (which a PR outside
@@ -29,7 +29,7 @@ class PresenceMatrix:
     """Presence values of one window: one row per S-location, one column per
     entry, in fetch order, in one flat list."""
 
-    __slots__ = ("_columns", "_n", "_values", "_counts", "_has_parent")
+    __slots__ = ("_columns", "_n", "_values", "_counts")
 
     def __init__(
         self,
@@ -40,8 +40,7 @@ class PresenceMatrix:
         ordered = list(dict.fromkeys(sloc_ids))
         columns = {sloc_id: row for row, sloc_id in enumerate(ordered)}
         n = len(entries)
-        cells = [parent_cells.get(sloc_id) for sloc_id in ordered]
-        has_parent = [cell is not None for cell in cells]
+        cells = [parent_cells[sloc_id] for sloc_id in ordered]
         values = [0.0] * (len(ordered) * n)
         counts = [0] * len(ordered)
         for column, (_object_id, entry) in enumerate(entries):
@@ -53,24 +52,18 @@ class PresenceMatrix:
                 if row is None:
                     continue
                 counts[row] += 1
-                if has_parent[row]:
-                    values[row * n + column] = computation.presence_in_cell(
-                        cells[row]
-                    )
+                values[row * n + column] = computation.presence_in_cell(cells[row])
         self._columns = columns
         self._n = n
         self._values = values
         self._counts = counts
-        self._has_parent = has_parent
 
     def accumulate_flows(
         self, sloc_ids: Sequence[int]
     ) -> Tuple[Dict[int, float], int]:
         """Flows + evaluation count, as
-        :func:`~repro.engine.stages.accumulate_flows_over_entries` reports
-        them: an S-location without a parent cell still counts its
-        evaluations (each adds ``presence_in_cell(None) == 0.0``).
-        """
+        :func:`~repro.core.nested_loop.accumulate_flows_over_entries` reports
+        them."""
         flows: Dict[int, float] = {sloc_id: 0.0 for sloc_id in sloc_ids}
         evaluations = 0
         n = self._n
@@ -79,7 +72,7 @@ class PresenceMatrix:
             if row is None:
                 continue
             evaluations += self._counts[row]
-            if self._has_parent[row] and self._counts[row]:
+            if self._counts[row]:
                 total = 0.0
                 for value in self._values[row * n : (row + 1) * n]:
                     total += value

@@ -9,12 +9,14 @@ The computation itself lives in the staged pipeline of
 :mod:`repro.engine.stages` (fetch → reduce → paths → presence);
 :class:`FlowComputer` is the home of the per-object primitives that pipeline
 is built on (the reducer, Equation 1) and knows nothing about the engine.
+The pipeline's stages call the reducer through :attr:`FlowComputer.reducer`
+and the presences through :meth:`FlowComputer.presence_computation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..data.records import SampleSet
 from ..space.graph import IndoorSpaceLocationGraph
@@ -22,7 +24,7 @@ from ..space.matrix import IndoorLocationMatrix
 from .paths import candidate_path_count
 from .presence import PresenceComputation
 from .query import SearchStats
-from .reduction import DataReducer, DataReductionConfig, ReductionStats
+from .reduction import DataReducer, DataReductionConfig
 
 
 @dataclass
@@ -91,15 +93,3 @@ class FlowComputer:
                 return 0.0
             working = reduced.sequence
         return self.presence_computation(working).presence_in_cell(cell_id)
-
-    # ------------------------------------------------------------------
-    # Shared internals (also used by the TkPLQ algorithms)
-    # ------------------------------------------------------------------
-    def reduce_object(
-        self,
-        sequence: Sequence[SampleSet],
-        query_slocations: Optional[AbstractSet[int]],
-        stats: Optional[ReductionStats] = None,
-    ):
-        """Expose Algorithm 1 for callers that need the PSLs (e.g. Best-First)."""
-        return self._reducer.reduce(sequence, query_slocations, stats)

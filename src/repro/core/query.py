@@ -7,6 +7,7 @@ S-locations of ``Q`` with the highest indoor flow.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +29,12 @@ class TkPLQuery:
             raise ValueError("k must be at least 1")
         if not self.query_slocations:
             raise ValueError("the query set Q must not be empty")
+        counts = Counter(self.query_slocations)
+        repeated = sorted(sloc for sloc, count in counts.items() if count > 1)
+        if repeated:
+            raise ValueError(
+                f"the query set Q lists S-location id(s) {repeated} more than once"
+            )
         if self.start > self.end:
             raise ValueError("the query interval start must not exceed its end")
         if self.k > len(self.query_slocations):

@@ -11,8 +11,14 @@ This package turns the core algorithms into an explicit execution engine:
 * :mod:`~repro.engine.batch` — :class:`BatchPlanner`, many queries per pass;
 * :mod:`~repro.engine.continuous` — :class:`ContinuousQueryEngine`,
   incrementally maintained standing queries over streaming ingestion;
-* :mod:`~repro.engine.runtime` — :class:`QueryEngine`, the facade everything
-  (including :class:`~repro.system.IndoorFlowSystem`) goes through.
+* :mod:`~repro.engine.runtime` — :class:`QueryEngine`, the facade every
+  entry point goes through (:class:`~repro.system.IndoorFlowSystem` is its
+  subclass built from a floor plan).
+
+The fold that scores presences into flows is not here:
+:func:`~repro.core.nested_loop.accumulate_flows_over_entries` and
+:func:`~repro.core.nested_loop.score_query_over_entries` live beside
+Algorithm 3, which scores with them too.
 """
 
 from .batch import (

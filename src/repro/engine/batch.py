@@ -9,10 +9,11 @@ once, and each query then only scores its own locations against the shared
 per-object artefacts.
 
 The per-query answers are exactly those of the nested-loop algorithm run
-independently: an object is relevant to a query precisely when its possible
-semantic locations intersect that query's set, objects are scored in the
-same deterministic order, and the per-object presence values are identical —
-so the summed flows (and therefore the rankings) match bit for bit.
+independently: each query is scored by the same
+:func:`~repro.core.nested_loop.score_query_over_entries` the algorithm uses,
+over objects in the same (fetch) order with identical per-object presences —
+so the summed flows (and therefore the rankings) match bit for bit.  Both
+names are imported here from :mod:`repro.core.nested_loop`.
 """
 
 from __future__ import annotations
@@ -21,49 +22,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from ..core.nested_loop import score_presence_into_flows
-from ..core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
+from ..core.nested_loop import BATCH_ALGORITHM, score_query_over_entries
+from ..core.query import SearchStats, TkPLQResult, TkPLQuery
 from ..data.iupt import IUPT
-from .cache import StoredPresence
 from .stages import QueryPipeline
-
-BATCH_ALGORITHM = "batched-nested-loop"
-
-
-def score_query_over_entries(
-    query: TkPLQuery,
-    entries: Sequence[Tuple[int, StoredPresence]],
-    parent_cells: Dict[int, int],
-    objects_total: int,
-    algorithm: str = BATCH_ALGORITHM,
-) -> TkPLQResult:
-    """Score one query against shared per-object presence artefacts.
-
-    The per-query tail of a batched window group, shared with the
-    continuous-query subsystem so a standing query's refresh scores its
-    artefacts exactly like an ad-hoc batched query would — the bit-for-bit
-    equivalence of both against the nested-loop algorithm hangs on all three
-    using :func:`~repro.core.nested_loop.score_presence_into_flows` over
-    objects in the same (fetch) order.
-    """
-    query_began = time.perf_counter()
-    stats = SearchStats()
-    stats.note_objects_total(objects_total)
-
-    query_set = set(query.query_slocations)
-    flows = {sloc_id: 0.0 for sloc_id in query.query_slocations}
-    for _object_id, entry in entries:
-        score_presence_into_flows(entry, query_set, parent_cells, flows, stats)
-
-    stats.elapsed_seconds = time.perf_counter() - query_began
-    return TkPLQResult(
-        query=query,
-        ranking=rank_top_k(flows, query.k),
-        flows=flows,
-        stats=stats,
-        algorithm=algorithm,
-    )
-
 
 @dataclass
 class BatchReport:
@@ -166,5 +128,5 @@ class BatchPlanner:
 
         for index in group:
             results[index] = score_query_over_entries(
-                queries[index], entries, parent_cells, len(entries)
+                queries[index], entries, parent_cells
             )

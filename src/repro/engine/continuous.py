@@ -67,6 +67,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
+from ..core.nested_loop import accumulate_flows_over_entries, score_query_over_entries
 from ..core.query import TkPLQResult, TkPLQuery
 from ..data.iupt import IUPT
 from ..storage import (
@@ -78,8 +79,6 @@ from ..storage import (
     IngestReceipt,
 )
 from ..storage.durable import atomic_write
-from .batch import score_query_over_entries
-from .stages import accumulate_flows_over_entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cache import StoredPresence
@@ -562,7 +561,6 @@ class ContinuousQueryEngine:
                 subscription.query,
                 entries,
                 parent_cells,
-                len(entries),
                 algorithm=CONTINUOUS_ALGORITHM,
             )
         else:

@@ -13,8 +13,8 @@ layer every entry point goes through:
   :class:`~repro.engine.batch.BatchPlanner`;
 * :meth:`cache_stats` / :meth:`reset_cache` — cache introspection.
 
-:class:`~repro.system.IndoorFlowSystem` builds one of these from a floor
-plan and exposes the same calls as thin wrappers.
+:class:`~repro.system.IndoorFlowSystem` *is* one of these, built from a
+floor plan instead of a graph and a matrix.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class QueryEngine:
         matrix: IndoorLocationMatrix,
         reduction: DataReductionConfig = DataReductionConfig.enabled(),
         config: Optional[EngineConfig] = None,
-        rtree_fanout: int = 8,
     ):
         self.config = config or EngineConfig()
         self.store: Optional[PresenceStore] = (
@@ -64,7 +63,7 @@ class QueryEngine:
         self._algorithms = {
             "naive": NaiveTkPLQ(self.pipeline),
             "nested-loop": NestedLoopTkPLQ(self.pipeline),
-            "best-first": BestFirstTkPLQ(self.pipeline, rtree_fanout),
+            "best-first": BestFirstTkPLQ(self.pipeline),
         }
 
     # ------------------------------------------------------------------

@@ -18,7 +18,9 @@ the one place a query meets the table and the store: the three TkPLQ
 algorithms, ``QueryEngine.flow``/``flows``, the
 :class:`~repro.engine.batch.BatchPlanner` and the continuous-query subsystem
 all ask it for the window's :class:`~repro.engine.cache.WindowPresences` and
-only score what it returns.
+only score what it returns, with the one fold,
+:func:`~repro.core.nested_loop.accumulate_flows_over_entries` (imported here
+because ``bench/`` imports it from this module).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.flow import FlowComputer, FlowResult
+from ..core.nested_loop import accumulate_flows_over_entries
 from ..core.query import SearchStats
 from ..core.reduction import ReducedSequence
 from ..data.iupt import IUPT
@@ -77,41 +80,6 @@ class PathStage:
 
     def run(self, ctx: ExecutionContext, sequence: Sequence[SampleSet]):
         return self._computer.presence_computation(sequence, ctx.stats)
-
-
-def accumulate_flows_over_entries(
-    entries: Sequence[Tuple[int, StoredPresence]],
-    sloc_ids: Sequence[int],
-    parent_cells: Dict[int, Optional[int]],
-    stats: SearchStats,
-    kernel: str = "scalar",
-) -> Dict[int, float]:
-    """Sum per-location flows over per-object artefacts, in entry order.
-
-    The accumulation kernel of :meth:`QueryPipeline.flows_for_all`, shared
-    with the continuous-query subsystem: the bit-for-bit equivalence of a
-    standing flow result and a fresh ``flows_for_all`` hangs on both summing
-    the same per-object presence values in the same (fetch) order.
-
-    ``kernel`` selects nothing: ``bench/`` passes
-    ``EngineConfig.resolved_scoring_kernel`` by keyword, so the keyword is
-    accepted, and anything but ``"scalar"`` is a ``ValueError``.
-    """
-    if kernel != "scalar":
-        raise ValueError(
-            f"unknown scoring kernel {kernel!r}; the engine has one, 'scalar'"
-        )
-    flows: Dict[int, float] = {sloc_id: 0.0 for sloc_id in sloc_ids}
-    for _object_id, entry in entries:
-        if entry.pruned:
-            continue
-        for sloc_id in sloc_ids:
-            if sloc_id in entry.psls:
-                stats.flow_evaluations += 1
-                flows[sloc_id] += entry.computation.presence_in_cell(
-                    parent_cells[sloc_id]
-                )
-    return flows
 
 
 class PresenceStage:

@@ -33,7 +33,6 @@ from typing import List, Tuple
 
 from ..data.iupt import IUPT
 from ..engine.config import EngineConfig
-from ..engine.runtime import QueryEngine
 from ..storage import DurabilityConfig
 from ..synth.building import BuildingConfig, GridBuildingGenerator
 from ..system import IndoorFlowSystem
@@ -48,7 +47,7 @@ RECONNECT_RETRIES = 5  # re-dials of a lost peer (replica and router)
 FRESHNESS_TIMEOUT = 5.0  # a routed read's wait for its replica to catch up
 
 
-def _build_engine(args: argparse.Namespace) -> QueryEngine:
+def _build_engine(args: argparse.Namespace) -> IndoorFlowSystem:
     building = GridBuildingGenerator(
         BuildingConfig(
             floors=args.floors,
@@ -58,11 +57,10 @@ def _build_engine(args: argparse.Namespace) -> QueryEngine:
             seed=args.seed,
         )
     ).generate()
-    system = IndoorFlowSystem(building.plan)
     config = None
     if args.presence_capacity is not None:
         config = EngineConfig(presence_store_capacity=args.presence_capacity)
-    return QueryEngine(system.graph, system.matrix, config=config)
+    return IndoorFlowSystem(building.plan, config=config)
 
 
 def _parse_address(text: str) -> Tuple[str, int]:

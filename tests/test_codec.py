@@ -199,26 +199,21 @@ def window_entries(engine, iupt, slocs, start, end):
     return pipeline.presences(ctx, sequences), parent_cells, len(sequences)
 
 
-def direct_fold(entries, slocs, parent_cells, count_parentless):
+def direct_fold(entries, slocs, parent_cells):
     """Equation 2 as written: per S-location, one left-to-right sum of the
     presences of the objects that may have visited it, in fetch order.
 
     Location-major where the engine is object-major, so this is another loop
-    nest over the same additions.  An S-location without a parent cell has
-    flow ``0.0``; ``flows`` counts an evaluation for it per object, a top-k
-    query counts none (``count_parentless``).
+    nest over the same additions.
     """
     flows, evaluations = {}, 0
     for sloc in slocs:
-        cell = parent_cells.get(sloc)
         total = 0.0
         for _object_id, entry in entries:
             if entry.pruned or sloc not in entry.psls:
                 continue
-            if cell is None and not count_parentless:
-                continue
             evaluations += 1
-            total += entry.computation.presence_in_cell(cell)
+            total += entry.computation.presence_in_cell(parent_cells[sloc])
         flows[sloc] = total
     return flows, evaluations
 
@@ -226,7 +221,7 @@ def direct_fold(entries, slocs, parent_cells, count_parentless):
 def assert_flows_are_the_fold(entries, slocs, parent_cells, expected=None):
     """``accumulate_flows_over_entries``, the matrix ``bench/`` times and the
     direct fold: same bits, same evaluations; ``expected`` is the engine's."""
-    folded, evaluations = direct_fold(entries, slocs, parent_cells, count_parentless=True)
+    folded, evaluations = direct_fold(entries, slocs, parent_cells)
     stats = SearchStats()
     flows = accumulate_flows_over_entries(entries, slocs, parent_cells, stats)
     assert flows_bitwise_equal(flows, folded)
@@ -242,16 +237,16 @@ def assert_flows_are_the_fold(entries, slocs, parent_cells, expected=None):
 
 def assert_query_is_the_fold(query, entries, parent_cells, objects_total, expected):
     """``score_query_over_entries`` and the engine's own answer (``expected``)
-    against the direct fold: flows, ranking and ``flow_evaluations``."""
-    folded, evaluations = direct_fold(
-        entries, query.query_slocations, parent_cells, count_parentless=False
-    )
+    against the direct fold: flows, ranking, ``flow_evaluations`` and the
+    window's ``objects_total``."""
+    folded, evaluations = direct_fold(entries, query.query_slocations, parent_cells)
     ranking = [ranked.sloc_id for ranked in rank_top_k(folded, query.k)]
-    scored = score_query_over_entries(query, entries, parent_cells, objects_total)
+    scored = score_query_over_entries(query, entries, parent_cells)
     for result in (scored, expected):
         assert flows_bitwise_equal(result.flows, folded)
         assert result.top_k_ids() == ranking
         assert result.stats.flow_evaluations == evaluations
+        assert result.stats.objects_total == objects_total
 
 
 def scenario_engine(scenario) -> QueryEngine:
@@ -267,8 +262,6 @@ class TestVectorizedKernels:
     def test_matrix_kernels_match_scalar_on_figure1(
         self, figure1, figure1_iupt, _container
     ):
-        # The differential for the one class bench/ still times: evaluation
-        # counting includes parentless S-locations.
         engine = QueryEngine(figure1["graph"], figure1["matrix"])
         slocs = sorted(figure1["slocs"].values())
         entries, parent_cells, _ = window_entries(engine, figure1_iupt, slocs, 1.0, 8.0)
@@ -276,7 +269,7 @@ class TestVectorizedKernels:
             assert_flows_are_the_fold(entries, subset, parent_cells)
         # A matrix answers for the rows it was built with, any order or subset.
         matrix = PresenceMatrix(entries, slocs, parent_cells)
-        folded, evaluations = direct_fold(entries, slocs[4:1:-1], parent_cells, True)
+        folded, evaluations = direct_fold(entries, slocs[4:1:-1], parent_cells)
         flows, counted = matrix.accumulate_flows(slocs[4:1:-1])
         assert flows_bitwise_equal(flows, folded) and counted == evaluations
 
@@ -332,7 +325,7 @@ class TestVectorizedKernels:
             iupt, slocs, start, end, stats=stats
         )
         assert_flows_are_the_fold(entries, slocs, parent_cells, expected=expected)
-        assert stats.flow_evaluations == direct_fold(entries, slocs, parent_cells, True)[1]
+        assert stats.flow_evaluations == direct_fold(entries, slocs, parent_cells)[1]
 
     def test_continuous_results_bit_identical_across_kernels(
         self, small_real_scenario

@@ -224,6 +224,9 @@ class TestQueryTypes:
             TkPLQuery.build([1, 2], 1, 5.0, 1.0)
         with pytest.raises(ValueError):
             TkPLQuery.build([1, 2], 0, 0.0, 1.0)
+        # Q is a set (Problem 1): a repeated id is named, not ranked twice.
+        with pytest.raises(ValueError, match=r"id\(s\) \[1\] more than once"):
+            TkPLQuery.build([1, 1, 2], 3, 0.0, 1.0)
 
     def test_rank_top_k_ties_by_id(self):
         ranking = rank_top_k({3: 1.0, 1: 1.0, 2: 2.0}, 3)

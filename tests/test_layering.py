@@ -533,3 +533,80 @@ def test_worker_threads_are_started_in_the_pool_alone():
         and "Thread" == getattr(node.func, "attr", getattr(node.func, "id", None))
     ]
     assert [site.split(":")[0] for site in starts] == ["service/pool.py"]
+
+
+def test_the_system_is_the_engine():
+    """``IndoorFlowSystem`` is a ``QueryEngine`` built from a floor plan, with
+    no forwarding member, and a topology role builds that one engine."""
+    import repro.engine
+    from repro import IndoorFlowSystem, QueryEngine
+    from repro.service import topology
+
+    assert IndoorFlowSystem.__mro__[1] is QueryEngine
+    own = {
+        name
+        for name in vars(IndoorFlowSystem)
+        if name == "__init__" or not name.startswith("__")
+    }
+    assert own == {"__init__", "summary"}
+    for argv, capacity in (
+        (["replica", "--primary", "h:1", "--presence-capacity", "123"], 123),
+        (["primary", "--data-dir", "d"], EngineConfig().presence_store_capacity),
+    ):
+        engine = topology._build_engine(topology.build_parser().parse_args(argv))
+        assert type(engine) is IndoorFlowSystem
+        assert engine.store.capacity == capacity
+    assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 60)
+
+
+def test_algorithm_3_scores_in_one_place():
+    """One fold of presences into flows, defined beside Algorithm 3; the
+    engine modules re-export the same objects ``bench/`` and tests import."""
+    import repro.engine.batch
+    import repro.engine.stages
+    from repro.core import nested_loop
+
+    for name, where in (
+        ("score_presence_into_flows", []),
+        ("accumulate_flows_over_entries", ["core/nested_loop.py"]),
+        ("score_query_over_entries", ["core/nested_loop.py"]),
+    ):
+        sites = [
+            str(path.relative_to(SRC_DIR))
+            for path in sorted(SRC_DIR.rglob("*.py"))
+            if name in _defined(path)
+        ]
+        assert sites == where, name
+    assert (
+        repro.engine.stages.accumulate_flows_over_entries
+        is nested_loop.accumulate_flows_over_entries
+    )
+    assert (
+        repro.engine.batch.score_query_over_entries
+        is nested_loop.score_query_over_entries
+    )
+
+
+def test_options_nobody_passed_are_gone():
+    from repro import FlowComputer, IndoorFlowSystem, QueryEngine
+    from repro.codec import PresenceMatrix
+    from repro.core.nested_loop import (
+        accumulate_flows_over_entries,
+        score_query_over_entries,
+    )
+
+    for function in (
+        IndoorFlowSystem.__init__,
+        QueryEngine.__init__,
+        accumulate_flows_over_entries,
+        score_query_over_entries,
+    ):
+        parameters = set(inspect.signature(function).parameters)
+        assert not parameters & {
+            "rtree_fanout", "use_merged_matrix", "engine_config", "objects_total",
+        }, function.__qualname__  # fmt: skip
+    assert list(inspect.signature(IndoorFlowSystem.__init__).parameters) == [
+        "self", "plan", "reduction", "config",
+    ]  # fmt: skip
+    assert not hasattr(FlowComputer, "reduce_object")
+    assert "_has_parent" not in PresenceMatrix.__slots__

@@ -473,6 +473,11 @@ class TestServerIntegration:
                 with pytest.raises(ServiceError) as excinfo:
                     await client.top_k(scenario.slocation_ids(), 1, 50.0, 10.0)
                 assert excinfo.value.kind == "bad_request"
+                s0, s1 = scenario.slocation_ids()[:2]
+                with pytest.raises(ServiceError) as excinfo:
+                    await client.top_k([s0, s0, s1], 3, 0.0, 10.0)
+                assert excinfo.value.kind == "bad_request"
+                assert f"[{s0}] more than once" in excinfo.value.message
                 # A field that will not cast is a bad_request naming the field.
                 for op, fields, name in (
                     ("flow", {"sloc": "lobby", "start": 0.0, "end": 10.0}, "sloc"),

@@ -139,6 +139,30 @@ class TestGraphAndMatrix:
         for sloc_id, cell_id in graph.slocation_to_cell.items():
             assert sloc_id in graph.c2s(cell_id)
 
+    @pytest.mark.parametrize("model", ["figure1", "real", "synthetic"])
+    def test_every_possible_semantic_location_has_a_parent_cell(
+        self, model, figure1, figure1_iupt
+    ):
+        """The engine's one fold looks up ``parent_cell`` of every S-location
+        in an artefact's PSLs and has no arm for ``None``: PSLs come from
+        ``C2S``, which only holds S-locations that have a parent cell."""
+        from repro import QueryEngine
+        from repro.synth import build_real_scenario, build_synthetic_scenario
+
+        if model == "figure1":
+            graph, matrix, iupt = figure1["graph"], figure1["matrix"], figure1_iupt
+        else:
+            build = build_real_scenario if model == "real" else build_synthetic_scenario
+            scenario = build()
+            graph, matrix, iupt = scenario.system.graph, scenario.system.matrix, scenario.iupt
+        pipeline = QueryEngine(graph, matrix).pipeline
+        start, end = iupt.time_span()
+        ctx = pipeline.context((start, end), graph.plan.slocations)
+        entries = pipeline.window(ctx, iupt, build_paths=False).entries
+        psls = set().union(*(entry.psls for _object_id, entry in entries))
+        assert psls
+        assert [sloc for sloc in sorted(psls) if graph.parent_cell(sloc) is None] == []
+
     def test_equivalence_classes_partition_plocations(self, figure1):
         graph = figure1["graph"]
         classes = graph.equivalence_classes()
