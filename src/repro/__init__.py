@@ -218,7 +218,16 @@ from .system import IndoorFlowSystem
 # score_presence_into_flows is gone. QueryEngine lost rtree_fanout=,
 # FlowComputer lost reduce_object. A TkPLQuery listing an S-location twice
 # raises ValueError (bad_request on the wire). Answers are unchanged.
-__version__ = "13.0.0"
+# 14.0.0: every index is built once from its input. RTree, OneDimensionalRTree,
+# BPlusTree and CountAggregateRTree have no insert / extend; their constructors
+# are RTree.bulk_load, OneDimensionalRTree.from_sorted, BPlusTree.bulk_load and
+# CountAggregateRTree.build(items, max_entries) (count_in_range, the instance
+# bulk_load, total_count, all_items and items_under are gone). The two time
+# indexes raise ValueError naming the first out-of-order pair instead of
+# building a wrong tree. A replica applies its pushes and snapshot re-catch-ups
+# on its service's worker pool (QueryService.pool). Eleven helpers no code
+# called are gone. Answers are unchanged.
+__version__ = "14.0.0"
 
 __all__ = [
     "ALGORITHMS",

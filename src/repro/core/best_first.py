@@ -4,7 +4,7 @@ The best-first algorithm avoids computing the flow of every query location.
 It proceeds in three phases:
 
 1. **Preparation.**  Fetch the window's positioning records, reduce every
-   object's sequence, and insert the surviving objects into an in-memory
+   object's sequence, and bulk-load the surviving objects into an in-memory
    COUNT-aggregate R-tree ``RC`` keyed by the MBR of their possible semantic
    locations (PSLs).
 
@@ -202,15 +202,13 @@ class BestFirstTkPLQ:
     ) -> Tuple[Dict[int, "StoredPresence"], CountAggregateRTree]:
         """The surviving objects by id and the aggregate R-tree over their PSL MBRs."""
         presences: Dict[int, "StoredPresence"] = {}
-        aggregate = CountAggregateRTree(max_entries=self._fanout)
+        items: List[Tuple[Rect, int]] = []
         for object_id, entry in entries:
             if entry.pruned:
                 continue
             presences[object_id] = entry
-            for mbr in self._psl_mbrs(plan, entry.psls):
-                aggregate.insert(mbr, object_id)
-        aggregate.build()
-        return presences, aggregate
+            items.extend((mbr, object_id) for mbr in self._psl_mbrs(plan, entry.psls))
+        return presences, CountAggregateRTree.build(items, max_entries=self._fanout)
 
     @staticmethod
     def _psl_mbrs(plan, psls) -> List[Rect]:

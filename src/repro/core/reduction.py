@@ -135,10 +135,6 @@ class ReducedSequence:
     psls: frozenset
     pruned: bool
 
-    @property
-    def is_relevant(self) -> bool:
-        return not self.pruned
-
 
 # One working sample set of a dwell run: the input set when the reduction left
 # its columns untouched (else ``None``), and its probability column.

@@ -53,10 +53,6 @@ class Rect:
         return self.width * self.height
 
     @property
-    def perimeter(self) -> float:
-        return 2.0 * (self.width + self.height)
-
-    @property
     def center(self) -> Point:
         return Point((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0, self.floor)
 

@@ -1,4 +1,10 @@
-"""Index substrates: R-tree, COUNT-aggregate R-tree, 1D R-tree, B+-tree."""
+"""Index substrates: R-tree, COUNT-aggregate R-tree, 1D R-tree, B+-tree.
+
+Each tree is built once, from its whole input, and never mutated afterwards:
+``RTree.bulk_load``, ``CountAggregateRTree.build``,
+``OneDimensionalRTree.from_sorted`` and ``BPlusTree.bulk_load``.  The two time
+indexes refuse input that is not in time order.
+"""
 
 from .aggregate_rtree import AggregateEntry, AggregateNode, CountAggregateRTree
 from .bplustree import BPlusTree

@@ -7,8 +7,9 @@ e's child nodes".  The Best-First search joins this tree against the R-tree of
 query S-locations and uses the counts as upper bounds on flow (an object's
 presence never exceeds 1).
 
-This module wraps the generic :class:`~repro.indexes.rtree.RTree` with count
-maintenance and exposes the node/entry view the join algorithm needs.
+This module bulk-loads the generic :class:`~repro.indexes.rtree.RTree`, copies
+it once into count-annotated nodes and exposes the node/entry view the join
+algorithm needs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Tuple
 
 from ..geometry import Rect
-from .rtree import RTree, RTreeNode
+from .rtree import DEFAULT_MAX_ENTRIES, RTree, RTreeNode
 
 
 @dataclass
@@ -51,71 +52,24 @@ class AggregateNode:
 class CountAggregateRTree:
     """A COUNT-aggregate R-tree over ``(mbr, item)`` pairs.
 
-    Built once (bulk loaded) per query from the objects that survive the data
-    reduction step, so only construction and read access are needed.
+    Built once, by :meth:`build`, per window from the objects that survive
+    the data reduction step; ``root.count`` is the number of pairs.
     """
 
-    def __init__(self, max_entries: int = 8):
-        self._max_entries = max_entries
-        self._items: List[Tuple[Rect, Any]] = []
-        self._root: Optional[AggregateNode] = None
+    def __init__(self, root: AggregateNode):
+        self.root = root
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def insert(self, mbr: Rect, item: Any) -> None:
-        """Buffer an ``(mbr, item)`` pair; the tree is built lazily on access."""
-        self._items.append((mbr, item))
-        self._root = None
-
-    def extend(self, items: Iterable[Tuple[Rect, Any]]) -> None:
-        for mbr, item in items:
-            self.insert(mbr, item)
-
-    def build(self) -> None:
-        """Materialise the aggregate tree from the buffered items."""
-        base = RTree.bulk_load(self._items, max_entries=self._max_entries)
-        self._root = _convert(base.root) if len(base) else _empty_node()
-
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def root(self) -> AggregateNode:
-        if self._root is None:
-            self.build()
-        assert self._root is not None
-        return self._root
+    @classmethod
+    def build(
+        cls, items: Iterable[Tuple[Rect, Any]], max_entries: int = DEFAULT_MAX_ENTRIES
+    ) -> "CountAggregateRTree":
+        """STR-pack ``items`` and annotate every node entry with its count."""
+        base = RTree.bulk_load(items, max_entries=max_entries)
+        return cls(_convert(base.root) if len(base) else _empty_node())
 
     def root_entries(self) -> List[AggregateEntry]:
         """Return the entries of the root node (the starting join list)."""
         return list(self.root.entries)
-
-    def total_count(self) -> int:
-        return self.root.count
-
-    def all_items(self) -> List[Any]:
-        """Return every indexed payload (used by tests and the naive join)."""
-        return [item for _, item in self._items]
-
-    def items_under(self, entry: AggregateEntry) -> List[Any]:
-        """Return all payloads covered by ``entry`` (its subtree)."""
-        if entry.is_leaf_entry:
-            return [entry.item]
-        collected: List[Any] = []
-        stack = [entry.node]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                continue
-            if node.is_leaf:
-                collected.extend(e.item for e in node.entries)
-            else:
-                stack.extend(e.node for e in node.entries)
-        return collected
 
 
 def _convert(node: RTreeNode) -> AggregateNode:

@@ -2,9 +2,10 @@
 
 An earlier formulation of the paper's flow algorithm indexes the IUPT with a
 B+-tree on the time attribute before the final version switches to the 1D
-R-tree.  Both are provided so that the index ablation benchmark
-(``benchmarks/test_bench_ablation_indexes.py``) can compare them; they expose
-the same ``insert`` / ``range_query`` interface.
+R-tree.  Both are provided so that the index ablation (``python -m
+repro.experiments ablation_indexes``) can compare them; each is built once
+from ``(timestamp, record)`` pairs in time order (``BPlusTree.bulk_load``,
+``OneDimensionalRTree.from_sorted``) and answers the same ``range_query``.
 
 The implementation is a classic in-memory B+-tree with linked leaves, which
 makes the range scan a sequential walk over the leaf chain.
@@ -12,6 +13,7 @@ makes the range scan a sequential walk over the leaf chain.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
@@ -36,13 +38,13 @@ class BPlusTree(Generic[T]):
 
     Duplicate keys are supported: all records sharing a timestamp are stored
     in the same leaf slot, which matches how multiple objects can report at
-    the same sampling instant.
+    the same sampling instant.  Built once, by :meth:`bulk_load`, and never
+    mutated afterwards.
     """
 
     def __init__(self, order: int = 32):
         if order < 4:
             raise ValueError("order must be at least 4")
-        self._order = order
         self._root: Any = _LeafNode()
         self._size = 0
 
@@ -55,19 +57,23 @@ class BPlusTree(Generic[T]):
     ) -> "BPlusTree[T]":
         """Build a tree from ``(key, value)`` pairs already sorted by key.
 
-        Classic bottom-up bulk loading: duplicate keys are grouped into one
-        leaf slot (preserving the given value order), leaves are packed to
-        the tree order and linked, and the inner levels are built over the
-        minimum key of each subtree — the same separator convention the
-        insert path's splits produce, so a bulk-loaded tree answers every
-        query exactly like an insert-built one.  Cost is O(n) against
-        O(n log n) comparisons (and per-call overhead) for n inserts.
+        Classic bottom-up bulk loading in O(n): duplicate keys are grouped
+        into one leaf slot (preserving the given value order), leaves are
+        packed to the tree order and linked, and the inner levels are built
+        over the minimum key of each subtree.  A key below the one before it
+        is a ``ValueError`` naming the pair's index: the input is never
+        sorted here.
         """
         tree: "BPlusTree[T]" = cls(order=order)
         keys: List[float] = []
         buckets: List[List[T]] = []
         size = 0
         for key, value in pairs:
+            if keys and key < keys[-1]:
+                raise ValueError(
+                    f"bulk_load needs pairs in key order: pair {size} "
+                    f"(key {key}) is below pair {size - 1} (key {keys[-1]})"
+                )
             if keys and key == keys[-1]:
                 buckets[-1].append(value)
             else:
@@ -117,61 +123,6 @@ class BPlusTree(Generic[T]):
         return height
 
     # ------------------------------------------------------------------
-    # Insertion
-    # ------------------------------------------------------------------
-    def insert(self, key: float, value: T) -> None:
-        """Insert ``value`` under ``key``."""
-        result = self._insert(self._root, key, value)
-        if result is not None:
-            split_key, right = result
-            new_root: _InnerNode[T] = _InnerNode(keys=[split_key], children=[self._root, right])
-            self._root = new_root
-        self._size += 1
-
-    def _insert(self, node: Any, key: float, value: T) -> Optional[Tuple[float, Any]]:
-        if isinstance(node, _LeafNode):
-            index = _lower_bound(node.keys, key)
-            if index < len(node.keys) and node.keys[index] == key:
-                node.values[index].append(value)
-            else:
-                node.keys.insert(index, key)
-                node.values.insert(index, [value])
-            if len(node.keys) > self._order:
-                return self._split_leaf(node)
-            return None
-
-        index = _upper_bound(node.keys, key)
-        result = self._insert(node.children[index], key, value)
-        if result is None:
-            return None
-        split_key, right = result
-        node.keys.insert(index, split_key)
-        node.children.insert(index + 1, right)
-        if len(node.children) > self._order:
-            return self._split_inner(node)
-        return None
-
-    def _split_leaf(self, node: _LeafNode[T]) -> Tuple[float, _LeafNode[T]]:
-        middle = len(node.keys) // 2
-        right: _LeafNode[T] = _LeafNode(
-            keys=node.keys[middle:], values=node.values[middle:], next=node.next
-        )
-        node.keys = node.keys[:middle]
-        node.values = node.values[:middle]
-        node.next = right
-        return right.keys[0], right
-
-    def _split_inner(self, node: _InnerNode[T]) -> Tuple[float, _InnerNode[T]]:
-        middle = len(node.keys) // 2
-        split_key = node.keys[middle]
-        right: _InnerNode[T] = _InnerNode(
-            keys=node.keys[middle + 1 :], children=node.children[middle + 1 :]
-        )
-        node.keys = node.keys[:middle]
-        node.children = node.children[: middle + 1]
-        return split_key, right
-
-    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def get(self, key: float) -> List[T]:
@@ -214,17 +165,5 @@ class BPlusTree(Generic[T]):
     def _find_leaf(self, key: float) -> Tuple[_LeafNode[T], int]:
         node = self._root
         while isinstance(node, _InnerNode):
-            node = node.children[_upper_bound(node.keys, key)]
-        return node, _lower_bound(node.keys, key)
-
-
-def _lower_bound(keys: List[float], key: float) -> int:
-    from bisect import bisect_left
-
-    return bisect_left(keys, key)
-
-
-def _upper_bound(keys: List[float], key: float) -> int:
-    from bisect import bisect_right
-
-    return bisect_right(keys, key)
+            node = node.children[bisect_right(node.keys, key)]
+        return node, bisect_left(node.keys, key)

@@ -8,14 +8,15 @@ timestamps fall into the query window.
 A 1D R-tree is a balanced tree whose nodes carry time intervals instead of
 planar rectangles.  We implement it directly (rather than degrading the 2D
 R-tree) because the 1D case admits a much simpler and faster packed layout:
-records are sorted by timestamp and packed bottom-up, which also matches how a
-historical table would be organised on disk.
+the tree is built once, by :meth:`OneDimensionalRTree.from_sorted`, from
+records already in time order, packed bottom-up, which also matches how a
+historical table would be organised on disk.  Out-of-order input is refused,
+never sorted.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
@@ -39,39 +40,14 @@ class IntervalNode(Generic[T]):
 class OneDimensionalRTree(Generic[T]):
     """A packed 1D R-tree over ``(timestamp, record)`` pairs.
 
-    The tree supports appends (records usually arrive in time order, so the
-    append path keeps the structure packed) and time-range queries.  Out-of-
-    order inserts are accepted and handled by keeping a small unsorted overflow
-    buffer that is merged on the next rebuild; this mirrors the behaviour of a
-    buffered bulk loader without complicating the query path.
+    Built once, by :meth:`from_sorted`, and never mutated afterwards.
     """
 
     def __init__(self, leaf_capacity: int = 64, fanout: int = 16):
         if leaf_capacity < 2 or fanout < 2:
             raise ValueError("leaf_capacity and fanout must both be at least 2")
-        self._leaf_capacity = leaf_capacity
-        self._fanout = fanout
         self._records: List[Tuple[float, T]] = []
         self._root: Optional[IntervalNode[T]] = None
-        self._keys: Optional[List[float]] = None  # sorted key column, lazy
-        self._dirty = False
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def insert(self, timestamp: float, record: T) -> None:
-        """Insert a record; keeps the record list sorted by timestamp."""
-        if self._records and timestamp >= self._records[-1][0]:
-            self._records.append((timestamp, record))
-        else:
-            # timestamps may tie; insort on the timestamp key only
-            insort(self._records, (timestamp, record), key=lambda pair: pair[0])
-        self._dirty = True
-
-    def bulk_load(self, records: Sequence[Tuple[float, T]]) -> None:
-        """Replace the tree contents with ``records`` (sorted internally)."""
-        self._records = sorted(records, key=lambda pair: pair[0])
-        self._dirty = True
 
     @classmethod
     def from_sorted(
@@ -80,52 +56,23 @@ class OneDimensionalRTree(Generic[T]):
         leaf_capacity: int = 64,
         fanout: int = 16,
     ) -> "OneDimensionalRTree[T]":
-        """Bulk-load constructor over records already sorted by timestamp.
+        """Bulk-load the tree from records already sorted by timestamp.
 
-        Skips the sort of :meth:`bulk_load` and packs the tree eagerly, so
-        the construction cost is paid here rather than on the first query.
         Ties must already be in arrival order; the packed layout preserves
-        the given order exactly.
+        the given order exactly.  A record earlier than the one before it is
+        a ``ValueError`` naming its index: the input is never sorted here.
         """
         tree: "OneDimensionalRTree[T]" = cls(leaf_capacity=leaf_capacity, fanout=fanout)
         tree._records = list(records)
-        tree._dirty = True
-        tree._rebuild()
+        for index in range(1, len(tree._records)):
+            before, at = tree._records[index - 1][0], tree._records[index][0]
+            if at < before:
+                raise ValueError(
+                    f"from_sorted needs records in timestamp order: record {index} "
+                    f"(t={at}) is earlier than record {index - 1} (t={before})"
+                )
+        tree._root = _pack(tree._records, leaf_capacity, fanout)
         return tree
-
-    def _rebuild(self) -> None:
-        self._keys = None
-        if not self._records:
-            self._root = None
-            self._dirty = False
-            return
-        leaves: List[IntervalNode[T]] = []
-        for start in range(0, len(self._records), self._leaf_capacity):
-            chunk = self._records[start : start + self._leaf_capacity]
-            leaves.append(
-                IntervalNode(
-                    tmin=chunk[0][0],
-                    tmax=chunk[-1][0],
-                    is_leaf=True,
-                    entries=list(chunk),
-                )
-            )
-        level = leaves
-        while len(level) > 1:
-            parents: List[IntervalNode[T]] = []
-            for start in range(0, len(level), self._fanout):
-                group = level[start : start + self._fanout]
-                parents.append(
-                    IntervalNode(
-                        tmin=group[0].tmin,
-                        tmax=group[-1].tmax,
-                        is_leaf=False,
-                        children=group,
-                    )
-                )
-            level = parents
-        self._root = level[0]
-        self._dirty = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -136,8 +83,6 @@ class OneDimensionalRTree(Generic[T]):
     @property
     def height(self) -> int:
         """Tree height; 0 for an empty tree."""
-        if self._dirty:
-            self._rebuild()
         if self._root is None:
             return 0
         height = 1
@@ -168,8 +113,6 @@ class OneDimensionalRTree(Generic[T]):
         """
         if start > end:
             raise ValueError("query interval start must not exceed its end")
-        if self._dirty:
-            self._rebuild()
         if self._root is None:
             return []
         results: List[T] = []
@@ -188,10 +131,27 @@ class OneDimensionalRTree(Generic[T]):
                 stack.extend(reversed(node.children))
         return results
 
-    def count_in_range(self, start: float, end: float) -> int:
-        """Return the number of records with timestamps in ``[start, end]``."""
-        if self._dirty:
-            self._rebuild()
-        if self._keys is None:
-            self._keys = [ts for ts, _ in self._records]
-        return bisect_right(self._keys, end) - bisect_left(self._keys, start)
+
+def _pack(
+    records: List[Tuple[float, T]], leaf_capacity: int, fanout: int
+) -> Optional[IntervalNode[T]]:
+    """Pack time-ordered records into leaves, then group levels up to one root."""
+    if not records:
+        return None
+    level: List[IntervalNode[T]] = []
+    for start in range(0, len(records), leaf_capacity):
+        chunk = records[start : start + leaf_capacity]
+        level.append(
+            IntervalNode(tmin=chunk[0][0], tmax=chunk[-1][0], is_leaf=True, entries=chunk)
+        )
+    while len(level) > 1:
+        parents: List[IntervalNode[T]] = []
+        for start in range(0, len(level), fanout):
+            group = level[start : start + fanout]
+            parents.append(
+                IntervalNode(
+                    tmin=group[0].tmin, tmax=group[-1].tmax, is_leaf=False, children=group
+                )
+            )
+        level = parents
+    return level[0]

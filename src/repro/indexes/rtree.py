@@ -3,9 +3,9 @@
 The paper keeps several in-memory R-trees: one over indoor entities
 (S-locations, P-locations, doors) to answer geometric containment queries
 during pre-processing, one over the query S-locations (``RQ`` in Algorithm 4),
-and a COUNT-aggregate variant over moving objects (``RC``).  This module
-implements the plain R-tree with quadratic-split insertion and STR (Sort-Tile-
-Recursive) bulk loading; :mod:`repro.indexes.aggregate_rtree` builds the
+and a COUNT-aggregate variant over moving objects (``RC``).  Each is built
+once, from its whole input, by STR (Sort-Tile-Recursive) bulk loading and is
+never mutated afterwards; :mod:`repro.indexes.aggregate_rtree` builds the
 aggregate variant on top of it.
 
 The tree stores arbitrary Python objects keyed by their MBR.  Entries on
@@ -17,7 +17,7 @@ extra node visits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..geometry import Point, Rect
 
@@ -49,12 +49,9 @@ class RTreeNode:
             rects = [c.mbr for c in self.children if c.mbr is not None]
         self.mbr = _union_across_floors(rects) if rects else None
 
-    def fanout(self) -> int:
-        return len(self.entries) if self.is_leaf else len(self.children)
-
 
 def _union_across_floors(rects: Sequence[Rect]) -> Rect:
-    """Union rectangles that may span several floors.
+    """Union rectangles that may span several floors: the one floor-union rule.
 
     The result is only used for pruning, so a floor-agnostic bound (the floor
     of the first rectangle, planar union of all) is acceptable: it is
@@ -92,19 +89,17 @@ def loose_intersects(a: Optional[Rect], b: Rect) -> bool:
 
 
 class RTree:
-    """A dynamic R-tree with quadratic splits and STR bulk loading.
+    """A static R-tree, built once by :meth:`bulk_load` (STR packing).
 
     Parameters
     ----------
     max_entries:
-        Maximum node fanout; minimum fanout is ``max(2, max_entries // 2)``.
+        Maximum node fanout.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         if max_entries < 4:
             raise ValueError("max_entries must be at least 4")
-        self._max_entries = max_entries
-        self._min_entries = max(2, max_entries // 2)
         self._root = RTreeNode(is_leaf=True)
         self._size = 0
 
@@ -138,110 +133,6 @@ class RTree:
                     yield entry.mbr, entry.item
             else:
                 stack.extend(node.children)
-
-    # ------------------------------------------------------------------
-    # Insertion
-    # ------------------------------------------------------------------
-    def insert(self, mbr: Rect, item: Any) -> None:
-        """Insert ``item`` with bounding rectangle ``mbr``."""
-        entry = RTreeEntry(mbr=mbr, item=item)
-        leaf, path = self._choose_leaf(entry.mbr)
-        leaf.entries.append(entry)
-        self._size += 1
-        self._adjust_upwards(leaf, path)
-
-    def insert_point(self, point: Point, item: Any) -> None:
-        """Insert ``item`` keyed by a degenerate point MBR."""
-        self.insert(Rect.from_point(point), item)
-
-    def _choose_leaf(self, mbr: Rect) -> Tuple[RTreeNode, List[RTreeNode]]:
-        node = self._root
-        path: List[RTreeNode] = []
-        while not node.is_leaf:
-            path.append(node)
-            node = min(
-                node.children,
-                key=lambda child: (
-                    _enlargement(child.mbr, mbr),
-                    child.mbr.area if child.mbr is not None else 0.0,
-                ),
-            )
-        return node, path
-
-    def _adjust_upwards(self, node: RTreeNode, path: List[RTreeNode]) -> None:
-        node.recompute_mbr()
-        split = self._split_if_needed(node)
-        for parent in reversed(path):
-            if split is not None:
-                parent.children.append(split)
-            parent.recompute_mbr()
-            split = self._split_if_needed(parent)
-        if split is not None:
-            old_root = self._root
-            self._root = RTreeNode(is_leaf=False, children=[old_root, split])
-            self._root.recompute_mbr()
-
-    def _split_if_needed(self, node: RTreeNode) -> Optional[RTreeNode]:
-        if node.fanout() <= self._max_entries:
-            return None
-        return self._quadratic_split(node)
-
-    def _quadratic_split(self, node: RTreeNode) -> RTreeNode:
-        if node.is_leaf:
-            items = list(node.entries)
-            mbr_of: Callable[[Any], Rect] = lambda e: e.mbr
-        else:
-            items = list(node.children)
-            mbr_of = lambda c: c.mbr  # type: ignore[assignment]
-
-        seed_a, seed_b = _pick_seeds(items, mbr_of)
-        group_a = [items[seed_a]]
-        group_b = [items[seed_b]]
-        remaining = [it for i, it in enumerate(items) if i not in (seed_a, seed_b)]
-        mbr_a = mbr_of(items[seed_a])
-        mbr_b = mbr_of(items[seed_b])
-
-        while remaining:
-            # If one group must absorb everything to reach the minimum, do so.
-            if len(group_a) + len(remaining) == self._min_entries:
-                group_a.extend(remaining)
-                for it in remaining:
-                    mbr_a = _loose_union(mbr_a, mbr_of(it))
-                remaining = []
-                break
-            if len(group_b) + len(remaining) == self._min_entries:
-                group_b.extend(remaining)
-                for it in remaining:
-                    mbr_b = _loose_union(mbr_b, mbr_of(it))
-                remaining = []
-                break
-            best_index = max(
-                range(len(remaining)),
-                key=lambda i: abs(
-                    _enlargement(mbr_a, mbr_of(remaining[i]))
-                    - _enlargement(mbr_b, mbr_of(remaining[i]))
-                ),
-            )
-            candidate = remaining.pop(best_index)
-            grow_a = _enlargement(mbr_a, mbr_of(candidate))
-            grow_b = _enlargement(mbr_b, mbr_of(candidate))
-            if grow_a < grow_b or (grow_a == grow_b and len(group_a) <= len(group_b)):
-                group_a.append(candidate)
-                mbr_a = _loose_union(mbr_a, mbr_of(candidate))
-            else:
-                group_b.append(candidate)
-                mbr_b = _loose_union(mbr_b, mbr_of(candidate))
-
-        sibling = RTreeNode(is_leaf=node.is_leaf)
-        if node.is_leaf:
-            node.entries = group_a
-            sibling.entries = group_b
-        else:
-            node.children = group_a
-            sibling.children = group_b
-        node.recompute_mbr()
-        sibling.recompute_mbr()
-        return sibling
 
     # ------------------------------------------------------------------
     # Bulk loading
@@ -331,26 +222,8 @@ class RTree:
 
 
 # ----------------------------------------------------------------------
-# Helpers shared with the aggregate R-tree
+# STR packing
 # ----------------------------------------------------------------------
-def _enlargement(current: Optional[Rect], addition: Rect) -> float:
-    if current is None:
-        return addition.area
-    return _loose_union(current, addition).area - current.area
-
-
-def _loose_union(a: Rect, b: Rect) -> Rect:
-    """Union that tolerates different floors (marks the result floor as -1)."""
-    floor = a.floor if a.floor == b.floor else -1
-    return Rect(
-        min(a.xmin, b.xmin),
-        min(a.ymin, b.ymin),
-        max(a.xmax, b.xmax),
-        max(a.ymax, b.ymax),
-        floor,
-    )
-
-
 def _str_pack_leaves(entries: List[RTreeEntry], max_entries: int) -> List[RTreeNode]:
     """Pack leaf nodes with the Sort-Tile-Recursive heuristic."""
     import math
@@ -400,17 +273,3 @@ def _build_upper_levels(nodes: List[RTreeNode], max_entries: int) -> RTreeNode:
                 parents.append(parent)
         nodes = parents
     return nodes[0]
-
-
-def _pick_seeds(items: List[Any], mbr_of: Callable[[Any], Rect]) -> Tuple[int, int]:
-    """Pick the pair of entries wasting the most area if grouped together."""
-    best_pair = (0, 1)
-    best_waste = float("-inf")
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            a, b = mbr_of(items[i]), mbr_of(items[j])
-            waste = _loose_union(a, b).area - a.area - b.area
-            if waste > best_waste:
-                best_waste = waste
-                best_pair = (i, j)
-    return best_pair

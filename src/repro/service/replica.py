@@ -172,7 +172,11 @@ class ReadReplica:
             ) from error
 
     def _adopt_snapshot(self, handshake: dict) -> None:
-        """Apply a ``snapshot``-mode handshake (no-op in ``replay`` mode)."""
+        """Apply a ``snapshot``-mode handshake (no-op in ``replay`` mode).
+
+        :meth:`start` calls it before the replica service exists; a
+        re-attach runs it on the service's worker pool.
+        """
         if handshake.get("mode") != "snapshot":
             return
         payload = handshake.get(protocol.BIN_PAYLOAD)
@@ -198,17 +202,22 @@ class ReadReplica:
     # The apply loop
     # ------------------------------------------------------------------
     async def _run(self) -> None:
-        """Consume WAL pushes forever; survive primary reconnects."""
-        loop = asyncio.get_running_loop()
+        """Consume WAL pushes forever; survive primary reconnects.
+
+        Every call that takes the store lock (an ingest, an eviction, a
+        snapshot adoption and the standing-query refreshes each one fires)
+        runs on the replica service's worker pool, never on the loop that
+        serves the replica's connections.
+        """
         try:
             while not self._stopped:
                 frame = await self._client.wal_frames.get()
                 push = frame.get("push")
                 if push == "wal":
-                    await self._apply_commit(loop, frame)
+                    await self._apply_commit(frame)
                 elif push == "wal_evict":
                     watermark = float(frame["watermark"])
-                    await loop.run_in_executor(None, self.iupt.evict_before, watermark)
+                    await self.service.pool.run_blocking(self.iupt.evict_before, watermark)
                     self.applied_evictions += 1
                 elif push == "wal_closed":
                     await self._reattach()
@@ -217,16 +226,14 @@ class ReadReplica:
         except BaseException as error:  # noqa: BLE001 - surfaced via status
             self._failed = error
 
-    async def _apply_commit(self, loop: asyncio.AbstractEventLoop, frame: dict) -> None:
+    async def _apply_commit(self, frame: dict) -> None:
         seq = int(frame["seq"])
         if seq <= self.applied_seq:
             # Overlap between a pre-reconnect tail and a post-reconnect
             # catch-up: the batch is already in the table.
             return
         records = protocol.records_from_payload(protocol.frame_payload(frame))
-        # ingest_batch takes the store lock (and recomputes standing
-        # subscriptions) — off the event loop like every blocking call.
-        await loop.run_in_executor(None, self.iupt.ingest_batch, records)
+        await self.service.pool.run_blocking(self.iupt.ingest_batch, records)
         self.applied_seq = seq
         self.applied_batches += 1
         self.applied_records += len(records)
@@ -249,13 +256,14 @@ class ReadReplica:
         if self._stopped:
             return
         try:
-            self._adopt_snapshot(await self._handshake())
+            handshake = await self._handshake()
         except ConnectionError:
             # The policy's retries inside request() are exhausted.
             raise ReplicaError(
                 f"lost the primary at {self._primary[0]}:{self._primary[1]} "
                 f"and reconnection retries are exhausted"
             ) from None
+        await self.service.pool.run_blocking(self._adopt_snapshot, handshake)
 
     # ------------------------------------------------------------------
     # Status

@@ -239,6 +239,12 @@ class QueryService(FrameServer):
                 raise
         return await self._listen()
 
+    @property
+    def pool(self) -> WorkerPool:
+        """The worker pool every blocking call of this service runs on; a
+        replica's WAL tail applies its pushes here too."""
+        return self._pool
+
     async def serve_forever(self) -> None:
         if self._server is None:
             await self.start()

@@ -13,7 +13,7 @@ structure so that it stays near-linear even for large synthetic buildings.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, List, Set
 
 from ..geometry import Rect
 from .entities import Cell
@@ -115,11 +115,3 @@ def _cell_mbr(plan: FloorPlan, members: Set[int]) -> Rect:
     xmax = max(r.xmax for r in rects)
     ymax = max(r.ymax for r in rects)
     return Rect(xmin, ymin, xmax, ymax, base_floor)
-
-
-def cell_partition_signature(cells: List[Cell]) -> FrozenSet[FrozenSet[int]]:
-    """Return the set-of-partition-sets signature of a cell decomposition.
-
-    Useful in tests to compare decompositions independently of cell ids.
-    """
-    return frozenset(cell.partition_ids for cell in cells)

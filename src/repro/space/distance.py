@@ -31,10 +31,6 @@ class IndoorRoute:
     length: float
     partitions: Tuple[int, ...]
 
-    @property
-    def hop_count(self) -> int:
-        return max(len(self.waypoints) - 1, 0)
-
 
 class DoorGraphRouter:
     """Shortest-path routing over a floor plan's door graph."""

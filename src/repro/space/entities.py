@@ -164,8 +164,5 @@ class Cell:
         if not self.partition_ids:
             raise ValueError("a cell must cover at least one partition")
 
-    def covers_partition(self, partition_id: int) -> bool:
-        return partition_id in self.partition_ids
-
     def label(self) -> str:
         return self.name or f"c{self.cell_id}"

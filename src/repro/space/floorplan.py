@@ -203,35 +203,11 @@ class FloorPlan:
             s.sloc_id for s in self.slocations.values() if s.contains(point)
         )
 
-    def slocations_intersecting(self, window: Rect) -> List[int]:
-        """Return the ids of all S-locations whose region intersects ``window``."""
-        if self._slocation_index is not None:
-            return sorted(self._slocation_index.search(window))
-        return sorted(
-            s.sloc_id for s in self.slocations.values() if s.region.intersects(window)
-        )
-
     def doors_of_partition(self, partition_id: int) -> List[Door]:
         """Return the doors incident to ``partition_id``."""
         if self._frozen:
             return [self.doors[d] for d in self._doors_by_partition.get(partition_id, [])]
         return [d for d in self.doors.values() if partition_id in d.partition_ids]
-
-    def partitioning_plocations_at_door(self, door_id: int) -> List[PLocation]:
-        """Return the partitioning P-locations guarding ``door_id``."""
-        return [
-            p
-            for p in self.plocations.values()
-            if p.is_partitioning and p.door_id == door_id
-        ]
-
-    def presence_plocations_in_partition(self, partition_id: int) -> List[PLocation]:
-        """Return the presence P-locations inside ``partition_id``."""
-        return [
-            p
-            for p in self.plocations.values()
-            if p.is_presence and p.partition_id == partition_id
-        ]
 
     def plocations_near(self, point: Point, radius: float) -> List[PLocation]:
         """Return P-locations within ``radius`` metres of ``point`` (same floor)."""

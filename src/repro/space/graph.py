@@ -173,10 +173,6 @@ class IndoorSpaceLocationGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def edge_label(self, cell_a: int, cell_b: int) -> Set[int]:
-        """``le``: the P-locations labelling edge ``<cell_a, cell_b>``."""
-        return set(self.edges.get(_edge_key(cell_a, cell_b), set()))
-
     def neighbours(self, cell_id: int) -> Set[int]:
         """Cells directly reachable from ``cell_id`` (excluding itself)."""
         result: Set[int] = set()

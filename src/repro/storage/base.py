@@ -92,10 +92,6 @@ class IngestReceipt:
     shards_touched: Tuple = ()
     object_spans: Tuple[Tuple[int, float, float], ...] = ()
 
-    @property
-    def shards_touched_count(self) -> int:
-        return len(self.shards_touched)
-
     def objects_overlapping(self, start: float, end: float) -> frozenset:
         """The ingested object ids whose new records may fall in ``[start, end]``.
 

@@ -72,9 +72,6 @@ class GeneratedBuilding:
     hallway_partitions: List[int] = field(default_factory=list)
     staircase_partitions: List[int] = field(default_factory=list)
 
-    def partition_count(self) -> int:
-        return len(self.plan.partitions)
-
     def slocation_ids(self) -> List[int]:
         return sorted(self.plan.slocations)
 

@@ -525,14 +525,16 @@ def test_admission_has_one_bound_and_no_per_client_state():
 
 
 def test_worker_threads_are_started_in_the_pool_alone():
-    starts = [
-        f"{path.relative_to(SRC_DIR)}:{node.lineno}"
+    """One pool: threads start only in ``service/pool.py``, and no code hands
+    work to asyncio's default executor, a second pool nothing here counts."""
+    calls = [
+        (getattr(node.func, "attr", getattr(node.func, "id", None)), path.relative_to(SRC_DIR))
         for path in sorted(SRC_DIR.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
-        and "Thread" == getattr(node.func, "attr", getattr(node.func, "id", None))
     ]
-    assert [site.split(":")[0] for site in starts] == ["service/pool.py"]
+    assert [str(where) for name, where in calls if name == "Thread"] == ["service/pool.py"]
+    assert [str(where) for name, where in calls if name == "run_in_executor"] == []
 
 
 def test_the_system_is_the_engine():
@@ -610,3 +612,34 @@ def test_options_nobody_passed_are_gone():
     ]  # fmt: skip
     assert not hasattr(FlowComputer, "reduce_object")
     assert "_has_parent" not in PresenceMatrix.__slots__
+
+
+def test_every_index_is_built_once_from_its_input():
+    """No tree has a second build path, and every tree ``src/repro`` builds
+    comes from its bulk constructor, over its whole input."""
+    from repro.indexes import BPlusTree, CountAggregateRTree, OneDimensionalRTree, RTree
+
+    trees = {tree.__name__: tree for tree in (RTree, OneDimensionalRTree, BPlusTree, CountAggregateRTree)}
+    gone = {
+        "insert", "insert_point", "extend", "count_in_range", "total_count", "all_items",
+        "items_under",
+    }  # fmt: skip
+    for name, tree in trees.items():
+        assert not gone & set(dir(tree)), name
+    assert not hasattr(OneDimensionalRTree, "bulk_load")
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        assert not _defined(path) & {
+            "_quadratic_split", "_pick_seeds", "_enlargement", "_loose_union", "_dirty",
+        }, path  # fmt: skip
+    builds = set()
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            where = f"{path.relative_to(SRC_DIR)}:{node.lineno}"
+            assert getattr(node.func, "id", None) not in trees, where
+            owner = getattr(node.func, "value", None)
+            if getattr(owner, "id", None) in trees:
+                assert node.func.attr in {"bulk_load", "from_sorted", "build"}, where
+                builds.add(owner.id)
+    assert builds == set(trees)

@@ -91,14 +91,14 @@ class TestIndexProperties:
     @settings(max_examples=40, deadline=None)
     def test_time_indexes_agree(self, timestamps, a, b):
         start, end = min(a, b), max(a, b)
-        rtree: OneDimensionalRTree[int] = OneDimensionalRTree(leaf_capacity=8, fanout=4)
-        bptree: BPlusTree[int] = BPlusTree(order=8)
-        for index, ts in enumerate(timestamps):
-            rtree.insert(ts, index)
-            bptree.insert(ts, index)
-        expected = [i for ts, i in sorted(zip(timestamps, range(len(timestamps)))) if start <= ts <= end]
+        pairs = sorted(
+            ((ts, index) for index, ts in enumerate(timestamps)), key=lambda pair: pair[0]
+        )
+        rtree = OneDimensionalRTree.from_sorted(pairs, leaf_capacity=8, fanout=4)
+        bptree = BPlusTree.bulk_load(pairs, order=8)
+        expected = [i for ts, i in pairs if start <= ts <= end]
         assert rtree.range_query(start, end) == expected
-        assert sorted(bptree.range_query(start, end)) == sorted(expected)
+        assert bptree.range_query(start, end) == expected
 
 
 # ----------------------------------------------------------------------

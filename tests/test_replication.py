@@ -22,6 +22,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import threading
 
 import pytest
 from hypothesis import given
@@ -431,9 +432,9 @@ class TestReplicaConvergence:
 
             paused = False
 
-            async def _apply_commit(self, loop, frame) -> None:
+            async def _apply_commit(self, frame) -> None:
                 if not self.paused:
-                    await super()._apply_commit(loop, frame)
+                    await super()._apply_commit(frame)
 
         async def run():
             service, host, port = await _start_primary(
@@ -454,9 +455,19 @@ class TestReplicaConvergence:
                     await primary.ingest_batch(live)
                 service.iupt.store.restore_watermark(80.0)
                 replica.applied_seq = 0
-                replica._adopt_snapshot(await replica._handshake())
+                resync, resynced_on = replica.service.continuous.resync, []
+
+                def recorded_resync():
+                    resynced_on.append(threading.current_thread().name)
+                    return resync()
+
+                replica.service.continuous.resync = recorded_resync
+                await replica._reattach()
                 assert replica.snapshot_catchups == 2
                 assert replica.resubscribes == 1
+                # Adopted and recomputed on the replica service's pool, not
+                # on the loop that serves the replica's connections.
+                assert [name.split("_")[0] for name in resynced_on] == ["repro-query"]
 
                 update = await standing.next_update(timeout=5.0)
                 with _make_engine(scenario).continuous(replica.iupt) as fresh:
@@ -527,7 +538,7 @@ class TestReplicaConvergence:
             token = replica.iupt.data_key_for(start, end)
             service.iupt.store.restore_watermark(80.0)
             replica.applied_seq = 0
-            replica._adopt_snapshot(await replica._handshake())
+            await replica._reattach()
             assert replica.snapshot_catchups == 2
             assert replica.iupt.store.eviction_watermark == 80.0
             assert replica.iupt.data_key_for(start, end) == token

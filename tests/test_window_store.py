@@ -276,15 +276,17 @@ class TestDerivedState:
         build = best_first.CountAggregateRTree.build
         bulk_load = best_first.RTree.bulk_load
 
-        def counted_build(self):
+        def counted_build(*args, **kwargs):
             counts["RC"] += 1
-            return build(self)
+            return build(*args, **kwargs)
 
         def counted_bulk_load(*args, **kwargs):
             counts["RQ"] += 1
             return bulk_load(*args, **kwargs)
 
-        monkeypatch.setattr(best_first.CountAggregateRTree, "build", counted_build)
+        monkeypatch.setattr(
+            best_first.CountAggregateRTree, "build", staticmethod(counted_build)
+        )
         monkeypatch.setattr(
             best_first.RTree, "bulk_load", staticmethod(counted_bulk_load)
         )
