@@ -20,7 +20,8 @@ def window(real_scenario):
 
 @pytest.fixture(scope="module")
 def pairs(real_scenario):
-    return [(record.timestamp, record) for record in real_scenario.iupt.records]
+    records = real_scenario.iupt.records_in_time_order()
+    return [(record.timestamp, record) for record in records]
 
 
 def test_bench_ablation_indexes_rows(benchmark, real_scenario, window, run_and_attach):

@@ -55,7 +55,7 @@ STANDING_WINDOWS = [
 
 
 def _split_stream(scenario):
-    records = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+    records = sorted(scenario.iupt.records_in_time_order(), key=lambda r: r.timestamp)
     history = [r for r in records if r.timestamp < HISTORY_SECONDS]
     live = [r for r in records if r.timestamp >= HISTORY_SECONDS]
     return history, split_into_time_batches(
@@ -66,7 +66,7 @@ def _split_stream(scenario):
 def _setup(scenario):
     """History ingested, the stream's batches pending, one cold engine."""
     history, batches = _split_stream(scenario)
-    iupt = IUPT.sharded(shard_seconds=SHARD_SECONDS)
+    iupt = IUPT(shard_seconds=SHARD_SECONDS)
     iupt.ingest_batch(history)
     engine = QueryEngine(scenario.system.graph, scenario.system.matrix)
     slocs = scenario.slocation_ids()

@@ -82,7 +82,7 @@ def _scenario():
 
 
 def _shard_batches(scenario) -> List[List]:
-    records = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+    records = sorted(scenario.iupt.records_in_time_order(), key=lambda r: r.timestamp)
     batches: List[List] = []
     boundary = SHARD_SECONDS
     current: List = []
@@ -124,7 +124,7 @@ def _client_plans(scenario) -> List[List[Combo]]:
 
 def _oracle_answers(scenario, plans) -> Dict[int, List[object]]:
     """In-process ground truth for every combo, over the identical table."""
-    iupt = IUPT.sharded(shard_seconds=SHARD_SECONDS)
+    iupt = IUPT(shard_seconds=SHARD_SECONDS)
     for batch in _shard_batches(scenario):
         iupt.ingest_batch(batch)
     engine = QueryEngine(scenario.system.graph, scenario.system.matrix)

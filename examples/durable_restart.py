@@ -22,8 +22,8 @@ from __future__ import annotations
 import shutil
 import tempfile
 
-from repro import IUPT, QueryEngine
-from repro.storage import DurabilityConfig, EvictedRangeError
+from repro import QueryEngine
+from repro.storage import DurabilityConfig, DurableRecordStore, EvictedRangeError
 from repro.synth import build_real_scenario
 
 SHARD_SECONDS = 60.0
@@ -35,12 +35,12 @@ def main() -> None:
     scenario = build_real_scenario(num_users=10, duration_seconds=DURATION, seed=29)
     engine = QueryEngine(scenario.system.graph, scenario.system.matrix)
     slocs = scenario.slocation_ids()
-    stream = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+    stream = sorted(scenario.iupt.records_in_time_order(), key=lambda r: r.timestamp)
 
     directory = tempfile.mkdtemp(prefix="durable-iupt-")
     try:
         # --- 1. A durable table, ingesting the stream in one-minute flushes.
-        table = IUPT.durable(
+        table = DurableRecordStore(
             directory,
             shard_seconds=SHARD_SECONDS,
             config=DurabilityConfig(fsync="batch"),
@@ -57,12 +57,12 @@ def main() -> None:
             flushes += 1
         print(
             f"ingested {len(table)} reports in {flushes} flushes into "
-            f"{table.store.shard_count} logged shards under {directory}"
+            f"{table.shard_count} logged shards under {directory}"
         )
 
         # --- 2. Query, then checkpoint so recovery can skip the WAL.
         before = engine.top_k(table, slocs, TOP_K, 0.0, DURATION)
-        summary = table.store.checkpoint()
+        summary = table.checkpoint()
         print(
             f"pre-crash top-{TOP_K}: {before.top_k_ids()} "
             f"(checkpoint wrote {summary['snapshots_written']} snapshots)"
@@ -71,8 +71,8 @@ def main() -> None:
         # --- 3. Crash: the in-memory table is gone; only the directory is
         # left.  Recovery rebuilds the exact pre-crash state from it.
         del table
-        recovered = IUPT.durable(directory)
-        report = recovered.store.recovery_report
+        recovered = DurableRecordStore(directory)
+        report = recovered.recovery_report
         print(
             f"recovered {report['records']} records in {report['shards']} shards "
             f"({report['shards_from_snapshot']} from snapshots, "
@@ -87,10 +87,10 @@ def main() -> None:
 
         # --- 5. Retention: drop the first two minutes, restart again.
         dropped = recovered.evict_before(120.0)
-        recovered.store.close()
-        reopened = IUPT.durable(directory)
+        recovered.close()
+        reopened = DurableRecordStore(directory)
         print(
-            f"evicted {dropped} records; watermark {reopened.store.eviction_watermark:g} "
+            f"evicted {dropped} records; watermark {reopened.eviction_watermark:g} "
             f"survived the second restart"
         )
         try:
@@ -99,7 +99,7 @@ def main() -> None:
             print(f"query below the watermark still fails loudly: {error}")
         fresh = engine.top_k(reopened, slocs, TOP_K, 120.0, DURATION)
         print(f"surviving-history top-{TOP_K}: {fresh.top_k_ids()}")
-        reopened.store.close()
+        reopened.close()
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 

@@ -40,8 +40,8 @@ def main() -> None:
         sloc_id: scenario.plan.slocations[sloc_id].label() for sloc_id in slocs
     }
 
-    iupt = IUPT.sharded(shard_seconds=SHARD_SECONDS)
-    stream = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+    iupt = IUPT(shard_seconds=SHARD_SECONDS)
+    stream = sorted(scenario.iupt.records_in_time_order(), key=lambda r: r.timestamp)
     iupt.ingest_batch([r for r in stream if r.timestamp < HISTORY])
     backlog = [r for r in stream if r.timestamp >= HISTORY]
 
@@ -80,7 +80,7 @@ def main() -> None:
 
     # Retention: keep the last five minutes; the historical window dies loudly.
     dropped = iupt.evict_before(DURATION - 300.0)
-    print(f"retention evicted {dropped} records below t={iupt.store.eviction_watermark:.0f}")
+    print(f"retention evicted {dropped} records below t={iupt.eviction_watermark:.0f}")
     try:
         historical.result
     except EvictedRangeError as error:

@@ -39,8 +39,8 @@ async def main_async() -> None:
     }
     slocs = scenario.slocation_ids()
 
-    iupt = IUPT.sharded(shard_seconds=SHARD_SECONDS)
-    stream = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+    iupt = IUPT(shard_seconds=SHARD_SECONDS)
+    stream = sorted(scenario.iupt.records_in_time_order(), key=lambda r: r.timestamp)
     iupt.ingest_batch([r for r in stream if r.timestamp < HISTORY])
     backlog = [r for r in stream if r.timestamp >= HISTORY]
 

@@ -38,8 +38,8 @@ def main() -> None:
     slocs = scenario.slocation_ids()
 
     # A sharded table ingesting the stream in one-minute flushes.
-    iupt = IUPT.sharded(shard_seconds=SHARD_SECONDS)
-    stream = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+    iupt = IUPT(shard_seconds=SHARD_SECONDS)
+    stream = sorted(scenario.iupt.records_in_time_order(), key=lambda r: r.timestamp)
     live, backlog = [], list(stream)
     flush_count = 0
     while backlog and backlog[0].timestamp < DURATION - SHARD_SECONDS:
@@ -52,7 +52,7 @@ def main() -> None:
         live.extend(batch)
     print(
         f"ingested {len(live)} reports in {flush_count} flushes "
-        f"across {iupt.store.shard_count} shards "
+        f"across {iupt.shard_count} shards "
         f"(last flush touched shards {receipt.shards_touched})"
     )
 
@@ -87,7 +87,7 @@ def main() -> None:
 
     # Retention: keep only the last five minutes of history.
     dropped = iupt.evict_before(DURATION - 300.0)
-    print(f"retention evicted {dropped} records below t={iupt.store.eviction_watermark:.0f}")
+    print(f"retention evicted {dropped} records below t={iupt.eviction_watermark:.0f}")
     try:
         engine.flows(iupt, slocs, *old_window)
     except EvictedRangeError as error:

@@ -82,7 +82,6 @@ from .storage import (
     DurableRecordStore,
     EvictedRangeError,
     IngestReceipt,
-    RecordStore,
     ShardedRecordStore,
 )
 from .synth import (
@@ -93,7 +92,7 @@ from .synth import (
 )
 from .system import IndoorFlowSystem
 
-# 3.0.0: the storage layer. IUPT is now a facade over a RecordStore backend
+# 3.0.0: the storage layer. IUPT is now a facade over a record-store backend
 # (flat in-memory or time-partitioned sharded), with streaming ingest_batch,
 # per-shard versioning / shard-scoped cache keys, and retention eviction.
 # IUPT.extend now bumps the data version once per batch (was: per record).
@@ -227,7 +226,17 @@ from .system import IndoorFlowSystem
 # building a wrong tree. A replica applies its pushes and snapshot re-catch-ups
 # on its service's worker pool (QueryService.pool). Eleven helpers no code
 # called are gone. Answers are unchanged.
-__version__ = "14.0.0"
+# 15.0.0: the table is the store. IUPT is a second name for ShardedRecordStore
+# (repro.data.iupt and the abstract record-store base class, with its export,
+# are gone), and every layer takes the store itself. Gone with the facade: its
+# forwarders, extend (ingest_batch), the whole-table and window data keys
+# (version_token), IUPT(store=...), object_ids, summary, records_of_object and
+# filtered_to_objects; sequences_in, with_max_sample_set_size and report moved
+# onto the store. A snapshot file at version 0 or holding no record refuses the
+# open by name, and reset_to_packed_shards refuses an empty shard and leaves
+# the table as it was. WalTail lost store_kind; Rect.enlargement, Rect.as_tuple
+# and Point.as_tuple are gone. Answers, tokens and bytes on disk are unchanged.
+__version__ = "15.0.0"
 
 __all__ = [
     "ALGORITHMS",
@@ -264,7 +273,6 @@ __all__ = [
     "QueryPipeline",
     "QueryService",
     "RankedLocation",
-    "RecordStore",
     "Rect",
     "RemoteSubscription",
     "Sample",

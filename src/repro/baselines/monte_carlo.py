@@ -21,8 +21,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 from ..core.flow import FlowComputer
 from ..core.paths import pass_probability
 from ..core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
-from ..data.iupt import IUPT
 from ..data.records import SampleSet
+from ..storage.sharded import ShardedRecordStore
 
 
 class MonteCarlo:
@@ -48,7 +48,7 @@ class MonteCarlo:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(self, iupt: IUPT, query: TkPLQuery) -> TkPLQResult:
+    def search(self, iupt: ShardedRecordStore, query: TkPLQuery) -> TkPLQResult:
         stats = SearchStats()
         began = time.perf_counter()
         rng = random.Random(self._seed)

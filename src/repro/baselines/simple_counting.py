@@ -20,9 +20,9 @@ import time
 from typing import Dict, Optional, Set
 
 from ..core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
-from ..data.iupt import IUPT
 from ..data.records import Sample
 from ..space.floorplan import FloorPlan
+from ..storage.sharded import ShardedRecordStore
 
 
 class SimpleCounting:
@@ -42,7 +42,7 @@ class SimpleCounting:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(self, iupt: IUPT, query: TkPLQuery) -> TkPLQResult:
+    def search(self, iupt: ShardedRecordStore, query: TkPLQuery) -> TkPLQResult:
         stats = SearchStats()
         began = time.perf_counter()
         query_set = set(query.query_slocations)

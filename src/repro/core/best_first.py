@@ -33,11 +33,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
-from ..data.iupt import IUPT
 from ..data.records import SampleSet
 from ..geometry import Rect
 from ..indexes import AggregateEntry, CountAggregateRTree, RTree, RTreeNode
 from ..indexes.rtree import loose_intersects
+from ..storage.sharded import ShardedRecordStore
 from .query import RankedLocation, SearchStats, TkPLQResult, TkPLQuery, rank_top_k
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core never imports the engine)
@@ -81,7 +81,7 @@ class BestFirstTkPLQ:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def search(self, iupt: IUPT, query: TkPLQuery) -> TkPLQResult:
+    def search(self, iupt: ShardedRecordStore, query: TkPLQuery) -> TkPLQResult:
         stats = SearchStats()
         began = time.perf_counter()
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from typing import Dict, TYPE_CHECKING
 
-from ..data.iupt import IUPT
+from ..storage.sharded import ShardedRecordStore
 from .query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core never imports the engine)
@@ -27,7 +27,7 @@ class NaiveTkPLQ:
     def __init__(self, pipeline: "QueryPipeline"):
         self._pipeline = pipeline
 
-    def search(self, iupt: IUPT, query: TkPLQuery) -> TkPLQResult:
+    def search(self, iupt: ShardedRecordStore, query: TkPLQuery) -> TkPLQResult:
         """Compute the flow of every query location independently and rank."""
         stats = SearchStats()
         began = time.perf_counter()

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..data.iupt import IUPT
+from ..storage.sharded import ShardedRecordStore
 from .query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core never imports the engine)
@@ -106,7 +106,7 @@ class NestedLoopTkPLQ:
     def __init__(self, pipeline: "QueryPipeline"):
         self._pipeline = pipeline
 
-    def search(self, iupt: IUPT, query: TkPLQuery) -> TkPLQResult:
+    def search(self, iupt: ShardedRecordStore, query: TkPLQuery) -> TkPLQResult:
         began = time.perf_counter()
         pipeline = self._pipeline
         graph = pipeline.flow_computer.graph

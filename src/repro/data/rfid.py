@@ -65,7 +65,8 @@ class RFIDTable:
             self.append(record)
 
     def ingest_batch(self, records: Iterable[RFIDRecord]) -> int:
-        """Batch ingestion mirroring :meth:`repro.data.iupt.IUPT.ingest_batch`.
+        """Batch ingestion mirroring
+        :meth:`repro.storage.sharded.ShardedRecordStore.ingest_batch`.
 
         Returns the number of ingested records, so the streaming loaders can
         treat positioning and RFID traffic uniformly.

@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..core.nested_loop import BATCH_ALGORITHM, score_query_over_entries
 from ..core.query import SearchStats, TkPLQResult, TkPLQuery
-from ..data.iupt import IUPT
+from ..storage.sharded import ShardedRecordStore
 from .stages import QueryPipeline
 
 @dataclass
@@ -75,7 +75,7 @@ class BatchPlanner:
     # Execution
     # ------------------------------------------------------------------
     def execute(
-        self, iupt: IUPT, queries: Sequence[TkPLQuery]
+        self, iupt: ShardedRecordStore, queries: Sequence[TkPLQuery]
     ) -> BatchReport:
         """Answer every query, sharing per-object work within window groups.
 
@@ -103,7 +103,7 @@ class BatchPlanner:
 
     def _execute_group(
         self,
-        iupt: IUPT,
+        iupt: ShardedRecordStore,
         queries: Sequence[TkPLQuery],
         group: List[int],
         group_stats: SearchStats,

@@ -21,9 +21,10 @@ reports enter each object's sequence, the query S-location set fixes the
 outcome of the query-dependent data reduction (Algorithm 1 prunes an object
 exactly when its possible semantic locations miss the query set), and the
 ``data_key`` — the identity-and-version token of the table state the window
-reads (:meth:`~repro.data.iupt.IUPT.data_key_for`) — pins the state of the
-underlying storage, so streaming new reports in (or querying a different
-table through the same engine) can never be answered from stale artefacts.
+reads (:meth:`~repro.storage.sharded.ShardedRecordStore.version_token`) —
+pins the state of the underlying storage, so streaming new reports in (or
+querying a different table through the same engine) can never be answered
+from stale artefacts.
 The token is *window-scoped*: it enumerates the versions of only the shards
 the window overlaps, so a freshly ingested batch invalidates exactly the
 entries whose windows read a touched shard and leaves every other entry

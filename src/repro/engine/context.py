@@ -16,7 +16,7 @@ from typing import FrozenSet, Optional, Tuple, TYPE_CHECKING
 from ..core.query import SearchStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..data.iupt import IUPT
+    from ..storage.sharded import ShardedRecordStore
     from .cache import PresenceStore
 
 
@@ -40,10 +40,10 @@ class ExecutionContext:
         reconfiguring the engine (the naive algorithm's per-location flow
         calls stay cacheable, but e.g. ground-truth checks can opt out).
     data_key:
-        The :meth:`~repro.data.iupt.IUPT.data_key_for` token of the table
-        state this query's window reads; set by :meth:`pin` and part of the
-        store key, so a cached window dies with the (shard-scoped) table
-        state it was computed from.
+        The :meth:`~repro.storage.sharded.ShardedRecordStore.version_token`
+        of the table state this query's window reads; set by :meth:`pin` and
+        part of the store key, so a cached window dies with the
+        (shard-scoped) table state it was computed from.
     pinned_data_key:
         When set, :meth:`pin` adopts this token instead of re-deriving one
         from the table.  The continuous-query subsystem pins each refresh to
@@ -67,12 +67,12 @@ class ExecutionContext:
     def end(self) -> float:
         return self.window[1]
 
-    def pin(self, iupt: "IUPT") -> None:
+    def pin(self, iupt: "ShardedRecordStore") -> None:
         """Key this context to the table state its window reads."""
         if self.pinned_data_key is not None:
             self.data_key = self.pinned_data_key
         else:
-            self.data_key = iupt.data_key_for(self.start, self.end)
+            self.data_key = iupt.version_token(self.start, self.end)
 
     @property
     def effective_store(self) -> Optional["PresenceStore"]:

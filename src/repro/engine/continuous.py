@@ -12,15 +12,16 @@ versioning was built to avoid.  This module closes the loop:
   (:meth:`ContinuousQueryEngine.register_flows`) — and read the always-fresh
   result from the returned :class:`Subscription`;
 * the engine listens to the table's storage events
-  (:meth:`repro.data.iupt.IUPT.subscribe`) and refreshes the registered
-  results after every ``ingest_batch`` / ``evict_before``;
+  (:meth:`~repro.storage.sharded.ShardedRecordStore.subscribe`) and
+  refreshes the registered results after every ``ingest_batch`` /
+  ``evict_before``;
 * refreshes are **delta-maintained**.  For each subscription and each
   :class:`~repro.storage.base.IngestEvent`:
 
   1. if the window-scoped version token
-     (:meth:`~repro.data.iupt.IUPT.data_key_for`) is unchanged, the batch
-     cannot have touched the window — the refresh is **skipped** outright
-     (on a sharded store this is the common case for historical windows);
+     (:meth:`~repro.storage.sharded.ShardedRecordStore.version_token`) is
+     unchanged, the batch cannot have touched the window — the refresh is
+     **skipped** outright (the common case for historical windows);
   2. otherwise the receipt's :attr:`~repro.storage.base.IngestReceipt.object_spans`
      split the window's objects into *touched* (new records may overlap the
      window) and *untouched*; the new token's store entry is built from the
@@ -69,7 +70,6 @@ from typing import (
 
 from ..core.nested_loop import accumulate_flows_over_entries, score_query_over_entries
 from ..core.query import TkPLQResult, TkPLQuery
-from ..data.iupt import IUPT
 from ..storage import (
     DurabilityConfig,
     DurableRecordStore,
@@ -77,6 +77,7 @@ from ..storage import (
     EvictionEvent,
     IngestEvent,
     IngestReceipt,
+    ShardedRecordStore,
 )
 from ..storage.durable import atomic_write
 
@@ -223,9 +224,8 @@ class ContinuousQueryEngine:
         The :class:`~repro.engine.runtime.QueryEngine` whose pipeline, cache
         and indoor model answer the standing queries.
     iupt:
-        The streaming table to subscribe to.  Every
-        :meth:`~repro.data.iupt.IUPT.ingest_batch` /
-        :meth:`~repro.data.iupt.IUPT.evict_before` triggers maintenance.
+        The streaming table to subscribe to.  Every ``ingest_batch`` /
+        ``evict_before`` on it triggers maintenance.
     manifest_path:
         When set, every registered standing query is mirrored into a JSON
         manifest at this path (rewritten atomically on each register /
@@ -239,7 +239,7 @@ class ContinuousQueryEngine:
     def __init__(
         self,
         engine: "QueryEngine",
-        iupt: IUPT,
+        iupt: ShardedRecordStore,
         manifest_path: Optional["os.PathLike[str] | str"] = None,
     ):
         self._engine = engine
@@ -253,7 +253,7 @@ class ContinuousQueryEngine:
         # lock would order the two paths oppositely and deadlock.  Sharing
         # the lock serialises concurrent ``ingest_batch`` threads' refreshes
         # against each other and against registration.
-        self._lock = iupt.store.lock
+        self._lock = iupt.lock
         self._manifest_path = (
             pathlib.Path(manifest_path) if manifest_path is not None else None
         )
@@ -261,9 +261,8 @@ class ContinuousQueryEngine:
         # its fsync policy: a subscribe acknowledged under "always" survives
         # an OS crash like an ingest does.  A volatile table has no policy of
         # its own and gets the default one.
-        store = iupt.store
         self._manifest_fsync = (
-            store.config if isinstance(store, DurableRecordStore) else DurabilityConfig()
+            iupt.config if isinstance(iupt, DurableRecordStore) else DurabilityConfig()
         ).fsync
         self._token: Optional[int] = iupt.subscribe(self._on_event)
 
@@ -456,11 +455,11 @@ class ContinuousQueryEngine:
         fires on every change.  Returns how many results were refreshed."""
         refreshed = 0
         with self._lock:
-            watermark = self._iupt.store.eviction_watermark
+            watermark = self._iupt.eviction_watermark
             for subscription in self._subscriptions.values():
                 if not self._live(subscription, watermark):
                     continue
-                new_key = self._iupt.data_key_for(*subscription.window)
+                new_key = self._iupt.version_token(*subscription.window)
                 if new_key == subscription._data_key:
                     # The window's visible records are untouched — the
                     # standing result is still exact; do nothing at all.

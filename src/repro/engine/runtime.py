@@ -27,9 +27,9 @@ from ..core.naive import NaiveTkPLQ
 from ..core.nested_loop import NestedLoopTkPLQ
 from ..core.query import SearchStats, TkPLQResult, TkPLQuery
 from ..core.reduction import DataReductionConfig
-from ..data.iupt import IUPT
 from ..space.graph import IndoorSpaceLocationGraph
 from ..space.matrix import IndoorLocationMatrix
+from ..storage.sharded import ShardedRecordStore
 from .batch import BatchPlanner, BatchReport
 from .cache import PresenceStore
 from .config import EngineConfig
@@ -71,7 +71,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def flow(
         self,
-        iupt: IUPT,
+        iupt: ShardedRecordStore,
         sloc_id: int,
         start: float,
         end: float,
@@ -82,7 +82,7 @@ class QueryEngine:
         return self.pipeline.flow(ctx, iupt, sloc_id)
 
     def flows(
-        self, iupt: IUPT, sloc_ids: Sequence[int], start: float, end: float
+        self, iupt: ShardedRecordStore, sloc_ids: Sequence[int], start: float, end: float
     ) -> Dict[int, float]:
         """Flows of several S-locations, sharing one per-object pass."""
         return self.pipeline.flows_for_all(iupt, sloc_ids, start, end)
@@ -91,7 +91,7 @@ class QueryEngine:
     # TkPLQ
     # ------------------------------------------------------------------
     def search(
-        self, iupt: IUPT, query: TkPLQuery, algorithm: str = "best-first"
+        self, iupt: ShardedRecordStore, query: TkPLQuery, algorithm: str = "best-first"
     ) -> TkPLQResult:
         """Answer one TkPLQ with the chosen algorithm."""
         if algorithm not in self._algorithms:
@@ -102,7 +102,7 @@ class QueryEngine:
 
     def top_k(
         self,
-        iupt: IUPT,
+        iupt: ShardedRecordStore,
         query_slocations: Sequence[int],
         k: int,
         start: float,
@@ -116,7 +116,9 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Continuous queries
     # ------------------------------------------------------------------
-    def continuous(self, iupt: IUPT, manifest_path=None) -> ContinuousQueryEngine:
+    def continuous(
+        self, iupt: ShardedRecordStore, manifest_path=None
+    ) -> ContinuousQueryEngine:
         """Attach a continuous-query engine to ``iupt``.
 
         Standing queries registered with the returned
@@ -130,12 +132,12 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Batched evaluation
     # ------------------------------------------------------------------
-    def batch(self, iupt: IUPT, queries: Sequence[TkPLQuery]) -> BatchReport:
+    def batch(self, iupt: ShardedRecordStore, queries: Sequence[TkPLQuery]) -> BatchReport:
         """Answer many queries in one pass, sharing per-object work."""
         return self.planner.execute(iupt, queries)
 
     def batch_top_k(
-        self, iupt: IUPT, queries: Sequence[TkPLQuery]
+        self, iupt: ShardedRecordStore, queries: Sequence[TkPLQuery]
     ) -> List[TkPLQResult]:
         """Like :meth:`batch`, returning just the per-query results."""
         return self.batch(iupt, queries).results

@@ -32,9 +32,9 @@ from ..core.flow import FlowComputer, FlowResult
 from ..core.nested_loop import accumulate_flows_over_entries
 from ..core.query import SearchStats
 from ..core.reduction import ReducedSequence
-from ..data.iupt import IUPT
 from ..data.records import SampleSet
 from ..storage.base import check_not_evicted
+from ..storage.sharded import ShardedRecordStore
 from .cache import PresenceStore, StoredPresence, WindowPresences
 from .config import EngineConfig
 from .context import ExecutionContext
@@ -44,14 +44,16 @@ class FetchStage:
     """Stage 1: retrieve the window's per-object sequences from the time index.
 
     Also pins the context to the table's *window-scoped*
-    :meth:`~repro.data.iupt.IUPT.data_key_for` token, so every later store
-    access of this context is keyed to the exact table state the sequences
-    were fetched from.  On a sharded store the token only covers the shards
+    :meth:`~repro.storage.sharded.ShardedRecordStore.version_token`, so
+    every later store access of this context is keyed to the exact table
+    state the sequences were fetched from.  The token only covers the shards
     the window overlaps, so ingesting a batch elsewhere leaves this
     context's cached presences valid.
     """
 
-    def run(self, ctx: ExecutionContext, iupt: IUPT) -> Dict[int, List[SampleSet]]:
+    def run(
+        self, ctx: ExecutionContext, iupt: ShardedRecordStore
+    ) -> Dict[int, List[SampleSet]]:
         ctx.pin(iupt)
         sequences = iupt.sequences_in(ctx.start, ctx.end)
         ctx.stats.note_objects_total(len(sequences))
@@ -194,7 +196,7 @@ class QueryPipeline:
     def window(
         self,
         ctx: ExecutionContext,
-        iupt: IUPT,
+        iupt: ShardedRecordStore,
         build_paths: bool = True,
         carry: Optional[Dict[int, StoredPresence]] = None,
     ) -> WindowPresences:
@@ -212,7 +214,7 @@ class QueryPipeline:
         recomputed.
         """
         ctx.pin(iupt)
-        check_not_evicted(iupt.store, ctx.start, ctx.end)
+        check_not_evicted(iupt, ctx.start, ctx.end)
         return self._window(ctx, lambda: self.fetch.run(ctx, iupt), build_paths, carry)
 
     def presences(
@@ -267,7 +269,9 @@ class QueryPipeline:
     # ------------------------------------------------------------------
     # Algorithm 2, staged
     # ------------------------------------------------------------------
-    def flow(self, ctx: ExecutionContext, iupt: IUPT, sloc_id: int) -> FlowResult:
+    def flow(
+        self, ctx: ExecutionContext, iupt: ShardedRecordStore, sloc_id: int
+    ) -> FlowResult:
         """The indoor flow of one S-location, run through the staged pipeline."""
         began = time.perf_counter()
         cell_id = self._computer.graph.parent_cell(sloc_id)
@@ -284,7 +288,7 @@ class QueryPipeline:
 
     def flows_for_all(
         self,
-        iupt: IUPT,
+        iupt: ShardedRecordStore,
         sloc_ids: Sequence[int],
         start: float,
         end: float,

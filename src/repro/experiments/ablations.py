@@ -18,11 +18,11 @@ from typing import Dict, List
 
 from ..core import DataReducer, DataReductionConfig, TkPLQuery
 from ..core.paths import candidate_path_count
-from ..data import IUPT
 from ..engine import QueryEngine
 from ..eval import run_method
 from ..indexes import BPlusTree, OneDimensionalRTree
 from ..space import IndoorLocationMatrix
+from ..storage import ShardedRecordStore
 from .config import get_real_scenario, real_scale
 from .runner import QuerySetting, split_into_time_batches
 
@@ -82,7 +82,8 @@ def ablation_indexes(scale: str = "small") -> List[Dict[str, object]]:
 
     # The paper's two trees (§3.3), bulk-loaded over the table's records, and
     # the index the store actually answers from.
-    pairs = [(record.timestamp, record) for record in scenario.iupt.records]
+    records = scenario.iupt.records_in_time_order()
+    pairs = [(record.timestamp, record) for record in records]
     variants = (
         ("1dr-tree", OneDimensionalRTree.from_sorted(pairs).range_query),
         ("bplus-tree", BPlusTree.bulk_load(pairs).range_query),
@@ -136,7 +137,7 @@ def ablation_continuous(scale: str = "small") -> List[Dict[str, object]]:
     version of this comparison.)
     """
     scenario = get_real_scenario(scale)
-    records = scenario.iupt.records
+    records = scenario.iupt.records_in_time_order()
     duration = scenario.duration_seconds
     history_end = duration / 2.0
     shard_seconds = max(duration / 8.0, 1.0)
@@ -156,7 +157,7 @@ def ablation_continuous(scale: str = "small") -> List[Dict[str, object]]:
 
     rows: List[Dict[str, object]] = []
     for strategy in ("incremental", "polling"):
-        table = IUPT.sharded(shard_seconds=shard_seconds)
+        table = ShardedRecordStore(shard_seconds=shard_seconds)
         table.ingest_batch(history)
         engine = QueryEngine(scenario.system.graph, scenario.system.matrix)
         if strategy == "incremental":

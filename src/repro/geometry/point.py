@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,6 @@ class Point:
         if self.floor != other.floor:
             raise ValueError("cannot take the midpoint of points on different floors")
         return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0, self.floor)
-
-    def as_tuple(self) -> Tuple[float, float, int]:
-        """Return ``(x, y, floor)``."""
-        return (self.x, self.y, self.floor)
 
     def __iter__(self) -> Iterator[float]:
         yield self.x

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from .point import Point
 
@@ -129,13 +129,6 @@ class Rect:
             self.floor,
         )
 
-    def enlargement(self, other: "Rect") -> float:
-        """Area increase caused by enlarging this MBR to also cover ``other``.
-
-        Used by the R-tree insertion heuristic (choose-subtree).
-        """
-        return self.union(other).area - self.area
-
     def distance_to_point(self, point: Point) -> float:
         """Minimum Euclidean distance from this rectangle to ``point``."""
         if point.floor != self.floor:
@@ -160,9 +153,6 @@ class Rect:
                 yield Point(x, y, self.floor)
                 y += step
             x += step
-
-    def as_tuple(self) -> Tuple[float, float, float, float]:
-        return (self.xmin, self.ymin, self.xmax, self.ymax)
 
     # ------------------------------------------------------------------
     # Factories

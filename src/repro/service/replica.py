@@ -15,12 +15,12 @@ cycle is **catch-up-then-tail**, and attaching is one request:
 2. **Tail**: every later commit (and eviction) is pushed live — one
    gapless, strictly ordered sequence, queued until the apply loop runs.
 3. **Apply**: each shipped batch goes through the replica table's ordinary
-   :meth:`~repro.data.iupt.IUPT.ingest_batch` (and eviction pushes through
-   ``evict_before``), so shard versions, engine caches and standing
-   subscriptions behave exactly as on the primary: the same commit prefix
-   yields a bit-identical table, including
-   :meth:`~repro.data.iupt.IUPT.data_key_for` version tokens (the replica
-   adopts the primary's store uid during the handshake).
+   :meth:`~repro.storage.sharded.ShardedRecordStore.ingest_batch` (and
+   eviction pushes through ``evict_before``), so shard versions, engine
+   caches and standing subscriptions behave exactly as on the primary: the
+   same commit prefix yields a bit-identical table, including its
+   :meth:`~repro.storage.sharded.ShardedRecordStore.version_token` values
+   (the replica adopts the primary's store uid during the handshake).
 
 The replica fronts its table with its own **read-only**
 :class:`~repro.service.server.QueryService` (``role="replica"``): clients
@@ -41,8 +41,8 @@ import asyncio
 from typing import Dict, Optional, Tuple
 
 from ..codec.packed import PackedRecordBatch
-from ..data.iupt import IUPT
 from ..engine.runtime import QueryEngine
+from ..storage.sharded import ShardedRecordStore
 from . import protocol
 from .client import ReconnectPolicy, ServiceClient, ServiceError
 from .server import QueryService
@@ -93,7 +93,7 @@ class ReadReplica:
         self._reconnect = reconnect or ReconnectPolicy()
         self._query_workers = query_workers
         self._client: Optional[ServiceClient] = None
-        self.iupt: Optional[IUPT] = None
+        self.iupt: Optional[ShardedRecordStore] = None
         self.service: Optional[QueryService] = None
         self.applied_seq = 0
         self.applied_batches = 0
@@ -124,10 +124,10 @@ class ReadReplica:
         )
         handshake = await self._handshake()
         shard_seconds = float(handshake["shard_seconds"])
-        self.iupt = IUPT.sharded(shard_seconds=shard_seconds)
+        self.iupt = ShardedRecordStore(shard_seconds=shard_seconds)
         # Version tokens embed the store uid; adopting the primary's makes
         # the replica's tokens compare equal for identical shard states.
-        self.iupt.store.restore_identity(handshake["uid"])
+        self.iupt.restore_identity(handshake["uid"])
         self._adopt_snapshot(handshake)
         self.service = QueryService(
             self.engine,
@@ -187,7 +187,7 @@ class ReadReplica:
             for key, version, blob in protocol.decode_shard_sections(payload)
         ]
         watermark = handshake.get("watermark")
-        self.iupt.store.reset_to_packed_shards(
+        self.iupt.reset_to_packed_shards(
             shards,
             watermark=float("-inf") if watermark is None else float(watermark),
         )

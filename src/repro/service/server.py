@@ -1,9 +1,9 @@
 """The asyncio query service: one shared engine behind a wire protocol.
 
 :class:`QueryService` owns one :class:`~repro.engine.runtime.QueryEngine` and
-one :class:`~repro.data.iupt.IUPT` and serves them to many concurrent network
-clients over the newline-delimited JSON protocol of
-:mod:`repro.service.protocol`:
+one table (a :class:`~repro.storage.sharded.ShardedRecordStore`) and serves
+them to many concurrent network clients over the newline-delimited JSON
+protocol of :mod:`repro.service.protocol`:
 
 * the **event loop** only frames (in :mod:`repro.service.stream`, whose
   accept loop this class subclasses), parses, admits and answers: the read
@@ -52,11 +52,9 @@ import dataclasses
 from typing import Callable, Dict, Optional, Tuple
 
 from ..codec import codec_info
-from ..data.iupt import IUPT
 from ..engine.continuous import FLOWS, Subscription, TOP_K
 from ..engine.runtime import QueryEngine
-from ..storage import EvictedRangeError
-from ..storage.durable import DurableRecordStore
+from ..storage import DurableRecordStore, EvictedRangeError, ShardedRecordStore
 from .admission import AdmissionController
 from .metrics import ServiceMetrics
 from .pool import WorkerPool
@@ -146,7 +144,7 @@ class QueryService(FrameServer):
     def __init__(
         self,
         engine: QueryEngine,
-        iupt: IUPT,
+        iupt: ShardedRecordStore,
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 64,
@@ -157,11 +155,11 @@ class QueryService(FrameServer):
         super().__init__(host, port)
         self.engine = engine
         self.iupt = iupt
-        #: The served table's store when it is durable, else ``None`` — the one
+        #: The served table when it is durable, else ``None`` — the one
         #: answer to "is there a log, a manifest, something to flush?".
         #: (Compare with ``is not None``: an empty store is falsy.)
         self._durable: Optional[DurableRecordStore] = (
-            iupt.store if isinstance(iupt.store, DurableRecordStore) else None
+            iupt if isinstance(iupt, DurableRecordStore) else None
         )
         #: A replica's table is owned by its replication tail, not by clients.
         self.role = role
@@ -173,9 +171,7 @@ class QueryService(FrameServer):
         self.metrics = ServiceMetrics()
         self.admission = AdmissionController(max_inflight)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._wal = WalTail(
-            self._durable, iupt.store.kind, self._pool, self._connections, self.metrics
-        )
+        self._wal = WalTail(self._durable, self._pool, self._connections, self.metrics)
         #: Set by ``stop`` while it waits for the last admitted request.
         self._idle: Optional[asyncio.Future] = None
         #: The ops answered straight from a worker (handler(frame) -> result) …
@@ -480,7 +476,7 @@ class QueryService(FrameServer):
         return {
             "pong": True,
             "protocol": protocol.PROTOCOL_VERSION,
-            "store": self.iupt.store.kind,
+            "store": self.iupt.kind,
             "records": len(self.iupt),
         }
 
@@ -519,19 +515,18 @@ class QueryService(FrameServer):
         WAL inventory.  On a replica the tailer merges its applied sequence
         and primary address in through :attr:`replication_extra`.
         """
-        store = self.iupt.store
         status: Dict[str, object] = {
             "role": self.role,
             "read_only": self.read_only,
-            "store": store.kind,
-            "shard_seconds": store.shard_seconds,
+            "store": self.iupt.kind,
+            "shard_seconds": self.iupt.shard_seconds,
             "records": len(self.iupt),
         }
         if self._durable is not None:
             status.update(
-                last_seq=store.last_committed_seq,
-                base_seq=store.wal_base_seq,
-                wal=store.wal_inventory(),
+                last_seq=self._durable.last_committed_seq,
+                base_seq=self._durable.wal_base_seq,
+                wal=self._durable.wal_inventory(),
             )
         if self.replication_extra is not None:
             status.update(self.replication_extra())
@@ -585,7 +580,7 @@ class QueryService(FrameServer):
         dropped = self.iupt.evict_before(timestamp)
         return {
             "records_dropped": dropped,
-            "watermark": self.iupt.store.eviction_watermark,
+            "watermark": self.iupt.eviction_watermark,
         }
 
     def _do_checkpoint(self, _frame: dict) -> dict:
@@ -603,7 +598,7 @@ class QueryService(FrameServer):
         function never mutates connection state.
         """
         resume = frame.get("resume")
-        with self.iupt.store.lock:
+        with self.iupt.lock:
             # Register (or claim) and attach in one hold of the store lock, so
             # no refresh can fire between them: the connection sees every
             # change from the first batch on, and a resume's claim check is

@@ -31,9 +31,8 @@ import asyncio
 import sys
 from typing import List, Tuple
 
-from ..data.iupt import IUPT
 from ..engine.config import EngineConfig
-from ..storage import DurabilityConfig
+from ..storage import DurabilityConfig, DurableRecordStore
 from ..synth.building import BuildingConfig, GridBuildingGenerator
 from ..system import IndoorFlowSystem
 from .client import ReconnectPolicy
@@ -81,7 +80,7 @@ def _announce(host: str, port: int) -> None:
 
 
 async def _run_primary(args: argparse.Namespace) -> None:
-    iupt = IUPT.durable(
+    iupt = DurableRecordStore(
         args.data_dir,
         shard_seconds=SHARD_SECONDS,
         config=DurabilityConfig(snapshot_every_batches=SNAPSHOT_EVERY),

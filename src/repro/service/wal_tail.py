@@ -26,21 +26,18 @@ from .protocol import ProtocolError
 class WalTail:
     """The ``wal_tail`` / ``wal_ack`` ops of one query service.
 
-    ``durable`` is the served table's store when it is durable, else
-    ``None`` (``store_kind`` then names the store in the refusal);
+    ``durable`` is the served table when it is durable, else ``None``;
     ``connections`` is the service's live connection set, read on the loop.
     """
 
     def __init__(
         self,
         durable: Optional[DurableRecordStore],
-        store_kind: str,
         pool: WorkerPool,
         connections: Set,
         metrics: ServiceMetrics,
     ):
         self._durable = durable
-        self._store_kind = store_kind
         self._pool = pool
         self._connections = connections
         self._metrics = metrics
@@ -89,8 +86,8 @@ class WalTail:
         if self._durable is None:
             raise ProtocolError(
                 "bad_request",
-                f"the {self._store_kind!r} store is not durable: checkpoints "
-                f"and WAL shipping need a write-ahead-logged table (IUPT.durable)",
+                "the table is not durable: checkpoints and WAL shipping need "
+                "a write-ahead-logged table (DurableRecordStore)",
             )
         return self._durable
 

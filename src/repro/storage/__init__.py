@@ -1,11 +1,12 @@
-"""The IUPT storage layer: the record store behind the table facade.
+"""The IUPT storage layer: the table is the store.
 
-See :mod:`repro.storage.base` for the store contract,
-:mod:`repro.storage.sharded` for the one in-memory store — time-partitioned,
-with shard-pruned, timestamp-column-bisected window queries, per-shard
+See :mod:`repro.storage.sharded` for the table — ``repro.IUPT`` is its
+:class:`~repro.storage.sharded.ShardedRecordStore`: time-partitioned, with
+shard-pruned, timestamp-column-bisected window queries, per-shard
 versioning, and retention eviction — :mod:`repro.storage.durable` for its
-write-ahead-logged, snapshot-recovered subclass, and
-:mod:`repro.storage.wal` for the frames that subclass writes to disk.
+write-ahead-logged, snapshot-recovered subclass, :mod:`repro.storage.base`
+for the events, receipts and errors they hand their callers, and
+:mod:`repro.storage.wal` for the frames the durable store writes to disk.
 """
 
 from .base import (
@@ -13,7 +14,6 @@ from .base import (
     EvictionEvent,
     IngestEvent,
     IngestReceipt,
-    RecordStore,
     StoreListener,
     VersionToken,
     summarise_object_spans,
@@ -30,7 +30,6 @@ __all__ = [
     "EvictionEvent",
     "IngestEvent",
     "IngestReceipt",
-    "RecordStore",
     "SimulatedCrashError",
     "StoreListener",
     "ShardedRecordStore",

@@ -37,8 +37,8 @@ listeners and watermark — that writes the log before it applies a mutation:
 * **recovery** — constructing a :class:`DurableRecordStore` over an existing
   directory rebuilds the exact pre-crash state: per-shard records in the
   same order, the same per-shard versions (so
-  :meth:`~repro.storage.base.RecordStore.version_token` values compare equal
-  to pre-crash tokens), and the same retention watermark.  Torn frames at a
+  :meth:`~repro.storage.sharded.ShardedRecordStore.version_token` values
+  compare equal to pre-crash tokens), and the same retention watermark.  Torn frames at a
   file tail (a crash mid-write) are detected by the length/CRC framing and
   truncated away.  The differential crash-recovery harness in
   ``tests/test_durable.py`` kills the store at arbitrary WAL frame
@@ -56,9 +56,11 @@ the replication replay (:meth:`DurableRecordStore.committed_batches_after`)
 learn which sequences are committed and which frames each segment holds from
 it, and only recovery lets it cut a torn tail off a file — the one damage a
 crash can cause.  Anything else it cannot interpret is refused with a
-``ValueError`` naming the file: a CRC-valid frame of the wrong shape, and a
+``ValueError`` naming the file: a CRC-valid frame of the wrong shape, a
 snapshot file that is not exactly one snapshot frame for the shard its name
-states — a snapshot replaces its file atomically and its segments are
+states, and a snapshot no checkpoint writes (at version 0, or holding no
+record: a shard exists only once a batch reached it) — a snapshot replaces
+its file atomically and its segments are
 deleted afterwards, so a damaged one is never crash residue, and falling back
 to the log would silently open a smaller table.
 
@@ -319,7 +321,7 @@ class DurableRecordStore(ShardedRecordStore):
                     skipped_uncommitted += 1
                     continue
                 pending.append((index, seq, frame))
-            if not pending and packed is not None and version > 0:
+            if not pending and packed is not None:
                 # Binary snapshot with nothing to replay: adopt the packed
                 # batch as-is — the shard decodes lazily on first query, so
                 # cold recovery is one blob read per shard.
@@ -342,7 +344,7 @@ class DurableRecordStore(ShardedRecordStore):
                     # internally time-sorted) at a fraction of the recovery
                     # cost.
                     records.sort(key=lambda record: record.timestamp)
-                if version > 0:
+                if version > 0:  # 0: no snapshot and no committed frame
                     self.load_shard(key, records, version)
             self._shard_last_seq[key] = through
             max_through = max(max_through, through)
@@ -377,7 +379,9 @@ class DurableRecordStore(ShardedRecordStore):
     def _read_snapshots(self) -> Dict[int, Tuple[int, int, dict]]:
         """``shard key -> (version, through, frame)`` of every snapshot file;
         one that is not exactly one snapshot frame for the shard its name
-        states raises (module docstring: it is damage, never crash residue)."""
+        states, or not one a checkpoint writes (at version 1 or above, holding
+        a record), raises (module docstring: it is damage, never crash
+        residue)."""
         snapshots: Dict[int, Tuple[int, int, dict]] = {}
         for path in sorted(self._snap_dir.glob("shard-*.snap")):
             data = path.read_bytes()
@@ -390,11 +394,18 @@ class DurableRecordStore(ShardedRecordStore):
             key = _field(frames[0], "shard", int, path, 0)
             if path != self._snapshot_path(key):
                 raise ValueError(f"{path}: holds the snapshot of shard {key}")
-            snapshots[key] = (
-                _field(frames[0], "version", int, path, 0),
-                _field(frames[0], "through", int, path, 0),
-                frames[0],
-            )
+            version = _field(frames[0], "version", int, path, 0)
+            packed = frames[0].get("packed")
+            if packed is None:  # a JSON-era snapshot
+                held = _field(frames[0], "records", len, path, 0)
+            else:
+                held = len(packed)
+            if version < 1 or not held:
+                raise ValueError(
+                    f"{path}: a snapshot at version {version} holding {held} "
+                    f"records, which no checkpoint writes"
+                )
+            snapshots[key] = (version, _field(frames[0], "through", int, path, 0), frames[0])
         return snapshots
 
     def _segment_files(self) -> List[Tuple[int, pathlib.Path]]:

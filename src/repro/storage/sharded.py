@@ -1,4 +1,4 @@
-"""The time-partitioned sharded record store.
+"""The IUPT: the time-partitioned sharded record store.
 
 Records are partitioned into fixed-duration time shards (shard key
 ``floor(timestamp / shard_seconds)``).  Each shard owns its records in time
@@ -29,19 +29,22 @@ only index — and carries its own version counter:
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..codec.packed import PackedRecordBatch
-from ..data.records import PositioningRecord
+from ..data.records import PositioningRecord, SampleSet
 from .base import (
     EvictionEvent,
     IngestEvent,
     IngestReceipt,
-    RecordStore,
     STORE_UIDS,
+    StoreListener,
     VersionToken,
     check_not_evicted,
     summarise_object_spans,
@@ -130,7 +133,7 @@ class _Shard:
 
         ``list.sort`` is stable, so records already present keep preceding
         newly ingested ones on timestamp ties — the arrival-order tie rule of
-        the :class:`~repro.storage.base.RecordStore` contract.  A slice that starts
+        :meth:`ShardedRecordStore.range_query`.  A slice that starts
         at or after the shard's last record (a stream arriving in time order)
         is the sorted result as appended, so an ingest costs what the batch
         costs, not what the shard has grown to.
@@ -163,8 +166,39 @@ class _Shard:
         return self._timestamps
 
 
-class ShardedRecordStore(RecordStore):
-    """Time-partitioned record store indexed by each shard's sorted timestamps.
+def _check_restorable(shard: _Shard, shards: Dict[int, _Shard]) -> None:
+    """Refuse a persisted shard no store could have written, or one already in
+    ``shards``: a shard exists only once a batch reached it, so it is at
+    version 1 or above and holds a record."""
+    if shard.version < 1:
+        raise ValueError("a restored shard's version must be at least 1")
+    if not shard.record_count:
+        raise ValueError(f"restored shard {shard.key} holds no record")
+    if shard.key in shards:
+        raise ValueError(f"shard {shard.key} is already loaded")
+
+
+class ShardedRecordStore:
+    """The Indoor Uncertain Positioning Table (IUPT): a time-partitioned store.
+
+    The IUPT holds the historical positioning records of all indoor moving
+    objects (Table 2 of the paper).  Following Section 3.3 it is indexed on
+    its time attribute, so that the flow and TkPLQ algorithms fetch exactly
+    the records of a query window (:meth:`range_query`, grouped per object by
+    :meth:`sequences_in`); ``repro.IUPT`` is a second name for this class.
+    The index is each shard's sorted timestamp column; the paper's own two
+    time indexes (the 1D R-tree and the B+-tree) live in
+    :mod:`repro.indexes`, and the §3.3 index ablation builds them over a
+    table's records.
+
+    Streaming callers ingest through :meth:`ingest_batch`, which costs one
+    version bump per touched shard, and the engine keys its cross-query
+    presence cache on the *window-scoped* :meth:`version_token`, so a new
+    batch only invalidates cached presences whose windows overlap the touched
+    shards.  :meth:`subscribe` is the table's one event stream: the
+    continuous engine and, on a durable table, the replication tail both
+    listen there.  Rows keep global time order with ties in arrival order —
+    the deterministic order every flow computation downstream relies on.
 
     Parameters
     ----------
@@ -180,12 +214,19 @@ class ShardedRecordStore(RecordStore):
     write its log.
     """
 
+    #: Short backend identifier (``"sharded"`` / ``"durable"``).
     kind = "sharded"
 
+    #: Label of the time index answering :meth:`range_query`: each shard's
+    #: sorted timestamp column.
+    index_kind = "timestamp-column"
+
     def __init__(self, shard_seconds: float = DEFAULT_SHARD_SECONDS):
-        super().__init__()
         if shard_seconds <= 0:
             raise ValueError("shard_seconds must be positive")
+        self._listeners: Dict[int, StoreListener] = {}
+        self._listener_tokens = itertools.count(1)
+        self._lock = threading.RLock()
         self._shard_seconds = float(shard_seconds)
         self._shards: Dict[int, _Shard] = {}
         self._shard_keys: List[int] = []  # sorted view of self._shards
@@ -195,6 +236,45 @@ class ShardedRecordStore(RecordStore):
         self._built_dropped = 0  # records built by shards since evicted / reset
         self.shards_probed = 0
         self.shards_pruned = 0
+
+    @staticmethod
+    def sharded(shard_seconds: float = DEFAULT_SHARD_SECONDS) -> "ShardedRecordStore":
+        """``ShardedRecordStore(shard_seconds)``; kept only because ``bench/``
+        spells ``IUPT.sharded``."""
+        return ShardedRecordStore(shard_seconds)
+
+    @staticmethod
+    def durable(
+        path, shard_seconds: float = DEFAULT_SHARD_SECONDS, config=None
+    ) -> "ShardedRecordStore":
+        """``DurableRecordStore(path, shard_seconds, config)``; kept only
+        because ``bench/`` spells ``IUPT.durable``."""
+        from .durable import DurableRecordStore
+
+        return DurableRecordStore(path, shard_seconds=shard_seconds, config=config)
+
+    @property
+    def store(self) -> "ShardedRecordStore":
+        """The table itself; kept only because ``bench/`` reads a table's
+        ``.store``."""
+        return self
+
+    @property
+    def lock(self) -> threading.RLock:
+        """The store's single re-entrant mutation/read lock.
+
+        Every mutation (``ingest_batch`` / ``append`` / ``evict_before``) and
+        every structural read (``range_query``, ``version_token``, …) runs
+        under this lock, so concurrent threads — the query service executes
+        requests on a worker pool — see each batch (including the listener
+        notifications it triggers) as one atomic step.  The lock is
+        re-entrant and *shared*: the continuous-query engine synchronises its
+        subscription state on the same object, which rules out the AB-BA
+        deadlock a second lock would invite (ingest holds the store lock and
+        enters the maintenance engine; registration enters the maintenance
+        engine and reads the store).
+        """
+        return self._lock
 
     @property
     def shard_seconds(self) -> float:
@@ -210,10 +290,42 @@ class ShardedRecordStore(RecordStore):
         return math.floor(timestamp / self._shard_seconds)
 
     # ------------------------------------------------------------------
+    # Subscriptions
+    # ------------------------------------------------------------------
+    def subscribe(self, listener: StoreListener) -> int:
+        """Register a listener for :class:`~repro.storage.base.IngestEvent` /
+        :class:`~repro.storage.base.EvictionEvent`.
+
+        Listeners are invoked synchronously, in registration order, after the
+        mutation has fully completed — the store is consistent and queryable
+        from inside a listener.  Returns a token for :meth:`unsubscribe`.
+        """
+        token = next(self._listener_tokens)
+        self._listeners[token] = listener
+        return token
+
+    def unsubscribe(self, token: int) -> bool:
+        """Remove a listener by its token; returns whether it was registered."""
+        return self._listeners.pop(token, None) is not None
+
+    @property
+    def listener_count(self) -> int:
+        return len(self._listeners)
+
+    def _notify(self, event: object) -> None:
+        for listener in list(self._listeners.values()):
+            listener(event)
+
+    # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
     def append(self, record: PositioningRecord) -> None:
+        """Ingest a single record (bumps the owning shard's version once)."""
         self.ingest_batch((record,))
+
+    def report(self, object_id: int, sample_set: SampleSet, timestamp: float) -> None:
+        """:meth:`append` building the record in place."""
+        self.append(PositioningRecord(object_id, sample_set, timestamp))
 
     def slice_batch(
         self, batch: Sequence[PositioningRecord]
@@ -235,6 +347,14 @@ class ShardedRecordStore(RecordStore):
         return slices
 
     def ingest_batch(self, records: Iterable[PositioningRecord]) -> IngestReceipt:
+        """Bulk-insert a batch and report what it touched.
+
+        The batch is sliced per time shard and each touched shard appends its
+        slice and bumps its version once, so cached query results for
+        non-overlapping windows stay valid.  A batch carrying any record below
+        the :attr:`eviction_watermark` is refused with ``ValueError``: evicted
+        history cannot be refilled.
+        """
         batch = sorted(records, key=_BY_TIME)
         if not batch:
             # Empty-batch parity: no lock, no log growth, no version bump.
@@ -293,6 +413,14 @@ class ShardedRecordStore(RecordStore):
     # Queries
     # ------------------------------------------------------------------
     def range_query(self, start: float, end: float) -> List[PositioningRecord]:
+        """Records with timestamps in ``[start, end]``, in time order.
+
+        The ``tree.RangeQuery([ts, te])`` of Algorithms 2-4: both endpoints
+        are **inclusive**.  Raises
+        :class:`~repro.storage.base.EvictedRangeError` when ``start`` lies
+        strictly below the :attr:`eviction_watermark`; a window starting
+        exactly at the watermark is fully answerable.
+        """
         with self._lock:
             check_not_evicted(self, start, end)
             overlapping = self.overlapping_shard_keys(start, end)
@@ -315,9 +443,33 @@ class ShardedRecordStore(RecordStore):
                         results.extend(shard.slice(lo, hi))
             return results
 
+    def sequences_in(self, start: float, end: float) -> Dict[int, List[SampleSet]]:
+        """Group the records of a window into per-object positioning sequences.
+
+        Corresponds to the hash table ``HO : {oid} -> {X}`` construction at
+        the top of Algorithms 2-4.  The sequences preserve the row order of
+        :meth:`range_query` (time order, arrival order on ties), and the
+        returned mapping iterates in ascending object-id order — the
+        deterministic iteration order every flow computation and search
+        algorithm relies on (callers must not re-sort).
+        """
+        grouped: Dict[int, List[SampleSet]] = defaultdict(list)
+        for record in self.range_query(start, end):
+            grouped[record.object_id].append(record.sample_set)
+        return dict(sorted(grouped.items()))
+
     def version_token(
         self, start: Optional[float] = None, end: Optional[float] = None
     ) -> VersionToken:
+        """A hashable token pinning the state of the records in ``[start, end]``.
+
+        With no window, the token covers the whole table.  Two calls return
+        equal tokens exactly when every record visible to the window (and the
+        set of shards that could hold such records) is unchanged between
+        them; tokens from different store instances never compare equal.
+        The engine pins each query to its window's token, so a cached window
+        survives ingestion into shards it does not overlap.
+        """
         # The eviction watermark is deliberately NOT part of the token:
         # evicting shards strictly below a window leaves the window's
         # visible records unchanged (its cached artefacts stay valid), a
@@ -340,7 +492,30 @@ class ShardedRecordStore(RecordStore):
     # Retention
     # ------------------------------------------------------------------
     def evict_before(self, timestamp: float) -> int:
-        """Drop every shard whose time range ends at or before ``timestamp``.
+        """Drop every shard whose time range ends at or before ``timestamp``;
+        returns how many records were dropped.
+
+        **The retention boundary contract** (exercised by the
+        eviction-boundary tests in ``tests/test_storage.py``):
+
+        * the cut-off is **exclusive**: only records with
+          ``record.timestamp < timestamp`` may be dropped; a record with
+          ``timestamp == cutoff`` is *always* retained;
+        * only whole shards are dropped, so records of a partially covered
+          trailing shard survive.  When the cut-off falls exactly on a shard
+          boundary it drops exactly the records strictly below it;
+        * after an eviction that dropped records, :attr:`eviction_watermark`
+          advances to ``w`` such that every record with ``timestamp < w`` is
+          gone and no record with ``timestamp >= w`` was dropped.  An
+          eviction that dropped nothing leaves the watermark unchanged (so
+          an empty store never grows an artificial dead zone);
+        * window queries treat the watermark as an **inclusive lower bound
+          on queryable time**: ``range_query(start, end)`` raises
+          :class:`~repro.storage.base.EvictedRangeError` exactly when
+          ``start < watermark`` (see
+          :func:`~repro.storage.base.check_not_evicted`);
+        * a later :meth:`ingest_batch` carrying any record with
+          ``timestamp < watermark`` is rejected with :class:`ValueError`.
 
         The eviction is logged (:meth:`_log_eviction`) before any shard is
         dropped, and announced only once :meth:`_evicted` has run, so a
@@ -381,6 +556,12 @@ class ShardedRecordStore(RecordStore):
 
     @property
     def eviction_watermark(self) -> float:
+        """Timestamps strictly below this have been evicted (``-inf`` if none).
+
+        Every surviving record satisfies ``timestamp >= eviction_watermark``,
+        and a query window with ``start >= eviction_watermark`` is fully
+        answerable (see the contract on :meth:`evict_before`).
+        """
         return self._watermark
 
     # ------------------------------------------------------------------
@@ -390,13 +571,21 @@ class ShardedRecordStore(RecordStore):
         return self._count
 
     def records_in_time_order(self) -> Sequence[PositioningRecord]:
+        """Every stored record in global time order (arrival order on ties)."""
         with self._lock:
             ordered: List[PositioningRecord] = []
             for key in self._shard_keys:
                 ordered.extend(self._shards[key].records)
             return tuple(ordered)
 
+    @property
+    def records(self) -> Sequence[PositioningRecord]:
+        """:meth:`records_in_time_order`; kept only because ``bench/`` spells
+        ``iupt.records``."""
+        return self.records_in_time_order()
+
     def time_span(self) -> Tuple[float, float]:
+        """``(earliest, latest)`` stored timestamps, ``(inf, -inf)`` if empty."""
         with self._lock:
             if not self._shard_keys:
                 return (float("inf"), float("-inf"))
@@ -454,11 +643,8 @@ class ShardedRecordStore(RecordStore):
     # ------------------------------------------------------------------
     def _install(self, shard: _Shard) -> None:
         """Add one persisted shard as it is: no event, no version bump."""
-        if shard.version < 1:
-            raise ValueError("a restored shard's version must be at least 1")
         with self._lock:
-            if shard.key in self._shards:
-                raise ValueError(f"shard {shard.key} is already loaded")
+            _check_restorable(shard, self._shards)
             self._shards[shard.key] = shard
             insort(self._shard_keys, shard.key)
             self._count += shard.record_count
@@ -522,15 +708,20 @@ class ShardedRecordStore(RecordStore):
         standing subscriptions must explicitly resync them afterwards:
         :meth:`repro.engine.continuous.ContinuousQueryEngine.resync` takes
         an ingest event's refresh steps with no receipt, so nothing cached
-        for the old table is carried over.
+        for the old table is carried over.  Every shard passes the checks of
+        :meth:`_install` before the table changes, so a refused snapshot
+        leaves the table as it was.
         """
         with self._lock:
-            self._built_dropped = self.records_materialised
-            self._shards = {}
-            self._shard_keys = []
-            self._count = 0
+            adopted: Dict[int, _Shard] = {}
             for key, version, packed in shards:
-                self._install(_Shard(int(key), version=int(version), packed=packed))
+                shard = _Shard(int(key), version=int(version), packed=packed)
+                _check_restorable(shard, adopted)
+                adopted[shard.key] = shard
+            self._built_dropped = self.records_materialised
+            self._shards = adopted
+            self._shard_keys = sorted(adopted)
+            self._count = sum(shard.record_count for shard in adopted.values())
             self._watermark = max(self._watermark, float(watermark))
 
     def restore_identity(self, uid: object) -> None:
@@ -552,16 +743,32 @@ class ShardedRecordStore(RecordStore):
             self._watermark = max(self._watermark, watermark)
 
     def describe(self) -> dict:
-        summary = super().describe()
-        summary.update(
-            {
-                "shard_seconds": self._shard_seconds,
-                "shards": len(self._shards),
-                "shards_unmaterialised": self.unmaterialised_shard_count(),
-                "records_materialised": self.records_materialised,
-                "shards_probed": self.shards_probed,
-                "shards_pruned": self.shards_pruned,
-                "eviction_watermark": self._watermark,
-            }
-        )
-        return summary
+        """Backend description for experiment logs."""
+        return {
+            "kind": self.kind,
+            "records": len(self),
+            "index_kind": self.index_kind,
+            "shard_seconds": self._shard_seconds,
+            "shards": len(self._shards),
+            "shards_unmaterialised": self.unmaterialised_shard_count(),
+            "records_materialised": self.records_materialised,
+            "shards_probed": self.shards_probed,
+            "shards_pruned": self.shards_pruned,
+            "eviction_watermark": self._watermark,
+        }
+
+    # ------------------------------------------------------------------
+    # Transformations
+    # ------------------------------------------------------------------
+    def with_max_sample_set_size(self, mss: int) -> "ShardedRecordStore":
+        """Return a copy whose records are truncated to ``mss`` samples each.
+
+        Used by the uncertainty experiments (Table 5, Figure 7) which vary the
+        maximum sample-set size of the same underlying data.  The copy is a
+        volatile store with this table's shard duration, even when this table
+        is durable: it is a transient experiment input, and silently logging
+        it into a second directory would be more surprising than useful.
+        """
+        clone = ShardedRecordStore(shard_seconds=self._shard_seconds)
+        clone.ingest_batch(record.truncated(mss) for record in self.records_in_time_order())
+        return clone

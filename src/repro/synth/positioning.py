@@ -15,9 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..data.iupt import IUPT
 from ..data.records import PositioningRecord, Sample, SampleSet
-from ..storage import DEFAULT_SHARD_SECONDS
+from ..storage import DEFAULT_SHARD_SECONDS, ShardedRecordStore
 from ..data.trajectory import Trajectory, TrajectoryStore
 from ..geometry import Point, Rect
 from ..indexes import RTree
@@ -91,15 +90,15 @@ class WkNNPositioningSimulator:
         trajectories: TrajectoryStore,
         shard_seconds: Optional[float] = None,
         batch_seconds: float = 60.0,
-    ) -> IUPT:
+    ) -> ShardedRecordStore:
         """Generate an IUPT covering every trajectory in the store.
 
         The reports are ingested the way a live deployment receives them:
         globally time-ordered, in batches of ``batch_seconds`` of traffic,
-        through :meth:`~repro.data.iupt.IUPT.ingest_batch`.  ``shard_seconds``
-        overrides the table's partition duration.
+        through :meth:`~repro.storage.sharded.ShardedRecordStore.ingest_batch`.
+        ``shard_seconds`` overrides the table's partition duration.
         """
-        iupt = IUPT.sharded(
+        iupt = ShardedRecordStore(
             shard_seconds if shard_seconds is not None else DEFAULT_SHARD_SECONDS
         )
         self.stream_into(iupt, trajectories, batch_seconds=batch_seconds)
@@ -107,7 +106,7 @@ class WkNNPositioningSimulator:
 
     def stream_into(
         self,
-        iupt: IUPT,
+        iupt: ShardedRecordStore,
         trajectories: TrajectoryStore,
         batch_seconds: float = 60.0,
     ) -> int:

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core import DataReductionConfig
-from ..data import IUPT, RFIDTable, TrajectoryStore
+from ..data import RFIDTable, TrajectoryStore
 from ..space import FloorPlan
+from ..storage import ShardedRecordStore
 from ..system import IndoorFlowSystem
 from .building import BuildingConfig, GridBuildingGenerator
 from .movement import MovementConfig, RandomWaypointSimulator
@@ -35,7 +36,7 @@ class Scenario:
     name: str
     plan: FloorPlan
     system: IndoorFlowSystem
-    iupt: IUPT
+    iupt: ShardedRecordStore
     trajectories: TrajectoryStore
     rfid: Optional[RFIDTable] = None
     params: Dict[str, float] = field(default_factory=dict)

@@ -21,7 +21,6 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from typing import Dict, List, Tuple
 
-from repro.data.iupt import IUPT
 from repro.data.records import PositioningRecord, SampleSet
 from repro.storage.base import check_not_evicted
 from repro.storage.sharded import ShardedRecordStore
@@ -58,7 +57,7 @@ def oracle_range_query(
 
 
 def oracle_sequences_in(
-    iupt: IUPT, start: float, end: float
+    iupt: ShardedRecordStore, start: float, end: float
 ) -> Dict[int, List[SampleSet]]:
     grouped: Dict[int, List[Tuple[float, SampleSet]]] = defaultdict(list)
     for record in iupt.range_query(start, end):

@@ -311,8 +311,8 @@ class TestVectorizedKernels:
     ):
         scenario = small_real_scenario
         if table == "sharded":
-            iupt = IUPT.sharded(shard_seconds=60.0)
-            iupt.ingest_batch(scenario.iupt.records)
+            iupt = IUPT(shard_seconds=60.0)
+            iupt.ingest_batch(scenario.iupt.records_in_time_order())
         else:
             iupt = scenario.iupt
         slocs = scenario.slocation_ids()
@@ -331,11 +331,11 @@ class TestVectorizedKernels:
         self, small_real_scenario
     ):
         scenario = small_real_scenario
-        records = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+        records = sorted(scenario.iupt.records_in_time_order(), key=lambda r: r.timestamp)
         half = len(records) // 2
         slocs = scenario.slocation_ids()
         start, end = records[0].timestamp, records[-1].timestamp
-        iupt = IUPT.sharded(shard_seconds=60.0)
+        iupt = IUPT(shard_seconds=60.0)
         iupt.ingest_batch(records[:half])
         continuous = scenario_engine(scenario).continuous(iupt)
         top = continuous.register_top_k(slocs, 3, start, end)
@@ -400,7 +400,7 @@ def _batches(records, size=30):
 class TestDurableBinaryCodec:
     def test_binary_segments_and_snapshots_recover_bit_identically(self, tmp_path):
         records = _stream()
-        oracle = IUPT.sharded(shard_seconds=120.0)
+        oracle = IUPT(shard_seconds=120.0)
         store = DurableRecordStore(tmp_path / "t", shard_seconds=120.0)
         for batch in _batches(records):
             store.ingest_batch(batch)
@@ -413,7 +413,7 @@ class TestDurableBinaryCodec:
 
         recovered = DurableRecordStore(tmp_path / "t")
         assert records_equal_bitwise(
-            recovered.records_in_time_order(), oracle.store.records_in_time_order()
+            recovered.records_in_time_order(), oracle.records_in_time_order()
         )
         assert recovered.version_token() == tokens
         recovered.close()
@@ -585,12 +585,12 @@ class TestDurableBinaryCodec:
                 store.close()
 
             recovered = DurableRecordStore(directory)
-            oracle = IUPT.sharded(shard_seconds=120.0)
+            oracle = IUPT(shard_seconds=120.0)
             for batch in applied:
                 oracle.ingest_batch(batch)
             assert records_equal_bitwise(
                 recovered.records_in_time_order(),
-                oracle.store.records_in_time_order(),
+                oracle.records_in_time_order(),
             )
             recovered.close()
             if crashed and applied:

@@ -23,12 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import IUPT, QueryEngine, QueryService, ServiceClient, ServiceError
+from repro import QueryEngine, QueryService, ServiceClient, ServiceError
 from repro.codec import PackedRecordBatch, decode_batch, encode_batch
 from repro.data.records import PositioningRecord, SampleSet
 from repro.service import protocol
 from repro.service.protocol import ProtocolError
-from repro.storage import ShardedRecordStore
+from repro.storage import DurableRecordStore, ShardedRecordStore
 from tests.codec_oracle import oracle_to_records
 
 #: These tests ran once per column container while the codec had two.  The
@@ -411,9 +411,9 @@ class TestHostileInput:
     @pytest.mark.parametrize("name", sorted(hostile_blobs()))
     def test_rejected_batch_leaves_the_durable_store_untouched(self, name, tmp_path):
         good = [PositioningRecord(1, SampleSet.certain(3), 10.0 + i) for i in range(4)]
-        iupt = IUPT.durable(tmp_path / "table", shard_seconds=60.0)
+        iupt = DurableRecordStore(tmp_path / "table", shard_seconds=60.0)
         iupt.ingest_batch(good)
-        store = iupt.store
+        store = iupt
         before = (store.last_committed_seq, len(store), store.shard_versions())
         wal_bytes = sorted(
             (path.name, path.stat().st_size) for path in (tmp_path / "table").rglob("*.wal")
@@ -428,7 +428,7 @@ class TestHostileInput:
         iupt.ingest_batch([PositioningRecord(2, SampleSet.certain(4), 20.0)])
         expected = list(store.records_in_time_order())
         store.close()
-        recovered = IUPT.durable(tmp_path / "table").store
+        recovered = DurableRecordStore(tmp_path / "table")
         assert list(recovered.records_in_time_order()) == expected
         assert len(expected) == 5
         recovered.close()
@@ -459,7 +459,7 @@ class TestHostileInput:
         scenario = small_real_scenario
 
         async def run():
-            iupt = IUPT.durable(tmp_path / "served", shard_seconds=60.0)
+            iupt = DurableRecordStore(tmp_path / "served", shard_seconds=60.0)
             service = QueryService(
                 QueryEngine(scenario.system.graph, scenario.system.matrix), iupt
             )
@@ -468,7 +468,7 @@ class TestHostileInput:
                 await client.ingest_batch(
                     [PositioningRecord(1, SampleSet.certain(3), 10.0)]
                 )
-                before = (iupt.store.last_committed_seq, len(iupt.store))
+                before = (iupt.last_committed_seq, len(iupt))
                 for name, blob in hostile_blobs().items():
                     with pytest.raises(ServiceError) as excinfo:
                         await client.request(
@@ -482,8 +482,8 @@ class TestHostileInput:
                         await client.request("ingest_batch", records=[record])
                     assert excinfo.value.kind == "bad_request", record
                     assert "RPK1" in excinfo.value.message
-                assert (iupt.store.last_committed_seq, len(iupt.store)) == before
+                assert (iupt.last_committed_seq, len(iupt)) == before
             await service.stop()
-            iupt.store.close()
+            iupt.close()
 
         asyncio.run(run())

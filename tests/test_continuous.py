@@ -103,7 +103,7 @@ def _batches(records: List[PositioningRecord]) -> List[List[PositioningRecord]]:
 
 
 def _make_table(geometry: str = "sharded") -> IUPT:
-    return IUPT.sharded(shard_seconds=GEOMETRIES[geometry])
+    return IUPT(shard_seconds=GEOMETRIES[geometry])
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +342,7 @@ class TestDeltaMaintenance:
         continuous.close()
         iupt.ingest_batch(batches[4])
         assert kept.stats.refreshes == 1
-        assert iupt.store.listener_count == 0
+        assert iupt.listener_count == 0
 
 
 # ----------------------------------------------------------------------
@@ -435,7 +435,7 @@ class TestStoreEvents:
         assert events[0].receipt.object_spans == ((3, 7.0, 7.0),)
 
     def test_eviction_event_and_unsubscribe(self):
-        iupt = IUPT.sharded(shard_seconds=10.0)
+        iupt = IUPT(shard_seconds=10.0)
         iupt.ingest_batch(
             [PositioningRecord(1, SampleSet.certain(1), float(t)) for t in range(30)]
         )

@@ -129,7 +129,7 @@ class TestIUPT:
     def test_range_query_both_indexes_agree(self):
         # The table's own index against the paper's two trees over its records.
         table = self._build()
-        pairs = [(record.timestamp, record) for record in table.records]
+        pairs = [(record.timestamp, record) for record in table.records_in_time_order()]
         rtree = OneDimensionalRTree.from_sorted(pairs)
         bplus = BPlusTree.bulk_load(pairs)
         for window in ((0, 9), (2, 5), (7, 7)):
@@ -153,15 +153,8 @@ class TestIUPT:
 
     def test_summary_and_span(self):
         iupt = self._build()
-        summary = iupt.summary()
-        assert summary["records"] == 10
-        assert summary["objects"] == 3
+        assert len(iupt) == 10
         assert iupt.time_span() == (0.0, 9.0)
-
-    def test_filtered_to_objects(self):
-        iupt = self._build()
-        only_zero = iupt.filtered_to_objects([0])
-        assert only_zero.object_ids() == [0]
 
 
 class TestTrajectory:

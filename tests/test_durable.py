@@ -291,20 +291,20 @@ class TestDurableRoundTrip:
         store.close()
 
     def test_iupt_durable_facade(self, tmp_path):
-        iupt = IUPT.durable(tmp_path, shard_seconds=SHARD_SECONDS)
+        iupt = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
         iupt.ingest_batch([_record(1, 2, 3.0), _record(2, 4, 17.0)])
-        key = iupt.data_key_for(0.0, 5.0)
-        iupt.store.close()
-        reopened = IUPT.durable(tmp_path)
-        assert reopened.store.kind == "durable"
+        key = iupt.version_token(0.0, 5.0)
+        iupt.close()
+        reopened = DurableRecordStore(tmp_path)
+        assert reopened.kind == "durable"
         assert len(reopened) == 2
-        assert reopened.data_key_for(0.0, 5.0) == key
+        assert reopened.version_token(0.0, 5.0) == key
         # Derived tables of a durable table are volatile sharded clones.
-        derived = reopened.filtered_to_objects([1])
-        assert derived.store.kind == "sharded"
-        assert len(derived) == 1
+        derived = reopened.with_max_sample_set_size(1)
+        assert derived.kind == "sharded"
+        assert len(derived) == 2
         assert reopened.index_kind == derived.index_kind == "timestamp-column"
-        reopened.store.close()
+        reopened.close()
 
 
 class TestSnapshots:
@@ -596,16 +596,10 @@ class TestCrashRecoveryDifferential:
 
         # Top-k through a real engine: recovered table ≡ oracle table.
         graph, matrix = _mini_space()
-        recovered_iupt = IUPT(store=recovered)
-        oracle_iupt = IUPT(store=oracle)
         slocs = sorted(graph.slocation_to_cell)
         window = (watermark, 120.0)
-        ranking_recovered = QueryEngine(graph, matrix).top_k(
-            recovered_iupt, slocs, 2, *window
-        )
-        ranking_oracle = QueryEngine(graph, matrix).top_k(
-            oracle_iupt, slocs, 2, *window
-        )
+        ranking_recovered = QueryEngine(graph, matrix).top_k(recovered, slocs, 2, *window)
+        ranking_oracle = QueryEngine(graph, matrix).top_k(oracle, slocs, 2, *window)
         assert [
             (entry.sloc_id, entry.flow) for entry in ranking_recovered.ranking
         ] == [(entry.sloc_id, entry.flow) for entry in ranking_oracle.ranking]
@@ -777,6 +771,20 @@ def _write(relative, frame, committed=False):
     return damage
 
 
+def _rewrite_snapshot(version, holds_records):
+    """A damage function: shard 1's snapshot becomes a CRC-valid ``RSN1``
+    frame no checkpoint writes — at ``version``, holding shard 1's ten
+    records or none.  A checkpoint only snapshots a shard a batch reached."""
+
+    def damage(root):
+        path = root / "snapshots" / "shard-1.snap"
+        records = [_record(1, 1, float(t)) for t in range(10, 20)] if holds_records else []
+        path.write_bytes(encode_snapshot_frame(1, version, 1, records))
+        return path
+
+    return damage
+
+
 class TestCorruptionIsLoud:
     @pytest.mark.parametrize(
         "damage",
@@ -811,6 +819,10 @@ class TestCorruptionIsLoud:
                 ),
                 id="snapshot-of-another-shard",
             ),
+            pytest.param(_rewrite_snapshot(0, holds_records=True), id="snapshot-at-version-0"),
+            pytest.param(
+                _rewrite_snapshot(1, holds_records=False), id="snapshot-holding-no-record"
+            ),
         ],
     )
     def test_uninterpretable_files_refuse_the_open_by_name(self, damage, tmp_path):
@@ -838,7 +850,7 @@ class TestServiceRestart:
         self, small_real_scenario, tmp_path
     ):
         scenario = small_real_scenario
-        records = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+        records = sorted(scenario.iupt.records_in_time_order(), key=lambda r: r.timestamp)
         history = [r for r in records if r.timestamp < 120.0]
         live = [r for r in records if r.timestamp >= 120.0]
         midpoint = 120.0 + (240.0 - 120.0) / 2
@@ -852,7 +864,7 @@ class TestServiceRestart:
         state = {}
 
         async def phase_one():
-            iupt = IUPT.durable(tmp_path, shard_seconds=60.0)
+            iupt = DurableRecordStore(tmp_path, shard_seconds=60.0)
             service = QueryService(make_engine(), iupt)
             host, port = await service.start()
             loader = await ServiceClient.connect(host, port)
@@ -870,7 +882,7 @@ class TestServiceRestart:
             await service.stop()  # flush-on-drain
             await subscriber.close()
             await loader.close()
-            iupt.store.close()
+            iupt.close()
             # The manifest survived the drain (connections were closed by
             # the server, so the standing query was detached, not dropped).
             manifest = json.loads(
@@ -879,7 +891,7 @@ class TestServiceRestart:
             assert [entry["id"] for entry in manifest] == [subscription.sub_id]
 
         async def phase_two():
-            iupt = IUPT.durable(tmp_path)
+            iupt = DurableRecordStore(tmp_path)
             service = QueryService(make_engine(), iupt)
             host, port = await service.start()
             # The standing query was restored before any client connected.
@@ -912,7 +924,7 @@ class TestServiceRestart:
             await subscriber.close()
             await loader.close()
             await service.stop()
-            iupt.store.close()
+            iupt.close()
 
         asyncio.run(phase_one())
         asyncio.run(phase_two())
@@ -925,8 +937,8 @@ class TestServiceRestart:
         scenario = small_real_scenario
 
         async def run():
-            iupt = IUPT.durable(tmp_path, shard_seconds=60.0)
-            assert not iupt.store  # empty, hence falsy — and durable all the same
+            iupt = DurableRecordStore(tmp_path, shard_seconds=60.0)
+            assert not iupt  # empty, hence falsy — and durable all the same
             service = QueryService(
                 QueryEngine(scenario.system.graph, scenario.system.matrix), iupt
             )
@@ -939,7 +951,7 @@ class TestServiceRestart:
                 assert [entry["id"] for entry in manifest] == [subscription.sub_id]
                 assert (await client.replica_status())["last_seq"] == 0
             await service.stop()
-            iupt.store.close()
+            iupt.close()
 
         asyncio.run(run())
 
@@ -947,7 +959,7 @@ class TestServiceRestart:
         scenario = small_real_scenario
 
         async def run():
-            iupt = IUPT.sharded(shard_seconds=60.0)
+            iupt = IUPT(shard_seconds=60.0)
             service = QueryService(
                 QueryEngine(scenario.system.graph, scenario.system.matrix), iupt
             )
@@ -985,7 +997,7 @@ class TestSubscriptionManifest:
         graph, matrix = _mini_space()
         manifest = store.subscription_manifest_path
         continuous = QueryEngine(graph, matrix).continuous(
-            IUPT(store=store), manifest_path=manifest
+            store, manifest_path=manifest
         )
         synced = []
         real_fsync = os.fsync
@@ -1042,14 +1054,14 @@ class TestSubscriptionManifest:
 
         store = DurableRecordStore(tmp_path, shard_seconds=60.0)
         path = store.subscription_manifest_path
-        continuous = make_engine().continuous(IUPT(store=store), manifest_path=path)
+        continuous = make_engine().continuous(store, manifest_path=path)
         continuous.register_flows(scenario.slocation_ids()[:3], 0.0, 120.0)
         continuous.close()
         store.close()
         path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
 
         async def run():
-            iupt = IUPT.durable(tmp_path)
+            iupt = DurableRecordStore(tmp_path)
             service = QueryService(make_engine(), iupt)
             with pytest.raises(ValueError) as excinfo:
                 await service.start()
@@ -1058,8 +1070,8 @@ class TestSubscriptionManifest:
             with pytest.raises(RuntimeError):
                 service.address
             assert not any(worker.is_alive() for worker in service._pool._workers)
-            assert iupt.store.listener_count == 0
-            iupt.store.close()
+            assert iupt.listener_count == 0
+            iupt.close()
 
         asyncio.run(run())
 
@@ -1073,7 +1085,7 @@ class TestSubscriptionManifest:
         scenario = small_real_scenario
         slocs = scenario.slocation_ids()[:6]
         store = DurableRecordStore(tmp_path, shard_seconds=60.0)
-        store.ingest_batch(list(scenario.iupt.records))
+        store.ingest_batch(list(scenario.iupt.records_in_time_order()))
         path = store.subscription_manifest_path
         legacy = {
             "id": 7, "kind": "top-k", "slocs": slocs, "window": [0.0, 120.0], "k": 2
@@ -1083,10 +1095,9 @@ class TestSubscriptionManifest:
         def make_engine():
             return QueryEngine(scenario.system.graph, scenario.system.matrix)
 
-        iupt = IUPT(store=store)
-        with make_engine().continuous(iupt, manifest_path=path) as restoring:
+        with make_engine().continuous(store, manifest_path=path) as restoring:
             [restored] = restoring.restore_subscriptions()
-            with make_engine().continuous(IUPT(store=store)) as fresh_engine:
+            with make_engine().continuous(store) as fresh_engine:
                 fresh = fresh_engine.register_top_k(slocs, 2, 0.0, 120.0)
             assert (restored.sub_id, restored.kind) == (7, "top_k")
             assert restored.top_k_ids() == fresh.top_k_ids()

@@ -355,7 +355,8 @@ class TestEngineEquivalence:
         from repro import IUPT, SampleSet
 
         iupt = IUPT()
-        iupt.extend(figure1_iupt.records)  # private copy; fixtures stay pristine
+        # A private copy; fixtures stay pristine.
+        iupt.ingest_batch(figure1_iupt.records_in_time_order())
         engine = QueryEngine(figure1["graph"], figure1["matrix"])
         sloc_id = figure1["slocs"]["r6"]
 

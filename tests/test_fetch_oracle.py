@@ -190,11 +190,10 @@ class TestAgainstOracle:
             if any(id(record) not in covered for record in shard.records)
         )
 
-        table, reference_table = IUPT(store=adopted), IUPT(store=reference)
         for window, rows in expected.items():
             if rows is not EVICTED:
-                assert_same_sequences(table, reference_table, window)
-                assert_same_sequences(IUPT(store=fed), reference_table, window)
+                assert_same_sequences(adopted, reference, window)
+                assert_same_sequences(fed, reference, window)
         assert adopted.describe()["records_materialised"] == len(covered)
 
         # A full read fills what is missing and keeps what was handed out.

@@ -19,7 +19,6 @@ from repro import (
     DurabilityConfig,
     DurableRecordStore,
     EngineConfig,
-    RecordStore,
     ServiceClient,
     ShardedRecordStore,
     build_real_scenario,
@@ -140,6 +139,8 @@ def test_the_server_asks_whether_its_table_is_durable_once():
     "function",
     [
         IUPT.__init__,
+        IUPT.sharded,
+        IUPT.durable,
         build_real_scenario,
         build_synthetic_scenario,
         WkNNPositioningSimulator.generate,
@@ -152,17 +153,30 @@ def test_no_store_index_or_wire_form_parameter(function):
     assert not parameters & {"index_kind", "store_kind", "binary"}
 
 
-def test_there_is_one_record_store_and_its_durable_wrapper():
-    concrete = {
-        value
-        for value in vars(repro.storage).values()
-        if inspect.isclass(value)
-        and issubclass(value, RecordStore)
-        and not inspect.isabstract(value)
-    }
-    assert concrete == {ShardedRecordStore, DurableRecordStore}
+def test_the_table_is_the_store(tmp_path):
+    """``IUPT`` is a second name for the one store, the durable store is that
+    store plus a log, and nothing under ``src/repro`` reaches through a facade:
+    no ``repro.data.iupt``, no ``RecordStore`` base, no ``iupt.store`` and no
+    ``data_key_for``.  The names ``bench/`` spells still answer."""
+    import re
+
+    assert IUPT is ShardedRecordStore
     assert DurableRecordStore.__mro__[1] is ShardedRecordStore
-    assert type(IUPT().store) is ShardedRecordStore
+    assert ShardedRecordStore.__mro__[1] is object
+    assert not hasattr(repro.storage, "RecordStore")
+    assert "RecordStore" not in repro.__all__ + repro.storage.__all__
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.data.iupt")
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for spelled in ("iupt.store", "data_key_for", r"\bRecordStore\b"):
+            assert not re.search(spelled, source), (str(path.relative_to(SRC_DIR)), spelled)
+    table = IUPT.sharded(shard_seconds=5.0)
+    assert type(table) is ShardedRecordStore and table.store is table
+    assert table.shard_seconds == 5.0 and table.records == ()
+    durable = IUPT.durable(tmp_path, shard_seconds=5.0)
+    assert type(durable) is DurableRecordStore and durable.store is durable
+    durable.close()
 
 
 @pytest.mark.parametrize(
@@ -319,7 +333,7 @@ def test_the_per_object_store_api_is_gone():
     assert list(inspect.signature(repro.engine.PresenceStore.get).parameters) == [
         "self", "window", "query_slocations", "data_key",
     ]
-    assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 60)
+    assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 59)
 
 
 def test_a_standing_query_has_one_hook_and_one_kind_vocabulary():
@@ -347,7 +361,7 @@ def test_a_standing_query_has_one_hook_and_one_kind_vocabulary():
     assert "SUBSCRIPTION_KINDS" not in repro.service.__all__
     for name in ("_register_subscription", "_resume_subscription", "_subscribed"):
         assert not hasattr(QueryService, name), name
-    assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 60)
+    assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 59)
 
 
 def _names(path):
@@ -558,7 +572,7 @@ def test_the_system_is_the_engine():
         engine = topology._build_engine(topology.build_parser().parse_args(argv))
         assert type(engine) is IndoorFlowSystem
         assert engine.store.capacity == capacity
-    assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 60)
+    assert (len(repro.engine.__all__), len(repro.__all__)) == (20, 59)
 
 
 def test_algorithm_3_scores_in_one_place():

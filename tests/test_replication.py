@@ -29,7 +29,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import (
-    IUPT,
     QueryEngine,
     QueryService,
     SampleSet,
@@ -37,7 +36,7 @@ from repro import (
     ServiceError,
     TkPLQuery,
 )
-from repro.codec.packed import encode_batch
+from repro.codec.packed import PackedRecordBatch, encode_batch
 from repro.data.records import PositioningRecord
 from repro.service import protocol
 from repro.service.client import ReconnectPolicy
@@ -177,6 +176,32 @@ class TestWalCursorApi:
         volatile.ingest_batch(first)
         assert events[3].seq is None and events[3].payload() == encode_batch(first)
 
+    def test_a_snapshot_section_holding_no_record_is_refused_before_the_reset(self):
+        """A shard exists only once a batch reached it, so an empty section of
+        a ``wal_tail`` snapshot payload is damage: the reset refuses it and
+        leaves the table as it was, rather than adopting a phantom shard whose
+        ``time_span()`` cannot be read."""
+        table = ShardedRecordStore(shard_seconds=SHARD_SECONDS)
+        table.ingest_batch(_batch(0.0))
+
+        def state():
+            return (
+                table.records_in_time_order(), table.version_token(),
+                table.time_span(), table.eviction_watermark,
+            )  # fmt: skip
+
+        before = state()
+        payload = protocol.encode_shard_sections(
+            [(0, 3, encode_batch(_batch(0.0, count=3))), (2, 1, encode_batch([]))]
+        )
+        shards = [
+            (key, version, PackedRecordBatch.decode(blob))
+            for key, version, blob in protocol.decode_shard_sections(payload)
+        ]
+        with pytest.raises(ValueError, match="shard 2 holds no record"):
+            table.reset_to_packed_shards(shards, watermark=5.0)
+        assert state() == before
+
 
 # ----------------------------------------------------------------------
 # Binary wire frames
@@ -277,7 +302,7 @@ SERVICE_SHARD_SECONDS = 60.0
 
 
 def _split_stream(scenario):
-    records = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+    records = sorted(scenario.iupt.records_in_time_order(), key=lambda r: r.timestamp)
     history = [r for r in records if r.timestamp < HISTORY]
     live = [r for r in records if r.timestamp >= HISTORY]
     return history, live
@@ -288,7 +313,7 @@ def _make_engine(scenario) -> QueryEngine:
 
 
 async def _start_primary(scenario, tmp_path, preload=None, config=None, port=0):
-    iupt = IUPT.durable(
+    iupt = DurableRecordStore(
         tmp_path, shard_seconds=SERVICE_SHARD_SECONDS, config=config
     )
     service = QueryService(
@@ -343,10 +368,10 @@ class TestReplicaConvergence:
                         await rc.evict_before(1.0)
                     assert excinfo.value.kind == "bad_request"
             # Same commit prefix, same store uid: equal version tokens.
-            assert replica.iupt.store.shard_versions() == \
-                service.iupt.store.shard_versions()
-            assert replica.iupt.store.version_token() == \
-                service.iupt.store.version_token()
+            assert replica.iupt.shard_versions() == \
+                service.iupt.shard_versions()
+            assert replica.iupt.version_token() == \
+                service.iupt.version_token()
             await replica.stop()
             await service.stop()
 
@@ -375,8 +400,8 @@ class TestReplicaConvergence:
                 seq = (await primary.ingest_batch(live))["seq"]
                 await replica.wait_applied(seq)
             assert replica.iupt.index_kind == "timestamp-column"
-            assert replica.iupt.store.version_token() == \
-                service.iupt.store.version_token()
+            assert replica.iupt.version_token() == \
+                service.iupt.version_token()
             await replica.stop()
             await service.stop()
 
@@ -408,8 +433,8 @@ class TestReplicaConvergence:
                 await replica.wait_applied(seq)
                 async with await ServiceClient.connect(rhost, rport) as rc:
                     await _assert_reads_match(primary, rc, slocs)
-                assert replica.iupt.store.version_token() == \
-                    service.iupt.store.version_token()
+                assert replica.iupt.version_token() == \
+                    service.iupt.version_token()
                 await replica.stop()
             await service.stop()
 
@@ -453,7 +478,7 @@ class TestReplicaConvergence:
                 replica.paused = True
                 async with await ServiceClient.connect(host, port) as primary:
                     await primary.ingest_batch(live)
-                service.iupt.store.restore_watermark(80.0)
+                service.iupt.restore_watermark(80.0)
                 replica.applied_seq = 0
                 resync, resynced_on = replica.service.continuous.resync, []
 
@@ -502,7 +527,7 @@ class TestReplicaConvergence:
         retention — every read of it must raise like a cold one would.
         """
         scenario = small_real_scenario
-        records = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+        records = sorted(scenario.iupt.records_in_time_order(), key=lambda r: r.timestamp)
         slocs = scenario.slocation_ids()[:6]
         start, end = 70.0, 110.0  # inside shard [60, 120) alone
 
@@ -535,13 +560,13 @@ class TestReplicaConvergence:
 
             # What a durable reopen of the primary adopts from its control
             # log; the replica then falls below the floor and re-catches-up.
-            token = replica.iupt.data_key_for(start, end)
-            service.iupt.store.restore_watermark(80.0)
+            token = replica.iupt.version_token(start, end)
+            service.iupt.restore_watermark(80.0)
             replica.applied_seq = 0
             await replica._reattach()
             assert replica.snapshot_catchups == 2
-            assert replica.iupt.store.eviction_watermark == 80.0
-            assert replica.iupt.data_key_for(start, end) == token
+            assert replica.iupt.eviction_watermark == 80.0
+            assert replica.iupt.version_token(start, end) == token
             for read in reads(replica.engine, replica.iupt):
                 with pytest.raises(EvictedRangeError) as refused:
                     read()
@@ -577,8 +602,8 @@ class TestReplicaConvergence:
                 while replica.applied_evictions < 1:
                     assert asyncio.get_running_loop().time() < deadline
                     await asyncio.sleep(0.02)
-                assert replica.iupt.store.eviction_watermark == \
-                    service.iupt.store.eviction_watermark
+                assert replica.iupt.eviction_watermark == \
+                    service.iupt.eviction_watermark
                 async with await ServiceClient.connect(rhost, rport) as rc:
                     assert await rc.top_k(slocs, 3, HISTORY, DURATION) == \
                         await primary.top_k(slocs, 3, HISTORY, DURATION)
@@ -602,10 +627,10 @@ class TestReplicaConvergence:
             write_json_era_directory(tmp_path, SERVICE_SHARD_SECONDS, [history])
             # Second epoch: the directory opened by this build — the open
             # replays the JSON frames, then checkpoints them away.
-            iupt = IUPT.durable(tmp_path)
-            assert iupt.store.recovery_report["frames_replayed"] > 0
+            iupt = DurableRecordStore(tmp_path)
+            assert iupt.recovery_report["frames_replayed"] > 0
             assert not list((tmp_path / "wal").glob("segment-*.wal"))
-            assert not iupt.store.can_replay_from(0)
+            assert not iupt.can_replay_from(0)
             service = QueryService(
                 _make_engine(scenario), iupt, query_workers=2
             )
@@ -622,8 +647,8 @@ class TestReplicaConvergence:
                 await replica.wait_applied(seq)
                 async with await ServiceClient.connect(rhost, rport) as rc:
                     await _assert_reads_match(primary, rc, slocs)
-                assert replica.iupt.store.version_token() == \
-                    service.iupt.store.version_token()
+                assert replica.iupt.version_token() == \
+                    service.iupt.version_token()
                 await replica.stop()
             await service.stop()
 
@@ -676,7 +701,7 @@ class TestFollowersLiveOnTheirConnections:
 
             loading = asyncio.ensure_future(ingest())
             await _eventually(
-                lambda: service.iupt.store.last_committed_seq > 3,
+                lambda: service.iupt.last_committed_seq > 3,
                 "the loader never started",
             )
             catchups = 0
@@ -690,9 +715,9 @@ class TestFollowersLiveOnTheirConnections:
                 if index == starts - 1:
                     ingesting = False
                     await loading
-                    await replica.wait_applied(service.iupt.store.last_committed_seq)
-                    assert replica.iupt.store.version_token() == \
-                        service.iupt.store.version_token()
+                    await replica.wait_applied(service.iupt.last_committed_seq)
+                    assert replica.iupt.version_token() == \
+                        service.iupt.version_token()
                 await replica.stop()
             assert catchups == starts  # every cursor 0 was below the floor
             assert service.metrics.requests_by_op["wal_tail"] == starts
@@ -701,7 +726,7 @@ class TestFollowersLiveOnTheirConnections:
                     lambda: _no_followers(primary), "a stopped replica stayed"
                 )
             await service.stop()
-            service.iupt.store.close()
+            service.iupt.close()
 
         asyncio.run(run())
 
@@ -736,7 +761,7 @@ class TestFollowersLiveOnTheirConnections:
                     lambda: _no_followers(primary), "the closed tail stayed"
                 )
             await service.stop()
-            service.iupt.store.close()
+            service.iupt.close()
 
         asyncio.run(run())
 
@@ -753,7 +778,7 @@ class TestFollowersLiveOnTheirConnections:
             service, host, port = await _start_primary(
                 scenario, tmp_path, preload=history
             )
-            store = service.iupt.store
+            store = service.iupt
             async with await ServiceClient.connect(host, port) as primary:
                 for read_the_answer in (True, False):
                     reader, writer = await asyncio.open_connection(host, port)
@@ -776,7 +801,7 @@ class TestFollowersLiveOnTheirConnections:
                         "the ghost's listener stayed",
                     )
             await service.stop()
-            service.iupt.store.close()
+            service.iupt.close()
 
         asyncio.run(run())
 
@@ -810,7 +835,7 @@ class TestFollowersLiveOnTheirConnections:
                     lambda: _no_followers(primary), "the second tail stayed"
                 )
             await service.stop()
-            service.iupt.store.close()
+            service.iupt.close()
 
         asyncio.run(run())
 
@@ -833,7 +858,7 @@ class TestFaultInjectedCatchUpThenTail:
 
         async def run():
             # Crash after a bounded number of WAL writes, mid-stream.
-            iupt = IUPT.durable(
+            iupt = DurableRecordStore(
                 tmp_path,
                 shard_seconds=SERVICE_SHARD_SECONDS,
                 config=DurabilityConfig(fail_after_writes=16),
@@ -869,7 +894,7 @@ class TestFaultInjectedCatchUpThenTail:
             # Restart from the directory on the SAME port — recovery
             # truncates the torn tail; the replica applied only committed
             # batches, so its cursor is exactly the recovered head.
-            iupt = IUPT.durable(tmp_path, shard_seconds=SERVICE_SHARD_SECONDS)
+            iupt = DurableRecordStore(tmp_path, shard_seconds=SERVICE_SHARD_SECONDS)
             service = QueryService(
                 _make_engine(scenario), iupt, port=port, query_workers=2
             )
@@ -886,8 +911,8 @@ class TestFaultInjectedCatchUpThenTail:
                 assert replica.healthy
                 async with await ServiceClient.connect(rhost, rport) as rc:
                     await _assert_reads_match(primary, rc, slocs)
-            assert replica.iupt.store.version_token() == \
-                service.iupt.store.version_token()
+            assert replica.iupt.version_token() == \
+                service.iupt.version_token()
             await replica.stop()
             await service.stop()
 
@@ -1166,7 +1191,7 @@ class TestClientReconnect:
             # Restart on the same port while the client retries.
             service = QueryService(
                 _make_engine(scenario),
-                IUPT.durable(tmp_path, shard_seconds=SERVICE_SHARD_SECONDS),
+                DurableRecordStore(tmp_path, shard_seconds=SERVICE_SHARD_SECONDS),
                 port=port,
                 query_workers=2,
             )
@@ -1201,7 +1226,7 @@ class TestClientReconnect:
             assert not ping.done()
             service = QueryService(
                 _make_engine(scenario),
-                IUPT.durable(tmp_path, shard_seconds=SERVICE_SHARD_SECONDS),
+                DurableRecordStore(tmp_path, shard_seconds=SERVICE_SHARD_SECONDS),
                 port=port,
                 query_workers=2,
             )

@@ -19,7 +19,7 @@ from repro.service import protocol
 from repro.service.admission import REASON_CAPACITY, REASON_DRAINING
 from repro.service.protocol import ProtocolError
 from repro.service.stream import read_frame
-from repro.storage import EvictedRangeError
+from repro.storage import DurableRecordStore, EvictedRangeError
 
 HISTORY = 120.0
 DURATION = 240.0
@@ -27,7 +27,7 @@ SHARD_SECONDS = 60.0
 
 
 def _split_stream(scenario):
-    records = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+    records = sorted(scenario.iupt.records_in_time_order(), key=lambda r: r.timestamp)
     return (
         [r for r in records if r.timestamp < HISTORY],
         [r for r in records if r.timestamp >= HISTORY],
@@ -39,9 +39,9 @@ async def _serve(scenario, preload, durable_dir=None, **service_options):
     batch, so a ``wal_tail`` at cursor 0 is answered with a snapshot payload)
     when given a directory."""
     if durable_dir is None:
-        iupt = IUPT.sharded(shard_seconds=SHARD_SECONDS)
+        iupt = IUPT(shard_seconds=SHARD_SECONDS)
     else:
-        iupt = IUPT.durable(
+        iupt = DurableRecordStore(
             durable_dir,
             shard_seconds=SHARD_SECONDS,
             config=DurabilityConfig(snapshot_every_batches=1),
@@ -167,7 +167,7 @@ class TestFramesStayWholeAndOrdered:
             assert pushes and all(p["subscription"] == sub_id for p in pushes)
             assert [p["seq"] for p in pushes] == list(range(1, len(pushes) + 1))
             assert service.metrics.pushes_sent == len(pushes)
-            last = service.iupt.store.last_committed_seq
+            last = service.iupt.last_committed_seq
             assert _wal_seqs(wal) == list(range(cursor + 1, last + 1)) != []
             assert service.metrics.wal_pushes_sent == len(wal)
             writer.close()
@@ -211,7 +211,7 @@ class TestFramesStayWholeAndOrdered:
             tail = await _next_frame(reader)
             assert tail["id"] == 1 and tail["result"]["mode"] == "snapshot"
             protocol.decode_shard_sections(tail[protocol.BIN_PAYLOAD])
-            last = service.iupt.store.last_committed_seq
+            last = service.iupt.last_committed_seq
             cursor = tail["result"]["cursor"]
             wal = [await _next_frame(reader) for _ in range(last - cursor)]
             assert _wal_seqs(wal) == list(range(cursor + 1, last + 1)) != []

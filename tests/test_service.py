@@ -306,7 +306,7 @@ SHARD_SECONDS = 60.0
 
 
 def _split_stream(scenario):
-    records = sorted(scenario.iupt.records, key=lambda r: r.timestamp)
+    records = sorted(scenario.iupt.records_in_time_order(), key=lambda r: r.timestamp)
     history = [r for r in records if r.timestamp < HISTORY]
     live = [r for r in records if r.timestamp >= HISTORY]
     return history, live
@@ -317,7 +317,7 @@ def _make_engine(scenario) -> QueryEngine:
 
 
 async def _start_service(scenario, preload, max_inflight=64, query_workers=4):
-    iupt = IUPT.sharded(shard_seconds=SHARD_SECONDS)
+    iupt = IUPT(shard_seconds=SHARD_SECONDS)
     if preload:
         iupt.ingest_batch(preload)
     service = QueryService(
@@ -1104,12 +1104,12 @@ class TestEmptyIngestOverTheWire:
             subscription = await subscriber.subscribe_top_k(
                 slocs, 3, 0.0, DURATION
             )
-            token = service.iupt.data_key
+            token = service.iupt.version_token()
             receipt = await loader.ingest_batch([])
             assert receipt["records_ingested"] == 0
             assert receipt["shards_touched"] == []
             # No version bump, no refresh, no push.
-            assert service.iupt.data_key == token
+            assert service.iupt.version_token() == token
             assert service.metrics.pushes_sent == 0
             assert subscription.updates.empty()
             engine_sub = service.continuous.subscriptions[0]

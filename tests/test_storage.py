@@ -49,12 +49,12 @@ def _sorted_window(arrivals, start, end):
 class TestStoreEquivalence:
     @pytest.fixture()
     def pair(self):
-        one_shard = IUPT.sharded(shard_seconds=ONE_SHARD_SECONDS)
-        sharded = IUPT.sharded(shard_seconds=10.0)
+        one_shard = IUPT(shard_seconds=ONE_SHARD_SECONDS)
+        sharded = IUPT(shard_seconds=10.0)
         records = _mixed_records()
-        one_shard.extend(records)
+        one_shard.ingest_batch(records)
         sharded.ingest_batch(records)
-        assert one_shard.store.shard_count == 1 and sharded.store.shard_count == 6
+        assert one_shard.shard_count == 1 and sharded.shard_count == 6
         return one_shard, sharded
 
     @pytest.mark.parametrize(
@@ -83,16 +83,17 @@ class TestStoreEquivalence:
         )
         late = [_record(9, 1, ordered[cut].timestamp), _record(9, 2, 0.0)]
         batches = [ordered[:cut], ordered[cut:cut + 1], ordered[cut + 1:], late]
-        one_shard = IUPT.sharded(shard_seconds=ONE_SHARD_SECONDS)
-        sharded = IUPT.sharded(shard_seconds=10.0)
+        one_shard = IUPT(shard_seconds=ONE_SHARD_SECONDS)
+        sharded = IUPT(shard_seconds=10.0)
         for batch in batches:
-            one_shard.extend(batch)
+            one_shard.ingest_batch(batch)
             sharded.ingest_batch(batch)
         arrivals = [record for batch in batches for record in batch]
         expected = _rows(_sorted_window(arrivals, 0.0, 60.0))
         assert _rows(sharded.range_query(0.0, 60.0)) == expected
         assert _rows(one_shard.range_query(0.0, 60.0)) == expected
-        assert _rows(sharded.records) == _rows(one_shard.records) == expected
+        rows = [_rows(table.records_in_time_order()) for table in (sharded, one_shard)]
+        assert rows == [expected, expected]
 
     def test_sequences_identical_across_boundaries(self, pair):
         one_shard, sharded = pair
@@ -112,33 +113,24 @@ class TestStoreEquivalence:
         stamps = [r.timestamp for r in records]
         for table in (one_shard, sharded):
             assert len(table) == len(records)
-            assert table.object_ids() == sorted({r.object_id for r in records})
             assert table.time_span() == (min(stamps), max(stamps))
-            assert table.summary()["records"] == len(records)
 
     def test_transformations_preserve_store_kind(self, pair):
         _, sharded = pair
         truncated = sharded.with_max_sample_set_size(1)
-        filtered = sharded.filtered_to_objects([0, 1])
         # Exact types: a durable store is a ShardedRecordStore too.
-        assert type(truncated.store) is ShardedRecordStore
-        assert type(filtered.store) is ShardedRecordStore
-        assert truncated.store.shard_seconds == sharded.store.shard_seconds
-        assert filtered.object_ids() == [0, 1]
+        assert type(truncated) is ShardedRecordStore
+        assert truncated.shard_seconds == sharded.shard_seconds
 
     def test_sharded_tables_report_one_fixed_index_label(self, pair):
         # The store's only index is its sorted timestamp columns; the label
         # is read-only and nothing takes an index choice any more.
         label = "timestamp-column"
         for table in (*pair, IUPT()):
-            assert table.index_kind == table.store.describe()["index_kind"] == label
-            assert table.filtered_to_objects([0]).index_kind == label
+            assert table.index_kind == table.describe()["index_kind"] == label
+            assert table.with_max_sample_set_size(1).index_kind == label
         with pytest.raises(TypeError):
             ShardedRecordStore(index_kind="1dr-tree")
-        with pytest.raises(TypeError):
-            IUPT.sharded(index_kind="1dr-tree")
-        with pytest.raises(TypeError):
-            IUPT(index_kind="1dr-tree")
 
 
 class TestShardedStore:
@@ -346,7 +338,7 @@ class TestEmptyBatchParity:
 
 class TestBatchVersioning:
     def test_ingest_receipt_reports_touched_shards(self):
-        iupt = IUPT.sharded(shard_seconds=10.0)
+        iupt = IUPT(shard_seconds=10.0)
         receipt = iupt.ingest_batch(
             [_record(1, 1, 5.0), _record(1, 1, 15.0), _record(1, 1, 17.0)]
         )
@@ -376,7 +368,7 @@ def _figure_like_table(store=None):
     matrix = IndoorLocationMatrix.from_graph(graph).merged(graph)
     engine = QueryEngine(graph, matrix)
 
-    iupt = IUPT(store=store) if store is not None else IUPT.sharded(shard_seconds=10.0)
+    iupt = store if store is not None else IUPT(shard_seconds=10.0)
     for t in range(0, 30, 2):
         ploc = room_ploc if (t // 10) % 2 == 0 else hall_ploc
         iupt.report(1, SampleSet.from_pairs([(ploc, 0.7), (door_ploc, 0.3)]), float(t))
@@ -422,11 +414,11 @@ class TestEngineEquivalenceOnScenario:
 
     def test_rankings_bit_identical_across_stores(self, small_real_scenario):
         scenario = small_real_scenario
-        reference = IUPT.sharded(shard_seconds=ONE_SHARD_SECONDS)
-        reference.ingest_batch(scenario.iupt.records)
-        sharded_iupt = IUPT.sharded(shard_seconds=60.0)
-        sharded_iupt.ingest_batch(scenario.iupt.records)
-        assert reference.store.shard_count == 1 and sharded_iupt.store.shard_count > 3
+        reference = IUPT(shard_seconds=ONE_SHARD_SECONDS)
+        reference.ingest_batch(scenario.iupt.records_in_time_order())
+        sharded_iupt = IUPT(shard_seconds=60.0)
+        sharded_iupt.ingest_batch(scenario.iupt.records_in_time_order())
+        assert reference.shard_count == 1 and sharded_iupt.shard_count > 3
         tables = (scenario.iupt, sharded_iupt)
 
         slocs = scenario.slocation_ids()

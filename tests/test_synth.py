@@ -190,14 +190,15 @@ class TestPositioningSimulator:
         config = PositioningConfig(max_sample_set_size=3, max_period_seconds=4.0)
         simulator = WkNNPositioningSimulator(plan, config, seed=7)
         iupt = simulator.generate(store, shard_seconds=30.0)
-        assert iupt.store.shard_seconds == 30.0
+        assert iupt.shard_seconds == 30.0
         assert len(iupt) > 0
-        for record in iupt.records:
+        timestamps = {}
+        for record in iupt.records_in_time_order():
             assert 1 <= len(record.sample_set) <= 3
             assert sum(s.prob for s in record.sample_set) == pytest.approx(1.0)
-        for object_id in iupt.object_ids():
-            timestamps = [r.timestamp for r in iupt.records_of_object(object_id)]
-            gaps = [b - a for a, b in zip(timestamps, timestamps[1:])]
+            timestamps.setdefault(record.object_id, []).append(record.timestamp)
+        for stamps in timestamps.values():
+            gaps = [b - a for a, b in zip(stamps, stamps[1:])]
             assert all(gap <= 4.0 + 1e-6 for gap in gaps)
 
     def test_samples_are_nearby_reference_points(self, trajectories):

@@ -56,13 +56,13 @@ def _scenario():
 def _batches(seconds: float = 20.0) -> Tuple[tuple, ...]:
     """The scenario's stream in time order, sliced every ``seconds``."""
     sliced: List[list] = [[] for _ in range(int(DURATION / seconds))]
-    for record in sorted(_scenario().iupt.records, key=lambda r: r.timestamp):
+    for record in sorted(_scenario().iupt.records_in_time_order(), key=lambda r: r.timestamp):
         sliced[min(int(record.timestamp // seconds), len(sliced) - 1)].append(record)
     return tuple(tuple(batch) for batch in sliced)
 
 
 def _table(batches: int = len(_batches())) -> IUPT:
-    table = IUPT.sharded(shard_seconds=SHARD_SECONDS)
+    table = IUPT(shard_seconds=SHARD_SECONDS)
     for batch in _batches()[:batches]:
         table.ingest_batch(batch)
     return table
@@ -140,9 +140,9 @@ class TestRetention:
         assert _outcome(read, engine, table, self.SLOCS, 2, 70.0, 110.0) == warm
         assert engine.cache_stats()["hits"] > hits  # served from the store
 
-        token = table.data_key_for(70.0, 110.0)
-        table.store.restore_watermark(80.0)
-        assert table.data_key_for(70.0, 110.0) == token
+        token = table.version_token(70.0, 110.0)
+        table.restore_watermark(80.0)
+        assert table.version_token(70.0, 110.0) == token
         with pytest.raises(EvictedRangeError) as refused:
             read(engine, table, self.SLOCS, 2, 70.0, 110.0)
         assert (refused.value.start, refused.value.watermark) == (70.0, 80.0)
@@ -196,12 +196,12 @@ def test_cached_equals_uncached(capacity, preloaded, operations):
     for operation in operations:
         kind = operation[0]
         if kind == "ingest":
-            if pending and pending[0][0].timestamp >= table.store.eviction_watermark:
+            if pending and pending[0][0].timestamp >= table.eviction_watermark:
                 table.ingest_batch(pending.pop(0))
         elif kind == "evict":
             table.evict_before(operation[1])
         elif kind == "restore":
-            table.store.restore_watermark(operation[1])
+            table.restore_watermark(operation[1])
         elif kind == "reset":
             cached.reset_cache()
         else:
