@@ -206,6 +206,8 @@ def _subscription_from_manifest(entry: Dict[str, object]) -> Subscription:
     sloc_ids = tuple(int(sloc) for sloc in entry["slocs"])
     kind = entry["kind"]
     if kind == FLOWS:
+        # Held to a top-k entry's checks: a location, none twice, start <= end.
+        TkPLQuery.build(sloc_ids, 1, *window)
         return Subscription(sub_id, FLOWS, window, sloc_ids)
     if kind not in (TOP_K, "top-k"):  # builds before 12.0 wrote "top-k"
         raise ValueError(f"unknown subscription kind {kind!r}")
@@ -394,9 +396,11 @@ class ContinuousQueryEngine:
         :class:`~repro.storage.base.EvictedRangeError`) rather than dropped
         silently.  Entries already registered are skipped; returns the
         restored subscriptions.  A manifest that does not parse — truncated,
-        not a list, an entry missing a field or of an unknown kind — raises a
-        ``ValueError`` naming the file before anything is registered, the rule
-        snapshots and log frames follow.
+        not a list, an entry missing a field or of an unknown kind, an entry
+        :class:`~repro.core.query.TkPLQuery`'s checks refuse, or an S-location
+        id the floor plan does not know — raises a ``ValueError`` naming the
+        file before anything is registered, the rule snapshots and log frames
+        follow.
         """
         path = self._manifest_path
         if path is None or not path.exists():
@@ -406,6 +410,9 @@ class ContinuousQueryEngine:
             if not isinstance(entries, list):
                 raise TypeError(f"a list of entries, not {type(entries).__name__}")
             parsed = [_subscription_from_manifest(entry) for entry in entries]
+            context = self._engine.pipeline.context  # the one unknown-id rule
+            for subscription in parsed:
+                context(subscription.window, subscription.sloc_ids)
         except (ValueError, KeyError, TypeError, IndexError) as error:
             raise ValueError(
                 f"{path}: damaged subscription manifest: {error!r}"

