@@ -34,7 +34,7 @@ import struct
 import sys
 from array import array
 from operator import lt
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..data.records import MASS_TOLERANCE, PositioningRecord, Sample, SampleSet
 
@@ -196,14 +196,24 @@ class PackedRecordBatch:
         any slice of it yields a record.
 
         Each record's slice of the ``plocs``/``probs`` columns is adopted as
-        its sample set when it already satisfies the column contract of
-        :mod:`repro.data.records` — ids strictly ascending, every probability
-        positive, mass within ``MASS_TOLERANCE`` of one (a comparison no NaN
-        or infinity passes) — because the public constructor would then merge
-        nothing, reorder nothing and keep every float.  A slice that fails
-        the check (a zero probability included: the constructor turns
-        ``-0.0`` into ``0.0``) goes through the public constructor, which
-        returns the same set or raises the same ``ValueError`` as ever.
+        its sample set (``SampleSet._from_columns``) when it already
+        satisfies the column contract of :mod:`repro.data.records` — ids
+        strictly ascending, every probability positive, mass within
+        ``MASS_TOLERANCE`` of one (a comparison no NaN or infinity passes) —
+        because the public constructor would then merge nothing, reorder
+        nothing and keep every float.  A slice that fails the check (a zero
+        probability included: the constructor turns ``-0.0`` into ``0.0``)
+        goes through the public constructor, which returns the same set or
+        raises the same ``ValueError`` as ever.
+
+        Positivity is tested once for the whole slice: ``min`` over the
+        slice's probabilities is the least non-NaN one unless the first is
+        NaN, and then it is NaN, which fails.  So a pass proves every non-NaN
+        probability positive, a NaN still fails its record's mass test, and a
+        failure falls back to the test per record.  Lone-sample records with
+        the same ``(P-location, probability)`` share one adopted set (a set
+        is never mutated, so sharing it is invisible), and the records are
+        built by the trusted ``PositioningRecord._from_columns``.
         """
         counts = self.sample_counts.tolist()
         if (counts and min(counts) < 1) or sum(counts) != len(self.sample_plocs):
@@ -211,28 +221,40 @@ class PackedRecordBatch:
         first = sum(counts[:lo])  # sample offset of the slice's first record
         counts = counts[lo:hi]
         last = first + sum(counts)
-        timestamps = self.timestamps[lo:hi].tolist()
-        object_ids = self.object_ids[lo:hi].tolist()
         plocs = tuple(self.sample_plocs[first:last].tolist())
         probs = tuple(self.sample_probs[first:last].tolist())
+        positive = not probs or min(probs) > 0.0
         adopt = SampleSet._from_columns
-        records: List[PositioningRecord] = []
+        # Adopted lone-sample sets by (P-location, probability); the key of a
+        # record with more samples is None, which is never stored.
+        lone: Dict[Optional[Tuple[int, float]], SampleSet] = {}
+        sample_sets: List[SampleSet] = []
+        append = sample_sets.append
         cursor = 0
-        for object_id, timestamp, count in zip(object_ids, timestamps, counts):
+        for count in counts:
             stop = cursor + count
-            ploc_ids = plocs[cursor:stop]
-            weights = probs[cursor:stop]
-            if (
-                (count == 1 or all(map(lt, ploc_ids, ploc_ids[1:])))
-                and min(weights) > 0.0
-                and abs(sum(weights) - 1.0) <= MASS_TOLERANCE
-            ):
-                sample_set = adopt(ploc_ids, weights)
-            else:
-                sample_set = SampleSet(map(Sample, ploc_ids, weights))
-            records.append(PositioningRecord(object_id, sample_set, timestamp))
+            key = (plocs[cursor], probs[cursor]) if count == 1 else None
+            sample_set = lone.get(key)
+            if sample_set is None:
+                ploc_ids = plocs[cursor:stop]
+                weights = probs[cursor:stop]
+                if (
+                    (count == 1 or all(map(lt, ploc_ids, ploc_ids[1:])))
+                    and (positive or min(weights) > 0.0)
+                    and abs(sum(weights) - 1.0) <= MASS_TOLERANCE
+                ):
+                    sample_set = adopt(ploc_ids, weights)
+                    if key:
+                        lone[key] = sample_set
+                else:
+                    sample_set = SampleSet(map(Sample, ploc_ids, weights))
+            append(sample_set)
             cursor = stop
-        return records
+        return PositioningRecord._from_columns(
+            self.object_ids[lo:hi].tolist(),
+            sample_sets,
+            self.timestamps[lo:hi].tolist(),
+        )
 
 
 def encode_batch(records: Iterable[PositioningRecord]) -> bytes:

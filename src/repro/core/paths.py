@@ -66,7 +66,7 @@ def candidate_path_count(sequence: Sequence[SampleSet]) -> int:
     """
     total = 1
     for sample_set in sequence:
-        total *= len(sample_set)
+        total *= len(sample_set.ploc_ids)
     return total if sequence else 0
 
 

@@ -273,7 +273,7 @@ class DataReducer:
             stats.sample_sets_before += len(sequence)
             stats.sample_sets_after += len(reduced)
             stats.samples_before += samples_before
-            stats.samples_after += sum(map(len, reduced))
+            stats.samples_after += sum(len(kept.ploc_ids) for kept in reduced)
             stats.candidate_paths_before += candidate_path_count(sequence)
             stats.candidate_paths_after += candidate_path_count(reduced)
 

@@ -11,13 +11,23 @@ are strictly ascending (so distinct), the probabilities are *final* — merged,
 rescaled when asked, finite, not below ``-PROBABILITY_TOLERANCE``, summing to
 one within ``1e-3`` unless rescaled — and no :class:`Sample` object is kept:
 ``.samples`` and iteration build them on demand.  The codec, the reducer and
-the presence recurrence read the two columns directly.
+the presence recurrence read the two columns directly.  Nothing assigns
+either column after a set is built (only this module does, while building
+it), so one set may serve many records.
+
+**The record.**  A :class:`PositioningRecord` is a frozen, slotted dataclass
+of ``(object_id, sample_set, timestamp)``.  Records built from the codec's
+packed columns go through ``PositioningRecord._from_columns``, which sets
+the three slots directly, and lone-sample records of one batch with the same
+``(P-location, probability)`` share one :class:`SampleSet`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 PROBABILITY_TOLERANCE = 1e-6
@@ -178,13 +188,40 @@ class SampleSet:
         return SampleSet([Sample(loc, prob) for loc, prob in pairs], normalise=normalise)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PositioningRecord:
-    """One row of the Indoor Uncertain Positioning Table: ``(oid, X, t)``."""
+    """One row of the Indoor Uncertain Positioning Table: ``(oid, X, t)``.
+
+    Frozen and slotted: three slots and no ``__dict__``; equality, hashing
+    and pickling are those of the field tuple.
+    """
 
     object_id: int
     sample_set: SampleSet
     timestamp: float
+
+    @classmethod
+    def _from_columns(
+        cls,
+        object_ids: Sequence[int],
+        sample_sets: Sequence[SampleSet],
+        timestamps: Sequence[float],
+    ) -> List["PositioningRecord"]:
+        """Trusted constructor, private to the codec: one record per row of
+        three parallel columns, no check.
+
+        Each slot is set through its descriptor — what the frozen
+        ``__init__`` does through ``object.__setattr__`` — one column at a
+        time, so no Python-level code runs per record.
+        """
+        records = list(map(object.__new__, repeat(cls, len(object_ids))))
+        for slot, column in (
+            (cls.object_id, object_ids),
+            (cls.sample_set, sample_sets),
+            (cls.timestamp, timestamps),
+        ):
+            deque(map(slot.__set__, records, column), maxlen=0)
+        return records
 
     def plocation_set(self) -> Set[int]:
         return self.sample_set.plocation_set()

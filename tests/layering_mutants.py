@@ -214,6 +214,20 @@ def rule_breakers(layering):
         code("core/__init__.py", "exports a name twice", "__all__ = [*__all__, __all__[0]]"),
         code("space/__init__.py", "no __all__", "del __all__"),
         *[flag_readded(*flag.split()) for flag in layering.FLAGS],
+        change("PositioningRecord loses its slots", "data/records.py",
+               "@dataclass(frozen=True, slots=True)\nclass PositioningRecord:",
+               "@dataclass(frozen=True)\nclass PositioningRecord:"),
+        change("PositioningRecord gains a field", "data/records.py",
+               "    timestamp: float\n\n    @classmethod",
+               "    timestamp: float\n    source: int = 0\n\n    @classmethod"),
+        *[returns(path, "builds trusted records", "PositioningRecord._from_columns([], [], [])")
+          for path in ("storage/sharded.py", "codec/packed.py")],
+        code("core/reduction.py", "assigns a sample set's column",
+             "def _mutant(kept):\n    kept.probs = ()"),
+        code("storage/wal.py", "augments a sample set's column",
+             "def _mutant(kept):\n    kept.ploc_ids += ()"),
+        code("codec/packed.py", "sets a sample set's column by name",
+             "def _mutant(kept):\n    object.__setattr__(kept, 'ploc_ids', ())"),
     ]
 
 

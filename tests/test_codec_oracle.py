@@ -229,6 +229,42 @@ class TestAgainstOracle:
             assert expected[0] == verdict, name
             assert outcome(PackedRecordBatch.to_records, blob) == expected, name
 
+    @ARRAY_ID
+    def test_the_per_slice_check_case_by_case(self, _container):
+        # Positivity is tested once per slice, with ``min``: NaN, zeros and
+        # negatives in either order must still give the oracle's answer, for
+        # the whole batch, from just after the last bad record, and sliced.
+        nan = math.nan
+        cases = {  # name: (rows, index of the last record the oracle rejects)
+            "nan first, zero later": (
+                [(1, 0.0, [(1, nan)]), (2, 1.0, [(1, 0.0), (2, 1.0)]), (3, 2.0, [(4, 1.0)])], 0),
+            "nan first in a pair, zero later": (
+                [(1, 0.0, [(1, nan), (2, 0.5)]), (2, 1.0, [(1, 1.0), (2, 0.0)])], 0),
+            "nan first, negative later": (
+                [(1, 0.0, [(1, nan)]), (2, 1.0, [(1, -0.25), (2, 1.25)]), (3, 2.0, [(4, 1.0)])], 1),
+            "zero first, nan later": (
+                [(1, 0.0, [(1, 0.0), (2, 1.0)]), (2, 1.0, [(3, 0.5), (4, nan)]), (3, 2.0, [(4, 1.0)])], 1),
+            "lone negative zero": (
+                [(1, 0.0, [(2, 1.0)]), (2, 1.0, [(2, -0.0)]), (3, 2.0, [(2, 1.0)])], 1),
+            "lone sets around a near-one lone": (
+                [(oid, float(oid), [(5, 1.0005 if oid % 2 else 1.0)]) for oid in range(5)], None),
+        }  # fmt: skip
+        for name, (rows, bad) in cases.items():
+            blob = blob_of(rows)
+            expected = outcome(oracle_to_records, blob)
+            assert expected[0] == ("records" if bad is None else "ValueError"), name
+            assert outcome(PackedRecordBatch.to_records, blob) == expected, name
+            after = 0 if bad is None else bad + 1
+            tail = outcome(lambda batch: batch.to_records(after), blob)
+            assert tail[0] == "records", name
+            assert tail == outcome(oracle_to_records, blob_of(rows[after:])), name
+            assert_slices_agree(blob)
+        # Equal lone samples of one call share a set; equal is bit-equal here.
+        records = decode_batch(blob_of(cases["lone sets around a near-one lone"][0]))
+        sets = [record.sample_set for record in records]
+        assert sets[0] is sets[2] is sets[4] and sets[1] is sets[3]
+        assert sets[0] is not sets[1] and sets[1].probs == (1.0005,)
+
     def test_negative_zero_is_stored_as_the_constructor_stores_it(self):
         (record,) = decode_batch(blob_of([(3, 1.5, [(1, -0.0), (2, 1.0)])]))
         assert math.copysign(1.0, record.sample_set.probs[0]) == 1.0

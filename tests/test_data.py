@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import pickle
 
 import pytest
 
+from repro.codec import decode_batch, encode_batch
 from repro.data import (
     IUPT,
     PositioningRecord,
@@ -117,6 +120,49 @@ class TestSampleSet:
         assert _legacy_json_records(json.loads(json.dumps([payload]))) == [record]
         with pytest.raises(ValueError):
             _legacy_json_records([[4, 12.5, [[3, float("nan")]]]])
+
+
+class TestPositioningRecord:
+    """The record's contract as a frozen, slotted dataclass (3.10 to 3.12 differ there)."""
+
+    def _record(self) -> PositioningRecord:
+        return PositioningRecord(-7, SampleSet.from_pairs([(3, 0.25), (9, 0.75)]), 12.5)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        # The decoded twin is built by the codec's trusted constructor.
+        for record in (self._record(), *decode_batch(encode_batch([self._record()]))):
+            # Protocols 0 and 1 cannot pickle the slotted SampleSet, as ever.
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+                restored = pickle.loads(pickle.dumps(record, protocol))
+                assert restored == record and type(restored) is PositioningRecord
+            copied = copy.deepcopy(record)
+            assert copied == record and copied.sample_set is not record.sample_set
+
+    def test_hashes_and_compares_like_its_field_tuple(self):
+        record = self._record()
+        fields = (record.object_id, record.sample_set, record.timestamp)
+        assert dataclasses.astuple(record) == (-7, record.sample_set, 12.5)
+        assert hash(record) == hash(fields)
+        twin = PositioningRecord(*fields)
+        assert twin == record and twin is not record
+        assert record != PositioningRecord(-7, record.sample_set, 13.0)
+        assert {record, twin} == {record}
+
+    def test_assignment_is_refused(self):
+        record = self._record()
+        for name in ("object_id", "sample_set", "timestamp"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+        # A name that is no field is refused too, but the frozen __setattr__
+        # of a slotted dataclass raises TypeError for it on some versions.
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = None
+        assert record == self._record()
+
+    def test_three_slots_and_no_instance_dict(self):
+        record = self._record()
+        assert PositioningRecord.__slots__ == ("object_id", "sample_set", "timestamp")
+        assert not hasattr(record, "__dict__")
 
 
 class TestIUPT:

@@ -22,6 +22,7 @@ import repro
 from repro import IUPT, IndoorFlowSystem, QueryEngine, QueryService, ShardedRecordStore
 from repro.codec import PackedRecordBatch, PresenceMatrix
 from repro.core import nested_loop
+from repro.data.records import PositioningRecord
 from repro.engine import batch, cache, continuous, stages
 from repro.indexes import BPlusTree, CountAggregateRTree, OneDimensionalRTree, RTree
 from repro.service import AdmissionController, ReadReplica, client, protocol, topology
@@ -68,6 +69,17 @@ def _defined_outside(where, names):
     """``{name: files}`` for each of ``names`` not defined in ``where`` alone."""
     homes = {name: [file for file in TREES if name in _defined(file)] for name in names.split()}
     return {name: files for name, files in homes.items() if files != [where]}
+
+
+def _assigns(attrs):
+    """Files that assign one of ``attrs`` on any object: ``x.a = ...``, ``+=``, ``setattr(x, "a", ...)``."""
+    nodes = [(w, n) for w, tree in TREES.items() for n in ast.walk(tree)
+             if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign))]
+    targets = [(w, t) for w, n in nodes for top in getattr(n, "targets", [getattr(n, "target", 0)])
+               for t in ast.walk(top)]
+    return sorted({w for w, t in targets if isinstance(t, ast.Attribute) and t.attr in attrs.split()} | {
+        site.partition(":")[0] for site, _, call in _calls("setattr __setattr__")
+        if any(getattr(arg, "value", 0) in attrs.split() for arg in call.args)})
 
 
 def _fields(cls):
@@ -212,6 +224,13 @@ RULES = [  # (PR, rule, actual, expected)
     (30, "the-store-subclasses-nothing", lambda: ShardedRecordStore.__mro__[1], object),
     (30, "API-sizes", lambda: [len(pkg.__all__) for pkg in (repro, repro.codec, repro.engine)],
      [59, 7, 20]),
+    (33, "PositioningRecord.__slots__", lambda: getattr(PositioningRecord, "__slots__", None),
+     ("object_id", "sample_set", "timestamp")),
+    (33, "only-to_records-builds-trusted-records", lambda: [
+        site for site, on, _ in _calls("_from_columns") if on != "SampleSet"],
+     ["codec/packed.py:PackedRecordBatch.to_records"]),
+    (33, "sample-set-columns-assigned-in-records.py-alone", lambda: _assigns("ploc_ids probs"),
+     ["data/records.py"]),  # so a lone set that records share is never mutated
 ]  # fmt: skip
 
 
