@@ -203,11 +203,15 @@ class BestFirstTkPLQ:
         """The surviving objects by id and the aggregate R-tree over their PSL MBRs."""
         presences: Dict[int, "StoredPresence"] = {}
         items: List[Tuple[Rect, int]] = []
+        mbrs_of: Dict[frozenset, List[Rect]] = {}  # objects with equal PSLs share their MBRs
         for object_id, entry in entries:
             if entry.pruned:
                 continue
             presences[object_id] = entry
-            items.extend((mbr, object_id) for mbr in self._psl_mbrs(plan, entry.psls))
+            mbrs = mbrs_of.get(entry.psls)
+            if mbrs is None:
+                mbrs = mbrs_of[entry.psls] = self._psl_mbrs(plan, entry.psls)
+            items.extend((mbr, object_id) for mbr in mbrs)
         return presences, CountAggregateRTree.build(items, max_entries=self._fanout)
 
     @staticmethod

@@ -15,10 +15,15 @@ Equation 2 for one concrete path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import FrozenSet, Optional, Sequence
 
 from ..data.records import SampleSet
+
+_ploc_ids = attrgetter("ploc_ids")
+_probs = attrgetter("probs")
 
 
 def pass_probability(
@@ -64,10 +69,7 @@ def candidate_path_count(sequence: Sequence[SampleSet]) -> int:
 
     A :class:`SampleSet` holds each P-location once, so ``|πl(Xi)| = |Xi|``.
     """
-    total = 1
-    for sample_set in sequence:
-        total *= len(sample_set.ploc_ids)
-    return total if sequence else 0
+    return math.prod(map(len, map(_ploc_ids, sequence))) if sequence else 0
 
 
 def total_candidate_probability(sequence: Sequence[SampleSet]) -> float:
@@ -76,11 +78,7 @@ def total_candidate_probability(sequence: Sequence[SampleSet]) -> float:
     This is the denominator of Equation 1 as used by the paper's worked
     examples; it equals 1 whenever every sample set is normalised, but is
     computed explicitly so that merged or truncated sample sets stay
-    consistent.
+    consistent.  The product runs left to right in sequence order
+    (``math.prod`` of floats multiplies in iteration order).
     """
-    if not sequence:
-        return 0.0
-    total = 1.0
-    for sample_set in sequence:
-        total *= sum(sample_set.probs)
-    return total
+    return math.prod(map(sum, map(_probs, sequence))) if sequence else 0.0

@@ -23,13 +23,25 @@ cell).  One sample ``(q, prob)`` of the next set extends them by
     W'[q][c] = prob · Σ_p [MIL[p,q] ≠ ∅] · W[p][c] · (1 − [c ∈ MIL[p,q]] / |MIL[p,q]|)
 
 and ``Φ(c) = (Σ_p M[p] − Σ_p W[p][c]) / candidate mass`` — O(n · |X|² · cells)
-for ``n`` sample sets of at most ``|X|`` samples; ``MIL[p,q]`` and the factor
-``1 − 1/|MIL[p,q]|`` are read from the matrix's link table
-(:meth:`~repro.space.matrix.IndoorLocationMatrix.link`), computed once per
-pair.  Exact: there is no cap on the number of paths.  A sequence of a single
-sample set is a lone report whose one "step" is the cell set adjacent to the
-reported P-location; a sequence without a valid path has presence 0
-everywhere.
+for ``n`` sample sets of at most ``|X|`` samples.  Exact: there is no cap on
+the number of paths.  A sequence of a single sample set is a lone report whose
+one "step" is the cell set adjacent to the reported P-location; a sequence
+without a valid path has presence 0 everywhere.
+
+**Link rows.**  ``MIL[p,q]`` and the factor ``1 − 1/|MIL[p,q]|`` are read
+from the matrix's link table
+(:attr:`~repro.space.matrix.IndoorLocationMatrix.link_rows`), built once per
+floor plan: one row lookup per sample gives every tail it can be reached
+from, and a tail absent from the row has no link.
+
+**The single-tail step.**  A step from a single tail state (about half the
+steps of a cold query) builds the new miss map directly, with no links list
+and no touched set: each of ``W'[q][c]``'s sums has one term, and
+``0.0 + x == x`` for every ``x ≥ 0`` that reaches it (a tail's mass is
+``> 0`` and its weights ``≥ 0``), so ``prob · (W[p][c] · factor)`` is the
+float the general step computes.  ``tests/test_presence_oracle.py`` holds
+the recurrence before the link rows and this step, and requires the same
+floats bit for bit.
 
 **Float contract.**  Every strategy (naive, nested-loop, best-first, batch,
 continuous, any process) obtains presences
@@ -48,38 +60,55 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..data.records import SampleSet
-from ..space.matrix import IndoorLocationMatrix
+from ..space.matrix import IndoorLocationMatrix, Link
 from .paths import total_candidate_probability
 
 # One tail state: (P-location, valid-path mass M, miss products W by cell).
 _State = Tuple[int, float, Dict[int, float]]
+_NO_ROW: Dict[int, Link] = {}
 
 
 def _extend(
-    states: Sequence[_State], sample_set: SampleSet, matrix: IndoorLocationMatrix
+    states: Sequence[_State], sample_set: SampleSet, rows: Dict[int, Dict[int, Link]]
 ) -> List[_State]:
     """Advance the tail states by one sample set (the recurrence above)."""
     extended: List[_State] = []
-    link = matrix.link
+    if len(states) == 1:  # the single-tail step: every sum has one term
+        [(tail, tail_mass, miss)] = states
+        for ploc_id, prob in zip(sample_set.ploc_ids, sample_set.probs):
+            link = rows.get(ploc_id, _NO_ROW).get(tail)
+            if link is None:
+                continue
+            mass = prob * tail_mass
+            if not mass > 0.0:
+                continue
+            cells, factor = link
+            new_miss = {cell: prob * weight for cell, weight in miss.items()}
+            for cell in cells:
+                new_miss[cell] = prob * (miss.get(cell, tail_mass) * factor)
+            extended.append((ploc_id, mass, new_miss))
+        return extended
     for ploc_id, prob in zip(sample_set.ploc_ids, sample_set.probs):
+        row = rows.get(ploc_id)
+        if row is None:
+            continue
         # The tails this sample can be reached from, in state order, each
         # with the factor by which a step through MIL[tail, loc] misses one
         # of its cells.
         links = []
         reachable = 0.0
-        for tail, mass, miss in states:
-            cells, factor = link(tail, ploc_id)
-            if cells:
-                links.append((mass, miss, cells, factor))
-                reachable += mass
+        touched = set()
+        for tail, tail_mass, miss in states:
+            link = row.get(tail)
+            if link is not None:
+                links.append((tail_mass, miss, *link))
+                reachable += tail_mass
+                touched.update(miss)
+                touched.update(link[0])
         mass = prob * reachable
         if not mass > 0.0:
             continue
-        touched = set()
-        for _mass, miss, cells, _factor in links:
-            touched.update(miss)
-            touched.update(cells)
-        new_miss: Dict[int, float] = {}
+        new_miss = {}
         for cell in touched:
             missed = 0.0
             for tail_mass, miss, cells, factor in links:
@@ -107,8 +136,9 @@ def _forward_presences(
             cells = matrix.cells_adjacent(ploc_id)
             for cell in cells:
                 miss[cell] = mass * (1.0 - 1.0 / len(cells))
+    rows = matrix.link_rows
     for sample_set in sequence[1:]:
-        states = _extend(states, sample_set, matrix)
+        states = _extend(states, sample_set, rows)
         if not states:
             break
 

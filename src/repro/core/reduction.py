@@ -21,8 +21,16 @@ of the evaluation (no data reduction) and finer ablations can be expressed.
 set's ``(P-location ids, probabilities)`` columns.  Equivalence is not derived
 per sample: it is read from the matrix's ``p → class representative`` table
 (:attr:`~repro.space.matrix.IndoorLocationMatrix.equivalence_classes`), the
-``M × M`` downsizing of Section 3.2 done once per floor plan.  A dwell run is
-held as columns and only its average is built into a ``SampleSet``.
+``M × M`` downsizing of Section 3.2 done once per floor plan, and the test
+runs once per run of identical raw P-location tuples — consecutive sets
+reporting the same P-locations share one merge plan.  A dwell run is held as
+columns and only its average is built into a ``SampleSet``.
+
+**PSL table.**  An object's PSLs are ``C2S`` of the cells its raw P-locations
+touch.  ``C2S`` distributes over a union of cells, so they are the union,
+over the object's distinct P-locations, of a per-P-location table
+``p → C2S(MIL[p, p])`` built once per reducer from the floor plan
+(:attr:`DataReducer.psls_of`); it never grows with the data.
 
 **Float contract.**  The presences of :mod:`repro.core.presence` are computed
 on the reduced sequence, so its floats are part of every answer; they are
@@ -43,17 +51,23 @@ per-sample implementation and requires exact equality):
   are divided by their own total;
 * *pass-through* — a set whose classes are all distinct and whose mass is
   exactly ``1.0`` would only be divided by one (``x / 1.0 == x``), and a dwell
-  run of one set is that set: both are returned as the same object.
+  run of one set is that set: both are returned as the same object;
+* *lone runs* — with both merges on, a lone sample set is certain after
+  intra-merge (``p / p == 1.0``), and a run of certain sets averages to the
+  certain set bit for bit (``n · 1.0 / n == 1.0``).  So a lone set that
+  continues a dwell run of its own P-location is skipped, and a run of lone
+  sets is passed through as its first set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..data.records import SampleSet
 from ..space.graph import IndoorSpaceLocationGraph
-from ..space.matrix import IndoorLocationMatrix, possible_cells_of_sequence
+from ..space.matrix import IndoorLocationMatrix
 from .paths import candidate_path_count
 
 
@@ -136,35 +150,41 @@ class ReducedSequence:
     pruned: bool
 
 
+_NO_PSLS: FrozenSet[int] = frozenset()
+_ploc_ids = attrgetter("ploc_ids")
+
 # One working sample set of a dwell run: the input set when the reduction left
 # its columns untouched (else ``None``), and its probability column.
 _Working = Tuple[Optional[SampleSet], Sequence[float]]
 
 
-def _merge_equivalent(
-    ploc_ids: Sequence[int], probs: Sequence[float], class_of: Callable[[int], Optional[int]]
-) -> Tuple[Tuple[int, ...], List[float]]:
-    """Sum each equivalence class of one sample set onto its smallest id.
+# How one raw P-location tuple merges: the kept (smallest) id of each
+# equivalence class, and the positions of the class's members.
+_MergePlan = Tuple[Tuple[int, ...], Tuple[List[int], ...]]
+
+
+def _merge_plan(
+    ploc_ids: Sequence[int], class_of: Callable[[int], Optional[int]]
+) -> _MergePlan:
+    """Group the columns of a sample set with equivalent P-locations by class.
 
     The columns are in ascending P-location order, so the first member of a
     class carries its smallest id (footnote 5 of the paper: "we keep the
     P-location with a smaller subscript") and the groups come out ascending.
     """
-    groups: Dict[Optional[int], Tuple[int, List[float]]] = {}
-    for ploc_id, prob in zip(ploc_ids, probs):
-        cls = class_of(ploc_id)
-        group = groups.get(cls)
-        if group is None:
-            groups[cls] = (ploc_id, [prob])
-        else:
-            group[1].append(prob)
-    return (
-        tuple(ploc_id for ploc_id, _members in groups.values()),
-        [
-            members[0] if len(members) == 1 else min(sum(members), 1.0)
-            for _ploc_id, members in groups.values()
-        ],
-    )
+    groups: Dict[Optional[int], List[int]] = {}
+    for position, cls in enumerate(map(class_of, ploc_ids)):
+        groups.setdefault(cls, []).append(position)
+    members = tuple(groups.values())
+    return tuple(ploc_ids[group[0]] for group in members), members
+
+
+def _merge_equivalent(probs: Sequence[float], members: Tuple[List[int], ...]) -> List[float]:
+    """Sum each equivalence class of one sample set onto its kept id."""
+    return [
+        probs[group[0]] if len(group) == 1 else min(sum([probs[at] for at in group]), 1.0)
+        for group in members
+    ]
 
 
 def _dwell_average(ploc_ids: Tuple[int, ...], run: List[_Working]) -> SampleSet:
@@ -195,6 +215,11 @@ class DataReducer:
         self._graph = graph
         self._matrix = matrix
         self._config = config
+        #: ``p → C2S(MIL[p, p])`` for every P-location of the floor plan.
+        self.psls_of: Dict[int, FrozenSet[int]] = {
+            ploc_id: frozenset(graph.c2s_many(matrix.cells_adjacent(ploc_id)))
+            for ploc_id in set(matrix.representative) | set(matrix.cells_of)
+        }
 
     @property
     def config(self) -> DataReductionConfig:
@@ -221,25 +246,43 @@ class DataReducer:
         """
         intra_merge = self._config.intra_merge
         inter_merge = self._config.inter_merge
+        skip_lone = intra_merge and inter_merge
         class_of = self._matrix.equivalence_classes.get
 
         reduced: List[SampleSet] = []
         reported = set()
-        samples_before = 0
         run: List[_Working] = []
         run_plocs: Tuple[int, ...] = ()
+        # The raw P-location tuple of the current run of identical ones, the
+        # P-locations it merges to, its merge plan, and whether it is skipped.
+        raw: Optional[Tuple[int, ...]] = None
+        merged: Tuple[int, ...] = ()
+        members: Optional[Tuple[List[int], ...]] = None
+        skip = False
 
         for sample_set in sequence:
             ploc_ids = sample_set.ploc_ids
+            if ploc_ids == raw:
+                if skip:
+                    continue  # certain, and continues a run of its own P-location
+                ploc_ids = merged
+            else:
+                raw = merged = ploc_ids
+                reported.update(raw)
+                members = None
+                if len(raw) == 1:
+                    skip = skip_lone
+                else:
+                    skip = False
+                    if intra_merge and len(set(map(class_of, raw))) < len(raw):
+                        merged, members = _merge_plan(raw, class_of)
+                        ploc_ids = merged
             probs = sample_set.probs
-            count = len(ploc_ids)
-            samples_before += count
-            reported.update(ploc_ids)
             kept: Optional[SampleSet] = sample_set
 
             if intra_merge:
-                if count > 1 and len(set(map(class_of, ploc_ids))) < count:
-                    ploc_ids, probs = _merge_equivalent(ploc_ids, probs, class_of)
+                if members is not None:
+                    probs = _merge_equivalent(probs, members)
                     kept = None
                 total = sum(probs)
                 if kept is None or total != 1.0:
@@ -255,10 +298,9 @@ class DataReducer:
         if run:
             reduced.append(_dwell_average(run_plocs, run))
 
-        # C2S distributes over the union of cells and merging keeps every
-        # sample's cell set, so the raw P-locations give the PSLs directly.
-        psls = frozenset(
-            self._graph.c2s_many(possible_cells_of_sequence(self._matrix, reported))
+        psls_of = self.psls_of
+        psls = frozenset().union(
+            *[psls_of.get(ploc_id, _NO_PSLS) for ploc_id in reported]
         )
         pruned = (
             self._config.psl_pruning
@@ -272,8 +314,8 @@ class DataReducer:
                 stats.objects_pruned += 1
             stats.sample_sets_before += len(sequence)
             stats.sample_sets_after += len(reduced)
-            stats.samples_before += samples_before
-            stats.samples_after += sum(len(kept.ploc_ids) for kept in reduced)
+            stats.samples_before += sum(map(len, map(_ploc_ids, sequence)))
+            stats.samples_after += sum(map(len, map(_ploc_ids, reduced)))
             stats.candidate_paths_before += candidate_path_count(sequence)
             stats.candidate_paths_after += candidate_path_count(reduced)
 

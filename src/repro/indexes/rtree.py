@@ -224,19 +224,29 @@ class RTree:
 # ----------------------------------------------------------------------
 # STR packing
 # ----------------------------------------------------------------------
+# The sort keys of an entry or node: the floats of its MBR's ``Rect.center``,
+# computed without building the Point; a node without an MBR sorts first.
+def _x_key(item) -> Tuple[int, float]:
+    mbr = item.mbr
+    return (mbr.floor, (mbr.xmin + mbr.xmax) / 2.0) if mbr else (0, 0.0)
+
+
+def _y_key(item) -> float:
+    mbr = item.mbr
+    return (mbr.ymin + mbr.ymax) / 2.0 if mbr else 0.0
+
+
 def _str_pack_leaves(entries: List[RTreeEntry], max_entries: int) -> List[RTreeNode]:
     """Pack leaf nodes with the Sort-Tile-Recursive heuristic."""
     import math
 
-    entries = sorted(entries, key=lambda e: (e.mbr.floor, e.mbr.center.x))
+    entries = sorted(entries, key=_x_key)
     leaf_count = max(1, math.ceil(len(entries) / max_entries))
     slice_count = max(1, math.ceil(math.sqrt(leaf_count)))
     slice_size = max(1, math.ceil(len(entries) / slice_count))
     leaves: List[RTreeNode] = []
     for start in range(0, len(entries), slice_size):
-        vertical = sorted(
-            entries[start : start + slice_size], key=lambda e: e.mbr.center.y
-        )
+        vertical = sorted(entries[start : start + slice_size], key=_y_key)
         for leaf_start in range(0, len(vertical), max_entries):
             node = RTreeNode(
                 is_leaf=True, entries=vertical[leaf_start : leaf_start + max_entries]
@@ -251,19 +261,13 @@ def _build_upper_levels(nodes: List[RTreeNode], max_entries: int) -> RTreeNode:
     import math
 
     while len(nodes) > 1:
-        nodes = sorted(
-            nodes,
-            key=lambda n: (n.mbr.floor if n.mbr else 0, n.mbr.center.x if n.mbr else 0.0),
-        )
+        nodes = sorted(nodes, key=_x_key)
         parent_count = max(1, math.ceil(len(nodes) / max_entries))
         slice_count = max(1, math.ceil(math.sqrt(parent_count)))
         slice_size = max(1, math.ceil(len(nodes) / slice_count))
         parents: List[RTreeNode] = []
         for start in range(0, len(nodes), slice_size):
-            vertical = sorted(
-                nodes[start : start + slice_size],
-                key=lambda n: n.mbr.center.y if n.mbr else 0.0,
-            )
+            vertical = sorted(nodes[start : start + slice_size], key=_y_key)
             for parent_start in range(0, len(vertical), max_entries):
                 parent = RTreeNode(
                     is_leaf=False,

@@ -15,11 +15,19 @@ cell sets, which reproduces the worked example of Figure 3 (e.g.
 merging equivalent P-locations that label the same GISL edge into an
 ``M x M`` matrix where ``M`` is the number of graph edges — is exposed through
 :meth:`IndoorLocationMatrix.merged`.
+
+**One link table.**  Every MIL lookup on a query's hot path reads
+:attr:`IndoorLocationMatrix.link_rows`, ``pb → {pa: (MIL[pa, pb],
+1 − 1/|MIL[pa, pb]|)}`` over the non-empty links.  It is built once from
+``cells_of``, the same way :attr:`~IndoorLocationMatrix.equivalence_classes`
+is: an inverted ``cell → P-locations`` index gives each P-location the others
+it shares a cell with.  So it is a function of the floor plan alone and never
+grows with the data; :meth:`~IndoorLocationMatrix.link` reads from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -45,17 +53,15 @@ class IndoorLocationMatrix:
         Maps each P-location to its equivalence-class representative; the
         identity mapping for the un-merged matrix.
 
-    Two derived tables serve the per-query hot paths; both are functions of
-    ``cells_of`` / ``representative`` alone (which are not mutated after
-    construction) and are bounded by the floor plan, not by the data.
+    Two derived tables serve the per-query hot paths, the equivalence
+    classes and the link rows; both are functions of ``cells_of`` /
+    ``representative`` alone (which are not mutated after construction) and
+    are bounded by the floor plan, not by the data.
     """
 
     cells_of: Dict[int, FrozenSet[int]]
     representative: Dict[int, int]
     is_merged: bool = False
-    _links: Dict[Tuple[int, int], Link] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -120,23 +126,37 @@ class IndoorLocationMatrix:
                 classes[ploc_id] = smallest.setdefault(cells, ploc_id)
         return classes
 
-    def link(self, ploc_a: int, ploc_b: int) -> Link:
-        """``(MIL[pa, pb], 1 - 1/|MIL[pa, pb]|)``, or :data:`NO_LINK` if empty.
+    @cached_property
+    def link_rows(self) -> Dict[int, Dict[int, Link]]:
+        """``pb → {pa: (MIL[pa, pb], 1 - 1/|MIL[pa, pb]|)}`` over non-empty links.
 
-        Filled pair by pair as the data asks, in both orders; a pair with a
-        P-location that has no cells is answered without being stored, so the
-        table holds at most the floor plan's co-occurring P-location pairs.
+        One row per P-location with cells, holding every P-location it shares
+        a cell with (itself included); a linked pair is stored in both rows,
+        as one tuple.  P-locations without cells — and ids the matrix does
+        not know — have no row and appear in none.  Built on first use.
         """
-        link = self._links.get((ploc_a, ploc_b))
-        if link is None:
-            cells_a = self.cells_adjacent(ploc_a)
-            cells_b = self.cells_adjacent(ploc_b)
-            if not cells_a or not cells_b:
-                return NO_LINK
-            cells = cells_a & cells_b
-            link = (cells, 1.0 - 1.0 / len(cells)) if cells else NO_LINK
-            self._links[(ploc_a, ploc_b)] = self._links[(ploc_b, ploc_a)] = link
-        return link
+        with_cells = {
+            ploc_id: cells
+            for ploc_id in sorted(set(self.representative) | set(self.cells_of))
+            if (cells := self.cells_adjacent(ploc_id))
+        }
+        sharing: Dict[int, List[int]] = {}  # cell → the P-locations touching it
+        for ploc_id, cells in with_cells.items():
+            for cell in cells:
+                sharing.setdefault(cell, []).append(ploc_id)
+        rows: Dict[int, Dict[int, Link]] = {ploc_id: {} for ploc_id in with_cells}
+        for ploc_b, cells_b in with_cells.items():
+            row = rows[ploc_b]
+            for cell in cells_b:
+                for ploc_a in sharing[cell]:
+                    if ploc_a not in row:
+                        cells = with_cells[ploc_a] & cells_b
+                        row[ploc_a] = rows[ploc_a][ploc_b] = (cells, 1.0 - 1.0 / len(cells))
+        return rows
+
+    def link(self, ploc_a: int, ploc_b: int) -> Link:
+        """``(MIL[pa, pb], 1 - 1/|MIL[pa, pb]|)``, or :data:`NO_LINK` if empty."""
+        return self.link_rows.get(ploc_b, {}).get(ploc_a, NO_LINK)
 
     def cells_between(self, ploc_a: int, ploc_b: int) -> FrozenSet[int]:
         """``MIL[pa, pb]``: the cells directly connecting the two P-locations."""
@@ -202,9 +222,10 @@ def possible_cells_of_sequence(
 ) -> Set[int]:
     """Union of adjacent cells over the P-locations of a positioning sequence.
 
-    Used by the data reduction (Algorithm 1, line 6) to derive an object's
-    possible semantic locations: every cell a reported P-location touches may
-    have been visited, so the union bounds the object's whereabouts.
+    Algorithm 1, line 6 derives an object's possible semantic locations from
+    it: every cell a reported P-location touches may have been visited, so the
+    union bounds the object's whereabouts.  The reducer reads the same PSLs
+    from its per-P-location table (``DataReducer.psls_of``).
     """
     cells: Set[int] = set()
     for ploc_id in ploc_ids:

@@ -228,6 +228,8 @@ def rule_breakers(layering):
              "def _mutant(kept):\n    kept.ploc_ids += ()"),
         code("codec/packed.py", "sets a sample set's column by name",
              "def _mutant(kept):\n    object.__setattr__(kept, 'ploc_ids', ())"),
+        returns("core/presence.py", "calls link per tail", "matrix.link(tail, ploc_id)"),
+        returns("indexes/rtree.py", "reads an MBR's center", "entry.mbr.center.x"),
     ]
 
 

@@ -157,6 +157,7 @@ GONE = [
     *_members(30, "RecordStore", repro, repro.storage),
     (30, "importable-modules", importlib.util.find_spec, "repro.data.iupt"),
     _text(30, "iupt.store data_key_for RecordStore", ""),
+    (34, "def:space/matrix.py", _defined("space/matrix.py").__contains__, "_links"),
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
@@ -231,6 +232,9 @@ RULES = [  # (PR, rule, actual, expected)
      ["codec/packed.py:PackedRecordBatch.to_records"]),
     (33, "sample-set-columns-assigned-in-records.py-alone", lambda: _assigns("ploc_ids probs"),
      ["data/records.py"]),  # so a lone set that records share is never mutated
+    (34, "the-DP-reads-link-rows", lambda: _sites("link", "core/presence.py"), []),
+    (34, "STR-keys-build-no-Point", lambda: [node.lineno for node in ast.walk(
+        TREES["indexes/rtree.py"]) if isinstance(node, ast.Attribute) and node.attr == "center"], []),
 ]  # fmt: skip
 
 

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import DataReducer, DataReductionConfig
 from repro.core.paths import pass_probability
 from repro.core.presence import PresenceComputation
 from repro.core.query import SearchStats
 from repro.data import SampleSet
-from tests.presence_oracle import oracle_presence, valid_paths
+from tests.presence_oracle import _forward_presences, oracle_presence, valid_paths
 
 TOLERANCE = 1e-12
 
@@ -97,6 +100,110 @@ class TestForwardDpEqualsOracle:
                 oracle_presence(sequence, matrix, cell_id), abs=TOLERANCE
             )
         assert pass_probability(paths[0][2], None) == 0.0
+
+
+# One drawn set for the bitwise check: 1-3 samples, how many consecutive sets
+# report exactly it (a lone one repeated is a chain of certain sets), and its
+# mass — exactly one, an ulp either side of it, or anywhere SampleSet accepts.
+_bitwise_sets = st.tuples(
+    st.lists(_samples, min_size=1, max_size=3),
+    st.sampled_from([1, 1, 2, 4]),
+    st.one_of(
+        st.sampled_from([1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]), _scales
+    ),
+)
+_bitwise_sequences = st.lists(_bitwise_sets, min_size=1, max_size=7)
+
+
+def _build_bitwise_sequence(drawn, graph, matrix):
+    """Sets of 1-3 samples (so steps run from one, two and three tail states),
+    picked among the P-locations reachable from the previous set or anywhere
+    (dead ends), with an id the matrix does not know in the pool."""
+    everywhere = sorted(graph.cells_of_plocation)
+    everywhere.append(everywhere[-1] + 100)
+    sequence = []
+    for drawn_set, repeats, scale in drawn:
+        reachable = sorted(
+            q
+            for q in everywhere
+            if sequence and any(matrix.cells_between(p, q) for p in sequence[-1].ploc_ids)
+        )
+        weights = {}
+        for pick, weight, connected in drawn_set:
+            pool = reachable if connected and reachable else everywhere
+            ploc_id = pool[pick % len(pool)]
+            weights[ploc_id] = weights.get(ploc_id, 0.0) + weight
+        total = sum(weights.values())
+        ploc_ids = sorted(weights)
+        probs = [weights[p] / total * scale for p in ploc_ids]
+        if len(ploc_ids) == 1:
+            probs = [scale]  # a lone set: certain, or an ulp off it
+        sequence.extend([SampleSet._from_columns(ploc_ids, probs)] * repeats)
+    return sequence
+
+
+def _assert_bitwise_parent(sequence, matrix):
+    """Every cell's presence (by ``float.hex``) and the tail count equal the parent DP's."""
+    computation = PresenceComputation(sequence, matrix)
+    presences, tail_states = _forward_presences(sequence, matrix)
+    assert {cell: value.hex() for cell, value in computation.presences.items()} == {
+        cell: value.hex() for cell, value in presences.items()
+    }
+    assert computation.tail_states == tail_states
+
+
+class TestForwardDpEqualsParentBitwise:
+    @given(drawn=_bitwise_sequences)
+    @settings(max_examples=300, deadline=None)
+    def test_figure1(self, figure1, drawn):
+        graph, matrix = figure1["graph"], figure1["matrix"]
+        _assert_bitwise_parent(_build_bitwise_sequence(drawn, graph, matrix), matrix)
+
+    @given(drawn=_bitwise_sequences)
+    @settings(max_examples=300, deadline=None)
+    def test_two_floor_plan(self, small_synth_scenario, drawn):
+        system = small_synth_scenario.system
+        _assert_bitwise_parent(
+            _build_bitwise_sequence(drawn, system.graph, system.matrix), system.matrix
+        )
+
+    def test_reduced_recorded_data_of_the_two_floor_plan(self, small_synth_scenario):
+        scenario = small_synth_scenario
+        graph, matrix = scenario.system.graph, scenario.system.matrix
+        sequences = scenario.iupt.sequences_in(scenario.start_time, scenario.end_time)
+        assert sequences
+        for config in (DataReductionConfig.enabled(), DataReductionConfig.disabled()):
+            reducer = DataReducer(graph, matrix, config)
+            for sequence in sequences.values():
+                _assert_bitwise_parent(reducer.reduce(sequence, None).sequence, matrix)
+
+    def test_named_steps(self, figure1):
+        """A chain of certain lone sets, a single-tail step off certainty
+        through a two-cell link, a certain set an ulp off one, steps from two
+        and three tails, a dead end and an unknown P-location."""
+        matrix, p = figure1["matrix"], figure1["plocs"]
+        below = math.nextafter(1.0, 0.0)
+        unknown = max(matrix.representative) + 100
+        sequences = [
+            [SampleSet.certain(p[name]) for name in ("p4", "p9", "p7", "p9", "p2", "p1")],
+            [
+                SampleSet.certain(p["p4"]),
+                SampleSet.certain(p["p9"]),
+                SampleSet.from_pairs([(p["p2"], 0.5), (p["p9"], 0.5)]),
+            ],
+            [SampleSet._from_columns([p["p2"]], [below]), SampleSet.certain(p["p6"])],
+            [
+                SampleSet.from_pairs([(p["p2"], 0.5), (p["p5"], 0.5)]),
+                SampleSet.from_pairs([(p["p6"], 0.3), (p["p8"], 0.7)]),
+                SampleSet.from_pairs([(p["p2"], 0.2), (p["p4"], 0.3), (p["p9"], 0.5)]),
+                SampleSet.certain(p["p6"]),
+            ],
+            [SampleSet.certain(p["p3"]), SampleSet.certain(p["p4"])],
+            [SampleSet.certain(p["p6"]), SampleSet.from_pairs([(p["p8"], 0.5), (unknown, 0.5)])],
+            [SampleSet.certain(unknown), SampleSet.certain(p["p6"])],
+        ]
+        for sequence in sequences:
+            _assert_bitwise_parent(sequence, matrix)
 
 
 class TestRemovedPathCap:

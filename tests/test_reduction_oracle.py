@@ -1,7 +1,7 @@
 """The one-pass reducer against the parent commit's ``ReduceData``, exact floats.
 
-Also the two per-matrix tables it and the forward DP read: the P-location
-equivalence classes and the MIL link table.
+Also the floor-plan tables it and the forward DP read: the P-location
+equivalence classes, the MIL link rows and the reducer's PSL table.
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DataReductionConfig, SampleSet
+from repro import DataReductionConfig, QueryEngine, SampleSet
 from repro.core.paths import candidate_path_count
 from repro.core.reduction import DataReducer, ReductionStats
-from repro.space.matrix import EMPTY_CELLS, NO_LINK
+from repro.space.matrix import EMPTY_CELLS, NO_LINK, IndoorLocationMatrix
 from tests.reduction_oracle import OracleReducer, OracleStats
 
 ALL_CONFIGS = [
@@ -136,9 +136,26 @@ class TestOnePassReducerEqualsOracle:
             # a merged class whose mass exceeds one is clamped before the rescale
             SampleSet.from_pairs([(p["p5"], 0.0003), (p["p6"], 0.6004), (p["p8"], 0.4)]),
         ]
+        lone_off_one = [
+            # a lone run whose later sets sit off 1.0
+            SampleSet.certain(p["p2"]),
+            *[SampleSet.from_pairs([(p["p2"], 0.9995)]) for _ in range(3)],
+            # a two-sample set that merges into a lone set inside that run
+            SampleSet.certain(p["p6"]),
+            SampleSet.from_pairs([(p["p6"], 0.4), (p["p8"], 0.6)]),
+            SampleSet.from_pairs([(p["p6"], 0.9995)]),
+            SampleSet.certain(p["p6"]),
+        ]
+        a, b = (
+            SampleSet.from_pairs([(p["p5"], 0.2), (p["p6"], 0.5), (p["p8"], 0.3)]),
+            SampleSet.from_pairs([(p["p1"], 0.5), (p["p2"], 0.5)]),
+        )
+        a_again = SampleSet.from_pairs([(p["p5"], 0.3), (p["p6"], 0.1), (p["p8"], 0.6)])
+        # a raw tuple that comes back after a run boundary: A, A, B, A
+        returning = [a, a_again, b, a, b, b, SampleSet.certain(p["p2"]), b]
         for query in (None, frozenset(), frozenset({figure1["slocs"]["r3"]})):
-            _assert_matches_oracle(sequence, query, graph, matrix)
-            _assert_matches_oracle([], query, graph, matrix)
+            for named in (sequence, lone_off_one, returning, []):
+                _assert_matches_oracle(named, query, graph, matrix)
 
     def test_untouched_sets_are_passed_through(self, figure1):
         graph, matrix, p = figure1["graph"], figure1["matrix"], figure1["plocs"]
@@ -149,6 +166,11 @@ class TestOnePassReducerEqualsOracle:
         assert reduced.sequence[0] is untouched
         assert reduced.sequence[1] is not rescaled
         assert reduced.sequence[2] == SampleSet.certain(p["p6"])
+        # a run of kept lone sets: the later ones are skipped, the first returned
+        first = SampleSet.certain(p["p6"])
+        lone_run = [first, SampleSet.certain(p["p6"]), SampleSet.from_pairs([(p["p6"], 0.9995)])]
+        reduced = DataReducer(graph, matrix).reduce(lone_run, None)
+        assert len(reduced.sequence) == 1 and reduced.sequence[0] is first
 
     def test_query_set_may_be_a_set_or_a_frozenset(self, figure1, figure1_iupt):
         graph, matrix = figure1["graph"], figure1["matrix"]
@@ -205,12 +227,38 @@ class TestMatrixTables:
 
     def test_unknown_ids_have_no_link_and_are_not_stored(self, figure1):
         graph = figure1["graph"]
-        matrix = figure1["matrix"].merged(graph)  # a private, empty link table
-        known = figure1["plocs"]["p4"]
+        matrix = figure1["matrix"].merged(graph)
+        known, linked = figure1["plocs"]["p4"], figure1["plocs"]["p9"]
         unknown = max(matrix.representative) + 100
         assert matrix.link(known, unknown) is NO_LINK
         assert matrix.link(unknown, unknown) == (EMPTY_CELLS, 1.0)
-        assert matrix._links == {}
-        matrix.link(known, figure1["plocs"]["p9"])
-        assert len(matrix._links) == 2  # the pair, in both orders
+        rows = matrix.link_rows
+        assert unknown not in rows
+        assert all(unknown not in row for row in rows.values())
+        assert all(cells for row in rows.values() for cells, _factor in row.values())
+        assert rows[known][linked] is rows[linked][known]  # the pair, stored in both rows
+        assert matrix.link(known, linked) is rows[linked][known]
 
+    def test_floor_plan_tables_do_not_grow_with_data(self, small_synth_scenario):
+        """Cold queries over the data read the link rows and the PSL table; they
+        never add to them, so ``reset_cache()`` has nothing of theirs to forget."""
+        scenario = small_synth_scenario
+        graph = scenario.system.graph
+        engine = QueryEngine(graph, IndoorLocationMatrix.from_graph(graph).merged(graph))
+        rows, psls_of = engine.flow_computer.matrix.link_rows, engine.flow_computer.reducer.psls_of
+
+        def sizes():
+            return len(rows), sum(map(len, rows.values())), len(psls_of)
+
+        before = sizes()
+        assert before[0] and before[2]
+        slocs = scenario.slocation_ids()
+        start, end = scenario.start_time, scenario.end_time
+        for query in (slocs[:3], slocs[1:6], slocs):
+            engine.reset_cache()
+            assert engine.top_k(scenario.iupt, query, 2, start, end).ranking
+            engine.reset_cache()
+            assert engine.flows(scenario.iupt, query, start, end)
+        assert engine.flow_computer.matrix.link_rows is rows
+        assert engine.flow_computer.reducer.psls_of is psls_of
+        assert sizes() == before
