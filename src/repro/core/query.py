@@ -69,6 +69,12 @@ class SearchStats:
     at least one report in ``[ts, te]``); ``objects_computed`` is ``|Of|``,
     the objects whose presence actually had to be computed.  The paper's
     pruning ratio is ``(|O| - |Of|) / |O|``.
+
+    ``kth_flow`` and ``bound_left`` are set by the best-first search when it
+    stops: the flow of its k-th ranked location and the largest bound left in
+    its heap (0.0 when the heap is empty).  Algorithm 4 stops only when
+    ``bound_left <= kth_flow``, so a bound left close to the k-th flow says
+    why nothing was pruned.  They stay ``None`` for the other algorithms.
     """
 
     elapsed_seconds: float = 0.0
@@ -79,6 +85,8 @@ class SearchStats:
     path_stats: PathConstructionStats = field(default_factory=PathConstructionStats)
     reduction_stats: ReductionStats = field(default_factory=ReductionStats)
     computed_object_ids: set = field(default_factory=set)
+    kth_flow: Optional[float] = None
+    bound_left: Optional[float] = None
 
     def note_object_computed(self, object_id: int) -> None:
         """Record that an object's presence was computed (distinct objects only)."""
@@ -135,6 +143,8 @@ class SearchStats:
             "heap_operations": self.heap_operations,
             "valid_paths": self.path_stats.valid_paths,
             "candidate_paths": self.path_stats.candidate_paths,
+            "kth_flow": self.kth_flow,
+            "bound_left": self.bound_left,
         }
 
 

@@ -10,11 +10,14 @@ holds everything Algorithms 2-4 derive from those three ingredients before a
 single location is scored — a :class:`WindowPresences` with the per-object
 :class:`StoredPresence` artefacts of every object reporting in the window, in
 fetch order, plus a ``derived`` dict in which the best-first algorithm keeps
-the two R-trees (``RC``, ``RQ``) it bulk-loads from them.  A warm query
+what it packs from them: ``RC`` (the COUNT-aggregate tree's root entries, and
+per query location the objects whose PSLs contain it) per fanout, and one
+``RQ`` (the query tree's root entries and the locations' parent cells) per
+fanout and query tuple — float bounds and lists, no ``Rect``.  A warm query
 therefore takes one lock and one dictionary probe, never touches the table,
 and does only the work that depends on the request itself (the join, the
-heap, the ranking).  ``derived`` lives and dies with its entry; nothing in it
-is an answer.
+heap, the exact flows it sums, the ranking).  ``derived`` lives and dies with
+its entry; nothing in it is an answer.
 
 All three key ingredients determine the artefacts: the window fixes which
 reports enter each object's sequence, the query S-location set fixes the

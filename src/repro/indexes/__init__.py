@@ -6,14 +6,13 @@ Each tree is built once, from its whole input, and never mutated afterwards:
 indexes refuse input that is not in time order.
 """
 
-from .aggregate_rtree import AggregateEntry, AggregateNode, CountAggregateRTree
+from .aggregate_rtree import AggregateEntry, CountAggregateRTree
 from .bplustree import BPlusTree
 from .interval_index import OneDimensionalRTree
 from .rtree import RTree, RTreeEntry, RTreeNode
 
 __all__ = [
     "AggregateEntry",
-    "AggregateNode",
     "BPlusTree",
     "CountAggregateRTree",
     "OneDimensionalRTree",

@@ -4,100 +4,73 @@ Algorithm 4 of the paper organises moving objects into "an in-memory
 COUNT-aggregate R-tree" ``RC`` where "each non-leaf node entry e ... is
 augmented with a count e.count that stores the number of objects covered in
 e's child nodes".  The Best-First search joins this tree against the R-tree of
-query S-locations and uses the counts as upper bounds on flow (an object's
-presence never exceeds 1).
+query S-locations ``RQ`` and uses the counts as upper bounds on flow (an
+object's presence never exceeds 1).
 
-This module bulk-loads the generic :class:`~repro.indexes.rtree.RTree`, copies
-it once into count-annotated nodes and exposes the node/entry view the join
-algorithm needs.
+:meth:`CountAggregateRTree.build` STR-packs ``(xmin, ymin, xmax, ymax, floor,
+item)`` bounds once, level by level, straight into entries: the tiling is
+:func:`~repro.indexes.rtree.str_tiles` and a node's bounds follow
+:func:`~repro.indexes.rtree.union_bounds`, so the tree has the shape
+:meth:`RTree.bulk_load <repro.indexes.rtree.RTree.bulk_load>` gives the same
+rectangles.  An entry is a plain tuple that carries its bound fields, so the
+join tests intersection on floats and builds no :class:`~repro.geometry.Rect`
+(plain tuples, not a named tuple: CPython specialises indexing and
+unpacking for exact tuples only).  Best-first packs ``RQ`` the same way;
+its counts go unused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, Optional, Tuple
 
-from ..geometry import Rect
-from .rtree import DEFAULT_MAX_ENTRIES, RTree, RTreeNode
+from .rtree import DEFAULT_MAX_ENTRIES, center_x_key, center_y_key, str_tiles, union_bounds
 
+#: One entry of the tree: ``(xmin, ymin, xmax, ymax, floor, count, children,
+#: item)``.  ``floor`` is ``-1`` on a node whose subtree spans several floors
+#: (a wildcard for the join).  ``children`` is ``None`` on a leaf entry, whose
+#: ``item`` is the payload it bounds and whose count is 1; on a node entry it
+#: is the tuple of child entries, ``count`` the number of leaf entries under
+#: them and ``item`` ``None``.
+AggregateEntry = Tuple[float, float, float, float, int, int, Optional[tuple], Any]
 
-@dataclass
-class AggregateEntry:
-    """A uniform view over aggregate-tree entries used during the join.
-
-    ``node`` is ``None`` for leaf-level entries (concrete objects); otherwise
-    it points at the child node this entry summarises.
-    """
-
-    mbr: Rect
-    count: int
-    node: Optional["AggregateNode"]
-    item: Any = None
-
-    @property
-    def is_leaf_entry(self) -> bool:
-        return self.node is None
-
-
-@dataclass
-class AggregateNode:
-    """A node of the COUNT-aggregate R-tree."""
-
-    is_leaf: bool
-    entries: List[AggregateEntry]
-    mbr: Optional[Rect]
-    count: int
+#: Positions of an :data:`AggregateEntry`'s fields after its bounds.
+COUNT, CHILDREN, ITEM = 5, 6, 7
 
 
 class CountAggregateRTree:
-    """A COUNT-aggregate R-tree over ``(mbr, item)`` pairs.
+    """A COUNT-aggregate R-tree: the root's entries and how many leaf entries
+    lie under them (``count``).
 
     Built once, by :meth:`build`, per window from the objects that survive
-    the data reduction step; ``root.count`` is the number of pairs.
+    the data reduction step.
     """
 
-    def __init__(self, root: AggregateNode):
-        self.root = root
+    __slots__ = ("root_entries", "count")
+
+    def __init__(self, root_entries: Tuple[AggregateEntry, ...]):
+        self.root_entries = root_entries
+        self.count = sum(entry[COUNT] for entry in root_entries)
 
     @classmethod
     def build(
-        cls, items: Iterable[Tuple[Rect, Any]], max_entries: int = DEFAULT_MAX_ENTRIES
+        cls,
+        items: Iterable[Tuple[float, float, float, float, int, Any]],
+        max_entries: int = DEFAULT_MAX_ENTRIES,
     ) -> "CountAggregateRTree":
-        """STR-pack ``items`` and annotate every node entry with its count."""
-        base = RTree.bulk_load(items, max_entries=max_entries)
-        return cls(_convert(base.root) if len(base) else _empty_node())
-
-    def root_entries(self) -> List[AggregateEntry]:
-        """Return the entries of the root node (the starting join list)."""
-        return list(self.root.entries)
-
-
-def _convert(node: RTreeNode) -> AggregateNode:
-    """Recursively convert a plain R-tree node into an aggregate node."""
-    if node.is_leaf:
-        entries = [
-            AggregateEntry(mbr=e.mbr, count=1, node=None, item=e.item)
-            for e in node.entries
+        """STR-pack ``(xmin, ymin, xmax, ymax, floor, item)`` bounds, every
+        node entry annotated with its count."""
+        if max_entries < 4:
+            raise ValueError("max_entries must be at least 4")
+        level = [
+            (xmin, ymin, xmax, ymax, floor, 1, None, item)
+            for xmin, ymin, xmax, ymax, floor, item in items
         ]
-        return AggregateNode(
-            is_leaf=True,
-            entries=entries,
-            mbr=node.mbr,
-            count=len(entries),
-        )
-    child_nodes = [_convert(child) for child in node.children]
-    entries = [
-        AggregateEntry(mbr=child.mbr, count=child.count, node=child)
-        for child in child_nodes
-        if child.mbr is not None
-    ]
-    return AggregateNode(
-        is_leaf=False,
-        entries=entries,
-        mbr=node.mbr,
-        count=sum(child.count for child in child_nodes),
-    )
-
-
-def _empty_node() -> AggregateNode:
-    return AggregateNode(is_leaf=True, entries=[], mbr=None, count=0)
+        if not level:
+            return cls(())
+        while True:
+            level = [
+                (*union_bounds(group), sum(entry[COUNT] for entry in group), tuple(group), None)
+                for group in str_tiles(level, max_entries, center_x_key, center_y_key)
+            ]
+            if len(level) == 1:
+                return cls(level[0][CHILDREN])

@@ -2,11 +2,12 @@
 
 The paper keeps several in-memory R-trees: one over indoor entities
 (S-locations, P-locations, doors) to answer geometric containment queries
-during pre-processing, one over the query S-locations (``RQ`` in Algorithm 4),
-and a COUNT-aggregate variant over moving objects (``RC``).  Each is built
-once, from its whole input, by STR (Sort-Tile-Recursive) bulk loading and is
-never mutated afterwards; :mod:`repro.indexes.aggregate_rtree` builds the
-aggregate variant on top of it.
+during pre-processing, and the two that Algorithm 4 joins, over moving objects
+(``RC``) and over the query S-locations (``RQ``).  Each is built once, from
+its whole input, by STR (Sort-Tile-Recursive) bulk loading and is never
+mutated afterwards.  :mod:`repro.indexes.aggregate_rtree` packs Algorithm 4's
+two trees with this module's tiling (:func:`str_tiles`) and floor-union rule
+(:func:`union_bounds`) straight into count-annotated entries.
 
 The tree stores arbitrary Python objects keyed by their MBR.  Entries on
 different floors are kept apart naturally because cross-floor rectangles never
@@ -16,6 +17,7 @@ extra node visits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -47,34 +49,46 @@ class RTreeNode:
             rects = [e.mbr for e in self.entries]
         else:
             rects = [c.mbr for c in self.children if c.mbr is not None]
-        self.mbr = _union_across_floors(rects) if rects else None
+        self.mbr = Rect(*union_bounds([_box(rect) for rect in rects])) if rects else None
 
 
-def _union_across_floors(rects: Sequence[Rect]) -> Rect:
-    """Union rectangles that may span several floors: the one floor-union rule.
+#: A box as plain floats, ``(xmin, ymin, xmax, ymax, floor)``; the entries of
+#: :mod:`repro.indexes.aggregate_rtree` start with these five fields.
+Bounds = Tuple[float, float, float, float, int]
+
+
+def _box(rect: Rect) -> Bounds:
+    return (rect.xmin, rect.ymin, rect.xmax, rect.ymax, rect.floor)
+
+
+def union_bounds(boxes: Sequence[Sequence]) -> Bounds:
+    """The bounds of boxes (tuples starting ``xmin, ymin, xmax, ymax, floor``)
+    that may span several floors: the one floor-union rule.
 
     The result is only used for pruning, so a floor-agnostic bound (the floor
-    of the first rectangle, planar union of all) is acceptable: it is
-    conservative in x/y, and floor filtering happens at the entry level.
+    of the first box, planar union of all; ``-1`` when the floors differ) is
+    acceptable: it is conservative in x/y, and floor filtering happens at the
+    entry level.
     """
-    if not rects:
+    if not boxes:
         raise ValueError("cannot union an empty rectangle collection")
-    floor = rects[0].floor
-    xmin = min(r.xmin for r in rects)
-    ymin = min(r.ymin for r in rects)
-    xmax = max(r.xmax for r in rects)
-    ymax = max(r.ymax for r in rects)
-    same_floor = all(r.floor == floor for r in rects)
-    return Rect(xmin, ymin, xmax, ymax, floor if same_floor else -1)
+    floor = boxes[0][4]
+    return (
+        min(box[0] for box in boxes),
+        min(box[1] for box in boxes),
+        max(box[2] for box in boxes),
+        max(box[3] for box in boxes),
+        floor if all(box[4] == floor for box in boxes) else -1,
+    )
 
 
 def loose_intersects(a: Optional[Rect], b: Rect) -> bool:
     """Intersection test in which floor ``-1`` (a multi-floor MBR) is a wildcard.
 
-    The one predicate for anything that may be a node MBR — this tree's own
-    searches and the best-first join of two trees alike: the floor-strict
-    :meth:`Rect.intersects` never matches a ``-1`` MBR, which would prune the
-    whole subtree under it.
+    The predicate for anything that may be a node MBR in this tree's own
+    searches (best-first's join applies the same rule to the bound fields of
+    its tuple entries): the floor-strict :meth:`Rect.intersects` never
+    matches a ``-1`` MBR, which would prune the whole subtree under it.
     """
     if a is None:
         return False
@@ -149,8 +163,16 @@ class RTree:
         tree._size = len(entries)
         if not entries:
             return tree
-        leaves = _str_pack_leaves(entries, max_entries)
-        tree._root = _build_upper_levels(leaves, max_entries)
+        nodes = [
+            _packed(RTreeNode(is_leaf=True, entries=group))
+            for group in str_tiles(entries, max_entries, _mbr_x_key, _mbr_y_key)
+        ]
+        while len(nodes) > 1:
+            nodes = [
+                _packed(RTreeNode(is_leaf=False, children=group))
+                for group in str_tiles(nodes, max_entries, _mbr_x_key, _mbr_y_key)
+            ]
+        tree._root = nodes[0]
         return tree
 
     # ------------------------------------------------------------------
@@ -224,56 +246,42 @@ class RTree:
 # ----------------------------------------------------------------------
 # STR packing
 # ----------------------------------------------------------------------
-# The sort keys of an entry or node: the floats of its MBR's ``Rect.center``,
-# computed without building the Point; a node without an MBR sorts first.
-def _x_key(item) -> Tuple[int, float]:
-    mbr = item.mbr
-    return (mbr.floor, (mbr.xmin + mbr.xmax) / 2.0) if mbr else (0, 0.0)
+# The sort keys of a box (a tuple starting ``xmin, ymin, xmax, ymax, floor``):
+# the floats of ``Rect.center``, computed without building the Point.
+def center_x_key(box) -> Tuple[int, float]:
+    return (box[4], (box[0] + box[2]) / 2.0)
 
 
-def _y_key(item) -> float:
-    mbr = item.mbr
-    return (mbr.ymin + mbr.ymax) / 2.0 if mbr else 0.0
+def center_y_key(box) -> float:
+    return (box[1] + box[3]) / 2.0
 
 
-def _str_pack_leaves(entries: List[RTreeEntry], max_entries: int) -> List[RTreeNode]:
-    """Pack leaf nodes with the Sort-Tile-Recursive heuristic."""
-    import math
-
-    entries = sorted(entries, key=_x_key)
-    leaf_count = max(1, math.ceil(len(entries) / max_entries))
-    slice_count = max(1, math.ceil(math.sqrt(leaf_count)))
-    slice_size = max(1, math.ceil(len(entries) / slice_count))
-    leaves: List[RTreeNode] = []
-    for start in range(0, len(entries), slice_size):
-        vertical = sorted(entries[start : start + slice_size], key=_y_key)
-        for leaf_start in range(0, len(vertical), max_entries):
-            node = RTreeNode(
-                is_leaf=True, entries=vertical[leaf_start : leaf_start + max_entries]
-            )
-            node.recompute_mbr()
-            leaves.append(node)
-    return leaves
+def str_tiles(items: Sequence, max_entries: int, x_key, y_key) -> List[list]:
+    """One level of Sort-Tile-Recursive packing: ``items`` in groups of at
+    most ``max_entries``, sorted into vertical slices by ``x_key`` and within
+    a slice by ``y_key`` (both sorts stable).  Every level of every packed tree
+    is grouped by this function.
+    """
+    ordered = sorted(items, key=x_key)
+    group_count = max(1, math.ceil(len(ordered) / max_entries))
+    slice_count = max(1, math.ceil(math.sqrt(group_count)))
+    slice_size = max(1, math.ceil(len(ordered) / slice_count))
+    groups: List[list] = []
+    for start in range(0, len(ordered), slice_size):
+        vertical = sorted(ordered[start : start + slice_size], key=y_key)
+        for group_start in range(0, len(vertical), max_entries):
+            groups.append(vertical[group_start : group_start + max_entries])
+    return groups
 
 
-def _build_upper_levels(nodes: List[RTreeNode], max_entries: int) -> RTreeNode:
-    """Stack packed nodes into upper levels until a single root remains."""
-    import math
+def _mbr_x_key(item) -> Tuple[int, float]:
+    return center_x_key(_box(item.mbr))
 
-    while len(nodes) > 1:
-        nodes = sorted(nodes, key=_x_key)
-        parent_count = max(1, math.ceil(len(nodes) / max_entries))
-        slice_count = max(1, math.ceil(math.sqrt(parent_count)))
-        slice_size = max(1, math.ceil(len(nodes) / slice_count))
-        parents: List[RTreeNode] = []
-        for start in range(0, len(nodes), slice_size):
-            vertical = sorted(nodes[start : start + slice_size], key=_y_key)
-            for parent_start in range(0, len(vertical), max_entries):
-                parent = RTreeNode(
-                    is_leaf=False,
-                    children=vertical[parent_start : parent_start + max_entries],
-                )
-                parent.recompute_mbr()
-                parents.append(parent)
-        nodes = parents
-    return nodes[0]
+
+def _mbr_y_key(item) -> float:
+    return center_y_key(_box(item.mbr))
+
+
+def _packed(node: RTreeNode) -> RTreeNode:
+    node.recompute_mbr()
+    return node

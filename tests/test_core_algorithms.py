@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from repro import DataReductionConfig, EngineConfig, IndoorFlowSystem, QueryEngine, TkPLQuery
 from repro.core import BestFirstTkPLQ, NaiveTkPLQ, NestedLoopTkPLQ
+from repro.core import best_first as best_first_module
+from repro.core.nested_loop import accumulate_flows_over_entries
 from repro.core.query import SearchStats
-from repro.indexes import AggregateEntry
+from repro.indexes.aggregate_rtree import CHILDREN, ITEM
 from repro.synth import build_synthetic_scenario
 
 
@@ -134,6 +137,35 @@ class TestBestFirstEdgeCases:
         assert len(result.ranking) == 2
         assert all(entry.flow == 0.0 for entry in result.ranking)
 
+    def test_fanout_below_four_is_refused_at_construction(self, small_real_scenario):
+        pipeline = cold_pipeline(small_real_scenario)
+        with pytest.raises(ValueError, match="rtree_fanout must be at least 4, got 3"):
+            BestFirstTkPLQ(pipeline, rtree_fanout=3)
+        assert BestFirstTkPLQ(pipeline, rtree_fanout=4).search(
+            small_real_scenario.iupt, whole_span_query(small_real_scenario)
+        ).ranking
+
+    def test_zero_flows_of_a_dropped_rq_subtree_rank_in_id_order(self):
+        """An ``RQ`` of height 3 (20 locations at fanout 4) over a 1.8-s window
+        in which most locations have flow 0: the join drops whole ``RQ``
+        subtrees that no candidate reaches, and their locations still rank in
+        id order among the zeros the heap emits (not ``..., 20, 25, 26, 22,
+        23``)."""
+        scenario = default_synth_scenario()
+        query = TkPLQuery.build(
+            [23, 25, 9, 16, 0, 20, 14, 12, 18, 26, 19, 4, 13, 22, 1, 5, 10, 17, 3, 2],
+            20,
+            886.3,
+            888.1,
+        )
+        best = BestFirstTkPLQ(cold_pipeline(scenario), rtree_fanout=4).search(
+            scenario.iupt, query
+        )
+        naive = NaiveTkPLQ(cold_pipeline(scenario)).search(scenario.iupt, query)
+        assert ranked(best) == ranked(naive)
+        assert [sloc for sloc, _flow in ranked(best)][-5:] == [20, 22, 23, 25, 26]
+        assert best.stats.bound_left <= best.stats.kth_flow == 0.0
+
     def test_single_location_query(self, small_real_scenario):
         scenario = small_real_scenario
         sloc = scenario.slocation_ids()[0]
@@ -159,16 +191,17 @@ def floors_scenario(floors: int):
     )
 
 
-def slocs_under(entry):
-    """Every query S-location below one RQ entry (a leaf entry is its own)."""
-    if entry.is_leaf_entry:
-        return [entry.sloc_id]
-    found, stack = [], [entry.node]
-    while stack:
-        node = stack.pop()
-        found.extend(leaf.item for leaf in node.entries)
-        stack.extend(node.children)
-    return found
+@functools.lru_cache(maxsize=None)
+def default_synth_scenario():
+    return build_synthetic_scenario()
+
+
+def items_under(entry):
+    """Every item below one aggregate-tree entry (a leaf entry is its own):
+    the S-locations under an ``RQ`` entry, the objects under an ``RC`` one."""
+    if entry[CHILDREN] is None:
+        return [entry[ITEM]]
+    return [item for child in entry[CHILDREN] for item in items_under(child)]
 
 
 class TestBestFirstOnEveryBuilding:
@@ -201,46 +234,58 @@ class TestBestFirstOnEveryBuilding:
         nested = NestedLoopTkPLQ(cold_pipeline(scenario)).search(scenario.iupt, query)
         best_first = BestFirstTkPLQ(cold_pipeline(scenario), rtree_fanout=fanout)
         pushed = []
-        push = best_first._push
-        best_first._push = lambda heap, counter, item: (
-            pushed.append(item),
-            push(heap, counter, item),
-        )
-        best = best_first.search(scenario.iupt, query)
+        push = best_first_module._push
+
+        def recording(heap, order, entry, bound, join_list):
+            pushed.append((bound, entry))
+            push(heap, order, entry, bound, join_list)
+
+        with mock.patch.object(best_first_module, "_push", recording):
+            best = best_first.search(scenario.iupt, query)
 
         assert ranked(best) == ranked(nested) == ranked(naive)
         assert pushed
-        for item in pushed:
-            for sloc_id in slocs_under(item.entry):
-                assert item.bound >= naive.flows[sloc_id], (sloc_id, item)
+        for bound, entry in pushed:
+            for sloc_id in items_under(entry):
+                assert bound >= naive.flows[sloc_id], (sloc_id, bound, entry)
 
     def test_object_spanning_two_floors_is_inserted_per_floor_and_counted_once(
         self, small_synth_scenario
     ):
-        """``_psl_mbrs`` emits one MBR per floor, so such an object sits in RC
-        twice — that only loosens a bound (counted per floor); the exact flow
-        de-duplicates by object id."""
+        """``_psl_bounds`` emits one MBR per floor, so such an object sits in RC
+        twice — that only loosens a bound (counted per floor); a location's
+        exact flow sums each object that can reach it once."""
         scenario = small_synth_scenario
         pipeline = cold_pipeline(scenario)
-        plan = scenario.system.graph.plan
+        graph = scenario.system.graph
         slocs = scenario.slocation_ids()
         stats = SearchStats()
         ctx = pipeline.context((scenario.start_time, scenario.end_time), set(slocs), stats=stats)
-        sequences = pipeline.fetch.run(ctx, scenario.iupt)
-        spanning = {}
-        for object_id, stored in pipeline.presences(ctx, sequences, build_paths=False):
-            mbrs = BestFirstTkPLQ._psl_mbrs(plan, stored.psls)
-            assert len(mbrs) == len({mbr.floor for mbr in mbrs})  # one per floor
-            if len(mbrs) == 2:
-                spanning[object_id] = (stored, mbrs)
-        assert spanning, "the fixture has no object whose PSLs span both floors"
-        object_id, (stored, mbrs) = sorted(spanning.items())[0]
-        sloc_id = sorted(stored.psls)[0]
-        cell_id = scenario.system.graph.parent_cell(sloc_id)
-        per_floor = [AggregateEntry(mbr=mbr, count=1, node=None, item=object_id) for mbr in mbrs]
+        entries = pipeline.presences(
+            ctx, pipeline.fetch.run(ctx, scenario.iupt), build_paths=False
+        )
         best_first = BestFirstTkPLQ(pipeline)
+        objects, reachers = best_first._build_rc(entries, set(slocs))
+        in_rc = [object_id for entry in objects for object_id in items_under(entry)]
+        spanning = {}
+        for object_id, stored in entries:
+            if stored.pruned:
+                continue
+            bounds = BestFirstTkPLQ._psl_bounds(graph.plan.slocations, stored.psls)
+            assert len(bounds) == len({floor for *_box, floor in bounds})  # one per floor
+            assert in_rc.count(object_id) == len(bounds)
+            if len(bounds) == 2:
+                spanning[object_id] = stored
+        assert spanning, "the fixture has no object whose PSLs span both floors"
+        object_id, stored = sorted(spanning.items())[0]
+        sloc_id = sorted(stored.psls)[0]
+        cell_id = graph.parent_cell(sloc_id)
+        reaching = [reacher for reacher, _stored in reachers[sloc_id]]
+        assert reaching.count(object_id) == 1 and reaching == sorted(reaching)
         before = stats.flow_evaluations
-        twice = best_first._exact_flow(ctx, per_floor, {object_id: stored}, cell_id, stats)
-        assert stats.flow_evaluations == before + 1
-        once = best_first._exact_flow(ctx, per_floor[:1], {object_id: stored}, cell_id, stats)
-        assert twice == once <= 1.0
+        flow = best_first._exact_flow(ctx, reachers[sloc_id], cell_id, stats)
+        assert stats.flow_evaluations == before + len(reaching)
+        folded = accumulate_flows_over_entries(
+            entries, [sloc_id], {sloc_id: cell_id}, SearchStats()
+        )
+        assert flow == folded[sloc_id] <= len(reaching)

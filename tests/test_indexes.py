@@ -15,6 +15,7 @@ from repro.indexes import (
     OneDimensionalRTree,
     RTree,
 )
+from repro.indexes.aggregate_rtree import CHILDREN, COUNT, ITEM
 
 
 def _random_rects(count: int, seed: int = 3):
@@ -28,9 +29,15 @@ def _random_rects(count: int, seed: int = 3):
 
 def _items_under(entry):
     """Every payload below one aggregate-tree entry (a leaf entry is its own)."""
-    if entry.is_leaf_entry:
-        return [entry.item]
-    return [item for child in entry.node.entries for item in _items_under(child)]
+    if entry[CHILDREN] is None:
+        return [entry[ITEM]]
+    return [item for child in entry[CHILDREN] for item in _items_under(child)]
+
+
+def _bounds(rects):
+    """``(Rect, item)`` pairs as the ``(xmin, ymin, xmax, ymax, floor, item)``
+    bounds :meth:`CountAggregateRTree.build` packs."""
+    return [(r.xmin, r.ymin, r.xmax, r.ymax, r.floor, item) for r, item in rects]
 
 
 UNSORTED = [(3.0, "a"), (1.0, "b"), (2.0, "c"), (1.0, "d")]
@@ -101,24 +108,67 @@ class TestRTree:
 
 class TestCountAggregateRTree:
     def test_counts_match_subtrees(self):
-        tree = CountAggregateRTree.build(_random_rects(60, seed=4), max_entries=4)
-        assert tree.root.count == 60
-        root_entries = tree.root_entries()
-        assert sum(entry.count for entry in root_entries) == 60
+        tree = CountAggregateRTree.build(_bounds(_random_rects(60, seed=4)), max_entries=4)
+        assert tree.count == 60
+        root_entries = tree.root_entries
+        assert sum(entry[COUNT] for entry in root_entries) == 60
         for entry in root_entries:
-            assert len(_items_under(entry)) == entry.count
+            assert len(_items_under(entry)) == entry[COUNT]
         assert sorted(item for e in root_entries for item in _items_under(e)) == list(range(60))
 
     def test_empty_tree(self):
         tree = CountAggregateRTree.build([])
-        assert tree.root.count == 0
-        assert tree.root_entries() == []
+        assert tree.count == 0
+        assert tree.root_entries == ()
 
     def test_leaf_entries_have_count_one(self):
-        tree = CountAggregateRTree.build(_random_rects(3), max_entries=4)
-        for entry in tree.root_entries():
-            assert entry.count == 1
-            assert entry.is_leaf_entry
+        tree = CountAggregateRTree.build(_bounds(_random_rects(3)), max_entries=4)
+        for entry in tree.root_entries:
+            assert entry[COUNT] == 1
+            assert entry[CHILDREN] is None
+
+    def test_fanout_below_four_is_refused(self):
+        with pytest.raises(ValueError, match="at least 4"):
+            CountAggregateRTree.build(_bounds(_random_rects(9)), max_entries=3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.integers(min_value=0, max_value=150),
+        floors=st.integers(min_value=1, max_value=3),
+        fanout=st.sampled_from((4, 8)),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_packs_the_shape_rtree_bulk_load_packs(self, count, floors, fanout, seed):
+        """Packed straight into count-annotated entries, the tree has the
+        nodes, order and bounds (floor -1 on a node spanning floors) that
+        ``RTree.bulk_load`` gives the same rectangles — Algorithm 4's heap
+        order depends on it."""
+        rng = random.Random(seed)
+        items = []
+        for index in range(count):
+            x, y = rng.choice((0.0, 10.0, rng.uniform(0, 100))), rng.uniform(0, 100)
+            rect = Rect(x, y, x + rng.choice((0.0, 10.0, rng.uniform(0.5, 30))), y + 5.0,
+                        rng.randrange(floors))
+            items.append((rect, index))
+
+        def box(rect):
+            return (rect.xmin, rect.ymin, rect.xmax, rect.ymax, rect.floor)
+
+        def rtree_shape(node):
+            if node.is_leaf:
+                return [(box(entry.mbr), entry.item) for entry in node.entries]
+            return [(box(child.mbr), rtree_shape(child)) for child in node.children]
+
+        def aggregate_shape(entries):
+            return [
+                (entry[:5], aggregate_shape(entry[CHILDREN]) if entry[CHILDREN] else entry[ITEM])
+                for entry in entries
+            ]
+
+        rtree = RTree.bulk_load(items, max_entries=fanout)
+        tree = CountAggregateRTree.build(_bounds(items), max_entries=fanout)
+        assert aggregate_shape(tree.root_entries) == rtree_shape(rtree.root)
+        assert tree.count == count
 
 
 class TestOneDimensionalRTree:

@@ -158,6 +158,14 @@ GONE = [
     (30, "importable-modules", importlib.util.find_spec, "repro.data.iupt"),
     _text(30, "iupt.store data_key_for RecordStore", ""),
     (34, "def:space/matrix.py", _defined("space/matrix.py").__contains__, "_links"),
+    (35, "def:core/best_first.py", _defined("core/best_first.py").__contains__,
+     "_QueryEntry _HeapItem _join_and_push _expand_join_list _entries_of_node _psl_mbrs"),
+    (35, "def:indexes/aggregate_rtree.py", _defined("indexes/aggregate_rtree.py").__contains__,
+     "AggregateNode _convert _empty_node"),
+    (35, "def:indexes/rtree.py", _defined("indexes/rtree.py").__contains__,
+     "_str_pack_leaves _build_upper_levels _union_across_floors"),
+    *_members(35, "AggregateNode", repro.indexes),
+    _text(35, "Rect RTree loose_intersects", "core/best_first.py"),
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)

@@ -271,25 +271,16 @@ def test_two_threads_on_one_warm_key():
 class TestDerivedState:
     @pytest.fixture()
     def builds(self, monkeypatch):
-        """Count the bulk loads of ``RC`` and ``RQ``."""
+        """Count the builds of ``RC`` and ``RQ``."""
         counts = {"RC": 0, "RQ": 0}
-        build = best_first.CountAggregateRTree.build
-        bulk_load = best_first.RTree.bulk_load
+        for name in counts:
+            method = getattr(best_first.BestFirstTkPLQ, f"_build_{name.lower()}")
 
-        def counted_build(*args, **kwargs):
-            counts["RC"] += 1
-            return build(*args, **kwargs)
+            def counted(*args, _name=name, _method=method, **kwargs):
+                counts[_name] += 1
+                return _method(*args, **kwargs)
 
-        def counted_bulk_load(*args, **kwargs):
-            counts["RQ"] += 1
-            return bulk_load(*args, **kwargs)
-
-        monkeypatch.setattr(
-            best_first.CountAggregateRTree, "build", staticmethod(counted_build)
-        )
-        monkeypatch.setattr(
-            best_first.RTree, "bulk_load", staticmethod(counted_bulk_load)
-        )
+            monkeypatch.setattr(best_first.BestFirstTkPLQ, f"_build_{name.lower()}", counted)
         return counts
 
     def test_a_warm_query_builds_no_tree_and_a_reset_forgets_them(self, builds):
@@ -297,7 +288,7 @@ class TestDerivedState:
         slocs, (start, end) = QUERY_SETS[0], WINDOWS[0]
         engine.top_k(table, slocs, 2, start, end)
         cold = dict(builds)
-        assert cold["RC"] >= 1 and cold["RQ"] >= 1
+        assert cold == {"RC": 1, "RQ": 1}
         engine.top_k(table, slocs, 3, start, end)  # another k: same trees
         engine.flows(table, slocs, start, end)  # another op on the same key
         engine.top_k(table, slocs, 1, start, end)
