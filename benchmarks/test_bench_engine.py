@@ -9,7 +9,8 @@ across commits (the CI smoke-benchmark job uploads the file as an artifact):
   behaviour of independent ``top_k`` calls);
 * ``warm_store`` — one long-lived engine answering the stream twice; the
   second pass is measured (cross-query presence-store hits);
-* ``batched`` — one pass through the :class:`~repro.engine.batch.BatchPlanner`.
+* ``batched`` — one ``QueryEngine.batch`` call, whose queries over one window
+  share that window's presence-store entry.
 
 The benchmark also asserts the acceptance property of the engine refactor:
 batched evaluation of the overlapping stream is measurably faster than the

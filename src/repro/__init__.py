@@ -45,7 +45,6 @@ from .core import (
 from .data import IUPT, PositioningRecord, Sample, SampleSet, Trajectory, TrajectoryStore
 from .engine import (
     ALGORITHMS,
-    BatchPlanner,
     BatchReport,
     CacheStats,
     ContinuousQueryEngine,
@@ -96,7 +95,6 @@ __version__ = "15.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "BatchPlanner",
     "BatchReport",
     "BestFirstTkPLQ",
     "CacheStats",

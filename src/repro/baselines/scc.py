@@ -60,10 +60,6 @@ class SemiConstrainedCounting:
             mapping[sloc.sloc_id] = readers
         return mapping
 
-    def readers_of(self, sloc_id: int) -> Set[int]:
-        """The readers associated with one S-location (exposed for tests)."""
-        return set(self._readers_by_slocation.get(sloc_id, set()))
-
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------

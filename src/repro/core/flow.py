@@ -75,21 +75,3 @@ class FlowComputer:
             stats.path_stats.candidate_paths += candidate_path_count(sequence)
             stats.path_stats.valid_paths += computation.tail_states
         return computation
-
-    def object_presence(
-        self,
-        sequence: Sequence[SampleSet],
-        sloc_id: int,
-        reduce_first: bool = True,
-    ) -> float:
-        """Φ(q, o) for a raw per-object sequence (convenience for tests/examples)."""
-        cell_id = self._graph.parent_cell(sloc_id)
-        if cell_id is None:
-            return 0.0
-        working: Sequence[SampleSet] = sequence
-        if reduce_first:
-            reduced = self._reducer.reduce(sequence, {sloc_id})
-            if reduced.pruned:
-                return 0.0
-            working = reduced.sequence
-        return self.presence_computation(working).presence_in_cell(cell_id)

@@ -2,7 +2,8 @@
 
 The naive algorithm simply calls the single-location flow computation
 (Algorithm 2) once per query S-location and ranks the results.  It is correct
-but repeats work: an object that contributes to several query locations has
+but repeats work: on an engine without a presence store (what the paper's
+experiments run), an object that contributes to several query locations has
 its samples reduced and its possible paths constructed once *per location*.
 The nested-loop and best-first algorithms remove exactly this redundancy.
 """
@@ -34,10 +35,9 @@ class NaiveTkPLQ:
 
         flows: Dict[int, float] = {}
         for sloc_id in query.query_slocations:
-            # Deliberately no sharing between locations: every call
-            # re-reduces and re-constructs the paths of every relevant
-            # object.  (The pipeline's cross-query store keys by location
-            # set, so distinct locations never share work there either.)
+            # Each call reads the objects that may have visited its
+            # location; only a presence store (one entry per window) lets a
+            # later call reuse what an earlier one built.
             ctx = self._pipeline.context(
                 query.interval, frozenset({sloc_id}), stats=stats
             )

@@ -8,15 +8,16 @@ against those shared paths.  The per-object local scores are aggregated into
 global flows and the top-k is obtained by a full ranking.
 
 That scoring is :func:`accumulate_flows_over_entries`, the one fold of
-per-object presences into flows: the nested-loop algorithm, the batch
-planner, ``QueryEngine.flows`` and both kinds of standing query sum the same
-presences in the same (fetch) order through it, which is what makes their
-answers equal bit for bit.  :func:`score_query_over_entries` is that fold
-plus the ranking of one query.
+per-object presences into flows: the nested-loop algorithm,
+``QueryEngine.batch``, ``QueryEngine.flows`` and both kinds of standing
+query sum the same presences in the same (fetch) order through it, which is
+what makes their answers equal bit for bit.
+:func:`score_query_over_entries` is that fold plus the ranking of one query.
 
 The per-object work (reduce → path construction) runs through the staged
 pipeline it is given, so it transparently benefits from the cross-query
-presence store of the owning :class:`~repro.engine.runtime.QueryEngine`.
+presence store of the owning :class:`~repro.engine.runtime.QueryEngine`,
+whose one entry per window serves every query set.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (core never imports the engi
     from ..engine.cache import StoredPresence
     from ..engine.stages import QueryPipeline
 
-#: The ``algorithm`` label of a query answered by the batch planner.
+#: The ``algorithm`` label of a query answered by ``QueryEngine.batch``.
 BATCH_ALGORITHM = "batched-nested-loop"
 
 
@@ -45,9 +46,11 @@ def accumulate_flows_over_entries(
     """Sum per-location flows over per-object artefacts, in entry order.
 
     Only the locations an object may have visited (its PSLs) are evaluated;
-    every other location receives zero presence from it.  An S-location in
-    an artefact's PSLs always has a parent cell: the graph's ``C2S`` only
-    holds S-locations that have one.
+    every other location receives zero presence from it, so an object whose
+    PSLs miss every location — one PSL pruning rules out — is read not at
+    all, and its presences need not exist.  An S-location in an artefact's
+    PSLs always has a parent cell: the graph's ``C2S`` only holds
+    S-locations that have one.
 
     ``kernel`` selects nothing: ``bench/`` passes
     ``EngineConfig.resolved_scoring_kernel`` by keyword, so the keyword is
@@ -59,8 +62,6 @@ def accumulate_flows_over_entries(
         )
     flows: Dict[int, float] = {sloc_id: 0.0 for sloc_id in sloc_ids}
     for _object_id, entry in entries:
-        if entry.pruned:
-            continue
         for sloc_id in sloc_ids:
             if sloc_id in entry.psls:
                 stats.flow_evaluations += 1

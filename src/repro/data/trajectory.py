@@ -64,14 +64,6 @@ class Trajectory:
         """The trajectory points whose timestamps fall in ``[start, end]``."""
         return [p for p in self._points if start <= p.timestamp <= end]
 
-    def partitions_visited(self, start: float, end: float) -> Set[int]:
-        """The ids of partitions truly visited during ``[start, end]``."""
-        return {
-            p.partition_id
-            for p in self.points_in(start, end)
-            if p.partition_id is not None
-        }
-
     def slocations_visited(
         self, plan: FloorPlan, start: float, end: float
     ) -> Set[int]:

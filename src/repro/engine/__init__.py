@@ -1,19 +1,20 @@
-"""The execution-engine layer: staged pipeline, caching, batching.
+"""The execution-engine layer: staged pipeline, caching, standing queries.
 
 This package turns the core algorithms into an explicit execution engine:
 
 * :mod:`~repro.engine.config` — :class:`EngineConfig`, the engine's one knob;
 * :mod:`~repro.engine.context` — :class:`ExecutionContext`, per-query state;
 * :mod:`~repro.engine.cache` — :class:`PresenceStore`, the cross-query LRU
-  cache of per-window presence artefacts;
+  cache of per-window presence artefacts, one entry per window and table
+  version whatever the query set;
 * :mod:`~repro.engine.stages` — the composable pipeline stages
   (fetch → reduce → paths → presence) and :class:`QueryPipeline`;
-* :mod:`~repro.engine.batch` — :class:`BatchPlanner`, many queries per pass;
 * :mod:`~repro.engine.continuous` — :class:`ContinuousQueryEngine`,
   incrementally maintained standing queries over streaming ingestion;
 * :mod:`~repro.engine.runtime` — :class:`QueryEngine`, the facade every
   entry point goes through (:class:`~repro.system.IndoorFlowSystem` is its
-  subclass built from a floor plan).
+  subclass built from a floor plan), and :class:`BatchReport`, what its
+  ``batch`` returns.
 
 The fold that scores presences into flows is not here:
 :func:`~repro.core.nested_loop.accumulate_flows_over_entries` and
@@ -21,12 +22,7 @@ The fold that scores presences into flows is not here:
 Algorithm 3, which scores with them too.
 """
 
-from .batch import (
-    BATCH_ALGORITHM,
-    BatchPlanner,
-    BatchReport,
-    score_query_over_entries,
-)
+from ..core.nested_loop import BATCH_ALGORITHM, score_query_over_entries
 from .cache import CacheStats, PresenceStore, StoredPresence
 from .config import EngineConfig
 from .context import ExecutionContext
@@ -36,7 +32,7 @@ from .continuous import (
     Subscription,
     SubscriptionStats,
 )
-from .runtime import ALGORITHMS, QueryEngine
+from .runtime import ALGORITHMS, BatchReport, QueryEngine
 from .stages import (
     FetchStage,
     PathStage,
@@ -48,7 +44,6 @@ from .stages import (
 __all__ = [
     "ALGORITHMS",
     "BATCH_ALGORITHM",
-    "BatchPlanner",
     "BatchReport",
     "CacheStats",
     "CONTINUOUS_ALGORITHM",

@@ -1,33 +1,34 @@
 """The cross-query presence store.
 
 The :class:`PresenceStore` shares per-object work within one query (the
-"intermediate result sharing" of Section 4.1) and *across* queries.  Its unit
-is the **window**: one entry, keyed by
+"intermediate result sharing" of Section 4.1), across queries and across
+query sets.  Its unit is the **window**: one entry, keyed by
 
-    ``((start, end), frozenset(query_slocations), data_key)``
+    ``((start, end), data_key)``
 
-holds everything Algorithms 2-4 derive from those three ingredients before a
+holds everything Algorithms 2-4 derive from those two ingredients before a
 single location is scored — a :class:`WindowPresences` with the per-object
 :class:`StoredPresence` artefacts of every object reporting in the window, in
 fetch order, plus a ``derived`` dict in which the best-first algorithm keeps
 what it packs from them: ``RC`` (the COUNT-aggregate tree's root entries, and
-per query location the objects whose PSLs contain it) per fanout, and one
-``RQ`` (the query tree's root entries and the locations' parent cells) per
-fanout and query tuple — float bounds and lists, no ``Rect``.  A warm query
-therefore takes one lock and one dictionary probe, never touches the table,
-and does only the work that depends on the request itself (the join, the
-heap, the exact flows it sums, the ranking).  ``derived`` lives and dies with
-its entry; nothing in it is an answer.
+per S-location the objects whose PSLs contain it) per fanout — float bounds
+and lists, no ``Rect``.  A warm query therefore takes one lock and one
+dictionary probe, never touches the table, and does only the work that
+depends on the request itself (which artefacts it reads, the presences of
+those still missing, ``RQ``, the join, the heap, the exact flows it sums, the
+ranking).  ``derived`` lives and dies with its entry; nothing in it is an
+answer.
 
-All three key ingredients determine the artefacts: the window fixes which
-reports enter each object's sequence, the query S-location set fixes the
-outcome of the query-dependent data reduction (Algorithm 1 prunes an object
-exactly when its possible semantic locations miss the query set), and the
-``data_key`` — the identity-and-version token of the table state the window
-reads (:meth:`~repro.storage.sharded.ShardedRecordStore.version_token`) —
-pins the state of the underlying storage, so streaming new reports in (or
-querying a different table through the same engine) can never be answered
-from stale artefacts.
+Both key ingredients determine the artefacts: the window fixes which reports
+enter each object's sequence, and the ``data_key`` — the identity-and-version
+token of the table state the window reads
+(:meth:`~repro.storage.sharded.ShardedRecordStore.version_token`) — pins the
+state of the underlying storage, so streaming new reports in (or querying a
+different table through the same engine) can never be answered from stale
+artefacts.  The query set is not part of the key: Algorithm 1's merges and an
+object's PSLs do not depend on it, and its one query-dependent test (PSL
+pruning: the PSLs miss the query set) is taken by each query as it reads the
+entry (:class:`~repro.engine.stages.QueryPipeline`).
 The token is *window-scoped*: it enumerates the versions of only the shards
 the window overlaps, so a freshly ingested batch invalidates exactly the
 entries whose windows read a touched shard and leaves every other entry
@@ -48,7 +49,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.presence import PresenceComputation
 from ..data.records import SampleSet
@@ -58,34 +59,38 @@ from ..data.records import SampleSet
 #: ``version_token``.
 DataKey = Tuple
 
-#: Cache key: (window, query-set key, data identity/version).
-WindowKey = Tuple[Tuple[float, float], Optional[FrozenSet[int]], Optional[DataKey]]
+#: Cache key: (window, data identity/version).
+WindowKey = Tuple[Tuple[float, float], Optional[DataKey]]
 
 
 @dataclass
 class StoredPresence:
     """The per-object artefact cached by the store.
 
-    The reduction result (``psls``, ``sequence``, ``pruned``) is always
-    present; ``computation`` — the per-cell presences — is filled in
-    lazily because the best-first algorithm reduces every object but only
-    computes them for the candidates its guided join actually visits.
+    The reduction result (``psls``, ``sequence``) is always present;
+    ``computation`` — the per-cell presences — is filled in lazily, only for
+    the objects whose PSLs meet a query that reads them (and the best-first
+    algorithm only for the candidates its guided join actually sums).
+    ``pruned`` is always ``False`` in the store, whose artefacts no query set
+    prunes; the field is kept only because ``bench/``'s staged replay (which
+    builds artefacts against one query set), ``PresenceMatrix`` and
+    ``tests/best_first_oracle.py`` spell it.
     """
 
     psls: FrozenSet[int]
     sequence: Tuple[SampleSet, ...]
-    pruned: bool
+    pruned: bool = False
     computation: Optional[PresenceComputation] = None
 
 
 @dataclass
 class WindowPresences:
-    """One store entry: every object of one window under one query set.
+    """One store entry: every object of one window at one table version.
 
     ``entries`` is the ``(object_id, artefact)`` list in fetch order (ascending
-    object id, pruned objects included — the order every flow accumulation
+    object id, every object of the window — the order every flow accumulation
     sums in); ``derived`` holds what an algorithm builds from exactly these
-    artefacts and wants to find again (best-first's ``RC`` and ``RQ``).
+    artefacts and wants to find again (best-first's ``RC``).
     Readers share the entry: artefacts gain their lazily deferred
     ``computation`` in place, and nothing else about an entry ever changes.
     """
@@ -156,28 +161,18 @@ class PresenceStore:
         return len(self._windows)
 
     @staticmethod
-    def _key(
-        window: Tuple[float, float],
-        query_slocations: Optional[Iterable[int]],
-        data_key: Optional[DataKey],
-    ) -> WindowKey:
-        """``query_slocations=None`` (reduction without PSL pruning) is a
-        distinct key from any concrete query set."""
-        qkey = None if query_slocations is None else frozenset(query_slocations)
-        return ((float(window[0]), float(window[1])), qkey, data_key)
+    def _key(window: Tuple[float, float], data_key: Optional[DataKey]) -> WindowKey:
+        return ((float(window[0]), float(window[1])), data_key)
 
     def get(
-        self,
-        window: Tuple[float, float],
-        query_slocations: Optional[Iterable[int]],
-        data_key: Optional[DataKey] = None,
+        self, window: Tuple[float, float], data_key: Optional[DataKey] = None
     ) -> Optional[WindowPresences]:
         """The stored window (one hit per artefact it holds), or ``None``.
 
         A ``None`` counts nothing yet: how many objects were missed is only
         known once the caller has fetched them, so :meth:`put` counts them.
         """
-        key = self._key(window, query_slocations, data_key)
+        key = self._key(window, data_key)
         with self._lock:
             entry = self._windows.get(key)
             if entry is not None:
@@ -188,7 +183,6 @@ class PresenceStore:
     def put(
         self,
         window: Tuple[float, float],
-        query_slocations: Optional[Iterable[int]],
         entry: WindowPresences,
         data_key: Optional[DataKey] = None,
         carried: int = 0,
@@ -201,7 +195,7 @@ class PresenceStore:
         They count as ``rekeys`` and hits; the rest are the misses of the
         lookup that led here.
         """
-        key = self._key(window, query_slocations, data_key)
+        key = self._key(window, data_key)
         size = len(entry.entries)
         with self._lock:
             replaced = self._windows.pop(key, None)
@@ -219,13 +213,10 @@ class PresenceStore:
                 self.stats.evictions += len(dropped.entries)
 
     def pop(
-        self,
-        window: Tuple[float, float],
-        query_slocations: Optional[Iterable[int]],
-        data_key: Optional[DataKey] = None,
+        self, window: Tuple[float, float], data_key: Optional[DataKey] = None
     ) -> Optional[WindowPresences]:
         """Remove and return a window whose token was superseded (no stats)."""
-        key = self._key(window, query_slocations, data_key)
+        key = self._key(window, data_key)
         with self._lock:
             entry = self._windows.pop(key, None)
             if entry is not None:

@@ -1,11 +1,11 @@
 """Execution context threading state through the pipeline stages.
 
-An :class:`ExecutionContext` is created once per query (or per batch group)
-and handed to every stage.  It carries what a stage may need besides its
-input: the mutable :class:`~repro.core.query.SearchStats` the caller wants
-populated, and the identity of the computation — the query window, the query
-S-location set, and the data version — which together form the cache key
-space of the cross-query :class:`~repro.engine.cache.PresenceStore`.
+An :class:`ExecutionContext` is created once per query and handed to every
+stage.  It carries what a stage may need besides its input: the mutable
+:class:`~repro.core.query.SearchStats` the caller wants populated, the query
+window and the data version — which together form the key of the cross-query
+:class:`~repro.engine.cache.PresenceStore` — and the query S-location set,
+which only decides which of the window's artefacts the query reads.
 """
 
 from __future__ import annotations
@@ -29,16 +29,16 @@ class ExecutionContext:
     window:
         The query interval ``(start, end)``.
     query_key:
-        The query S-location set driving the (query-dependent) data
-        reduction, or ``None`` when PSL pruning is disabled for this run.
+        The query S-location set: the query reads only the artefacts whose
+        PSLs meet it (Algorithm 1's PSL pruning, taken per query), or every
+        artefact when it is ``None`` — PSL pruning disabled for this run.
     stats:
         The efficiency counters every stage reports into.
     store:
         The cross-query presence store, or ``None`` when caching is off.
     use_store:
         Per-context override letting a caller bypass the store without
-        reconfiguring the engine (the naive algorithm's per-location flow
-        calls stay cacheable, but e.g. ground-truth checks can opt out).
+        reconfiguring the engine (e.g. ``bench/``'s staged replay opts out).
     data_key:
         The :meth:`~repro.storage.sharded.ShardedRecordStore.version_token`
         of the table state this query's window reads; set by :meth:`pin` and

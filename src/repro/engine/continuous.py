@@ -29,7 +29,10 @@ versioning was built to avoid.  This module closes the loop:
      — their visible sequences are unchanged, so the artefacts are still
      valid — and recomputing only touched objects.  A batch that shares a
      shard with the window but touched *nobody* in it carries the whole
-     entry over and keeps the standing result: no fetch, no scoring;
+     entry over and keeps the standing result: no fetch, no scoring.  The
+     entry is the window's, whatever the query set: standing queries over
+     one window share it, the first to refresh builds the new token's entry
+     and the others are served from it;
   3. the flows are re-accumulated over all per-object artefacts in fetch
      order and the top-k ranking is repaired from them, which keeps every
      refreshed result **bit-identical** to a fresh engine's full recompute
@@ -60,7 +63,6 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -150,7 +152,6 @@ class Subscription:
         #: The change hook (see :data:`ChangeCallback`); the maintenance
         #: engine reads it at fire time, under the store lock.
         self.on_change: Optional[ChangeCallback] = None
-        self.query_key: FrozenSet[int] = frozenset(sloc_ids)
         self.stats = SubscriptionStats()
         self._result: Optional[object] = None
         self._error: Optional[EvictedRangeError] = None
@@ -510,20 +511,22 @@ class ContinuousQueryEngine:
         one.  When nobody was touched the entry (its derived trees included)
         moves to the new token as it is and the standing result, computed
         from exactly these artefacts, stands.  Without a receipt (a store
-        reset) nothing is carried over.
+        reset) nothing is carried over.  When another standing query over the
+        same window refreshed first, the superseded entry is gone and the new
+        one is served from the store.
         """
         began = time.perf_counter()
-        window, query_key = subscription.window, subscription.query_key
+        window = subscription.window
         store = self._engine.store
         previous = None
         if store is not None and subscription._data_key is not None:
-            previous = store.pop(window, query_key, subscription._data_key)
+            previous = store.pop(window, subscription._data_key)
         carry: Dict[int, "StoredPresence"] = {}
         if previous is not None and receipt is not None:
             touched = receipt.objects_overlapping(*window)
             if not touched:
                 carried = previous.objects_total
-                store.put(window, query_key, previous, new_key, carried=carried)
+                store.put(window, previous, new_key, carried=carried)
                 subscription._data_key = new_key
                 subscription.stats.refreshes += 1
                 subscription.stats.objects_rekeyed += carried
@@ -554,7 +557,7 @@ class ContinuousQueryEngine:
         """
         began = time.perf_counter()
         pipeline = self._engine.pipeline
-        ctx = pipeline.context(subscription.window, subscription.query_key)
+        ctx = pipeline.context(subscription.window, subscription.sloc_ids)
         ctx.pinned_data_key = pinned_key
         entries = pipeline.window(ctx, self._iupt, carry=carry).entries
 

@@ -9,8 +9,8 @@ layer every entry point goes through:
 * :meth:`flow` / :meth:`flows` — Algorithm 2 through the staged pipeline;
 * :meth:`search` / :meth:`top_k` — the naive, nested-loop and best-first
   algorithms, sharing the engine's store;
-* :meth:`batch` / :meth:`batch_top_k` — many queries in one pass through the
-  :class:`~repro.engine.batch.BatchPlanner`;
+* :meth:`batch` / :meth:`batch_top_k` — many queries, those over one window
+  sharing its store entry;
 * :meth:`cache_stats` / :meth:`reset_cache` — cache introspection.
 
 :class:`~repro.system.IndoorFlowSystem` *is* one of these, built from a
@@ -19,24 +19,48 @@ floor plan instead of a graph and a matrix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import time
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.best_first import BestFirstTkPLQ
 from ..core.flow import FlowComputer, FlowResult
 from ..core.naive import NaiveTkPLQ
-from ..core.nested_loop import NestedLoopTkPLQ
+from ..core.nested_loop import NestedLoopTkPLQ, score_query_over_entries
 from ..core.query import SearchStats, TkPLQResult, TkPLQuery
 from ..core.reduction import DataReductionConfig
 from ..space.graph import IndoorSpaceLocationGraph
 from ..space.matrix import IndoorLocationMatrix
 from ..storage.sharded import ShardedRecordStore
-from .batch import BatchPlanner, BatchReport
 from .cache import PresenceStore
 from .config import EngineConfig
 from .continuous import ContinuousQueryEngine
 from .stages import QueryPipeline
 
 ALGORITHMS = ("naive", "nested-loop", "best-first")
+
+
+@dataclass
+class BatchReport:
+    """The outcome of one batched run: per-query results plus shared-work totals.
+
+    ``groups`` is how many distinct windows the batch read.  ``shared_stats``
+    aggregates the fetch/reduce/path work of every window; its
+    ``objects_total`` is the *sum* of the per-window object populations (an
+    object reported in two windows counts twice, matching how much
+    fetch-and-reduce work the batch actually performed).
+    """
+
+    results: List[TkPLQResult]
+    groups: int
+    shared_stats: SearchStats = field(default_factory=SearchStats)
+    elapsed_seconds: float = 0.0
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def rankings(self) -> List[List[int]]:
+        return [result.top_k_ids() for result in self.results]
 
 
 class QueryEngine:
@@ -59,7 +83,6 @@ class QueryEngine:
         self.pipeline = QueryPipeline(
             self.flow_computer, store=self.store, config=self.config
         )
-        self.planner = BatchPlanner(self.pipeline)
         self._algorithms = {
             "naive": NaiveTkPLQ(self.pipeline),
             "nested-loop": NestedLoopTkPLQ(self.pipeline),
@@ -133,8 +156,33 @@ class QueryEngine:
     # Batched evaluation
     # ------------------------------------------------------------------
     def batch(self, iupt: ShardedRecordStore, queries: Sequence[TkPLQuery]) -> BatchReport:
-        """Answer many queries in one pass, sharing per-object work."""
-        return self.planner.execute(iupt, queries)
+        """Answer many queries, each scored by the nested-loop fold.
+
+        Queries over one window share its store entry: each object is fetched
+        and reduced once, and its presences built once, by the first query
+        that reads it (an uncached engine shares nothing).  The results are
+        ordered like ``queries``; each result's ``stats`` carries its own
+        scoring counters, and the fetch/reduce/path work of the whole batch
+        is reported once in :attr:`BatchReport.shared_stats`.
+        """
+        began = time.perf_counter()
+        graph = self.flow_computer.graph
+        windows: Dict[Tuple[float, float], SearchStats] = {}
+        results: List[TkPLQResult] = []
+        for query in queries:
+            stats = windows.setdefault(query.interval, SearchStats())
+            ctx = self.pipeline.context(query.interval, query.query_slocations, stats=stats)
+            entries = self.pipeline.window(ctx, iupt).entries
+            parent_cells = {
+                sloc_id: graph.parent_cell(sloc_id) for sloc_id in query.query_slocations
+            }
+            results.append(score_query_over_entries(query, entries, parent_cells))
+        shared_stats = SearchStats()
+        for stats in windows.values():
+            shared_stats.merge(stats, same_window=False)
+        return BatchReport(
+            results, len(windows), shared_stats, time.perf_counter() - began
+        )
 
     def batch_top_k(
         self, iupt: ShardedRecordStore, queries: Sequence[TkPLQuery]

@@ -9,24 +9,32 @@ stages, each reporting into the :class:`ExecutionContext` it is given:
   (Equations 1-2, the forward recurrence of :mod:`repro.core.presence`);
 * :class:`PresenceStage` — the composition of the two above, producing the
   per-object :class:`~repro.engine.cache.StoredPresence` artefact shared
-  across query locations, across queries and across batched queries.
+  across query locations, across queries and across query sets.
 
 :class:`QueryPipeline` wires the stages to a
 :class:`~repro.core.flow.FlowComputer` (the home of the reduction and path
 primitives) and an optional presence store.  :meth:`QueryPipeline.window` is
 the one place a query meets the table and the store: the three TkPLQ
-algorithms, ``QueryEngine.flow``/``flows``, the
-:class:`~repro.engine.batch.BatchPlanner` and the continuous-query subsystem
-all ask it for the window's :class:`~repro.engine.cache.WindowPresences` and
-only score what it returns, with the one fold,
+algorithms, ``QueryEngine.flow``/``flows``/``batch`` and the
+continuous-query subsystem all ask it for the window's
+:class:`~repro.engine.cache.WindowPresences` and only score what it returns,
+with the one fold,
 :func:`~repro.core.nested_loop.accumulate_flows_over_entries` (imported here
 because ``bench/`` imports it from this module).
+
+**The query set only picks what a query reads.**  A window's entry holds
+every object of the window, reduced once; Algorithm 1's one query-dependent
+test — PSL pruning, an object's PSLs missing the query set — is taken by each
+query as it reads the entry: a query builds presences for, and sums, only the
+objects whose PSLs meet its ``ctx.query_key`` (every object when PSL pruning
+is off or the key is ``None``).  That is exactly the set the reducer would
+not have pruned, so the sums and their order are unchanged.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.flow import FlowComputer, FlowResult
 from ..core.nested_loop import accumulate_flows_over_entries
@@ -38,6 +46,18 @@ from ..storage.sharded import ShardedRecordStore
 from .cache import PresenceStore, StoredPresence, WindowPresences
 from .config import EngineConfig
 from .context import ExecutionContext
+
+
+def _reads(
+    ctx: ExecutionContext, entries: List[Tuple[int, StoredPresence]]
+) -> List[Tuple[int, StoredPresence]]:
+    """The artefacts ``ctx`` reads, in fetch order: Algorithm 1's PSL pruning,
+    taken per query — those whose PSLs meet ``ctx.query_key``, or all of them
+    when the key is ``None``."""
+    key: Optional[FrozenSet[int]] = ctx.query_key
+    if key is None:
+        return entries
+    return [item for item in entries if not item[1].psls.isdisjoint(key)]
 
 
 class FetchStage:
@@ -61,7 +81,8 @@ class FetchStage:
 
 
 class ReduceStage:
-    """Stage 2: Algorithm 1 (``ReduceData``) against the context's query set."""
+    """Stage 2: Algorithm 1 (``ReduceData``) against the context's query set
+    (which decides only the ``pruned`` flag and its count in the stats)."""
 
     def __init__(self, flow_computer: FlowComputer):
         self._computer = flow_computer
@@ -98,11 +119,13 @@ class PresenceStage:
         sequence: Sequence[SampleSet],
         build_paths: bool = True,
     ) -> StoredPresence:
-        """Reduce one object; ``build_paths=False`` defers its presences."""
+        """Reduce one object; ``build_paths=False`` defers its presences.
+
+        The artefact is the same whatever the query set: it is never
+        ``pruned``, and each query decides whether it reads it.
+        """
         reduced = self._reduce.run(ctx, sequence)
-        entry = StoredPresence(
-            psls=reduced.psls, sequence=reduced.sequence, pruned=reduced.pruned
-        )
+        entry = StoredPresence(psls=reduced.psls, sequence=reduced.sequence)
         return self.build_paths(ctx, object_id, entry) if build_paths else entry
 
     def build_paths(
@@ -113,7 +136,7 @@ class PresenceStage:
         In place: the artefact is shared by its window entry in the store, so
         later queries over that entry skip the path construction too.
         """
-        if not entry.pruned and entry.computation is None:
+        if entry.computation is None:
             entry.computation = self._paths.run(ctx, entry.sequence)
             ctx.stats.note_object_computed(object_id)
         return entry
@@ -174,6 +197,8 @@ class QueryPipeline:
         Every entry point (one-shot, batched, standing) builds its context
         here, so this is where the query set is checked against the indoor
         model: an id the floor plan does not know raises ``ValueError``.
+        With PSL pruning off the context's ``query_key`` is ``None``: the
+        query reads every object of its window.
         """
         query_key = None
         if query_slocations is not None:
@@ -182,6 +207,8 @@ class QueryPipeline:
             unknown = sorted(sloc_id for sloc_id in query_key if sloc_id not in known)
             if unknown:
                 raise ValueError(f"unknown S-location id(s): {unknown}")
+            if not self._computer.reducer.config.psl_pruning:
+                query_key = None
         return ExecutionContext(
             window=(float(window[0]), float(window[1])),
             query_key=query_key,
@@ -207,11 +234,12 @@ class QueryPipeline:
         ``range_query`` does — the version token leaves the watermark out, so
         a stored entry must not outlive retention.  A stored entry is then
         served **without touching the table**; otherwise the window is
-        fetched, every object reduced (and, with ``build_paths``, its
-        presences computed) and the entry stored, once.  ``carry`` hands over
-        artefacts of a superseded token that are known to be still valid (a
-        continuous refresh's untouched objects); they are reused instead of
-        recomputed.
+        fetched, every object reduced and the entry stored, once.  With
+        ``build_paths`` the presences of the objects ``ctx`` reads
+        (:func:`_reads`) that no earlier query built are then computed.
+        ``carry`` hands over artefacts of a superseded token that are known
+        to be still valid (a continuous refresh's untouched objects); they
+        are reused instead of recomputed.
         """
         ctx.pin(iupt)
         check_not_evicted(iupt, ctx.start, ctx.end)
@@ -241,7 +269,7 @@ class QueryPipeline:
         store = ctx.effective_store
         entry = None
         if store is not None:
-            entry = store.get(ctx.window, ctx.query_key, ctx.data_key)
+            entry = store.get(ctx.window, ctx.data_key)
         if entry is not None:
             ctx.stats.note_objects_total(entry.objects_total)
         else:
@@ -259,11 +287,11 @@ class QueryPipeline:
             )
             if store is not None:
                 carried = sum(1 for object_id in sequences if object_id in carry)
-                store.put(ctx.window, ctx.query_key, entry, ctx.data_key, carried)
+                store.put(ctx.window, entry, ctx.data_key, carried)
         if build_paths:
-            for object_id, artefact in entry.entries:
-                if artefact.computation is None:
-                    self.presence.build_paths(ctx, object_id, artefact)
+            missing = [item for item in entry.entries if item[1].computation is None]
+            for object_id, artefact in _reads(ctx, missing):
+                self.presence.build_paths(ctx, object_id, artefact)
         return entry
 
     # ------------------------------------------------------------------
@@ -277,9 +305,7 @@ class QueryPipeline:
         cell_id = self._computer.graph.parent_cell(sloc_id)
 
         flow_value = 0.0
-        for _object_id, entry in self.window(ctx, iupt).entries:
-            if entry.pruned:
-                continue
+        for _object_id, entry in _reads(ctx, self.window(ctx, iupt).entries):
             ctx.stats.flow_evaluations += 1
             flow_value += entry.computation.presence_in_cell(cell_id)
 
@@ -296,18 +322,14 @@ class QueryPipeline:
     ) -> Dict[int, float]:
         """Flows of several S-locations sharing one per-object pass.
 
-        Each object is reduced once against the *union* of the requested
-        locations and its paths are constructed once; the per-location
-        pruning decision is then taken from the object's possible semantic
-        locations (``sloc ∈ PSLs``), exactly as an independent
-        ``flow(sloc)`` call would have decided it.  This keeps the sharing
-        of the historical ``flows_for_all`` without its hazard: no presence
-        artefact is ever consulted under a query set other than the one it
-        was reduced for.
+        Each object of the window is reduced once and the paths of those
+        that may have visited one of the locations are constructed once; the
+        per-location decision is then taken from the object's possible
+        semantic locations (``sloc ∈ PSLs``), exactly as an independent
+        ``flow(sloc)`` call would have decided it.
         """
         ordered = list(dict.fromkeys(sloc_ids))
-        union_key = frozenset(ordered)
-        ctx = self.context((start, end), union_key, stats=stats)
+        ctx = self.context((start, end), ordered, stats=stats)
         began = time.perf_counter()
 
         graph = self._computer.graph

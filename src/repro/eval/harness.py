@@ -208,10 +208,12 @@ def run_batched(
     queries: Sequence[TkPLQuery],
     reduction: DataReductionConfig = DataReductionConfig.enabled(),
 ) -> BatchReport:
-    """Answer many TkPLQ queries in one batched pass over the scenario.
+    """Answer many TkPLQ queries in one batch over the scenario.
 
-    The batch planner groups queries by window and shares the per-object
-    reduce/path work across every query of a group; the per-query rankings
-    are identical to independent ``run_method(..., "nl", ...)`` calls.
+    The engine keeps a presence store, so the queries over one window share
+    its entry: the per-object reduce/path work runs once per window; the
+    per-query rankings are identical to independent
+    ``run_method(..., "nl", ...)`` calls.
     """
-    return _search_engine(scenario, reduction).batch(scenario.iupt, queries)
+    engine = QueryEngine(scenario.system.graph, scenario.system.matrix, reduction)
+    return engine.batch(scenario.iupt, queries)

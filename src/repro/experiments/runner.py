@@ -161,7 +161,7 @@ def overlapping_queries(
     Models a multi-tenant query stream hammering the same time range: every
     query draws its own (deterministic) S-location subset, so consecutive
     queries overlap heavily without being identical.  This is the workload
-    the engine's batch planner and cross-query presence store target.
+    the engine's ``batch`` and cross-query presence store target.
     """
     start, end = scenario.query_interval(delta_seconds, seed=seed)
     queries: List[TkPLQuery] = []

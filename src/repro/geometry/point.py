@@ -37,12 +37,6 @@ class Point:
             return math.inf
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def manhattan_to(self, other: "Point") -> float:
-        """Manhattan (L1) distance to ``other``; ``inf`` across floors."""
-        if self.floor != other.floor:
-            return math.inf
-        return abs(self.x - other.x) + abs(self.y - other.y)
-
     def translated(self, dx: float, dy: float) -> "Point":
         """Return a copy shifted by ``(dx, dy)`` on the same floor."""
         return Point(self.x + dx, self.y + dy, self.floor)

@@ -66,19 +66,6 @@ class Polygon:
                     inside = not inside
         return inside
 
-    @staticmethod
-    def from_rect(rect: Rect) -> "Polygon":
-        """Return the rectangle as a four-vertex polygon."""
-        return Polygon(
-            [
-                Point(rect.xmin, rect.ymin, rect.floor),
-                Point(rect.xmax, rect.ymin, rect.floor),
-                Point(rect.xmax, rect.ymax, rect.floor),
-                Point(rect.xmin, rect.ymax, rect.floor),
-            ]
-        )
-
-
 def _on_segment(p: Point, a: Point, b: Point, tol: float = 1e-9) -> bool:
     """Whether ``p`` lies on segment ``ab`` within tolerance."""
     cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)

@@ -65,17 +65,6 @@ class Rect:
             return False
         return self.xmin <= point.x <= self.xmax and self.ymin <= point.y <= self.ymax
 
-    def contains_rect(self, other: "Rect") -> bool:
-        """Whether ``other`` lies entirely inside this rectangle."""
-        if other.floor != self.floor:
-            return False
-        return (
-            self.xmin <= other.xmin
-            and self.ymin <= other.ymin
-            and self.xmax >= other.xmax
-            and self.ymax >= other.ymax
-        )
-
     def intersects(self, other: "Rect") -> bool:
         """Whether the two rectangles share at least a boundary point."""
         if other.floor != self.floor:

@@ -175,17 +175,3 @@ class DoorGraphRouter:
         if partitions[-1] != target_partition:
             partitions.append(target_partition)
         return partitions
-
-    def reachable_partitions(self, start_partition: int) -> List[int]:
-        """Return all partitions reachable from ``start_partition`` via doors."""
-        plan = self._plan
-        seen = {start_partition}
-        frontier = [start_partition]
-        while frontier:
-            partition_id = frontier.pop()
-            for door in plan.doors_of_partition(partition_id):
-                other = door.other_side(partition_id)
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        return sorted(seen)

@@ -209,14 +209,6 @@ class FloorPlan:
             return [self.doors[d] for d in self._doors_by_partition.get(partition_id, [])]
         return [d for d in self.doors.values() if partition_id in d.partition_ids]
 
-    def plocations_near(self, point: Point, radius: float) -> List[PLocation]:
-        """Return P-locations within ``radius`` metres of ``point`` (same floor)."""
-        return [
-            p
-            for p in self.plocations.values()
-            if p.position.distance_to(point) <= radius
-        ]
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------

@@ -143,10 +143,6 @@ class IndoorSpaceLocationGraph:
     # ------------------------------------------------------------------
     # The paper's mappings
     # ------------------------------------------------------------------
-    def c2s(self, cell_id: int) -> Set[int]:
-        """``C2S``: the S-locations contained by ``cell_id``."""
-        return set(self.cell_to_slocations.get(cell_id, set()))
-
     def c2s_many(self, cell_ids) -> Set[int]:
         """Union of ``C2S`` over a collection of cells."""
         result: Set[int] = set()
@@ -193,14 +189,6 @@ class IndoorSpaceLocationGraph:
         intra-merge step of the data reduction.
         """
         return [frozenset(plocs) for plocs in self.edges.values()]
-
-    def representative_plocation(self, ploc_id: int) -> int:
-        """Return the class representative (smallest id) for ``ploc_id``."""
-        key = self._edge_for_cells(self.cells_of_plocation[ploc_id])
-        members = self.edges.get(key)
-        if not members:
-            return ploc_id
-        return min(members)
 
     def summary(self) -> Dict[str, int]:
         """Structural counts used in docs and sanity tests."""

@@ -160,7 +160,7 @@ def rule_breakers(layering):
         change("DurabilityConfig gains a field", "storage/durable.py",
                "    fail_after_writes: Optional[int] = None\n",
                "    fail_after_writes: Optional[int] = None\n    codec: str = 'binary'\n"),
-        returns("engine/batch.py", "reads the table", "iupt.sequences_in(0, 1)"),
+        returns("engine/runtime.py", "reads the table", "iupt.sequences_in(0, 1)"),
         returns("engine/runtime.py", "runs the fetch stage", "pipeline.fetch.run(None)"),
         returns("engine/stages.py", "probes the store per object", "self._store.get(object_id)"),
         returns("engine/continuous.py", "probes a store", "store.get(key)"),
@@ -197,7 +197,7 @@ def rule_breakers(layering):
         code("system.py", "a forwarding member", "IndoorFlowSystem.flows_of = lambda self: None"),
         *parameters("system.py", "IndoorFlowSystem.__init__", "rtree"),
         code("engine/stages.py", "defines the fold", "def accumulate_flows_over_entries():\n    pass"),
-        code("engine/batch.py", "defines the fold", "def score_query_over_entries():\n    pass"),
+        code("engine/runtime.py", "defines the fold", "def score_query_over_entries():\n    pass"),
         code("engine/stages.py", "wraps the fold", "import functools as _f\n"
              "accumulate_flows_over_entries = _f.wraps(accumulate_flows_over_entries)(lambda *a: a)"),
         returns("core/best_first.py", "constructs an RTree directly", "RTree([])"),

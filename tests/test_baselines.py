@@ -89,7 +89,7 @@ class TestRFIDBaselines:
         scc = SemiConstrainedCounting(scenario.plan, scenario.rfid)
         mapped_readers = set()
         for sloc_id in scenario.slocation_ids():
-            mapped_readers |= scc.readers_of(sloc_id)
+            mapped_readers |= scc._readers_by_slocation.get(sloc_id, set())
         assert mapped_readers <= set(scenario.rfid.readers)
 
     def test_ur_presence_bounded(self, small_synth_scenario):

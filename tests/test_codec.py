@@ -38,8 +38,7 @@ from repro.codec import (
     encode_batch,
 )
 from repro.data.records import PositioningRecord, Sample
-from repro.engine import BatchPlanner, QueryEngine
-from repro.engine.batch import score_query_over_entries
+from repro.engine import QueryEngine, score_query_over_entries
 from repro.engine.stages import accumulate_flows_over_entries
 from repro.core.query import SearchStats, TkPLQuery, rank_top_k
 from repro.experiments.runner import overlapping_queries
@@ -369,7 +368,7 @@ class TestVectorizedKernels:
         end = start + rng.uniform(0.5, 6.0)
         query = TkPLQuery(tuple(chosen), k, start, end)
         engine = QueryEngine(figure1["graph"], figure1["matrix"])
-        report = BatchPlanner(engine.pipeline).execute(figure1_iupt, [query])
+        report = engine.batch(figure1_iupt, [query])
         entries, parent_cells, objects_total = window_entries(
             engine, figure1_iupt, chosen, start, end
         )

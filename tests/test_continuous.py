@@ -293,6 +293,38 @@ class TestDeltaMaintenance:
         assert sub.stats.objects_rekeyed == window_objects - 1
         assert sub.stats.objects_recomputed == computed_after_register + 1
 
+    def test_standing_queries_over_one_window_share_one_entry(self):
+        """Two standing queries with different query sets over one window:
+        one store entry, which the first refresh builds and the second is
+        served; after every batch both results are a fresh recompute's, bit
+        for bit."""
+        engine, iupt, plocs, slocs, batches = _continuous_setup()
+        continuous = engine.continuous(iupt)
+        window = (10.0, SPAN)
+        top = continuous.register_top_k(slocs[:2], 1, *window)
+        flows = continuous.register_flows(slocs[1:], *window)
+        assert engine.cache_stats()["windows"] == 1
+        nonzero = 0
+        for batch in batches[3:]:
+            iupt.ingest_batch(batch)
+            assert engine.cache_stats()["windows"] == 1
+            fresh = _fresh_engine(engine)
+            expected = fresh.search(iupt, top.query, "nested-loop")
+            assert [(e.sloc_id, e.flow.hex()) for e in top.result.ranking] == [
+                (e.sloc_id, e.flow.hex()) for e in expected.ranking
+            ]
+            assert {s: f.hex() for s, f in top.result.flows.items()} == {
+                s: f.hex() for s, f in expected.flows.items()
+            }
+            reference = fresh.flows(iupt, list(flows.sloc_ids), *window)
+            assert {s: f.hex() for s, f in flows.result.items()} == {
+                s: f.hex() for s, f in reference.items()
+            }
+            nonzero += sum(1 for flow in reference.values() if flow > 0.0)
+        assert top.stats.refreshes == flows.stats.refreshes == 1 + len(batches[3:])
+        assert nonzero > 0
+        continuous.close()
+
     def test_refresh_result_tracks_new_data(self):
         engine, iupt, plocs, slocs, _ = _continuous_setup()
         continuous = engine.continuous(iupt)

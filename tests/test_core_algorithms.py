@@ -265,7 +265,7 @@ class TestBestFirstOnEveryBuilding:
             ctx, pipeline.fetch.run(ctx, scenario.iupt), build_paths=False
         )
         best_first = BestFirstTkPLQ(pipeline)
-        objects, reachers = best_first._build_rc(entries, set(slocs))
+        objects, reachers = best_first._build_rc(entries)
         in_rc = [object_id for entry in objects for object_id in items_under(entry)]
         spanning = {}
         for object_id, stored in entries:

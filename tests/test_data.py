@@ -228,7 +228,8 @@ class TestTrajectory:
     def test_points_in_and_partitions_visited(self):
         trajectory = self._trajectory()
         assert len(trajectory.points_in(0.5, 2.0)) == 2
-        assert trajectory.partitions_visited(0.0, 2.0) == {0, 1}
+        visited = {point.partition_id for point in trajectory.points_in(0.0, 2.0)}
+        assert visited == {0, 1}
 
     def test_append_out_of_order_rejected(self):
         trajectory = self._trajectory()

@@ -1,9 +1,9 @@
 """Tests for the execution-engine layer.
 
 Covers the pipeline stages one by one, the cross-query presence store (LRU
-bounds, hit/miss accounting, query-set keying), the regression for the
-historical ``flows_for_all`` cache hazard, and batched-vs-sequential result
-equality on both scenario builders.
+bounds, hit/miss accounting, one entry per window whatever the query set),
+the regression for the historical ``flows_for_all`` cache hazard, and
+batched-vs-sequential result equality on both scenario builders.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro import (
     TkPLQuery,
 )
 from repro.core import SearchStats
-from repro.engine import BatchPlanner, PresenceStore, StoredPresence
+from repro.engine import PresenceStore, StoredPresence
 from repro.engine.cache import WindowPresences
 from repro.experiments.runner import overlapping_queries
 
@@ -74,36 +74,27 @@ class TestPresenceStore:
     def window(*object_ids: int) -> WindowPresences:
         return WindowPresences(
             [
-                (oid, StoredPresence(psls=frozenset({1}), sequence=(), pruned=False))
+                (oid, StoredPresence(psls=frozenset({1}), sequence=()))
                 for oid in object_ids
             ]
         )
 
-    def test_keyed_by_query_set(self):
-        store = PresenceStore(capacity=8)
-        entry = self.window(7)
-        store.put(WINDOW, {1, 2}, entry)
-        # The same window under a different query set (or no set) must miss.
-        assert store.get(WINDOW, {1, 3}) is None
-        assert store.get(WINDOW, None) is None
-        assert store.get(WINDOW, {2, 1}) is entry
-
     def test_keyed_by_window(self):
         store = PresenceStore(capacity=8)
-        store.put(WINDOW, {1}, self.window(7))
-        assert store.get((1.0, 9.0), {1}) is None
+        store.put(WINDOW, self.window(7))
+        assert store.get((1.0, 9.0)) is None
 
     def test_lru_eviction_and_stats(self):
         """Whole windows leave, oldest first, until the artefact total fits."""
         store = PresenceStore(capacity=5)
         first, second, third = (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)
-        store.put(first, {1}, self.window(1, 2))
-        store.put(second, {1}, self.window(1, 2))
-        assert store.get(first, {1}) is not None  # first becomes most recent
-        store.put(third, {1}, self.window(1, 2, 3))  # 7 artefacts: evicts second
-        assert store.get(second, {1}) is None
-        assert store.get(first, {1}) is not None
-        assert store.get(third, {1}) is not None
+        store.put(first, self.window(1, 2))
+        store.put(second, self.window(1, 2))
+        assert store.get(first) is not None  # first becomes most recent
+        store.put(third, self.window(1, 2, 3))  # 7 artefacts: evicts second
+        assert store.get(second) is None
+        assert store.get(first) is not None
+        assert store.get(third) is not None
         assert (len(store), store.windows) == (5, 2)
         assert store.stats.evictions == 2
         assert store.stats.hits == 2 + 2 + 3  # one per artefact served
@@ -112,46 +103,46 @@ class TestPresenceStore:
 
     def test_window_larger_than_capacity_is_not_kept(self):
         store = PresenceStore(capacity=2)
-        store.put(WINDOW, {1}, self.window(1))
-        store.put((2.0, 3.0), {1}, self.window(1, 2, 3))
+        store.put(WINDOW, self.window(1))
+        store.put((2.0, 3.0), self.window(1, 2, 3))
         assert (len(store), store.windows) == (0, 0)
         assert store.stats.evictions == 4
 
     def test_replacing_a_window_does_not_leak_artefacts(self):
         store = PresenceStore(capacity=8)
-        store.put(WINDOW, {1}, self.window(1, 2, 3))
+        store.put(WINDOW, self.window(1, 2, 3))
         replacement = self.window(1, 2)
-        store.put(WINDOW, {1}, replacement)
+        store.put(WINDOW, replacement)
         assert (len(store), store.windows) == (2, 1)
-        assert store.get(WINDOW, {1}) is replacement
+        assert store.get(WINDOW) is replacement
         store.clear()
         assert (len(store), store.windows) == (0, 0)
 
     def test_store_key_normalisation(self):
         store = PresenceStore(capacity=8)
         entry = self.window(1)
-        store.put((0, 10), [3, 2], entry, (9, 4))
-        assert store.get((0.0, 10.0), frozenset({2, 3}), (9, 4)) is entry
-        assert store.get((0, 10), [3, 2]) is None  # no data key is its own key
+        store.put((0, 10), entry, (9, 4))
+        assert store.get((0.0, 10.0), (9, 4)) is entry
+        assert store.get((0, 10)) is None  # no data key is its own key
 
     def test_keyed_by_data_version(self):
         store = PresenceStore(capacity=8)
-        store.put(WINDOW, {1}, self.window(7), data_key=(1, 5))
-        assert store.get(WINDOW, {1}, data_key=(1, 6)) is None
-        assert store.get(WINDOW, {1}, data_key=(2, 5)) is None
-        assert store.get(WINDOW, {1}, data_key=(1, 5)) is not None
+        store.put(WINDOW, self.window(7), data_key=(1, 5))
+        assert store.get(WINDOW, data_key=(1, 6)) is None
+        assert store.get(WINDOW, data_key=(2, 5)) is None
+        assert store.get(WINDOW, data_key=(1, 5)) is not None
 
     def test_pop_then_put_carries_a_window_to_a_new_token(self):
         """What a continuous refresh does to artefacts a batch left alone."""
         store = PresenceStore(capacity=8)
         entry = self.window(1, 2, 3)
         entry.derived["anything"] = object()
-        store.put(WINDOW, {1}, entry, data_key=(1, 5))
-        assert store.pop(WINDOW, {1}, data_key=(1, 5)) is entry
-        assert store.pop(WINDOW, {1}, data_key=(1, 5)) is None
+        store.put(WINDOW, entry, data_key=(1, 5))
+        assert store.pop(WINDOW, data_key=(1, 5)) is entry
+        assert store.pop(WINDOW, data_key=(1, 5)) is None
         assert len(store) == 0
-        store.put(WINDOW, {1}, entry, data_key=(1, 6), carried=2)
-        assert store.get(WINDOW, {1}, data_key=(1, 6)) is entry
+        store.put(WINDOW, entry, data_key=(1, 6), carried=2)
+        assert store.get(WINDOW, data_key=(1, 6)) is entry
         assert "anything" in entry.derived
         assert store.stats.rekeys == 2
         assert store.stats.misses == 3 + 1  # the first put, then the one recomputed
@@ -228,31 +219,39 @@ class TestStages:
     def test_pruned_objects_are_cached_too(self, figure1, figure1_iupt):
         engine = QueryEngine(figure1["graph"], figure1["matrix"])
         pipeline = engine.pipeline
-        # Objects never near r5 get pruned under a {r5} query; the pruning
-        # decision itself must be cached so repeats skip the reduction.
-        ctx = pipeline.context(WINDOW, frozenset({figure1["slocs"]["r5"]}))
+        # Objects never near r5 are pruned under a {r5} query: the query
+        # does not read them or build their presences, yet the entry keeps
+        # them, reduced once, for the query sets that do read them.
+        r5 = figure1["slocs"]["r5"]
+        ctx = pipeline.context(WINDOW, frozenset({r5}))
         sequences = figure1_iupt.sequences_in(*WINDOW)
         entries = dict(pipeline.presences(ctx, sequences))
-        pruned_ids = [oid for oid, entry in entries.items() if entry.pruned]
+        pruned_ids = [oid for oid, entry in entries.items() if r5 not in entry.psls]
         assert pruned_ids, "expected at least one pruned object under {r5}"
+        assert ctx.stats.reduction_stats.objects_pruned == len(pruned_ids)
+        for object_id, entry in entries.items():
+            assert not entry.pruned
+            assert (entry.computation is None) == (object_id in pruned_ids)
         seen = ctx.stats.reduction_stats.objects_seen
         again = dict(pipeline.presences(ctx, sequences))
         assert ctx.stats.reduction_stats.objects_seen == seen
         for object_id in pruned_ids:
-            assert again[object_id].pruned
+            assert again[object_id] is entries[object_id]
+            assert again[object_id].computation is None
 
 
 # ----------------------------------------------------------------------
 # The flows_for_all cache-correctness regression
 # ----------------------------------------------------------------------
 class TestCacheCorrectnessRegression:
-    def test_object_cache_rejects_cross_query_reuse(self, figure1, figure1_iupt):
-        """A presence cached under one query set must miss under another.
+    def test_one_entry_serves_every_query_set(self, figure1, figure1_iupt):
+        """A window's artefacts, stored under one query set, serve another.
 
-        This is the stale-hit hazard of the historical object-id-only keying:
-        ``flows_for_all`` shared one cache across per-location flow calls, so
-        an artefact produced by ``reduce(seq, {B})`` was served for location
-        ``A`` — bypassing A's (query-dependent) pruning decision.
+        The historical object-id-only keying served an artefact reduced for
+        ``{B}`` to location ``A``, bypassing A's pruning decision.  Artefacts
+        now carry no query-relative decision: each query takes the PSL test
+        itself, so it builds presences for — and reads — exactly the objects
+        whose PSLs meet its set, and no others.
         """
         engine = figure_engine(figure1)
         pipeline = engine.pipeline
@@ -260,15 +259,23 @@ class TestCacheCorrectnessRegression:
         sequences = figure1_iupt.sequences_in(*WINDOW)
         under_r1 = pipeline.context(WINDOW, {slocs["r1"]})
         cached = dict(pipeline.presences(under_r1, sequences))
+        built = {oid for oid, entry in cached.items() if entry.computation is not None}
+        assert built == {oid for oid, entry in cached.items() if slocs["r1"] in entry.psls}
         for query_set in ({slocs["r3"]}, None):
             other = pipeline.context(WINDOW, query_set)
             hits_before = engine.store.stats.hits
             for object_id, entry in pipeline.presences(other, sequences):
-                assert entry is not cached[object_id]
-            assert engine.store.stats.hits == hits_before
-        again = pipeline.context(WINDOW, {slocs["r1"]})
-        for object_id, entry in pipeline.presences(again, sequences):
-            assert entry is cached[object_id]
+                assert entry is cached[object_id]
+                reads = query_set is None or not entry.psls.isdisjoint(query_set)
+                assert entry.computation is not None or not reads
+            assert engine.store.stats.hits == hits_before + len(sequences)
+            assert other.stats.computed_object_ids == {
+                oid for oid, entry in cached.items()
+                if (query_set is None or not entry.psls.isdisjoint(query_set))
+                and oid not in built
+            }
+            built = {oid for oid, entry in cached.items() if entry.computation is not None}
+        assert engine.cache_stats()["windows"] == 1
 
     def test_flows_for_all_matches_independent_flows(self, figure1, figure1_iupt):
         """Shared-pass flows and accounting must equal independent flow calls.
@@ -305,10 +312,10 @@ class TestEngineEquivalence:
         for name, sloc_id in figure1["slocs"].items():
             # Algorithm 2 by hand: the object presences summed in fetch order.
             expected = 0.0
+            cell = figure1["graph"].parent_cell(sloc_id)
             for sequence in sequences.values():
-                expected += computer.object_presence(
-                    tuple(sequence), sloc_id, reduce_first=False
-                )
+                computation = computer.presence_computation(tuple(sequence))
+                expected += computation.presence_in_cell(cell)
             assert engine.flow(figure1_iupt, sloc_id, *WINDOW).flow == expected, name
 
     @pytest.mark.parametrize("algorithm", ["naive", "nested-loop", "best-first"])
@@ -422,6 +429,9 @@ class TestUnknownSLocation:
 # Batched evaluation
 # ----------------------------------------------------------------------
 class TestBatchPlanner:
+    """``QueryEngine.batch``: one nested-loop query per entry; the queries
+    over one window share its store entry."""
+
     @pytest.mark.parametrize(
         "scenario_fixture", ["small_real_scenario", "small_synth_scenario"]
     )
@@ -458,11 +468,9 @@ class TestBatchPlanner:
         )
         queries = [early[0], late[0], early[1], late[1]]
         engine = fresh_engine(scenario)
-        planner = BatchPlanner(engine.pipeline)
-        groups = planner.plan(queries)
-        assert sorted(len(group) for group in groups) == [2, 2]
-
         report = engine.batch(scenario.iupt, queries)
+        assert report.groups == 2
+        assert engine.cache_stats()["windows"] == 2
         for query, batched in zip(queries, report.results):
             sequential = fresh_engine(
                 scenario, config=EngineConfig.uncached()

@@ -16,9 +16,6 @@ class TestPoint:
     def test_distance_across_floors_is_infinite(self):
         assert Point(0, 0, 0).distance_to(Point(0, 0, 1)) == math.inf
 
-    def test_manhattan(self):
-        assert Point(1, 1).manhattan_to(Point(4, 5)) == pytest.approx(7.0)
-
     def test_midpoint(self):
         assert Point(0, 0).midpoint(Point(2, 4)) == Point(1, 2)
 
@@ -88,10 +85,13 @@ class TestRect:
             Rect.from_points([])
 
 
+def square(side: float) -> Polygon:
+    return Polygon([Point(0, 0), Point(side, 0), Point(side, side), Point(0, side)])
+
+
 class TestPolygon:
     def test_area_of_square(self):
-        square = Polygon.from_rect(Rect(0, 0, 2, 2))
-        assert square.area == pytest.approx(4.0)
+        assert square(2).area == pytest.approx(4.0)
 
     def test_contains_point(self):
         triangle = Polygon([Point(0, 0), Point(4, 0), Point(0, 4)])
@@ -104,7 +104,7 @@ class TestPolygon:
             Polygon([Point(0, 0), Point(1, 1)])
 
     def test_decompose_rectilinear_covers_area(self):
-        shape = Polygon.from_rect(Rect(0, 0, 4, 4))
+        shape = square(4)
         pieces = decompose_rectilinear(shape, 1.0)
         assert len(pieces) == 16
         assert sum(p.area for p in pieces) == pytest.approx(16.0)

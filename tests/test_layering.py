@@ -23,7 +23,7 @@ from repro import IUPT, IndoorFlowSystem, QueryEngine, QueryService, ShardedReco
 from repro.codec import PackedRecordBatch, PresenceMatrix
 from repro.core import nested_loop
 from repro.data.records import PositioningRecord
-from repro.engine import batch, cache, continuous, stages
+from repro.engine import cache, continuous, stages
 from repro.indexes import BPlusTree, CountAggregateRTree, OneDimensionalRTree, RTree
 from repro.service import AdmissionController, ReadReplica, client, protocol, topology
 
@@ -166,6 +166,21 @@ GONE = [
      "_str_pack_leaves _build_upper_levels _union_across_floors"),
     *_members(35, "AggregateNode", repro.indexes),
     _text(35, "Rect RTree loose_intersects", "core/best_first.py"),
+    *_members(36, "BatchPlanner", repro, repro.engine),
+    (36, "importable-modules", importlib.util.find_spec, "repro.engine.batch"),
+    *_members(36, "query_slocations", repro.PresenceStore.get, repro.PresenceStore.put,
+              repro.PresenceStore.pop),
+    (36, "def:engine/continuous.py", _defined("engine/continuous.py").__contains__, "query_key"),
+    (36, "def:engine/runtime.py", _defined("engine/runtime.py").__contains__, "planner"),
+    _text(36, "union_key", "engine/"),
+    *[row for names, subject in (
+        ("contains_rect", repro.Rect), ("manhattan_to", repro.Point),
+        ("from_rect", repro.geometry.Polygon), ("readers_of", repro.SemiConstrainedCounting),
+        ("partitions_visited", repro.Trajectory),
+        ("reachable_partitions", repro.space.DoorGraphRouter),
+        ("c2s representative_plocation", repro.space.IndoorSpaceLocationGraph),
+        ("plocations_near", repro.FloorPlan), ("object_presence", repro.FlowComputer),
+    ) for row in _members(36, names, subject)],
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
@@ -182,7 +197,7 @@ RULES = [  # (PR, rule, actual, expected)
         for site, on, call in _calls("get", "core/", "engine/") if on.endswith("store")],
      ["engine/stages.py:QueryPipeline._window ctx.window"]),
     (21, "PresenceStore.get-signature", lambda: _params(repro.PresenceStore.get),
-     ["self", "window", "query_slocations", "data_key"]),
+     ["self", "window", "data_key"]),  # PR 36: the query set left the key
     (23, "two-stream-writers", lambda: _sites("write", "service/"),
      ["service/client.py:ServiceClient._request_once", "service/stream.py:Connection.send_frame"]),
     (23, "one-task-spawner", lambda: _sites("ensure_future create_task", "service/stream.py",
@@ -223,7 +238,7 @@ RULES = [  # (PR, rule, actual, expected)
     (28, "Algorithm-3-folds-in-nested_loop.py", lambda: _defined_outside(
         "core/nested_loop.py", "accumulate_flows_over_entries score_query_over_entries"), {}),
     (28, "engine-re-exports-the-fold", lambda: (
-        stages.accumulate_flows_over_entries, batch.score_query_over_entries),
+        stages.accumulate_flows_over_entries, repro.engine.score_query_over_entries),
      (nested_loop.accumulate_flows_over_entries, nested_loop.score_query_over_entries)),
     (29, "every-tree-built-by-its-bulk-constructor", lambda: sorted({  # an index class: *Tree
         callee for _, callee, _ in CALLS if re.fullmatch(r"[A-Za-z]*Tree(\.\w+)?", callee)}),
@@ -232,7 +247,7 @@ RULES = [  # (PR, rule, actual, expected)
     (30, "IUPT-is-the-store", lambda: IUPT, ShardedRecordStore),
     (30, "the-store-subclasses-nothing", lambda: ShardedRecordStore.__mro__[1], object),
     (30, "API-sizes", lambda: [len(pkg.__all__) for pkg in (repro, repro.codec, repro.engine)],
-     [59, 7, 20]),
+     [58, 7, 19]),  # PR 36: BatchPlanner
     (33, "PositioningRecord.__slots__", lambda: getattr(PositioningRecord, "__slots__", None),
      ("object_id", "sample_set", "timestamp")),
     (33, "only-to_records-builds-trusted-records", lambda: [

@@ -44,20 +44,30 @@ def sample_sets(draw):
 # ----------------------------------------------------------------------
 # Geometry invariants
 # ----------------------------------------------------------------------
+def contains(outer, inner) -> bool:
+    """Whether ``inner`` lies entirely inside ``outer`` (same floor)."""
+    return outer.floor == inner.floor and (
+        outer.xmin <= inner.xmin
+        and outer.ymin <= inner.ymin
+        and outer.xmax >= inner.xmax
+        and outer.ymax >= inner.ymax
+    )
+
+
 class TestRectProperties:
     @given(rects(), rects())
     def test_union_contains_both(self, a, b):
         union = a.union(b)
-        assert union.contains_rect(a)
-        assert union.contains_rect(b)
+        assert contains(union, a)
+        assert contains(union, b)
 
     @given(rects(), rects())
     def test_intersection_symmetric_and_contained(self, a, b):
         assert a.intersects(b) == b.intersects(a)
         overlap = a.intersection(b)
         if overlap is not None:
-            assert a.contains_rect(overlap)
-            assert b.contains_rect(overlap)
+            assert contains(a, overlap)
+            assert contains(b, overlap)
             assert overlap.area <= min(a.area, b.area) + 1e-6
 
     @given(rects())

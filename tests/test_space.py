@@ -85,11 +85,6 @@ class TestFloorPlan:
         plan = two_room_plan().freeze()
         assert [d.door_id for d in plan.doors_of_partition(0)] == [0]
 
-    def test_plocations_near(self):
-        plan = two_room_plan().freeze()
-        near = plan.plocations_near(Point(5, 2.5), 1.0)
-        assert [p.ploc_id for p in near] == [0]
-
 
 class TestCells:
     def test_guarded_door_separates_cells(self):
@@ -137,7 +132,7 @@ class TestGraphAndMatrix:
     def test_c2s_and_parent_cell_are_inverse(self, figure1):
         graph = figure1["graph"]
         for sloc_id, cell_id in graph.slocation_to_cell.items():
-            assert sloc_id in graph.c2s(cell_id)
+            assert sloc_id in graph.c2s_many([cell_id])
 
     @pytest.mark.parametrize("model", ["figure1", "real", "synthetic"])
     def test_every_possible_semantic_location_has_a_parent_cell(
@@ -171,9 +166,8 @@ class TestGraphAndMatrix:
 
     def test_representative_is_smallest_member(self, figure1):
         graph, plocs = figure1["graph"], figure1["plocs"]
-        assert graph.representative_plocation(plocs["p8"]) == min(
-            plocs["p6"], plocs["p8"]
-        )
+        [members] = [c for c in graph.equivalence_classes() if plocs["p8"] in c]
+        assert min(members) == min(plocs["p6"], plocs["p8"])
 
     def test_matrix_dense_is_symmetric_by_construction(self, figure1):
         matrix = figure1["matrix"]
@@ -234,6 +228,6 @@ class TestRouting:
     def test_reachable_partitions(self, figure1):
         plan = figure1["plan"]
         router = DoorGraphRouter(plan)
-        assert router.reachable_partitions(figure1["rooms"]["r3"]) == sorted(
-            plan.partitions
-        )
+        source = plan.partitions[figure1["rooms"]["r3"]].rect.center
+        for partition in plan.partitions.values():
+            assert router.route(source, partition.rect.center) is not None

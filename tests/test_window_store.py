@@ -1,8 +1,9 @@
 """The window-keyed presence store never changes an answer.
 
-The store serves a whole window — per-object artefacts plus the best-first
-trees built from them — without touching the table, so everything the table
-would have said on the way has to be said some other way:
+The store keeps one entry per ``(window, table version)`` — per-object
+artefacts plus the best-first ``RC`` built from them — and serves it to every
+query set without touching the table, so everything the table would have
+said on the way has to be said some other way:
 
 * **retention**: the version token leaves the watermark out, so a warmed
   entry whose window now reaches below the watermark must raise exactly like
@@ -13,14 +14,16 @@ would have said on the way has to be said some other way:
   ``EngineConfig.uncached()`` one give the same flows, rankings and search
   counters, or raise the same error (``test_cached_equals_uncached``), also
   from two threads at once (``test_two_threads_on_one_warm_key``);
+* **one entry serves every query set**: a second query set over a warm
+  window misses nothing and builds only the presences of its objects that no
+  earlier query built (``TestOneEntryPerWindow``);
 * **derived state dies with its entry**: ``reset_cache()`` and an uncached
-  engine rebuild ``RC`` / ``RQ``, and ``RQ`` is kept per query tuple
-  (``TestDerivedState``).
+  engine rebuild ``RC``, which every query set shares, and ``RQ`` is built
+  per query (``TestDerivedState``).
 
 Mutation-checked: dropping ``data_key`` from the store key, skipping the
-eviction check in ``QueryPipeline.window``, keeping ``derived`` across
-``reset_cache()`` and keying ``RQ`` without the query tuple each fail a test
-here.
+eviction check in ``QueryPipeline.window`` and keeping ``derived`` across
+``reset_cache()`` each fail a test here.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IUPT, EngineConfig, QueryEngine, TkPLQuery
-from repro.core import best_first
+from repro.core import SearchStats, best_first
 from repro.storage import EvictedRangeError
 from repro.synth import build_synthetic_scenario
 
@@ -162,7 +165,7 @@ class TestRetention:
 WINDOWS = [(70.0, 110.0), (70.0, 130.0), (100.0, 160.0)]
 QUERY_SETS = [
     [0, 1, 2, 3, 4, 5],
-    [5, 3, 1, 0, 2, 4],  # the first set in another order: one key, another RQ
+    [5, 3, 1, 0, 2, 4],  # the first set in another order: another RQ
     list(range(12)),
 ]
 
@@ -266,6 +269,39 @@ def test_two_threads_on_one_warm_key():
 
 
 # ----------------------------------------------------------------------
+# One entry per window, whatever the query set
+# ----------------------------------------------------------------------
+def _hex(flows: Dict[int, float]) -> Dict[int, str]:
+    return {sloc_id: flow.hex() for sloc_id, flow in flows.items()}
+
+
+class TestOneEntryPerWindow:
+    def test_a_second_query_set_reads_the_warm_entry(self):
+        """A top-k over one set, then flows over another: one window entry,
+        no miss for the second, and presences built only for the second
+        set's reachers the first did not build — answers bit for bit an
+        uncached engine's."""
+        table, engine = _table(), _engine()
+        uncached = _engine(EngineConfig.uncached())
+        (start, end), first, second = WINDOWS[1], [0, 1, 2, 3], [2, 3, 6, 7, 8, 9]
+        top = engine.top_k(table, first, 2, start, end)
+        assert _comparable(top) == _comparable(uncached.top_k(table, first, 2, start, end))
+        misses = engine.cache_stats()["misses"]
+
+        [window] = engine.store._windows.values()
+        built = {oid for oid, stored in window.entries if stored.computation is not None}
+        reachers = {oid for oid, stored in window.entries if stored.psls & set(second)}
+        assert built & reachers and reachers - built  # neither side vacuous
+        stats = SearchStats()
+        flows = engine.pipeline.flows_for_all(table, second, start, end, stats=stats)
+        assert stats.computed_object_ids == reachers - built
+        assert _hex(flows) == _hex(uncached.flows(table, second, start, end))
+        assert any(flows.values())
+        stats = engine.cache_stats()
+        assert (stats["windows"], stats["misses"]) == (1.0, misses)
+
+
+# ----------------------------------------------------------------------
 # Derived state lives and dies with its entry
 # ----------------------------------------------------------------------
 class TestDerivedState:
@@ -283,33 +319,28 @@ class TestDerivedState:
             monkeypatch.setattr(best_first.BestFirstTkPLQ, f"_build_{name.lower()}", counted)
         return counts
 
-    def test_a_warm_query_builds_no_tree_and_a_reset_forgets_them(self, builds):
+    def test_a_warm_query_builds_no_rc_and_a_reset_forgets_it(self, builds):
         table, engine = _table(), _engine()
         slocs, (start, end) = QUERY_SETS[0], WINDOWS[0]
         engine.top_k(table, slocs, 2, start, end)
-        cold = dict(builds)
-        assert cold == {"RC": 1, "RQ": 1}
-        engine.top_k(table, slocs, 3, start, end)  # another k: same trees
+        assert builds == {"RC": 1, "RQ": 1}
+        engine.top_k(table, slocs, 3, start, end)  # another k: the same RC
         engine.flows(table, slocs, start, end)  # another op on the same key
         engine.top_k(table, slocs, 1, start, end)
-        assert builds == cold
+        assert builds == {"RC": 1, "RQ": 3}  # RQ per best-first query
 
         engine.reset_cache()
         engine.top_k(table, slocs, 2, start, end)
-        assert builds == {name: 2 * count for name, count in cold.items()}
+        assert builds == {"RC": 2, "RQ": 4}
         assert engine.cache_stats()["hits"] == 0
 
-    def test_rq_is_kept_per_query_tuple(self, builds):
+    def test_rc_serves_every_query_set_and_rq_is_built_per_query(self, builds):
         table, engine = _table(), _engine()
         (start, end) = WINDOWS[0]
-        engine.top_k(table, QUERY_SETS[0], 2, start, end)
-        first = dict(builds)
-        engine.top_k(table, QUERY_SETS[1], 2, start, end)  # same set, other order
-        assert builds["RC"] == first["RC"]  # one entry, one RC
-        assert builds["RQ"] > first["RQ"]
-        again = dict(builds)
-        engine.top_k(table, QUERY_SETS[1], 2, start, end)
-        assert builds == again
+        for query_set in QUERY_SETS + QUERY_SETS:
+            engine.top_k(table, query_set, 2, start, end)
+        assert builds == {"RC": 1, "RQ": 2 * len(QUERY_SETS)}
+        assert engine.cache_stats()["windows"] == 1
 
     def test_an_uncached_engine_keeps_nothing(self, builds):
         table, engine = _table(), _engine(EngineConfig.uncached())
