@@ -62,13 +62,11 @@ per-sample implementation and requires exact equality):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..data.records import SampleSet
 from ..space.graph import IndoorSpaceLocationGraph
 from ..space.matrix import IndoorLocationMatrix
-from .paths import candidate_path_count
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,6 @@ class ReductionStats:
     objects_pruned: int = 0
     sample_sets_before: int = 0
     sample_sets_after: int = 0
-    samples_before: int = 0
-    samples_after: int = 0
-    candidate_paths_before: int = 0
-    candidate_paths_after: int = 0
 
     def merge(self, other: "ReductionStats") -> None:
         """Fold another accumulator into this one."""
@@ -118,10 +112,6 @@ class ReductionStats:
         self.objects_pruned += other.objects_pruned
         self.sample_sets_before += other.sample_sets_before
         self.sample_sets_after += other.sample_sets_after
-        self.samples_before += other.samples_before
-        self.samples_after += other.samples_after
-        self.candidate_paths_before += other.candidate_paths_before
-        self.candidate_paths_after += other.candidate_paths_after
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -129,10 +119,6 @@ class ReductionStats:
             "objects_pruned": self.objects_pruned,
             "sample_sets_before": self.sample_sets_before,
             "sample_sets_after": self.sample_sets_after,
-            "samples_before": self.samples_before,
-            "samples_after": self.samples_after,
-            "candidate_paths_before": self.candidate_paths_before,
-            "candidate_paths_after": self.candidate_paths_after,
         }
 
 
@@ -151,7 +137,6 @@ class ReducedSequence:
 
 
 _NO_PSLS: FrozenSet[int] = frozenset()
-_ploc_ids = attrgetter("ploc_ids")
 
 # One working sample set of a dwell run: the input set when the reduction left
 # its columns untouched (else ``None``), and its probability column.
@@ -314,9 +299,5 @@ class DataReducer:
                 stats.objects_pruned += 1
             stats.sample_sets_before += len(sequence)
             stats.sample_sets_after += len(reduced)
-            stats.samples_before += sum(map(len, map(_ploc_ids, sequence)))
-            stats.samples_after += sum(map(len, map(_ploc_ids, reduced)))
-            stats.candidate_paths_before += candidate_path_count(sequence)
-            stats.candidate_paths_after += candidate_path_count(reduced)
 
         return ReducedSequence(sequence=tuple(reduced), psls=psls, pruned=pruned)

@@ -12,12 +12,13 @@ single location is scored — a :class:`WindowPresences` with the per-object
 fetch order, plus a ``derived`` dict in which the best-first algorithm keeps
 what it packs from them: ``RC`` (the COUNT-aggregate tree's root entries, and
 per S-location the objects whose PSLs contain it) per fanout — float bounds
-and lists, no ``Rect``.  A warm query therefore takes one lock and one
-dictionary probe, never touches the table, and does only the work that
-depends on the request itself (which artefacts it reads, the presences of
-those still missing, ``RQ``, the join, the heap, the exact flows it sums, the
-ranking).  ``derived`` lives and dies with its entry; nothing in it is an
-answer.
+and lists, no ``Rect``.  ``derived`` is filled only when a best-first query
+asks for it; the default nested-loop query never builds it.  A warm query
+therefore takes one lock and one dictionary probe, never touches the table,
+and does only the work that depends on the request itself (which artefacts
+it reads, the presences of those still missing, the fold of their flows, the
+ranking; best-first adds ``RQ``, the join and the heap).  ``derived`` lives
+and dies with its entry; nothing in it is an answer.
 
 Both key ingredients determine the artefacts: the window fixes which reports
 enter each object's sequence, and the ``data_key`` — the identity-and-version
@@ -90,9 +91,10 @@ class WindowPresences:
     ``entries`` is the ``(object_id, artefact)`` list in fetch order (ascending
     object id, every object of the window — the order every flow accumulation
     sums in); ``derived`` holds what an algorithm builds from exactly these
-    artefacts and wants to find again (best-first's ``RC``).
-    Readers share the entry: artefacts gain their lazily deferred
-    ``computation`` in place, and nothing else about an entry ever changes.
+    artefacts and wants to find again (best-first's ``RC``, built only when a
+    best-first query reads the entry).  Readers share the entry: artefacts
+    gain their lazily deferred ``computation`` in place, and nothing else
+    about an entry ever changes.
     """
 
     entries: List[Tuple[int, StoredPresence]]

@@ -8,7 +8,11 @@ layer every entry point goes through:
 
 * :meth:`flow` / :meth:`flows` — Algorithm 2 through the staged pipeline;
 * :meth:`search` / :meth:`top_k` — the naive, nested-loop and best-first
-  algorithms, sharing the engine's store;
+  algorithms, sharing the engine's store.  Nested-loop (Algorithm 3) is the
+  default: best-first (Algorithm 4) ranks the same, but its COUNT bound
+  pruned no object on any configuration measured, so its ``RC`` / ``RQ``
+  build and join only add cost, and it lists only the flows it resolved.
+  Ask for it by name (``algorithm="best-first"``), as the experiments do;
 * :meth:`batch` / :meth:`batch_top_k` — many queries, those over one window
   sharing its store entry;
 * :meth:`cache_stats` / :meth:`reset_cache` — cache introspection.
@@ -114,9 +118,9 @@ class QueryEngine:
     # TkPLQ
     # ------------------------------------------------------------------
     def search(
-        self, iupt: ShardedRecordStore, query: TkPLQuery, algorithm: str = "best-first"
+        self, iupt: ShardedRecordStore, query: TkPLQuery, algorithm: str = "nested-loop"
     ) -> TkPLQResult:
-        """Answer one TkPLQ with the chosen algorithm."""
+        """Answer one TkPLQ with the chosen algorithm (nested-loop by default)."""
         if algorithm not in self._algorithms:
             raise ValueError(
                 f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
@@ -130,7 +134,7 @@ class QueryEngine:
         k: int,
         start: float,
         end: float,
-        algorithm: str = "best-first",
+        algorithm: str = "nested-loop",
     ) -> TkPLQResult:
         """Convenience wrapper building the query in place."""
         query = TkPLQuery.build(query_slocations, k, start, end)

@@ -325,6 +325,11 @@ class ServiceClient:
         end: float,
         algorithm: Optional[str] = None,
     ) -> dict:
+        """One TkPLQ; without ``algorithm`` the server answers with nested-loop.
+
+        ``"naive"``, ``"nested-loop"`` and ``"best-first"`` rank the same;
+        best-first's ``flows`` read 0.0 for the locations it never resolved.
+        """
         fields: Dict[str, object] = {"q": list(q), "k": k, "start": start, "end": end}
         if algorithm is not None:
             fields["algorithm"] = algorithm

@@ -3,7 +3,9 @@
 :class:`QueryService` owns one :class:`~repro.engine.runtime.QueryEngine` and
 one table (a :class:`~repro.storage.sharded.ShardedRecordStore`) and serves
 them to many concurrent network clients over the newline-delimited JSON
-protocol of :mod:`repro.service.protocol`:
+protocol of :mod:`repro.service.protocol` (a ``top_k`` frame without an
+``"algorithm"`` is answered by nested-loop, the engine's default; best-first
+answers when the frame names it):
 
 * the **event loop** only frames (in :mod:`repro.service.stream`, whose
   accept loop this class subclasses), parses, admits and answers: the read
@@ -537,7 +539,7 @@ class QueryService(FrameServer):
     # ------------------------------------------------------------------
     def _do_top_k(self, frame: dict) -> dict:
         query = protocol.query_from_wire(frame)
-        algorithm = frame.get("algorithm", "best-first")
+        algorithm = frame.get("algorithm", "nested-loop")
         result = self.engine.search(self.iupt, query, algorithm)
         return protocol.result_to_wire(result)
 

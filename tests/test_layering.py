@@ -181,6 +181,8 @@ GONE = [
         ("c2s representative_plocation", repro.space.IndoorSpaceLocationGraph),
         ("plocations_near", repro.FloorPlan), ("object_presence", repro.FlowComputer),
     ) for row in _members(36, names, subject)],
+    *_members(37, "samples_before samples_after candidate_paths_before candidate_paths_after",
+              repro.core.ReductionStats),
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)

@@ -69,9 +69,19 @@ def _build_sequence(drawn, pool):
     return sequence
 
 
+class _OracleStats(OracleStats):
+    """The oracle's accounting walk, which still counts samples and candidate paths.
+
+    ``ReductionStats`` no longer keeps those four counters, so they start at
+    zero here; ``as_dict`` compares only the fields both keep.
+    """
+
+    samples_before = samples_after = candidate_paths_before = candidate_paths_after = 0
+
+
 def _assert_matches_oracle(sequence, query, graph, matrix):
     for config in ALL_CONFIGS:
-        stats, oracle_stats = ReductionStats(), OracleStats()
+        stats, oracle_stats = ReductionStats(), _OracleStats()
         reduced = DataReducer(graph, matrix, config).reduce(sequence, query, stats)
         expected = OracleReducer(graph, matrix, config).reduce(
             sequence, None if query is None else set(query), oracle_stats
@@ -80,7 +90,7 @@ def _assert_matches_oracle(sequence, query, graph, matrix):
         assert reduced.psls == expected.psls, config
         assert reduced.pruned == expected.pruned, config
         assert stats.as_dict() == oracle_stats.as_dict(), config
-        assert stats.candidate_paths_after == candidate_path_count(reduced.sequence)
+        assert oracle_stats.candidate_paths_after == candidate_path_count(reduced.sequence)
 
 
 def _query_over(drawn_query, graph):

@@ -254,7 +254,7 @@ class TestDrainAnswersWhatItAdmitted:
                     {"q": slocs, "k": 3, "start": float(frame["id"]), "end": HISTORY}
                 )
                 assert frame["result"] == protocol.result_to_wire(
-                    direct.search(service.iupt, query, "best-first")
+                    direct.search(service.iupt, query, "nested-loop")
                 )
             # Only then does the socket close.
             assert await _next_frame(reader) is None

@@ -319,18 +319,27 @@ class TestDerivedState:
             monkeypatch.setattr(best_first.BestFirstTkPLQ, f"_build_{name.lower()}", counted)
         return counts
 
+    def test_the_default_top_k_builds_neither_tree(self, builds):
+        table, engine = _table(), _engine()
+        slocs, (start, end) = QUERY_SETS[0], WINDOWS[0]
+        result = engine.top_k(table, slocs, 2, start, end)
+        assert result.algorithm == "nested-loop"
+        assert result.stats.heap_operations == 0
+        assert builds == {"RC": 0, "RQ": 0}
+        assert engine.store.get((start, end), table.version_token(start, end)).derived == {}
+
     def test_a_warm_query_builds_no_rc_and_a_reset_forgets_it(self, builds):
         table, engine = _table(), _engine()
         slocs, (start, end) = QUERY_SETS[0], WINDOWS[0]
-        engine.top_k(table, slocs, 2, start, end)
+        engine.top_k(table, slocs, 2, start, end, "best-first")
         assert builds == {"RC": 1, "RQ": 1}
-        engine.top_k(table, slocs, 3, start, end)  # another k: the same RC
+        engine.top_k(table, slocs, 3, start, end, "best-first")  # another k: the same RC
         engine.flows(table, slocs, start, end)  # another op on the same key
-        engine.top_k(table, slocs, 1, start, end)
+        engine.top_k(table, slocs, 1, start, end, "best-first")
         assert builds == {"RC": 1, "RQ": 3}  # RQ per best-first query
 
         engine.reset_cache()
-        engine.top_k(table, slocs, 2, start, end)
+        engine.top_k(table, slocs, 2, start, end, "best-first")
         assert builds == {"RC": 2, "RQ": 4}
         assert engine.cache_stats()["hits"] == 0
 
@@ -338,14 +347,14 @@ class TestDerivedState:
         table, engine = _table(), _engine()
         (start, end) = WINDOWS[0]
         for query_set in QUERY_SETS + QUERY_SETS:
-            engine.top_k(table, query_set, 2, start, end)
+            engine.top_k(table, query_set, 2, start, end, "best-first")
         assert builds == {"RC": 1, "RQ": 2 * len(QUERY_SETS)}
         assert engine.cache_stats()["windows"] == 1
 
     def test_an_uncached_engine_keeps_nothing(self, builds):
         table, engine = _table(), _engine(EngineConfig.uncached())
         slocs, (start, end) = QUERY_SETS[0], WINDOWS[0]
-        engine.top_k(table, slocs, 2, start, end)
+        engine.top_k(table, slocs, 2, start, end, "best-first")
         cold = dict(builds)
-        engine.top_k(table, slocs, 2, start, end)
+        engine.top_k(table, slocs, 2, start, end, "best-first")
         assert builds == {name: 2 * count for name, count in cold.items()}
