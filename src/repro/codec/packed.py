@@ -48,7 +48,7 @@ _SWAP = sys.byteorder == "big"
 
 
 def codec_info() -> dict:
-    """The codec version, for the ``stats`` op and benchmark headers."""
+    """The codec version, for the ``stats`` op."""
     return {"codec_version": CODEC_VERSION}
 
 

@@ -49,8 +49,8 @@ versioning was built to avoid.  This module closes the loop:
 :meth:`ContinuousQueryEngine.resync` walks the same steps with no receipt
 (nothing is carried over), after a store reset that fired no events.
 
-``benchmarks/test_bench_continuous.py`` measures steps 1-2 against a polling
-client that re-issues every standing query after each batch.
+``repro.experiments.ablations.ablation_continuous`` measures steps 1-2
+against a polling client that re-issues every standing query after each batch.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ from .harness import (
     BASELINE_METHODS,
     SEARCH_METHODS,
     MethodOutcome,
-    run_batched,
     run_method,
     run_methods,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "pruning_ratio",
     "rank_by_score",
     "recall_at_k",
-    "run_batched",
     "run_method",
     "run_methods",
 ]

@@ -4,8 +4,8 @@ The harness provides a single entry point, :func:`run_method`, that executes
 one of the evaluated methods (the paper's three search algorithms with or
 without data reduction, and the SC / SC-ρ / MC / SCC / UR baselines) on a
 :class:`~repro.synth.scenario.Scenario` and returns both efficiency and
-effectiveness measures against the ground truth.  Every experiment module and
-benchmark is a thin sweep over this function.
+effectiveness measures against the ground truth.  Every experiment module is
+a thin sweep over this function.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ..core import (
     TkPLQResult,
     TkPLQuery,
 )
-from ..engine import BatchReport, EngineConfig, QueryEngine
+from ..engine import EngineConfig, QueryEngine
 from ..synth.scenario import Scenario
 from .ground_truth import ground_truth_ranking
 from .metrics import kendall_coefficient, recall_at_k
@@ -202,18 +202,3 @@ def _search_engine(scenario: Scenario, reduction: DataReductionConfig) -> QueryE
         config=EngineConfig.uncached(),
     )
 
-
-def run_batched(
-    scenario: Scenario,
-    queries: Sequence[TkPLQuery],
-    reduction: DataReductionConfig = DataReductionConfig.enabled(),
-) -> BatchReport:
-    """Answer many TkPLQ queries in one batch over the scenario.
-
-    The engine keeps a presence store, so the queries over one window share
-    its entry: the per-object reduce/path work runs once per window; the
-    per-query rankings are identical to independent
-    ``run_method(..., "nl", ...)`` calls.
-    """
-    engine = QueryEngine(scenario.system.graph, scenario.system.matrix, reduction)
-    return engine.batch(scenario.iupt, queries)

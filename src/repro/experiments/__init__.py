@@ -12,11 +12,9 @@ from .config import (
 from .registry import EXPERIMENTS, experiment_names, run_experiment
 from .runner import (
     QuerySetting,
-    batched_outcome,
     evaluate,
     format_table,
     overlapping_queries,
-    single_query_outcome,
 )
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "QuerySetting",
     "REAL_DEFAULTS",
     "SYNTH_DEFAULTS",
-    "batched_outcome",
     "clear_scenario_cache",
     "evaluate",
     "experiment_names",
@@ -34,6 +31,5 @@ __all__ = [
     "overlapping_queries",
     "real_scale",
     "run_experiment",
-    "single_query_outcome",
     "synth_scale",
 ]

@@ -1,7 +1,6 @@
 """Command-line entry point: ``python -m repro.experiments <name> [--scale paper]``.
 
-Runs one registered experiment (or ``all``) and prints its result table.  The
-same runners back the pytest-benchmark targets in ``benchmarks/``.
+Runs one registered experiment (or ``all``) and prints its result table.
 """
 
 from __future__ import annotations

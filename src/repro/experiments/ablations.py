@@ -5,10 +5,9 @@ Two ablations complement the paper's own experiments:
 * **data reduction ablation** — quantifies how much the intra-merge,
   inter-merge, and PSL pruning steps shrink the candidate path space and the
   running time (the paper's §5.2.1 reports the end-to-end effect only);
-* **index ablation** — compares the paper's two time indexes (1D R-tree vs.
-  B+-tree, built directly over the table's records) and the sorted timestamp
-  column the store answers from on the IUPT range query, and the raw vs.
-  merged indoor location matrix dimensions.
+* **index ablation** — times the sorted timestamp column the store answers
+  the IUPT range query from, and compares the raw vs. merged indoor location
+  matrix dimensions.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from ..core import DataReducer, DataReductionConfig, TkPLQuery
 from ..core.paths import candidate_path_count
 from ..engine import QueryEngine
 from ..eval import run_method
-from ..indexes import BPlusTree, OneDimensionalRTree
 from ..space import IndoorLocationMatrix
 from ..storage import ShardedRecordStore
 from .config import get_real_scenario, real_scale
@@ -75,37 +73,23 @@ def ablation_reduction(scale: str = "small") -> List[Dict[str, object]]:
 
 
 def ablation_indexes(scale: str = "small") -> List[Dict[str, object]]:
-    """Compare time-index variants and matrix merging on the same workload."""
+    """Time the store's range query and compare matrix merging."""
     scenario = get_real_scenario(scale)
     knobs = real_scale(scale)
     start, end = scenario.query_interval(knobs.default_delta_seconds, seed=3)
 
-    # The paper's two trees (§3.3), bulk-loaded over the table's records, and
-    # the index the store actually answers from.
-    records = scenario.iupt.records_in_time_order()
-    pairs = [(record.timestamp, record) for record in records]
-    variants = (
-        ("1dr-tree", OneDimensionalRTree.from_sorted(pairs).range_query),
-        ("bplus-tree", BPlusTree.bulk_load(pairs).range_query),
-        (scenario.iupt.index_kind, scenario.iupt.range_query),
-    )
-
-    rows: List[Dict[str, object]] = []
-    for variant, range_query in variants:
-        began = time.perf_counter()
-        repetitions = 50
-        fetched = 0
-        for _ in range(repetitions):
-            fetched = len(range_query(start, end))
-        elapsed = (time.perf_counter() - began) / repetitions
-        rows.append(
-            {
-                "component": "time-index",
-                "variant": variant,
-                "records_fetched": fetched,
-                "time_s": round(elapsed, 6),
-            }
-        )
+    repetitions = 50
+    began = time.perf_counter()
+    for _ in range(repetitions):
+        fetched = len(scenario.iupt.range_query(start, end))
+    rows: List[Dict[str, object]] = [
+        {
+            "component": "time-index",
+            "variant": scenario.iupt.index_kind,
+            "records_fetched": fetched,
+            "time_s": round((time.perf_counter() - began) / repetitions, 6),
+        }
+    ]
 
     raw = IndoorLocationMatrix.from_graph(scenario.system.graph)
     merged = raw.merged(scenario.system.graph)
@@ -132,9 +116,9 @@ def ablation_continuous(scale: str = "small") -> List[Dict[str, object]]:
     The results are identical by construction (the differential harness in
     ``tests/test_continuous.py`` asserts it); the rows quantify how much
     less work the delta maintenance does — refreshes skipped outright,
-    artefacts re-keyed instead of recomputed, and the refresh time saved.
-    (``benchmarks/test_bench_continuous.py`` runs the larger, asserted
-    version of this comparison.)
+    artefacts re-keyed instead of recomputed, and the refresh time saved
+    (``tests/test_eval_and_experiments.py`` asserts the first two and the
+    smaller counts).
     """
     scenario = get_real_scenario(scale)
     records = scenario.iupt.records_in_time_order()

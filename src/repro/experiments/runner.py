@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core import TkPLQuery
 from ..data.records import PositioningRecord
-from ..eval import MethodOutcome, run_batched, run_method
+from ..eval import run_method
 from ..eval.ground_truth import ground_truth_ranking
 from ..synth import Scenario
 
@@ -27,9 +27,8 @@ def split_into_time_batches(
 
     Mirrors how a live loader flushes its buffer every ``step`` seconds from
     ``start``: one (possibly empty) batch per elapsed interval, with the
-    trailing partial batch kept.  Shared by the continuous-query ablation
-    and the streaming benchmarks so all of them replay the same stream
-    shape.
+    trailing partial batch kept.  The continuous-query ablation replays its
+    live stream in these batches.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -132,22 +131,6 @@ def evaluate(
     return rows
 
 
-def single_query_outcome(
-    scenario: Scenario,
-    method: str,
-    setting: QuerySetting,
-) -> MethodOutcome:
-    """Run one method on the first query of a setting (used by benchmarks)."""
-    query = setting.queries(scenario)[0]
-    return run_method(
-        scenario,
-        method,
-        query,
-        sc_rho=setting.sc_rho,
-        mc_rounds=setting.mc_rounds,
-    )
-
-
 def overlapping_queries(
     scenario: Scenario,
     count: int,
@@ -175,24 +158,6 @@ def overlapping_queries(
             )
         )
     return queries
-
-
-def batched_outcome(
-    scenario: Scenario,
-    queries: Sequence[TkPLQuery],
-) -> List[Dict[str, object]]:
-    """Answer a query stream in one batched pass; one flat row per query."""
-    report = run_batched(scenario, queries)
-    return [
-        {
-            "query": index,
-            "k": result.query.k,
-            "q_size": len(result.query.query_slocations),
-            "top_k": result.top_k_ids(),
-            "time_s": round(result.stats.elapsed_seconds, 4),
-        }
-        for index, result in enumerate(report.results)
-    ]
 
 
 def format_table(rows: Sequence[Dict[str, object]]) -> str:

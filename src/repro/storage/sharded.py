@@ -186,10 +186,8 @@ class ShardedRecordStore:
     its time attribute, so that the flow and TkPLQ algorithms fetch exactly
     the records of a query window (:meth:`range_query`, grouped per object by
     :meth:`sequences_in`); ``repro.IUPT`` is a second name for this class.
-    The index is each shard's sorted timestamp column; the paper's own two
-    time indexes (the 1D R-tree and the B+-tree) live in
-    :mod:`repro.indexes`, and the §3.3 index ablation builds them over a
-    table's records.
+    The index is each shard's sorted timestamp column, not the paper's 1D
+    R-tree or B+-tree (README, *Storage*, deviation note).
 
     Streaming callers ingest through :meth:`ingest_batch`, which costs one
     version bump per touched shard, and the engine keys its cross-query

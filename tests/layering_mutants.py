@@ -47,6 +47,8 @@ CONTAINERS = {
     "EvictionEvent-fields": ("storage/base.py", "class EvictionEvent:\n",
                              "class EvictionEvent:\n    {}: float\n"),
     "PresenceMatrix.__slots__": ("codec/kernels.py", "__slots__ = (", '__slots__ = ("{}", '),
+    **dict.fromkeys(["BPlusTree", "OneDimensionalRTree"], (  # deleted trees, back with a method
+        "indexes/__init__.py", None, "class {tree}:\n    def {}(self):\n        pass")),
 }
 ANCHORS = {  # the line after which a topology role's deleted flag is re-added
     "primary": 'primary.add_argument("--data-dir", required=True)',
@@ -112,7 +114,8 @@ def readds(layering, subject, name):
     """Every form ``name`` takes as a member of a ``GONE`` row's ``subject``."""
     if subject in CONTAINERS:
         path, old, new = CONTAINERS[subject]
-        return [change(f"{subject} gains {name}", path, old, new.replace("{}", name))]
+        new = new.replace("{tree}", subject).replace("{}", name)
+        return [change(f"{subject} gains {name}", path, old, new)]
     if subject == "importable-modules":
         path = name.removeprefix("repro.").replace(".", "/") + ".py"
         return [change(f"{name} is back", path, None, '"""Re-added."""')]
@@ -201,7 +204,6 @@ def rule_breakers(layering):
         code("engine/stages.py", "wraps the fold", "import functools as _f\n"
              "accumulate_flows_over_entries = _f.wraps(accumulate_flows_over_entries)(lambda *a: a)"),
         returns("core/best_first.py", "constructs an RTree directly", "RTree([])"),
-        returns("experiments/ablations.py", "extends a BPlusTree", "BPlusTree.extend(tree, [])"),
         change("IUPT becomes a subclass", "data/__init__.py",
                "from ..storage.sharded import ShardedRecordStore as IUPT\n",
                "from ..storage.sharded import ShardedRecordStore\n\n\n"

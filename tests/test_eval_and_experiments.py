@@ -125,12 +125,18 @@ class TestExperiments:
 
     def test_ablation_indexes_rows(self):
         rows = run_experiment("ablation_indexes")
-        variants = {row["variant"] for row in rows}
-        assert {"1dr-tree", "bplus-tree", "timestamp-column", "raw NxN", "merged MxM"} <= variants
-        fetched = {row["records_fetched"] for row in rows if "records_fetched" in row}
-        assert len(fetched) == 1 and fetched.pop() > 0  # three indexes, one answer
+        assert [row["variant"] for row in rows] == ["timestamp-column", "raw NxN", "merged MxM"]
+        assert rows[0]["records_fetched"] > 0
         matrix_rows = {row["variant"]: row for row in rows if "dimension" in row}
         assert matrix_rows["merged MxM"]["dimension"] <= matrix_rows["raw NxN"]["dimension"]
+
+    def test_ablation_continuous_does_less_work_than_polling(self):
+        rows = {row["strategy"]: row for row in run_experiment("ablation_continuous")}
+        incremental, polling = rows["incremental"], rows["polling"]
+        assert incremental["skipped"] > 0
+        assert incremental["objects_rekeyed"] > 0
+        assert incremental["refreshes"] < polling["refreshes"]
+        assert incremental["objects_recomputed"] < polling["objects_recomputed"]
 
     def test_ablation_reduction_rows(self):
         rows = run_experiment("ablation_reduction")

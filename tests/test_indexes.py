@@ -1,4 +1,4 @@
-"""Unit tests for the index substrates (R-tree, aggregate R-tree, 1D R-tree, B+-tree)."""
+"""Unit tests for the index substrates (R-tree, COUNT-aggregate R-tree)."""
 
 from __future__ import annotations
 
@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
-from repro.indexes import (
-    BPlusTree,
-    CountAggregateRTree,
-    OneDimensionalRTree,
-    RTree,
-)
+from repro.indexes import CountAggregateRTree, RTree
 from repro.indexes.aggregate_rtree import CHILDREN, COUNT, ITEM
 
 
@@ -38,9 +33,6 @@ def _bounds(rects):
     """``(Rect, item)`` pairs as the ``(xmin, ymin, xmax, ymax, floor, item)``
     bounds :meth:`CountAggregateRTree.build` packs."""
     return [(r.xmin, r.ymin, r.xmax, r.ymax, r.floor, item) for r, item in rects]
-
-
-UNSORTED = [(3.0, "a"), (1.0, "b"), (2.0, "c"), (1.0, "d")]
 
 
 class TestRTree:
@@ -169,124 +161,3 @@ class TestCountAggregateRTree:
         tree = CountAggregateRTree.build(_bounds(items), max_entries=fanout)
         assert aggregate_shape(tree.root_entries) == rtree_shape(rtree.root)
         assert tree.count == count
-
-
-class TestOneDimensionalRTree:
-    def test_range_query_matches_filter(self):
-        rng = random.Random(7)
-        records = sorted((rng.uniform(0, 1000), i) for i in range(500))
-        tree = OneDimensionalRTree.from_sorted(records, leaf_capacity=8, fanout=4)
-        assert len(tree) == 500
-        assert tree.height == 4  # 63 leaves -> 16 -> 4 -> 1
-        for start, end in ((0, 100), (250, 260), (990, 1000), (400, 400)):
-            expected = [v for ts, v in records if start <= ts <= end]
-            assert tree.range_query(start, end) == expected
-
-    def test_results_in_time_order(self):
-        tree = OneDimensionalRTree.from_sorted(
-            [(1.0, "a"), (2.0, "b"), (3.0, "c"), (4.0, "d"), (5.0, "e")],
-            leaf_capacity=2,
-            fanout=2,
-        )
-        assert tree.range_query(0, 10) == ["a", "b", "c", "d", "e"]
-
-    @given(
-        stamps=st.lists(st.integers(min_value=0, max_value=12), max_size=70),
-        leaf_capacity=st.sampled_from([2, 3, 64]),  # deep trees and a single leaf
-        windows=st.lists(
-            st.tuples(
-                st.integers(min_value=-1, max_value=13),
-                st.integers(min_value=0, max_value=6),
-            ),
-            min_size=1, max_size=6,
-        ),  # fmt: skip
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_traversal_answers_in_time_order_with_arrival_ties(
-        self, stamps, leaf_capacity, windows
-    ):
-        # The traversal's own result is the answer: the same rows, in the same
-        # order, as the stable sort of the arrivals it was built from.
-        arrivals = [(float(stamp), index) for index, stamp in enumerate(stamps)]
-        in_time_order = sorted(arrivals, key=lambda pair: pair[0])
-        tree = OneDimensionalRTree.from_sorted(
-            in_time_order, leaf_capacity=leaf_capacity, fanout=2
-        )
-        for start, width in windows:
-            end = start + width
-            expected = [v for ts, v in in_time_order if start <= ts <= end]
-            assert tree.range_query(start, end) == expected
-
-    def test_invalid_interval(self):
-        tree: OneDimensionalRTree[int] = OneDimensionalRTree.from_sorted([])
-        with pytest.raises(ValueError):
-            tree.range_query(5, 1)
-
-    def test_count_in_range(self):
-        tree = OneDimensionalRTree.from_sorted([(float(i), i) for i in range(100)])
-        assert len(tree.range_query(10, 19)) == 10
-
-    def test_time_span(self):
-        assert OneDimensionalRTree.from_sorted([]).time_span == (float("inf"), float("-inf"))
-        assert OneDimensionalRTree.from_sorted([(2.0, 2), (4.0, 1)]).time_span == (2.0, 4.0)
-
-    def test_from_sorted_empty(self):
-        tree = OneDimensionalRTree.from_sorted([])
-        assert (len(tree), tree.height) == (0, 0)
-        assert tree.range_query(0, 10) == []
-
-    def test_from_sorted_refuses_unsorted_input(self):
-        with pytest.raises(ValueError, match=r"record 1 \(t=1.0\) is earlier than record 0"):
-            OneDimensionalRTree.from_sorted(UNSORTED)
-        tree = OneDimensionalRTree.from_sorted(sorted(UNSORTED, key=lambda pair: pair[0]))
-        assert tree.range_query(1, 1) == ["b", "d"]
-        assert tree.range_query(0, 5) == ["b", "d", "c", "a"]
-
-
-class TestBPlusTree:
-    def test_range_query_matches_filter(self):
-        rng = random.Random(13)
-        records = sorted((round(rng.uniform(0, 100), 2), i) for i in range(400))
-        tree = BPlusTree.bulk_load(records, order=8)
-        assert len(tree) == 400
-        for start, end in ((0, 10), (45.5, 55.5), (99, 100)):
-            expected = [value for key, value in records if start <= key <= end]
-            assert tree.range_query(start, end) == expected
-
-    def test_duplicate_keys(self):
-        tree = BPlusTree.bulk_load([(1.0, "a"), (1.0, "b")])
-        assert tree.get(1.0) == ["a", "b"]
-        assert tree.get(2.0) == []
-
-    def test_items_sorted(self):
-        pairs = [(1.0, 1), (3.0, 3), (3.0, 30), (5.0, 5), (7.0, 7), (9.0, 9)]
-        tree = BPlusTree.bulk_load(pairs, order=4)  # two linked leaves
-        assert list(tree.items()) == pairs
-
-    def test_height_grows(self):
-        assert BPlusTree.bulk_load([(1.0, 1)], order=4).height == 1
-        tree = BPlusTree.bulk_load(((float(i), i) for i in range(200)), order=4)
-        assert tree.height >= 3
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            BPlusTree.bulk_load([], order=2)
-
-    def test_bulk_load_groups_duplicates_in_order(self):
-        bulk = BPlusTree.bulk_load([(1.0, "a"), (1.0, "b"), (2.0, "c")], order=4)
-        assert bulk.get(1.0) == ["a", "b"]
-        assert len(bulk) == 3
-
-    def test_bulk_load_empty(self):
-        bulk: BPlusTree[int] = BPlusTree.bulk_load([])
-        assert len(bulk) == 0
-        assert bulk.range_query(0, 10) == []
-
-    def test_bulk_load_refuses_unsorted_input(self):
-        with pytest.raises(ValueError, match=r"pair 1 \(key 1.0\) is below pair 0"):
-            BPlusTree.bulk_load(UNSORTED)
-        with pytest.raises(ValueError, match=r"pair 3 \(key 1.5\) is below pair 2"):
-            BPlusTree.bulk_load(iter([(1.0, "a"), (1.0, "b"), (2.0, "c"), (1.5, "d")]))
-        tree = BPlusTree.bulk_load(sorted(UNSORTED, key=lambda pair: pair[0]))
-        assert tree.get(1.0) == tree.range_query(1, 1) == ["b", "d"]
-        assert tree.range_query(0, 5) == ["b", "d", "c", "a"]

@@ -19,12 +19,13 @@ import sys
 import pytest
 
 import repro
+import repro.experiments
 from repro import IUPT, IndoorFlowSystem, QueryEngine, QueryService, ShardedRecordStore
 from repro.codec import PackedRecordBatch, PresenceMatrix
 from repro.core import nested_loop
 from repro.data.records import PositioningRecord
 from repro.engine import cache, continuous, stages
-from repro.indexes import BPlusTree, CountAggregateRTree, OneDimensionalRTree, RTree
+from repro.indexes import CountAggregateRTree, RTree
 from repro.service import AdmissionController, ReadReplica, client, protocol, topology
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -151,8 +152,10 @@ GONE = [
     *_members(28, "reduce_object", repro.FlowComputer),
     (28, "PresenceMatrix.__slots__", PresenceMatrix.__slots__.__contains__, "_has_parent"),
     _text(28, "score_presence_into_flows", ""),
-    *_members(29, INSERTS, RTree, BPlusTree, CountAggregateRTree),
-    *_members(29, INSERTS + " bulk_load", OneDimensionalRTree),
+    *_members(29, INSERTS, RTree, CountAggregateRTree),
+    *[(29, tree, lambda n, t=tree: hasattr(getattr(repro.indexes, t, None), n), names)
+      for tree, names in [("BPlusTree", INSERTS), ("OneDimensionalRTree", INSERTS + " bulk_load")]
+      ],  # both trees went in PR 38; were one to come back, it comes back without these
     _text(29, "run_in_executor _quadratic_split _pick_seeds _enlargement _loose_union _dirty", ""),
     *_members(30, "RecordStore", repro, repro.storage),
     (30, "importable-modules", importlib.util.find_spec, "repro.data.iupt"),
@@ -183,6 +186,12 @@ GONE = [
     ) for row in _members(36, names, subject)],
     *_members(37, "samples_before samples_after candidate_paths_before candidate_paths_after",
               repro.core.ReductionStats),
+    *_members(38, "BPlusTree OneDimensionalRTree", repro.indexes),
+    (38, "importable-modules", importlib.util.find_spec,
+     "repro.indexes.bplustree repro.indexes.interval_index"),
+    *_members(38, "single_query_outcome batched_outcome", repro.experiments),
+    *_members(38, "run_batched", repro.eval),
+    _text(38, "single_query_outcome batched_outcome run_batched", ""),
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
@@ -244,8 +253,7 @@ RULES = [  # (PR, rule, actual, expected)
      (nested_loop.accumulate_flows_over_entries, nested_loop.score_query_over_entries)),
     (29, "every-tree-built-by-its-bulk-constructor", lambda: sorted({  # an index class: *Tree
         callee for _, callee, _ in CALLS if re.fullmatch(r"[A-Za-z]*Tree(\.\w+)?", callee)}),
-     ["BPlusTree.bulk_load", "CountAggregateRTree.build", "OneDimensionalRTree.from_sorted",
-      "RTree.bulk_load"]),
+     ["CountAggregateRTree.build", "RTree.bulk_load"]),
     (30, "IUPT-is-the-store", lambda: IUPT, ShardedRecordStore),
     (30, "the-store-subclasses-nothing", lambda: ShardedRecordStore.__mro__[1], object),
     (30, "API-sizes", lambda: [len(pkg.__all__) for pkg in (repro, repro.codec, repro.engine)],

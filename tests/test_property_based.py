@@ -12,7 +12,7 @@ from repro.core.presence import PresenceComputation
 from repro.data import SampleSet
 from repro.eval.metrics import kendall_coefficient, recall_at_k
 from repro.geometry import Point, Rect
-from repro.indexes import BPlusTree, OneDimensionalRTree, RTree
+from repro.indexes import RTree
 from tests.presence_oracle import candidate_mass, valid_paths
 
 # ----------------------------------------------------------------------
@@ -92,23 +92,6 @@ class TestIndexProperties:
         tree = RTree.bulk_load(items)
         expected = sorted(index for rect, index in items if rect.intersects(window))
         assert sorted(tree.search(window)) == expected
-
-    @given(
-        st.lists(st.floats(min_value=0, max_value=1000, allow_nan=False), min_size=1, max_size=200),
-        st.floats(min_value=0, max_value=1000),
-        st.floats(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_time_indexes_agree(self, timestamps, a, b):
-        start, end = min(a, b), max(a, b)
-        pairs = sorted(
-            ((ts, index) for index, ts in enumerate(timestamps)), key=lambda pair: pair[0]
-        )
-        rtree = OneDimensionalRTree.from_sorted(pairs, leaf_capacity=8, fanout=4)
-        bptree = BPlusTree.bulk_load(pairs, order=8)
-        expected = [i for ts, i in pairs if start <= ts <= end]
-        assert rtree.range_query(start, end) == expected
-        assert bptree.range_query(start, end) == expected
 
 
 # ----------------------------------------------------------------------
