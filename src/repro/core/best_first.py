@@ -30,7 +30,9 @@ is where its extra pruning over the nested-loop algorithm comes from.  It
 also stops once an exact 0.0 tops the heap (or the heap empties): then every
 location not yet emitted has flow 0 — those under an ``RQ`` subtree the join
 dropped because no candidate reaches it included — and they complete the
-ranking in ascending id, as in every other algorithm's ranking.
+ranking in ascending id, as in every other algorithm's ranking.  The
+answer's ``flows`` lists exactly the ranked locations' flows: a location the
+search never resolved is absent.
 
 **The join runs on floats.**  ``RC`` and ``RQ`` are
 :data:`~repro.indexes.aggregate_rtree.AggregateEntry` tuples carrying their
@@ -165,9 +167,6 @@ class BestFirstTkPLQ:
         for sloc_id in sorted(query_set - ranked)[: k - len(emitted)]:
             emitted.append(RankedLocation(sloc_id, 0.0))
             flows[sloc_id] = 0.0
-        # Record flows for the locations never reached (bounded by the emitted ones).
-        for sloc_id in query.query_slocations:
-            flows.setdefault(sloc_id, 0.0)
 
         # Algorithm 4's stopping rule: the k-th exact flow dominates every
         # bound left in the heap.

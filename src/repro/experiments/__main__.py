@@ -9,7 +9,7 @@ import argparse
 import sys
 from typing import List
 
-from .registry import EXPERIMENTS, run_experiment
+from .paper import EXPERIMENTS, run_experiment
 from .runner import format_table
 
 

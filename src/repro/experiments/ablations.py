@@ -21,15 +21,15 @@ from ..engine import QueryEngine
 from ..eval import run_method
 from ..space import IndoorLocationMatrix
 from ..storage import ShardedRecordStore
-from .config import get_real_scenario, real_scale
-from .runner import QuerySetting, split_into_time_batches
+from . import config
+from .runner import split_into_time_batches
 
 
 def ablation_reduction(scale: str = "small") -> List[Dict[str, object]]:
     """Quantify the path-space shrinkage of each data reduction configuration."""
-    scenario = get_real_scenario(scale)
-    knobs = real_scale(scale)
-    start, end = scenario.query_interval(knobs.default_delta_seconds, seed=3)
+    scenario = config.scenario("real", scale)
+    delta_seconds = config.default_setting("real", scale).delta_seconds
+    start, end = scenario.query_interval(delta_seconds, seed=3)
     sequences = scenario.iupt.sequences_in(start, end)
     query_set = set(scenario.slocation_ids())
 
@@ -42,8 +42,8 @@ def ablation_reduction(scale: str = "small") -> List[Dict[str, object]]:
     }
 
     rows: List[Dict[str, object]] = []
-    for label, config in configurations.items():
-        reducer = DataReducer(scenario.system.graph, scenario.system.matrix, config)
+    for label, reduction in configurations.items():
+        reducer = DataReducer(scenario.system.graph, scenario.system.matrix, reduction)
         began = time.perf_counter()
         candidate_before = 0
         candidate_after = 0
@@ -74,9 +74,9 @@ def ablation_reduction(scale: str = "small") -> List[Dict[str, object]]:
 
 def ablation_indexes(scale: str = "small") -> List[Dict[str, object]]:
     """Time the store's range query and compare matrix merging."""
-    scenario = get_real_scenario(scale)
-    knobs = real_scale(scale)
-    start, end = scenario.query_interval(knobs.default_delta_seconds, seed=3)
+    scenario = config.scenario("real", scale)
+    delta_seconds = config.default_setting("real", scale).delta_seconds
+    start, end = scenario.query_interval(delta_seconds, seed=3)
 
     repetitions = 50
     began = time.perf_counter()
@@ -120,7 +120,7 @@ def ablation_continuous(scale: str = "small") -> List[Dict[str, object]]:
     (``tests/test_eval_and_experiments.py`` asserts the first two and the
     smaller counts).
     """
-    scenario = get_real_scenario(scale)
+    scenario = config.scenario("real", scale)
     records = scenario.iupt.records_in_time_order()
     duration = scenario.duration_seconds
     history_end = duration / 2.0
@@ -191,16 +191,8 @@ def _poll(engine, table, queries, summary: Dict[str, float]) -> None:
 
 def ablation_algorithms(scale: str = "small") -> List[Dict[str, object]]:
     """Head-to-head of the three search algorithms with and without reduction."""
-    scenario = get_real_scenario(scale)
-    knobs = real_scale(scale)
-    setting = QuerySetting(
-        k=3,
-        q_fraction=0.6,
-        delta_seconds=knobs.default_delta_seconds,
-        repeats=1,
-        mc_rounds=knobs.mc_rounds,
-    )
-    query = setting.queries(scenario)[0]
+    scenario = config.scenario("real", scale)
+    query = config.default_setting("real", scale).queries(scenario)[0]
     rows: List[Dict[str, object]] = []
     for method in ("naive", "nl", "bf", "naive-org", "nl-org", "bf-org"):
         outcome = run_method(scenario, method, query)

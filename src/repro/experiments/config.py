@@ -1,180 +1,68 @@
-"""Experiment configuration and scenario caching.
+"""Experiment scales and the cached scenario builder.
 
-All experiment runners and benchmarks obtain their scenarios through this
-module so that (a) the same underlying data is reused across the many
-parameter sweeps that share it, and (b) the scale of every experiment is
-controlled in one place.
+Every experiment obtains its scenario through :func:`scenario`, so the same
+data is reused across the many sweeps that share it, and the scale of every
+experiment is set in one table, :data:`SCALES`.  Two scales are defined:
 
-Two scales are defined:
-
-* ``"small"`` — the default used by the test suite and the benchmark harness:
-  a single-floor real scenario with a handful of users and a two-floor
-  synthetic building with tens of objects, so the full suite completes in
-  minutes of pure-Python time.
+* ``"small"`` — the default used by the test suite: a single-floor real
+  scenario with a handful of users and a two-floor synthetic building with
+  tens of objects, so every experiment runs in seconds of pure-Python time.
 * ``"paper"`` — the parameters reported in the paper (35 users / 150 minutes
   of real data; 5 floors and thousands of objects for the synthetic data).
-  These are provided for completeness; running them takes hours in pure
-  Python and is not part of the automated suite.
+  Running them takes hours in pure Python and is not part of the automated
+  suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..synth import Scenario, build_real_scenario, build_synthetic_scenario
+from .runner import QuerySetting
 
-_SCENARIO_CACHE: Dict[Tuple, Scenario] = {}
+BUILDERS = {"real": build_real_scenario, "synth": build_synthetic_scenario}
 
-
-@dataclass(frozen=True)
-class RealScale:
-    """Scale knobs of the "real data" (university floor) scenario."""
-
-    num_users: int
-    duration_seconds: float
-    default_delta_seconds: float
-    mc_rounds: int
-    repeats: int
-
-
-@dataclass(frozen=True)
-class SynthScale:
-    """Scale knobs of the synthetic (grid building) scenario."""
-
-    num_objects: int
-    floors: int
-    room_rows: int
-    rooms_per_row: int
-    duration_seconds: float
-    default_delta_seconds: float
-    mc_rounds: int
-    repeats: int
-
-
-REAL_SCALES: Dict[str, RealScale] = {
-    "small": RealScale(
-        num_users=12,
-        duration_seconds=480.0,
-        default_delta_seconds=180.0,
-        mc_rounds=40,
-        repeats=1,
+#: ``(kind, scale)`` → (the scenario builder's arguments, the default query
+#: setting of Tables 3 and 6).  The builders' own default supplies mss = 4.
+SCALES = {
+    ("real", "small"): (
+        dict(num_users=12, duration_seconds=480.0, max_period_seconds=3.0, positioning_error=2.1),
+        dict(k=3, q_fraction=0.6, delta_seconds=180.0, repeats=1, mc_rounds=40),
     ),
-    "paper": RealScale(
-        num_users=35,
-        duration_seconds=9000.0,
-        default_delta_seconds=1800.0,
-        mc_rounds=900,
-        repeats=15,
+    ("real", "paper"): (
+        dict(num_users=35, duration_seconds=9000.0, max_period_seconds=3.0, positioning_error=2.1),
+        dict(k=3, q_fraction=0.6, delta_seconds=1800.0, repeats=15, mc_rounds=900),
+    ),
+    ("synth", "small"): (
+        dict(num_objects=25, floors=2, room_rows=2, rooms_per_row=4, duration_seconds=480.0,
+             max_period_seconds=3.0, positioning_error=5.0),
+        dict(k=10, q_fraction=0.5, delta_seconds=180.0, repeats=1, mc_rounds=40, sc_rho=0.2),
+    ),
+    ("synth", "paper"): (
+        dict(num_objects=5000, floors=5, room_rows=10, rooms_per_row=10, duration_seconds=7200.0,
+             max_period_seconds=3.0, positioning_error=5.0),
+        dict(k=10, q_fraction=0.5, delta_seconds=1800.0, repeats=20, mc_rounds=25000,
+             sc_rho=0.2),
     ),
 }
 
-SYNTH_SCALES: Dict[str, SynthScale] = {
-    "small": SynthScale(
-        num_objects=25,
-        floors=2,
-        room_rows=2,
-        rooms_per_row=4,
-        duration_seconds=480.0,
-        default_delta_seconds=180.0,
-        mc_rounds=40,
-        repeats=1,
-    ),
-    "paper": SynthScale(
-        num_objects=5000,
-        floors=5,
-        room_rows=10,
-        rooms_per_row=10,
-        duration_seconds=7200.0,
-        default_delta_seconds=1800.0,
-        mc_rounds=25000,
-        repeats=20,
-    ),
-}
-
-# Default query parameters mirroring Tables 3 and 6 of the paper.
-REAL_DEFAULTS = {"k": 3, "q_fraction": 0.6, "mss": 4, "T": 3.0, "mu": 2.1}
-SYNTH_DEFAULTS = {"k": 10, "q_fraction": 0.5, "mss": 4, "T": 3.0, "mu": 5.0}
+_SCENARIOS: Dict[Tuple, Scenario] = {}
 
 
-def real_scale(name: str = "small") -> RealScale:
-    return REAL_SCALES[name]
+def scenario(kind: str, scale: str, mss: Optional[int] = None, **overrides) -> Scenario:
+    """The ``kind`` scenario at ``scale``, built once per set of builder arguments.
+
+    ``overrides`` replace builder arguments (``num_objects``,
+    ``max_period_seconds``, ``positioning_error``, ``with_rfid``); ``mss``
+    truncates the sample sets of the scenario built without it.
+    """
+    arguments = {**SCALES[kind, scale][0], **overrides}
+    key = (kind, *sorted(arguments.items()))
+    if key not in _SCENARIOS:
+        _SCENARIOS[key] = BUILDERS[kind](**arguments)
+    return _SCENARIOS[key] if mss is None else _SCENARIOS[key].with_mss(mss)
 
 
-def synth_scale(name: str = "small") -> SynthScale:
-    return SYNTH_SCALES[name]
-
-
-def get_real_scenario(
-    scale: str = "small",
-    max_sample_set_size: int = 4,
-    max_period_seconds: float = 3.0,
-    positioning_error: float = 2.1,
-    seed: int = 11,
-    with_rfid: bool = False,
-) -> Scenario:
-    """Build (or fetch from cache) the real-data scenario at a given scale."""
-    knobs = real_scale(scale)
-    key = (
-        "real",
-        scale,
-        max_sample_set_size,
-        max_period_seconds,
-        positioning_error,
-        seed,
-        with_rfid,
-    )
-    if key not in _SCENARIO_CACHE:
-        _SCENARIO_CACHE[key] = build_real_scenario(
-            num_users=knobs.num_users,
-            duration_seconds=knobs.duration_seconds,
-            max_period_seconds=max_period_seconds,
-            max_sample_set_size=max_sample_set_size,
-            positioning_error=positioning_error,
-            seed=seed,
-            with_rfid=with_rfid,
-        )
-    return _SCENARIO_CACHE[key]
-
-
-def get_synth_scenario(
-    scale: str = "small",
-    num_objects: Optional[int] = None,
-    max_sample_set_size: int = 4,
-    max_period_seconds: float = 3.0,
-    positioning_error: float = 5.0,
-    seed: int = 23,
-    with_rfid: bool = False,
-) -> Scenario:
-    """Build (or fetch from cache) the synthetic scenario at a given scale."""
-    knobs = synth_scale(scale)
-    objects = num_objects if num_objects is not None else knobs.num_objects
-    key = (
-        "synth",
-        scale,
-        objects,
-        max_sample_set_size,
-        max_period_seconds,
-        positioning_error,
-        seed,
-        with_rfid,
-    )
-    if key not in _SCENARIO_CACHE:
-        _SCENARIO_CACHE[key] = build_synthetic_scenario(
-            num_objects=objects,
-            floors=knobs.floors,
-            room_rows=knobs.room_rows,
-            rooms_per_row=knobs.rooms_per_row,
-            duration_seconds=knobs.duration_seconds,
-            max_period_seconds=max_period_seconds,
-            max_sample_set_size=max_sample_set_size,
-            positioning_error=positioning_error,
-            seed=seed,
-            with_rfid=with_rfid,
-        )
-    return _SCENARIO_CACHE[key]
-
-
-def clear_scenario_cache() -> None:
-    """Drop every cached scenario (used by tests exercising the cache)."""
-    _SCENARIO_CACHE.clear()
+def default_setting(kind: str, scale: str) -> QuerySetting:
+    """A fresh copy of the default query setting of ``kind`` at ``scale``."""
+    return QuerySetting(**SCALES[kind, scale][1])

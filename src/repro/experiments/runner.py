@@ -1,11 +1,11 @@
-"""Shared sweep machinery for the per-table / per-figure experiment runners.
+"""Shared sweep machinery for the experiments of :mod:`repro.experiments.paper`.
 
 Every experiment in the paper's evaluation varies one knob (k, |Q|, Δt, mss,
 T, µ, |O|) and reports either efficiency (running time, pruning ratio) or
 effectiveness (Kendall τ, recall) for a set of methods.  The functions here
 run one parameter setting over a few repeated random queries and average the
-measures, producing flat result rows the experiment modules assemble into
-tables.
+measures, producing the flat result rows :mod:`repro.experiments.paper`
+assembles into tables.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core import TkPLQuery
 from ..data.records import PositioningRecord
-from ..eval import run_method
-from ..eval.ground_truth import ground_truth_ranking
+from ..eval import run_methods
 from ..synth import Scenario
 
 
@@ -85,49 +84,22 @@ def evaluate(
     coefficient and recall, annotated with the ``extra`` key/values (typically
     the value of the swept parameter).
     """
-    sums: Dict[str, Dict[str, float]] = {
-        method: {"time_s": 0.0, "pruning_ratio": 0.0, "kendall": 0.0, "recall": 0.0}
-        for method in methods
-    }
-    queries = setting.queries(scenario)
-    for query in queries:
-        truth = ground_truth_ranking(
-            scenario.trajectories,
-            scenario.plan,
-            query.start,
-            query.end,
-            query.query_slocations,
-            query.k,
-        )
-        for method in methods:
-            outcome = run_method(
-                scenario,
-                method,
-                query,
-                sc_rho=setting.sc_rho,
-                mc_rounds=setting.mc_rounds,
-                truth_ranking=truth,
-            )
-            sums[method]["time_s"] += outcome.elapsed_seconds
-            sums[method]["pruning_ratio"] += outcome.pruning_ratio
-            sums[method]["kendall"] += outcome.kendall
-            sums[method]["recall"] += outcome.recall
-
+    outcomes = [
+        run_methods(scenario, methods, query, sc_rho=setting.sc_rho, mc_rounds=setting.mc_rounds)
+        for query in setting.queries(scenario)
+    ]
     rows: List[Dict[str, object]] = []
-    count = float(len(queries))
-    for method in methods:
-        row: Dict[str, object] = {"method": method}
-        if extra:
-            row.update(extra)
-        row.update(
-            {
-                "time_s": round(sums[method]["time_s"] / count, 4),
-                "pruning_ratio": round(sums[method]["pruning_ratio"] / count, 4),
-                "kendall": round(sums[method]["kendall"] / count, 4),
-                "recall": round(sums[method]["recall"] / count, 4),
-            }
-        )
-        rows.append(row)
+    for method, runs in zip(methods, zip(*outcomes)):
+        means = {
+            column: round(sum(getattr(run, measure) for run in runs) / len(runs), 4)
+            for column, measure in (
+                ("time_s", "elapsed_seconds"),
+                ("pruning_ratio", "pruning_ratio"),
+                ("kendall", "kendall"),
+                ("recall", "recall"),
+            )
+        }
+        rows.append({"method": method, **(extra or {}), **means})
     return rows
 
 

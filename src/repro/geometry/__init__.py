@@ -1,15 +1,12 @@
-"""Geometry primitives: points, rectangles, polygons, and ellipses."""
+"""Geometry primitives: points, rectangles, and ellipses."""
 
 from .ellipse import Ellipse
 from .point import Point, interpolate
-from .polygon import Polygon, decompose_rectilinear
 from .rect import Rect
 
 __all__ = [
     "Ellipse",
     "Point",
-    "Polygon",
     "Rect",
-    "decompose_rectilinear",
     "interpolate",
 ]

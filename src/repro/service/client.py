@@ -328,7 +328,7 @@ class ServiceClient:
         """One TkPLQ; without ``algorithm`` the server answers with nested-loop.
 
         ``"naive"``, ``"nested-loop"`` and ``"best-first"`` rank the same;
-        best-first's ``flows`` read 0.0 for the locations it never resolved.
+        best-first's ``flows`` lists only the locations it resolved.
         """
         fields: Dict[str, object] = {"q": list(q), "k": k, "start": start, "end": end}
         if algorithm is not None:

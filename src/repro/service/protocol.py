@@ -54,7 +54,7 @@ from ..core.query import TkPLQResult, TkPLQuery
 from ..data.records import PositioningRecord
 from ..storage import EvictedRangeError, IngestReceipt
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one frame's wire size (the header line, and the payload it
 #: may declare).  :mod:`repro.service.stream` passes it as the reader limit of
@@ -367,7 +367,7 @@ def flows_from_wire(pairs: Iterable[Sequence[object]]) -> Dict[int, float]:
 
 
 def result_to_wire(result: TkPLQResult) -> Dict[str, object]:
-    """Serialise a TkPLQ answer: the ranking in rank order plus all flows."""
+    """Serialise a TkPLQ answer: the ranking in rank order plus its flows."""
     return {
         "ranking": [[entry.sloc_id, entry.flow] for entry in result.ranking],
         "flows": flows_to_wire(result.flows),

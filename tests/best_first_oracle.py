@@ -5,11 +5,13 @@ The earlier implementation, moved here verbatim: the ``RC`` tree is
 ``RTree.bulk_load`` copied into count-annotated ``AggregateNode`` s by
 ``_convert``, every heap push builds a ``_QueryEntry`` / ``_HeapItem``, every
 pair is joined through ``loose_intersects``, and a leaf's exact flow sums
-every candidate of its join list.  One change is applied, the zero-padding
-fix: once an exact 0.0 tops the heap every unranked location has flow 0, so
-the search stops there and the ranking ends with the unranked locations in
-ascending id (before, the locations of an ``RQ`` subtree the join dropped
-were padded after the zeros the heap had already emitted).
+every candidate of its join list.  Two changes are applied.  The
+zero-padding fix: once an exact 0.0 tops the heap every unranked location has
+flow 0, so the search stops there and the ranking ends with the unranked
+locations in ascending id (before, the locations of an ``RQ`` subtree the
+join dropped were padded after the zeros the heap had already emitted).  And
+``flows`` lists only the flows the search computed (before, every location it
+never reached was listed with a padded 0.0).
 
 ``tests/test_best_first_oracle.py`` requires the current search to return the
 same rankings and flows (by ``float.hex``) and the same ``heap_operations``.
@@ -248,10 +250,6 @@ class BestFirstOracle:
                     break
                 emitted.append(RankedLocation(sloc_id, 0.0))
                 flows[sloc_id] = 0.0
-
-        # Record flows for the locations never reached (bounded by the emitted ones).
-        for sloc_id in query.query_slocations:
-            flows.setdefault(sloc_id, 0.0)
 
         stats.elapsed_seconds = time.perf_counter() - began
         ranking = emitted[: query.k]

@@ -46,6 +46,8 @@ CONTAINERS = {
                               "class IngestEvent:\n    {}: float\n"),
     "EvictionEvent-fields": ("storage/base.py", "class EvictionEvent:\n",
                              "class EvictionEvent:\n    {}: float\n"),
+    "MethodOutcome-fields": ("eval/harness.py", "class MethodOutcome:\n",
+                             "class MethodOutcome:\n    {}: float\n"),
     "PresenceMatrix.__slots__": ("codec/kernels.py", "__slots__ = (", '__slots__ = ("{}", '),
     **dict.fromkeys(["BPlusTree", "OneDimensionalRTree"], (  # deleted trees, back with a method
         "indexes/__init__.py", None, "class {tree}:\n    def {}(self):\n        pass")),

@@ -1,11 +1,9 @@
-"""The default ``top_k`` answer lists exact flows, in process and on the wire.
+"""Every ``top_k`` answer lists exact flows, in process and on the wire.
 
 A ``top_k`` that names no algorithm is answered by nested-loop (Algorithm 3),
 which sums every query location's flow.  Best-first (Algorithm 4) lists only
-the flows it resolved before it stopped and pads the others with 0.0, so its
-``flows`` are not naive's even where its ranking is.  Every flow the default
-answer lists must be naive's, bit for bit, and its ranking must be
-best-first's and naive's.
+the flows it resolved before it stopped.  Every flow either answer lists must
+be naive's, bit for bit, and both rankings must be naive's.
 """
 
 from __future__ import annotations
@@ -47,15 +45,15 @@ def ranked(result):
     return [(entry.sloc_id, entry.flow.hex()) for entry in result.ranking]
 
 
-def wire_top_k(engine, table, slocs, k, start, end):
-    """One ``top_k`` frame without an ``algorithm``, through a started service."""
+def wire_top_k(engine, table, slocs, k, start, end, algorithm=None):
+    """One ``top_k`` frame, through a started service."""
 
     async def run():
         service = QueryService(engine, table)
         host, port = await service.start()
         client = await ServiceClient.connect(host, port)
         try:
-            return await client.top_k(slocs, k, start, end)
+            return await client.top_k(slocs, k, start, end, algorithm)
         finally:
             await client.close()
             await service.stop()
@@ -80,9 +78,15 @@ def assert_default_is_exact(scenario, table, slocs, k, start, end):
     assert hexed(protocol.flows_from_wire(wire["flows"])) == hexed(naive.flows)
     assert [(sloc_id, flow.hex()) for sloc_id, flow in wire["ranking"]] == ranked(naive)
 
+    # Best-first lists only the flows it resolved, each of them naive's.
+    best_wire = wire_top_k(engine_of(scenario), table, slocs, k, start, end, "best-first")
+    assert best_wire["algorithm"] == "best-first"
+    for flows in (best.flows, protocol.flows_from_wire(best_wire["flows"])):
+        assert hexed(flows) == {sloc_id: naive.flows[sloc_id].hex() for sloc_id in flows}
+
 
 def test_twenty_locations_over_the_first_minute():
-    """Best-first left 11 of these 20 flows at a padded 0.0."""
+    """Best-first used to list 11 of these 20 flows at a padded 0.0."""
     scenario = default_scenario()
     assert_default_is_exact(
         scenario, scenario.iupt, scenario.slocation_ids()[:20], 3, 0.0, 60.0

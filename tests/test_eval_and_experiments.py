@@ -119,6 +119,30 @@ class TestExperiments:
         }
         assert expected <= set(EXPERIMENTS)
 
+    def test_paper_sweeps_at_small_scale(self):
+        """A block of rows per point, in the table's method order, labelled with
+        the point; the three exact algorithms agree within each block."""
+        columns = ["time_s", "pruning_ratio", "kendall", "recall"]
+        sweeps = {
+            "table4": ([], [()]),
+            "fig10": (["delta_seconds"], [(90.0,), (180.0,), (270.0,)]),
+            "fig19": (["q_fraction"], [(0.25,), (0.5,), (0.75,)]),
+        }
+        for name, (label, points) in sweeps.items():
+            _, methods, _ = EXPERIMENTS[name]
+            rows = run_experiment(name, scale="small")
+            assert len(rows) == len(points) * len(methods), name
+            for at, point in enumerate(points):
+                block = rows[at * len(methods) : (at + 1) * len(methods)]
+                assert [row["method"] for row in block] == list(methods), name
+                assert all(list(row) == ["method", *label, *columns] for row in block)
+                assert {tuple(row[key] for key in label) for row in block} == {point}
+                for exact in (("bf", "nl", "naive"), ("bf-org", "nl-org", "naive-org")):
+                    measures = {
+                        (row["kendall"], row["recall"]) for row in block if row["method"] in exact
+                    }
+                    assert len(measures) <= 1, (name, point, exact)
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
             run_experiment("table99")

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.geometry import Ellipse, Point, Polygon, Rect, decompose_rectilinear, interpolate
+from repro.geometry import Ellipse, Point, Rect, interpolate
 
 
 class TestPoint:
@@ -83,31 +83,6 @@ class TestRect:
         assert rect == Rect(1, 0, 3, 4)
         with pytest.raises(ValueError):
             Rect.from_points([])
-
-
-def square(side: float) -> Polygon:
-    return Polygon([Point(0, 0), Point(side, 0), Point(side, side), Point(0, side)])
-
-
-class TestPolygon:
-    def test_area_of_square(self):
-        assert square(2).area == pytest.approx(4.0)
-
-    def test_contains_point(self):
-        triangle = Polygon([Point(0, 0), Point(4, 0), Point(0, 4)])
-        assert triangle.contains_point(Point(1, 1))
-        assert triangle.contains_point(Point(0, 0))
-        assert not triangle.contains_point(Point(3, 3))
-
-    def test_too_few_vertices(self):
-        with pytest.raises(ValueError):
-            Polygon([Point(0, 0), Point(1, 1)])
-
-    def test_decompose_rectilinear_covers_area(self):
-        shape = square(4)
-        pieces = decompose_rectilinear(shape, 1.0)
-        assert len(pieces) == 16
-        assert sum(p.area for p in pieces) == pytest.approx(16.0)
 
 
 class TestEllipse:

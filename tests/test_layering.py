@@ -178,7 +178,7 @@ GONE = [
     _text(36, "union_key", "engine/"),
     *[row for names, subject in (
         ("contains_rect", repro.Rect), ("manhattan_to", repro.Point),
-        ("from_rect", repro.geometry.Polygon), ("readers_of", repro.SemiConstrainedCounting),
+        ("readers_of", repro.SemiConstrainedCounting),
         ("partitions_visited", repro.Trajectory),
         ("reachable_partitions", repro.space.DoorGraphRouter),
         ("c2s representative_plocation", repro.space.IndoorSpaceLocationGraph),
@@ -192,6 +192,17 @@ GONE = [
     *_members(38, "single_query_outcome batched_outcome", repro.experiments),
     *_members(38, "run_batched", repro.eval),
     _text(38, "single_query_outcome batched_outcome run_batched", ""),
+    (39, "importable-modules", importlib.util.find_spec,
+     "repro.experiments.real_experiments repro.experiments.synth_experiments "
+     "repro.experiments.rfid_experiments repro.experiments.registry repro.geometry.polygon"),
+    *_members(39, "REAL_DEFAULTS SYNTH_DEFAULTS clear_scenario_cache experiment_names "
+              "get_real_scenario get_synth_scenario real_scale synth_scale "
+              "RealScale SynthScale REAL_SCALES SYNTH_SCALES",
+              repro.experiments, repro.experiments.config),
+    *_members(39, "Polygon decompose_rectilinear", repro.geometry),
+    *_members(39, "mc_seed", repro.eval.run_method),
+    (39, "MethodOutcome-fields", _fields(repro.eval.MethodOutcome).__contains__, "flows"),
+    _text(39, "_clamp_k _default_setting", "experiments/"),
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
