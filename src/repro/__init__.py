@@ -91,7 +91,7 @@ from .synth import (
 )
 from .system import IndoorFlowSystem
 
-__version__ = "15.4.0"
+__version__ = "15.5.0"
 
 __all__ = [
     "ALGORITHMS",

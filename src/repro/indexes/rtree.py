@@ -238,9 +238,21 @@ class RTree:
                     counter += 1
                     heapq.heappush(
                         heap,
-                        (child.mbr.distance_to_point(point), counter, child, False),
+                        (_node_distance(child.mbr, point), counter, child, False),
                     )
         return results
+
+
+def _node_distance(mbr: Rect, point: Point) -> float:
+    """The distance bound of a node MBR, floor ``-1`` (a multi-floor node)
+    a wildcard, as in :func:`loose_intersects`: the floor-strict
+    :meth:`Rect.distance_to_point` puts it at infinity, so the search would
+    pop every farther entry before expanding it."""
+    if mbr.floor != -1:
+        return mbr.distance_to_point(point)
+    dx = max(mbr.xmin - point.x, 0.0, point.x - mbr.xmax)
+    dy = max(mbr.ymin - point.y, 0.0, point.y - mbr.ymax)
+    return math.hypot(dx, dy)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Process entrypoint for replication topologies: primary, replica, router.
 
-The replication benchmark (and the CI job behind it) runs a real
-1-primary / N-replica / 1-router topology as **separate OS processes**, so
-replica query work genuinely parallelises across cores instead of sharing
-one GIL.  Each role is one invocation of this module:
+A 1-primary / N-replica / 1-router topology runs as **separate OS
+processes**, so replica query work genuinely parallelises across cores
+instead of sharing one GIL.  Each role is one invocation of this module:
 
 .. code-block:: console
 
@@ -17,11 +16,11 @@ it accepts connections (the launcher parses it to learn the ephemeral
 port), then serves until killed.
 
 The indoor model (graph and matrix) is static scenario input, not
-replicated state, so each process rebuilds it deterministically from the
-same building parameters (``--floors``, ``--seed``) — the floor plan
-:func:`~repro.synth.scenario.build_synthetic_scenario` draws for them, with
-no objects walked through it: a role is handed its records over the wire.
-The rest of a topology is the constants below, not flags.
+replicated state, so each process rebuilds it from ``--floors``: the floor
+plan :func:`~repro.synth.building.grid_building` builds for ``--floors``
+floors of one row of three rooms, with no objects walked through it — a
+role is handed its records over the wire.  The rest of a topology is the
+constants below, not flags.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ import asyncio
 import sys
 from typing import List, Tuple
 
-from ..engine.config import EngineConfig
 from ..storage import DurabilityConfig, DurableRecordStore
-from ..synth.building import BuildingConfig, GridBuildingGenerator
+from ..synth.building import grid_building
 from ..system import IndoorFlowSystem
 from .client import ReconnectPolicy
 from .replica import ReadReplica
@@ -47,19 +45,8 @@ FRESHNESS_TIMEOUT = 5.0  # a routed read's wait for its replica to catch up
 
 
 def _build_engine(args: argparse.Namespace) -> IndoorFlowSystem:
-    building = GridBuildingGenerator(
-        BuildingConfig(
-            floors=args.floors,
-            room_rows=1,
-            rooms_per_row=3,
-            presence_grid_step=6.0,
-            seed=args.seed,
-        )
-    ).generate()
-    config = None
-    if args.presence_capacity is not None:
-        config = EngineConfig(presence_store_capacity=args.presence_capacity)
-    return IndoorFlowSystem(building.plan, config=config)
+    """The role's engine, with the default presence-store capacity."""
+    return IndoorFlowSystem(grid_building(args.floors, 1, 3))
 
 
 def _parse_address(text: str) -> Tuple[str, int]:
@@ -132,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run one replication-topology role (primary, replica, router).",
         epilog=f"Fixed: {SHARD_SECONDS:g} s shards, a checkpoint every "
         f"{SNAPSHOT_EVERY} batches, {RECONNECT_RETRIES} re-dials of a lost peer, "
-        f"a {FRESHNESS_TIMEOUT:g} s freshness wait; a replica attaches with one "
-        "wal_tail.",
+        f"a {FRESHNESS_TIMEOUT:g} s freshness wait, the engine's default "
+        "presence-store capacity; a replica attaches with one wal_tail.",
     )
     sub = parser.add_subparsers(dest="role", required=True)
 
@@ -141,17 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--host", default="127.0.0.1")
         p.add_argument("--port", type=int, default=0)
         p.add_argument("--query-workers", type=int, default=4)
-        # Building parameters (must match across all roles of one topology).
+        # The building (must match across all roles of one topology).
         p.add_argument("--floors", type=int, default=2)
-        p.add_argument("--seed", type=int, default=17)
-        ignored = "accepted and ignored: a role builds the floor plan, not its objects"
+        ignored = "accepted and ignored: the floor plan depends on --floors alone"
+        p.add_argument("--seed", type=int, default=17, help=ignored)
         p.add_argument("--objects", type=int, default=10, help=ignored)
         p.add_argument("--duration", type=float, default=240.0, help=ignored)
-        # Per-node presence-cache bound.  The replication benchmark pins this
-        # identically on every role so the scale-out comparison is about node
-        # count, not about handing the topology more total cache than the
-        # single server gets.
-        p.add_argument("--presence-capacity", type=int, default=None)
 
     primary = sub.add_parser("primary", help="durable primary query service")
     common(primary)

@@ -1,26 +1,21 @@
 """Synthetic data generation: buildings, movement, positioning, RFID, scenarios."""
 
-from .building import BuildingConfig, GeneratedBuilding, GridBuildingGenerator, build_grid_building
+from .building import grid_building
 from .movement import MovementConfig, RandomWaypointSimulator
 from .positioning import PositioningConfig, WkNNPositioningSimulator
-from .realdata import build_university_floorplan, university_floor_statistics
-from .rfid_sim import RFIDConfig, RFIDSimulator
+from .realdata import build_university_floorplan
+from .rfid_sim import RFIDSimulator
 from .scenario import Scenario, build_real_scenario, build_synthetic_scenario
 
 __all__ = [
-    "BuildingConfig",
-    "GeneratedBuilding",
-    "GridBuildingGenerator",
     "MovementConfig",
     "PositioningConfig",
-    "RFIDConfig",
     "RFIDSimulator",
     "RandomWaypointSimulator",
     "Scenario",
     "WkNNPositioningSimulator",
-    "build_grid_building",
     "build_real_scenario",
     "build_synthetic_scenario",
     "build_university_floorplan",
-    "university_floor_statistics",
+    "grid_building",
 ]

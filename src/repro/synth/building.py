@@ -3,8 +3,7 @@
 The paper's synthetic evaluation uses the Vita generator to build a 5-floor
 building (each floor 120 m x 120 m with 100 rooms and 4 staircases) and to
 simulate moving objects inside it.  Vita itself is not available, so this
-module provides a parameterised grid building generator producing the same
-kind of floor plan:
+module builds the same kind of floor plan on a grid:
 
 * each floor is a grid of rectangular rooms organised in rows;
 * a horizontal hallway runs below every room row and a vertical hallway
@@ -12,254 +11,98 @@ kind of floor plan:
 * staircases sit next to the vertical hallway and connect adjacent floors;
 * every room has one door to its hallway, hallways interconnect through open
   (unguarded) doors;
-* partitioning P-locations guard a configurable fraction of the room doors
-  and every staircase door, presence P-locations are laid out on a regular
-  lattice inside the partitions (the pre-selected reference points of a
-  fingerprinting deployment);
+* partitioning P-locations guard every room door and every staircase door,
+  presence P-locations are laid out on a regular lattice inside the
+  partitions (the pre-selected reference points of a fingerprinting
+  deployment);
 * every partition doubles as an S-location.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..geometry import Point, Rect
 from ..space import FloorPlan, PartitionKind
 
-
-@dataclass(frozen=True)
-class BuildingConfig:
-    """Parameters of the synthetic grid building."""
-
-    floors: int = 1
-    room_rows: int = 2
-    rooms_per_row: int = 5
-    room_width: float = 12.0
-    room_height: float = 12.0
-    hallway_height: float = 4.0
-    vertical_hallway_width: float = 4.0
-    staircase_size: float = 6.0
-    door_guard_fraction: float = 1.0
-    presence_grid_step: float = 6.0
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        if self.floors < 1:
-            raise ValueError("a building needs at least one floor")
-        if self.room_rows < 1 or self.rooms_per_row < 1:
-            raise ValueError("the room grid must contain at least one room")
-        if not (0.0 <= self.door_guard_fraction <= 1.0):
-            raise ValueError("door_guard_fraction must be in [0, 1]")
-
-    @property
-    def floor_width(self) -> float:
-        return self.rooms_per_row * self.room_width + self.vertical_hallway_width
-
-    @property
-    def floor_height(self) -> float:
-        return self.room_rows * (self.room_height + self.hallway_height)
+ROOM_SIZE = 12.0  # a room's width and depth, metres
+HALLWAY_WIDTH = 4.0  # the horizontal hallways' depth and the vertical hallway's width
+STAIRCASE_SIZE = 6.0
+LATTICE_STEP = 6.0  # spacing of the reference-point lattice
 
 
-@dataclass
-class GeneratedBuilding:
-    """The generator output: a frozen floor plan plus id bookkeeping."""
-
-    plan: FloorPlan
-    config: BuildingConfig
-    room_partitions: List[int] = field(default_factory=list)
-    hallway_partitions: List[int] = field(default_factory=list)
-    staircase_partitions: List[int] = field(default_factory=list)
-
-    def slocation_ids(self) -> List[int]:
-        return sorted(self.plan.slocations)
-
-
-class GridBuildingGenerator:
-    """Builds a :class:`GeneratedBuilding` from a :class:`BuildingConfig`."""
-
-    def __init__(self, config: BuildingConfig = BuildingConfig()):
-        self._config = config
-
-    @property
-    def config(self) -> BuildingConfig:
-        return self._config
-
-    # ------------------------------------------------------------------
-    # Generation
-    # ------------------------------------------------------------------
-    def generate(self) -> GeneratedBuilding:
-        config = self._config
-        rng = random.Random(config.seed)
-        plan = FloorPlan()
-        building = GeneratedBuilding(plan=plan, config=config)
-
-        staircases_by_floor: Dict[int, int] = {}
-        hallways_by_floor: Dict[int, List[int]] = {}
-
-        for floor in range(config.floors):
-            rooms, hallways, vertical = self._build_floor_partitions(plan, floor)
-            building.room_partitions.extend(rooms.values())
-            building.hallway_partitions.extend(hallways + [vertical])
-            hallways_by_floor[floor] = hallways + [vertical]
-
-            self._connect_rooms_to_hallways(plan, rng, floor, rooms, hallways)
-            self._connect_hallways(plan, floor, hallways, vertical)
-
-            staircase_id = self._build_staircase(plan, floor, vertical)
-            building.staircase_partitions.append(staircase_id)
-            staircases_by_floor[floor] = staircase_id
-
-        self._connect_staircases(plan, staircases_by_floor)
-        self._add_presence_plocations(plan)
-        self._add_slocations(plan)
-        plan.freeze()
-        return building
-
-    # ------------------------------------------------------------------
-    # Floor construction
-    # ------------------------------------------------------------------
-    def _build_floor_partitions(
-        self, plan: FloorPlan, floor: int
-    ) -> Tuple[Dict[Tuple[int, int], int], List[int], int]:
-        config = self._config
-        rooms: Dict[Tuple[int, int], int] = {}
+def grid_building(floors: int, room_rows: int, rooms_per_row: int) -> FloorPlan:
+    """The frozen plan of ``floors`` floors, each ``room_rows`` x ``rooms_per_row`` rooms."""
+    if floors < 1:
+        raise ValueError("a building needs at least one floor")
+    if room_rows < 1 or rooms_per_row < 1:
+        raise ValueError("the room grid must contain at least one room")
+    plan = FloorPlan()
+    width = rooms_per_row * ROOM_SIZE
+    height = room_rows * (ROOM_SIZE + HALLWAY_WIDTH)
+    staircases: List[int] = []
+    for floor in range(floors):
+        rooms: List[Tuple[int, int]] = []  # (room, its row)
         hallways: List[int] = []
-        for row in range(config.room_rows):
-            base_y = row * (config.room_height + config.hallway_height)
-            for column in range(config.rooms_per_row):
-                rect = Rect(
-                    column * config.room_width,
-                    base_y,
-                    (column + 1) * config.room_width,
-                    base_y + config.room_height,
-                    floor,
-                )
-                rooms[(row, column)] = plan.add_partition(
-                    rect, PartitionKind.ROOM, name=f"f{floor}-room-{row}-{column}"
-                )
-            hallway_rect = Rect(
-                0.0,
-                base_y + config.room_height,
-                config.rooms_per_row * config.room_width,
-                base_y + config.room_height + config.hallway_height,
-                floor,
-            )
-            hallways.append(
-                plan.add_partition(
-                    hallway_rect, PartitionKind.HALLWAY, name=f"f{floor}-hall-{row}"
-                )
-            )
-        vertical_rect = Rect(
-            config.rooms_per_row * config.room_width,
-            0.0,
-            config.floor_width,
-            config.floor_height,
-            floor,
+        for row in range(room_rows):
+            base_y = row * (ROOM_SIZE + HALLWAY_WIDTH)
+            top = base_y + ROOM_SIZE
+            for column in range(rooms_per_row):
+                rect = Rect(column * ROOM_SIZE, base_y, (column + 1) * ROOM_SIZE, top, floor)
+                name = f"f{floor}-room-{row}-{column}"
+                rooms.append((plan.add_partition(rect, PartitionKind.ROOM, name=name), row))
+            rect = Rect(0.0, top, width, top + HALLWAY_WIDTH, floor)
+            name = f"f{floor}-hall-{row}"
+            hallways.append(plan.add_partition(rect, PartitionKind.HALLWAY, name=name))
+        main = plan.add_partition(
+            Rect(width, 0.0, width + HALLWAY_WIDTH, height, floor),
+            PartitionKind.HALLWAY,
+            name=f"f{floor}-hall-main",
         )
-        vertical = plan.add_partition(
-            vertical_rect, PartitionKind.HALLWAY, name=f"f{floor}-hall-main"
-        )
-        return rooms, hallways, vertical
-
-    def _connect_rooms_to_hallways(
-        self,
-        plan: FloorPlan,
-        rng: random.Random,
-        floor: int,
-        rooms: Dict[Tuple[int, int], int],
-        hallways: List[int],
-    ) -> None:
-        config = self._config
-        for (row, column), room_id in rooms.items():
-            room_rect = plan.partitions[room_id].rect
-            door_point = Point(
-                (room_rect.xmin + room_rect.xmax) / 2.0, room_rect.ymax, floor
-            )
-            door_id = plan.add_door(door_point, (room_id, hallways[row]))
-            if rng.random() < config.door_guard_fraction:
-                plan.add_partitioning_plocation(door_point, door_id)
-
-    def _connect_hallways(
-        self, plan: FloorPlan, floor: int, hallways: List[int], vertical: int
-    ) -> None:
-        config = self._config
-        for row, hallway_id in enumerate(hallways):
-            hallway_rect = plan.partitions[hallway_id].rect
-            junction = Point(
-                hallway_rect.xmax,
-                (hallway_rect.ymin + hallway_rect.ymax) / 2.0,
-                floor,
-            )
+        for room, row in rooms:
+            rect = plan.partitions[room].rect
+            door = Point((rect.xmin + rect.xmax) / 2.0, rect.ymax, floor)
+            _guarded_door(plan, door, room, hallways[row])
+        for hallway in hallways:
             # Hallway junctions stay unguarded so the hallway network of a
             # floor forms one open cell, as in a typical deployment.
-            plan.add_door(junction, (hallway_id, vertical))
-
-    def _build_staircase(self, plan: FloorPlan, floor: int, vertical: int) -> int:
-        config = self._config
-        vertical_rect = plan.partitions[vertical].rect
+            rect = plan.partitions[hallway].rect
+            plan.add_door(Point(rect.xmax, (rect.ymin + rect.ymax) / 2.0, floor), (hallway, main))
         # The staircase sits next to the top of the vertical hallway as a
         # separate partition outside the room grid, so nothing overlaps.
-        staircase_rect = Rect(
-            vertical_rect.xmax,
-            vertical_rect.ymax - config.staircase_size,
-            vertical_rect.xmax + config.staircase_size,
-            vertical_rect.ymax,
-            floor,
-        )
-        staircase = plan.add_partition(
-            staircase_rect, PartitionKind.STAIRCASE, name=f"f{floor}-stairs"
-        )
-        door_point = Point(
-            staircase_rect.xmin,
-            (staircase_rect.ymin + staircase_rect.ymax) / 2.0,
-            floor,
-        )
-        door_id = plan.add_door(door_point, (staircase, vertical))
-        plan.add_partitioning_plocation(door_point, door_id)
-        return staircase
+        x = width + HALLWAY_WIDTH
+        rect = Rect(x, height - STAIRCASE_SIZE, x + STAIRCASE_SIZE, height, floor)
+        staircase = plan.add_partition(rect, PartitionKind.STAIRCASE, name=f"f{floor}-stairs")
+        _guarded_door(plan, Point(x, (rect.ymin + rect.ymax) / 2.0, floor), staircase, main)
+        staircases.append(staircase)
+    for lower, (below, above) in enumerate(zip(staircases, staircases[1:])):
+        rect = plan.partitions[below].rect
+        door = Point((rect.xmin + rect.xmax) / 2.0, (rect.ymin + rect.ymax) / 2.0, lower)
+        _guarded_door(plan, door, below, above)
+    return complete_plan(plan, LATTICE_STEP)
 
-    def _connect_staircases(
-        self, plan: FloorPlan, staircases_by_floor: Dict[int, int]
-    ) -> None:
-        floors = sorted(staircases_by_floor)
-        for lower, upper in zip(floors, floors[1:]):
-            lower_id = staircases_by_floor[lower]
-            upper_id = staircases_by_floor[upper]
-            lower_rect = plan.partitions[lower_id].rect
-            door_point = Point(
-                (lower_rect.xmin + lower_rect.xmax) / 2.0,
-                (lower_rect.ymin + lower_rect.ymax) / 2.0,
-                lower,
-            )
-            door_id = plan.add_door(door_point, (lower_id, upper_id))
-            plan.add_partitioning_plocation(door_point, door_id)
 
-    # ------------------------------------------------------------------
-    # P-locations and S-locations
-    # ------------------------------------------------------------------
-    def _add_presence_plocations(self, plan: FloorPlan) -> None:
-        """Lay the reference-point lattice, clamped to each partition's extent.
+def _guarded_door(plan: FloorPlan, point: Point, first: int, second: int) -> None:
+    plan.add_partitioning_plocation(point, plan.add_door(point, (first, second)))
 
-        ``Rect.sample_grid`` yields nothing along a dimension shorter than
-        the step, which used to leave the (4 m wide) hallways without any
-        presence P-location: an object transiting a hallway could then only
-        report P-locations of *other* cells, its positioning sequence became
-        topologically inconsistent, every possible path died, and the whole
-        synthetic building produced all-zero flows.  Clamping the step per
-        partition guarantees every partition at least a centre line of
-        reference points, matching how a real fingerprint deployment always
-        covers its corridors.
-        """
-        step = self._config.presence_grid_step
-        for partition in list(plan.partitions.values()):
-            for point in clamped_lattice(partition.rect, step):
-                plan.add_presence_plocation(point, partition.partition_id)
 
-    def _add_slocations(self, plan: FloorPlan) -> None:
-        for partition in list(plan.partitions.values()):
-            plan.add_slocation_for_partition(partition.partition_id)
+def complete_plan(plan: FloorPlan, step: float) -> FloorPlan:
+    """Lay the reference-point lattice in every partition, make every
+    partition an S-location, and freeze the plan.
+
+    The lattice is clamped per partition (:func:`clamped_lattice`): with the
+    6 m step, an unclamped lattice left the 4 m hallways without any presence
+    P-location, so an object transiting a hallway could only report
+    P-locations of *other* cells, its positioning sequence became
+    topologically inconsistent, every possible path died, and the whole
+    synthetic building produced all-zero flows.
+    """
+    for partition in list(plan.partitions.values()):
+        for point in clamped_lattice(partition.rect, step):
+            plan.add_presence_plocation(point, partition.partition_id)
+    for partition_id in list(plan.partitions):
+        plan.add_slocation_for_partition(partition_id)
+    return plan.freeze()
 
 
 def clamped_lattice(rect: Rect, step: float) -> List[Point]:
@@ -288,9 +131,3 @@ def clamped_lattice(rect: Rect, step: float) -> List[Point]:
             y += step_y
         x += step_x
     return points or [rect.center]
-
-
-def build_grid_building(**overrides) -> GeneratedBuilding:
-    """Convenience wrapper: generate a building from keyword overrides."""
-    config = BuildingConfig(**overrides)
-    return GridBuildingGenerator(config).generate()

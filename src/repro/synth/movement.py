@@ -12,11 +12,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from ..data.trajectory import Trajectory, TrajectoryPoint, TrajectoryStore
 from ..geometry import Point, interpolate
 from ..space import DoorGraphRouter, FloorPlan
+
+MIN_SPEED = 0.4  # metres per second
+TICK_SECONDS = 1.0  # the ground truth's sampling period
+CLIMB_TICKS = 8  # a floor change inside a staircase
+MIN_LIFESPAN_FRACTION = 0.5  # an object lives for at least this share of the span
 
 
 @dataclass(frozen=True)
@@ -24,23 +29,14 @@ class MovementConfig:
     """Parameters of the random waypoint simulation."""
 
     max_speed: float = 1.0
-    min_speed: float = 0.4
     dwell_min_seconds: float = 30.0
     dwell_max_seconds: float = 180.0
-    tick_seconds: float = 1.0
-    min_lifespan_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.max_speed <= 0 or self.min_speed <= 0:
-            raise ValueError("speeds must be positive")
-        if self.min_speed > self.max_speed:
-            raise ValueError("min_speed cannot exceed max_speed")
+        if self.max_speed < MIN_SPEED:
+            raise ValueError(f"max_speed cannot be below {MIN_SPEED} m/s")
         if self.dwell_min_seconds > self.dwell_max_seconds:
             raise ValueError("dwell_min_seconds cannot exceed dwell_max_seconds")
-        if self.tick_seconds <= 0:
-            raise ValueError("tick_seconds must be positive")
-        if not (0.0 < self.min_lifespan_fraction <= 1.0):
-            raise ValueError("min_lifespan_fraction must be in (0, 1]")
 
 
 class RandomWaypointSimulator:
@@ -51,19 +47,12 @@ class RandomWaypointSimulator:
         plan: FloorPlan,
         config: MovementConfig = MovementConfig(),
         seed: Optional[int] = None,
-        movable_partitions: Optional[Sequence[int]] = None,
     ):
         self._plan = plan.freeze()
         self._config = config
         self._rng = random.Random(seed)
         self._router = DoorGraphRouter(self._plan)
-        self._partitions = (
-            list(movable_partitions)
-            if movable_partitions is not None
-            else sorted(self._plan.partitions)
-        )
-        if not self._partitions:
-            raise ValueError("no partitions available for movement simulation")
+        self._partitions = sorted(self._plan.partitions)
 
     # ------------------------------------------------------------------
     # Simulation
@@ -84,9 +73,8 @@ class RandomWaypointSimulator:
     def _simulate_object(
         self, object_id: int, start_time: float, duration_seconds: float
     ) -> Trajectory:
-        config = self._config
         rng = self._rng
-        lifespan = duration_seconds * rng.uniform(config.min_lifespan_fraction, 1.0)
+        lifespan = duration_seconds * rng.uniform(MIN_LIFESPAN_FRACTION, 1.0)
         begin = start_time + rng.uniform(0.0, duration_seconds - lifespan)
         end = begin + lifespan
 
@@ -118,15 +106,14 @@ class RandomWaypointSimulator:
         start: float,
         deadline: float,
     ) -> float:
-        config = self._config
         route = self._router.route(origin, destination)
         if route is None:
             # Disconnected targets should not occur in generated buildings,
             # but if they do the object simply stays put for one tick.
-            self._record(trajectory, start + config.tick_seconds, origin)
-            return start + config.tick_seconds
+            self._record(trajectory, start + TICK_SECONDS, origin)
+            return start + TICK_SECONDS
 
-        speed = self._rng.uniform(config.min_speed, config.max_speed)
+        speed = self._rng.uniform(MIN_SPEED, self._config.max_speed)
         time_cursor = start
         waypoints = list(route.waypoints)
         position = waypoints[0]
@@ -135,10 +122,8 @@ class RandomWaypointSimulator:
             if leg_length == float("inf"):
                 # Floor change inside a staircase: jump to the target point
                 # after a nominal climbing time.
-                climb_seconds = 8.0
-                steps = max(int(climb_seconds / config.tick_seconds), 1)
-                for _ in range(steps):
-                    time_cursor += config.tick_seconds
+                for _ in range(CLIMB_TICKS):
+                    time_cursor += TICK_SECONDS
                     if time_cursor > deadline:
                         return time_cursor
                     self._record(trajectory, time_cursor, position)
@@ -147,10 +132,10 @@ class RandomWaypointSimulator:
                 continue
             travelled = 0.0
             while travelled < leg_length:
-                time_cursor += config.tick_seconds
+                time_cursor += TICK_SECONDS
                 if time_cursor > deadline:
                     return time_cursor
-                travelled = min(travelled + speed * config.tick_seconds, leg_length)
+                travelled = min(travelled + speed * TICK_SECONDS, leg_length)
                 fraction = travelled / leg_length if leg_length > 0 else 1.0
                 self._record(trajectory, time_cursor, interpolate(position, target, fraction))
             position = target
@@ -164,10 +149,10 @@ class RandomWaypointSimulator:
         time_cursor = start
         elapsed = 0.0
         while elapsed < dwell:
-            time_cursor += config.tick_seconds
+            time_cursor += TICK_SECONDS
             if time_cursor > deadline:
                 return time_cursor
-            elapsed += config.tick_seconds
+            elapsed += TICK_SECONDS
             self._record(trajectory, time_cursor, position)
         return time_cursor
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..data.records import PositioningRecord, Sample, SampleSet
 from ..storage import DEFAULT_SHARD_SECONDS, ShardedRecordStore
@@ -22,41 +22,34 @@ from ..geometry import Point, Rect
 from ..indexes import RTree
 from ..space import FloorPlan
 
+MAX_SAMPLE_SET_SIZE = 4  # mss; experiments truncate with ``Scenario.with_mss``
+MIN_PERIOD_SECONDS = 1.0
+WEIGHT_NOISE = 0.4  # γ is drawn from [-WEIGHT_NOISE, WEIGHT_NOISE]
+DISTANCE_EPSILON = 0.25  # matched distances are at least this, metres
+# Wi-Fi fingerprints of nearby but wall-separated spots often match, so the
+# candidate pool spans this multiple of µ; the weighting still favours close
+# reference points, keeping the mean error near µ.
+CANDIDATE_RADIUS_FACTOR = 2.0
+BATCH_SECONDS = 60.0  # the traffic one ingest batch carries
+
 
 @dataclass(frozen=True)
 class PositioningConfig:
-    """Parameters of the positioning simulation."""
+    """Parameters of the positioning simulation: T and µ."""
 
-    max_sample_set_size: int = 4
     max_period_seconds: float = 3.0
-    min_period_seconds: float = 1.0
     positioning_error: float = 2.5
-    weight_noise: float = 0.4
-    distance_epsilon: float = 0.25
-    candidate_radius_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_sample_set_size < 1:
-            raise ValueError("max_sample_set_size must be at least 1")
-        if self.min_period_seconds <= 0 or self.max_period_seconds < self.min_period_seconds:
-            raise ValueError("invalid reporting period bounds")
+        if self.max_period_seconds < MIN_PERIOD_SECONDS:
+            raise ValueError(f"max_period_seconds cannot be below {MIN_PERIOD_SECONDS}")
         if self.positioning_error <= 0:
             raise ValueError("positioning_error must be positive")
-        if not (0.0 <= self.weight_noise < 1.0):
-            raise ValueError("weight_noise must be in [0, 1)")
-        if self.candidate_radius_factor < 1.0:
-            raise ValueError("candidate_radius_factor must be at least 1")
 
     @property
     def candidate_radius(self) -> float:
-        """How far from the true location reported reference points may fall.
-
-        Wi-Fi fingerprints of nearby but wall-separated spots often match, so
-        the candidate pool spans a radius larger than the average positioning
-        error; the weighting still favours close reference points, keeping the
-        mean error near ``positioning_error``.
-        """
-        return self.positioning_error * self.candidate_radius_factor
+        """How far from the true location reported reference points may fall."""
+        return self.positioning_error * CANDIDATE_RADIUS_FACTOR
 
 
 class WkNNPositioningSimulator:
@@ -78,67 +71,33 @@ class WkNNPositioningSimulator:
             )
         )
 
-    @property
-    def config(self) -> PositioningConfig:
-        return self._config
-
     # ------------------------------------------------------------------
     # IUPT generation
     # ------------------------------------------------------------------
-    def generate(
-        self,
-        trajectories: TrajectoryStore,
-        shard_seconds: Optional[float] = None,
-        batch_seconds: float = 60.0,
-    ) -> ShardedRecordStore:
+    def generate(self, trajectories: TrajectoryStore) -> ShardedRecordStore:
         """Generate an IUPT covering every trajectory in the store.
 
         The reports are ingested the way a live deployment receives them:
-        globally time-ordered, in batches of ``batch_seconds`` of traffic,
-        through :meth:`~repro.storage.sharded.ShardedRecordStore.ingest_batch`.
-        ``shard_seconds`` overrides the table's partition duration.
+        globally time-ordered, in batches of ``BATCH_SECONDS`` of traffic,
+        through :meth:`~repro.storage.sharded.ShardedRecordStore.ingest_batch`;
+        each flush touches only the shards its time slice overlaps.
         """
-        iupt = ShardedRecordStore(
-            shard_seconds if shard_seconds is not None else DEFAULT_SHARD_SECONDS
-        )
-        self.stream_into(iupt, trajectories, batch_seconds=batch_seconds)
-        return iupt
-
-    def stream_into(
-        self,
-        iupt: ShardedRecordStore,
-        trajectories: TrajectoryStore,
-        batch_seconds: float = 60.0,
-    ) -> int:
-        """Stream every trajectory's reports into ``iupt`` in time-ordered batches.
-
-        Returns the number of ingested records.  Mirrors a positioning
-        backend forwarding report traffic to the storage layer every
-        ``batch_seconds``; each flush touches only the shards its time slice
-        overlaps.
-        """
-        if batch_seconds <= 0:
-            raise ValueError("batch_seconds must be positive")
         records = [
             PositioningRecord(trajectory.object_id, sample_set, timestamp)
             for trajectory in trajectories
             for timestamp, sample_set in self.reports_for(trajectory)
         ]
         records.sort(key=lambda record: record.timestamp)
-        total = 0
+        iupt = ShardedRecordStore(DEFAULT_SHARD_SECONDS)
         batch: List[PositioningRecord] = []
-        flush_at: Optional[float] = None
         for record in records:
-            if flush_at is not None and record.timestamp >= flush_at:
-                total += iupt.ingest_batch(batch).records_ingested
+            if batch and record.timestamp >= batch[0].timestamp + BATCH_SECONDS:
+                iupt.ingest_batch(batch)
                 batch = []
-                flush_at = None
-            if flush_at is None:
-                flush_at = record.timestamp + batch_seconds
             batch.append(record)
         if batch:
-            total += iupt.ingest_batch(batch).records_ingested
-        return total
+            iupt.ingest_batch(batch)
+        return iupt
 
     def reports_for(self, trajectory: Trajectory) -> List[Tuple[float, SampleSet]]:
         """The (timestamp, sample set) reports of one trajectory."""
@@ -154,9 +113,7 @@ class WkNNPositioningSimulator:
                 sample_set = self._sample_report(location)
                 if sample_set is not None:
                     reports.append((time_cursor, sample_set))
-            time_cursor += self._rng.uniform(
-                config.min_period_seconds, config.max_period_seconds
-            )
+            time_cursor += self._rng.uniform(MIN_PERIOD_SECONDS, config.max_period_seconds)
         return reports
 
     # ------------------------------------------------------------------
@@ -175,18 +132,17 @@ class WkNNPositioningSimulator:
         the path construction's validity pruning, all-zero flows on the
         synthetic grid building.)
         """
-        config = self._config
         candidates = self._candidate_plocations(true_location)
         if not candidates:
             return None
-        sample_count = self._rng.randint(1, config.max_sample_set_size)
+        sample_count = self._rng.randint(1, MAX_SAMPLE_SET_SIZE)
         sample_count = min(sample_count, len(candidates))
 
         matched: List[Tuple[float, int]] = []
         for ploc_id in candidates:
             position = self._plan.plocations[ploc_id].position
-            distance = max(position.distance_to(true_location), config.distance_epsilon)
-            noise = self._rng.uniform(-config.weight_noise, config.weight_noise)
+            distance = max(position.distance_to(true_location), DISTANCE_EPSILON)
+            noise = self._rng.uniform(-WEIGHT_NOISE, WEIGHT_NOISE)
             matched.append((distance * (1.0 + noise), ploc_id))
         matched.sort()
         samples = [

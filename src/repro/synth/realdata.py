@@ -14,18 +14,19 @@ per report, ~2.1 m positioning error).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 from ..geometry import Point, Rect
 from ..space import FloorPlan, PartitionKind
-from .building import clamped_lattice
+from .building import complete_plan
 
 FLOOR_WIDTH = 33.9
 FLOOR_HEIGHT = 25.9
 HALLWAY_BAND = (10.0, 15.9)
+LATTICE_STEP = 3.4  # gives roughly the paper's 75 reference points
 
 
-def build_university_floorplan(presence_grid_step: float = 3.4) -> FloorPlan:
+def build_university_floorplan() -> FloorPlan:
     """Build the single-floor university test plan of Figure 6.
 
     Layout (all sizes in metres):
@@ -53,11 +54,7 @@ def build_university_floorplan(presence_grid_step: float = 3.4) -> FloorPlan:
     _connect_rooms(plan, top_rooms, hallways, door_y=hallway_ymax, room_edge="bottom")
     _connect_rooms(plan, bottom_rooms, hallways, door_y=hallway_ymin, room_edge="top")
     _connect_hallways(plan, hallways, hallway_ymin, hallway_ymax)
-
-    _add_presence_lattice(plan, presence_grid_step)
-    for partition_id in list(plan.partitions):
-        plan.add_slocation_for_partition(partition_id)
-    return plan.freeze()
+    return complete_plan(plan, LATTICE_STEP)
 
 
 # ----------------------------------------------------------------------
@@ -123,22 +120,3 @@ def _connect_hallways(
         door_id = plan.add_door(door_point, (left, right))
         plan.add_partitioning_plocation(door_point, door_id)
 
-
-def _add_presence_lattice(plan: FloorPlan, step: float) -> None:
-    # The clamped lattice guarantees coverage even when the step exceeds a
-    # partition's extent (the default 3.4 m step fits every partition here,
-    # but a caller-supplied step above the 5.9 m hallway-band height would
-    # otherwise leave the hallways without reference points — the all-zero-
-    # flows failure mode fixed for the grid generator).
-    for partition in list(plan.partitions.values()):
-        for point in clamped_lattice(partition.rect, step):
-            plan.add_presence_plocation(point, partition.partition_id)
-
-
-def university_floor_statistics(plan: FloorPlan) -> Dict[str, int]:
-    """Summarise the generated plan next to the paper's reported numbers."""
-    summary = plan.summary()
-    summary["paper_slocations"] = 14
-    summary["paper_plocations"] = 75
-    summary["paper_partitioning_plocations"] = 16
-    return summary

@@ -11,37 +11,22 @@ situation that degrades the SCC baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..data.rfid import RFIDReader, RFIDRecord, RFIDTable
 from ..data.trajectory import TrajectoryStore
 from ..space import FloorPlan
 
-
-@dataclass(frozen=True)
-class RFIDConfig:
-    """Parameters of the RFID deployment and detection simulation."""
-
-    detection_range: float = 3.0
-    min_reader_separation_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.detection_range <= 0:
-            raise ValueError("detection_range must be positive")
-        if self.min_reader_separation_factor < 2.0:
-            raise ValueError(
-                "readers must be separated by at least twice the detection range "
-                "for their ranges not to overlap"
-            )
+DETECTION_RANGE = 3.0  # metres
+# Readers closer than twice the detection range would overlap.
+READER_SEPARATION = 2.0 * DETECTION_RANGE
 
 
 class RFIDSimulator:
     """Deploys readers at doors and converts trajectories into RFID records."""
 
-    def __init__(self, plan: FloorPlan, config: RFIDConfig = RFIDConfig()):
+    def __init__(self, plan: FloorPlan):
         self._plan = plan.freeze()
-        self._config = config
 
     # ------------------------------------------------------------------
     # Deployment
@@ -54,14 +39,12 @@ class RFIDSimulator:
         result maximises reader count under the non-overlap constraint in the
         same greedy spirit as the paper ("we maximize the number of readers").
         """
-        config = self._config
         table = RFIDTable()
         placed: List[RFIDReader] = []
-        separation = config.detection_range * config.min_reader_separation_factor
         for door in sorted(self._plan.doors.values(), key=lambda d: d.door_id):
             position = door.position
             if any(
-                reader.position.distance_to(position) < separation
+                reader.position.distance_to(position) < READER_SEPARATION
                 for reader in placed
                 if reader.position.floor == position.floor
             ):
@@ -69,7 +52,7 @@ class RFIDSimulator:
             reader = RFIDReader(
                 reader_id=len(placed),
                 position=position,
-                detection_range=config.detection_range,
+                detection_range=DETECTION_RANGE,
                 door_id=door.door_id,
             )
             placed.append(reader)
@@ -79,14 +62,9 @@ class RFIDSimulator:
     # ------------------------------------------------------------------
     # Detection
     # ------------------------------------------------------------------
-    def generate(self, trajectories: TrajectoryStore, table: Optional[RFIDTable] = None) -> RFIDTable:
-        """Produce the RFID tracking records of every trajectory.
-
-        ``table`` may carry a pre-built deployment (from :meth:`deploy_readers`);
-        otherwise a fresh deployment is created.
-        """
-        if table is None:
-            table = self.deploy_readers()
+    def generate(self, trajectories: TrajectoryStore) -> RFIDTable:
+        """Deploy the readers and produce the RFID tracking records of every trajectory."""
+        table = self.deploy_readers()
         readers = list(table.readers.values())
         for trajectory in trajectories:
             table.ingest_batch(self._records_for(trajectory, readers))

@@ -17,16 +17,15 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core import DataReductionConfig
 from ..data import RFIDTable, TrajectoryStore
 from ..space import FloorPlan
 from ..storage import ShardedRecordStore
 from ..system import IndoorFlowSystem
-from .building import BuildingConfig, GridBuildingGenerator
+from .building import grid_building
 from .movement import MovementConfig, RandomWaypointSimulator
-from .positioning import PositioningConfig, WkNNPositioningSimulator
+from .positioning import MAX_SAMPLE_SET_SIZE, PositioningConfig, WkNNPositioningSimulator
 from .realdata import build_university_floorplan
-from .rfid_sim import RFIDConfig, RFIDSimulator
+from .rfid_sim import RFIDSimulator
 
 
 @dataclass
@@ -97,63 +96,26 @@ def build_real_scenario(
     num_users: int = 35,
     duration_seconds: float = 1800.0,
     max_period_seconds: float = 3.0,
-    max_sample_set_size: int = 4,
     positioning_error: float = 2.1,
     seed: int = 11,
-    reduction: DataReductionConfig = DataReductionConfig.enabled(),
-    with_rfid: bool = False,
-    shard_seconds: Optional[float] = None,
 ) -> Scenario:
     """Build the university-floor scenario of Section 5.2.
 
     The defaults follow the paper's reported data characteristics; the
     duration defaults to 30 simulated minutes (the paper uses 150) to keep
     test and benchmark runtimes reasonable — pass a larger value for
-    paper-scale runs.  ``shard_seconds`` overrides the table's partition
-    duration.
+    paper-scale runs.
     """
-    plan = build_university_floorplan()
-    system = IndoorFlowSystem(plan, reduction=reduction)
-
-    movement = RandomWaypointSimulator(
-        plan,
+    return _simulate(
+        "real",
+        build_university_floorplan(),
+        num_users,
+        duration_seconds,
         MovementConfig(max_speed=1.2, dwell_min_seconds=60.0, dwell_max_seconds=300.0),
-        seed=seed,
-    )
-    trajectories = movement.simulate(num_users, start_time=0.0, duration_seconds=duration_seconds)
-
-    positioning = WkNNPositioningSimulator(
-        plan,
-        PositioningConfig(
-            max_sample_set_size=max_sample_set_size,
-            max_period_seconds=max_period_seconds,
-            positioning_error=positioning_error,
-        ),
-        seed=seed + 1,
-    )
-    iupt = positioning.generate(trajectories, shard_seconds=shard_seconds)
-
-    rfid = None
-    if with_rfid:
-        rfid = RFIDSimulator(plan).generate(trajectories)
-
-    return Scenario(
-        name="real",
-        plan=plan,
-        system=system,
-        iupt=iupt,
-        trajectories=trajectories,
-        rfid=rfid,
-        params={
-            "num_users": num_users,
-            "duration_seconds": duration_seconds,
-            "T": max_period_seconds,
-            "mss": max_sample_set_size,
-            "mu": positioning_error,
-            "seed": seed,
-        },
-        start_time=0.0,
-        duration_seconds=duration_seconds,
+        PositioningConfig(max_period_seconds, positioning_error),
+        seed,
+        with_rfid=False,
+        params={"num_users": num_users},
     )
 
 
@@ -164,85 +126,71 @@ def build_synthetic_scenario(
     rooms_per_row: int = 5,
     duration_seconds: float = 900.0,
     max_period_seconds: float = 3.0,
-    max_sample_set_size: int = 4,
     positioning_error: float = 2.0,
-    presence_grid_step: float = 6.0,
-    max_speed: float = 1.0,
     seed: int = 23,
-    reduction: DataReductionConfig = DataReductionConfig.enabled(),
     with_rfid: bool = False,
-    shard_seconds: Optional[float] = None,
 ) -> Scenario:
     """Build the Vita-like synthetic scenario of Section 5.3.
 
     The defaults use a reduced scale (2 floors, tens of objects, 15 simulated
-    minutes) so the full benchmark suite runs in minutes on a laptop; every
-    knob of the paper's Table 6 (``|O|``, ``T``, ``µ``, ``mss``, ``Δt``) is a
-    parameter, and floors / rooms can be dialled up to the paper's 5-floor,
-    100-rooms-per-floor configuration for full-scale runs.
+    minutes) so the full benchmark suite runs in minutes on a laptop; the
+    scenario knobs of the paper's Table 6 (``|O|``, ``T``, ``µ``) are
+    parameters (``mss`` is :meth:`Scenario.with_mss`, ``Δt`` the query's),
+    and floors / rooms can be dialled up to the paper's 5-floor,
+    100-rooms-per-floor configuration for full-scale runs.  ``with_rfid``
+    also replays the trajectories through the RFID simulator (Table 7).
 
     The default positioning error matches the real dataset's reported
     ~2.1 m: with 12 m rooms, a larger µ (the historical default was 5 m,
     i.e. a 10 m candidate radius) makes the simulated WkNN report reference
     points from beyond a whole room away, which yields topologically
-    impossible positioning sequences and all-zero flows.  ``shard_seconds``
-    overrides the table's partition duration.
+    impossible positioning sequences and all-zero flows.
     """
-    building = GridBuildingGenerator(
-        BuildingConfig(
-            floors=floors,
-            room_rows=room_rows,
-            rooms_per_row=rooms_per_row,
-            presence_grid_step=presence_grid_step,
-            seed=seed,
-        )
-    ).generate()
-    plan = building.plan
-    system = IndoorFlowSystem(plan, reduction=reduction)
-
-    movement = RandomWaypointSimulator(
-        plan,
-        MovementConfig(
-            max_speed=max_speed,
-            dwell_min_seconds=30.0,
-            dwell_max_seconds=240.0,
-        ),
-        seed=seed,
-    )
-    trajectories = movement.simulate(
-        num_objects, start_time=0.0, duration_seconds=duration_seconds
+    movement = MovementConfig(max_speed=1.0, dwell_min_seconds=30.0, dwell_max_seconds=240.0)
+    return _simulate(
+        "synthetic",
+        grid_building(floors, room_rows, rooms_per_row),
+        num_objects,
+        duration_seconds,
+        movement,
+        PositioningConfig(max_period_seconds, positioning_error),
+        seed,
+        with_rfid,
+        params={"num_objects": num_objects, "floors": floors, "Vmax": movement.max_speed},
     )
 
-    positioning = WkNNPositioningSimulator(
-        plan,
-        PositioningConfig(
-            max_sample_set_size=max_sample_set_size,
-            max_period_seconds=max_period_seconds,
-            positioning_error=positioning_error,
-        ),
-        seed=seed + 1,
+
+def _simulate(
+    name: str,
+    plan: FloorPlan,
+    objects: int,
+    duration_seconds: float,
+    movement: MovementConfig,
+    positioning: PositioningConfig,
+    seed: int,
+    with_rfid: bool,
+    params: Dict[str, float],
+) -> Scenario:
+    """Walk ``objects`` through ``plan`` for ``duration_seconds``, position
+    them (the movement draws from ``seed``, the positioning from ``seed + 1``)
+    and, ``with_rfid``, replay them through the RFID readers."""
+    trajectories = RandomWaypointSimulator(plan, movement, seed=seed).simulate(
+        objects, start_time=0.0, duration_seconds=duration_seconds
     )
-    iupt = positioning.generate(trajectories, shard_seconds=shard_seconds)
-
-    rfid = None
-    if with_rfid:
-        rfid = RFIDSimulator(plan, RFIDConfig(detection_range=3.0)).generate(trajectories)
-
+    iupt = WkNNPositioningSimulator(plan, positioning, seed=seed + 1).generate(trajectories)
     return Scenario(
-        name="synthetic",
+        name=name,
         plan=plan,
-        system=system,
+        system=IndoorFlowSystem(plan),
         iupt=iupt,
         trajectories=trajectories,
-        rfid=rfid,
+        rfid=RFIDSimulator(plan).generate(trajectories) if with_rfid else None,
         params={
-            "num_objects": num_objects,
-            "floors": floors,
+            **params,
             "duration_seconds": duration_seconds,
-            "T": max_period_seconds,
-            "mss": max_sample_set_size,
-            "mu": positioning_error,
-            "Vmax": max_speed,
+            "T": positioning.max_period_seconds,
+            "mss": MAX_SAMPLE_SET_SIZE,
+            "mu": positioning.positioning_error,
             "seed": seed,
         },
         start_time=0.0,

@@ -48,6 +48,10 @@ CONTAINERS = {
                              "class EvictionEvent:\n    {}: float\n"),
     "MethodOutcome-fields": ("eval/harness.py", "class MethodOutcome:\n",
                              "class MethodOutcome:\n    {}: float\n"),
+    **{f"{cls}-fields": (f"synth/{path}", f"class {cls}:\n",
+                         f"class {cls}:\n    {{}}: float = 0.0\n")
+       for cls, path in (("MovementConfig", "movement.py"),
+                         ("PositioningConfig", "positioning.py"))},
     "PresenceMatrix.__slots__": ("codec/kernels.py", "__slots__ = (", '__slots__ = ("{}", '),
     **dict.fromkeys(["BPlusTree", "OneDimensionalRTree"], (  # deleted trees, back with a method
         "indexes/__init__.py", None, "class {tree}:\n    def {}(self):\n        pass")),
@@ -212,7 +216,8 @@ def rule_breakers(layering):
                "class IUPT(ShardedRecordStore):\n    pass\n"),
         base("storage/sharded.py", "ShardedRecordStore"),
         *[code(path, "one more export", '_mutant_export = None\n__all__ = [*__all__, "_mutant_export"]')
-          for path in ("__init__.py", "codec/__init__.py", "engine/__init__.py")],
+          for path in ("__init__.py", "codec/__init__.py", "engine/__init__.py",
+                       "synth/__init__.py")],
         *[code(path, "exports a missing name", '__all__ = [*__all__, "missing_name"]')
           for path in ("service/__init__.py", "geometry/__init__.py", "synth/__init__.py")],
         code("core/__init__.py", "exports a name twice", "__all__ = [*__all__, __all__[0]]"),

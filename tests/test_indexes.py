@@ -63,6 +63,22 @@ class TestRTree:
         nearest = tree.nearest(Point(3.2, 0.0), count=2)
         assert [item for _, item in nearest] == [3, 4]
 
+    def test_nearest_equals_brute_force_on_a_multi_floor_plan(self):
+        """The positioning fallback's query over a plan's P-locations: a node
+        spanning floors (floor ``-1``) must be expanded by its planar distance,
+        not popped after every farther entry."""
+        from repro.synth import grid_building
+
+        plan = grid_building(3, 2, 4)
+        positions = {ploc.ploc_id: ploc.position for ploc in plan.plocations.values()}
+        tree = RTree.bulk_load((Rect.from_point(p), ploc_id) for ploc_id, p in positions.items())
+        assert tree.root.mbr.floor == -1
+        rng = random.Random(11)
+        for _ in range(300):
+            point = Point(rng.uniform(-5.0, 70.0), rng.uniform(-5.0, 40.0), rng.randrange(3))
+            [(distance, _)] = tree.nearest(point, count=1)
+            assert distance == min(p.distance_to(point) for p in positions.values())
+
     def test_empty_tree(self):
         tree = RTree.bulk_load([])
         assert len(tree) == 0

@@ -203,6 +203,25 @@ GONE = [
     *_members(39, "mc_seed", repro.eval.run_method),
     (39, "MethodOutcome-fields", _fields(repro.eval.MethodOutcome).__contains__, "flows"),
     _text(39, "_clamp_k _default_setting", "experiments/"),
+    *_members(40, "BuildingConfig GeneratedBuilding GridBuildingGenerator build_grid_building "
+              "RFIDConfig university_floor_statistics", repro.synth),
+    _text(40, "BuildingConfig GeneratedBuilding GridBuildingGenerator build_grid_building "
+          "RFIDConfig university_floor_statistics stream_into door_guard_fraction", ""),
+    _text(40, "rng seed config presence_grid_step", "synth/building.py"),
+    *_members(40, "reduction shard_seconds max_sample_set_size with_rfid",
+              repro.build_real_scenario),
+    *_members(40, "reduction shard_seconds max_sample_set_size presence_grid_step max_speed",
+              repro.build_synthetic_scenario),
+    *_members(40, "presence_grid_step", repro.build_university_floorplan),
+    *_members(40, "movable_partitions", repro.synth.RandomWaypointSimulator.__init__),
+    *_members(40, "shard_seconds batch_seconds", repro.synth.WkNNPositioningSimulator.generate),
+    *_members(40, "config", repro.synth.RFIDSimulator.__init__),
+    *_members(40, "table", repro.synth.RFIDSimulator.generate),
+    (40, "MovementConfig-fields", _fields(repro.synth.MovementConfig).__contains__,
+     "min_speed tick_seconds min_lifespan_fraction"),
+    (40, "PositioningConfig-fields", _fields(repro.synth.PositioningConfig).__contains__,
+     "max_sample_set_size min_period_seconds weight_noise distance_epsilon "
+     "candidate_radius_factor"),
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
@@ -267,8 +286,9 @@ RULES = [  # (PR, rule, actual, expected)
      ["CountAggregateRTree.build", "RTree.bulk_load"]),
     (30, "IUPT-is-the-store", lambda: IUPT, ShardedRecordStore),
     (30, "the-store-subclasses-nothing", lambda: ShardedRecordStore.__mro__[1], object),
-    (30, "API-sizes", lambda: [len(pkg.__all__) for pkg in (repro, repro.codec, repro.engine)],
-     [58, 7, 19]),  # PR 36: BatchPlanner
+    (30, "API-sizes", lambda: [len(pkg.__all__) for pkg in (
+        repro, repro.codec, repro.engine, repro.synth)],
+     [58, 7, 19, 10]),  # repro.engine lost BatchPlanner
     (33, "PositioningRecord.__slots__", lambda: getattr(PositioningRecord, "__slots__", None),
      ("object_id", "sample_set", "timestamp")),
     (33, "only-to_records-builds-trusted-records", lambda: [
@@ -301,7 +321,8 @@ FRAMES = """_FRAME_HEADER SEGMENT_MAGIC _SEGMENT_PREFIX SNAPSHOT_MAGIC _SNAPSHOT
     encode_wal_frame encode_segment_frame encode_snapshot_frame _parse_frame_body decode_wal_frames
     _field frame_records _legacy_json_records""".split()
 FLAGS = ["primary --compact-above-bytes", "primary --shard-seconds", "primary --snapshot-every",
-         "replica --reconnect-retries", "router --reconnect-retries", "router --freshness-timeout"]
+         "replica --reconnect-retries", "router --reconnect-retries", "router --freshness-timeout",
+         *(f"{role} --presence-capacity" for role in ("primary", "replica", "router"))]
 
 
 @pytest.mark.parametrize("name", [where[5:] for where in TREES if where.startswith("core/")])
@@ -349,13 +370,15 @@ def test_the_table_is_the_store(tmp_path):
 
 
 def test_the_system_is_the_engine():
-    """A topology role builds one ``IndoorFlowSystem``, of the capacity it was given."""
-    for argv, capacity in (
-        (["replica", "--primary", "h:1", "--presence-capacity", "123"], 123),
-        (["primary", "--data-dir", "d"], repro.EngineConfig().presence_store_capacity),
-    ):
+    """A topology role builds one ``IndoorFlowSystem`` of the default capacity;
+    ``--seed`` is accepted and changes nothing."""
+    plans = []
+    for argv in (["primary", "--data-dir", "d"], ["replica", "--primary", "h:1", "--seed", "29"]):
         engine = topology._build_engine(topology.build_parser().parse_args(argv))
-        assert type(engine) is IndoorFlowSystem and engine.store.capacity == capacity
+        assert type(engine) is IndoorFlowSystem
+        assert engine.store.capacity == repro.EngineConfig().presence_store_capacity
+        plans.append(engine.summary())
+    assert plans[0] == plans[1]
 
 
 def test_importing_the_package_and_a_topology_role_does_not_import_numpy():

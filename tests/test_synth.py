@@ -2,40 +2,41 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.experiments.config import SCALES
 from repro.space import PartitionKind
 from repro.synth import (
-    BuildingConfig,
-    GridBuildingGenerator,
     MovementConfig,
     PositioningConfig,
-    RFIDSimulator,
     RandomWaypointSimulator,
     WkNNPositioningSimulator,
+    build_real_scenario,
+    build_synthetic_scenario,
     build_university_floorplan,
-    university_floor_statistics,
+    grid_building,
 )
+from repro.synth.positioning import MAX_SAMPLE_SET_SIZE
+
+
+def _kinds(plan):
+    return [partition.kind for partition in plan.partitions.values()]
 
 
 class TestBuildingGenerator:
     def test_single_floor_structure(self):
-        building = GridBuildingGenerator(
-            BuildingConfig(floors=1, room_rows=2, rooms_per_row=3)
-        ).generate()
-        plan = building.plan
+        plan = grid_building(1, 2, 3)
         summary = plan.summary()
         # 6 rooms + 2 row hallways + 1 vertical hallway + 1 staircase.
         assert summary["partitions"] == 10
         assert summary["slocations"] == summary["partitions"]
-        assert len(building.room_partitions) == 6
-        assert len(building.staircase_partitions) == 1
+        assert _kinds(plan).count(PartitionKind.ROOM) == 6
+        assert _kinds(plan).count(PartitionKind.STAIRCASE) == 1
 
     def test_multi_floor_staircases_connect_floors(self):
-        building = GridBuildingGenerator(
-            BuildingConfig(floors=3, room_rows=1, rooms_per_row=2)
-        ).generate()
-        plan = building.plan
+        plan = grid_building(3, 1, 2)
         assert plan.floors == [0, 1, 2]
         cross_floor_doors = [
             door
@@ -45,31 +46,25 @@ class TestBuildingGenerator:
         ]
         assert len(cross_floor_doors) == 2
 
-    def test_guard_fraction_zero_merges_rooms_into_hallway_cell(self):
-        from repro.space import derive_cells
-
-        guarded = GridBuildingGenerator(
-            BuildingConfig(floors=1, room_rows=1, rooms_per_row=3, door_guard_fraction=1.0)
-        ).generate()
-        unguarded = GridBuildingGenerator(
-            BuildingConfig(floors=1, room_rows=1, rooms_per_row=3, door_guard_fraction=0.0)
-        ).generate()
-        assert len(derive_cells(unguarded.plan)) < len(derive_cells(guarded.plan))
+    def test_every_room_and_staircase_door_is_guarded(self):
+        plan = grid_building(2, 2, 3)
+        guarded = {ploc.door_id for ploc in plan.plocations.values() if ploc.is_partitioning}
+        for door in plan.doors.values():
+            kinds = {plan.partitions[pid].kind for pid in door.partition_ids}
+            # Only the hallway junctions stay open.
+            assert (door.door_id in guarded) == (kinds != {PartitionKind.HALLWAY})
 
     def test_partitions_do_not_overlap(self):
-        building = GridBuildingGenerator(
-            BuildingConfig(floors=1, room_rows=2, rooms_per_row=3)
-        ).generate()
-        partitions = list(building.plan.partitions.values())
+        partitions = list(grid_building(1, 2, 3).partitions.values())
         for i, first in enumerate(partitions):
             for second in partitions[i + 1 :]:
                 assert first.rect.intersection_area(second.rect) == pytest.approx(0.0)
 
-    def test_invalid_config(self):
+    def test_invalid_grid(self):
         with pytest.raises(ValueError):
-            BuildingConfig(floors=0)
+            grid_building(0, 1, 1)
         with pytest.raises(ValueError):
-            BuildingConfig(door_guard_fraction=1.5)
+            grid_building(1, 0, 3)
 
     def test_clamped_lattice_covers_thin_and_degenerate_rects(self):
         from repro.geometry import Rect
@@ -83,15 +78,12 @@ class TestBuildingGenerator:
     def test_every_partition_has_presence_plocations(self):
         """Thin hallways must get reference points despite the coarse lattice.
 
-        The default grid step (6 m) exceeds the 4 m hallway width; the
-        un-clamped lattice used to leave every hallway without a single
-        presence P-location, which made hallway-transiting positioning
-        sequences topologically inconsistent and zeroed every flow.
+        The grid step (6 m) exceeds the 4 m hallway width; the un-clamped
+        lattice used to leave every hallway without a single presence
+        P-location, which made hallway-transiting positioning sequences
+        topologically inconsistent and zeroed every flow.
         """
-        building = GridBuildingGenerator(
-            BuildingConfig(floors=2, room_rows=2, rooms_per_row=5)
-        ).generate()
-        plan = building.plan
+        plan = grid_building(2, 2, 5)
         covered = {
             ploc.partition_id
             for ploc in plan.plocations.values()
@@ -110,8 +102,6 @@ class TestDefaultSyntheticFlows:
     """
 
     def test_default_grid_produces_non_trivial_flows(self):
-        from repro.synth import build_synthetic_scenario
-
         scenario = build_synthetic_scenario(num_objects=8, duration_seconds=300.0)
         flows = scenario.system.flows(
             scenario.iupt,
@@ -129,8 +119,7 @@ class TestDefaultSyntheticFlows:
 
 class TestUniversityFloor:
     def test_structure_matches_paper(self):
-        plan = build_university_floorplan()
-        summary = university_floor_statistics(plan)
+        summary = build_university_floorplan().summary()
         assert summary["partitions"] == 14  # 9 offices + 5 hallway segments
         assert summary["slocations"] == 14
         assert summary["partitioning_plocations"] == 13
@@ -189,14 +178,12 @@ class TestPositioningSimulator:
 
     def test_reports_respect_mss_and_period(self, trajectories):
         plan, store = trajectories
-        config = PositioningConfig(max_sample_set_size=3, max_period_seconds=4.0)
-        simulator = WkNNPositioningSimulator(plan, config, seed=7)
-        iupt = simulator.generate(store, shard_seconds=30.0)
-        assert iupt.shard_seconds == 30.0
+        config = PositioningConfig(max_period_seconds=4.0)
+        iupt = WkNNPositioningSimulator(plan, config, seed=7).generate(store)
         assert len(iupt) > 0
         timestamps = {}
         for record in iupt.records_in_time_order():
-            assert 1 <= len(record.sample_set) <= 3
+            assert 1 <= len(record.sample_set) <= MAX_SAMPLE_SET_SIZE
             assert sum(s.prob for s in record.sample_set) == pytest.approx(1.0)
             timestamps.setdefault(record.object_id, []).append(record.timestamp)
         for stamps in timestamps.values():
@@ -205,7 +192,7 @@ class TestPositioningSimulator:
 
     def test_samples_are_nearby_reference_points(self, trajectories):
         plan, store = trajectories
-        config = PositioningConfig(positioning_error=2.0, candidate_radius_factor=1.5)
+        config = PositioningConfig(positioning_error=2.0)
         simulator = WkNNPositioningSimulator(plan, config, seed=9)
         trajectory = next(iter(store))
         for timestamp, sample_set in simulator.reports_for(trajectory):
@@ -216,9 +203,9 @@ class TestPositioningSimulator:
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            PositioningConfig(max_sample_set_size=0)
+            PositioningConfig(max_period_seconds=0.5)
         with pytest.raises(ValueError):
-            PositioningConfig(min_period_seconds=5.0, max_period_seconds=1.0)
+            PositioningConfig(positioning_error=0.0)
 
 
 class TestRFIDSimulator:
@@ -250,3 +237,45 @@ class TestRFIDSimulator:
             midpoint = trajectory.location_at((record.ts + record.te) / 2.0)
             assert midpoint is not None
             assert reader.position.distance_to(midpoint) <= reader.detection_range + 2.0
+
+
+def _digest(scenario):
+    """SHA-256 over the plan, every positioning record's exact floats and,
+    where built, the RFID readers and records."""
+    sha = hashlib.sha256()
+    plan = scenario.plan
+    for entities in (plan.partitions, plan.doors, plan.plocations, plan.slocations):
+        sha.update(repr(sorted(entities.items())).encode())
+    for record in scenario.iupt.records_in_time_order():
+        samples = record.sample_set
+        sha.update(repr((record.object_id, record.timestamp.hex(), samples.ploc_ids,
+                         [prob.hex() for prob in samples.probs])).encode())
+    if scenario.rfid is not None:
+        sha.update(repr(sorted(scenario.rfid.readers.items())).encode())
+        for rfid in scenario.rfid.records:
+            fields = (rfid.object_id, rfid.reader_id, rfid.ts.hex(), rfid.te.hex())
+            sha.update(repr(fields).encode())
+    return sha.hexdigest()[:16]
+
+
+CAMPUS = dict(num_objects=30, floors=2, room_rows=1, rooms_per_row=3, duration_seconds=600.0)
+GENERATED = {  # the generators draw the same numbers in the same order, whatever their shape
+    "campus-17": (lambda: build_synthetic_scenario(seed=17, **CAMPUS), "66ec7cae17752728"),
+    "campus-29": (lambda: build_synthetic_scenario(seed=29, **CAMPUS), "27b9c2437faf6f15"),
+    "real-small": (lambda: build_real_scenario(**SCALES["real", "small"][0]), "d35e044dc3bf2874"),
+    "synth-small-rfid": (
+        lambda: build_synthetic_scenario(**SCALES["synth", "small"][0], with_rfid=True),
+        "75b833c9102596c6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generated_data_is_pinned(name):
+    build, digest = GENERATED[name]
+    assert _digest(build()) == digest
+
+
+def test_conftest_scenarios_are_pinned(small_real_scenario, small_synth_scenario):
+    assert _digest(small_real_scenario) == "3def8b315214818a"
+    assert _digest(small_synth_scenario) == "2918a60c5b030c6c"
