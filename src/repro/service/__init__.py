@@ -8,10 +8,12 @@ the network-facing layer a production deployment needs:
   (requests, structured errors, subscription push frames, query/result
   serialisation with bit-exact float round-trips, record batches as binary
   ``RPK1`` payloads): what a frame *is*, pure functions only;
-* :mod:`~repro.service.stream` — frames on asyncio streams: ``read_frame``
-  (the one reader of every role, client included), ``Connection`` (one
-  peer's write side: whole frames straight to the transport) and
-  ``FrameServer`` (the accept loop the server and the router both subclass);
+* :mod:`~repro.service.stream` — frames on asyncio transports:
+  ``FrameDecoder`` (the one reader of every role, client included, fed from
+  the connection's ``data_received``), ``Connection`` (the ``asyncio.Protocol``
+  of one peer: its decoder, and whole frames written straight to the
+  transport) and ``FrameServer`` (the accept loop the server and the router
+  both subclass);
 * :mod:`~repro.service.server` — :class:`QueryService`, the asyncio server
   multiplexing many client connections onto one shared
   :class:`~repro.engine.runtime.QueryEngine` and pushing continuous-query

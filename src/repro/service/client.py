@@ -1,8 +1,9 @@
 """The query service client: one asyncio connection to a service or router.
 
-:class:`ServiceClient` is the client half of the wire protocol.  It reads
-with the same :func:`~repro.service.stream.read_frame` the listening roles
-use, and adds:
+:class:`ServiceClient` is the client half of the wire protocol.  Its
+connection is the same :class:`~repro.service.stream.Connection` the
+listening roles accept — one decoder, fed as bytes arrive, hands it each
+frame — and it adds, all from that one callback:
 
 * request/response correlation (a fresh ``id`` and one future per in-flight
   request, so requests can be pipelined),
@@ -29,8 +30,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..data.records import PositioningRecord
 from . import protocol
-from .protocol import ProtocolError
-from .stream import read_frame
+from .stream import Connection
 
 
 class ServiceError(Exception):
@@ -127,22 +127,19 @@ class ReconnectPolicy:
         return min(self.initial_backoff * self.multiplier**attempt, self.max_backoff)
 
 
-async def _dial(host: str, port: int):
-    """One ``(reader, writer)`` pair whose reader admits a maximal frame."""
-    return await asyncio.open_connection(host, port, limit=protocol.MAX_FRAME_BYTES)
+async def _dial(client: "ServiceClient", host: str, port: int) -> Connection:
+    """A connection to ``host:port`` whose frames ``client`` receives."""
+    _transport, connection = await asyncio.get_running_loop().create_connection(
+        lambda: Connection(client), host, port
+    )
+    return connection
 
 
 class ServiceClient:
     """One asyncio connection to a :class:`~repro.service.server.QueryService`."""
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        reconnect: Optional[ReconnectPolicy] = None,
-    ):
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, reconnect: Optional[ReconnectPolicy] = None):
+        self._connection: Optional[Connection] = None
         self._ids = itertools.count(1)
         self._futures: Dict[object, asyncio.Future] = {}
         self._subscriptions: Dict[int, RemoteSubscription] = {}
@@ -159,7 +156,6 @@ class ServiceClient:
         self._reconnect = reconnect
         self._endpoint: Optional[Tuple[str, int]] = None
         self.reconnects = 0
-        self._reader_task = asyncio.ensure_future(self._read_loop())
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -168,7 +164,8 @@ class ServiceClient:
     async def connect(
         cls, host: str, port: int, reconnect: Optional[ReconnectPolicy] = None
     ) -> "ServiceClient":
-        client = cls(*await _dial(host, port), reconnect=reconnect)
+        client = cls(reconnect=reconnect)
+        client._connection = await _dial(client, host, port)
         client._endpoint = (host, port)
         return client
 
@@ -178,17 +175,8 @@ class ServiceClient:
             await self._hang_up()
 
     async def _hang_up(self) -> None:
-        """Stop the read loop and close the transport."""
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except (asyncio.CancelledError, Exception):  # noqa: BLE001
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        """Close the transport; its pending requests fail."""
+        await self._connection.flush_and_close()
 
     async def __aenter__(self) -> "ServiceClient":
         return self
@@ -197,36 +185,34 @@ class ServiceClient:
         await self.close()
 
     # ------------------------------------------------------------------
-    # The read loop
+    # What the connection delivers (on the event loop, as bytes arrive)
     # ------------------------------------------------------------------
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                try:
-                    frame = await read_frame(self._reader)
-                except ProtocolError as error:
-                    if error.fatal:
-                        break  # the pending futures fail below
-                    continue  # a garbled line is skipped, not answered
-                if frame is None:
-                    break
-                if protocol.is_push_frame(frame):
-                    self._route_push(frame)
-                    continue
-                future = self._futures.pop(frame.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(frame)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            broken = ConnectionError("connection to the query service closed")
-            for future in self._futures.values():
-                if not future.done():
-                    future.set_exception(broken)
-            self._futures.clear()
-            # Wake any WAL consumer blocked on the queue: the stream is
-            # dead, and reconnecting is its decision to make.
-            self.wal_frames.put_nowait(dict(protocol.WAL_CLOSED_FRAME))
+    def _opened(self, connection: Connection) -> None:
+        """A dialled connection is up (``_dial`` hands it over)."""
+
+    def _receive(self, connection: Connection, frame: object) -> None:
+        if type(frame) is not dict:
+            if frame.fatal:  # the pending requests fail once it is gone
+                connection.transport.close()
+            return  # a garbled line is skipped, not answered
+        if protocol.is_push_frame(frame):
+            self._route_push(frame)
+            return
+        future = self._futures.pop(frame.get("id"), None)
+        if future is not None and not future.done():
+            future.set_result(frame)
+
+    def _lost(self, connection: Connection) -> None:
+        if connection is not self._connection:
+            return  # a replaced connection: its requests failed with it
+        broken = ConnectionError("connection to the query service closed")
+        for future in self._futures.values():
+            if not future.done():
+                future.set_exception(broken)
+        self._futures.clear()
+        # Wake any WAL consumer blocked on the queue: the stream is
+        # dead, and reconnecting is its decision to make.
+        self.wal_frames.put_nowait(dict(protocol.WAL_CLOSED_FRAME))
 
     def _route_push(self, frame: dict) -> None:
         if protocol.is_wal_push_frame(frame):
@@ -256,12 +242,18 @@ class ServiceClient:
         callers that must not double-apply a mutation should not set a
         policy on the connection carrying it.
         """
+        return unwrap(await self.exchange(op, fields))
+
+    async def exchange(self, op: str, fields: Dict[str, object]) -> dict:
+        """:meth:`request`'s response frame itself (an error frame included)."""
         attempt = 0
         while True:
             try:
                 if attempt:  # in the try: a refused dial spends one attempt, not all
                     await self._redial()
-                return await self._request_once(op, fields)
+                reply = self.send(op, fields)
+                await self._connection.writable()
+                return await reply
             except ConnectionError:
                 policy = self._reconnect
                 if (
@@ -274,24 +266,29 @@ class ServiceClient:
                 await asyncio.sleep(policy.backoff(attempt))
                 attempt += 1
 
-    async def _request_once(self, op: str, fields: Dict[str, object]):
+    def send(self, op: str, fields: Dict[str, object]) -> asyncio.Future:
+        """Write one request now; the future resolves to its response frame,
+        or fails with :class:`ConnectionError` if the connection dies first.
+
+        Raises :class:`ConnectionError` at once when the connection is gone
+        (nothing re-dials here, and nothing waits for the transport to take
+        the bytes: :meth:`exchange` does both).
+        """
         if self._closed:
             raise ConnectionError("client is closed")
-        if self._reader_task.done():
-            # The read loop has exited: nothing will ever resolve a future
-            # registered now, and writes to the dead transport are silently
-            # buffered — fail fast instead of hanging forever.
+        if self._connection.transport.is_closing():
+            # Nothing will ever resolve a future registered now, and writes
+            # to the dead transport are dropped — fail fast instead.
             raise ConnectionError("connection to the query service closed")
         # A fresh correlation id per request; a BIN_PAYLOAD field rides
         # along as the binary payload (encode_frame emits the binary form).
         request_id = next(self._ids)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        future = asyncio.get_running_loop().create_future()
         self._futures[request_id] = future
-        self._writer.write(
+        self._connection.transport.write(
             protocol.encode_frame({"id": request_id, "op": op, **fields})
         )
-        await self._writer.drain()
-        return unwrap(await future)
+        return future
 
     async def _redial(self) -> None:
         """Replace the dead transport with a fresh connection.
@@ -303,13 +300,12 @@ class ServiceClient:
         host, port = self._endpoint
         await self._hang_up()
         try:
-            self._reader, self._writer = await _dial(host, port)
+            self._connection = await _dial(self, host, port)
         except OSError as error:
             raise ConnectionError(
                 f"reconnect to {host}:{port} failed: {error}"
             ) from error
         self.reconnects += 1
-        self._reader_task = asyncio.ensure_future(self._read_loop())
 
     # ------------------------------------------------------------------
     # Convenience operations (wire payloads in, wire payloads out)

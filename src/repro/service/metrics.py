@@ -17,7 +17,7 @@ One :class:`ServiceMetrics` registry per server aggregates everything a
 
 Like the admission controller, the registry is sans-I/O and only touched
 from the event-loop thread.  A request's latency runs from its frame being
-decoded in the read loop to its response being handed to the transport — so
+decoded, as its bytes arrive, to its response being handed to the transport — so
 it includes the wait for a worker and the handler, which is what a client
 experiences short of the wire itself.
 """

@@ -57,18 +57,17 @@ from ..storage import EvictedRangeError, IngestReceipt
 PROTOCOL_VERSION = 4
 
 #: Upper bound on one frame's wire size (the header line, and the payload it
-#: may declare).  :mod:`repro.service.stream` passes it as the reader limit of
-#: every listener and dialled connection (asyncio's default is 64 KiB, which a
-#: few-thousand-record ``ingest_batch`` frame easily exceeds); a line beyond it
-#: ends the connection with a structured ``bad_frame`` error instead of an
-#: unhandled ``ValueError`` in a read loop.
+#: may declare).  Every connection's :class:`repro.service.stream.FrameDecoder`
+#: reads it when the connection opens; a line beyond it ends the connection
+#: with a structured ``bad_frame`` error, sent as soon as the bytes held prove
+#: the line too long.
 #:
 #: **Boundary contract**: the limit counts the bytes of the frame line with
 #: the ``\n`` terminator *excluded*, and is inclusive — a frame of exactly
 #: ``MAX_FRAME_BYTES`` bytes is the largest accepted, one byte more is
-#: rejected.  ``asyncio.StreamReader.readline`` enforces exactly this (it
-#: raises only when the separator's offset *exceeds* the limit);
-#: ``tests/test_service.py`` pins both sides of the boundary.
+#: rejected.  The decoder enforces exactly this (it refuses a line only when
+#: the terminator's offset, or the bytes held without one, *exceed* the
+#: limit); ``tests/test_service.py`` pins both sides of the boundary.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: Request operations the server understands.
@@ -105,8 +104,9 @@ MUTATING_OPS = ("ingest_batch", "evict_before", "checkpoint")
 #: means exactly ``N`` raw bytes follow the line's ``\n`` terminator (no
 #: trailing newline of their own).  In-memory the payload rides on the frame
 #: dict under :data:`BIN_PAYLOAD`, which never appears on the wire as JSON:
-#: :func:`encode_frame` strips it, and :func:`repro.service.stream.read_frame`
-#: refuses a header line that spells it.
+#: :func:`encode_frame` strips it, and
+#: :class:`repro.service.stream.FrameDecoder` refuses a header line that
+#: spells it.
 BIN_LENGTH = "bin"
 BIN_PAYLOAD = "_bin"
 
@@ -129,7 +129,7 @@ ERROR_KINDS = (
 class ProtocolError(ValueError):
     """A frame that cannot be decoded or violates the protocol contract."""
 
-    #: Set by :func:`repro.service.stream.read_frame` alone: the refused
+    #: Set by :class:`repro.service.stream.FrameDecoder` alone: the refused
     #: line left the stream mid-frame, so nothing after it may be read.
     fatal = False
 

@@ -19,19 +19,28 @@ unchanged.  Behind it:
   caches, not N copies of the same one.
 * **Staleness** is bounded, not ignored: before serving a read, the router
   compares the target replica's applied sequence (cached, refreshed via
-  ``replica_status``) against the read-your-writes bound, waiting briefly
-  for the tail to catch up; if a replica cannot catch up inside
-  ``freshness_timeout`` (or is down), the read falls back to the primary —
-  correctness degrades to primary load, never to stale answers.
+  ``replica_status``) against the read-your-writes bound.  A read whose
+  replica is known fresh is written to it at once and answered from its
+  reply's done-callback — no task per request; any other waits briefly in a
+  coroutine for the tail to catch up.  If a replica cannot catch up inside
+  ``freshness_timeout``, is down, or answers ``overloaded`` /
+  ``unavailable`` / ``internal``, the read falls back to the primary —
+  correctness degrades to primary load, never to stale answers; an error
+  the primary would give alike (``bad_request``, ``unknown_op``,
+  ``evicted_range``) is the answer.
 * **Subscriptions** are forwarded to the partition-owning replica with an
   id translation (router ids are globally unique; backend ids are only
   unique per backend) and pushes are relayed back over the subscribing
   client's connection.
 
-Routed responses are **bit-identical** to single-server responses: the
-router never rewrites result payloads, replicas apply the same commit
-prefix through the same ingest path, and reads wait out any lag — which is
-exactly what the replication benchmark asserts.
+Routed responses are **bit-identical** to single-server responses.  The
+router decodes each reply and re-encodes it with the client's correlation
+id; that changes no byte of the result, because JSON round-trips every
+float exactly (``repr``), keeps each object's key order, and the router and
+the backends encode with the one compact encoder of
+:func:`~repro.service.protocol.encode_frame`.  Replicas apply the same
+commit prefix through the same ingest path, and reads wait out any lag —
+which is exactly what the replication benchmark asserts.
 """
 
 from __future__ import annotations
@@ -48,6 +57,16 @@ from .stream import Connection, FrameServer
 WRITE_OPS = frozenset(protocol.MUTATING_OPS)
 #: Operations routed across replicas by partition affinity.
 PARTITIONED_READ_OPS = frozenset(("top_k", "flow", "flows", "batch"))
+#: Error kinds a replica answers with that the primary may not: the read is
+#: sent to the primary.  Every other kind (``bad_request``, ``unknown_op``,
+#: ``evicted_range``) the primary would give alike, so it is the answer.
+REPLICA_FAILURES = frozenset(("overloaded", "unavailable", "internal"))
+
+
+def _unreachable(request_id: object, error: BaseException) -> dict:
+    return protocol.error_frame(
+        request_id, "unavailable", f"backend unreachable: {error}"
+    )
 
 
 class PartitionRouter(FrameServer):
@@ -162,7 +181,19 @@ class PartitionRouter(FrameServer):
     # Request routing
     # ------------------------------------------------------------------
     def _serve_request(self, connection: Connection, frame: dict) -> None:
-        # Every routed op waits on a backend, so every request is a coroutine.
+        op = frame.get("op")
+        if type(op) is str and op in PARTITIONED_READ_OPS:
+            index = self._partition_for(frame)
+            if index is None or self._applied[index] >= self.last_write_seq:
+                # The replica is known fresh: no task, the reply answers.
+                try:
+                    self._send_read(connection, frame, index)
+                    return
+                except ConnectionError:
+                    pass  # a dead backend is re-dialled in the coroutine
+            self._spawn(self._read_when_ready(connection, frame, index))
+            return
+        # Every other routed op waits on a backend in a coroutine.
         self._spawn(self._answer(connection, frame))
 
     async def _answer(self, connection: Connection, frame: dict) -> None:
@@ -178,9 +209,7 @@ class PartitionRouter(FrameServer):
                 request_id, error.kind, error.message, **error.details
             )
         except ConnectionError as error:
-            response = protocol.error_frame(
-                request_id, "unavailable", f"backend unreachable: {error}"
-            )
+            response = _unreachable(request_id, error)
         except Exception as error:  # noqa: BLE001 - the router must not die
             response = protocol.error_frame(request_id, "internal", str(error))
         connection.send_frame(response)
@@ -196,8 +225,6 @@ class PartitionRouter(FrameServer):
     async def _route(self, connection: Connection, op: str, frame: dict):
         if op in WRITE_OPS:
             return await self._route_write(op, frame)
-        if op in PARTITIONED_READ_OPS:
-            return await self._route_read(op, frame)
         if op == "subscribe":
             return await self._route_subscribe(connection, frame)
         if op == "unsubscribe":
@@ -225,8 +252,8 @@ class PartitionRouter(FrameServer):
     def _partition_for(self, frame: dict) -> Optional[int]:
         """The replica index owning this query's time partition.
 
-        ``None`` when there are no replicas (or no usable window): the
-        primary serves it.
+        ``None`` when there are no replicas (or no usable window — a start
+        that is no finite number included): the primary serves it.
         """
         if not self._replicas:
             return None
@@ -238,36 +265,73 @@ class PartitionRouter(FrameServer):
                 if isinstance(first, dict):
                     start = first.get("start")
         try:
-            start = float(start)
-        except (TypeError, ValueError):
-            return None
-        shard = int(start // float(self.shard_seconds))
+            shard = int(float(start) // self.shard_seconds)
+        except (TypeError, ValueError, OverflowError):
+            return None  # NaN and infinities get through float() and json
         return shard % len(self._replicas)
 
     def _backend(self, index: Optional[int]) -> ServiceClient:
         return self._primary if index is None else self._replicas[index]
 
-    async def _route_read(self, op: str, frame: dict):
-        index = self._partition_for(frame)
+    async def _read_when_ready(
+        self, connection: Connection, frame: dict, index: Optional[int]
+    ) -> None:
+        """A read that must wait — for its replica to apply the read-your-writes
+        bound, or for its backend to be re-dialled — answered like a fresh
+        one once its reply is in; a replica that stays behind sends it to
+        the primary."""
         if index is not None and not await self._ensure_fresh(index):
             self.stats["primary_fallbacks"] += 1
             index = None
         fields = self._forward_fields(frame)
         try:
-            result = await self._backend(index).request(op, **fields)
-        except (ServiceError, ConnectionError):
-            if index is None:
-                raise
-            # A replica mid-restart (or freshly dead): the primary still
-            # holds the full table — degrade to primary load, not to errors.
-            self.stats["primary_fallbacks"] += 1
-            index = None
-            result = await self._primary.request(op, **fields)
-        self.stats["reads"] += 1
-        self.stats["reads_by_backend"][
-            0 if index is None else index + 1
-        ] += 1
-        return result
+            reply = await self._backend(index).exchange(frame["op"], fields)
+        except ConnectionError as error:
+            reply = error
+        self._answer_read(connection, frame, index, reply)
+
+    def _send_read(
+        self, connection: Connection, frame: dict, index: Optional[int]
+    ) -> None:
+        """Write one read to its backend now; the reply's done-callback
+        answers the client.  Raises :class:`ConnectionError` at once when
+        the backend's connection is gone."""
+        reply = self._backend(index).send(frame["op"], self._forward_fields(frame))
+        reply.add_done_callback(
+            lambda done: self._answer_read(
+                connection, frame, index, done.exception() or done.result()
+            )
+        )
+
+    def _answer_read(
+        self,
+        connection: Connection,
+        frame: dict,
+        index: Optional[int],
+        reply: object,
+    ) -> None:
+        """Answer a read with its backend's response frame (or failure).
+
+        A replica that failed — its connection, or a retryable error kind —
+        hands the read to the primary; any other error is the answer.
+        """
+        if self._stopped:
+            return
+        if isinstance(reply, BaseException):
+            reply = _unreachable(None, reply)
+        if not reply.get("ok"):
+            kind = (reply.get("error") or {}).get("kind")
+            if index is not None and kind in REPLICA_FAILURES:
+                # A replica mid-restart (or freshly dead): the primary still
+                # holds the full table — degrade to primary load, not to errors.
+                self.stats["primary_fallbacks"] += 1
+                self._spawn(self._read_when_ready(connection, frame, None))
+                return
+        else:
+            self.stats["reads"] += 1
+            self.stats["reads_by_backend"][0 if index is None else index + 1] += 1
+        reply["id"] = frame.get("id")
+        connection.send_frame(reply)
 
     async def _ensure_fresh(self, index: int) -> bool:
         """Wait (bounded) until replica ``index`` has applied every write
@@ -336,7 +400,8 @@ class PartitionRouter(FrameServer):
 
     def _relay_push(self, index: Optional[int], frame: dict) -> None:
         """Relay one backend push to the router client owning the
-        subscription (runs on the event loop via the client read loop)."""
+        subscription (runs on the event loop, from the backend connection's
+        frame callback)."""
         backend_id = frame.get("subscription")
         if backend_id is None:
             return

@@ -8,9 +8,10 @@ protocol of :mod:`repro.service.protocol` (a ``top_k`` frame without an
 answers when the frame names it):
 
 * the **event loop** only frames (in :mod:`repro.service.stream`, whose
-  accept loop this class subclasses), parses, admits and answers: the read
-  loop hands each decoded frame to :meth:`QueryService._serve_request`, which
-  refuses or admits it on the spot, and one loop callback,
+  accept loop this class subclasses), parses, admits and answers: a
+  connection's decoder hands each frame, as its bytes arrive, to
+  :meth:`QueryService._serve_request`, which refuses or admits it on the
+  spot, and one loop callback,
   :meth:`QueryService._finish`, returns the slot, builds the response (errors
   through the one mapping, :func:`_error_response`) and writes it straight
   to the connection's transport;
@@ -18,7 +19,7 @@ answers when the frame names it):
   ``query_workers`` threads draining one work queue: every CPU-bound or
   lock-taking call runs there, so a heavy query never stalls other
   connections' framing or pushes.  The seven handler ops cross each
-  boundary once — queued in the read loop, run on a worker, answered by the
+  boundary once — queued as it is decoded, run on a worker, answered by the
   worker's single ``call_soon_threadsafe`` — with no task and no future; the
   ops that touch connection state on the loop (subscriptions, ``wal_tail``,
   ``wal_ack``, ``stats``, ``replica_status``) await the same queue through
@@ -71,8 +72,8 @@ class _Connection(Connection):
 
     _ids = iter(range(1, 1 << 62))
 
-    def __init__(self, writer: asyncio.StreamWriter):
-        super().__init__(writer)
+    def __init__(self, owner: "QueryService"):
+        super().__init__(owner)
         self.conn_id = next(_Connection._ids)
         #: Wire subscription id -> engine subscription, owned by this client.
         self.subscriptions: Dict[int, Subscription] = {}
@@ -304,9 +305,9 @@ class QueryService(FrameServer):
     # ------------------------------------------------------------------
     # Connections
     # ------------------------------------------------------------------
-    def _accept(self, writer: asyncio.StreamWriter) -> _Connection:
+    def _accept(self) -> _Connection:
         self.metrics.note_connection_opened()
-        return _Connection(writer)
+        return _Connection(self)
 
     def _count_refused(self, error: ProtocolError) -> None:
         # One answered request of no known op, as an undecodable line always was.
@@ -363,7 +364,7 @@ class QueryService(FrameServer):
     # Requests
     # ------------------------------------------------------------------
     def _serve_request(self, connection: _Connection, frame: dict) -> None:
-        """Refuse, admit and start one decoded request (in the read loop)."""
+        """Refuse, admit and start one request as it is decoded."""
         ticket = _Ticket(connection, frame.get("id"), self._loop.time())
         try:
             op = ticket.op = protocol.request_op(frame)

@@ -222,6 +222,8 @@ GONE = [
     (40, "PositioningConfig-fields", _fields(repro.synth.PositioningConfig).__contains__,
      "max_sample_set_size min_period_seconds weight_noise distance_epsilon "
      "candidate_radius_factor"),
+    _text(41, "read_frame readline readexactly start_server open_connection StreamReader",
+          "service/"),
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
@@ -240,7 +242,7 @@ RULES = [  # (PR, rule, actual, expected)
     (21, "PresenceStore.get-signature", lambda: _params(repro.PresenceStore.get),
      ["self", "window", "data_key"]),  # PR 36: the query set left the key
     (23, "two-stream-writers", lambda: _sites("write", "service/"),
-     ["service/client.py:ServiceClient._request_once", "service/stream.py:Connection.send_frame"]),
+     ["service/client.py:ServiceClient.send", "service/stream.py:Connection.send_frame"]),
     (23, "one-task-spawner", lambda: _sites("ensure_future create_task", "service/stream.py",
                                             *POOL_SIDE), ["service/stream.py:FrameServer._spawn"]),
     (23, "futures-only-to-stop-and-run_blocking", lambda: _sites("create_future", *POOL_SIDE),
@@ -314,9 +316,10 @@ def test_rule(pr, rule, actual, expected):
 
 # Rules checked item by item, so that a failure names the file, package, call, name or flag.
 PACKAGES = ["repro", *(i.name for i in pkgutil.walk_packages(repro.__path__, "repro.") if i.ispkg)]
-STREAM_SITES = {  # one reader, one listener, one dial
-    **dict.fromkeys(["readline", "readexactly", "binary_length"], "stream.py:read_frame"),
-    "start_server": "stream.py:FrameServer._listen", "open_connection": "client.py:_dial"}
+STREAM_SITES = {  # one reader (a decoder each connection builds), one listener, one dial
+    **dict.fromkeys(["decode_frame", "binary_length"], "stream.py:FrameDecoder._line"),
+    "FrameDecoder": "stream.py:Connection.__init__",
+    "create_server": "stream.py:FrameServer._listen", "create_connection": "client.py:_dial"}
 FRAMES = """_FRAME_HEADER SEGMENT_MAGIC _SEGMENT_PREFIX SNAPSHOT_MAGIC _SNAPSHOT_PREFIX _frame_bytes
     encode_wal_frame encode_segment_frame encode_snapshot_frame _parse_frame_body decode_wal_frames
     _field frame_records _legacy_json_records""".split()

@@ -9,7 +9,7 @@ oracle:
   sequence) and the primary's followers (one ``wal_tail`` attaches, lag in
   frames lives on the tailing connection),
 * the binary wire framing (``"bin"``-length-prefixed RPK1 payloads through
-  :func:`~repro.service.stream.read_frame`, the reader every role runs),
+  :class:`~repro.service.stream.FrameDecoder`, the decoder every role runs),
 * the :class:`~repro.service.replica.ReadReplica` catch-up-then-tail loop
   (live replay, snapshot catch-up, fault-injected primary crash + restart,
   JSON-era directories), and
@@ -1037,6 +1037,94 @@ class TestPartitionRouter:
         asyncio.run(run())
 
 
+    def test_fresh_routed_reads_take_no_task_and_relay_the_replica_bytes(
+        self, small_real_scenario, tmp_path
+    ):
+        """A read whose replica is known fresh is written to the replica at
+        once and answered from its reply: a pipelined burst starts no router
+        task, and every answer is the replica's own response, byte for byte."""
+        scenario = small_real_scenario
+        history, _ = _split_stream(scenario)
+        slocs = scenario.slocation_ids()
+        windows = [(0.0, 60.0), (30.0, 90.0), (0.0, HISTORY), (60.0, 120.0)] * 8
+        wire = b"".join(
+            protocol.encode_frame(
+                {"id": i, "op": "top_k", "q": slocs, "k": 3, "start": s, "end": e}
+            )
+            for i, (s, e) in enumerate(windows)
+        )
+
+        async def burst(address):
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(wire)
+            lines = [
+                await asyncio.wait_for(reader.readline(), timeout=10.0)
+                for _ in windows
+            ]
+            return sorted(lines, key=lambda line: json.loads(line)["id"]), writer
+
+        async def run():
+            service, host, port = await _start_primary(
+                scenario, tmp_path, preload=history
+            )
+            replica = ReadReplica(_make_engine(scenario), host, port, name="r0")
+            address = await replica.start()
+            router = PartitionRouter((host, port), [address])
+            rhost, rport = await router.start()
+            async with await ServiceClient.connect(rhost, rport) as routed:
+                await routed.top_k(slocs, 3, 0.0, HISTORY)  # learns it is fresh
+            direct, direct_writer = await burst(address)
+            spawned = []
+            spawn = router._spawn
+            router._spawn = lambda coroutine, *rest: (
+                spawned.append(coroutine.__qualname__), spawn(coroutine, *rest)
+            )
+            answered, routed_writer = await burst((rhost, rport))
+            assert spawned == [] and not router._request_tasks
+            assert answered == direct
+            assert all(json.loads(line)["ok"] for line in answered)
+            assert router.stats["reads_by_backend"] == [0, len(windows) + 1]
+            for writer in (direct_writer, routed_writer):
+                writer.close()
+                await writer.wait_closed()
+            await router.stop()
+            await replica.stop()
+            await service.stop()
+
+        asyncio.run(run())
+
+    def test_an_error_the_primary_would_repeat_is_the_answer(
+        self, small_real_scenario, tmp_path
+    ):
+        """A replica's ``bad_request`` is relayed as it is: the read is not
+        sent again to the primary, and no fallback is counted."""
+        scenario = small_real_scenario
+        history, _ = _split_stream(scenario)
+        unknown = max(scenario.slocation_ids()) + 1000
+
+        async def run():
+            service, host, port = await _start_primary(
+                scenario, tmp_path, preload=history
+            )
+            replica = ReadReplica(_make_engine(scenario), host, port, name="r0")
+            address = await replica.start()
+            router = PartitionRouter((host, port), [address])
+            rhost, rport = await router.start()
+            asked = service.metrics.requests_by_op.get("top_k", 0)
+            async with await ServiceClient.connect(rhost, rport) as routed:
+                with pytest.raises(ServiceError) as refused:
+                    await routed.top_k([unknown], 1, 0.0, HISTORY)
+                assert refused.value.kind == "bad_request"
+                status = await routed.request("replica_status")
+            assert status["router"]["primary_fallbacks"] == 0
+            assert service.metrics.requests_by_op.get("top_k", 0) == asked
+            await router.stop()
+            await replica.stop()
+            await service.stop()
+
+        asyncio.run(run())
+
+
 # ----------------------------------------------------------------------
 # Client reconnection
 # ----------------------------------------------------------------------
@@ -1080,15 +1168,24 @@ class TestPartitionRouter:
 # ----------------------------------------------------------------------
 # Hostile lines: the server and the router are one reader, so they answer alike
 # ----------------------------------------------------------------------
-async def _hostile_exchange(scenario, tmp_path, through, wire, replies_wanted):
+async def _hostile_exchange(
+    scenario, tmp_path, through, wire, replies_wanted, replica=False
+):
     """Send ``wire`` raw to a primary (``through="server"``) or to a router in
-    front of it; returns ``(replies, primary service)`` once the peer has sent
-    ``replies_wanted`` lines (``None``: everything up to EOF)."""
+    front of it (and of one replica, with ``replica``); returns ``(replies,
+    primary service)`` once the peer has sent ``replies_wanted`` lines
+    (``None``: everything up to EOF)."""
     history, _ = _split_stream(scenario)
     service, host, port = await _start_primary(scenario, tmp_path, preload=history)
-    router, address = None, (host, port)
+    router, address, replicas = None, (host, port), []
     if through == "router":
-        router = PartitionRouter((host, port), [])
+        if replica:
+            replicas.append(
+                ReadReplica(_make_engine(scenario), host, port, name="r0")
+            )
+        router = PartitionRouter(
+            (host, port), [await each.start() for each in replicas]
+        )
         address = await router.start()
     reader, writer = await asyncio.open_connection(*address)
     writer.write(wire)
@@ -1106,6 +1203,8 @@ async def _hostile_exchange(scenario, tmp_path, through, wire, replies_wanted):
     assert len(service.iupt) == len(history) > 0  # nothing ingested, nothing evicted
     if router is not None:
         await router.stop()
+    for each in replicas:
+        await each.stop()
     await service.stop()
     return raw, service
 
@@ -1171,6 +1270,30 @@ class TestHostileLinesAnswerAlike:
         replies = sorted(read_all([raw]), key=lambda reply: reply["id"])
         assert [reply["id"] for reply in replies] == [3, 4, 5]
         assert [reply["error"]["kind"] for reply in replies] == ["unknown_op"] * 3
+
+    def test_a_start_that_is_no_number_is_answered_and_the_stream_survives(
+        self, small_real_scenario, tmp_path, through
+    ):
+        """``json.loads`` admits ``NaN`` and ``1e999`` (infinity), and
+        ``float()`` admits ``"nan"``: such a window start owns no partition,
+        so a router in front of a replica hands the read to the primary,
+        which answers it as it does directly — and the connection survives."""
+        q = json.dumps(small_real_scenario.slocation_ids()).encode()
+        wire = b"".join(
+            b'{"id":%d,"op":"top_k","q":%s,"k":1,"start":%s,"end":60}\n'
+            % (request_id, q, start)
+            for request_id, start in enumerate((b"NaN", b"1e999", b'"nan"'), 1)
+        ) + b'{"id":4,"op":"ping"}\n'
+        raw, _service = asyncio.run(
+            _hostile_exchange(
+                small_real_scenario, tmp_path, through, wire, 4, replica=True
+            )
+        )
+        replies = sorted(read_all([raw]), key=lambda reply: reply["id"])
+        assert [reply["id"] for reply in replies] == [1, 2, 3, 4]
+        kinds = [reply["error"]["kind"] for reply in replies[:3]]
+        assert kinds == ["bad_request"] * 3
+        assert replies[3]["result"]["pong"] is True
 
 
 class TestClientReconnect:

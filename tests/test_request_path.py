@@ -18,8 +18,8 @@ from repro import IUPT, DurabilityConfig, QueryEngine, QueryService, ServiceClie
 from repro.service import protocol
 from repro.service.admission import REASON_CAPACITY, REASON_DRAINING
 from repro.service.protocol import ProtocolError
-from repro.service.stream import read_frame
 from repro.storage import DurableRecordStore, EvictedRangeError
+from tests.frame_feed import next_frame
 
 HISTORY = 120.0
 DURATION = 240.0
@@ -68,7 +68,7 @@ def _send(writer, request_id, op, **fields):
 
 
 async def _next_frame(reader, timeout=20.0):
-    return await asyncio.wait_for(read_frame(reader), timeout)
+    return await asyncio.wait_for(next_frame(reader), timeout)
 
 
 def _gate_searches(service):
@@ -190,7 +190,7 @@ class TestFramesStayWholeAndOrdered:
             reader, writer = await _dial(host, port, limit=4096, rcvbuf=4096)
             await _until(lambda: service._connections, "never accepted")
             (stalled,) = service._connections
-            stalled.writer.transport.get_extra_info("socket").setsockopt(
+            stalled.transport.get_extra_info("socket").setsockopt(
                 socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
             )
             _send(writer, 1, "wal_tail", cursor=0, follower="stalled")
@@ -207,7 +207,7 @@ class TestFramesStayWholeAndOrdered:
                 await asyncio.wait_for(traffic(), timeout=10.0)
             # Its frames are written; what the peer will not take waits in its
             # own transport buffer.
-            assert stalled.writer.transport.get_write_buffer_size() > 0
+            assert stalled.transport.get_write_buffer_size() > 0
             tail = await _next_frame(reader)
             assert tail["id"] == 1 and tail["result"]["mode"] == "snapshot"
             protocol.decode_shard_sections(tail[protocol.BIN_PAYLOAD])

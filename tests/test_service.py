@@ -1,8 +1,8 @@
 """The query service layer: protocol, admission, metrics, server, client.
 
 The unit tests drive the pure pieces (wire protocol, admission controller,
-latency histograms) and the one stream reader — ``read_frame`` over an
-``asyncio.StreamReader`` filled by hand — with no sockets at all; the client
+latency histograms) and the one frame decoder — ``FrameDecoder`` fed by
+hand — with no sockets at all; the client
 tests script a loopback peer; the integration tests start a real
 :class:`~repro.service.server.QueryService` on a loopback port inside
 ``asyncio.run`` and talk to it through
@@ -39,7 +39,7 @@ from repro.service.admission import (
 from repro.service.client import unwrap
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.protocol import ProtocolError
-from repro.service.stream import read_frame
+from repro.service.stream import FrameDecoder
 from repro.storage import EvictedRangeError
 from tests.frame_feed import read_all
 
@@ -99,24 +99,16 @@ class TestProtocol:
         assert (error["start"], error["end"], error["watermark"]) == (0.0, 60.0, 120.0)
 
     def test_frame_splitter_handles_partial_chunks(self):
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b'{"a":')
-            first = asyncio.ensure_future(read_frame(reader))
-            await asyncio.sleep(0)
-            assert not first.done()  # a partial line is no frame yet
-            reader.feed_data(b'1}\n{"b":2}\n{"tail"')
-            assert await first == {"a": 1}
-            assert await read_frame(reader) == {"b": 2}
-            tail = asyncio.ensure_future(read_frame(reader))
-            await asyncio.sleep(0)
-            assert not tail.done()
-            reader.feed_data(b":3}\n")
-            assert await tail == {"tail": 3}
-            reader.feed_eof()
-            assert await read_frame(reader) is None
-
-        asyncio.run(run())
+        frames = []
+        decoder = FrameDecoder(frames.append)
+        decoder.feed(b'{"a":')
+        assert frames == []  # a partial line is no frame yet
+        decoder.feed(b'1}\n{"b":2}\n{"tail"')
+        assert frames == [{"a": 1}, {"b": 2}]
+        decoder.feed(b":3}\n")
+        assert frames == [{"a": 1}, {"b": 2}, {"tail": 3}]
+        decoder.feed_eof()
+        assert frames == [{"a": 1}, {"b": 2}, {"tail": 3}]
 
 
 # ----------------------------------------------------------------------
@@ -843,18 +835,13 @@ class TestFrameSizeBoundary:
     def test_splitter_rejects_terminatorless_flood_early(self):
         """A stream with no newline must fail as soon as it cannot fit."""
 
-        async def run():
-            reader = asyncio.StreamReader(limit=8)
-            reading = asyncio.ensure_future(read_frame(reader))
-            reader.feed_data(b"x" * 8)  # could still become a max-size line
-            await asyncio.sleep(0)
-            assert not reading.done()
-            reader.feed_data(b"x")  # now it cannot
-            with pytest.raises(ProtocolError) as excinfo:
-                await reading
-            assert excinfo.value.fatal
-
-        asyncio.run(run())
+        outcomes = []
+        decoder = FrameDecoder(outcomes.append, limit=8)
+        decoder.feed(b"x" * 8)  # could still become a max-size line
+        assert outcomes == []
+        decoder.feed(b"x")  # now it cannot
+        (error,) = outcomes
+        assert isinstance(error, ProtocolError) and error.fatal
 
     def test_client_core_enforces_the_wire_limit(self):
         (error,) = read_all([b"{" + b"x" * 64 + b"}\n"], limit=64)
@@ -948,7 +935,7 @@ _refusable = st.one_of(
 
 
 def _as_read(frame: dict) -> dict:
-    """What ``read_frame`` hands out for a frame ``encode_frame`` wrote."""
+    """What the decoder hands out for a frame ``encode_frame`` wrote."""
     if protocol.BIN_PAYLOAD not in frame:
         return frame
     return {**frame, protocol.BIN_LENGTH: len(frame[protocol.BIN_PAYLOAD])}
