@@ -3,8 +3,8 @@
 Runs every evaluated method (BF, NL, Naive, their -ORG variants without data
 reduction, SC, SC-ρ, and MC) on the same query over the university-floor
 scenario and prints running time, pruning ratio, Kendall coefficient, and
-recall against the simulation ground truth — a miniature, single-query version
-of the paper's Table 4.
+recall against the simulation ground truth, under both tie rules — a
+miniature, single-query version of the paper's Table 4.
 
 Run with::
 
@@ -14,6 +14,7 @@ Run with::
 from __future__ import annotations
 
 from repro import TkPLQuery, build_real_scenario, run_methods
+from repro.eval import table_row
 from repro.experiments.runner import format_table
 
 
@@ -25,18 +26,18 @@ def main() -> None:
 
     print(f"Query: top-3 of {len(query_set)} S-locations over a 3-minute window")
     methods = ["sc", "sc-rho", "mc", "bf", "nl", "naive", "bf-org", "nl-org"]
-    outcomes = run_methods(scenario, methods, query, mc_rounds=40)
+    outcomes = run_methods(scenario, methods, query, sc_rho=0.25, mc_rounds=40)
 
-    rows = [outcome.as_row() for outcome in outcomes]
+    rows = [table_row([outcome]) for outcome in outcomes]
     print(format_table(rows))
 
     fastest_exact = min(
         (outcome for outcome in outcomes if outcome.method in ("bf", "nl", "naive")),
-        key=lambda outcome: outcome.elapsed_seconds,
+        key=lambda outcome: outcome.time_s,
     )
     print(
         f"\nFastest exact method: {fastest_exact.method} "
-        f"({fastest_exact.elapsed_seconds:.2f}s, Kendall {fastest_exact.kendall:.2f})"
+        f"({fastest_exact.time_s:.2f}s, Kendall {fastest_exact.kendall_by_id:.2f})"
     )
     print(
         "Note: the -ORG variants process the un-reduced positioning sequences and "

@@ -59,7 +59,6 @@ from .eval import (
     MethodOutcome,
     kendall_coefficient,
     recall_at_k,
-    run_method,
     run_methods,
 )
 from .geometry import Point, Rect
@@ -91,7 +90,7 @@ from .synth import (
 )
 from .system import IndoorFlowSystem
 
-__version__ = "15.6.0"
+__version__ = "15.7.0"
 
 __all__ = [
     "ALGORITHMS",
@@ -149,7 +148,6 @@ __all__ = [
     "build_university_floorplan",
     "kendall_coefficient",
     "recall_at_k",
-    "run_method",
     "run_methods",
     "__version__",
 ]

@@ -35,10 +35,6 @@ class SimpleCounting:
         self._threshold = threshold
         self.name = "sc" if threshold is None else f"sc-rho({threshold})"
 
-    @property
-    def threshold(self) -> Optional[float]:
-        return self._threshold
-
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------

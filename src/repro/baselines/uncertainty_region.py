@@ -24,25 +24,20 @@ from ..data.rfid import RFIDRecord, RFIDTable
 from ..geometry import Ellipse
 from ..space.floorplan import FloorPlan
 
+MINIMUM_AXIS = 1.0  # metres: the shortest major axis an uncertainty region gets
+
 
 class UncertaintyRegionFlow:
     """The UR baseline over RFID tracking records."""
 
     name = "ur"
 
-    def __init__(
-        self,
-        plan: FloorPlan,
-        rfid: RFIDTable,
-        max_speed: float = 1.0,
-        minimum_axis: float = 1.0,
-    ):
+    def __init__(self, plan: FloorPlan, rfid: RFIDTable, max_speed: float = 1.0):
         if max_speed <= 0:
             raise ValueError("max_speed must be positive")
         self._plan = plan.freeze()
         self._rfid = rfid
         self._max_speed = max_speed
-        self._minimum_axis = minimum_axis
 
     # ------------------------------------------------------------------
     # Search
@@ -92,7 +87,7 @@ class UncertaintyRegionFlow:
                     Ellipse(
                         reader.position,
                         reader.position,
-                        max(2.0 * reader.detection_range, self._minimum_axis),
+                        max(2.0 * reader.detection_range, MINIMUM_AXIS),
                     )
                 )
         return regions
@@ -111,7 +106,7 @@ class UncertaintyRegionFlow:
         axis = max(
             reachable,
             reader_a.position.distance_to(reader_b.position),
-            self._minimum_axis,
+            MINIMUM_AXIS,
         )
         return Ellipse(reader_a.position, reader_b.position, axis)
 

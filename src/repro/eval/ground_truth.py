@@ -4,16 +4,17 @@ The synthetic experiments record every object's exact location once per
 second; the ground-truth flow of an S-location over a window is the number of
 distinct objects whose exact trajectory entered the location during that
 window, and the ground-truth top-k ranking orders the query locations by that
-count.
+count with :func:`~repro.core.query.rank_top_k`, the rule every answer is
+ranked by.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from ..core.query import rank_top_k
 from ..data.trajectory import TrajectoryStore
 from ..space import FloorPlan
-from .metrics import rank_by_score
 
 
 def ground_truth_flows(
@@ -38,4 +39,4 @@ def ground_truth_ranking(
 ) -> List[int]:
     """The ground-truth top-k ranking over the query S-locations."""
     flows = ground_truth_flows(trajectories, plan, start, end, query_slocations)
-    return rank_by_score(flows, k)
+    return [entry.sloc_id for entry in rank_top_k(flows, k)]

@@ -1,11 +1,12 @@
-"""Experiment harness: run any method on a scenario and score it.
+"""Experiment harness: run methods on a scenario's query and score them.
 
-The harness provides a single entry point, :func:`run_method`, that executes
-one of the evaluated methods (the paper's three search algorithms with or
-without data reduction, and the SC / SC-ρ / MC / SCC / UR baselines) on a
-:class:`~repro.synth.scenario.Scenario` and returns both efficiency and
-effectiveness measures against the ground truth.  Every experiment is a thin
-sweep over this function.
+:func:`run_methods` is the one path from a query to scored outcomes: it runs
+each evaluated method (the paper's three search algorithms with or without
+data reduction, and the SC / SC-ρ / MC / SCC / UR baselines) on a
+:class:`~repro.synth.scenario.Scenario` and scores its ranking against one
+shared ground truth under both tie rules of :mod:`repro.eval.metrics`;
+:func:`table_row` averages one method's outcomes into a result-table row.
+Every experiment is a thin sweep over these two.
 """
 
 from __future__ import annotations
@@ -20,182 +21,137 @@ from ..baselines import (
     SimpleCounting,
     UncertaintyRegionFlow,
 )
-from ..core import (
-    DataReductionConfig,
-    FlowComputer,
-    TkPLQResult,
-    TkPLQuery,
-)
+from ..core import DataReductionConfig, TkPLQResult, TkPLQuery
+from ..core.query import rank_top_k
 from ..engine import EngineConfig, QueryEngine
 from ..synth.scenario import Scenario
-from .ground_truth import ground_truth_ranking
-from .metrics import kendall_coefficient, recall_at_k
+from .ground_truth import ground_truth_flows
+from .metrics import kendall_coefficient, recall_at_k, tie_aware_kendall, tie_aware_recall
 
-SEARCH_METHODS = (
-    "bf",
-    "nl",
-    "naive",
-    "bf-org",
-    "nl-org",
-    "naive-org",
+# Search methods: the engine algorithm and the data reduction each runs with.
+_SEARCHES = {
+    "bf": ("best-first", DataReductionConfig.enabled()),
+    "nl": ("nested-loop", DataReductionConfig.enabled()),
+    "naive": ("naive", DataReductionConfig.enabled()),
+    "bf-org": ("best-first", DataReductionConfig.original_with_psls()),
+    "nl-org": ("nested-loop", DataReductionConfig.disabled()),
+    "naive-org": ("naive", DataReductionConfig.disabled()),
+}
+ALL_METHODS = (*_SEARCHES, "sc", "sc-rho", "mc", "scc", "ur")
+# A row's averaged measures: each is a MethodOutcome field.
+MEASURES = (
+    "time_s",
+    "pruning_ratio",
+    "kendall_by_id",
+    "recall_by_id",
+    "kendall_tie_aware",
+    "recall_tie_aware",
 )
-BASELINE_METHODS = ("sc", "sc-rho", "mc", "scc", "ur")
-ALL_METHODS = SEARCH_METHODS + BASELINE_METHODS
-MC_SEED = 97  # every Monte Carlo run draws the same possible worlds
 
 
 @dataclass
 class MethodOutcome:
-    """The outcome of running one method on one query."""
+    """The outcome of running one method on one query.
+
+    ``*_by_id`` score against the truth top-k with ties broken by the smaller
+    id; ``*_tie_aware`` treat equal truth counts as interchangeable.
+    """
 
     method: str
     ranking: List[int]
-    elapsed_seconds: float
+    time_s: float
     pruning_ratio: float
-    kendall: float
-    recall: float
+    kendall_by_id: float
+    recall_by_id: float
+    kendall_tie_aware: float
+    recall_tie_aware: float
     details: Dict[str, float] = field(default_factory=dict)
-
-    def as_row(self) -> Dict[str, object]:
-        """A flat dictionary row for tables / benchmark reports."""
-        return {
-            "method": self.method,
-            "time_s": round(self.elapsed_seconds, 4),
-            "pruning_ratio": round(self.pruning_ratio, 4),
-            "kendall": round(self.kendall, 4),
-            "recall": round(self.recall, 4),
-            "top_k": list(self.ranking),
-        }
-
-
-def run_method(
-    scenario: Scenario,
-    method: str,
-    query: TkPLQuery,
-    sc_rho: float = 0.25,
-    mc_rounds: int = 100,
-    truth_ranking: Optional[Sequence[int]] = None,
-) -> MethodOutcome:
-    """Run ``method`` on ``scenario`` for ``query`` and score it.
-
-    ``truth_ranking`` may be passed to avoid recomputing the ground truth when
-    many methods are evaluated on the same query.
-    """
-    method = method.lower()
-    if method not in ALL_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
-
-    if truth_ranking is None:
-        truth_ranking = ground_truth_ranking(
-            scenario.trajectories,
-            scenario.plan,
-            query.start,
-            query.end,
-            query.query_slocations,
-            query.k,
-        )
-
-    began = time.perf_counter()
-    result = _execute(scenario, method, query, sc_rho, mc_rounds)
-    elapsed = time.perf_counter() - began
-
-    ranking = result.top_k_ids()
-    return MethodOutcome(
-        method=method,
-        ranking=ranking,
-        elapsed_seconds=elapsed,
-        pruning_ratio=result.stats.pruning_ratio,
-        kendall=kendall_coefficient(ranking, list(truth_ranking)),
-        recall=recall_at_k(ranking, list(truth_ranking)),
-        details=result.stats.as_dict(),
-    )
 
 
 def run_methods(
     scenario: Scenario,
     methods: Sequence[str],
     query: TkPLQuery,
-    **kwargs,
-) -> List[MethodOutcome]:
-    """Run several methods on the same query, sharing the ground truth."""
-    truth = ground_truth_ranking(
-        scenario.trajectories,
-        scenario.plan,
-        query.start,
-        query.end,
-        query.query_slocations,
-        query.k,
-    )
-    return [
-        run_method(scenario, method, query, truth_ranking=truth, **kwargs)
-        for method in methods
-    ]
-
-
-# ----------------------------------------------------------------------
-# Method dispatch
-# ----------------------------------------------------------------------
-def _execute(
-    scenario: Scenario,
-    method: str,
-    query: TkPLQuery,
     sc_rho: float,
     mc_rounds: int,
-) -> TkPLQResult:
-    if method in ("bf", "nl", "naive"):
-        return _run_search(scenario, method, query, DataReductionConfig.enabled())
-    if method == "bf-org":
-        return _run_search(scenario, "bf", query, DataReductionConfig.original_with_psls())
-    if method in ("nl-org", "naive-org"):
-        return _run_search(
-            scenario, method.replace("-org", ""), query, DataReductionConfig.disabled()
-        )
-    if method == "sc":
-        return SimpleCounting(scenario.plan).search(scenario.iupt, query)
-    if method == "sc-rho":
-        return SimpleCounting(scenario.plan, threshold=sc_rho).search(scenario.iupt, query)
-    if method == "mc":
-        computer = FlowComputer(
-            scenario.system.graph, scenario.system.matrix, DataReductionConfig.disabled()
-        )
-        return MonteCarlo(computer, rounds=mc_rounds, seed=MC_SEED).search(
-            scenario.iupt, query
-        )
-    if method in ("scc", "ur"):
-        if scenario.rfid is None:
-            raise ValueError(
-                f"method {method!r} needs RFID data; build the scenario with with_rfid=True"
-            )
-        if method == "scc":
-            return SemiConstrainedCounting(scenario.plan, scenario.rfid).search(query)
-        max_speed = float(scenario.params.get("Vmax", 1.0))
-        return UncertaintyRegionFlow(
-            scenario.plan, scenario.rfid, max_speed=max_speed
-        ).search(query)
-    raise AssertionError(f"unhandled method {method!r}")
+) -> List[MethodOutcome]:
+    """Run each of ``methods`` on ``query`` and score it against one ground truth.
 
-
-_ALGORITHM_NAMES = {"bf": "best-first", "nl": "nested-loop", "naive": "naive"}
-
-
-def _run_search(
-    scenario: Scenario,
-    algorithm: str,
-    query: TkPLQuery,
-    reduction: DataReductionConfig,
-) -> TkPLQResult:
-    # A fresh engine without the cross-query presence store: the paper's
-    # efficiency experiments measure each method cold, so no cached artefact
-    # may leak between the repeated runs of one sweep.
-    engine = _search_engine(scenario, reduction)
-    return engine.search(scenario.iupt, query, _ALGORITHM_NAMES[algorithm])
-
-
-def _search_engine(scenario: Scenario, reduction: DataReductionConfig) -> QueryEngine:
-    return QueryEngine(
-        scenario.system.graph,
-        scenario.system.matrix,
-        reduction,
-        config=EngineConfig.uncached(),
+    ``sc_rho`` is SC-ρ's threshold and ``mc_rounds`` MC's number of rounds.
+    """
+    unknown = [method for method in methods if method not in ALL_METHODS]
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; expected some of {ALL_METHODS}")
+    truth_flows = ground_truth_flows(
+        scenario.trajectories, scenario.plan, query.start, query.end, query.query_slocations
     )
+    truth = [entry.sloc_id for entry in rank_top_k(truth_flows, query.k)]
+    outcomes = []
+    for method in methods:
+        began = time.perf_counter()
+        result = _search(scenario, method, query, sc_rho, mc_rounds)
+        elapsed = time.perf_counter() - began
+        ranking = result.top_k_ids()
+        outcomes.append(
+            MethodOutcome(
+                method=method,
+                ranking=ranking,
+                time_s=elapsed,
+                pruning_ratio=result.stats.pruning_ratio,
+                kendall_by_id=kendall_coefficient(ranking, truth),
+                recall_by_id=recall_at_k(ranking, truth),
+                kendall_tie_aware=tie_aware_kendall(ranking, truth_flows, query.k),
+                recall_tie_aware=tie_aware_recall(ranking, truth_flows, query.k),
+                details=result.stats.as_dict(),
+            )
+        )
+    return outcomes
 
+
+def table_row(
+    outcomes: Sequence[MethodOutcome], extra: Optional[Dict[str, object]] = None
+) -> Dict[str, object]:
+    """One result-table row from one method's outcomes over some queries.
+
+    The method, the ``extra`` labels, the number of queries and the mean of
+    each of :data:`MEASURES`; an MC row adds the share of its drawn paths it
+    kept.
+    """
+    method = outcomes[0].method
+    row: Dict[str, object] = {"method": method, **(extra or {}), "queries": len(outcomes)}
+    for measure in MEASURES:
+        row[measure] = round(sum(getattr(run, measure) for run in outcomes) / len(outcomes), 4)
+    if method == "mc":
+        drawn = sum(run.details["candidate_paths"] for run in outcomes)
+        kept = sum(run.details["valid_paths"] for run in outcomes)
+        row["paths_kept_share"] = round(kept / drawn, 4) if drawn else 0.0
+    return row
+
+
+def _search(
+    scenario: Scenario, method: str, query: TkPLQuery, sc_rho: float, mc_rounds: int
+) -> TkPLQResult:
+    system = scenario.system
+    if method in _SEARCHES:
+        algorithm, reduction = _SEARCHES[method]
+        # A fresh engine without the cross-query presence store: the paper's
+        # efficiency experiments measure each method cold, so no cached
+        # artefact may leak between the repeated runs of one sweep.
+        engine = QueryEngine(
+            system.graph, system.matrix, reduction, config=EngineConfig.uncached()
+        )
+        return engine.search(scenario.iupt, query, algorithm)
+    if method in ("sc", "sc-rho"):
+        threshold = sc_rho if method == "sc-rho" else None
+        return SimpleCounting(scenario.plan, threshold).search(scenario.iupt, query)
+    if method == "mc":
+        return MonteCarlo(system.graph, system.matrix, mc_rounds).search(scenario.iupt, query)
+    if scenario.rfid is None:
+        raise ValueError(
+            f"method {method!r} needs RFID data; build the scenario with with_rfid=True"
+        )
+    if method == "scc":
+        return SemiConstrainedCounting(scenario.plan, scenario.rfid).search(query)
+    return UncertaintyRegionFlow(
+        scenario.plan, scenario.rfid, max_speed=scenario.params["Vmax"]
+    ).search(query)

@@ -1,21 +1,28 @@
-"""Effectiveness and efficiency metrics (Section 5.1).
+"""Effectiveness metrics (Section 5.1), under two tie rules.
 
-Three measures are used throughout the evaluation:
+Two measures score a returned top-k ranking against the ground truth:
 
 * **recall** — the fraction of the ground-truth top-k locations present in the
   returned top-k;
 * **Kendall coefficient τ** — rank correlation between the returned ranking
   and the ground-truth ranking, extended to a common element set when the two
   rankings differ (the paper's extension: missing elements are appended with a
-  shared, tied ordering value);
-* **pruning ratio** — ``(|O| - |Of|) / |O|`` where ``Of`` are the objects
-  whose presence the algorithm had to compute (reported by the search
-  statistics, see :class:`repro.core.SearchStats`).
+  shared, tied ordering value).
+
+Ground-truth flows are integer visit counts, so they often tie.  The paper's
+rule (:func:`recall_at_k`, :func:`kendall_coefficient`) scores against the
+truth top-k with ties broken by the smaller id, as
+:func:`repro.core.query.rank_top_k` ranks every answer.  The tie-aware rule
+(:func:`tie_aware_recall`, :func:`tie_aware_kendall`) treats locations with
+equal truth counts as interchangeable.  The pruning ratio is
+:attr:`repro.core.SearchStats.pruning_ratio`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
+
+from ..core.query import rank_top_k
 
 
 def recall_at_k(result_ranking: Sequence[int], truth_ranking: Sequence[int]) -> float:
@@ -29,6 +36,18 @@ def recall_at_k(result_ranking: Sequence[int], truth_ranking: Sequence[int]) -> 
     truth = set(truth_ranking)
     found = truth & set(result_ranking)
     return len(found) / len(truth)
+
+
+def tie_aware_recall(
+    result_ranking: Sequence[int], truth_flows: Dict[int, float], k: int
+) -> float:
+    """:func:`recall_at_k` where a location whose truth count ties the k-th
+    truth count is a hit too."""
+    k = min(k, len(truth_flows))
+    if k == 0:
+        return 1.0
+    kth = sorted(truth_flows.values(), reverse=True)[k - 1]
+    return sum(truth_flows[item] >= kth for item in result_ranking) / k
 
 
 def extend_rankings(
@@ -70,7 +89,33 @@ def kendall_coefficient(
     """
     if not result_ranking and not truth_ranking:
         return 1.0
+    return _tau(*extend_rankings(result_ranking, truth_ranking))
+
+
+def tie_aware_kendall(
+    result_ranking: Sequence[int], truth_flows: Dict[int, float], k: int
+) -> float:
+    """:func:`kendall_coefficient` where equal truth counts share one truth
+    ordering value.
+
+    The element set is the same; an element's truth ordering value becomes one
+    plus the number of query locations with a larger truth count, capped at
+    the extension's missing value.  A pair tied in the truth but ordered in
+    the result is then neither concordant nor discordant.
+    """
+    truth_ranking = [entry.sloc_id for entry in rank_top_k(truth_flows, k)]
+    if not result_ranking and not truth_ranking:
+        return 1.0
     result_rank, truth_rank = extend_rankings(result_ranking, truth_ranking)
+    missing = len(truth_ranking) + 1.0
+    counts = truth_flows.values()
+    for item in truth_rank:
+        larger = sum(count > truth_flows[item] for count in counts)
+        truth_rank[item] = min(1.0 + larger, missing)
+    return _tau(result_rank, truth_rank)
+
+
+def _tau(result_rank: Dict[int, float], truth_rank: Dict[int, float]) -> float:
     items = sorted(result_rank)
     concordant = 0
     discordant = 0
@@ -89,16 +134,3 @@ def kendall_coefficient(
     if total == 0:
         return 1.0
     return (concordant - discordant) / total
-
-
-def pruning_ratio(objects_total: int, objects_computed: int) -> float:
-    """``σ = (|O| - |Of|) / |O|`` (0 when no object fell into the window)."""
-    if objects_total <= 0:
-        return 0.0
-    return (objects_total - objects_computed) / objects_total
-
-
-def rank_by_score(scores: Dict[int, float], k: int) -> List[int]:
-    """Rank identifiers by descending score (ties by smaller id), top-k only."""
-    ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return [identifier for identifier, _ in ordered[:k]]

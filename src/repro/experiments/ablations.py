@@ -18,7 +18,7 @@ from typing import Dict, List
 from ..core import DataReducer, DataReductionConfig, TkPLQuery
 from ..core.paths import candidate_path_count
 from ..engine import QueryEngine
-from ..eval import run_method
+from ..eval import run_methods, table_row
 from ..space import IndoorLocationMatrix
 from ..storage import ShardedRecordStore
 from . import config
@@ -192,9 +192,9 @@ def _poll(engine, table, queries, summary: Dict[str, float]) -> None:
 def ablation_algorithms(scale: str = "small") -> List[Dict[str, object]]:
     """Head-to-head of the three search algorithms with and without reduction."""
     scenario = config.scenario("real", scale)
-    query = config.default_setting("real", scale).queries(scenario)[0]
-    rows: List[Dict[str, object]] = []
-    for method in ("naive", "nl", "bf", "naive-org", "nl-org", "bf-org"):
-        outcome = run_method(scenario, method, query)
-        rows.append(outcome.as_row())
-    return rows
+    setting = config.default_setting("real", scale)
+    methods = ("naive", "nl", "bf", "naive-org", "nl-org", "bf-org")
+    outcomes = run_methods(
+        scenario, methods, setting.queries(scenario)[0], setting.sc_rho, setting.mc_rounds
+    )
+    return [table_row([outcome]) for outcome in outcomes]

@@ -24,10 +24,12 @@ BUILDERS = {"real": build_real_scenario, "synth": build_synthetic_scenario}
 
 #: ``(kind, scale)`` → (the scenario builder's arguments, the default query
 #: setting of Tables 3 and 6).  The builders' own default supplies mss = 4.
+#: ``repeats`` is the number of queries a point averages; the efficiency
+#: sweeps of :mod:`repro.experiments.paper` time one at the small scale.
 SCALES = {
     ("real", "small"): (
         dict(num_users=12, duration_seconds=480.0, max_period_seconds=3.0, positioning_error=2.1),
-        dict(k=3, q_fraction=0.6, delta_seconds=180.0, repeats=1, mc_rounds=40),
+        dict(k=3, q_fraction=0.6, delta_seconds=180.0, repeats=20, mc_rounds=40),
     ),
     ("real", "paper"): (
         dict(num_users=35, duration_seconds=9000.0, max_period_seconds=3.0, positioning_error=2.1),
@@ -36,7 +38,7 @@ SCALES = {
     ("synth", "small"): (
         dict(num_objects=25, floors=2, room_rows=2, rooms_per_row=4, duration_seconds=480.0,
              max_period_seconds=3.0, positioning_error=5.0),
-        dict(k=10, q_fraction=0.5, delta_seconds=180.0, repeats=1, mc_rounds=40, sc_rho=0.2),
+        dict(k=10, q_fraction=0.5, delta_seconds=180.0, repeats=20, mc_rounds=40, sc_rho=0.2),
     ),
     ("synth", "paper"): (
         dict(num_objects=5000, floors=5, room_rows=10, rooms_per_row=10, duration_seconds=7200.0,

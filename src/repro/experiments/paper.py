@@ -7,8 +7,9 @@ setting of :mod:`repro.experiments.config`: ``mss``, ``max_period_seconds``
 (T), ``positioning_error`` (µ) and ``num_objects`` (|O|) change the scenario,
 any other key a :class:`~repro.experiments.runner.QuerySetting` field.
 :func:`run_experiment` yields one :func:`~repro.experiments.runner.evaluate`
-row block per point, labelled with the point.  The four reproduction-specific
-ablations are functions in the same table.
+row block per point, labelled with the point (``repeats`` shows as the rows'
+``queries``).  The four reproduction-specific ablations are functions in the
+same table.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ def then(first, second):
     return {scale: first[scale] + second[scale] for scale in first}
 
 
+def timed(points):
+    """An efficiency sweep: one query per point at the small scale, where it is
+    timed, not scored; the scored sweeps average the setting's ``repeats``."""
+    return {**points, "small": [{**point, "repeats": 1} for point in points["small"]]}
+
+
 def grid(outer, inner):
     """Every ``outer`` point with every ``inner`` one (Table 7's |Q| × k)."""
     return {scale: [{**a, **b} for a in outer[scale] for b in inner[scale]] for scale in outer}
@@ -62,17 +69,17 @@ EXPERIMENTS = {
     "table4": ("real", TABLE4, {"small": [{}], "paper": [{}]}),
     "table5": ("real", EFFECTIVENESS, MSS),  # running time vs. mss
     "fig07": ("real", EFFECTIVENESS, MSS),  # τ and recall of Table 5's runs
-    "fig08": ("real", REAL_EFFICIENCY, REAL_K),
-    "fig09": ("real", REAL_EFFICIENCY, REAL_Q),
-    "fig10": ("real", REAL_EFFICIENCY, REAL_DT),
+    "fig08": ("real", REAL_EFFICIENCY, timed(REAL_K)),
+    "fig09": ("real", REAL_EFFICIENCY, timed(REAL_Q)),
+    "fig10": ("real", REAL_EFFICIENCY, timed(REAL_DT)),
     "fig11": ("real", EFFECTIVENESS, REAL_K),
     "fig12": ("real", EFFECTIVENESS, REAL_Q),
     "fig13": ("real", EFFECTIVENESS, REAL_DT),
     # §5.3, synthetic data: Figure 14's panel a sweeps T, panel b µ.
-    "fig14": ("synth", SYNTH_EFFICIENCY, then(T, MU)),
+    "fig14": ("synth", SYNTH_EFFICIENCY, timed(then(T, MU))),
     "fig15": ("synth", EFFECTIVENESS, T),
     "fig16": ("synth", EFFECTIVENESS, MU),
-    "fig17": ("synth", SYNTH_EFFICIENCY, OBJECTS),
+    "fig17": ("synth", SYNTH_EFFICIENCY, timed(OBJECTS)),
     "fig18": ("synth", EFFECTIVENESS, K),
     "fig19": ("synth", EFFECTIVENESS, Q),
     "fig20": ("synth", EFFECTIVENESS, OBJECTS),
@@ -106,6 +113,10 @@ def run_experiment(name: str, scale: str = "small") -> List[Dict[str, object]]:
         )
         # The k the query uses: QuerySetting.queries applies the same rule.
         setting.k = min(setting.k, len(data.pick_query_slocations(setting.q_fraction)))
-        label = {key: setting.k if key == "k" else value for key, value in point.items()}
+        label = {
+            key: setting.k if key == "k" else value
+            for key, value in point.items()
+            if key != "repeats"
+        }
         rows.extend(evaluate(data, methods, setting, extra=label))
     return rows

@@ -3,7 +3,7 @@
 Every experiment in the paper's evaluation varies one knob (k, |Q|, Δt, mss,
 T, µ, |O|) and reports either efficiency (running time, pruning ratio) or
 effectiveness (Kendall τ, recall) for a set of methods.  The functions here
-run one parameter setting over a few repeated random queries and average the
+run one parameter setting over repeated random queries and average the
 measures, producing the flat result rows :mod:`repro.experiments.paper`
 assembles into tables.
 """
@@ -15,8 +15,10 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core import TkPLQuery
 from ..data.records import PositioningRecord
-from ..eval import run_methods
+from ..eval import run_methods, table_row
 from ..synth import Scenario
+
+SEED = 5  # repeat r of a setting draws its query with seed SEED + r
 
 
 def split_into_time_batches(
@@ -53,21 +55,18 @@ class QuerySetting:
     q_fraction: float
     delta_seconds: Optional[float]
     repeats: int = 2
-    seed: int = 5
     mc_rounds: int = 60
     sc_rho: float = 0.25
 
     def queries(self, scenario: Scenario) -> List[TkPLQuery]:
-        """The repeated random queries drawn deterministically from the seed."""
+        """The repeated random queries, drawn deterministically."""
         queries = []
         for repeat in range(self.repeats):
             query_slocations = scenario.pick_query_slocations(
-                self.q_fraction, seed=self.seed + repeat
+                self.q_fraction, seed=SEED + repeat
             )
             k = min(self.k, len(query_slocations))
-            start, end = scenario.query_interval(
-                self.delta_seconds, seed=self.seed + repeat
-            )
+            start, end = scenario.query_interval(self.delta_seconds, seed=SEED + repeat)
             queries.append(TkPLQuery.build(query_slocations, k, start, end))
         return queries
 
@@ -78,29 +77,14 @@ def evaluate(
     setting: QuerySetting,
     extra: Optional[Dict[str, object]] = None,
 ) -> List[Dict[str, object]]:
-    """Run ``methods`` over the setting's repeated queries and average measures.
-
-    Returns one row per method with the averaged time, pruning ratio, Kendall
-    coefficient and recall, annotated with the ``extra`` key/values (typically
-    the value of the swept parameter).
-    """
+    """Run ``methods`` over the setting's repeated queries: one
+    :func:`~repro.eval.table_row` per method, labelled with ``extra``
+    (typically the value of the swept parameter)."""
     outcomes = [
-        run_methods(scenario, methods, query, sc_rho=setting.sc_rho, mc_rounds=setting.mc_rounds)
+        run_methods(scenario, methods, query, setting.sc_rho, setting.mc_rounds)
         for query in setting.queries(scenario)
     ]
-    rows: List[Dict[str, object]] = []
-    for method, runs in zip(methods, zip(*outcomes)):
-        means = {
-            column: round(sum(getattr(run, measure) for run in runs) / len(runs), 4)
-            for column, measure in (
-                ("time_s", "elapsed_seconds"),
-                ("pruning_ratio", "pruning_ratio"),
-                ("kendall", "kendall"),
-                ("recall", "recall"),
-            )
-        }
-        rows.append({"method": method, **(extra or {}), **means})
-    return rows
+    return [table_row(runs, extra) for runs in zip(*outcomes)]
 
 
 def overlapping_queries(
@@ -133,10 +117,14 @@ def overlapping_queries(
 
 
 def format_table(rows: Sequence[Dict[str, object]]) -> str:
-    """Render result rows as a fixed-width text table (for CLI / logs)."""
+    """Render result rows as a fixed-width text table (for CLI / logs).
+
+    The columns are every row's, in order of first appearance; a row without
+    one leaves it blank.
+    """
     if not rows:
         return "(no rows)"
-    columns = list(rows[0].keys())
+    columns = list(dict.fromkeys(column for row in rows for column in row))
     widths = {
         column: max(len(str(column)), *(len(str(row.get(column, ""))) for row in rows))
         for column in columns

@@ -48,6 +48,8 @@ CONTAINERS = {
                              "class EvictionEvent:\n    {}: float\n"),
     "MethodOutcome-fields": ("eval/harness.py", "class MethodOutcome:\n",
                              "class MethodOutcome:\n    {}: float\n"),
+    "QuerySetting-fields": ("experiments/runner.py", "    sc_rho: float = 0.25\n",
+                            "    sc_rho: float = 0.25\n    {}: int = 0\n"),
     **{f"{cls}-fields": (f"synth/{path}", f"class {cls}:\n",
                          f"class {cls}:\n    {{}}: float = 0.0\n")
        for cls, path in (("MovementConfig", "movement.py"),
@@ -127,12 +129,15 @@ def readds(layering, subject, name):
         return [change(f"{name} is back", path, None, '"""Re-added."""')]
     if subject.startswith("def:"):
         path = subject[4:]
-        return [
-            change(f"defines {name}()", path, None, f"def {name}():\n    pass"),
-            change(f"assigns {name} in a function", path, None, f"def _mutant():\n    {name} = None"),
+        in_class = [
             _in_main_class(layering, path, f"{name} in the class body", f"{name} = None"),
             _in_main_class(layering, path, f"self.{name}",
                            f"def _mutant(self):\n    self.{name} = None"),
+        ] if any(isinstance(node, ast.ClassDef) for node in layering.TREES[path].body) else []
+        return [
+            change(f"defines {name}()", path, None, f"def {name}():\n    pass"),
+            change(f"assigns {name} in a function", path, None, f"def _mutant():\n    {name} = None"),
+            *in_class,
         ]
     if subject.startswith("text:"):
         spelled = f"def _mutant(x):\n    import {name}\n    return {name}(x), x.{name}()"
@@ -239,6 +244,13 @@ def rule_breakers(layering):
              "def _mutant(kept):\n    object.__setattr__(kept, 'ploc_ids', ())"),
         returns("core/presence.py", "calls link per tail", "matrix.link(tail, ploc_id)"),
         returns("indexes/rtree.py", "reads an MBR's center", "entry.mbr.center.x"),
+        returns("experiments/paper.py", "a second runner call", "run_methods(None, (), None)"),
+        *parameters("baselines/simple_counting.py", "SimpleCounting.__init__", "top_only"),
+        change("run_methods gets a default", "eval/harness.py",
+               "    mc_rounds: int,\n) -> List[MethodOutcome]:",
+               "    mc_rounds: int = 40,\n) -> List[MethodOutcome]:"),
+        *[code(path, "one more export", '_mutant_export = None\n__all__ = [*__all__, "_mutant_export"]')
+          for path in ("eval/__init__.py", "experiments/__init__.py", "baselines/__init__.py")],
     ]
 
 

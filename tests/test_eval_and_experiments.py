@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import TkPLQuery, kendall_coefficient, recall_at_k, run_method, run_methods
-from repro.eval import ALL_METHODS, ground_truth_ranking, pruning_ratio
-from repro.eval.metrics import extend_rankings, rank_by_score
+from repro import TkPLQuery, kendall_coefficient, recall_at_k, run_methods
+from repro.core.query import rank_top_k
+from repro.eval import ALL_METHODS, ground_truth_ranking, tie_aware_kendall, tie_aware_recall
+from repro.eval.metrics import extend_rankings
 from repro.experiments import (
     EXPERIMENTS,
     QuerySetting,
@@ -14,6 +15,15 @@ from repro.experiments import (
     format_table,
     run_experiment,
 )
+
+MEASURES = [
+    "time_s",
+    "pruning_ratio",
+    "kendall_by_id",
+    "recall_by_id",
+    "kendall_tie_aware",
+    "recall_tie_aware",
+]
 
 
 class TestMetrics:
@@ -38,12 +48,42 @@ class TestMetrics:
         assert truth_rank["A"] == truth_rank["C"] == 4.0
         assert truth_rank["B"] == 1.0
 
-    def test_pruning_ratio(self):
-        assert pruning_ratio(10, 4) == pytest.approx(0.6)
-        assert pruning_ratio(0, 0) == 0.0
-
     def test_rank_by_score(self):
-        assert rank_by_score({1: 0.5, 2: 0.9, 3: 0.5}, 2) == [2, 1]
+        """The ground truth is ranked by the rule every answer is: ties by smaller id."""
+        assert [entry.sloc_id for entry in rank_top_k({1: 0.5, 2: 0.9, 3: 0.5}, 2)] == [2, 1]
+
+
+class TestTieRules:
+    """Hand-worked scores under both rules; truth counts 5, 3, 3, 1 at k = 2
+    rank ⟨1, 2⟩ by id, and location 3 ties the k-th count."""
+
+    TRUTH = {1: 5.0, 2: 3.0, 3: 3.0, 4: 1.0}
+
+    def test_recall(self):
+        assert recall_at_k([1, 3], [1, 2]) == 0.5
+        assert tie_aware_recall([1, 3], self.TRUTH, 2) == 1.0
+        assert tie_aware_recall([3, 2], self.TRUTH, 2) == 1.0
+        assert tie_aware_recall([4, 1], self.TRUTH, 2) == 0.5
+
+    def test_kendall(self):
+        # Over {1, 2, 3}: result 1, 3, 2 against truth 1, 2, 3 by id — pairs
+        # (1, 2) and (1, 3) concordant, (2, 3) discordant: τ = (2 - 1) / 3.
+        assert kendall_coefficient([1, 3], [1, 2]) == pytest.approx(1 / 3)
+        # Tie-aware truth values 1, 2, 2: (2, 3) is tied in the truth only,
+        # so neither: τ = (2 - 0) / 3.
+        assert tie_aware_kendall([1, 3], self.TRUTH, 2) == pytest.approx(2 / 3)
+
+    def test_a_pair_tied_in_the_truth_alone_scores_nothing(self):
+        # The id rule rewards ordering two equal counts by id; the tie-aware
+        # rule scores that pair as neither concordant nor discordant.
+        assert kendall_coefficient([1, 2], [1, 2]) == 1.0
+        assert tie_aware_kendall([1, 2], {1: 3.0, 2: 3.0}, 2) == 0.0
+
+    def test_the_rules_agree_without_ties(self):
+        truth = {1: 4.0, 2: 3.0, 3: 2.0, 4: 1.0}
+        for result in ([2, 3], [1, 2], [4, 1], [3, 1]):
+            assert tie_aware_kendall(result, truth, 2) == kendall_coefficient(result, [1, 2])
+            assert tie_aware_recall(result, truth, 2) == recall_at_k(result, [1, 2])
 
 
 class TestHarness:
@@ -51,19 +91,23 @@ class TestHarness:
         scenario = small_real_scenario
         query_set = scenario.pick_query_slocations(0.5, seed=1)
         query = TkPLQuery.build(query_set, 2, scenario.start_time, scenario.end_time)
-        for method in ("bf", "nl", "sc", "sc-rho", "mc"):
-            outcome = run_method(scenario, method, query, mc_rounds=15)
-            assert outcome.method == method
+        methods = ("bf", "nl", "sc", "sc-rho", "mc")
+        outcomes = run_methods(scenario, methods, query, sc_rho=0.25, mc_rounds=15)
+        assert [outcome.method for outcome in outcomes] == list(methods)
+        for outcome in outcomes:
             assert len(outcome.ranking) == 2
-            assert -1.0 <= outcome.kendall <= 1.0
-            assert 0.0 <= outcome.recall <= 1.0
-            assert outcome.elapsed_seconds >= 0.0
+            for tau in (outcome.kendall_by_id, outcome.kendall_tie_aware):
+                assert -1.0 <= tau <= 1.0
+            for recall in (outcome.recall_by_id, outcome.recall_tie_aware):
+                assert 0.0 <= recall <= 1.0
+            assert outcome.recall_tie_aware >= outcome.recall_by_id
+            assert outcome.time_s >= 0.0
 
     def test_run_methods_shares_ground_truth(self, small_real_scenario):
         scenario = small_real_scenario
         query_set = scenario.pick_query_slocations(0.5, seed=2)
         query = TkPLQuery.build(query_set, 2, scenario.start_time, scenario.end_time)
-        outcomes = run_methods(scenario, ["bf", "sc"], query, mc_rounds=10)
+        outcomes = run_methods(scenario, ["bf", "sc"], query, sc_rho=0.25, mc_rounds=10)
         assert [outcome.method for outcome in outcomes] == ["bf", "sc"]
 
     def test_unknown_method_rejected(self, small_real_scenario):
@@ -72,7 +116,7 @@ class TestHarness:
             scenario.slocation_ids(), 1, scenario.start_time, scenario.end_time
         )
         with pytest.raises(ValueError):
-            run_method(scenario, "unknown", query)
+            run_methods(scenario, ["bf", "unknown"], query, sc_rho=0.25, mc_rounds=10)
 
     def test_rfid_methods_require_rfid_data(self, small_real_scenario):
         scenario = small_real_scenario
@@ -81,15 +125,14 @@ class TestHarness:
             scenario.slocation_ids(), 1, scenario.start_time, scenario.end_time
         )
         with pytest.raises(ValueError):
-            run_method(scenario, "scc", query)
+            run_methods(scenario, ["scc"], query, sc_rho=0.25, mc_rounds=10)
 
     def test_rfid_methods_on_synth_scenario(self, small_synth_scenario):
         scenario = small_synth_scenario
         query = TkPLQuery.build(
             scenario.slocation_ids(), 2, scenario.start_time, scenario.end_time
         )
-        for method in ("scc", "ur"):
-            outcome = run_method(scenario, method, query)
+        for outcome in run_methods(scenario, ["scc", "ur"], query, sc_rho=0.25, mc_rounds=10):
             assert len(outcome.ranking) == 2
 
     def test_ground_truth_ranking_ordering(self, small_real_scenario):
@@ -121,25 +164,32 @@ class TestExperiments:
 
     def test_paper_sweeps_at_small_scale(self):
         """A block of rows per point, in the table's method order, labelled with
-        the point; the three exact algorithms agree within each block."""
-        columns = ["time_s", "pruning_ratio", "kendall", "recall"]
+        the point, averaging 20 queries (an efficiency sweep times one) and
+        scored under both tie rules (MC adds its kept share); the three exact
+        algorithms agree within each block."""
+        scores = MEASURES[2:]
         sweeps = {
-            "table4": ([], [()]),
-            "fig10": (["delta_seconds"], [(90.0,), (180.0,), (270.0,)]),
-            "fig19": (["q_fraction"], [(0.25,), (0.5,), (0.75,)]),
+            "table4": ([], [()], 20),
+            "fig10": (["delta_seconds"], [(90.0,), (180.0,), (270.0,)], 1),
+            "fig19": (["q_fraction"], [(0.25,), (0.5,), (0.75,)], 20),
         }
-        for name, (label, points) in sweeps.items():
+        for name, (label, points, queries) in sweeps.items():
             _, methods, _ = EXPERIMENTS[name]
             rows = run_experiment(name, scale="small")
             assert len(rows) == len(points) * len(methods), name
             for at, point in enumerate(points):
                 block = rows[at * len(methods) : (at + 1) * len(methods)]
                 assert [row["method"] for row in block] == list(methods), name
-                assert all(list(row) == ["method", *label, *columns] for row in block)
+                for row in block:
+                    kept = ["paths_kept_share"] if row["method"] == "mc" else []
+                    assert list(row) == ["method", *label, "queries", *MEASURES, *kept]
+                    assert row["queries"] == queries
                 assert {tuple(row[key] for key in label) for row in block} == {point}
                 for exact in (("bf", "nl", "naive"), ("bf-org", "nl-org", "naive-org")):
                     measures = {
-                        (row["kendall"], row["recall"]) for row in block if row["method"] in exact
+                        tuple(row[score] for score in scores)
+                        for row in block
+                        if row["method"] in exact
                     }
                     assert len(measures) <= 1, (name, point, exact)
 
@@ -174,12 +224,23 @@ class TestExperiments:
         rows = evaluate(small_real_scenario, ["bf", "sc"], setting, extra={"label": "x"})
         assert len(rows) == 2
         assert all(row["label"] == "x" for row in rows)
-        assert set(rows[0]) >= {"method", "time_s", "kendall", "recall", "pruning_ratio"}
+        assert set(rows[0]) >= {"method", "queries", *MEASURES}
 
     def test_format_table(self):
         text = format_table([{"a": 1, "b": "x"}, {"a": 22, "b": "yy"}])
         assert "a" in text and "22" in text
         assert format_table([]) == "(no rows)"
+
+    def test_format_table_prints_every_rows_columns(self):
+        """Columns a later row adds print too, in order of first appearance."""
+        assert format_table([{"a": 1}, {"b": 2, "a": 3}]).split("\n")[0].split() == ["a", "b"]
+        header = format_table(run_experiment("ablation_indexes")).split("\n")[0].split()
+        assert header[-2:] == ["dimension", "nonempty_pairs"]
+        fig14 = run_experiment("fig14")
+        header = format_table(fig14).split("\n")[0].split()
+        assert header[:2] == ["method", "max_period_seconds"]
+        assert header[-2:] == ["paths_kept_share", "positioning_error"]
+        assert {row.get("positioning_error") for row in fig14} == {None, 3.0, 5.0, 7.0}
 
     def test_methods_constant_consistency(self):
         assert set(ALL_METHODS) >= {"bf", "nl", "naive", "sc", "sc-rho", "mc", "scc", "ur"}

@@ -200,7 +200,7 @@ GONE = [
               "RealScale SynthScale REAL_SCALES SYNTH_SCALES",
               repro.experiments, repro.experiments.config),
     *_members(39, "Polygon decompose_rectilinear", repro.geometry),
-    *_members(39, "mc_seed", repro.eval.run_method),
+    *_members(39, "mc_seed", repro.eval.run_methods),  # PR 42: run_method went
     (39, "MethodOutcome-fields", _fields(repro.eval.MethodOutcome).__contains__, "flows"),
     _text(39, "_clamp_k _default_setting", "experiments/"),
     *_members(40, "BuildingConfig GeneratedBuilding GridBuildingGenerator build_grid_building "
@@ -224,6 +224,21 @@ GONE = [
      "candidate_radius_factor"),
     _text(41, "read_frame readline readexactly start_server open_connection StreamReader",
           "service/"),
+    *_members(42, "run_method", repro),
+    *_members(42, "run_method SEARCH_METHODS BASELINE_METHODS pruning_ratio rank_by_score",
+              repro.eval),
+    (42, "def:eval/harness.py", _defined("eval/harness.py").__contains__,
+     "run_method _execute _ALGORITHM_NAMES _run_search _search_engine MC_SEED SEARCH_METHODS "
+     "BASELINE_METHODS as_row"),
+    (42, "def:eval/metrics.py", _defined("eval/metrics.py").__contains__,
+     "pruning_ratio rank_by_score"),
+    (42, "MethodOutcome-fields", _fields(repro.eval.MethodOutcome).__contains__,
+     "elapsed_seconds kendall recall"),
+    (42, "QuerySetting-fields", _fields(repro.experiments.QuerySetting).__contains__, "seed"),
+    *_members(42, "flow_computer seed", repro.MonteCarlo.__init__),
+    *_members(42, "rounds _simulate_round _sample_certain_path _draw", repro.MonteCarlo),
+    *_members(42, "minimum_axis", repro.UncertaintyRegionFlow.__init__),
+    *_members(42, "threshold", repro.SimpleCounting),
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
@@ -290,7 +305,7 @@ RULES = [  # (PR, rule, actual, expected)
     (30, "the-store-subclasses-nothing", lambda: ShardedRecordStore.__mro__[1], object),
     (30, "API-sizes", lambda: [len(pkg.__all__) for pkg in (
         repro, repro.codec, repro.engine, repro.synth)],
-     [58, 7, 19, 10]),  # repro.engine lost BatchPlanner
+     [57, 7, 19, 10]),  # repro.engine lost BatchPlanner; PR 42: repro lost run_method
     (33, "PositioningRecord.__slots__", lambda: getattr(PositioningRecord, "__slots__", None),
      ("object_id", "sample_set", "timestamp")),
     (33, "only-to_records-builds-trusted-records", lambda: [
@@ -301,6 +316,22 @@ RULES = [  # (PR, rule, actual, expected)
     (34, "the-DP-reads-link-rows", lambda: _sites("link", "core/presence.py"), []),
     (34, "STR-keys-build-no-Point", lambda: [node.lineno for node in ast.walk(
         TREES["indexes/rtree.py"]) if isinstance(node, ast.Attribute) and node.attr == "center"], []),
+    (42, "one-method-runner", lambda: _sites("run_methods"),
+     ["experiments/ablations.py:ablation_algorithms", "experiments/runner.py:evaluate"]),
+    (42, "the-evaluation's-settable-values", lambda: [
+        _fields(repro.experiments.QuerySetting), *map(_params, (
+            repro.eval.run_methods, repro.MonteCarlo.__init__, repro.SimpleCounting.__init__,
+            repro.UncertaintyRegionFlow.__init__))],
+     [["k", "q_fraction", "delta_seconds", "repeats", "mc_rounds", "sc_rho"],
+      ["scenario", "methods", "query", "sc_rho", "mc_rounds"],  # QuerySetting's, passed on
+      ["self", "graph", "matrix", "rounds"], ["self", "plan", "threshold"],
+      ["self", "plan", "rfid", "max_speed"]]),
+    (42, "one-default-each", lambda: [
+        parameter.name for function in (repro.eval.run_methods, repro.MonteCarlo.__init__)
+        for parameter in inspect.signature(function).parameters.values()
+        if parameter.default is not parameter.empty], []),
+    (42, "evaluation-API-sizes", lambda: [len(pkg.__all__) for pkg in (
+        repro.eval, repro.experiments, repro.baselines)], [11, 8, 4]),
 ]  # fmt: skip
 
 
