@@ -17,13 +17,20 @@ count the paths drawn (``candidate_paths``) and kept (``valid_paths``).
 The paper uses hundreds (real data) to tens of thousands (synthetic data) of
 rounds, which is why MC is orders of magnitude slower than the proposed
 methods despite each round being cheap.
+
+A round draws a record's P-location by bisecting the set's running sums of
+probabilities, taken left to right once per :meth:`MonteCarlo.round_flows`
+call: the same sums a running total forms and the same uniform draw per
+record, so the same possible worlds.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from bisect import bisect_left
+from itertools import accumulate
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.paths import pass_probability
 from ..core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
@@ -33,6 +40,10 @@ from ..space.matrix import IndoorLocationMatrix
 from ..storage.sharded import ShardedRecordStore
 
 SEED = 97  # every Monte Carlo run draws the same possible worlds
+
+#: A sample set as a round draws from it: its P-locations and the running
+#: sums of its probabilities but the last (:func:`_cumulative`).
+_Drawable = Tuple[Sequence[int], List[float]]
 
 
 class MonteCarlo:
@@ -79,11 +90,12 @@ class MonteCarlo:
         for object_id in sequences:
             stats.note_object_computed(object_id)
 
+        drawables = [list(map(_cumulative, sequence)) for _, sequence in sorted(sequences.items())]
         rounds: Dict[int, List[float]] = {sloc_id: [] for sloc_id in parent_cells}
         for _ in range(self._rounds):
             flows = dict.fromkeys(parent_cells, 0.0)
-            for object_id in sorted(sequences):
-                step_cells = self._draw_path(sequences[object_id], rng)
+            for sequence in drawables:
+                step_cells = self._draw_path(sequence, rng)
                 stats.path_stats.candidate_paths += 1
                 if step_cells is None:
                     continue
@@ -95,11 +107,11 @@ class MonteCarlo:
         return rounds
 
     def _draw_path(
-        self, sequence: Sequence[SampleSet], rng: random.Random
+        self, sequence: Sequence[_Drawable], rng: random.Random
     ) -> Optional[List[FrozenSet[int]]]:
         """Draw one certain path as its step cell sets; ``None`` when a step
         is invalid (``MIL = ∅``)."""
-        drawn = [_draw(sample_set, rng) for sample_set in sequence]
+        drawn = _draws(sequence, rng)
         if len(drawn) == 1:
             return [self._matrix.cells_adjacent(drawn[0])]
         step_cells = []
@@ -111,11 +123,16 @@ class MonteCarlo:
         return step_cells
 
 
-def _draw(sample_set: SampleSet, rng: random.Random) -> int:
-    threshold = rng.random()
-    cumulative = 0.0
-    for ploc_id, prob in zip(sample_set.ploc_ids, sample_set.probs):
-        cumulative += prob
-        if threshold <= cumulative:
-            return ploc_id
-    return sample_set.ploc_ids[-1]
+def _cumulative(sample_set: SampleSet) -> _Drawable:
+    """A set's P-locations and the running sums of its probabilities, taken
+    left to right, all but the last."""
+    return sample_set.ploc_ids, list(accumulate(sample_set.probs[:-1]))
+
+
+def _draws(sequence: Sequence[_Drawable], rng: random.Random) -> List[int]:
+    """One P-location per set of ``sequence``, one ``rng.random()`` each: the
+    first whose running sum reaches the draw.  A draw above every sum but the
+    last picks the last P-location, and so does one above the last sum too,
+    when rounding leaves it below 1."""
+    uniform = rng.random
+    return [ploc_ids[bisect_left(sums, uniform())] for ploc_ids, sums in sequence]

@@ -12,15 +12,20 @@ samples whose probability exceeds a threshold ρ.  Both variants:
 They are fast — no paths are constructed — but ignore the indoor topology and
 most of the probability mass, which is why the paper reports very low
 effectiveness for them.
+
+Both read the P-location → S-locations table the floor plan builds once when
+it is frozen (:attr:`~repro.space.floorplan.FloorPlan.slocations_of_plocation`)
+and pick samples straight from a set's two columns, building no ``Sample``:
+the same comparisons on the same floats, so the same counts.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Sequence, Set
 
 from ..core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
-from ..data.records import Sample
+from ..data.records import SampleSet
 from ..space.floorplan import FloorPlan
 from ..storage.sharded import ShardedRecordStore
 
@@ -47,12 +52,14 @@ class SimpleCounting:
         counted: Dict[int, Set[int]] = {sloc_id: set() for sloc_id in query_set}
         seen_objects: Set[int] = set()
 
+        slocations_of = self._plan.slocations_of_plocation
         for record in iupt.range_query(query.start, query.end):
-            seen_objects.add(record.object_id)
-            for sample in self._picked(record.sample_set):
-                for sloc_id in self._slocations_of_sample(sample):
+            object_id = record.object_id
+            seen_objects.add(object_id)
+            for ploc_id in self._picked(record.sample_set):
+                for sloc_id in slocations_of.get(ploc_id, ()):
                     if sloc_id in query_set:
-                        counted[sloc_id].add(record.object_id)
+                        counted[sloc_id].add(object_id)
 
         flows = {sloc_id: float(len(objects)) for sloc_id, objects in counted.items()}
         stats.objects_total = len(seen_objects)
@@ -69,13 +76,12 @@ class SimpleCounting:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _picked(self, sample_set):
+    def _picked(self, sample_set: SampleSet) -> Sequence[int]:
+        """The P-locations SC counts: the most probable (the smallest id
+        among equal probabilities, as :meth:`SampleSet.most_probable`) or, for
+        SC-ρ, every one above the threshold."""
+        probs = sample_set.probs
         if self._threshold is None:
-            return [sample_set.most_probable()]
-        return sample_set.above_threshold(self._threshold)
-
-    def _slocations_of_sample(self, sample: Sample):
-        ploc = self._plan.plocations.get(sample.ploc_id)
-        if ploc is None:
-            return []
-        return self._plan.slocations_containing(ploc.position)
+            return (sample_set.ploc_ids[probs.index(max(probs))],)
+        threshold = self._threshold
+        return [ploc_id for ploc_id, prob in zip(sample_set.ploc_ids, probs) if prob > threshold]

@@ -4,11 +4,15 @@ The synthetic experiments (Section 5.3) record every object's exact location
 once per second; those spatiotemporal trajectories form the ground truth used
 to score the query results (recall, Kendall tau) and to drive the positioning
 and RFID simulators.
+
+A window's points are found by bisecting the time-ordered trajectory, and the
+ground truth resolves each distinct location of the window once: the visited
+set is a union, so neither the order nor the repeats change it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -62,15 +66,17 @@ class Trajectory:
 
     def points_in(self, start: float, end: float) -> List[TrajectoryPoint]:
         """The trajectory points whose timestamps fall in ``[start, end]``."""
-        return [p for p in self._points if start <= p.timestamp <= end]
+        first = bisect_left(self._points, start, key=_timestamp_of)
+        last = bisect_right(self._points, end, key=_timestamp_of)
+        return self._points[first:last]
 
     def slocations_visited(
         self, plan: FloorPlan, start: float, end: float
     ) -> Set[int]:
         """The ids of S-locations truly visited during ``[start, end]``."""
         visited: Set[int] = set()
-        for point in self.points_in(start, end):
-            visited.update(plan.slocations_containing(point.location))
+        for location in {point.location for point in self.points_in(start, end)}:
+            visited.update(plan.slocations_containing(location))
         return visited
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List
+from typing import Dict, List
 
 from .paper import EXPERIMENTS, run_experiment
 from .runner import format_table
@@ -32,8 +32,13 @@ def main(argv: List[str] | None = None) -> int:
     arguments = parser.parse_args(argv)
 
     names = sorted(EXPERIMENTS) if arguments.experiment == "all" else [arguments.experiment]
+    # Entries that are one sweep (table5 and fig07) run once and print twice.
+    rows_of: Dict[int, List[Dict[str, object]]] = {}
     for name in names:
-        rows = run_experiment(name, scale=arguments.scale)
+        sweep = id(EXPERIMENTS[name])
+        if sweep not in rows_of:
+            rows_of[sweep] = run_experiment(name, scale=arguments.scale)
+        rows = rows_of[sweep]
         print(f"== {name} (scale={arguments.scale}) ==")
         print(format_table(rows))
         print()

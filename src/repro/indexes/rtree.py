@@ -13,6 +13,11 @@ The tree stores arbitrary Python objects keyed by their MBR.  Entries on
 different floors are kept apart naturally because cross-floor rectangles never
 intersect; the root may therefore span several floors, which only costs a few
 extra node visits.
+
+A search is one loop over the nodes with the floor wildcard and the four
+bound comparisons written out on the query box's floats: it builds no
+``Rect`` and calls no predicate per node or entry, and it visits the nodes and
+returns the hits in the order the predicate-per-node walk did.
 """
 
 from __future__ import annotations
@@ -85,9 +90,9 @@ def union_bounds(boxes: Sequence[Sequence]) -> Bounds:
 def loose_intersects(a: Optional[Rect], b: Rect) -> bool:
     """Intersection test in which floor ``-1`` (a multi-floor MBR) is a wildcard.
 
-    The predicate for anything that may be a node MBR in this tree's own
-    searches (best-first's join applies the same rule to the bound fields of
-    its tuple entries): the floor-strict :meth:`Rect.intersects` never
+    The rule for anything that may be a node MBR: :meth:`RTree._search`
+    applies it inline to its nodes, and best-first's join to the bound fields
+    of its tuple entries.  The floor-strict :meth:`Rect.intersects` never
     matches a ``-1`` MBR, which would prune the whole subtree under it.
     """
     if a is None:
@@ -180,29 +185,53 @@ class RTree:
     # ------------------------------------------------------------------
     def search(self, window: Rect) -> List[Any]:
         """Return the payloads of all entries whose MBR intersects ``window``."""
-        return [item for _, item in self.search_entries(window)]
+        return [entry.item for entry in self._search(*_box(window))]
 
     def search_entries(self, window: Rect) -> List[Tuple[Rect, Any]]:
         """Return ``(mbr, item)`` pairs of all entries intersecting ``window``."""
-        results: List[Tuple[Rect, Any]] = []
-        if self._size == 0:
-            return results
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not loose_intersects(node.mbr, window):
-                continue
-            if node.is_leaf:
-                for entry in node.entries:
-                    if entry.mbr.intersects(window):
-                        results.append((entry.mbr, entry.item))
-            else:
-                stack.extend(node.children)
-        return results
+        return [(entry.mbr, entry.item) for entry in self._search(*_box(window))]
 
     def search_point(self, point: Point) -> List[Any]:
         """Return the payloads of all entries whose MBR contains ``point``."""
-        return self.search(Rect.from_point(point))
+        x, y = point.x, point.y
+        return [entry.item for entry in self._search(x, y, x, y, point.floor)]
+
+    def _search(
+        self, xmin: float, ymin: float, xmax: float, ymax: float, floor: int
+    ) -> List[RTreeEntry]:
+        """The entries meeting a box, depth first from the last child pushed:
+        a node tested as :func:`loose_intersects` does, an entry as
+        :meth:`Rect.intersects` does."""
+        results: List[RTreeEntry] = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            mbr = node.mbr
+            if (
+                mbr is None
+                or (mbr.floor != floor and mbr.floor != -1 and floor != -1)
+                or not (
+                    mbr.xmin <= xmax
+                    and xmin <= mbr.xmax
+                    and mbr.ymin <= ymax
+                    and ymin <= mbr.ymax
+                )
+            ):
+                continue
+            if not node.is_leaf:
+                stack.extend(node.children)
+                continue
+            for entry in node.entries:
+                box = entry.mbr
+                if (
+                    box.floor == floor
+                    and box.xmin <= xmax
+                    and xmin <= box.xmax
+                    and box.ymin <= ymax
+                    and ymin <= box.ymax
+                ):
+                    results.append(entry)
+        return results
 
     def nearest(self, point: Point, count: int = 1) -> List[Tuple[float, Any]]:
         """Return the ``count`` entries nearest to ``point`` as ``(distance, item)``.

@@ -54,6 +54,9 @@ class FloorPlan:
         self._partition_index: Optional[RTree] = None
         self._slocation_index: Optional[RTree] = None
         self._doors_by_partition: Dict[int, List[int]] = {}
+        #: P-location id → :meth:`slocations_containing` its position, built
+        #: by :meth:`freeze` (the SC baselines count through it).
+        self.slocations_of_plocation: Dict[int, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Builder API
@@ -142,6 +145,10 @@ class FloorPlan:
         for door in self.doors.values():
             for pid in door.partition_ids:
                 self._doors_by_partition[pid].append(door.door_id)
+        self.slocations_of_plocation = {
+            ploc_id: tuple(self.slocations_containing(ploc.position))
+            for ploc_id, ploc in self.plocations.items()
+        }
         self._frozen = True
         return self
 

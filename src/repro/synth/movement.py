@@ -6,6 +6,10 @@ the shortest indoor (door-to-door) route at a speed bounded by ``Vmax``,
 dwells for a random period, and moves on.  The exact location is recorded
 every second, producing the ground-truth trajectories used both by the
 positioning / RFID simulators and by the effectiveness metrics.
+
+A tick recorded at the same ``Point`` object as the tick before (a dwell, a
+staircase climb) reuses that tick's partition instead of searching the floor
+plan again; the lookup draws nothing, so every RNG draw stays where it was.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ class RandomWaypointSimulator:
         self._rng = random.Random(seed)
         self._router = DoorGraphRouter(self._plan)
         self._partitions = sorted(self._plan.partitions)
+        # The last recorded location and its partition (module docstring).
+        self._last_location: Optional[Point] = None
+        self._last_partition: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Simulation
@@ -89,9 +96,9 @@ class RandomWaypointSimulator:
             time_cursor = self._walk(
                 trajectory, current, destination, time_cursor, end
             )
-            current = destination if time_cursor < end else trajectory.points[-1].location
             if time_cursor >= end:
                 break
+            current = destination
             time_cursor = self._dwell(trajectory, current, time_cursor, end)
         return trajectory
 
@@ -173,7 +180,11 @@ class RandomWaypointSimulator:
         )
 
     def _record(self, trajectory: Trajectory, timestamp: float, location: Point) -> None:
-        partition_id = self._plan.partition_containing(location)
+        if location is not self._last_location:
+            self._last_location = location
+            self._last_partition = self._plan.partition_containing(location)
         trajectory.append(
-            TrajectoryPoint(timestamp=timestamp, location=location, partition_id=partition_id)
+            TrajectoryPoint(
+                timestamp=timestamp, location=location, partition_id=self._last_partition
+            )
         )

@@ -7,6 +7,11 @@ from the reference points within ``µ`` metres of the object's true location;
 its probability is proportional to ``1 / (dist * (1 + γ))`` where ``γ`` is a
 small random perturbation — the weighting scheme of weighted k-nearest
 neighbour (WkNN) fingerprinting.
+
+A report at the same ``Point`` object as the report before (an object
+dwelling) reuses its candidate reference points and their distances: they
+depend on the location alone and draw nothing, so every RNG draw and every
+float of the reports stays where it was.
 """
 
 from __future__ import annotations
@@ -106,11 +111,16 @@ class WkNNPositioningSimulator:
             return reports
         start, end = trajectory.time_span()
         config = self._config
+        location: Optional[Point] = None
+        candidates: List[Tuple[float, int]] = []
         time_cursor = start
         while time_cursor <= end:
-            location = trajectory.location_at(time_cursor)
-            if location is not None:
-                sample_set = self._sample_report(location)
+            true_location = trajectory.location_at(time_cursor)
+            if true_location is not None:
+                if true_location is not location:
+                    location = true_location
+                    candidates = self._candidate_plocations(location)
+                sample_set = self._sample_report(candidates)
                 if sample_set is not None:
                     reports.append((time_cursor, sample_set))
             time_cursor += self._rng.uniform(MIN_PERIOD_SECONDS, config.max_period_seconds)
@@ -119,7 +129,7 @@ class WkNNPositioningSimulator:
     # ------------------------------------------------------------------
     # One report
     # ------------------------------------------------------------------
-    def _sample_report(self, true_location: Point) -> Optional[SampleSet]:
+    def _sample_report(self, candidates: List[Tuple[float, int]]) -> Optional[SampleSet]:
         """One WkNN report: the ``k`` best-matching reference points.
 
         Every candidate matches the (simulated) fingerprint with a
@@ -132,27 +142,24 @@ class WkNNPositioningSimulator:
         the path construction's validity pruning, all-zero flows on the
         synthetic grid building.)
         """
-        candidates = self._candidate_plocations(true_location)
         if not candidates:
             return None
-        sample_count = self._rng.randint(1, MAX_SAMPLE_SET_SIZE)
-        sample_count = min(sample_count, len(candidates))
-
-        matched: List[Tuple[float, int]] = []
-        for ploc_id in candidates:
-            position = self._plan.plocations[ploc_id].position
-            distance = max(position.distance_to(true_location), DISTANCE_EPSILON)
-            noise = self._rng.uniform(-WEIGHT_NOISE, WEIGHT_NOISE)
-            matched.append((distance * (1.0 + noise), ploc_id))
-        matched.sort()
+        rng = self._rng
+        sample_count = min(rng.randint(1, MAX_SAMPLE_SET_SIZE), len(candidates))
+        matched = sorted(
+            (distance * (1.0 + rng.uniform(-WEIGHT_NOISE, WEIGHT_NOISE)), ploc_id)
+            for distance, ploc_id in candidates
+        )
         samples = [
             Sample(ploc_id, 1.0 / match_distance)
             for match_distance, ploc_id in matched[:sample_count]
         ]
         return SampleSet(samples, normalise=True)
 
-    def _candidate_plocations(self, true_location: Point) -> List[int]:
-        """Reference points within the positioning error radius of the true spot.
+    def _candidate_plocations(self, true_location: Point) -> List[Tuple[float, int]]:
+        """Reference points within the positioning error radius of the true
+        spot, as ``(distance, ploc_id)`` in ascending id order (the order the
+        noise is drawn in), each distance at least ``DISTANCE_EPSILON``.
 
         When the error radius captures nothing (sparse deployments), the
         nearest reference point is used so the object is still reported,
@@ -160,13 +167,18 @@ class WkNNPositioningSimulator:
         """
         radius = self._config.candidate_radius
         window = Rect.from_point(true_location, radius)
-        hits = [
+        plocations = self._plan.plocations
+        hits = sorted(
             ploc_id
-            for _, ploc_id in self._ploc_index.search_entries(window)
-            if self._plan.plocations[ploc_id].position.distance_to(true_location)
-            <= radius
+            for ploc_id in self._ploc_index.search(window)
+            if plocations[ploc_id].position.distance_to(true_location) <= radius
+        )
+        if not hits:
+            hits = [item for _, item in self._ploc_index.nearest(true_location, count=1)]
+        return [
+            (
+                max(plocations[ploc_id].position.distance_to(true_location), DISTANCE_EPSILON),
+                ploc_id,
+            )
+            for ploc_id in hits
         ]
-        if hits:
-            return sorted(hits)
-        nearest = self._ploc_index.nearest(true_location, count=1)
-        return [item for _, item in nearest]

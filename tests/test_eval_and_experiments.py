@@ -244,3 +244,20 @@ class TestExperiments:
 
     def test_methods_constant_consistency(self):
         assert set(ALL_METHODS) >= {"bf", "nl", "naive", "sc", "sc-rho", "mc", "scc", "ur"}
+
+    def test_all_runs_a_shared_sweep_once_and_prints_it_under_each_name(
+        self, monkeypatch, capsys
+    ):
+        """``table5`` and ``fig07`` are one sweep: ``all`` runs it once."""
+        from repro.experiments import __main__ as cli
+
+        ran = []
+        monkeypatch.setattr(
+            cli, "run_experiment", lambda name, scale: ran.append(name) or [{"from": name}]
+        )
+        assert cli.main(["all"]) == 0
+        assert EXPERIMENTS["table5"] is EXPERIMENTS["fig07"]
+        assert sorted(ran) == sorted(set(EXPERIMENTS) - {"table5"})
+        blocks = capsys.readouterr().out.split("\n\n")
+        [table5] = [block for block in blocks if block.startswith("== table5 ")]
+        assert table5.split("\n")[-1].strip() == "fig07"  # fig07's rows, not a rerun

@@ -177,3 +177,89 @@ class TestCountAggregateRTree:
         tree = CountAggregateRTree.build(_bounds(items), max_entries=fanout)
         assert aggregate_shape(tree.root_entries) == rtree_shape(rtree.root)
         assert tree.count == count
+
+
+def _predicate_walk(tree, window):
+    """The search as a walk calling ``loose_intersects`` per node and
+    ``Rect.intersects`` per entry: the order :meth:`RTree.search` keeps."""
+    from repro.indexes.rtree import loose_intersects
+
+    results, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        if not loose_intersects(node.mbr, window):
+            continue
+        if node.is_leaf:
+            results.extend(e.item for e in node.entries if e.mbr.intersects(window))
+        else:
+            stack.extend(node.children)
+    return results
+
+
+def _plan_trees(plan):
+    """The plan's three kinds of indexed geometry: partitions, S-locations
+    and P-locations (as point MBRs, the positioning simulator's tree)."""
+    return {
+        "partitions": [(p.rect, p.partition_id) for p in plan.partitions.values()],
+        "slocations": [(s.region, s.sloc_id) for s in plan.slocations.values()],
+        "plocations": [(Rect.from_point(p.position), p.ploc_id) for p in plan.plocations.values()],
+    }
+
+
+def _probe_points(plan, rng, count):
+    """Random points on and off the plan, plus every partition corner and
+    door (points on shared borders, where two partitions contain a point)."""
+    points = [
+        Point(rng.uniform(-5.0, 70.0), rng.uniform(-5.0, 40.0), rng.randrange(-1, len(plan.floors)))
+        for _ in range(count)
+    ]
+    for partition in plan.partitions.values():
+        r = partition.rect
+        points += [Point(x, y, r.floor) for x in (r.xmin, r.xmax) for y in (r.ymin, r.ymax)]
+    return points + [door.position for door in plan.doors.values()]
+
+
+@pytest.mark.parametrize("floors, fanout", [(2, 4), (2, 8), (3, 4), (3, 8)])
+def test_search_equals_brute_force_on_grid_plans(floors, fanout):
+    """Random windows and points on 2- and 3-floor plans, whose trees have
+    nodes spanning floors (floor ``-1``): the one-loop search returns what a
+    scan of every entry returns, in the predicate-per-node walk's order."""
+    from repro.synth import grid_building
+
+    plan = grid_building(floors, 2, 4)
+    rng = random.Random(floors * 100 + fanout)
+    for name, items in _plan_trees(plan).items():
+        tree = RTree.bulk_load(items, max_entries=fanout)
+        mbr_of = {item: rect for rect, item in items}
+        assert tree.root.mbr.floor == -1, name
+        for _ in range(200):
+            x, y = rng.uniform(-5.0, 70.0), rng.uniform(-5.0, 40.0)
+            window = Rect(x, y, x + rng.choice((0.0, rng.uniform(0.0, 30.0))),
+                          y + rng.uniform(0.0, 15.0), rng.randrange(-1, floors))
+            expected = [item for rect, item in items if rect.intersects(window)]
+            found = tree.search(window)
+            assert sorted(found) == sorted(expected)
+            assert found == _predicate_walk(tree, window)
+            assert tree.search_entries(window) == [(mbr_of[item], item) for item in found]
+        for point in _probe_points(plan, rng, 200):
+            assert tree.search_point(point) == _predicate_walk(tree, Rect.from_point(point))
+            assert sorted(tree.search_point(point)) == sorted(
+                item for rect, item in items if rect.contains_point(point)
+            )
+
+
+@pytest.mark.parametrize("floors", [2, 3])
+def test_plan_lookups_equal_their_linear_scan_fallbacks(floors):
+    """``partition_containing`` / ``slocations_containing`` through the
+    frozen plan's trees answer what the unfrozen plan's scans answer."""
+    from repro.synth import grid_building
+
+    plan = grid_building(floors, 2, 4)
+    for point in _probe_points(plan, random.Random(floors), 500):
+        scanned = next(
+            (p.partition_id for p in plan.partitions.values() if p.contains(point)), None
+        )
+        assert plan.partition_containing(point) == scanned
+        assert plan.slocations_containing(point) == sorted(
+            s.sloc_id for s in plan.slocations.values() if s.contains(point)
+        )
