@@ -21,7 +21,9 @@ methods despite each round being cheap.
 A round draws a record's P-location by bisecting the set's running sums of
 probabilities, taken left to right once per :meth:`MonteCarlo.round_flows`
 call: the same sums a running total forms and the same uniform draw per
-record, so the same possible worlds.
+record, so the same possible worlds.  A drawn step's cells come from the
+matrix's ``link_rows``, read once per call: ``MIL[tail, head]`` is the entry
+of ``tail`` in ``head``'s row, and a pair with no entry has no cell.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ from ..core.paths import pass_probability
 from ..core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
 from ..data.records import SampleSet
 from ..space.graph import IndoorSpaceLocationGraph
-from ..space.matrix import IndoorLocationMatrix
+from ..space.matrix import IndoorLocationMatrix, Link
 from ..storage.sharded import ShardedRecordStore
 
 SEED = 97  # every Monte Carlo run draws the same possible worlds
+_NO_ROW: Dict[int, Link] = {}  # a P-location without cells links to nothing
 
 #: A sample set as a round draws from it: its P-locations and the running
 #: sums of its probabilities but the last (:func:`_cumulative`).
@@ -91,11 +94,12 @@ class MonteCarlo:
             stats.note_object_computed(object_id)
 
         drawables = [list(map(_cumulative, sequence)) for _, sequence in sorted(sequences.items())]
+        link_rows = self._matrix.link_rows
         rounds: Dict[int, List[float]] = {sloc_id: [] for sloc_id in parent_cells}
         for _ in range(self._rounds):
             flows = dict.fromkeys(parent_cells, 0.0)
             for sequence in drawables:
-                step_cells = self._draw_path(sequence, rng)
+                step_cells = self._draw_path(sequence, rng, link_rows)
                 stats.path_stats.candidate_paths += 1
                 if step_cells is None:
                     continue
@@ -107,7 +111,10 @@ class MonteCarlo:
         return rounds
 
     def _draw_path(
-        self, sequence: Sequence[_Drawable], rng: random.Random
+        self,
+        sequence: Sequence[_Drawable],
+        rng: random.Random,
+        link_rows: Dict[int, Dict[int, Link]],
     ) -> Optional[List[FrozenSet[int]]]:
         """Draw one certain path as its step cell sets; ``None`` when a step
         is invalid (``MIL = ∅``)."""
@@ -116,10 +123,10 @@ class MonteCarlo:
             return [self._matrix.cells_adjacent(drawn[0])]
         step_cells = []
         for tail, head in zip(drawn, drawn[1:]):
-            cells = self._matrix.cells_between(tail, head)
-            if not cells:
+            link = link_rows.get(head, _NO_ROW).get(tail)
+            if link is None:
                 return None
-            step_cells.append(cells)
+            step_cells.append(link[0])
         return step_cells
 
 

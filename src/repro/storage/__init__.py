@@ -16,7 +16,6 @@ from .base import (
     IngestReceipt,
     StoreListener,
     VersionToken,
-    summarise_object_spans,
 )
 from .durable import DurabilityConfig, DurableRecordStore, SimulatedCrashError
 from .sharded import DEFAULT_SHARD_SECONDS, ShardedRecordStore
@@ -36,5 +35,4 @@ __all__ = [
     "VersionToken",
     "decode_wal_frames",
     "encode_wal_frame",
-    "summarise_object_spans",
 ]

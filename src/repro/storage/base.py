@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from ..codec.packed import encode_batch
 from ..data.records import PositioningRecord
@@ -87,26 +87,6 @@ class IngestReceipt:
             for object_id, earliest, latest in self.object_spans
             if earliest <= end and latest >= start
         )
-
-
-def summarise_object_spans(
-    records: Sequence[PositioningRecord],
-) -> Tuple[Tuple[int, float, float], ...]:
-    """Per-object ``(id, earliest_ts, latest_ts)`` triples of one batch."""
-    spans: Dict[int, Tuple[float, float]] = {}
-    for record in records:
-        span = spans.get(record.object_id)
-        if span is None:
-            spans[record.object_id] = (record.timestamp, record.timestamp)
-        else:
-            spans[record.object_id] = (
-                min(span[0], record.timestamp),
-                max(span[1], record.timestamp),
-            )
-    return tuple(
-        (object_id, spans[object_id][0], spans[object_id][1])
-        for object_id in sorted(spans)
-    )
 
 
 @dataclass(slots=True)

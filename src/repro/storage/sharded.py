@@ -10,10 +10,12 @@ only index — and carries its own version counter:
   sorted shard keys), serves fully-covered shards straight from their sorted
   record lists, and answers the (at most two) partially-covered boundary
   shards by two bisections over the timestamp column and a list slice;
-* **batch ingestion costs what the batch costs** — the batch is sorted once,
-  sliced per shard and appended to each shard's record list (merged by a
-  stable sort only when it arrives out of time order); there is no index to
-  rebuild;
+* **batch ingestion costs what the batch costs** — the batch is sorted once
+  and its timestamp column taken once; the column is cut into per-shard runs
+  by bisection, each run's records are appended to its shard's record list
+  (merged by a stable sort only when they arrive out of time order) and its
+  timestamps to the shard's column, and the receipt's per-object spans come
+  from two dict builds over the sorted batch; there is no index to rebuild;
 * **lazily loaded shards materialise per slice** — a shard adopted in the
   codec's packed form builds only the records a caller asks for, each at
   most once (:attr:`ShardedRecordStore.records_materialised` counts them);
@@ -47,12 +49,12 @@ from .base import (
     StoreListener,
     VersionToken,
     check_not_evicted,
-    summarise_object_spans,
 )
 
 DEFAULT_SHARD_SECONDS = 600.0
 
 _BY_TIME = attrgetter("timestamp")
+_BY_OBJECT = attrgetter("object_id")
 
 
 class _Shard:
@@ -128,8 +130,9 @@ class _Shard:
     def record_count(self) -> int:
         return len(self._records)
 
-    def absorb(self, incoming: List[PositioningRecord]) -> None:
-        """Merge a time-sorted batch slice into this shard and bump its version.
+    def absorb(self, incoming: List[PositioningRecord], times: Sequence[float]) -> None:
+        """Merge a time-sorted batch slice, whose timestamp column is
+        ``times``, into this shard and bump its version.
 
         ``list.sort`` is stable, so records already present keep preceding
         newly ingested ones on timestamp ties — the arrival-order tie rule of
@@ -139,13 +142,13 @@ class _Shard:
         costs, not what the shard has grown to.
         """
         records = self.records
-        in_order = not records or records[-1].timestamp <= incoming[0].timestamp
+        in_order = not records or records[-1].timestamp <= times[0]
         records.extend(incoming)
         if not in_order:
             records.sort(key=_BY_TIME)
             self._timestamps = None
         elif self._timestamps is not None:
-            self._timestamps.extend(map(_BY_TIME, incoming))
+            self._timestamps.extend(times)
         self._packed = None
         self.version += 1
 
@@ -164,6 +167,27 @@ class _Shard:
             else:
                 self._timestamps = list(map(_BY_TIME, self._records))
         return self._timestamps
+
+
+def _object_spans(
+    batch: Sequence[PositioningRecord], times: Sequence[float]
+) -> Tuple[Tuple[int, float, float], ...]:
+    """Per-object ``(id, earliest_ts, latest_ts)`` triples of one batch, in
+    ascending id order.
+
+    ``batch`` must be sorted by time and ``times`` be its timestamp column,
+    as :meth:`ShardedRecordStore.ingest_batch` hands them over: then an
+    object's first record carries its earliest timestamp and its last record
+    its latest, so a dict built over the batch (later records overwrite
+    earlier ones) holds the latest, and one built over the reversed batch
+    the earliest.
+    """
+    object_ids = list(map(_BY_OBJECT, batch))
+    latest = dict(zip(object_ids, times))
+    earliest = dict(zip(reversed(object_ids), reversed(times)))
+    return tuple(
+        (object_id, earliest[object_id], latest[object_id]) for object_id in sorted(latest)
+    )
 
 
 def _check_restorable(shard: _Shard, shards: Dict[int, _Shard]) -> None:
@@ -326,22 +350,35 @@ class ShardedRecordStore:
         self.append(PositioningRecord(object_id, sample_set, timestamp))
 
     def slice_batch(
-        self, batch: Sequence[PositioningRecord]
+        self, batch: Sequence[PositioningRecord], times: Sequence[float]
     ) -> List[Tuple[int, List[PositioningRecord]]]:
-        """Slice a time-sorted batch into per-shard ``(key, records)`` runs.
+        """Slice a time-sorted batch, whose timestamp column is ``times``,
+        into per-shard ``(key, records)`` runs.
 
         The single source of truth for how a batch maps onto shards: an
         ingest slices once and hands the same runs to :meth:`_log_batch` and
         to the shards, so a durable store's logged frames can never diverge
-        from the in-memory shards.
+        from the in-memory shards.  A run starts at the first timestamp not
+        yet sliced and ends where bisecting the rest of the column on
+        ``floor(t / shard_seconds)`` passes that timestamp's key.  A batch
+        holding a NaN or an infinity raises :meth:`shard_key`'s
+        ``ValueError`` for the first such timestamp.
         """
+        if not math.isfinite(sum(times)):  # also when finite values overflow the sum
+            for timestamp in times:
+                self.shard_key(timestamp)
+        shard_seconds = self._shard_seconds
+
+        def key_of(timestamp: float) -> int:
+            return math.floor(timestamp / shard_seconds)
+
         slices: List[Tuple[int, List[PositioningRecord]]] = []
-        for record in batch:
-            key = self.shard_key(record.timestamp)
-            if slices and slices[-1][0] == key:
-                slices[-1][1].append(record)
-            else:
-                slices.append((key, [record]))
+        lo, count = 0, len(times)
+        while lo < count:
+            key = key_of(times[lo])
+            hi = bisect_right(times, key, lo + 1, count, key=key_of)
+            slices.append((key, batch[lo:hi]))
+            lo = hi
         return slices
 
     def ingest_batch(self, records: Iterable[PositioningRecord]) -> IngestReceipt:
@@ -357,17 +394,19 @@ class ShardedRecordStore:
         if not batch:
             # Empty-batch parity: no lock, no log growth, no version bump.
             return IngestReceipt()
+        times = list(map(_BY_TIME, batch))
         with self._lock:
-            if batch[0].timestamp < self._watermark:
+            if times[0] < self._watermark:
                 # Refused before logging: a doomed batch leaves no frames.
                 raise ValueError(
                     f"batch contains records before the retention watermark "
                     f"t={self._watermark}; evicted shards cannot be refilled"
                 )
-            slices = self.slice_batch(batch)
+            slices = self.slice_batch(batch, times)
             seq = self._log_batch(slices)
 
             touched: List[int] = []
+            lo = 0
             for key, slice_records in slices:
                 shard = self._shards.get(key)
                 if shard is None:
@@ -375,14 +414,16 @@ class ShardedRecordStore:
                     self._shards[key] = shard
                     insert_at = bisect_left(self._shard_keys, key)
                     self._shard_keys.insert(insert_at, key)
-                shard.absorb(slice_records)
+                hi = lo + len(slice_records)
+                shard.absorb(slice_records, times[lo:hi])
+                lo = hi
                 touched.append(key)
-                self._count += len(slice_records)
+            self._count += len(batch)
 
             receipt = IngestReceipt(
                 records_ingested=len(batch),
                 shards_touched=tuple(touched),
-                object_spans=summarise_object_spans(batch),
+                object_spans=_object_spans(batch, times),
             )
             self._notify(IngestEvent(receipt, batch, seq))
             return receipt

@@ -7,19 +7,24 @@ dwells for a random period, and moves on.  The exact location is recorded
 every second, producing the ground-truth trajectories used both by the
 positioning / RFID simulators and by the effectiveness metrics.
 
-A tick recorded at the same ``Point`` object as the tick before (a dwell, a
-staircase climb) reuses that tick's partition instead of searching the floor
-plan again; the lookup draws nothing, so every RNG draw stays where it was.
+A tick keeps the partition of the tick before while its location lies
+strictly inside that partition's rectangle and no other partition's
+rectangle meets the rectangle's interior (decided once per partition, when
+the simulator is built).  Partitions are closed rectangles, so such a point
+lies in that partition alone, and ``FloorPlan.partition_containing`` would
+return it too.  Any other tick (a point on a wall or a door, a partition
+another one overlaps, a new floor) asks the plan.  The lookup draws nothing,
+so every RNG draw stays where it was.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from ..data.trajectory import Trajectory, TrajectoryPoint, TrajectoryStore
-from ..geometry import Point, interpolate
+from ..geometry import Point, Rect, interpolate
 from ..space import DoorGraphRouter, FloorPlan
 
 MIN_SPEED = 0.4  # metres per second
@@ -57,9 +62,22 @@ class RandomWaypointSimulator:
         self._rng = random.Random(seed)
         self._router = DoorGraphRouter(self._plan)
         self._partitions = sorted(self._plan.partitions)
-        # The last recorded location and its partition (module docstring).
-        self._last_location: Optional[Point] = None
+        # The rectangles whose interior no other partition meets, and the last
+        # recorded partition with its rectangle, if it is one (module docstring).
+        partitions = self._plan.partitions
+        self._interiors: Dict[int, Tuple[float, float, float, float, int]] = {}
+        for partition_id, partition in partitions.items():
+            rect = partition.rect
+            if not any(
+                _meets_interior(other.rect, rect)
+                for other_id, other in partitions.items()
+                if other_id != partition_id
+            ):
+                self._interiors[partition_id] = (
+                    rect.xmin, rect.ymin, rect.xmax, rect.ymax, rect.floor
+                )
         self._last_partition: Optional[int] = None
+        self._last_interior: Optional[Tuple[float, float, float, float, int]] = None
 
     # ------------------------------------------------------------------
     # Simulation
@@ -180,11 +198,27 @@ class RandomWaypointSimulator:
         )
 
     def _record(self, trajectory: Trajectory, timestamp: float, location: Point) -> None:
-        if location is not self._last_location:
-            self._last_location = location
+        box = self._last_interior
+        if box is None or not (
+            box[0] < location.x < box[2]
+            and box[1] < location.y < box[3]
+            and location.floor == box[4]
+        ):
             self._last_partition = self._plan.partition_containing(location)
+            self._last_interior = self._interiors.get(self._last_partition)
         trajectory.append(
             TrajectoryPoint(
                 timestamp=timestamp, location=location, partition_id=self._last_partition
             )
         )
+
+
+def _meets_interior(rect: Rect, other: Rect) -> bool:
+    """Whether the closed ``rect`` shares a point with ``other``'s open interior."""
+    return (
+        rect.floor == other.floor
+        and rect.xmin < other.xmax
+        and other.xmin < rect.xmax
+        and rect.ymin < other.ymax
+        and other.ymin < rect.ymax
+    )

@@ -8,19 +8,35 @@ its probability is proportional to ``1 / (dist * (1 + γ))`` where ``γ`` is a
 small random perturbation — the weighting scheme of weighted k-nearest
 neighbour (WkNN) fingerprinting.
 
+Each report answers its two lookups from tables built once per simulator:
+
+* **candidate reference points** come from a per-floor bucket grid.  A
+  bucket's side is ``BUCKET_SIDE_FACTOR`` times the candidate radius, and
+  each bucket lists, in ascending id order, every reference point of its
+  3 × 3 neighbourhood.  A point's search window (the radius around it) lies
+  inside that neighbourhood with a third of a bucket to spare, so the
+  bucket holds every point the window's box test can pass.  The box test
+  and the ``distance <= radius`` filter are the R-tree search's, on the same
+  floats, so the hits and their order are the ones the R-tree window search
+  gave.  The R-tree serves only the nearest-point fallback;
+* **a report's sample set** is built as its two columns: the weights of
+  the best matches, each divided by their left-to-right total, in ascending
+  id order — the floats ``SampleSet(samples, normalise=True)`` computes.
+
 A report at the same ``Point`` object as the report before (an object
-dwelling) reuses its candidate reference points and their distances: they
-depend on the location alone and draw nothing, so every RNG draw and every
-float of the reports stays where it was.
+dwelling) reuses its candidates.  None of this draws anything, and
+``uniform(a, b)`` is spelt as its formula ``a + (b - a) * random()``, so
+every RNG draw and every float of the reports stays where it was.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..data.records import PositioningRecord, Sample, SampleSet
+from ..data.records import PositioningRecord, SampleSet
 from ..storage import DEFAULT_SHARD_SECONDS, ShardedRecordStore
 from ..data.trajectory import Trajectory, TrajectoryStore
 from ..geometry import Point, Rect
@@ -35,6 +51,7 @@ DISTANCE_EPSILON = 0.25  # matched distances are at least this, metres
 # candidate pool spans this multiple of µ; the weighting still favours close
 # reference points, keeping the mean error near µ.
 CANDIDATE_RADIUS_FACTOR = 2.0
+BUCKET_SIDE_FACTOR = 1.5  # a grid bucket's side, in candidate radii (module docstring)
 BATCH_SECONDS = 60.0  # the traffic one ingest batch carries
 
 
@@ -69,12 +86,21 @@ class WkNNPositioningSimulator:
         self._plan = plan.freeze()
         self._config = config
         self._rng = random.Random(seed)
+        plocations = self._plan.plocations
         self._ploc_index = RTree.bulk_load(
-            (
-                (Rect.from_point(ploc.position), ploc.ploc_id)
-                for ploc in self._plan.plocations.values()
-            )
+            (Rect.from_point(ploc.position), ploc.ploc_id) for ploc in plocations.values()
         )
+        # (floor, column, row) → (id, x, y) of every reference point in the
+        # bucket's 3 × 3 neighbourhood, ids ascending (module docstring).
+        self._bucket_side = side = config.candidate_radius * BUCKET_SIDE_FACTOR
+        self._buckets: Dict[Tuple[int, int, int], List[Tuple[int, float, float]]] = {}
+        for ploc_id in sorted(plocations):
+            position = plocations[ploc_id].position
+            column, row = math.floor(position.x / side), math.floor(position.y / side)
+            for near_column in (column - 1, column, column + 1):
+                for near_row in (row - 1, row, row + 1):
+                    key = (position.floor, near_column, near_row)
+                    self._buckets.setdefault(key, []).append((ploc_id, position.x, position.y))
 
     # ------------------------------------------------------------------
     # IUPT generation
@@ -140,45 +166,53 @@ class WkNNPositioningSimulator:
         candidate radius, which produced topologically incoherent
         consecutive reports no real positioning system emits — and, through
         the path construction's validity pruning, all-zero flows on the
-        synthetic grid building.)
+        synthetic grid building.)  The set is built as its two columns
+        (module docstring).
         """
         if not candidates:
             return None
         rng = self._rng
+        draw = rng.random
         sample_count = min(rng.randint(1, MAX_SAMPLE_SET_SIZE), len(candidates))
-        matched = sorted(
-            (distance * (1.0 + rng.uniform(-WEIGHT_NOISE, WEIGHT_NOISE)), ploc_id)
-            for distance, ploc_id in candidates
-        )
-        samples = [
-            Sample(ploc_id, 1.0 / match_distance)
-            for match_distance, ploc_id in matched[:sample_count]
-        ]
-        return SampleSet(samples, normalise=True)
+        low, width = -WEIGHT_NOISE, WEIGHT_NOISE - -WEIGHT_NOISE  # uniform(-γmax, γmax)
+        best = sorted(
+            (distance * (1.0 + (low + width * draw())), ploc_id) for distance, ploc_id in candidates
+        )[:sample_count]
+        weights = [1.0 / match_distance for match_distance, _ in best]
+        total = sum(weights)
+        if not 0.0 < total < math.inf or min(weights) < 0.0:
+            raise ValueError(f"cannot normalise the report weights {weights}")
+        ploc_ids, weights = zip(*sorted(zip([ploc_id for _, ploc_id in best], weights)))
+        return SampleSet._from_columns(ploc_ids, [weight / total for weight in weights])
 
     def _candidate_plocations(self, true_location: Point) -> List[Tuple[float, int]]:
         """Reference points within the positioning error radius of the true
         spot, as ``(distance, ploc_id)`` in ascending id order (the order the
-        noise is drawn in), each distance at least ``DISTANCE_EPSILON``.
+        noise is drawn in), each distance at least ``DISTANCE_EPSILON``:
+        those of the location's grid bucket that pass the search window's box
+        test and lie within the radius (module docstring).
 
         When the error radius captures nothing (sparse deployments), the
         nearest reference point is used so the object is still reported,
         mirroring how a fingerprinting system always returns its best match.
         """
         radius = self._config.candidate_radius
-        window = Rect.from_point(true_location, radius)
+        x, y, side = true_location.x, true_location.y, self._bucket_side
+        xmin, ymin, xmax, ymax = x - radius, y - radius, x + radius, y + radius
+        bucket = (true_location.floor, math.floor(x / side), math.floor(y / side))
+        candidates: List[Tuple[float, int]] = []
+        for ploc_id, px, py in self._buckets.get(bucket, ()):
+            if xmin <= px <= xmax and ymin <= py <= ymax:
+                distance = math.hypot(px - x, py - y)
+                if distance <= radius:
+                    candidates.append((max(distance, DISTANCE_EPSILON), ploc_id))
+        if candidates:
+            return candidates
         plocations = self._plan.plocations
-        hits = sorted(
-            ploc_id
-            for ploc_id in self._ploc_index.search(window)
-            if plocations[ploc_id].position.distance_to(true_location) <= radius
-        )
-        if not hits:
-            hits = [item for _, item in self._ploc_index.nearest(true_location, count=1)]
         return [
             (
                 max(plocations[ploc_id].position.distance_to(true_location), DISTANCE_EPSILON),
                 ploc_id,
             )
-            for ploc_id in hits
+            for _, ploc_id in self._ploc_index.nearest(true_location, count=1)
         ]

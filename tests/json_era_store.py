@@ -23,7 +23,8 @@ def write_json_era_directory(path, shard_seconds, batches, snapshot_first=0, uid
     model, through = ShardedRecordStore(shard_seconds), {}
     control = encode_wal_frame({"kind": "base", "next_seq": snapshot_first + 1, "watermark": None})
     for seq, batch in enumerate(batches, start=1):
-        slices = model.slice_batch(sorted(batch, key=lambda record: record.timestamp))
+        ordered = sorted(batch, key=lambda record: record.timestamp)
+        slices = model.slice_batch(ordered, [record.timestamp for record in ordered])
         if seq <= snapshot_first:
             model.ingest_batch(batch)
             through.update({key: seq for key, _records in slices})

@@ -250,7 +250,13 @@ def rule_breakers(layering):
                "    mc_rounds: int,\n) -> List[MethodOutcome]:",
                "    mc_rounds: int = 40,\n) -> List[MethodOutcome]:"),
         *[code(path, "one more export", '_mutant_export = None\n__all__ = [*__all__, "_mutant_export"]')
-          for path in ("eval/__init__.py", "experiments/__init__.py", "baselines/__init__.py")],
+          for path in ("eval/__init__.py", "experiments/__init__.py", "baselines/__init__.py",
+                       "storage/__init__.py")],
+        returns("synth/positioning.py", "searches a window", "self._ploc_index.search(window)"),
+        returns("synth/movement.py", "searches a point", "index.search_point(location)"),
+        returns("synth/positioning.py", "builds a report by the constructor",
+                "SampleSet(samples, normalise=True)"),
+        returns("storage/durable.py", "a second spans caller", "_object_spans(batch, times)"),
     ]
 
 

@@ -239,6 +239,9 @@ GONE = [
     *_members(42, "rounds _simulate_round _sample_certain_path _draw", repro.MonteCarlo),
     *_members(42, "minimum_axis", repro.UncertaintyRegionFlow.__init__),
     *_members(42, "threshold", repro.SimpleCounting),
+    *_members(44, "summarise_object_spans", repro.storage),
+    (44, "def:storage/base.py", _defined("storage/base.py").__contains__, "summarise_object_spans"),
+    (44, "def:synth/movement.py", _defined("synth/movement.py").__contains__, "_last_location"),
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
@@ -332,6 +335,13 @@ RULES = [  # (PR, rule, actual, expected)
         if parameter.default is not parameter.empty], []),
     (42, "evaluation-API-sizes", lambda: [len(pkg.__all__) for pkg in (
         repro.eval, repro.experiments, repro.baselines)], [11, 8, 4]),
+    (44, "storage-API-size", lambda: len(repro.storage.__all__), 13),
+    (44, "the-generator-searches-a-tree-only-for-the-nearest-fallback", lambda: _sites(
+        "search search_entries search_point nearest", "synth/"),
+     ["synth/positioning.py:WkNNPositioningSimulator._candidate_plocations"]),
+    (44, "reports-built-as-two-columns", lambda: _sites("SampleSet", "synth/"), []),
+    (44, "spans-of-the-sorted-batch-alone", lambda: _sites("_object_spans"),
+     ["storage/sharded.py:ShardedRecordStore.ingest_batch"]),
 ]  # fmt: skip
 
 

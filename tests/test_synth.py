@@ -259,9 +259,11 @@ def _digest(scenario):
 
 
 CAMPUS = dict(num_objects=30, floors=2, room_rows=1, rooms_per_row=3, duration_seconds=600.0)
+STREAM = dict(num_objects=60, floors=2, room_rows=2, rooms_per_row=5, duration_seconds=1800.0)
 GENERATED = {  # the generators draw the same numbers in the same order, whatever their shape
     "campus-17": (lambda: build_synthetic_scenario(seed=17, **CAMPUS), "66ec7cae17752728"),
     "campus-29": (lambda: build_synthetic_scenario(seed=29, **CAMPUS), "27b9c2437faf6f15"),
+    "stream-17": (lambda: build_synthetic_scenario(seed=17, **STREAM), "46eb752026956d57"),
     "real-small": (lambda: build_real_scenario(**SCALES["real", "small"][0]), "d35e044dc3bf2874"),
     "synth-small-rfid": (
         lambda: build_synthetic_scenario(**SCALES["synth", "small"][0], with_rfid=True),
