@@ -364,19 +364,16 @@ class ShardedRecordStore:
         holding a NaN or an infinity raises :meth:`shard_key`'s
         ``ValueError`` for the first such timestamp.
         """
-        if not math.isfinite(sum(times)):  # also when finite values overflow the sum
+        # A NaN or an infinity makes the sum non-finite; so can finite
+        # timestamps that overflow it, and those pass the loop.
+        if not math.isfinite(sum(times)):
             for timestamp in times:
                 self.shard_key(timestamp)
-        shard_seconds = self._shard_seconds
-
-        def key_of(timestamp: float) -> int:
-            return math.floor(timestamp / shard_seconds)
-
         slices: List[Tuple[int, List[PositioningRecord]]] = []
         lo, count = 0, len(times)
         while lo < count:
-            key = key_of(times[lo])
-            hi = bisect_right(times, key, lo + 1, count, key=key_of)
+            key = self.shard_key(times[lo])
+            hi = bisect_right(times, key, lo + 1, count, key=self.shard_key)
             slices.append((key, batch[lo:hi]))
             lo = hi
         return slices
