@@ -185,9 +185,8 @@ def _object_spans(
     object_ids = list(map(_BY_OBJECT, batch))
     latest = dict(zip(object_ids, times))
     earliest = dict(zip(reversed(object_ids), reversed(times)))
-    return tuple(
-        (object_id, earliest[object_id], latest[object_id]) for object_id in sorted(latest)
-    )
+    ordered = sorted(latest)
+    return tuple(zip(ordered, map(earliest.get, ordered), map(latest.get, ordered)))
 
 
 def _check_restorable(shard: _Shard, shards: Dict[int, _Shard]) -> None:
