@@ -24,9 +24,11 @@ Each report answers its two lookups from tables built once per simulator:
   id order — the floats ``SampleSet(samples, normalise=True)`` computes.
 
 A report at the same ``Point`` object as the report before (an object
-dwelling) reuses its candidates.  None of this draws anything, and
-``uniform(a, b)`` is spelt as its formula ``a + (b - a) * random()``, so
-every RNG draw and every float of the reports stays where it was.
+dwelling) reuses its candidates.  None of this draws anything,
+``uniform(a, b)`` is spelt as its formula ``a + (b - a) * random()``, and
+``randint(1, n)`` as the ``getrandbits(n.bit_length())`` draws (redrawn
+while ``>= n``) it makes, so every RNG draw and every float of the reports
+stays where it was.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from ..indexes import RTree
 from ..space import FloorPlan
 
 MAX_SAMPLE_SET_SIZE = 4  # mss; experiments truncate with ``Scenario.with_mss``
+_SAMPLE_COUNT_BITS = MAX_SAMPLE_SET_SIZE.bit_length()  # randint's draw width
 MIN_PERIOD_SECONDS = 1.0
 WEIGHT_NOISE = 0.4  # γ is drawn from [-WEIGHT_NOISE, WEIGHT_NOISE]
 DISTANCE_EPSILON = 0.25  # matched distances are at least this, metres
@@ -173,7 +176,12 @@ class WkNNPositioningSimulator:
             return None
         rng = self._rng
         draw = rng.random
-        sample_count = min(rng.randint(1, MAX_SAMPLE_SET_SIZE), len(candidates))
+        # rng.randint(1, MAX_SAMPLE_SET_SIZE), by the draws it makes.
+        getrandbits = rng.getrandbits
+        drawn = getrandbits(_SAMPLE_COUNT_BITS)
+        while drawn >= MAX_SAMPLE_SET_SIZE:
+            drawn = getrandbits(_SAMPLE_COUNT_BITS)
+        sample_count = min(1 + drawn, len(candidates))
         low, width = -WEIGHT_NOISE, WEIGHT_NOISE - -WEIGHT_NOISE  # uniform(-γmax, γmax)
         best = sorted(
             (distance * (1.0 + (low + width * draw())), ploc_id) for distance, ploc_id in candidates

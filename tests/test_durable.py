@@ -357,6 +357,105 @@ class TestSnapshots:
         store.close()
 
 
+def _control_log(root):
+    """``(inode, frames)`` of a directory's control log, every byte decoded."""
+    path = root / "control.wal"
+    data = path.read_bytes()
+    frames, valid = decode_wal_frames(data)
+    assert valid == len(data)
+    return path.stat().st_ino, frames
+
+
+def _base_frame(next_seq, watermark=None):
+    return {"kind": "base", "next_seq": next_seq, "watermark": watermark}
+
+
+class TestControlLog:
+    """A checkpoint appends its base frame to the control log; the log is
+    replaced by that one frame only to end a recovery, or once it holds more
+    bytes than the segments the checkpoint folds away."""
+
+    def test_a_cadence_checkpoint_appends_one_base_frame(self, tmp_path):
+        store = DurableRecordStore(
+            tmp_path,
+            shard_seconds=SHARD_SECONDS,
+            config=DurabilityConfig(snapshot_every_batches=4),
+        )
+        batches = _batches(4)
+        for batch in batches[:3]:
+            store.ingest_batch(batch)
+        inode, before = _control_log(tmp_path)
+        store.ingest_batch(batches[3])  # the fourth batch checkpoints
+        assert not list((tmp_path / "wal").glob("segment-*.wal"))
+        assert _control_log(tmp_path) == (
+            inode,
+            before + [{"kind": "commit", "seq": 4}, _base_frame(5)],
+        )
+        store.close()
+
+    def test_the_log_never_outgrows_one_interval_of_wal(self, tmp_path):
+        """At ``snapshot_every_batches=1`` each checkpoint folds one batch's
+        segment frame (each batch fills a shard of its own); after it the log
+        holds at most those bytes plus the base frame, so some checkpoints
+        must rewrite it."""
+        store = DurableRecordStore(
+            tmp_path,
+            shard_seconds=SHARD_SECONDS,
+            config=DurabilityConfig(fsync="never", snapshot_every_batches=1),
+        )
+        rng = random.Random(5)
+        control = tmp_path / "control.wal"
+        inode = None
+        appends = rewrites = 0
+        for step in range(300):
+            batch = [
+                _workload_record(rng, oid, step * SHARD_SECONDS + oid * 0.5)
+                for oid in range(rng.randint(4, 12))
+            ]
+            store.ingest_batch(batch)
+            seq = store.last_committed_seq
+            folded = len(encode_segment_frame(seq, batch))
+            base = len(encode_wal_frame(_base_frame(seq + 1)))
+            stat = control.stat()
+            assert stat.st_size <= folded + base, step
+            if inode is not None:
+                if stat.st_ino == inode:
+                    appends += 1
+                else:
+                    rewrites += 1
+                    assert stat.st_size == base
+            inode = stat.st_ino
+        assert appends > rewrites > 0
+        store.close()
+
+    def test_reopening_a_long_log_recovers_and_leaves_one_frame(self, tmp_path):
+        store = DurableRecordStore(
+            tmp_path,
+            shard_seconds=SHARD_SECONDS,
+            config=DurabilityConfig(snapshot_every_batches=3),
+        )
+        oracle = ShardedRecordStore(shard_seconds=SHARD_SECONDS)
+        for batch in _batches(14):
+            store.ingest_batch(batch)
+            oracle.ingest_batch(batch)
+            if len(oracle) == 40:
+                store.evict_before(2 * SHARD_SECONDS)
+                oracle.evict_before(2 * SHARD_SECONDS)
+        _inode, frames = _control_log(tmp_path)
+        kinds = [frame["kind"] for frame in frames]
+        assert kinds.count("base") > 1 and kinds.count("commit") > 3
+        assert "watermark" in kinds
+        assert list((tmp_path / "wal").glob("segment-*.wal"))  # 2 trailing batches
+        store.close()
+
+        recovered = DurableRecordStore(tmp_path)
+        assert _state_matches(recovered, oracle)
+        assert recovered.recovery_report["frames_replayed"] > 0
+        assert _control_log(tmp_path)[1] == [_base_frame(15, 2 * SHARD_SECONDS)]
+        assert recovered.last_committed_seq == 14
+        recovered.close()
+
+
 class TestDurableEviction:
     def test_watermark_survives_restart_and_boundary_semantics(self, tmp_path):
         store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
@@ -685,7 +784,7 @@ class TestCrashRecoveryDifferential:
             tmp_path,
             shard_seconds=SHARD_SECONDS,
             # 2 ingests cost 4 writes; checkpoint then spends 1 (snapshot)
-            # + 1 (segment delete) and dies on the control-log rewrite.
+            # + 1 (segment delete) and dies on writing the base frame.
             config=DurabilityConfig(fail_after_writes=6),
         )
         store.ingest_batch([_record(1, 1, 1.0)])
