@@ -133,6 +133,28 @@ class PackedRecordBatch:
         )
 
     @classmethod
+    def concatenate(cls, batches: List["PackedRecordBatch"]) -> "PackedRecordBatch":
+        """One batch holding ``batches``' records in order, column by column;
+        no record is built."""
+        columns = []
+        for name in cls.__slots__:
+            column = array(getattr(batches[0], name).typecode)
+            for batch in batches:
+                column.extend(getattr(batch, name))
+            columns.append(column)
+        return cls(*columns)
+
+    @staticmethod
+    def declared_size(data: bytes) -> Optional[int]:
+        """The byte size of the batch whose encoding ``data`` starts with, as
+        its header's record and sample counts state; ``None`` while ``data``
+        is shorter than the header."""
+        if len(data) < _HEADER.size:
+            return None
+        n, m = _HEADER.unpack_from(data)[4:]
+        return _HEADER.size + n * 24 + m * 16
+
+    @classmethod
     def decode(cls, data: bytes) -> "PackedRecordBatch":
         if len(data) < _HEADER.size:
             raise ValueError("packed batch truncated: missing header")
@@ -144,7 +166,7 @@ class PackedRecordBatch:
                 f"unsupported packed-batch version {version} "
                 f"(this build reads version {CODEC_VERSION})"
             )
-        expected = _HEADER.size + n * 24 + m * 16
+        expected = cls.declared_size(data)
         if len(data) != expected:
             raise ValueError(
                 f"packed batch size mismatch: {len(data)} bytes for "

@@ -22,21 +22,28 @@ listeners and watermark — that writes the log before it applies a mutation:
   (survives OS crashes), ``"batch"`` fsyncs only the commit record (survives
   process crashes; the default), ``"never"`` leaves flushing to the OS
   (fastest; survives clean exits);
-* **snapshots** — :meth:`DurableRecordStore.checkpoint` writes each dirty
-  shard's records *and version* to ``snapshots/shard-<key>.snap``
-  (:func:`atomic_write`: a temp file and ``os.replace``), then deletes the
-  shard's now-redundant segment and records a ``base`` frame (the next
-  sequence and the watermark) in the control log, so recovery loads the
-  snapshot and replays only the frames appended after it.  The base frame is
-  *appended* to the open control log; the log is replaced by that one frame
+* **snapshots** — :meth:`DurableRecordStore.checkpoint` brings each dirty
+  shard's ``snapshots/shard-<key>.snap`` up to its records *and version*,
+  then deletes the now-redundant segments and records a ``base`` frame (the
+  next sequence and the watermark) in the control log, so recovery loads the
+  snapshot and replays only the frames appended after it.  A snapshot file
+  is one base ``RSN1`` frame followed by zero or more *delta* frames, each
+  holding only the records the shard gained since the frame before it, at
+  the shard's new version and ``through``; recovery concatenates their
+  packed columns.  A checkpoint appends a delta (fsynced unless the policy is
+  ``"never"``) while the file's records are still the shard's first ones —
+  every absorb since was in time order — and replaces the file with one base
+  frame (:func:`atomic_write`: a temp file and ``os.replace``) when it has
+  none yet, after an out-of-order absorb re-sorted the shard, or when it is
+  JSON-era.  So the file never holds a record twice.  The base frame of the
+  control log is *appended* to it too; the log is replaced by that one frame
   only by the checkpoint that ends a recovery, and by a checkpoint at which
   the log holds more bytes than the segments it folds away.  So the log
   never outgrows one checkpoint interval's WAL plus one base frame, and
-  most checkpoints free no control-log blocks: replacing or deleting a
-  synced file costs 40–70 ms on an ext4 filesystem mounted with
-  ``discard``, and stalls concurrent fsyncs, against 0.01 ms for an
-  append.  ``DurabilityConfig.snapshot_every_batches`` is the one automatic
-  trigger;
+  most checkpoints free no blocks: replacing or deleting a synced file
+  costs 40–70 ms on an ext4 filesystem mounted with ``discard``, and stalls
+  concurrent fsyncs, against 0.01 ms for an append.
+  ``DurabilityConfig.snapshot_every_batches`` is the one automatic trigger;
 * **eviction** — :meth:`~repro.storage.sharded.ShardedRecordStore.evict_before`
   first persists a watermark record (the logical commit of the eviction),
   then drops the shards in memory and deletes their segment and snapshot
@@ -64,14 +71,18 @@ The log has **one reader**, :meth:`DurableRecordStore._scan_log`: recovery and
 the replication replay (:meth:`DurableRecordStore.committed_batches_after`)
 learn which sequences are committed and which frames each segment holds from
 it, and only recovery lets it cut a torn tail off a file — the one damage a
-crash can cause.  Anything else it cannot interpret is refused with a
-``ValueError`` naming the file: a CRC-valid frame of the wrong shape, a
-snapshot file that is not exactly one snapshot frame for the shard its name
-states, and a snapshot no checkpoint writes (at version 0, or holding no
-record: a shard exists only once a batch reached it) — a snapshot replaces
-its file atomically and its segments are
-deleted afterwards, so a damaged one is never crash residue, and falling back
-to the log would silently open a smaller table.
+crash can cause.  Recovery cuts a snapshot file's torn last frame too, but
+only while the shard's segment is on disk: a checkpoint deletes segments only
+after every snapshot write, so the segment still holds the cut frame's
+records.  Anything else it cannot interpret is refused with a ``ValueError``
+naming the file: a CRC-valid frame of the wrong shape, a snapshot file that
+is not whole frames for the shard its name states (one base frame, then
+binary deltas each advancing version and ``through``), a torn last frame
+whose segment is gone, and a snapshot frame no checkpoint writes (at version
+0, or holding no record: a shard exists only once a batch reached it) — a
+base frame replaces its file atomically, a delta is synced before any
+segment is deleted, so a damaged file is never crash residue, and falling
+back to the log would silently open a smaller table.
 
 The frames themselves — binary ``RSG1`` segment and ``RSN1`` snapshot frames
 carrying packed ``RPK1`` batches, the JSON control log, and the reader of the
@@ -97,6 +108,7 @@ from typing import (
     Tuple,
 )
 
+from ..codec.packed import PackedRecordBatch
 from ..data.records import PositioningRecord
 from .base import IngestReceipt
 from .sharded import DEFAULT_SHARD_SECONDS, ShardedRecordStore
@@ -107,6 +119,7 @@ from .wal import (
     encode_snapshot_frame,
     encode_wal_frame,
     frame_records,
+    torn_snapshot_frame,
 )
 
 FORMAT_VERSION = 1
@@ -144,9 +157,10 @@ class DurabilityConfig:
         :meth:`DurableRecordStore.checkpoint` calls (and the one that ends a
         recovery which found segments).  Frequent snapshots shorten recovery
         and bound the log's size; each one pauses the ingest that triggers it
-        for its snapshot writes, which replace files, while the control log
-        only gains an appended base frame (module docstring: what a file
-        replacement costs, and when the log is rewritten).
+        for its snapshot writes, which append a delta frame to a still-filling
+        shard's file and replace only the others, while the control log only
+        gains an appended base frame (module docstring: what a file
+        replacement costs, and when a file is rewritten).
     ``fail_after_writes``
         Fault injection for the crash-recovery harness: the store performs
         exactly this many WAL file operations (frame appends, snapshot
@@ -199,8 +213,10 @@ def atomic_write(path: pathlib.Path, data: bytes, fsync: str) -> None:
     ``"never"``, the file is fsynced before the rename and its directory
     after it: without the first, a power loss can keep the rename and lose
     the bytes; without the second, recovery can see the pre-replace file (or
-    none at all).  Snapshots, the manifest, a rewritten control log and
-    the continuous engine's subscription manifest are all written here.
+    none at all).  A snapshot's base frame (a new file, or one an
+    out-of-order absorb or the JSON era keeps from taking a delta), the
+    manifest, a rewritten control log and the continuous engine's
+    subscription manifest are all written here.
     """
     sync = fsync != "never"
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -250,6 +266,11 @@ class DurableRecordStore(ShardedRecordStore):
         self._shard_last_seq: Dict[int, int] = {}
         #: Per shard: the version its current snapshot file holds (0 = none).
         self._snapshotted_version: Dict[int, int] = {}
+        #: Per shard: how many records its snapshot file holds, kept only
+        #: while they are still the shard's first records (binary, and every
+        #: absorb since was in time order) — the next checkpoint appends the
+        #: rest as a delta frame instead of replacing the file.
+        self._snapshot_held: Dict[int, int] = {}
         self._batches_since_snapshot = 0
         #: Replication state: the highest committed batch sequence, and the
         #: sequence at/below which segment frames no longer exist on disk
@@ -303,7 +324,7 @@ class DurableRecordStore(ShardedRecordStore):
     def _recover(self) -> None:
         # Snapshots first: a damaged one refuses the open before the log
         # scan has repaired (rewritten) anything.
-        snapshots = self._read_snapshots()
+        snapshots, torn_snapshots = self._read_snapshots()
         committed, watermark, base_next, segments, torn = self._scan_log(repair=True)
         max_seq = max(
             (seq for frames in segments.values() for seq, _frame in frames), default=0
@@ -339,6 +360,7 @@ class DurableRecordStore(ShardedRecordStore):
                 # batch as-is — the shard decodes lazily on first query, so
                 # cold recovery is one blob read per shard.
                 self.load_shard_packed(key, packed, version)
+                self._snapshot_held[key] = len(packed)
                 loaded_lazily += 1
             else:
                 records: List[PositioningRecord] = []
@@ -385,41 +407,79 @@ class DurableRecordStore(ShardedRecordStore):
             "segments_seen": sum(1 for frames in segments.values() if frames),
             "frames_replayed": replayed,
             "frames_skipped_uncommitted": skipped_uncommitted,
-            "torn_tails_truncated": torn,
+            "torn_tails_truncated": torn + torn_snapshots,
             "watermark": watermark,
         }
 
-    def _read_snapshots(self) -> Dict[int, Tuple[int, int, dict]]:
-        """``shard key -> (version, through, frame)`` of every snapshot file;
-        one that is not exactly one snapshot frame for the shard its name
-        states, or not one a checkpoint writes (at version 1 or above, holding
-        a record), raises (module docstring: it is damage, never crash
-        residue)."""
+    def _read_snapshots(self) -> Tuple[Dict[int, Tuple[int, int, dict]], int]:
+        """``shard key -> (version, through, frame)`` of every snapshot file,
+        and how many torn last frames were cut.
+
+        A file is a base frame and zero or more delta frames, every one for
+        the shard its name states, one a checkpoint writes (at version 1 or
+        above, holding a record) and, after the base, binary and advancing
+        version and ``through``; the returned frame carries the packed
+        batches concatenated, so the shard still loads lazily.  A torn last
+        frame is cut while the shard's segment is on disk: a checkpoint
+        deletes segments only once every snapshot write is done, so the
+        segment still holds the cut frame's records.  Anything else raises
+        before any file is cut (module docstring: it is damage, never crash
+        residue).
+        """
         snapshots: Dict[int, Tuple[int, int, dict]] = {}
+        cuts: List[Tuple[pathlib.Path, int]] = []
         for path in sorted(self._snap_dir.glob("shard-*.snap")):
             data = path.read_bytes()
             frames, valid = decode_wal_frames(data)
-            if len(frames) != 1 or valid != len(data):
+            if not frames or not (
+                valid == len(data) or torn_snapshot_frame(data, valid)
+            ):
                 raise ValueError(
-                    f"{path}: not one whole snapshot frame ({len(frames)} "
+                    f"{path}: not whole snapshot frames ({len(frames)} "
                     f"decodable, {valid} of {len(data)} bytes valid)"
                 )
             key = _field(frames[0], "shard", int, path, 0)
             if path != self._snapshot_path(key):
                 raise ValueError(f"{path}: holds the snapshot of shard {key}")
-            version = _field(frames[0], "version", int, path, 0)
-            packed = frames[0].get("packed")
-            if packed is None:  # a JSON-era snapshot
-                held = _field(frames[0], "records", len, path, 0)
-            else:
-                held = len(packed)
-            if version < 1 or not held:
-                raise ValueError(
-                    f"{path}: a snapshot at version {version} holding {held} "
-                    f"records, which no checkpoint writes"
-                )
-            snapshots[key] = (version, _field(frames[0], "through", int, path, 0), frames[0])
-        return snapshots
+            if valid < len(data):
+                if not self._segment_path(key).exists():
+                    raise ValueError(
+                        f"{path}: a torn last frame, and the segment that held "
+                        f"its records is gone"
+                    )
+                cuts.append((path, valid))
+            version = through = 0
+            batches = []
+            for index, frame in enumerate(frames):
+                if _field(frame, "shard", int, path, index) != key:
+                    raise ValueError(f"{path}: frame {index} holds another shard")
+                frame_version = _field(frame, "version", int, path, index)
+                frame_through = _field(frame, "through", int, path, index)
+                packed = frame.get("packed")
+                if packed is None:  # a JSON-era snapshot
+                    if len(frames) > 1:
+                        raise ValueError(f"{path}: a JSON-era frame beside delta frames")
+                    held = _field(frame, "records", len, path, index)
+                else:
+                    held = len(packed)
+                if frame_version < 1 or not held:
+                    raise ValueError(
+                        f"{path}: frame {index} at version {frame_version} holding "
+                        f"{held} records, which no checkpoint writes"
+                    )
+                if index and (frame_version <= version or frame_through <= through):
+                    raise ValueError(
+                        f"{path}: frame {index} at version {frame_version} through "
+                        f"{frame_through} does not advance on {version} through {through}"
+                    )
+                version, through = frame_version, frame_through
+                batches.append(packed)
+            if len(frames) > 1:
+                frames[0] = {"packed": PackedRecordBatch.concatenate(batches)}
+            snapshots[key] = (version, through, frames[0])
+        for path, valid in cuts:
+            os.truncate(path, valid)
+        return snapshots, len(cuts)
 
     def _segment_files(self) -> List[Tuple[int, pathlib.Path]]:
         """``(shard key, path)`` of every segment on disk, by *integer* key:
@@ -590,8 +650,15 @@ class DurableRecordStore(ShardedRecordStore):
             encode_wal_frame({"kind": "commit", "seq": seq}),
             policy != "never",
         )
-        for key, _slice in slices:
+        held = self._snapshot_held
+        for key, slice_records in slices:
             self._shard_last_seq[key] = seq
+            if key in held and (
+                slice_records[0].timestamp < self._shards[key].timestamps()[-1]
+            ):
+                # The absorb re-sorts the shard: its snapshot file's records
+                # are no longer its first ones, so the file takes no delta.
+                del held[key]
         self._last_committed_seq = seq
         self._batches_since_snapshot += 1
         return seq
@@ -602,8 +669,9 @@ class DurableRecordStore(ShardedRecordStore):
     def checkpoint(self) -> Dict[str, int]:
         """Snapshot dirty shards, drop their segments, record a base frame.
 
-        After a checkpoint the directory holds one snapshot per shard and a
-        control log no longer than one checkpoint interval's WAL — recovery
+        After a checkpoint the directory holds one snapshot file per shard
+        (a base frame plus in-order deltas, module docstring) and a control
+        log no longer than one checkpoint interval's WAL — recovery
         cost becomes proportional to table size, not to ingestion history.
         Returns a small summary dict.
         """
@@ -613,21 +681,33 @@ class DurableRecordStore(ShardedRecordStore):
 
     def _checkpoint_locked(self, rewrite: bool = False) -> Dict[str, int]:
         snapshots_written = 0
-        dirty = [
-            key
+        held = self._snapshot_held
+        # Only the dirty shards' records their snapshot files lack are copied
+        # out: checkpoint cost is proportional to what changed, not table size.
+        starts = {
+            key: held.get(key, 0)
             for key, version in self.shard_versions().items()
             if self._snapshotted_version.get(key, 0) != version
-        ]
-        # Only the dirty shards' records are copied out: checkpoint cost is
-        # proportional to what changed, not table size.
-        for key, version, records in self.shard_states(dirty):
-            through = self._shard_last_seq.get(key, 0)
-            self._fault_point()
-            atomic_write(
-                self._snapshot_path(key),
-                encode_snapshot_frame(key, version, through, records),
-                self.config.fsync,
+        }
+        for key, version, records in self.shard_states(starts):
+            frame = encode_snapshot_frame(
+                key, version, self._shard_last_seq.get(key, 0), records
             )
+            self._fault_point()
+            # Out of ``held`` until the write is whole: after a failed append
+            # the next checkpoint replaces the file, never appends behind a
+            # torn frame.
+            if held.pop(key, None) is not None:
+                # The file holds the shard's first records: append the rest
+                # as a delta frame, freeing no block (module docstring).
+                with open(self._snapshot_path(key), "ab") as handle:
+                    handle.write(frame)
+                    handle.flush()
+                    if self.config.fsync != "never":
+                        os.fsync(handle.fileno())
+            else:
+                atomic_write(self._snapshot_path(key), frame, self.config.fsync)
+            held[key] = starts[key] + len(records)
             self._snapshotted_version[key] = version
             snapshots_written += 1
         # Every committed frame is folded into a snapshot now; uncommitted
@@ -775,6 +855,7 @@ class DurableRecordStore(ShardedRecordStore):
             self._remove_shard_files(key)
             self._shard_last_seq.pop(key, None)
             self._snapshotted_version.pop(key, None)
+            self._snapshot_held.pop(key, None)
         # The dropped shards' committed frames are gone, and evictions
         # themselves are not in the replayable stream: a follower whose
         # cursor predates this point can no longer replay its way to the

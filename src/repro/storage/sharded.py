@@ -37,7 +37,7 @@ import threading
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..codec.packed import PackedRecordBatch
 from ..data.records import PositioningRecord, SampleSet
@@ -636,26 +636,27 @@ class ShardedRecordStore:
             return {key: self._shards[key].version for key in self._shard_keys}
 
     def shard_states(
-        self, keys: Optional[Iterable[int]] = None
+        self, starts: Optional[Mapping[int, int]] = None
     ) -> List[Tuple[int, int, Tuple[PositioningRecord, ...]]]:
         """``(key, version, records)`` per shard in key order.
 
         The durable layer snapshots shards through this accessor; the record
-        tuples are copies, safe to serialise outside the lock.  Pass ``keys``
-        to copy only the named shards (a checkpoint only needs the dirty
-        ones — copying the whole table under the lock would stall readers
-        for no reason); unknown keys are ignored.
+        tuples are copies, safe to serialise outside the lock.  Pass
+        ``starts`` (shard key -> first record) to copy only the named shards
+        from those records on (a checkpoint only needs what its snapshot
+        files lack — copying the whole table under the lock would stall
+        readers for no reason); unknown keys are ignored.
         """
         with self._lock:
-            if keys is None:
-                selected = self._shard_keys
-            else:
-                wanted = set(keys)
-                selected = [key for key in self._shard_keys if key in wanted]
-            return [
-                (key, self._shards[key].version, tuple(self._shards[key].records))
-                for key in selected
-            ]
+            if starts is None:
+                starts = dict.fromkeys(self._shard_keys, 0)
+            states = []
+            for key in self._shard_keys:
+                if key in starts:
+                    shard = self._shards[key]
+                    records = shard.slice(starts[key], shard.record_count)
+                    states.append((key, shard.version, tuple(records)))
+            return states
 
     def packed_shard_states(
         self,

@@ -8,13 +8,16 @@ of three things:
   batch slice as one packed columnar ``RPK1`` blob of
   :mod:`repro.codec.packed`, every float bit-exact;
 * a **snapshot frame** (``RSN1``): magic, shard key, shard version, the last
-  sequence folded in, and the shard's records as one ``RPK1`` blob;
+  sequence folded in, and as one ``RPK1`` blob the shard's records (a base
+  frame) or the records it gained since the frame before it (a delta);
 * compact **JSON** — the control log's commit / watermark / base records (a
   few dozen bytes each), and the record frames of a directory written before
   5.0, which :func:`_legacy_json_records` still reads.
 
 :func:`decode_wal_frames` is the one decoder: it stops at the first torn or
-corrupt frame and reports how many bytes of clean prefix precede it.
+corrupt frame and reports how many bytes of clean prefix precede it, and
+:func:`torn_snapshot_frame` tells a snapshot frame a crash cut short from
+damage behind that prefix.
 :func:`_field` is the one place a decoded frame's field is read, so a
 CRC-valid frame of the wrong shape is a ``ValueError`` naming its file.
 """
@@ -131,6 +134,27 @@ def decode_wal_frames(data: bytes) -> Tuple[List[dict], int]:
         frames.append(frame)
         offset = end
     return frames, offset
+
+
+def torn_snapshot_frame(data: bytes, valid: int) -> bool:
+    """Whether the bytes behind :func:`decode_wal_frames`' clean prefix of a
+    snapshot file's ``data`` are one snapshot frame cut short — all a crash
+    mid-append leaves — and not damage.
+
+    A whole frame that fails its CRC or its parse is damage.  So is a frame
+    header whose length field was hit, though it too claims bytes past the
+    end: once the snapshot prefix and the batch header are on disk, the size
+    their record and sample counts state must be the length it declares.
+    """
+    rest = data[valid:]
+    if len(rest) < _FRAME_HEADER.size:
+        return True
+    length, _crc = _FRAME_HEADER.unpack_from(rest)
+    body = rest[_FRAME_HEADER.size :]
+    if len(body) >= length or not SNAPSHOT_MAGIC.startswith(body[:4]):
+        return False
+    stated = PackedRecordBatch.declared_size(body[_SNAPSHOT_PREFIX.size :])
+    return stated is None or length == _SNAPSHOT_PREFIX.size + stated
 
 
 def _field(frame: Mapping[str, object], name: str, cast, path: object, index: int):

@@ -456,6 +456,210 @@ class TestControlLog:
         recovered.close()
 
 
+def _snapshot_file(root, key):
+    """``(inode, bytes, frames)`` of one shard's snapshot, every byte decoded."""
+    path = root / "snapshots" / f"shard-{key}.snap"
+    data = path.read_bytes()
+    frames, valid = decode_wal_frames(data)
+    assert valid == len(data)
+    return path.stat().st_ino, data, frames
+
+
+def _filling_batches(count):
+    """``count`` batches that fill shard 0 in time order, each starting on
+    the previous one's last timestamp (an in-order absorb keeps a tie after
+    the records already held)."""
+    return [
+        [_record(oid, (oid + step) % 5, 1.5 * step + oid * 0.375) for oid in range(5)]
+        for step in range(count)
+    ]
+
+
+def _run_tape(store, tape):
+    """Apply ``tape`` until it ends or the store's injected crash:
+    ``(the ops that returned, the op in flight or None)``."""
+    applied = []
+    for op, arg in tape:
+        try:
+            if op == "ingest":
+                store.ingest_batch(arg)
+            elif op == "evict":
+                store.evict_before(arg)
+            else:
+                store.checkpoint()
+        except SimulatedCrashError:
+            return applied, (op, arg)
+        applied.append((op, arg))
+    return applied, None
+
+
+#: One op tape whose checkpoints at ``snapshot_every_batches=1`` write a
+#: base frame, append a delta, rewrite the snapshot an out-of-order batch
+#: re-sorted, append to the rewritten file beside a new shard's base frame,
+#: and meet an eviction.
+DELTA_TAPE = [
+    ("ingest", [_record(1, 0, 1.0), _record(2, 1, 2.0)]),
+    ("ingest", [_record(2, 2, 3.0)]),
+    ("ingest", [_record(3, 1, 2.5)]),
+    ("ingest", [_record(3, 0, 5.0), _record(1, 0, 12.0)]),
+    ("evict", 10.0),
+]
+
+
+class TestSnapshotFile:
+    """A snapshot file is a base frame plus in-order delta frames: a
+    checkpoint appends a still-filling shard's new records to its file, and
+    replaces the file only after an out-of-order absorb re-sorted the shard."""
+
+    @staticmethod
+    def _store(root, **config):
+        return DurableRecordStore(
+            root,
+            shard_seconds=SHARD_SECONDS,
+            config=DurabilityConfig(snapshot_every_batches=1, **config),
+        )
+
+    def test_a_cadence_checkpoint_of_a_filling_shard_appends_one_frame(self, tmp_path):
+        store = self._store(tmp_path)
+        batches = _filling_batches(4)
+        store.ingest_batch(batches[0])
+        inode, data, frames = _snapshot_file(tmp_path, 0)
+        assert len(frames) == 1
+        for step, batch in enumerate(batches[1:], start=2):
+            store.ingest_batch(batch)
+            now_inode, now_data, now_frames = _snapshot_file(tmp_path, 0)
+            assert now_inode == inode
+            assert now_data.startswith(data) and len(now_frames) == len(frames) + 1
+            delta = _comparable(now_frames[-1])
+            assert delta == {
+                "shard": 0, "version": step, "through": step, "packed": batch
+            }
+            data, frames = now_data, now_frames
+        store.close()
+
+    def test_the_file_stores_no_record_twice(self, tmp_path):
+        store = self._store(tmp_path, fsync="never")
+        for batch in _filling_batches(6):
+            store.ingest_batch(batch)
+        _inode, data, frames = _snapshot_file(tmp_path, 0)
+        [(key, version, records)] = store.shard_states()
+        one_frame = encode_snapshot_frame(key, version, version, records)
+        overhead = len(encode_snapshot_frame(key, version, version, []))
+        assert len(frames) == 6
+        assert len(data) == len(one_frame) + (len(frames) - 1) * overhead
+        store.close()
+
+    def test_an_out_of_order_batch_rewrites_the_file_as_one_frame(self, tmp_path):
+        store = self._store(tmp_path)
+        oracle = ShardedRecordStore(shard_seconds=SHARD_SECONDS)
+        batches = _filling_batches(3)
+        for batch in batches[:2]:
+            store.ingest_batch(batch)
+            oracle.ingest_batch(batch)
+        before = _snapshot_file(tmp_path, 0)[0]
+        late = [_record(7, 3, 1.25)]
+        store.ingest_batch(late)
+        oracle.ingest_batch(late)
+        inode, _data, frames = _snapshot_file(tmp_path, 0)
+        assert inode != before
+        [(_key, version, records)] = oracle.shard_states()
+        assert [_comparable(frame) for frame in frames] == [
+            {"shard": 0, "version": version, "through": 3, "packed": list(records)}
+        ]
+        # The rewritten file takes deltas again.
+        store.ingest_batch(batches[2])
+        assert _snapshot_file(tmp_path, 0)[0] == inode
+        assert len(_snapshot_file(tmp_path, 0)[2]) == 2
+        store.close()
+
+    def test_a_reopened_multi_frame_shard_loads_lazily_and_equals_the_oracle(
+        self, tmp_path
+    ):
+        store = self._store(tmp_path)
+        oracle = ShardedRecordStore(shard_seconds=SHARD_SECONDS)
+        for batch in _filling_batches(5) + [[_record(1, 1, 14.0)]]:
+            store.ingest_batch(batch)
+            oracle.ingest_batch(batch)
+        store.close()
+        assert len(_snapshot_file(tmp_path, 0)[2]) == 5
+
+        recovered = DurableRecordStore(tmp_path)
+        assert recovered.recovery_report["shards_loaded_lazily"] == 2
+        assert recovered.records_materialised == 0
+        assert _state_matches(recovered, oracle)
+        # A recovered shard's file still takes a delta, and recovers again.
+        tail = [_record(4, 2, 8.0)]
+        recovered.ingest_batch(tail)
+        oracle.ingest_batch(tail)
+        recovered.checkpoint()
+        recovered.close()
+        assert len(_snapshot_file(tmp_path, 0)[2]) == 6
+        with DurableRecordStore(tmp_path) as again:
+            assert _state_matches(again, oracle)
+
+    def test_a_failed_append_is_replaced_by_the_next_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        """An append that raises (here its fsync) may have left bytes behind:
+        the next checkpoint replaces the file instead of appending to it."""
+        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
+        oracle = ShardedRecordStore(shard_seconds=SHARD_SECONDS)
+        first, second = _filling_batches(2)
+        store.ingest_batch(first)
+        oracle.ingest_batch(first)
+        store.checkpoint()
+        store.ingest_batch(second)
+        oracle.ingest_batch(second)
+
+        def failing_fsync(fd):
+            raise OSError("injected fsync failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(OSError):
+                store.checkpoint()
+        assert len(_snapshot_file(tmp_path, 0)[2]) == 2  # the append landed
+        store.checkpoint()
+        [(_key, version, records)] = oracle.shard_states()
+        assert [_comparable(frame) for frame in _snapshot_file(tmp_path, 0)[2]] == [
+            {"shard": 0, "version": version, "through": 2, "packed": list(records)}
+        ]
+        store.close()
+        with DurableRecordStore(tmp_path) as reopened:
+            assert _state_matches(reopened, oracle)
+
+    @pytest.mark.parametrize("fsync", ["never", "batch", "always"])
+    def test_a_crash_at_every_write_of_the_delta_tape(self, fsync, tmp_path):
+        """``DELTA_TAPE`` at cadence 1, crashed before each of its writes in
+        turn (and not at all): the recovered state is the rolled-back or the
+        committed oracle of the op in flight, and a batch ingested after the
+        recovery survives the next one."""
+        with self._store(tmp_path / "dry", fsync=fsync) as dry:
+            _run_tape(dry, DELTA_TAPE)
+            writes = dry._writes_done
+        for budget in range(writes + 1):
+            root = tmp_path / str(budget)
+            store = self._store(root, fsync=fsync, fail_after_writes=budget)
+            applied, crashed_op = _run_tape(store, DELTA_TAPE)
+            assert (crashed_op is None) == (budget == writes)
+            store.close()
+
+            # The policy shaped what the crash left; recovery needs no fsync.
+            recovered = self._store(root, fsync="never")
+            candidates = [_build_oracle(applied)]
+            if crashed_op is not None and crashed_op[0] != "checkpoint":
+                candidates.append(_build_oracle(applied + [crashed_op]))
+            matches = [oracle for oracle in candidates if _state_matches(recovered, oracle)]
+            assert matches, f"budget {budget}: neither legal state (crashed op {crashed_op})"
+            oracle = matches[0]
+            tail = [_record(5, 1, 19.0)]
+            recovered.ingest_batch(tail)
+            oracle.ingest_batch(tail)
+            recovered.close()
+            with DurableRecordStore(root) as again:
+                assert _state_matches(again, oracle), budget
+
+
 class TestDurableEviction:
     def test_watermark_survives_restart_and_boundary_semantics(self, tmp_path):
         store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
@@ -884,6 +1088,46 @@ def _rewrite_snapshot(version, holds_records):
     return damage
 
 
+def _append_deltas(*frames, torn=False, flip_frame=None):
+    """A damage function: shard 1's snapshot (version 1, through 1) gains
+    the delta frames ``(shard, version, through)``, each holding one record,
+    the last cut three bytes short when ``torn``; ``flip_frame`` flips a bit
+    in the middle of that frame's body."""
+
+    def damage(root):
+        path = root / "snapshots" / "shard-1.snap"
+        encoded = [path.read_bytes()] + [
+            encode_snapshot_frame(shard, version, through, [_record(1, 1, 19.5)])
+            for shard, version, through in frames
+        ]
+        if torn:
+            encoded[-1] = encoded[-1][:-3]
+        if flip_frame is not None:
+            frame = bytearray(encoded[flip_frame])
+            frame[len(frame) // 2] ^= 0x10
+            encoded[flip_frame] = bytes(frame)
+        path.write_bytes(b"".join(encoded))
+        return path
+
+    return damage
+
+
+def _length_hit_beside_a_segment(root):
+    """A damage function: shard 1's snapshot gains two delta frames, the
+    first with the top bit of its length field flipped, so that it claims
+    bytes past the end as a torn frame does; and shard 1 has a committed
+    segment frame, so a cut would find one and drop the second delta."""
+    path = _append_deltas((1, 2, 2), (1, 3, 3))(root)
+    data = bytearray(path.read_bytes())
+    data[8 + struct.unpack_from(">I", data)[0]] ^= 0x80
+    path.write_bytes(bytes(data))
+    with open(root / "control.wal", "ab") as handle:
+        handle.write(encode_wal_frame({"kind": "commit", "seq": 4}))
+    segment = encode_segment_frame(4, [_record(1, 1, 19.75)])
+    (root / "wal" / "segment-1.wal").write_bytes(segment)
+    return path
+
+
 class TestCorruptionIsLoud:
     @pytest.mark.parametrize(
         "damage",
@@ -922,6 +1166,25 @@ class TestCorruptionIsLoud:
             pytest.param(
                 _rewrite_snapshot(1, holds_records=False), id="snapshot-holding-no-record"
             ),
+            pytest.param(
+                _append_deltas((1, 2, 2), (1, 3, 3), flip_frame=1),
+                id="snapshot-bit-flipped-in-a-frame-before-the-last",
+            ),
+            pytest.param(_append_deltas((2, 2, 2)), id="snapshot-delta-of-another-shard"),
+            pytest.param(
+                _append_deltas((1, 1, 2)), id="snapshot-delta-version-not-advancing"
+            ),
+            pytest.param(
+                _append_deltas((1, 2, 1)), id="snapshot-delta-through-not-advancing"
+            ),
+            pytest.param(
+                _append_deltas((1, 2, 2), torn=True),
+                id="snapshot-torn-last-frame-after-its-segment-was-folded",
+            ),
+            pytest.param(
+                _length_hit_beside_a_segment,
+                id="snapshot-length-field-hit-before-the-last-frame",
+            ),
         ],
     )
     def test_uninterpretable_files_refuse_the_open_by_name(self, damage, tmp_path):
@@ -939,6 +1202,34 @@ class TestCorruptionIsLoud:
             DurableRecordStore(tmp_path)
         assert str(damaged) in str(excinfo.value)
         assert _tree(tmp_path) == before
+
+    def test_a_torn_last_frame_is_cut_while_its_segment_holds_the_records(
+        self, tmp_path
+    ):
+        """A crash mid-append leaves a delta frame cut short; the checkpoint
+        writing it had deleted no segment, so the open cuts the frame and
+        replays the segment: the state before that checkpoint."""
+        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
+        oracle = ShardedRecordStore(shard_seconds=SHARD_SECONDS)
+        first, second = _filling_batches(2)
+        for batch in (first, second):
+            store.ingest_batch(batch)
+            oracle.ingest_batch(batch)
+            if batch is first:
+                store.checkpoint()
+        store.close()
+        path = tmp_path / "snapshots" / "shard-0.snap"
+        base = path.read_bytes()
+        with open(path, "ab") as handle:
+            handle.write(encode_snapshot_frame(0, 2, 2, second)[:-5])
+
+        recovered = DurableRecordStore(tmp_path)
+        assert recovered.recovery_report["torn_tails_truncated"] == 1
+        assert recovered.recovery_report["frames_replayed"] == 1
+        assert _state_matches(recovered, oracle)
+        recovered.close()
+        _inode, data, frames = _snapshot_file(tmp_path, 0)
+        assert data != base and len(frames) == 1  # the recovery rewrote it whole
 
 
 # ----------------------------------------------------------------------

@@ -363,7 +363,7 @@ STREAM_SITES = {  # one reader (a decoder each connection builds), one listener,
     "create_server": "stream.py:FrameServer._listen", "create_connection": "client.py:_dial"}
 FRAMES = """_FRAME_HEADER SEGMENT_MAGIC _SEGMENT_PREFIX SNAPSHOT_MAGIC _SNAPSHOT_PREFIX _frame_bytes
     encode_wal_frame encode_segment_frame encode_snapshot_frame _parse_frame_body decode_wal_frames
-    _field frame_records _legacy_json_records""".split()
+    _field frame_records _legacy_json_records torn_snapshot_frame""".split()
 FLAGS = ["primary --compact-above-bytes", "primary --shard-seconds", "primary --snapshot-every",
          "replica --reconnect-retries", "router --reconnect-retries", "router --freshness-timeout",
          *(f"{role} --presence-capacity" for role in ("primary", "replica", "router"))]
