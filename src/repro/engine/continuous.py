@@ -44,7 +44,12 @@ versioning was built to avoid.  This module closes the loop:
   instead of silently serving a result computed from truncated history;
 * each applied refresh and each eviction calls the subscription's one hook,
   :attr:`Subscription.on_change`, which reads the new state from
-  :attr:`Subscription.result` (a result, or the raised eviction).
+  :attr:`Subscription.result` (a result, or the raised eviction);
+* every registration and removal is handed to the table
+  (:meth:`~repro.storage.sharded.ShardedRecordStore.log_standing_query`),
+  and :meth:`ContinuousQueryEngine.restore_subscriptions` re-registers what
+  it keeps (:meth:`~repro.storage.sharded.ShardedRecordStore.standing_queries`):
+  a durable table logs them beside its data, a volatile one keeps nothing.
 
 :meth:`ContinuousQueryEngine.resync` walks the same steps with no receipt
 (nothing is carried over), after a store reset that fired no events.
@@ -55,9 +60,6 @@ against a polling client that re-issues every standing query after each batch.
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
 import time
 from dataclasses import dataclass
 from typing import (
@@ -73,15 +75,12 @@ from typing import (
 from ..core.nested_loop import accumulate_flows_over_entries, score_query_over_entries
 from ..core.query import TkPLQResult, TkPLQuery
 from ..storage import (
-    DurabilityConfig,
-    DurableRecordStore,
     EvictedRangeError,
     EvictionEvent,
     IngestEvent,
     IngestReceipt,
     ShardedRecordStore,
 )
-from ..storage.durable import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cache import StoredPresence
@@ -199,9 +198,22 @@ class Subscription:
         }
 
 
-def _subscription_from_manifest(entry: Dict[str, object]) -> Subscription:
-    """One persisted manifest entry as an unregistered :class:`Subscription`
-    (``KeyError`` / ``TypeError`` / ``ValueError`` when it is malformed)."""
+def _entry(subscription: Subscription) -> Dict[str, object]:
+    """The entry the table keeps for a standing query."""
+    entry: Dict[str, object] = {
+        "id": subscription.sub_id,
+        "kind": subscription.kind,
+        "slocs": list(subscription.sloc_ids),
+        "window": [subscription.window[0], subscription.window[1]],
+    }
+    if subscription.query is not None:
+        entry["k"] = subscription.query.k
+    return entry
+
+
+def _subscription_from_entry(entry: dict) -> Subscription:
+    """One kept entry as an unregistered :class:`Subscription` (``KeyError`` /
+    ``TypeError`` / ``ValueError`` / ``IndexError`` when it is malformed)."""
     sub_id = int(entry["id"])
     window = (float(entry["window"][0]), float(entry["window"][1]))
     sloc_ids = tuple(int(sloc) for sloc in entry["slocs"])
@@ -228,27 +240,20 @@ class ContinuousQueryEngine:
         and indoor model answer the standing queries.
     iupt:
         The streaming table to subscribe to.  Every ``ingest_batch`` /
-        ``evict_before`` on it triggers maintenance.
-    manifest_path:
-        When set, every registered standing query is mirrored into a JSON
-        manifest at this path (rewritten atomically on each register /
-        unregister), and :meth:`restore_subscriptions` re-registers the
-        persisted queries — with their original subscription ids — after a
-        process restart.  The query service points this at the durable
-        store's :attr:`~repro.storage.durable.DurableRecordStore.subscription_manifest_path`
-        so standing subscriptions survive together with the data they watch.
+        ``evict_before`` on it triggers maintenance, and it keeps the
+        registered standing queries: a durable table logs each one, and
+        :meth:`restore_subscriptions` re-registers them — with their
+        original subscription ids — after a process restart.
     """
 
-    def __init__(
-        self,
-        engine: "QueryEngine",
-        iupt: ShardedRecordStore,
-        manifest_path: Optional["os.PathLike[str] | str"] = None,
-    ):
+    def __init__(self, engine: "QueryEngine", iupt: ShardedRecordStore):
         self._engine = engine
         self._iupt = iupt
         self._subscriptions: Dict[int, Subscription] = {}
-        self._next_id = 1
+        # New ids start above every kept one, so a registration never reuses
+        # the id of a standing query this engine has not restored.
+        kept = [int(entry["id"]) for entry in iupt.standing_queries()]
+        self._next_id = 1 + max(kept, default=0)
         # Subscription state is synchronised on the *store's* re-entrant
         # lock rather than a private one: events arrive with that lock
         # already held (listeners fire inside the mutation), and
@@ -257,16 +262,6 @@ class ContinuousQueryEngine:
         # the lock serialises concurrent ``ingest_batch`` threads' refreshes
         # against each other and against registration.
         self._lock = iupt.lock
-        self._manifest_path = (
-            pathlib.Path(manifest_path) if manifest_path is not None else None
-        )
-        # The manifest is written by the store's own atomic-write rule, under
-        # its fsync policy: a subscribe acknowledged under "always" survives
-        # an OS crash like an ingest does.  A volatile table has no policy of
-        # its own and gets the default one.
-        self._manifest_fsync = (
-            iupt.config if isinstance(iupt, DurableRecordStore) else DurabilityConfig()
-        ).fsync
         self._token: Optional[int] = iupt.subscribe(self._on_event)
 
     # ------------------------------------------------------------------
@@ -332,32 +327,24 @@ class ContinuousQueryEngine:
         with self._lock:
             # Mint the id under the lock: concurrent registrations (the
             # query service runs them on worker threads) must never collide
-            # — the persisted manifest and the wire ``resume`` op key on it.
+            # — the table's log and the wire ``resume`` op key on it.
             subscription.sub_id = self._next_id
-            self._admit(subscription, restored=False)
-            self._persist_manifest()
-            return subscription
-
-    def _admit(self, subscription: Subscription, restored: bool) -> None:
-        """Compute a subscription's first result and register it (under the
-        lock).  A window already below the retention watermark raises, unless
-        the subscription is being restored: then it is registered evicted."""
-        self._next_id = max(self._next_id, subscription.sub_id + 1)
-        try:
+            self._next_id += 1
             self._compute(subscription)
-        except EvictedRangeError as error:
-            if not restored:
-                raise
-            subscription._error = error
-        self._subscriptions[subscription.sub_id] = subscription
+            # Kept by the table before it is registered: a failed append
+            # leaves it nowhere.
+            self._iupt.log_standing_query(subscription.sub_id, _entry(subscription))
+            self._subscriptions[subscription.sub_id] = subscription
+            return subscription
 
     def unregister(self, subscription: Subscription) -> bool:
         """Drop a subscription; returns whether it was registered."""
         with self._lock:
-            removed = self._subscriptions.pop(subscription.sub_id, None) is not None
-            if removed:
-                self._persist_manifest()
-            return removed
+            registered = subscription.sub_id in self._subscriptions
+            if registered:
+                self._iupt.log_standing_query(subscription.sub_id, None)
+                del self._subscriptions[subscription.sub_id]
+            return registered
 
     def subscription(self, sub_id: int) -> Optional[Subscription]:
         """Look up a registered subscription by id (``None`` if unknown)."""
@@ -365,30 +352,12 @@ class ContinuousQueryEngine:
             return self._subscriptions.get(sub_id)
 
     # ------------------------------------------------------------------
-    # Manifest persistence
+    # Restart
     # ------------------------------------------------------------------
-    def _persist_manifest(self) -> None:
-        """Mirror the registered standing queries to disk (under the lock)."""
-        if self._manifest_path is None:
-            return
-        entries = []
-        for subscription in self._subscriptions.values():
-            entry: Dict[str, object] = {
-                "id": subscription.sub_id,
-                "kind": subscription.kind,
-                "slocs": list(subscription.sloc_ids),
-                "window": [subscription.window[0], subscription.window[1]],
-            }
-            if subscription.query is not None:
-                entry["k"] = subscription.query.k
-            entries.append(entry)
-        data = json.dumps(entries, indent=2).encode("utf-8")
-        atomic_write(self._manifest_path, data, self._manifest_fsync)
-
     def restore_subscriptions(self) -> List[Subscription]:
-        """Re-register the standing queries persisted in the manifest.
+        """Re-register the standing queries the table keeps.
 
-        Called once after recovering a durable table: each manifest entry is
+        Called once after recovering a durable table: each kept entry is
         re-admitted under its **original subscription id** and its result is
         recomputed from the recovered data, so a client reconnecting after a
         restart can resume the same subscription.  A window that retention
@@ -396,36 +365,35 @@ class ContinuousQueryEngine:
         state (reading its result raises
         :class:`~repro.storage.base.EvictedRangeError`) rather than dropped
         silently.  Entries already registered are skipped; returns the
-        restored subscriptions.  A manifest that does not parse — truncated,
-        not a list, an entry missing a field or of an unknown kind, an entry
-        :class:`~repro.core.query.TkPLQuery`'s checks refuse, or an S-location
-        id the floor plan does not know — raises a ``ValueError`` naming the
-        file before anything is registered, the rule snapshots and log frames
-        follow.
+        restored subscriptions.  An entry that does not parse — missing a
+        field or of an unknown kind, one
+        :class:`~repro.core.query.TkPLQuery`'s checks refuse, or naming an
+        S-location id the floor plan does not know — raises a ``ValueError``
+        naming the standing query's id before anything is registered, the
+        rule snapshots and log frames follow.
         """
-        path = self._manifest_path
-        if path is None or not path.exists():
-            return []
-        try:
-            entries = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(entries, list):
-                raise TypeError(f"a list of entries, not {type(entries).__name__}")
-            parsed = [_subscription_from_manifest(entry) for entry in entries]
-            context = self._engine.pipeline.context  # the one unknown-id rule
-            for subscription in parsed:
+        context = self._engine.pipeline.context  # the one unknown-id rule
+        parsed: List[Subscription] = []
+        for entry in self._iupt.standing_queries():
+            try:
+                subscription = _subscription_from_entry(entry)
                 context(subscription.window, subscription.sloc_ids)
-        except (ValueError, KeyError, TypeError, IndexError) as error:
-            raise ValueError(
-                f"{path}: damaged subscription manifest: {error!r}"
-            ) from error
+            except (ValueError, KeyError, TypeError, IndexError) as error:
+                raise ValueError(
+                    f"standing query {entry['id']}: damaged entry: {error!r}"
+                ) from error
+            parsed.append(subscription)
         with self._lock:
             restored: List[Subscription] = []
             for subscription in parsed:
-                if subscription.sub_id not in self._subscriptions:
-                    self._admit(subscription, restored=True)
-                    restored.append(subscription)
-            if restored:
-                self._persist_manifest()
+                if subscription.sub_id in self._subscriptions:
+                    continue
+                try:
+                    self._compute(subscription)
+                except EvictedRangeError as error:
+                    subscription._error = error
+                self._subscriptions[subscription.sub_id] = subscription
+                restored.append(subscription)
         return restored
 
     # ------------------------------------------------------------------

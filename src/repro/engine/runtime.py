@@ -143,18 +143,16 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Continuous queries
     # ------------------------------------------------------------------
-    def continuous(
-        self, iupt: ShardedRecordStore, manifest_path=None
-    ) -> ContinuousQueryEngine:
+    def continuous(self, iupt: ShardedRecordStore) -> ContinuousQueryEngine:
         """Attach a continuous-query engine to ``iupt``.
 
         Standing queries registered with the returned
         :class:`~repro.engine.continuous.ContinuousQueryEngine` are refreshed
         incrementally after every ``ingest_batch`` / ``evict_before`` on the
-        table.  ``manifest_path`` persists the registered queries so they can
-        be restored after a restart (used with durable tables).
+        table, which keeps them (a durable table logs them, so they can be
+        restored after a restart).
         """
-        return ContinuousQueryEngine(self, iupt, manifest_path=manifest_path)
+        return ContinuousQueryEngine(self, iupt)
 
     # ------------------------------------------------------------------
     # Batched evaluation

@@ -18,7 +18,6 @@ from typing import Dict, List
 from ..core import DataReducer, DataReductionConfig, TkPLQuery
 from ..core.paths import candidate_path_count
 from ..engine import QueryEngine
-from ..eval import run_methods, table_row
 from ..space import IndoorLocationMatrix
 from ..storage import ShardedRecordStore
 from . import config
@@ -188,13 +187,3 @@ def _poll(engine, table, queries, summary: Dict[str, float]) -> None:
     summary["refreshes"] += len(queries)
     summary["elapsed_seconds"] += time.perf_counter() - began
 
-
-def ablation_algorithms(scale: str = "small") -> List[Dict[str, object]]:
-    """Head-to-head of the three search algorithms with and without reduction."""
-    scenario = config.scenario("real", scale)
-    setting = config.default_setting("real", scale)
-    methods = ("naive", "nl", "bf", "naive-org", "nl-org", "bf-org")
-    outcomes = run_methods(
-        scenario, methods, setting.queries(scenario)[0], setting.sc_rho, setting.mc_rounds
-    )
-    return [table_row([outcome]) for outcome in outcomes]

@@ -8,7 +8,7 @@ setting of :mod:`repro.experiments.config`: ``mss``, ``max_period_seconds``
 any other key a :class:`~repro.experiments.runner.QuerySetting` field.
 :func:`run_experiment` yields one :func:`~repro.experiments.runner.evaluate`
 row block per point, labelled with the point (``repeats`` shows as the rows'
-``queries``).  The four reproduction-specific ablations are functions in the
+``queries``).  The three reproduction-specific ablations are functions in the
 same table.
 """
 
@@ -92,7 +92,6 @@ EXPERIMENTS = {
     "ablation_reduction": ablations.ablation_reduction,
     "ablation_indexes": ablations.ablation_indexes,
     "ablation_continuous": ablations.ablation_continuous,
-    "ablation_algorithms": ablations.ablation_algorithms,
 }
 
 

@@ -401,8 +401,8 @@ class ServiceClient:
     async def resume_subscription(self, sub_id: int) -> RemoteSubscription:
         """Re-attach to a standing subscription that survived a restart.
 
-        The server restores standing queries from the durable store's
-        manifest on start; resuming returns the current maintained result
+        The server restores standing queries from the durable table's
+        control log on start; resuming returns the current maintained result
         and routes subsequent pushes to this connection.
         """
         result = await self.request("subscribe", resume=sub_id)

@@ -159,7 +159,7 @@ class QueryService(FrameServer):
         self.engine = engine
         self.iupt = iupt
         #: The served table when it is durable, else ``None`` — the one
-        #: answer to "is there a log, a manifest, something to flush?".
+        #: answer to "is there a log, something to flush or checkpoint?".
         #: (Compare with ``is not None``: an empty store is falsy.)
         self._durable: Optional[DurableRecordStore] = (
             iupt if isinstance(iupt, DurableRecordStore) else None
@@ -207,35 +207,26 @@ class QueryService(FrameServer):
     async def start(self) -> Tuple[str, int]:
         """Bind, attach the continuous engine, and begin accepting clients.
 
-        Over a **durable** table this is also the recovery hook: the
-        continuous engine is pointed at the store's subscription manifest
-        and every persisted standing query is re-registered (with its
-        original subscription id) before the first client connects, so
-        subscriptions survive a service restart — a reconnecting client
-        re-attaches with ``subscribe {"resume": <id>}``.
+        This is also the recovery hook: every standing query the table keeps
+        (a durable table's control log holds them; a volatile one keeps
+        none) is re-registered with its original subscription id before the
+        first client connects, so subscriptions survive a service restart —
+        a reconnecting client re-attaches with ``subscribe {"resume": <id>}``.
         """
         if self._server is not None:
             raise RuntimeError("service already started")
         self._loop = asyncio.get_running_loop()
         self._pool.start(self._loop)
-        manifest_path = (
-            self._durable.subscription_manifest_path
-            if self._durable is not None
-            else None
-        )
-        self.continuous = self.engine.continuous(
-            self.iupt, manifest_path=manifest_path
-        )
-        if manifest_path is not None:
-            try:
-                # Registration recomputes each standing result (store lock).
-                await self._pool.run_blocking(self.continuous.restore_subscriptions)
-            except BaseException:
-                # A manifest that cannot be read refuses the start: nothing
-                # listens, and nothing is left running.
-                self.continuous.close()
-                self._pool.stop()
-                raise
+        self.continuous = self.engine.continuous(self.iupt)
+        try:
+            # Registration recomputes each standing result (store lock).
+            await self._pool.run_blocking(self.continuous.restore_subscriptions)
+        except BaseException:
+            # A kept entry that cannot be read refuses the start: nothing
+            # listens, and nothing is left running.
+            self.continuous.close()
+            self._pool.stop()
+            raise
         return await self._listen()
 
     @property
@@ -266,8 +257,8 @@ class QueryService(FrameServer):
         # Detach every connection's standing subscriptions NOW, before the
         # first await: a client that disconnects while the drain waits on
         # in-flight requests must not unregister them (unregistration drops
-        # durable subscriptions from the persisted manifest, so they would
-        # miss the restart a drain precedes).
+        # durable subscriptions from the table's log, so they would miss the
+        # restart a drain precedes).
         for connection in tuple(self._connections):
             self._detach_subscriptions(connection)
         if self._request_tasks:
@@ -323,7 +314,7 @@ class QueryService(FrameServer):
         During a **drain** the rule flips: connections are being closed by
         the server, not abandoned by their clients, so subscriptions are
         only detached (their push callbacks cleared) and stay registered —
-        over a durable table that keeps them in the persisted manifest, and
+        over a durable table that keeps them in its control log, and
         a restarted service restores them for clients to ``resume``.
         """
         if connection.wal_token is not None:
@@ -336,7 +327,7 @@ class QueryService(FrameServer):
             # quiescing the service ahead of a restart): the flipped rule
             # applies from the instant draining began, so a client that
             # disconnects mid-drain cannot drop its subscriptions from the
-            # manifest.
+            # table's log.
             self._detach_subscriptions(connection)
         else:
             orphaned = list(connection.subscriptions.values())
@@ -349,7 +340,7 @@ class QueryService(FrameServer):
 
     def _detach_subscriptions(self, connection: _Connection) -> None:
         """Clear a connection's push hooks, keeping its subscriptions
-        registered (and in the durable manifest) for a post-restart resume.
+        registered (and in a durable table's log) for a post-restart resume.
 
         Hook reads happen under the store lock at fire time; plain
         assignment is atomic and races at worst with one final push, which
@@ -593,7 +584,7 @@ class QueryService(FrameServer):
     def _attach(self, connection: _Connection, frame: dict):
         """Worker-pool half of ``subscribe``: register a standing query — or,
         with a ``resume`` field, claim one that survived a restart (restored
-        from the durable store's manifest) or a drain — and tie its change
+        from the durable table's log) or a drain — and tie its change
         hook to this connection.
 
         Returns ``(subscription, response_payload)``; the caller ties the

@@ -36,14 +36,22 @@ listeners and watermark — that writes the log before it applies a mutation:
   frame (:func:`atomic_write`: a temp file and ``os.replace``) when it has
   none yet, after an out-of-order absorb re-sorted the shard, or when it is
   JSON-era.  So the file never holds a record twice.  The base frame of the
-  control log is *appended* to it too; the log is replaced by that one frame
-  only by the checkpoint that ends a recovery, and by a checkpoint at which
-  the log holds more bytes than the segments it folds away.  So the log
-  never outgrows one checkpoint interval's WAL plus one base frame, and
-  most checkpoints free no blocks: replacing or deleting a synced file
-  costs 40–70 ms on an ext4 filesystem mounted with ``discard``, and stalls
-  concurrent fsyncs, against 0.01 ms for an append.
+  control log is *appended* to it too.  One size rule rewrites the log: a
+  checkpoint at which it holds more bytes than the segments the checkpoint
+  folds away plus the live standing queries replaces it with the base frame
+  followed by one ``subscribe`` frame per live standing query.  So the log
+  never outgrows one checkpoint interval's WAL plus one base frame and the
+  live registrations, and most checkpoints free no blocks: replacing or
+  deleting a synced file costs 40–70 ms on an ext4 filesystem mounted with
+  ``discard``, and stalls concurrent fsyncs, against 0.01 ms for an append.
   ``DurabilityConfig.snapshot_every_batches`` is the one automatic trigger;
+* **standing queries** — the continuous engine hands every registration and
+  removal to :meth:`DurableRecordStore.log_standing_query`, which appends a
+  ``subscribe`` (the query's entry) or ``unsubscribe`` (its id) frame to the
+  control log under the fsync policy, as a watermark record is; recovery
+  collects the live set and :meth:`DurableRecordStore.standing_queries`
+  hands it back.  A ``subscriptions.json`` an older build kept beside the
+  log is folded into it once at recovery and then deleted;
 * **eviction** — :meth:`~repro.storage.sharded.ShardedRecordStore.evict_before`
   first persists a watermark record (the logical commit of the eviction),
   then drops the shards in memory and deletes their segment and snapshot
@@ -215,8 +223,8 @@ def atomic_write(path: pathlib.Path, data: bytes, fsync: str) -> None:
     the bytes; without the second, recovery can see the pre-replace file (or
     none at all).  A snapshot's base frame (a new file, or one an
     out-of-order absorb or the JSON era keeps from taking a delta), the
-    manifest, a rewritten control log and the continuous engine's
-    subscription manifest are all written here.
+    manifest and a control log rewritten by the size rule are all written
+    here.
     """
     sync = fsync != "never"
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -230,6 +238,11 @@ def atomic_write(path: pathlib.Path, data: bytes, fsync: str) -> None:
         fsync_dir(path.parent)
 
 
+def _subscribe_frame(entry: dict) -> bytes:
+    """The control-log frame that keeps one standing query."""
+    return encode_wal_frame({"kind": "subscribe", "query": entry})
+
+
 class DurableRecordStore(ShardedRecordStore):
     """A :class:`~repro.storage.sharded.ShardedRecordStore` that survives
     restarts.
@@ -239,8 +252,9 @@ class DurableRecordStore(ShardedRecordStore):
     constructor argument only seeds a brand-new store).  Queries and
     introspection are the sharded store's own; a mutation is logged first
     (the hooks :meth:`_log_batch`, :meth:`_log_eviction` and
-    :meth:`_evicted`), applied second, then announced to the listeners (see
-    the module docstring).
+    :meth:`_evicted`), applied second, then announced to the listeners, and
+    the standing queries live in the control log (:meth:`log_standing_query`,
+    :meth:`standing_queries`; see the module docstring).
     """
 
     kind = "durable"
@@ -277,6 +291,8 @@ class DurableRecordStore(ShardedRecordStore):
         #: (checkpoint compaction folded them into snapshots).
         self._last_committed_seq = 0
         self._wal_base_seq = 0
+        #: The live standing queries: id -> the entry its subscribe frame holds.
+        self._standing: Dict[int, dict] = {}
         manifest = self._load_or_create_manifest(float(shard_seconds))
         super().__init__(shard_seconds=manifest["shard_seconds"])
         # A store recovered from its directory IS the same logical store:
@@ -285,12 +301,12 @@ class DurableRecordStore(ShardedRecordStore):
         self.recovery_report: Dict[str, object] = {}
         self._recover()
         if self.recovery_report["segments_seen"]:
-            # Leave the directory canonical (snapshots only, a one-frame
-            # control log): the next recovery replays nothing, crash garbage
-            # — uncommitted or already-compacted frames — is purged, and a
-            # pre-5.0 directory's JSON frames never share a segment with ours.
+            # Leave no segment behind: the next recovery replays nothing,
+            # crash garbage — uncommitted or already-compacted frames — is
+            # purged, and a pre-5.0 directory's JSON frames never share a
+            # segment with ours.
             with self._lock:
-                self._checkpoint_locked(rewrite=True)
+                self._checkpoint_locked()
 
     # ------------------------------------------------------------------
     # Manifest
@@ -322,10 +338,13 @@ class DurableRecordStore(ShardedRecordStore):
     # Recovery
     # ------------------------------------------------------------------
     def _recover(self) -> None:
-        # Snapshots first: a damaged one refuses the open before the log
-        # scan has repaired (rewritten) anything.
+        # Snapshots and an older build's subscriptions file first: a damaged
+        # one refuses the open before the log scan has repaired (rewritten)
+        # anything.
         snapshots, torn_snapshots = self._read_snapshots()
-        committed, watermark, base_next, segments, torn = self._scan_log(repair=True)
+        older = self._read_subscriptions_file()
+        scan = self._scan_log(repair=True)
+        committed, watermark, base_next, segments, torn, self._standing = scan
         max_seq = max(
             (seq for frames in segments.values() for seq, _frame in frames), default=0
         )
@@ -399,6 +418,14 @@ class DurableRecordStore(ShardedRecordStore):
         # whose cursor is below it must re-catch-up from snapshots.
         self._last_committed_seq = max(max_through, base_next - 1, *committed)
         self._wal_base_seq = self._last_committed_seq
+        if older is not None:
+            # Folded into the log before the file goes: a crash in between
+            # folds it again, and a repeated subscribe frame changes nothing.
+            for entry in older:
+                self.log_standing_query(int(entry["id"]), entry)
+            self._remove_file(self._dir / SUBSCRIPTIONS_NAME)
+            if self.config.fsync != "never":
+                fsync_dir(self._dir)
         self.recovery_report = {
             "shards": self.shard_count,
             "records": len(self),
@@ -481,6 +508,24 @@ class DurableRecordStore(ShardedRecordStore):
             os.truncate(path, valid)
         return snapshots, len(cuts)
 
+    def _read_subscriptions_file(self) -> Optional[List[dict]]:
+        """The standing queries a ``subscriptions.json`` of an older build
+        holds (``None`` without the file): a JSON list of objects, each with
+        an integer ``id``.  Anything else raises a ``ValueError`` naming the
+        file, which stays on disk."""
+        path = self._dir / SUBSCRIPTIONS_NAME
+        if not path.exists():
+            return None
+        try:
+            entries = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(entries, list):
+                raise TypeError(f"a list of entries, not {type(entries).__name__}")
+            for entry in entries:
+                int(entry["id"])  # a TypeError for anything but an object
+        except (ValueError, KeyError, TypeError) as error:
+            raise ValueError(f"{path}: damaged subscriptions file: {error!r}") from error
+        return entries
+
     def _segment_files(self) -> List[Tuple[int, pathlib.Path]]:
         """``(shard key, path)`` of every segment on disk, by *integer* key:
         a batch's slices concatenate in ascending shard key, and file names
@@ -502,15 +547,17 @@ class DurableRecordStore(ShardedRecordStore):
             os.truncate(path, valid)
         return frames, int(torn)
 
-    def _scan_log(
-        self, repair: bool
-    ) -> Tuple[Set[int], float, int, Dict[int, List[Tuple[int, dict]]], int]:
+    def _scan_log(self, repair: bool) -> Tuple[
+        Set[int], float, int, Dict[int, List[Tuple[int, dict]]], int, Dict[int, dict]
+    ]:
         """The one reader of the control log and the segments.
 
-        Returns ``(committed, watermark, base_next, segments, torn)``: the
-        committed sequences, the highest retention watermark, the base
-        record's ``next_seq`` (1 without one), each segment's ``(seq, frame)``
-        list by ascending shard key, and how many torn tails it met.  Only
+        Returns ``(committed, watermark, base_next, segments, torn,
+        standing)``: the committed sequences, the highest retention
+        watermark, the base record's ``next_seq`` (1 without one), each
+        segment's ``(seq, frame)`` list by ascending shard key, how many torn
+        tails it met, and the live standing queries (id -> entry, each
+        ``subscribe`` not followed by an ``unsubscribe`` of its id).  Only
         recovery passes ``repair`` (truncate them): a live store's replay
         never rewrites a file it is appending to.
         """
@@ -518,6 +565,7 @@ class DurableRecordStore(ShardedRecordStore):
         committed: Set[int] = set()
         watermarks = [float("-inf")]
         base_next = 1
+        standing: Dict[int, dict] = {}
         frames, torn = self._read_frames(path, repair)
         for index, frame in enumerate(frames):
             kind, mark = frame.get("kind"), frame.get("watermark")
@@ -525,6 +573,11 @@ class DurableRecordStore(ShardedRecordStore):
                 committed.add(_field(frame, "seq", int, path, index))
             elif kind == "base":
                 base_next = max(base_next, _field(frame, "next_seq", int, path, index))
+            elif kind == "subscribe":
+                entry = _field(frame, "query", dict, path, index)
+                standing[_field(entry, "id", int, path, index)] = entry
+            elif kind == "unsubscribe":
+                standing.pop(_field(frame, "id", int, path, index), None)
             if kind == "watermark" or (kind == "base" and mark is not None):
                 watermarks.append(_field(frame, "watermark", float, path, index))
         segments: Dict[int, List[Tuple[int, dict]]] = {}
@@ -535,7 +588,7 @@ class DurableRecordStore(ShardedRecordStore):
                 (_field(frame, "seq", int, path, index), frame)
                 for index, frame in enumerate(frames)
             ]
-        return committed, max(watermarks), base_next, segments, torn
+        return committed, max(watermarks), base_next, segments, torn, standing
 
     # ------------------------------------------------------------------
     # Fault injection and file plumbing
@@ -679,7 +732,7 @@ class DurableRecordStore(ShardedRecordStore):
             self._ensure_usable()
             return self._checkpoint_locked()
 
-    def _checkpoint_locked(self, rewrite: bool = False) -> Dict[str, int]:
+    def _checkpoint_locked(self) -> Dict[str, int]:
         snapshots_written = 0
         held = self._snapshot_held
         # Only the dirty shards' records their snapshot files lack are copied
@@ -719,13 +772,7 @@ class DurableRecordStore(ShardedRecordStore):
             folded += path.stat().st_size
             self._close_handle(key)
             self._remove_file(path)
-        # The base frame is appended unless the log already holds more bytes
-        # than this checkpoint folded away: one file replacement amortised
-        # over many checkpoints, and a log never longer than one interval's
-        # WAL plus one base frame (module docstring).
-        control = self._dir / CONTROL_NAME
-        held = control.stat().st_size if control.exists() else 0
-        self._write_base(rewrite or held > folded)
+        self._write_base(folded)
         self._batches_since_snapshot = 0
         # Every pre-checkpoint frame is gone: followers behind this point
         # must re-catch-up from snapshots instead of replaying.
@@ -736,14 +783,19 @@ class DurableRecordStore(ShardedRecordStore):
             "records": len(self),
         }
 
-    def _write_base(self, rewrite: bool) -> None:
+    def _write_base(self, folded: int) -> None:
         """Record the checkpoint's ``base`` frame (``next_seq``, watermark).
 
         Appended to the open control log under the fsync policy, like a
-        commit record; ``rewrite`` replaces the log with the base frame alone
-        instead (:func:`atomic_write`).  :meth:`_scan_log` takes the largest
-        ``next_seq`` and watermark wherever the frames sit, so both leave the
-        same state to recover.
+        commit record — unless the log already holds more bytes than the
+        ``folded`` segment bytes plus the live standing queries' frames: the
+        one size rule, under which the base frame and one ``subscribe``
+        frame per live standing query replace the log (:func:`atomic_write`).
+        One file replacement is amortised over many checkpoints, and the log
+        is never longer than one interval's WAL plus one base frame and the
+        registrations.  :meth:`_scan_log` takes the largest ``next_seq`` and
+        watermark wherever the frames sit, and a rewrite keeps every live
+        registration, so both leave the same state to recover.
         """
         watermark = self._watermark
         base = encode_wal_frame(
@@ -753,12 +805,15 @@ class DurableRecordStore(ShardedRecordStore):
                 "watermark": watermark if watermark > float("-inf") else None,
             }
         )
-        if not rewrite:
+        kept = b"".join(map(_subscribe_frame, self._standing.values()))
+        control = self._dir / CONTROL_NAME
+        held = control.stat().st_size if control.exists() else 0
+        if held <= folded + len(kept):
             self._append_frame(CONTROL_NAME, base, self.config.fsync != "never")
             return
         self._close_handle(CONTROL_NAME)
         self._fault_point()
-        atomic_write(self._dir / CONTROL_NAME, base, self.config.fsync)
+        atomic_write(control, base + kept, self.config.fsync)
 
     # ------------------------------------------------------------------
     # Replication: the WAL cursor (live followers subscribe like any listener)
@@ -806,7 +861,8 @@ class DurableRecordStore(ShardedRecordStore):
                     f"cursor {cursor} is below the WAL replay floor "
                     f"{self._wal_base_seq}; re-catch-up from a snapshot"
                 )
-            committed, _mark, _base, segments, _torn = self._scan_log(repair=False)
+            scan = self._scan_log(repair=False)
+            committed, segments = scan[0], scan[3]
             # Segments arrive in ascending integer shard key, so each
             # sequence's slices concatenate in the order they were cut.
             per_seq: Dict[int, List[PositioningRecord]] = {}
@@ -865,6 +921,27 @@ class DurableRecordStore(ShardedRecordStore):
         self._wal_base_seq = self._last_committed_seq
 
     # ------------------------------------------------------------------
+    # Standing queries: control-log records, like a watermark
+    # ------------------------------------------------------------------
+    def standing_queries(self) -> List[dict]:
+        with self._lock:
+            return list(self._standing.values())
+
+    def log_standing_query(self, sub_id: int, entry: Optional[dict]) -> None:
+        """Append the ``subscribe`` / ``unsubscribe`` frame under the fsync
+        policy; the live set changes only once the frame is written."""
+        with self._lock:
+            self._ensure_usable()
+            frame = _subscribe_frame(entry) if entry is not None else encode_wal_frame(
+                {"kind": "unsubscribe", "id": sub_id}
+            )
+            self._append_frame(CONTROL_NAME, frame, self.config.fsync != "never")
+            if entry is None:
+                self._standing.pop(sub_id, None)
+            else:
+                self._standing[sub_id] = entry
+
+    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def flush(self) -> None:
@@ -906,11 +983,6 @@ class DurableRecordStore(ShardedRecordStore):
         so their version tokens compare equal to the primary's.
         """
         return self._uid
-
-    @property
-    def subscription_manifest_path(self) -> pathlib.Path:
-        """Where the continuous-query engine persists standing queries."""
-        return self._dir / SUBSCRIPTIONS_NAME
 
     def describe(self) -> dict:
         summary = super().describe()

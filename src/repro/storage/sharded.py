@@ -230,7 +230,9 @@ class ShardedRecordStore:
 
     A mutation calls a logging hook before it changes a shard
     (:meth:`_log_batch`, :meth:`_log_eviction`) and :meth:`_evicted` before
-    it announces an eviction; here they do nothing, and
+    it announces an eviction, and the continuous engine hands each standing
+    query to :meth:`log_standing_query` and restores from
+    :meth:`standing_queries`; here they do nothing, and
     :class:`~repro.storage.durable.DurableRecordStore` overrides them to
     write its log.
     """
@@ -336,6 +338,20 @@ class ShardedRecordStore:
     def _notify(self, event: object) -> None:
         for listener in list(self._listeners.values()):
             listener(event)
+
+    # ------------------------------------------------------------------
+    # Standing queries: kept by the table that outlives its process
+    # ------------------------------------------------------------------
+    def standing_queries(self) -> List[dict]:
+        """The standing queries this table keeps, oldest first, each the
+        entry :meth:`log_standing_query` was handed; a volatile table keeps
+        none."""
+        return []
+
+    def log_standing_query(self, sub_id: int, entry: Optional[dict]) -> None:
+        """Keep standing query ``sub_id`` (its ``entry``: ``id``, ``kind``,
+        ``slocs``, ``window`` and a top-k query's ``k``) or, with ``None``,
+        drop it.  A volatile table keeps nothing; a durable one logs it."""
 
     # ------------------------------------------------------------------
     # Ingestion

@@ -11,8 +11,9 @@ of three things:
   sequence folded in, and as one ``RPK1`` blob the shard's records (a base
   frame) or the records it gained since the frame before it (a delta);
 * compact **JSON** — the control log's commit / watermark / base records (a
-  few dozen bytes each), and the record frames of a directory written before
-  5.0, which :func:`_legacy_json_records` still reads.
+  few dozen bytes each) and its subscribe / unsubscribe records of standing
+  queries, and the record frames of a directory written before 5.0, which
+  :func:`_legacy_json_records` still reads.
 
 :func:`decode_wal_frames` is the one decoder: it stops at the first torn or
 corrupt frame and reports how many bytes of clean prefix precede it, and

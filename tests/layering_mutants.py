@@ -257,6 +257,13 @@ def rule_breakers(layering):
         returns("synth/positioning.py", "builds a report by the constructor",
                 "SampleSet(samples, normalise=True)"),
         returns("storage/durable.py", "a second spans caller", "_object_spans(batch, times)"),
+        code("engine/continuous.py", "imports the durable module",
+             "def _mutant():\n    from ..storage import durable"),
+        code("engine/runtime.py", "imports the durable store",
+             "def _mutant():\n    from ..storage import DurableRecordStore"),
+        code("engine/stages.py", "imports from the durable module",
+             "def _mutant():\n    from ..storage.durable import fsync_dir"),
+        returns("engine/cache.py", "spells atomic_write", "atomic_write(path, b'', 'never')"),
     ]
 
 

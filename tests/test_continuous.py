@@ -625,8 +625,8 @@ class TestConcurrentRegistration:
     def test_concurrent_registrations_mint_unique_subscription_ids(self):
         """Regression: ids were read OUTSIDE the lock before admission, so
         two worker threads registering at once could mint the same sub_id —
-        one standing query silently replaced the other, and the durable
-        manifest/resume path keys on exactly these ids."""
+        one standing query silently replaced the other, and a durable
+        table's log and the resume path key on exactly these ids."""
         import threading
 
         graph, matrix, plocs, slocs = _small_space()

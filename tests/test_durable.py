@@ -10,8 +10,8 @@ the operations that *returned successfully*.  Recovering the directory must
 reproduce the oracle bit-for-bit: records, ``range_query`` answers,
 per-shard versions (and therefore ``version_token`` values), the retention
 watermark, and TkPLQ rankings computed through a real engine.  The service
-layer's restart path (subscription-manifest restore + ``resume``) is covered
-at the bottom.
+layer's restart path (standing queries restored from the control log +
+``resume``) is covered at the bottom.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.storage import (
     encode_wal_frame,
 )
 from repro.storage.wal import encode_segment_frame, encode_snapshot_frame
+from json_era_store import write_json_era_directory
 
 SHARD_SECONDS = 10.0
 
@@ -372,8 +373,9 @@ def _base_frame(next_seq, watermark=None):
 
 class TestControlLog:
     """A checkpoint appends its base frame to the control log; the log is
-    replaced by that one frame only to end a recovery, or once it holds more
-    bytes than the segments the checkpoint folds away."""
+    replaced by that one frame (and the live standing queries,
+    ``TestStandingQueryLog``) only once it holds more bytes than the segments
+    the checkpoint folds away, the recovery's own checkpoint included."""
 
     def test_a_cadence_checkpoint_appends_one_base_frame(self, tmp_path):
         store = DurableRecordStore(
@@ -1233,7 +1235,7 @@ class TestCorruptionIsLoud:
 
 
 # ----------------------------------------------------------------------
-# Service restart: manifest restore + resume
+# Service restart: standing queries restored from the log + resume
 # ----------------------------------------------------------------------
 class TestServiceRestart:
     def test_restarted_service_resumes_subscriptions_with_correct_pushes(
@@ -1268,17 +1270,14 @@ class TestServiceRestart:
             state["last_result"] = subscription.result
             # Stop while the subscriber is still connected: the drain closes
             # the connection server-side and must DETACH the standing query
-            # (keeping it in the manifest), not unregister it.
+            # (keeping it in the table's log), not unregister it.
             await service.stop()  # flush-on-drain
             await subscriber.close()
             await loader.close()
             iupt.close()
-            # The manifest survived the drain (connections were closed by
+            # The registration survived the drain (connections were closed by
             # the server, so the standing query was detached, not dropped).
-            manifest = json.loads(
-                (tmp_path / "subscriptions.json").read_text()
-            )
-            assert [entry["id"] for entry in manifest] == [subscription.sub_id]
+            assert _kept_ids(tmp_path) == [subscription.sub_id]
 
         async def phase_two():
             iupt = DurableRecordStore(tmp_path)
@@ -1303,8 +1302,11 @@ class TestServiceRestart:
             # Per-connection sequences restart at 1 and stay contiguous.
             assert push["seq"] == 1
             # The pushed result is bit-identical to a fresh in-process
-            # continuous registration over the same recovered table.
-            fresh = make_engine().continuous(service.iupt)
+            # continuous registration over a volatile copy of the recovered
+            # records (one over the table itself would enter its log).
+            copy = IUPT(shard_seconds=60.0)
+            copy.ingest_batch(service.iupt.records_in_time_order())
+            fresh = make_engine().continuous(copy)
             expected = fresh.register_top_k(slocs, 3, 120.0, 240.0)
             assert push["result"] == protocol.result_to_wire(expected.result)
             fresh.close()
@@ -1337,8 +1339,7 @@ class TestServiceRestart:
                 subscription = await client.subscribe_top_k(
                     scenario.slocation_ids(), 3, 0.0, 240.0
                 )
-                manifest = json.loads((tmp_path / "subscriptions.json").read_text())
-                assert [entry["id"] for entry in manifest] == [subscription.sub_id]
+                assert _kept_ids(tmp_path) == [subscription.sub_id]
                 assert (await client.replica_status())["last_seq"] == 0
             await service.stop()
             iupt.close()
@@ -1364,42 +1365,58 @@ class TestServiceRestart:
 
 
 # ----------------------------------------------------------------------
-# The subscription manifest: the store's atomic-write rule, refused by name
+# Standing queries: control-log records, a damaged entry refused by its id
 # ----------------------------------------------------------------------
 def _inode(path):
     stat = os.stat(path)
     return stat.st_dev, stat.st_ino
 
 
-def _then_damaged(**fields):
-    """The manifest's one valid flows entry, followed by a copy of it with
-    ``fields`` overwritten: the damage sits behind an entry that restores."""
+def _kept_ids(root):
+    """The ids of the standing queries a directory's control log keeps."""
+    kept = {}
+    for frame in _control_log(root)[1]:
+        if frame["kind"] == "subscribe":
+            kept[frame["query"]["id"]] = frame["query"]
+        elif frame["kind"] == "unsubscribe":
+            kept.pop(frame["id"], None)
+    return list(kept)
 
-    def damage(text):
-        [entry] = json.loads(text)
-        return json.dumps([entry, {**entry, "id": entry["id"] + 1, **fields}])
 
-    return damage
+def _answer(subscription):
+    """What a standing query answers: its ranking and flows, or its flows."""
+    result = subscription.result
+    if subscription.kind == "top_k":
+        return result.top_k_ids(), result.flows
+    return result
 
 
-class TestSubscriptionManifest:
+def _damaged(**fields):
+    """The kept flows entry under the next id, ``fields`` overwritten."""
+    return lambda entry: {**entry, "id": entry["id"] + 1, **fields}
+
+
+class TestStandingQueryLog:
+    """A registration and a removal are each one frame appended to the
+    control log under the fsync policy; recovery collects the live set, the
+    size rule's rewrite keeps it, and an older build's ``subscriptions.json``
+    is folded into the log once."""
+
     @pytest.mark.parametrize("fsync", ["always", "batch", "never"])
-    def test_the_manifest_follows_the_stores_fsync_policy(
+    def test_a_subscribe_and_an_unsubscribe_each_append_one_frame(
         self, tmp_path, monkeypatch, fsync
     ):
-        """A ``subscribe`` fsyncs the manifest before its rename and the
-        directory after it, unless the store's policy is ``"never"`` — the
-        same rule as a snapshot's, so an acknowledged subscription survives
-        an OS crash whenever an acknowledged ingest does."""
+        """Each is synced once, unless the policy is ``"never"`` — the rule of
+        a watermark record, so an acknowledged subscription survives an OS
+        crash whenever an acknowledged ingest does — and no file is
+        replaced."""
         store = DurableRecordStore(
             tmp_path, shard_seconds=SHARD_SECONDS, config=DurabilityConfig(fsync=fsync)
         )
         store.ingest_batch([_record(1, 0, 1.0), _record(2, 1, 12.0)])
         graph, matrix = _mini_space()
-        manifest = store.subscription_manifest_path
-        continuous = QueryEngine(graph, matrix).continuous(
-            store, manifest_path=manifest
-        )
+        continuous = QueryEngine(graph, matrix).continuous(store)
+        inode, before = _control_log(tmp_path)
         synced = []
         real_fsync = os.fsync
 
@@ -1412,68 +1429,120 @@ class TestSubscriptionManifest:
         subscription = continuous.register_flows(
             sorted(graph.slocation_to_cell), 0.0, 20.0
         )
+        registered = list(synced)
+        continuous.unregister(subscription)
         monkeypatch.undo()
-        expected = [] if fsync == "never" else [_inode(manifest), _inode(tmp_path)]
-        assert synced == expected
-        entries = json.loads(manifest.read_text(encoding="utf-8"))
-        assert [entry["id"] for entry in entries] == [subscription.sub_id]
-        assert not list(tmp_path.glob("*.tmp"))
+        once = [] if fsync == "never" else [_inode(tmp_path / "control.wal")]
+        assert (registered, synced) == (once, once * 2)
+        entry = {
+            "id": subscription.sub_id,
+            "kind": "flows",
+            "slocs": list(subscription.sloc_ids),
+            "window": [0.0, 20.0],
+        }
+        assert _control_log(tmp_path) == (
+            inode,
+            before
+            + [
+                {"kind": "subscribe", "query": entry},
+                {"kind": "unsubscribe", "id": subscription.sub_id},
+            ],
+        )
+        assert store.standing_queries() == []
+        assert not list(tmp_path.rglob("*.tmp"))
         continuous.close()
         store.close()
+
+    def test_a_torn_subscribe_frame_is_cut_and_not_restored(self, tmp_path):
+        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
+        store.ingest_batch([_record(1, 0, 1.0)])
+        graph, matrix = _mini_space()
+        slocs = sorted(graph.slocation_to_cell)
+        with QueryEngine(graph, matrix).continuous(store) as continuous:
+            kept = continuous.register_flows(slocs, 0.0, 20.0)
+            continuous.register_top_k(slocs, 1, 0.0, 20.0)
+        store.close()
+        control = tmp_path / "control.wal"
+        os.truncate(control, control.stat().st_size - 3)  # a crash mid-append
+
+        recovered = DurableRecordStore(tmp_path)
+        assert recovered.recovery_report["torn_tails_truncated"] == 1
+        with QueryEngine(graph, matrix).continuous(recovered) as continuous:
+            restored = continuous.restore_subscriptions()
+        assert [subscription.sub_id for subscription in restored] == [kept.sub_id]
+        assert _answer(restored[0]) == _answer(kept)
+        assert _kept_ids(tmp_path) == [kept.sub_id]
+        recovered.close()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            pytest.param({"kind": "subscribe", "query": "flows"}, id="query-not-an-object"),
+            pytest.param({"kind": "subscribe", "query": {"kind": "flows"}}, id="query-without-id"),
+            pytest.param({"kind": "unsubscribe", "id": "one"}, id="id-not-a-number"),
+        ],
+    )
+    def test_a_crc_valid_frame_of_the_wrong_shape_refuses_the_open(self, tmp_path, frame):
+        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
+        store.ingest_batch([_record(1, 0, 1.0)])
+        store.close()
+        control = tmp_path / "control.wal"
+        index = len(_control_log(tmp_path)[1])
+        with open(control, "ab") as handle:
+            handle.write(encode_wal_frame(frame))
+        before = _tree(tmp_path)
+        with pytest.raises(ValueError) as excinfo:
+            DurableRecordStore(tmp_path)
+        assert f"{control}: frame {index}:" in str(excinfo.value)
+        assert _tree(tmp_path) == before
 
     @pytest.mark.parametrize(
         "damage",
         [
-            pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
+            pytest.param(_damaged(window=[0.0]), id="truncated-window"),
+            pytest.param(_damaged(slocs=3), id="locations-not-a-list"),
             pytest.param(
-                lambda text: json.dumps({"entries": json.loads(text)}), id="not-a-list"
-            ),
-            pytest.param(
-                lambda text: json.dumps(
-                    [
-                        {key: value for key, value in entry.items() if key != "window"}
-                        for entry in json.loads(text)
-                    ]
-                ),
+                lambda entry: {
+                    key: value
+                    for key, value in _damaged()(entry).items()
+                    if key != "window"
+                },
                 id="entry-without-window",
             ),
+            pytest.param(_damaged(kind="bogus"), id="unknown-kind"),
+            pytest.param(_damaged(slocs=[0, 0]), id="repeated-location"),
+            pytest.param(_damaged(slocs=[]), id="no-location"),
+            pytest.param(_damaged(window=[50.0, 10.0]), id="inverted-window"),
             pytest.param(
-                lambda text: json.dumps(
-                    [{**entry, "kind": "bogus"} for entry in json.loads(text)]
-                ),
-                id="unknown-kind",
-            ),
-            pytest.param(_then_damaged(slocs=[0, 0]), id="repeated-location"),
-            pytest.param(_then_damaged(slocs=[]), id="no-location"),
-            pytest.param(_then_damaged(window=[50.0, 10.0]), id="inverted-window"),
-            pytest.param(
-                _then_damaged(kind="top_k", k=1, slocs=[99999]),
+                _damaged(kind="top_k", k=1, slocs=[99999]),
                 id="location-unknown-to-the-plan",
             ),
         ],
     )
-    def test_a_damaged_manifest_refuses_the_start_by_name(
+    def test_a_damaged_entry_refuses_the_start_by_its_id(
         self, small_real_scenario, tmp_path, damage
     ):
+        """The damaged entry sits behind one that restores."""
         scenario = small_real_scenario
 
         def make_engine():
             return QueryEngine(scenario.system.graph, scenario.system.matrix)
 
         store = DurableRecordStore(tmp_path, shard_seconds=60.0)
-        path = store.subscription_manifest_path
-        continuous = make_engine().continuous(store, manifest_path=path)
-        continuous.register_flows(scenario.slocation_ids()[:3], 0.0, 120.0)
-        continuous.close()
+        with make_engine().continuous(store) as continuous:
+            continuous.register_flows(scenario.slocation_ids()[:3], 0.0, 120.0)
+        [entry] = store.standing_queries()
         store.close()
-        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        damaged = damage(entry)
+        with open(tmp_path / "control.wal", "ab") as handle:
+            handle.write(encode_wal_frame({"kind": "subscribe", "query": damaged}))
 
         async def run():
             iupt = DurableRecordStore(tmp_path)
             service = QueryService(make_engine(), iupt)
             with pytest.raises(ValueError) as excinfo:
                 await service.start()
-            assert str(path) in str(excinfo.value)
+            assert f"standing query {damaged['id']}:" in str(excinfo.value)
             # The service did not start: nothing listens, no worker is left.
             with pytest.raises(RuntimeError):
                 service.address
@@ -1483,37 +1552,150 @@ class TestSubscriptionManifest:
 
         asyncio.run(run())
 
-    def test_a_legacy_top_k_entry_restores_as_a_fresh_registration(
+    def test_a_reopen_after_a_size_rule_rewrite_restores_the_same_queries(
+        self, tmp_path
+    ):
+        """The rewrite keeps the live registrations behind the base frame and
+        drops the removed one; the reopened table restores the same ids, and
+        each recomputed result equals the maintained one."""
+        store = DurableRecordStore(
+            tmp_path,
+            shard_seconds=SHARD_SECONDS,
+            config=DurabilityConfig(fsync="never", snapshot_every_batches=1),
+        )
+        graph, matrix = _mini_space()
+        slocs = sorted(graph.slocation_to_cell)
+        continuous = QueryEngine(graph, matrix).continuous(store)
+        kept = [
+            continuous.register_flows(slocs, 0.0, 40.0),
+            continuous.register_top_k(slocs, 1, 20.0, 60.0),
+        ]
+        continuous.unregister(continuous.register_flows(slocs[:1], 0.0, 10.0))
+        control = tmp_path / "control.wal"
+        inode = control.stat().st_ino
+        rng = random.Random(5)
+        for step in range(300):
+            store.ingest_batch(
+                [
+                    _workload_record(rng, oid, step * SHARD_SECONDS + oid * 0.5)
+                    for oid in range(rng.randint(4, 12))
+                ]
+            )
+            if control.stat().st_ino != inode:
+                break
+        else:
+            pytest.fail("no checkpoint rewrote the control log")
+        kinds = [frame["kind"] for frame in _control_log(tmp_path)[1]]
+        assert kinds == ["base", "subscribe", "subscribe"]
+        answers = {subscription.sub_id: _answer(subscription) for subscription in kept}
+        continuous.close()
+        store.close()
+
+        recovered = DurableRecordStore(tmp_path)
+        with QueryEngine(graph, matrix).continuous(recovered) as restoring:
+            restored = restoring.restore_subscriptions()
+        assert {s.sub_id: _answer(s) for s in restored} == answers
+        assert any(flow > 0.0 for flow in _answer(restored[0]).values())
+        recovered.close()
+
+    def test_a_second_engine_mints_ids_above_every_kept_one(self, tmp_path):
+        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
+        graph, matrix = _mini_space()
+        slocs = sorted(graph.slocation_to_cell)
+        with QueryEngine(graph, matrix).continuous(store) as first:
+            ids = [first.register_flows(slocs, 0.0, 20.0).sub_id for _ in range(3)]
+            first.unregister(first.subscription(ids[0]))
+        with QueryEngine(graph, matrix).continuous(store) as second:
+            assert second.register_flows(slocs, 0.0, 20.0).sub_id == ids[-1] + 1
+        store.close()
+        recovered = DurableRecordStore(tmp_path)
+        with QueryEngine(graph, matrix).continuous(recovered) as third:
+            assert third.register_flows(slocs, 0.0, 20.0).sub_id == ids[-1] + 2
+        recovered.close()
+        assert _kept_ids(tmp_path) == [*ids[1:], ids[-1] + 1, ids[-1] + 2]
+
+    def test_a_subscribe_whose_append_fails_is_registered_nowhere(self, tmp_path):
+        store = DurableRecordStore(
+            tmp_path,
+            shard_seconds=SHARD_SECONDS,
+            config=DurabilityConfig(fail_after_writes=2),
+        )
+        store.ingest_batch([_record(1, 0, 1.0)])  # a segment frame and a commit
+        graph, matrix = _mini_space()
+        continuous = QueryEngine(graph, matrix).continuous(store)
+        with pytest.raises(SimulatedCrashError):
+            continuous.register_flows(sorted(graph.slocation_to_cell), 0.0, 20.0)
+        assert continuous.subscriptions == [] and store.standing_queries() == []
+        continuous.close()
+        store.close()
+        assert _kept_ids(tmp_path) == []
+        recovered = DurableRecordStore(tmp_path)
+        assert recovered.standing_queries() == []
+        recovered.close()
+
+    def test_an_older_builds_subscriptions_file_is_folded_into_the_log(
         self, small_real_scenario, tmp_path
     ):
-        """Builds before 12.0 spelled the kind ``"top-k"``; such an entry
-        restores a top-k subscription equal to a fresh registration, and the
-        rewritten manifest spells the kind as the wire does, with the same
-        fields."""
+        """A JSON-era directory beside a ``subscriptions.json`` whose top-k
+        entry spells the kind as builds before 12.0 did: the open folds the
+        file into the log and deletes it, and each entry restores under its
+        id, equal to a fresh registration."""
         scenario = small_real_scenario
         slocs = scenario.slocation_ids()[:6]
-        store = DurableRecordStore(tmp_path, shard_seconds=60.0)
-        store.ingest_batch(list(scenario.iupt.records_in_time_order()))
-        path = store.subscription_manifest_path
-        legacy = {
-            "id": 7, "kind": "top-k", "slocs": slocs, "window": [0.0, 120.0], "k": 2
-        }
-        path.write_text(json.dumps([legacy], indent=2), encoding="utf-8")
+        write_json_era_directory(
+            tmp_path, 60.0, [list(scenario.iupt.records_in_time_order())]
+        )
+        legacy = [
+            {"id": 7, "kind": "top-k", "slocs": slocs, "window": [0.0, 120.0], "k": 2},
+            {"id": 9, "kind": "flows", "slocs": slocs[:3], "window": [60.0, 180.0]},
+        ]
+        path = tmp_path / "subscriptions.json"
+        path.write_text(json.dumps(legacy, indent=2), encoding="utf-8")
 
         def make_engine():
             return QueryEngine(scenario.system.graph, scenario.system.matrix)
 
-        with make_engine().continuous(store, manifest_path=path) as restoring:
-            [restored] = restoring.restore_subscriptions()
-            with make_engine().continuous(store) as fresh_engine:
-                fresh = fresh_engine.register_top_k(slocs, 2, 0.0, 120.0)
-            assert (restored.sub_id, restored.kind) == (7, "top_k")
-            assert restored.top_k_ids() == fresh.top_k_ids()
-            assert restored.result.flows == fresh.result.flows
-            assert [entry.flow for entry in restored.result.ranking] == [
-                entry.flow for entry in fresh.result.ranking
+        recovered = DurableRecordStore(tmp_path)
+        assert not path.exists()
+        assert recovered.standing_queries() == legacy
+        copy = IUPT(shard_seconds=60.0)
+        copy.ingest_batch(recovered.records_in_time_order())
+        with make_engine().continuous(copy) as fresh_engine:
+            fresh = [
+                fresh_engine.register_top_k(slocs, 2, 0.0, 120.0),
+                fresh_engine.register_flows(slocs[:3], 60.0, 180.0),
             ]
-            assert sum(restored.result.flows.values()) > 0.0
-            [entry] = json.loads(path.read_text(encoding="utf-8"))
-            assert entry == {**legacy, "kind": "top_k"}
+        with make_engine().continuous(recovered) as restoring:
+            restored = restoring.restore_subscriptions()
+            assert restoring.register_flows(slocs, 0.0, 60.0).sub_id == 10
+        assert [(s.sub_id, s.kind) for s in restored] == [(7, "top_k"), (9, "flows")]
+        assert [_answer(s) for s in restored] == [_answer(s) for s in fresh]
+        assert [entry.flow for entry in restored[0].result.ranking] == [
+            entry.flow for entry in fresh[0].result.ranking
+        ]
+        assert sum(restored[0].result.flows.values()) > 0.0
+        recovered.close()
+        assert _kept_ids(tmp_path) == [7, 9, 10]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('[{"id": 7, "kind": "flows"', id="truncated"),
+            pytest.param('{"entries": []}', id="not-a-list"),
+            pytest.param('[["id", 7]]', id="entry-not-an-object"),
+            pytest.param('[{"kind": "flows", "slocs": [1]}]', id="entry-without-id"),
+        ],
+    )
+    def test_a_damaged_subscriptions_file_refuses_the_open_and_stays(
+        self, tmp_path, text
+    ):
+        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
+        store.ingest_batch([_record(1, 0, 1.0)])
         store.close()
+        path = tmp_path / "subscriptions.json"
+        path.write_text(text, encoding="utf-8")
+        before = _tree(tmp_path)
+        with pytest.raises(ValueError) as excinfo:
+            DurableRecordStore(tmp_path)
+        assert str(path) in str(excinfo.value)
+        assert _tree(tmp_path) == before

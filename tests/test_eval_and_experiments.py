@@ -157,8 +157,7 @@ class TestExperiments:
             "table4", "table5", "table7",
             "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
             "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
-            "ablation_reduction", "ablation_indexes", "ablation_algorithms",
-            "ablation_continuous",
+            "ablation_reduction", "ablation_indexes", "ablation_continuous",
         }
         assert expected <= set(EXPERIMENTS)
 

@@ -110,6 +110,17 @@ def _text(pr, names, *under):
 POOL_SIDE = ("service/server.py", "service/pool.py", "service/wal_tail.py")
 INSERTS = "insert insert_point extend count_in_range total_count all_items items_under"
 STANDING = continuous.ContinuousQueryEngine
+DURABLE_NAMES = {name for name, value in vars(repro.storage.durable).items()
+                 if getattr(value, "__module__", None) == "repro.storage.durable"}
+
+
+def _imports_durable(where):
+    """A file's imports that reach ``storage/durable.py``: the module, or a name it defines."""
+    return [ast.unparse(node) for node in ast.walk(TREES[where])
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                "durable" in re.split(r"\W+", ast.unparse(node))
+                or {alias.name for alias in node.names} & DURABLE_NAMES)]
+
 
 GONE = [
     *_members(17, "index_kind store_kind binary", IUPT.__init__, IUPT.sharded, IUPT.durable,
@@ -242,6 +253,12 @@ GONE = [
     *_members(44, "summarise_object_spans", repro.storage),
     (44, "def:storage/base.py", _defined("storage/base.py").__contains__, "summarise_object_spans"),
     (44, "def:synth/movement.py", _defined("synth/movement.py").__contains__, "_last_location"),
+    *_members(47, "manifest_path", STANDING.__init__, QueryEngine.continuous),
+    *_members(47, "subscription_manifest_path", repro.DurableRecordStore),
+    (47, "def:engine/continuous.py", _defined("engine/continuous.py").__contains__,
+     "_persist_manifest _manifest_fsync"),
+    (47, "def:experiments/ablations.py", _defined("experiments/ablations.py").__contains__,
+     "ablation_algorithms"),
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
@@ -319,8 +336,7 @@ RULES = [  # (PR, rule, actual, expected)
     (34, "the-DP-reads-link-rows", lambda: _sites("link", "core/presence.py"), []),
     (34, "STR-keys-build-no-Point", lambda: [node.lineno for node in ast.walk(
         TREES["indexes/rtree.py"]) if isinstance(node, ast.Attribute) and node.attr == "center"], []),
-    (42, "one-method-runner", lambda: _sites("run_methods"),
-     ["experiments/ablations.py:ablation_algorithms", "experiments/runner.py:evaluate"]),
+    (42, "one-method-runner", lambda: _sites("run_methods"), ["experiments/runner.py:evaluate"]),
     (42, "the-evaluation's-settable-values", lambda: [
         _fields(repro.experiments.QuerySetting), *map(_params, (
             repro.eval.run_methods, repro.MonteCarlo.__init__, repro.SimpleCounting.__init__,
@@ -342,6 +358,10 @@ RULES = [  # (PR, rule, actual, expected)
     (44, "reports-built-as-two-columns", lambda: _sites("SampleSet", "synth/"), []),
     (44, "spans-of-the-sorted-batch-alone", lambda: _sites("_object_spans"),
      ["storage/sharded.py:ShardedRecordStore.ingest_batch"]),
+    (47, "the-engine-writes-no-file", lambda: [  # the table keeps its standing queries
+        f"{where}: {line}" for where in TREES if where.startswith("engine/")
+        for line in [*_imports_durable(where), *re.findall(r"\batomic_write\b", SOURCES[where])]],
+     []),
 ]  # fmt: skip
 
 

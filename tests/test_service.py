@@ -731,7 +731,7 @@ class TestServerIntegration:
     ):
         """A drain begun via the admission controller alone (no ``stop()``)
         must behave like a shutdown for departing clients: their standing
-        subscriptions stay registered for the successor process's manifest
+        subscriptions stay registered for the successor process to restore
         instead of being unregistered by the disconnect cleanup."""
         scenario = small_real_scenario
         history, _live = _split_stream(scenario)
