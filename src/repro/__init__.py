@@ -90,7 +90,7 @@ from .synth import (
 )
 from .system import IndoorFlowSystem
 
-__version__ = "16.0.0"
+__version__ = "16.1.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -250,10 +250,10 @@ class ContinuousQueryEngine:
         self._engine = engine
         self._iupt = iupt
         self._subscriptions: Dict[int, Subscription] = {}
-        # New ids start above every kept one, so a registration never reuses
-        # the id of a standing query this engine has not restored.
-        kept = [int(entry["id"]) for entry in iupt.standing_queries()]
-        self._next_id = 1 + max(kept, default=0)
+        # New ids start above every id the table ever kept, so a
+        # registration never reuses the id of a standing query this engine
+        # has not restored, nor of one removed before a restart.
+        self._next_id = iupt.next_standing_query_id()
         # Subscription state is synchronised on the *store's* re-entrant
         # lock rather than a private one: events arrive with that lock
         # already held (listeners fire inside the mutation), and

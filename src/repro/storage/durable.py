@@ -17,11 +17,16 @@ listeners and watermark — that writes the log before it applies a mutation:
   control log (``control.wal``): recovery replays only frames whose batch
   sequence number was committed, so a crash mid-batch rolls the whole batch
   back instead of resurrecting half of it;
-* **fsync policy** — :class:`DurabilityConfig` picks the durability/latency
-  trade-off: ``"always"`` fsyncs every segment append and every commit
-  (survives OS crashes), ``"batch"`` fsyncs only the commit record (survives
-  process crashes; the default), ``"never"`` leaves flushing to the OS
-  (fastest; survives clean exits);
+* **fsync policy** — every append, snapshot write and rename reaches the OS
+  before the call that made it returns, so under every policy an
+  acknowledged write survives a process crash (a kill -9;
+  ``tests/test_durable.py::TestProcessKill``).  :class:`DurabilityConfig`
+  picks what an OS crash keeps: only ``"always"``, which fsyncs every
+  segment append and every control-log record, is meant to survive one;
+  ``"batch"`` (the default) fsyncs the control log's records and the
+  snapshot writes but no segment append, so after an OS crash a committed
+  batch can lack segment frames; ``"never"`` leaves flushing to the OS
+  (fastest);
 * **snapshots** — :meth:`DurableRecordStore.checkpoint` brings each dirty
   shard's ``snapshots/shard-<key>.snap`` up to its records *and version*,
   then deletes the now-redundant segments and records a ``base`` frame (the
@@ -50,8 +55,12 @@ listeners and watermark — that writes the log before it applies a mutation:
   ``subscribe`` (the query's entry) or ``unsubscribe`` (its id) frame to the
   control log under the fsync policy, as a watermark record is; recovery
   collects the live set and :meth:`DurableRecordStore.standing_queries`
-  hands it back.  A ``subscriptions.json`` an older build kept beside the
-  log is folded into it once at recovery and then deleted;
+  hands it back.  :meth:`DurableRecordStore.next_standing_query_id` is one
+  above every id a ``subscribe`` frame ever named, removed ones too (a
+  rewrite that drops their frames keeps it in its base frame's
+  ``next_query``), so no id is handed out twice across a restart.  A
+  ``subscriptions.json`` an older build kept beside the log is folded into
+  it once at recovery and then deleted;
 * **eviction** — :meth:`~repro.storage.sharded.ShardedRecordStore.evict_before`
   first persists a watermark record (the logical commit of the eviction),
   then drops the shards in memory and deletes their segment and snapshot
@@ -62,9 +71,17 @@ listeners and watermark — that writes the log before it applies a mutation:
   directory rebuilds the exact pre-crash state: per-shard records in the
   same order, the same per-shard versions (so
   :meth:`~repro.storage.sharded.ShardedRecordStore.version_token` values
-  compare equal to pre-crash tokens), and the same retention watermark.  Torn frames at a
-  file tail (a crash mid-write) are detected by the length/CRC framing and
-  truncated away.  The differential crash-recovery harness in
+  compare equal to pre-crash tokens), and the same retention watermark.  It
+  repeats history: each shard's snapshot is adopted packed (lazily decoded,
+  a JSON-era one packed first), then every committed frame past the
+  snapshot's ``through`` is absorbed through
+  :meth:`~repro.storage.sharded.ShardedRecordStore._absorb`, the call an
+  ingest applies a slice with, so the absorb counts the version and the
+  shard alone decides whether it stayed in time order — and the delta rule
+  holds across a recovery: a snapshot whose replayed frames all came in
+  order takes one delta at the checkpoint ending the recovery.  Torn frames
+  at a file tail (a crash mid-write) are detected by the length/CRC framing
+  and truncated away.  The differential crash-recovery harness in
   ``tests/test_durable.py`` kills the store at arbitrary WAL frame
   boundaries (via :attr:`DurabilityConfig.fail_after_writes`) and asserts
   the recovered store is bit-identical to an in-memory oracle that applied
@@ -112,6 +129,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -154,12 +172,15 @@ class DurabilityConfig:
     """Durability/latency knobs of one :class:`DurableRecordStore`.
 
     ``fsync``
-        ``"always"``: fsync every segment append and every control-log
-        record — an ingest survives an OS crash once it returned.
-        ``"batch"`` (default): fsync only the control log's commit record —
-        survives a process crash, not an OS crash (syncing ``control.wal``
-        orders nothing in the segment files).  ``"never"``: flush to the OS
-        but never fsync — fastest, survives clean process exits.
+        Every policy flushes each write to the OS before the call returns,
+        so each survives a process crash; they differ in what an OS crash
+        keeps.  ``"always"``: fsync every segment append and every
+        control-log record — the one policy meant to survive an OS crash
+        once an ingest returned.  ``"batch"`` (default): fsync the control
+        log's records and the snapshot writes, no segment append — after
+        an OS crash a committed batch can lack segment frames (syncing
+        ``control.wal`` orders nothing in the segment files).  ``"never"``:
+        never fsync — fastest.
     ``snapshot_every_batches``
         Automatic checkpoint cadence; ``None`` = only explicit
         :meth:`DurableRecordStore.checkpoint` calls (and the one that ends a
@@ -293,6 +314,8 @@ class DurableRecordStore(ShardedRecordStore):
         self._wal_base_seq = 0
         #: The live standing queries: id -> the entry its subscribe frame holds.
         self._standing: Dict[int, dict] = {}
+        #: One above the highest id any subscribe frame named, live or not.
+        self._next_query = 1
         manifest = self._load_or_create_manifest(float(shard_seconds))
         super().__init__(shard_seconds=manifest["shard_seconds"])
         # A store recovered from its directory IS the same logical store:
@@ -344,7 +367,8 @@ class DurableRecordStore(ShardedRecordStore):
         snapshots, torn_snapshots = self._read_snapshots()
         older = self._read_subscriptions_file()
         scan = self._scan_log(repair=True)
-        committed, watermark, base_next, segments, torn, self._standing = scan
+        committed, watermark, base_next, segments, torn = scan[:5]
+        self._standing, self._next_query = scan[5:]
         max_seq = max(
             (seq for frames in segments.values() for seq, _frame in frames), default=0
         )
@@ -352,7 +376,6 @@ class DurableRecordStore(ShardedRecordStore):
         replayed = 0
         skipped_uncommitted = 0
         loaded_from_snapshot = 0
-        loaded_lazily = 0
         max_through = 0
         for key in sorted(set(snapshots) | set(segments)):
             if (key + 1) * self.shard_seconds <= watermark:
@@ -362,44 +385,32 @@ class DurableRecordStore(ShardedRecordStore):
                 continue
             version, through, snapshot = snapshots.get(key, (0, 0, None))
             self._snapshotted_version[key] = version
-            packed = None
             if snapshot is not None:
+                # Adopted packed, so the shard decodes lazily on first query:
+                # a cold recovery is one blob read per shard.  A JSON-era
+                # file is packed once here and replaced at the next
+                # checkpoint; a binary one takes deltas while absorbs stay
+                # in time order.
                 packed = snapshot.get("packed")
+                if packed is not None:
+                    self._snapshot_held[key] = len(packed)
+                else:
+                    records = frame_records(snapshot, self._snapshot_path(key), 0)
+                    packed = PackedRecordBatch.from_records(records)
+                self.load_shard_packed(key, packed, version)
                 loaded_from_snapshot += 1
-            pending: List[Tuple[int, int, dict]] = []
+            # Repeating history: each committed frame past the snapshot is
+            # absorbed as its ingest absorbed it, bumping the version once.
             for index, (seq, frame) in enumerate(segments.get(key, ())):
                 if seq <= through:
                     continue  # already folded into the snapshot
                 if seq not in committed:
                     skipped_uncommitted += 1
                     continue
-                pending.append((index, seq, frame))
-            if not pending and packed is not None:
-                # Binary snapshot with nothing to replay: adopt the packed
-                # batch as-is — the shard decodes lazily on first query, so
-                # cold recovery is one blob read per shard.
-                self.load_shard_packed(key, packed, version)
-                self._snapshot_held[key] = len(packed)
-                loaded_lazily += 1
-            else:
-                records: List[PositioningRecord] = []
-                if snapshot is not None:
-                    records = frame_records(snapshot, self._snapshot_path(key), 0)
-                for index, seq, frame in pending:
-                    records.extend(frame_records(frame, self._segment_path(key), index))
-                    version += 1
-                    through = seq
-                    replayed += 1
-                if pending:
-                    # One stable sort replays every _Shard.absorb bit-exactly:
-                    # absorb extend+sorts per frame, but stable sorting the
-                    # concatenation of already-sorted runs once yields the
-                    # same tie order (slices arrive in commit order, each
-                    # internally time-sorted) at a fraction of the recovery
-                    # cost.
-                    records.sort(key=lambda record: record.timestamp)
-                if version > 0:  # 0: no snapshot and no committed frame
-                    self.load_shard(key, records, version)
+                records = frame_records(frame, self._segment_path(key), index)
+                self._absorb(key, records, [record.timestamp for record in records])
+                through = seq
+                replayed += 1
             self._shard_last_seq[key] = through
             max_through = max(max_through, through)
         if watermark > float("-inf"):
@@ -430,7 +441,7 @@ class DurableRecordStore(ShardedRecordStore):
             "shards": self.shard_count,
             "records": len(self),
             "shards_from_snapshot": loaded_from_snapshot,
-            "shards_loaded_lazily": loaded_lazily,
+            "shards_loaded_lazily": self.unmaterialised_shard_count(),
             "segments_seen": sum(1 for frames in segments.values() if frames),
             "frames_replayed": replayed,
             "frames_skipped_uncommitted": skipped_uncommitted,
@@ -548,23 +559,25 @@ class DurableRecordStore(ShardedRecordStore):
         return frames, int(torn)
 
     def _scan_log(self, repair: bool) -> Tuple[
-        Set[int], float, int, Dict[int, List[Tuple[int, dict]]], int, Dict[int, dict]
+        Set[int], float, int, Dict[int, List[Tuple[int, dict]]], int, Dict[int, dict], int
     ]:
         """The one reader of the control log and the segments.
 
         Returns ``(committed, watermark, base_next, segments, torn,
-        standing)``: the committed sequences, the highest retention
-        watermark, the base record's ``next_seq`` (1 without one), each
-        segment's ``(seq, frame)`` list by ascending shard key, how many torn
-        tails it met, and the live standing queries (id -> entry, each
-        ``subscribe`` not followed by an ``unsubscribe`` of its id).  Only
-        recovery passes ``repair`` (truncate them): a live store's replay
-        never rewrites a file it is appending to.
+        standing, next_query)``: the committed sequences, the highest
+        retention watermark, the base record's ``next_seq`` (1 without one),
+        each segment's ``(seq, frame)`` list by ascending shard key, how many
+        torn tails it met, the live standing queries (id -> entry, each
+        ``subscribe`` not followed by an ``unsubscribe`` of its id), and one
+        above the highest standing-query id any ``subscribe`` frame named or
+        a rewritten base frame's ``next_query`` carries (1 without either).
+        Only recovery passes ``repair`` (truncate them): a live store's
+        replay never rewrites a file it is appending to.
         """
         path = self._dir / CONTROL_NAME
         committed: Set[int] = set()
         watermarks = [float("-inf")]
-        base_next = 1
+        base_next = next_query = 1
         standing: Dict[int, dict] = {}
         frames, torn = self._read_frames(path, repair)
         for index, frame in enumerate(frames):
@@ -573,9 +586,15 @@ class DurableRecordStore(ShardedRecordStore):
                 committed.add(_field(frame, "seq", int, path, index))
             elif kind == "base":
                 base_next = max(base_next, _field(frame, "next_seq", int, path, index))
+                if "next_query" in frame:
+                    next_query = max(
+                        next_query, _field(frame, "next_query", int, path, index)
+                    )
             elif kind == "subscribe":
                 entry = _field(frame, "query", dict, path, index)
-                standing[_field(entry, "id", int, path, index)] = entry
+                sub_id = _field(entry, "id", int, path, index)
+                standing[sub_id] = entry
+                next_query = max(next_query, sub_id + 1)
             elif kind == "unsubscribe":
                 standing.pop(_field(frame, "id", int, path, index), None)
             if kind == "watermark" or (kind == "base" and mark is not None):
@@ -588,7 +607,7 @@ class DurableRecordStore(ShardedRecordStore):
                 (_field(frame, "seq", int, path, index), frame)
                 for index, frame in enumerate(frames)
             ]
-        return committed, max(watermarks), base_next, segments, torn, standing
+        return committed, max(watermarks), base_next, segments, torn, standing, next_query
 
     # ------------------------------------------------------------------
     # Fault injection and file plumbing
@@ -703,18 +722,21 @@ class DurableRecordStore(ShardedRecordStore):
             encode_wal_frame({"kind": "commit", "seq": seq}),
             policy != "never",
         )
-        held = self._snapshot_held
-        for key, slice_records in slices:
+        for key, _records in slices:
             self._shard_last_seq[key] = seq
-            if key in held and (
-                slice_records[0].timestamp < self._shards[key].timestamps()[-1]
-            ):
-                # The absorb re-sorts the shard: its snapshot file's records
-                # are no longer its first ones, so the file takes no delta.
-                del held[key]
         self._last_committed_seq = seq
         self._batches_since_snapshot += 1
         return seq
+
+    def _absorb(
+        self, key: int, records: List[PositioningRecord], times: Sequence[float]
+    ) -> bool:
+        in_order = super()._absorb(key, records, times)
+        if not in_order:
+            # The absorb re-sorted the shard: its snapshot file's records are
+            # no longer its first ones, so the file takes no delta.
+            self._snapshot_held.pop(key, None)
+        return in_order
 
     # ------------------------------------------------------------------
     # Checkpoint
@@ -795,25 +817,29 @@ class DurableRecordStore(ShardedRecordStore):
         is never longer than one interval's WAL plus one base frame and the
         registrations.  :meth:`_scan_log` takes the largest ``next_seq`` and
         watermark wherever the frames sit, and a rewrite keeps every live
-        registration, so both leave the same state to recover.
+        registration and, in the base frame's ``next_query``, the id floor
+        the dropped ``subscribe`` frames set when it lies above every live
+        id, so both leave the same state to recover.
         """
         watermark = self._watermark
-        base = encode_wal_frame(
-            {
-                "kind": "base",
-                "next_seq": self._next_seq,
-                "watermark": watermark if watermark > float("-inf") else None,
-            }
-        )
+        base = {
+            "kind": "base",
+            "next_seq": self._next_seq,
+            "watermark": watermark if watermark > float("-inf") else None,
+        }
         kept = b"".join(map(_subscribe_frame, self._standing.values()))
         control = self._dir / CONTROL_NAME
         held = control.stat().st_size if control.exists() else 0
         if held <= folded + len(kept):
-            self._append_frame(CONTROL_NAME, base, self.config.fsync != "never")
+            self._append_frame(
+                CONTROL_NAME, encode_wal_frame(base), self.config.fsync != "never"
+            )
             return
+        if self._next_query > 1 + max(self._standing, default=0):
+            base["next_query"] = self._next_query
         self._close_handle(CONTROL_NAME)
         self._fault_point()
-        atomic_write(control, base + kept, self.config.fsync)
+        atomic_write(control, encode_wal_frame(base) + kept, self.config.fsync)
 
     # ------------------------------------------------------------------
     # Replication: the WAL cursor (live followers subscribe like any listener)
@@ -927,6 +953,10 @@ class DurableRecordStore(ShardedRecordStore):
         with self._lock:
             return list(self._standing.values())
 
+    def next_standing_query_id(self) -> int:
+        with self._lock:
+            return self._next_query
+
     def log_standing_query(self, sub_id: int, entry: Optional[dict]) -> None:
         """Append the ``subscribe`` / ``unsubscribe`` frame under the fsync
         policy; the live set changes only once the frame is written."""
@@ -940,6 +970,7 @@ class DurableRecordStore(ShardedRecordStore):
                 self._standing.pop(sub_id, None)
             else:
                 self._standing[sub_id] = entry
+                self._next_query = max(self._next_query, sub_id + 1)
 
     # ------------------------------------------------------------------
     # Lifecycle

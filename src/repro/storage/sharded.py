@@ -72,25 +72,18 @@ class _Shard:
     __slots__ = ("key", "version", "built", "_records", "_gaps", "_packed", "_timestamps")
 
     def __init__(
-        self,
-        key: int,
-        records: Optional[List[PositioningRecord]] = None,
-        version: int = 0,
-        packed: Optional[PackedRecordBatch] = None,
+        self, key: int, version: int = 0, packed: Optional[PackedRecordBatch] = None
     ):
         self.key = key
         self.version = version
         self.built = 0
-        self._gaps: List[Tuple[int, int]] = []
-        if packed is not None:
-            records = [None] * len(packed)
-            if records:
-                self._gaps.append((0, len(records)))
-        self._records: List[PositioningRecord] = [] if records is None else records
+        count = 0 if packed is None else len(packed)
+        self._gaps: List[Tuple[int, int]] = [(0, count)] if count else []
+        self._records: List[PositioningRecord] = [None] * count
         self._packed = packed
         # The sorted timestamp column, kept in step by in-order absorbs and
         # rebuilt on demand (see timestamps()) after anything else.
-        self._timestamps: Optional[List[float]] = None if records else []
+        self._timestamps: Optional[List[float]] = None if count else []
 
     def _fill(self, lo: int, hi: int) -> None:
         """Build the still-packed records of ``[lo:hi]`` into their slots."""
@@ -130,16 +123,18 @@ class _Shard:
     def record_count(self) -> int:
         return len(self._records)
 
-    def absorb(self, incoming: List[PositioningRecord], times: Sequence[float]) -> None:
+    def absorb(self, incoming: List[PositioningRecord], times: Sequence[float]) -> bool:
         """Merge a time-sorted batch slice, whose timestamp column is
-        ``times``, into this shard and bump its version.
+        ``times``, into this shard and bump its version; returns whether the
+        shard's earlier records are still its first ones.
 
         ``list.sort`` is stable, so records already present keep preceding
         newly ingested ones on timestamp ties — the arrival-order tie rule of
         :meth:`ShardedRecordStore.range_query`.  A slice that starts
         at or after the shard's last record (a stream arriving in time order)
         is the sorted result as appended, so an ingest costs what the batch
-        costs, not what the shard has grown to.
+        costs, not what the shard has grown to; any other slice re-sorts the
+        shard, and the answer is ``False``.
         """
         records = self.records
         in_order = not records or records[-1].timestamp <= times[0]
@@ -151,6 +146,7 @@ class _Shard:
             self._timestamps.extend(times)
         self._packed = None
         self.version += 1
+        return in_order
 
     def packed(self) -> PackedRecordBatch:
         """The shard's records in the codec's columnar layout (cached)."""
@@ -231,10 +227,12 @@ class ShardedRecordStore:
     A mutation calls a logging hook before it changes a shard
     (:meth:`_log_batch`, :meth:`_log_eviction`) and :meth:`_evicted` before
     it announces an eviction, and the continuous engine hands each standing
-    query to :meth:`log_standing_query` and restores from
-    :meth:`standing_queries`; here they do nothing, and
+    query to :meth:`log_standing_query`, restores from
+    :meth:`standing_queries` and starts its ids at
+    :meth:`next_standing_query_id`; here they do nothing, and
     :class:`~repro.storage.durable.DurableRecordStore` overrides them to
-    write its log.
+    write its log.  A shard gains records only through :meth:`_absorb`,
+    which the durable store's recovery calls too.
     """
 
     #: Short backend identifier (``"sharded"`` / ``"durable"``).
@@ -353,6 +351,12 @@ class ShardedRecordStore:
         ``slocs``, ``window`` and a top-k query's ``k``) or, with ``None``,
         drop it.  A volatile table keeps nothing; a durable one logs it."""
 
+    def next_standing_query_id(self) -> int:
+        """The lowest standing-query id this table never kept: one above every
+        id :meth:`log_standing_query` was handed, removed ones included, so
+        no id is handed out twice across a restart.  1 on a volatile table."""
+        return 1
+
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
@@ -417,28 +421,39 @@ class ShardedRecordStore:
             slices = self.slice_batch(batch, times)
             seq = self._log_batch(slices)
 
-            touched: List[int] = []
             lo = 0
             for key, slice_records in slices:
-                shard = self._shards.get(key)
-                if shard is None:
-                    shard = _Shard(key=key)
-                    self._shards[key] = shard
-                    insert_at = bisect_left(self._shard_keys, key)
-                    self._shard_keys.insert(insert_at, key)
                 hi = lo + len(slice_records)
-                shard.absorb(slice_records, times[lo:hi])
+                self._absorb(key, slice_records, times[lo:hi])
                 lo = hi
-                touched.append(key)
-            self._count += len(batch)
 
             receipt = IngestReceipt(
                 records_ingested=len(batch),
-                shards_touched=tuple(touched),
+                shards_touched=tuple(key for key, _records in slices),
                 object_spans=_object_spans(batch, times),
             )
             self._notify(IngestEvent(receipt, batch, seq))
             return receipt
+
+    def _absorb(
+        self, key: int, records: List[PositioningRecord], times: Sequence[float]
+    ) -> bool:
+        """Apply one time-sorted slice of shard ``key``, whose timestamp
+        column is ``times`` — the one place a shard gains records.
+
+        An ingest absorbs each slice it cut, and a durable store's recovery
+        each committed segment frame, in commit order, so a recovered shard
+        is built by the same steps as the one that was lost.  Creates the
+        shard on its first slice and counts the records; returns
+        :meth:`_Shard.absorb`'s answer, whether the shard's earlier records
+        are still its first ones.
+        """
+        shard = self._shards.get(key)
+        if shard is None:
+            shard = self._shards[key] = _Shard(key)
+            insort(self._shard_keys, key)
+        self._count += len(records)
+        return shard.absorb(records, times)
 
     def _log_batch(
         self, slices: List[Tuple[int, List[PositioningRecord]]]
@@ -701,27 +716,18 @@ class ShardedRecordStore:
             insort(self._shard_keys, shard.key)
             self._count += shard.record_count
 
-    def load_shard(
-        self, key: int, records: Sequence[PositioningRecord], version: int
-    ) -> None:
-        """Install one shard's persisted state verbatim (no events, no bumps).
-
-        Recovery-only: ``records`` must already be in time order with
-        arrival-order ties, exactly as :meth:`shard_states` reported them,
-        and ``version`` is restored as-is so recovered
-        :meth:`version_token` values reproduce the pre-crash tokens.
-        """
-        self._install(_Shard(key=key, records=list(records), version=version))
-
     def load_shard_packed(
         self, key: int, packed: PackedRecordBatch, version: int
     ) -> None:
-        """Install one shard's persisted state as a packed batch (lazy).
+        """Install one shard's snapshot as a packed batch (lazy; recovery-only).
 
-        The binary-snapshot twin of :meth:`load_shard`: the columnar batch
-        is adopted as-is and only decoded into record objects when a query
-        first touches the shard, so cold recovery costs one blob read per
-        shard instead of per-record parsing.
+        The columnar batch is adopted as-is, in time order with arrival-order
+        ties as :meth:`shard_states` reported it, and only decoded into
+        record objects when a query first touches the shard, so cold
+        recovery costs one blob read per shard instead of per-record parsing.
+        ``version`` is restored as-is, so recovered :meth:`version_token`
+        values reproduce the pre-crash tokens; the frames logged after the
+        snapshot are then replayed through :meth:`_absorb`.
         """
         self._install(_Shard(key=key, version=version, packed=packed))
 

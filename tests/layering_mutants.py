@@ -264,6 +264,10 @@ def rule_breakers(layering):
         code("engine/stages.py", "imports from the durable module",
              "def _mutant():\n    from ..storage.durable import fsync_dir"),
         returns("engine/cache.py", "spells atomic_write", "atomic_write(path, b'', 'never')"),
+        returns("storage/durable.py", "absorbs a slice itself", "shard.absorb(records, times)"),
+        returns("storage/sharded.py", "a second absorb site", "self._shards[key].absorb([], [])"),
+        returns("storage/durable.py", "sorts records", "records.sort(key=None)"),
+        returns("storage/durable.py", "reads a timestamp column", "self._shards[key].timestamps()"),
     ]
 
 

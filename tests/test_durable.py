@@ -19,13 +19,20 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import pathlib
 import random
+import signal
 import struct
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import (
     FloorPlan,
     IUPT,
@@ -599,6 +606,54 @@ class TestSnapshotFile:
         with DurableRecordStore(tmp_path) as again:
             assert _state_matches(again, oracle)
 
+    @staticmethod
+    def _reopen_after_replay(root, batches):
+        """``batches[0]`` checkpointed, the rest left in the segment, then
+        reopened: ``(inode before, bytes before, the oracle)``; the recovery
+        replays the rest and its checkpoint brings the file up to date."""
+        store = DurableRecordStore(root, shard_seconds=SHARD_SECONDS)
+        oracle = ShardedRecordStore(shard_seconds=SHARD_SECONDS)
+        for batch in batches:
+            store.ingest_batch(batch)
+            oracle.ingest_batch(batch)
+            if batch is batches[0]:
+                store.checkpoint()
+        store.close()
+        inode, data, _frames = _snapshot_file(root, 0)
+        with DurableRecordStore(root) as recovered:
+            assert recovered.recovery_report["frames_replayed"] == len(batches) - 1
+            assert _state_matches(recovered, oracle)
+        with DurableRecordStore(root) as again:
+            assert _state_matches(again, oracle)
+        return inode, data, oracle
+
+    def test_a_recovery_replaying_in_order_frames_appends_one_delta(self, tmp_path):
+        """Recovery absorbs each frame as its ingest did, so the snapshot
+        keeps its delta rule across the restart: the same file, the base
+        frame untouched, one delta holding every replayed record once."""
+        batches = _filling_batches(4)
+        inode, base, _oracle = self._reopen_after_replay(tmp_path, batches)
+        now_inode, data, frames = _snapshot_file(tmp_path, 0)
+        assert now_inode == inode and data.startswith(base)
+        replayed = [record for batch in batches[1:] for record in batch]
+        assert [_comparable(frame) for frame in frames] == [
+            {"shard": 0, "version": 1, "through": 1, "packed": batches[0]},
+            {"shard": 0, "version": 4, "through": 4, "packed": replayed},
+        ]
+
+    def test_an_out_of_order_replayed_frame_makes_the_recovery_replace_the_file(
+        self, tmp_path
+    ):
+        batches = _filling_batches(3)
+        batches.insert(2, [_record(7, 3, 1.25)])  # below the records held
+        inode, _base, oracle = self._reopen_after_replay(tmp_path, batches)
+        now_inode, _data, frames = _snapshot_file(tmp_path, 0)
+        assert now_inode != inode
+        [(_key, version, records)] = oracle.shard_states()
+        assert [_comparable(frame) for frame in frames] == [
+            {"shard": 0, "version": version, "through": 4, "packed": list(records)}
+        ]
+
     def test_a_failed_append_is_replaced_by_the_next_checkpoint(
         self, tmp_path, monkeypatch
     ):
@@ -746,6 +801,63 @@ class TestTheLogComesFirst:
         if fail_after == 6:  # no watermark record: nothing was dropped
             assert len(store) == 3 and store.eviction_watermark == float("-inf")
 
+
+
+def _kill_batches(count):
+    """``count`` time-ordered batches of three records over four shards."""
+    return [
+        [_record(oid, (oid + step) % 5, 4.0 * step + oid * 0.5) for oid in range(3)]
+        for step in range(count)
+    ]
+
+
+def _ingest_and_ack(directory, fsync, count):
+    """The child of :class:`TestProcessKill`: ingest ``_kill_batches(count)``
+    at checkpoint cadence 4, print one line once each batch returned, then
+    sleep until killed."""
+    store = DurableRecordStore(
+        directory,
+        shard_seconds=SHARD_SECONDS,
+        config=DurabilityConfig(fsync=fsync, snapshot_every_batches=4),
+    )
+    for step, batch in enumerate(_kill_batches(count)):
+        store.ingest_batch(batch)
+        print("ack", step, flush=True)
+    time.sleep(600)
+
+
+class TestProcessKill:
+    """A kill -9 never loses an acknowledged write, under every fsync policy:
+    each append, snapshot write and rename reaches the OS before the call
+    returns, and the OS keeps it once the process is gone.  (Only
+    ``"always"`` is meant to survive an OS crash; nothing here can cause
+    one.)"""
+
+    @pytest.mark.parametrize("fsync", ["always", "batch", "never"])
+    def test_a_sigkilled_process_keeps_every_acknowledged_batch(self, tmp_path, fsync):
+        count = 10
+        code = (
+            f"import test_durable; "
+            f"test_durable._ingest_and_ack({str(tmp_path)!r}, {fsync!r}, {count})"
+        )
+        path = [pathlib.Path(repro.__file__).parents[1], pathlib.Path(__file__).parent]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
+        with subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=env
+        ) as child:
+            hung = threading.Timer(60.0, child.kill)  # a hung child ends the reads
+            hung.start()
+            acks = [child.stdout.readline() for _ in range(count)]
+            hung.cancel()
+            child.kill()  # SIGKILL, while it sleeps
+        assert child.returncode == -signal.SIGKILL
+        assert acks == [f"ack {step}\n" for step in range(count)]
+        oracle = ShardedRecordStore(shard_seconds=SHARD_SECONDS)
+        for batch in _kill_batches(count):
+            oracle.ingest_batch(batch)
+        with DurableRecordStore(tmp_path) as recovered:
+            assert recovered.recovery_report["frames_replayed"] > 0
+            assert _state_matches(recovered, oracle)
 
 # ----------------------------------------------------------------------
 # The differential crash-recovery harness
@@ -1210,7 +1322,9 @@ class TestCorruptionIsLoud:
     ):
         """A crash mid-append leaves a delta frame cut short; the checkpoint
         writing it had deleted no segment, so the open cuts the frame and
-        replays the segment: the state before that checkpoint."""
+        replays the segment: the state before that checkpoint.  The replay
+        was in time order, so the checkpoint ending the recovery appends the
+        segment's records to the same file as one delta frame."""
         store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
         oracle = ShardedRecordStore(shard_seconds=SHARD_SECONDS)
         first, second = _filling_batches(2)
@@ -1221,7 +1335,7 @@ class TestCorruptionIsLoud:
                 store.checkpoint()
         store.close()
         path = tmp_path / "snapshots" / "shard-0.snap"
-        base = path.read_bytes()
+        inode, base, _frames = _snapshot_file(tmp_path, 0)
         with open(path, "ab") as handle:
             handle.write(encode_snapshot_frame(0, 2, 2, second)[:-5])
 
@@ -1230,8 +1344,12 @@ class TestCorruptionIsLoud:
         assert recovered.recovery_report["frames_replayed"] == 1
         assert _state_matches(recovered, oracle)
         recovered.close()
-        _inode, data, frames = _snapshot_file(tmp_path, 0)
-        assert data != base and len(frames) == 1  # the recovery rewrote it whole
+        now_inode, data, frames = _snapshot_file(tmp_path, 0)
+        assert now_inode == inode and data.startswith(base)  # the base frame untouched
+        assert [_comparable(frame) for frame in frames] == [
+            {"shard": 0, "version": 1, "through": 1, "packed": first},
+            {"shard": 0, "version": 2, "through": 2, "packed": second},
+        ]  # one delta, and no record twice
 
 
 # ----------------------------------------------------------------------
@@ -1613,6 +1731,32 @@ class TestStandingQueryLog:
             assert third.register_flows(slocs, 0.0, 20.0).sub_id == ids[-1] + 2
         recovered.close()
         assert _kept_ids(tmp_path) == [*ids[1:], ids[-1] + 1, ids[-1] + 2]
+
+    @pytest.mark.parametrize("rewrite", [False, True], ids=["reopen", "after-a-rewrite"])
+    def test_a_removed_id_is_never_handed_out_again(self, tmp_path, rewrite):
+        """Ids 1 and 2 registered, 2 removed, the table reopened: the next
+        registration gets 3, so a client resuming the old id 2 finds no
+        query rather than someone else's.  A size-rule rewrite drops the
+        frames naming 2, and its base frame carries the floor instead."""
+        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
+        graph, matrix = _mini_space()
+        slocs = sorted(graph.slocation_to_cell)
+        with QueryEngine(graph, matrix).continuous(store) as first:
+            ids = [first.register_flows(slocs, 0.0, 20.0).sub_id for _ in range(2)]
+            first.unregister(first.subscription(ids[1]))
+        assert ids == [1, 2]
+        if rewrite:
+            store.checkpoint()  # no segment folded: the log outgrows one query
+            frames = _control_log(tmp_path)[1]
+            assert [frame["kind"] for frame in frames] == ["base", "subscribe"]
+            assert frames[0]["next_query"] == 3
+        store.close()
+        recovered = DurableRecordStore(tmp_path)
+        with QueryEngine(graph, matrix).continuous(recovered) as second:
+            assert [s.sub_id for s in second.restore_subscriptions()] == [1]
+            assert second.register_flows(slocs, 0.0, 20.0).sub_id == 3
+        recovered.close()
+        assert _kept_ids(tmp_path) == [1, 3]
 
     def test_a_subscribe_whose_append_fails_is_registered_nowhere(self, tmp_path):
         store = DurableRecordStore(

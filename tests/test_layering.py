@@ -259,6 +259,8 @@ GONE = [
      "_persist_manifest _manifest_fsync"),
     (47, "def:experiments/ablations.py", _defined("experiments/ablations.py").__contains__,
      "ablation_algorithms"),
+    *_members(48, "load_shard", ShardedRecordStore),  # recovery absorbs what an ingest did
+    *_members(48, "records", repro.storage.sharded._Shard.__init__),
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
@@ -362,6 +364,10 @@ RULES = [  # (PR, rule, actual, expected)
         f"{where}: {line}" for where in TREES if where.startswith("engine/")
         for line in [*_imports_durable(where), *re.findall(r"\batomic_write\b", SOURCES[where])]],
      []),
+    (48, "one-absorb-path", lambda: _sites("absorb", "storage/"),  # ingest and recovery both
+     ["storage/sharded.py:ShardedRecordStore._absorb"]),
+    (48, "the-shard-alone-decides-in-order", lambda: _sites("sort timestamps", "storage/durable.py"),
+     []),  # the durable store sorts no record and reads no timestamp column
 ]  # fmt: skip
 
 
