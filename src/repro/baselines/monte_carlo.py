@@ -35,7 +35,7 @@ from itertools import accumulate
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.paths import pass_probability
-from ..core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
+from ..core.query import SearchStats, TkPLQResult, TkPLQuery
 from ..data.records import SampleSet
 from ..space.graph import IndoorSpaceLocationGraph
 from ..space.matrix import IndoorLocationMatrix, Link
@@ -68,13 +68,7 @@ class MonteCarlo:
         rounds = self.round_flows(iupt, query, stats)
         flows = {sloc_id: sum(values) / self._rounds for sloc_id, values in rounds.items()}
         stats.elapsed_seconds = time.perf_counter() - began
-        return TkPLQResult(
-            query=query,
-            ranking=rank_top_k(flows, query.k),
-            flows=flows,
-            stats=stats,
-            algorithm=self.name,
-        )
+        return TkPLQResult.ranked(query, flows, stats, self.name)
 
     def round_flows(
         self,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Set
 
-from ..core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
+from ..core.query import SearchStats, TkPLQResult, TkPLQuery
 from ..data.rfid import RFIDTable
 from ..space.floorplan import FloorPlan
 
@@ -85,10 +85,4 @@ class SemiConstrainedCounting:
         stats.objects_total = len(seen_objects)
         stats.objects_computed = len(seen_objects)
         stats.elapsed_seconds = time.perf_counter() - began
-        return TkPLQResult(
-            query=query,
-            ranking=rank_top_k(flows, query.k),
-            flows=flows,
-            stats=stats,
-            algorithm=self.name,
-        )
+        return TkPLQResult.ranked(query, flows, stats, self.name)

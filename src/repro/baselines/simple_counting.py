@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Sequence, Set
 
-from ..core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
+from ..core.query import SearchStats, TkPLQResult, TkPLQuery
 from ..data.records import SampleSet
 from ..space.floorplan import FloorPlan
 from ..storage.sharded import ShardedRecordStore
@@ -65,13 +65,7 @@ class SimpleCounting:
         stats.objects_total = len(seen_objects)
         stats.objects_computed = len(seen_objects)
         stats.elapsed_seconds = time.perf_counter() - began
-        return TkPLQResult(
-            query=query,
-            ranking=rank_top_k(flows, query.k),
-            flows=flows,
-            stats=stats,
-            algorithm=self.name,
-        )
+        return TkPLQResult.ranked(query, flows, stats, self.name)
 
     # ------------------------------------------------------------------
     # Internals

@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-from ..core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
+from ..core.query import SearchStats, TkPLQResult, TkPLQuery
 from ..data.rfid import RFIDRecord, RFIDTable
 from ..geometry import Ellipse
 from ..space.floorplan import FloorPlan
@@ -61,13 +61,7 @@ class UncertaintyRegionFlow:
                 flows[sloc_id] += presence
 
         stats.elapsed_seconds = time.perf_counter() - began
-        return TkPLQResult(
-            query=query,
-            ranking=rank_top_k(flows, query.k),
-            flows=flows,
-            stats=stats,
-            algorithm=self.name,
-        )
+        return TkPLQResult.ranked(query, flows, stats, self.name)
 
     # ------------------------------------------------------------------
     # Region construction and scoring

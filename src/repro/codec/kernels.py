@@ -2,8 +2,8 @@
 
 The engine accumulates flows with one fold over the window's per-object
 artefacts in fetch order
-(:func:`~repro.core.nested_loop.accumulate_flows_over_entries`, which
-:func:`~repro.core.nested_loop.score_query_over_entries` ranks).
+(:func:`~repro.core.nested_loop.accumulate_flows_over_entries`, called by
+:meth:`~repro.engine.stages.QueryPipeline.flows` alone).
 :class:`PresenceMatrix` is the other shape of the same sum — one row per
 S-location, one column per artefact — and nothing under ``src/repro`` builds
 one.  It survives **only** because ``bench/layers.py`` (which a PR outside

@@ -14,7 +14,7 @@ import time
 from typing import Dict, TYPE_CHECKING
 
 from ..storage.sharded import ShardedRecordStore
-from .query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
+from .query import SearchStats, TkPLQResult, TkPLQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core never imports the engine)
     from ..engine.stages import QueryPipeline
@@ -35,19 +35,11 @@ class NaiveTkPLQ:
 
         flows: Dict[int, float] = {}
         for sloc_id in query.query_slocations:
-            # Each call reads the objects that may have visited its
+            # Each read covers the objects that may have visited its
             # location; only a presence store (one entry per window) lets a
-            # later call reuse what an earlier one built.
-            ctx = self._pipeline.context(
-                query.interval, frozenset({sloc_id}), stats=stats
-            )
-            flows[sloc_id] = self._pipeline.flow(ctx, iupt, sloc_id).flow
+            # later read reuse what an earlier one built.
+            ctx = self._pipeline.context(query.interval, (sloc_id,), stats=stats)
+            flows.update(self._pipeline.flows(ctx, iupt, (sloc_id,)))
 
         stats.elapsed_seconds = time.perf_counter() - began
-        return TkPLQResult(
-            query=query,
-            ranking=rank_top_k(flows, query.k),
-            flows=flows,
-            stats=stats,
-            algorithm=self.name,
-        )
+        return TkPLQResult.ranked(query, flows, stats, self.name)

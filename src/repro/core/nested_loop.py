@@ -8,11 +8,13 @@ against those shared paths.  The per-object local scores are aggregated into
 global flows and the top-k is obtained by a full ranking.
 
 That scoring is :func:`accumulate_flows_over_entries`, the one fold of
-per-object presences into flows: the nested-loop algorithm,
-``QueryEngine.batch``, ``QueryEngine.flows`` and both kinds of standing
-query sum the same presences in the same (fetch) order through it, which is
-what makes their answers equal bit for bit.
-:func:`score_query_over_entries` is that fold plus the ranking of one query.
+per-object presences into flows.  It has one caller,
+:meth:`~repro.engine.stages.QueryPipeline.flows` — the window, then the fold —
+and every read goes through that: this algorithm, the naive one's
+per-location reads, ``QueryEngine.flow`` / ``flows`` / ``batch`` and both
+kinds of standing query sum the same presences in the same (fetch) order,
+which is what makes their answers equal bit for bit.
+:meth:`~repro.core.query.TkPLQResult.ranked` turns the flows into an answer.
 
 The per-object work (reduce → path construction) runs through the staged
 pipeline it is given, so it transparently benefits from the cross-query
@@ -26,7 +28,7 @@ import time
 from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..storage.sharded import ShardedRecordStore
-from .query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
+from .query import SearchStats, TkPLQResult, TkPLQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core never imports the engine)
     from ..engine.cache import StoredPresence
@@ -71,34 +73,6 @@ def accumulate_flows_over_entries(
     return flows
 
 
-def score_query_over_entries(
-    query: TkPLQuery,
-    entries: Sequence[Tuple[int, "StoredPresence"]],
-    parent_cells: Dict[int, Optional[int]],
-    stats: Optional[SearchStats] = None,
-    algorithm: str = BATCH_ALGORITHM,
-) -> TkPLQResult:
-    """Score and rank one query against one window's per-object artefacts.
-
-    ``stats`` (a fresh accumulator by default) gets the window's object
-    count and the fold's evaluations.
-    """
-    began = time.perf_counter()
-    stats = stats if stats is not None else SearchStats()
-    stats.note_objects_total(len(entries))
-    flows = accumulate_flows_over_entries(
-        entries, query.query_slocations, parent_cells, stats
-    )
-    stats.elapsed_seconds += time.perf_counter() - began
-    return TkPLQResult(
-        query=query,
-        ranking=rank_top_k(flows, query.k),
-        flows=flows,
-        stats=stats,
-        algorithm=algorithm,
-    )
-
-
 class NestedLoopTkPLQ:
     """Answer TkPLQ with one pass over objects, sharing intermediate results."""
 
@@ -109,15 +83,7 @@ class NestedLoopTkPLQ:
 
     def search(self, iupt: ShardedRecordStore, query: TkPLQuery) -> TkPLQResult:
         began = time.perf_counter()
-        pipeline = self._pipeline
-        graph = pipeline.flow_computer.graph
-        ctx = pipeline.context(query.interval, query.query_slocations)
-        entries = pipeline.window(ctx, iupt).entries
-        parent_cells = {
-            sloc_id: graph.parent_cell(sloc_id) for sloc_id in query.query_slocations
-        }
-        result = score_query_over_entries(
-            query, entries, parent_cells, ctx.stats, algorithm=self.name
-        )
-        result.stats.elapsed_seconds = time.perf_counter() - began
-        return result
+        ctx = self._pipeline.context(query.interval, query.query_slocations)
+        flows = self._pipeline.flows(ctx, iupt, query.query_slocations)
+        ctx.stats.elapsed_seconds = time.perf_counter() - began
+        return TkPLQResult.ranked(query, flows, ctx.stats, self.name)

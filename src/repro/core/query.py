@@ -98,9 +98,9 @@ class SearchStats:
 
         Every fetch over the same window reports the same count, so the
         accumulator keeps the maximum: shared-stats callers (the naive
-        algorithm's per-location flow calls, ``flows_for_all``) see the
-        window's object population exactly once instead of a sum or a
-        last-write-wins value.
+        algorithm's per-location reads, a batch's queries over one window)
+        see the window's object population exactly once instead of a sum or
+        a last-write-wins value.
         """
         self.objects_total = max(self.objects_total, count)
 
@@ -157,6 +157,13 @@ class TkPLQResult:
     flows: Dict[int, float]
     stats: SearchStats
     algorithm: str = ""
+
+    @classmethod
+    def ranked(
+        cls, query: TkPLQuery, flows: Dict[int, float], stats: SearchStats, algorithm: str
+    ) -> "TkPLQResult":
+        """The answer to ``query`` ranking ``flows`` (:func:`rank_top_k`)."""
+        return cls(query, rank_top_k(flows, query.k), flows, stats, algorithm)
 
     def top_k_ids(self) -> List[int]:
         """The ranked S-location ids, best first."""

@@ -16,13 +16,15 @@ This package turns the core algorithms into an explicit execution engine:
   subclass built from a floor plan), and :class:`BatchReport`, what its
   ``batch`` returns.
 
-The fold that scores presences into flows is not here:
-:func:`~repro.core.nested_loop.accumulate_flows_over_entries` and
-:func:`~repro.core.nested_loop.score_query_over_entries` live beside
-Algorithm 3, which scores with them too.
+Every read but best-first's is one call,
+:meth:`~repro.engine.stages.QueryPipeline.flows`: the window, then the one
+fold, :func:`~repro.core.nested_loop.accumulate_flows_over_entries`, which
+lives beside Algorithm 3 (``core`` never imports the engine) and has no other
+caller; :meth:`~repro.core.query.TkPLQResult.ranked` makes a top-k answer of
+its flows.
 """
 
-from ..core.nested_loop import BATCH_ALGORITHM, score_query_over_entries
+from ..core.nested_loop import BATCH_ALGORITHM
 from .cache import CacheStats, PresenceStore, StoredPresence
 from .config import EngineConfig
 from .context import ExecutionContext
@@ -60,5 +62,4 @@ __all__ = [
     "StoredPresence",
     "Subscription",
     "SubscriptionStats",
-    "score_query_over_entries",
 ]

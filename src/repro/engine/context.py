@@ -1,7 +1,10 @@
 """Execution context threading state through the pipeline stages.
 
-An :class:`ExecutionContext` is created once per query and handed to every
-stage.  It carries what a stage may need besides its input: the mutable
+An :class:`ExecutionContext` is created once per read, by
+:meth:`~repro.engine.stages.QueryPipeline.context`, and handed to every stage
+the read runs — inside :meth:`~repro.engine.stages.QueryPipeline.flows`, the
+window then the fold, for every read but best-first's.  It carries what a
+stage may need besides its input: the mutable
 :class:`~repro.core.query.SearchStats` the caller wants populated, the query
 window and the data version — which together form the key of the cross-query
 :class:`~repro.engine.cache.PresenceStore` — and the query S-location set,
@@ -44,11 +47,6 @@ class ExecutionContext:
         of the table state this query's window reads; set by :meth:`pin` and
         part of the store key, so a cached window dies with the
         (shard-scoped) table state it was computed from.
-    pinned_data_key:
-        When set, :meth:`pin` adopts this token instead of re-deriving one
-        from the table.  The continuous-query subsystem pins each refresh to
-        the exact token it based its skip / carry-over decision on, so the
-        entry the refresh stores is the one that decision was made for.
     """
 
     window: Tuple[float, float]
@@ -57,7 +55,6 @@ class ExecutionContext:
     store: Optional["PresenceStore"] = None
     use_store: bool = True
     data_key: Optional[Tuple] = None
-    pinned_data_key: Optional[Tuple] = None
 
     @property
     def start(self) -> float:
@@ -69,10 +66,7 @@ class ExecutionContext:
 
     def pin(self, iupt: "ShardedRecordStore") -> None:
         """Key this context to the table state its window reads."""
-        if self.pinned_data_key is not None:
-            self.data_key = self.pinned_data_key
-        else:
-            self.data_key = iupt.version_token(self.start, self.end)
+        self.data_key = iupt.version_token(self.start, self.end)
 
     @property
     def effective_store(self) -> Optional["PresenceStore"]:

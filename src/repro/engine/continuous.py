@@ -72,7 +72,6 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from ..core.nested_loop import accumulate_flows_over_entries, score_query_over_entries
 from ..core.query import TkPLQResult, TkPLQuery
 from ..storage import (
     EvictedRangeError,
@@ -506,13 +505,12 @@ class ContinuousQueryEngine:
                 for object_id, artefact in previous.entries
                 if object_id not in touched
             }
-        self._compute(subscription, pinned_key=new_key, carry=carry)
+        self._compute(subscription, carry=carry)
         subscription.stats.objects_rekeyed += len(carry)
 
     def _compute(
         self,
         subscription: Subscription,
-        pinned_key: Optional[Tuple] = None,
         carry: Optional[Dict[int, "StoredPresence"]] = None,
     ) -> None:
         """(Re)compute one standing result through the engine pipeline.
@@ -521,28 +519,18 @@ class ContinuousQueryEngine:
         and recomputed (or served, when the store already holds the window).
         Flows are re-accumulated over every per-object artefact in fetch
         order, so the result is bit-identical to a fresh engine's full
-        recompute.
+        recompute.  The read pins the window's token inside the hold of the
+        table's lock that :meth:`_maintain` compared it in, so the entry it
+        stores is the one that decision was made for.
         """
         began = time.perf_counter()
         pipeline = self._engine.pipeline
         ctx = pipeline.context(subscription.window, subscription.sloc_ids)
-        ctx.pinned_data_key = pinned_key
-        entries = pipeline.window(ctx, self._iupt, carry=carry).entries
-
-        graph = pipeline.flow_computer.graph
-        parent_cells = {
-            sloc_id: graph.parent_cell(sloc_id) for sloc_id in subscription.sloc_ids
-        }
+        flows = pipeline.flows(ctx, self._iupt, subscription.sloc_ids, carry=carry)
+        result: object = flows
         if subscription.kind == TOP_K:
-            result: object = score_query_over_entries(
-                subscription.query,
-                entries,
-                parent_cells,
-                algorithm=CONTINUOUS_ALGORITHM,
-            )
-        else:
-            result = accumulate_flows_over_entries(
-                entries, subscription.sloc_ids, parent_cells, ctx.stats
+            result = TkPLQResult.ranked(
+                subscription.query, flows, ctx.stats, CONTINUOUS_ALGORITHM
             )
 
         churn = self._churn(subscription._result, result, subscription.kind)

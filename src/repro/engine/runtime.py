@@ -4,7 +4,10 @@ A ``QueryEngine`` owns one :class:`~repro.core.flow.FlowComputer` (the
 reduction / path primitives), one cross-query
 :class:`~repro.engine.cache.PresenceStore`, and the three TkPLQ algorithms
 wired to the shared :class:`~repro.engine.stages.QueryPipeline`.  It is the
-layer every entry point goes through:
+layer every entry point goes through, and each of its reads but best-first's
+is one call, :meth:`~repro.engine.stages.QueryPipeline.flows` (the window,
+then the one fold), ranked by :meth:`~repro.core.query.TkPLQResult.ranked`
+where the read is a top-k:
 
 * :meth:`flow` / :meth:`flows` — Algorithm 2 through the staged pipeline;
 * :meth:`search` / :meth:`top_k` — the naive, nested-loop and best-first
@@ -30,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.best_first import BestFirstTkPLQ
 from ..core.flow import FlowComputer, FlowResult
 from ..core.naive import NaiveTkPLQ
-from ..core.nested_loop import NestedLoopTkPLQ, score_query_over_entries
+from ..core.nested_loop import BATCH_ALGORITHM, NestedLoopTkPLQ
 from ..core.query import SearchStats, TkPLQResult, TkPLQuery
 from ..core.reduction import DataReductionConfig
 from ..space.graph import IndoorSpaceLocationGraph
@@ -49,7 +52,8 @@ class BatchReport:
     """The outcome of one batched run: per-query results plus shared-work totals.
 
     ``groups`` is how many distinct windows the batch read.  ``shared_stats``
-    aggregates the fetch/reduce/path work of every window; its
+    aggregates the work of every window — fetch, reduce, paths and each
+    query's fold; its
     ``objects_total`` is the *sum* of the per-window object populations (an
     object reported in two windows counts twice, matching how much
     fetch-and-reduce work the batch actually performed).
@@ -105,14 +109,16 @@ class QueryEngine:
         stats: Optional[SearchStats] = None,
     ) -> FlowResult:
         """Indoor flow of one S-location through the staged pipeline."""
-        ctx = self.pipeline.context((start, end), frozenset({sloc_id}), stats=stats)
-        return self.pipeline.flow(ctx, iupt, sloc_id)
+        ctx = self.pipeline.context((start, end), (sloc_id,), stats=stats)
+        flows = self.pipeline.flows(ctx, iupt, (sloc_id,))
+        return FlowResult(sloc_id=sloc_id, flow=flows[sloc_id], stats=ctx.stats)
 
     def flows(
         self, iupt: ShardedRecordStore, sloc_ids: Sequence[int], start: float, end: float
     ) -> Dict[int, float]:
         """Flows of several S-locations, sharing one per-object pass."""
-        return self.pipeline.flows_for_all(iupt, sloc_ids, start, end)
+        ctx = self.pipeline.context((start, end), sloc_ids)
+        return self.pipeline.flows(ctx, iupt, sloc_ids)
 
     # ------------------------------------------------------------------
     # TkPLQ
@@ -158,27 +164,23 @@ class QueryEngine:
     # Batched evaluation
     # ------------------------------------------------------------------
     def batch(self, iupt: ShardedRecordStore, queries: Sequence[TkPLQuery]) -> BatchReport:
-        """Answer many queries, each scored by the nested-loop fold.
+        """Answer many queries, each read through the pipeline's one fold.
 
         Queries over one window share its store entry: each object is fetched
         and reduced once, and its presences built once, by the first query
         that reads it (an uncached engine shares nothing).  The results are
-        ordered like ``queries``; each result's ``stats`` carries its own
-        scoring counters, and the fetch/reduce/path work of the whole batch
-        is reported once in :attr:`BatchReport.shared_stats`.
+        ordered like ``queries``; each result's ``stats`` are its own read's
+        (the window work it caused, then its fold), and they are merged per
+        window into :attr:`BatchReport.shared_stats`.
         """
         began = time.perf_counter()
-        graph = self.flow_computer.graph
         windows: Dict[Tuple[float, float], SearchStats] = {}
         results: List[TkPLQResult] = []
         for query in queries:
-            stats = windows.setdefault(query.interval, SearchStats())
-            ctx = self.pipeline.context(query.interval, query.query_slocations, stats=stats)
-            entries = self.pipeline.window(ctx, iupt).entries
-            parent_cells = {
-                sloc_id: graph.parent_cell(sloc_id) for sloc_id in query.query_slocations
-            }
-            results.append(score_query_over_entries(query, entries, parent_cells))
+            ctx = self.pipeline.context(query.interval, query.query_slocations)
+            flows = self.pipeline.flows(ctx, iupt, query.query_slocations)
+            results.append(TkPLQResult.ranked(query, flows, ctx.stats, BATCH_ALGORITHM))
+            windows.setdefault(query.interval, SearchStats()).merge(ctx.stats)
         shared_stats = SearchStats()
         for stats in windows.values():
             shared_stats.merge(stats, same_window=False)

@@ -11,24 +11,25 @@ stages, each reporting into the :class:`ExecutionContext` it is given:
   per-object :class:`~repro.engine.cache.StoredPresence` artefact shared
   across query locations, across queries and across query sets.
 
-:class:`QueryPipeline` wires the stages to a
-:class:`~repro.core.flow.FlowComputer` (the home of the reduction and path
-primitives) and an optional presence store.  :meth:`QueryPipeline.window` is
-the one place a query meets the table and the store: the three TkPLQ
-algorithms, ``QueryEngine.flow``/``flows``/``batch`` and the
-continuous-query subsystem all ask it for the window's
-:class:`~repro.engine.cache.WindowPresences` and only score what it returns,
-with the one fold,
-:func:`~repro.core.nested_loop.accumulate_flows_over_entries` (imported here
-because ``bench/`` imports it from this module).
+The pipeline wires the stages to a :class:`~repro.core.flow.FlowComputer` (the
+home of the reduction and path primitives) and an optional presence store.
+:meth:`QueryPipeline.window` is the one place a query meets the table and the
+store, and :meth:`QueryPipeline.flows` is the one read: the window, then the
+one fold, :func:`~repro.core.nested_loop.accumulate_flows_over_entries`
+(imported here because ``bench/`` imports it from this module).  The naive
+algorithm's per-location reads, nested-loop, ``QueryEngine.flow`` / ``flows``
+/ ``batch`` and both kinds of standing query all read through it; best-first
+alone reads :meth:`~QueryPipeline.window` itself, to resolve locations one at
+a time.
 
 **The query set only picks what a query reads.**  A window's entry holds
 every object of the window, reduced once; Algorithm 1's one query-dependent
 test — PSL pruning, an object's PSLs missing the query set — is taken by each
-query as it reads the entry: a query builds presences for, and sums, only the
-objects whose PSLs meet its ``ctx.query_key`` (every object when PSL pruning
-is off or the key is ``None``).  That is exactly the set the reducer would
-not have pruned, so the sums and their order are unchanged.
+query as it reads the entry: a query builds presences only for the objects
+whose PSLs meet its ``ctx.query_key`` (every object when PSL pruning is off
+or the key is ``None``), and the fold sums for a location only the objects
+whose PSLs hold it.  That is exactly the set the reducer would not have
+pruned, so the sums and their order are unchanged.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.flow import FlowComputer, FlowResult
+from ..core.flow import FlowComputer
 from ..core.nested_loop import accumulate_flows_over_entries
 from ..core.query import SearchStats
 from ..core.reduction import ReducedSequence
@@ -297,46 +298,31 @@ class QueryPipeline:
     # ------------------------------------------------------------------
     # Algorithm 2, staged
     # ------------------------------------------------------------------
-    def flow(
-        self, ctx: ExecutionContext, iupt: ShardedRecordStore, sloc_id: int
-    ) -> FlowResult:
-        """The indoor flow of one S-location, run through the staged pipeline."""
-        began = time.perf_counter()
-        cell_id = self._computer.graph.parent_cell(sloc_id)
-
-        flow_value = 0.0
-        for _object_id, entry in _reads(ctx, self.window(ctx, iupt).entries):
-            ctx.stats.flow_evaluations += 1
-            flow_value += entry.computation.presence_in_cell(cell_id)
-
-        ctx.stats.elapsed_seconds += time.perf_counter() - began
-        return FlowResult(sloc_id=sloc_id, flow=flow_value, stats=ctx.stats)
-
-    def flows_for_all(
+    def flows(
         self,
+        ctx: ExecutionContext,
         iupt: ShardedRecordStore,
         sloc_ids: Sequence[int],
-        start: float,
-        end: float,
-        stats: Optional[SearchStats] = None,
+        carry: Optional[Dict[int, StoredPresence]] = None,
     ) -> Dict[int, float]:
-        """Flows of several S-locations sharing one per-object pass.
+        """Algorithm 2 for every S-location of ``sloc_ids``: the window, then
+        the one fold.
 
-        Each object of the window is reduced once and the paths of those
-        that may have visited one of the locations are constructed once; the
-        per-location decision is then taken from the object's possible
-        semantic locations (``sloc ∈ PSLs``), exactly as an independent
-        ``flow(sloc)`` call would have decided it.
+        Every read of the engine but best-first's ends here.  The window's
+        artefacts come from :meth:`window` (``carry`` passed on), and
+        :func:`~repro.core.nested_loop.accumulate_flows_over_entries` sums,
+        per location, the presences of the objects whose PSLs hold it, in
+        fetch order.  An object's presence outside its PSLs is exactly zero, so the
+        sum is Equation 2's over every object of the window.  ``sloc_ids``
+        must lie in ``ctx``'s query set (or the set be ``None``); a location
+        listed twice is summed once.
         """
-        ordered = list(dict.fromkeys(sloc_ids))
-        ctx = self.context((start, end), ordered, stats=stats)
         began = time.perf_counter()
-
-        graph = self._computer.graph
-        parent_cells = {sloc_id: graph.parent_cell(sloc_id) for sloc_id in ordered}
+        entries = self.window(ctx, iupt, carry=carry).entries
+        parent_cell = self._computer.graph.parent_cell
+        parent_cells = {sloc_id: parent_cell(sloc_id) for sloc_id in sloc_ids}
         flows = accumulate_flows_over_entries(
-            self.window(ctx, iupt).entries, ordered, parent_cells, ctx.stats
+            entries, tuple(parent_cells), parent_cells, ctx.stats
         )
-
         ctx.stats.elapsed_seconds += time.perf_counter() - began
         return flows

@@ -360,17 +360,21 @@ class ServiceClient:
     # Replication (WAL shipping)
     # ------------------------------------------------------------------
     async def wal_tail(
-        self, cursor: int, follower: Optional[str] = None
+        self, cursor: int, follower: Optional[str] = None, uid: object = None
     ) -> dict:
         """The replication handshake: catch up from ``cursor``, then tail.
 
-        In ``replay`` mode the batches past ``cursor`` arrive as pushes; in
-        ``snapshot`` mode the result dict carries the packed-shard payload
-        under :data:`protocol.BIN_PAYLOAD` and the advanced ``cursor``.
-        Either way every later commit is pushed live; WAL pushes land on
-        :attr:`wal_frames` (some may precede the response).
+        ``uid`` is the identity the follower's table holds (``None``, and not
+        sent, on a first attach): the primary replays only onto its own
+        table, up to its last commit.  In ``replay`` mode the batches past
+        ``cursor`` arrive as pushes; in ``snapshot`` mode the result dict
+        carries the packed-shard payload under :data:`protocol.BIN_PAYLOAD`,
+        the primary's ``uid`` and the advanced ``cursor``.  Either way every
+        later commit is pushed live; WAL pushes land on :attr:`wal_frames`
+        (some may precede the response).
         """
-        return await self.request("wal_tail", cursor=cursor, follower=follower)
+        held = {} if uid is None else {"uid": uid}
+        return await self.request("wal_tail", cursor=cursor, follower=follower, **held)
 
     async def wal_ack(self, cursor: int) -> dict:
         """Acknowledge the tail of this connection up to ``cursor``."""

@@ -14,6 +14,13 @@ an ``op``::
      "start": 0.0, "end": 60.0}
     {"id": 4, "op": "subscribe", "resume": 3}          # re-attach after a restart
     {"id": 5, "op": "checkpoint"}                      # durable stores only
+    {"id": 6, "op": "wal_tail", "cursor": 12, "follower": "r1", "uid": "9f2c..."}
+
+``wal_tail`` is the replication handshake (``service/wal_tail.py``).  Its
+optional ``uid`` is the identity the follower's table holds (absent on a
+first attach): the primary replays the batches past ``cursor`` only when its
+WAL still holds them, ``cursor`` is at most its last commit, and the ``uid``
+is absent or its own; otherwise it answers with a ``snapshot`` of its table.
 
 **Responses** (server → client) echo the ``id`` and carry either a result or
 a structured error::

@@ -165,7 +165,8 @@ class ReadReplica:
     async def _handshake(self) -> dict:
         """The one request that (re)attaches the tail at :attr:`applied_seq`."""
         try:
-            return await self._client.wal_tail(self.applied_seq, follower=self.name)
+            uid = None if self.iupt is None else self.iupt.uid
+            return await self._client.wal_tail(self.applied_seq, self.name, uid)
         except ServiceError as error:
             raise ReplicaError(
                 f"primary rejected the WAL handshake: {error}"
@@ -187,10 +188,12 @@ class ReadReplica:
             for key, version, blob in protocol.decode_shard_sections(payload)
         ]
         watermark = handshake.get("watermark")
-        self.iupt.reset_to_packed_shards(
-            shards,
-            watermark=float("-inf") if watermark is None else float(watermark),
-        )
+        with self.iupt.lock:  # no read keys the adopted shards to the old identity
+            self.iupt.reset_to_packed_shards(
+                shards,
+                watermark=float("-inf") if watermark is None else float(watermark),
+            )
+            self.iupt.restore_identity(handshake["uid"])
         self.applied_seq = int(handshake["cursor"])
         self.snapshot_catchups += 1
         if self.service is not None and self.service.continuous is not None:

@@ -94,10 +94,13 @@ class WalTail:
     def _do_wal_tail(self, connection, frame: dict):
         """The replication handshake — catch up, then tail — in one hold of
         the store lock: replay the committed batches past the follower's
-        ``cursor`` as push frames, or, when the WAL no longer holds them, put
-        every shard packed (versions included) on the response and move the
-        cursor to the last commit; then subscribe the connection (replacing
-        a tail it already had).  No commit falls in between and
+        ``cursor`` as push frames, or put every shard packed (versions
+        included) on the response and move the cursor to the last commit
+        when replay cannot bring the follower to this table — the WAL no
+        longer holds those batches, the cursor is past the last commit, or
+        the follower's ``uid`` (the identity its table holds; absent on a
+        first attach) is another table's; then subscribe the connection
+        (replacing a tail it already had).  No commit falls in between and
         ``call_soon_threadsafe`` keeps order, so the follower sees one
         gapless sequence.  Returns ``(result, payload or None)``."""
         cursor = protocol.field(frame, "cursor", int, 0)
@@ -113,7 +116,12 @@ class WalTail:
                 "shard_seconds": store.shard_seconds,
                 "watermark": watermark if watermark > float("-inf") else None,
             }
-            if store.can_replay_from(cursor):
+            uid = frame.get("uid")
+            if (
+                store.can_replay_from(cursor)
+                and cursor <= store.last_committed_seq
+                and uid in (None, store.uid)
+            ):
                 batches = store.committed_batches_after(cursor)
                 for seq, records in batches:
                     push = protocol.push_wal_frame(

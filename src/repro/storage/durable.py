@@ -1005,16 +1005,6 @@ class DurableRecordStore(ShardedRecordStore):
     def directory(self) -> pathlib.Path:
         return self._dir
 
-    @property
-    def uid(self) -> str:
-        """The persisted store identity (embedded in version tokens).
-
-        Replicas adopt it via
-        :meth:`~repro.storage.sharded.ShardedRecordStore.restore_identity`
-        so their version tokens compare equal to the primary's.
-        """
-        return self._uid
-
     def describe(self) -> dict:
         summary = super().describe()
         summary.update(

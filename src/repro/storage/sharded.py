@@ -782,12 +782,19 @@ class ShardedRecordStore:
             self._count = sum(shard.record_count for shard in adopted.values())
             self._watermark = max(self._watermark, float(watermark))
 
+    @property
+    def uid(self) -> object:
+        """The store identity its version tokens embed (a durable store's is
+        persisted; a replica holds its primary's)."""
+        return self._uid
+
     def restore_identity(self, uid: object) -> None:
-        """Adopt a persisted store identity (recovery-only).
+        """Adopt a persisted store identity (recovery, and a replica).
 
         Version tokens embed the store uid; a durable store recovered from
         the same directory IS the same logical store, so its tokens must
-        compare equal to the pre-crash ones when the data matches.  The
+        compare equal to the pre-crash ones when the data matches, and a
+        replica adopts its primary's with the table it copies.  The
         persisted uid is a string, so it can never collide with the integer
         uids the in-process :data:`~repro.storage.base.STORE_UIDS` counter
         hands to volatile stores.

@@ -211,7 +211,6 @@ def rule_breakers(layering):
         code("system.py", "a forwarding member", "IndoorFlowSystem.flows_of = lambda self: None"),
         *parameters("system.py", "IndoorFlowSystem.__init__", "rtree"),
         code("engine/stages.py", "defines the fold", "def accumulate_flows_over_entries():\n    pass"),
-        code("engine/runtime.py", "defines the fold", "def score_query_over_entries():\n    pass"),
         code("engine/stages.py", "wraps the fold", "import functools as _f\n"
              "accumulate_flows_over_entries = _f.wraps(accumulate_flows_over_entries)(lambda *a: a)"),
         returns("core/best_first.py", "constructs an RTree directly", "RTree([])"),
@@ -268,6 +267,15 @@ def rule_breakers(layering):
         returns("storage/sharded.py", "a second absorb site", "self._shards[key].absorb([], [])"),
         returns("storage/durable.py", "sorts records", "records.sort(key=None)"),
         returns("storage/durable.py", "reads a timestamp column", "self._shards[key].timestamps()"),
+        returns("engine/runtime.py", "a second fold caller",
+                "accumulate_flows_over_entries(entries, sloc_ids, cells, stats)"),
+        returns("core/nested_loop.py", "folds by itself",
+                "accumulate_flows_over_entries(entries, sloc_ids, cells, stats)"),
+        returns("engine/continuous.py", "maps a location to its cell",
+                "graph.parent_cell(sloc_id)"),
+        returns("core/naive.py", "maps a location to its cell", "graph.parent_cell(sloc_id)"),
+        returns("baselines/scc.py", "ranks by itself", "rank_top_k(flows, query.k)"),
+        returns("engine/continuous.py", "ranks by itself", "query.rank_top_k(flows, 3)"),
     ]
 
 

@@ -38,9 +38,9 @@ from repro.codec import (
     encode_batch,
 )
 from repro.data.records import PositioningRecord, Sample
-from repro.engine import QueryEngine, score_query_over_entries
+from repro.engine import BATCH_ALGORITHM, QueryEngine
 from repro.engine.stages import accumulate_flows_over_entries
-from repro.core.query import SearchStats, TkPLQuery, rank_top_k
+from repro.core.query import SearchStats, TkPLQResult, TkPLQuery, rank_top_k
 from repro.experiments.runner import overlapping_queries
 from repro.storage.durable import (
     DurabilityConfig,
@@ -235,12 +235,14 @@ def assert_flows_are_the_fold(entries, slocs, parent_cells, expected=None):
 
 
 def assert_query_is_the_fold(query, entries, parent_cells, objects_total, expected):
-    """``score_query_over_entries`` and the engine's own answer (``expected``)
-    against the direct fold: flows, ranking, ``flow_evaluations`` and the
-    window's ``objects_total``."""
+    """``TkPLQResult.ranked`` over the one fold and the engine's own answer
+    (``expected``) against the direct fold: flows, ranking,
+    ``flow_evaluations`` and the window's ``objects_total``."""
     folded, evaluations = direct_fold(entries, query.query_slocations, parent_cells)
     ranking = [ranked.sloc_id for ranked in rank_top_k(folded, query.k)]
-    scored = score_query_over_entries(query, entries, parent_cells)
+    stats = SearchStats(objects_total=objects_total)
+    flows = accumulate_flows_over_entries(entries, query.query_slocations, parent_cells, stats)
+    scored = TkPLQResult.ranked(query, flows, stats, BATCH_ALGORITHM)
     for result in (scored, expected):
         assert flows_bitwise_equal(result.flows, folded)
         assert result.top_k_ids() == ranking
@@ -320,9 +322,9 @@ class TestVectorizedKernels:
             scenario_engine(scenario), iupt, slocs, start, end
         )
         stats = SearchStats()
-        expected = scenario_engine(scenario).pipeline.flows_for_all(
-            iupt, slocs, start, end, stats=stats
-        )
+        pipeline = scenario_engine(scenario).pipeline
+        context = pipeline.context((start, end), slocs, stats=stats)
+        expected = pipeline.flows(context, iupt, slocs)
         assert_flows_are_the_fold(entries, slocs, parent_cells, expected=expected)
         assert stats.flow_evaluations == direct_fold(entries, slocs, parent_cells)[1]
 

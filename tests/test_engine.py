@@ -287,9 +287,9 @@ class TestCacheCorrectnessRegression:
         """
         sloc_ids = sorted(figure1["slocs"].values())
         shared_stats = SearchStats()
-        shared = figure_engine(figure1).pipeline.flows_for_all(
-            figure1_iupt, sloc_ids, *WINDOW, stats=shared_stats
-        )
+        pipeline = figure_engine(figure1).pipeline
+        context = pipeline.context(WINDOW, sloc_ids, stats=shared_stats)
+        shared = pipeline.flows(context, figure1_iupt, sloc_ids)
         assert shared == figure_engine(figure1).flows(figure1_iupt, sloc_ids, *WINDOW)
 
         independent_evaluations = 0

@@ -137,7 +137,7 @@ GONE = [
     _text(24, "vectorized numpy environ getenv", ""),
     *_members(24, "backend kernel matrix", repro.codec.encode_batch, repro.codec.decode_batch,
               PackedRecordBatch.__init__, PackedRecordBatch.from_records, PackedRecordBatch.decode,
-              PresenceMatrix.__init__, nested_loop.score_query_over_entries),
+              PresenceMatrix.__init__),
     *_members(24, "BACKENDS active_backend numpy_available resolve_backend", repro.codec),
     *_members(24, "score_flows", PresenceMatrix),
     (25, "protocol.OPS", protocol.OPS.__contains__, "wal_cursor"),
@@ -159,7 +159,7 @@ GONE = [
     *_members(27, "_register_subscription _resume_subscription _subscribed", QueryService),
     *_members(28, "rtree_fanout use_merged_matrix engine_config objects_total",
               IndoorFlowSystem.__init__, QueryEngine.__init__,
-              nested_loop.accumulate_flows_over_entries, nested_loop.score_query_over_entries),
+              nested_loop.accumulate_flows_over_entries),
     *_members(28, "reduce_object", repro.FlowComputer),
     (28, "PresenceMatrix.__slots__", PresenceMatrix.__slots__.__contains__, "_has_parent"),
     _text(28, "score_presence_into_flows", ""),
@@ -261,6 +261,10 @@ GONE = [
      "ablation_algorithms"),
     *_members(48, "load_shard", ShardedRecordStore),  # recovery absorbs what an ingest did
     *_members(48, "records", repro.storage.sharded._Shard.__init__),
+    *_members(49, "flow flows_for_all", stages.QueryPipeline),  # every read: QueryPipeline.flows
+    *_members(49, "score_query_over_entries", nested_loop, repro.engine),
+    *_members(49, "pinned_data_key", repro.engine.ExecutionContext),
+    *_members(49, "pinned_key", STANDING._compute),  # _maintain's lock hold pins the token
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
@@ -316,10 +320,9 @@ RULES = [  # (PR, rule, actual, expected)
     (28, "IndoorFlowSystem.__init__-signature", lambda: _params(IndoorFlowSystem.__init__),
      ["self", "plan", "reduction", "config"]),
     (28, "Algorithm-3-folds-in-nested_loop.py", lambda: _defined_outside(
-        "core/nested_loop.py", "accumulate_flows_over_entries score_query_over_entries"), {}),
-    (28, "engine-re-exports-the-fold", lambda: (
-        stages.accumulate_flows_over_entries, repro.engine.score_query_over_entries),
-     (nested_loop.accumulate_flows_over_entries, nested_loop.score_query_over_entries)),
+        "core/nested_loop.py", "accumulate_flows_over_entries"), {}),
+    (28, "engine-re-exports-the-fold", lambda: stages.accumulate_flows_over_entries,
+     nested_loop.accumulate_flows_over_entries),
     (29, "every-tree-built-by-its-bulk-constructor", lambda: sorted({  # an index class: *Tree
         callee for _, callee, _ in CALLS if re.fullmatch(r"[A-Za-z]*Tree(\.\w+)?", callee)}),
      ["CountAggregateRTree.build", "RTree.bulk_load"]),
@@ -327,7 +330,8 @@ RULES = [  # (PR, rule, actual, expected)
     (30, "the-store-subclasses-nothing", lambda: ShardedRecordStore.__mro__[1], object),
     (30, "API-sizes", lambda: [len(pkg.__all__) for pkg in (
         repro, repro.codec, repro.engine, repro.synth)],
-     [57, 7, 19, 10]),  # repro.engine lost BatchPlanner; PR 42: repro lost run_method
+     [57, 7, 18, 10]),  # repro.engine lost BatchPlanner; PR 42: repro lost run_method;
+    # PR 49: repro.engine lost score_query_over_entries
     (33, "PositioningRecord.__slots__", lambda: getattr(PositioningRecord, "__slots__", None),
      ("object_id", "sample_set", "timestamp")),
     (33, "only-to_records-builds-trusted-records", lambda: [
@@ -368,6 +372,13 @@ RULES = [  # (PR, rule, actual, expected)
      ["storage/sharded.py:ShardedRecordStore._absorb"]),
     (48, "the-shard-alone-decides-in-order", lambda: _sites("sort timestamps", "storage/durable.py"),
      []),  # the durable store sorts no record and reads no timestamp column
+    (49, "the-one-fold's-one-caller", lambda: _sites("accumulate_flows_over_entries"),
+     ["engine/stages.py:QueryPipeline.flows"]),
+    (49, "parent_cell-call-sites", lambda: _sites("parent_cell"),  # a read's map is built once
+     ["baselines/monte_carlo.py:MonteCarlo.round_flows",
+      "core/best_first.py:BestFirstTkPLQ._build_rq", "engine/stages.py:QueryPipeline.flows"]),
+    (49, "every-ranked-answer-by-TkPLQResult.ranked", lambda: _sites(
+        "rank_top_k", "core/", "engine/", "baselines/"), ["core/query.py:TkPLQResult.ranked"]),
 ]  # fmt: skip
 
 

@@ -918,6 +918,74 @@ class TestFaultInjectedCatchUpThenTail:
 
         asyncio.run(run())
 
+    @pytest.mark.parametrize("fresh_batches", [3, 7])
+    def test_a_replica_of_a_replaced_primary_adopts_the_new_table(
+        self, small_real_scenario, tmp_path, fresh_batches
+    ):
+        """A primary on a fresh directory takes over the port of the one the
+        replica tailed to seq 5.  Whether the new log is shorter than the
+        replica's cursor (3 batches) or longer (7), replaying it onto the old
+        table is wrong: the replica must re-attach by snapshot, hold the new
+        table's identity and records, and then tail it."""
+        scenario = small_real_scenario
+        history, live = _split_stream(scenario)
+        slocs = scenario.slocation_ids()
+        half = len(live) // 2
+
+        def chunks(records, count):
+            step = -(-len(records) // count)
+            return [records[at : at + step] for at in range(0, len(records), step)]
+
+        async def run():
+            service, host, port = await _start_primary(scenario, tmp_path / "a")
+            replica = ReadReplica(
+                _make_engine(scenario),
+                host,
+                port,
+                name="r0",
+                reconnect=ReconnectPolicy(
+                    max_retries=40, initial_backoff=0.05, max_backoff=0.25
+                ),
+            )
+            rhost, rport = await replica.start()
+            async with await ServiceClient.connect(host, port) as primary:
+                for batch in chunks(history, 5):
+                    seq = (await primary.ingest_batch(batch))["seq"]
+            assert seq == 5
+            await replica.wait_applied(seq)
+            await service.stop()
+            service.iupt.close()
+
+            fresh = DurableRecordStore(tmp_path / "b", shard_seconds=SERVICE_SHARD_SECONDS)
+            batches = chunks(history + live[:half], fresh_batches)
+            assert len(batches) == fresh_batches
+            for batch in batches:
+                fresh.ingest_batch(batch)
+            service = QueryService(_make_engine(scenario), fresh, port=port, query_workers=2)
+            await service.start()
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 10.0
+            while replica.snapshot_catchups == 0:
+                assert loop.time() < deadline, (
+                    f"the replica re-attached without a snapshot at seq {replica.applied_seq}"
+                )
+                await asyncio.sleep(0.02)
+            async with await ServiceClient.connect(host, port) as primary:
+                seq = (await primary.ingest_batch(live[half:]))["seq"]
+                assert seq == fresh_batches + 1
+                await replica.wait_applied(seq)
+                assert replica.healthy and replica.applied_seq == seq
+                assert replica.iupt.uid == fresh.uid
+                assert len(replica.iupt) == len(fresh)
+                assert replica.iupt.version_token() == fresh.version_token()
+                async with await ServiceClient.connect(rhost, rport) as rc:
+                    await _assert_reads_match(primary, rc, slocs)
+            await replica.stop()
+            await service.stop()
+            fresh.close()
+
+        asyncio.run(run())
+
 
 # ----------------------------------------------------------------------
 # The partition router

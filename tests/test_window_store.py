@@ -293,7 +293,8 @@ class TestOneEntryPerWindow:
         reachers = {oid for oid, stored in window.entries if stored.psls & set(second)}
         assert built & reachers and reachers - built  # neither side vacuous
         stats = SearchStats()
-        flows = engine.pipeline.flows_for_all(table, second, start, end, stats=stats)
+        context = engine.pipeline.context((start, end), second, stats=stats)
+        flows = engine.pipeline.flows(context, table, second)
         assert stats.computed_object_ids == reachers - built
         assert _hex(flows) == _hex(uncached.flows(table, second, start, end))
         assert any(flows.values())
