@@ -6,8 +6,8 @@ the network-facing layer a production deployment needs:
 
 * :mod:`~repro.service.protocol` — the newline-delimited JSON wire protocol
   (requests, structured errors, subscription push frames, query/result
-  serialisation with bit-exact float round-trips, record batches as binary
-  ``RPK1`` payloads): what a frame *is*, pure functions only;
+  serialisation with bit-exact float round-trips, a client's record batch as
+  one binary ``RPK1`` payload): what a frame *is*, pure functions only;
 * :mod:`~repro.service.stream` — frames on asyncio transports:
   ``FrameDecoder`` (the one reader of every role, client included, fed from
   the connection's ``data_received``), ``Connection`` (the ``asyncio.Protocol``
@@ -32,8 +32,8 @@ the network-facing layer a production deployment needs:
   (:class:`ReconnectPolicy`);
 * :mod:`~repro.service.replica` — :class:`ReadReplica`, a WAL-shipping
   follower that attaches with one ``wal_tail`` request (the primary answers
-  with a snapshot or replays, then pushes every commit as a binary ``RPK1``
-  frame) and serves reads from its own read-only service;
+  with a snapshot or replays, then pushes every commit as the log frames it
+  appended) and serves reads from its own read-only service;
 * :mod:`~repro.service.router` — :class:`PartitionRouter`, a front door
   fanning writes to the primary and routing reads across replicas by
   time-partition affinity with a read-your-writes staleness bound;

@@ -44,10 +44,13 @@ the client is *bit-identical* to the in-process result — ``bench/`` and
 Flow mappings are serialised as ``[[sloc_id, flow], ...]`` pair lists (JSON
 object keys are strings; int-keyed dicts would not round-trip).
 
-**Records** have one wire form: a whole batch as one packed ``RPK1`` blob
-(:mod:`repro.codec.packed`) riding behind a header line that declares its
-byte length (``"bin"``) — ``ingest_batch`` requests, ``wal`` pushes and
-snapshot catch-up all carry it; no record is ever spelled as JSON.
+**Records** have one wire form per direction, each riding as binary bytes
+behind a header line that declares their length (``"bin"``); no record is
+ever spelled as JSON.  A client's ``ingest_batch`` sends one packed ``RPK1``
+blob (:mod:`repro.codec.packed`).  A follower receives the log's own
+CRC-checked frames (:mod:`repro.storage.wal`): a ``wal`` push carries its
+commit's ``RSG1`` segment frames, and a snapshot catch-up one base ``RSN1``
+frame per shard, both read by :func:`repro.storage.wal.decode_wal_frames`.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from ..core.query import TkPLQResult, TkPLQuery
 from ..data.records import PositioningRecord
 from ..storage import EvictedRangeError, IngestReceipt
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Upper bound on one frame's wire size (the header line, and the payload it
 #: may declare).  Every connection's :class:`repro.service.stream.FrameDecoder`
@@ -116,10 +119,6 @@ MUTATING_OPS = ("ingest_batch", "evict_before", "checkpoint")
 #: spells it.
 BIN_LENGTH = "bin"
 BIN_PAYLOAD = "_bin"
-
-#: One packed shard inside a snapshot payload: key, version, byte length of
-#: the shard's ``RPK1`` blob (which follows immediately).
-_SHARD_SECTION = struct.Struct("<qqI")
 
 #: Structured error kinds a response can carry.
 ERROR_KINDS = (
@@ -277,13 +276,14 @@ def push_evicted_frame(
     }
 
 
-def push_wal_frame(seq: int, payload: bytes) -> Dict[str, object]:
+def push_wal_frame(seq: int, frames: bytes) -> Dict[str, object]:
     """One committed WAL batch shipped to a tailing follower.
 
-    The records travel as one packed ``RPK1`` blob — the replication path
-    never pays per-record JSON (decode with :func:`records_from_payload`).
+    The payload is the commit's ``RSG1`` segment frames, one per shard
+    slice, as the log holds them; the follower reads them with
+    :func:`repro.storage.wal.decode_wal_frames`.
     """
-    return {"push": "wal", "seq": seq, BIN_PAYLOAD: payload}
+    return {"push": "wal", "seq": seq, BIN_PAYLOAD: frames}
 
 
 def push_wal_evict_frame(watermark: float) -> Dict[str, object]:
@@ -306,7 +306,7 @@ def is_wal_push_frame(frame: Mapping[str, object]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Binary record payloads (the RPK1 columnar layout on the wire)
+# A client's record payload (the RPK1 columnar layout on the wire)
 # ----------------------------------------------------------------------
 def records_to_payload(records: Sequence[PositioningRecord]) -> bytes:
     """Pack a record batch into one ``RPK1`` blob for a binary frame."""
@@ -321,43 +321,6 @@ def records_from_payload(payload: bytes) -> List[PositioningRecord]:
         raise ProtocolError(
             "bad_request", f"undecodable RPK1 record payload: {error}"
         ) from error
-
-
-def encode_shard_sections(
-    shards: Iterable[Tuple[int, int, bytes]]
-) -> bytes:
-    """Concatenate ``(key, version, RPK1 blob)`` shards into one payload.
-
-    The snapshot arm of the ``wal_tail`` handshake: a follower too far
-    behind the WAL's replay floor receives the primary's whole table as one
-    binary payload of per-shard sections instead of a frame-by-frame replay.
-    """
-    parts: List[bytes] = []
-    for key, version, blob in shards:
-        parts.append(_SHARD_SECTION.pack(key, version, len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
-
-
-def decode_shard_sections(payload: bytes) -> List[Tuple[int, int, bytes]]:
-    """Split a snapshot payload back into ``(key, version, blob)`` shards."""
-    sections: List[Tuple[int, int, bytes]] = []
-    offset = 0
-    size = len(payload)
-    while offset < size:
-        if offset + _SHARD_SECTION.size > size:
-            raise ProtocolError(
-                "bad_request", "truncated shard section header in snapshot payload"
-            )
-        key, version, length = _SHARD_SECTION.unpack_from(payload, offset)
-        offset += _SHARD_SECTION.size
-        if offset + length > size:
-            raise ProtocolError(
-                "bad_request", "truncated shard blob in snapshot payload"
-            )
-        sections.append((key, version, payload[offset : offset + length]))
-        offset += length
-    return sections
 
 
 # ----------------------------------------------------------------------

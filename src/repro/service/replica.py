@@ -6,12 +6,13 @@ cycle is **catch-up-then-tail**, and attaching is one request:
 
 1. **Handshake** (``wal_tail``): present the last applied commit sequence.
    If the primary's WAL still holds every committed frame past it, the
-   answer is *replay* and those batches follow as binary ``RPK1`` push
-   frames.  If compaction or eviction dropped needed frames, the answer is
-   *snapshot* and carries the whole table as packed shards (versions
-   included); the replica adopts it wholesale and its cursor jumps to the
-   primary's last committed sequence.  The primary decides and subscribes
-   the tail in one hold of its store lock: there is nothing to retry.
+   answer is *replay* and those batches follow as ``wal`` pushes, each the
+   commit's ``RSG1`` segment frames.  If compaction or eviction dropped
+   needed frames, the answer is *snapshot* and carries the whole table as
+   one base ``RSN1`` snapshot frame per shard (versions included); the
+   replica adopts it wholesale and its cursor jumps to the primary's last
+   committed sequence.  The primary decides and subscribes the tail in one
+   hold of its store lock: there is nothing to retry.
 2. **Tail**: every later commit (and eviction) is pushed live — one
    gapless, strictly ordered sequence, queued until the apply loop runs.
 3. **Apply**: each shipped batch goes through the replica table's ordinary
@@ -21,6 +22,14 @@ cycle is **catch-up-then-tail**, and attaching is one request:
    same commit prefix yields a bit-identical table, including its
    :meth:`~repro.storage.sharded.ShardedRecordStore.version_token` values
    (the replica adopts the primary's store uid during the handshake).
+
+Every payload is read by :func:`repro.storage.wal.decode_wal_frames`, the
+decoder recovery reads the log with, so each frame's CRC is checked before a
+byte of it is applied.  A wire payload is never torn: anything but whole
+record frames of the expected kind — every push frame at the push's ``seq``
+— raises :class:`ReplicaError`, the table untouched.  At :meth:`start` the
+error propagates; in the apply loop it stops the loop and
+``replica_status`` reports ``healthy: false``.
 
 The replica fronts its table with its own **read-only**
 :class:`~repro.service.server.QueryService` (``role="replica"``): clients
@@ -38,11 +47,11 @@ double-ingest.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..codec.packed import PackedRecordBatch
 from ..engine.runtime import QueryEngine
 from ..storage.sharded import ShardedRecordStore
+from ..storage.wal import decode_wal_frames
 from . import protocol
 from .client import ReconnectPolicy, ServiceClient, ServiceError
 from .server import QueryService
@@ -57,6 +66,22 @@ ACK_EVERY = 8
 
 class ReplicaError(RuntimeError):
     """The replica could not reach or follow its primary."""
+
+
+def _log_frames(payload: bytes, field: str, value: object = None) -> List[dict]:
+    """The record frames a follower payload holds, each carrying ``field``
+    (equal to ``value`` when one is given: a push, which holds at least one
+    frame); anything else is damage."""
+    frames, valid = decode_wal_frames(payload)
+    if valid < len(payload) or (value is not None and not frames) or not all(
+        "packed" in frame and field in frame and value in (None, frame[field])
+        for frame in frames
+    ):
+        raise ReplicaError(
+            f"a damaged payload: {valid} of {len(payload)} bytes are whole "
+            f"frames, {len(frames)} decoded, expected record frames by {field!r}"
+        )
+    return frames
 
 
 class ReadReplica:
@@ -184,8 +209,8 @@ class ReadReplica:
         if payload is None:
             raise ReplicaError("snapshot handshake carried no binary payload")
         shards = [
-            (key, version, PackedRecordBatch.decode(blob))
-            for key, version, blob in protocol.decode_shard_sections(payload)
+            (frame["shard"], frame["version"], frame["packed"])
+            for frame in _log_frames(payload, "shard")
         ]
         watermark = handshake.get("watermark")
         with self.iupt.lock:  # no read keys the adopted shards to the old identity
@@ -235,7 +260,10 @@ class ReadReplica:
             # Overlap between a pre-reconnect tail and a post-reconnect
             # catch-up: the batch is already in the table.
             return
-        records = protocol.records_from_payload(protocol.frame_payload(frame))
+        frames = _log_frames(protocol.frame_payload(frame), "seq", seq)
+        records = [
+            record for logged in frames for record in logged["packed"].to_records()
+        ]
         await self.service.pool.run_blocking(self.iupt.ingest_batch, records)
         self.applied_seq = seq
         self.applied_batches += 1

@@ -335,7 +335,8 @@ class PartitionRouter(FrameServer):
 
     async def _ensure_fresh(self, index: int) -> bool:
         """Wait (bounded) until replica ``index`` has applied every write
-        routed through us; ``False`` sends the read to the primary."""
+        routed through us; ``False`` sends the read to the primary — at once
+        when the replica reports ``healthy: false`` (its apply loop stopped)."""
         target = self.last_write_seq
         if self._applied[index] >= target:
             return True
@@ -347,6 +348,8 @@ class PartitionRouter(FrameServer):
                 status = await self._replicas[index].replica_status()
             except (ServiceError, ConnectionError):
                 return False
+            if status.get("healthy") is False:
+                return False  # its apply loop stopped: waiting cannot help
             applied = int(status.get("applied_seq") or 0)
             self._applied[index] = max(self._applied[index], applied)
             # The bound may have advanced while we polled; honour the

@@ -2,13 +2,18 @@
 
 ``wal_tail`` is the whole handshake (:meth:`WalTail._do_wal_tail`): in one
 hold of the durable store's lock it either replays the committed batches past
-the follower's cursor as push frames or puts every shard on the response
-packed, then subscribes the connection to the store, so the follower sees one
+the follower's cursor as push frames or puts every shard on the response,
+then subscribes the connection to the store, so the follower sees one
 gapless sequence.  Every later commit and eviction reaches it as a push frame
-written on the event loop.  A follower's name and acknowledged cursor
-(``wal_ack``) live on its connection — ``connection.wal_token``,
-``.follower``, ``.acked`` — and nowhere else; :meth:`WalTail.followers`
-builds the ``replica_status`` view from the live tailing connections.
+written on the event loop.  Every byte a follower applies is a log frame of
+:mod:`repro.storage.wal`: a ``wal`` push carries a commit's ``RSG1`` segment
+frames (a live push the very bytes the commit appended, a replayed one the
+frames re-encoded from their packed columns), and a snapshot payload one
+base ``RSN1`` frame per shard; nothing here encodes a record.  A follower's
+name and acknowledged cursor (``wal_ack``) live on its connection —
+``connection.wal_token``, ``.follower``, ``.acked`` — and nowhere else;
+:meth:`WalTail.followers` builds the ``replica_status`` view from the live
+tailing connections.
 """
 
 from __future__ import annotations
@@ -94,8 +99,8 @@ class WalTail:
     def _do_wal_tail(self, connection, frame: dict):
         """The replication handshake — catch up, then tail — in one hold of
         the store lock: replay the committed batches past the follower's
-        ``cursor`` as push frames, or put every shard packed (versions
-        included) on the response and move the cursor to the last commit
+        ``cursor`` as push frames, or put every shard (a snapshot frame with
+        its version) on the response and move the cursor to the last commit
         when replay cannot bring the follower to this table — the WAL no
         longer holds those batches, the cursor is past the last commit, or
         the follower's ``uid`` (the identity its table holds; absent on a
@@ -122,22 +127,16 @@ class WalTail:
                 and cursor <= store.last_committed_seq
                 and uid in (None, store.uid)
             ):
-                batches = store.committed_batches_after(cursor)
-                for seq, records in batches:
-                    push = protocol.push_wal_frame(
-                        seq, protocol.records_to_payload(records)
-                    )
+                batches = store.committed_frames_after(cursor)
+                for seq, frames in batches:
+                    push = protocol.push_wal_frame(seq, frames)
                     loop.call_soon_threadsafe(self._deliver_wal_push, connection, push)
                 payload = None
                 result.update(mode="replay", caught_up=len(batches))
             else:
-                sections = [
-                    (key, version, packed.encode())
-                    for key, version, packed in store.packed_shard_states()
-                ]
-                payload = protocol.encode_shard_sections(sections)
+                payload = store.snapshot_frames()
                 cursor = store.last_committed_seq
-                result.update(mode="snapshot", shards=len(sections))
+                result.update(mode="snapshot", shards=store.shard_count)
             result["cursor"] = cursor
             self.release_wal_tail(connection)  # a re-handshake replaces its tail
             connection.wal_token = store.subscribe(
@@ -160,7 +159,7 @@ class WalTail:
         """Store-listener hook: runs on the mutating thread, under the store
         lock, in commit order — bridge each event onto the loop."""
         if isinstance(event, IngestEvent):
-            frame = protocol.push_wal_frame(event.seq, event.payload())
+            frame = protocol.push_wal_frame(event.seq, event.frames)
         elif isinstance(event, EvictionEvent):
             frame = protocol.push_wal_evict_frame(event.watermark)
         else:  # pragma: no cover - future event kinds are skipped, not fatal

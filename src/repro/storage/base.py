@@ -9,7 +9,10 @@ exchanges with the engine, the continuous queries and the replication tail:
   :attr:`IngestReceipt.object_spans` tell a standing query which objects'
   presences a batch actually changed;
 * the :class:`IngestEvent` / :class:`EvictionEvent` its listeners receive
-  after every ingestion and every eviction that dropped records;
+  after every ingestion and every eviction that dropped records — on a
+  durable table an ingest's event carries the log frames its commit
+  appended, the bytes the replication tail pushes, so a replicated batch is
+  encoded once;
 * :class:`EvictedRangeError` and :func:`check_not_evicted`, the one test of
   a window against the retention watermark.
 """
@@ -18,10 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
-
-from ..codec.packed import encode_batch
-from ..data.records import PositioningRecord
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .sharded import ShardedRecordStore
@@ -93,21 +93,14 @@ class IngestReceipt:
 class IngestEvent:
     """Delivered to store listeners after one ingestion completed.
 
-    ``records`` is the batch in its ingested (time-sorted) order — what the
-    WAL tail ships — and ``seq`` its commit sequence on a durable store
-    (``None`` on a volatile one).
+    ``seq`` is the batch's commit sequence on a durable store and ``frames``
+    the ``RSG1`` segment frames its commit appended, in shard-key order —
+    what the WAL tail ships; both are ``None`` on a volatile store.
     """
 
     receipt: IngestReceipt
-    records: Sequence[PositioningRecord] = ()
     seq: Optional[int] = None
-    _payload: Optional[bytes] = field(default=None, repr=False, compare=False)
-
-    def payload(self) -> bytes:
-        """The batch as one packed ``RPK1`` blob (encoded once, cached)."""
-        if self._payload is None:
-            self._payload = encode_batch(self.records)
-        return self._payload
+    frames: Optional[bytes] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)

@@ -79,24 +79,32 @@ listeners and watermark — that writes the log before it applies a mutation:
   ingest applies a slice with, so the absorb counts the version and the
   shard alone decides whether it stayed in time order — and the delta rule
   holds across a recovery: a snapshot whose replayed frames all came in
-  order takes one delta at the checkpoint ending the recovery.  Torn frames
-  at a file tail (a crash mid-write) are detected by the length/CRC framing
-  and truncated away.  The differential crash-recovery harness in
+  order takes one delta at the checkpoint ending the recovery.  A torn frame
+  at a file tail (a crash mid-write) is detected by the length/CRC framing
+  and truncated away; a bad frame with a whole frame behind it is damage,
+  and the open refuses it.  The differential crash-recovery harness in
   ``tests/test_durable.py`` kills the store at arbitrary WAL frame
   boundaries (via :attr:`DurabilityConfig.fail_after_writes`) and asserts
   the recovered store is bit-identical to an in-memory oracle that applied
   exactly the committed batches.
 
-A follower replays :meth:`DurableRecordStore.committed_batches_after` its
-cursor while :meth:`DurableRecordStore.can_replay_from` allows, then listens
-like any store listener (an :class:`~repro.storage.base.IngestEvent` carries
-its commit ``seq``); the store keeps no record of who follows it.
+A follower is sent the log's own frames.  It replays
+:meth:`DurableRecordStore.committed_frames_after` its cursor while
+:meth:`DurableRecordStore.can_replay_from` allows, or adopts
+:meth:`DurableRecordStore.snapshot_frames` (one base ``RSN1`` frame per
+shard), then listens like any store listener: an
+:class:`~repro.storage.base.IngestEvent` carries its commit ``seq`` and the
+segment frames :meth:`DurableRecordStore._log_batch` appended.  The store
+keeps no record of who follows it.
 
 The log has **one reader**, :meth:`DurableRecordStore._scan_log`: recovery and
-the replication replay (:meth:`DurableRecordStore.committed_batches_after`)
+the replication replay (:meth:`DurableRecordStore.committed_frames_after`)
 learn which sequences are committed and which frames each segment holds from
 it, and only recovery lets it cut a torn tail off a file — the one damage a
-crash can cause.  Recovery cuts a snapshot file's torn last frame too, but
+crash can cause (:func:`~repro.storage.wal.torn_tail`: a bad frame with a
+whole frame at its declared end is damage, and the open raises a
+``ValueError`` naming the file and the byte offset before any file is cut).
+Recovery cuts a snapshot file's torn last frame too, but
 only while the shard's segment is on disk: a checkpoint deletes segments only
 after every snapshot write, so the segment still holds the cut frame's
 records.  Anything else it cannot interpret is refused with a ``ValueError``
@@ -145,7 +153,7 @@ from .wal import (
     encode_snapshot_frame,
     encode_wal_frame,
     frame_records,
-    torn_snapshot_frame,
+    torn_tail,
 )
 
 FORMAT_VERSION = 1
@@ -470,7 +478,7 @@ class DurableRecordStore(ShardedRecordStore):
             data = path.read_bytes()
             frames, valid = decode_wal_frames(data)
             if not frames or not (
-                valid == len(data) or torn_snapshot_frame(data, valid)
+                valid == len(data) or torn_tail(data, valid, snapshot=True)
             ):
                 raise ValueError(
                     f"{path}: not whole snapshot frames ({len(frames)} "
@@ -546,17 +554,25 @@ class DurableRecordStore(ShardedRecordStore):
             for path in self._wal_dir.glob("segment-*.wal")
         )
 
-    def _read_frames(self, path: pathlib.Path, repair: bool) -> Tuple[List[dict], int]:
-        """The decodable frames of one log file, and 1 if a torn tail was cut."""
+    def _read_frames(
+        self, path: pathlib.Path, cuts: List[Tuple[pathlib.Path, int]]
+    ) -> List[dict]:
+        """The decodable frames of one log file; a torn tail's cut goes on
+        ``cuts``, and damage (:func:`~repro.storage.wal.torn_tail`) raises a
+        ``ValueError`` naming the file and the byte offset."""
         try:
             data = path.read_bytes()
         except FileNotFoundError:
-            return [], 0
+            return []
         frames, valid = decode_wal_frames(data)
-        torn = repair and valid < len(data)
-        if torn:
-            os.truncate(path, valid)
-        return frames, int(torn)
+        if valid < len(data):
+            if not torn_tail(data, valid, snapshot=False):
+                raise ValueError(
+                    f"{path}: a damaged frame at byte {valid}, with a whole frame "
+                    f"behind it"
+                )
+            cuts.append((path, valid))
+        return frames
 
     def _scan_log(self, repair: bool) -> Tuple[
         Set[int], float, int, Dict[int, List[Tuple[int, dict]]], int, Dict[int, dict], int
@@ -571,15 +587,17 @@ class DurableRecordStore(ShardedRecordStore):
         ``subscribe`` not followed by an ``unsubscribe`` of its id), and one
         above the highest standing-query id any ``subscribe`` frame named or
         a rewritten base frame's ``next_query`` carries (1 without either).
-        Only recovery passes ``repair`` (truncate them): a live store's
-        replay never rewrites a file it is appending to.
+        Only recovery passes ``repair`` (truncate them, once every file read
+        whole frames or a torn tail, so damage anywhere changes no byte): a
+        live store's replay never rewrites a file it is appending to.
         """
         path = self._dir / CONTROL_NAME
         committed: Set[int] = set()
         watermarks = [float("-inf")]
         base_next = next_query = 1
         standing: Dict[int, dict] = {}
-        frames, torn = self._read_frames(path, repair)
+        cuts: List[Tuple[pathlib.Path, int]] = []
+        frames = self._read_frames(path, cuts)
         for index, frame in enumerate(frames):
             kind, mark = frame.get("kind"), frame.get("watermark")
             if kind == "commit":
@@ -601,12 +619,14 @@ class DurableRecordStore(ShardedRecordStore):
                 watermarks.append(_field(frame, "watermark", float, path, index))
         segments: Dict[int, List[Tuple[int, dict]]] = {}
         for key, path in self._segment_files():
-            frames, torn_here = self._read_frames(path, repair)
-            torn += torn_here
             segments[key] = [
                 (_field(frame, "seq", int, path, index), frame)
-                for index, frame in enumerate(frames)
+                for index, frame in enumerate(self._read_frames(path, cuts))
             ]
+        if repair:
+            for path, valid in cuts:
+                os.truncate(path, valid)
+        torn = len(cuts)
         return committed, max(watermarks), base_next, segments, torn, standing, next_query
 
     # ------------------------------------------------------------------
@@ -700,8 +720,11 @@ class DurableRecordStore(ShardedRecordStore):
                 self._checkpoint_locked()
             return receipt
 
-    def _log_batch(self, slices: List[Tuple[int, List[PositioningRecord]]]) -> int:
-        """Append one frame per shard slice, then the commit record."""
+    def _log_batch(
+        self, slices: List[Tuple[int, List[PositioningRecord]]]
+    ) -> Tuple[int, bytes]:
+        """Append one frame per shard slice, then the commit record; returns
+        the sequence and the segment frames appended, in slice order."""
         self._ensure_usable()
         # Reserve the sequence number BEFORE touching any file: if an
         # append fails with a real I/O error (disk full, EIO) the store
@@ -711,10 +734,12 @@ class DurableRecordStore(ShardedRecordStore):
         seq = self._next_seq
         self._next_seq = seq + 1
         policy = self.config.fsync
+        frames = []
         for key, slice_records in slices:
-            self._append_frame(
-                key, encode_segment_frame(seq, slice_records), policy == "always"
-            )
+            packed = PackedRecordBatch.from_records(slice_records)
+            frame = encode_segment_frame(seq, packed)
+            self._append_frame(key, frame, policy == "always")
+            frames.append(frame)
         # The commit record makes the whole multi-shard batch atomic:
         # recovery ignores every frame of an uncommitted sequence.
         self._append_frame(
@@ -726,7 +751,7 @@ class DurableRecordStore(ShardedRecordStore):
             self._shard_last_seq[key] = seq
         self._last_committed_seq = seq
         self._batches_since_snapshot += 1
-        return seq
+        return seq, b"".join(frames)
 
     def _absorb(
         self, key: int, records: List[PositioningRecord], times: Sequence[float]
@@ -766,7 +791,10 @@ class DurableRecordStore(ShardedRecordStore):
         }
         for key, version, records in self.shard_states(starts):
             frame = encode_snapshot_frame(
-                key, version, self._shard_last_seq.get(key, 0), records
+                key,
+                version,
+                self._shard_last_seq.get(key, 0),
+                PackedRecordBatch.from_records(records),
             )
             self._fault_point()
             # Out of ``held`` until the write is whole: after a failed append
@@ -866,18 +894,16 @@ class DurableRecordStore(ShardedRecordStore):
         with self._lock:
             return int(cursor) >= self._wal_base_seq
 
-    def committed_batches_after(
-        self, cursor: int
-    ) -> List[Tuple[int, List[PositioningRecord]]]:
-        """Committed batches with ``seq > cursor``, in commit order.
+    def committed_frames_after(self, cursor: int) -> List[Tuple[int, bytes]]:
+        """Each committed batch with ``seq > cursor`` as its segment frames,
+        in commit order — the bytes its ingest appended.
 
-        Each batch is reconstructed exactly as it was ingested:
-        :meth:`~repro.storage.sharded.ShardedRecordStore.slice_batch` yields
-        strictly increasing shard keys over a time-sorted batch, so
-        concatenating a sequence's per-shard slices in shard-key order
-        reproduces the original time-sorted batch — re-ingesting it into an
-        identical store reproduces the primary's per-shard versions exactly.
-        This is the same decoded-frame path recovery replays.
+        A sequence's frames come in ascending shard key, the order
+        :meth:`~repro.storage.sharded.ShardedRecordStore.slice_batch` cut
+        them, so their records concatenate to the time-sorted batch and
+        re-ingesting them into an identical store reproduces the primary's
+        per-shard versions.  Each frame is re-encoded from the packed
+        columns :meth:`_scan_log` decoded, the reader recovery replays.
         """
         with self._lock:
             self._ensure_usable()
@@ -889,16 +915,24 @@ class DurableRecordStore(ShardedRecordStore):
                 )
             scan = self._scan_log(repair=False)
             committed, segments = scan[0], scan[3]
-            # Segments arrive in ascending integer shard key, so each
-            # sequence's slices concatenate in the order they were cut.
-            per_seq: Dict[int, List[PositioningRecord]] = {}
-            for key, frames in segments.items():
-                for index, (seq, frame) in enumerate(frames):
+            per_seq: Dict[int, List[bytes]] = {}
+            for frames in segments.values():
+                for seq, frame in frames:
                     if seq > cursor and seq in committed:
-                        per_seq.setdefault(seq, []).extend(
-                            frame_records(frame, self._segment_path(key), index)
+                        per_seq.setdefault(seq, []).append(
+                            encode_segment_frame(seq, frame["packed"])
                         )
-            return sorted(per_seq.items())
+            return [(seq, b"".join(per_seq[seq])) for seq in sorted(per_seq)]
+
+    def snapshot_frames(self) -> bytes:
+        """Every shard as one base ``RSN1`` frame — key, version, the last
+        sequence folded in and its packed records, the frame a checkpoint
+        writes — in key order, under the lock."""
+        with self._lock:
+            return b"".join(
+                encode_snapshot_frame(key, version, self._shard_last_seq[key], packed)
+                for key, version, packed in self.packed_shard_states()
+            )
 
     def wal_inventory(self) -> Dict[str, object]:
         """Segment count/bytes per shard plus the replayable sequence range.

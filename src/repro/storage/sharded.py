@@ -419,7 +419,7 @@ class ShardedRecordStore:
                     f"t={self._watermark}; evicted shards cannot be refilled"
                 )
             slices = self.slice_batch(batch, times)
-            seq = self._log_batch(slices)
+            seq, frames = self._log_batch(slices)
 
             lo = 0
             for key, slice_records in slices:
@@ -432,7 +432,7 @@ class ShardedRecordStore:
                 shards_touched=tuple(key for key, _records in slices),
                 object_spans=_object_spans(batch, times),
             )
-            self._notify(IngestEvent(receipt, batch, seq))
+            self._notify(IngestEvent(receipt, seq, frames))
             return receipt
 
     def _absorb(
@@ -457,10 +457,11 @@ class ShardedRecordStore:
 
     def _log_batch(
         self, slices: List[Tuple[int, List[PositioningRecord]]]
-    ) -> Optional[int]:
+    ) -> Tuple[Optional[int], Optional[bytes]]:
         """Make a batch durable before it is applied; returns its commit
-        sequence.  A volatile store logs nothing (``None``)."""
-        return None
+        sequence and the log frames it appended.  A volatile store logs
+        nothing (``None, None``)."""
+        return None, None
 
     # ------------------------------------------------------------------
     # Shard selection

@@ -15,10 +15,13 @@ of three things:
   queries, and the record frames of a directory written before 5.0, which
   :func:`_legacy_json_records` still reads.
 
-:func:`decode_wal_frames` is the one decoder: it stops at the first torn or
-corrupt frame and reports how many bytes of clean prefix precede it, and
-:func:`torn_snapshot_frame` tells a snapshot frame a crash cut short from
-damage behind that prefix.
+The same record frames are what a follower receives: a ``wal`` push carries
+the segment frames its commit appended, and a snapshot catch-up one base
+snapshot frame per shard.  :func:`decode_wal_frames` is the one decoder, on
+disk and on the wire: it stops at the first torn or corrupt frame and reports
+how many bytes of clean prefix precede it.  On the wire nothing is torn, so
+a payload that is not whole frames is refused; on disk :func:`torn_tail`
+tells a last frame a crash cut short from damage behind that prefix.
 :func:`_field` is the one place a decoded frame's field is read, so a
 CRC-valid frame of the wrong shape is a ``ValueError`` naming its file.
 """
@@ -30,7 +33,7 @@ import struct
 import zlib
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from ..codec.packed import PackedRecordBatch, encode_batch
+from ..codec.packed import PackedRecordBatch
 from ..data.records import PositioningRecord, Sample, SampleSet
 
 #: Frame header: payload byte length + CRC32 of the payload, big-endian.
@@ -55,20 +58,18 @@ def encode_wal_frame(payload: Mapping[str, object]) -> bytes:
     return _frame_bytes(json.dumps(payload, separators=(",", ":")).encode("utf-8"))
 
 
-def encode_segment_frame(seq: int, records: Sequence[PositioningRecord]) -> bytes:
+def encode_segment_frame(seq: int, batch: PackedRecordBatch) -> bytes:
     """One binary segment frame: magic + sequence + packed record batch."""
-    return _frame_bytes(
-        _SEGMENT_PREFIX.pack(SEGMENT_MAGIC, seq) + encode_batch(records)
-    )
+    return _frame_bytes(_SEGMENT_PREFIX.pack(SEGMENT_MAGIC, seq) + batch.encode())
 
 
 def encode_snapshot_frame(
-    shard_key: int, version: int, through: int, records: Sequence[PositioningRecord]
+    shard_key: int, version: int, through: int, batch: PackedRecordBatch
 ) -> bytes:
     """One binary snapshot frame: magic + shard metadata + packed batch."""
     return _frame_bytes(
         _SNAPSHOT_PREFIX.pack(SNAPSHOT_MAGIC, shard_key, version, through)
-        + encode_batch(records)
+        + batch.encode()
     )
 
 
@@ -137,22 +138,30 @@ def decode_wal_frames(data: bytes) -> Tuple[List[dict], int]:
     return frames, offset
 
 
-def torn_snapshot_frame(data: bytes, valid: int) -> bool:
+def torn_tail(data: bytes, valid: int, snapshot: bool) -> bool:
     """Whether the bytes behind :func:`decode_wal_frames`' clean prefix of a
-    snapshot file's ``data`` are one snapshot frame cut short — all a crash
+    file's ``data`` are one last frame a crash cut short — all a crash
     mid-append leaves — and not damage.
 
-    A whole frame that fails its CRC or its parse is damage.  So is a frame
-    header whose length field was hit, though it too claims bytes past the
-    end: once the snapshot prefix and the batch header are on disk, the size
-    their record and sample counts state must be the length it declares.
+    A crash cuts only the last frame, so a bad frame at whose declared end a
+    whole frame decodes is damage.  In a ``snapshot`` file a whole frame that
+    fails its CRC or its parse is damage too (every snapshot write is synced
+    before a segment goes), and so is a frame header whose length field was
+    hit, though it too claims bytes past the end: once the snapshot prefix
+    and the batch header are on disk, the size their record and sample
+    counts state must be the length it declares.  A log frame whose length
+    field was hit is still read as a tear.
     """
     rest = data[valid:]
     if len(rest) < _FRAME_HEADER.size:
         return True
     length, _crc = _FRAME_HEADER.unpack_from(rest)
     body = rest[_FRAME_HEADER.size :]
-    if len(body) >= length or not SNAPSHOT_MAGIC.startswith(body[:4]):
+    if len(body) >= length:
+        return not snapshot and not decode_wal_frames(body[length:])[0]
+    if not snapshot:
+        return True
+    if not SNAPSHOT_MAGIC.startswith(body[:4]):
         return False
     stated = PackedRecordBatch.declared_size(body[_SNAPSHOT_PREFIX.size :])
     return stated is None or length == _SNAPSHOT_PREFIX.size + stated

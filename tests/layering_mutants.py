@@ -276,6 +276,12 @@ def rule_breakers(layering):
         returns("core/naive.py", "maps a location to its cell", "graph.parent_cell(sloc_id)"),
         returns("baselines/scc.py", "ranks by itself", "rank_top_k(flows, query.k)"),
         returns("engine/continuous.py", "ranks by itself", "query.rank_top_k(flows, 3)"),
+        returns("service/wal_tail.py", "encodes a batch", "protocol.records_to_payload(records)"),
+        returns("service/wal_tail.py", "packs a batch", "PackedRecordBatch.from_records(records)"),
+        returns("storage/base.py", "encodes a batch", "encode_batch(records)"),
+        returns("service/replica.py", "decodes a blob", "PackedRecordBatch.decode(blob)"),
+        returns("service/replica.py", "decodes records", "protocol.records_from_payload(blob)"),
+        returns("service/replica.py", "a second frame reader", "decode_wal_frames(payload)"),
     ]
 
 

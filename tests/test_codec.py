@@ -539,7 +539,7 @@ class TestDurableBinaryCodec:
 
     def test_binary_frame_torn_tail_is_truncated(self, tmp_path):
         records = _stream(num_objects=3, ticks=6)
-        frame = encode_segment_frame(1, records)
+        frame = encode_segment_frame(1, PackedRecordBatch.from_records(records))
         good = encode_wal_frame({"kind": "noop"})
         data = frame + frame[: len(frame) // 2]
         frames, valid = decode_wal_frames(data)

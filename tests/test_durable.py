@@ -21,6 +21,7 @@ import json
 import os
 import pathlib
 import random
+import shutil
 import signal
 import struct
 import subprocess
@@ -45,6 +46,7 @@ from repro import (
     ServiceClient,
     ServiceError,
 )
+from repro.codec.packed import PackedRecordBatch
 from repro.data.records import PositioningRecord
 from repro.service import protocol
 from repro.space import IndoorLocationMatrix, IndoorSpaceLocationGraph
@@ -133,7 +135,7 @@ _log_frames = st.one_of(
     _control_frames.map(lambda frame: (encode_wal_frame(frame), frame)),
     st.builds(
         lambda seq, records: (
-            encode_segment_frame(seq, records),
+            encode_segment_frame(seq, PackedRecordBatch.from_records(records)),
             {"seq": seq, "packed": records},
         ),
         st.integers(0, 2**40),
@@ -141,7 +143,9 @@ _log_frames = st.one_of(
     ),
     st.builds(
         lambda key, version, through, records: (
-            encode_snapshot_frame(key, version, through, records),
+            encode_snapshot_frame(
+                key, version, through, PackedRecordBatch.from_records(records)
+            ),
             {"shard": key, "version": version, "through": through, "packed": records},
         ),
         st.integers(-5, 5000),
@@ -423,7 +427,7 @@ class TestControlLog:
             ]
             store.ingest_batch(batch)
             seq = store.last_committed_seq
-            folded = len(encode_segment_frame(seq, batch))
+            folded = len(encode_segment_frame(seq, PackedRecordBatch.from_records(batch)))
             base = len(encode_wal_frame(_base_frame(seq + 1)))
             stat = control.stat()
             assert stat.st_size <= folded + base, step
@@ -552,8 +556,9 @@ class TestSnapshotFile:
             store.ingest_batch(batch)
         _inode, data, frames = _snapshot_file(tmp_path, 0)
         [(key, version, records)] = store.shard_states()
-        one_frame = encode_snapshot_frame(key, version, version, records)
-        overhead = len(encode_snapshot_frame(key, version, version, []))
+        pack = PackedRecordBatch.from_records
+        one_frame = encode_snapshot_frame(key, version, version, pack(records))
+        overhead = len(encode_snapshot_frame(key, version, version, pack([])))
         assert len(frames) == 6
         assert len(data) == len(one_frame) + (len(frames) - 1) * overhead
         store.close()
@@ -1173,6 +1178,27 @@ def _flip_a_snapshot_bit(root):
     return path
 
 
+def _flip_a_log_bit(relative, at):
+    """A damage function: the directory becomes a fresh store holding three
+    batches of three records in shard 0, closed uncheckpointed, and one bit
+    at byte ``at`` of its log file ``relative`` flips — inside the file's
+    first frame, with whole frames behind it."""
+
+    def damage(root):
+        shutil.rmtree(root)
+        store = DurableRecordStore(root, shard_seconds=SHARD_SECONDS)
+        for first in (0, 3, 6):
+            store.ingest_batch([_record(1, 1, float(t)) for t in range(first, first + 3)])
+        store.close()
+        path = root / relative
+        data = bytearray(path.read_bytes())
+        data[at] ^= 0x01
+        path.write_bytes(bytes(data))
+        return path
+
+    return damage
+
+
 def _write(relative, frame, committed=False):
     """A damage function: one file becomes one hand-written CRC-valid frame
     (``committed``: under a commit record for sequence 1, so that recovery
@@ -1196,7 +1222,9 @@ def _rewrite_snapshot(version, holds_records):
     def damage(root):
         path = root / "snapshots" / "shard-1.snap"
         records = [_record(1, 1, float(t)) for t in range(10, 20)] if holds_records else []
-        path.write_bytes(encode_snapshot_frame(1, version, 1, records))
+        path.write_bytes(
+            encode_snapshot_frame(1, version, 1, PackedRecordBatch.from_records(records))
+        )
         return path
 
     return damage
@@ -1211,7 +1239,9 @@ def _append_deltas(*frames, torn=False, flip_frame=None):
     def damage(root):
         path = root / "snapshots" / "shard-1.snap"
         encoded = [path.read_bytes()] + [
-            encode_snapshot_frame(shard, version, through, [_record(1, 1, 19.5)])
+            encode_snapshot_frame(
+                shard, version, through, PackedRecordBatch.from_records([_record(1, 1, 19.5)])
+            )
             for shard, version, through in frames
         ]
         if torn:
@@ -1237,7 +1267,7 @@ def _length_hit_beside_a_segment(root):
     path.write_bytes(bytes(data))
     with open(root / "control.wal", "ab") as handle:
         handle.write(encode_wal_frame({"kind": "commit", "seq": 4}))
-    segment = encode_segment_frame(4, [_record(1, 1, 19.75)])
+    segment = encode_segment_frame(4, PackedRecordBatch.from_records([_record(1, 1, 19.75)]))
     (root / "wal" / "segment-1.wal").write_bytes(segment)
     return path
 
@@ -1247,6 +1277,14 @@ class TestCorruptionIsLoud:
         "damage",
         [
             pytest.param(_flip_a_snapshot_bit, id="snapshot-bit-flipped"),
+            pytest.param(
+                _flip_a_log_bit("wal/segment-0.wal", 30),
+                id="segment-bit-flipped-before-whole-frames",
+            ),
+            pytest.param(
+                _flip_a_log_bit("control.wal", 10),
+                id="control-log-bit-flipped-before-whole-frames",
+            ),
             pytest.param(_write("control.wal", {"kind": "commit"}), id="commit-without-seq"),
             pytest.param(_write("control.wal", {"kind": "base"}), id="base-without-next_seq"),
             pytest.param(
@@ -1337,7 +1375,9 @@ class TestCorruptionIsLoud:
         path = tmp_path / "snapshots" / "shard-0.snap"
         inode, base, _frames = _snapshot_file(tmp_path, 0)
         with open(path, "ab") as handle:
-            handle.write(encode_snapshot_frame(0, 2, 2, second)[:-5])
+            handle.write(
+                encode_snapshot_frame(0, 2, 2, PackedRecordBatch.from_records(second))[:-5]
+            )
 
         recovered = DurableRecordStore(tmp_path)
         assert recovered.recovery_report["torn_tails_truncated"] == 1

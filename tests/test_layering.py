@@ -265,6 +265,10 @@ GONE = [
     *_members(49, "score_query_over_entries", nested_loop, repro.engine),
     *_members(49, "pinned_data_key", repro.engine.ExecutionContext),
     *_members(49, "pinned_key", STANDING._compute),  # _maintain's lock hold pins the token
+    *_members(50, "_SHARD_SECTION encode_shard_sections decode_shard_sections", protocol),
+    *_members(50, "payload records _payload", repro.storage.IngestEvent),  # it carries frames
+    *_members(50, "committed_batches_after", repro.DurableRecordStore),
+    (50, "def:storage/wal.py", _defined("storage/wal.py").__contains__, "torn_snapshot_frame"),
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
@@ -379,6 +383,13 @@ RULES = [  # (PR, rule, actual, expected)
       "core/best_first.py:BestFirstTkPLQ._build_rq", "engine/stages.py:QueryPipeline.flows"]),
     (49, "every-ranked-answer-by-TkPLQResult.ranked", lambda: _sites(
         "rank_top_k", "core/", "engine/", "baselines/"), ["core/query.py:TkPLQResult.ranked"]),
+    (50, "a-replicated-batch-is-encoded-once-by-_log_batch", lambda: _sites(
+        "encode_batch records_to_payload from_records", "service/wal_tail.py", "storage/base.py"),
+     []),  # the tail ships the frames the log holds
+    (50, "the-replica-reads-payloads-through-decode_wal_frames", lambda: [
+        f"{site} {callee}" for site, callee, _ in CALLS if site.startswith("service/replica.py")
+        and callee.rpartition(".")[2] in ("decode_wal_frames", "decode", "records_from_payload")],
+     ["service/replica.py:_log_frames decode_wal_frames"]),
 ]  # fmt: skip
 
 
@@ -400,7 +411,7 @@ STREAM_SITES = {  # one reader (a decoder each connection builds), one listener,
     "create_server": "stream.py:FrameServer._listen", "create_connection": "client.py:_dial"}
 FRAMES = """_FRAME_HEADER SEGMENT_MAGIC _SEGMENT_PREFIX SNAPSHOT_MAGIC _SNAPSHOT_PREFIX _frame_bytes
     encode_wal_frame encode_segment_frame encode_snapshot_frame _parse_frame_body decode_wal_frames
-    _field frame_records _legacy_json_records torn_snapshot_frame""".split()
+    _field frame_records _legacy_json_records torn_tail""".split()
 FLAGS = ["primary --compact-above-bytes", "primary --shard-seconds", "primary --snapshot-every",
          "replica --reconnect-retries", "router --reconnect-retries", "router --freshness-timeout",
          *(f"{role} --presence-capacity" for role in ("primary", "replica", "router"))]

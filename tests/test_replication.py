@@ -3,16 +3,17 @@
 Four layers, each asserted **bit-identical** against a non-replicated
 oracle:
 
-* the durable store's replication cursor API (``committed_batches_after``
-  must reproduce exactly the ingested batches; the replay floor moves with
-  checkpoints and evictions; store listeners see each commit with its
-  sequence) and the primary's followers (one ``wal_tail`` attaches, lag in
-  frames lives on the tailing connection),
+* the durable store's replication cursor API (``committed_frames_after``
+  must reproduce exactly the ingested batches, as the bytes the segments
+  hold; the replay floor moves with checkpoints and evictions; store
+  listeners see each commit with its sequence and the frames it appended)
+  and the primary's followers (one ``wal_tail`` attaches, lag in frames
+  lives on the tailing connection),
 * the binary wire framing (``"bin"``-length-prefixed RPK1 payloads through
   :class:`~repro.service.stream.FrameDecoder`, the decoder every role runs),
 * the :class:`~repro.service.replica.ReadReplica` catch-up-then-tail loop
   (live replay, snapshot catch-up, fault-injected primary crash + restart,
-  JSON-era directories), and
+  JSON-era directories, a damaged payload refused), and
 * the :class:`~repro.service.router.PartitionRouter` (routed reads equal
   primary reads, read-your-writes, fallback when a replica dies).
 """
@@ -25,8 +26,6 @@ import random
 import threading
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro import (
     QueryEngine,
@@ -36,12 +35,12 @@ from repro import (
     ServiceError,
     TkPLQuery,
 )
-from repro.codec.packed import PackedRecordBatch, encode_batch
+from repro.codec.packed import PackedRecordBatch
 from repro.data.records import PositioningRecord
 from repro.service import protocol
 from repro.service.client import ReconnectPolicy
 from repro.service.protocol import ProtocolError
-from repro.service.replica import ReadReplica
+from repro.service.replica import ReadReplica, ReplicaError
 from repro.service.router import PartitionRouter
 from repro.storage import (
     DurabilityConfig,
@@ -52,6 +51,7 @@ from repro.storage import (
     ShardedRecordStore,
     SimulatedCrashError,
 )
+from repro.storage.wal import decode_wal_frames
 from tests.frame_feed import read_all
 from tests.json_era_store import write_json_era_directory
 
@@ -76,6 +76,24 @@ def _batch(base_time: float, count: int = 4) -> list:
     )
 
 
+def _records_of(frames: bytes) -> list:
+    """The records whole log frames hold, in frame order."""
+    decoded, valid = decode_wal_frames(frames)
+    assert valid == len(frames)
+    return [record for frame in decoded for record in frame["packed"].to_records()]
+
+
+def _frames_by_seq(path) -> dict:
+    """``seq -> the raw bytes of its frame`` in one segment file."""
+    data, offset, frames = path.read_bytes(), 0, {}
+    while offset < len(data):
+        end = offset + 8 + int.from_bytes(data[offset : offset + 4], "big")
+        [frame], _valid = decode_wal_frames(data[offset:end])
+        frames[frame["seq"]] = data[offset:end]
+        offset = end
+    return frames
+
+
 # ----------------------------------------------------------------------
 # The durable store's replication cursor API
 # ----------------------------------------------------------------------
@@ -85,15 +103,32 @@ class TestWalCursorApi:
         batches = [_batch(i * 20.0) for i in range(5)]
         for batch in batches:
             store.ingest_batch(batch)
-        replayed = store.committed_batches_after(0)
+        replayed = store.committed_frames_after(0)
         assert [seq for seq, _ in replayed] == [1, 2, 3, 4, 5]
-        for (seq, records), original in zip(replayed, batches):
-            assert records == original
+        for (seq, frames), original in zip(replayed, batches):
+            assert _records_of(frames) == original
         # Partial cursors replay exactly the suffix.
-        suffix = store.committed_batches_after(3)
+        suffix = store.committed_frames_after(3)
         assert [seq for seq, _ in suffix] == [4, 5]
-        assert suffix[0][1] == batches[3]
-        assert store.committed_batches_after(5) == []
+        assert _records_of(suffix[0][1]) == batches[3]
+        assert store.committed_frames_after(5) == []
+        store.close()
+
+    def test_committed_frames_are_the_bytes_the_segments_hold(self, tmp_path):
+        """Each sequence's frames, re-encoded from their packed columns, are
+        byte for byte the frames its segments hold, in ascending shard key."""
+        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
+        for base in (5.0, 25.0, 95.0, 0.0):  # 2, 10 and 0 sort apart by name
+            store.ingest_batch(_batch(base, count=3) + _batch(base + 100.0, count=2))
+        held = {
+            key: _frames_by_seq(tmp_path / "wal" / f"segment-{key}.wal")
+            for key in sorted(store.shard_versions())
+        }
+        expected = [
+            (seq, b"".join(frames[seq] for frames in held.values() if seq in frames))
+            for seq in (2, 3, 4)
+        ]
+        assert store.committed_frames_after(1) == expected
         store.close()
 
     def test_a_batch_over_shards_2_and_10_replays_in_time_order(self, tmp_path):
@@ -103,7 +138,8 @@ class TestWalCursorApi:
         batch = _batch(25.0, count=2) + _batch(105.0, count=2)
         store.ingest_batch(batch)
         assert set(store.shard_versions()) == {2, 10}
-        assert store.committed_batches_after(0) == [(1, batch)]
+        [(seq, frames)] = store.committed_frames_after(0)
+        assert seq == 1 and _records_of(frames) == batch
         store.close()
 
     def test_checkpoint_advances_the_replay_floor(self, tmp_path):
@@ -116,10 +152,10 @@ class TestWalCursorApi:
         assert not store.can_replay_from(0)
         assert store.can_replay_from(2)
         with pytest.raises(ValueError):
-            store.committed_batches_after(0)
+            store.committed_frames_after(0)
         # Frames committed after the checkpoint replay from the floor.
         store.ingest_batch(_batch(40.0))
-        assert [seq for seq, _ in store.committed_batches_after(2)] == [3]
+        assert [seq for seq, _ in store.committed_frames_after(2)] == [3]
         store.close()
 
     def test_eviction_advances_the_replay_floor(self, tmp_path):
@@ -153,11 +189,8 @@ class TestWalCursorApi:
         store.ingest_batch(_batch(50.0))
         store.evict_before(15.0)  # dooms whole shard 0 ([0, 10))
         assert isinstance(events[0], IngestEvent)
-        assert events[0].seq == 1 and list(events[0].records) == first
+        assert events[0].seq == 1 and _records_of(events[0].frames) == first
         assert events[0].receipt.records_ingested == len(first)
-        # The cached payload is the canonical RPK1 encoding of the batch.
-        assert events[0].payload() == encode_batch(first)
-        assert events[0].payload() is events[0].payload()  # cached
         assert isinstance(events[1], IngestEvent) and events[1].seq == 2
         assert isinstance(events[2], EvictionEvent)
         assert events[2].watermark == 10.0  # shard-aligned, not the request
@@ -170,14 +203,30 @@ class TestWalCursorApi:
         store.ingest_batch(_batch(80.0))
         assert len(events) == 3  # removed listeners stay silent
         store.close()
-        # A volatile store's event carries the batch, and no sequence.
+        # A volatile store's event carries no sequence and no frame.
         volatile = ShardedRecordStore(shard_seconds=SHARD_SECONDS)
         volatile.subscribe(events.append)
         volatile.ingest_batch(first)
-        assert events[3].seq is None and events[3].payload() == encode_batch(first)
+        assert events[3].seq is None and events[3].frames is None
+
+    def test_an_ingest_event_carries_the_bytes_its_commit_appended(self, tmp_path):
+        """The frames a live push ships are the segment bytes themselves:
+        what each segment file grew by, in ascending shard key."""
+        store = DurableRecordStore(tmp_path, shard_seconds=SHARD_SECONDS)
+        store.ingest_batch(_batch(25.0) + _batch(105.0))
+        segments = [tmp_path / "wal" / f"segment-{key}.wal" for key in (2, 3, 10, 11)]
+        sizes = [path.stat().st_size for path in segments]
+        events = []
+        store.subscribe(events.append)
+        store.ingest_batch(_batch(28.0) + _batch(107.0))
+        [event] = events
+        assert event.frames == b"".join(
+            path.read_bytes()[size:] for path, size in zip(segments, sizes)
+        )
+        store.close()
 
     def test_a_snapshot_section_holding_no_record_is_refused_before_the_reset(self):
-        """A shard exists only once a batch reached it, so an empty section of
+        """A shard exists only once a batch reached it, so an empty shard of
         a ``wal_tail`` snapshot payload is damage: the reset refuses it and
         leaves the table as it was, rather than adopting a phantom shard whose
         ``time_span()`` cannot be read."""
@@ -191,12 +240,9 @@ class TestWalCursorApi:
             )  # fmt: skip
 
         before = state()
-        payload = protocol.encode_shard_sections(
-            [(0, 3, encode_batch(_batch(0.0, count=3))), (2, 1, encode_batch([]))]
-        )
         shards = [
-            (key, version, PackedRecordBatch.decode(blob))
-            for key, version, blob in protocol.decode_shard_sections(payload)
+            (0, 3, PackedRecordBatch.from_records(_batch(0.0, count=3))),
+            (2, 1, PackedRecordBatch.from_records([])),
         ]
         with pytest.raises(ValueError, match="shard 2 holds no record"):
             table.reset_to_packed_shards(shards, watermark=5.0)
@@ -244,53 +290,6 @@ class TestBinaryFrames:
         records = _batch(0.0, count=9)
         payload = protocol.records_to_payload(records)
         assert protocol.records_from_payload(payload) == records
-
-    def test_shard_sections_round_trip(self):
-        sections = [
-            (0, 3, encode_batch(_batch(0.0))),
-            (2, 1, encode_batch(_batch(25.0))),
-            (5, 7, b""),
-        ]
-        payload = protocol.encode_shard_sections(sections)
-        assert protocol.decode_shard_sections(payload) == sections
-        with pytest.raises(ProtocolError):
-            protocol.decode_shard_sections(payload[:-1])  # truncated
-
-    @given(
-        sections=st.lists(
-            st.tuples(
-                st.integers(-(2**40), 2**40), st.integers(0, 2**40), st.binary(max_size=24)
-            ),
-            max_size=4,
-        ),
-        data=st.data(),
-    )
-    def test_shard_sections_decode_to_a_list_or_a_protocol_error(self, sections, data):
-        """Valid payloads round-trip; truncated at any byte, bit-flipped, with
-        a length field overwritten, or plain noise, the decoder hands back
-        whole sections or raises ``ProtocolError`` — nothing else escapes."""
-        payload = bytearray(protocol.encode_shard_sections(sections))
-        assert protocol.decode_shard_sections(bytes(payload)) == sections
-        damage = data.draw(st.sampled_from(["truncate", "flip", "length", "noise"]))
-        if damage == "truncate":
-            del payload[data.draw(st.integers(0, len(payload))) :]
-        elif damage == "flip" and payload:
-            payload[data.draw(st.integers(0, len(payload) - 1))] ^= 1 << data.draw(
-                st.integers(0, 7)
-            )
-        elif damage == "length" and payload:
-            # The first section's blob length: the ``I`` of its ``<qqI`` header.
-            payload[16:20] = data.draw(st.binary(min_size=4, max_size=4))
-        else:
-            payload = bytearray(data.draw(st.binary(max_size=96)))
-        try:
-            decoded = protocol.decode_shard_sections(bytes(payload))
-        except ProtocolError as error:
-            assert error.kind == "bad_request"
-        else:
-            assert protocol.encode_shard_sections(decoded) == bytes(payload)
-            if damage == "truncate":
-                assert decoded == sections[: len(decoded)]
 
 
 # ----------------------------------------------------------------------
@@ -844,6 +843,90 @@ async def _no_followers(client) -> bool:
     return (await client.replica_status())["followers"] == {}
 
 
+def _flip_last_probability(payload: bytes) -> bytes:
+    """``payload`` with the lowest byte of its last probability flipped: the
+    last frame's packed batch ends with its probability column."""
+    damaged = bytearray(payload)
+    damaged[-8] ^= 0x01
+    return bytes(damaged)
+
+
+class TestADamagedPayloadIsNeverApplied:
+    """A follower's payloads are log frames, each checked by its CRC, so one
+    flipped bit is refused — never applied under the primary's version
+    tokens as a record the primary does not hold."""
+
+    def test_a_damaged_snapshot_payload_refuses_the_start(
+        self, small_real_scenario, tmp_path
+    ):
+        scenario = small_real_scenario
+        history, _live = _split_stream(scenario)
+
+        class DamagedSnapshotReplica(ReadReplica):
+            async def _handshake(self) -> dict:
+                handshake = await super()._handshake()
+                assert handshake["mode"] == "snapshot"
+                payload = handshake[protocol.BIN_PAYLOAD]
+                return {**handshake, protocol.BIN_PAYLOAD: _flip_last_probability(payload)}
+
+        async def run():
+            service, host, port = await _start_primary(
+                scenario, tmp_path, preload=history,
+                config=DurabilityConfig(snapshot_every_batches=1),
+            )  # fmt: skip
+            replica = DamagedSnapshotReplica(_make_engine(scenario), host, port)
+            with pytest.raises(ReplicaError, match="damaged payload"):
+                await replica.start()
+            empty = ShardedRecordStore(shard_seconds=SERVICE_SHARD_SECONDS)
+            empty.restore_identity(service.iupt.uid)
+            assert replica.iupt.records_in_time_order() == ()
+            assert replica.iupt.version_token() == empty.version_token()
+            assert replica.applied_seq == replica.snapshot_catchups == 0
+            await replica.stop()
+            await service.stop()
+
+        asyncio.run(run())
+
+    def test_a_damaged_push_stops_the_apply_loop_and_moves_nothing(
+        self, small_real_scenario, tmp_path
+    ):
+        scenario = small_real_scenario
+        history, live = _split_stream(scenario)
+
+        class DamagedPushReplica(ReadReplica):
+            damage = False
+
+            async def _apply_commit(self, frame) -> None:
+                if self.damage:
+                    payload = _flip_last_probability(frame[protocol.BIN_PAYLOAD])
+                    frame = {**frame, protocol.BIN_PAYLOAD: payload}
+                await super()._apply_commit(frame)
+
+        async def run():
+            service, host, port = await _start_primary(scenario, tmp_path, preload=history)
+            replica = DamagedPushReplica(_make_engine(scenario), host, port)
+            rhost, rport = await replica.start()
+            await replica.wait_applied(service.iupt.last_committed_seq)
+            table = replica.iupt
+
+            def state():
+                return table.records_in_time_order(), table.version_token(), replica.applied_seq
+
+            before = state()
+            replica.damage = True
+            async with await ServiceClient.connect(host, port) as primary:
+                await primary.ingest_batch(live)
+            with pytest.raises(ReplicaError):
+                await replica.wait_applied(service.iupt.last_committed_seq)
+            async with await ServiceClient.connect(rhost, rport) as client:
+                assert (await client.replica_status())["healthy"] is False
+            assert state() == before
+            await replica.stop()
+            await service.stop()
+
+        asyncio.run(run())
+
+
 class TestFaultInjectedCatchUpThenTail:
     def test_replica_survives_a_primary_crash_and_restart(
         self, small_real_scenario, tmp_path
@@ -1104,6 +1187,49 @@ class TestPartitionRouter:
 
         asyncio.run(run())
 
+
+    def test_a_read_does_not_wait_on_a_replica_whose_apply_loop_stopped(
+        self, small_real_scenario, tmp_path
+    ):
+        """A replica reporting ``healthy: false`` will never catch up: the
+        first status that says so sends the read to the primary, instead of
+        polling until the freshness timeout runs out."""
+        scenario = small_real_scenario
+        history, live = _split_stream(scenario)
+        slocs = scenario.slocation_ids()
+
+        class StoppingReplica(ReadReplica):
+            stopping = False
+
+            async def _apply_commit(self, frame) -> None:
+                if self.stopping:
+                    raise RuntimeError("the apply loop stops")
+                await super()._apply_commit(frame)
+
+        async def run():
+            service, host, port = await _start_primary(scenario, tmp_path, preload=history)
+            replica = StoppingReplica(_make_engine(scenario), host, port)
+            address = await replica.start()
+            await replica.wait_applied(service.iupt.last_committed_seq)
+            router = PartitionRouter((host, port), [address], freshness_timeout=5.0)
+            rhost, rport = await router.start()
+            replica.stopping = True
+            async with await ServiceClient.connect(rhost, rport) as routed, \
+                    await ServiceClient.connect(host, port) as primary:
+                await routed.ingest_batch(live)
+                clock = asyncio.get_running_loop().time
+                started = clock()
+                answer = await routed.top_k(slocs, 3, 0.0, DURATION)
+                assert clock() - started < 1.0
+                assert answer == await primary.top_k(slocs, 3, 0.0, DURATION)
+                assert not replica.healthy
+                status = await routed.request("replica_status")
+                assert status["router"]["primary_fallbacks"] == 1
+            await router.stop()
+            await replica.stop()
+            await service.stop()
+
+        asyncio.run(run())
 
     def test_fresh_routed_reads_take_no_task_and_relay_the_replica_bytes(
         self, small_real_scenario, tmp_path

@@ -19,6 +19,7 @@ from repro.service import protocol
 from repro.service.admission import REASON_CAPACITY, REASON_DRAINING
 from repro.service.protocol import ProtocolError
 from repro.storage import DurableRecordStore, EvictedRangeError
+from repro.storage.wal import decode_wal_frames
 from tests.frame_feed import next_frame
 
 HISTORY = 120.0
@@ -91,11 +92,14 @@ async def _until(condition, what, timeout=10.0):
 
 
 def _wal_seqs(frames):
-    """The ``seq`` of each WAL push, its ``RPK1`` payload decoded on the way."""
+    """The ``seq`` of each WAL push, its log frames decoded on the way."""
     seqs = []
     for frame in frames:
         assert frame["push"] == "wal", frame
-        protocol.records_from_payload(frame[protocol.BIN_PAYLOAD])
+        payload = frame[protocol.BIN_PAYLOAD]
+        decoded, valid = decode_wal_frames(payload)
+        assert valid == len(payload) and decoded
+        assert {logged["seq"] for logged in decoded} == {frame["seq"]}
         seqs.append(frame["seq"])
     return seqs
 
@@ -124,8 +128,9 @@ class TestFramesStayWholeAndOrdered:
             _send(writer, "tail", "wal_tail", cursor=0, follower="raw")
             tail = await _next_frame(reader)
             assert tail["result"]["mode"] == "snapshot"
-            sections = protocol.decode_shard_sections(tail[protocol.BIN_PAYLOAD])
-            assert len(sections) == tail["result"]["shards"]
+            shards, valid = decode_wal_frames(tail[protocol.BIN_PAYLOAD])
+            assert valid == len(tail[protocol.BIN_PAYLOAD])
+            assert len(shards) == tail["result"]["shards"]
             cursor = tail["result"]["cursor"]
 
             async def ingest_live():
@@ -210,7 +215,7 @@ class TestFramesStayWholeAndOrdered:
             assert stalled.transport.get_write_buffer_size() > 0
             tail = await _next_frame(reader)
             assert tail["id"] == 1 and tail["result"]["mode"] == "snapshot"
-            protocol.decode_shard_sections(tail[protocol.BIN_PAYLOAD])
+            decode_wal_frames(tail[protocol.BIN_PAYLOAD])
             last = service.iupt.last_committed_seq
             cursor = tail["result"]["cursor"]
             wal = [await _next_frame(reader) for _ in range(last - cursor)]
