@@ -19,7 +19,8 @@ the network-facing layer a production deployment needs:
   :class:`~repro.engine.runtime.QueryEngine` and pushing continuous-query
   refreshes to subscribed connections;
 * :mod:`~repro.service.pool` — the service's ``WorkerPool``: threads
-  draining one work queue, running CPU-bound work off the event loop;
+  draining one work queue, running CPU-bound work off the event loop, and
+  its ordered outbox, the one way pushes get back to the loop;
 * :mod:`~repro.service.wal_tail` — ``WalTail``: over a durable table, every
   commit pushed to the connections tailing its write-ahead log (a follower's
   name and lag live on its connection);

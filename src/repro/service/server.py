@@ -19,8 +19,8 @@ answers when the frame names it):
   ``query_workers`` threads draining one work queue: every CPU-bound or
   lock-taking call runs there, so a heavy query never stalls other
   connections' framing or pushes.  The seven handler ops cross each
-  boundary once — queued as it is decoded, run on a worker, answered by the
-  worker's single ``call_soon_threadsafe`` — with no task and no future; the
+  boundary once — queued as it is decoded, run on a worker, answered in the
+  item's one completion on the loop — with no task and no future; the
   ops that touch connection state on the loop (subscriptions, ``wal_tail``,
   ``wal_ack``, ``stats``, ``replica_status``) await the same queue through
   :meth:`~repro.service.pool.WorkerPool.run_blocking`.  Thread-safety
@@ -31,14 +31,17 @@ answers when the frame names it):
 * **standing subscriptions push**: ``subscribe`` registers a standing query
   with the shared :class:`~repro.engine.continuous.ContinuousQueryEngine`
   whose ``on_change`` hook fires on the mutating worker thread — the
-  service bridges each change onto the event loop with
-  ``call_soon_threadsafe`` and writes an ``update`` (or ``evicted``) push
-  frame to the subscribing connection, so one client's ``ingest_batch``
-  becomes push traffic to every other subscribed client with no polling
-  anywhere;
+  service posts each change to the pool's ordered outbox
+  (:meth:`~repro.service.pool.WorkerPool.post`), which writes an ``update``
+  (or ``evicted``) push frame to the subscribing connection right after the
+  mutating request's own answer, so one client's ``ingest_batch`` is
+  acknowledged first and then becomes push traffic to every other
+  subscribed client, with no polling anywhere;
 * **followers tail the write-ahead log**: ``wal_tail`` is the whole
-  handshake (:class:`~repro.service.wal_tail.WalTail`), and a follower's name
-  and acknowledged cursor live on its connection, nowhere else;
+  handshake (:class:`~repro.service.wal_tail.WalTail`), a commit's ``wal``
+  push leaves through the same outbox (after the ingest's acknowledgement),
+  and a follower's name and acknowledged cursor live on its connection,
+  nowhere else;
 * the :class:`~repro.service.admission.AdmissionController` gates every
   request (``max_inflight``, the one bound) and supports
   **graceful drain**: :meth:`QueryService.stop` refuses new requests,
@@ -561,12 +564,13 @@ class QueryService(FrameServer):
         # The batch arrives as one packed RPK1 blob; a frame without one
         # (records spelled as JSON, say) is a bad_request.
         records = protocol.records_from_payload(protocol.frame_payload(frame))
-        receipt = self.iupt.ingest_batch(records)
-        result = protocol.receipt_to_wire(receipt)
-        if self._durable is not None:
-            # The durable commit sequence: a router (or any read-your-writes
-            # client) can hold reads until a replica has applied this far.
-            result["seq"] = self._durable.last_committed_seq
+        with self.iupt.lock:  # this commit's seq, not a later worker's
+            receipt = self.iupt.ingest_batch(records)
+            result = protocol.receipt_to_wire(receipt)
+            if self._durable is not None:
+                # The durable commit sequence: a router (or any read-your-writes
+                # client) can hold reads until a replica has applied this far.
+                result["seq"] = self._durable.last_committed_seq
         return result
 
     def _do_evict_before(self, frame: dict) -> dict:
@@ -640,7 +644,7 @@ class QueryService(FrameServer):
         return subscription, response
 
     # ------------------------------------------------------------------
-    # Push (called on mutating worker threads, bridged onto the loop)
+    # Push (called on mutating worker threads, posted to the loop)
     # ------------------------------------------------------------------
     def _push(self, connection: _Connection, subscription: Subscription) -> None:
         """A subscription's change as its push frame: the new result as an
@@ -657,15 +661,14 @@ class QueryService(FrameServer):
             frame = protocol.push_update_frame(
                 subscription.sub_id, 0, subscription.kind, wire
             )
-        self._loop.call_soon_threadsafe(self._deliver_push, connection, frame)
+        self._pool.post(self._deliver_push, connection, frame)
 
     def _deliver_push(self, connection: _Connection, frame: dict) -> None:
         """Event-loop side of a push: number it, write it, count it.
 
-        ``call_soon_threadsafe`` preserves the scheduling order of the
-        refreshes (they are serialised under the store lock), so per-
-        subscription sequence numbers assigned here are contiguous and in
-        refresh order.
+        The pool's outbox runs posts in post order, and the refreshes post
+        under the store lock that serialises them, so per-subscription
+        sequence numbers assigned here are contiguous and in refresh order.
         """
         if connection not in self._connections or connection.closing:
             return

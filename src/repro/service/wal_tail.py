@@ -5,7 +5,10 @@ hold of the durable store's lock it either replays the committed batches past
 the follower's cursor as push frames or puts every shard on the response,
 then subscribes the connection to the store, so the follower sees one
 gapless sequence.  Every later commit and eviction reaches it as a push frame
-written on the event loop.  Every byte a follower applies is a log frame of
+posted to the worker pool's ordered outbox: the loop writes it right after
+the committing request's own answer, so an ingest is acknowledged before its
+``wal`` push leaves, and pushes leave in commit order.  Every byte a
+follower applies is a log frame of
 :mod:`repro.storage.wal`: a ``wal`` push carries a commit's ``RSG1`` segment
 frames (a live push the very bytes the commit appended, a replayed one the
 frames re-encoded from their packed columns), and a snapshot payload one
@@ -106,12 +109,11 @@ class WalTail:
         the follower's ``uid`` (the identity its table holds; absent on a
         first attach) is another table's; then subscribe the connection
         (replacing a tail it already had).  No commit falls in between and
-        ``call_soon_threadsafe`` keeps order, so the follower sees one
-        gapless sequence.  Returns ``(result, payload or None)``."""
+        the pool's outbox keeps post order, so the follower sees one gapless
+        sequence.  Returns ``(result, payload or None)``."""
         cursor = protocol.field(frame, "cursor", int, 0)
         store = self.durable_store()
         follower = str(frame.get("follower") or f"follower-{connection.conn_id}")
-        loop = self._pool.loop
         with store.lock:
             watermark = store.eviction_watermark
             result: Dict[str, object] = {
@@ -130,7 +132,7 @@ class WalTail:
                 batches = store.committed_frames_after(cursor)
                 for seq, frames in batches:
                     push = protocol.push_wal_frame(seq, frames)
-                    loop.call_soon_threadsafe(self._deliver_wal_push, connection, push)
+                    self._pool.post(self._deliver_wal_push, connection, push)
                 payload = None
                 result.update(mode="replay", caught_up=len(batches))
             else:
@@ -153,18 +155,18 @@ class WalTail:
                 connection.wal_token = None
 
     # ------------------------------------------------------------------
-    # Push (store listener on the mutating thread, bridged onto the loop)
+    # Push (store listener on the mutating thread, posted to the loop)
     # ------------------------------------------------------------------
     def _push_wal_event(self, connection, event: object) -> None:
         """Store-listener hook: runs on the mutating thread, under the store
-        lock, in commit order — bridge each event onto the loop."""
+        lock, in commit order — post each event's frame to the loop."""
         if isinstance(event, IngestEvent):
             frame = protocol.push_wal_frame(event.seq, event.frames)
         elif isinstance(event, EvictionEvent):
             frame = protocol.push_wal_evict_frame(event.watermark)
         else:  # pragma: no cover - future event kinds are skipped, not fatal
             return
-        self._pool.loop.call_soon_threadsafe(self._deliver_wal_push, connection, frame)
+        self._pool.post(self._deliver_wal_push, connection, frame)
 
     def _deliver_wal_push(self, connection, frame: dict) -> None:
         if connection not in self._connections or connection.closing:

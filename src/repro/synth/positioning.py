@@ -3,7 +3,9 @@
 The synthetic IUPT is derived from the ground-truth trajectories the same way
 the paper describes: an object reports at most every ``T`` seconds; each
 report contains between 1 and ``mss`` samples; a sample's P-location is drawn
-from the reference points within ``µ`` metres of the object's true location;
+from the reference points within ``CANDIDATE_RADIUS_FACTOR × µ`` (= 2µ)
+metres of the object's true location (the nearest reference point when
+none lies that close);
 its probability is proportional to ``1 / (dist * (1 + γ))`` where ``γ`` is a
 small random perturbation — the weighting scheme of weighted k-nearest
 neighbour (WkNN) fingerprinting.

@@ -278,6 +278,8 @@ def rule_breakers(layering):
         returns("engine/continuous.py", "ranks by itself", "query.rank_top_k(flows, 3)"),
         returns("service/wal_tail.py", "encodes a batch", "protocol.records_to_payload(records)"),
         returns("service/wal_tail.py", "packs a batch", "PackedRecordBatch.from_records(records)"),
+        returns("service/wal_tail.py", "schedules a push itself", "loop.call_soon_threadsafe(print)"),
+        returns("service/pool.py", "a second way back", "self._loop.call_soon_threadsafe(print)"),
         returns("storage/base.py", "encodes a batch", "encode_batch(records)"),
         returns("service/replica.py", "decodes a blob", "PackedRecordBatch.decode(blob)"),
         returns("service/replica.py", "decodes records", "protocol.records_from_payload(blob)"),

@@ -269,6 +269,7 @@ GONE = [
     *_members(50, "payload records _payload", repro.storage.IngestEvent),  # it carries frames
     *_members(50, "committed_batches_after", repro.DurableRecordStore),
     (50, "def:storage/wal.py", _defined("storage/wal.py").__contains__, "torn_snapshot_frame"),
+    *_members(51, "loop", repro.service.pool.WorkerPool),  # the outbox is the way back
 ]  # fmt: skip
 
 RULES = [  # (PR, rule, actual, expected)
@@ -390,6 +391,8 @@ RULES = [  # (PR, rule, actual, expected)
         f"{site} {callee}" for site, callee, _ in CALLS if site.startswith("service/replica.py")
         and callee.rpartition(".")[2] in ("decode_wal_frames", "decode", "records_from_payload")],
      ["service/replica.py:_log_frames decode_wal_frames"]),
+    (51, "one-way-back-to-the-loop", lambda: _sites("call_soon_threadsafe"),
+     ["service/pool.py:WorkerPool._wake"]),  # an item's completion and a post from outside
 ]  # fmt: skip
 
 

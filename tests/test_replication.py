@@ -839,6 +839,44 @@ class TestFollowersLiveOnTheirConnections:
         asyncio.run(run())
 
 
+    def test_concurrent_ingests_reach_a_raw_follower_in_seq_order(
+        self, small_real_scenario, tmp_path
+    ):
+        """Two workers commit two clients' batches at once; each commit's
+        ``wal`` push leaves after its acknowledgement, and the follower still
+        sees every seq once, in order."""
+        scenario = small_real_scenario
+        rounds = 12
+
+        async def run():
+            service, host, port = await _start_primary(scenario, tmp_path)
+            clients = [await ServiceClient.connect(host, port) for _ in range(2)]
+            follower = await ServiceClient.connect(host, port)
+            tail = await follower.wal_tail(0, follower="raw")
+            assert (tail["mode"], tail["cursor"]) == ("replay", 0)
+            acked = []
+            for index in range(rounds):
+                replies = await asyncio.gather(*(
+                    client.ingest_batch(_batch(10.0 * (2 * index + side)))
+                    for side, client in enumerate(clients)
+                ))
+                acked += [reply["seq"] for reply in replies]
+            assert sorted(acked) == list(range(1, 2 * rounds + 1))
+            pushed = [
+                await asyncio.wait_for(follower.wal_frames.get(), 10.0)
+                for _ in acked
+            ]
+            assert [(frame["push"], frame["seq"]) for frame in pushed] == [
+                ("wal", seq) for seq in range(1, 2 * rounds + 1)
+            ]
+            assert follower.wal_frames.empty()
+            for client in (*clients, follower):
+                await client.close()
+            await service.stop()
+            service.iupt.close()
+
+        asyncio.run(run())
+
 async def _no_followers(client) -> bool:
     return (await client.replica_status())["followers"] == {}
 

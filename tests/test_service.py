@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 
 import pytest
@@ -37,7 +38,8 @@ from repro.service.admission import (
     REASON_DRAINING,
 )
 from repro.service.client import unwrap
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.service.metrics import LATENCY_BUCKET_BOUNDS, LatencyHistogram, ServiceMetrics
+from repro.service.pool import WorkerPool
 from repro.service.protocol import ProtocolError
 from repro.service.stream import FrameDecoder
 from repro.storage import EvictedRangeError
@@ -167,13 +169,23 @@ class TestMetrics:
         histogram.observe(0.2)
         histogram.observe(99.0)  # beyond the last bound -> overflow bucket
         assert histogram.count == 100
-        assert histogram.quantile(0.5) == 0.0025  # bucket upper bound
-        assert histogram.quantile(0.99) == 0.25
+        assert histogram.quantile(0.5) == 10.0 ** -2.6  # bucket upper bound, 2.512 ms
+        assert histogram.quantile(0.99) == 10.0 ** -0.6  # 251.189 ms
         assert histogram.quantile(1.0) == 99.0  # falls through to max
         assert histogram.overflow == 1
         summary = histogram.as_dict()
         assert summary["count"] == 100
         assert summary["max_ms"] == 99000.0
+
+    def test_buckets_are_at_most_a_tenth_of_a_decade_apart(self):
+        # Quarter-decade buckets read a 1.4-ms request as p50 2.5 ms.
+        bounds = LATENCY_BUCKET_BOUNDS
+        assert (bounds[0], bounds[-1]) == (0.0001, 30.0)
+        assert max(high / low for low, high in zip(bounds, bounds[1:])) < 1.26
+        histogram = LatencyHistogram()
+        for seconds in (0.0012, 0.0014, 0.0014, 0.002):
+            histogram.observe(seconds)
+        assert histogram.as_dict()["p50_ms"] == 1.585
 
     def test_quantile_validation_and_empty(self):
         histogram = LatencyHistogram()
@@ -210,6 +222,159 @@ class TestMetrics:
         assert snapshot["connections"]["active"] == 1
         assert snapshot["cache"]["hit_rate"] == 0.5
         assert snapshot["continuous"]["subscriptions"] == 1
+
+
+# ----------------------------------------------------------------------
+# The worker pool's ordered outbox (WorkerPool.post)
+# ----------------------------------------------------------------------
+async def _with_pool(drive, size=2):
+    """Run ``drive(pool, loop)`` on a started pool, counting the loop's
+    ``call_soon_threadsafe`` calls; returns ``(drive's result, count)``."""
+    loop = asyncio.get_running_loop()
+    wakes = []
+    threadsafe = loop.call_soon_threadsafe
+
+    def counted(*args, **kwargs):
+        wakes.append(args)
+        return threadsafe(*args, **kwargs)
+
+    loop.call_soon_threadsafe = counted
+    pool = WorkerPool(size)
+    pool.start(loop)
+    try:
+        return await asyncio.wait_for(drive(pool, loop), 10.0), len(wakes)
+    finally:
+        pool.stop()
+        del loop.call_soon_threadsafe
+
+
+def _completion(loop, log, last):
+    """A ``done`` that logs ``done <token>`` and resolves when ``last`` ends."""
+    finished = loop.create_future()
+
+    def done(token, result, error):
+        log.append(f"done {token}")
+        if token == last:
+            finished.set_result(None)
+
+    return done, finished
+
+
+class TestWorkerPoolOutbox:
+    def test_an_items_posts_run_after_its_done_and_add_no_wake(self):
+        log = []
+
+        async def drive(pool, loop):
+            done, finished = _completion(loop, log, "a")
+
+            def item():
+                pool.post(log.append, "post 1")
+                pool.post(log.append, "post 2")
+
+            pool.submit(item, (), done, "a")
+            await finished
+
+        _, wakes = asyncio.run(_with_pool(drive))
+        assert log == ["done a", "post 1", "post 2"]
+        assert wakes == 1  # the item's one completion carried both posts
+
+    def test_posts_run_in_post_order_when_items_finish_in_reverse(self):
+        log = []
+
+        async def drive(pool, loop):
+            done, finished = _completion(loop, log, "a")
+            a_posted, b_done = threading.Event(), threading.Event()
+
+            def item_a():
+                pool.post(log.append, "post a")
+                a_posted.set()
+                assert b_done.wait(5.0)  # a ends after b's answer
+
+            def item_b():
+                assert a_posted.wait(5.0)
+                pool.post(log.append, "post b")
+
+            def done_b(token, result, error):
+                done(token, result, error)
+                b_done.set()
+
+            pool.submit(item_a, (), done, "a")
+            pool.submit(item_b, (), done_b, "b")
+            await finished
+
+        _, wakes = asyncio.run(_with_pool(drive))
+        assert log == ["done b", "post a", "post b", "done a"]
+        assert wakes == 2
+
+    def test_posts_from_more_workers_than_cores_run_once_each_in_post_order(self):
+        items, steps = 40, 20
+        posted, ran = [], []
+        lock = threading.Lock()  # as the store lock orders commits and their pushes
+
+        async def drive(pool, loop):
+            finished = loop.create_future()
+            ended = []
+
+            def done(token, result, error):
+                ended.append(error)
+                if len(ended) == items:
+                    finished.set_result(None)
+
+            def item():
+                for _ in range(steps):
+                    with lock:
+                        posted.append(len(posted))
+                        pool.post(ran.append, posted[-1])
+
+            for _ in range(items):
+                pool.submit(item, (), done, None)
+            await finished
+            return ended
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ended, wakes = asyncio.run(_with_pool(drive, size=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert ended == [None] * items
+        assert ran == posted == list(range(items * steps))
+        assert wakes == items
+
+    def test_a_post_from_outside_the_pool_wakes_the_loop(self):
+        async def drive(pool, loop):
+            seen = loop.create_future()
+            poster = threading.Thread(target=pool.post, args=(seen.set_result, "outside"))
+            poster.start()
+            poster.join(5.0)
+            assert not poster.is_alive()
+            return await seen
+
+        seen, wakes = asyncio.run(_with_pool(drive))
+        assert (seen, wakes) == ("outside", 1)  # no item ran
+
+    def test_a_failing_post_reaches_the_exception_handler_and_the_rest_run(self):
+        log, caught = [], []
+
+        def fails():
+            raise RuntimeError("posted callback failed")
+
+        async def drive(pool, loop):
+            loop.set_exception_handler(lambda _loop, context: caught.append(context))
+            done, finished = _completion(loop, log, "a")
+
+            def item():
+                pool.post(fails)
+                pool.post(log.append, "after")
+
+            pool.submit(item, (), done, "a")
+            await finished
+
+        asyncio.run(_with_pool(drive))
+        assert log == ["done a", "after"]
+        assert [str(context["exception"]) for context in caught] == [
+            "posted callback failed"
+        ]
 
 
 # ----------------------------------------------------------------------
