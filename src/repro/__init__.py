@@ -90,7 +90,7 @@ from .synth import (
 )
 from .system import IndoorFlowSystem
 
-__version__ = "18.1.0"
+__version__ = "18.2.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -16,7 +16,9 @@ listeners and watermark — that writes the log before it applies a mutation:
   batch spanning several shards is made atomic by a **commit record** in the
   control log (``control.wal``): recovery replays only frames whose batch
   sequence number was committed, so a crash mid-batch rolls the whole batch
-  back instead of resurrecting half of it;
+  back instead of resurrecting half of it.  The commit record names the
+  shards the batch wrote, and a committed batch whose frame one of them
+  lacks refuses the open (:class:`DurabilityConfig`);
 * **fsync policy** — every append, snapshot write and rename reaches the OS
   before the call that made it returns, so under every policy an
   acknowledged write survives a process crash (a kill -9;
@@ -81,8 +83,8 @@ listeners and watermark — that writes the log before it applies a mutation:
   holds across a recovery: a snapshot whose replayed frames all came in
   order takes one delta at the checkpoint ending the recovery.  A torn frame
   at a file tail (a crash mid-write) is detected by the length/CRC framing
-  and truncated away; a bad frame with a whole frame behind it is damage,
-  and the open refuses it.  The differential crash-recovery harness in
+  and truncated away; anything else is damage, and the open refuses it
+  (below).  The differential crash-recovery harness in
   ``tests/test_durable.py`` kills the store at arbitrary WAL frame
   boundaries (via :attr:`DurabilityConfig.fail_after_writes`) and asserts
   the recovered store is bit-identical to an in-memory oracle that applied
@@ -101,21 +103,25 @@ The log has **one reader**, :meth:`DurableRecordStore._scan_log`: recovery and
 the replication replay (:meth:`DurableRecordStore.committed_frames_after`)
 learn which sequences are committed and which frames each segment holds from
 it, and only recovery lets it cut a torn tail off a file — the one damage a
-crash can cause (:func:`~repro.storage.wal.torn_tail`: a bad frame with a
-whole frame at its declared end is damage, and the open raises a
-``ValueError`` naming the file and the byte offset before any file is cut).
-Recovery cuts a snapshot file's torn last frame too, but
-only while the shard's segment is on disk: a checkpoint deletes segments only
-after every snapshot write, so the segment still holds the cut frame's
-records.  Anything else it cannot interpret is refused with a ``ValueError``
-naming the file: a CRC-valid frame of the wrong shape, a snapshot file that
-is not whole frames for the shard its name states (one base frame, then
-binary deltas each advancing version and ``through``), a torn last frame
-whose segment is gone, and a snapshot frame no checkpoint writes (at version
-0, or holding no record: a shard exists only once a batch reached it) — a
-base frame replaces its file atomically, a delta is synced before any
-segment is deleted, so a damaged file is never crash residue, and falling
-back to the log would silently open a smaller table.
+crash can cause (:func:`~repro.storage.wal.torn_tail`: a bad frame behind
+which a whole frame decodes at any offset is damage, and the open raises a
+``ValueError`` naming the file and the byte offset).  Recovery cuts a
+snapshot file's torn last frame too, but only while the shard's segment is
+on disk: a checkpoint deletes segments only after every snapshot write, so
+the segment still holds the cut frame's records.  Anything else is refused
+with a ``ValueError`` naming the file, and no byte changes before every
+file was read and checked: a CRC-valid frame of the wrong shape, a snapshot
+file that is not whole frames for the shard its name states (one base
+frame, then binary deltas each advancing version and ``through``), a torn
+last frame whose segment is gone, a snapshot frame no checkpoint writes (at
+version 0, or holding no record: a shard exists only once a batch reached
+it), a committed batch whose frame a shard its commit names lacks, a frame
+whose first or last record lies outside the shard its key names (a changed
+shard width too), and a damaged ``MANIFEST.json`` or a missing one beside a
+log or snapshot.  A base frame replaces its file atomically, a delta is
+synced before any segment is deleted, so a damaged file is never crash
+residue, and falling back to the log would silently open a smaller table.
+``tests/test_damage.py`` states each rule as one row.
 
 The frames themselves — binary ``RSG1`` segment and ``RSN1`` snapshot frames
 carrying packed ``RPK1`` batches, the JSON control log, and the reader of the
@@ -138,7 +144,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -166,6 +171,9 @@ SUBSCRIPTIONS_NAME = "subscriptions.json"
 
 FSYNC_KINDS = ("always", "batch", "never")
 
+#: The ``(path, length)`` each torn tail is cut back to, once every file is read.
+_Cuts = List[Tuple[pathlib.Path, int]]
+
 
 class SimulatedCrashError(RuntimeError):
     """The store hit its injected fault point and 'crashed'.
@@ -188,7 +196,14 @@ class DurabilityConfig:
         log's records and the snapshot writes, no segment append — after
         an OS crash a committed batch can lack segment frames (syncing
         ``control.wal`` orders nothing in the segment files).  ``"never"``:
-        never fsync — fastest.
+        never fsync — fastest.  A committed batch whose frame a shard its
+        commit record names lacks (past that shard's snapshot, above the
+        watermark) refuses the open with a ``ValueError`` naming the
+        segment, the shard and the seq; it is never opened without: a
+        follower that applied the batch would then diverge, under the same
+        uid, from a primary that lost it.  So under ``"batch"`` and
+        ``"never"`` an OS crash can make the open refuse; ``"always"`` is
+        the policy that reopens after any OS crash.
     ``snapshot_every_batches``
         Automatic checkpoint cadence; ``None`` = only explicit
         :meth:`DurableRecordStore.checkpoint` calls (and the one that ends a
@@ -265,6 +280,11 @@ def atomic_write(path: pathlib.Path, data: bytes, fsync: str) -> None:
     os.replace(tmp, path)
     if sync:
         fsync_dir(path.parent)
+
+
+def _keys(keys: Iterable[object]) -> List[int]:
+    """A commit record's shard keys."""
+    return [int(key) for key in keys]
 
 
 def _subscribe_frame(entry: dict) -> bytes:
@@ -348,14 +368,24 @@ class DurableRecordStore(ShardedRecordStore):
         self._snap_dir.mkdir(exist_ok=True)
         path = self._dir / MANIFEST_NAME
         if path.exists():
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-            if manifest.get("format") != FORMAT_VERSION:
+            try:
+                manifest = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError as error:  # bad UTF-8 or JSON
+                raise ValueError(f"{path}: {error!r}") from error
+            found = _field(manifest, "format", int, path, 0)
+            if found != FORMAT_VERSION:
                 raise ValueError(
-                    f"unsupported durable-store format {manifest.get('format')!r} "
+                    f"unsupported durable-store format {found!r} "
                     f"in {path} (this build reads format {FORMAT_VERSION})"
                 )
             # Older directories also carry an "index_kind" key; it is ignored.
-            return manifest
+            return {
+                "uid": _field(manifest, "uid", str, path, 0),
+                "shard_seconds": _field(manifest, "shard_seconds", float, path, 0),
+            }
+        kept = [*self._wal_dir.glob("segment-*.wal"), *self._snap_dir.glob("shard-*.snap")]
+        if kept or (self._dir / CONTROL_NAME).exists():
+            raise ValueError(f"{path}: missing beside a log or snapshot it keeps")
         manifest = {
             "format": FORMAT_VERSION,
             "uid": f"durable-{uuid.uuid4().hex[:16]}",
@@ -369,27 +399,39 @@ class DurableRecordStore(ShardedRecordStore):
     # Recovery
     # ------------------------------------------------------------------
     def _recover(self) -> None:
-        # Snapshots and an older build's subscriptions file first: a damaged
-        # one refuses the open before the log scan has repaired (rewritten)
-        # anything.
-        snapshots, torn_snapshots = self._read_snapshots()
+        snapshots, cuts = self._read_snapshots()
         older = self._read_subscriptions_file()
-        scan = self._scan_log(repair=True)
-        committed, watermark, base_next, segments, torn = scan[:5]
+        scan = self._scan_log()
+        committed, watermark, base_next, segments = scan[:4]
+        cuts += scan[4]
         self._standing, self._next_query = scan[5:]
         max_seq = max(
             (seq for frames in segments.values() for seq, _frame in frames), default=0
         )
+        # Every shard a commit names holds the batch's frame, unless its
+        # snapshot folded it in or the watermark dropped the shard.
+        logged = {key: {seq for seq, _frame in frames} for key, frames in segments.items()}
+        for seq, keys in committed.items():
+            for key in keys:
+                through = snapshots.get(key, (0, 0))[1]
+                if (key + 1) * self.shard_seconds <= watermark or seq <= through:
+                    continue
+                if seq not in logged.get(key, ()):
+                    raise ValueError(
+                        f"{self._segment_path(key)}: no frame of committed batch {seq} for "
+                        f"shard {key}, past batch {through} of {self._snapshot_path(key)}"
+                    )
 
         replayed = 0
         skipped_uncommitted = 0
         loaded_from_snapshot = 0
         max_through = 0
+        evicted = []
         for key in sorted(set(snapshots) | set(segments)):
             if (key + 1) * self.shard_seconds <= watermark:
                 # The eviction was committed (watermark record) but the crash
-                # interrupted the file deletions: finish them now.
-                self._remove_shard_files(key, count_write=False)
+                # interrupted the file deletions: finished below.
+                evicted.append(key)
                 continue
             version, through, snapshot = snapshots.get(key, (0, 0, None))
             self._snapshotted_version[key] = version
@@ -405,6 +447,7 @@ class DurableRecordStore(ShardedRecordStore):
                 else:
                     records = frame_records(snapshot, self._snapshot_path(key), 0)
                     packed = PackedRecordBatch.from_records(records)
+                self._check_span(key, packed.timestamps, self._snapshot_path(key))
                 self.load_shard_packed(key, packed, version)
                 loaded_from_snapshot += 1
             # Repeating history: each committed frame past the snapshot is
@@ -416,11 +459,19 @@ class DurableRecordStore(ShardedRecordStore):
                     skipped_uncommitted += 1
                     continue
                 records = frame_records(frame, self._segment_path(key), index)
-                self._absorb(key, records, [record.timestamp for record in records])
+                times = [record.timestamp for record in records]
+                self._check_span(key, times, self._segment_path(key))
+                self._absorb(key, records, times)
                 through = seq
                 replayed += 1
             self._shard_last_seq[key] = through
             max_through = max(max_through, through)
+        # Every file read clean, torn or as residue of an eviction: only now
+        # does recovery change a byte.
+        for path, valid in cuts:
+            os.truncate(path, valid)
+        for key in evicted:
+            self._remove_shard_files(key, count_write=False)
         if watermark > float("-inf"):
             self.restore_watermark(watermark)
         # The sequence counter must clear every sequence any surviving file
@@ -453,13 +504,24 @@ class DurableRecordStore(ShardedRecordStore):
             "segments_seen": sum(1 for frames in segments.values() if frames),
             "frames_replayed": replayed,
             "frames_skipped_uncommitted": skipped_uncommitted,
-            "torn_tails_truncated": torn + torn_snapshots,
+            "torn_tails_truncated": len(cuts),
             "watermark": watermark,
         }
 
-    def _read_snapshots(self) -> Tuple[Dict[int, Tuple[int, int, dict]], int]:
+    def _check_span(self, key: int, times: Sequence[float], path: pathlib.Path) -> None:
+        """A recovered frame's records, in time order, lie in the shard its
+        key names: read at their first and last time.  Anything else — a frame
+        filed under another key, a manifest whose shard width changed — is
+        damage."""
+        if not times or {self.shard_key(times[0]), self.shard_key(times[-1])} != {key}:
+            raise ValueError(
+                f"{path}: records outside shard {key} at the {self.shard_seconds} s "
+                f"{self._dir / MANIFEST_NAME} states"
+            )
+
+    def _read_snapshots(self) -> Tuple[Dict[int, Tuple[int, int, dict]], _Cuts]:
         """``shard key -> (version, through, frame)`` of every snapshot file,
-        and how many torn last frames were cut.
+        and the ``(path, length)`` cut of each torn last frame.
 
         A file is a base frame and zero or more delta frames, every one for
         the shard its name states, one a checkpoint writes (at version 1 or
@@ -469,11 +531,11 @@ class DurableRecordStore(ShardedRecordStore):
         frame is cut while the shard's segment is on disk: a checkpoint
         deletes segments only once every snapshot write is done, so the
         segment still holds the cut frame's records.  Anything else raises
-        before any file is cut (module docstring: it is damage, never crash
-        residue).
+        (module docstring: it is damage, never crash residue); recovery makes
+        the cuts once every file is read.
         """
         snapshots: Dict[int, Tuple[int, int, dict]] = {}
-        cuts: List[Tuple[pathlib.Path, int]] = []
+        cuts: _Cuts = []
         for path in sorted(self._snap_dir.glob("shard-*.snap")):
             data = path.read_bytes()
             frames, valid = decode_wal_frames(data)
@@ -523,9 +585,7 @@ class DurableRecordStore(ShardedRecordStore):
             if len(frames) > 1:
                 frames[0] = {"packed": PackedRecordBatch.concatenate(batches)}
             snapshots[key] = (version, through, frames[0])
-        for path, valid in cuts:
-            os.truncate(path, valid)
-        return snapshots, len(cuts)
+        return snapshots, cuts
 
     def _read_subscriptions_file(self) -> Optional[List[dict]]:
         """The standing queries a ``subscriptions.json`` of an older build
@@ -554,9 +614,7 @@ class DurableRecordStore(ShardedRecordStore):
             for path in self._wal_dir.glob("segment-*.wal")
         )
 
-    def _read_frames(
-        self, path: pathlib.Path, cuts: List[Tuple[pathlib.Path, int]]
-    ) -> List[dict]:
+    def _read_frames(self, path: pathlib.Path, cuts: _Cuts) -> List[dict]:
         """The decodable frames of one log file; a torn tail's cut goes on
         ``cuts``, and damage (:func:`~repro.storage.wal.torn_tail`) raises a
         ``ValueError`` naming the file and the byte offset."""
@@ -574,34 +632,40 @@ class DurableRecordStore(ShardedRecordStore):
             cuts.append((path, valid))
         return frames
 
-    def _scan_log(self, repair: bool) -> Tuple[
-        Set[int], float, int, Dict[int, List[Tuple[int, dict]]], int, Dict[int, dict], int
+    def _scan_log(self) -> Tuple[
+        Dict[int, Sequence[int]], float, int, Dict[int, List[Tuple[int, dict]]], _Cuts,
+        Dict[int, dict], int,
     ]:
         """The one reader of the control log and the segments.
 
-        Returns ``(committed, watermark, base_next, segments, torn,
-        standing, next_query)``: the committed sequences, the highest
-        retention watermark, the base record's ``next_seq`` (1 without one),
-        each segment's ``(seq, frame)`` list by ascending shard key, how many
-        torn tails it met, the live standing queries (id -> entry, each
-        ``subscribe`` not followed by an ``unsubscribe`` of its id), and one
-        above the highest standing-query id any ``subscribe`` frame named or
-        a rewritten base frame's ``next_query`` carries (1 without either).
-        Only recovery passes ``repair`` (truncate them, once every file read
-        whole frames or a torn tail, so damage anywhere changes no byte): a
-        live store's replay never rewrites a file it is appending to.
+        Returns ``(committed, watermark, base_next, segments, cuts,
+        standing, next_query)``: each committed sequence with the shard keys
+        its commit record names (none in a record of an older build), the
+        highest retention watermark, the base record's ``next_seq`` (1
+        without one), each segment's ``(seq, frame)`` list by ascending shard
+        key, the ``(path, length)`` cut of each torn tail, the live standing
+        queries (id -> entry, each ``subscribe`` not followed by an
+        ``unsubscribe`` of its id), and one above the highest standing-query
+        id any ``subscribe`` frame named or a rewritten base frame's
+        ``next_query`` carries (1 without either).  Only recovery makes the
+        cuts, once every file read whole frames or a torn tail, so damage
+        anywhere changes no byte: a live store's replay never rewrites a file
+        it is appending to.
         """
         path = self._dir / CONTROL_NAME
-        committed: Set[int] = set()
+        committed: Dict[int, Sequence[int]] = {}
         watermarks = [float("-inf")]
         base_next = next_query = 1
         standing: Dict[int, dict] = {}
-        cuts: List[Tuple[pathlib.Path, int]] = []
+        cuts: _Cuts = []
         frames = self._read_frames(path, cuts)
         for index, frame in enumerate(frames):
             kind, mark = frame.get("kind"), frame.get("watermark")
             if kind == "commit":
-                committed.add(_field(frame, "seq", int, path, index))
+                keys = (  # an older build's commit record names no shard
+                    _field(frame, "shards", _keys, path, index) if "shards" in frame else ()
+                )
+                committed[_field(frame, "seq", int, path, index)] = keys
             elif kind == "base":
                 base_next = max(base_next, _field(frame, "next_seq", int, path, index))
                 if "next_query" in frame:
@@ -623,11 +687,7 @@ class DurableRecordStore(ShardedRecordStore):
                 (_field(frame, "seq", int, path, index), frame)
                 for index, frame in enumerate(self._read_frames(path, cuts))
             ]
-        if repair:
-            for path, valid in cuts:
-                os.truncate(path, valid)
-        torn = len(cuts)
-        return committed, max(watermarks), base_next, segments, torn, standing, next_query
+        return committed, max(watermarks), base_next, segments, cuts, standing, next_query
 
     # ------------------------------------------------------------------
     # Fault injection and file plumbing
@@ -741,12 +801,10 @@ class DurableRecordStore(ShardedRecordStore):
             self._append_frame(key, frame, policy == "always")
             frames.append(frame)
         # The commit record makes the whole multi-shard batch atomic:
-        # recovery ignores every frame of an uncommitted sequence.
-        self._append_frame(
-            CONTROL_NAME,
-            encode_wal_frame({"kind": "commit", "seq": seq}),
-            policy != "never",
-        )
+        # recovery ignores every frame of an uncommitted sequence, and
+        # refuses a committed one whose frame a shard it names lacks.
+        commit = {"kind": "commit", "seq": seq, "shards": [key for key, _r in slices]}
+        self._append_frame(CONTROL_NAME, encode_wal_frame(commit), policy != "never")
         for key, _records in slices:
             self._shard_last_seq[key] = seq
         self._last_committed_seq = seq
@@ -913,7 +971,7 @@ class DurableRecordStore(ShardedRecordStore):
                     f"cursor {cursor} is below the WAL replay floor "
                     f"{self._wal_base_seq}; re-catch-up from a snapshot"
                 )
-            scan = self._scan_log(repair=False)
+            scan = self._scan_log()
             committed, segments = scan[0], scan[3]
             per_seq: Dict[int, List[bytes]] = {}
             for frames in segments.values():

@@ -29,6 +29,7 @@ CRC-valid frame of the wrong shape is a ``ValueError`` naming its file.
 from __future__ import annotations
 
 import json
+import re
 import struct
 import zlib
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -46,6 +47,9 @@ _SEGMENT_PREFIX = struct.Struct("<4sQ")
 #: Binary snapshot-frame body prefix: magic + shard key + version + through.
 SNAPSHOT_MAGIC = b"RSN1"
 _SNAPSHOT_PREFIX = struct.Struct("<4sqQQ")
+
+#: How every frame body begins: a record magic, or a JSON object.
+_BODY_START = re.compile(rb"RSG1|RSN1|\{")
 
 
 def _frame_bytes(body: bytes) -> bytes:
@@ -110,6 +114,20 @@ def _parse_frame_body(body: bytes) -> Optional[dict]:
     return frame
 
 
+def _frame_at(data: bytes, offset: int) -> Optional[Tuple[dict, int]]:
+    """The frame at ``offset`` of ``data`` and the offset behind it; ``None``
+    unless the frame is whole, its CRC matches and its body decodes."""
+    if offset + _FRAME_HEADER.size > len(data):
+        return None
+    length, crc = _FRAME_HEADER.unpack_from(data, offset)
+    start = offset + _FRAME_HEADER.size
+    end = start + length
+    if end > len(data) or zlib.crc32(memoryview(data)[start:end]) != crc:
+        return None
+    frame = _parse_frame_body(data[start:end])
+    return None if frame is None else (frame, end)
+
+
 def decode_wal_frames(data: bytes) -> Tuple[List[dict], int]:
     """Parse ``data`` into frames; returns ``(frames, valid_byte_length)``.
 
@@ -120,21 +138,9 @@ def decode_wal_frames(data: bytes) -> Tuple[List[dict], int]:
     """
     frames: List[dict] = []
     offset = 0
-    size = len(data)
-    while offset + _FRAME_HEADER.size <= size:
-        length, crc = _FRAME_HEADER.unpack_from(data, offset)
-        start = offset + _FRAME_HEADER.size
-        end = start + length
-        if end > size:
-            break
-        body = data[start:end]
-        if zlib.crc32(body) != crc:
-            break
-        frame = _parse_frame_body(body)
-        if frame is None:
-            break
+    while (found := _frame_at(data, offset)) is not None:
+        frame, offset = found
         frames.append(frame)
-        offset = end
     return frames, offset
 
 
@@ -143,28 +149,32 @@ def torn_tail(data: bytes, valid: int, snapshot: bool) -> bool:
     file's ``data`` are one last frame a crash cut short — all a crash
     mid-append leaves — and not damage.
 
-    A crash cuts only the last frame, so a bad frame at whose declared end a
-    whole frame decodes is damage.  In a ``snapshot`` file a whole frame that
-    fails its CRC or its parse is damage too (every snapshot write is synced
-    before a segment goes), and so is a frame header whose length field was
-    hit, though it too claims bytes past the end: once the snapshot prefix
-    and the batch header are on disk, the size their record and sample
-    counts state must be the length it declares.  A log frame whose length
-    field was hit is still read as a tear.
+    A crash cuts only the last frame, so a bad frame behind which a whole
+    frame decodes at any offset is damage: a flipped bit, or a length field
+    that was hit, in a frame before the last.  (The offsets tried are those
+    where a frame body could begin.)  A record frame's length must
+    also be the size its magic prefix and its batch header's record and
+    sample counts state, once they are on disk, though it claims bytes past
+    the end as a cut frame does.  In a ``snapshot`` file every frame is an
+    ``RSN1`` frame, and a whole one that fails its CRC or its parse is
+    damage too: every snapshot write is synced before a segment goes.
     """
     rest = data[valid:]
     if len(rest) < _FRAME_HEADER.size:
         return True
     length, _crc = _FRAME_HEADER.unpack_from(rest)
     body = rest[_FRAME_HEADER.size :]
-    if len(body) >= length:
-        return not snapshot and not decode_wal_frames(body[length:])[0]
-    if not snapshot:
-        return True
-    if not SNAPSHOT_MAGIC.startswith(body[:4]):
+    magic, prefix = (
+        (SNAPSHOT_MAGIC, _SNAPSHOT_PREFIX) if snapshot else (SEGMENT_MAGIC, _SEGMENT_PREFIX)
+    )
+    if snapshot and (len(body) >= length or not magic.startswith(body[:4])):
         return False
-    stated = PackedRecordBatch.declared_size(body[_SNAPSHOT_PREFIX.size :])
-    return stated is None or length == _SNAPSHOT_PREFIX.size + stated
+    if len(body) < length and body[:4] == magic:
+        stated = PackedRecordBatch.declared_size(body[prefix.size :])
+        if stated is not None and length != prefix.size + stated:
+            return False
+    behind = _BODY_START.finditer(data, valid + 1 + _FRAME_HEADER.size)
+    return not any(_frame_at(data, found.start() - _FRAME_HEADER.size) for found in behind)
 
 
 def _field(frame: Mapping[str, object], name: str, cast, path: object, index: int):

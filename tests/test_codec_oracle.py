@@ -7,13 +7,12 @@ records (bit-equal floats) or a ``ValueError`` from both.  The fuzz damages
 real ``RPK1`` blobs and accepts only "``ValueError`` or a valid table".  Both
 hold sliced calls (``to_records(lo, hi)``, what a lazily loaded shard makes)
 to the same rows: ``ValueError``, or the oracle's rows for exactly ``[lo:hi]``
-— never a short or shifted slice.  The hostile-input tests pin the error kinds a damaged batch reaches the client
-with, and that a rejected batch leaves a durable store untouched.
+— never a short or shifted slice.  A damaged batch on the wire is a row of
+``tests/test_damage.py``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import math
 import random
@@ -23,12 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import QueryEngine, QueryService, ServiceClient, ServiceError
 from repro.codec import PackedRecordBatch, decode_batch, encode_batch
 from repro.data.records import PositioningRecord, SampleSet
-from repro.service import protocol
-from repro.service.protocol import ProtocolError
-from repro.storage import DurableRecordStore, ShardedRecordStore
+from repro.storage import ShardedRecordStore
 from tests.codec_oracle import oracle_to_records
 
 #: These tests ran once per column container while the codec had two.  The
@@ -429,46 +425,9 @@ class TestDecoderFuzz:
 
 
 # ----------------------------------------------------------------------
-# Hostile input: the wire answers bad_request, the store is left untouched
+# Hostile input (every damaged RPK1 payload: tests/test_damage.py)
 # ----------------------------------------------------------------------
-def hostile_blobs():
-    return {
-        "nan probability": blob_of([(1, 5.0, [(3, math.nan)])]),
-        "nan beside a valid probability": blob_of([(1, 5.0, [(3, 0.5), (4, math.nan)])]),
-        "counts disagree": blob_of(
-            [(1, 5.0, [(1, 1.0)]), (2, 6.0, [(2, 1.0)])], counts=[3, -1]
-        ),
-        "infinite timestamp": blob_of([(1, math.inf, [(3, 1.0)])]),
-        "nan timestamp": blob_of([(1, math.nan, [(3, 1.0)])]),
-    }
-
-
 class TestHostileInput:
-    @pytest.mark.parametrize("name", sorted(hostile_blobs()))
-    def test_rejected_batch_leaves_the_durable_store_untouched(self, name, tmp_path):
-        good = [PositioningRecord(1, SampleSet.certain(3), 10.0 + i) for i in range(4)]
-        iupt = DurableRecordStore(tmp_path / "table", shard_seconds=60.0)
-        iupt.ingest_batch(good)
-        store = iupt
-        before = (store.last_committed_seq, len(store), store.shard_versions())
-        wal_bytes = sorted(
-            (path.name, path.stat().st_size) for path in (tmp_path / "table").rglob("*.wal")
-        )
-        with pytest.raises(ValueError):
-            iupt.ingest_batch(protocol.records_from_payload(hostile_blobs()[name]))
-        assert (store.last_committed_seq, len(store), store.shard_versions()) == before
-        assert wal_bytes == sorted(
-            (path.name, path.stat().st_size) for path in (tmp_path / "table").rglob("*.wal")
-        )
-        # The store is still usable and recovers to exactly the accepted batches.
-        iupt.ingest_batch([PositioningRecord(2, SampleSet.certain(4), 20.0)])
-        expected = list(store.records_in_time_order())
-        store.close()
-        recovered = DurableRecordStore(tmp_path / "table")
-        assert list(recovered.records_in_time_order()) == expected
-        assert len(expected) == 5
-        recovered.close()
-
     def test_sharded_store_rejects_non_finite_timestamps_before_mutating(self):
         store = ShardedRecordStore(shard_seconds=60.0)
         store.ingest_batch([PositioningRecord(1, SampleSet.certain(3), 10.0)])
@@ -482,44 +441,3 @@ class TestHostileInput:
                     ]
                 )
         assert len(store) == 1 and store.shard_versions() == versions
-
-    def test_protocol_maps_every_hostile_record_to_bad_request(self):
-        for name, blob in hostile_blobs().items():
-            if "timestamp" in name:
-                continue  # timestamps are the store's to reject, see the wire test
-            with pytest.raises(ProtocolError) as excinfo:
-                protocol.records_from_payload(blob)
-            assert excinfo.value.kind == "bad_request", name
-
-    def test_wire_answers_bad_request(self, small_real_scenario, tmp_path):
-        scenario = small_real_scenario
-
-        async def run():
-            iupt = DurableRecordStore(tmp_path / "served", shard_seconds=60.0)
-            service = QueryService(
-                QueryEngine(scenario.system.graph, scenario.system.matrix), iupt
-            )
-            host, port = await service.start()
-            async with await ServiceClient.connect(host, port) as client:
-                await client.ingest_batch(
-                    [PositioningRecord(1, SampleSet.certain(3), 10.0)]
-                )
-                before = (iupt.last_committed_seq, len(iupt))
-                for name, blob in hostile_blobs().items():
-                    with pytest.raises(ServiceError) as excinfo:
-                        await client.request(
-                            "ingest_batch", **{protocol.BIN_PAYLOAD: blob}
-                        )
-                    assert excinfo.value.kind == "bad_request", name
-                # Records spelled as JSON are refused whole, valid or not:
-                # the op takes one RPK1 payload.
-                for record in ([1, 5.0, [[3, 1.0]]], [1, 5.0, [[3, math.nan]]]):
-                    with pytest.raises(ServiceError) as excinfo:
-                        await client.request("ingest_batch", records=[record])
-                    assert excinfo.value.kind == "bad_request", record
-                    assert "RPK1" in excinfo.value.message
-                assert (iupt.last_committed_seq, len(iupt)) == before
-            await service.stop()
-            iupt.close()
-
-        asyncio.run(run())

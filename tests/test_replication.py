@@ -13,7 +13,8 @@ oracle:
   :class:`~repro.service.stream.FrameDecoder`, the decoder every role runs),
 * the :class:`~repro.service.replica.ReadReplica` catch-up-then-tail loop
   (live replay, snapshot catch-up, fault-injected primary crash + restart,
-  JSON-era directories, a damaged payload refused), and
+  JSON-era directories; a damaged payload is a row of
+  ``tests/test_damage.py``), and
 * the :class:`~repro.service.router.PartitionRouter` (routed reads equal
   primary reads, read-your-writes, fallback when a replica dies).
 """
@@ -40,7 +41,7 @@ from repro.data.records import PositioningRecord
 from repro.service import protocol
 from repro.service.client import ReconnectPolicy
 from repro.service.protocol import ProtocolError
-from repro.service.replica import ReadReplica, ReplicaError
+from repro.service.replica import ReadReplica
 from repro.service.router import PartitionRouter
 from repro.storage import (
     DurabilityConfig,
@@ -879,90 +880,6 @@ class TestFollowersLiveOnTheirConnections:
 
 async def _no_followers(client) -> bool:
     return (await client.replica_status())["followers"] == {}
-
-
-def _flip_last_probability(payload: bytes) -> bytes:
-    """``payload`` with the lowest byte of its last probability flipped: the
-    last frame's packed batch ends with its probability column."""
-    damaged = bytearray(payload)
-    damaged[-8] ^= 0x01
-    return bytes(damaged)
-
-
-class TestADamagedPayloadIsNeverApplied:
-    """A follower's payloads are log frames, each checked by its CRC, so one
-    flipped bit is refused — never applied under the primary's version
-    tokens as a record the primary does not hold."""
-
-    def test_a_damaged_snapshot_payload_refuses_the_start(
-        self, small_real_scenario, tmp_path
-    ):
-        scenario = small_real_scenario
-        history, _live = _split_stream(scenario)
-
-        class DamagedSnapshotReplica(ReadReplica):
-            async def _handshake(self) -> dict:
-                handshake = await super()._handshake()
-                assert handshake["mode"] == "snapshot"
-                payload = handshake[protocol.BIN_PAYLOAD]
-                return {**handshake, protocol.BIN_PAYLOAD: _flip_last_probability(payload)}
-
-        async def run():
-            service, host, port = await _start_primary(
-                scenario, tmp_path, preload=history,
-                config=DurabilityConfig(snapshot_every_batches=1),
-            )  # fmt: skip
-            replica = DamagedSnapshotReplica(_make_engine(scenario), host, port)
-            with pytest.raises(ReplicaError, match="damaged payload"):
-                await replica.start()
-            empty = ShardedRecordStore(shard_seconds=SERVICE_SHARD_SECONDS)
-            empty.restore_identity(service.iupt.uid)
-            assert replica.iupt.records_in_time_order() == ()
-            assert replica.iupt.version_token() == empty.version_token()
-            assert replica.applied_seq == replica.snapshot_catchups == 0
-            await replica.stop()
-            await service.stop()
-
-        asyncio.run(run())
-
-    def test_a_damaged_push_stops_the_apply_loop_and_moves_nothing(
-        self, small_real_scenario, tmp_path
-    ):
-        scenario = small_real_scenario
-        history, live = _split_stream(scenario)
-
-        class DamagedPushReplica(ReadReplica):
-            damage = False
-
-            async def _apply_commit(self, frame) -> None:
-                if self.damage:
-                    payload = _flip_last_probability(frame[protocol.BIN_PAYLOAD])
-                    frame = {**frame, protocol.BIN_PAYLOAD: payload}
-                await super()._apply_commit(frame)
-
-        async def run():
-            service, host, port = await _start_primary(scenario, tmp_path, preload=history)
-            replica = DamagedPushReplica(_make_engine(scenario), host, port)
-            rhost, rport = await replica.start()
-            await replica.wait_applied(service.iupt.last_committed_seq)
-            table = replica.iupt
-
-            def state():
-                return table.records_in_time_order(), table.version_token(), replica.applied_seq
-
-            before = state()
-            replica.damage = True
-            async with await ServiceClient.connect(host, port) as primary:
-                await primary.ingest_batch(live)
-            with pytest.raises(ReplicaError):
-                await replica.wait_applied(service.iupt.last_committed_seq)
-            async with await ServiceClient.connect(rhost, rport) as client:
-                assert (await client.replica_status())["healthy"] is False
-            assert state() == before
-            await replica.stop()
-            await service.stop()
-
-        asyncio.run(run())
 
 
 class TestFaultInjectedCatchUpThenTail:
